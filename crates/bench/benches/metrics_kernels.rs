@@ -1,18 +1,45 @@
 //! Microbenchmarks of the metric kernels every evaluation run leans on
 //! (BLEU, ROUGE-L, character accuracy rate).
+//!
+//! `medium_doc` (≈3 400 characters) stays under `BANDED_THRESHOLD`; a 2–4
+//! page document does not, so the `long_doc` pair (≈12 000 characters, a few
+//! hundred edits) times the path campaigns actually take, `beyond_band` a
+//! pair whose distance exceeds the band (it must cost what a near copy of
+//! its length costs), and `multilingual` the non-ASCII side of the match
+//! masks.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use textmetrics::bleu::sentence_bleu;
 use textmetrics::levenshtein::char_accuracy_rate;
 use textmetrics::rouge::rouge_l;
+use textmetrics::QualityReport;
+
+const SENTENCE: &str = "the gravitational force between two masses is directly proportional to the \
+                        product of their masses and inversely proportional to the square of the distance ";
+const MULTILINGUAL: &str = "η βαρυτική δύναμη μεταξύ δύο μαζών είναι ανάλογη του γινομένου τους · \
+                            сила тяготения между двумя массами пропорциональна их произведению · \
+                            两个质量之间的引力与它们的乘积成正比 𝐅 = 𝐆 𝐦₁ 𝐦₂ ∕ 𝐫² ";
 
 fn sample_pair() -> (String, String) {
-    let reference = "the gravitational force between two masses is directly proportional to the \
-                     product of their masses and inversely proportional to the square of the distance "
-        .repeat(20);
+    let reference = SENTENCE.repeat(20);
     let mut candidate = reference.clone();
     candidate.insert_str(200, "scrambled artifact ");
     (candidate, reference)
+}
+
+/// `reference` with every `every`-th character substituted, dropped or
+/// doubled in turn — parser noise spread over the whole text.
+fn with_edits(reference: &str, every: usize) -> String {
+    let mut candidate = String::with_capacity(reference.len());
+    for (i, ch) in reference.chars().enumerate() {
+        match (i % every == 0, i / every % 3) {
+            (true, 0) => candidate.push('#'),
+            (true, 1) => {}
+            (true, _) => candidate.extend([ch, ch]),
+            (false, _) => candidate.push(ch),
+        }
+    }
+    candidate
 }
 
 fn bench_metrics(c: &mut Criterion) {
@@ -24,6 +51,31 @@ fn bench_metrics(c: &mut Criterion) {
         b.iter(|| rouge_l(black_box(&candidate), black_box(&reference)))
     });
     c.bench_function("car/medium_doc", |b| {
+        b.iter(|| char_accuracy_rate(black_box(&candidate), black_box(&reference)))
+    });
+
+    let reference = SENTENCE.repeat(70);
+    let candidate = with_edits(&reference, 40);
+    c.bench_function("car/long_doc", |b| {
+        b.iter(|| char_accuracy_rate(black_box(&candidate), black_box(&reference)))
+    });
+    c.bench_function("rouge_l/long_doc", |b| {
+        b.iter(|| rouge_l(black_box(&candidate), black_box(&reference)))
+    });
+    c.bench_function("quality_report/long_doc", |b| {
+        b.iter(|| QualityReport::compute(black_box(&candidate), black_box(&reference), 1.0))
+    });
+
+    // Similar lengths, unrelated content: the distance is far over the band.
+    let unrelated: String = SENTENCE.repeat(30).chars().rev().collect();
+    let reference = SENTENCE.repeat(29);
+    c.bench_function("car/beyond_band", |b| {
+        b.iter(|| char_accuracy_rate(black_box(&unrelated), black_box(&reference)))
+    });
+
+    let reference = MULTILINGUAL.repeat(40);
+    let candidate = with_edits(&reference, 40);
+    c.bench_function("car/multilingual", |b| {
         b.iter(|| char_accuracy_rate(black_box(&candidate), black_box(&reference)))
     });
 }

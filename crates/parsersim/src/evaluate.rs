@@ -9,7 +9,7 @@ use docmodel::spdf::{write_document, SpdfFile};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use textmetrics::QualityReport;
+use textmetrics::{QualityReport, ReferenceText};
 
 use crate::registry::all_parsers;
 use crate::traits::{ParseOutput, Parser, ParserKind};
@@ -77,7 +77,8 @@ impl DocumentEvaluation {
 pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
     let bytes = write_document(doc);
     let file = SpdfFile::parse(&bytes).expect("writer output must parse");
-    let ground_truth = doc.ground_truth();
+    // All six outputs are scored against this one text: prepare it once.
+    let ground_truth = ReferenceText::new(&doc.ground_truth());
     let first_page_extraction = {
         let parser = crate::pymupdf::PyMuPdfParser::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF1557);
@@ -100,7 +101,7 @@ pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
                 cost: Default::default(),
             },
         };
-        let report = QualityReport::compute(&output.text, &ground_truth, output.coverage());
+        let report = ground_truth.score(&output.text, output.coverage());
         per_parser.push(ParserEvaluation { kind: parser.kind(), output, report });
     }
     DocumentEvaluation { doc_id: doc.id, first_page_extraction, pages: doc.page_count(), per_parser }

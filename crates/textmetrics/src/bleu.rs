@@ -7,7 +7,7 @@
 //! exactly zero (which would make the regression target degenerate).
 
 use crate::ngram::NgramCounts;
-use crate::tokenize::tokenize_words;
+use crate::tokenize::intern_pair;
 
 /// Configuration for BLEU computation.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -42,9 +42,8 @@ pub struct BleuScore {
 
 /// Compute BLEU for a single candidate/reference pair with the given config.
 pub fn sentence_bleu_with(candidate: &str, reference: &str, config: BleuConfig) -> BleuScore {
-    let cand = tokenize_words(candidate);
-    let refr = tokenize_words(reference);
-    bleu_from_tokens(&cand, &refr, config)
+    let (cand, refr, _) = intern_pair(candidate, reference);
+    bleu_of_ids(&cand, &refr, config)
 }
 
 /// Compute BLEU-4 with default smoothing for a candidate/reference pair.
@@ -84,8 +83,7 @@ pub fn corpus_bleu_with(pairs: &[(String, String)], config: BleuConfig) -> BleuS
     let mut cand_len = 0usize;
     let mut ref_len = 0usize;
     for (candidate, reference) in pairs {
-        let cand = tokenize_words(candidate);
-        let refr = tokenize_words(reference);
+        let (cand, refr, _) = intern_pair(candidate, reference);
         cand_len += cand.len();
         ref_len += refr.len();
         for order in 1..=max_order {
@@ -98,7 +96,8 @@ pub fn corpus_bleu_with(pairs: &[(String, String)], config: BleuConfig) -> BleuS
     finish_bleu(&matches, &totals, cand_len, ref_len, config)
 }
 
-fn bleu_from_tokens(cand: &[String], refr: &[String], config: BleuConfig) -> BleuScore {
+/// BLEU of two token-id sequences from one vocabulary.
+pub(crate) fn bleu_of_ids(cand: &[u32], refr: &[u32], config: BleuConfig) -> BleuScore {
     let max_order = config.max_order.max(1);
     let mut matches = vec![0usize; max_order];
     let mut totals = vec![0usize; max_order];

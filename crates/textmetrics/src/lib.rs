@@ -64,14 +64,12 @@ impl QualityReport {
     /// Compute BLEU, ROUGE-L and CAR for a candidate/reference pair.
     ///
     /// `coverage` is supplied by the caller because page attribution is a
-    /// property of the document model, not of flat text.
+    /// property of the document model, not of flat text. The three scores
+    /// are bit-equal to [`sentence_bleu`], [`rouge_l`]`.f1` and
+    /// [`char_accuracy_rate`] on the same pair; each text is tokenized,
+    /// interned and whitespace-normalized once for all of them.
     pub fn compute(candidate: &str, reference: &str, coverage: f64) -> Self {
-        QualityReport {
-            bleu: bleu::sentence_bleu(candidate, reference),
-            rouge: rouge::rouge_l(candidate, reference).f1,
-            car: levenshtein::char_accuracy_rate(candidate, reference),
-            coverage: coverage.clamp(0.0, 1.0),
-        }
+        ReferenceText::new(reference).score(candidate, coverage)
     }
 
     /// Average two reports element-wise (used when aggregating pages).
@@ -81,6 +79,39 @@ impl QualityReport {
             rouge: 0.5 * (self.rouge + other.rouge),
             car: 0.5 * (self.car + other.car),
             coverage: 0.5 * (self.coverage + other.coverage),
+        }
+    }
+}
+
+/// A reference text prepared for scoring: whitespace-normalized characters
+/// for CAR and interned word tokens for BLEU and ROUGE-L.
+///
+/// [`QualityReport::compute`] prepares one per call; a caller scoring several
+/// candidates against one ground truth (the six parsers of an evaluation)
+/// prepares it once.
+#[derive(Debug, Clone)]
+pub struct ReferenceText {
+    chars: Vec<char>,
+    vocab: tokenize::Vocab,
+    ids: Vec<u32>,
+}
+
+impl ReferenceText {
+    /// Normalize, tokenize and intern `reference`.
+    pub fn new(reference: &str) -> Self {
+        let mut vocab = tokenize::Vocab::default();
+        let ids = vocab.intern(reference);
+        ReferenceText { chars: tokenize_chars(reference), vocab, ids }
+    }
+
+    /// Score `candidate` against this reference; see [`QualityReport::compute`].
+    pub fn score(&self, candidate: &str, coverage: f64) -> QualityReport {
+        let ids = self.vocab.lookup(candidate);
+        QualityReport {
+            bleu: bleu::bleu_of_ids(&ids, &self.ids, BleuConfig::default()).score,
+            rouge: rouge::rouge_l_of_ids(&ids, &self.ids, self.vocab.len()).f1,
+            car: levenshtein::car_of_chars(&tokenize_chars(candidate), &self.chars),
+            coverage: coverage.clamp(0.0, 1.0),
         }
     }
 }

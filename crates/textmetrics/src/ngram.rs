@@ -2,33 +2,30 @@
 
 use std::collections::HashMap;
 
-/// A multiset of n-grams of a fixed order over word tokens.
+/// A multiset of n-grams of a fixed order over interned word tokens.
 ///
-/// N-grams are stored as joined strings (tokens separated by `'\u{1}'`, a
-/// character that cannot appear in a token) to avoid nested allocations.
+/// The keys are the `order`-long windows of the id slice the multiset was
+/// counted from (see `tokenize::Vocab`), borrowed, not copied: two multisets
+/// compare only when their ids come from the same vocabulary.
 #[derive(Debug, Clone, Default)]
-pub struct NgramCounts {
+pub struct NgramCounts<'a> {
     order: usize,
-    counts: HashMap<String, usize>,
+    counts: HashMap<&'a [u32], usize>,
     total: usize,
 }
 
-impl NgramCounts {
+impl<'a> NgramCounts<'a> {
     /// Count the n-grams of the given `order` in `tokens`.
     ///
     /// # Panics
     ///
     /// Panics if `order == 0`.
-    pub fn from_tokens(tokens: &[String], order: usize) -> Self {
+    pub fn from_tokens(tokens: &'a [u32], order: usize) -> Self {
         assert!(order > 0, "n-gram order must be positive");
-        let mut counts = HashMap::new();
-        let mut total = 0usize;
-        if tokens.len() >= order {
-            for window in tokens.windows(order) {
-                let key = window.join("\u{1}");
-                *counts.entry(key).or_insert(0) += 1;
-                total += 1;
-            }
+        let total = (tokens.len() + 1).saturating_sub(order);
+        let mut counts = HashMap::with_capacity(total);
+        for window in tokens.windows(order) {
+            *counts.entry(window).or_insert(0) += 1;
         }
         NgramCounts { order, counts, total }
     }
@@ -48,8 +45,8 @@ impl NgramCounts {
         self.counts.len()
     }
 
-    /// Count of a specific n-gram key.
-    pub fn count(&self, key: &str) -> usize {
+    /// Count of a specific n-gram.
+    pub fn count(&self, key: &[u32]) -> usize {
         self.counts.get(key).copied().unwrap_or(0)
     }
 
@@ -68,8 +65,8 @@ impl NgramCounts {
     }
 
     /// Iterate over `(ngram, count)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.counts.iter().map(|(k, &v)| (k.as_str(), v))
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [u32], usize)> + '_ {
+        self.counts.iter().map(|(&k, &v)| (k, v))
     }
 }
 
@@ -77,38 +74,36 @@ impl NgramCounts {
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<String> {
-        s.split_whitespace().map(|t| t.to_string()).collect()
-    }
+    // a = 0, b = 1, c = 2, the = 3, cat = 4, sat = 5.
 
     #[test]
     fn unigram_counts() {
-        let c = NgramCounts::from_tokens(&toks("a b a c"), 1);
+        let c = NgramCounts::from_tokens(&[0, 1, 0, 2], 1);
         assert_eq!(c.total(), 4);
         assert_eq!(c.distinct(), 3);
-        assert_eq!(c.count("a"), 2);
-        assert_eq!(c.count("z"), 0);
+        assert_eq!(c.count(&[0]), 2);
+        assert_eq!(c.count(&[9]), 0);
     }
 
     #[test]
     fn bigram_counts() {
-        let c = NgramCounts::from_tokens(&toks("a b a b"), 2);
+        let c = NgramCounts::from_tokens(&[0, 1, 0, 1], 2);
         assert_eq!(c.total(), 3);
-        assert_eq!(c.count("a\u{1}b"), 2);
-        assert_eq!(c.count("b\u{1}a"), 1);
+        assert_eq!(c.count(&[0, 1]), 2);
+        assert_eq!(c.count(&[1, 0]), 1);
     }
 
     #[test]
     fn order_longer_than_sequence_is_empty() {
-        let c = NgramCounts::from_tokens(&toks("a b"), 3);
+        let c = NgramCounts::from_tokens(&[0, 1], 3);
         assert_eq!(c.total(), 0);
         assert_eq!(c.distinct(), 0);
     }
 
     #[test]
     fn clipped_overlap_is_symmetric_and_clipped() {
-        let a = NgramCounts::from_tokens(&toks("the the the cat"), 1);
-        let b = NgramCounts::from_tokens(&toks("the cat sat"), 1);
+        let a = NgramCounts::from_tokens(&[3, 3, 3, 4], 1);
+        let b = NgramCounts::from_tokens(&[3, 4, 5], 1);
         assert_eq!(a.clipped_overlap(&b), 2); // min(3,1) for "the" + min(1,1) for "cat"
         assert_eq!(b.clipped_overlap(&a), 2);
     }
@@ -116,6 +111,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "order must be positive")]
     fn zero_order_panics() {
-        let _ = NgramCounts::from_tokens(&toks("a"), 0);
+        let _ = NgramCounts::from_tokens(&[0], 0);
     }
 }

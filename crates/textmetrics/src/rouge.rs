@@ -6,7 +6,7 @@
 //! expose ROUGE-1/2 for completeness.
 
 use crate::ngram::NgramCounts;
-use crate::tokenize::tokenize_words;
+use crate::tokenize::{intern_pair, Vocab};
 
 /// Precision / recall / F1 triple produced by every ROUGE variant.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -41,8 +41,7 @@ impl RougeScore {
 /// assert!(s.recall < 1.0 && s.precision > 0.99);
 /// ```
 pub fn rouge_n(candidate: &str, reference: &str, order: usize) -> RougeScore {
-    let cand = tokenize_words(candidate);
-    let refr = tokenize_words(reference);
+    let (cand, refr, _) = intern_pair(candidate, reference);
     if cand.is_empty() && refr.is_empty() {
         return RougeScore::perfect();
     }
@@ -58,14 +57,19 @@ pub fn rouge_n(candidate: &str, reference: &str, order: usize) -> RougeScore {
 /// sequences are truncated to the first [`ROUGE_L_MAX_TOKENS`] tokens — the
 /// same windowing approach used by summarization toolkits for long inputs.
 pub fn rouge_l(candidate: &str, reference: &str) -> RougeScore {
-    let mut cand = tokenize_words(candidate);
-    let mut refr = tokenize_words(reference);
+    let (cand, refr, vocab_len) = intern_pair(candidate, reference);
+    rouge_l_of_ids(&cand, &refr, vocab_len)
+}
+
+/// [`rouge_l`] of two token-id sequences from one vocabulary of `vocab_len`
+/// tokens.
+pub(crate) fn rouge_l_of_ids(cand: &[u32], refr: &[u32], vocab_len: usize) -> RougeScore {
     if cand.is_empty() && refr.is_empty() {
         return RougeScore::perfect();
     }
-    cand.truncate(ROUGE_L_MAX_TOKENS);
-    refr.truncate(ROUGE_L_MAX_TOKENS);
-    let lcs = lcs_length(&cand, &refr) as f64;
+    let cand = &cand[..cand.len().min(ROUGE_L_MAX_TOKENS)];
+    let refr = &refr[..refr.len().min(ROUGE_L_MAX_TOKENS)];
+    let lcs = lcs_of_ids(cand, refr, vocab_len) as f64;
     RougeScore::from_counts(lcs, cand.len() as f64, refr.len() as f64)
 }
 
@@ -74,22 +78,67 @@ pub const ROUGE_L_MAX_TOKENS: usize = 3_000;
 
 /// Length of the longest common subsequence of two token slices.
 ///
-/// Memory usage is `O(min(n, m))`.
+/// Memory usage is `O(σ · min(n, m) / 64)` words for `σ` distinct tokens in
+/// the shorter slice.
 pub fn lcs_length(a: &[String], b: &[String]) -> usize {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if short.is_empty() {
+    let mut vocab = Vocab::default();
+    let a_ids: Vec<u32> = a.iter().map(|token| vocab.intern_token(token)).collect();
+    let b_ids: Vec<u32> = b.iter().map(|token| vocab.lookup_token(token)).collect();
+    lcs_of_ids(&a_ids, &b_ids, vocab.len())
+}
+
+/// LCS length of two id sequences. An id of `vocab_len` or more — in
+/// practice `tokenize::UNKNOWN_TOKEN` — matches nothing, itself included.
+///
+/// Bit-vector LCS (Allison–Dix, in Hyyrö's form): the shorter sequence is
+/// the pattern, one bit per token, and `V` starts all ones. Each token `c`
+/// of the longer one updates `V' = (V + (V & M[c])) | (V & !M[c])`, where
+/// `M[c]` marks the pattern positions holding `c`; only the addition
+/// carries from one 64-bit block into the next. The zero bits of the final
+/// `V` are the LCS length — the same integer as the textbook row recurrence
+/// (the test oracle in `tests/kernel_equivalence.rs`).
+fn lcs_of_ids(a: &[u32], b: &[u32], vocab_len: usize) -> usize {
+    let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if pattern.is_empty() {
         return 0;
     }
-    let mut prev = vec![0usize; short.len() + 1];
-    let mut curr = vec![0usize; short.len() + 1];
-    for lc in long {
-        for (j, sc) in short.iter().enumerate() {
-            curr[j + 1] = if lc == sc { prev[j] + 1 } else { prev[j + 1].max(curr[j]) };
+    let words = pattern.len().div_ceil(u64::BITS as usize);
+    // Row of each id's mask in `masks`, numbered first so `masks` is
+    // allocated once at its final size; row 0 stays zero for ids the
+    // pattern lacks.
+    let mut row_of = vec![0u32; vocab_len];
+    let mut rows = 0;
+    for &id in pattern {
+        let Some(row) = row_of.get_mut(id as usize) else { continue };
+        if *row == 0 {
+            rows += 1;
+            *row = rows;
         }
-        std::mem::swap(&mut prev, &mut curr);
-        curr[0] = 0;
     }
-    prev[short.len()]
+    let mut masks = vec![0u64; (rows as usize + 1) * words];
+    for (i, &id) in pattern.iter().enumerate() {
+        if let Some(&row) = row_of.get(id as usize) {
+            masks[row as usize * words + i / 64] |= 1 << (i % 64);
+        }
+    }
+    // The bits past the pattern in the last block have no mask bit, so they
+    // stay one and never count as matches.
+    let mut v = vec![u64::MAX; words];
+    for &id in text {
+        let row = row_of.get(id as usize).map_or(0, |&row| row as usize);
+        if row == 0 {
+            continue; // an all-zero mask leaves `V` as it is
+        }
+        let mut carry = false;
+        for (v, &mask) in v.iter_mut().zip(&masks[row * words..(row + 1) * words]) {
+            let matched = *v & mask;
+            let (sum, c1) = v.overflowing_add(matched);
+            let (sum, c2) = sum.overflowing_add(u64::from(carry));
+            carry = c1 | c2;
+            *v = sum | (*v & !mask);
+        }
+    }
+    v.iter().map(|block| block.count_zeros() as usize).sum()
 }
 
 #[cfg(test)]

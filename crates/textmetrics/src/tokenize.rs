@@ -4,6 +4,8 @@
 //! lower-cased word tokens; character-level metrics (CAR) operate on the raw
 //! character sequence after whitespace normalization.
 
+use std::collections::HashMap;
+
 /// Collapse any run of whitespace into a single ASCII space and trim the ends.
 ///
 /// Parser output frequently contains injected whitespace (one of the failure
@@ -16,28 +18,61 @@
 /// ```
 pub fn normalize_whitespace(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    let mut last_was_space = true; // also trims leading whitespace
+    normalize_into(text, |ch| out.push(ch));
+    out
+}
+
+/// The one whitespace normalizer; `push` receives the normalized characters,
+/// so the character metrics fill a `Vec<char>` without a `String` in between.
+fn normalize_into(text: &str, mut push: impl FnMut(char)) {
+    let mut pending_space = false;
+    let mut seen_text = false; // leading whitespace is dropped
     for ch in text.chars() {
         if ch.is_whitespace() {
-            if !last_was_space {
-                out.push(' ');
-                last_was_space = true;
-            }
+            pending_space = seen_text;
         } else {
-            out.push(ch);
-            last_was_space = false;
+            if pending_space {
+                push(' ');
+                pending_space = false;
+            }
+            push(ch);
+            seen_text = true;
         }
     }
-    if out.ends_with(' ') {
-        out.pop();
+}
+
+/// Call `f` with every lower-cased word token of `text`, in order.
+///
+/// A token is a maximal run of alphanumeric characters; punctuation is
+/// dropped. One buffer is reused for all tokens, so callers that only look
+/// a token up (see [`Vocab`]) allocate nothing per token.
+pub(crate) fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
+    let mut current = String::new();
+    for ch in text.chars() {
+        if ch.is_ascii() {
+            // Same result as the general arm below (`to_lowercase` of an ASCII
+            // character is `to_ascii_lowercase`), without its iterator.
+            if ch.is_ascii_alphanumeric() {
+                current.push(ch.to_ascii_lowercase());
+                continue;
+            }
+        } else if ch.is_alphanumeric() {
+            current.extend(ch.to_lowercase());
+            continue;
+        }
+        if !current.is_empty() {
+            f(&current);
+            current.clear();
+        }
     }
-    out
+    if !current.is_empty() {
+        f(&current);
+    }
 }
 
 /// Split text into lower-cased word tokens.
 ///
-/// A token is a maximal run of alphanumeric characters; punctuation is
-/// dropped. This mirrors the simple tokenizers used by BLEU/ROUGE reference
+/// This mirrors the simple tokenizers used by BLEU/ROUGE reference
 /// implementations and keeps the metric insensitive to markdown artifacts
 /// (`#`, `*`) that differ between parsers.
 ///
@@ -47,20 +82,68 @@ pub fn normalize_whitespace(text: &str) -> String {
 /// ```
 pub fn tokenize_words(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                current.push(lc);
-            }
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
+    for_each_word(text, |token| tokens.push(token.to_string()));
     tokens
+}
+
+/// Id [`Vocab::lookup`] gives a token the vocabulary does not hold. It
+/// equals no interned id, so such tokens match nothing — which is all
+/// BLEU's clipped counts and the LCS ask of a token one side lacks.
+pub(crate) const UNKNOWN_TOKEN: u32 = u32::MAX;
+
+/// Word tokens interned to dense `u32` ids (`0..len`), so the word-level
+/// metrics compare and hash integers instead of `String`s.
+///
+/// A (candidate, reference) pair interns one side and looks the other up:
+/// equal tokens get equal ids, and every token only the looked-up side has
+/// becomes [`UNKNOWN_TOKEN`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Vocab {
+    ids: HashMap<String, u32>,
+}
+
+impl Vocab {
+    /// Number of distinct tokens interned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Id of one token, added if new.
+    pub(crate) fn intern_token(&mut self, token: &str) -> u32 {
+        if let Some(&id) = self.ids.get(token) {
+            return id;
+        }
+        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct tokens");
+        self.ids.insert(token.to_string(), id);
+        id
+    }
+
+    /// Id of one token, [`UNKNOWN_TOKEN`] if it was never interned.
+    pub(crate) fn lookup_token(&self, token: &str) -> u32 {
+        self.ids.get(token).copied().unwrap_or(UNKNOWN_TOKEN)
+    }
+
+    /// Tokenize `text` ([`for_each_word`]) and intern every token.
+    pub(crate) fn intern(&mut self, text: &str) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for_each_word(text, |token| ids.push(self.intern_token(token)));
+        ids
+    }
+
+    /// Tokenize `text` ([`for_each_word`]) against the interned tokens.
+    pub(crate) fn lookup(&self, text: &str) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for_each_word(text, |token| ids.push(self.lookup_token(token)));
+        ids
+    }
+}
+
+/// Token ids of a (candidate, reference) pair — the reference interned, the
+/// candidate looked up — and the number of distinct reference tokens.
+pub(crate) fn intern_pair(candidate: &str, reference: &str) -> (Vec<u32>, Vec<u32>, usize) {
+    let mut vocab = Vocab::default();
+    let refr = vocab.intern(reference);
+    (vocab.lookup(candidate), refr, vocab.len())
 }
 
 /// Split text into case-preserving word tokens (used by the win-rate and
@@ -85,7 +168,9 @@ pub fn tokenize_words_cased(text: &str) -> Vec<String> {
 ///
 /// This is the unit of comparison for the character accuracy rate.
 pub fn tokenize_chars(text: &str) -> Vec<char> {
-    normalize_whitespace(text).chars().collect()
+    let mut out = Vec::with_capacity(text.len());
+    normalize_into(text, |ch| out.push(ch));
+    out
 }
 
 /// Count word tokens (cheap; avoids allocating the token vector).

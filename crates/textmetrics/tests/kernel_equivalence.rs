@@ -1,0 +1,538 @@
+//! Differential wall between the bit-parallel metric kernels and the scalar
+//! dynamic programs they replaced.
+//!
+//! `reference` below is the implementation the crate shipped before the
+//! kernels were made bit-parallel — the row-by-row Levenshtein table, the
+//! banded table with every cell outside the band at infinity, the row-by-row LCS,
+//! `String`-keyed n-gram counts and the allocate-per-token tokenizer — kept
+//! here, and only here, as the oracle. Distances and LCS lengths must be the
+//! same integers; every `f64` derived from them must have the same bits.
+
+use textmetrics::bleu::sentence_bleu;
+use textmetrics::levenshtein::{
+    char_accuracy_rate, edit_distance_banded, edit_distance_chars, BANDED_THRESHOLD,
+};
+use textmetrics::rouge::{lcs_length, rouge_l, ROUGE_L_MAX_TOKENS};
+use textmetrics::{QualityReport, ReferenceText};
+
+mod reference {
+    use std::collections::HashMap;
+
+    pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        if short.is_empty() {
+            return long.len();
+        }
+        let mut prev: Vec<usize> = (0..=short.len()).collect();
+        let mut curr: Vec<usize> = vec![0; short.len() + 1];
+        for (i, &lc) in long.iter().enumerate() {
+            curr[0] = i + 1;
+            for (j, &sc) in short.iter().enumerate() {
+                let cost = usize::from(lc != sc);
+                curr[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(curr[j] + 1);
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[short.len()]
+    }
+
+    pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
+        let n = a.len();
+        let m = b.len();
+        if n == 0 {
+            return m;
+        }
+        if m == 0 {
+            return n;
+        }
+        if n.abs_diff(m) > band {
+            return n.max(m);
+        }
+        let inf = n + m + 1;
+        let mut prev = vec![inf; m + 1];
+        let mut curr = vec![inf; m + 1];
+        for (j, slot) in prev.iter_mut().enumerate().take(band.min(m) + 1) {
+            *slot = j;
+        }
+        for i in 1..=n {
+            let lo = i.saturating_sub(band).max(1);
+            let hi = (i + band).min(m);
+            curr.iter_mut().for_each(|x| *x = inf);
+            if lo == 1 {
+                curr[0] = i;
+            }
+            for j in lo..=hi {
+                let cost = usize::from(a[i - 1] != b[j - 1]);
+                let mut best = prev[j - 1].saturating_add(cost);
+                best = best.min(prev[j].saturating_add(1));
+                best = best.min(curr[j - 1].saturating_add(1));
+                curr[j] = best;
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[m].min(n.max(m))
+    }
+
+    fn normalize_whitespace(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut last_was_space = true;
+        for ch in text.chars() {
+            if ch.is_whitespace() {
+                if !last_was_space {
+                    out.push(' ');
+                    last_was_space = true;
+                }
+            } else {
+                out.push(ch);
+                last_was_space = false;
+            }
+        }
+        if out.ends_with(' ') {
+            out.pop();
+        }
+        out
+    }
+
+    pub fn char_accuracy_rate(candidate: &str, reference: &str) -> f64 {
+        let cand: Vec<char> = normalize_whitespace(candidate).chars().collect();
+        let refr: Vec<char> = normalize_whitespace(reference).chars().collect();
+        let denom = cand.len().max(refr.len());
+        if denom == 0 {
+            return 1.0;
+        }
+        let d = if denom > super::BANDED_THRESHOLD {
+            let band = (refr.len() / 5).max(64);
+            edit_distance_banded(&cand, &refr, band)
+        } else {
+            edit_distance_chars(&cand, &refr)
+        };
+        (1.0 - d as f64 / denom as f64).clamp(0.0, 1.0)
+    }
+
+    pub fn tokenize_words(text: &str) -> Vec<String> {
+        let mut tokens = Vec::new();
+        let mut current = String::new();
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                for lc in ch.to_lowercase() {
+                    current.push(lc);
+                }
+            } else if !current.is_empty() {
+                tokens.push(std::mem::take(&mut current));
+            }
+        }
+        if !current.is_empty() {
+            tokens.push(current);
+        }
+        tokens
+    }
+
+    pub fn lcs_length(a: &[String], b: &[String]) -> usize {
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        if short.is_empty() {
+            return 0;
+        }
+        let mut prev = vec![0usize; short.len() + 1];
+        let mut curr = vec![0usize; short.len() + 1];
+        for lc in long {
+            for (j, sc) in short.iter().enumerate() {
+                curr[j + 1] = if lc == sc { prev[j] + 1 } else { prev[j + 1].max(curr[j]) };
+            }
+            std::mem::swap(&mut prev, &mut curr);
+            curr[0] = 0;
+        }
+        prev[short.len()]
+    }
+
+    pub fn rouge_l_f1(candidate: &str, reference: &str) -> f64 {
+        let mut cand = tokenize_words(candidate);
+        let mut refr = tokenize_words(reference);
+        if cand.is_empty() && refr.is_empty() {
+            return 1.0;
+        }
+        cand.truncate(super::ROUGE_L_MAX_TOKENS);
+        refr.truncate(super::ROUGE_L_MAX_TOKENS);
+        let overlap = lcs_length(&cand, &refr) as f64;
+        let (cand_total, ref_total) = (cand.len() as f64, refr.len() as f64);
+        let precision = if cand_total > 0.0 { overlap / cand_total } else { 0.0 };
+        let recall = if ref_total > 0.0 { overlap / ref_total } else { 0.0 };
+        if precision + recall > 0.0 {
+            2.0 * precision * recall / (precision + recall)
+        } else {
+            0.0
+        }
+    }
+
+    fn ngram_counts(tokens: &[String], order: usize) -> (HashMap<String, usize>, usize) {
+        let mut counts = HashMap::new();
+        let mut total = 0;
+        if tokens.len() >= order {
+            for window in tokens.windows(order) {
+                *counts.entry(window.join("\u{1}")).or_insert(0) += 1;
+                total += 1;
+            }
+        }
+        (counts, total)
+    }
+
+    /// BLEU-4 with the default smoothing of `1e-2`.
+    pub fn sentence_bleu(candidate: &str, reference: &str) -> f64 {
+        let cand = tokenize_words(candidate);
+        let refr = tokenize_words(reference);
+        if cand.is_empty() || refr.is_empty() {
+            return if cand.is_empty() && refr.is_empty() { 1.0 } else { 0.0 };
+        }
+        let mut log_sum = 0.0f64;
+        let mut usable_orders = 0usize;
+        for order in 1..=4 {
+            let (c, total) = ngram_counts(&cand, order);
+            let (r, _) = ngram_counts(&refr, order);
+            let matches: usize = c.iter().map(|(k, &n)| n.min(r.get(k).copied().unwrap_or(0))).sum();
+            if total == 0 {
+                continue;
+            }
+            let p = if matches == 0 { 1e-2 / total as f64 } else { matches as f64 / total as f64 };
+            log_sum += p.max(f64::MIN_POSITIVE).ln();
+            usable_orders += 1;
+        }
+        let geo_mean = if usable_orders == 0 { 0.0 } else { (log_sum / usable_orders as f64).exp() };
+        let brevity_penalty =
+            if cand.len() >= refr.len() { 1.0 } else { (1.0 - refr.len() as f64 / cand.len() as f64).exp() };
+        (geo_mean * brevity_penalty).clamp(0.0, 1.0)
+    }
+}
+
+/// xorshift64*: the tests need repeatable inputs, not good randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Alphabets of 2, 26 and over 200 symbols; the last spans ASCII, Latin-1,
+/// Greek, Cyrillic, CJK and non-BMP letters (all alphanumeric, some with a
+/// multi-character lower case such as 'İ').
+fn alphabets() -> Vec<Vec<char>> {
+    let wide: Vec<char> = ('A'..='Z')
+        .chain('a'..='z')
+        .chain('À'..='Ö')
+        .chain('Α'..='Ρ')
+        .chain('а'..='я')
+        .chain('一'..='丟')
+        .chain('𝐀'..='𝐙')
+        .chain('𠀀'..='𠀟')
+        .chain(['İ', 'ß', 'ǅ', 'Σ'])
+        .collect();
+    assert!(wide.len() > 128 && wide.iter().any(|&c| c as u32 > 0xFFFF));
+    vec![vec!['a', 'b'], ('a'..='z').collect(), wide]
+}
+
+fn random_chars(rng: &mut Rng, alphabet: &[char], len: usize) -> Vec<char> {
+    (0..len).map(|_| alphabet[rng.below(alphabet.len())]).collect()
+}
+
+/// `text` after `edits` random substitutions, insertions and deletions.
+fn mutate(rng: &mut Rng, alphabet: &[char], text: &[char], edits: usize) -> Vec<char> {
+    let mut out = text.to_vec();
+    for _ in 0..edits {
+        let symbol = alphabet[rng.below(alphabet.len())];
+        let at = rng.below(out.len() + 1);
+        match rng.below(3) {
+            0 if at < out.len() => out[at] = symbol,
+            1 if at < out.len() => {
+                out.remove(at);
+            }
+            _ => out.insert(at, symbol),
+        }
+    }
+    out
+}
+
+/// Words of one to three symbols separated by spaces, newlines and
+/// punctuation.
+fn random_words(rng: &mut Rng, alphabet: &[char], words: usize) -> String {
+    let mut text = String::new();
+    for _ in 0..words {
+        for _ in 0..=rng.below(3) {
+            text.push(alphabet[rng.below(alphabet.len())]);
+        }
+        text.push_str([" ", "  ", "\n", ", ", " - "][rng.below(5)]);
+    }
+    text
+}
+
+/// `text` with roughly one word in `one_in` dropped, doubled or replaced.
+fn mutate_words(rng: &mut Rng, alphabet: &[char], text: &str, one_in: usize) -> String {
+    let mut out = String::new();
+    for word in text.split(' ') {
+        match rng.below(one_in * 3) {
+            0 => {}
+            1 => out.push_str(&format!("{word} {word} ")),
+            2 => out.push_str(&random_words(rng, alphabet, 1)),
+            _ => {
+                out.push_str(word);
+                out.push(' ');
+            }
+        }
+    }
+    out
+}
+
+const BLOCK_EDGE_LENGTHS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+fn assert_distance_matches(a: &[char], b: &[char]) {
+    let expected = reference::edit_distance_chars(a, b);
+    assert_eq!(edit_distance_chars(a, b), expected, "|a| = {}, |b| = {}", a.len(), b.len());
+    assert_eq!(edit_distance_chars(b, a), expected, "swapped, |a| = {}, |b| = {}", a.len(), b.len());
+}
+
+fn assert_metrics_match(candidate: &str, reference: &str) {
+    for (c, r) in [(candidate, reference), (reference, candidate)] {
+        assert_eq!(char_accuracy_rate(c, r).to_bits(), reference::char_accuracy_rate(c, r).to_bits(), "CAR");
+        assert_eq!(rouge_l(c, r).f1.to_bits(), reference::rouge_l_f1(c, r).to_bits(), "ROUGE-L");
+        assert_eq!(sentence_bleu(c, r).to_bits(), reference::sentence_bleu(c, r).to_bits(), "BLEU");
+        let report = QualityReport::compute(c, r, 0.75);
+        assert_eq!(report.bleu.to_bits(), sentence_bleu(c, r).to_bits());
+        assert_eq!(report.rouge.to_bits(), rouge_l(c, r).f1.to_bits());
+        assert_eq!(report.car.to_bits(), char_accuracy_rate(c, r).to_bits());
+        assert_eq!(report.coverage, 0.75);
+        assert_eq!(ReferenceText::new(r).score(c, 0.75), report);
+    }
+}
+
+#[test]
+fn edit_distance_matches_scalar_at_block_edges() {
+    let mut rng = Rng(0x5EED_0001);
+    for alphabet in alphabets() {
+        for &n in &BLOCK_EDGE_LENGTHS {
+            for &m in &BLOCK_EDGE_LENGTHS {
+                let a = random_chars(&mut rng, &alphabet, n);
+                assert_distance_matches(&a, &random_chars(&mut rng, &alphabet, m));
+                // A near copy of the same length class: few edits, long runs of matches.
+                let near = mutate(&mut rng, &alphabet, &a, 1 + n / 16);
+                assert_distance_matches(&a, &near);
+            }
+        }
+    }
+}
+
+#[test]
+fn edit_distance_matches_scalar_on_random_lengths() {
+    let mut rng = Rng(0x5EED_0002);
+    for alphabet in alphabets() {
+        for _ in 0..40 {
+            let (n, edits) = (rng.below(700), rng.below(60));
+            let a = random_chars(&mut rng, &alphabet, n);
+            assert_distance_matches(&a, &mutate(&mut rng, &alphabet, &a, edits));
+            let m = rng.below(700);
+            assert_distance_matches(&a, &random_chars(&mut rng, &alphabet, m));
+        }
+    }
+    // All-equal and all-different columns: the carry runs through every block.
+    let same = vec!['x'; 300];
+    assert_distance_matches(&same, &same[..257]);
+    assert_distance_matches(&same, &vec!['y'; 300]);
+}
+
+fn assert_banded_matches(a: &[char], b: &[char], band: usize) {
+    for (x, y) in [(a, b), (b, a)] {
+        assert_eq!(
+            edit_distance_banded(x, y, band),
+            reference::edit_distance_banded(x, y, band),
+            "|x| = {}, |y| = {}, band = {band}",
+            x.len(),
+            y.len()
+        );
+    }
+}
+
+#[test]
+fn banded_distance_matches_the_scalar_band_on_random_lengths() {
+    let mut rng = Rng(0x5EED_0003);
+    for alphabet in alphabets() {
+        for _ in 0..30 {
+            let (n, edits) = (rng.below(400), rng.below(80));
+            let a = random_chars(&mut rng, &alphabet, n);
+            let near = mutate(&mut rng, &alphabet, &a, edits);
+            let m = rng.below(400);
+            let far = random_chars(&mut rng, &alphabet, m);
+            for band in [0, 1, 2, 7, 63, 64, 65, 1000] {
+                assert_banded_matches(&a, &near, band);
+                assert_banded_matches(&a, &far, band);
+            }
+        }
+    }
+}
+
+/// The band's two edges cross a block boundary at every combination of
+/// offsets, with the length gap at and around the band.
+#[test]
+fn banded_distance_matches_the_scalar_band_at_block_edges() {
+    let mut rng = Rng(0x5EED_000A);
+    for alphabet in alphabets() {
+        for &n in &BLOCK_EDGE_LENGTHS {
+            let a = random_chars(&mut rng, &alphabet, n);
+            for band in [0, 1, 2, 31, 62, 63, 64, 65, 66, 127, 128, 129] {
+                for m in [n, n + 1, n + band / 2, n + band, n + band + 1] {
+                    assert_banded_matches(&a, &random_chars(&mut rng, &alphabet, m), band);
+                }
+                assert_banded_matches(&a, &mutate(&mut rng, &alphabet, &a, 1 + n / 16), band);
+            }
+        }
+    }
+}
+
+/// A block of text moved from the front to the back: the cheapest alignment
+/// follows a diagonal `shift` off the main one, so a band narrower than the
+/// shift has to pay for a worse one and the banded distance exceeds the
+/// exact distance.
+#[test]
+fn banded_distance_matches_the_scalar_band_when_the_best_alignment_leaves_it() {
+    let mut rng = Rng(0x5EED_000B);
+    for alphabet in alphabets().into_iter().skip(1) {
+        for (len, shift) in [(300, 40), (700, 130), (1500, 200)] {
+            let body = random_chars(&mut rng, &alphabet, len);
+            let moved = random_chars(&mut rng, &alphabet, shift);
+            let a = [&moved[..], &body[..]].concat();
+            let b = [&body[..], &moved[..]].concat();
+            let exact = reference::edit_distance_chars(&a, &b);
+            assert!(reference::edit_distance_banded(&a, &b, shift / 2) > exact);
+            for band in [shift / 2, shift - 1, shift, shift + 1, 2 * shift, exact, exact + 1] {
+                assert_banded_matches(&a, &b, band);
+                assert_banded_matches(&a, &mutate(&mut rng, &alphabet, &b, 25), band);
+            }
+        }
+    }
+}
+
+#[test]
+fn lcs_matches_scalar_at_block_edges_and_random_lengths() {
+    let mut rng = Rng(0x5EED_0004);
+    let token = |rng: &mut Rng, alphabet: &[char]| -> String {
+        (0..=rng.below(2)).map(|_| alphabet[rng.below(alphabet.len())]).collect()
+    };
+    for alphabet in alphabets() {
+        let mut lengths: Vec<(usize, usize)> =
+            BLOCK_EDGE_LENGTHS.iter().flat_map(|&n| BLOCK_EDGE_LENGTHS.map(|m| (n, m))).collect();
+        lengths.extend((0..20).map(|_| (rng.below(500), rng.below(500))));
+        for (n, m) in lengths {
+            let a: Vec<String> = (0..n).map(|_| token(&mut rng, &alphabet)).collect();
+            let b: Vec<String> = (0..m).map(|_| token(&mut rng, &alphabet)).collect();
+            let expected = reference::lcs_length(&a, &b);
+            assert_eq!(lcs_length(&a, &b), expected, "n = {n}, m = {m}");
+            assert_eq!(lcs_length(&b, &a), expected, "swapped, n = {n}, m = {m}");
+        }
+    }
+}
+
+#[test]
+fn metrics_are_bit_equal_on_short_and_medium_texts() {
+    let mut rng = Rng(0x5EED_0005);
+    assert_metrics_match("", "");
+    assert_metrics_match("", "one two three");
+    assert_metrics_match(" \n ", "İstanbul ΣΟΦΟΣ straße");
+    for alphabet in alphabets() {
+        for words in [1, 3, 4, 5, 40, 400] {
+            let reference = random_words(&mut rng, &alphabet, words);
+            assert_metrics_match(&mutate_words(&mut rng, &alphabet, &reference, 8), &reference);
+            assert_metrics_match(&random_words(&mut rng, &alphabet, words), &reference);
+        }
+    }
+}
+
+#[test]
+fn car_is_bit_equal_straddling_the_banded_threshold() {
+    let mut rng = Rng(0x5EED_0006);
+    for alphabet in alphabets() {
+        let base = random_chars(&mut rng, &alphabet, BANDED_THRESHOLD + 1);
+        for n in [BANDED_THRESHOLD - 1, BANDED_THRESHOLD, BANDED_THRESHOLD + 1] {
+            for m in [BANDED_THRESHOLD - 1, BANDED_THRESHOLD, BANDED_THRESHOLD + 1] {
+                // Substitutions only, so the lengths stay exactly n and m.
+                let mut candidate = base[..n].to_vec();
+                for _ in 0..50 {
+                    let at = rng.below(n);
+                    candidate[at] = alphabet[rng.below(alphabet.len())];
+                }
+                let candidate: String = candidate.into_iter().collect();
+                let reference: String = base[..m].iter().collect();
+                assert_eq!(
+                    char_accuracy_rate(&candidate, &reference).to_bits(),
+                    reference::char_accuracy_rate(&candidate, &reference).to_bits(),
+                    "n = {n}, m = {m}"
+                );
+            }
+        }
+    }
+}
+
+/// Above the threshold a pair falls in one of three regimes; build each on
+/// purpose and check which one it is before comparing.
+#[test]
+fn car_is_bit_equal_in_the_three_long_input_regimes() {
+    let mut rng = Rng(0x5EED_0007);
+    for alphabet in alphabets() {
+        let reference = random_chars(&mut rng, &alphabet, 5_000);
+        let band = reference.len() / 5;
+
+        // 1. Length gap over the band: the cliff, exactly zero.
+        let truncated = &reference[..reference.len() - band - 1];
+        // 2. Distance within the band: the exact distance is the banded one.
+        let near = mutate(&mut rng, &alphabet, &reference, 300);
+        assert!(near.len().abs_diff(reference.len()) <= band);
+        assert!(reference::edit_distance_chars(&near, &reference) <= band);
+        // 3. Lengths within the band, distance beyond it: the banded table runs.
+        let far = random_chars(&mut rng, &alphabet, 4_600);
+        assert!(reference::edit_distance_chars(&far, &reference) > band);
+
+        let reference: String = reference.iter().collect();
+        for candidate in [truncated, &near, &far] {
+            let candidate: String = candidate.iter().collect();
+            for (c, r) in [(&candidate, &reference), (&reference, &candidate)] {
+                assert_eq!(
+                    char_accuracy_rate(c, r).to_bits(),
+                    reference::char_accuracy_rate(c, r).to_bits(),
+                    "|c| = {}, |r| = {}",
+                    c.chars().count(),
+                    r.chars().count()
+                );
+            }
+        }
+        let truncated: String = truncated.iter().collect();
+        assert_eq!(char_accuracy_rate(&truncated, &reference), 0.0);
+    }
+}
+
+#[test]
+fn word_metrics_are_bit_equal_straddling_the_rouge_token_cap() {
+    let mut rng = Rng(0x5EED_0008);
+    let alphabet = &alphabets()[1];
+    let base = random_words(&mut rng, alphabet, ROUGE_L_MAX_TOKENS + 1);
+    let words: Vec<&str> = base.split_whitespace().filter(|w| w.chars().any(char::is_alphanumeric)).collect();
+    assert_eq!(reference::tokenize_words(&base).len(), ROUGE_L_MAX_TOKENS + 1);
+    for n in [ROUGE_L_MAX_TOKENS - 1, ROUGE_L_MAX_TOKENS, ROUGE_L_MAX_TOKENS + 1] {
+        let reference = words[..n].join(" ");
+        let candidate = mutate_words(&mut rng, alphabet, &reference, 10);
+        for (c, r) in [(&candidate, &reference), (&reference, &candidate)] {
+            assert_eq!(rouge_l(c, r).f1.to_bits(), reference::rouge_l_f1(c, r).to_bits(), "n = {n}");
+            assert_eq!(sentence_bleu(c, r).to_bits(), reference::sentence_bleu(c, r).to_bits(), "n = {n}");
+        }
+    }
+}
+
+#[test]
+fn quality_report_is_bit_equal_on_a_multi_page_document() {
+    let mut rng = Rng(0x5EED_0009);
+    let alphabet = &alphabets()[2];
+    let reference = random_words(&mut rng, alphabet, 3_500);
+    assert!(reference.chars().count() > BANDED_THRESHOLD);
+    assert_metrics_match(&mutate_words(&mut rng, alphabet, &reference, 12), &reference);
+}
