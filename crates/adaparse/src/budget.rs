@@ -14,6 +14,30 @@
 //! size k rather than globally; the optimality gap is negligible for large k
 //! and is measurable with [`optimality_gap`].
 
+/// Ranking key of a document CLS I flagged invalid: it outranks every real
+/// improvement, so it always deserves an upgrade slot while any remain.
+pub const URGENT: f64 = f64::MAX / 4.0;
+
+/// Ranking key of an invalid document's *second-choice* render-reading
+/// upgrade ([`crate::cascade::cascade_gains`]): above every real gain, below
+/// [`URGENT`].
+pub const URGENT_SECOND: f64 = f64::MAX / 8.0;
+
+/// Ranking key of a document the router expects no improvement for: it ranks
+/// below every real score, and a slot that lands on it anyway (surplus quota)
+/// leaves the document on the base parser.
+pub const NON_CANDIDATE: f64 = f64::MIN / 4.0;
+
+/// Scores at or below this floor are [`NON_CANDIDATE`] sentinels, not
+/// predictions.
+pub const CANDIDATE_FLOOR: f64 = f64::MIN / 8.0;
+
+/// Whether `score` is a real upgrade candidate rather than the
+/// [`NON_CANDIDATE`] sentinel (NaN is not a candidate).
+pub fn is_candidate(score: f64) -> bool {
+    score > CANDIDATE_FLOOR
+}
+
 /// Upper bound on α implied by a total budget `total_budget` (seconds) for
 /// `n` documents with average per-document costs `cheap_cost` and
 /// `expensive_cost` (seconds).
@@ -155,8 +179,8 @@ pub struct KAssignment {
 
 impl KAssignment {
     /// The binary view of the assignment: `true` where any upgrade was
-    /// granted. In the k=2 degenerate case this is exactly the legacy
-    /// selection mask.
+    /// granted. With a single weight-`1.0` upgrade this is exactly
+    /// [`select_global`]'s mask.
     pub fn mask(&self) -> Vec<bool> {
         self.choices.iter().map(Option::is_some).collect()
     }
@@ -175,7 +199,7 @@ impl KAssignment {
 /// granted first-fit while their weight fits the remaining budget; each
 /// document takes at most one upgrade.
 ///
-/// **Degenerate-case guarantee (pinned by `cascade_equivalence`):** with a
+/// **Degenerate-case guarantee (pinned by this module's proptests):** with a
 /// single upgrade of weight exactly `1.0` and `slots = ⌊α·n⌋`, the ranking
 /// key `gain / 1.0` is bitwise the gain itself and the slot arithmetic is
 /// exact integer f64 counting, so the returned mask equals
@@ -525,8 +549,8 @@ mod tests {
                     1 => f64::INFINITY,
                     2 => f64::NEG_INFINITY,
                     3 => 0.5,
-                    4 => f64::MAX / 4.0,  // CLS I invalid sentinel
-                    5 => f64::MIN / 4.0,  // non-candidate sentinel
+                    4 => URGENT,
+                    5 => NON_CANDIDATE,
                     _ => v,
                 })
                 .collect();

@@ -1,36 +1,44 @@
 //! The staged, parallel campaign pipeline.
 //!
 //! This module is the execution spine of the reproduction. A campaign runs
-//! in four explicit stages:
+//! window by window through four explicit stages:
 //!
 //! 1. [`ExtractStage`] — serialize each document to SPDF, decode it, and run
 //!    the cheap default parser over the first page to produce the
 //!    [`RoutingInput`] the router consumes (no ground truth involved).
 //! 2. [`RouteStage`] — score every document's expected improvement under the
-//!    high-quality parser (CLS I → II/III) and apply the Appendix C per-batch
-//!    budget optimizer to pick the α-fraction that gets it.
+//!    high-quality parser (CLS I → II/III); the window's scores then go
+//!    through the streaming [`WindowedSelector`], which spends the α budget
+//!    over the [`CascadeConfig`]'s frontier.
 //! 3. [`ParseStage`] — parse each document with its assigned parser from the
-//!    shared [`ParserPool`].
+//!    shared [`ParserPool`] (stitching per page under
+//!    [`RoutingGranularity::ByPage`]).
 //! 4. [`ScoreStage`] — score output against ground truth and account
 //!    resource costs.
 //!
-//! Stages 1 and 3–4 are per-document pure functions and run data-parallel
-//! over shards of the input on a `rayon` thread pool ([`PipelineConfig`]
-//! controls worker count and shard size); stage 2 is a cheap sequential pass
-//! because the paper's batch optimizer ranks documents *within consecutive
-//! batches* of the input order. Per-document RNG streams are keyed by
-//! `seed ^ doc_id`, and the final reduction folds per-document outcomes in
-//! input order, so a campaign's [`CampaignResult`] is **bitwise identical for
-//! every worker count and shard size**.
+//! There is **one loop**: every entry point of [`CampaignPipeline`] — binary
+//! or k-parser, routing-only or full, buffered or sunk — is a call into the
+//! same window loop with a [`CascadeConfig`] and a selection policy. The
+//! binary campaign is the cascade over a two-parser frontier
+//! ([`CascadeConfig::binary`]); [`RoutingMode`] picks the policy (carry
+//! credit across windows, or forfeit it per batch), never a different loop.
 //!
-//! The streaming mode here is the *wall-clock* half of the closed loop: its
-//! waves overlap on real thread fleets and its controller samples real
-//! stage times. Its simulated twin is
+//! Stages 1, 2a and 3–4 are per-document pure functions and run data-parallel
+//! over shards of a window on one `rayon` thread pool ([`PipelineConfig`]
+//! controls worker count and shard size); selection is a cheap sequential
+//! pass per window. Per-document RNG streams are keyed by `seed ^ doc_id`,
+//! window boundaries are fixed by the window size alone, and the reduction
+//! folds per-document outcomes in input order, so a campaign's
+//! [`CampaignResult`] is **bitwise identical for every worker count and
+//! shard size** — the `campaign_fingerprints` test pins it for every policy.
+//!
+//! This is the *wall-clock* pipeline. Its simulated twin is
 //! [`crate::scaling::simloop::run_closed_loop`], which runs the same
 //! window-by-window circuit wavelessly inside a persistent
-//! [`hpcsim::ExecutorSession`] — dependency edges, warm-pool residency, and
-//! slot state carried across decision epochs — for deterministic what-if
-//! planning of the campaigns this pipeline executes for real.
+//! [`hpcsim::ExecutorSession`] — dependency edges, warm-pool residency, slot
+//! state and the stage-split controller carried across decision epochs —
+//! for deterministic what-if planning of the campaigns this pipeline
+//! executes for real.
 
 use docmodel::document::Document;
 use docmodel::spdf::{write_document, SpdfFile};
@@ -45,39 +53,36 @@ use textmetrics::accepted::{AcceptedTokens, DEFAULT_ACCEPTANCE_THRESHOLD};
 use textmetrics::QualityReport;
 
 use rayon::prelude::*;
-use rayon::{ThreadPool, ThreadPoolBuilder};
+use rayon::ThreadPoolBuilder;
 
-use std::time::Instant;
-
+use crate::budget::is_candidate;
 use crate::cascade::{
-    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, CascadeSelector, ParserChoice,
-    RoutingGranularity,
+    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity,
 };
 use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
 use crate::scaling::simloop::planned_costs;
-use crate::scaling::{
-    BudgetLedger, ClassLedger, ControllerConfig, ScalingController, StageSample, WaveCosts, WaveStats,
-    WindowedSelector,
-};
+use crate::scaling::{BudgetLedger, ClassLedger, WaveCosts, WindowedSelector};
 
-/// How routing decisions are produced and interleaved with parsing.
+/// The selection policy of a binary campaign: how the α budget moves from
+/// window to window of the one campaign loop. Both modes extract, route,
+/// parse and score window by window; they differ only in what the
+/// [`WindowedSelector`] carries across a window boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingMode {
-    /// Classic two-phase execution: extract and score the *whole* corpus,
-    /// run the Appendix C per-batch optimizer over it, then parse. Simple,
-    /// but no parse work can start until the last document is scored.
+    /// The paper's Appendix C per-batch optimizer: windows are the engine's
+    /// routing batches ([`AdaParseConfig::batch_size`]) and each gets an
+    /// independent quota of `⌊len·α⌋` — a fresh selector per window, which
+    /// is [`crate::budget::select_batch`] by construction. The fractional
+    /// remainder of every batch is forfeited.
     GlobalBatch,
-    /// Streaming execution: documents are routed per window of `window`
-    /// documents by a [`crate::scaling::WindowedSelector`] holding a running
-    /// budget ledger (fed back with *observed* per-document costs when a
-    /// [`CampaignBudget`] with feedback is attached), extraction of window
-    /// i+1 overlaps with parsing of window i, and a
-    /// [`crate::scaling::ScalingController`] reallocates workers between
-    /// the two stages wave by wave. Routing differs from
-    /// [`RoutingMode::GlobalBatch`] (windowed vs per-batch selection) but is
-    /// still bitwise identical across worker counts.
+    /// Streaming selection: one [`WindowedSelector`] spans the campaign, so
+    /// fractional quota credit carries from window to window (and, when a
+    /// [`CampaignBudget`] is attached, so does the running seconds ledger,
+    /// fed back with *observed* per-document costs). Routing differs from
+    /// [`RoutingMode::GlobalBatch`] (carried vs forfeited credit) but is
+    /// just as bitwise identical across worker counts.
     Streaming {
         /// Selection window size k (also the wave size). The paper's batch
         /// size (k = 256) is a good default; larger windows shrink the
@@ -89,16 +94,16 @@ pub enum RoutingMode {
 /// Seconds-denominated compute budget of a streaming campaign (the
 /// observed-cost feedback knobs).
 ///
-/// Attached to a [`PipelineConfig`], it gives the streaming runner's
+/// Attached to a [`PipelineConfig`], it gives a streaming campaign's
 /// [`WindowedSelector`] a [`crate::scaling::BudgetLedger`] over the planned
 /// per-document parser costs. With `observed_feedback` on, each parsed
-/// wave's measured per-document costs are fed back into the ledger
+/// window's measured per-document costs are fed back into the ledger
 /// ([`crate::scaling::WaveCosts`]): reservations are reconciled against
 /// actual spend and the affordable α is re-derived from blended
 /// [`crate::scaling::ObservedCosts`] estimates — selection tightens when
 /// documents run more expensive than planned and loosens when they run
-/// cheaper. Ignored by [`RoutingMode::GlobalBatch`], whose whole-corpus
-/// optimizer has no stream to meter.
+/// cheaper. Ignored by [`RoutingMode::GlobalBatch`], whose independent
+/// batches carry nothing a ledger could meter.
 ///
 /// The cost trace is derived from the deterministic parser cost models, so
 /// campaigns stay bitwise identical across worker counts and shard sizes
@@ -130,9 +135,9 @@ impl CampaignBudget {
 /// Parallel-execution knobs of a campaign run.
 ///
 /// `workers` and `shard_size` never affect the campaign's *result* — only
-/// its wall-clock time. `mode` selects the routing/overlap strategy; each
-/// mode is individually bitwise-deterministic across worker counts, but the
-/// two modes route (deliberately) slightly differently. `budget` meters
+/// its wall-clock time. `mode` selects the binary campaign's selection
+/// policy; each mode is individually bitwise-deterministic across worker
+/// counts, but the two modes route (deliberately) slightly differently. `budget` meters
 /// streaming campaigns against a compute budget (and, with feedback on,
 /// against *observed* costs); it too is deterministic across worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -142,7 +147,7 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Documents per shard handed to a worker at a time.
     pub shard_size: usize,
-    /// Routing/overlap strategy.
+    /// Selection policy of the binary campaign entry points.
     pub mode: RoutingMode,
     /// Optional compute budget for streaming campaigns.
     pub budget: Option<CampaignBudget>,
@@ -168,14 +173,11 @@ impl PipelineConfig {
         self
     }
 
-    /// Clamp degenerate values (a zero shard size or window would spin
-    /// forever; a negative budget is an empty one).
+    /// Clamp degenerate values (a zero shard size would spin forever; a
+    /// negative budget is an empty one; the selector clamps a zero window).
     pub fn normalized(mut self) -> Self {
         if self.shard_size == 0 {
             self.shard_size = 1;
-        }
-        if let RoutingMode::Streaming { window: 0 } = self.mode {
-            self.mode = RoutingMode::Streaming { window: 1 };
         }
         if let Some(budget) = &mut self.budget {
             budget.total_seconds = budget.total_seconds.max(0.0);
@@ -283,8 +285,8 @@ impl<'a> ExtractStage<'a> {
     }
 }
 
-/// Stage 2: hierarchical routing (CLS I → II/III) plus the per-batch budget
-/// optimizer.
+/// Stage 2a: hierarchical routing (CLS I → II/III) — the per-document score
+/// the window's budget selection ranks.
 pub struct RouteStage<'a> {
     engine: &'a AdaParseEngine,
 }
@@ -298,13 +300,6 @@ impl<'a> RouteStage<'a> {
     /// Score one document's expected improvement (parallel-safe).
     pub fn improvement(&self, input: &RoutingInput) -> (f64, bool) {
         self.engine.routing_improvement(input)
-    }
-
-    /// Apply the batch budget optimizer over all scored documents. Must see
-    /// the whole campaign in input order (the optimizer's batches are
-    /// consecutive runs of the input), hence sequential.
-    pub fn select(&self, inputs: &[RoutingInput], scores: &[(f64, bool)]) -> Vec<RoutedDocument> {
-        self.engine.assemble_routes(inputs, scores)
     }
 }
 
@@ -328,17 +323,12 @@ impl<'a> ParseStage<'a> {
         ParseStage { config, pool }
     }
 
-    /// Run the stage for one document. The SPDF container is re-derived
-    /// from the document (modelling a re-read from storage) rather than
-    /// carried over from extraction, keeping campaign memory wave-bounded.
-    pub fn run(&self, doc: &Document, decision: &RoutedDocument, seed: u64) -> Parsed {
-        self.run_parser(doc, decision.parser, seed)
-    }
-
-    /// Run one named parser over the document (the body of [`run`](Self::run),
-    /// shared with the cascade's per-page delegation path). The per-document
-    /// RNG stream is keyed by the document id alone, so every parser sees the
-    /// same stream regardless of how the document was routed.
+    /// Run one named parser over the document. The SPDF container is
+    /// re-derived from the document (modelling a re-read from storage) rather
+    /// than carried over from extraction, keeping campaign memory
+    /// window-bounded. The per-document RNG stream is keyed by the document
+    /// id alone, so every parser sees the same stream regardless of how the
+    /// document was routed.
     fn run_parser(&self, doc: &Document, kind: ParserKind, seed: u64) -> Parsed {
         let bytes = write_document(doc);
         let file = SpdfFile::parse(&bytes).expect("generated documents serialize cleanly");
@@ -359,9 +349,8 @@ impl<'a> ParseStage<'a> {
         }
     }
 
-    /// Run the stage for one cascade-routed document. With an empty
-    /// delegation set this is exactly [`run`](Self::run) with the choice's
-    /// parser — the pinned whole-document path. With
+    /// Run the stage for one routed document. With an empty delegation set
+    /// the choice's parser handles the whole document. With
     /// [`crate::cascade::RoutingGranularity::ByPage`] delegation the upgrade
     /// parser and the frontier's `base` parser both run, and the output is
     /// stitched page by page: delegated pages come from the upgrade, the
@@ -476,10 +465,9 @@ impl<'a> ScoreStage<'a> {
 /// Result of a k-parser cascade campaign: the ordinary [`CampaignResult`]
 /// plus the cascade-specific routing breakdown.
 ///
-/// For the pinned degenerate configuration ([`CascadeConfig::binary`]) the
-/// embedded `result` is **bitwise identical** to the binary streaming
-/// campaign at the same window — the `cascade_equivalence` suite freezes
-/// this.
+/// For [`CascadeConfig::binary`] the embedded `result` *is* the binary
+/// streaming campaign at the same window — [`CampaignPipeline::run`] is the
+/// same call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeReport {
     /// The campaign result (quality, costs, failures, records), folded in
@@ -538,54 +526,17 @@ impl CampaignPipeline {
 
     /// Run stages 1–2 only: routing decisions for a document collection, in
     /// input order, without parsing or scoring. Honors the pipeline's
-    /// [`RoutingMode`]: streaming mode routes per window with the running
-    /// budget ledger at *planned* costs. Without observed-cost feedback
-    /// this matches the full streaming campaign exactly; with
+    /// [`RoutingMode`] and budget at *planned* costs. Without observed-cost
+    /// feedback this matches the full campaign exactly; with
     /// [`CampaignBudget::observed_feedback`] enabled the full campaign can
     /// route later windows more tightly (or loosely) than this preview,
     /// because only a campaign that actually parses has costs to observe.
     pub fn route(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
-        let (inputs, _) = self.extract_all(engine, documents, seed);
-        let route = RouteStage::new(engine);
-        let scores = self.score_improvements(&route, &inputs);
-        match self.config.mode {
-            RoutingMode::GlobalBatch => route.select(&inputs, &scores),
-            RoutingMode::Streaming { window } => {
-                let improvements: Vec<f64> = scores.iter().map(|&(s, _)| s).collect();
-                let mask = self.streaming_selector(engine, documents, window).select_all(&improvements);
-                engine.assemble_routes_with_mask(&inputs, &scores, &mask)
-            }
-        }
-    }
-
-    /// The streaming [`WindowedSelector`] for a corpus: windowed at the
-    /// engine's α, with the pipeline's [`CampaignBudget`] ledger attached
-    /// when one is configured. Planned per-document costs come from the
-    /// parser cost models at the corpus's mean page count — deterministic,
-    /// like everything else that feeds routing.
-    fn streaming_selector(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-        window: usize,
-    ) -> WindowedSelector {
-        let config = engine.config();
-        let mut selector = WindowedSelector::new(window, config.alpha);
-        if let Some(budget) = self.config.budget {
-            let total_pages: usize = documents.iter().map(Document::page_count).sum();
-            let mean_pages = if documents.is_empty() {
-                1
-            } else {
-                ((total_pages as f64 / documents.len() as f64).round() as usize).max(1)
-            };
-            let (cheap, expensive) = planned_costs(config, mean_pages);
-            let mut ledger = BudgetLedger::new(budget.total_seconds, documents.len(), cheap, expensive);
-            if budget.observed_feedback {
-                ledger = ledger.with_observed_costs(budget.prior_weight);
-            }
-            selector = selector.with_budget(ledger);
-        }
-        selector
+        let (cascade, policy) = self.binary_policy(engine, documents);
+        let (result, ..) = self
+            .run_windows(engine, documents, &cascade, policy, seed, None)
+            .expect("routing writes to no sink");
+        result.routed
     }
 
     /// Run the full campaign, buffering records in memory (the classic
@@ -600,12 +551,13 @@ impl CampaignPipeline {
 
     /// Run the full campaign, streaming each [`ParsedRecord`] to `sink` in
     /// input order instead of buffering (`CampaignResult::records` stays
-    /// empty). Stages 3–4 run wave by wave — a wave is `workers × shard_size`
-    /// documents — and each wave is folded and sunk before the next starts.
-    /// Decoded SPDF containers are per-stage temporaries and routing inputs
-    /// are dropped once decisions exist, so resident memory beyond the
-    /// caller's own corpus is one wave of parsed output plus the (small)
-    /// per-document routing decisions.
+    /// empty). The campaign runs window by window — the pipeline's
+    /// [`RoutingMode`] fixes the window size and what the selector carries
+    /// across it — and each window is folded and sunk before the next is
+    /// extracted. Decoded SPDF containers are per-stage temporaries and
+    /// routing inputs are dropped with their window, so resident memory
+    /// beyond the caller's own corpus is one window of parsed output plus
+    /// the (small) per-document routing decisions.
     pub fn run_with_sink(
         &self,
         engine: &AdaParseEngine,
@@ -613,56 +565,9 @@ impl CampaignPipeline {
         seed: u64,
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<CampaignResult> {
-        if let RoutingMode::Streaming { window } = self.config.mode {
-            return self.run_streaming_with_sink(engine, documents, seed, window, sink);
-        }
-        let config = engine.config();
-
-        // Stages 1–2: extract in parallel, route sequentially.
-        let (inputs, extraction_failures) = self.extract_all(engine, documents, seed);
-        let route = RouteStage::new(engine);
-        let scores = self.score_improvements(&route, &inputs);
-        let routed = route.select(&inputs, &scores);
-        drop(scores);
-        drop(inputs);
-
-        // Stages 3–4: parse and score wave by wave. Within a wave, shards run
-        // in parallel and come back in input order; the fold then consumes
-        // the wave before the next one is produced, bounding resident output
-        // text to one wave.
-        let parse = ParseStage::new(config, &self.pool);
-        let score = ScoreStage::new(config);
-        let wave_size = self.config.shard_size * self.threads.current_num_threads().max(1);
-
-        let mut aggregates = Aggregates::default();
-        for (wave_index, wave) in documents.chunks(wave_size).enumerate() {
-            let offset = wave_index * wave_size;
-            let jobs: Vec<(usize, &Document)> =
-                wave.iter().enumerate().map(|(k, doc)| (offset + k, doc)).collect();
-            let outcomes: Vec<Vec<DocOutcome>> = self.threads.install(|| {
-                jobs.par_chunks(self.config.shard_size)
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .map(|&(i, doc)| {
-                                let parsed = parse.run(doc, &routed[i], seed);
-                                let extraction_cost = parse.extraction_cost(doc.page_count());
-                                score.run(doc, &routed[i], parsed, extraction_cost)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-
-            // Fold strictly in input order so float accumulation (and the
-            // result as a whole) is identical for every worker count, shard
-            // size, and wave boundary.
-            for outcome in outcomes.into_iter().flatten() {
-                aggregates.fold(outcome, sink)?;
-            }
-        }
-
-        Ok(aggregates.into_result(documents.len(), routed, extraction_failures))
+        let (cascade, policy) = self.binary_policy(engine, documents);
+        let (result, ..) = self.run_windows(engine, documents, &cascade, policy, seed, Some(sink))?;
+        Ok(result)
     }
 
     /// Run stages 1–2 of a k-parser cascade campaign: per-document (and,
@@ -671,8 +576,8 @@ impl CampaignPipeline {
     ///
     /// Windows, α, and granularity come from the [`CascadeConfig`] — the
     /// pipeline's own [`RoutingMode`] and [`CampaignBudget`] are not
-    /// consulted (the cascade selector meters planned dollars per parser
-    /// class instead of seconds). Decisions are bitwise identical for every
+    /// consulted (the cascade meters planned dollars per parser class
+    /// instead of seconds). Decisions are bitwise identical for every
     /// worker count and shard size, like every other routing path.
     pub fn route_cascade(
         &self,
@@ -681,31 +586,22 @@ impl CampaignPipeline {
         cascade: &CascadeConfig,
         seed: u64,
     ) -> Vec<ParserChoice> {
-        let mut selector = CascadeSelector::new(cascade);
-        let workers = self.threads.current_num_threads().max(1);
-        let mut choices_all = Vec::with_capacity(documents.len());
-        for wave_docs in documents.chunks(selector.window()) {
-            let wave = self.extract_and_score_wave(engine, wave_docs, seed, workers);
-            let (_, choice_wave) =
-                self.resolve_cascade_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
-            choices_all.extend(choice_wave);
-        }
-        choices_all
+        let (_, choices, _) = self
+            .run_windows(engine, documents, cascade, WindowPolicy::carry(cascade), seed, None)
+            .expect("routing writes to no sink");
+        choices
     }
 
     /// Run a full k-parser cascade campaign: windowed selection over the
     /// cascade's frontier, whole-document or per-page delegation, parse and
     /// score folded in input order.
     ///
-    /// The degenerate [`CascadeConfig::binary`] configuration reproduces the
-    /// binary [`RoutingMode::Streaming`] campaign at the same window
-    /// **bitwise** — same masks, same records, same aggregate floats — which
-    /// the `cascade_equivalence` suite pins. Wider frontiers route over the
+    /// [`CascadeConfig::binary`] is the binary [`RoutingMode::Streaming`]
+    /// campaign at the same window. Wider frontiers route over the
     /// transformed gains of [`cascade_gains`]; per-page delegation sends only
     /// a document's above-mean-difficulty pages to the upgrade parser and
-    /// bills only that fraction of the upgrade's cost. Like every campaign
-    /// mode, the report is bitwise identical across worker counts and shard
-    /// sizes.
+    /// bills only that fraction of the upgrade's cost. The report is bitwise
+    /// identical across worker counts and shard sizes.
     pub fn run_cascade(
         &self,
         engine: &AdaParseEngine,
@@ -713,260 +609,163 @@ impl CampaignPipeline {
         cascade: &CascadeConfig,
         seed: u64,
     ) -> CascadeReport {
-        let config = engine.config();
-        let parse = ParseStage::new(config, &self.pool);
-        let score = ScoreStage::new(config);
-        let mut selector = CascadeSelector::new(cascade);
-        let workers = self.threads.current_num_threads().max(1);
-
         let mut sink = MemorySink::new();
-        let mut aggregates = Aggregates::default();
-        let mut routed_all: Vec<RoutedDocument> = Vec::with_capacity(documents.len());
-        let mut choices_all: Vec<ParserChoice> = Vec::with_capacity(documents.len());
-        let mut extraction_failures = 0usize;
-
-        for wave_docs in documents.chunks(selector.window()) {
-            let wave = self.extract_and_score_wave(engine, wave_docs, seed, workers);
-            extraction_failures += wave.failures;
-            let (routed_wave, choice_wave) =
-                self.resolve_cascade_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
-
-            // Stages 3–4, sharded like every other mode, folded in input
-            // order. Whole-document choices take the pinned ParseStage::run
-            // path; delegated ones stitch per page.
-            let base = cascade.frontier.base();
-            let jobs: Vec<(&Document, &RoutedDocument, &ParserChoice)> = wave_docs
-                .iter()
-                .zip(&routed_wave)
-                .zip(&choice_wave)
-                .map(|((doc, decision), choice)| (doc, decision, choice))
-                .collect();
-            let shards: Vec<Vec<DocOutcome>> = self.threads.install(|| {
-                jobs.par_chunks(self.config.shard_size)
-                    .map(|shard| {
-                        shard
-                            .iter()
-                            .map(|&(doc, decision, choice)| {
-                                let parsed = if choice.upgraded_pages.is_empty() {
-                                    parse.run(doc, decision, seed)
-                                } else {
-                                    parse.run_choice(doc, choice, base, seed)
-                                };
-                                let extraction_cost = parse.extraction_cost(doc.page_count());
-                                score.run(doc, decision, parsed, extraction_cost)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            });
-            for outcome in shards.into_iter().flatten() {
-                aggregates.fold(outcome, &mut sink).expect("memory sink cannot fail");
-            }
-            routed_all.extend(routed_wave);
-            choices_all.extend(choice_wave);
-        }
-
-        let mut result = aggregates.into_result(documents.len(), routed_all, extraction_failures);
+        let (mut result, choices, selector) = self
+            .run_windows(engine, documents, cascade, WindowPolicy::carry(cascade), seed, Some(&mut sink))
+            .expect("memory sink cannot fail");
         result.records = sink.into_records();
         let parser_docs = ParserKind::ALL
             .iter()
-            .map(|&kind| (kind, choices_all.iter().filter(|c| c.parser == kind).count()))
+            .map(|&kind| (kind, choices.iter().filter(|c| c.parser == kind).count()))
             .filter(|&(_, count)| count > 0)
             .collect();
         CascadeReport {
             result,
             parser_docs,
             dollars: selector.dollars().clone(),
-            pages_delegated: choices_all.iter().map(|c| c.upgraded_pages.len()).sum(),
+            pages_delegated: choices.iter().map(|c| c.upgraded_pages.len()).sum(),
             pages_total: documents.iter().map(Document::page_count).sum(),
-            choices: choices_all,
+            choices,
         }
     }
 
-    /// Stage 2 of a cascade window: transform scores into per-upgrade gains,
-    /// select through the running [`CascadeSelector`], and resolve each
-    /// grant into a [`ParserChoice`] (with its delegation set under
-    /// [`RoutingGranularity::ByPage`]) plus the [`RoutedDocument`] the
-    /// shared parse/score stages consume. For a pair frontier the resolved
-    /// decisions match [`AdaParseEngine::assemble_routes_with_mask`] over
-    /// the selector's mask bitwise.
-    fn resolve_cascade_wave(
-        &self,
-        cascade: &CascadeConfig,
-        selector: &mut CascadeSelector,
-        wave_docs: &[Document],
-        inputs: &[RoutingInput],
-        scores: &[(f64, bool)],
-    ) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
-        let features: Vec<CascadeFeatures> = wave_docs.iter().map(CascadeFeatures::of).collect();
-        let gains = cascade_gains(&cascade.frontier, scores, &features);
-        let granted = selector.select_window(&gains);
-        let mut routed_wave = Vec::with_capacity(wave_docs.len());
-        let mut choice_wave = Vec::with_capacity(wave_docs.len());
-        for (i, doc) in wave_docs.iter().enumerate() {
-            let (improvement, invalid) = scores[i];
-            let gain = granted[i].map_or(improvement, |j| gains[j][i]);
-            let mut choice =
-                ParserChoice::resolve(&cascade.frontier, inputs[i].doc_id, granted[i], gain, invalid);
-            if cascade.granularity == RoutingGranularity::ByPage && choice.is_upgraded() {
-                let pages = delegated_pages(doc);
-                if pages.len() < doc.page_count() {
-                    let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
-                    selector.refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
-                    choice.upgraded_pages = pages;
-                }
-            }
-            routed_wave.push(RoutedDocument {
-                doc_id: choice.doc_id,
-                parser: choice.parser,
-                predicted_improvement: if improvement > f64::MIN / 8.0 { improvement } else { 0.0 },
-                cls1_invalid: invalid,
-            });
-            choice_wave.push(choice);
-        }
-        (routed_wave, choice_wave)
-    }
-
-    /// The streaming campaign runner behind [`RoutingMode::Streaming`].
-    ///
-    /// Documents flow in windows of k: window i is extracted and scored,
-    /// routed by the [`WindowedSelector`] against the running ledger, then
-    /// parsed — while window i+1 is *already extracting* on a separate
-    /// worker fleet. The [`ScalingController`] observes each wave's stage
-    /// times and moves workers between the extraction and parse fleets
-    /// (under the pipeline's total worker cap) for the next wave.
-    ///
-    /// Determinism: window boundaries are fixed by k, per-document RNG is
-    /// keyed by `seed ^ doc_id`, selection masks are pure functions of the
-    /// scores, and outcomes fold in input order — so the result is bitwise
-    /// identical for every worker count, shard size, and controller
-    /// trajectory (allocations only move wall-clock time).
-    fn run_streaming_with_sink(
+    /// The binary cascade and selection policy the pipeline's
+    /// [`RoutingMode`] stands for. [`RoutingMode::Streaming`] carries credit
+    /// across windows of its own size, with the [`CampaignBudget`]'s seconds
+    /// ledger attached when one is configured: planned per-document costs
+    /// come from the parser cost models at the corpus's mean page count —
+    /// deterministic, like everything else that feeds routing.
+    /// [`RoutingMode::GlobalBatch`] forfeits credit at every boundary of the
+    /// engine's routing batch.
+    fn binary_policy(
         &self,
         engine: &AdaParseEngine,
         documents: &[Document],
-        seed: u64,
-        window: usize,
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<CampaignResult> {
+    ) -> (CascadeConfig, WindowPolicy) {
         let config = engine.config();
-        let window = window.max(1);
+        let (window, carry_credit) = match self.config.mode {
+            RoutingMode::GlobalBatch => (config.batch_size, false),
+            RoutingMode::Streaming { window } => (window, true),
+        };
+        let cascade = CascadeConfig::binary(config, window);
+        let mut policy = WindowPolicy { carry_credit, ..WindowPolicy::carry(&cascade) };
+        if let (true, Some(budget)) = (carry_credit, self.config.budget) {
+            let total_pages: usize = documents.iter().map(Document::page_count).sum();
+            let mean_pages = if documents.is_empty() {
+                1
+            } else {
+                ((total_pages as f64 / documents.len() as f64).round() as usize).max(1)
+            };
+            let (cheap, expensive) = planned_costs(config, mean_pages);
+            let mut ledger = BudgetLedger::new(budget.total_seconds, documents.len(), cheap, expensive);
+            if budget.observed_feedback {
+                ledger = ledger.with_observed_costs(budget.prior_weight);
+            }
+            policy.selector = policy.selector.with_budget(ledger);
+        }
+        (cascade, policy)
+    }
+
+    /// The campaign loop — the only one. Per window of the policy's
+    /// selector: extract and score (stages 1–2a, sharded), select and
+    /// resolve (stage 2b, sequential), then — when a `sink` is given — parse
+    /// and score (stages 3–4, sharded), fold in input order, sink the
+    /// records, and feed the window's observed costs back into a
+    /// feedback-enabled seconds ledger before the next window is selected.
+    /// Without a sink the loop stops after stage 2: the routing-only entry
+    /// points. Returns the result, the per-document choices, and the
+    /// selector that made them (its dollar ledger feeds [`CascadeReport`]).
+    fn run_windows(
+        &self,
+        engine: &AdaParseEngine,
+        documents: &[Document],
+        cascade: &CascadeConfig,
+        policy: WindowPolicy,
+        seed: u64,
+        mut sink: Option<&mut dyn RecordSink>,
+    ) -> std::io::Result<(CampaignResult, Vec<ParserChoice>, WindowedSelector)> {
+        let config = engine.config();
         let parse = ParseStage::new(config, &self.pool);
         let score = ScoreStage::new(config);
-
-        let total_workers = self.threads.current_num_threads().max(1);
-        // Overlapping the fleets needs at least one thread each; with a
-        // single configured worker the stages run back to back instead, so
-        // the worker cap genuinely holds.
-        let overlap = total_workers >= 2;
-        let mut controller = ScalingController::new(ControllerConfig::for_workers(total_workers));
-        let mut selector = self.streaming_selector(engine, documents, window);
-        let feedback = self.config.budget.is_some_and(|budget| budget.observed_feedback);
+        let base = cascade.frontier.base();
+        let WindowPolicy { selector: fresh, carry_credit } = policy;
+        let feedback = fresh.ledger().is_some_and(|ledger| ledger.observed().is_some());
+        let mut selector = fresh.clone();
 
         let mut aggregates = Aggregates::default();
         let mut routed_all: Vec<RoutedDocument> = Vec::with_capacity(documents.len());
+        let mut choices_all: Vec<ParserChoice> = Vec::with_capacity(documents.len());
         let mut extraction_failures = 0usize;
 
-        let windows: Vec<&[Document]> = documents.chunks(window).collect();
-        let mut allocation = controller.allocation();
-        let mut pending = windows
-            .first()
-            .map(|docs| self.extract_and_score_wave(engine, docs, seed, allocation.extract_workers));
-
-        for (index, wave_docs) in windows.iter().enumerate() {
-            let wave = pending.take().expect("the previous iteration staged this wave");
+        for wave_docs in documents.chunks(fresh.window()) {
+            if !carry_credit {
+                selector = fresh.clone();
+            }
+            let wave = self.extract_and_score_wave(engine, wave_docs, seed);
             extraction_failures += wave.failures;
+            let (routed_wave, choice_wave) =
+                resolve_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
 
-            // Stage 2, sequential and cheap: one window through the selector.
-            let improvements: Vec<f64> = wave.scores.iter().map(|&(s, _)| s).collect();
-            let mask = selector.select_window(&improvements);
-            let routed_wave = engine.assemble_routes_with_mask(&wave.inputs, &wave.scores, &mask);
+            if let Some(sink) = &mut sink {
+                let jobs: Vec<(&Document, &RoutedDocument, &ParserChoice)> = wave_docs
+                    .iter()
+                    .zip(&routed_wave)
+                    .zip(&choice_wave)
+                    .map(|((doc, decision), choice)| (doc, decision, choice))
+                    .collect();
+                let shards: Vec<Vec<DocOutcome>> = self.threads.install(|| {
+                    jobs.par_chunks(self.config.shard_size)
+                        .map(|shard| {
+                            shard
+                                .iter()
+                                .map(|&(doc, decision, choice)| {
+                                    let parsed = parse.run_choice(doc, choice, base, seed);
+                                    let extraction_cost = parse.extraction_cost(doc.page_count());
+                                    score.run(doc, decision, parsed, extraction_cost)
+                                })
+                                .collect()
+                        })
+                        .collect()
+                });
 
-            // Stages 3–4 for this window overlap with stages 1–2a of the
-            // next: extraction runs on its own fleet of scoped threads while
-            // parsing uses the parse fleet. (Overlap is purely a wall-clock
-            // optimization — the sequential fallback below produces the
-            // identical result.)
-            let next_docs = windows.get(index + 1).copied();
-            let extract_workers = allocation.extract_workers;
-            let (outcomes, parse_seconds, next_wave) = if overlap {
-                std::thread::scope(|scope| {
-                    let prefetch = next_docs.map(|docs| {
-                        scope.spawn(move || self.extract_and_score_wave(engine, docs, seed, extract_workers))
-                    });
-                    let started = Instant::now();
-                    let outcomes = self.parse_wave(
-                        &parse,
-                        &score,
-                        wave_docs,
-                        &routed_wave,
-                        seed,
-                        allocation.parse_workers,
-                    );
-                    let parse_seconds = started.elapsed().as_secs_f64();
-                    let next_wave = prefetch.map(|handle| handle.join().expect("extraction thread panicked"));
-                    (outcomes, parse_seconds, next_wave)
-                })
-            } else {
-                let started = Instant::now();
-                let outcomes =
-                    self.parse_wave(&parse, &score, wave_docs, &routed_wave, seed, allocation.parse_workers);
-                let parse_seconds = started.elapsed().as_secs_f64();
-                let next_wave =
-                    next_docs.map(|docs| self.extract_and_score_wave(engine, docs, seed, extract_workers));
-                (outcomes, parse_seconds, next_wave)
-            };
-
-            // Close the cost loop: the wave's measured per-document costs
-            // (from the deterministic cost models, folded in input order)
-            // reconcile the ledger before the next window is selected.
-            let mut wave_costs = WaveCosts::default();
-            for outcome in outcomes {
-                if feedback {
-                    // A failed high-quality parse burned only its extraction
-                    // seconds — exactly what a default-routed document pays —
-                    // so it is recorded as a *cheap* sample at its actual
-                    // cost: the spend stays exact (those seconds were
-                    // genuinely burned), while a zero-cost *expensive* sample
-                    // would teach the ledger the failing parser is cheap and
-                    // loosen α toward it.
-                    let high_quality = outcome.high_quality && !outcome.parse_failed;
-                    wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
+                // Close the cost loop: the window's measured per-document
+                // costs (from the deterministic cost models, folded in input
+                // order) reconcile the ledger before the next window is
+                // selected.
+                let mut wave_costs = WaveCosts::default();
+                for outcome in shards.into_iter().flatten() {
+                    if feedback {
+                        // A failed high-quality parse burned only its extraction
+                        // seconds — exactly what a default-routed document pays —
+                        // so it is recorded as a *cheap* sample at its actual
+                        // cost: the spend stays exact (those seconds were
+                        // genuinely burned), while a zero-cost *expensive* sample
+                        // would teach the ledger the failing parser is cheap and
+                        // loosen α toward it.
+                        let high_quality = outcome.high_quality && !outcome.parse_failed;
+                        wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
+                    }
+                    aggregates.fold(outcome, &mut **sink)?;
                 }
-                aggregates.fold(outcome, sink)?;
+                if feedback {
+                    selector.ingest_observed(&wave_costs);
+                }
             }
-            if feedback {
-                selector.ingest_observed(&wave_costs);
-            }
-
-            allocation = controller.observe(&WaveStats {
-                wave_index: index,
-                extract: StageSample { busy_seconds: wave.seconds, items: routed_wave.len() },
-                parse: StageSample { busy_seconds: parse_seconds, items: wave_docs.len() },
-                queue_depth: documents.len().saturating_sub((index + 1) * window),
-            });
             routed_all.extend(routed_wave);
-            pending = next_wave;
+            choices_all.extend(choice_wave);
         }
 
-        Ok(aggregates.into_result(documents.len(), routed_all, extraction_failures))
+        let result = aggregates.into_result(documents.len(), routed_all, extraction_failures);
+        Ok((result, choices_all, selector))
     }
 
-    /// Stages 1–2a for one streaming window: extract and score every
-    /// document on a fleet of `workers` threads. Pure per-document work;
-    /// results come back in input order.
-    fn extract_and_score_wave(
-        &self,
-        engine: &AdaParseEngine,
-        docs: &[Document],
-        seed: u64,
-        workers: usize,
-    ) -> ExtractedWave {
-        let started = Instant::now();
+    /// Stages 1–2a for one window: extract and score every document,
+    /// sharded across the pool. Pure per-document work; results come back
+    /// in input order.
+    fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
         let stage = ExtractStage::new(engine.config(), &self.pool);
         let route = RouteStage::new(engine);
-        let pool = wave_pool(workers);
-        let shards: Vec<Vec<(Extracted, (f64, bool))>> = pool.install(|| {
+        let shards: Vec<Vec<(Extracted, (f64, bool))>> = self.threads.install(|| {
             docs.par_chunks(self.config.shard_size)
                 .map(|shard| {
                     shard
@@ -988,88 +787,76 @@ impl CampaignPipeline {
             inputs.push(extracted.input);
             scores.push(improvement);
         }
-        ExtractedWave { inputs, scores, failures, seconds: started.elapsed().as_secs_f64() }
+        ExtractedWave { inputs, scores, failures }
     }
+}
 
-    /// Stages 3–4 for one streaming window on a fleet of `workers` threads.
-    fn parse_wave(
-        &self,
-        parse: &ParseStage<'_>,
-        score: &ScoreStage<'_>,
-        docs: &[Document],
-        routed: &[RoutedDocument],
-        seed: u64,
-        workers: usize,
-    ) -> Vec<DocOutcome> {
-        let jobs: Vec<(&Document, &RoutedDocument)> = docs.iter().zip(routed).collect();
-        let pool = wave_pool(workers);
-        let shards: Vec<Vec<DocOutcome>> = pool.install(|| {
-            jobs.par_chunks(self.config.shard_size)
-                .map(|shard| {
-                    shard
-                        .iter()
-                        .map(|&(doc, decision)| {
-                            let parsed = parse.run(doc, decision, seed);
-                            let extraction_cost = parse.extraction_cost(doc.page_count());
-                            score.run(doc, decision, parsed, extraction_cost)
-                        })
-                        .collect()
-                })
-                .collect()
-        });
-        shards.into_iter().flatten().collect()
-    }
+/// What [`RoutingMode`] selects inside the campaign loop: the selector every
+/// window starts from, and whether the running one survives a window
+/// boundary.
+struct WindowPolicy {
+    /// The selector at stream position zero (window, α, frontier, and the
+    /// seconds ledger when one is configured).
+    selector: WindowedSelector,
+    /// Carry unspent credit (and the ledger) from window to window; `false`
+    /// restarts from `selector` at every boundary, which makes each window
+    /// an independent `⌊len·α⌋` batch.
+    carry_credit: bool,
+}
 
-    /// Stage 1 over the whole collection, sharded across the pool. Returns
-    /// the routing inputs plus the extraction failure count.
-    fn extract_all(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-        seed: u64,
-    ) -> (Vec<RoutingInput>, usize) {
-        let stage = ExtractStage::new(engine.config(), &self.pool);
-        let shards: Vec<Vec<Extracted>> = self.threads.install(|| {
-            documents
-                .par_chunks(self.config.shard_size)
-                .map(|shard| shard.iter().map(|doc| stage.run(doc, seed)).collect())
-                .collect()
-        });
-        let mut inputs = Vec::with_capacity(documents.len());
-        let mut failures = 0usize;
-        for extracted in shards.into_iter().flatten() {
-            inputs.push(extracted.input);
-            failures += extracted.failed as usize;
+impl WindowPolicy {
+    /// One selector over the cascade's frontier, carried across the stream.
+    fn carry(cascade: &CascadeConfig) -> Self {
+        WindowPolicy {
+            selector: WindowedSelector::new(cascade.window, cascade.alpha)
+                .with_frontier(cascade.frontier.clone()),
+            carry_credit: true,
         }
-        (inputs, failures)
     }
+}
 
-    /// CLS inference for stage 2, sharded across the pool (pure per-document
-    /// work; the sequential budget selection happens afterwards).
-    fn score_improvements(&self, route: &RouteStage<'_>, inputs: &[RoutingInput]) -> Vec<(f64, bool)> {
-        let shards: Vec<Vec<(f64, bool)>> = self.threads.install(|| {
-            inputs
-                .par_chunks(self.config.shard_size)
-                .map(|shard| shard.iter().map(|input| route.improvement(input)).collect())
-                .collect()
+/// Stage 2b of a window: transform scores into per-upgrade gains, select
+/// through the running [`WindowedSelector`], and resolve each grant into a
+/// [`ParserChoice`] (with its delegation set under
+/// [`RoutingGranularity::ByPage`]) plus the [`RoutedDocument`] the parse and
+/// score stages consume.
+fn resolve_wave(
+    cascade: &CascadeConfig,
+    selector: &mut WindowedSelector,
+    wave_docs: &[Document],
+    inputs: &[RoutingInput],
+    scores: &[(f64, bool)],
+) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
+    let features: Vec<CascadeFeatures> = wave_docs.iter().map(CascadeFeatures::of).collect();
+    let gains = cascade_gains(&cascade.frontier, scores, &features);
+    let granted = selector.select_frontier(&gains);
+    let mut routed_wave = Vec::with_capacity(wave_docs.len());
+    let mut choice_wave = Vec::with_capacity(wave_docs.len());
+    for (i, doc) in wave_docs.iter().enumerate() {
+        let (improvement, invalid) = scores[i];
+        let gain = granted[i].map_or(improvement, |j| gains[j][i]);
+        let mut choice =
+            ParserChoice::resolve(&cascade.frontier, inputs[i].doc_id, granted[i], gain, invalid);
+        if cascade.granularity == RoutingGranularity::ByPage && choice.is_upgraded() {
+            let pages = delegated_pages(doc);
+            if pages.len() < doc.page_count() {
+                let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
+                selector.refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
+                choice.upgraded_pages = pages;
+            }
+        }
+        routed_wave.push(RoutedDocument {
+            doc_id: choice.doc_id,
+            parser: choice.parser,
+            predicted_improvement: if is_candidate(improvement) { improvement } else { 0.0 },
+            cls1_invalid: invalid,
         });
-        shards.into_iter().flatten().collect()
+        choice_wave.push(choice);
     }
+    (routed_wave, choice_wave)
 }
 
-/// A per-stage worker fleet for one streaming wave. Pools here are logical
-/// widths (the vendored `rayon` spawns scoped threads per parallel call), so
-/// building one per wave is free; with real `rayon` the two fleets would be
-/// kept alive across waves and resized only when the controller moves
-/// workers.
-fn wave_pool(workers: usize) -> ThreadPool {
-    ThreadPoolBuilder::new()
-        .num_threads(workers.max(1))
-        .build()
-        .expect("thread pool construction cannot fail")
-}
-
-/// Stage 1–2a output for one streaming window.
+/// Stage 1–2a output for one window.
 struct ExtractedWave {
     /// Router inputs, in input order.
     inputs: Vec<RoutingInput>,
@@ -1077,15 +864,12 @@ struct ExtractedWave {
     scores: Vec<(f64, bool)>,
     /// Extraction failures in the window.
     failures: usize,
-    /// Wall-clock seconds the window's extraction + scoring took (feeds the
-    /// scaling controller; never the result).
-    seconds: f64,
 }
 
 /// The campaign's order-preserving aggregate fold. Folding is strictly in
-/// input order in every mode, so float accumulation — and the
-/// [`CampaignResult`] as a whole — is identical for every worker count,
-/// shard size, and wave boundary.
+/// input order, so float accumulation — and the [`CampaignResult`] as a
+/// whole — is identical for every worker count, shard size, and window
+/// boundary.
 #[derive(Default)]
 struct Aggregates {
     total_cost: ResourceCost,

@@ -5,16 +5,17 @@
 //! split to a [`ParserFrontier`] of k parsers: per window, every
 //! (document, upgrade) pair is a candidate with a transformed gain, and the
 //! marginal-gain-per-cost greedy [`crate::budget::assign_k`] spends a slot
-//! budget denominated in units of the costliest upgrade. Two deliberate
-//! degenerations pin the new machinery to the old:
+//! budget denominated in units of the costliest upgrade, window by window,
+//! through the one streaming [`crate::scaling::WindowedSelector`]. Two
+//! deliberate degenerations make the binary router a configuration of the
+//! cascade rather than a second code path:
 //!
-//! * **k = 2 is the binary router, bitwise.** A [`ParserFrontier::pair`]
-//!   frontier makes [`cascade_gains`] the identity transform (the router's
+//! * **k = 2 is the binary router.** A [`ParserFrontier::pair`] frontier
+//!   makes [`cascade_gains`] the identity transform (the router's
 //!   improvement scores pass through untouched, sentinels included) and
-//!   carries a single upgrade of weight exactly `1.0`, so
-//!   [`CascadeSelector::select_window`] reproduces
-//!   [`crate::scaling::WindowedSelector`]'s masks bit for bit — the
-//!   `cascade_equivalence` suite freezes this.
+//!   carries a single upgrade of weight exactly `1.0`, which the selector
+//!   ranks with its bounded top-k heap — [`CascadeConfig::binary`] is what
+//!   [`crate::campaign::CampaignPipeline::run`] runs.
 //! * **[`RoutingGranularity::ByDoc`] is the whole-document upgrade.** The
 //!   [`RoutingGranularity::ByPage`] mode delegates only a document's
 //!   hardest pages ([`delegated_pages`], driven by
@@ -27,18 +28,16 @@
 //! pipeline's bitwise-determinism contract unchanged.
 
 use docmodel::document::Document;
-use parsersim::registry::page_dollars;
 use parsersim::{FrontierEntry, ParserFrontier, ParserKind};
 use serde::{Deserialize, Serialize};
 
-use crate::budget::assign_k;
+use crate::budget::{is_candidate, CANDIDATE_FLOOR, NON_CANDIDATE, URGENT, URGENT_SECOND};
 use crate::config::AdaParseConfig;
-use crate::scaling::ClassLedger;
 
 /// How far down the document a routing decision reaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingGranularity {
-    /// One parser per document — the classic (and pinned-degenerate) mode.
+    /// One parser per document — the classic mode.
     ByDoc,
     /// The granted upgrade parser handles only the document's
     /// above-mean-difficulty pages ([`delegated_pages`]); the base parser
@@ -63,10 +62,10 @@ pub struct CascadeConfig {
 }
 
 impl CascadeConfig {
-    /// The pinned degenerate configuration: a two-parser frontier over the
-    /// engine's default/high-quality pair at the engine's α and batch size,
-    /// whole-document granularity. A cascade campaign run with this
-    /// configuration reproduces the binary streaming campaign bitwise.
+    /// The binary configuration: a two-parser frontier over the engine's
+    /// default/high-quality pair at the engine's α, whole-document
+    /// granularity — the cascade every non-cascade campaign entry point
+    /// runs.
     pub fn binary(config: &AdaParseConfig, window: usize) -> Self {
         CascadeConfig {
             frontier: ParserFrontier::pair(config.default_parser, config.high_quality_parser),
@@ -136,19 +135,19 @@ const DIFFICULTY_SLOPE: f64 = 0.8;
 ///
 /// For a [`ParserFrontier::pair`] frontier this is the **identity**: the
 /// single gain vector is the scores themselves, bitwise, sentinels and all —
-/// which is half of the k=2 degeneration guarantee (the other half is the
-/// pair's weight of exactly `1.0`).
+/// which, with the pair's weight of exactly `1.0`, is what makes the binary
+/// router a configuration of the cascade.
 ///
 /// For a wider frontier, per (document, upgrade):
 ///
-/// * CLS I **invalid** documents (score `f64::MAX/4`) have no usable text
-///   layer, so extraction upgrades get the non-candidate sentinel
-///   (`f64::MIN/4`); render-reading parsers keep the urgent sentinel, with
-///   the page-image legibility deciding who gets the full `f64::MAX/4`
-///   (legible render → classic OCR is sufficient and cheap; degraded render
-///   → GPU recognition) and who the still-urgent-but-second `f64::MAX/8`.
-/// * **Non-candidates** (score ≤ `f64::MIN/8`) stay non-candidates for
-///   every upgrade.
+/// * CLS I **invalid** documents (score [`URGENT`]) have no usable text
+///   layer, so extraction upgrades get the [`NON_CANDIDATE`] sentinel;
+///   render-reading parsers keep the urgent sentinel, with the page-image
+///   legibility deciding who gets the full [`URGENT`] (legible render →
+///   classic OCR is sufficient and cheap; degraded render → GPU
+///   recognition) and who the still-urgent [`URGENT_SECOND`].
+/// * **Non-candidates** (score ≤ [`CANDIDATE_FLOOR`]) stay non-candidates
+///   for every upgrade.
 /// * **Candidates** scale the score by the upgrade's relative quality gain
 ///   (the best upgrade's factor is exactly `1.0`), tilt it by document
 ///   difficulty (`DIFFICULTY_SLOPE`), and — for classic OCR, which reads
@@ -189,13 +188,13 @@ fn entry_gain(
     let pure_ocr = !entry.parser.requires_gpu() && !entry.parser.is_extraction();
     if invalid {
         if entry.parser.is_extraction() {
-            return f64::MIN / 4.0;
+            return NON_CANDIDATE;
         }
         let prefer_ocr = feat.legibility >= 0.5;
-        return if prefer_ocr == pure_ocr { f64::MAX / 4.0 } else { f64::MAX / 8.0 };
+        return if prefer_ocr == pure_ocr { URGENT } else { URGENT_SECOND };
     }
-    if score <= f64::MIN / 8.0 {
-        return f64::MIN / 4.0;
+    if score <= CANDIDATE_FLOOR {
+        return NON_CANDIDATE;
     }
     let tilt = 1.0 + DIFFICULTY_SLOPE * (feat.difficulty - 0.5);
     let render = if pure_ocr { feat.legibility } else { 1.0 };
@@ -228,8 +227,8 @@ pub struct ParserChoice {
 impl ParserChoice {
     /// Resolve one granted (or not) assignment into a choice. `gain` is the
     /// granted entry's transformed gain (any value when `granted` is
-    /// `None`); candidates are real only above the `f64::MIN/8` sentinel
-    /// threshold, exactly like the binary router.
+    /// `None`); a grant that landed on a non-candidate ([`is_candidate`])
+    /// leaves the document on the base parser.
     pub fn resolve(
         frontier: &ParserFrontier,
         doc_id: u64,
@@ -237,14 +236,13 @@ impl ParserChoice {
         gain: f64,
         invalid: bool,
     ) -> Self {
-        let is_candidate = gain > f64::MIN / 8.0;
-        let upgrade = granted.filter(|_| is_candidate);
+        let upgrade = granted.filter(|_| is_candidate(gain));
         let parser = upgrade.map_or(frontier.base(), |j| frontier.upgrades()[j].parser);
         ParserChoice {
             doc_id,
             parser,
             upgrade,
-            predicted_gain: if is_candidate && upgrade.is_some() { gain } else { 0.0 },
+            predicted_gain: if upgrade.is_some() { gain } else { 0.0 },
             cls1_invalid: invalid,
             upgraded_pages: Vec::new(),
         }
@@ -269,132 +267,10 @@ pub fn delegated_pages(doc: &Document) -> Vec<usize> {
     (0..difficulties.len()).filter(|&p| difficulties[p] >= mean).collect()
 }
 
-/// Streaming per-window cascade selector — the k-way analogue of
-/// [`crate::scaling::WindowedSelector`].
-///
-/// Feed it windows of per-upgrade gain vectors in input order via
-/// [`select_window`](CascadeSelector::select_window); each call returns the
-/// window's per-document assignment. The selector accrues `α` slot credit
-/// per document seen (slots are units of the costliest upgrade) and each
-/// window spends `⌊credit − spent⌋` of it through
-/// [`crate::budget::assign_k`] — the same floor-and-carry arithmetic as the
-/// binary selector, so in the k=2 degenerate case (single weight-`1.0`
-/// upgrade, identity gains) the emitted masks equal
-/// [`crate::scaling::WindowedSelector`]'s bitwise. Fractional weight spend
-/// (cheap upgrades) carries over exactly: `spent` accumulates
-/// [`crate::budget::KAssignment::slots_consumed`], so unspent credit funds
-/// later windows.
-///
-/// Spend is additionally metered in planned per-page dollars per parser
-/// class through a [`ClassLedger`]: every document is charged the base
-/// parser's [`page_dollars`] rate and every granted upgrade its frontier
-/// entry's `cost_per_page` (scaled by the delegated page fraction when the
-/// caller reports one) — the cascade's quality-per-dollar denominator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CascadeSelector {
-    frontier: ParserFrontier,
-    window: usize,
-    alpha: f64,
-    weights: Vec<f64>,
-    credit: f64,
-    spent: f64,
-    seen: usize,
-    granted: usize,
-    dollars: ClassLedger,
-}
-
-impl CascadeSelector {
-    /// A selector over `config`'s frontier, window, and α.
-    pub fn new(config: &CascadeConfig) -> Self {
-        CascadeSelector {
-            weights: config.frontier.weights(),
-            frontier: config.frontier.clone(),
-            window: config.window.max(1),
-            alpha: config.alpha.clamp(0.0, 1.0),
-            credit: 0.0,
-            spent: 0.0,
-            seen: 0,
-            granted: 0,
-            dollars: ClassLedger::new(),
-        }
-    }
-
-    /// The selector's frontier.
-    pub fn frontier(&self) -> &ParserFrontier {
-        &self.frontier
-    }
-
-    /// The configured window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Documents routed so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Upgrades granted so far (across all frontier entries).
-    pub fn granted(&self) -> usize {
-        self.granted
-    }
-
-    /// Slot budget consumed so far, in costliest-upgrade units.
-    pub fn slots_spent(&self) -> f64 {
-        self.spent
-    }
-
-    /// Planned dollar spend per parser class so far.
-    pub fn dollars(&self) -> &ClassLedger {
-        &self.dollars
-    }
-
-    /// Route one window of per-upgrade gain vectors (`gains[j][i]` is
-    /// upgrade j's transformed gain for the window's i-th document; see
-    /// [`cascade_gains`]) and return the per-document assignment.
-    ///
-    /// The window quota is `⌊credit − spent⌋` slots — never clamped to the
-    /// window length, because [`crate::budget::assign_k`] grants at most
-    /// one upgrade per document anyway.
-    pub fn select_window(&mut self, gains: &[Vec<f64>]) -> Vec<Option<usize>> {
-        assert_eq!(gains.len(), self.weights.len(), "one gain vector per frontier upgrade");
-        let n = gains.first().map(Vec::len).unwrap_or(0);
-        self.seen += n;
-        self.credit += n as f64 * self.alpha;
-        let slots = (self.credit - self.spent).floor().max(0.0);
-        let assignment = assign_k(gains, &self.weights, slots);
-        self.spent += assignment.slots_consumed;
-        self.dollars.charge(self.frontier.base(), n as f64 * page_dollars(self.frontier.base()));
-        for j in assignment.choices.iter().flatten() {
-            self.granted += 1;
-            let entry = &self.frontier.upgrades()[*j];
-            self.dollars.charge(entry.parser, entry.cost_per_page);
-        }
-        assignment.choices
-    }
-
-    /// Refund part of a granted upgrade's dollar charge when per-page
-    /// delegation parsed only `fraction` of the document with the upgrade
-    /// parser (the remaining pages stayed on the base parser, whose charge
-    /// already covers them). Deterministic bookkeeping only — never affects
-    /// selection.
-    pub fn refund_delegated(&mut self, upgrade: usize, fraction: f64) {
-        let entry = &self.frontier.upgrades()[upgrade];
-        self.dollars.charge(entry.parser, -entry.cost_per_page * (1.0 - fraction.clamp(0.0, 1.0)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scaling::WindowedSelector;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn random_scores(n: usize, seed: u64) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()
-    }
 
     fn flat_features(n: usize) -> Vec<CascadeFeatures> {
         vec![CascadeFeatures { difficulty: 0.5, legibility: 0.8 }; n]
@@ -403,7 +279,7 @@ mod tests {
     #[test]
     fn pair_gains_are_the_identity_bitwise() {
         let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
-        let scores = vec![(0.7, false), (f64::MAX / 4.0, true), (f64::MIN / 4.0, false), (f64::NAN, false)];
+        let scores = vec![(0.7, false), (URGENT, true), (NON_CANDIDATE, false), (f64::NAN, false)];
         let gains = cascade_gains(&frontier, &scores, &flat_features(scores.len()));
         assert_eq!(gains.len(), 1);
         for (gain, &(score, _)) in gains[0].iter().zip(&scores) {
@@ -412,39 +288,17 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_selector_reproduces_windowed_masks_bitwise() {
-        let config = CascadeConfig {
-            frontier: ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat),
-            granularity: RoutingGranularity::ByDoc,
-            alpha: 0.13,
-            window: 32,
-        };
-        let mut cascade = CascadeSelector::new(&config);
-        let mut binary = WindowedSelector::new(32, 0.13);
-        let scores = random_scores(500, 42);
-        for chunk in scores.chunks(32) {
-            let gains = vec![chunk.to_vec()];
-            let choices = cascade.select_window(&gains);
-            let mask: Vec<bool> = choices.iter().map(Option::is_some).collect();
-            assert_eq!(mask, binary.select_window(chunk));
-        }
-        assert_eq!(cascade.granted(), binary.selected());
-    }
-
-    #[test]
     fn wide_frontier_spends_fractional_slots_on_cheap_upgrades() {
         // Two upgrades, the cheap one at 1/4 slot: one slot of credit funds
         // four cheap upgrades where the binary selector funds one.
         let frontier = ParserFrontier::full(ParserKind::PyMuPdf);
         assert!(frontier.k() > 2, "full frontier must be wider than a pair");
-        let config =
-            CascadeConfig { frontier, granularity: RoutingGranularity::ByDoc, alpha: 0.1, window: 40 };
-        let mut selector = CascadeSelector::new(&config);
+        let mut selector = WindowedSelector::new(40, 0.1).with_frontier(frontier.clone());
         let n = 40;
         // Uniform positive gains: the greedy prefers the best ratio, which
         // for equal gains is the cheapest upgrade.
-        let gains: Vec<Vec<f64>> = config.frontier.upgrades().iter().map(|_| vec![0.5; n]).collect();
-        let choices = selector.select_window(&gains);
+        let gains: Vec<Vec<f64>> = frontier.upgrades().iter().map(|_| vec![0.5; n]).collect();
+        let choices = selector.select_frontier(&gains);
         let granted = choices.iter().filter(|c| c.is_some()).count();
         assert!(granted >= 4, "fractional weights must stretch the slot budget, got {granted}");
         assert!(selector.slots_spent() <= 4.0 + 1e-9);
@@ -454,7 +308,7 @@ mod tests {
     #[test]
     fn invalid_documents_prefer_render_parsers_by_legibility() {
         let frontier = ParserFrontier::full(ParserKind::PyMuPdf);
-        let scores = vec![(f64::MAX / 4.0, true), (f64::MAX / 4.0, true)];
+        let scores = vec![(URGENT, true), (URGENT, true)];
         let features = vec![
             CascadeFeatures { difficulty: 0.6, legibility: 0.9 }, // legible scan
             CascadeFeatures { difficulty: 0.6, legibility: 0.2 }, // degraded scan
@@ -464,11 +318,11 @@ mod tests {
         for (j, entry) in entries.iter().enumerate() {
             let pure_ocr = !entry.parser.requires_gpu() && !entry.parser.is_extraction();
             if pure_ocr {
-                assert_eq!(gains[j][0], f64::MAX / 4.0, "legible scan prefers OCR");
-                assert_eq!(gains[j][1], f64::MAX / 8.0);
+                assert_eq!(gains[j][0], URGENT, "legible scan prefers OCR");
+                assert_eq!(gains[j][1], URGENT_SECOND);
             } else if entry.parser.requires_gpu() {
-                assert_eq!(gains[j][0], f64::MAX / 8.0);
-                assert_eq!(gains[j][1], f64::MAX / 4.0, "degraded scan prefers recognition");
+                assert_eq!(gains[j][0], URGENT_SECOND);
+                assert_eq!(gains[j][1], URGENT, "degraded scan prefers recognition");
             }
         }
     }
@@ -520,7 +374,7 @@ mod tests {
         // A granted non-candidate (surplus quota landed on a MIN/4 doc)
         // stays on the base parser with zeroed gain — the binary router's
         // exact behavior.
-        let choice = ParserChoice::resolve(&frontier, 7, Some(0), f64::MIN / 4.0, false);
+        let choice = ParserChoice::resolve(&frontier, 7, Some(0), NON_CANDIDATE, false);
         assert_eq!(choice.parser, ParserKind::PyMuPdf);
         assert_eq!(choice.upgrade, None);
         assert_eq!(choice.predicted_gain, 0.0);
@@ -538,19 +392,14 @@ mod tests {
 
     #[test]
     fn by_page_refund_reduces_the_upgrade_class_charge() {
-        let config = CascadeConfig {
-            frontier: ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat),
-            granularity: RoutingGranularity::ByPage,
-            alpha: 1.0,
-            window: 4,
-        };
-        let mut selector = CascadeSelector::new(&config);
-        selector.select_window(&[vec![0.9, 0.8, 0.7, 0.6]]);
+        let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
+        let mut selector = WindowedSelector::new(4, 1.0).with_frontier(frontier.clone());
+        selector.select_window(&[0.9, 0.8, 0.7, 0.6]);
         let full = selector.dollars().spent(ParserKind::Nougat);
         assert!(full > 0.0);
         // Half the pages stayed on the base parser.
         selector.refund_delegated(0, 0.5);
-        let entry_cost = selector.frontier().upgrades()[0].cost_per_page;
+        let entry_cost = frontier.upgrades()[0].cost_per_page;
         let after = selector.dollars().spent(ParserKind::Nougat);
         assert!((full - after - entry_cost * 0.5).abs() < 1e-9);
     }

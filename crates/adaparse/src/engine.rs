@@ -13,7 +13,7 @@ use selector::cls3::{AccuracyPredictor, ParserPreference, PredictorConfig};
 use selector::dataset::AccuracyDataset;
 use serde::{Deserialize, Serialize};
 
-use crate::budget::select_batch;
+use crate::budget::{NON_CANDIDATE, URGENT};
 use crate::campaign::{CampaignFailures, CampaignPipeline, RoutingInput};
 use crate::config::{AdaParseConfig, Variant};
 use crate::output::ParsedRecord;
@@ -134,7 +134,7 @@ impl AdaParseEngine {
         let invalid = decision == Cls1Decision::Invalid;
         let improvement = if invalid {
             // CLS I failures always deserve the high-quality parser.
-            f64::MAX / 4.0
+            URGENT
         } else {
             match self.config.variant {
                 Variant::FastText => {
@@ -142,7 +142,7 @@ impl AdaParseEngine {
                     if p >= 0.5 {
                         p
                     } else {
-                        f64::MIN / 4.0
+                        NON_CANDIDATE
                     }
                 }
                 Variant::Llm => {
@@ -154,56 +154,12 @@ impl AdaParseEngine {
                     if gain > 0.0 {
                         gain
                     } else {
-                        f64::MIN / 4.0
+                        NON_CANDIDATE
                     }
                 }
             }
         };
         (improvement, invalid)
-    }
-
-    /// Apply the per-batch budget optimizer to already-scored documents and
-    /// produce the final routing decisions, in input order.
-    pub(crate) fn assemble_routes(
-        &self,
-        inputs: &[RoutingInput],
-        scores: &[(f64, bool)],
-    ) -> Vec<RoutedDocument> {
-        let improvements: Vec<f64> = scores.iter().map(|&(improvement, _)| improvement).collect();
-        let mask = select_batch(&improvements, self.config.alpha, self.config.batch_size);
-        self.assemble_routes_with_mask(inputs, scores, &mask)
-    }
-
-    /// Turn scored documents plus an externally computed selection mask into
-    /// final routing decisions, in input order. The streaming pipeline feeds
-    /// masks emitted window-by-window by
-    /// [`crate::scaling::WindowedSelector`]; the classic path feeds
-    /// [`select_batch`]'s whole-corpus mask.
-    pub(crate) fn assemble_routes_with_mask(
-        &self,
-        inputs: &[RoutingInput],
-        scores: &[(f64, bool)],
-        mask: &[bool],
-    ) -> Vec<RoutedDocument> {
-        inputs
-            .iter()
-            .zip(scores.iter())
-            .zip(mask.iter())
-            .map(|((input, &(improvement, invalid)), &selected)| {
-                let is_candidate = improvement > f64::MIN / 8.0;
-                let parser = if selected && is_candidate {
-                    self.config.high_quality_parser
-                } else {
-                    self.config.default_parser
-                };
-                RoutedDocument {
-                    doc_id: input.doc_id,
-                    parser,
-                    predicted_improvement: if is_candidate { improvement } else { 0.0 },
-                    cls1_invalid: invalid,
-                }
-            })
-            .collect()
     }
 
     /// Route a document collection without parsing it (returns one decision

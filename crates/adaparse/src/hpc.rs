@@ -54,88 +54,6 @@ pub fn tasks_for_parser(kind: ParserKind, workload: &WorkloadSpec) -> Vec<Task> 
         .collect()
 }
 
-/// Build tasks for an AdaParse campaign from explicit routing decisions:
-/// every document gets an extraction task and the documents routed to the
-/// high-quality parser get a GPU task on top.
-pub fn tasks_for_routing(
-    config: &AdaParseConfig,
-    routed: &[RoutedDocument],
-    workload: &WorkloadSpec,
-) -> Vec<Task> {
-    build_routing_tasks(config, routed, workload, None, 1.0)
-}
-
-/// Build tasks for an AdaParse campaign from explicit routing decisions
-/// *with node-affinity placement*: extraction tasks are staged round-robin
-/// across the plan's extraction fleet, high-quality parse tasks across its
-/// parse fleet, and every task carries its staging node so the executor's
-/// data-locality model applies. The extract and parse tasks of the same
-/// document additionally share a [`hpcsim::TaskGroup`], so the executor's
-/// pair co-scheduling can reunite them on one node (the parse half's real
-/// input is the extract half's output), *and* each parse task carries a
-/// [`hpcsim::Task::depends_on`] edge to its extract partner, so the
-/// dependency-aware engine never starts a document's parse before its
-/// extraction has finished. This is how the
-/// [`crate::scaling::ScalingController`]'s node-level decisions reach the
-/// simulator.
-///
-/// # Example
-///
-/// ```
-/// use adaparse::{tasks_for_routing_with_affinity, AdaParseConfig, NodePlan, RoutedDocument, WorkloadSpec};
-/// use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
-///
-/// let config = AdaParseConfig::default();
-/// // Two documents: the first routed to the high-quality parser.
-/// let routed: Vec<RoutedDocument> = (0..2)
-///     .map(|i| RoutedDocument {
-///         doc_id: i,
-///         parser: if i == 0 { config.high_quality_parser } else { config.default_parser },
-///         predicted_improvement: 0.5,
-///         cls1_invalid: false,
-///     })
-///     .collect();
-/// let workload = WorkloadSpec { documents: 2, pages_per_doc: 5, mb_per_doc: 1.0 };
-/// let plan = NodePlan { extract_nodes: 1, parse_nodes: 1 };
-///
-/// let tasks = tasks_for_routing_with_affinity(&config, &routed, &workload, &plan);
-/// assert_eq!(tasks.len(), 3); // two extractions + one high-quality parse
-/// assert!(tasks.iter().all(|t| t.preferred_node.is_some() && t.group.is_some()));
-/// // The parse task (odd id) depends on its extract partner (its id - 1).
-/// let parse = tasks.iter().find(|t| t.id % 2 == 1).unwrap();
-/// assert_eq!(parse.depends_on, vec![parse.id - 1]);
-///
-/// // The tasks run as-is on a cluster shaped like the plan.
-/// let report = WorkflowExecutor::new(ExecutorConfig::default())
-///     .run(&tasks, &ClusterConfig::polaris(plan.total()), &LustreModel::default());
-/// assert_eq!(report.tasks_completed, 3);
-/// assert_eq!(report.co_located_pairs, 1); // the pair reunited on one node
-/// ```
-pub fn tasks_for_routing_with_affinity(
-    config: &AdaParseConfig,
-    routed: &[RoutedDocument],
-    workload: &WorkloadSpec,
-    plan: &NodePlan,
-) -> Vec<Task> {
-    build_routing_tasks(config, routed, workload, Some(plan), 1.0)
-}
-
-/// [`tasks_for_routing_with_affinity`] with the high-quality parse compute
-/// scaled by `parse_fraction` — the task-level model of per-page delegation,
-/// where only a document's delegated page fraction runs on the upgrade
-/// parser. A fraction of `1.0` is a **bitwise no-op** (`x * 1.0 == x`), so
-/// whole-document callers are unchanged; the serve layer passes each
-/// tenant's planned delegation fraction here.
-pub fn tasks_for_routing_with_affinity_scaled(
-    config: &AdaParseConfig,
-    routed: &[RoutedDocument],
-    workload: &WorkloadSpec,
-    plan: &NodePlan,
-    parse_fraction: f64,
-) -> Vec<Task> {
-    build_routing_tasks(config, routed, workload, Some(plan), parse_fraction)
-}
-
 /// Compute seconds of the split and join bookkeeping tasks of a per-page
 /// delegation DAG: cheap CPU work (page-range bookkeeping and text
 /// stitching), deliberately non-zero so the DAG's ordering is visible in
@@ -147,7 +65,7 @@ const SPLIT_JOIN_SECONDS: f64 = 0.05;
 ///
 /// * an **extract** task (base parser, CPU) — every document pays it;
 /// * for a whole-document upgrade, one **parse** task depending on the
-///   extract, exactly like [`tasks_for_routing_with_affinity`];
+///   extract, exactly like [`build_routing_tasks`] with a plan;
 /// * for a per-page delegation
 ///   ([`ParserChoice::upgraded_pages`] non-empty), a **split** task
 ///   depending on the extract, one **page** task per delegated page (each
@@ -232,23 +150,74 @@ pub fn tasks_for_cascade_with_affinity(
     tasks
 }
 
-/// Shared task construction: with a [`NodePlan`] tasks carry their staging
-/// node, the per-document pair group, and the parse→extract dependency
-/// edge; without one they are placement-indifferent *and* order-free (the
-/// legacy throughput-model construction, kept dependency-free so fixed-α
-/// scaling sweeps stay comparable with the seed's Figure 5 numbers). One
-/// code path, so the affinity and non-affinity simulations always stay
-/// comparable.
+/// Build the tasks of an AdaParse campaign from explicit routing decisions:
+/// every document gets an extraction task and the documents routed to the
+/// high-quality parser get a parse task on top (a GPU task when that parser
+/// needs one).
 ///
-/// Every task joins its document's group even when the document routes
-/// cheap and the group stays a singleton: the group role is what attributes
-/// the task to a stage in the executor's `StageTimings` (which the closed
-/// loop divides across *all* documents of a wave), and a singleton anchors
-/// trivially — its lone member never counts as a co-located or split pair.
+/// With a [`NodePlan`] the tasks are placed *with node affinity*: extraction
+/// tasks are staged round-robin across the plan's extraction fleet,
+/// high-quality parse tasks across its parse fleet, and every task carries
+/// its staging node so the executor's data-locality model applies. The
+/// extract and parse tasks of the same document additionally share a
+/// [`hpcsim::TaskGroup`], so the executor's pair co-scheduling can reunite
+/// them on one node (the parse half's real input is the extract half's
+/// output), *and* each parse task carries a [`hpcsim::Task::depends_on`] edge
+/// to its extract partner, so the dependency-aware engine never starts a
+/// document's parse before its extraction has finished. This is how the
+/// [`crate::scaling::ScalingController`]'s node-level decisions reach the
+/// simulator. Without a plan the tasks are placement-indifferent *and*
+/// order-free (the legacy throughput-model construction, kept
+/// dependency-free so fixed-α scaling sweeps stay comparable with the seed's
+/// Figure 5 numbers). One code path, so the affinity and non-affinity
+/// simulations always stay comparable.
 ///
-/// `parse_fraction` scales the high-quality parse compute (per-page
-/// delegation's task-level model); `1.0` is a bitwise no-op.
-fn build_routing_tasks(
+/// Every placed task joins its document's group even when the document
+/// routes cheap and the group stays a singleton: the group role is what
+/// attributes the task to a stage in the executor's `StageTimings` (which
+/// the closed loop divides across *all* documents of a wave), and a
+/// singleton anchors trivially — its lone member never counts as a
+/// co-located or split pair.
+///
+/// `parse_fraction` scales the high-quality parse compute — the task-level
+/// model of per-page delegation, where only a document's delegated page
+/// fraction runs on the upgrade parser (the serve layer passes each tenant's
+/// planned delegation fraction). `1.0` is a **bitwise no-op**
+/// (`x * 1.0 == x`), which is what whole-document callers pass.
+///
+/// # Example
+///
+/// ```
+/// use adaparse::{build_routing_tasks, AdaParseConfig, NodePlan, RoutedDocument, WorkloadSpec};
+/// use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
+///
+/// let config = AdaParseConfig::default();
+/// // Two documents: the first routed to the high-quality parser.
+/// let routed: Vec<RoutedDocument> = (0..2)
+///     .map(|i| RoutedDocument {
+///         doc_id: i,
+///         parser: if i == 0 { config.high_quality_parser } else { config.default_parser },
+///         predicted_improvement: 0.5,
+///         cls1_invalid: false,
+///     })
+///     .collect();
+/// let workload = WorkloadSpec { documents: 2, pages_per_doc: 5, mb_per_doc: 1.0 };
+/// let plan = NodePlan { extract_nodes: 1, parse_nodes: 1 };
+///
+/// let tasks = build_routing_tasks(&config, &routed, &workload, Some(&plan), 1.0);
+/// assert_eq!(tasks.len(), 3); // two extractions + one high-quality parse
+/// assert!(tasks.iter().all(|t| t.preferred_node.is_some() && t.group.is_some()));
+/// // The parse task (odd id) depends on its extract partner (its id - 1).
+/// let parse = tasks.iter().find(|t| t.id % 2 == 1).unwrap();
+/// assert_eq!(parse.depends_on, vec![parse.id - 1]);
+///
+/// // The tasks run as-is on a cluster shaped like the plan.
+/// let report = WorkflowExecutor::new(ExecutorConfig::default())
+///     .run(&tasks, &ClusterConfig::polaris(plan.total()), &LustreModel::default());
+/// assert_eq!(report.tasks_completed, 3);
+/// assert_eq!(report.co_located_pairs, 1); // the pair reunited on one node
+/// ```
+pub fn build_routing_tasks(
     config: &AdaParseConfig,
     routed: &[RoutedDocument],
     workload: &WorkloadSpec,
@@ -310,7 +279,7 @@ pub fn tasks_for_campaign(
     workload: &WorkloadSpec,
 ) -> Vec<Task> {
     let routed = pipeline.route(engine, documents, seed);
-    tasks_for_routing(engine.config(), &routed, workload)
+    build_routing_tasks(engine.config(), &routed, workload, None, 1.0)
 }
 
 /// Build tasks for an AdaParse campaign by *assuming* an α-fraction goes to
@@ -326,7 +295,7 @@ pub fn tasks_for_alpha(config: &AdaParseConfig, workload: &WorkloadSpec) -> Vec<
             cls1_invalid: false,
         })
         .collect();
-    tasks_for_routing(config, &routed, workload)
+    build_routing_tasks(config, &routed, workload, None, 1.0)
 }
 
 /// Throughput (documents per second) of one parser at a given node count.
@@ -428,7 +397,7 @@ mod tests {
             })
             .collect();
         let plan = NodePlan { extract_nodes: 3, parse_nodes: 1 };
-        let tasks = tasks_for_routing_with_affinity(&config, &routed, &w, &plan);
+        let tasks = build_routing_tasks(&config, &routed, &w, Some(&plan), 1.0);
         assert_eq!(tasks.len(), w.documents + quota);
         // Extraction tasks cycle over nodes 0..3, parse tasks pin to node 3;
         // parse tasks depend on their extract partner, extractions on
@@ -447,7 +416,7 @@ mod tests {
         }
         // The plain (plan-free) construction stays order-free: it is the
         // legacy throughput model the fixed-α scaling sweeps are built on.
-        let plain = tasks_for_routing(&config, &routed, &w);
+        let plain = build_routing_tasks(&config, &routed, &w, None, 1.0);
         assert!(plain.iter().all(|t| t.depends_on.is_empty()));
         // On a cluster shaped like the plan, scheduling honors the affinity.
         let report = WorkflowExecutor::new(ExecutorConfig::default()).run(

@@ -7,27 +7,32 @@
 //!
 //! # Architecture: the staged campaign pipeline
 //!
-//! A campaign flows through four explicit stages (see [`campaign`]):
+//! A campaign flows, one window of documents at a time, through four
+//! explicit stages (see [`campaign`]):
 //!
 //! ```text
 //!             ┌────────────┐   ┌───────────┐   ┌────────────┐   ┌────────────┐
-//!  documents ─► ExtractStage├──►│RouteStage ├──►│ ParseStage ├──►│ ScoreStage ├─► CampaignResult
-//!             │ (parallel)  │   │(sequential│   │ (parallel) │   │ (parallel) │      + RecordSink
-//!             └────────────┘   │  budget)  │   └────────────┘   └────────────┘
+//!  window k ──► ExtractStage├──►│RouteStage ├──►│ ParseStage ├──►│ ScoreStage ├─► CampaignResult
+//!             │ (parallel)  │   │ + window  │   │ (parallel) │   │ (parallel) │      + RecordSink
+//!             └────────────┘   │ selection │   └────────────┘   └────────────┘
 //!                              └───────────┘
 //! ```
 //!
 //! * **Extract** — SPDF round-trip plus a cheap first-page extraction with
 //!   the default parser; produces the router's per-document features.
 //! * **Route** — CLS I validity, then CLS II (FastText variant) or CLS III
-//!   (LLM variant) improvement prediction, then the Appendix C per-batch
-//!   budget optimizer caps the high-quality fraction at α.
+//!   (LLM variant) improvement prediction, then the window's scores go
+//!   through the one streaming [`WindowedSelector`], which caps the upgraded
+//!   fraction at α over the campaign's parser frontier (two parsers for the
+//!   paper's binary router, k for a [`CascadeConfig::full`] cascade).
 //! * **Parse** — each document runs its assigned parser, drawn from a shared
 //!   immutable [`parsersim::ParserPool`] (each parser constructed once).
 //! * **Score** — BLEU/ROUGE/CAR/coverage against ground truth plus resource
 //!   accounting; records stream to a [`RecordSink`] in document order.
 //!
-//! The parallel stages run over shards of the input on a `rayon` thread pool
+//! There is one campaign loop: [`CampaignPipeline::run`], `run_with_sink`,
+//! `route`, `run_cascade` and `route_cascade` are thin calls into it. The
+//! parallel stages run over shards of a window on a `rayon` thread pool
 //! ([`PipelineConfig`] sets worker count and shard size). Per-document RNG
 //! streams are keyed by `seed ^ doc_id` and the final fold is in input order,
 //! so the result is **bitwise identical for every worker count** — the
@@ -41,10 +46,14 @@
 //!   global),
 //! * [`engine`] — configuration + training + the hierarchical router
 //!   (CLS I → II → III); campaign entry points delegate to the pipeline,
-//! * [`campaign`] — the staged parallel pipeline described above, with two
-//!   routing modes: [`RoutingMode::GlobalBatch`] (classic two-phase) and
-//!   [`RoutingMode::Streaming`] (windowed selection with extract/parse
-//!   overlap),
+//! * [`campaign`] — the staged parallel pipeline described above; its
+//!   [`RoutingMode`] is a selection *policy* inside the loop:
+//!   [`RoutingMode::GlobalBatch`] (independent per-batch quotas, the paper's
+//!   Appendix C) or [`RoutingMode::Streaming`] (credit and an optional
+//!   seconds ledger carried from window to window),
+//! * [`cascade`] — the k-parser frontier configuration, the per-upgrade
+//!   gain transform and per-page delegation; the binary router is its
+//!   two-parser case,
 //! * [`scaling`] — the resource-scaling engine: the streaming
 //!   [`WindowedSelector`], the feedback-driven [`ScalingController`]
 //!   that reallocates workers (and `hpcsim` nodes) between stages — driven
@@ -87,7 +96,7 @@
 //! // Identical to the engine's default (sequential-equivalent) entry point.
 //! assert_eq!(result, engine.parse_documents(&test, 11));
 //!
-//! // Streaming mode: windowed selection + extract/parse overlap. Bitwise
+//! // Streaming mode: quota credit carries from window to window. Bitwise
 //! // identical across worker counts too.
 //! let streaming = CampaignPipeline::new(PipelineConfig::streaming(2, 4));
 //! assert_eq!(streaming.run(&engine, &test, 11).quality.documents, test.len());
@@ -115,14 +124,13 @@ pub use campaign::{
     RoutingMode,
 };
 pub use cascade::{
-    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, CascadeSelector, ParserChoice,
-    RoutingGranularity,
+    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity,
 };
 pub use config::{AdaParseConfig, Variant};
 pub use engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 pub use hpc::{
-    adaparse_throughput_at_scale, parser_throughput_at_scale, tasks_for_cascade_with_affinity,
-    tasks_for_routing_with_affinity, tasks_for_routing_with_affinity_scaled, WorkloadSpec,
+    adaparse_throughput_at_scale, build_routing_tasks, parser_throughput_at_scale,
+    tasks_for_cascade_with_affinity, WorkloadSpec,
 };
 pub use output::{JsonlSink, MemorySink, ParsedRecord, RecordSink};
 pub use scaling::{

@@ -6,14 +6,18 @@
 //! and sorted. This module replaces that whole-corpus barrier with two
 //! cooperating pieces:
 //!
-//! * [`WindowedSelector`] — streaming budget selection. Documents arrive in
-//!   input order and are selected per *window* of size k against a running
-//!   remaining-budget ledger (fractional quota credit carries over between
-//!   windows, so the selected fraction never exceeds ⌊α·seen⌋ at any prefix).
-//!   Window boundaries are fixed by k alone — never by worker count or wave
-//!   timing — so the emitted routing masks are bitwise-deterministic, and
-//!   with k = corpus size the selection is exactly the global optimum.
-//!   The windowed-vs-global optimality gap is measurable with
+//! * [`WindowedSelector`] — the one streaming budget selector. Documents
+//!   arrive in input order and are selected per *window* of size k against a
+//!   running credit ledger (fractional slot credit carries over between
+//!   windows, so the spend never exceeds ⌊α·seen⌋ at any prefix). One
+//!   `credit`/`spent` core serves two views: the single-upgrade mask view
+//!   (bounded top-k heap — the binary router, `simloop`, `serve`) and the
+//!   per-upgrade frontier view ([`crate::budget::assign_k`] — the k-parser
+//!   cascade); the frontier's width picks the ranking. Window boundaries
+//!   are fixed by k alone — never by worker count or timing — so the emitted
+//!   routing masks are bitwise-deterministic, and with k = corpus size the
+//!   selection is exactly the global optimum. The windowed-vs-global
+//!   optimality gap is measurable with
 //!   [`crate::budget::windowed_optimality_gap`].
 //!
 //! * [`ScalingController`] — the feedback loop. Each wave it samples
@@ -27,11 +31,10 @@
 //!   data-locality consequences the executor models (tasks carry a preferred
 //!   node; off-node placement pays a `LustreModel` penalty).
 //!
-//! [`crate::campaign::CampaignPipeline`] wires both into its
-//! [`crate::campaign::RoutingMode::Streaming`] mode: extraction of window
-//! i+1 overlaps with parsing of window i, routing masks are emitted
-//! wave-by-wave, and the campaign result stays bitwise identical for every
-//! worker count.
+//! [`crate::campaign::CampaignPipeline`] drives the selector window by
+//! window in its one wall-clock loop (every stage there is CPU work on one
+//! thread pool, so it does not split its workers into fleets); the
+//! controller's live use is the simulated twin and the serve layer.
 //!
 //! Since PR 3 the loop is *closed* in both directions:
 //!
@@ -41,8 +44,7 @@
 //!   makespans), and even plain [`ScalingController::observe`] accrues a
 //!   virtual clock from the observed stage seconds, so a trace is a pure
 //!   function of its stat stream: replaying recorded or simulated stats
-//!   replays the trace bit for bit. (A live streaming campaign's stats are
-//!   wall-clock measurements, so its traces naturally vary run to run.)
+//!   replays the trace bit for bit.
 //! * **Costs** — [`observed::ObservedCosts`] blends the planned
 //!   per-document costs with what completed waves *actually* cost
 //!   ([`observed::WaveCosts`]); a [`BudgetLedger`] with

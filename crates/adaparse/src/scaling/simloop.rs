@@ -86,7 +86,7 @@ use parsersim::cost::CostModel;
 
 use crate::config::AdaParseConfig;
 use crate::engine::RoutedDocument;
-use crate::hpc::{tasks_for_routing_with_affinity, WorkloadSpec};
+use crate::hpc::{build_routing_tasks, WorkloadSpec};
 use crate::scaling::observed::{ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 use crate::scaling::{
     Allocation, AllocationEvent, BudgetLedger, ControllerConfig, NodePlan, ScalingController, StageSample,
@@ -375,7 +375,7 @@ pub fn run_closed_loop(
 
         // Fleets: the controller's allocation projected onto the cluster.
         let plan = controller.plan_nodes(cluster.nodes);
-        let tasks = tasks_for_routing_with_affinity(config, &routed, workload, &plan);
+        let tasks = build_routing_tasks(config, &routed, workload, Some(&plan), 1.0);
         // Captured before the session takes ownership of the batch: the
         // causal branch needs each task's stage role to classify its
         // deferred observation.

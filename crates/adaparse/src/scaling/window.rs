@@ -1,13 +1,15 @@
 //! Streaming windowed budget selection.
 //!
-//! [`WindowedSelector`] consumes improvement scores in input order, one
-//! window of (up to) k documents at a time, and emits the routing mask for
-//! each window immediately — the pipeline can start parsing a window while
-//! later windows are still being extracted. A running ledger carries the
-//! fractional quota credit between windows, so the number of selected
-//! documents never exceeds ⌊α · documents-seen⌋ at any prefix of the stream,
-//! and an optional seconds-denominated [`BudgetLedger`] tightens the
-//! effective α when the committed spend threatens the total compute budget.
+//! [`WindowedSelector`] consumes scores in input order, one window of (up
+//! to) k documents at a time, and emits the routing decision for each window
+//! immediately — the pipeline parses a window while later ones are not yet
+//! extracted. A running credit ledger carries the fractional slot credit
+//! between windows, so the slots spent never exceed ⌊α · documents-seen⌋ at
+//! any prefix of the stream, and an optional seconds-denominated
+//! [`BudgetLedger`] tightens the effective α when the committed spend
+//! threatens the total compute budget. It is the crate's only streaming
+//! selector: the binary router, the k-parser cascade, the closed simulation
+//! loop and the serve layer all drive this type.
 //!
 //! The ledger can additionally *close the loop on costs*: with
 //! [`BudgetLedger::with_observed_costs`] it ingests the measured cost of
@@ -18,19 +20,20 @@
 
 use std::collections::VecDeque;
 
-use parsersim::ParserKind;
+use parsersim::registry::page_dollars;
+use parsersim::{ParserFrontier, ParserKind};
 
-use crate::budget::{max_affordable_alpha, top_quota_mask};
+use crate::budget::{assign_k, max_affordable_alpha, top_quota_mask};
 use crate::scaling::observed::{ObservedCosts, WaveCosts};
 
 /// Committed spend broken down by parser class, in seconds (or any other
-/// single cost unit — the cascade selector meters planned dollars with it).
+/// single cost unit — the selector meters planned frontier dollars with it).
 ///
 /// Entries are kept in [`ParserKind::index`] order, so iteration — and
 /// therefore any report built from it — is deterministic. Used by
 /// [`BudgetLedger`] to split the binary cheap/expensive spend between its
-/// two parser classes, and by the k-parser cascade selector to meter spend
-/// across the whole frontier.
+/// two parser classes, and by [`WindowedSelector`] to meter spend across its
+/// frontier.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClassLedger {
     spend: Vec<(ParserKind, f64)>,
@@ -141,9 +144,8 @@ impl BudgetLedger {
     }
 
     /// Planned spend attributed per parser class. Empty unless
-    /// [`with_classes`](Self::with_classes) named the classes (or a cascade
-    /// selector charges classes directly). The attribution is of *planned*
-    /// spend at commit-time effective costs — near exhaustion the clamped
+    /// [`with_classes`](Self::with_classes) named the classes. The
+    /// attribution is of *planned* spend at commit-time effective costs — near exhaustion the clamped
     /// charge can be smaller than the attributed total, which keeps the
     /// per-class ratios meaningful even when the ledger bottoms out.
     pub fn class_spend(&self) -> &ClassLedger {
@@ -322,24 +324,32 @@ impl BudgetLedger {
     }
 }
 
-/// Streaming per-window budget selector.
+/// The streaming floor-and-carry budget selector.
 ///
-/// Feed it windows of improvement scores in input order via
-/// [`select_window`](WindowedSelector::select_window); each call returns the
-/// routing mask for that window. The selector maintains a running quota
-/// credit (`α` per document seen) minus the documents already selected, so:
+/// Feed it windows in input order; each call returns the window's routing
+/// decision. The selector accrues `α` slot credit per document seen (a slot
+/// is one upgrade of the costliest parser on the frontier) and each window
+/// spends `⌊credit − spent⌋` of it, so:
 ///
-/// * at every prefix of the stream, `selected ≤ ⌊α · seen⌋` — the budget
+/// * at every prefix of the stream, `spent ≤ ⌊α · seen⌋` — the budget
 ///   holds even if the campaign is aborted mid-stream;
-/// * fractional quota credit carries over between windows (unlike the
-///   independent per-batch selection of [`crate::budget::select_batch`],
-///   which floors each batch's quota and forfeits the remainder — with
-///   α·k < 1 it would select nothing at all);
+/// * fractional credit carries over between windows (unlike the independent
+///   per-batch selection of [`crate::budget::select_batch`], which floors
+///   each batch's quota and forfeits the remainder — with α·k < 1 it would
+///   select nothing at all), and so does the unspent part of a slot a
+///   cheaper upgrade only partly consumed;
 /// * with a single window spanning the whole corpus the selection is
 ///   *exactly* [`crate::budget::select_global`], bitwise.
 ///
+/// One `credit`/`spent` core has two views, chosen by the frontier's width:
+/// [`select_window`](Self::select_window) ranks a single upgrade's scores
+/// with the bounded top-k heap (`&[f64] → Vec<bool>`, the binary router);
+/// [`select_frontier`](Self::select_frontier) assigns one gain vector per
+/// upgrade through the marginal-gain-per-cost greedy [`assign_k`] — and *is*
+/// the mask view on a pair frontier.
+///
 /// Masks depend only on the scores and the window boundaries — never on
-/// worker counts or timing — which is what lets the streaming pipeline keep
+/// worker counts or timing — which is what lets the campaign pipeline keep
 /// its bitwise-determinism contract. With a [`BudgetLedger`] carrying
 /// observed-cost feedback, masks additionally depend on the ingested cost
 /// trace — still bitwise-deterministic for a fixed trace.
@@ -362,24 +372,42 @@ impl BudgetLedger {
 pub struct WindowedSelector {
     window: usize,
     alpha: f64,
+    frontier: Option<ParserFrontier>,
+    weights: Vec<f64>,
     credit: f64,
+    spent: f64,
     seen: usize,
     selected: usize,
     ledger: Option<BudgetLedger>,
+    dollars: ClassLedger,
 }
 
 impl WindowedSelector {
-    /// A selector emitting masks per window of `window` documents with a
-    /// high-quality fraction capped at `alpha`.
+    /// A selector emitting masks per window of `window` documents with the
+    /// upgraded fraction capped at `alpha` (in costliest-upgrade units).
     pub fn new(window: usize, alpha: f64) -> Self {
         WindowedSelector {
             window: window.max(1),
             alpha: alpha.clamp(0.0, 1.0),
+            frontier: None,
+            weights: vec![1.0],
             credit: 0.0,
+            spent: 0.0,
             seen: 0,
             selected: 0,
             ledger: None,
+            dollars: ClassLedger::new(),
         }
+    }
+
+    /// Select over `frontier`'s upgrades (slot weights from
+    /// [`ParserFrontier::weights`]) and meter planned per-page dollars per
+    /// parser class: every document is charged the base parser's
+    /// [`page_dollars`] rate, every granted upgrade its `cost_per_page`.
+    pub fn with_frontier(mut self, frontier: ParserFrontier) -> Self {
+        self.weights = frontier.weights();
+        self.frontier = Some(frontier);
+        self
     }
 
     /// Attach a seconds-denominated budget ledger: each window's effective α
@@ -400,9 +428,21 @@ impl WindowedSelector {
         self.seen
     }
 
-    /// Documents selected for the high-quality parser so far.
+    /// Upgrades granted so far (across all frontier entries).
     pub fn selected(&self) -> usize {
         self.selected
+    }
+
+    /// Slot budget consumed so far, in costliest-upgrade units (equal to
+    /// [`selected`](Self::selected) while every upgrade weighs `1.0`).
+    pub fn slots_spent(&self) -> f64 {
+        self.spent
+    }
+
+    /// Planned dollar spend per parser class so far (empty without a
+    /// frontier).
+    pub fn dollars(&self) -> &ClassLedger {
+        &self.dollars
     }
 
     /// The seconds ledger, if one is attached.
@@ -459,24 +499,81 @@ impl WindowedSelector {
         }
     }
 
-    /// Route one window of scores (the final window may be shorter than k)
-    /// and return its routing mask.
-    ///
-    /// The quota is the accumulated fractional credit not yet spent:
-    /// `⌊credit − selected⌋`, clamped to the window length. With a constant
-    /// α this equals `⌊α·seen⌋ − selected`, the exact prefix-budget
-    /// invariant.
-    pub fn select_window(&mut self, scores: &[f64]) -> Vec<bool> {
+    /// Refund part of a granted upgrade's dollar charge when per-page
+    /// delegation parsed only `fraction` of the document with the upgrade
+    /// parser (the remaining pages stayed on the base parser, whose charge
+    /// already covers them). Deterministic bookkeeping only — never affects
+    /// selection. Panics on a selector built without a frontier.
+    pub fn refund_delegated(&mut self, upgrade: usize, fraction: f64) {
+        let frontier = self.frontier.as_ref().expect("refunds name an upgrade of the attached frontier");
+        let entry = &frontier.upgrades()[upgrade];
+        self.dollars.charge(entry.parser, -entry.cost_per_page * (1.0 - fraction.clamp(0.0, 1.0)));
+    }
+
+    /// Accrue a window's credit and return the slots it may spend:
+    /// `⌊credit − spent⌋`, the accumulated fractional credit not yet
+    /// consumed. With a constant α and unit weights this equals
+    /// `⌊α·seen⌋ − selected`, the exact prefix-budget invariant.
+    fn open_window(&mut self, docs: usize) -> f64 {
         let alpha = self.effective_alpha();
-        self.seen += scores.len();
-        self.credit += (scores.len() as f64) * alpha;
-        let quota = ((self.credit - self.selected as f64).floor().max(0.0) as usize).min(scores.len());
-        let mask = top_quota_mask(scores, quota);
-        self.selected += quota;
+        self.seen += docs;
+        self.credit += (docs as f64) * alpha;
+        (self.credit - self.spent).floor().max(0.0)
+    }
+
+    /// Book a routed window: `slots` consumed, one dollar charge per
+    /// document (base) and per granted upgrade, and the seconds ledger's
+    /// commit.
+    fn close_window(&mut self, docs: usize, slots: f64, grants: impl Iterator<Item = usize>) {
+        self.spent += slots;
+        let granted = match &self.frontier {
+            None => grants.count(),
+            Some(frontier) => {
+                self.dollars.charge(frontier.base(), docs as f64 * page_dollars(frontier.base()));
+                grants
+                    .map(|upgrade| &frontier.upgrades()[upgrade])
+                    .inspect(|entry| self.dollars.charge(entry.parser, entry.cost_per_page))
+                    .count()
+            }
+        };
+        self.selected += granted;
         if let Some(ledger) = &mut self.ledger {
-            ledger.commit(scores.len(), quota);
+            ledger.commit(docs, granted);
         }
+    }
+
+    /// Route one window of scores through the single-upgrade view (the
+    /// final window may be shorter than k) and return its routing mask: the
+    /// `min(⌊credit − spent⌋, len)` highest scores. Panics when the attached
+    /// frontier has more than one upgrade — a mask cannot say which was
+    /// granted.
+    pub fn select_window(&mut self, scores: &[f64]) -> Vec<bool> {
+        assert_eq!(self.weights.len(), 1, "the mask view needs a single-upgrade frontier");
+        let quota = (self.open_window(scores.len()) as usize).min(scores.len());
+        let mask = top_quota_mask(scores, quota);
+        self.close_window(scores.len(), quota as f64, std::iter::repeat_n(0, quota));
         mask
+    }
+
+    /// Route one window of per-upgrade gain vectors (`gains[j][i]` is
+    /// upgrade j's transformed gain for the window's i-th document; see
+    /// [`crate::cascade::cascade_gains`]) and return the per-document
+    /// assignment.
+    ///
+    /// A single upgrade takes [`select_window`](Self::select_window)'s
+    /// top-k heap; wider frontiers take [`assign_k`], whose slot budget is
+    /// never clamped to the window length because it grants at most one
+    /// upgrade per document anyway.
+    pub fn select_frontier(&mut self, gains: &[Vec<f64>]) -> Vec<Option<usize>> {
+        assert_eq!(gains.len(), self.weights.len(), "one gain vector per frontier upgrade");
+        if let [scores] = gains {
+            return self.select_window(scores).into_iter().map(|granted| granted.then_some(0)).collect();
+        }
+        let docs = gains.first().map_or(0, Vec::len);
+        let slots = self.open_window(docs);
+        let assignment = assign_k(gains, &self.weights, slots);
+        self.close_window(docs, assignment.slots_consumed, assignment.choices.iter().flatten().copied());
+        assignment.choices
     }
 
     /// Drive the selector over a whole score slice, chunked into k-sized

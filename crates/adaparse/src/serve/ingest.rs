@@ -17,7 +17,7 @@ use hpcsim::{
 
 use crate::config::AdaParseConfig;
 use crate::engine::RoutedDocument;
-use crate::hpc::tasks_for_routing_with_affinity_scaled;
+use crate::hpc::build_routing_tasks;
 use crate::scaling::{
     AutoscaleConfig, ControllerConfig, FleetEvent, ScalingController, SloAutoscaler, StageSample, WaveCosts,
     WaveStats,
@@ -578,11 +578,11 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             let workload = state.spec.workload;
             // Parse compute scales by the tenant's delegation fraction
             // (exactly 1.0 for by-doc tenants — a bitwise no-op).
-            let tasks = tasks_for_routing_with_affinity_scaled(
+            let tasks = build_routing_tasks(
                 &state.route_config,
                 &routed,
                 &workload,
-                &plan,
+                Some(&plan),
                 state.parse_fraction,
             );
             session.submit_owned(tasks, SubmitOptions { release_seconds: Some(boundary) });

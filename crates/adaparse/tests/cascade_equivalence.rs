@@ -1,20 +1,22 @@
-//! The cascade's pinned contracts, end to end:
+//! The cascade's contracts beyond the fingerprint pins of
+//! `campaign_fingerprints`:
 //!
-//! * the k = 2 by-document cascade reproduces the binary streaming
-//!   campaign **bitwise** — same masks, same records, same
-//!   `CampaignResult` — on a frozen workload,
-//! * the [`CascadeSelector`] over a pair frontier degenerates to the
-//!   [`WindowedSelector`] mask for mask under proptest-random streams,
+//! * the one streaming selector, through both of its views, reproduces a
+//!   sort-based oracle window by window on hostile score streams, with and
+//!   without a plan-only seconds ledger,
+//! * a wider frontier never upgrades fewer documents than the binary one at
+//!   the same slot budget, on a frozen workload,
 //! * the by-page task DAG never lets a join start before every one of its
 //!   page children has finished, for proptest-random delegation patterns.
 
+use adaparse::budget::{max_affordable_alpha, NON_CANDIDATE, URGENT};
 use adaparse::{
-    cascade_gains, tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, CampaignPipeline,
-    CampaignResult, CascadeConfig, CascadeSelector, NodePlan, ParserChoice, PipelineConfig, RoutingMode,
-    WindowedSelector, WorkloadSpec,
+    tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, BudgetLedger, CampaignPipeline,
+    CascadeConfig, NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec,
 };
 use docmodel::document::Document;
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
+use parsersim::registry::page_dollars;
 use parsersim::{ParserFrontier, ParserKind};
 use proptest::prelude::*;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -35,65 +37,6 @@ fn trained_engine(config: AdaParseConfig) -> AdaParseEngine {
     let mut engine = AdaParseEngine::new(config);
     engine.train_on_corpus(&corpus(20, 2024), 5);
     engine
-}
-
-fn run_streaming(
-    engine: &AdaParseEngine,
-    docs: &[Document],
-    seed: u64,
-    workers: usize,
-    shard: usize,
-    window: usize,
-) -> CampaignResult {
-    CampaignPipeline::new(PipelineConfig {
-        workers,
-        shard_size: shard,
-        mode: RoutingMode::Streaming { window },
-        ..Default::default()
-    })
-    .run(engine, docs, seed)
-}
-
-/// The tentpole's frozen-workload pin: a binary (pair-frontier, by-doc)
-/// cascade is not "approximately" the old streaming campaign — it *is* the
-/// old streaming campaign, record for record and bit for bit, at every
-/// worker count.
-#[test]
-fn k2_by_doc_cascade_reproduces_the_streaming_campaign_bitwise() {
-    let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
-    let engine = trained_engine(config.clone());
-    let docs = corpus(90, 77);
-    let window = 16;
-
-    let streaming = run_streaming(&engine, &docs, 11, 2, 8, window);
-    for (workers, shard) in [(1, 7), (2, 8), (4, 16)] {
-        let pipeline = CampaignPipeline::new(PipelineConfig {
-            workers,
-            shard_size: shard,
-            mode: RoutingMode::Streaming { window },
-            ..Default::default()
-        });
-        let cascade = pipeline.run_cascade(&engine, &docs, &CascadeConfig::binary(&config, window), 11);
-        assert_eq!(
-            cascade.result, streaming,
-            "binary cascade diverged from streaming at workers={workers} shard={shard}"
-        );
-        // The degenerate cascade masks are the binary masks: a document is
-        // upgraded exactly when streaming routed it to the high-quality
-        // parser.
-        for (choice, record) in cascade.choices.iter().zip(&streaming.records) {
-            assert_eq!(choice.doc_id, record.doc_id);
-            assert_eq!(
-                choice.is_upgraded(),
-                record.parser == config.high_quality_parser,
-                "doc {}: mask bit diverged",
-                choice.doc_id
-            );
-        }
-        // And the route-only entry point agrees with the full run.
-        let routed_only = pipeline.route_cascade(&engine, &docs, &CascadeConfig::binary(&config, window), 11);
-        assert_eq!(routed_only, cascade.choices);
-    }
 }
 
 /// At the same ledger spend (equal α in costliest-upgrade units), a wider
@@ -117,41 +60,89 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
     assert!(k4.result.quality.documents == docs.len() && binary.result.quality.documents == docs.len());
 }
 
+/// The reference the merged selector is checked against, written from
+/// the definition: per window, a full descending sort (NaN last, ties by
+/// index) and its top `min(⌊credit − spent⌋, len)`; `plan` is a plan-only
+/// seconds ledger `(budget, cheap, expensive)` capping each window's α.
+fn oracle_masks(scores: &[f64], window: usize, alpha: f64, plan: Option<(f64, f64, f64)>) -> Vec<bool> {
+    let (mut credit, mut spent, mut docs_left) = (0.0f64, 0.0f64, scores.len());
+    let mut seconds_left = plan.map_or(0.0, |(budget, ..)| budget);
+    let mut mask = Vec::new();
+    for chunk in scores.chunks(window) {
+        let affordable = plan.map_or(1.0, |(_, cheap, expensive)| {
+            max_affordable_alpha(seconds_left, docs_left, cheap, expensive)
+        });
+        credit += chunk.len() as f64 * alpha.min(affordable);
+        let quota = ((credit - spent).floor().max(0.0) as usize).min(chunk.len());
+        let key = |i: usize| if chunk[i].is_nan() { f64::NEG_INFINITY } else { chunk[i] };
+        let mut order: Vec<usize> = (0..chunk.len()).collect();
+        order.sort_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
+        mask.extend((0..chunk.len()).map(|i| order[..quota].contains(&i)));
+        spent += quota as f64;
+        if let Some((_, cheap, expensive)) = plan {
+            let spend = chunk.len() as f64 * cheap + quota as f64 * (expensive - cheap).max(0.0);
+            seconds_left -= spend.min(seconds_left);
+        }
+        docs_left -= chunk.len();
+    }
+    mask
+}
+
 proptest! {
-    // Mask-for-mask degeneration of the cascade selector to the windowed
-    // selector over random score streams, windows and budgets — including
-    // the CLS I sentinel values the binary router emits.
+    // One selector, two views: on NaN/±∞/sentinel/tied streams, with and
+    // without a plan-only seconds ledger, both the mask view and the
+    // frontier view over a pair reproduce the sort oracle window by
+    // window — same masks, same grant counts, same dollar metering.
     #[test]
-    fn cascade_selector_degenerates_to_windowed_selector(
-        raw in proptest::collection::vec(-1.0f64..1.0, 1..200),
-        sentinels in proptest::collection::vec(0usize..200, 0..20),
+    fn both_views_match_the_sort_oracle_window_by_window(
+        raw in prop::collection::vec((0u8..14, -1.0f64..1.0), 1..200),
         alpha in 0.0f64..1.0,
         window in 1usize..40,
+        budgeted in 0u8..2,
+        budget_fraction in 0.0f64..0.6,
     ) {
-        let mut scores = raw;
-        for &i in &sentinels {
-            if i < scores.len() {
-                // Alternate invalid / non-candidate sentinels.
-                scores[i] = if i % 2 == 0 { f64::MAX / 4.0 } else { f64::MIN / 4.0 };
+        let scores: Vec<f64> = raw
+            .into_iter()
+            .map(|(tag, v)| match tag {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => 0.5, // force ties so the index tiebreak is exercised
+                4 => URGENT,
+                5 => NON_CANDIDATE,
+                _ => v,
+            })
+            .collect();
+        let (cheap, expensive) = (1.0, 9.0);
+        let n = scores.len() as f64;
+        let plan = (budgeted == 1)
+            .then_some((n * cheap + budget_fraction * n * (expensive - cheap), cheap, expensive));
+        let build = || {
+            let selector = WindowedSelector::new(window, alpha);
+            match plan {
+                Some((budget, cheap, expensive)) => {
+                    selector.with_budget(BudgetLedger::new(budget, scores.len(), cheap, expensive))
+                }
+                None => selector,
             }
+        };
+        let expected = oracle_masks(&scores, window, alpha, plan);
+        let granted = expected.iter().filter(|&&m| m).count();
+
+        let mut by_mask = build();
+        let mut by_frontier = build().with_frontier(ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat));
+        for (chunk, want) in scores.chunks(window).zip(expected.chunks(window)) {
+            prop_assert_eq!(by_mask.select_window(chunk), want);
+            let choices = by_frontier.select_frontier(&[chunk.to_vec()]);
+            prop_assert_eq!(choices.iter().map(Option::is_some).collect::<Vec<_>>(), want);
         }
-        let config = AdaParseConfig { alpha, ..Default::default() };
-        let cascade_config = CascadeConfig::binary(&config, window);
-        let mut windowed = WindowedSelector::new(window, alpha);
-        let mut cascade = CascadeSelector::new(&cascade_config);
-        for chunk in scores.chunks(window) {
-            let expected = windowed.select_window(chunk);
-            let pair_scores: Vec<(f64, bool)> = chunk.iter().map(|&s| (s, false)).collect();
-            let features = vec![
-                adaparse::CascadeFeatures { difficulty: 0.5, legibility: 0.5 };
-                chunk.len()
-            ];
-            let gains = cascade_gains(&cascade_config.frontier, &pair_scores, &features);
-            let got = cascade.select_window(&gains);
-            let got_mask: Vec<bool> = got.iter().map(Option::is_some).collect();
-            prop_assert_eq!(&got_mask, &expected, "masks diverged within a window");
-        }
-        prop_assert_eq!(cascade.granted(), windowed.selected());
+        prop_assert_eq!(by_mask.selected(), granted);
+        prop_assert_eq!(by_frontier.selected(), granted);
+        prop_assert_eq!(by_frontier.slots_spent(), granted as f64);
+        prop_assert_eq!(by_mask.ledger(), by_frontier.ledger());
+        prop_assert!(by_mask.dollars().is_empty());
+        let upgrade_dollars = granted as f64 * page_dollars(ParserKind::Nougat);
+        prop_assert!((by_frontier.dollars().spent(ParserKind::Nougat) - upgrade_dollars).abs() < 1e-9);
     }
 
     // The by-page DAG's ordering contract: for random delegation

@@ -4,8 +4,8 @@
 //! while the plan-free construction stays order-free (legacy mode).
 
 use adaparse::{
-    run_closed_loop, tasks_for_routing_with_affinity, AdaParseConfig, NodePlan, RoutedDocument,
-    SimLoopConfig, WorkloadSpec,
+    build_routing_tasks, run_closed_loop, AdaParseConfig, NodePlan, RoutedDocument, SimLoopConfig,
+    WorkloadSpec,
 };
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, WorkflowExecutor};
 
@@ -26,7 +26,7 @@ fn no_parse_starts_before_its_extract_partner_finishes() {
     let routed = routed_docs(&config, 120, 3);
     let workload = WorkloadSpec { documents: 120, pages_per_doc: 10, mb_per_doc: 2.0 };
     let plan = NodePlan { extract_nodes: 3, parse_nodes: 1 };
-    let tasks = tasks_for_routing_with_affinity(&config, &routed, &workload, &plan);
+    let tasks = build_routing_tasks(&config, &routed, &workload, Some(&plan), 1.0);
     let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(&ClusterConfig::polaris(plan.total()));
     let report = session.submit(&tasks, &LustreModel::default());
@@ -93,6 +93,6 @@ fn legacy_plan_free_construction_remains_order_free() {
     let config = AdaParseConfig::default();
     let routed = routed_docs(&config, 60, 4);
     let workload = WorkloadSpec { documents: 60, pages_per_doc: 10, mb_per_doc: 2.0 };
-    let tasks = adaparse::hpc::tasks_for_routing(&config, &routed, &workload);
+    let tasks = build_routing_tasks(&config, &routed, &workload, None, 1.0);
     assert!(tasks.iter().all(|t| t.depends_on.is_empty() && t.group.is_none()));
 }

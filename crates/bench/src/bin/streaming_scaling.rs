@@ -32,12 +32,12 @@
 //!    no more makespan), then a forced cold-start herd on one shared
 //!    model-load channel vs unlimited — the serialized herd must accrue
 //!    `herd_queue_seconds > 0` while the unlimited run accrues none.
-//! 9. a cascade-routing ablation: the same streaming campaign as a binary
-//!    (pair-frontier) cascade — asserting it reproduces the section-1
-//!    campaign bitwise — then the full k = 4 frontier by document and by
-//!    page, printing upgrades, per-class ledger dollars, and delegated
-//!    pages (the k = 4 arm must never upgrade fewer documents than the
-//!    binary arm at the same α).
+//! 9. a cascade-routing ablation: the section-1 campaign's cascade report
+//!    (a binary, pair-frontier cascade is what that campaign runs; the
+//!    `campaign_fingerprints` test pins it), then the full k = 4 frontier by
+//!    document and by page, printing upgrades, per-class ledger dollars,
+//!    and delegated pages (the k = 4 arm must never upgrade fewer documents
+//!    than the binary arm at the same α).
 //!
 //! Run with: `cargo run --release --bin streaming_scaling`
 //! (`ADAPARSE_BENCH_DOCS` overrides the corpus size.)
@@ -46,9 +46,9 @@ use std::time::Instant;
 
 use adaparse::budget::windowed_optimality_gap;
 use adaparse::{
-    planned_costs, run_closed_loop, tasks_for_routing_with_affinity, AdaParseConfig, AdaParseEngine,
-    CampaignBudget, CampaignPipeline, CascadeConfig, ControllerConfig, PipelineConfig, ScalingController,
-    SimLoopConfig, StageSample, WaveStats, WorkloadSpec,
+    build_routing_tasks, planned_costs, run_closed_loop, AdaParseConfig, AdaParseEngine, CampaignBudget,
+    CampaignPipeline, CascadeConfig, ControllerConfig, PipelineConfig, ScalingController, SimLoopConfig,
+    StageSample, WaveStats, WorkloadSpec,
 };
 use bench::bench_doc_count;
 use hpcsim::{CausalityMode, ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy, WorkflowExecutor};
@@ -157,12 +157,13 @@ fn main() {
         ..Default::default()
     });
     let planned = controller.plan_nodes(cluster.nodes);
-    let spread = tasks_for_routing_with_affinity(engine.config(), &routed, &workload, &planned);
-    let hot = tasks_for_routing_with_affinity(
+    let spread = build_routing_tasks(engine.config(), &routed, &workload, Some(&planned), 1.0);
+    let hot = build_routing_tasks(
         engine.config(),
         &routed,
         &workload,
-        &adaparse::NodePlan { extract_nodes: 1, parse_nodes: 1 },
+        Some(&adaparse::NodePlan { extract_nodes: 1, parse_nodes: 1 }),
+        1.0,
     );
     let paired_report = paired_executor.run(&spread, &cluster, &fs);
     let unpaired_report = unpaired_executor.run(&spread, &cluster, &fs);
@@ -469,17 +470,12 @@ fn main() {
     );
 
     // 9. Cascade-routing ablation on the same corpus: the binary cascade is
-    // the pinned degenerate case (bitwise equal to the section-1 streaming
-    // campaign), the k = 4 frontier spreads the same α across cheaper
-    // upgrades, and by-page delegation sends only the hardest pages.
+    // the section-1 streaming campaign, the k = 4 frontier spreads the same
+    // α across cheaper upgrades, and by-page delegation sends only the
+    // hardest pages.
     let cascade_pipeline = CampaignPipeline::new(PipelineConfig::streaming(2, 64));
     let binary_cascade =
         cascade_pipeline.run_cascade(&engine, &docs, &CascadeConfig::binary(engine.config(), 64), 7);
-    assert_eq!(
-        &binary_cascade.result,
-        baseline_result.as_ref().expect("campaign ran"),
-        "the binary cascade must reproduce the streaming campaign bitwise"
-    );
     let k4 = cascade_pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(engine.config(), 64), 7);
     let by_page =
         cascade_pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(engine.config(), 64).by_page(), 7);

@@ -28,7 +28,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::io;
+use std::io::{self, Seek, SeekFrom, Write as _};
 use std::path::Path;
 
 /// Version stamped into (and required of) every trajectory file.
@@ -149,22 +149,6 @@ pub fn unix_timestamp() -> u64 {
     std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
-/// Convert a parsed `serde_json` value back into an emit-side [`JsonValue`]
-/// (numbers become [`JsonValue::F64`]; Rust's shortest-round-trip float
-/// `Display` keeps the re-emission lossless).
-fn from_parsed(value: &serde_json::Value) -> JsonValue {
-    match value {
-        serde_json::Value::Null => JsonValue::Null,
-        serde_json::Value::Bool(b) => JsonValue::Bool(*b),
-        serde_json::Value::Number(n) => JsonValue::F64(*n),
-        serde_json::Value::String(s) => JsonValue::Str(s.clone()),
-        serde_json::Value::Array(items) => JsonValue::Array(items.iter().map(from_parsed).collect()),
-        serde_json::Value::Object(map) => {
-            JsonValue::Object(map.iter().map(|(k, v)| (k.clone(), from_parsed(v))).collect())
-        }
-    }
-}
-
 fn invalid(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
 }
@@ -174,47 +158,62 @@ fn invalid(message: String) -> io::Error {
 ///
 /// The existing file is parsed strictly first: a corrupt file, a schema
 /// version from the future, or a file belonging to a different benchmark is
-/// an error, never silently overwritten.
+/// an error, never silently overwritten. The append itself is literal: the
+/// bytes up to the end of the last existing entry are left as they are (key
+/// order, number spelling, hand edits and all) and the new entry is written
+/// after them.
 pub fn append_entry(path: &Path, benchmark: &str, entry: JsonValue) -> io::Result<()> {
-    let mut entries: Vec<JsonValue> = Vec::new();
-    if path.exists() {
-        let text = fs::read_to_string(path)?;
-        let parsed = serde_json::from_str(&text)
-            .map_err(|e| invalid(format!("{}: not valid JSON: {e}", path.display())))?;
-        let version = parsed
-            .get("schema_version")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| invalid(format!("{}: missing schema_version", path.display())))?;
-        if version != SCHEMA_VERSION {
-            return Err(invalid(format!(
-                "{}: schema_version {version} != supported {SCHEMA_VERSION}",
-                path.display()
-            )));
-        }
-        let name = parsed
-            .get("benchmark")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| invalid(format!("{}: missing benchmark name", path.display())))?;
-        if name != benchmark {
-            return Err(invalid(format!(
-                "{}: belongs to benchmark {name:?}, refusing to append {benchmark:?} entries",
-                path.display()
-            )));
-        }
-        match parsed.get("entries") {
-            Some(serde_json::Value::Array(existing)) => {
-                entries.extend(existing.iter().map(from_parsed));
-            }
-            _ => return Err(invalid(format!("{}: entries is not an array", path.display()))),
-        }
+    if !path.exists() {
+        let document = JsonValue::object(vec![
+            ("schema_version", JsonValue::U64(SCHEMA_VERSION)),
+            ("benchmark", JsonValue::Str(benchmark.to_string())),
+            ("entries", JsonValue::Array(vec![entry])),
+        ]);
+        return fs::write(path, document.to_json_string());
     }
-    entries.push(entry);
-    let document = JsonValue::object(vec![
-        ("schema_version", JsonValue::U64(SCHEMA_VERSION)),
-        ("benchmark", JsonValue::Str(benchmark.to_string())),
-        ("entries", JsonValue::Array(entries)),
-    ]);
-    fs::write(path, document.to_json_string())
+    let text = fs::read_to_string(path)?;
+    let parsed = serde_json::from_str(&text)
+        .map_err(|e| invalid(format!("{}: not valid JSON: {e}", path.display())))?;
+    let version = parsed
+        .get("schema_version")
+        .and_then(|v| v.as_u64())
+        .ok_or_else(|| invalid(format!("{}: missing schema_version", path.display())))?;
+    if version != SCHEMA_VERSION {
+        return Err(invalid(format!(
+            "{}: schema_version {version} != supported {SCHEMA_VERSION}",
+            path.display()
+        )));
+    }
+    let name = parsed
+        .get("benchmark")
+        .and_then(|v| v.as_str())
+        .ok_or_else(|| invalid(format!("{}: missing benchmark name", path.display())))?;
+    if name != benchmark {
+        return Err(invalid(format!(
+            "{}: belongs to benchmark {name:?}, refusing to append {benchmark:?} entries",
+            path.display()
+        )));
+    }
+    let existing = match parsed.get("entries") {
+        Some(serde_json::Value::Array(existing)) => existing.len(),
+        _ => return Err(invalid(format!("{}: entries is not an array", path.display()))),
+    };
+    // This module writes `entries` as the document's last field, so the
+    // array's closing bracket is the last one in the file, followed only by
+    // the document's closing brace.
+    let close = text
+        .rfind(']')
+        .filter(|&at| text[at + 1..].trim() == "}")
+        .ok_or_else(|| invalid(format!("{}: entries is not the document's last field", path.display())))?;
+    let keep = text[..close].trim_end().len();
+    let mut tail = String::from(if existing > 0 { ",\n" } else { "\n" });
+    indent(&mut tail, 2);
+    entry.write_into(&mut tail, 2);
+    tail.push_str("\n  ]\n}\n");
+    let mut file = fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(keep as u64)?;
+    file.seek(SeekFrom::End(0))?;
+    file.write_all(tail.as_bytes())
 }
 
 /// Parse and structurally validate a trajectory file: correct schema
@@ -302,6 +301,40 @@ mod tests {
         };
         assert_eq!(entries[0].get("makespan_bits").and_then(|v| v.as_str()), Some("0x3ff0000000000000"));
         assert_eq!(entries[1].get("tasks_per_second").and_then(|v| v.as_f64()), Some(123.456));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appending_leaves_the_existing_bytes_untouched() {
+        let path = temp_path("prefix");
+        // Insertion-ordered keys ("timestamp" before "label"), a number
+        // spelled the long way and a hand-made layout: a re-serialization
+        // would normalize all three.
+        fs::write(
+            &path,
+            "{\n  \"schema_version\": 1,\n  \"benchmark\": \"hotpath\",\n  \"entries\": [\n    \
+             {\"timestamp\": 100, \"label\": \"by hand\", \"tasks_per_second\": 1.50e2}\n  ]\n}\n",
+        )
+        .unwrap();
+        let mut before = fs::read_to_string(&path).unwrap();
+        for (timestamp, label) in [(200, "second"), (300, "third")] {
+            append_entry(&path, "hotpath", entry(timestamp, label)).unwrap();
+            let after = fs::read_to_string(&path).unwrap();
+            let kept = before[..before.rfind(']').unwrap()].trim_end();
+            assert!(after.starts_with(kept), "the existing entries changed:\n{before}\n→\n{after}");
+            assert!(after.len() > before.len());
+            before = after;
+        }
+        assert_eq!(validate_trajectory(&path, "hotpath", &["label", "tasks_per_second"]), Ok(3));
+        // An empty entries array takes its first entry without a leading comma.
+        fs::write(&path, "{\"schema_version\": 1, \"benchmark\": \"hotpath\", \"entries\": []}").unwrap();
+        append_entry(&path, "hotpath", entry(1, "first")).unwrap();
+        assert_eq!(validate_trajectory(&path, "hotpath", &["label"]), Ok(1));
+        // A layout this module did not write is refused, not rewritten.
+        let foreign = "{\"schema_version\": 1, \"entries\": [], \"benchmark\": \"hotpath\"}";
+        fs::write(&path, foreign).unwrap();
+        assert!(append_entry(&path, "hotpath", entry(2, "x")).is_err());
+        assert_eq!(fs::read_to_string(&path).unwrap(), foreign);
         let _ = fs::remove_file(&path);
     }
 
