@@ -47,7 +47,6 @@ use parsersim::registry::ParserPool;
 use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selector::dataset::AccuracySample;
 use serde::{Deserialize, Serialize};
 use textmetrics::accepted::{AcceptedTokens, DEFAULT_ACCEPTANCE_THRESHOLD};
 use textmetrics::QualityReport;
@@ -224,19 +223,6 @@ pub struct RoutingInput {
     pub pages: usize,
 }
 
-impl RoutingInput {
-    pub(crate) fn as_sample(&self) -> AccuracySample {
-        AccuracySample {
-            doc_id: self.doc_id,
-            first_page_text: self.first_page_text.clone(),
-            title: self.title.clone(),
-            metadata_features: self.metadata_features.clone(),
-            targets: vec![0.0; ParserKind::ALL.len()],
-            pages: self.pages,
-        }
-    }
-}
-
 /// Stage 1 output for one document.
 ///
 /// The decoded SPDF container is *not* retained: each stage re-derives it
@@ -269,7 +255,13 @@ impl<'a> ExtractStage<'a> {
         let parser = self.pool.get(self.config.default_parser);
         let mut rng = StdRng::seed_from_u64(seed ^ doc.id.0 ^ 0xEAF1);
         let (first_page_text, failed) = match parser.parse_file(&file, &mut rng) {
-            Ok(out) => (out.text.split('\u{c}').next().unwrap_or("").to_string(), false),
+            Ok(out) => {
+                // Keep the first page: cut the output at the first form feed.
+                let mut text = out.text;
+                text.truncate(text.find('\u{c}').unwrap_or(text.len()));
+                text.shrink_to_fit();
+                (text, false)
+            }
             Err(_) => (String::new(), true),
         };
         Extracted {
@@ -297,7 +289,15 @@ impl<'a> RouteStage<'a> {
         RouteStage { engine }
     }
 
-    /// Score one document's expected improvement (parallel-safe).
+    /// Score a shard's expected improvements, in order (parallel-safe): CLS I
+    /// per document, CLS III once over the shard's valid documents. A
+    /// document scores the same in any shard.
+    pub fn improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
+        self.engine.routing_improvements(inputs)
+    }
+
+    /// Score one document's expected improvement: [`Self::improvements`] of
+    /// a shard of one.
     pub fn improvement(&self, input: &RoutingInput) -> (f64, bool) {
         self.engine.routing_improvement(input)
     }
@@ -759,23 +759,20 @@ impl CampaignPipeline {
         Ok((result, choices_all, selector))
     }
 
-    /// Stages 1–2a for one window: extract and score every document,
-    /// sharded across the pool. Pure per-document work; results come back
-    /// in input order.
+    /// Stages 1–2a for one window, sharded across the pool: each shard is
+    /// extracted, then scored in one call (so CLS III projects the shard as
+    /// a batch). A document's extraction and score depend on nothing but
+    /// the document; results come back in input order.
     fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
         let stage = ExtractStage::new(engine.config(), &self.pool);
         let route = RouteStage::new(engine);
         let shards: Vec<Vec<(Extracted, (f64, bool))>> = self.threads.install(|| {
             docs.par_chunks(self.config.shard_size)
                 .map(|shard| {
-                    shard
-                        .iter()
-                        .map(|doc| {
-                            let extracted = stage.run(doc, seed);
-                            let improvement = route.improvement(&extracted.input);
-                            (extracted, improvement)
-                        })
-                        .collect()
+                    let extracted: Vec<Extracted> = shard.iter().map(|doc| stage.run(doc, seed)).collect();
+                    let inputs: Vec<&RoutingInput> = extracted.iter().map(|e| &e.input).collect();
+                    let improvements = route.improvements(&inputs);
+                    extracted.into_iter().zip(improvements).collect()
                 })
                 .collect()
         });

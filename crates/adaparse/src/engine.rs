@@ -125,41 +125,50 @@ impl AdaParseEngine {
         &self.cls3
     }
 
-    /// CLS I → II/III scoring for one document: the predicted improvement of
-    /// the high-quality parser (the budget optimizer's ranking key) and the
-    /// CLS I invalid flag. Pure per-document work — the campaign pipeline
-    /// calls this from its parallel routing stage.
-    pub(crate) fn routing_improvement(&self, input: &RoutingInput) -> (f64, bool) {
-        let decision = self.config.validity.decide(&input.first_page_text, 1);
-        let invalid = decision == Cls1Decision::Invalid;
-        let improvement = if invalid {
-            // CLS I failures always deserve the high-quality parser.
-            URGENT
-        } else {
-            match self.config.variant {
-                Variant::FastText => {
-                    let p = self.cls2.improvement_probability(&input.as_sample());
-                    if p >= 0.5 {
-                        p
-                    } else {
-                        NON_CANDIDATE
-                    }
-                }
-                Variant::Llm => {
-                    let gain = self.cls3.predicted_improvement(
-                        &input.first_page_text,
-                        self.config.high_quality_parser,
-                        self.config.default_parser,
-                    );
-                    if gain > 0.0 {
-                        gain
-                    } else {
-                        NON_CANDIDATE
-                    }
-                }
+    /// CLS I → II/III scoring for a shard of documents: per document, in
+    /// order, the predicted improvement of the high-quality parser (the
+    /// budget optimizer's ranking key) and the CLS I invalid flag. CLS I runs
+    /// per document; CLS III runs once over the shard's valid documents
+    /// ([`AccuracyPredictor::predict_accuracies_batch`]). A document's score
+    /// does not depend on its shard-mates, so the campaign pipeline may shard
+    /// a window any way it likes.
+    pub(crate) fn routing_improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
+        let invalid: Vec<bool> = inputs
+            .iter()
+            .map(|input| self.config.validity.decide(&input.first_page_text, 1) == Cls1Decision::Invalid)
+            .collect();
+        let valid = inputs.iter().zip(&invalid).filter(|(_, &invalid)| !invalid).map(|(input, _)| *input);
+        let gains: Vec<f64> = match self.config.variant {
+            Variant::FastText => valid
+                .map(|input| self.cls2.probability_from(&input.metadata_features, input.pages))
+                .map(|p| if p >= 0.5 { p } else { NON_CANDIDATE })
+                .collect(),
+            Variant::Llm => {
+                let texts: Vec<&str> = valid.map(|input| input.first_page_text.as_str()).collect();
+                let (candidate, baseline) =
+                    (self.config.high_quality_parser.index(), self.config.default_parser.index());
+                self.cls3
+                    .predict_accuracies_batch(&texts)
+                    .iter()
+                    .map(|predictions| predictions[candidate] - predictions[baseline])
+                    .map(|gain| if gain > 0.0 { gain } else { NON_CANDIDATE })
+                    .collect()
             }
         };
-        (improvement, invalid)
+        let mut gains = gains.into_iter();
+        invalid
+            .into_iter()
+            .map(|invalid| match invalid {
+                // CLS I failures always deserve the high-quality parser.
+                true => (URGENT, true),
+                false => (gains.next().expect("one gain per valid document"), false),
+            })
+            .collect()
+    }
+
+    /// [`Self::routing_improvements`] for one document.
+    pub(crate) fn routing_improvement(&self, input: &RoutingInput) -> (f64, bool) {
+        self.routing_improvements(&[input])[0]
     }
 
     /// Route a document collection without parsing it (returns one decision
@@ -274,6 +283,28 @@ mod tests {
         for decision in &result.routed {
             assert!(matches!(decision.parser, ParserKind::PyMuPdf | ParserKind::Nougat));
         }
+    }
+
+    #[test]
+    fn a_shard_scores_like_its_documents_one_by_one() {
+        use crate::campaign::ExtractStage;
+        let docs = corpus(24, 0.4, 777);
+        let pool = parsersim::registry::ParserPool::new();
+        for variant in [Variant::Llm, Variant::FastText] {
+            let engine = trained_engine(AdaParseConfig { variant, ..Default::default() });
+            let stage = ExtractStage::new(engine.config(), &pool);
+            let inputs: Vec<RoutingInput> = docs.iter().map(|doc| stage.run(doc, 3).input).collect();
+            let shard: Vec<&RoutingInput> = inputs.iter().collect();
+            let together = engine.routing_improvements(&shard);
+            assert!(together.iter().any(|&(_, invalid)| invalid), "the shard mixes CLS I outcomes");
+            assert!(together.iter().any(|&(_, invalid)| !invalid));
+            for (input, (score, invalid)) in inputs.iter().zip(together) {
+                let (alone, alone_invalid) = engine.routing_improvement(input);
+                assert_eq!((alone.to_bits(), alone_invalid), (score.to_bits(), invalid), "{variant:?}");
+            }
+        }
+        let engine = trained_engine(AdaParseConfig::default());
+        assert!(engine.routing_improvements(&[]).is_empty());
     }
 
     #[test]

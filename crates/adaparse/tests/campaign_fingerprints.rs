@@ -7,9 +7,12 @@
 //! replace the walls that pinned those runners to each other (k=2 by-doc
 //! cascade ≡ streaming campaign, binary ≡ streaming in `streaming_scaling`):
 //! any change to routing, parsing, scoring, folding order or ledger
-//! arithmetic moves at least one digest. Every scenario is also run at three
+//! arithmetic moves at least one digest. Every scenario is also run at five
 //! (workers, shard) shapes, so the pins double as the cross-worker
-//! determinism check for each policy.
+//! determinism check for each policy — and, since CLS III scores a shard as
+//! one batch, as the check that a document's score does not depend on its
+//! shard-mates: shards of one are the batch-of-one view, shards of 300 hold
+//! a whole window (the corpus is 90 documents) in one call.
 
 use adaparse::{
     AdaParseConfig, AdaParseEngine, CampaignBudget, CampaignPipeline, CampaignResult, CascadeConfig,
@@ -18,7 +21,7 @@ use adaparse::{
 use docmodel::document::Document;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
-const SHAPES: [(usize, usize); 3] = [(1, 7), (2, 8), (4, 16)];
+const SHAPES: [(usize, usize); 5] = [(1, 7), (2, 8), (4, 16), (2, 1), (2, 300)];
 const SEED: u64 = 11;
 
 fn corpus(n: usize, seed: u64) -> Vec<Document> {

@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{aggregate_statistics, HashedNgramFeaturizer};
-use crate::matrix::{l2_normalize, Matrix};
+use crate::features::{aggregate_statistics, fnv, HashedNgramFeaturizer, FNV_OFFSET};
+use crate::matrix::l2_normalize;
 
 /// Which pretrained encoder a [`PretrainedEncoder`] emulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -96,12 +96,19 @@ impl std::fmt::Display for EncoderProfile {
     }
 }
 
+/// Documents [`PretrainedEncoder::encode_batch`] projects together: their
+/// feature rows (16 KiB each at SciBERT width) stay cache-resident while each
+/// projection column is read once for all of them.
+const TILE: usize = 8;
+
 /// A frozen encoder: hashed n-grams → fixed random projection → embedding.
 #[derive(Debug, Clone)]
 pub struct PretrainedEncoder {
     profile: EncoderProfile,
     featurizer: HashedNgramFeaturizer,
-    projection: Matrix,
+    /// `embedding_dim × (feature_dim + 8)` weights stored column-major: the
+    /// weights of feature `j` are `projection[j * embedding_dim..][..embedding_dim]`.
+    projection: Vec<f64>,
     noise_seed: u64,
 }
 
@@ -117,13 +124,17 @@ impl PretrainedEncoder {
         };
         let mut rng =
             StdRng::seed_from_u64(0xC0FFEE ^ profile.embedding_dim() as u64 ^ (feature_dim as u64) << 16);
-        // +8 columns for the aggregate-statistics side features.
-        let projection = Matrix::random(
-            profile.embedding_dim(),
-            feature_dim + 8,
-            (2.0 / feature_dim as f64).sqrt(),
-            &mut rng,
-        );
+        // +8 columns for the aggregate-statistics side features. The weights
+        // are drawn row by row — the draw order is part of the frozen
+        // checkpoint — and each lands in its column-major slot.
+        let (rows, cols) = (profile.embedding_dim(), feature_dim + 8);
+        let scale = (2.0 / feature_dim as f64).sqrt();
+        let mut projection = vec![0.0; rows * cols];
+        for row in 0..rows {
+            for col in 0..cols {
+                projection[col * rows + row] = rng.gen_range(-scale..=scale);
+            }
+        }
         PretrainedEncoder { profile, featurizer, projection, noise_seed: 0x5EED }
     }
 
@@ -137,38 +148,66 @@ impl PretrainedEncoder {
         self.profile.embedding_dim()
     }
 
-    /// Encode a text into a fixed-width embedding.
-    ///
-    /// Deterministic: the representation noise for low-quality profiles is
-    /// seeded from a hash of the input so repeated calls agree.
+    /// Encode a text into a fixed-width embedding: [`Self::encode_batch`] of
+    /// one.
     pub fn encode(&self, text: &str) -> Vec<f64> {
-        let mut features = self.featurizer.features(text);
-        features.extend_from_slice(&aggregate_statistics(text));
-        let mut embedding = self.projection.matvec(&features);
-        let noise = self.profile.representation_noise();
-        if noise > 0.0 {
-            let mut rng = StdRng::seed_from_u64(self.noise_seed ^ fnv(text));
-            for v in &mut embedding {
-                *v += rng.gen_range(-noise..=noise);
+        self.encode_batch(&[text]).pop().expect("one embedding per text")
+    }
+
+    /// Encode a batch of texts, one embedding per text in order.
+    ///
+    /// Deterministic and independent of batch composition: the projection
+    /// walks the columns once per tile of eight texts and adds
+    /// `column · feature` into the embedding of every text whose feature is
+    /// non-zero, so each embedding entry sums its terms in ascending column
+    /// order whatever its batch-mates are. Skipping a zero feature is exact:
+    /// its term is `±0.0`, and an accumulator that starts at `+0.0` is never
+    /// `-0.0`, so adding it would change nothing. The product and the sum
+    /// are rounded separately (no `mul_add`): a fused multiply-add rounds
+    /// once, which would move every embedding and with it every routing
+    /// score. The representation noise of the low-quality profiles is seeded
+    /// from a hash of the text, so repeated calls agree.
+    pub fn encode_batch<S: AsRef<str>>(&self, texts: &[S]) -> Vec<Vec<f64>> {
+        let width = self.featurizer.dim() + 8;
+        let mut features = vec![0.0; TILE.min(texts.len()) * width];
+        texts.chunks(TILE).flat_map(|tile| self.encode_tile(tile, &mut features)).collect()
+    }
+
+    /// Encode at most [`TILE`] texts; `features` is scratch for one feature
+    /// row per text.
+    fn encode_tile<S: AsRef<str>>(&self, tile: &[S], features: &mut [f64]) -> Vec<Vec<f64>> {
+        let dim = self.embedding_dim();
+        let hashed = self.featurizer.dim();
+        let width = hashed + 8;
+        for (text, row) in tile.iter().zip(features.chunks_exact_mut(width)) {
+            let (ngrams, statistics) = row.split_at_mut(hashed);
+            self.featurizer.fill(text.as_ref(), ngrams);
+            statistics.copy_from_slice(&aggregate_statistics(text.as_ref()));
+        }
+        let mut embeddings = vec![vec![0.0; dim]; tile.len()];
+        for (j, column) in self.projection.chunks_exact(dim).enumerate() {
+            for (embedding, row) in embeddings.iter_mut().zip(features.chunks_exact(width)) {
+                let x = row[j];
+                if x != 0.0 {
+                    for (e, w) in embedding.iter_mut().zip(column) {
+                        *e += w * x;
+                    }
+                }
             }
         }
-        l2_normalize(&mut embedding);
-        embedding
+        let noise = self.profile.representation_noise();
+        for (text, embedding) in tile.iter().zip(&mut embeddings) {
+            if noise > 0.0 {
+                let mut rng =
+                    StdRng::seed_from_u64(self.noise_seed ^ fnv(FNV_OFFSET, text.as_ref().as_bytes()));
+                for v in embedding.iter_mut() {
+                    *v += rng.gen_range(-noise..=noise);
+                }
+            }
+            l2_normalize(embedding);
+        }
+        embeddings
     }
-
-    /// Encode a batch of texts.
-    pub fn encode_batch<S: AsRef<str>>(&self, texts: &[S]) -> Vec<Vec<f64>> {
-        texts.iter().map(|t| self.encode(t.as_ref())).collect()
-    }
-}
-
-fn fnv(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

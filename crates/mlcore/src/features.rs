@@ -45,25 +45,46 @@ impl HashedNgramFeaturizer {
     /// Featurize a text into an L2-normalized vector of length [`Self::dim`].
     pub fn features(&self, text: &str) -> Vec<f64> {
         let mut v = vec![0.0f64; self.dim];
+        self.fill(text, &mut v);
+        v
+    }
+
+    /// [`Self::features`] into a caller-provided slice of length
+    /// [`Self::dim`] (overwritten). Every n-gram is hashed straight from a
+    /// byte range of the lowercased text, continuing from the FNV state of
+    /// its tag, so nothing is allocated per word, bigram or trigram.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.dim()`.
+    pub fn fill(&self, text: &str, out: &mut [f64]) {
+        assert_eq!(out.len(), self.dim, "feature slice length mismatch");
+        out.fill(0.0);
         let lower = text.to_lowercase();
-        let words: Vec<&str> = lower.split_whitespace().collect();
-        for word in &words {
-            self.bump(&mut v, &["w:", word]);
-        }
-        if self.use_word_bigrams {
-            for pair in words.windows(2) {
-                self.bump(&mut v, &["b:", pair[0], "_", pair[1]]);
+        let mut bump = |h: u64| out[(h % self.dim as u64) as usize] += 1.0;
+        // FNV state after "b:", the previous word and "_".
+        let mut bigram_prefix = None;
+        for word in lower.split_whitespace() {
+            bump(fnv(WORD_TAG, word.as_bytes()));
+            if self.use_word_bigrams {
+                if let Some(prefix) = bigram_prefix {
+                    bump(fnv(prefix, word.as_bytes()));
+                }
+                bigram_prefix = Some(fnv(fnv(BIGRAM_TAG, word.as_bytes()), b"_"));
             }
         }
         if self.use_char_trigrams {
-            let chars: Vec<char> = lower.chars().collect();
-            for window in chars.windows(3) {
-                let tri: String = window.iter().collect();
-                self.bump(&mut v, &["c:", &tri]);
+            // A trigram's bytes run from the start of the character two
+            // back to the end of the current one.
+            let (mut first, mut second) = (None, None);
+            for (start, ch) in lower.char_indices() {
+                if let Some(first) = first {
+                    bump(fnv(TRIGRAM_TAG, &lower.as_bytes()[first..start + ch.len_utf8()]));
+                }
+                (first, second) = (second, Some(start));
             }
         }
-        l2_normalize(&mut v);
-        v
+        l2_normalize(out);
     }
 
     /// Featurize and append extra dense features (e.g. aggregate statistics),
@@ -74,35 +95,60 @@ impl HashedNgramFeaturizer {
         l2_normalize(&mut v);
         v
     }
-
-    fn bump(&self, v: &mut [f64], parts: &[&str]) {
-        let mut h = FNV_OFFSET;
-        for part in parts {
-            for b in part.as_bytes() {
-                h ^= *b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        v[(h % self.dim as u64) as usize] += 1.0;
-    }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a continued from state `h` over `bytes`.
+pub(crate) const fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+}
+
+const WORD_TAG: u64 = fnv(FNV_OFFSET, b"w:");
+const BIGRAM_TAG: u64 = fnv(FNV_OFFSET, b"b:");
+const TRIGRAM_TAG: u64 = fnv(FNV_OFFSET, b"c:");
 
 /// Aggregate text statistics used as dense side-features by CLS I and the
 /// metadata baselines: length, alphanumeric ratio, word-likeness, mean word
 /// length, digit ratio, uppercase ratio, backslash density, whitespace runs.
 pub fn aggregate_statistics(text: &str) -> Vec<f64> {
-    let char_count = text.chars().count() as f64;
-    let word_count = text.split_whitespace().count() as f64;
-    let alnum = text.chars().filter(|c| c.is_alphanumeric()).count() as f64;
-    let digits = text.chars().filter(|c| c.is_ascii_digit()).count() as f64;
-    let upper = text.chars().filter(|c| c.is_uppercase()).count() as f64;
-    let backslashes = text.chars().filter(|&c| c == '\\' || c == '$' || c == '{').count() as f64;
-    let double_spaces = text.matches("  ").count() as f64;
+    let (mut chars, mut words, mut nonspace) = (0usize, 0usize, 0usize);
+    let (mut alnum, mut digits, mut upper, mut backslashes) = (0usize, 0usize, 0usize, 0usize);
+    // `matches("  ")` does not overlap: a run of n spaces holds n / 2 pairs.
+    let (mut double_spaces, mut space_run) = (0usize, 0usize);
+    let mut in_word = false;
+    for c in text.chars() {
+        chars += 1;
+        if c == ' ' {
+            space_run += 1;
+        } else {
+            double_spaces += space_run / 2;
+            space_run = 0;
+        }
+        if c.is_whitespace() {
+            in_word = false;
+            continue;
+        }
+        nonspace += 1;
+        words += !in_word as usize;
+        in_word = true;
+        alnum += c.is_alphanumeric() as usize;
+        digits += c.is_ascii_digit() as usize;
+        upper += c.is_uppercase() as usize;
+        backslashes += matches!(c, '\\' | '$' | '{') as usize;
+    }
+    double_spaces += space_run / 2;
+    let [char_count, word_count, alnum, digits, upper, backslashes, double_spaces] =
+        [chars, words, alnum, digits, upper, backslashes, double_spaces].map(|n| n as f64);
     let mean_word_len = if word_count > 0.0 { alnum / word_count } else { 0.0 };
-    let nonspace = text.chars().filter(|c| !c.is_whitespace()).count().max(1) as f64;
+    let nonspace = nonspace.max(1) as f64;
     vec![
         (char_count / 5_000.0).min(2.0),
         (word_count / 1_000.0).min(2.0),

@@ -7,7 +7,7 @@
 //! spending any model inference on it.
 
 use serde::{Deserialize, Serialize};
-use textmetrics::tokenize::{alphanumeric_ratio, count_words, wordlike_ratio};
+use textmetrics::tokenize::TextCounts;
 
 /// Decision produced by CLS I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,18 +47,11 @@ impl ValidityRules {
 
     /// Whether an extraction passes all rules.
     pub fn is_valid(&self, extracted_text: &str, pages: usize) -> bool {
-        let pages = pages.max(1) as f64;
-        let words = count_words(extracted_text) as f64;
-        if words / pages < self.min_words_per_page {
-            return false;
-        }
-        if wordlike_ratio(extracted_text) < self.min_wordlike_ratio {
-            return false;
-        }
-        if alphanumeric_ratio(extracted_text) < self.min_alphanumeric_ratio {
-            return false;
-        }
-        true
+        let counts = TextCounts::of(extracted_text);
+        let too_sparse = (counts.words as f64 / pages.max(1) as f64) < self.min_words_per_page;
+        let garbled = counts.wordlike_ratio() < self.min_wordlike_ratio;
+        let symbol_soup = counts.alphanumeric_ratio() < self.min_alphanumeric_ratio;
+        !(too_sparse || garbled || symbol_soup)
     }
 
     /// The fraction of samples a rule set marks invalid (used to sanity-check

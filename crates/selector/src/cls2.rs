@@ -34,9 +34,10 @@ impl ImprovementClassifier {
         self
     }
 
-    fn features(sample: &AccuracySample) -> Vec<f64> {
-        let mut f = sample.metadata_features.clone();
-        f.push((sample.pages as f64 / 30.0).min(2.0));
+    fn features(metadata_features: &[f64], pages: usize) -> Vec<f64> {
+        let mut f = Vec::with_capacity(metadata_features.len() + 1);
+        f.extend_from_slice(metadata_features);
+        f.push((pages as f64 / 30.0).min(2.0));
         f
     }
 
@@ -49,14 +50,22 @@ impl ImprovementClassifier {
         if samples.is_empty() {
             return;
         }
-        let xs: Vec<Vec<f64>> = samples.iter().map(Self::features).collect();
+        let xs: Vec<Vec<f64>> =
+            samples.iter().map(|s| Self::features(&s.metadata_features, s.pages)).collect();
         let ys: Vec<bool> = samples.iter().map(|s| self.label(s)).collect();
         self.model.fit(&xs, &ys, 300, 0.5, 1e-4);
     }
 
     /// Probability that another parser meaningfully improves this document.
     pub fn improvement_probability(&self, sample: &AccuracySample) -> f64 {
-        self.model.predict_proba(&Self::features(sample))
+        self.probability_from(&sample.metadata_features, sample.pages)
+    }
+
+    /// [`Self::improvement_probability`] from the two things it reads — the
+    /// metadata feature vector and the page count — for callers that hold
+    /// them without an [`AccuracySample`] around them.
+    pub fn probability_from(&self, metadata_features: &[f64], pages: usize) -> f64 {
+        self.model.predict_proba(&Self::features(metadata_features, pages))
     }
 
     /// Hard decision at 0.5.

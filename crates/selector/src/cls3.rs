@@ -15,7 +15,7 @@ use mlcore::linear::LinearRegression;
 use parsersim::ParserKind;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::AccuracySample;
+use crate::dataset::{first_page_texts, AccuracySample};
 
 /// A human preference between two parser outputs for the same document page.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,7 +94,7 @@ impl AccuracyPredictor {
         if samples.is_empty() {
             return;
         }
-        let xs: Vec<Vec<f64>> = samples.iter().map(|s| self.encoder.encode(&s.first_page_text)).collect();
+        let xs = self.encoder.encode_batch(&first_page_texts(samples));
         let ys: Vec<Vec<f64>> = samples.iter().map(|s| s.targets.clone()).collect();
         self.head.fit(&xs, &ys, self.config.epochs, self.config.learning_rate, self.config.l2);
     }
@@ -107,12 +107,14 @@ impl AccuracyPredictor {
         if preferences.is_empty() {
             return 0.0;
         }
-        let pairs: Vec<PreferencePair> = preferences
-            .iter()
-            .map(|p| PreferencePair {
-                preferred: self.encoder.encode(&p.preferred_text),
-                rejected: self.encoder.encode(&p.rejected_text),
-            })
+        let preferred: Vec<&str> = preferences.iter().map(|p| p.preferred_text.as_str()).collect();
+        let rejected: Vec<&str> = preferences.iter().map(|p| p.rejected_text.as_str()).collect();
+        let pairs: Vec<PreferencePair> = self
+            .encoder
+            .encode_batch(&preferred)
+            .into_iter()
+            .zip(self.encoder.encode_batch(&rejected))
+            .map(|(preferred, rejected)| PreferencePair { preferred, rejected })
             .collect();
         let dim = self.encoder.embedding_dim();
         let mut trainer = DpoTrainer::from_reference(vec![0.0; dim], 0.0, self.config.dpo);
@@ -150,18 +152,38 @@ impl AccuracyPredictor {
     /// Predicted BLEU for every parser, in [`ParserKind::ALL`] order, clamped
     /// to `[0, 1]` before the alignment bias is added.
     pub fn predict_accuracies(&self, first_page_text: &str) -> Vec<f64> {
-        let embedding = self.encoder.encode(first_page_text);
-        self.head
-            .predict(&embedding)
+        self.predict_accuracies_batch(&[first_page_text]).pop().expect("one prediction per text")
+    }
+
+    /// [`Self::predict_accuracies`] for a batch of texts, in order: one pass
+    /// of the encoder's batched projection, then the regression head per
+    /// embedding. A text's predictions do not depend on its batch-mates.
+    pub fn predict_accuracies_batch<S: AsRef<str>>(&self, first_page_texts: &[S]) -> Vec<Vec<f64>> {
+        self.encoder
+            .encode_batch(first_page_texts)
             .iter()
-            .zip(&self.parser_bias)
-            .map(|(p, b)| p.clamp(0.0, 1.0) + b)
+            .map(|embedding| {
+                self.head
+                    .predict(embedding)
+                    .iter()
+                    .zip(&self.parser_bias)
+                    .map(|(p, b)| p.clamp(0.0, 1.0) + b)
+                    .collect()
+            })
             .collect()
     }
 
     /// Select the parser with the highest predicted accuracy.
     pub fn select(&self, first_page_text: &str) -> ParserKind {
         self.select_restricted(first_page_text, &ParserKind::ALL)
+    }
+
+    /// [`Self::select`] for a batch of texts, in order.
+    pub fn select_batch<S: AsRef<str>>(&self, first_page_texts: &[S]) -> Vec<ParserKind> {
+        self.predict_accuracies_batch(first_page_texts)
+            .iter()
+            .map(|predictions| best_predicted(predictions, &ParserKind::ALL))
+            .collect()
     }
 
     /// Select the best parser among an allowed subset (AdaParse restricts
@@ -171,16 +193,7 @@ impl AccuracyPredictor {
     ///
     /// Panics if `allowed` is empty.
     pub fn select_restricted(&self, first_page_text: &str, allowed: &[ParserKind]) -> ParserKind {
-        assert!(!allowed.is_empty(), "allowed parser set must not be empty");
-        let predictions = self.predict_accuracies(first_page_text);
-        *allowed
-            .iter()
-            .max_by(|a, b| {
-                predictions[a.index()]
-                    .partial_cmp(&predictions[b.index()])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("non-empty allowed set")
+        best_predicted(&self.predict_accuracies(first_page_text), allowed)
     }
 
     /// Predicted BLEU improvement of `candidate` over `baseline` for a
@@ -198,8 +211,11 @@ impl AccuracyPredictor {
     /// R² of the predicted accuracy of one parser over a sample set (the
     /// paper reports ≈40 % for PyMuPDF and ≈46.5 % for Nougat).
     pub fn r_squared_for(&self, kind: ParserKind, samples: &[AccuracySample]) -> f64 {
-        let predicted: Vec<f64> =
-            samples.iter().map(|s| self.predict_accuracies(&s.first_page_text)[kind.index()]).collect();
+        let predicted: Vec<f64> = self
+            .predict_accuracies_batch(&first_page_texts(samples))
+            .iter()
+            .map(|predictions| predictions[kind.index()])
+            .collect();
         let observed: Vec<f64> = samples.iter().map(|s| s.target_for(kind)).collect();
         r_squared(&predicted, &observed)
     }
@@ -210,7 +226,8 @@ impl AccuracyPredictor {
         if samples.is_empty() {
             return 0.0;
         }
-        let correct = samples.iter().filter(|s| self.select(&s.first_page_text) == s.best_parser()).count();
+        let selected = self.select_batch(&first_page_texts(samples));
+        let correct = samples.iter().zip(selected).filter(|(s, kind)| *kind == s.best_parser()).count();
         correct as f64 / samples.len() as f64
     }
 
@@ -220,9 +237,24 @@ impl AccuracyPredictor {
         if samples.is_empty() {
             return 0.0;
         }
-        samples.iter().map(|s| s.target_for(self.select(&s.first_page_text))).sum::<f64>()
-            / samples.len() as f64
+        let selected = self.select_batch(&first_page_texts(samples));
+        samples.iter().zip(selected).map(|(s, kind)| s.target_for(kind)).sum::<f64>() / samples.len() as f64
     }
+}
+
+/// The allowed parser with the highest prediction (the last one on ties).
+///
+/// # Panics
+///
+/// Panics if `allowed` is empty.
+fn best_predicted(predictions: &[f64], allowed: &[ParserKind]) -> ParserKind {
+    assert!(!allowed.is_empty(), "allowed parser set must not be empty");
+    *allowed
+        .iter()
+        .max_by(|a, b| {
+            predictions[a.index()].partial_cmp(&predictions[b.index()]).unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .expect("non-empty allowed set")
 }
 
 #[cfg(test)]

@@ -56,6 +56,12 @@ impl AccuracySample {
     }
 }
 
+/// The samples' first-page texts, in order (what the batched CLS III entry
+/// points take).
+pub(crate) fn first_page_texts(samples: &[AccuracySample]) -> Vec<&str> {
+    samples.iter().map(|s| s.first_page_text.as_str()).collect()
+}
+
 /// A dataset of [`AccuracySample`]s with a train/test split boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccuracyDataset {

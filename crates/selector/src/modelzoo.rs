@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::cls3::{AccuracyPredictor, ParserPreference, PredictorConfig};
-use crate::dataset::{AccuracyDataset, AccuracySample};
+use crate::dataset::{first_page_texts, AccuracyDataset, AccuracySample};
 
 /// One row of Table 4: achieved quality of a prediction model's selections.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -121,7 +121,7 @@ impl ModelZooEntry {
                 });
                 predictor.fit_regression(dataset.train());
                 predictor.fit_preferences(preferences);
-                dataset.test().iter().map(|s| predictor.select(&s.first_page_text)).collect()
+                predictor.select_batch(&first_page_texts(dataset.test()))
             }
             ModelZooEntry::TextSciBert | ModelZooEntry::TextBert => {
                 let encoder = if matches!(self, ModelZooEntry::TextSciBert) {
@@ -132,7 +132,7 @@ impl ModelZooEntry {
                 let mut predictor =
                     AccuracyPredictor::new(PredictorConfig { encoder, ..PredictorConfig::default() });
                 predictor.fit_regression(dataset.train());
-                dataset.test().iter().map(|s| predictor.select(&s.first_page_text)).collect()
+                predictor.select_batch(&first_page_texts(dataset.test()))
             }
             ModelZooEntry::TitleMetadataSpecter
             | ModelZooEntry::TitleSpecter
@@ -148,7 +148,8 @@ impl ModelZooEntry {
                 let project = |s: &AccuracySample| title_view(s, use_metadata);
                 let train: Vec<AccuracySample> = dataset.train().iter().map(project).collect();
                 predictor.fit_regression(&train);
-                dataset.test().iter().map(|s| predictor.select(&project(s).first_page_text)).collect()
+                let test: Vec<AccuracySample> = dataset.test().iter().map(project).collect();
+                predictor.select_batch(&first_page_texts(&test))
             }
             ModelZooEntry::SvcFormatProducer
             | ModelZooEntry::SvcFormat

@@ -195,38 +195,82 @@ pub fn count_words(text: &str) -> usize {
 /// Heavily garbled parser output has a low alphanumeric ratio; the CLS I
 /// validity rules in the `selector` crate use this as a feature.
 pub fn alphanumeric_ratio(text: &str) -> f64 {
-    let mut alnum = 0usize;
-    let mut total = 0usize;
-    for ch in text.chars() {
-        if ch.is_whitespace() {
-            continue;
-        }
-        total += 1;
-        if ch.is_alphanumeric() {
-            alnum += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        alnum as f64 / total as f64
-    }
+    TextCounts::of(text).alphanumeric_ratio()
 }
 
 /// Fraction of word tokens that appear to be "word-like": at least two
 /// characters and composed mostly of alphabetic characters.
 pub fn wordlike_ratio(text: &str) -> f64 {
-    let tokens = tokenize_words(text);
-    if tokens.is_empty() {
-        return 0.0;
+    TextCounts::of(text).wordlike_ratio()
+}
+
+/// What the CLS I validity rules read off an extraction, counted in one walk
+/// over the text with nothing allocated. Tokens are those of
+/// [`tokenize_words`]: maximal alphanumeric runs, lower-cased.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TextCounts {
+    /// Word tokens ([`count_words`]).
+    pub words: usize,
+    /// Word tokens of at least two characters, more than half alphabetic.
+    pub wordlike: usize,
+    /// Alphanumeric characters.
+    pub alphanumeric: usize,
+    /// Non-whitespace characters.
+    pub nonspace: usize,
+}
+
+impl TextCounts {
+    /// Count `text`.
+    pub fn of(text: &str) -> Self {
+        let mut counts = TextCounts::default();
+        // Lower-cased characters of the current token, and the alphabetic
+        // ones among them.
+        let (mut chars, mut alphabetic) = (0usize, 0usize);
+        // The trailing space closes a token that ends the text.
+        for ch in text.chars().chain([' ']) {
+            if ch.is_alphanumeric() {
+                counts.alphanumeric += 1;
+                counts.nonspace += 1;
+                if ch.is_ascii() {
+                    chars += 1;
+                    alphabetic += ch.is_ascii_alphabetic() as usize;
+                } else {
+                    // Lower-casing can expand a character ('İ' becomes two).
+                    for lower in ch.to_lowercase() {
+                        chars += 1;
+                        alphabetic += lower.is_alphabetic() as usize;
+                    }
+                }
+                continue;
+            }
+            counts.nonspace += !ch.is_whitespace() as usize;
+            if chars > 0 {
+                counts.words += 1;
+                counts.wordlike += (chars >= 2 && alphabetic * 2 > chars) as usize;
+                (chars, alphabetic) = (0, 0);
+            }
+        }
+        counts
     }
-    let wordlike = tokens
-        .iter()
-        .filter(|t| {
-            t.chars().count() >= 2 && t.chars().filter(|c| c.is_alphabetic()).count() * 2 > t.chars().count()
-        })
-        .count();
-    wordlike as f64 / tokens.len() as f64
+
+    /// Fraction of word tokens that are word-like (0 for no tokens).
+    pub fn wordlike_ratio(&self) -> f64 {
+        ratio(self.wordlike, self.words)
+    }
+
+    /// Fraction of non-whitespace characters that are alphanumeric (0 for
+    /// none).
+    pub fn alphanumeric_ratio(&self) -> f64 {
+        ratio(self.alphanumeric, self.nonspace)
+    }
+}
+
+fn ratio(part: usize, whole: usize) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
 }
 
 #[cfg(test)]

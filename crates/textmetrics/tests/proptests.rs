@@ -6,7 +6,9 @@ use textmetrics::bleu::{sentence_bleu, sentence_bleu_with, BleuConfig};
 use textmetrics::levenshtein::{char_accuracy_rate, edit_distance, normalized_similarity};
 use textmetrics::rouge::{rouge_l, rouge_n};
 use textmetrics::stats::{pearson, percentile, r_squared};
-use textmetrics::tokenize::{count_words, normalize_whitespace, tokenize_words};
+use textmetrics::tokenize::{
+    alphanumeric_ratio, count_words, normalize_whitespace, tokenize_words, wordlike_ratio, TextCounts,
+};
 
 fn word() -> impl Strategy<Value = String> {
     "[a-z]{1,8}"
@@ -18,6 +20,49 @@ fn sentence() -> impl Strategy<Value = String> {
 
 fn short_text() -> impl Strategy<Value = String> {
     "[ -~]{0,120}"
+}
+
+/// Tokens of one to a few characters: digits, letters of both cases,
+/// punctuation, every kind of whitespace, and the characters whose lower case
+/// is longer ('İ') or context-dependent ('Σ') than themselves.
+fn mixed_text() -> impl Strategy<Value = String> {
+    "[   a-cA-C0-9İßΣé東٣_#.\t\n\u{a0}]{0,80}"
+}
+
+/// `wordlike_ratio` as it was before the single-walk [`TextCounts`]: a token
+/// vector and three character counts per token.
+fn wordlike_ratio_oracle(text: &str) -> f64 {
+    let tokens = tokenize_words(text);
+    if tokens.is_empty() {
+        return 0.0;
+    }
+    let wordlike = tokens
+        .iter()
+        .filter(|t| {
+            t.chars().count() >= 2 && t.chars().filter(|c| c.is_alphabetic()).count() * 2 > t.chars().count()
+        })
+        .count();
+    wordlike as f64 / tokens.len() as f64
+}
+
+/// `alphanumeric_ratio` as its own walk.
+fn alphanumeric_ratio_oracle(text: &str) -> f64 {
+    let mut alnum = 0usize;
+    let mut total = 0usize;
+    for ch in text.chars() {
+        if ch.is_whitespace() {
+            continue;
+        }
+        total += 1;
+        if ch.is_alphanumeric() {
+            alnum += 1;
+        }
+    }
+    if total == 0 {
+        0.0
+    } else {
+        alnum as f64 / total as f64
+    }
 }
 
 proptest! {
@@ -117,6 +162,16 @@ proptest! {
     }
 
     #[test]
+    fn text_counts_match_the_separate_walks(a in mixed_text()) {
+        let counts = TextCounts::of(&a);
+        prop_assert_eq!(counts.words, count_words(&a));
+        prop_assert_eq!(counts.wordlike_ratio().to_bits(), wordlike_ratio_oracle(&a).to_bits());
+        prop_assert_eq!(counts.alphanumeric_ratio().to_bits(), alphanumeric_ratio_oracle(&a).to_bits());
+        prop_assert_eq!(wordlike_ratio(&a).to_bits(), wordlike_ratio_oracle(&a).to_bits());
+        prop_assert_eq!(alphanumeric_ratio(&a).to_bits(), alphanumeric_ratio_oracle(&a).to_bits());
+    }
+
+    #[test]
     fn pearson_bounded(pairs in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 2..60)) {
         let xs: Vec<f64> = pairs.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
@@ -140,4 +195,25 @@ proptest! {
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
     }
+}
+
+#[test]
+fn text_counts_on_the_edge_cases() {
+    for text in
+        ["", " ", " \t\n\u{a0} ", "a", "ab", "a1", "1a b2 cd", "İİ1", "İa", "ΟΔΟΣ", "東京 大学", "#", "# a"]
+    {
+        let counts = TextCounts::of(text);
+        assert_eq!(counts.words, count_words(text), "{text:?}");
+        assert_eq!(counts.wordlike_ratio().to_bits(), wordlike_ratio_oracle(text).to_bits(), "{text:?}");
+        assert_eq!(
+            counts.alphanumeric_ratio().to_bits(),
+            alphanumeric_ratio_oracle(text).to_bits(),
+            "{text:?}"
+        );
+    }
+    // Lower-casing 'İ' yields a letter and a combining mark: "İİ1" is five
+    // characters, two of them alphabetic — not word-like, though its three
+    // upper-case characters would be.
+    assert_eq!(TextCounts::of("İİ1").wordlike, 0);
+    assert_eq!(TextCounts::of("İa").wordlike, 1);
 }
