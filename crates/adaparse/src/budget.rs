@@ -263,39 +263,6 @@ pub fn assign_k(gains_per_parser: &[Vec<f64>], weights: &[f64], slots: f64) -> K
     KAssignment { choices, slots_consumed }
 }
 
-/// Global k-parser assignment at fraction `alpha`: slot budget `⌊α·n⌋` in
-/// units of the costliest upgrade, over the whole collection — the k-way
-/// analogue of [`select_global`].
-pub fn assign_k_global(gains_per_parser: &[Vec<f64>], weights: &[f64], alpha: f64) -> KAssignment {
-    let n = gains_per_parser.first().map(Vec::len).unwrap_or(0);
-    let slots = ((n as f64) * alpha.clamp(0.0, 1.0)).floor();
-    assign_k(gains_per_parser, weights, slots)
-}
-
-/// Per-batch k-parser assignment — the k-way analogue of [`select_batch`]:
-/// each batch of `batch_size` documents gets an independent slot budget of
-/// `⌊α·len⌋` costliest-upgrade units.
-pub fn assign_k_batched(
-    gains_per_parser: &[Vec<f64>],
-    weights: &[f64],
-    alpha: f64,
-    batch_size: usize,
-) -> Vec<Option<usize>> {
-    let alpha = alpha.clamp(0.0, 1.0);
-    let batch_size = batch_size.max(1);
-    let n = gains_per_parser.first().map(Vec::len).unwrap_or(0);
-    let mut choices = Vec::with_capacity(n);
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + batch_size).min(n);
-        let batch: Vec<Vec<f64>> = gains_per_parser.iter().map(|g| g[start..end].to_vec()).collect();
-        let slots = (((end - start) as f64) * alpha).floor();
-        choices.extend(assign_k(&batch, weights, slots).choices);
-        start = end;
-    }
-    choices
-}
-
 /// Total improvement captured by a selection mask.
 pub fn captured_improvement(improvements: &[f64], mask: &[bool]) -> f64 {
     improvements.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| v).sum()
@@ -554,11 +521,12 @@ mod tests {
                     _ => v,
                 })
                 .collect();
-            let gains = vec![scores.clone()];
-            let weights = vec![1.0f64];
-            prop_assert_eq!(assign_k_global(&gains, &weights, alpha).mask(), select_global(&scores, alpha));
-            let batched: Vec<bool> =
-                assign_k_batched(&gains, &weights, alpha, batch).iter().map(Option::is_some).collect();
+            // `⌊α·n⌋` slots over the whole slice, then per chunk.
+            let at_alpha = |chunk: &[f64]| {
+                assign_k(&[chunk.to_vec()], &[1.0], (chunk.len() as f64 * alpha).floor()).mask()
+            };
+            prop_assert_eq!(at_alpha(&scores), select_global(&scores, alpha));
+            let batched: Vec<bool> = scores.chunks(batch).flat_map(at_alpha).collect();
             prop_assert_eq!(batched, select_batch(&scores, alpha, batch));
         }
     }

@@ -115,7 +115,7 @@ pub mod scaling;
 pub mod serve;
 pub mod stats;
 
-pub use budget::{assign_k, assign_k_batched, assign_k_global, KAssignment};
+pub use budget::{assign_k, KAssignment};
 pub use budget::{
     max_affordable_alpha, optimality_gap, select_batch, select_global, windowed_optimality_gap,
 };

@@ -69,19 +69,15 @@
 //! including the executor's critical-path, queue-wait, and per-model warm
 //! statistics — replays bit for bit.
 //!
-//! Since PR 5 the loop is also *causal* on demand:
-//! [`hpcsim::CausalityMode::Causal`] admits each window at the session's
+//! The loop is *causal*: each window is admitted at the session's
 //! dispatch frontier as a release floor — no task starts before the
 //! decision that created it, the effective α ingests only observations
 //! whose tasks finished by the decision time (stragglers defer to a later
 //! boundary), and the controller's backlog counts documents remaining
-//! *plus* tasks still in flight. The legacy
-//! [`hpcsim::CausalityMode::RetroFill`] placement stays bitwise-identical
-//! and now audits its own violations
-//! ([`hpcsim::CampaignReport::retro_filled_tasks`],
-//! [`hpcsim::CampaignReport::decision_lag_seconds`]); causal makespans are
-//! achievable schedules and bound the retro-fill makespan from above. See
-//! [`simloop`]'s "two-mode contract" section.
+//! *plus* tasks still in flight. Closed-loop makespans are therefore
+//! achievable schedules; the readiness the floors deferred is reported in
+//! [`hpcsim::CampaignReport::decision_lag_seconds`]. See [`simloop`]'s
+//! "Decision causality" section.
 
 pub mod autoscale;
 pub mod controller;

@@ -16,6 +16,9 @@
 //! bit, which is what keeps the windowed selector deterministic with
 //! feedback enabled.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
 /// Actual measured costs of one completed wave (or window) of documents,
@@ -177,6 +180,92 @@ fn divergence(effective: f64, planned: f64) -> f64 {
         effective / planned
     } else {
         1.0
+    }
+}
+
+/// Order-preserving bit key of an observable-at time: non-negative finite
+/// times sort by their IEEE-754 bits (`-0.0` → 0); `+∞` (the close
+/// boundary) sorts last.
+fn time_bits(seconds: f64) -> u64 {
+    debug_assert!(seconds >= 0.0 && !seconds.is_nan(), "observable-at out of domain: {seconds}");
+    if seconds == 0.0 {
+        0
+    } else {
+        seconds.to_bits()
+    }
+}
+
+/// An entry of a [`DeferredQueue`], ordered by `(observable-at bits,
+/// insertion sequence)` — the deterministic tie-break that lets the heap
+/// reproduce a linear rescan's insertion order exactly.
+struct DeferredEntry<T> {
+    at_bits: u64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for DeferredEntry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at_bits, self.seq) == (other.at_bits, other.seq)
+    }
+}
+impl<T> Eq for DeferredEntry<T> {}
+impl<T> PartialOrd for DeferredEntry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for DeferredEntry<T> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.at_bits, self.seq).cmp(&(other.at_bits, other.seq))
+    }
+}
+
+/// Measurements waiting for a decision boundary to pass the finish time
+/// that makes them observable — the one deferred-observation queue, shared
+/// by the closed simulation loop (per window) and the serve loop (per
+/// epoch): neither acts on a completion that has not happened yet.
+///
+/// A min-heap keyed by `(observable_at bits, insertion index)`. Each
+/// boundary pops only the entries it surfaces — O(Δ log n) — instead of
+/// rescanning every deferred item, and the popped batch is re-sorted by
+/// insertion index so the output is *bitwise the order the full rescan
+/// produced* (insertion order among due items), which everything
+/// downstream (cost folds, controller samples, fingerprints) depends on.
+pub(crate) struct DeferredQueue<T> {
+    heap: BinaryHeap<Reverse<DeferredEntry<T>>>,
+    next_seq: u64,
+}
+
+impl<T> DeferredQueue<T> {
+    pub(crate) fn new() -> Self {
+        DeferredQueue { heap: BinaryHeap::new(), next_seq: 0 }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    pub(crate) fn push(&mut self, observable_at: f64, item: T) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(DeferredEntry { at_bits: time_bits(observable_at), seq, item }));
+    }
+
+    /// Pop every entry observable at or before `boundary` (`+∞` pops
+    /// everything), in insertion order.
+    pub(crate) fn pop_due(&mut self, boundary: f64) -> Vec<T> {
+        let boundary_bits = if boundary.is_infinite() { u64::MAX } else { time_bits(boundary) };
+        let mut due: Vec<DeferredEntry<T>> = Vec::new();
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if entry.at_bits > boundary_bits {
+                break;
+            }
+            let Reverse(entry) = self.heap.pop().expect("peeked non-empty");
+            due.push(entry);
+        }
+        due.sort_by_key(|entry| entry.seq);
+        due.into_iter().map(|entry| entry.item).collect()
     }
 }
 

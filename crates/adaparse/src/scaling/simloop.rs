@@ -9,7 +9,7 @@
 //!        ┌────────────── ExecutorSession clock (simulated s) ◄───────────┐
 //!        ▼                                                               │
 //!  ScalingController ──plan_nodes──► NodePlan ──tasks──► hpcsim          │
-//!        ▲                                         ExecutorSession::submit
+//!        ▲                                   ExecutorSession::submit_owned
 //!        │ WaveStats (per-stage busy seconds)      (persistent slots,    │
 //!        └────────────────────────────────────────  warm pools, anchors) ┤
 //!  WindowedSelector ◄──ingest──  ObservedCosts  ◄── WaveCosts ◄──────────┘
@@ -38,56 +38,41 @@
 //! critical-path, queue-wait, and per-model warm-pool statistics — bit for
 //! bit, on any machine.
 //!
-//! # Decision causality — the two-mode contract
+//! # Decision causality
 //!
-//! [`hpcsim::CausalityMode`] (on [`SimLoopConfig::executor`]) selects how
-//! strictly the loop honors the arrow of simulated time:
+//! The loop honors the arrow of simulated time. Each window is admitted at
+//! an *event boundary*: the session's dispatch frontier — the simulated
+//! time the engine last ran out of undispatched work, recorded per wave as
+//! [`SimWave::decided_at_seconds`]. The window is submitted with that
+//! boundary as its release floor
+//! ([`hpcsim::SubmitOptions::release_seconds`]), so none of its tasks
+//! starts before the decision that created it; the effective α ingests
+//! only the [`WaveCosts`] of documents whose tasks *finished at or before*
+//! the decision time (stragglers defer to a later boundary), and the
+//! controller's stage samples are built from the same finished-by-then
+//! task set. Makespans are therefore achievable schedules. Any
+//! observations still deferred when the last window has been selected are
+//! folded in after the loop, so the *report's* final cost estimates and
+//! remaining budget cover every completed document (no further selection
+//! is affected).
 //!
-//! * **[`RetroFill`](hpcsim::CausalityMode::RetroFill)** (legacy default).
-//!   A window is submitted only after the previous window fully completes,
-//!   but its tasks may be *placed* on slots that freed earlier — at
-//!   simulated times before the observations that selected the window
-//!   existed — and the effective α applied to a window ingests the
-//!   *entire* previous window's observed costs, which a live controller
-//!   would only have part of. Makespans are an optimistic lower bound; the
-//!   violations are quantified per run in
-//!   [`hpcsim::CampaignReport::retro_filled_tasks`] and
-//!   [`hpcsim::CampaignReport::decision_lag_seconds`].
-//! * **[`Causal`](hpcsim::CausalityMode::Causal)**. Each window is admitted
-//!   at an *event boundary*: the session's dispatch frontier — the
-//!   simulated time the engine last ran out of undispatched work, recorded
-//!   per wave as [`SimWave::decided_at_seconds`]. The window is submitted
-//!   with that boundary as its release floor
-//!   ([`hpcsim::SubmitOptions::release_seconds`]), so none of its tasks
-//!   starts before the decision that created it; the effective α ingests
-//!   only the [`WaveCosts`] of documents whose tasks *finished at or
-//!   before* the decision time (stragglers defer to a later boundary), and
-//!   the controller's stage samples are built from the same
-//!   finished-by-then task set. Makespans are achievable schedules:
-//!   `causal makespan ≥ retro-fill makespan` on the same inputs, with the
-//!   gap being exactly the price of causality. Any observations still
-//!   deferred when the last window has been selected are folded in after
-//!   the loop, so the *report's* final cost estimates and remaining budget
-//!   cover every completed document (no further selection is affected).
-//!
-//! Both modes replay bitwise, window *i+1* still overlaps window *i*'s
-//! stragglers (the floor is the dispatch frontier, not the completion
-//! time), and the controller's backlog signal counts the *true* pending
-//! work: documents not yet windowed plus session tasks still in flight at
-//! the observation boundary ([`SimWave::queue_depth`]).
+//! Window *i+1* still overlaps window *i*'s stragglers (the floor is the
+//! dispatch frontier, not the completion time), and the controller's
+//! backlog signal counts the *true* pending work: documents not yet
+//! windowed plus session tasks still in flight at the observation boundary
+//! ([`SimWave::queue_depth`]).
 
 use std::collections::HashMap;
 
 use hpcsim::{
-    CampaignReport, CausalityMode, ClusterConfig, ExecutorConfig, GroupRole, LustreModel, StageTiming,
-    SubmitOptions, WorkflowExecutor,
+    CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, StageTiming, SubmitOptions, WorkflowExecutor,
 };
 use parsersim::cost::CostModel;
 
 use crate::config::AdaParseConfig;
 use crate::engine::RoutedDocument;
 use crate::hpc::{build_routing_tasks, WorkloadSpec};
-use crate::scaling::observed::{ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
+use crate::scaling::observed::{DeferredQueue, ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 use crate::scaling::{
     Allocation, AllocationEvent, BudgetLedger, ControllerConfig, NodePlan, ScalingController, StageSample,
     WaveStats, WindowedSelector,
@@ -147,13 +132,9 @@ pub struct SimWave {
     /// Zero-based epoch index.
     pub wave_index: usize,
     /// Simulated time of the decision that created the epoch — the release
-    /// floor its batch was submitted under. Under
-    /// [`hpcsim::CausalityMode::Causal`] this is the session's dispatch
-    /// frontier at selection time and every task of the epoch starts at or
-    /// after it; under [`hpcsim::CausalityMode::RetroFill`] it is the
-    /// session clock at submission (the previous window's drain), recorded
-    /// for audit while placement is free to retro-fill earlier slots.
-    /// Monotone across epochs in both modes.
+    /// floor its batch was submitted under: the session's dispatch
+    /// frontier at selection time. Every task of the epoch starts at or
+    /// after it, and it is monotone across epochs.
     pub decided_at_seconds: f64,
     /// Simulated time the epoch's *earliest* task started. Wavelessness
     /// made visible: this is routinely earlier than the previous epoch's
@@ -244,7 +225,7 @@ pub struct SimLoopReport {
     /// per-model warm hits/evictions, GPU trace — everything the persistent
     /// engine measured over the whole campaign.
     pub executor_report: CampaignReport,
-    /// Distribution of per-task slot waits (`start − max(ready, floor)`),
+    /// Distribution of per-task slot waits (`start − ready`),
     /// summarized with the shared exact nearest-rank percentiles
     /// ([`crate::stats`]) — the same definition the serve layer's
     /// per-tenant latency SLOs use, so a campaign's queue tail and a
@@ -287,7 +268,6 @@ pub fn run_closed_loop(
     let window = sim.window.max(1);
     let nodes = sim.nodes.max(1);
     let cluster = sim.cluster.unwrap_or_else(|| ClusterConfig::polaris(nodes));
-    let causal = sim.executor.causality == CausalityMode::Causal;
     let executor = WorkflowExecutor::new(sim.executor);
     // The one persistent session: slots, warm pools, pair anchors, and the
     // clock live across every decision epoch below.
@@ -322,42 +302,28 @@ pub fn run_closed_loop(
         remaining_budget_seconds: None,
     };
 
-    // Deferred causal observations: a document's (or task's) measurement
-    // only becomes visible to the loop once a decision boundary passes its
-    // finish time.
-    let mut deferred_docs: Vec<DeferredDocCost> = Vec::new();
-    let mut deferred_tasks: Vec<DeferredTaskObs> = Vec::new();
-    // The next window's decision time under causal admission; advances to
-    // the session's dispatch frontier after every epoch.
+    // Deferred observations: a document's cost `(expensive, seconds)` or a
+    // task's stage sample `(is_parse, busy_seconds)` only becomes visible
+    // to the loop once a decision boundary passes its finish time.
+    let mut deferred_docs: DeferredQueue<(bool, f64)> = DeferredQueue::new();
+    let mut deferred_tasks: DeferredQueue<(bool, f64)> = DeferredQueue::new();
+    // The next window's decision time; advances to the session's dispatch
+    // frontier after every epoch.
     let mut decided_at = 0.0f64;
-    // Documents whose measured costs have been reconciled so far (causal
-    // admission): whatever is committed but never observed — skipped work —
-    // has its reservation released at campaign close.
+    // Documents whose measured costs have been reconciled so far: whatever
+    // is committed but never observed — skipped work — has its reservation
+    // released at campaign close.
     let mut observed_docs = 0usize;
 
     for (wave_index, chunk) in improvements.chunks(window).enumerate() {
         let offset = wave_index * window;
-        // The decision that creates this window: under causal admission
-        // the dispatch frontier carried over from the previous epoch;
-        // under retro-fill the session clock at submission (audit only).
-        let wave_decided_at = if causal { decided_at } else { session.now_seconds() };
-        if causal {
-            // Partial-window observation: ingest exactly the documents
-            // whose tasks finished at or before this decision time —
-            // stragglers stay deferred for a later boundary. Partial
-            // reconciliation releases the ledger's reservations one
-            // document-slot at a time (a whole-window `ingest` here would
-            // refund still-running stragglers' reserved cost early).
-            let observable = drain_observable(&mut deferred_docs, wave_decided_at, |d| d.observable_at);
-            if !observable.is_empty() {
-                let mut costs = WaveCosts::default();
-                for obs in observable {
-                    costs.record(obs.expensive, obs.seconds);
-                }
-                observed_docs += costs.docs();
-                selector.ingest_observed_partial(&costs);
-            }
-        }
+        // Partial-window observation: ingest exactly the documents whose
+        // tasks finished at or before this decision time — stragglers stay
+        // deferred for a later boundary. Partial reconciliation releases
+        // the ledger's reservations one document-slot at a time (a
+        // whole-window ingest here would refund still-running stragglers'
+        // reserved cost early).
+        observed_docs += ingest_observable(&mut selector, &mut deferred_docs, decided_at);
         let effective_alpha = selector.effective_alpha();
         let mask = selector.select_window(chunk);
         let selected = mask.iter().filter(|&&m| m).count();
@@ -376,124 +342,69 @@ pub fn run_closed_loop(
         // Fleets: the controller's allocation projected onto the cluster.
         let plan = controller.plan_nodes(cluster.nodes);
         let tasks = build_routing_tasks(config, &routed, workload, Some(&plan), 1.0);
-        // Captured before the session takes ownership of the batch: the
-        // causal branch needs each task's stage role to classify its
-        // deferred observation.
-        let roles: HashMap<u64, GroupRole> = if causal {
-            tasks.iter().filter_map(|t| t.group.map(|g| (t.id, g.role))).collect()
-        } else {
-            HashMap::new()
-        };
         let scheduled_before = session.schedule().len();
         // Ownership moves into the session — the per-epoch batch is built
-        // fresh anyway, so nothing needs the post-submission clone.
-        let release = if causal { Some(wave_decided_at) } else { None };
-        session.submit_owned(tasks, SubmitOptions { release_seconds: release });
+        // fresh anyway.
+        session.submit_owned(tasks, SubmitOptions { release_seconds: Some(decided_at) });
         let wave = session.advance_to_frontier(&sim.filesystem);
-        let wave_slice = &session.schedule()[scheduled_before..];
-        // An epoch that completed nothing is pinned to its decision time;
-        // otherwise its span is first start to last completion.
-        let (started_at_seconds, finished_at_seconds) = if wave.tasks_completed == 0 {
-            (wave_decided_at, wave_decided_at)
-        } else {
-            let first_start = wave_slice.iter().map(|s| s.start_seconds).fold(f64::INFINITY, f64::min);
-            (first_start, wave.makespan_seconds)
-        };
-        // The event boundary the controller observes at: under causal
-        // admission the dispatch frontier (the engine just ran out of
-        // undispatched work — a live controller would be refilling the
-        // queue now, with this epoch's stragglers still running); under
-        // retro-fill this epoch's last completion, as before.
-        let observed_at = if causal { session.frontier_seconds() } else { finished_at_seconds };
+        // The event boundary the controller observes at: the dispatch
+        // frontier (the engine just ran out of undispatched work — a live
+        // controller would be refilling the queue now, with this epoch's
+        // stragglers still running).
+        let observed_at = session.frontier_seconds();
         // The true backlog at that boundary: documents not yet windowed
         // plus session tasks still in flight (stragglers from this or any
         // earlier epoch) — not just the unwindowed remainder.
         let docs_remaining = improvements.len().saturating_sub(offset + chunk.len());
         let queue_depth = docs_remaining + session.tasks_in_flight_at(observed_at);
-
-        let allocation = if causal {
-            // Queue this epoch's measurements; each becomes observable
-            // once a decision boundary passes its finish time.
-            for row in wave_slice {
-                if let Some(&role) = roles.get(&row.id) {
-                    deferred_tasks.push(DeferredTaskObs {
-                        observable_at: row.finish_seconds,
-                        role,
-                        busy_seconds: row.finish_seconds - row.start_seconds,
-                    });
-                }
-            }
-            let spans: HashMap<u64, (f64, f64)> =
-                wave_slice.iter().map(|s| (s.id, (s.start_seconds, s.finish_seconds))).collect();
-            for (k, &hq) in mask.iter().enumerate() {
-                let extract_id = (offset + k) as u64 * 2;
-                // A document whose extract was skipped ran nothing at all
-                // — its cost is never observable and its reservation is
-                // released at campaign close.
-                let Some(&(extract_start, extract_finish)) = spans.get(&extract_id) else { continue };
-                let extract_busy = extract_finish - extract_start;
-                let (observable_at, seconds) = match spans.get(&(extract_id + 1)) {
-                    Some(&(parse_start, parse_finish)) if hq => {
-                        (extract_finish.max(parse_finish), extract_busy + (parse_finish - parse_start))
-                    }
-                    // A selected document whose parse was skipped still
-                    // burned its extract seconds: charge what actually ran
-                    // (the retro-fill branch charges it too, through the
-                    // extract stage-busy share).
-                    _ => (extract_finish, extract_busy),
-                };
-                deferred_docs.push(DeferredDocCost { observable_at, expensive: hq, seconds });
-            }
-            // The controller's stage samples are likewise built from the
-            // tasks that finished by the boundary — never from work whose
-            // outcome does not causally exist yet.
-            let observable = drain_observable(&mut deferred_tasks, observed_at, |t| t.observable_at);
-            let mut extract = StageSample { busy_seconds: 0.0, items: 0 };
-            let mut parse = StageSample { busy_seconds: 0.0, items: 0 };
-            for obs in observable {
-                let sample = match obs.role {
-                    GroupRole::Extract => &mut extract,
-                    GroupRole::Parse => &mut parse,
-                };
-                sample.busy_seconds += obs.busy_seconds;
-                sample.items += 1;
-            }
-            decided_at = observed_at;
-            controller.observe_at(observed_at, &WaveStats { wave_index, extract, parse, queue_depth })
+        let wave_slice = &session.schedule()[scheduled_before..];
+        // An epoch that completed nothing is pinned to its decision time;
+        // otherwise its span is first start to last completion.
+        let (started_at_seconds, finished_at_seconds) = if wave.tasks_completed == 0 {
+            (decided_at, decided_at)
         } else {
-            // Retro-fill: the acausal full-window ingest the legacy mode
-            // is pinned to — the entire window's observed costs flow back
-            // before the next selection, including stragglers a live
-            // controller could not have measured yet. A selected
-            // document's cost is its parse busy time plus its share of
-            // the extraction stage.
-            if !chunk.is_empty() {
-                let extract_share = wave.stage_timings.extract.busy_seconds / chunk.len() as f64;
-                selector.ingest_observed(&WaveCosts {
-                    cheap_docs: chunk.len() - selected,
-                    cheap_seconds: extract_share * (chunk.len() - selected) as f64,
-                    expensive_docs: selected,
-                    expensive_seconds: wave.stage_timings.parse.busy_seconds
-                        + extract_share * selected as f64,
-                });
-            }
-            // The controller samples the session clock, not wall time.
-            controller.observe_at(
-                observed_at,
-                &WaveStats {
-                    wave_index,
-                    extract: StageSample {
-                        busy_seconds: wave.stage_timings.extract.busy_seconds,
-                        items: wave.stage_timings.extract.tasks,
-                    },
-                    parse: StageSample {
-                        busy_seconds: wave.stage_timings.parse.busy_seconds,
-                        items: wave.stage_timings.parse.tasks,
-                    },
-                    queue_depth,
-                },
-            )
+            let first_start = wave_slice.iter().map(|s| s.start_seconds).fold(f64::INFINITY, f64::min);
+            (first_start, wave.makespan_seconds)
         };
+
+        // Queue this epoch's measurements; each becomes observable once a
+        // decision boundary passes its finish time. Task ids are
+        // `doc_id * 2` (extract) and `doc_id * 2 + 1` (parse).
+        for row in wave_slice {
+            deferred_tasks
+                .push(row.finish_seconds, (row.id % 2 == 1, row.finish_seconds - row.start_seconds));
+        }
+        let spans: HashMap<u64, (f64, f64)> =
+            wave_slice.iter().map(|s| (s.id, (s.start_seconds, s.finish_seconds))).collect();
+        for (k, &hq) in mask.iter().enumerate() {
+            let extract_id = (offset + k) as u64 * 2;
+            // A document whose extract was skipped ran nothing at all —
+            // its cost is never observable and its reservation is released
+            // at campaign close.
+            let Some(&(extract_start, extract_finish)) = spans.get(&extract_id) else { continue };
+            let extract_busy = extract_finish - extract_start;
+            let (observable_at, seconds) = match spans.get(&(extract_id + 1)) {
+                Some(&(parse_start, parse_finish)) if hq => {
+                    (extract_finish.max(parse_finish), extract_busy + (parse_finish - parse_start))
+                }
+                // A selected document whose parse was skipped still burned
+                // its extract seconds: charge what actually ran.
+                _ => (extract_finish, extract_busy),
+            };
+            deferred_docs.push(observable_at, (hq, seconds));
+        }
+        // The controller's stage samples are likewise built from the tasks
+        // that finished by the boundary — never from work whose outcome
+        // does not causally exist yet.
+        let mut extract = StageSample { busy_seconds: 0.0, items: 0 };
+        let mut parse = StageSample { busy_seconds: 0.0, items: 0 };
+        for (is_parse, busy_seconds) in deferred_tasks.pop_due(observed_at) {
+            let sample = if is_parse { &mut parse } else { &mut extract };
+            sample.busy_seconds += busy_seconds;
+            sample.items += 1;
+        }
+        let allocation =
+            controller.observe_at(observed_at, &WaveStats { wave_index, extract, parse, queue_depth });
 
         report.selected += selected;
         report.co_located_pairs += wave.co_located_pairs;
@@ -502,7 +413,7 @@ pub fn run_closed_loop(
         report.locality_penalty_seconds += wave.locality_penalty_seconds;
         report.waves.push(SimWave {
             wave_index,
-            decided_at_seconds: wave_decided_at,
+            decided_at_seconds: decided_at,
             started_at_seconds,
             finished_at_seconds,
             documents: chunk.len(),
@@ -522,78 +433,48 @@ pub fn run_closed_loop(
             parse: wave.stage_timings.parse,
         });
         report.mask.extend(mask);
+        decided_at = observed_at;
     }
 
-    // Causal admission defers straggler observations past each decision
-    // boundary; once the last window has been selected there is no further
-    // decision to protect, so the remaining measurements fold in here and
-    // the reservations of documents that will never complete (skipped
-    // work) are released. This only reconciles the *report* — the final
-    // cost estimates and remaining budget cover every completed document,
+    // Straggler observations were deferred past each decision boundary;
+    // once the last window has been selected there is no further decision
+    // to protect, so the remaining measurements fold in here and the
+    // reservations of documents that will never complete (skipped work)
+    // are released. This only reconciles the *report* — the final cost
+    // estimates and remaining budget cover every completed document,
     // leaving `remaining = budget − Σ measured` (clamped at zero).
-    if causal {
-        if !deferred_docs.is_empty() {
-            let mut costs = WaveCosts::default();
-            for obs in deferred_docs.drain(..) {
-                costs.record(obs.expensive, obs.seconds);
-            }
-            observed_docs += costs.docs();
-            selector.ingest_observed_partial(&costs);
-        }
-        selector.release_unobserved(improvements.len().saturating_sub(observed_docs));
-    }
+    observed_docs += ingest_observable(&mut selector, &mut deferred_docs, f64::INFINITY);
+    selector.release_unobserved(improvements.len().saturating_sub(observed_docs));
 
     report.makespan_seconds = session.now_seconds();
     report.history = controller.history().to_vec();
     report.executor_report = session.report();
-    let waits: Vec<f64> = session
-        .schedule()
-        .iter()
-        .map(|row| (row.start_seconds - row.ready_seconds.max(row.submitted_at_seconds)).max(0.0))
-        .collect();
+    let waits: Vec<f64> =
+        session.schedule().iter().map(|row| row.start_seconds - row.ready_seconds).collect();
     report.queue_wait = LatencySummary::from_values(&waits);
     report.final_observed = selector.ledger().and_then(|ledger| ledger.observed().copied());
     report.remaining_budget_seconds = selector.ledger().map(BudgetLedger::remaining_seconds);
     report
 }
 
-/// A per-document cost measurement waiting for a decision boundary to pass
-/// its finish time (causal admission only).
-#[derive(Debug, Clone, Copy)]
-struct DeferredDocCost {
-    /// Simulated time the document's last task finished — the earliest
-    /// decision boundary that may observe it.
-    observable_at: f64,
-    /// Routed to the high-quality parser (its seconds include extraction).
-    expensive: bool,
-    /// Total slot-busy seconds the document cost.
-    seconds: f64,
-}
-
-/// A per-task stage sample waiting for a decision boundary to pass its
-/// finish time (causal admission only).
-#[derive(Debug, Clone, Copy)]
-struct DeferredTaskObs {
-    observable_at: f64,
-    role: GroupRole,
-    busy_seconds: f64,
-}
-
-/// Split off (in insertion order, so the fold stays deterministic) every
-/// deferred observation whose finish time — read by `at` — is at or
-/// before `boundary`.
-fn drain_observable<T>(deferred: &mut Vec<T>, boundary: f64, at: impl Fn(&T) -> f64) -> Vec<T> {
-    let mut observable = Vec::new();
-    let mut kept = Vec::new();
-    for item in deferred.drain(..) {
-        if at(&item) <= boundary {
-            observable.push(item);
-        } else {
-            kept.push(item);
-        }
+/// Fold every deferred document cost observable at `boundary` into the
+/// selector's ledger, one reservation per document; returns how many
+/// documents that reconciled.
+fn ingest_observable(
+    selector: &mut WindowedSelector,
+    deferred: &mut DeferredQueue<(bool, f64)>,
+    boundary: f64,
+) -> usize {
+    let observable = deferred.pop_due(boundary);
+    if observable.is_empty() {
+        return 0;
     }
-    *deferred = kept;
-    observable
+    let mut costs = WaveCosts::default();
+    for (expensive, seconds) in observable {
+        costs.record(expensive, seconds);
+    }
+    selector.ingest_observed_partial(&costs);
+    costs.docs()
 }
 
 /// Planned per-document costs in seconds at a given page count, as
@@ -710,7 +591,10 @@ mod tests {
     fn co_scheduling_reunites_pairs_and_cuts_the_penalty() {
         let config = base_config();
         let improvements = scores(160, 5);
-        let paired = SimLoopConfig { window: 40, ..Default::default() };
+        // Two nodes keep the slots contended: with idle slots everywhere
+        // a pair's halves land wherever the plan staged them and there is
+        // no queueing for co-scheduling to trade against.
+        let paired = SimLoopConfig { window: 40, nodes: 2, ..Default::default() };
         let split = SimLoopConfig {
             executor: ExecutorConfig { co_schedule_pairs: false, ..Default::default() },
             ..paired

@@ -10,14 +10,12 @@
 
 use std::collections::HashMap;
 
-use hpcsim::{
-    CampaignReport, CausalityMode, ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions,
-    WorkflowExecutor,
-};
+use hpcsim::{CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
 
 use crate::config::AdaParseConfig;
 use crate::engine::RoutedDocument;
 use crate::hpc::build_routing_tasks;
+use crate::scaling::observed::DeferredQueue;
 use crate::scaling::{
     AutoscaleConfig, ControllerConfig, FleetEvent, ScalingController, SloAutoscaler, StageSample, WaveCosts,
     WaveStats,
@@ -49,8 +47,8 @@ pub struct ServeConfig {
     /// over the maximum fleet (the autoscaler's `max_nodes`, or
     /// [`nodes`](Self::nodes) without autoscaling).
     pub cluster: Option<ClusterConfig>,
-    /// Executor options. The causality mode is ignored: a serve run always
-    /// admits causally (a service cannot retro-fill the past).
+    /// Executor options (warm pools, staging, prefetch, pair
+    /// co-scheduling, placement).
     pub executor: ExecutorConfig,
     /// Shared-filesystem model.
     pub filesystem: LustreModel,
@@ -189,88 +187,6 @@ struct DeferredStageObs {
     busy_seconds: f64,
 }
 
-/// Order-preserving bit key of an observable-at time: non-negative finite
-/// times sort by their IEEE-754 bits (`-0.0` → 0); `+∞` (the close
-/// boundary) sorts last.
-fn time_bits(seconds: f64) -> u64 {
-    debug_assert!(seconds >= 0.0 && !seconds.is_nan(), "observable-at out of domain: {seconds}");
-    if seconds == 0.0 {
-        0
-    } else {
-        seconds.to_bits()
-    }
-}
-
-/// An entry of a [`DeferredQueue`], ordered by `(observable-at bits,
-/// insertion sequence)` — the deterministic tie-break that lets the heap
-/// reproduce the old linear rescan's insertion order exactly.
-struct DeferredEntry<T> {
-    at_bits: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for DeferredEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at_bits, self.seq) == (other.at_bits, other.seq)
-    }
-}
-impl<T> Eq for DeferredEntry<T> {}
-impl<T> PartialOrd for DeferredEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for DeferredEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_bits, self.seq).cmp(&(other.at_bits, other.seq))
-    }
-}
-
-/// Min-heap of deferred observations keyed by `(observable_at bits,
-/// insertion index)`. Each epoch pops only the entries the boundary
-/// surfaces — O(Δ log n) — instead of rescanning every deferred item, and
-/// the popped batch is re-sorted by insertion index so the output is
-/// *bitwise the order the old full rescan produced* (insertion order among
-/// due items), which everything downstream (cost folds, controller
-/// samples, fingerprints) depends on.
-struct DeferredQueue<T> {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<DeferredEntry<T>>>,
-    next_seq: u64,
-}
-
-impl<T> DeferredQueue<T> {
-    fn new() -> Self {
-        DeferredQueue { heap: std::collections::BinaryHeap::new(), next_seq: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    fn push(&mut self, observable_at: f64, item: T) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(std::cmp::Reverse(DeferredEntry { at_bits: time_bits(observable_at), seq, item }));
-    }
-
-    /// Pop every entry observable at or before `boundary`, in insertion
-    /// order.
-    fn pop_due(&mut self, boundary: f64) -> Vec<T> {
-        let boundary_bits = if boundary.is_infinite() { u64::MAX } else { time_bits(boundary) };
-        let mut due: Vec<DeferredEntry<T>> = Vec::new();
-        while let Some(std::cmp::Reverse(entry)) = self.heap.peek() {
-            if entry.at_bits > boundary_bits {
-                break;
-            }
-            let std::cmp::Reverse(entry) = self.heap.pop().expect("peeked non-empty");
-            due.push(entry);
-        }
-        due.sort_by_key(|entry| entry.seq);
-        due.into_iter().map(|entry| entry.item).collect()
-    }
-}
-
 /// FNV-1a over the bytes that define a run's observable outcome.
 fn fingerprint(tenants: &[TenantServeReport], makespan_seconds: f64) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -335,10 +251,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         None => config.nodes.max(1),
     };
     let cluster = config.cluster.unwrap_or_else(|| ClusterConfig::polaris(max_nodes));
-    // A service cannot retro-fill the past: admission is causal by
-    // construction, whatever the caller's executor config says.
-    let executor_config = ExecutorConfig { causality: CausalityMode::Causal, ..config.executor };
-    let executor = WorkflowExecutor::new(executor_config);
+    let executor = WorkflowExecutor::new(config.executor);
     let mut session = executor.session(&cluster);
     session.set_active_nodes(config.nodes.max(1));
 

@@ -15,7 +15,7 @@ use adaparse::{
     CascadeConfig, NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec,
 };
 use docmodel::document::Document;
-use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
+use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
 use parsersim::registry::page_dollars;
 use parsersim::{ParserFrontier, ParserKind};
 use proptest::prelude::*;
@@ -186,8 +186,10 @@ proptest! {
         let tasks = tasks_for_cascade_with_affinity(&frontier, &choices, &workload, &plan);
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&ClusterConfig::polaris(plan.total()));
-        let report = session.submit(&tasks, &LustreModel::default());
-        prop_assert_eq!(report.tasks_completed, tasks.len(), "every DAG task must schedule");
+        let task_count = tasks.len();
+        session.submit_owned(tasks, SubmitOptions::default());
+        let report = session.advance_to_frontier(&LustreModel::default());
+        prop_assert_eq!(report.tasks_completed, task_count, "every DAG task must schedule");
 
         let max_pages = choices.iter().map(|c| c.upgraded_pages.len()).max().unwrap_or(0);
         let stride = (max_pages as u64) + 4;

@@ -1,22 +1,25 @@
 //! Causal-admission regression suite for the closed simulation loop.
 //!
-//! The contract under test (see `scaling::simloop`'s "two-mode contract"):
+//! The contract under test (see `scaling::simloop`'s "Decision causality"):
 //!
-//! * `CausalityMode::Causal` admits no causality violation — every task
-//!   starts at or after the decision time that created its window, and the
-//!   executor's `retro_filled_tasks` audit stays zero;
-//! * `CausalityMode::RetroFill` reproduces the legacy placement and audits
-//!   the violations it permits;
-//! * respecting causality can only cost time: `causal makespan ≥
-//!   retro-fill makespan` on identical inputs;
-//! * both modes replay bitwise;
+//! * every epoch starts at or after the decision time that created its
+//!   window, decision times are monotone, and epochs still overlap;
+//! * three frozen shapes (no budget; a tight budget with observed-cost
+//!   feedback; a GPU-less cluster whose parse tasks are skipped) reproduce
+//!   the masks, makespans, per-wave timelines, backlogs and ledger
+//!   closings captured at the commit before the loop's two bodies were
+//!   merged — bit for bit;
+//! * slot-by-slot budget reconciliation ends at exactly `budget − measured`;
 //! * the controller's backlog signal counts session tasks still in flight,
 //!   not just unwindowed documents;
 //! * an epoch whose tasks are all skipped is well-defined
 //!   (`started == finished == decided_at`, explicit `tasks_skipped`).
 
-use adaparse::{run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, WorkloadSpec};
-use hpcsim::{CausalityMode, ClusterConfig, ExecutorConfig};
+use adaparse::{
+    planned_costs, run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport,
+    WorkloadSpec,
+};
+use hpcsim::ClusterConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,11 +36,10 @@ fn workload(n: usize) -> WorkloadSpec {
     WorkloadSpec { documents: n, pages_per_doc: 8, mb_per_doc: 50.0 }
 }
 
-fn sim(causality: CausalityMode) -> SimLoopConfig {
+fn sim() -> SimLoopConfig {
     SimLoopConfig {
         window: 40,
         nodes: 2,
-        executor: ExecutorConfig { causality, ..Default::default() },
         controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
         ..Default::default()
     }
@@ -47,11 +49,7 @@ fn sim(causality: CausalityMode) -> SimLoopConfig {
 fn causal_mode_admits_zero_causality_violations() {
     let config = base_config();
     let improvements = scores(200, 3);
-    let report = run_closed_loop(&config, &improvements, &workload(200), &sim(CausalityMode::Causal));
-    assert_eq!(
-        report.executor_report.retro_filled_tasks, 0,
-        "no task may start before its window's decision time"
-    );
+    let report = run_closed_loop(&config, &improvements, &workload(200), &sim());
     // Decision times are monotone event boundaries, and every epoch's
     // earliest start respects its own decision.
     for pair in report.waves.windows(2) {
@@ -73,39 +71,144 @@ fn causal_mode_admits_zero_causality_violations() {
     assert!(report.executor_report.decision_lag_seconds > 0.0);
 }
 
-#[test]
-fn retro_fill_audits_the_violations_it_permits() {
-    let config = base_config();
-    let improvements = scores(200, 3);
-    let report = run_closed_loop(&config, &improvements, &workload(200), &sim(CausalityMode::RetroFill));
-    assert!(
-        report.executor_report.retro_filled_tasks > 0,
-        "the overlapping legacy loop must retro-fill some slots"
-    );
-    // The audit floor is recorded per wave even though placement ignores
-    // it: retro-filled epochs start before their submission clock.
-    assert!(report.waves.iter().any(|w| w.started_at_seconds < w.decided_at_seconds));
+/// What a closed-loop run must reproduce bit for bit.
+#[derive(Debug, PartialEq)]
+struct LoopPin {
+    mask_fnv: u64,
+    makespan_bits: u64,
+    /// Per wave: `decided_at`, `started_at`, `finished_at` bits and the
+    /// backlog the controller observed.
+    waves: Vec<(u64, u64, u64, usize)>,
+    /// Closing `(effective cheap, effective expensive)` bits and observed
+    /// documents of the ledger's cost estimates.
+    final_observed: Option<(u64, u64, usize)>,
+    remaining_budget_bits: Option<u64>,
+    /// Bits of the executor's summed slot wait and of the per-task wait
+    /// summary's mean.
+    queue_wait_bits: (u64, u64),
 }
 
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn pin_of(report: &SimLoopReport) -> LoopPin {
+    LoopPin {
+        mask_fnv: fnv(report.mask.iter().map(|&m| m as u64)),
+        makespan_bits: report.makespan_seconds.to_bits(),
+        waves: report
+            .waves
+            .iter()
+            .map(|w| {
+                (
+                    w.decided_at_seconds.to_bits(),
+                    w.started_at_seconds.to_bits(),
+                    w.finished_at_seconds.to_bits(),
+                    w.queue_depth,
+                )
+            })
+            .collect(),
+        final_observed: report
+            .final_observed
+            .map(|o| (o.effective_cheap().to_bits(), o.effective_expensive().to_bits(), o.observed_docs())),
+        remaining_budget_bits: report.remaining_budget_seconds.map(f64::to_bits),
+        queue_wait_bits: (
+            report.executor_report.queue_wait_seconds.to_bits(),
+            report.queue_wait.mean_seconds.to_bits(),
+        ),
+    }
+}
+
+/// The three frozen shapes, pinned to the digests captured at the commit
+/// before this loop had one body: frontier-stamped admission, partial
+/// observation through the deferred queue, and the in-flight backlog must
+/// not have moved a bit.
 #[test]
-fn causal_makespan_dominates_retro_fill_and_both_replay_bitwise() {
+fn closed_loop_reproduces_the_pinned_digests() {
     let config = base_config();
-    let improvements = scores(240, 11);
-    let causal_sim = SimLoopConfig { total_budget_seconds: Some(5_000.0), ..sim(CausalityMode::Causal) };
-    let retro_sim = SimLoopConfig { total_budget_seconds: Some(5_000.0), ..sim(CausalityMode::RetroFill) };
-    let causal = run_closed_loop(&config, &improvements, &workload(240), &causal_sim);
-    let retro = run_closed_loop(&config, &improvements, &workload(240), &retro_sim);
-    assert!(
-        causal.makespan_seconds >= retro.makespan_seconds,
-        "respecting decision causality cannot beat retro-fill ({} vs {})",
-        causal.makespan_seconds,
-        retro.makespan_seconds
+    let n = 240;
+    let improvements = scores(n, 11);
+
+    let no_budget = run_closed_loop(&config, &improvements, &workload(n), &sim());
+    assert_eq!(
+        pin_of(&no_budget),
+        LoopPin {
+            mask_fnv: 0xa928646a85fc3125,
+            makespan_bits: 0x40438432ca57a788,
+            waves: vec![
+                (0x0000000000000000, 0x0000000000000000, 0x4033248e8a71de6a, 208),
+                (0x3fc5182a9930be0e, 0x3fc5182a9930be0e, 0x40371eecbfb15b58, 168),
+                (0x4033248e8a71de6a, 0x4033248e8a71de6a, 0x403b194af4f0d846, 128),
+                (0x40371eecbfb15b58, 0x40371eecbfb15b58, 0x403f13a92a305534, 88),
+                (0x403b194af4f0d846, 0x403b194af4f0d846, 0x40418703afb7e911, 48),
+                (0x403f13a92a305534, 0x403f13a92a305534, 0x40438432ca57a788, 8),
+            ],
+            final_observed: None,
+            remaining_budget_bits: None,
+            queue_wait_bits: (0x40710872b020c49c, 0x3fee47e8558f9665),
+        }
     );
-    // Both modes are pure functions of their inputs.
-    let causal_replay = run_closed_loop(&config, &improvements, &workload(240), &causal_sim);
-    assert_eq!(causal, causal_replay, "causal closed loop must replay bitwise");
-    let retro_replay = run_closed_loop(&config, &improvements, &workload(240), &retro_sim);
-    assert_eq!(retro, retro_replay, "retro-fill closed loop must replay bitwise");
+
+    // A budget the *planned* costs afford at exactly α = 0.2: simulated
+    // documents run hot, so observed-cost feedback tightens later windows.
+    let (cheap, expensive) = planned_costs(&config, 8);
+    let budget = n as f64 * cheap + 0.2 * n as f64 * (expensive - cheap);
+    let budgeted_sim = SimLoopConfig { total_budget_seconds: Some(budget), prior_weight: 8.0, ..sim() };
+    let budgeted = run_closed_loop(&config, &improvements, &workload(n), &budgeted_sim);
+    assert!(budgeted.selected < no_budget.selected, "the feedback shape must actually throttle");
+    assert_eq!(
+        pin_of(&budgeted),
+        LoopPin {
+            mask_fnv: 0x1ebb328f0eb8ffe5,
+            makespan_bits: 0x403b97dbf487fcba,
+            waves: vec![
+                (0x0000000000000000, 0x0000000000000000, 0x4033248e8a71de6a, 207),
+                (0x3fc5182a9930be0e, 0x3fc5182a9930be0e, 0x4037491d14e3bcd4, 168),
+                (0x40334ebedfa43fe6, 0x40334ebedfa43fe6, 0x403b194af4f0d846, 122),
+                (0x40371eecbfb15b58, 0x40371eecbfb15b58, 0x403b437b4a2339c2, 82),
+                (0x4037491d14e3bcd4, 0x4037491d14e3bcd4, 0x403b6dab9f559b3e, 43),
+                (0x4037734d6a161e50, 0x4037734d6a161e50, 0x403b97dbf487fcba, 6),
+            ],
+            final_observed: Some((0x3fc5182a9930be03, 0x4020857619f0fb39, 240)),
+            remaining_budget_bits: Some(0x40129374bc6a7f38),
+            queue_wait_bits: (0x40634a339c0ebee0, 0x3fe2d91cee77ef44),
+        }
+    );
+
+    // No GPUs: every selected document's parse is skipped, its extract
+    // still charges, and the reservations of work that never ran are
+    // released at close.
+    let gpu_less_sim = SimLoopConfig {
+        cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
+        ..budgeted_sim
+    };
+    let gpu_less = run_closed_loop(&config, &improvements, &workload(n), &gpu_less_sim);
+    assert!(gpu_less.executor_report.tasks_skipped > 0);
+    assert_eq!(
+        pin_of(&gpu_less),
+        LoopPin {
+            mask_fnv: 0x1e2af4e328f35dc5,
+            makespan_bits: 0x3fe5182a9930be0e,
+            waves: vec![
+                (0x0000000000000000, 0x0000000000000000, 0x3fc5182a9930be0e, 240),
+                (0x0000000000000000, 0x0000000000000000, 0x3fd5182a9930be0e, 180),
+                (0x3fc5182a9930be0e, 0x3fc5182a9930be0e, 0x3fd5182a9930be0e, 180),
+                (0x3fc5182a9930be0e, 0x3fd5182a9930be0e, 0x3fdfa43fe5c91d15, 120),
+                (0x3fd5182a9930be0e, 0x3fd5182a9930be0e, 0x3fe5182a9930be0e, 60),
+                (0x3fdfa43fe5c91d15, 0x3fdfa43fe5c91d15, 0x3fe5182a9930be0e, 60),
+            ],
+            final_observed: Some((0x3fc5182a9930be08, 0x3fe97ab4574da602, 240)),
+            remaining_budget_bits: Some(0x406a851eb851eb85),
+            queue_wait_bits: (0x402a5e353f7ced90, 0x3fac2038cc40fd5c),
+        }
+    );
 }
 
 #[test]
@@ -118,7 +221,7 @@ fn causal_budget_accounting_reconciles_exactly() {
     let config = base_config();
     let improvements = scores(200, 13);
     let budget = 1_000_000.0;
-    let causal_sim = SimLoopConfig { total_budget_seconds: Some(budget), ..sim(CausalityMode::Causal) };
+    let causal_sim = SimLoopConfig { total_budget_seconds: Some(budget), ..sim() };
     let report = run_closed_loop(&config, &improvements, &workload(200), &causal_sim);
     let measured = report.executor_report.cpu_busy_seconds + report.executor_report.gpu_busy_seconds;
     let remaining = report.remaining_budget_seconds.expect("budgeted run reports remaining budget");
@@ -149,30 +252,22 @@ fn causal_budget_accounting_reconciles_exactly() {
 fn queue_depth_counts_in_flight_stragglers_not_just_unwindowed_documents() {
     let config = base_config();
     let improvements = scores(200, 7);
-    for causality in [CausalityMode::RetroFill, CausalityMode::Causal] {
-        let report = run_closed_loop(&config, &improvements, &workload(200), &sim(causality));
-        let mut windowed = 0usize;
-        let mut saw_stragglers = false;
-        for wave in &report.waves {
-            windowed += wave.documents;
-            let docs_remaining = improvements.len() - windowed;
-            assert!(
-                wave.queue_depth >= docs_remaining,
-                "backlog can never be below the unwindowed remainder ({:?})",
-                causality
-            );
-            saw_stragglers |= wave.queue_depth > docs_remaining;
-        }
-        if causality == CausalityMode::Causal {
-            // The causal boundary is the dispatch frontier, which the
-            // epoch's own stragglers always outlive — the old undercount
-            // (unwindowed documents only) would have reported 0 on the
-            // final epoch and frozen the controller on the drain.
-            assert!(saw_stragglers, "the causal loop must observe in-flight session tasks in its backlog");
-            let last = report.waves.last().unwrap();
-            assert!(last.queue_depth > 0, "the final epoch's stragglers are still in flight");
-        }
+    let report = run_closed_loop(&config, &improvements, &workload(200), &sim());
+    let mut windowed = 0usize;
+    let mut saw_stragglers = false;
+    for wave in &report.waves {
+        windowed += wave.documents;
+        let docs_remaining = improvements.len() - windowed;
+        assert!(wave.queue_depth >= docs_remaining, "backlog can never be below the unwindowed remainder");
+        saw_stragglers |= wave.queue_depth > docs_remaining;
     }
+    // The observation boundary is the dispatch frontier, which the epoch's
+    // own stragglers always outlive — an undercount (unwindowed documents
+    // only) would report 0 on the final epoch and freeze the controller on
+    // the drain.
+    assert!(saw_stragglers, "the loop must observe in-flight session tasks in its backlog");
+    let last = report.waves.last().unwrap();
+    assert!(last.queue_depth > 0, "the final epoch's stragglers are still in flight");
 }
 
 #[test]
@@ -182,25 +277,23 @@ fn all_skipped_epochs_are_well_defined() {
     // well-formed rather than a degenerate record.
     let config = base_config();
     let improvements = scores(96, 5);
-    for causality in [CausalityMode::RetroFill, CausalityMode::Causal] {
-        let sim = SimLoopConfig {
-            cluster: Some(ClusterConfig { nodes: 1, cpu_slots_per_node: 0, gpu_slots_per_node: 0 }),
-            ..sim(causality)
-        };
-        let report = run_closed_loop(&config, &improvements, &workload(96), &sim);
-        assert_eq!(report.makespan_seconds, 0.0, "nothing ran ({causality:?})");
-        assert_eq!(report.executor_report.tasks_completed, 0);
-        assert!(report.executor_report.tasks_skipped > 0);
-        assert_eq!(report.waves.len(), 3);
-        for wave in &report.waves {
-            assert!(wave.tasks_skipped > 0, "every epoch's tasks were skipped");
-            assert_eq!(wave.started_at_seconds, wave.decided_at_seconds);
-            assert_eq!(wave.finished_at_seconds, wave.decided_at_seconds);
-        }
-        // Routing is independent of placement: the mask is still emitted
-        // for every document, deterministically.
-        assert_eq!(report.mask.len(), 96);
-        let replay = run_closed_loop(&config, &improvements, &workload(96), &sim);
-        assert_eq!(report, replay);
+    let sim = SimLoopConfig {
+        cluster: Some(ClusterConfig { nodes: 1, cpu_slots_per_node: 0, gpu_slots_per_node: 0 }),
+        ..sim()
+    };
+    let report = run_closed_loop(&config, &improvements, &workload(96), &sim);
+    assert_eq!(report.makespan_seconds, 0.0, "nothing ran");
+    assert_eq!(report.executor_report.tasks_completed, 0);
+    assert!(report.executor_report.tasks_skipped > 0);
+    assert_eq!(report.waves.len(), 3);
+    for wave in &report.waves {
+        assert!(wave.tasks_skipped > 0, "every epoch's tasks were skipped");
+        assert_eq!(wave.started_at_seconds, wave.decided_at_seconds);
+        assert_eq!(wave.finished_at_seconds, wave.decided_at_seconds);
     }
+    // Routing is independent of placement: the mask is still emitted
+    // for every document, deterministically.
+    assert_eq!(report.mask.len(), 96);
+    let replay = run_closed_loop(&config, &improvements, &workload(96), &sim);
+    assert_eq!(report, replay);
 }

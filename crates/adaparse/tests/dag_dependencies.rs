@@ -7,7 +7,7 @@ use adaparse::{
     build_routing_tasks, run_closed_loop, AdaParseConfig, NodePlan, RoutedDocument, SimLoopConfig,
     WorkloadSpec,
 };
-use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, WorkflowExecutor};
+use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, WorkflowExecutor};
 
 fn routed_docs(config: &AdaParseConfig, n: usize, every: usize) -> Vec<RoutedDocument> {
     (0..n)
@@ -29,8 +29,10 @@ fn no_parse_starts_before_its_extract_partner_finishes() {
     let tasks = build_routing_tasks(&config, &routed, &workload, Some(&plan), 1.0);
     let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(&ClusterConfig::polaris(plan.total()));
-    let report = session.submit(&tasks, &LustreModel::default());
-    assert_eq!(report.tasks_completed, tasks.len());
+    let task_count = tasks.len();
+    session.submit_owned(tasks, SubmitOptions::default());
+    let report = session.advance_to_frontier(&LustreModel::default());
+    assert_eq!(report.tasks_completed, task_count);
 
     let mut parse_pairs = 0usize;
     for scheduled in session.schedule() {

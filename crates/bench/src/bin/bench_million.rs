@@ -40,7 +40,7 @@ use adaparse::{
     WindowedSelector, WorkloadSpec,
 };
 use bench::trajectory::{append_entry, unix_timestamp, validate_trajectory, JsonValue};
-use hpcsim::{CausalityMode, ExecutorConfig, PlacementPolicy};
+use hpcsim::{ExecutorConfig, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -241,11 +241,7 @@ fn run_campaign(
         window: args.window,
         nodes: args.nodes,
         controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
-        executor: ExecutorConfig {
-            causality: CausalityMode::Causal,
-            placement: args.placement,
-            ..Default::default()
-        },
+        executor: ExecutorConfig { placement: args.placement, ..Default::default() },
         ..Default::default()
     };
     let loop_start = Instant::now();

@@ -18,21 +18,16 @@
 //!    allocation, and placement *wavelessly* through one persistent
 //!    `hpcsim::ExecutorSession` (slots, warm pools, and pair anchors
 //!    persist across decision epochs; parse tasks depend on their extract
-//!    partners), twice, asserting a bitwise-identical replay,
-//! 7. the causal-vs-retro-fill ablation: the same closed loop under
-//!    `CausalityMode::Causal` (every window admitted at the dispatch
-//!    frontier as a release floor, partial-window observation) against the
-//!    legacy `RetroFill` placement — asserting the causal run admits zero
-//!    causality violations, the retro-fill run audits its own, the causal
-//!    makespan bounds the retro-fill makespan from above (the price of
-//!    causality), and both modes replay bitwise,
-//! 8. a placement-policy ablation: the warm-heavy two-model corpus under
+//!    partners; every window admitted at the dispatch frontier as a
+//!    release floor), twice, asserting a bitwise-identical replay and that
+//!    no epoch starts before the decision that created it,
+//! 7. a placement-policy ablation: the warm-heavy two-model corpus under
 //!    capacity-1 pools with warm-blind `EarliestSlot` vs warm-aware
 //!    `CostAware` placement (cost-aware must pay no more cold starts and
 //!    no more makespan), then a forced cold-start herd on one shared
 //!    model-load channel vs unlimited — the serialized herd must accrue
 //!    `herd_queue_seconds > 0` while the unlimited run accrues none.
-//! 9. a cascade-routing ablation: the section-1 campaign's cascade report
+//! 8. a cascade-routing ablation: the section-1 campaign's cascade report
 //!    (a binary, pair-frontier cascade is what that campaign runs; the
 //!    `campaign_fingerprints` test pins it), then the full k = 4 frontier by
 //!    document and by page, printing upgrades, per-class ledger dollars,
@@ -51,7 +46,7 @@ use adaparse::{
     StageSample, WaveStats, WorkloadSpec,
 };
 use bench::bench_doc_count;
-use hpcsim::{CausalityMode, ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy, WorkflowExecutor};
+use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy, WorkflowExecutor};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
 fn main() {
@@ -293,15 +288,19 @@ fn main() {
     );
     let executor_report = &report.executor_report;
     println!(
-        "  critical path {:.1} s, queue wait {:.1} s, {} warm hits / {} cold starts, epochs overlap: {}",
+        "  critical path {:.1} s, queue wait {:.1} s, decision lag {:.1} s, {} warm hits / {} cold starts, epochs overlap: {}",
         executor_report.critical_path_seconds,
         executor_report.queue_wait_seconds,
+        executor_report.decision_lag_seconds,
         executor_report.warm_hits,
         executor_report.cold_starts,
         report.epochs_overlap()
     );
     assert!(report.co_located_pairs > 0, "the closed loop must co-locate pairs");
-    assert!(report.epochs_overlap(), "the waveless loop must overlap decision epochs");
+    assert!(report.epochs_overlap(), "causal admission must still overlap epochs, not barrier");
+    for wave in &report.waves {
+        assert!(wave.started_at_seconds >= wave.decided_at_seconds, "no epoch precedes its decision");
+    }
     assert!(executor_report.warm_hits > 0, "warm pools must persist across epochs");
     let replay = run_closed_loop(engine.config(), &scores, &sim_workload, &sim);
     assert_eq!(report, replay, "a closed-loop run must replay bitwise");
@@ -342,57 +341,7 @@ fn main() {
     let budgeted_replay = run_closed_loop(engine.config(), &scores, &sim_workload, &budgeted_sim);
     assert_eq!(budgeted, budgeted_replay, "the budgeted closed loop must replay bitwise too");
 
-    // 7. Causal vs retro-fill: the same campaign with decision causality
-    // enforced. Each window is admitted at the session's dispatch frontier
-    // (its release floor), the effective α only ingests observations that
-    // exist at the decision time, and no task may start before its
-    // window's decision — so the causal makespan is an achievable
-    // schedule, bounding the optimistic retro-fill one from above.
-    let causal_sim = SimLoopConfig {
-        executor: ExecutorConfig { causality: CausalityMode::Causal, ..Default::default() },
-        ..sim
-    };
-    let causal = run_closed_loop(engine.config(), &scores, &sim_workload, &causal_sim);
-    println!("\nCausal-vs-retro-fill ablation (same corpus, same loop)");
-    println!(
-        "{:>10} {:>12} {:>14} {:>16} {:>10}",
-        "mode", "makespan", "retro-filled", "decision lag", "overlap"
-    );
-    for (label, run) in [("retro-fill", &report), ("causal", &causal)] {
-        println!(
-            "{label:>10} {:>10.1} s {:>14} {:>14.1} s {:>10}",
-            run.makespan_seconds,
-            run.executor_report.retro_filled_tasks,
-            run.executor_report.decision_lag_seconds,
-            run.epochs_overlap()
-        );
-    }
-    let causality_price =
-        100.0 * (causal.makespan_seconds - report.makespan_seconds) / report.makespan_seconds;
-    println!("  price of causality: +{causality_price:.2} % makespan");
-    assert_eq!(
-        causal.executor_report.retro_filled_tasks, 0,
-        "causal mode must admit zero causality violations"
-    );
-    assert!(
-        report.executor_report.retro_filled_tasks > 0,
-        "the overlapping retro-fill loop must audit its violations"
-    );
-    assert!(
-        causal.makespan_seconds >= report.makespan_seconds - 1e-9,
-        "causal makespan must bound retro-fill from above ({} vs {})",
-        causal.makespan_seconds,
-        report.makespan_seconds
-    );
-    assert!(causal.epochs_overlap(), "causal admission must still overlap epochs, not barrier");
-    for wave in &causal.waves {
-        assert!(wave.started_at_seconds >= wave.decided_at_seconds, "no epoch precedes its decision");
-    }
-    let causal_replay = run_closed_loop(engine.config(), &scores, &sim_workload, &causal_sim);
-    assert_eq!(causal, causal_replay, "the causal closed loop must replay bitwise");
-    println!("  replay: identical in both modes");
-
-    // 8. Placement-policy ablation. Capacity-1 pools on the alternating
+    // 7. Placement-policy ablation. Capacity-1 pools on the alternating
     // two-model corpus make residency the whole game: warm-blind
     // EarliestSlot sprays Nougat and Marker over both nodes and thrashes
     // the pools, while CostAware's completion-time ranking (free-at +
@@ -469,7 +418,7 @@ fn main() {
         unserialized.makespan_seconds
     );
 
-    // 9. Cascade-routing ablation on the same corpus: the binary cascade is
+    // 8. Cascade-routing ablation on the same corpus: the binary cascade is
     // the section-1 streaming campaign, the k = 4 frontier spreads the same
     // α across cheaper upgrades, and by-page delegation sends only the
     // hardest pages.

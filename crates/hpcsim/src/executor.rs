@@ -7,19 +7,16 @@
 //! `(ready time, task id)` order. The engine is resumable *and
 //! event-interleaved*: an [`ExecutorSession`] keeps slot availability,
 //! per-node warm pools, pair anchors, a persistent pending set, and the
-//! simulated clock alive across batches. [`ExecutorSession::submit_with`]
+//! simulated clock alive across batches. [`ExecutorSession::submit_owned`]
 //! enqueues a batch under a *release floor* (the simulated time of the
 //! decision that created it) without running the engine, and
 //! [`ExecutorSession::advance_to_frontier`] drains everything pending in
 //! global event order — so a closed-loop controller can admit window *i+1*
 //! at an event boundary while window *i*'s stragglers are still in flight,
-//! without ever barriering the cluster. [`CausalityMode`] selects whether
-//! release floors are enforced (no task starts before the decision that
-//! created it — achievable schedules) or merely audited (the legacy
-//! retro-fill placement, an optimistic lower bound, with the violations
-//! counted in [`CampaignReport::retro_filled_tasks`]). The executor
-//! reproduces the orchestration optimizations of the paper's §5.2 / §6.1 so
-//! they can be ablated:
+//! without ever barriering the cluster. Release floors are always enforced:
+//! no task starts before the decision that created it, so every schedule
+//! is an achievable one. The executor reproduces the orchestration
+//! optimizations of the paper's §5.2 / §6.1 so they can be ablated:
 //!
 //! * **warm pools** — each node keeps a [`WarmPool`] of resident ML model
 //!   weights keyed by the task's model label: reusing a resident model is
@@ -42,8 +39,6 @@
 //!   partner finishes; cycles and dependents of skipped tasks are skipped
 //!   (never deadlocked), and DAG schedules are bitwise-independent of task
 //!   submission order thanks to the `(time, id)` ready-queue tie-break.
-//!
-//! [`submit`]: ExecutorSession::submit
 
 use std::collections::HashMap;
 
@@ -54,53 +49,29 @@ use crate::event::ReadyQueue;
 use crate::intern::{ModelId, ModelInterner};
 use crate::lustre::LustreModel;
 use crate::profiler::GpuTrace;
-use crate::slotindex::{FinishIndex, SlotIndex};
+use crate::slotindex::{InFlightCounter, SlotIndex};
 use crate::task::{ClusterConfig, GroupRole, SlotKind, Task};
 
-/// When a batch's tasks may be placed relative to the decision that
-/// created the batch (its *release floor* — see
-/// [`SubmitOptions::release_seconds`]).
-///
-/// The two modes share one scheduling engine; they differ only in whether
-/// the release floor is *enforced* as a lower bound on task readiness or
-/// merely *recorded* for audit:
-///
-/// * [`RetroFill`](Self::RetroFill) (the legacy default) lets a batch's
-///   tasks start on any slot that is free — including slots that freed at
-///   simulated times *before* the batch was submitted. This retroactive
-///   fill approximates a perfectly pipelined controller and yields an
-///   optimistic makespan — a guaranteed lower bound on the causal one for
-///   dependency-free batches, and an empirical one on DAG workloads
-///   (greedy list scheduling admits rare anomalies where delaying a
-///   release shortens the schedule); the violation is quantified per run
-///   in [`CampaignReport::retro_filled_tasks`] and
-///   [`CampaignReport::decision_lag_seconds`].
-/// * [`Causal`](Self::Causal) clamps every task's ready time to its
-///   batch's release floor, so no task starts before the decision that
-///   created it existed. Closed-loop makespans under this mode are
-///   achievable schedules, and every scheduled task satisfies
-///   `start_seconds >= submitted_at_seconds`.
+/// How a batch's release floor ([`SubmitOptions::release_seconds`]) binds
+/// its tasks. There is one rule: every task's ready time is clamped to the
+/// floor, so `start_seconds >= submitted_at_seconds` on every schedule row.
+/// The enum and [`ExecutorConfig::causality`] survive only because the
+/// frozen `benchmark/` harness spells
+/// `ExecutorConfig { causality: CausalityMode::Causal, .. }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CausalityMode {
-    /// Legacy placement: batch tasks may retro-fill slots that freed
-    /// before the batch's release floor (bitwise-identical to the pre-PR 5
-    /// engine).
-    RetroFill,
-    /// Causal placement: no task starts before its batch's release floor.
+    /// No task starts before its batch's release floor.
     Causal,
 }
 
-/// Per-batch submission options for [`ExecutorSession::submit_with`].
+/// Per-batch submission options for [`ExecutorSession::submit_owned`].
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct SubmitOptions {
     /// The simulated time the decision that created this batch was made —
     /// the batch's *release floor*. `None` uses the session clock at
-    /// submission (the latest completion seen so far), which reproduces
-    /// the plain [`ExecutorSession::submit`] baseline in both causality
-    /// modes. Under [`CausalityMode::Causal`] no task of the batch may
-    /// start before this floor; under [`CausalityMode::RetroFill`] the
-    /// floor is recorded on each [`ScheduledTask::submitted_at_seconds`]
-    /// and in the retro-fill audit counters, but placement ignores it.
+    /// submission (the latest completion seen so far; zero on a fresh
+    /// session). No task of the batch starts before this floor, and it is
+    /// recorded on each [`ScheduledTask::submitted_at_seconds`].
     pub release_seconds: Option<f64>,
 }
 
@@ -151,10 +122,8 @@ pub struct ExecutorConfig {
     /// re-pays its cold start, but per-model miss counts are still
     /// reported — unlike `warm_start: false`, which bypasses the pools).
     pub warm_pool_capacity: Option<usize>,
-    /// Whether batch release floors are enforced
-    /// ([`CausalityMode::Causal`]) or merely audited
-    /// ([`CausalityMode::RetroFill`], the legacy default — placement is
-    /// bitwise-identical to the pre-causality engine).
+    /// Always [`CausalityMode::Causal`] (see there for why the field
+    /// still exists).
     pub causality: CausalityMode,
     /// How candidate slots are ranked for each ready task
     /// ([`PlacementPolicy::EarliestSlot`], the legacy default, or the
@@ -170,7 +139,7 @@ impl Default for ExecutorConfig {
             prefetch: true,
             co_schedule_pairs: true,
             warm_pool_capacity: None,
-            causality: CausalityMode::RetroFill,
+            causality: CausalityMode::Causal,
             placement: PlacementPolicy::EarliestSlot,
         }
     }
@@ -236,8 +205,8 @@ pub struct ModelWarmStats {
     pub evictions: usize,
 }
 
-/// Outcome of one simulated campaign (or one [`ExecutorSession::submit`]
-/// batch — batch reports carry batch-local sums, with
+/// Outcome of one simulated campaign (or one drain of an
+/// [`ExecutorSession`] — drain reports carry batch-local sums, with
 /// [`makespan_seconds`](Self::makespan_seconds) as the absolute simulated
 /// time of the batch's last completion).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -248,9 +217,9 @@ pub struct CampaignReport {
     /// dependency cycle, or a dependency that was itself skipped.
     pub tasks_skipped: usize,
     /// Simulated time of the last completion (campaign wall-clock length
-    /// when the session started at time zero). For a later
-    /// [`ExecutorSession::submit`] batch this is the *absolute* session
-    /// time of the batch's last completion, not the batch's span.
+    /// when the session started at time zero). For a later batch this is
+    /// the *absolute* session time of the batch's last completion, not the
+    /// batch's span.
     pub makespan_seconds: f64,
     /// Completed tasks per second over the report's own span: first task
     /// start to last completion (zero to makespan for a whole campaign or
@@ -286,23 +255,15 @@ pub struct CampaignReport {
     pub critical_path_seconds: f64,
     /// Seconds tasks spent *ready but waiting for a slot*, summed over
     /// tasks: the slot-contention (not dependency-stall) share of latency.
-    /// A task's wait is measured from when it could first have existed —
-    /// the later of its dependencies' finish and its batch's submission
-    /// time (the session clock when [`submit`](ExecutorSession::submit)
-    /// was called) — so a later batch is never charged for the session
-    /// time that elapsed before it was submitted.
+    /// A task's wait is measured from when it could first have run — the
+    /// later of its dependencies' finish and its batch's release floor —
+    /// so a later batch is never charged for the session time that elapsed
+    /// before it was submitted.
     pub queue_wait_seconds: f64,
-    /// Tasks that started at a simulated time *before* their batch's
-    /// release floor ([`ScheduledTask::submitted_at_seconds`]) — the
-    /// causality violations [`CausalityMode::RetroFill`] permits. Always
-    /// zero under [`CausalityMode::Causal`].
-    pub retro_filled_tasks: usize,
     /// Seconds by which task readiness preceded the batch's release floor,
     /// summed over completed tasks (`max(0, floor − dependency-only ready
-    /// time)` per task). Under [`CausalityMode::Causal`] this is the delay
-    /// the floor *injected* to respect decision causality; under
-    /// [`CausalityMode::RetroFill`] it is the same quantity unenforced —
-    /// the magnitude of the retro-fill approximation.
+    /// time)` per task): the delay the floor injected so that no task runs
+    /// before the decision that created it.
     pub decision_lag_seconds: f64,
     /// Warm-pool hits: tasks that reused resident model weights for free.
     pub warm_hits: usize,
@@ -346,7 +307,6 @@ impl CampaignReport {
             split_pairs: 0,
             critical_path_seconds: 0.0,
             queue_wait_seconds: 0.0,
-            retro_filled_tasks: 0,
             decision_lag_seconds: 0.0,
             warm_hits: 0,
             warm_evictions: 0,
@@ -571,26 +531,18 @@ pub struct ScheduledTask {
     pub kind: SlotKind,
     /// Node the task ran on.
     pub node: usize,
-    /// Simulated time the task's dependencies were all satisfied — zero
-    /// for a dependency-free task, *regardless of when its batch was
-    /// submitted*. This is the raw release time, so for a later batch it
-    /// can precede both the batch's submission and the task's start;
-    /// [`CampaignReport::queue_wait_seconds`] floors its wait baseline at
-    /// the batch submission clock, so `start_seconds - ready_seconds`
-    /// deliberately does not reproduce that figure. Under
-    /// [`CausalityMode::Causal`] the release clamp is applied *before*
-    /// this field is recorded, so it is never below
-    /// [`submitted_at_seconds`](Self::submitted_at_seconds).
+    /// Simulated time the task entered the ready queue: the later of its
+    /// last dependency's finish and its batch's release floor, so never
+    /// below [`submitted_at_seconds`](Self::submitted_at_seconds).
+    /// `start_seconds - ready_seconds` is the task's slot wait, the
+    /// per-task term of [`CampaignReport::queue_wait_seconds`].
     pub ready_seconds: f64,
     /// The release floor the task's batch was submitted under — the
     /// simulated time of the decision that created it
     /// ([`SubmitOptions::release_seconds`], defaulting to the session
     /// clock at submission). Every schedule row carries it so a trace can
-    /// be audited for causality: under [`CausalityMode::Causal`] the
-    /// engine guarantees `start_seconds >= submitted_at_seconds`; under
-    /// [`CausalityMode::RetroFill`] rows violating that inequality are the
-    /// retro-filled tasks counted in
-    /// [`CampaignReport::retro_filled_tasks`].
+    /// be audited for causality: `start_seconds >= submitted_at_seconds`
+    /// on every row.
     pub submitted_at_seconds: f64,
     /// Simulated time the task started.
     pub start_seconds: f64,
@@ -630,8 +582,7 @@ struct Finished {
 #[derive(Debug, Clone, Copy)]
 struct PendingMeta {
     /// The batch's release floor (see [`SubmitOptions::release_seconds`]):
-    /// the queue-wait baseline in both modes, and the ready-time clamp
-    /// under [`CausalityMode::Causal`].
+    /// the lower bound on the task's ready time.
     floor: f64,
     /// Latest dependency finish seen so far — the task's *unclamped* ready
     /// time. The release-time clamp is applied on top of this when the
@@ -773,7 +724,7 @@ impl WorkflowExecutor {
 
     /// Open a resumable session on `cluster`: slots start free at simulated
     /// time zero and warm pools start empty. Feed it batches via
-    /// [`ExecutorSession::submit`]; slot availability, warm-pool residency,
+    /// [`ExecutorSession::submit_owned`]; slot availability, warm-pool residency,
     /// pair anchors, and completed-task finish times persist between
     /// batches, which is what lets a closed-loop controller interleave
     /// decisions with execution without barriering the cluster.
@@ -795,12 +746,13 @@ impl WorkflowExecutor {
     /// see the classic earliest-available-slot policy.
     pub fn run(&self, tasks: &[Task], cluster: &ClusterConfig, filesystem: &LustreModel) -> CampaignReport {
         let mut session = self.session(cluster);
-        session.submit(tasks, filesystem)
+        session.submit_owned(tasks.to_vec(), SubmitOptions::default());
+        session.advance_to_frontier(filesystem)
     }
 }
 
 /// A resumable executor run: the cluster's slots, warm pools, pair anchors,
-/// and clock, persisting across [`submit`](Self::submit) batches. Created by
+/// and clock, persisting across [`submit_owned`](Self::submit_owned) batches. Created by
 /// [`WorkflowExecutor::session`].
 #[derive(Debug, Clone)]
 pub struct ExecutorSession {
@@ -842,7 +794,7 @@ pub struct ExecutorSession {
     /// so [`retire_before`](Self::retire_before) can age entries out.
     skipped: HashMap<u64, f64>,
     /// The session-persistent pending set: tasks enqueued by
-    /// [`submit_with`](Self::submit_with) that
+    /// [`submit_owned`](Self::submit_owned) that
     /// [`advance_to_frontier`](Self::advance_to_frontier) has not yet
     /// drained. Cleared after every unbounded drain (the engine dispatches
     /// eagerly, so nothing lingers) and compacted down to the undispatched
@@ -865,9 +817,9 @@ pub struct ExecutorSession {
     /// Per-(node, kind) ordered index of slot availability: the dispatch
     /// loop's earliest-effective-slot query without the O(slots) scan.
     slot_index: SlotIndex,
-    /// Log-structured index of task finish times backing
-    /// [`tasks_in_flight_at`](Self::tasks_in_flight_at).
-    finish_index: FinishIndex,
+    /// Finish times no in-flight query or retirement has passed yet,
+    /// backing [`tasks_in_flight_at`](Self::tasks_in_flight_at).
+    in_flight: InFlightCounter,
     /// Latest task start so far — the *dispatch frontier*: the simulated
     /// time at which the engine last ran out of undispatched work, which
     /// is the natural event boundary for a closed loop to make its next
@@ -963,7 +915,7 @@ impl ExecutorSession {
             pending_by_id: HashMap::new(),
             ready: ReadyQueue::new(),
             slot_index,
-            finish_index: FinishIndex::new(),
+            in_flight: InFlightCounter::new(),
             frontier: 0.0,
             active_nodes: cluster.nodes,
             gpu_count,
@@ -992,7 +944,7 @@ impl ExecutorSession {
         self.frontier
     }
 
-    /// Tasks enqueued by [`submit_with`](Self::submit_with) but not yet
+    /// Tasks enqueued by [`submit_owned`](Self::submit_owned) but not yet
     /// drained by [`advance_to_frontier`](Self::advance_to_frontier) or
     /// [`advance_until`](Self::advance_until).
     pub fn pending_task_count(&self) -> usize {
@@ -1024,17 +976,15 @@ impl ExecutorSession {
     /// This is the session half of a controller's true backlog — work
     /// admitted but not yet done — alongside whatever upstream documents
     /// have not been windowed yet. Tasks merely enqueued (pending, not
-    /// yet drained) are not counted; call this after a drain. Backed by a
-    /// [`FinishIndex`] (O(log² schedule) per query), so a per-epoch caller
-    /// stays cheap even over a million-task campaign; the query time need
-    /// not be monotone across calls.
-    pub fn tasks_in_flight_at(&self, seconds: f64) -> usize {
-        debug_assert!(
-            self.retired_rows == 0 || seconds >= self.retire_watermark,
-            "tasks_in_flight_at({seconds}) below the retirement watermark {}",
-            self.retire_watermark
-        );
-        self.finish_index.count_after(seconds)
+    /// yet drained) are not counted; call this after a drain.
+    ///
+    /// Query times must be **non-decreasing** across calls and at or after
+    /// the retirement watermark (`debug_assert!`ed): the natural query
+    /// time is the dispatch frontier, which never rewinds. Each call pops
+    /// the finishes passed since the last one, so a per-epoch caller pays
+    /// O(Δ log in-flight) even over a million-task campaign.
+    pub fn tasks_in_flight_at(&mut self, seconds: f64) -> usize {
+        self.in_flight.count_after(seconds)
     }
 
     /// Every *retained* scheduled task, in schedule order (ready-queue pop
@@ -1106,7 +1056,7 @@ impl ExecutorSession {
     /// Drop session history that finished at or before `watermark_seconds`:
     /// schedule rows, completed-task records, skip records, fully-finished
     /// group anchors, cold-start load intervals (their exact peak is
-    /// carried forward), [`FinishIndex`] entries, and the cumulative GPU
+    /// carried forward), in-flight counter entries, and the cumulative GPU
     /// trace's span prefix (its busy accounting is carried forward
     /// bitwise). Idempotent; watermarks must be finite and non-negative,
     /// and a watermark at or below the current one is a no-op.
@@ -1168,7 +1118,7 @@ impl ExecutorSession {
         self.completed.retain(|_, done| done.finish_seconds > w);
         self.skipped.retain(|_, &mut at| at > w);
         self.group_nodes.retain(|_, anchor| anchor.last_finish > w);
-        self.finish_index.retire(w);
+        self.in_flight.retire(w);
         self.cumulative.gpu_trace.retire_before(w);
         self.retire_watermark = w;
     }
@@ -1212,7 +1162,6 @@ impl ExecutorSession {
             split_pairs: c.split_pairs,
             critical_path_seconds: c.critical_path_seconds,
             queue_wait_seconds: c.queue_wait_seconds,
-            retro_filled_tasks: c.retro_filled_tasks,
             decision_lag_seconds: c.decision_lag_seconds,
             warm_hits: c.warm_hits,
             warm_evictions: c.warm_evictions,
@@ -1278,73 +1227,44 @@ impl ExecutorSession {
         models
     }
 
-    /// Submit a batch of tasks and simulate until all of them (and nothing
-    /// else — there is nothing else pending between calls) have completed,
-    /// returning the batch-local report. The batch schedules against the
-    /// session's *persistent* state: slots already busy from earlier
-    /// batches delay it, earlier batches' warm models are still resident,
-    /// and new tasks may start earlier than a previous batch's last
-    /// completion whenever a slot is free — submitting window i+1 after
-    /// observing window i does not barrier the cluster.
-    ///
-    /// Dependency edges may point at tasks completed in earlier batches
-    /// (satisfied at their recorded finish time) or at ids this session has
-    /// never seen (vacuously satisfied at time zero). Tasks in a dependency
-    /// cycle, tasks whose slot kind has no slots, and dependents of skipped
-    /// tasks — whether the dependency was skipped in this batch or any
-    /// earlier one — are counted in
-    /// [`tasks_skipped`](CampaignReport::tasks_skipped).
-    pub fn submit(&mut self, tasks: &[Task], filesystem: &LustreModel) -> CampaignReport {
-        self.submit_with(tasks, SubmitOptions::default());
-        self.advance_to_frontier(filesystem)
-    }
-
     /// Enqueue a batch of tasks *without* running the engine: the batch
     /// joins the session's persistent pending set and ready queue, to be
-    /// dispatched by the next [`advance_to_frontier`](Self::advance_to_frontier).
+    /// dispatched by the next [`advance_to_frontier`](Self::advance_to_frontier)
+    /// or [`advance_until`](Self::advance_until) against the session's
+    /// *persistent* state — slots already busy from earlier batches delay
+    /// it, and earlier batches' warm models are still resident.
     /// Batches enqueued between drains interleave in global
     /// `(ready time, task id)` event order — a later batch's task released
     /// earlier is dispatched first — which is what lets a closed loop
     /// admit window *i+1* at an event boundary while window *i*'s
-    /// stragglers are still in flight. Dependency edges bind across every
-    /// batch sharing the drain, in either enqueue direction: a task naming
-    /// an id that only arrives in a *later* `submit_with` call waits for
-    /// it all the same (ids the session never sees by the time the drain
-    /// runs remain vacuously satisfied).
+    /// stragglers are still in flight.
+    ///
+    /// Dependency edges may point at tasks completed in earlier drains
+    /// (satisfied at their recorded finish time), at ids this session has
+    /// never seen (vacuously satisfied at time zero), or at any batch
+    /// sharing the drain, in either enqueue direction: a task naming an id
+    /// that only arrives in a *later* `submit_owned` call waits for it all
+    /// the same. Tasks in a dependency cycle, tasks whose slot kind has no
+    /// slots, and dependents of skipped tasks — whether the dependency was
+    /// skipped in this drain or any earlier one — are counted in
+    /// [`tasks_skipped`](CampaignReport::tasks_skipped).
     ///
     /// The batch carries a *release floor*
     /// ([`SubmitOptions::release_seconds`], defaulting to the session
-    /// clock): the simulated time of the decision that created it. It is
-    /// the queue-wait baseline in both causality modes, is recorded on
-    /// every [`ScheduledTask::submitted_at_seconds`], and under
-    /// [`CausalityMode::Causal`] clamps every task's ready time so nothing
-    /// starts before the decision existed.
+    /// clock): the simulated time of the decision that created it. Every
+    /// task's ready time is clamped to it, so nothing starts before the
+    /// decision existed, and it is recorded on every
+    /// [`ScheduledTask::submitted_at_seconds`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `options.release_seconds` is non-finite.
-    pub fn submit_with(&mut self, tasks: &[Task], options: SubmitOptions) {
-        self.enqueue_batch(tasks.iter().cloned(), options);
-    }
-
-    /// [`submit_with`](Self::submit_with), but taking the batch by value:
-    /// each task's label string and dependency list move straight into the
-    /// pending arena instead of being cloned. At million-task scale that
-    /// per-task clone is the dominant allocation cost of submission, so
-    /// hot-loop callers that build their batches fresh every epoch (the
-    /// closed-loop simulation does) should hand them over.
+    /// The batch is taken by value: each task's label string and
+    /// dependency list move straight into the pending arena. At
+    /// million-task scale a per-task clone is the dominant allocation cost
+    /// of submission, and callers build their batches fresh every epoch.
     ///
     /// # Panics
     ///
     /// Panics if `options.release_seconds` is non-finite.
     pub fn submit_owned(&mut self, tasks: Vec<Task>, options: SubmitOptions) {
-        self.enqueue_batch(tasks, options);
-    }
-
-    fn enqueue_batch<I>(&mut self, tasks: I, options: SubmitOptions)
-    where
-        I: IntoIterator<Item = Task>,
-    {
         // Default floor: a task in this batch cannot have existed before
         // the batch was submitted (= the session clock, the previous
         // drain's last completion) — zero for the session's first batch,
@@ -1359,12 +1279,10 @@ impl ExecutorSession {
         // --- Dependency graph over the session's pending set. Insert the
         // whole batch first so in-batch forward references resolve. ---
         let base = self.pending_tasks.len();
-        let tasks = tasks.into_iter();
-        let (lower, _) = tasks.size_hint();
-        self.pending_tasks.reserve(lower);
-        self.pending_meta.reserve(lower);
-        self.pending_dependents.reserve(lower);
-        self.pending_by_id.reserve(lower);
+        self.pending_tasks.reserve(tasks.len());
+        self.pending_meta.reserve(tasks.len());
+        self.pending_dependents.reserve(tasks.len());
+        self.pending_by_id.reserve(tasks.len());
         for task in tasks {
             let index = self.pending_tasks.len();
             self.pending_by_id.entry(task.id).or_default().push(index);
@@ -1430,15 +1348,10 @@ impl ExecutorSession {
     }
 
     /// A pending task's ready-queue release time: its latest dependency
-    /// finish, clamped to its batch's release floor under
-    /// [`CausalityMode::Causal`] (the floor is audit-only in
-    /// [`CausalityMode::RetroFill`]).
+    /// finish, clamped to its batch's release floor.
     fn release_time(&self, index: usize) -> f64 {
         let meta = &self.pending_meta[index];
-        match self.config.causality {
-            CausalityMode::RetroFill => meta.raw_ready,
-            CausalityMode::Causal => meta.raw_ready.max(meta.floor),
-        }
+        meta.raw_ready.max(meta.floor)
     }
 
     /// Mark `id` touched in the per-drain warm scratch, growing the
@@ -1476,7 +1389,7 @@ impl ExecutorSession {
     /// ([`frontier_seconds`](Self::frontier_seconds)) is the event
     /// boundary at which the engine ran out of undispatched work — the
     /// time a closed loop should stamp its next
-    /// [`submit_with`](Self::submit_with) decision with, while the tasks
+    /// [`submit_owned`](Self::submit_owned) decision with, while the tasks
     /// counted by [`tasks_in_flight_at`](Self::tasks_in_flight_at) are
     /// still running past it.
     ///
@@ -1532,7 +1445,6 @@ impl ExecutorSession {
         let advance_floor = self.clock.now_seconds();
         let mut report = CampaignReport::blank(self.gpu_count);
         let mut batch_trace = GpuTrace::new(self.gpu_count);
-        let causal = self.config.causality == CausalityMode::Causal;
 
         // In steady state every node stages data concurrently; that is the
         // contention level the shared filesystem sees.
@@ -1796,18 +1708,12 @@ impl ExecutorSession {
             };
             let end = start + busy;
             report.stage_in_seconds += stage_in;
-            report.queue_wait_seconds += (start - time.max(floor)).max(0.0);
-            // Causality accounting. `decision_lag_seconds` measures, in
-            // both modes, how far the task's dependency-only readiness
-            // preceded the decision that released it; `retro_filled_tasks`
-            // counts the starts RetroFill actually placed before that
-            // decision (impossible under Causal — the floor clamps the
-            // ready time, and start >= ready).
+            // `time` is already clamped to the floor, and `start >= time`.
+            report.queue_wait_seconds += start - time;
+            // How far the task's dependency-only readiness preceded the
+            // decision that released it.
             report.decision_lag_seconds += (floor - raw_ready).max(0.0);
-            if start < floor {
-                report.retro_filled_tasks += 1;
-            }
-            debug_assert!(!causal || start >= floor, "causal mode must never start a task before its floor");
+            debug_assert!(start >= floor, "no task may start before its release floor");
             match self.slots[slot_index].kind {
                 SlotKind::Cpu => report.cpu_busy_seconds += busy,
                 SlotKind::Gpu => {
@@ -1836,7 +1742,7 @@ impl ExecutorSession {
             let old_free = self.free_at[slot_index];
             self.free_at[slot_index] = end;
             self.slot_index.update(task.slot, node, old_free, end, slot_index);
-            self.finish_index.insert(end);
+            self.in_flight.insert(end);
             self.frontier = self.frontier.max(start);
             self.completed
                 .insert(task.id, Finished { finish_seconds: end, critical_path_seconds: critical_path });
@@ -1923,7 +1829,7 @@ impl ExecutorSession {
     /// Evict dispatched entries from the pending arenas after a bounded
     /// drain, compacting the live (undispatched) remainder in place so the
     /// arenas — and the forward-edge sweep each later
-    /// [`enqueue_batch`](Self::submit_with) runs over them — stay
+    /// [`submit_owned`](Self::submit_owned) runs over them — stay
     /// proportional to the live backlog instead of growing with everything
     /// a resident service ever admitted.
     ///
@@ -2011,7 +1917,6 @@ impl ExecutorSession {
         total.split_pairs += batch.split_pairs;
         total.critical_path_seconds = total.critical_path_seconds.max(batch.critical_path_seconds);
         total.queue_wait_seconds += batch.queue_wait_seconds;
-        total.retro_filled_tasks += batch.retro_filled_tasks;
         total.decision_lag_seconds += batch.decision_lag_seconds;
         total.warm_hits += batch.warm_hits;
         total.warm_evictions += batch.warm_evictions;
@@ -2033,6 +1938,17 @@ mod tests {
 
     fn cpu_tasks(n: usize, seconds: f64) -> Vec<Task> {
         (0..n).map(|i| Task::new(i as u64, SlotKind::Cpu, seconds).with_input_mb(1.0)).collect()
+    }
+
+    /// Enqueue one batch under `release_seconds` and drain it.
+    fn submit(
+        session: &mut ExecutorSession,
+        tasks: &[Task],
+        release_seconds: Option<f64>,
+        filesystem: &LustreModel,
+    ) -> CampaignReport {
+        session.submit_owned(tasks.to_vec(), SubmitOptions { release_seconds });
+        session.advance_to_frontier(filesystem)
     }
 
     fn gpu_tasks(n: usize, seconds: f64, cold: f64) -> Vec<Task> {
@@ -2226,7 +2142,7 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        let report = session.submit(&tasks, &LustreModel::default());
+        let report = submit(&mut session, &tasks, None, &LustreModel::default());
         assert_eq!(report.tasks_completed, 3);
         assert!((report.makespan_seconds - 9.0).abs() < 1e-12);
         assert_eq!(report.critical_path_seconds, report.makespan_seconds);
@@ -2253,7 +2169,7 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        let report = session.submit(&tasks, &LustreModel::default());
+        let report = submit(&mut session, &tasks, None, &LustreModel::default());
         assert_eq!(report.tasks_completed, 4);
         let join = session.schedule().iter().find(|s| s.id == 3).unwrap().clone();
         let slow = session.schedule().iter().find(|s| s.id == 1).unwrap().clone();
@@ -2302,30 +2218,38 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        let first = session.submit(&[Task::new(0, SlotKind::Gpu, 1.0)], &LustreModel::default());
+        let first = submit(&mut session, &[Task::new(0, SlotKind::Gpu, 1.0)], None, &LustreModel::default());
         assert_eq!(first.tasks_skipped, 1);
-        let second = session.submit(
+        let second = submit(
+            &mut session,
             &[
                 Task::new(1, SlotKind::Cpu, 1.0).with_dependency(0),
                 // Transitive: 2 depends on 1, which is poisoned.
                 Task::new(2, SlotKind::Cpu, 1.0).with_dependency(1),
                 Task::new(3, SlotKind::Cpu, 1.0),
             ],
+            None,
             &LustreModel::default(),
         );
         assert_eq!(second.tasks_completed, 1);
         assert_eq!(second.tasks_skipped, 2);
         // Cycle members are skip-poisonous across batches too.
         let mut cyclic = executor.session(&cluster);
-        cyclic.submit(
+        submit(
+            &mut cyclic,
             &[
                 Task::new(0, SlotKind::Cpu, 1.0).with_dependency(1),
                 Task::new(1, SlotKind::Cpu, 1.0).with_dependency(0),
             ],
+            None,
             &LustreModel::default(),
         );
-        let after =
-            cyclic.submit(&[Task::new(2, SlotKind::Cpu, 1.0).with_dependency(0)], &LustreModel::default());
+        let after = submit(
+            &mut cyclic,
+            &[Task::new(2, SlotKind::Cpu, 1.0).with_dependency(0)],
+            None,
+            &LustreModel::default(),
+        );
         assert_eq!(after.tasks_completed, 0);
         assert_eq!(after.tasks_skipped, 1);
     }
@@ -2336,10 +2260,12 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        let first = session.submit(&[Task::new(0, SlotKind::Cpu, 10.0)], &LustreModel::default());
+        let first = submit(&mut session, &[Task::new(0, SlotKind::Cpu, 10.0)], None, &LustreModel::default());
         assert!((first.throughput_per_second - 0.1).abs() < 1e-6);
-        let second = session.submit(
+        let second = submit(
+            &mut session,
             &[Task::new(1, SlotKind::Cpu, 2.5), Task::new(2, SlotKind::Cpu, 2.5)],
+            None,
             &LustreModel::default(),
         );
         // 2 tasks over the batch's own [10, 15] span, not over [0, 15].
@@ -2358,10 +2284,12 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        let first = session.submit(&[Task::new(0, SlotKind::Cpu, 10.0)], &LustreModel::default());
+        let first = submit(&mut session, &[Task::new(0, SlotKind::Cpu, 10.0)], None, &LustreModel::default());
         assert_eq!(first.queue_wait_seconds, 0.0);
-        let second = session.submit(
+        let second = submit(
+            &mut session,
             &[Task::new(1, SlotKind::Cpu, 2.5), Task::new(2, SlotKind::Cpu, 2.5)],
+            None,
             &LustreModel::default(),
         );
         assert!(
@@ -2369,16 +2297,23 @@ mod tests {
             "expected 2.5 s of sibling contention, got {}",
             second.queue_wait_seconds
         );
-        // A slot that frees *before* the next batch is submitted is used
-        // without any wait being charged: the task never queued for it.
+        // A slot that freed *before* the next batch was submitted is idle
+        // when the batch's floor (the session clock, t = 10) arrives: the
+        // task starts at its floor and is charged no wait.
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let mut session = executor.session(&cluster);
-        session.submit(
+        submit(
+            &mut session,
             &[Task::new(0, SlotKind::Cpu, 10.0), Task::new(1, SlotKind::Cpu, 2.0)],
+            None,
             &LustreModel::default(),
         );
-        let overlap = session.submit(&[Task::new(2, SlotKind::Cpu, 1.0)], &LustreModel::default());
-        assert_eq!(overlap.queue_wait_seconds, 0.0, "starts at t = 2 on the early-freed slot");
+        let overlap =
+            submit(&mut session, &[Task::new(2, SlotKind::Cpu, 1.0)], None, &LustreModel::default());
+        assert_eq!(overlap.queue_wait_seconds, 0.0, "starts at its floor on the early-freed slot");
+        let late = session.schedule().iter().find(|s| s.id == 2).unwrap();
+        assert_eq!((late.node, late.start_seconds), (0, 10.0));
+        assert_eq!(late.ready_seconds, late.submitted_at_seconds);
     }
 
     #[test]
@@ -2391,9 +2326,11 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        session.submit(&[Task::new(0, SlotKind::Cpu, 10.0)], &LustreModel::default());
-        let skipped = session.submit(
+        submit(&mut session, &[Task::new(0, SlotKind::Cpu, 10.0)], None, &LustreModel::default());
+        let skipped = submit(
+            &mut session,
             &[Task::new(1, SlotKind::Gpu, 1.0), Task::new(2, SlotKind::Gpu, 1.0)],
+            None,
             &LustreModel::default(),
         );
         assert_eq!(skipped.tasks_completed, 0);
@@ -2408,13 +2345,16 @@ mod tests {
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
         let mut session = executor.session(&cluster);
-        session.submit(&[Task::new(0, SlotKind::Cpu, 5.0)], &LustreModel::default());
-        let second = session.submit(
+        submit(&mut session, &[Task::new(0, SlotKind::Cpu, 5.0)], None, &LustreModel::default());
+        let second = submit(
+            &mut session,
             &[
                 Task::new(1, SlotKind::Cpu, 1.0).with_dependency(0),
                 // Unknown ids are vacuously satisfied.
                 Task::new(2, SlotKind::Cpu, 1.0).with_dependency(999),
             ],
+            // Released at campaign start: only the dependency holds task 1.
+            Some(0.0),
             &LustreModel::default(),
         );
         assert_eq!(second.tasks_completed, 2);
@@ -2432,9 +2372,11 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 0, gpu_slots_per_node: 2 };
         let fs = LustreModel::default();
         let mut session = executor.session(&cluster);
-        let first = session.submit(&gpu_tasks(4, 1.0, 10.0), &fs);
+        let first = submit(&mut session, &gpu_tasks(4, 1.0, 10.0), None, &fs);
         assert_eq!(first.cold_starts, 2, "both slots load concurrently");
-        let second = session.submit(&gpu_tasks(4, 1.0, 10.0), &fs);
+        // Both batches exist from campaign start (floor 0); only the
+        // submission is split.
+        let second = submit(&mut session, &gpu_tasks(4, 1.0, 10.0), Some(0.0), &fs);
         assert_eq!(second.cold_starts, 0, "the model is still resident across batches");
         assert_eq!(second.warm_hits, 4);
         // Cumulative report folds both batches.
@@ -2620,8 +2562,8 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        session.submit_with(&cpu_tasks(3, 1.0), SubmitOptions::default());
-        assert_eq!(session.pending_task_count(), 3, "submit_with must not run the engine");
+        session.submit_owned(cpu_tasks(3, 1.0), SubmitOptions::default());
+        assert_eq!(session.pending_task_count(), 3, "submit_owned must not run the engine");
         assert!(session.schedule().is_empty());
         let report = session.advance_to_frontier(&LustreModel::default());
         assert_eq!(report.tasks_completed, 3);
@@ -2641,8 +2583,8 @@ mod tests {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        session.submit_with(&[Task::new(5, SlotKind::Cpu, 1.0)], SubmitOptions::default());
-        session.submit_with(&[Task::new(2, SlotKind::Cpu, 1.0)], SubmitOptions::default());
+        session.submit_owned(vec![Task::new(5, SlotKind::Cpu, 1.0)], SubmitOptions::default());
+        session.submit_owned(vec![Task::new(2, SlotKind::Cpu, 1.0)], SubmitOptions::default());
         session.advance_to_frontier(&LustreModel::default());
         let order: Vec<u64> = session.schedule().iter().map(|s| s.id).collect();
         assert_eq!(order, vec![2, 5], "the (time, id) ready order must span batches");
@@ -2650,14 +2592,11 @@ mod tests {
         // in either enqueue direction.
         for dependent_first in [false, true] {
             let mut chained = executor.session(&cluster);
-            let producer = [Task::new(0, SlotKind::Cpu, 2.0)];
-            let consumer = [Task::new(1, SlotKind::Cpu, 1.0).with_dependency(0)];
-            if dependent_first {
-                chained.submit_with(&consumer, SubmitOptions::default());
-                chained.submit_with(&producer, SubmitOptions::default());
-            } else {
-                chained.submit_with(&producer, SubmitOptions::default());
-                chained.submit_with(&consumer, SubmitOptions::default());
+            let producer = vec![Task::new(0, SlotKind::Cpu, 2.0)];
+            let consumer = vec![Task::new(1, SlotKind::Cpu, 1.0).with_dependency(0)];
+            let batches = if dependent_first { [consumer, producer] } else { [producer, consumer] };
+            for batch in batches {
+                chained.submit_owned(batch, SubmitOptions::default());
             }
             let report = chained.advance_to_frontier(&LustreModel::default());
             assert_eq!(report.tasks_completed, 2);
@@ -2672,19 +2611,17 @@ mod tests {
     #[test]
     fn causal_mode_never_starts_a_task_before_its_release_floor() {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
-        let causal =
-            WorkflowExecutor::new(ExecutorConfig { causality: CausalityMode::Causal, ..Default::default() });
-        let mut session = causal.session(&cluster);
+        let mut session = WorkflowExecutor::new(ExecutorConfig::default()).session(&cluster);
         // Batch 1: one long task and one short — a slot frees at t = 1.
-        session.submit(
+        submit(
+            &mut session,
             &[Task::new(0, SlotKind::Cpu, 10.0), Task::new(1, SlotKind::Cpu, 1.0)],
+            None,
             &LustreModel::default(),
         );
         // Batch 2 released at t = 4: the idle slot may not run it earlier.
-        session
-            .submit_with(&[Task::new(2, SlotKind::Cpu, 1.0)], SubmitOptions { release_seconds: Some(4.0) });
-        let report = session.advance_to_frontier(&LustreModel::default());
-        assert_eq!(report.retro_filled_tasks, 0, "causal mode admits no retro-fill");
+        let report =
+            submit(&mut session, &[Task::new(2, SlotKind::Cpu, 1.0)], Some(4.0), &LustreModel::default());
         let late = session.schedule().iter().find(|s| s.id == 2).unwrap();
         assert_eq!(late.submitted_at_seconds, 4.0);
         assert!(late.start_seconds >= 4.0, "started at {} before its floor", late.start_seconds);
@@ -2697,63 +2634,14 @@ mod tests {
     }
 
     #[test]
-    fn retro_fill_mode_counts_the_causality_violations_it_permits() {
-        // Same shape as the causal test, via plain submit: batch 2 is
-        // submitted at the session clock (t = 10) but retro-fills the slot
-        // that freed at t = 1.
-        let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
-        let executor = WorkflowExecutor::new(ExecutorConfig::default());
-        let mut session = executor.session(&cluster);
-        session.submit(
-            &[Task::new(0, SlotKind::Cpu, 10.0), Task::new(1, SlotKind::Cpu, 1.0)],
-            &LustreModel::default(),
-        );
-        let second = session.submit(&[Task::new(2, SlotKind::Cpu, 1.0)], &LustreModel::default());
-        assert_eq!(second.retro_filled_tasks, 1, "the retro-fill must be audited");
-        assert_eq!(second.decision_lag_seconds, 10.0);
-        let late = session.schedule().iter().find(|s| s.id == 2).unwrap();
-        assert_eq!(late.submitted_at_seconds, 10.0);
-        assert!(late.start_seconds < late.submitted_at_seconds, "retro-fill starts before the floor");
-        assert_eq!(session.report().retro_filled_tasks, 1, "the session total folds batches");
-    }
-
-    #[test]
-    fn causal_makespan_dominates_retro_fill_on_a_split_submission() {
-        let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
-        let batches: [Vec<Task>; 2] = [
-            vec![Task::new(0, SlotKind::Cpu, 8.0), Task::new(1, SlotKind::Cpu, 1.0)],
-            vec![Task::new(2, SlotKind::Cpu, 2.0), Task::new(3, SlotKind::Cpu, 2.0)],
-        ];
-        let run = |causality| {
-            let executor = WorkflowExecutor::new(ExecutorConfig { causality, ..Default::default() });
-            let mut session = executor.session(&cluster);
-            for batch in &batches {
-                // Release each batch at the dispatch frontier, the way the
-                // closed loop does.
-                let floor = session.frontier_seconds();
-                session.submit_with(batch, SubmitOptions { release_seconds: Some(floor) });
-                session.advance_to_frontier(&LustreModel::default());
-            }
-            session.report()
-        };
-        let retro = run(CausalityMode::RetroFill);
-        let causal = run(CausalityMode::Causal);
-        assert!(
-            causal.makespan_seconds >= retro.makespan_seconds,
-            "respecting decision causality cannot beat retro-fill ({} vs {})",
-            causal.makespan_seconds,
-            retro.makespan_seconds
-        );
-        assert_eq!(causal.retro_filled_tasks, 0);
-    }
-
-    #[test]
     fn tasks_in_flight_counts_unfinished_work() {
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let executor = WorkflowExecutor::new(ExecutorConfig::default());
         let mut session = executor.session(&cluster);
-        session.submit(
+        submit(
+            &mut session,
             &[Task::new(0, SlotKind::Cpu, 10.0), Task::new(1, SlotKind::Cpu, 2.0)],
+            None,
             &LustreModel::default(),
         );
         assert_eq!(session.tasks_in_flight_at(1.0), 2);

@@ -23,8 +23,8 @@
 //!   co-scheduling, a per-stage timing breakdown, and resumable
 //!   [`ExecutorSession`]s whose slot, warm-pool, and pending-set state
 //!   persists across submit batches — with causal, event-interleaved batch
-//!   admission under release floors ([`CausalityMode`], [`SubmitOptions`];
-//!   the waveless closed loop builds on this),
+//!   admission under release floors ([`SubmitOptions`]; the waveless closed
+//!   loop builds on this),
 //! * [`profiler`] — per-GPU utilization traces (the Nsight view of Figure 4).
 //!
 //! # Example
@@ -60,5 +60,5 @@ pub use executor::{
 pub use intern::{ModelId, ModelInterner};
 pub use lustre::LustreModel;
 pub use profiler::GpuTrace;
-pub use slotindex::{FinishIndex, SlotIndex};
+pub use slotindex::{InFlightCounter, SlotIndex};
 pub use task::{ClusterConfig, GroupRole, SlotKind, Task, TaskGroup};

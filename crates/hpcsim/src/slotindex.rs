@@ -11,16 +11,16 @@
 //!
 //! [`SlotIndex`] keeps one ordered set of `(free_at, slot)` per (node, kind)
 //! so the per-node best slot is a `first()` lookup and the global winner is
-//! a comparison over at most one champion per node. [`FinishIndex`] keeps
-//! task finish times as log-structured sorted runs (a binary-counter merge
-//! on insert, amortized O(log n)), answering "how many finishes exceed t?"
-//! by binary search per run in O(log² n) — while still allowing the
-//! non-monotone query times that retro-fill mode produces.
+//! a comparison over at most one champion per node. [`InFlightCounter`]
+//! keeps the finish times no query has passed yet in a min-heap: the
+//! dispatch frontier never rewinds, so each query pops what finished since
+//! the last one and the answer is the heap's length.
 //!
 //! Both structures reproduce the scan results *bitwise* — the equivalence is
 //! pinned by proptests in `tests/hotpath_equivalence.rs`.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use crate::task::SlotKind;
 
@@ -156,133 +156,64 @@ impl SlotIndex {
     }
 }
 
-/// Log-structured index of task finish times, counting in-flight work at an
-/// arbitrary query time in O(log² n) without scanning the schedule.
+/// Monotone counter of dispatched-but-unfinished tasks: a min-heap of the
+/// finish times that no query or retirement has passed yet.
 ///
-/// Finish times arrive in schedule order (not sorted) and queries are not
-/// monotone — retro-fill mode observes epochs at wave makespans that can
-/// move backwards — so neither a sorted insert nor a pop-based heap works.
-/// Instead finishes accumulate as sorted runs merged binary-counter style:
-/// each insert starts a singleton run and merges equal-or-shorter ones,
-/// keeping O(log n) runs with amortized O(log n) insert cost.
+/// The dispatch frontier never rewinds, so the closed loop asks "how many
+/// tasks are still running at `t`?" at non-decreasing `t`, and retirement
+/// watermarks only move forward too. Both therefore do the same thing — pop
+/// every finish at or before the time — and the answer is what is left.
+/// Finishes may arrive in any order, including below the last query (they
+/// are popped by the next one). Memory is bounded by work in flight, not by
+/// session history.
 #[derive(Debug, Clone, Default)]
-pub struct FinishIndex {
-    /// Sorted runs of order-preserving finish bits, lengths strictly
-    /// decreasing (powers of two) from front to back.
-    runs: Vec<Vec<u64>>,
-    total: usize,
+pub struct InFlightCounter {
+    /// Order-preserving bits of the finishes not yet passed.
+    unfinished: BinaryHeap<Reverse<u64>>,
+    /// Latest query or retirement time so far — the floor of the next query.
+    horizon: f64,
 }
 
-impl FinishIndex {
-    /// An empty index.
+impl InFlightCounter {
+    /// An empty counter.
     pub fn new() -> Self {
-        FinishIndex::default()
-    }
-
-    /// Number of finish times recorded.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// Whether no finish times have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
+        InFlightCounter::default()
     }
 
     /// Record a task finishing at `finish_seconds`.
     pub fn insert(&mut self, finish_seconds: f64) {
-        let mut run = vec![order_bits(finish_seconds)];
-        while let Some(last) = self.runs.last() {
-            if last.len() > run.len() {
-                break;
-            }
-            let last = self.runs.pop().expect("checked non-empty");
-            run = merge_sorted(&last, &run);
-        }
-        self.runs.push(run);
-        self.total += 1;
+        self.unfinished.push(Reverse(order_bits(finish_seconds)));
     }
 
-    /// Drop every recorded finish at or before `watermark_seconds` and
-    /// re-pack the survivors into runs that restore the binary-counter
-    /// invariant (lengths strictly decreasing powers of two, front to
-    /// back), so subsequent [`insert`](Self::insert)s amortize exactly as
-    /// on a fresh index.
-    ///
-    /// Retiring is *query-transparent above the watermark*:
-    /// [`count_after`](Self::count_after) answers bitwise identically for
-    /// every `seconds >= watermark_seconds` — the dropped finishes are all
-    /// `<= watermark <= seconds` and were never counted by those queries.
-    /// Queries *below* the watermark undercount by exactly the retired
-    /// finishes that exceeded them; [`crate::ExecutorSession`] documents
-    /// the corresponding caller contract.
-    ///
-    /// Cost is O(retained · log n) — a k-way merge of the per-run
-    /// suffixes — which a steady-state caller pays on a bounded working
-    /// set, not on session history.
+    /// Forget every recorded finish at or before `watermark_seconds`.
+    /// Invisible to every later [`count_after`](Self::count_after), which
+    /// may only ask about times at or after the watermark and would have
+    /// popped the same finishes itself.
     pub fn retire(&mut self, watermark_seconds: f64) {
-        let bits = order_bits(watermark_seconds);
-        let mut retained: Vec<u64> = Vec::new();
-        for run in &self.runs {
-            let keep = &run[run.partition_point(|&b| b <= bits)..];
-            if !keep.is_empty() {
-                retained = if retained.is_empty() { keep.to_vec() } else { merge_sorted(&retained, keep) };
-            }
+        while self.unfinished.peek().is_some_and(|&Reverse(bits)| f64::from_bits(bits) <= watermark_seconds) {
+            self.unfinished.pop();
         }
-        self.total = retained.len();
-        self.runs.clear();
-        // Split the sorted survivors by the binary representation of their
-        // count: one run per set bit, largest first — the exact state a
-        // binary-counter insertion sequence of `total` elements leaves.
-        let mut offset = 0usize;
-        for shift in (0..usize::BITS).rev() {
-            let size = 1usize << shift;
-            if self.total & size != 0 {
-                self.runs.push(retained[offset..offset + size].to_vec());
-                offset += size;
-            }
-        }
+        self.horizon = self.horizon.max(watermark_seconds);
     }
 
     /// Number of recorded finishes strictly greater than `seconds`.
     ///
-    /// Matches `schedule.iter().filter(|s| s.finish_seconds > seconds)`
-    /// exactly, including for out-of-domain queries: a NaN query counts
-    /// nothing, a negative query counts everything.
-    pub fn count_after(&self, seconds: f64) -> usize {
+    /// Query times must be non-decreasing across calls and never below a
+    /// [`retire`](Self::retire) watermark; under that contract the answer
+    /// equals `finishes.iter().filter(|f| **f > seconds).count()` over
+    /// everything ever inserted. A NaN query counts nothing.
+    pub fn count_after(&mut self, seconds: f64) -> usize {
         if seconds.is_nan() {
             return 0;
         }
-        if seconds < 0.0 {
-            return self.total;
-        }
-        let bits = if seconds == 0.0 {
-            0
-        } else if seconds.is_infinite() {
-            f64::MAX.to_bits()
-        } else {
-            seconds.to_bits()
-        };
-        let not_after: usize = self.runs.iter().map(|run| run.partition_point(|&b| b <= bits)).sum();
-        self.total - not_after
+        debug_assert!(
+            seconds >= self.horizon,
+            "in-flight query at {seconds} rewinds below {} (queries and watermarks are monotone)",
+            self.horizon
+        );
+        self.retire(seconds);
+        self.unfinished.len()
     }
-}
-
-fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -333,91 +264,18 @@ mod tests {
     }
 
     #[test]
-    fn finish_index_matches_naive_count() {
-        // Deterministic LCG so the test needs no external RNG.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / ((1u64 << 31) as f64) * 50.0
-        };
-        let mut index = FinishIndex::new();
-        let mut naive: Vec<f64> = Vec::new();
-        for step in 0..500 {
-            let finish = next();
-            index.insert(finish);
-            naive.push(finish);
-            if step % 7 == 0 {
-                let t = next();
-                let expected = naive.iter().filter(|&&f| f > t).count();
-                assert_eq!(index.count_after(t), expected, "t = {t}");
-            }
-        }
-        assert_eq!(index.len(), 500);
-        assert_eq!(index.count_after(-1.0), 500);
-        assert_eq!(index.count_after(f64::NAN), 0);
-        assert_eq!(index.count_after(f64::INFINITY), 0);
-        assert_eq!(index.count_after(1e9), 0);
-    }
-
-    #[test]
-    fn finish_index_retire_restores_run_invariant_and_counts() {
-        // Deterministic LCG, as above.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / ((1u64 << 31) as f64) * 100.0
-        };
-        let mut index = FinishIndex::new();
-        let mut naive: Vec<f64> = Vec::new();
-        for _ in 0..300 {
-            let finish = next();
-            index.insert(finish);
-            naive.push(finish);
-        }
-        for watermark in [10.0, 25.0, 25.0, 60.0] {
-            index.retire(watermark);
-            naive.retain(|&f| f > watermark);
-            assert_eq!(index.len(), naive.len(), "w = {watermark}");
-            // Binary-counter invariant: strictly decreasing powers of two.
-            let lengths: Vec<usize> = index.runs.iter().map(Vec::len).collect();
-            for len in &lengths {
-                assert!(len.is_power_of_two(), "run length {len} after retire({watermark})");
-            }
-            for pair in lengths.windows(2) {
-                assert!(pair[0] > pair[1], "run lengths not strictly decreasing: {lengths:?}");
-            }
-            assert_eq!(lengths.iter().sum::<usize>(), index.len());
-            // Non-monotone queries straddling the watermark: above it the
-            // answers match the naive filter bitwise; inserts after a
-            // retire keep amortizing on the restored invariant.
-            for t in [watermark, watermark + 1.0, 95.0, watermark + 0.5, f64::INFINITY] {
-                let expected = naive.iter().filter(|&&f| f > t).count();
-                assert_eq!(index.count_after(t), expected, "t = {t} after retire({watermark})");
-            }
-            for _ in 0..17 {
-                let finish = next().max(watermark);
-                index.insert(finish);
-                naive.push(finish);
-            }
-        }
-        // Retiring everything empties the index; it remains usable.
-        index.retire(1e9);
-        assert!(index.is_empty());
-        assert_eq!(index.count_after(0.0), 0);
-        index.insert(3.0);
-        assert_eq!(index.count_after(2.0), 1);
-    }
-
-    #[test]
     fn finish_index_handles_zero_and_ties() {
-        let mut index = FinishIndex::new();
+        let mut counter = InFlightCounter::new();
         for f in [0.0, 0.0, 1.0, 1.0, 2.0] {
-            index.insert(f);
+            counter.insert(f);
         }
-        assert_eq!(index.count_after(-0.0), 3); // strict: the two zeros are excluded
-        assert_eq!(index.count_after(0.0), 3);
-        assert_eq!(index.count_after(1.0), 1);
-        assert_eq!(index.count_after(2.0), 0);
-        assert!(!index.is_empty());
+        assert_eq!(counter.count_after(f64::NAN), 0, "a NaN query counts nothing and pops nothing");
+        assert_eq!(counter.count_after(-0.0), 3); // strict: the two zeros are excluded
+        assert_eq!(counter.count_after(0.0), 3);
+        assert_eq!(counter.count_after(1.0), 1);
+        assert_eq!(counter.count_after(2.0), 0);
+        counter.insert(3.0);
+        assert_eq!(counter.count_after(2.0), 1, "a repeated query still sees later inserts");
+        assert_eq!(counter.count_after(f64::INFINITY), 0);
     }
 }

@@ -70,14 +70,13 @@ pub struct Task {
     pub group: Option<TaskGroup>,
     /// Ids of tasks that must *finish* before this task may start. The
     /// executor's ready queue releases a task only once every dependency has
-    /// completed (dependencies resolved in earlier
-    /// [`crate::ExecutorSession::submit`] batches count as satisfied at
-    /// their recorded finish time; dependencies on tasks enqueued into the
-    /// same drain — even by a different
-    /// [`crate::ExecutorSession::submit_with`] call — are real edges; ids
+    /// completed (dependencies resolved in earlier drains count as
+    /// satisfied at their recorded finish time; dependencies on tasks
+    /// enqueued into the same drain — even by a different
+    /// [`crate::ExecutorSession::submit_owned`] call — are real edges; ids
     /// never seen by the session are vacuously satisfied at time zero).
-    /// Under [`crate::CausalityMode::Causal`] the release is additionally
-    /// clamped to the batch's release floor. An empty list reproduces the
+    /// The release is additionally clamped to the batch's release floor
+    /// ([`crate::SubmitOptions::release_seconds`]). An empty list reproduces the
     /// order-free throughput model. Tasks caught in a dependency cycle — or
     /// depending on a task that was skipped — are skipped, never deadlocked.
     pub depends_on: Vec<u64>,

@@ -13,8 +13,8 @@
 //! counts and max-based fields must match exactly.)
 
 use hpcsim::{
-    CausalityMode, ClusterConfig, ExecutorConfig, ExecutorSession, LustreModel, SlotKind, SubmitOptions,
-    Task, WorkflowExecutor,
+    ClusterConfig, ExecutorConfig, ExecutorSession, LustreModel, SlotKind, SubmitOptions, Task,
+    WorkflowExecutor,
 };
 use proptest::prelude::*;
 
@@ -45,8 +45,8 @@ fn dag_with_ticks() -> impl Strategy<Value = (Vec<Task>, Vec<f64>)> {
         })
 }
 
-fn session(causality: CausalityMode, cluster: &ClusterConfig) -> ExecutorSession {
-    WorkflowExecutor::new(ExecutorConfig { causality, ..Default::default() }).session(cluster)
+fn session(cluster: &ClusterConfig) -> ExecutorSession {
+    WorkflowExecutor::new(ExecutorConfig::default()).session(cluster)
 }
 
 type Snapshot = (hpcsim::CampaignReport, Vec<hpcsim::ScheduledTask>, f64, f64);
@@ -59,21 +59,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn segmented_drain_is_schedule_transparent(
-        input in dag_with_ticks(),
-        causal in 0u8..2,
-    ) {
+    fn segmented_drain_is_schedule_transparent(input in dag_with_ticks()) {
         let (tasks, ticks) = input;
-        let causality = if causal == 1 { CausalityMode::Causal } else { CausalityMode::RetroFill };
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();
 
-        let mut whole = session(causality, &cluster);
-        whole.submit_with(&tasks, SubmitOptions { release_seconds: Some(0.0) });
+        let mut whole = session(&cluster);
+        whole.submit_owned(tasks.clone(), SubmitOptions { release_seconds: Some(0.0) });
         whole.advance_to_frontier(&fs);
 
-        let mut sliced = session(causality, &cluster);
-        sliced.submit_with(&tasks, SubmitOptions { release_seconds: Some(0.0) });
+        let mut sliced = session(&cluster);
+        sliced.submit_owned(tasks, SubmitOptions { release_seconds: Some(0.0) });
         let mut bound = 0.0;
         let mut dispatched_so_far = 0;
         for tick in ticks {
@@ -100,7 +96,6 @@ proptest! {
         let (a, b) = (whole.report(), sliced.report());
         prop_assert_eq!(a.tasks_completed, b.tasks_completed);
         prop_assert_eq!(a.tasks_skipped, b.tasks_skipped);
-        prop_assert_eq!(a.retro_filled_tasks, b.retro_filled_tasks);
         prop_assert_eq!(a.makespan_seconds, b.makespan_seconds);
         prop_assert_eq!(a.critical_path_seconds, b.critical_path_seconds);
         for (x, y, what) in [
@@ -123,8 +118,8 @@ proptest! {
         }
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();
-        let mut s = session(CausalityMode::Causal, &cluster);
-        s.submit_with(&tasks, SubmitOptions { release_seconds: Some(10.0) });
+        let mut s = session(&cluster);
+        s.submit_owned(tasks.clone(), SubmitOptions { release_seconds: Some(10.0) });
         let early = s.advance_until(9.9, &fs);
         prop_assert_eq!(early.tasks_completed, 0);
         prop_assert_eq!(s.pending_task_count(), tasks.len());
@@ -147,18 +142,18 @@ proptest! {
         let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();
         let run = || {
-            let mut s = session(CausalityMode::Causal, &cluster);
+            let mut s = session(&cluster);
             let mut bound = 0.0;
             let mut windows = tasks.chunks(1 + tasks.len() / ticks.len().max(1));
             for tick in &ticks {
                 bound += tick;
                 s.advance_until(bound, &fs);
                 if let Some(window) = windows.next() {
-                    s.submit_with(window, SubmitOptions { release_seconds: Some(bound) });
+                    s.submit_owned(window.to_vec(), SubmitOptions { release_seconds: Some(bound) });
                 }
             }
             for window in windows {
-                s.submit_with(window, SubmitOptions { release_seconds: Some(bound) });
+                s.submit_owned(window.to_vec(), SubmitOptions { release_seconds: Some(bound) });
             }
             s.advance_to_frontier(&fs);
             snapshot(&s)
@@ -181,10 +176,10 @@ proptest! {
         }
         let cluster = ClusterConfig { nodes: 4, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();
-        let mut s = session(CausalityMode::Causal, &cluster);
+        let mut s = session(&cluster);
         s.set_active_nodes(cap);
         prop_assert_eq!(s.active_nodes(), cap);
-        s.submit_with(&tasks, SubmitOptions { release_seconds: Some(0.0) });
+        s.submit_owned(tasks, SubmitOptions { release_seconds: Some(0.0) });
         s.advance_to_frontier(&fs);
         for row in s.schedule() {
             prop_assert!(row.node < cap, "task {} placed on drained node {}", row.id, row.node);
@@ -196,12 +191,10 @@ proptest! {
 fn shrinking_the_fleet_never_preempts_running_tasks() {
     let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
     let fs = LustreModel::default();
-    let mut s =
-        WorkflowExecutor::new(ExecutorConfig { causality: CausalityMode::Causal, ..Default::default() })
-            .session(&cluster);
+    let mut s = session(&cluster);
     // Two long tasks saturate both single-slot nodes.
-    s.submit_with(
-        &[Task::new(0, SlotKind::Cpu, 100.0), Task::new(1, SlotKind::Cpu, 100.0)],
+    s.submit_owned(
+        vec![Task::new(0, SlotKind::Cpu, 100.0), Task::new(1, SlotKind::Cpu, 100.0)],
         SubmitOptions { release_seconds: Some(0.0) },
     );
     s.advance_until(0.0, &fs);
@@ -212,8 +205,8 @@ fn shrinking_the_fleet_never_preempts_running_tasks() {
     // finish stands), but all new work lands on node 0 — even though
     // node 1's slot frees at the same time as node 0's.
     s.set_active_nodes(1);
-    s.submit_with(
-        &[Task::new(2, SlotKind::Cpu, 1.0), Task::new(3, SlotKind::Cpu, 1.0)],
+    s.submit_owned(
+        vec![Task::new(2, SlotKind::Cpu, 1.0), Task::new(3, SlotKind::Cpu, 1.0)],
         SubmitOptions { release_seconds: Some(50.0) },
     );
     s.advance_to_frontier(&fs);
@@ -224,7 +217,7 @@ fn shrinking_the_fleet_never_preempts_running_tasks() {
     assert!(long_tasks.iter().all(|row| (row.finish_seconds - 100.0).abs() < 1e-9));
     // Growing back re-enables node 1 immediately.
     s.set_active_nodes(2);
-    s.submit_with(&[Task::new(4, SlotKind::Cpu, 1.0)], SubmitOptions { release_seconds: None });
+    s.submit_owned(vec![Task::new(4, SlotKind::Cpu, 1.0)], SubmitOptions { release_seconds: None });
     s.advance_to_frontier(&fs);
     let last = s.schedule().last().unwrap();
     assert_eq!(last.id, 4);
@@ -236,17 +229,18 @@ fn pending_arena_compacts_between_bounded_drains() {
     // dispatched entries: the arena stays proportional to the backlog.
     let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
     let fs = LustreModel::default();
-    let mut s =
-        WorkflowExecutor::new(ExecutorConfig { causality: CausalityMode::Causal, ..Default::default() })
-            .session(&cluster);
+    let mut s = session(&cluster);
     let mut next_id = 0u64;
     for epoch in 0..200 {
         let t = epoch as f64;
         // One task due now, one due far in the future (the straggler pool).
-        s.submit_with(&[Task::new(next_id, SlotKind::Cpu, 0.1)], SubmitOptions { release_seconds: Some(t) });
+        s.submit_owned(
+            vec![Task::new(next_id, SlotKind::Cpu, 0.1)],
+            SubmitOptions { release_seconds: Some(t) },
+        );
         next_id += 1;
-        s.submit_with(
-            &[Task::new(next_id, SlotKind::Cpu, 0.1)],
+        s.submit_owned(
+            vec![Task::new(next_id, SlotKind::Cpu, 0.1)],
             SubmitOptions { release_seconds: Some(1_000.0 + t) },
         );
         next_id += 1;

@@ -4,19 +4,13 @@
 //! `ExecutorSession` the way the closed loop feeds it: each window is
 //! released at the session's dispatch frontier. The properties:
 //!
-//! * under `CausalityMode::Causal` **no task ever starts before its
-//!   window's release floor** (the decision that created it), across
-//!   random DAG shapes and window sizes;
-//! * under `CausalityMode::RetroFill` the same floors are audited, not
-//!   enforced: `retro_filled_tasks` counts exactly the schedule rows with
-//!   `start < submitted_at`;
-//! * `causal makespan ≥ retro-fill makespan` on identical windowed input —
-//!   respecting the arrow of decision time can only cost time;
+//! * **no task ever starts before its window's release floor** (the
+//!   decision that created it), across random DAG shapes and window sizes;
 //! * windowed causal admission replays bitwise, and batches enqueued into
 //!   one drain interleave independently of enqueue order.
 
 use hpcsim::{
-    CampaignReport, CausalityMode, ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task,
+    CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task,
     WorkflowExecutor,
 };
 use proptest::prelude::*;
@@ -52,16 +46,15 @@ fn windowed_dag() -> impl Strategy<Value = (Vec<Task>, usize)> {
 /// the dispatch frontier — the closed loop's admission pattern. Dependency
 /// edges pointing at earlier windows resolve through the completion map.
 fn run_windowed(
-    causality: CausalityMode,
     tasks: &[Task],
     window: usize,
     cluster: &ClusterConfig,
 ) -> (CampaignReport, Vec<hpcsim::ScheduledTask>) {
-    let executor = WorkflowExecutor::new(ExecutorConfig { causality, ..Default::default() });
+    let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(cluster);
     for batch in tasks.chunks(window) {
         let floor = session.frontier_seconds();
-        session.submit_with(batch, SubmitOptions { release_seconds: Some(floor) });
+        session.submit_owned(batch.to_vec(), SubmitOptions { release_seconds: Some(floor) });
         session.advance_to_frontier(&LustreModel::default());
     }
     (session.report(), session.schedule().to_vec())
@@ -74,9 +67,8 @@ proptest! {
     fn causal_mode_never_starts_a_task_before_its_release_floor(input in windowed_dag()) {
         let (tasks, window) = input;
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
-        let (report, schedule) = run_windowed(CausalityMode::Causal, &tasks, window, &cluster);
+        let (report, schedule) = run_windowed(&tasks, window, &cluster);
         prop_assert_eq!(report.tasks_completed, tasks.len());
-        prop_assert_eq!(report.retro_filled_tasks, 0);
         for row in &schedule {
             prop_assert!(
                 row.start_seconds >= row.submitted_at_seconds,
@@ -95,54 +87,11 @@ proptest! {
     }
 
     #[test]
-    fn retro_fill_audit_matches_the_schedule(input in windowed_dag()) {
-        let (tasks, window) = input;
-        let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
-        let (report, schedule) = run_windowed(CausalityMode::RetroFill, &tasks, window, &cluster);
-        prop_assert_eq!(report.tasks_completed, tasks.len());
-        let violations =
-            schedule.iter().filter(|row| row.start_seconds < row.submitted_at_seconds).count();
-        prop_assert_eq!(
-            report.retro_filled_tasks,
-            violations,
-            "retro_filled_tasks must count exactly the rows violating their floor"
-        );
-    }
-
-    #[test]
-    fn causal_makespan_dominates_retro_fill_without_edges(input in windowed_dag()) {
-        // Makespan domination is a *theorem* only for dependency-free
-        // windows: both modes then dispatch each window in the same
-        // (id) order and the floor can only raise ready times, so the
-        // slot-availability profile dominates pointwise by exchange.
-        // With precedence edges, greedy list scheduling admits the
-        // classic anomaly where delaying a release *shortens* the
-        // schedule, so the DAG-shaped ordering is asserted empirically on
-        // the pipeline workloads (`adaparse/tests/causal_loop.rs` and the
-        // `streaming_scaling` ablation), not universally here.
-        let (mut tasks, window) = input;
-        for task in &mut tasks {
-            task.depends_on.clear();
-        }
-        let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
-        let (causal, _) = run_windowed(CausalityMode::Causal, &tasks, window, &cluster);
-        let (retro, _) = run_windowed(CausalityMode::RetroFill, &tasks, window, &cluster);
-        prop_assert!(
-            causal.makespan_seconds >= retro.makespan_seconds - 1e-9,
-            "respecting decision causality cannot beat retro-fill ({} vs {})",
-            causal.makespan_seconds,
-            retro.makespan_seconds
-        );
-        // Both modes run the same work; only placement timing may differ.
-        prop_assert_eq!(causal.tasks_completed, retro.tasks_completed);
-    }
-
-    #[test]
     fn windowed_causal_admission_replays_bitwise(input in windowed_dag()) {
         let (tasks, window) = input;
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
-        let a = run_windowed(CausalityMode::Causal, &tasks, window, &cluster);
-        let b = run_windowed(CausalityMode::Causal, &tasks, window, &cluster);
+        let a = run_windowed(&tasks, window, &cluster);
+        let b = run_windowed(&tasks, window, &cluster);
         prop_assert_eq!(a, b);
     }
 
@@ -156,16 +105,12 @@ proptest! {
         let (tasks, window) = input;
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 3, gpu_slots_per_node: 0 };
         let run = |reverse: bool| {
-            let executor = WorkflowExecutor::new(ExecutorConfig {
-                causality: CausalityMode::Causal,
-                ..Default::default()
-            });
-            let mut session = executor.session(&cluster);
+            let mut session = WorkflowExecutor::new(ExecutorConfig::default()).session(&cluster);
             let batches: Vec<&[Task]> = tasks.chunks(window).collect();
             let ordered: Vec<&[Task]> =
                 if reverse { batches.iter().rev().copied().collect() } else { batches };
             for batch in ordered {
-                session.submit_with(batch, SubmitOptions { release_seconds: Some(0.0) });
+                session.submit_owned(batch.to_vec(), SubmitOptions { release_seconds: Some(0.0) });
             }
             let report = session.advance_to_frontier(&LustreModel::default());
             (report, session.schedule().to_vec())

@@ -4,7 +4,7 @@
 //! orders — and, with enough slots that no task ever queues, bitwise
 //! identical makespans across slot counts (equal to the critical path).
 
-use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, Task, WorkflowExecutor};
+use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task, WorkflowExecutor};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -41,7 +41,8 @@ fn schedule_by_id(
 ) -> (hpcsim::CampaignReport, HashMap<u64, (f64, f64)>) {
     let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(cluster);
-    let report = session.submit(tasks, &LustreModel::default());
+    session.submit_owned(tasks.to_vec(), SubmitOptions::default());
+    let report = session.advance_to_frontier(&LustreModel::default());
     let times = session.schedule().iter().map(|s| (s.id, (s.start_seconds, s.finish_seconds))).collect();
     (report, times)
 }

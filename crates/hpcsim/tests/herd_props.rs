@@ -17,7 +17,7 @@
 //! * **Legacy default**: zero channels (the default) pays no herd wait.
 
 use hpcsim::{
-    CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, ScheduledTask, SlotKind, Task,
+    CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, ScheduledTask, SlotKind, SubmitOptions, Task,
     WorkflowExecutor,
 };
 use proptest::prelude::*;
@@ -62,7 +62,8 @@ fn run(
     let fs = LustreModel { model_load_channels: channels, ..Default::default() };
     let executor = WorkflowExecutor::new(ExecutorConfig { warm_start, ..Default::default() });
     let mut session = executor.session(cluster);
-    let report = session.submit(tasks, &fs);
+    session.submit_owned(tasks.to_vec(), SubmitOptions::default());
+    let report = session.advance_to_frontier(&fs);
     (report, session.schedule().to_vec())
 }
 

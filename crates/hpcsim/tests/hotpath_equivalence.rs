@@ -3,19 +3,20 @@
 //!
 //! The executor used to pick slots by scanning every slot of a kind and to
 //! count in-flight work by scanning the whole schedule. [`SlotIndex`] and
-//! [`FinishIndex`] replace those scans with sub-linear structures, and these
-//! properties re-run the original scan side by side on random workloads:
+//! [`InFlightCounter`] replace those scans with sub-linear structures, and
+//! these properties re-run the original scan side by side on random
+//! workloads:
 //!
 //! * `SlotIndex::best_slot` returns exactly the slot the ascending-order,
 //!   keep-first-on-tie linear scan picks, across random ready times,
 //!   penalties, and believed nodes — including the oblivious
 //!   (`believed = None`, zero-penalty) regime the old per-kind heap fast
 //!   path handled;
-//! * `FinishIndex::count_after` equals the naive strict-greater count over
-//!   the inserted finish times, under non-monotone query times (the
-//!   retro-fill observation pattern).
+//! * `InFlightCounter::count_after` equals the naive strict-greater count
+//!   over every finish ever inserted, under non-decreasing query times
+//!   interleaved with inserts in arbitrary order and with retirement.
 
-use hpcsim::{FinishIndex, SlotIndex, SlotKind};
+use hpcsim::{InFlightCounter, SlotIndex, SlotKind};
 use proptest::prelude::*;
 
 /// The executor's original earliest-effective-slot policy: scan all slots
@@ -80,19 +81,32 @@ proptest! {
     }
 
     #[test]
-    fn finish_index_matches_schedule_scan(
-        ops in prop::collection::vec((0.0f64..100.0, 0.0f64..120.0), 1..200),
+    fn in_flight_counter_matches_naive_count(
+        ops in prop::collection::vec((0.0f64..100.0, 0.0f64..4.0, 0u8..4), 1..200),
     ) {
-        let mut index = FinishIndex::new();
+        let mut counter = InFlightCounter::new();
         let mut finishes: Vec<f64> = Vec::new();
-        for (finish, query) in ops {
-            index.insert(finish);
+        let mut query = 0.0f64;
+        let mut watermark = 0.0f64;
+        for (finish, step, action) in ops {
+            // Finishes land anywhere in [0, 100): above the query horizon,
+            // at it, or below it (already-finished work is never counted).
+            counter.insert(finish);
             finishes.push(finish);
-            // Queries interleave with inserts and are not monotone — the
-            // retro-fill observation pattern the index must support.
-            let expected = finishes.iter().filter(|&&f| f > query).count();
-            prop_assert_eq!(index.count_after(query), expected, "query={}", query);
+            match action {
+                // Retire at a non-decreasing watermark at or below the
+                // query horizon: invisible to every later answer.
+                0 => {
+                    watermark = (watermark + step).min(query);
+                    counter.retire(watermark);
+                }
+                // Ask again at the same time: later inserts still count.
+                1 => {}
+                _ => query += step,
+            }
+            let expected = finishes.iter().filter(|f| **f > query).count();
+            prop_assert_eq!(counter.count_after(query), expected, "query={}", query);
         }
-        prop_assert_eq!(index.len(), finishes.len());
+        prop_assert_eq!(counter.count_after(f64::INFINITY), 0);
     }
 }

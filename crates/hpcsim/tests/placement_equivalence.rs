@@ -17,8 +17,8 @@
 //!   [`WarmPool::would_hit`] never perturbs LRU order or eviction counts.
 
 use hpcsim::{
-    CausalityMode, ClusterConfig, ExecutorConfig, LustreModel, ModelInterner, PlacementPolicy, ScheduledTask,
-    SlotKind, SubmitOptions, Task, WarmAccess, WarmPool, WorkflowExecutor,
+    ClusterConfig, ExecutorConfig, LustreModel, ModelInterner, PlacementPolicy, ScheduledTask, SlotKind,
+    SubmitOptions, Task, WarmAccess, WarmPool, WorkflowExecutor,
 };
 use proptest::prelude::*;
 
@@ -73,7 +73,7 @@ fn run_windowed(
     let mut session = executor.session(cluster);
     for batch in tasks.chunks(window) {
         let floor = session.frontier_seconds();
-        session.submit_with(batch, SubmitOptions { release_seconds: Some(floor) });
+        session.submit_owned(batch.to_vec(), SubmitOptions { release_seconds: Some(floor) });
         session.advance_to_frontier(&LustreModel::default());
     }
     (session.report(), session.schedule().to_vec())
@@ -323,7 +323,8 @@ fn earliest_slot_matches_the_pinned_legacy_fingerprint() {
     let cluster = ClusterConfig { nodes: 4, cpu_slots_per_node: 4, gpu_slots_per_node: 2 };
     let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(&cluster);
-    let report = session.submit(&tasks, &LustreModel::default());
+    session.submit_owned(tasks.clone(), SubmitOptions::default());
+    let report = session.advance_to_frontier(&LustreModel::default());
     assert_eq!(report.tasks_completed, tasks.len());
     assert_eq!(report.herd_queue_seconds, 0.0, "no load channels are configured");
     let fingerprint = schedule_fingerprint(session.schedule(), report.makespan_seconds);
@@ -338,8 +339,7 @@ fn earliest_slot_matches_the_pinned_legacy_fingerprint() {
 fn windowed_causal_earliest_slot_matches_the_pinned_fingerprint() {
     let tasks = frozen_workload();
     let cluster = ClusterConfig { nodes: 4, cpu_slots_per_node: 4, gpu_slots_per_node: 2 };
-    let config = ExecutorConfig { causality: CausalityMode::Causal, ..Default::default() };
-    let (report, schedule) = run_windowed(config, &tasks, 16, &cluster);
+    let (report, schedule) = run_windowed(ExecutorConfig::default(), &tasks, 16, &cluster);
     assert_eq!(report.tasks_completed, tasks.len());
     let fingerprint = schedule_fingerprint(&schedule, report.makespan_seconds);
     assert_eq!(

@@ -19,8 +19,8 @@
 //! in-flight queries never look behind it.
 
 use hpcsim::{
-    CampaignReport, CausalityMode, ClusterConfig, ExecutorConfig, GroupRole, LustreModel, PlacementPolicy,
-    ScheduledTask, SlotKind, SubmitOptions, Task, WorkflowExecutor,
+    CampaignReport, ClusterConfig, ExecutorConfig, GroupRole, LustreModel, PlacementPolicy, ScheduledTask,
+    SlotKind, SubmitOptions, Task, WorkflowExecutor,
 };
 use proptest::prelude::*;
 
@@ -103,7 +103,6 @@ fn run_epochs(windows: &[Vec<Task>], cost_aware: bool, channels: usize, retire: 
     let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 2, gpu_slots_per_node: 1 };
     let filesystem = LustreModel { model_load_channels: channels, ..LustreModel::default() };
     let executor = WorkflowExecutor::new(ExecutorConfig {
-        causality: CausalityMode::Causal,
         placement: if cost_aware { PlacementPolicy::CostAware } else { PlacementPolicy::EarliestSlot },
         warm_pool_capacity: Some(2),
         ..ExecutorConfig::default()
@@ -118,7 +117,7 @@ fn run_epochs(windows: &[Vec<Task>], cost_aware: bool, channels: usize, retire: 
         assert!(epoch < 10_000, "runaway epoch loop");
         let floor = epoch as f64 * EPOCH;
         if let Some(batch) = windows.get(epoch) {
-            session.submit_with(batch, SubmitOptions { release_seconds: Some(floor) });
+            session.submit_owned(batch.clone(), SubmitOptions { release_seconds: Some(floor) });
         }
         let boundary = floor + EPOCH;
         session.advance_until(boundary, &filesystem);
@@ -184,14 +183,13 @@ proptest! {
         let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 2, gpu_slots_per_node: 1 };
         let filesystem = LustreModel { model_load_channels: channels, ..LustreModel::default() };
         let executor = WorkflowExecutor::new(ExecutorConfig {
-            causality: CausalityMode::Causal,
             placement: if cost_aware { PlacementPolicy::CostAware } else { PlacementPolicy::EarliestSlot },
             warm_pool_capacity: Some(2),
             ..ExecutorConfig::default()
         });
         let mut session = executor.session(&cluster);
         for (epoch, batch) in windows.iter().enumerate() {
-            session.submit_with(batch, SubmitOptions { release_seconds: Some(epoch as f64 * EPOCH) });
+            session.submit_owned(batch.clone(), SubmitOptions { release_seconds: Some(epoch as f64 * EPOCH) });
             session.advance_until((epoch + 1) as f64 * EPOCH, &filesystem);
         }
         session.advance_to_frontier(&filesystem);
@@ -213,10 +211,7 @@ proptest! {
 fn schedule_since_tracks_the_global_row_stream_across_retirement() {
     let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
     let filesystem = LustreModel::default();
-    let executor = WorkflowExecutor::new(ExecutorConfig {
-        causality: CausalityMode::Causal,
-        ..ExecutorConfig::default()
-    });
+    let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(&cluster);
     let mut cursor = 0usize;
     let mut seen: Vec<u64> = Vec::new();
@@ -224,7 +219,7 @@ fn schedule_since_tracks_the_global_row_stream_across_retirement() {
         let tasks: Vec<Task> =
             (0..3).map(|i| Task::new(epoch * 3 + i, SlotKind::Cpu, 1.0).with_input_mb(1.0)).collect();
         let floor = epoch as f64 * EPOCH;
-        session.submit_with(&tasks, SubmitOptions { release_seconds: Some(floor) });
+        session.submit_owned(tasks, SubmitOptions { release_seconds: Some(floor) });
         session.advance_until(floor + EPOCH, &filesystem);
         seen.extend(session.schedule_since(cursor).iter().map(|row| row.id));
         cursor = session.schedule_len();
