@@ -3,9 +3,10 @@
 //! This module is the execution spine of the reproduction. A campaign runs
 //! window by window through four explicit stages:
 //!
-//! 1. [`ExtractStage`] — serialize each document to SPDF, decode it, and run
-//!    the cheap default parser over the first page to produce the
-//!    [`RoutingInput`] the router consumes (no ground truth involved).
+//! 1. [`ExtractStage`] — serialize each document to SPDF, open it as a
+//!    validated [`SpdfIndex`] and run the cheap default parser over page 0
+//!    alone to produce the [`RoutingInput`] the router consumes (no ground
+//!    truth involved; later pages are checked but never decoded).
 //! 2. [`RouteStage`] — score every document's expected improvement under the
 //!    high-quality parser (CLS I → II/III); the window's scores then go
 //!    through the streaming [`WindowedSelector`], which spends the α budget
@@ -41,10 +42,10 @@
 //! executes for real.
 
 use docmodel::document::Document;
-use docmodel::spdf::{write_document, SpdfFile};
+use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
 use parsersim::cost::{CostModel, ResourceCost};
 use parsersim::registry::ParserPool;
-use parsersim::ParserKind;
+use parsersim::{ParseError, ParserKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -225,18 +226,19 @@ pub struct RoutingInput {
 
 /// Stage 1 output for one document.
 ///
-/// The decoded SPDF container is *not* retained: each stage re-derives it
-/// from the document (the stand-in for re-reading the PDF from storage), so
-/// campaign memory stays bounded by the input corpus plus one wave of
-/// output.
+/// Neither the serialized container nor anything decoded from it is
+/// retained: each stage re-derives the bytes from the document (the stand-in
+/// for re-reading the PDF from storage), so campaign memory stays bounded by
+/// the input corpus plus one wave of output.
 pub struct Extracted {
     /// Router inputs.
     pub input: RoutingInput,
-    /// Whether the first-page extraction failed (empty text was substituted).
+    /// Whether the container was corrupt or the first-page extraction failed
+    /// (empty text was substituted).
     pub failed: bool,
 }
 
-/// Stage 1: SPDF round-trip plus cheap first-page extraction.
+/// Stage 1: serialize, validate the container, extract the first page.
 pub struct ExtractStage<'a> {
     config: &'a AdaParseConfig,
     pool: &'a ParserPool,
@@ -250,30 +252,25 @@ impl<'a> ExtractStage<'a> {
 
     /// Run the stage for one document.
     pub fn run(&self, doc: &Document, seed: u64) -> Extracted {
-        let bytes = write_document(doc);
-        let file = SpdfFile::parse(&bytes).expect("generated documents serialize cleanly");
-        let parser = self.pool.get(self.config.default_parser);
-        let mut rng = StdRng::seed_from_u64(seed ^ doc.id.0 ^ 0xEAF1);
-        let (first_page_text, failed) = match parser.parse_file(&file, &mut rng) {
-            Ok(out) => {
-                // Keep the first page: cut the output at the first form feed.
-                let mut text = out.text;
-                text.truncate(text.find('\u{c}').unwrap_or(text.len()));
-                text.shrink_to_fit();
-                (text, false)
-            }
-            Err(_) => (String::new(), true),
-        };
+        let first_page = self.first_page_text(&write_document(doc), seed ^ doc.id.0 ^ 0xEAF1);
         Extracted {
+            failed: first_page.is_err(),
             input: RoutingInput {
                 doc_id: doc.id.0,
-                first_page_text,
+                first_page_text: first_page.unwrap_or_default(),
                 metadata_features: doc.metadata.feature_vector(),
                 title: doc.metadata.title.clone(),
                 pages: doc.page_count(),
             },
-            failed,
         }
+    }
+
+    /// The bytes → text half of the stage: a corrupt container is an error
+    /// like any other parser failure, never a panic.
+    fn first_page_text(&self, bytes: &[u8], rng_seed: u64) -> Result<String, ParseError> {
+        let index = SpdfIndex::open(bytes)?;
+        let parser = self.pool.get(self.config.default_parser);
+        parser.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed))
     }
 }
 
@@ -323,22 +320,17 @@ impl<'a> ParseStage<'a> {
         ParseStage { config, pool }
     }
 
-    /// Run one named parser over the document. The SPDF container is
-    /// re-derived from the document (modelling a re-read from storage) rather
-    /// than carried over from extraction, keeping campaign memory
-    /// window-bounded. The per-document RNG stream is keyed by the document
-    /// id alone, so every parser sees the same stream regardless of how the
-    /// document was routed.
-    fn run_parser(&self, doc: &Document, kind: ParserKind, seed: u64) -> Parsed {
-        let bytes = write_document(doc);
-        let file = SpdfFile::parse(&bytes).expect("generated documents serialize cleanly");
-        let parser = self.pool.get(kind);
+    /// Run one named parser over the decoded container; a container that did
+    /// not decode fails every parser. The per-document RNG stream is keyed by
+    /// the document id alone, so every parser sees the same stream regardless
+    /// of how the document was routed.
+    fn run_parser(&self, file: Option<&SpdfFile>, doc: &Document, kind: ParserKind, seed: u64) -> Parsed {
         let mut rng = StdRng::seed_from_u64(seed ^ doc.id.0.wrapping_mul(0x2545F491));
-        match parser.parse_file(&file, &mut rng) {
-            Ok(output) => Parsed { output, failed: false },
-            Err(_) => Parsed {
+        match file.and_then(|file| self.pool.get(kind).parse_file(file, &mut rng).ok()) {
+            Some(output) => Parsed { output, failed: false },
+            None => Parsed {
                 output: parsersim::ParseOutput {
-                    parser: parser.kind(),
+                    parser: kind,
                     text: String::new(),
                     pages_parsed: 0,
                     pages_total: doc.page_count(),
@@ -359,15 +351,31 @@ impl<'a> ParseStage<'a> {
     /// extraction the document already paid for, so only the delegated
     /// fraction is billed on top (the campaign's extraction cost covers the
     /// rest), which is the whole point of per-page delegation.
+    ///
+    /// The SPDF container is re-derived from the document (modelling a
+    /// re-read from storage) rather than carried over from extraction,
+    /// keeping campaign memory window-bounded; it is written and decoded
+    /// once, however many parsers read it.
     pub fn run_choice(&self, doc: &Document, choice: &ParserChoice, base: ParserKind, seed: u64) -> Parsed {
-        if choice.upgraded_pages.is_empty() {
-            return self.run_parser(doc, choice.parser, seed);
-        }
-        let upgraded = self.run_parser(doc, choice.parser, seed);
-        if upgraded.failed {
+        self.run_choice_on(&write_document(doc), doc, choice, base, seed)
+    }
+
+    /// The bytes → output half of [`Self::run_choice`]: a corrupt container
+    /// is a failed parse, never a panic.
+    fn run_choice_on(
+        &self,
+        bytes: &[u8],
+        doc: &Document,
+        choice: &ParserChoice,
+        base: ParserKind,
+        seed: u64,
+    ) -> Parsed {
+        let file = SpdfFile::parse(bytes).ok();
+        let upgraded = self.run_parser(file.as_ref(), doc, choice.parser, seed);
+        if choice.upgraded_pages.is_empty() || upgraded.failed {
             return upgraded;
         }
-        let base_parse = self.run_parser(doc, base, seed);
+        let base_parse = self.run_parser(file.as_ref(), doc, base, seed);
         let total = doc.page_count();
         let upgrade_pages: Vec<&str> = upgraded.output.text.split('\u{c}').collect();
         let base_pages: Vec<&str> = base_parse.output.text.split('\u{c}').collect();
@@ -916,5 +924,54 @@ impl Aggregates {
             records: Vec::new(),
             failures: CampaignFailures { extraction: extraction_failures, parsing: self.parse_failures },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
+
+    /// Truncated and byte-bumped containers fed to the bytes half of stages 1
+    /// and 3: whatever the reader rejects is a counted failure with empty
+    /// output, whatever it accepts still runs.
+    #[test]
+    fn a_corrupt_container_is_a_counted_failure_in_both_stages() {
+        let config = AdaParseConfig::default();
+        let pool = ParserPool::new();
+        let extract = ExtractStage::new(&config, &pool);
+        let parse = ParseStage::new(&config, &pool);
+        let config = GeneratorConfig { seed: 16, min_pages: 3, max_pages: 3, ..Default::default() };
+        let doc = DocumentGenerator::new(config).generate();
+        let by_page = ParserChoice {
+            doc_id: doc.id.0,
+            parser: ParserKind::Nougat,
+            upgrade: Some(0),
+            predicted_gain: 0.5,
+            cls1_invalid: false,
+            upgraded_pages: vec![1],
+        };
+
+        let bytes = write_document(&doc);
+        let mut hostile: Vec<Vec<u8>> =
+            (0..bytes.len()).step_by(61).map(|cut| bytes[..cut].to_vec()).collect();
+        for at in (0..bytes.len()).step_by(97) {
+            let mut bumped = bytes.clone();
+            bumped[at] = bumped[at].wrapping_add(13);
+            hostile.push(bumped);
+        }
+        let rejected = hostile.iter().filter(|bytes| SpdfIndex::open(bytes).is_err()).count();
+        assert!(rejected > 50 && rejected < hostile.len(), "{rejected} of {}", hostile.len());
+
+        let extraction = hostile.iter().filter(|bytes| extract.first_page_text(bytes, 7).is_err()).count();
+        let mut failures = CampaignFailures { extraction, parsing: 0 };
+        for bytes in &hostile {
+            let parsed = parse.run_choice_on(bytes, &doc, &by_page, ParserKind::PyMuPdf, 7);
+            assert_eq!(parsed.failed, SpdfIndex::open(bytes).is_err());
+            assert_eq!(parsed.failed, parsed.output.text.is_empty() && parsed.output.pages_parsed == 0);
+            assert_eq!(parsed.output.pages_total, 3);
+            failures.parsing += parsed.failed as usize;
+        }
+        assert_eq!(failures, CampaignFailures { extraction: rejected, parsing: rejected });
     }
 }

@@ -195,8 +195,10 @@ const REQUIRED_FIELDS: &[&str] = &[
 /// Phase 1: seeded corpus + router → a score per document. Scores are
 /// measured on the base sample and tiled with seeded jitter to `docs`
 /// (sentinel scores — CLS I overrides at ±`f64::MAX / 4` — tile unjittered
-/// so their routing semantics survive).
-fn build_scores(docs: usize, seed: u64) -> (AdaParseEngine, Vec<f64>) {
+/// so their routing semantics survive). Also returns the base sample's size:
+/// the number of documents this phase actually trains on, extracts and routes,
+/// whatever `docs` is.
+fn build_scores(docs: usize, seed: u64) -> (AdaParseEngine, Vec<f64>, usize) {
     let base_n = docs.min(2048);
     let corpus = DocumentGenerator::new(GeneratorConfig {
         n_documents: base_n,
@@ -222,7 +224,7 @@ fn build_scores(docs: usize, seed: u64) -> (AdaParseEngine, Vec<f64>) {
             }
         })
         .collect();
-    (engine, scores)
+    (engine, scores, base_n)
 }
 
 /// Phases 2+3: isolated streaming selection, then the causal closed loop.
@@ -268,10 +270,10 @@ fn run() -> Result<(), String> {
         if args.smoke { " (smoke: double run + determinism check)" } else { "" }
     );
 
-    let corpus_start = Instant::now();
-    let (engine, scores) = build_scores(args.docs, args.seed);
-    let corpus_seconds = corpus_start.elapsed().as_secs_f64();
-    println!("  corpus + router scores: {corpus_seconds:.2} s");
+    let router_start = Instant::now();
+    let (engine, scores, router_docs) = build_scores(args.docs, args.seed);
+    let router_scores_seconds = router_start.elapsed().as_secs_f64();
+    println!("  train + extract + route ({router_docs} base docs): {router_scores_seconds:.2} s");
 
     let before = alloc_snapshot();
     let (mask, report, selection_seconds, loop_seconds) = run_campaign(&engine, &scores, &args);
@@ -331,7 +333,9 @@ fn run() -> Result<(), String> {
         (
             "phases",
             JsonValue::object(vec![
-                ("corpus_seconds", JsonValue::F64(corpus_seconds)),
+                // Rows written before PR 16 carry this phase as `corpus_seconds`.
+                ("router_scores_seconds", JsonValue::F64(router_scores_seconds)),
+                ("router_docs", JsonValue::U64(router_docs as u64)),
                 ("selection_seconds", JsonValue::F64(selection_seconds)),
                 ("closed_loop_seconds", JsonValue::F64(loop_seconds)),
             ]),

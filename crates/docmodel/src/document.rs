@@ -33,7 +33,19 @@ impl Page {
 
     /// Ground-truth text of the page (elements joined by newlines).
     pub fn ground_truth_text(&self) -> String {
-        self.elements.iter().map(|e| e.ground_truth_text()).collect::<Vec<_>>().join("\n")
+        let mut out = String::new();
+        self.write_ground_truth_text(&mut out);
+        out
+    }
+
+    /// Append [`Page::ground_truth_text`] to `out`.
+    pub fn write_ground_truth_text(&self, out: &mut String) {
+        for (i, element) in self.elements.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            element.write_ground_truth_text(out);
+        }
     }
 
     /// Number of ground-truth words on the page.

@@ -130,28 +130,35 @@ impl Element {
     /// keep their LaTeX source, tables are flattened row by row, figures keep
     /// only their captions.
     pub fn ground_truth_text(&self) -> String {
+        let mut out = String::new();
+        self.write_ground_truth_text(&mut out);
+        out
+    }
+
+    /// Append [`Element::ground_truth_text`] to `out`.
+    pub fn write_ground_truth_text(&self, out: &mut String) {
         match self {
-            Element::Heading { text, .. } => text.clone(),
-            Element::Paragraph { text } => text.clone(),
+            Element::Heading { text, .. } | Element::Paragraph { text } => out.push_str(text),
             Element::Equation { latex, display } => {
-                if *display {
-                    format!("$$ {latex} $$")
-                } else {
-                    format!("$ {latex} $")
-                }
+                let fence = if *display { "$$" } else { "$" };
+                out.extend([fence, " ", latex, " ", fence]);
             }
             Element::Table { caption, rows } => {
-                let mut out = format!("Table: {caption}");
+                out.extend(["Table: ", caption]);
                 for row in rows {
                     out.push('\n');
-                    out.push_str(&row.join(" | "));
+                    for (i, cell) in row.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str(" | ");
+                        }
+                        out.push_str(cell);
+                    }
                 }
-                out
             }
-            Element::Figure { caption } => format!("Figure: {caption}"),
-            Element::Reference { key, text } => format!("[{key}] {text}"),
-            Element::Smiles { code } => code.clone(),
-            Element::ListItem { text } => format!("- {text}"),
+            Element::Figure { caption } => out.extend(["Figure: ", caption]),
+            Element::Reference { key, text } => out.extend(["[", key, "] ", text]),
+            Element::Smiles { code } => out.push_str(code),
+            Element::ListItem { text } => out.extend(["- ", text]),
         }
     }
 

@@ -28,13 +28,23 @@
 //! parsers read); the `/PageImage` stream carries the page's glyph source —
 //! the stand-in for rendered pixels — together with the raster quality
 //! parameters that recognition parsers combine with their own noise models.
+//!
+//! There is one writer ([`write_document`], a single streaming pass) and one
+//! reader, in two steps. [`SpdfIndex::open`] validates the whole container —
+//! header, every object and dictionary, every `/Length` against the input and
+//! its `endstream`, xref, trailer, `startxref`, `%%EOF`, the catalog, the info
+//! dictionary and every page's references — and borrows the stream payloads
+//! as byte ranges; it is where every [`SpdfError`] comes from. What it defers
+//! is the per-page payload work: [`SpdfIndex::page`] decodes one page's
+//! content stream and glyph source, [`SpdfIndex::decode_all`] all of them into
+//! an owned [`SpdfFile`] ([`SpdfFile::parse`] is the two in sequence). The
+//! router reads page 0 and pays for page 0.
 
 mod object;
 mod reader;
 mod writer;
 
-pub use object::{Dict, Object};
-pub use reader::{SpdfError, SpdfFile, SpdfInfo, SpdfPage};
+pub use reader::{SpdfError, SpdfFile, SpdfIndex, SpdfInfo, SpdfPage};
 pub use writer::write_document;
 
 #[cfg(test)]

@@ -1,223 +1,88 @@
-//! The SPDF object model: the value types that can appear in an SPDF body.
+//! SPDF value syntax: how the writer spells names, strings and numbers, and
+//! the borrowed [`Value`]/[`Dict`] the reader lexes them back into.
+//!
+//! Nothing here owns document bytes. The writer appends straight into its
+//! output buffer; the reader's values borrow from the input and resolve
+//! escapes only when an accessor asks for the text.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::io::Write;
 
-/// A dictionary mapping name keys (without the leading `/`) to objects.
-///
-/// `BTreeMap` keeps serialization deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Dict(pub BTreeMap<String, Object>);
-
-impl Dict {
-    /// Create an empty dictionary.
-    pub fn new() -> Self {
-        Dict(BTreeMap::new())
-    }
-
-    /// Insert a key/value pair, returning `self` for chaining.
-    pub fn with(mut self, key: &str, value: Object) -> Self {
-        self.0.insert(key.to_string(), value);
-        self
-    }
-
-    /// Look up a key.
-    pub fn get(&self, key: &str) -> Option<&Object> {
-        self.0.get(key)
-    }
-
-    /// Integer value of a key, if present and numeric.
-    pub fn get_int(&self, key: &str) -> Option<i64> {
-        match self.get(key) {
-            Some(Object::Int(v)) => Some(*v),
-            Some(Object::Real(v)) => Some(*v as i64),
-            _ => None,
-        }
-    }
-
-    /// Real value of a key, if present and numeric.
-    pub fn get_real(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(Object::Real(v)) => Some(*v),
-            Some(Object::Int(v)) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// String value of a key, if present and a literal string.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Object::Str(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Name value of a key, if present and a name.
-    pub fn get_name(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Object::Name(s)) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Boolean value of a key, if present and boolean.
-    pub fn get_bool(&self, key: &str) -> Option<bool> {
-        match self.get(key) {
-            Some(Object::Bool(b)) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Object-reference value of a key, if present and a reference.
-    pub fn get_ref(&self, key: &str) -> Option<u32> {
-        match self.get(key) {
-            Some(Object::Ref(id)) => Some(*id),
-            _ => None,
-        }
-    }
+/// Append a `Display` value (object ids, integers, byte offsets).
+pub(super) fn put_display(out: &mut Vec<u8>, value: impl std::fmt::Display) {
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
 }
 
-/// One SPDF value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Object {
-    /// The null object.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Integer.
-    Int(i64),
-    /// Real number.
-    Real(f64),
-    /// Literal string `( ... )` with escapes resolved.
-    Str(String),
-    /// Name `/Foo` without the leading slash.
-    Name(String),
-    /// Array `[ ... ]`.
-    Array(Vec<Object>),
-    /// Dictionary `<< ... >>`.
-    Dict(Dict),
-    /// Stream: a dictionary followed by raw data.
-    Stream {
-        /// The stream's dictionary (must contain `/Length`).
-        dict: Dict,
-        /// Raw stream bytes.
-        data: Vec<u8>,
-    },
-    /// Indirect reference `N 0 R` to object number `N`.
-    Ref(u32),
+/// Append a real number. Fixed precision keeps output deterministic across
+/// platforms.
+pub(super) fn put_real(out: &mut Vec<u8>, value: f64) {
+    write!(out, "{value:.6}").expect("writing to a Vec cannot fail");
 }
 
-impl Object {
-    /// Serialize the object into the output buffer in SPDF syntax.
-    pub fn serialize(&self, out: &mut Vec<u8>) {
-        match self {
-            Object::Null => out.extend_from_slice(b"null"),
-            Object::Bool(true) => out.extend_from_slice(b"true"),
-            Object::Bool(false) => out.extend_from_slice(b"false"),
-            Object::Int(v) => out.extend_from_slice(v.to_string().as_bytes()),
-            Object::Real(v) => {
-                // Fixed precision keeps output deterministic across platforms.
-                out.extend_from_slice(format!("{v:.6}").as_bytes());
-            }
-            Object::Str(s) => {
-                out.push(b'(');
-                out.extend_from_slice(escape_string(s).as_bytes());
-                out.push(b')');
-            }
-            Object::Name(n) => {
-                out.push(b'/');
-                out.extend_from_slice(escape_name(n).as_bytes());
-            }
-            Object::Array(items) => {
-                out.push(b'[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(b' ');
-                    }
-                    item.serialize(out);
-                }
-                out.push(b']');
-            }
-            Object::Dict(dict) => serialize_dict(dict, out),
-            Object::Stream { dict, data } => {
-                serialize_dict(dict, out);
-                out.extend_from_slice(b"\nstream\n");
-                out.extend_from_slice(data);
-                out.extend_from_slice(b"\nendstream");
-            }
-            Object::Ref(id) => {
-                out.extend_from_slice(format!("{id} 0 R").as_bytes());
-            }
-        }
+/// Append a string body with backslashes, parentheses and carriage returns
+/// escaped; every line feed becomes `newline` (`\n` inside a literal string,
+/// an operator boundary inside a content stream).
+pub(super) fn put_escaped(out: &mut Vec<u8>, s: &str, newline: &[u8]) {
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'\\' => b"\\\\",
+            b'(' => b"\\(",
+            b')' => b"\\)",
+            b'\r' => b"\\r",
+            b'\n' => newline,
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[copied..i]);
+        out.extend_from_slice(escape);
+        copied = i + 1;
     }
+    out.extend_from_slice(&bytes[copied..]);
 }
 
-fn serialize_dict(dict: &Dict, out: &mut Vec<u8>) {
-    out.extend_from_slice(b"<< ");
-    for (key, value) in &dict.0 {
-        out.push(b'/');
-        out.extend_from_slice(escape_name(key).as_bytes());
-        out.push(b' ');
-        value.serialize(out);
-        out.push(b' ');
-    }
-    out.extend_from_slice(b">>");
+/// Append a literal string `( ... )`.
+pub(super) fn put_string(out: &mut Vec<u8>, s: &str) {
+    out.push(b'(');
+    put_escaped(out, s, b"\\n");
+    out.push(b')');
 }
 
-/// Escape a literal string body: backslash, parentheses and control newlines.
-pub fn escape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '(' => out.push_str("\\("),
-            ')' => out.push_str("\\)"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-/// Undo [`escape_string`].
-pub fn unescape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-/// Escape a name token: whitespace and delimiter characters are replaced by
+/// Append a name `/Foo`: whitespace and delimiter characters are replaced by
 /// `#xx` hex escapes, as in real PDF.
-pub fn escape_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' {
-            out.push(c);
+pub(super) fn put_name(out: &mut Vec<u8>, name: &str) {
+    out.push(b'/');
+    for &b in name.as_bytes() {
+        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' {
+            out.push(b);
         } else {
-            let mut buf = [0u8; 4];
-            for b in c.encode_utf8(&mut buf).as_bytes() {
-                out.push('#');
-                out.push_str(&format!("{b:02x}"));
-            }
+            write!(out, "#{b:02x}").expect("writing to a Vec cannot fail");
         }
     }
-    out
 }
 
-/// Undo [`escape_name`]; invalid escapes are kept verbatim.
-pub fn unescape_name(name: &str) -> String {
+/// Append `unescape_string(s)` to `out`: undo [`put_escaped`].
+pub(super) fn unescape_string_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let mut chars = rest[at + 1..].chars();
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some(other) => out.push(other),
+            None => out.push('\\'),
+        }
+        rest = chars.as_str();
+    }
+    out.push_str(rest);
+}
+
+/// Undo [`put_name`]; invalid escapes are kept verbatim.
+pub(super) fn unescape_name(name: &str) -> Cow<'_, str> {
+    if !name.contains('#') {
+        return Cow::Borrowed(name);
+    }
     let bytes = name.as_bytes();
     let mut out_bytes = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -232,7 +97,102 @@ pub fn unescape_name(name: &str) -> String {
         out_bytes.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out_bytes).into_owned()
+    Cow::Owned(String::from_utf8_lossy(&out_bytes).into_owned())
+}
+
+/// The raw body of a literal string, escapes unresolved.
+#[derive(Clone, Copy, PartialEq)]
+pub(super) struct RawStr<'a>(pub &'a [u8]);
+
+impl RawStr<'_> {
+    /// The string with escapes resolved (invalid UTF-8 replaced).
+    pub fn decode(&self) -> String {
+        let mut out = String::with_capacity(self.0.len());
+        unescape_string_into(&mut out, &String::from_utf8_lossy(self.0));
+        out
+    }
+}
+
+impl std::fmt::Debug for RawStr<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.decode(), f)
+    }
+}
+
+/// One SPDF value, borrowing from the input.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) enum Value<'a> {
+    /// Boolean.
+    Bool(bool),
+    /// Integer.
+    Int(i64),
+    /// Real number.
+    Real(f64),
+    /// Literal string `( ... )`.
+    Str(RawStr<'a>),
+    /// Name `/Foo` without the leading slash, `#xx` escapes resolved.
+    Name(Cow<'a, str>),
+    /// Indirect reference `N 0 R` to object number `N`.
+    Ref(u32),
+    /// Dictionary `<< ... >>`.
+    Dict(Dict<'a>),
+    /// `null` or an array `[ ... ]`: lexed and validated, never read.
+    Opaque,
+}
+
+/// A dictionary mapping name keys (without the leading `/`) to values, in
+/// input order; a repeated key's last value wins.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(super) struct Dict<'a>(pub Vec<(Cow<'a, str>, Value<'a>)>);
+
+impl<'a> Dict<'a> {
+    /// Look up a key.
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Integer value of a key, if present and numeric.
+    pub fn get_int(&self, key: &str) -> Option<i64> {
+        match self.get(key) {
+            Some(Value::Int(v)) => Some(*v),
+            Some(Value::Real(v)) => Some(*v as i64),
+            _ => None,
+        }
+    }
+
+    /// Real value of a key, if present and numeric.
+    pub fn get_real(&self, key: &str) -> Option<f64> {
+        match self.get(key) {
+            Some(Value::Real(v)) => Some(*v),
+            Some(Value::Int(v)) => Some(*v as f64),
+            _ => None,
+        }
+    }
+
+    /// String value of a key (escapes resolved), if present and a literal
+    /// string.
+    pub fn get_str(&self, key: &str) -> Option<String> {
+        match self.get(key) {
+            Some(Value::Str(s)) => Some(s.decode()),
+            _ => None,
+        }
+    }
+
+    /// Name value of a key, if present and a name.
+    pub fn get_name(&self, key: &str) -> Option<&Cow<'a, str>> {
+        match self.get(key) {
+            Some(Value::Name(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Object-reference value of a key, if present and a reference.
+    pub fn get_ref(&self, key: &str) -> Option<u32> {
+        match self.get(key) {
+            Some(Value::Ref(id)) => Some(*id),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -247,36 +207,46 @@ mod tests {
             "back\\slash",
             "new\nline and \r carriage",
             "nested ((deep)) \\( mix",
+            "naïve ✓ \\",
             "",
         ];
         for case in cases {
-            assert_eq!(unescape_string(&escape_string(case)), case, "case {case:?}");
+            let mut written = Vec::new();
+            put_string(&mut written, case);
+            let body = &written[1..written.len() - 1];
+            assert!(!body.contains(&b'\n') && !body.contains(&b'\r'), "case {case:?}");
+            assert_eq!(RawStr(body).decode(), case, "case {case:?}");
         }
     }
 
     #[test]
     fn name_escaping_round_trips() {
         for case in ["Simple", "with space", "odd/chars#here", "naïve", "machine learning"] {
-            assert_eq!(unescape_name(&escape_name(case)), case, "case {case:?}");
+            let mut written = Vec::new();
+            put_name(&mut written, case);
+            let raw = std::str::from_utf8(&written[1..]).expect("escaped names are ASCII");
+            assert_eq!(unescape_name(raw), case, "case {case:?}");
         }
     }
 
     #[test]
     fn dict_accessors() {
-        let d = Dict::new()
-            .with("Int", Object::Int(7))
-            .with("Real", Object::Real(1.5))
-            .with("Str", Object::Str("hello".into()))
-            .with("Name", Object::Name("World".into()))
-            .with("Bool", Object::Bool(true))
-            .with("Ref", Object::Ref(3));
-        assert_eq!(d.get_int("Int"), Some(7));
-        assert_eq!(d.get_real("Int"), Some(7.0));
+        let d = Dict(vec![
+            ("Int".into(), Value::Int(7)),
+            ("Real".into(), Value::Real(1.5)),
+            ("Str".into(), Value::Str(RawStr(b"hel\\(lo"))),
+            ("Name".into(), Value::Name("World".into())),
+            ("Bool".into(), Value::Bool(true)),
+            ("Ref".into(), Value::Ref(3)),
+            ("Int".into(), Value::Int(8)),
+        ]);
+        assert_eq!(d.get_int("Int"), Some(8), "a repeated key's last value wins");
+        assert_eq!(d.get_real("Int"), Some(8.0));
         assert_eq!(d.get_real("Real"), Some(1.5));
         assert_eq!(d.get_int("Real"), Some(1));
-        assert_eq!(d.get_str("Str"), Some("hello"));
-        assert_eq!(d.get_name("Name"), Some("World"));
-        assert_eq!(d.get_bool("Bool"), Some(true));
+        assert_eq!(d.get_str("Str").as_deref(), Some("hel(lo"));
+        assert_eq!(d.get_name("Name").map(|n| n.as_ref()), Some("World"));
+        assert_eq!(d.get("Bool"), Some(&Value::Bool(true)));
         assert_eq!(d.get_ref("Ref"), Some(3));
         assert_eq!(d.get_int("Missing"), None);
         assert_eq!(d.get_str("Int"), None);
@@ -285,33 +255,24 @@ mod tests {
     #[test]
     fn serialization_shapes() {
         let mut out = Vec::new();
-        Object::Array(vec![Object::Int(1), Object::Name("X".into()), Object::Bool(false)])
-            .serialize(&mut out);
-        assert_eq!(String::from_utf8(out).unwrap(), "[1 /X false]");
-
-        let mut out = Vec::new();
-        Object::Dict(Dict::new().with("A", Object::Int(2))).serialize(&mut out);
-        assert_eq!(String::from_utf8(out).unwrap(), "<< /A 2 >>");
-
-        let mut out = Vec::new();
-        Object::Ref(12).serialize(&mut out);
-        assert_eq!(String::from_utf8(out).unwrap(), "12 0 R");
-
-        let mut out = Vec::new();
-        Object::Null.serialize(&mut out);
-        assert_eq!(String::from_utf8(out).unwrap(), "null");
+        put_display(&mut out, -12i64);
+        out.push(b' ');
+        put_real(&mut out, 0.999_999_5);
+        out.push(b' ');
+        put_real(&mut out, -0.25);
+        out.push(b' ');
+        put_name(&mut out, "X y");
+        out.push(b' ');
+        put_string(&mut out, "a(b");
+        assert_eq!(String::from_utf8(out).unwrap(), "-12 1.000000 -0.250000 /X#20y (a\\(b)");
     }
 
     #[test]
     fn stream_serialization_contains_payload() {
+        // Inside a content stream a line feed closes one `Tj` operand and
+        // opens the next; everything else passes through byte for byte.
         let mut out = Vec::new();
-        let payload = b"raw bytes \x00\x01".to_vec();
-        Object::Stream {
-            dict: Dict::new().with("Length", Object::Int(payload.len() as i64)),
-            data: payload.clone(),
-        }
-        .serialize(&mut out);
-        let s = out.windows(payload.len()).any(|w| w == payload.as_slice());
-        assert!(s, "stream payload must appear verbatim");
+        put_escaped(&mut out, "raw \u{0}\u{1} bytes\nnext", b") Tj\n(");
+        assert_eq!(out, b"raw \x00\x01 bytes) Tj\n(next");
     }
 }

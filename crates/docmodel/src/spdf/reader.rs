@@ -1,16 +1,16 @@
-//! Parsing of SPDF bytes back into a structured [`SpdfFile`].
+//! Parsing of SPDF bytes: a validated, borrowed [`SpdfIndex`] and the owned
+//! [`SpdfFile`] it decodes into.
 //!
 //! The reader performs the same kind of work a real PDF library performs:
 //! lexing delimiters, names, strings and numbers; resolving indirect object
 //! references; decoding content streams; and failing cleanly (never
 //! panicking) on truncated or corrupted input.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 
 use crate::imagelayer::PageImage;
 
-use super::object::{unescape_name, unescape_string, Dict, Object};
-use super::writer::decode_content_stream;
+use super::object::{unescape_name, unescape_string_into, Dict, RawStr, Value};
 
 /// Errors produced while parsing SPDF bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +101,8 @@ pub struct SpdfFile {
 }
 
 impl SpdfFile {
-    /// Parse SPDF bytes.
+    /// Parse SPDF bytes: [`SpdfIndex::open`] followed by
+    /// [`SpdfIndex::decode_all`].
     ///
     /// # Errors
     ///
@@ -109,122 +110,7 @@ impl SpdfFile {
     /// truncated, the body contains a syntax error, or a referenced object is
     /// absent. Never panics on arbitrary input.
     pub fn parse(data: &[u8]) -> Result<SpdfFile, SpdfError> {
-        let mut lexer = Lexer::new(data);
-        let format_version = lexer.read_header()?;
-        let mut objects: BTreeMap<u32, Object> = BTreeMap::new();
-
-        loop {
-            lexer.skip_whitespace_and_comments_stop_before_eof();
-            match lexer.peek_token()? {
-                Token::Keyword(ref k) if k == "xref" => {
-                    lexer.next_token()?;
-                    break;
-                }
-                Token::Int(_) => {
-                    let (id, object) = lexer.read_indirect_object()?;
-                    objects.insert(id, object);
-                }
-                other => {
-                    return Err(
-                        lexer.syntax_error(&format!("expected object definition or xref, found {other:?}"))
-                    );
-                }
-            }
-        }
-
-        lexer.skip_xref_table()?;
-        lexer.expect_keyword("trailer")?;
-        let trailer = lexer.parse_value()?;
-        let root_id = match &trailer {
-            Object::Dict(d) => d.get_ref("Root").unwrap_or(1),
-            _ => return Err(SpdfError::BadTrailer),
-        };
-        lexer.expect_keyword("startxref")?;
-        match lexer.next_token()? {
-            Token::Int(_) => {}
-            _ => return Err(SpdfError::BadTrailer),
-        }
-        if !lexer.has_eof_marker() {
-            return Err(SpdfError::BadTrailer);
-        }
-
-        Self::assemble(&objects, root_id, format_version, data.len())
-    }
-
-    fn assemble(
-        objects: &BTreeMap<u32, Object>,
-        root_id: u32,
-        format_version: String,
-        total_bytes: usize,
-    ) -> Result<SpdfFile, SpdfError> {
-        let catalog = dict_of(objects.get(&root_id).ok_or(SpdfError::MissingObject(root_id))?)
-            .ok_or_else(|| SpdfError::MissingKey("Catalog".into()))?;
-        let page_count =
-            catalog.get_int("PageCount").ok_or_else(|| SpdfError::MissingKey("PageCount".into()))? as usize;
-        let doc_id = catalog.get_int("DocId").ok_or_else(|| SpdfError::MissingKey("DocId".into()))? as u64;
-        let info_id = catalog.get_ref("Info").ok_or_else(|| SpdfError::MissingKey("Info".into()))?;
-        let info_dict = dict_of(objects.get(&info_id).ok_or(SpdfError::MissingObject(info_id))?)
-            .ok_or_else(|| SpdfError::MissingKey("Info".into()))?;
-
-        let info = SpdfInfo {
-            title: info_dict.get_str("Title").unwrap_or("").to_string(),
-            publisher: info_dict.get_name("Publisher").unwrap_or("").to_string(),
-            domain: info_dict.get_name("Domain").unwrap_or("").to_string(),
-            subcategory: info_dict.get_str("Subcategory").unwrap_or("").to_string(),
-            year: info_dict.get_int("Year").unwrap_or(0).clamp(0, u16::MAX as i64) as u16,
-            producer: info_dict.get_str("Producer").unwrap_or("").to_string(),
-            scanned: info_dict.get_bool("Scanned").unwrap_or(false),
-        };
-
-        // Collect page objects by their /Index rather than relying on the
-        // writer's numbering convention.
-        let mut page_dicts: Vec<(usize, &Dict)> = Vec::new();
-        for object in objects.values() {
-            if let Some(d) = dict_of(object) {
-                if d.get_name("Type") == Some("Page") {
-                    let index = d.get_int("Index").unwrap_or(i64::MAX) as usize;
-                    page_dicts.push((index, d));
-                }
-            }
-        }
-        page_dicts.sort_by_key(|(i, _)| *i);
-        if page_dicts.len() != page_count {
-            return Err(SpdfError::MissingKey(format!(
-                "expected {page_count} pages, found {}",
-                page_dicts.len()
-            )));
-        }
-
-        let mut pages = Vec::with_capacity(page_count);
-        for (index, page_dict) in page_dicts {
-            let content_id =
-                page_dict.get_ref("Contents").ok_or_else(|| SpdfError::MissingKey("Contents".into()))?;
-            let image_id = page_dict.get_ref("Image").ok_or_else(|| SpdfError::MissingKey("Image".into()))?;
-            let (content_dict, content_data) =
-                stream_of(objects.get(&content_id).ok_or(SpdfError::MissingObject(content_id))?)
-                    .ok_or_else(|| SpdfError::MissingKey("Content".into()))?;
-            let (image_dict, image_data) =
-                stream_of(objects.get(&image_id).ok_or(SpdfError::MissingObject(image_id))?)
-                    .ok_or_else(|| SpdfError::MissingKey("PageImage".into()))?;
-
-            let image = PageImage {
-                dpi: image_dict.get_int("DPI").unwrap_or(300).clamp(1, u16::MAX as i64) as u16,
-                skew_degrees: image_dict.get_real("Skew").unwrap_or(0.0),
-                contrast: image_dict.get_real("Contrast").unwrap_or(1.0),
-                blur_sigma: image_dict.get_real("Blur").unwrap_or(0.0),
-                jpeg_quality: image_dict.get_int("JpegQuality").unwrap_or(95).clamp(1, 100) as u8,
-                noise: image_dict.get_real("Noise").unwrap_or(0.0),
-            };
-            pages.push(SpdfPage {
-                index,
-                embedded_text: decode_content_stream(content_data),
-                text_quality: content_dict.get_name("Quality").unwrap_or("Clean").to_string(),
-                image,
-                glyph_text: String::from_utf8_lossy(image_data).into_owned(),
-            });
-        }
-
-        Ok(SpdfFile { format_version, doc_id, info, pages, total_bytes })
+        Ok(SpdfIndex::open(data)?.decode_all())
     }
 
     /// Concatenated embedded text of all pages (form-feed separated), i.e.
@@ -243,32 +129,235 @@ impl SpdfFile {
     }
 }
 
-fn dict_of(object: &Object) -> Option<&Dict> {
-    match object {
-        Object::Dict(d) => Some(d),
-        Object::Stream { dict, .. } => Some(dict),
-        _ => None,
+/// One page of an [`SpdfIndex`]: dictionary entries resolved, stream payloads
+/// still byte ranges of the input.
+#[derive(Debug, Clone)]
+struct IndexedPage<'a> {
+    index: usize,
+    content: &'a [u8],
+    text_quality: Cow<'a, str>,
+    image: PageImage,
+    glyphs: &'a [u8],
+}
+
+/// A structurally validated SPDF file whose stream payloads have not been
+/// decoded: a zero-copy index over the caller's bytes.
+///
+/// [`SpdfIndex::open`] does all the checking [`SpdfFile::parse`] does — every
+/// object header and dictionary is lexed, every `/Length` is held against the
+/// input and its `endstream`, the xref table, trailer, `startxref` and
+/// `%%EOF` are walked, the catalog, info dictionary and every page's
+/// `/Contents` and `/Image` references are resolved — and defers only the
+/// per-page payload work (content-stream decoding, glyph-stream UTF-8) to
+/// [`SpdfIndex::page`]. A caller that needs one page pays for one page.
+#[derive(Debug, Clone)]
+pub struct SpdfIndex<'a> {
+    format_version: &'a str,
+    doc_id: u64,
+    info: SpdfInfo,
+    pages: Vec<IndexedPage<'a>>,
+    total_bytes: usize,
+}
+
+impl<'a> SpdfIndex<'a> {
+    /// Validate the container and index its pages.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`SpdfError`] when the header is missing, the input is
+    /// truncated, the body contains a syntax error, or a referenced object is
+    /// absent. Never panics on arbitrary input.
+    pub fn open(data: &'a [u8]) -> Result<SpdfIndex<'a>, SpdfError> {
+        let mut lexer = Lexer::new(data);
+        let format_version = lexer.read_header()?;
+        // Sorted by id; a redefined id keeps its last definition.
+        let mut objects: Vec<IndirectObject<'a>> = Vec::new();
+
+        loop {
+            lexer.skip_whitespace_and_comments_stop_before_eof();
+            let token_start = lexer.pos;
+            match lexer.next_token()? {
+                Token::Keyword("xref") => break,
+                Token::Int(id) => {
+                    let object = lexer.read_indirect_object(id)?;
+                    match objects.binary_search_by_key(&object.id, |o| o.id) {
+                        Ok(at) => objects[at] = object,
+                        Err(at) => objects.insert(at, object),
+                    }
+                }
+                other => {
+                    lexer.pos = token_start;
+                    return Err(
+                        lexer.syntax_error(&format!("expected object definition or xref, found {other:?}"))
+                    );
+                }
+            }
+        }
+
+        lexer.skip_xref_table()?;
+        lexer.expect_keyword("trailer")?;
+        let root_id = match lexer.parse_value()? {
+            Value::Dict(d) => d.get_ref("Root").unwrap_or(1),
+            _ => return Err(SpdfError::BadTrailer),
+        };
+        lexer.expect_keyword("startxref")?;
+        match lexer.next_token()? {
+            Token::Int(_) => {}
+            _ => return Err(SpdfError::BadTrailer),
+        }
+        if !lexer.has_eof_marker() {
+            return Err(SpdfError::BadTrailer);
+        }
+
+        Self::assemble(&objects, root_id, format_version, data.len())
+    }
+
+    fn assemble(
+        objects: &[IndirectObject<'a>],
+        root_id: u32,
+        format_version: &'a str,
+        total_bytes: usize,
+    ) -> Result<SpdfIndex<'a>, SpdfError> {
+        let find = |id: u32| {
+            let at = objects.binary_search_by_key(&id, |o| o.id).map_err(|_| SpdfError::MissingObject(id))?;
+            Ok::<_, SpdfError>(&objects[at])
+        };
+        let missing = |key: &str| SpdfError::MissingKey(key.into());
+
+        let catalog = find(root_id)?.dict().ok_or_else(|| missing("Catalog"))?;
+        let page_count = catalog.get_int("PageCount").ok_or_else(|| missing("PageCount"))? as usize;
+        let doc_id = catalog.get_int("DocId").ok_or_else(|| missing("DocId"))? as u64;
+        let info_id = catalog.get_ref("Info").ok_or_else(|| missing("Info"))?;
+        let info_dict = find(info_id)?.dict().ok_or_else(|| missing("Info"))?;
+
+        let name = |key: &str| info_dict.get_name(key).map_or_else(String::new, |n| n.to_string());
+        let info = SpdfInfo {
+            title: info_dict.get_str("Title").unwrap_or_default(),
+            publisher: name("Publisher"),
+            domain: name("Domain"),
+            subcategory: info_dict.get_str("Subcategory").unwrap_or_default(),
+            year: info_dict.get_int("Year").unwrap_or(0).clamp(0, u16::MAX as i64) as u16,
+            producer: info_dict.get_str("Producer").unwrap_or_default(),
+            scanned: info_dict.get("Scanned") == Some(&Value::Bool(true)),
+        };
+
+        // Collect page objects by their /Index rather than relying on the
+        // writer's numbering convention.
+        let mut page_dicts: Vec<(usize, &Dict<'a>)> = objects
+            .iter()
+            .filter_map(IndirectObject::dict)
+            .filter(|d| d.get_name("Type").is_some_and(|t| t == "Page"))
+            .map(|d| (d.get_int("Index").unwrap_or(i64::MAX) as usize, d))
+            .collect();
+        page_dicts.sort_by_key(|(i, _)| *i);
+        if page_dicts.len() != page_count {
+            return Err(SpdfError::MissingKey(format!(
+                "expected {page_count} pages, found {}",
+                page_dicts.len()
+            )));
+        }
+
+        let mut pages = Vec::with_capacity(page_count);
+        for (index, page_dict) in page_dicts {
+            let content_id = page_dict.get_ref("Contents").ok_or_else(|| missing("Contents"))?;
+            let image_id = page_dict.get_ref("Image").ok_or_else(|| missing("Image"))?;
+            let (content_dict, content) = find(content_id)?.stream().ok_or_else(|| missing("Content"))?;
+            let (image_dict, glyphs) = find(image_id)?.stream().ok_or_else(|| missing("PageImage"))?;
+
+            let image = PageImage {
+                dpi: image_dict.get_int("DPI").unwrap_or(300).clamp(1, u16::MAX as i64) as u16,
+                skew_degrees: image_dict.get_real("Skew").unwrap_or(0.0),
+                contrast: image_dict.get_real("Contrast").unwrap_or(1.0),
+                blur_sigma: image_dict.get_real("Blur").unwrap_or(0.0),
+                jpeg_quality: image_dict.get_int("JpegQuality").unwrap_or(95).clamp(1, 100) as u8,
+                noise: image_dict.get_real("Noise").unwrap_or(0.0),
+            };
+            let text_quality = content_dict.get_name("Quality").cloned().unwrap_or(Cow::Borrowed("Clean"));
+            pages.push(IndexedPage { index, content, text_quality, image, glyphs });
+        }
+
+        Ok(SpdfIndex { format_version, doc_id, info, pages, total_bytes })
+    }
+
+    /// Number of pages.
+    pub fn page_count(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// Decode the `i`-th page (in `/Index` order); `None` past the last page.
+    pub fn page(&self, i: usize) -> Option<SpdfPage> {
+        let page = self.pages.get(i)?;
+        Some(SpdfPage {
+            index: page.index,
+            embedded_text: decode_content_stream(page.content),
+            text_quality: page.text_quality.to_string(),
+            image: page.image,
+            glyph_text: String::from_utf8_lossy(page.glyphs).into_owned(),
+        })
+    }
+
+    /// Decode every page.
+    pub fn decode_all(&self) -> SpdfFile {
+        SpdfFile {
+            format_version: self.format_version.to_string(),
+            doc_id: self.doc_id,
+            info: self.info.clone(),
+            pages: (0..self.pages.len()).filter_map(|i| self.page(i)).collect(),
+            total_bytes: self.total_bytes,
+        }
     }
 }
 
-fn stream_of(object: &Object) -> Option<(&Dict, &[u8])> {
-    match object {
-        Object::Stream { dict, data } => Some((dict, data.as_slice())),
-        _ => None,
+/// Decode a content stream (`BT`, one `(line) Tj` per text line, `ET`) back
+/// into the embedded text.
+pub(super) fn decode_content_stream(data: &[u8]) -> String {
+    let text = String::from_utf8_lossy(data);
+    let mut out = String::with_capacity(text.len());
+    let mut first = true;
+    for line in text.lines() {
+        let operand = line.trim_end().strip_suffix(") Tj").and_then(|rest| rest.strip_prefix('('));
+        if let Some(body) = operand {
+            if !first {
+                out.push('\n');
+            }
+            first = false;
+            unescape_string_into(&mut out, body);
+        }
+    }
+    out
+}
+
+/// `N 0 obj <value> [stream payload] endobj`, payload left in place.
+struct IndirectObject<'a> {
+    id: u32,
+    value: Value<'a>,
+    stream: Option<&'a [u8]>,
+}
+
+impl<'a> IndirectObject<'a> {
+    fn dict(&self) -> Option<&Dict<'a>> {
+        match &self.value {
+            Value::Dict(d) => Some(d),
+            _ => None,
+        }
+    }
+
+    fn stream(&self) -> Option<(&Dict<'a>, &'a [u8])> {
+        Some((self.dict()?, self.stream?))
     }
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum Token {
+enum Token<'a> {
     DictOpen,
     DictClose,
     ArrayOpen,
     ArrayClose,
-    Name(String),
-    Str(String),
+    Name(Cow<'a, str>),
+    Str(RawStr<'a>),
     Int(i64),
     Real(f64),
-    Keyword(String),
+    Keyword(&'a str),
 }
 
 struct Lexer<'a> {
@@ -285,7 +374,13 @@ impl<'a> Lexer<'a> {
         SpdfError::Syntax { offset: self.pos, message: message.to_string() }
     }
 
-    fn read_header(&mut self) -> Result<String, SpdfError> {
+    /// The bytes of `self.data[start..self.pos]`, which the caller has
+    /// checked to be ASCII.
+    fn ascii(&self, start: usize) -> &'a str {
+        std::str::from_utf8(&self.data[start..self.pos]).expect("token bytes are ASCII")
+    }
+
+    fn read_header(&mut self) -> Result<&'a str, SpdfError> {
         let line_end = self.data.iter().position(|&b| b == b'\n').ok_or(SpdfError::BadHeader)?;
         let line = &self.data[..line_end];
         let text = std::str::from_utf8(line).map_err(|_| SpdfError::BadHeader)?;
@@ -294,7 +389,7 @@ impl<'a> Lexer<'a> {
             return Err(SpdfError::BadHeader);
         }
         self.pos = line_end + 1;
-        Ok(version.to_string())
+        Ok(version)
     }
 
     fn skip_whitespace_and_comments_stop_before_eof(&mut self) {
@@ -317,14 +412,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn peek_token(&mut self) -> Result<Token, SpdfError> {
-        let saved = self.pos;
-        let token = self.next_token();
-        self.pos = saved;
-        token
-    }
-
-    fn next_token(&mut self) -> Result<Token, SpdfError> {
+    fn next_token(&mut self) -> Result<Token<'a>, SpdfError> {
         self.skip_whitespace_and_comments_stop_before_eof();
         if self.pos >= self.data.len() {
             return Err(SpdfError::UnexpectedEof);
@@ -361,9 +449,7 @@ impl<'a> Lexer<'a> {
                 while self.pos < self.data.len() && is_name_char(self.data[self.pos]) {
                     self.pos += 1;
                 }
-                let raw = std::str::from_utf8(&self.data[start..self.pos])
-                    .map_err(|_| self.syntax_error("non-UTF8 name"))?;
-                Ok(Token::Name(unescape_name(raw)))
+                Ok(Token::Name(unescape_name(self.ascii(start))))
             }
             b'(' => {
                 self.pos += 1;
@@ -380,9 +466,9 @@ impl<'a> Lexer<'a> {
                         _ => self.pos += 1,
                     }
                 }
-                let raw = String::from_utf8_lossy(&self.data[start..self.pos]).into_owned();
+                let raw = RawStr(&self.data[start..self.pos]);
                 self.pos += 1; // consume ')'
-                Ok(Token::Str(unescape_string(&raw)))
+                Ok(Token::Str(raw))
             }
             b'+' | b'-' | b'0'..=b'9' | b'.' => {
                 let start = self.pos;
@@ -392,8 +478,7 @@ impl<'a> Lexer<'a> {
                 {
                     self.pos += 1;
                 }
-                let raw = std::str::from_utf8(&self.data[start..self.pos])
-                    .map_err(|_| self.syntax_error("non-UTF8 number"))?;
+                let raw = self.ascii(start);
                 if raw.contains('.') {
                     raw.parse::<f64>()
                         .map(Token::Real)
@@ -411,8 +496,7 @@ impl<'a> Lexer<'a> {
                 {
                     self.pos += 1;
                 }
-                let raw = String::from_utf8_lossy(&self.data[start..self.pos]).into_owned();
-                Ok(Token::Keyword(raw))
+                Ok(Token::Keyword(self.ascii(start)))
             }
             _ => Err(self.syntax_error(&format!("unexpected byte 0x{b:02x}"))),
         }
@@ -425,26 +509,26 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Read `N 0 obj <value> [stream payload] endobj`.
-    fn read_indirect_object(&mut self) -> Result<(u32, Object), SpdfError> {
-        let id = match self.next_token()? {
-            Token::Int(v) if v >= 0 => v as u32,
-            other => return Err(self.syntax_error(&format!("expected object id, found {other:?}"))),
-        };
+    /// Read the rest of `N 0 obj <value> [stream payload] endobj` after its
+    /// object number.
+    fn read_indirect_object(&mut self, id: i64) -> Result<IndirectObject<'a>, SpdfError> {
+        if id < 0 {
+            return Err(self.syntax_error(&format!("expected object id, found {:?}", Token::Int(id))));
+        }
         match self.next_token()? {
             Token::Int(_) => {}
             other => return Err(self.syntax_error(&format!("expected generation number, found {other:?}"))),
         }
         self.expect_keyword("obj")?;
-        let mut value = self.parse_value()?;
+        let value = self.parse_value()?;
 
         // A stream keyword may follow a dictionary value.
-        let saved = self.pos;
-        match self.next_token() {
-            Ok(Token::Keyword(k)) if k == "stream" => {
-                let dict = match value {
-                    Object::Dict(d) => d,
-                    _ => return Err(self.syntax_error("stream not preceded by dictionary")),
+        let after_value = self.pos;
+        let stream = match self.next_token() {
+            Ok(Token::Keyword("endobj")) => return Ok(IndirectObject { id: id as u32, value, stream: None }),
+            Ok(Token::Keyword("stream")) => {
+                let Value::Dict(dict) = &value else {
+                    return Err(self.syntax_error("stream not preceded by dictionary"));
                 };
                 let length = dict.get_int("Length").ok_or_else(|| SpdfError::MissingKey("Length".into()))?;
                 if length < 0 {
@@ -459,29 +543,31 @@ impl<'a> Lexer<'a> {
                     .checked_add(length as usize)
                     .filter(|&e| e <= self.data.len())
                     .ok_or(SpdfError::UnexpectedEof)?;
-                let data = self.data[self.pos..end].to_vec();
+                let payload = &self.data[self.pos..end];
                 self.pos = end;
                 self.expect_keyword("endstream")?;
-                value = Object::Stream { dict, data };
+                Some(payload)
             }
+            // Anything else is `expect_keyword`'s error to report.
             _ => {
-                self.pos = saved;
+                self.pos = after_value;
+                None
             }
-        }
+        };
         self.expect_keyword("endobj")?;
-        Ok((id, value))
+        Ok(IndirectObject { id: id as u32, value, stream })
     }
 
-    fn parse_value(&mut self) -> Result<Object, SpdfError> {
+    fn parse_value(&mut self) -> Result<Value<'a>, SpdfError> {
         match self.next_token()? {
             Token::DictOpen => {
-                let mut dict = Dict::new();
+                let mut dict = Dict(Vec::with_capacity(8));
                 loop {
                     match self.next_token()? {
                         Token::DictClose => break,
                         Token::Name(key) => {
                             let value = self.parse_value()?;
-                            dict.0.insert(key, value);
+                            dict.0.push((key, value));
                         }
                         other => {
                             return Err(
@@ -490,39 +576,39 @@ impl<'a> Lexer<'a> {
                         }
                     }
                 }
-                Ok(Object::Dict(dict))
+                Ok(Value::Dict(dict))
             }
             Token::ArrayOpen => {
-                let mut items = Vec::new();
                 loop {
-                    if matches!(self.peek_token()?, Token::ArrayClose) {
-                        self.next_token()?;
+                    let item_start = self.pos;
+                    if matches!(self.next_token()?, Token::ArrayClose) {
                         break;
                     }
-                    items.push(self.parse_value()?);
+                    self.pos = item_start;
+                    self.parse_value()?;
                 }
-                Ok(Object::Array(items))
+                Ok(Value::Opaque)
             }
-            Token::Name(n) => Ok(Object::Name(n)),
-            Token::Str(s) => Ok(Object::Str(s)),
-            Token::Real(v) => Ok(Object::Real(v)),
+            Token::Name(n) => Ok(Value::Name(n)),
+            Token::Str(s) => Ok(Value::Str(s)),
+            Token::Real(v) => Ok(Value::Real(v)),
             Token::Int(v) => {
                 // Look ahead for the `N 0 R` indirect-reference pattern.
                 let saved = self.pos;
                 if let Ok(Token::Int(_)) = self.next_token() {
-                    if let Ok(Token::Keyword(k)) = self.next_token() {
-                        if k == "R" && v >= 0 {
-                            return Ok(Object::Ref(v as u32));
+                    if let Ok(Token::Keyword("R")) = self.next_token() {
+                        if v >= 0 {
+                            return Ok(Value::Ref(v as u32));
                         }
                     }
                 }
                 self.pos = saved;
-                Ok(Object::Int(v))
+                Ok(Value::Int(v))
             }
-            Token::Keyword(k) => match k.as_str() {
-                "true" => Ok(Object::Bool(true)),
-                "false" => Ok(Object::Bool(false)),
-                "null" => Ok(Object::Null),
+            Token::Keyword(k) => match k {
+                "true" => Ok(Value::Bool(true)),
+                "false" => Ok(Value::Bool(false)),
+                "null" => Ok(Value::Opaque),
                 other => Err(self.syntax_error(&format!("unexpected keyword '{other}'"))),
             },
             Token::DictClose | Token::ArrayClose => Err(self.syntax_error("unexpected closer")),
@@ -549,7 +635,7 @@ impl<'a> Lexer<'a> {
                 }
             }
             match self.next_token()? {
-                Token::Keyword(flag) if flag == "n" || flag == "f" => {}
+                Token::Keyword("n" | "f") => {}
                 other => return Err(self.syntax_error(&format!("malformed xref flag: {other:?}"))),
             }
         }
@@ -619,11 +705,12 @@ mod tests {
         let mut lx = Lexer::new(b"<< /Key (value \\(x\\)) 3 1.5 true null [1 2] >>");
         assert_eq!(lx.next_token().unwrap(), Token::DictOpen);
         assert_eq!(lx.next_token().unwrap(), Token::Name("Key".into()));
-        assert_eq!(lx.next_token().unwrap(), Token::Str("value (x)".into()));
+        let Token::Str(raw) = lx.next_token().unwrap() else { panic!("expected a string token") };
+        assert_eq!(raw.decode(), "value (x)");
         assert_eq!(lx.next_token().unwrap(), Token::Int(3));
         assert_eq!(lx.next_token().unwrap(), Token::Real(1.5));
-        assert_eq!(lx.next_token().unwrap(), Token::Keyword("true".into()));
-        assert_eq!(lx.next_token().unwrap(), Token::Keyword("null".into()));
+        assert_eq!(lx.next_token().unwrap(), Token::Keyword("true"));
+        assert_eq!(lx.next_token().unwrap(), Token::Keyword("null"));
         assert_eq!(lx.next_token().unwrap(), Token::ArrayOpen);
     }
 
@@ -632,7 +719,7 @@ mod tests {
         let mut lx = Lexer::new(b"<< /A 3 0 R /B 7 >>");
         let value = lx.parse_value().unwrap();
         match value {
-            Object::Dict(d) => {
+            Value::Dict(d) => {
                 assert_eq!(d.get_ref("A"), Some(3));
                 assert_eq!(d.get_int("B"), Some(7));
             }

@@ -5,7 +5,7 @@
 //! (per-parser BLEU targets), and the Tables 1–3 evaluation harness.
 
 use docmodel::document::{DocId, Document};
-use docmodel::spdf::{write_document, SpdfFile};
+use docmodel::spdf::{write_document, SpdfIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -76,16 +76,14 @@ impl DocumentEvaluation {
 /// stochastic failure modes.
 pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
     let bytes = write_document(doc);
-    let file = SpdfFile::parse(&bytes).expect("writer output must parse");
+    let index = SpdfIndex::open(&bytes).expect("writer output must parse");
+    let file = index.decode_all();
     // All six outputs are scored against this one text: prepare it once.
     let ground_truth = ReferenceText::new(&doc.ground_truth());
     let first_page_extraction = {
         let parser = crate::pymupdf::PyMuPdfParser::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xF1557);
-        match parser.parse_file(&file, &mut rng) {
-            Ok(out) => out.text.split('\u{c}').next().unwrap_or("").to_string(),
-            Err(_) => String::new(),
-        }
+        parser.first_page_text(&index, &mut rng).unwrap_or_default()
     };
     let mut per_parser = Vec::with_capacity(ParserKind::ALL.len());
     for parser in all_parsers() {

@@ -7,11 +7,11 @@
 //! nothing — which is exactly the signal AdaParse's CLS I stage keys on.
 
 use docmodel::corrupt;
-use docmodel::spdf::SpdfFile;
+use docmodel::spdf::{SpdfFile, SpdfIndex};
 use rand::RngCore;
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{first_page_with, ParseError, ParseOutput, Parser, ParserKind};
 
 /// PyMuPDF text extraction simulator.
 #[derive(Debug, Clone)]
@@ -30,6 +30,17 @@ impl PyMuPdfParser {
     pub fn new() -> Self {
         PyMuPdfParser { cost: CostModel::for_parser(ParserKind::PyMuPdf) }
     }
+
+    /// Extract one page from its embedded text layer; `None` when it has none.
+    fn extract_page(embedded: &str, rng: &mut dyn RngCore) -> Option<String> {
+        if embedded.trim().is_empty() {
+            return None;
+        }
+        // Equations stored as glyph runs come back as flattened plaintext.
+        let text = corrupt::mangle_latex(embedded);
+        // Mild whitespace injection from glyph-positioning heuristics.
+        Some(corrupt::inject_whitespace(&text, 0.01, rng))
+    }
 }
 
 impl Parser for PyMuPdfParser {
@@ -47,16 +58,9 @@ impl Parser for PyMuPdfParser {
         for page in &file.pages {
             let embedded = page.embedded_text.as_str();
             difficulty_sum += content_difficulty(embedded);
-            if embedded.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
-            }
-            // Equations stored as glyph runs come back as flattened plaintext.
-            let text = corrupt::mangle_latex(embedded);
-            // Mild whitespace injection from glyph-positioning heuristics.
-            let text = corrupt::inject_whitespace(&text, 0.01, rng);
-            pages_parsed += 1;
-            out_pages.push(text);
+            let text = Self::extract_page(embedded, rng);
+            pages_parsed += text.is_some() as usize;
+            out_pages.push(text.unwrap_or_default());
         }
         let mean_difficulty = difficulty_sum / file.pages.len() as f64;
         Ok(ParseOutput {
@@ -66,6 +70,10 @@ impl Parser for PyMuPdfParser {
             pages_total: file.pages.len(),
             cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
         })
+    }
+
+    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
+        first_page_with(index, |page| Self::extract_page(&page.embedded_text, rng))
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

@@ -7,11 +7,11 @@
 //! occasional per-page extraction failures.
 
 use docmodel::corrupt;
-use docmodel::spdf::SpdfFile;
+use docmodel::spdf::{SpdfFile, SpdfIndex};
 use rand::{Rng, RngCore};
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{first_page_with, ParseError, ParseOutput, Parser, ParserKind};
 
 /// pypdf text extraction simulator.
 #[derive(Debug, Clone)]
@@ -30,6 +30,19 @@ impl PypdfParser {
     pub fn new() -> Self {
         PypdfParser { cost: CostModel::for_parser(ParserKind::Pypdf) }
     }
+
+    /// Extract one page from its embedded text layer; `None` when it has
+    /// none or the page's extraction fails.
+    fn extract_page(embedded: &str, rng: &mut dyn RngCore) -> Option<String> {
+        if embedded.trim().is_empty() || rng.gen_bool(0.04) {
+            return None;
+        }
+        let text = corrupt::mangle_latex(embedded);
+        let text = corrupt::inject_whitespace(&text, 0.20, rng);
+        let text = corrupt::scramble_characters(&text, 0.08, rng);
+        // Damaged encodings flip case pervasively, cratering CAR.
+        Some(crate::failure::corrupt_case(&text, 0.25, rng))
+    }
 }
 
 impl Parser for PypdfParser {
@@ -47,18 +60,9 @@ impl Parser for PypdfParser {
         for page in &file.pages {
             let embedded = page.embedded_text.as_str();
             difficulty_sum += content_difficulty(embedded);
-            if embedded.trim().is_empty() || rng.gen_bool(0.04) {
-                // No text layer, or a per-page extraction failure.
-                out_pages.push(String::new());
-                continue;
-            }
-            let text = corrupt::mangle_latex(embedded);
-            let text = corrupt::inject_whitespace(&text, 0.20, rng);
-            let text = corrupt::scramble_characters(&text, 0.08, rng);
-            // Damaged encodings flip case pervasively, cratering CAR.
-            let text = crate::failure::corrupt_case(&text, 0.25, rng);
-            pages_parsed += 1;
-            out_pages.push(text);
+            let text = Self::extract_page(embedded, rng);
+            pages_parsed += text.is_some() as usize;
+            out_pages.push(text.unwrap_or_default());
         }
         let mean_difficulty = difficulty_sum / file.pages.len() as f64;
         Ok(ParseOutput {
@@ -68,6 +72,10 @@ impl Parser for PypdfParser {
             pages_total: file.pages.len(),
             cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
         })
+    }
+
+    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
+        first_page_with(index, |page| Self::extract_page(&page.embedded_text, rng))
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

@@ -6,11 +6,11 @@
 //! slower than extraction (CPU-bound, roughly seconds per page).
 
 use docmodel::corrupt;
-use docmodel::spdf::SpdfFile;
+use docmodel::spdf::{SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{first_page_with, ParseError, ParseOutput, Parser, ParserKind};
 
 /// Tesseract OCR simulator.
 #[derive(Debug, Clone)]
@@ -29,6 +29,21 @@ impl TesseractParser {
     pub fn new() -> Self {
         TesseractParser { cost: CostModel::for_parser(ParserKind::Tesseract) }
     }
+
+    /// Recognize one page from its image; `None` when nothing comes back.
+    fn recognize_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<String> {
+        let glyphs = page.glyph_text.as_str();
+        if glyphs.trim().is_empty() {
+            return None;
+        }
+        // OCR flattens math into character soup before misreading it.
+        let text = corrupt::mangle_latex(glyphs);
+        // Classic OCR engines read character by character; recognition
+        // error scales with how degraded the render is.
+        let text = corrupt::ocr_noise(&text, 0.35 + 0.65 * page.image.legibility(), rng);
+        // Severely degraded pages sometimes come back empty.
+        (!text.trim().is_empty()).then_some(text)
+    }
 }
 
 impl Parser for TesseractParser {
@@ -45,26 +60,11 @@ impl Parser for TesseractParser {
         let mut difficulty_sum = 0.0;
         let mut legibility_sum = 0.0;
         for page in &file.pages {
-            let glyphs = page.glyph_text.as_str();
-            difficulty_sum += content_difficulty(glyphs);
-            let legibility = page.image.legibility();
-            legibility_sum += legibility;
-            if glyphs.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
-            }
-            // OCR flattens math into character soup before misreading it.
-            let text = corrupt::mangle_latex(glyphs);
-            // Classic OCR engines read character by character; recognition
-            // error scales with how degraded the render is.
-            let text = corrupt::ocr_noise(&text, 0.35 + 0.65 * legibility, rng);
-            // Severely degraded pages sometimes come back empty.
-            if text.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
-            }
-            pages_parsed += 1;
-            out_pages.push(text);
+            difficulty_sum += content_difficulty(&page.glyph_text);
+            legibility_sum += page.image.legibility();
+            let text = Self::recognize_page(page, rng);
+            pages_parsed += text.is_some() as usize;
+            out_pages.push(text.unwrap_or_default());
         }
         let pages = file.pages.len() as f64;
         let mean_difficulty = difficulty_sum / pages;
@@ -81,6 +81,10 @@ impl Parser for TesseractParser {
             pages_total: file.pages.len(),
             cost,
         })
+    }
+
+    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
+        first_page_with(index, |page| Self::recognize_page(page, rng))
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

@@ -1,6 +1,6 @@
 //! The [`Parser`] trait and its supporting types.
 
-use docmodel::spdf::{SpdfError, SpdfFile};
+use docmodel::spdf::{SpdfError, SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
@@ -140,6 +140,22 @@ impl ParseOutput {
     }
 }
 
+/// Cut a parser's output at the first form feed: the text of its first page.
+fn cut_at_form_feed(mut text: String) -> String {
+    text.truncate(text.find('\u{c}').unwrap_or(text.len()));
+    text
+}
+
+/// [`Parser::first_page_text`] for a parser whose `parse_file` is a pure
+/// per-page loop: decode page 0 alone and run the loop's `body` on it.
+pub(crate) fn first_page_with(
+    index: &SpdfIndex<'_>,
+    body: impl FnOnce(&SpdfPage) -> Option<String>,
+) -> Result<String, ParseError> {
+    let page = index.page(0).ok_or(ParseError::EmptyDocument)?;
+    Ok(cut_at_form_feed(body(&page).unwrap_or_default()))
+}
+
 /// A PDF parser simulator.
 ///
 /// Implementations are deterministic given the input bytes and the caller's
@@ -170,6 +186,25 @@ pub trait Parser: Send + Sync {
     fn parse_bytes(&self, bytes: &[u8], rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
         let file = SpdfFile::parse(bytes)?;
         self.parse_file(&file, rng)
+    }
+
+    /// The text of the first page — what the router reads — from an
+    /// undecoded container.
+    ///
+    /// The default *is the definition*: [`Parser::parse_file`] over the whole
+    /// decoded document, cut at the first form feed. A parser may override it
+    /// with a cheaper page-0-only pass only if its `parse_file` is a pure
+    /// per-page loop, so page 0's RNG draws come first and nothing about
+    /// later pages reaches page 0's text (PyMuPDF, pypdf, Tesseract). A
+    /// parser that makes a document-level draw before page 0 (the page-drop
+    /// masks of Nougat, Marker and GROBID) must keep the default; the
+    /// `first_page_contract` property test holds every parser to it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly when [`Parser::parse_file`] fails on the decoded document.
+    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
+        Ok(cut_at_form_feed(self.parse_file(&index.decode_all(), rng)?.text))
     }
 
     /// Expected resource cost of parsing a document with the given page count
