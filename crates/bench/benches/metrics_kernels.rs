@@ -1,18 +1,23 @@
 //! Microbenchmarks of the metric kernels every evaluation run leans on
 //! (BLEU, ROUGE-L, character accuracy rate).
 //!
-//! `medium_doc` (≈3 400 characters) stays under `BANDED_THRESHOLD`; a 2–4
-//! page document does not, so the `long_doc` pair (≈12 000 characters, a few
-//! hundred edits) times the path campaigns actually take, `beyond_band` a
-//! pair whose distance exceeds the band (it must cost what a near copy of
-//! its length costs), and `multilingual` the non-ASCII side of the match
-//! masks.
+//! CAR costs what a pair's texts differ by, so its rows are pairs of one
+//! length class at different distances. `medium_doc` (≈3 400 characters)
+//! stays under `BANDED_THRESHOLD`; a 2–4 page document does not: of the
+//! ≈11 000-character pairs, `near_copy_long` (< 64 edits) stops on the first
+//! threshold rung, `long_doc` (a few hundred edits) on the second, and
+//! `beyond_band` (similar lengths, unrelated content) fails every rung and
+//! pays for the symmetric band as well — the worst case, which must stay
+//! under twice what the symmetric band alone costs (its cost before the
+//! rungs). `multilingual` is the non-ASCII side of the match masks.
+//! `quality_report/six_candidates` is one evaluation: one `ReferenceText`,
+//! six parser outputs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use textmetrics::bleu::sentence_bleu;
 use textmetrics::levenshtein::char_accuracy_rate;
 use textmetrics::rouge::rouge_l;
-use textmetrics::QualityReport;
+use textmetrics::{QualityReport, ReferenceText};
 
 const SENTENCE: &str = "the gravitational force between two masses is directly proportional to the \
                         product of their masses and inversely proportional to the square of the distance ";
@@ -55,15 +60,29 @@ fn bench_metrics(c: &mut Criterion) {
     });
 
     let reference = SENTENCE.repeat(70);
+    let near_copy = with_edits(&reference, 250);
+    c.bench_function("car/near_copy_long", |b| {
+        b.iter(|| char_accuracy_rate(black_box(&near_copy), black_box(&reference)))
+    });
     let candidate = with_edits(&reference, 40);
     c.bench_function("car/long_doc", |b| {
         b.iter(|| char_accuracy_rate(black_box(&candidate), black_box(&reference)))
+    });
+    c.bench_function("bleu/long_doc", |b| {
+        b.iter(|| sentence_bleu(black_box(&candidate), black_box(&reference)))
     });
     c.bench_function("rouge_l/long_doc", |b| {
         b.iter(|| rouge_l(black_box(&candidate), black_box(&reference)))
     });
     c.bench_function("quality_report/long_doc", |b| {
         b.iter(|| QualityReport::compute(black_box(&candidate), black_box(&reference), 1.0))
+    });
+    let candidates: Vec<String> = [250, 90, 40, 25, 15, 9].map(|every| with_edits(&reference, every)).into();
+    c.bench_function("quality_report/six_candidates", |b| {
+        b.iter(|| {
+            let reference = ReferenceText::new(black_box(&reference));
+            candidates.iter().map(|candidate| reference.score(candidate, 1.0).car).sum::<f64>()
+        })
     });
 
     // Similar lengths, unrelated content: the distance is far over the band.

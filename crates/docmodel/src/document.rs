@@ -114,7 +114,14 @@ impl Document {
 
     /// Ground-truth text of the whole document; pages separated by form feeds.
     pub fn ground_truth(&self) -> String {
-        self.pages.iter().map(|p| p.ground_truth_text()).collect::<Vec<_>>().join("\u{c}")
+        let mut out = String::new();
+        for (i, page) in self.pages.iter().enumerate() {
+            if i > 0 {
+                out.push('\u{c}');
+            }
+            page.write_ground_truth_text(&mut out);
+        }
+        out
     }
 
     /// Ground-truth text per page.
@@ -208,16 +215,14 @@ mod tests {
         ]
     }
 
-    fn sample_doc() -> Document {
-        let pages = sample_pages();
+    fn doc_of(pages: Vec<Page>) -> Document {
         let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
-        Document::new(
-            DocId(1),
-            DocMetadata::default(),
-            pages,
-            TextLayer::clean(&gt),
-            ImageLayer::born_digital(2),
-        )
+        let image_layer = ImageLayer::born_digital(pages.len());
+        Document::new(DocId(1), DocMetadata::default(), pages, TextLayer::clean(&gt), image_layer)
+    }
+
+    fn sample_doc() -> Document {
+        doc_of(sample_pages())
     }
 
     #[test]
@@ -228,6 +233,21 @@ mod tests {
         assert!(gt.contains("Throughput"));
         assert_eq!(gt.matches('\u{c}').count(), 1);
         assert_eq!(doc.ground_truth_pages().len(), 2);
+    }
+
+    #[test]
+    fn ground_truth_is_the_pages_joined_by_form_feeds() {
+        let two = sample_pages();
+        let four = [two.clone(), vec![Page::default()], two[..1].to_vec()].concat();
+        for pages in [vec![], two[..1].to_vec(), two, four] {
+            let doc = doc_of(pages);
+            assert_eq!(
+                doc.ground_truth(),
+                doc.ground_truth_pages().join("\u{c}"),
+                "{} pages",
+                doc.page_count()
+            );
+        }
     }
 
     #[test]

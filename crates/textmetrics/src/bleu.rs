@@ -6,7 +6,7 @@
 //! add-ε smoothing so short or partially-overlapping texts do not collapse to
 //! exactly zero (which would make the regression target degenerate).
 
-use crate::ngram::NgramCounts;
+use crate::ngram::{ngram_total, NgramIndex};
 use crate::tokenize::intern_pair;
 
 /// Configuration for BLEU computation.
@@ -86,38 +86,37 @@ pub fn corpus_bleu_with(pairs: &[(String, String)], config: BleuConfig) -> BleuS
         let (cand, refr, _) = intern_pair(candidate, reference);
         cand_len += cand.len();
         ref_len += refr.len();
-        for order in 1..=max_order {
-            let c = NgramCounts::from_tokens(&cand, order);
-            let r = NgramCounts::from_tokens(&refr, order);
-            matches[order - 1] += c.clipped_overlap(&r);
-            totals[order - 1] += c.total();
+        let matched = NgramIndex::new(&refr, max_order).clipped_matches(&cand);
+        for (order, matched) in (1..).zip(matched) {
+            matches[order - 1] += matched;
+            totals[order - 1] += ngram_total(cand.len(), order);
         }
     }
-    finish_bleu(&matches, &totals, cand_len, ref_len, config)
+    finish_bleu(&matches, &totals, cand_len, ref_len, config.smoothing)
 }
 
 /// BLEU of two token-id sequences from one vocabulary.
 pub(crate) fn bleu_of_ids(cand: &[u32], refr: &[u32], config: BleuConfig) -> BleuScore {
-    let max_order = config.max_order.max(1);
-    let mut matches = vec![0usize; max_order];
-    let mut totals = vec![0usize; max_order];
-    for order in 1..=max_order {
-        let c = NgramCounts::from_tokens(cand, order);
-        let r = NgramCounts::from_tokens(refr, order);
-        matches[order - 1] = c.clipped_overlap(&r);
-        totals[order - 1] = c.total();
-    }
-    finish_bleu(&matches, &totals, cand.len(), refr.len(), config)
+    bleu_against(&NgramIndex::new(refr, config.max_order.max(1)), cand, config.smoothing)
 }
 
+/// BLEU of a candidate's token ids against a reference's n-grams, up to the
+/// order they were counted to, from ids of the same vocabulary.
+pub(crate) fn bleu_against(reference: &NgramIndex, cand: &[u32], smoothing: f64) -> BleuScore {
+    let matches = reference.clipped_matches(cand);
+    let totals: Vec<usize> = (1..=matches.len()).map(|order| ngram_total(cand.len(), order)).collect();
+    finish_bleu(&matches, &totals, cand.len(), reference.total(1), smoothing)
+}
+
+/// BLEU from the clipped matches and candidate n-gram totals of each order.
 fn finish_bleu(
     matches: &[usize],
     totals: &[usize],
     cand_len: usize,
     ref_len: usize,
-    config: BleuConfig,
+    smoothing: f64,
 ) -> BleuScore {
-    let max_order = config.max_order.max(1);
+    let max_order = matches.len();
     if cand_len == 0 || ref_len == 0 {
         let score = if cand_len == 0 && ref_len == 0 { 1.0 } else { 0.0 };
         return BleuScore {
@@ -138,7 +137,7 @@ fn finish_bleu(
             continue;
         }
         let p = if matches[order] == 0 {
-            config.smoothing / totals[order] as f64
+            smoothing / totals[order] as f64
         } else {
             matches[order] as f64 / totals[order] as f64
         };

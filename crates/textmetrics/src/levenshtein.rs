@@ -7,11 +7,26 @@
 //!
 //! Both distances are Myers/Hyyrö bit-vector algorithms: a column of the
 //! dynamic-programming table is kept as its vertical differences, 64 cells
-//! to a machine word. [`edit_distance_chars`] computes the whole table
-//! (`|a|·|b|/64` word steps) and scores inputs up to [`BANDED_THRESHOLD`];
-//! [`edit_distance_banded`] computes only the blocks a diagonal band touches
-//! and scores the longer ones, at a cost that depends on the lengths and the
-//! band alone, not on how much the texts differ.
+//! to a machine word, and a pass over the longer text advances the blocks of
+//! a diagonal band only.
+//!
+//! A pair's cost follows how much its texts differ, not how long they are:
+//! both distances climb the same threshold rungs, `t = g + 64, 4t, …` for a
+//! length gap `g`. An alignment of cost at most `t` leaves the main diagonal
+//! by at most `p = (t − g) / 2` on the shorter text's side and `g + p` on the
+//! other (Ukkonen 1985) — going further and coming back to the last cell
+//! costs more than `t` in insertions and deletions alone — so a rung is the
+//! band of exactly those diagonals. Its result `r` is the cost of a real
+//! alignment, hence no less than the distance; if `r ≤ t` the cheapest
+//! alignment was inside the band and `r` is the distance. The first such
+//! result is returned. [`edit_distance_chars`] scores inputs up to
+//! [`BANDED_THRESHOLD`] and ends, when no rung cheap enough settles the
+//! pair, in the whole table (`|a|·|b|/64` word steps);
+//! [`edit_distance_banded`] scores the longer ones, stops its rungs at
+//! `band` and ends in the symmetric band that defines it. A rung is tried
+//! only while it and the rungs before it cost no more than the pass they
+//! lead to, so the worst pair costs at most twice what that pass alone
+//! would.
 
 use std::collections::HashMap;
 
@@ -100,64 +115,208 @@ fn advance_block(pv: &mut u64, mv: &mut u64, eq: u64, above: (u64, u64)) -> (u64
 /// written as the top bit of a block above it.
 const ENTER: (u64, u64) = (1 << (WORD - 1), 0);
 
+/// Edits beyond the length gap (which every alignment pays) that the first
+/// threshold allows, and the factor from one threshold to the next.
+const FIRST_RUNG: usize = 64;
+const RUNG_RATIO: usize = 4;
+
+/// Rows (1-based) of column `j` on the diagonals from `up` above the main
+/// one to `down` below it, for a pattern of `m` rows.
+fn band_rows(j: usize, up: usize, down: usize, m: usize) -> (usize, usize) {
+    (j.saturating_sub(up).max(1), (j + down).min(m))
+}
+
+/// Word steps per column, at most, of a band `up` diagonals above the main
+/// one and `down` below it: its `up + down + 1` rows, wherever they start.
+fn band_words(up: usize, down: usize) -> usize {
+    (up + down) / WORD + 2
+}
+
+/// The threshold schedule of both distances (see the module documentation),
+/// as `(t, up, down)`: thresholds start at `gap + FIRST_RUNG`, grow by
+/// `RUNG_RATIO` and end at `cap`, and a rung of threshold `t` spans the
+/// diagonals from `up = gap + p` to `down = p`, `p = (t − gap) / 2`.
+///
+/// A rung is worth trying only while it and the rungs before it together
+/// cost no more than the `final_words` word steps per column of the pass
+/// that follows when every rung fails, which bounds the worst pair at twice
+/// that pass.
+fn rungs(gap: usize, cap: usize, final_words: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let first = (gap + FIRST_RUNG).min(cap);
+    let thresholds = std::iter::successors(Some(first), move |&t| {
+        (t < cap).then(|| t.saturating_mul(RUNG_RATIO).min(cap))
+    });
+    let mut spent = 0;
+    thresholds.map(move |t| (t, gap + (t - gap) / 2, (t - gap) / 2)).take_while(move |&(_, up, down)| {
+        spent += band_words(up, down);
+        spent <= final_words
+    })
+}
+
+/// One (pattern, text) pair: the pattern's match masks, built once, and the
+/// column state every pass over the text reuses.
+struct Pair<'a> {
+    masks: MatchMasks,
+    text: &'a [char],
+    /// Pattern length.
+    m: usize,
+    pv: Vec<u64>,
+    mv: Vec<u64>,
+}
+
+impl<'a> Pair<'a> {
+    /// `pattern` must be the shorter side and not empty.
+    fn new(pattern: &[char], text: &'a [char]) -> Self {
+        let masks = MatchMasks::new(pattern);
+        let (pv, mv) = (vec![0; masks.words], vec![0; masks.words]);
+        Pair { masks, text, m: pattern.len(), pv, mv }
+    }
+
+    /// Column 0 of the table is 0, 1, 2, …: every vertical difference is +1.
+    fn reset(&mut self) {
+        self.pv.fill(u64::MAX);
+        self.mv.fill(0);
+    }
+
+    /// The first rung of [`rungs`] whose result is within its threshold.
+    fn climb(&mut self, cap: usize, final_words: usize) -> Option<usize> {
+        rungs(self.text.len() - self.m, cap, final_words).find_map(|(t, up, down)| {
+            let distance = self.distance_in_band(up, down);
+            (distance <= t).then_some(distance)
+        })
+    }
+
+    /// Cost of the cheapest alignment confined to the diagonals from `up`
+    /// above the main one (towards the longer text; at least the length gap,
+    /// so that the last cell is inside) to `down` below it: the row
+    /// recurrence with every cell outside rows [`band_rows`] at infinity.
+    ///
+    /// Only the blocks the band touches in a column advance. Neighbouring
+    /// cells inside the band still differ by at most one, so the band's edges
+    /// fit the bit-vector encoding. The rows of the first block that lie
+    /// above the band are given vertical differences of −1 and no matches,
+    /// which makes each of them, and so the cell above the band's top cell,
+    /// one more than its left neighbour: a value the top cell's diagonal move
+    /// always beats. The rows below the band keep the +1 differences of
+    /// column 0, which does the same for the bottom cell's left neighbour.
+    fn distance_in_band(&mut self, up: usize, down: usize) -> usize {
+        self.reset();
+        let Pair { masks, text, m, pv, mv } = self;
+        let m = *m;
+        // The band's top cell in the previous column.
+        let mut top = 0;
+        for (j, &ch) in (1usize..).zip(*text) {
+            let (lo, hi) = band_rows(j, up, down, m);
+            let (first, last) = ((lo - 1) / WORD, (hi - 1) / WORD);
+            let eq = &masks.row(ch)[first..=last];
+            let (pv, mv) = (&mut pv[first..=last], &mut mv[first..=last]);
+
+            let bit = (lo - 1) % WORD;
+            let above_band = (1 << bit) - 1;
+            pv[0] &= !above_band;
+            mv[0] |= above_band;
+            let mut h = advance_block(&mut pv[0], &mut mv[0], eq[0] & !above_band, ENTER);
+            for ((pv, mv), &eq) in pv.iter_mut().zip(mv.iter_mut()).zip(eq).skip(1) {
+                h = advance_block(pv, mv, eq, h);
+            }
+            // The sweep also advanced the rows of the last block below the band.
+            let below_band = (u64::MAX << ((hi - 1) % WORD)) << 1;
+            pv[last - first] |= below_band;
+            mv[last - first] &= !below_band;
+
+            // The cell above the top cell: row 0 of the table while the band
+            // reaches it, one more than the previous top cell afterwards.
+            let above = if lo == 1 { j } else { top + 1 };
+            top = above + (pv[0] >> bit & 1) as usize - (mv[0] >> bit & 1) as usize;
+        }
+        // Down the last column from the top cell (row `lo`) to row m.
+        let (lo, _) = band_rows(text.len(), up, down, m);
+        let (mut plus, mut minus) = (0, 0);
+        for block in lo / WORD..=(m - 1) / WORD {
+            let mut rows = u64::MAX;
+            if block == lo / WORD {
+                rows &= u64::MAX << (lo % WORD);
+            }
+            if block == (m - 1) / WORD {
+                rows &= u64::MAX >> (WORD - 1 - (m - 1) % WORD);
+            }
+            plus += (pv[block] & rows).count_ones() as usize;
+            minus += (mv[block] & rows).count_ones() as usize;
+        }
+        top + plus - minus
+    }
+
+    /// The whole table, `|text| · ⌈m / 64⌉` word steps. Carries only run from
+    /// low rows to high rows, so the unused high bits of the last block are
+    /// never read: the distance is tracked at bit `(m − 1) % 64` of that
+    /// block.
+    fn distance_in_table(&mut self) -> usize {
+        self.reset();
+        let Pair { masks, text, m, pv, mv } = self;
+        let last = masks.words - 1;
+        let score_bit = (*m - 1) % WORD;
+        let mut score = *m;
+        let mut add_score = |(ph, mh): (u64, u64)| {
+            score += (ph >> score_bit & 1) as usize;
+            score -= (mh >> score_bit & 1) as usize;
+        };
+        // Two columns at a time, the second one block behind the first: block b
+        // of column j and block b − 1 of column j + 1 depend on nothing of each
+        // other, so the processor overlaps the two carry chains.
+        let mut columns = text.chunks_exact(2);
+        for pair in &mut columns {
+            let (eq0, eq1) = (masks.row(pair[0]), masks.row(pair[1]));
+            let (mut p, mut q) = (pv[0], mv[0]);
+            let mut h0 = advance_block(&mut p, &mut q, eq0[0], ENTER);
+            let mut h1 = ENTER;
+            for block in 1..=last {
+                let (mut p1, mut q1) = (p, q);
+                (p, q) = (pv[block], mv[block]);
+                h0 = advance_block(&mut p, &mut q, eq0[block], h0);
+                h1 = advance_block(&mut p1, &mut q1, eq1[block - 1], h1);
+                (pv[block - 1], mv[block - 1]) = (p1, q1);
+            }
+            h1 = advance_block(&mut p, &mut q, eq1[last], h1);
+            (pv[last], mv[last]) = (p, q);
+            add_score(h0);
+            add_score(h1);
+        }
+        for &ch in columns.remainder() {
+            let mut h = ENTER;
+            for ((pv, mv), &eq) in pv.iter_mut().zip(mv.iter_mut()).zip(masks.row(ch)) {
+                h = advance_block(pv, mv, eq, h);
+            }
+            add_score(h);
+        }
+        score
+    }
+}
+
 /// Exact Levenshtein distance between two character slices.
 ///
 /// Bit-parallel (Myers 1999, Hyyrö's block formulation): the shorter slice
 /// is the pattern, laid out down a column 64 rows to a word; every
 /// character of the longer one advances the column by one word step per
-/// block. Carries only run from low rows to high rows, so the unused high
-/// bits of the last block are never read: the distance is tracked at bit
-/// `(m − 1) % 64` of that block. Returns the same integer as the textbook
-/// row recurrence (the test oracle in `tests/kernel_equivalence.rs`).
+/// block it visits. The threshold rungs (see the module documentation) visit
+/// the blocks of a narrow diagonal band first: a rung of threshold `t` costs
+/// `|text| · (t / 64 + 2)` word steps, the one that settles a pair `d` edits
+/// apart has `t < 4·d` unless it is the first, and the rungs before it add a
+/// third of its cost. The whole table's word steps are about twice as fast
+/// (two columns in flight, no band edges), so rungs are tried only within
+/// half of its `|text| · ⌈|pattern| / 64⌉`; a pair they do not settle gets the
+/// table. Returns the same integer as the textbook row recurrence (the test
+/// oracle in `tests/kernel_equivalence.rs`).
 ///
 /// Memory usage is `O(σ · min(|a|, |b|) / 64)` words for `σ` distinct
 /// pattern characters.
 pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let m = pattern.len();
-    if m == 0 {
+    if pattern.is_empty() {
         return text.len();
     }
-    let masks = MatchMasks::new(pattern);
-    let last = masks.words - 1;
-    let score_bit = (m - 1) % WORD;
-    // Column 0 of the table is 0, 1, 2, …: every vertical difference is +1.
-    let mut pv = vec![u64::MAX; masks.words];
-    let mut mv = vec![0u64; masks.words];
-    let mut score = m;
-    let mut add_score = |(ph, mh): (u64, u64)| {
-        score += (ph >> score_bit & 1) as usize;
-        score -= (mh >> score_bit & 1) as usize;
-    };
-    // Two columns at a time, the second one block behind the first: block b
-    // of column j and block b − 1 of column j + 1 depend on nothing of each
-    // other, so the processor overlaps the two carry chains.
-    let mut columns = text.chunks_exact(2);
-    for pair in &mut columns {
-        let (eq0, eq1) = (masks.row(pair[0]), masks.row(pair[1]));
-        let (mut p, mut q) = (pv[0], mv[0]);
-        let mut h0 = advance_block(&mut p, &mut q, eq0[0], ENTER);
-        let mut h1 = ENTER;
-        for block in 1..=last {
-            let (mut p1, mut q1) = (p, q);
-            (p, q) = (pv[block], mv[block]);
-            h0 = advance_block(&mut p, &mut q, eq0[block], h0);
-            h1 = advance_block(&mut p1, &mut q1, eq1[block - 1], h1);
-            (pv[block - 1], mv[block - 1]) = (p1, q1);
-        }
-        h1 = advance_block(&mut p, &mut q, eq1[last], h1);
-        (pv[last], mv[last]) = (p, q);
-        add_score(h0);
-        add_score(h1);
-    }
-    for &ch in columns.remainder() {
-        let mut h = ENTER;
-        for ((pv, mv), &eq) in pv.iter_mut().zip(&mut mv).zip(masks.row(ch)) {
-            h = advance_block(pv, mv, eq, h);
-        }
-        add_score(h);
-    }
-    score
+    let mut pair = Pair::new(pattern, text);
+    let table_words = pair.masks.words;
+    pair.climb(text.len(), table_words / 2).unwrap_or_else(|| pair.distance_in_table())
 }
 
 /// Exact Levenshtein distance between two strings (raw characters, no
@@ -180,68 +339,34 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 /// length gap wider than the band admits no such alignment and returns
 /// `max(|a|, |b|)`.
 ///
-/// Bit-parallel like [`edit_distance_chars`], over the blocks the band
-/// touches in each column only: `|text| · (2·band/64 + 2)` word steps at
-/// most. Neighbouring cells inside the band still differ by at most one, so
-/// the band's edges fit the same encoding. The rows of the first block that
-/// lie above the band are given vertical differences of −1 and no matches,
-/// which makes each of them, and so the cell above the band's top cell, one
-/// more than its left neighbour: a value the top cell's diagonal move always
-/// beats. The rows below the band keep the +1 differences of column 0, which
-/// does the same for the bottom cell's left neighbour. Returns the same
-/// integer as the row recurrence with every cell outside the band at
-/// infinity (the test oracle in `tests/kernel_equivalence.rs`).
+/// Bit-parallel like [`edit_distance_chars`] and on the same threshold
+/// rungs, capped at `band`. A rung of threshold `t ≤ band` lies inside the
+/// symmetric band, so its result is no less than the band's, which is no
+/// less than the exact distance; a result `r ≤ t` is the exact distance (see
+/// the module documentation), hence all three are equal and `r` is the value
+/// defined above, at a cost that follows `r` as it does for
+/// [`edit_distance_chars`]. A pair no rung settles — its exact distance
+/// exceeds `band`, or the last rungs were not worth trying — pays for the
+/// symmetric band itself, `|text| · (2·band/64 + 2)` word steps, after rungs
+/// that together cost no more than that: no pair costs over twice what the
+/// symmetric band alone would. Returns the same integer as the row
+/// recurrence with every cell outside the band at infinity (the test oracle
+/// in `tests/kernel_equivalence.rs`).
 pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let (m, n) = (pattern.len(), text.len());
-    if m == 0 || n - m > band {
-        return n;
+    if pattern.is_empty() || text.len() - pattern.len() > band {
+        return text.len();
     }
-    let masks = MatchMasks::new(pattern);
-    let mut pv = vec![u64::MAX; masks.words];
-    let mut mv = vec![0u64; masks.words];
-    // The band's top cell in the previous column.
-    let mut top = 0;
-    for (j, &ch) in (1usize..).zip(text) {
-        // Rows (1-based) of the band in column j, and their blocks.
-        let lo = j.saturating_sub(band).max(1);
-        let hi = (j + band).min(m);
-        let (first, last) = ((lo - 1) / WORD, (hi - 1) / WORD);
-        let eq = masks.row(ch);
+    let mut pair = Pair::new(pattern, text);
+    pair.climb(band, band_words(band, band)).unwrap_or_else(|| pair.distance_in_band(band, band))
+}
 
-        let above_band = (1 << ((lo - 1) % WORD)) - 1;
-        pv[first] &= !above_band;
-        mv[first] |= above_band;
-        let mut h = advance_block(&mut pv[first], &mut mv[first], eq[first] & !above_band, ENTER);
-        for block in first + 1..=last {
-            h = advance_block(&mut pv[block], &mut mv[block], eq[block], h);
-        }
-        // The sweep also advanced the rows of the last block below the band.
-        let below_band = (u64::MAX << ((hi - 1) % WORD)) << 1;
-        pv[last] |= below_band;
-        mv[last] &= !below_band;
-
-        // The cell above the top cell: row 0 of the table while the band
-        // reaches it, one more than the previous top cell afterwards.
-        let above = if lo == 1 { j } else { top + 1 };
-        let bit = (lo - 1) % WORD;
-        top = above + (pv[first] >> bit & 1) as usize - (mv[first] >> bit & 1) as usize;
-    }
-    // Down the last column from the top cell (row `lo`) to row m.
-    let lo = n.saturating_sub(band).max(1);
-    let (mut plus, mut minus) = (0, 0);
-    for block in lo / WORD..=(m - 1) / WORD {
-        let mut rows = u64::MAX;
-        if block == lo / WORD {
-            rows &= u64::MAX << (lo % WORD);
-        }
-        if block == (m - 1) / WORD {
-            rows &= u64::MAX >> (WORD - 1 - (m - 1) % WORD);
-        }
-        plus += (pv[block] & rows).count_ones() as usize;
-        minus += (mv[block] & rows).count_ones() as usize;
-    }
-    top + plus - minus
+/// The band kernel on its own, for the oracle in
+/// `tests/kernel_equivalence.rs`; not part of the API. `pattern` must not be
+/// empty or longer than `text`, and `up` not less than the length gap.
+#[doc(hidden)]
+pub fn distance_in_band(pattern: &[char], text: &[char], up: usize, down: usize) -> usize {
+    Pair::new(pattern, text).distance_in_band(up, down)
 }
 
 /// Normalized similarity in `[0, 1]`: `1 − d / max(|a|, |b|)` over raw
@@ -338,6 +463,63 @@ mod tests {
         let exact = edit_distance_chars(&a, &b);
         for band in [1usize, 2, 4, 8, 40] {
             assert!(edit_distance_banded(&a, &b, band) >= exact);
+        }
+    }
+
+    /// Lengths and bands on a grid up to 40 000, with every length gap the
+    /// band admits at and around the rung boundaries.
+    fn schedule_grid() -> impl Iterator<Item = (usize, usize, usize)> {
+        let sizes = [1, 63, 64, 65, 200, 666, 800, 1_000, 4_000, 4_001, 12_000, 40_000];
+        let bands = [0usize, 1, 63, 64, 65, 255, 256, 257, 300, 800, 1_024, 2_400, 8_000];
+        sizes.into_iter().flat_map(move |m| {
+            bands.into_iter().flat_map(move |band| {
+                let gaps = [0, 1, 63, 64, 65, band / 4, band / 2, band.saturating_sub(1), band];
+                gaps.into_iter()
+                    .filter(move |&gap| gap <= band && m + gap <= 40_000)
+                    .map(move |gap| (m, gap, band))
+            })
+        })
+    }
+
+    #[test]
+    fn failed_rungs_never_cost_more_than_the_pass_they_lead_to() {
+        for (m, gap, band) in schedule_grid() {
+            let table_words = m.div_ceil(WORD);
+            for (cap, final_words) in [(band, band_words(band, band)), (m + gap, table_words / 2)] {
+                let mut spent = 0;
+                let mut previous = None;
+                for (t, up, down) in rungs(gap, cap, final_words) {
+                    assert!(previous < Some(t) && t <= cap, "thresholds rise to the cap");
+                    // Wide enough for every alignment of cost t, inside the symmetric band of t.
+                    assert_eq!((up, down), (gap + (t - gap) / 2, (t - gap) / 2));
+                    assert!(up <= t && down <= t);
+                    spent += band_words(up, down);
+                    previous = Some(t);
+                }
+                assert!(spent <= final_words, "m = {m}, gap = {gap}, cap = {cap}: {spent} > {final_words}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_first_rung_pair_costs_an_eighth_of_the_symmetric_band() {
+        for (_, gap, band) in schedule_grid().filter(|&(_, gap, band)| gap < FIRST_RUNG && band >= 800) {
+            let (t, up, down) = rungs(gap, band, band_words(band, band)).next().expect("affordable");
+            assert_eq!(t, gap + FIRST_RUNG);
+            assert!(8 * band_words(up, down) <= band_words(band, band), "gap = {gap}, band = {band}");
+        }
+    }
+
+    #[test]
+    fn band_words_bounds_the_blocks_of_every_column() {
+        for (m, gap, band) in schedule_grid().filter(|&(m, ..)| m <= 4_001) {
+            for (up, down) in [(band, band), (gap, 0), (gap + band / 2, band / 2), (gap + 1, 62)] {
+                for j in 1..=m + gap {
+                    let (lo, hi) = band_rows(j, up, down, m);
+                    assert!(1 <= lo && lo <= hi && hi <= m, "j = {j}, up = {up}, down = {down}, m = {m}");
+                    assert!((hi - 1) / WORD - (lo - 1) / WORD < band_words(up, down));
+                }
+            }
         }
     }
 

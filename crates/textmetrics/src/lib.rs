@@ -84,7 +84,8 @@ impl QualityReport {
 }
 
 /// A reference text prepared for scoring: whitespace-normalized characters
-/// for CAR and interned word tokens for BLEU and ROUGE-L.
+/// for CAR, interned word tokens for ROUGE-L and their counted n-grams for
+/// BLEU.
 ///
 /// [`QualityReport::compute`] prepares one per call; a caller scoring several
 /// candidates against one ground truth (the six parsers of an evaluation)
@@ -94,21 +95,23 @@ pub struct ReferenceText {
     chars: Vec<char>,
     vocab: tokenize::Vocab,
     ids: Vec<u32>,
+    ngrams: ngram::NgramIndex,
 }
 
 impl ReferenceText {
-    /// Normalize, tokenize and intern `reference`.
+    /// Normalize, tokenize and intern `reference`, and count its n-grams.
     pub fn new(reference: &str) -> Self {
         let mut vocab = tokenize::Vocab::default();
         let ids = vocab.intern(reference);
-        ReferenceText { chars: tokenize_chars(reference), vocab, ids }
+        let ngrams = ngram::NgramIndex::new(&ids, BleuConfig::default().max_order);
+        ReferenceText { chars: tokenize_chars(reference), vocab, ids, ngrams }
     }
 
     /// Score `candidate` against this reference; see [`QualityReport::compute`].
     pub fn score(&self, candidate: &str, coverage: f64) -> QualityReport {
         let ids = self.vocab.lookup(candidate);
         QualityReport {
-            bleu: bleu::bleu_of_ids(&ids, &self.ids, BleuConfig::default()).score,
+            bleu: bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score,
             rouge: rouge::rouge_l_of_ids(&ids, &self.ids, self.vocab.len()).f1,
             car: levenshtein::car_of_chars(&tokenize_chars(candidate), &self.chars),
             coverage: coverage.clamp(0.0, 1.0),

@@ -5,7 +5,7 @@
 //! tables; we follow the common convention of reporting ROUGE-L F1 there and
 //! expose ROUGE-1/2 for completeness.
 
-use crate::ngram::NgramCounts;
+use crate::ngram::{ngram_total, NgramIndex};
 use crate::tokenize::{intern_pair, Vocab};
 
 /// Precision / recall / F1 triple produced by every ROUGE variant.
@@ -45,10 +45,10 @@ pub fn rouge_n(candidate: &str, reference: &str, order: usize) -> RougeScore {
     if cand.is_empty() && refr.is_empty() {
         return RougeScore::perfect();
     }
-    let c = NgramCounts::from_tokens(&cand, order.max(1));
-    let r = NgramCounts::from_tokens(&refr, order.max(1));
-    let overlap = c.clipped_overlap(&r) as f64;
-    RougeScore::from_counts(overlap, c.total() as f64, r.total() as f64)
+    let order = order.max(1);
+    let reference = NgramIndex::new(&refr, order);
+    let overlap = reference.clipped_matches(&cand)[order - 1] as f64;
+    RougeScore::from_counts(overlap, ngram_total(cand.len(), order) as f64, reference.total(order) as f64)
 }
 
 /// ROUGE-L over word tokens, based on the longest common subsequence.

@@ -8,9 +8,9 @@
 //! here, and only here, as the oracle. Distances and LCS lengths must be the
 //! same integers; every `f64` derived from them must have the same bits.
 
-use textmetrics::bleu::sentence_bleu;
+use textmetrics::bleu::{sentence_bleu, sentence_bleu_with, BleuConfig};
 use textmetrics::levenshtein::{
-    char_accuracy_rate, edit_distance_banded, edit_distance_chars, BANDED_THRESHOLD,
+    char_accuracy_rate, distance_in_band, edit_distance_banded, edit_distance_chars, BANDED_THRESHOLD,
 };
 use textmetrics::rouge::{lcs_length, rouge_l, ROUGE_L_MAX_TOKENS};
 use textmetrics::{QualityReport, ReferenceText};
@@ -71,6 +71,27 @@ mod reference {
             std::mem::swap(&mut prev, &mut curr);
         }
         prev[m].min(n.max(m))
+    }
+
+    /// The row recurrence over the cells on diagonals `-down..=up` (column
+    /// minus row; `text` runs along the columns), every other cell at
+    /// infinity.
+    pub fn edit_distance_in_band(pattern: &[char], text: &[char], up: usize, down: usize) -> usize {
+        let (m, n) = (pattern.len(), text.len());
+        let inf = n + m + 1;
+        let inside = |i: usize, j: usize| j <= i + up && i <= j + down;
+        let mut prev: Vec<usize> = (0..=m).map(|i| if inside(i, 0) { i } else { inf }).collect();
+        let mut curr = vec![inf; m + 1];
+        for j in 1..=n {
+            curr[0] = if inside(0, j) { j } else { inf };
+            for i in 1..=m {
+                let cost = usize::from(pattern[i - 1] != text[j - 1]);
+                let best = (prev[i - 1] + cost).min(prev[i] + 1).min(curr[i - 1] + 1);
+                curr[i] = if inside(i, j) { best.min(inf) } else { inf };
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        prev[m]
     }
 
     fn normalize_whitespace(text: &str) -> String {
@@ -177,6 +198,11 @@ mod reference {
 
     /// BLEU-4 with the default smoothing of `1e-2`.
     pub fn sentence_bleu(candidate: &str, reference: &str) -> f64 {
+        bleu(candidate, reference, 4)
+    }
+
+    /// BLEU up to `max_order` with the default smoothing of `1e-2`.
+    pub fn bleu(candidate: &str, reference: &str, max_order: usize) -> f64 {
         let cand = tokenize_words(candidate);
         let refr = tokenize_words(reference);
         if cand.is_empty() || refr.is_empty() {
@@ -184,7 +210,7 @@ mod reference {
         }
         let mut log_sum = 0.0f64;
         let mut usable_orders = 0usize;
-        for order in 1..=4 {
+        for order in 1..=max_order {
             let (c, total) = ngram_counts(&cand, order);
             let (r, _) = ngram_counts(&refr, order);
             let matches: usize = c.iter().map(|(k, &n)| n.min(r.get(k).copied().unwrap_or(0))).sum();
@@ -535,4 +561,273 @@ fn quality_report_is_bit_equal_on_a_multi_page_document() {
     let reference = random_words(&mut rng, alphabet, 3_500);
     assert!(reference.chars().count() > BANDED_THRESHOLD);
     assert_metrics_match(&mutate_words(&mut rng, alphabet, &reference, 12), &reference);
+}
+
+/// The band kernel on its own against the row recurrence confined to the
+/// same diagonals: every shape the rungs use (`up` = gap + p, `down` = p,
+/// down to p = 0) and lopsided ones, with the edges crossing block
+/// boundaries, on near copies and on unrelated texts (where the confined
+/// cost exceeds the exact distance).
+#[test]
+fn band_kernel_matches_the_scalar_recurrence_on_the_same_diagonals() {
+    let mut rng = Rng(0x5EED_000C);
+    let check = |pattern: &[char], text: &[char], up: usize, down: usize| {
+        assert_eq!(
+            distance_in_band(pattern, text, up, down),
+            reference::edit_distance_in_band(pattern, text, up, down),
+            "m = {}, n = {}, up = {up}, down = {down}",
+            pattern.len(),
+            text.len()
+        );
+    };
+    for alphabet in alphabets() {
+        let mut lengths: Vec<(usize, usize)> =
+            BLOCK_EDGE_LENGTHS[1..].iter().flat_map(|&m| [0, 1, 2, 63, 64, 65].map(|gap| (m, gap))).collect();
+        lengths.extend((0..12).map(|_| (1 + rng.below(400), rng.below(90))));
+        for (m, gap) in lengths {
+            let pattern = random_chars(&mut rng, &alphabet, m);
+            // Exactly `gap` longer: substitutions, then insertions.
+            let mut near = pattern.clone();
+            for _ in 0..m / 10 {
+                let at = rng.below(m);
+                near[at] = alphabet[rng.below(alphabet.len())];
+            }
+            for _ in 0..gap {
+                near.insert(rng.below(near.len() + 1), alphabet[rng.below(alphabet.len())]);
+            }
+            let far = random_chars(&mut rng, &alphabet, m + gap);
+            for p in [0, 1, 31, 32, 62, 63, 64, 65, 127, 128, 129] {
+                for (up, down) in [(gap + p, p), (gap + p, 0), (gap, p), (gap + 2 * p + 1, p / 2)] {
+                    check(&pattern, &near, up, down);
+                    check(&pattern, &far, up, down);
+                }
+            }
+        }
+    }
+    // Up = down = band is the symmetric oracle the file started with.
+    let (a, b) = (random_chars(&mut rng, &['a', 'b'], 150), random_chars(&mut rng, &['a', 'b'], 170));
+    for band in [20, 21, 64, 200] {
+        assert_eq!(
+            reference::edit_distance_in_band(&a, &b, band, band),
+            reference::edit_distance_banded(&a, &b, band)
+        );
+    }
+}
+
+/// A pair whose exact distance and alignment are known by construction:
+/// `gap + 2·detour + substitutions`, the cheapest alignment leaving the main
+/// diagonal by `detour` on one side (`low_side`) or by `gap + detour` on the
+/// other. `#`, `%` and `@` occur in no alphabet, so each costs one edit.
+fn detour_pair(
+    rng: &mut Rng,
+    alphabet: &[char],
+    body: usize,
+    gap: usize,
+    detour: usize,
+    substitutions: usize,
+    low_side: bool,
+) -> (Vec<char>, Vec<char>) {
+    let shared = random_chars(rng, alphabet, body);
+    let mut edited = shared.clone();
+    for k in 0..substitutions {
+        edited[(k + 1) * body / (substitutions + 1)] = '@';
+    }
+    let (only_pattern, only_text) = (vec!['#'; detour], vec!['%'; gap + detour]);
+    if low_side {
+        ([only_pattern, shared].concat(), [edited, only_text].concat())
+    } else {
+        ([shared, only_pattern].concat(), [only_text, edited].concat())
+    }
+}
+
+/// Distances at, one over and two over a rung's threshold, alignments that
+/// run along a rung's outermost diagonal or one beyond it, length gaps at
+/// the first rung, and the band at and around all of them.
+#[test]
+fn distances_are_exact_at_every_rung_boundary() {
+    let mut rng = Rng(0x5EED_000D);
+    let alphabet = &alphabets()[2];
+    // (length gap, threshold of the rung under test): first rungs at
+    // gap + 64, second ones at four times that.
+    for (gap, t) in
+        [(0usize, 64usize), (1, 65), (30, 94), (63, 127), (64, 128), (65, 129), (0, 256), (7, 284), (20, 336)]
+    {
+        let reach = (t - gap) / 2; // `t − gap` is odd for some of these
+        for (detour, substitutions) in [
+            (0, t - gap),                 // d = t on the main diagonals
+            (0, t - gap + 1),             // d = t + 1
+            (reach, (t - gap) % 2),       // d = t along the rung's edge
+            (reach, (t - gap) % 2 + 1),   // d = t + 1 along the rung's edge
+            (reach + 1, 0),               // one diagonal beyond the rung
+            (reach.saturating_sub(1), 2), // inside it
+        ] {
+            for low_side in [true, false] {
+                let (pattern, text) =
+                    detour_pair(&mut rng, alphabet, 500, gap, detour, substitutions, low_side);
+                let exact = gap + 2 * detour + substitutions;
+                assert_eq!(reference::edit_distance_chars(&pattern, &text), exact, "the construction");
+                assert_eq!(
+                    edit_distance_chars(&pattern, &text),
+                    exact,
+                    "gap = {gap}, t = {t}, detour = {detour}"
+                );
+                assert_eq!(edit_distance_chars(&text, &pattern), exact);
+                for band in
+                    [gap.saturating_sub(1), gap, gap + 1, t - 1, t, t + 1, exact - 1, exact, exact + 1, 4 * t]
+                {
+                    assert_banded_matches(&pattern, &text, band);
+                }
+            }
+        }
+    }
+    // A rung that must refuse a result over its threshold. Gap 1: the second
+    // rung is t = 260, reaching 129 diagonals below the main one; the
+    // cheapest alignment (261 = t + 1) needs 130, and the cheapest one inside
+    // the rung costs 262 — an upper bound, not the distance.
+    let pattern: Vec<char> = "#".repeat(130).chars().chain("a".repeat(999).chars()).chain(['b']).collect();
+    let text: Vec<char> = "a".repeat(999).chars().chain(['b']).chain("%".repeat(131).chars()).collect();
+    assert_eq!(reference::edit_distance_chars(&pattern, &text), 261, "the construction");
+    assert_eq!(reference::edit_distance_in_band(&pattern, &text, 130, 129), 262, "the construction");
+    assert_eq!(distance_in_band(&pattern, &text, 130, 129), 262);
+    assert_eq!(edit_distance_chars(&pattern, &text), 261);
+    for band in [260, 261, 262, 1_000] {
+        assert_banded_matches(&pattern, &text, band);
+    }
+
+    // One-block patterns: the first rung already spans every row.
+    for m in [1, 2, 63, 64] {
+        let a = random_chars(&mut rng, alphabet, m);
+        for n in [m, m + 1, m + 64, m + 200] {
+            let b = random_chars(&mut rng, alphabet, n);
+            assert_distance_matches(&a, &b);
+            assert_banded_matches(&a, &b, 64);
+            assert_banded_matches(&a, &b, b.len());
+        }
+    }
+}
+
+/// A moved block wider than the band, in a text long enough for three rungs
+/// to run and fail before the symmetric band does: the result is the band's
+/// own value, above the exact distance.
+#[test]
+fn a_pair_that_fails_every_rung_gets_the_symmetric_bands_value() {
+    let mut rng = Rng(0x5EED_000E);
+    let alphabet = &alphabets()[1];
+    let (body, moved) = (random_chars(&mut rng, alphabet, 3_000), random_chars(&mut rng, alphabet, 700));
+    let a = [&moved[..], &body[..]].concat();
+    let b = [&body[..], &moved[..]].concat();
+    let exact = reference::edit_distance_chars(&a, &b);
+    assert_eq!(edit_distance_chars(&a, &b), exact);
+    for band in [600, 650, 699] {
+        let banded = reference::edit_distance_banded(&a, &b, band);
+        assert!(banded > exact && exact > band, "band = {band}: {banded} vs {exact}");
+        assert_eq!(edit_distance_banded(&a, &b, band), banded);
+        assert_eq!(edit_distance_banded(&b, &a, band), banded);
+    }
+    assert_eq!(edit_distance_banded(&a, &b, exact), exact);
+}
+
+fn assert_bleu_matches(candidate: &str, reference: &str) {
+    for max_order in [1, 4, 7] {
+        let config = BleuConfig { max_order, ..BleuConfig::default() };
+        assert_eq!(
+            sentence_bleu_with(candidate, reference, config).score.to_bits(),
+            reference::bleu(candidate, reference, max_order).to_bits(),
+            "max_order = {max_order}, candidate = {candidate:?}, reference = {reference:?}"
+        );
+    }
+}
+
+#[test]
+fn bleu_is_bit_equal_on_repeats_unknown_tokens_and_short_candidates() {
+    let reference = "a b a b c a b a b d e f g a b a b";
+    // Repeated n-grams, clipped from either side.
+    assert_bleu_matches("a b a b a b a b a b a b a b a b a b a b", reference);
+    assert_bleu_matches("a b", reference);
+    assert_bleu_matches(reference, "a b a b");
+    assert_bleu_matches("a a a a a a", "a a a");
+    // Nothing but tokens the reference lacks.
+    assert_bleu_matches("x y z w x y z w", reference);
+    // One unknown token in each position of a four-token window, and at both ends.
+    for at in 0..8 {
+        let mut tokens: Vec<&str> = reference.split(' ').collect();
+        tokens[at] = "x";
+        assert_bleu_matches(&tokens.join(" "), reference);
+        tokens.insert(at, "y");
+        assert_bleu_matches(&tokens.join(" "), reference);
+    }
+    assert_bleu_matches("a b a b c a b a b d e f g a b a x", reference);
+    // Candidates and references shorter than the order.
+    for short in ["", "a", "a b", "a b a", "g a b a b", "x", "x y z"] {
+        assert_bleu_matches(short, reference);
+        assert_bleu_matches(reference, short);
+    }
+    let mut rng = Rng(0x5EED_000F);
+    for alphabet in alphabets() {
+        let reference = random_words(&mut rng, &alphabet, 300);
+        assert_bleu_matches(&mutate_words(&mut rng, &alphabet, &reference, 6), &reference);
+        assert_bleu_matches(&random_words(&mut rng, &alphabet, 200), &reference);
+    }
+}
+
+/// One prepared reference scores six different candidates in a row, each as
+/// if it were the only one.
+#[test]
+fn a_reference_text_carries_nothing_from_one_candidate_to_the_next() {
+    let mut rng = Rng(0x5EED_0010);
+    let alphabet = &alphabets()[1];
+    let text = random_words(&mut rng, alphabet, 900);
+    assert!(text.chars().count() < BANDED_THRESHOLD);
+    let long = random_words(&mut rng, alphabet, 2_500);
+    assert!(long.chars().count() > BANDED_THRESHOLD);
+    for text in [text, long] {
+        let candidates = [
+            mutate_words(&mut rng, alphabet, &text, 40),
+            random_words(&mut rng, alphabet, 800),
+            String::new(),
+            text.clone(),
+            mutate_words(&mut rng, alphabet, &text, 3),
+            text[..text.len() / 2].to_string(),
+        ];
+        let reference = ReferenceText::new(&text);
+        for _ in 0..2 {
+            for candidate in &candidates {
+                let report = reference.score(candidate, 0.5);
+                assert_eq!(report, QualityReport::compute(candidate, &text, 0.5));
+                assert_eq!(report.bleu.to_bits(), reference::sentence_bleu(candidate, &text).to_bits());
+                assert_eq!(report.car.to_bits(), reference::char_accuracy_rate(candidate, &text).to_bits());
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_shapes_score_inside_the_unit_interval() {
+    let non_bmp: String = ['𝐀', '𠀀', ' ', '𝐙', 'İ', '𠀟'].iter().cycle().take(4_001).collect();
+    let same = "x".repeat(4_001);
+    let texts = [
+        String::new(),
+        " \n\t ".to_string(),
+        "x".to_string(),
+        same[..4_000].to_string(),
+        same.clone(),
+        "y".repeat(4_001),
+        non_bmp.chars().take(4_000).collect(),
+        non_bmp,
+        "x ".repeat(2_400),
+    ];
+    for candidate in &texts {
+        for reference in &texts {
+            let report = QualityReport::compute(candidate, reference, 1.0);
+            for score in [report.bleu, report.rouge, report.car] {
+                assert!(
+                    (0.0..=1.0).contains(&score),
+                    "{score} for {:?}… vs {:?}…",
+                    candidate.get(..1),
+                    reference.get(..1)
+                );
+            }
+            assert_eq!(report.car.to_bits(), reference::char_accuracy_rate(candidate, reference).to_bits());
+        }
+    }
 }
