@@ -62,8 +62,6 @@
 //! windowed plus session tasks still in flight at the observation boundary
 //! ([`SimWave::queue_depth`]).
 
-use std::collections::HashMap;
-
 use hpcsim::{
     CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, StageTiming, SubmitOptions, WorkflowExecutor,
 };
@@ -314,6 +312,7 @@ pub fn run_closed_loop(
     // is committed but never observed — skipped work — has its reservation
     // released at campaign close.
     let mut observed_docs = 0usize;
+    let mut spans: Vec<Option<(f64, f64)>> = Vec::new();
 
     for (wave_index, chunk) in improvements.chunks(window).enumerate() {
         let offset = wave_index * window;
@@ -374,17 +373,21 @@ pub fn run_closed_loop(
             deferred_tasks
                 .push(row.finish_seconds, (row.id % 2 == 1, row.finish_seconds - row.start_seconds));
         }
-        let spans: HashMap<u64, (f64, f64)> =
-            wave_slice.iter().map(|s| (s.id, (s.start_seconds, s.finish_seconds))).collect();
+        // `(start, finish)` by `id − 2·offset`: an unbounded drain schedules
+        // only this window's tasks, ids `2·offset .. 2·(offset + window)`.
+        spans.clear();
+        spans.resize(2 * chunk.len(), None);
+        for row in wave_slice {
+            spans[(row.id - 2 * offset as u64) as usize] = Some((row.start_seconds, row.finish_seconds));
+        }
         for (k, &hq) in mask.iter().enumerate() {
-            let extract_id = (offset + k) as u64 * 2;
             // A document whose extract was skipped ran nothing at all —
             // its cost is never observable and its reservation is released
             // at campaign close.
-            let Some(&(extract_start, extract_finish)) = spans.get(&extract_id) else { continue };
+            let Some((extract_start, extract_finish)) = spans[2 * k] else { continue };
             let extract_busy = extract_finish - extract_start;
-            let (observable_at, seconds) = match spans.get(&(extract_id + 1)) {
-                Some(&(parse_start, parse_finish)) if hq => {
+            let (observable_at, seconds) = match spans[2 * k + 1] {
+                Some((parse_start, parse_finish)) if hq => {
                     (extract_finish.max(parse_finish), extract_busy + (parse_finish - parse_start))
                 }
                 // A selected document whose parse was skipped still burned

@@ -8,9 +8,9 @@
 //! [`SloAutoscaler`] moves the session's active-node prefix against SLO
 //! attainment while the cluster object stays fixed at the maximum size.
 
-use std::collections::HashMap;
-
-use hpcsim::{CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
+use hpcsim::{
+    CampaignReport, ClusterConfig, ExecutorConfig, IdMap, LustreModel, SubmitOptions, WorkflowExecutor,
+};
 
 use crate::config::AdaParseConfig;
 use crate::engine::RoutedDocument;
@@ -234,6 +234,23 @@ pub struct SoakStats {
     pub max_task_busy_seconds: f64,
 }
 
+/// The next arrival due by `boundary`, in global `(time, tenant, per-tenant
+/// order)` order: a merge cursor over the tenants' traces (the registry
+/// asserted each sorted under [`f64::total_cmp`]) in place of a sorted copy
+/// of every arrival. `min_by` keeps the first of equals, so ties inside a
+/// timestamp admit lower tenant indices first — exercised hard by the
+/// adversarial-herd traces. O(tenants) per arrival by design: a service
+/// multiplexes a handful of tenants; many more would want a heap of heads.
+fn next_arrival(traces: &[TenantTrace], consumed: &[usize], boundary: f64) -> Option<(usize, DocArrival)> {
+    traces
+        .iter()
+        .zip(consumed)
+        .enumerate()
+        .filter_map(|(tenant, (trace, &at))| trace.arrivals.get(at).map(|&head| (tenant, head)))
+        .min_by(|a, b| a.1.at_seconds.total_cmp(&b.1.at_seconds))
+        .filter(|(_, head)| head.at_seconds <= boundary)
+}
+
 /// Run the resident multi-tenant ingest service over the given tenant
 /// traces. Fully deterministic: same config and traces, same report, bit
 /// for bit. See the [module docs](super) for the epoch contract.
@@ -259,22 +276,13 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut controller = ScalingController::new(config.controller);
     let mut autoscaler = config.autoscale.map(|auto| SloAutoscaler::new(auto, config.nodes.max(1)));
 
-    // Global arrival order: (time, tenant, per-tenant order). Ties inside
-    // a timestamp admit lower tenant indices first — deterministic, and
-    // exercised hard by the adversarial-herd traces.
-    let mut events: Vec<(f64, usize, DocArrival)> = Vec::new();
-    for (tenant, trace) in traces.iter().enumerate() {
-        for arrival in &trace.arrivals {
-            events.push((arrival.at_seconds, tenant, *arrival));
-        }
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut cursor = 0usize;
+    // Per-tenant positions of the arrival merge cursor (`next_arrival`).
+    let mut consumed = vec![0usize; traces.len()];
     let mut next_doc_id = 0u64;
-    // Documents in the cluster whose tasks have not all scheduled yet,
-    // keyed by doc id.
-    let mut awaiting: HashMap<u64, DocProgress> = HashMap::new();
+    // Documents in the cluster whose tasks have not all scheduled yet. A
+    // map keyed by doc id, not a ring indexed by `id − oldest`: a document
+    // behind a skipped task costs one entry until close, not all after it.
+    let mut awaiting: IdMap<DocProgress> = IdMap::default();
     let mut deferred_done: DeferredQueue<DeferredCompletion> = DeferredQueue::new();
     let mut deferred_stage: DeferredQueue<DeferredStageObs> = DeferredQueue::new();
     // Global-order harvest cursor: compared against `schedule_len()`, not
@@ -286,6 +294,12 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut max_active = session.active_nodes();
     let mut plan = controller.plan_nodes(session.active_nodes());
     let mut soak = SoakStats::default();
+    // Per-epoch scratch, allocated once.
+    let mut done_ids: Vec<u64> = Vec::new();
+    let mut tenant_costs = vec![WaveCosts::default(); traces.len()];
+    let mut admitted_now: Vec<Vec<DocArrival>> = vec![Vec::new(); traces.len()];
+    let mut scores: Vec<f64> = Vec::new();
+    let mut routed: Vec<RoutedDocument> = Vec::new();
 
     // One closure-free harvest pass, shared by the epoch loop and the
     // final drain: scan new schedule rows into per-doc progress, then
@@ -297,6 +311,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 let doc_id = row.id / 2;
                 let parse = row.id % 2 == 1;
                 if let Some(progress) = awaiting.get_mut(&doc_id) {
+                    let was_complete = progress.completion().is_some();
                     let span = (row.start_seconds, row.finish_seconds);
                     if parse {
                         progress.parse = Some(span);
@@ -309,6 +324,12 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                     if row.herd_wait_seconds > 0.0 {
                         registry.states_mut()[progress.tenant].herd_queue_seconds += row.herd_wait_seconds;
                     }
+                    // Row-driven completion, on the transition only: a
+                    // single-parser tenant's non-selected document is done
+                    // at its extract row, yet its parse row still lands.
+                    if !was_complete && progress.completion().is_some() {
+                        done_ids.push(doc_id);
+                    }
                 }
                 soak.max_task_busy_seconds =
                     soak.max_task_busy_seconds.max(row.finish_seconds - row.start_seconds);
@@ -319,15 +340,12 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             }
             scanned_rows = session.schedule_len();
             // Documents whose last task has now scheduled graduate from
-            // awaiting to deferred completion (iterate in doc-id order so
-            // the deferred list, and everything downstream, is
-            // deterministic).
-            let mut done_ids: Vec<u64> =
-                awaiting.iter().filter(|(_, p)| p.completion().is_some()).map(|(&id, _)| id).collect();
+            // awaiting to deferred completion, in doc-id order so the
+            // deferred list, and everything downstream, is deterministic.
             done_ids.sort_unstable();
-            for id in done_ids {
-                let progress = awaiting.remove(&id).expect("id came from the map");
-                let finish = progress.completion().expect("filtered on completion");
+            for id in done_ids.drain(..) {
+                let progress = awaiting.remove(&id).expect("a completing row found it awaiting");
+                let finish = progress.completion().expect("pushed on completion");
                 let busy = progress.extract.map(|(s, f)| f - s).unwrap_or(0.0)
                     + progress.parse.map(|(s, f)| f - s).unwrap_or(0.0);
                 deferred_done.push(
@@ -343,9 +361,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             // Latencies and measured costs become visible only once the
             // boundary passes the finish — the service never acts on a
             // completion that has not happened yet.
-            let observable = deferred_done.pop_due(boundary);
-            let mut per_tenant_costs: HashMap<usize, WaveCosts> = HashMap::new();
-            for done in observable {
+            for done in deferred_done.pop_due(boundary) {
                 let state = &mut registry.states_mut()[done.tenant];
                 state.completed += 1;
                 state.latencies.record(done.latency_seconds);
@@ -353,21 +369,20 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 while state.recent_latency.len() > config.slo_window.max(1) {
                     state.recent_latency.pop_front();
                 }
-                per_tenant_costs.entry(done.tenant).or_default().record(done.expensive, done.busy_seconds);
+                tenant_costs[done.tenant].record(done.expensive, done.busy_seconds);
                 in_flight -= 1;
             }
-            let mut tenants_with_costs: Vec<usize> = per_tenant_costs.keys().copied().collect();
-            tenants_with_costs.sort_unstable();
-            for tenant in tenants_with_costs {
-                let costs = &per_tenant_costs[&tenant];
-                let state = &mut registry.states_mut()[tenant];
-                state.observed_docs += costs.docs();
-                state.selector.ingest_observed_partial(costs);
+            for (state, costs) in registry.states_mut().iter_mut().zip(&mut tenant_costs) {
+                if costs.docs() > 0 {
+                    state.observed_docs += costs.docs();
+                    state.selector.ingest_observed_partial(costs);
+                    *costs = WaveCosts::default();
+                }
             }
         }};
     }
 
-    while cursor < events.len()
+    while traces.iter().zip(&consumed).any(|(trace, &at)| at < trace.arrivals.len())
         || registry.queued() > 0
         || !awaiting.is_empty()
         || !deferred_done.is_empty()
@@ -398,9 +413,8 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
 
         // 3. Ingest arrivals up to the boundary into bounded per-tenant
         //    queues; overflow is rejected, never silently dropped.
-        while cursor < events.len() && events[cursor].0 <= boundary {
-            let (_, tenant, arrival) = events[cursor];
-            cursor += 1;
+        while let Some((tenant, arrival)) = next_arrival(traces, &consumed, boundary) {
+            consumed[tenant] += 1;
             let state = &mut registry.states_mut()[tenant];
             state.arrived += 1;
             if state.queue.len() >= state.spec.max_pending {
@@ -418,8 +432,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         //    so it is eventually the minimum.
         let active_cpu_slots = session.active_nodes() * cluster.cpu_slots_per_node;
         let inflight_cap = ((config.inflight_per_slot * active_cpu_slots as f64).ceil() as usize).max(1);
-        let mut admitted_now: Vec<Vec<DocArrival>> = vec![Vec::new(); registry.len()];
-        while in_flight + admitted_now.iter().map(Vec::len).sum::<usize>() < inflight_cap {
+        while in_flight < inflight_cap {
             let mut best: Option<usize> = None;
             for (tenant, state) in registry.states().iter().enumerate() {
                 if state.queue.is_empty() {
@@ -439,62 +452,59 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             state.virtual_service += state.planned_doc_cost / state.spec.weight;
             state.admitted += 1;
             admitted_now[tenant].push(doc);
+            in_flight += 1;
         }
 
         // 5. Route and submit each tenant's admitted batch at its own
         //    effective α, with the boundary as the causal release floor.
-        for (tenant, batch) in admitted_now.into_iter().enumerate() {
+        for (tenant, batch) in admitted_now.iter_mut().enumerate() {
             if batch.is_empty() {
                 continue;
             }
             let state = &mut registry.states_mut()[tenant];
-            let scores: Vec<f64> = batch.iter().map(|d| d.score).collect();
+            scores.clear();
+            scores.extend(batch.iter().map(|d| d.score));
             // The α actually applied to this batch; the last admission's
             // value is what the report calls the tenant's final α (after
             // the stream position passes the last document, the live
             // clamp turns vacuous).
             state.closing_alpha = state.selector.effective_alpha();
             let mask = state.selector.select_window(&scores);
-            let routed: Vec<RoutedDocument> = batch
-                .iter()
-                .zip(&mask)
-                .map(|(doc, &hq)| {
-                    let doc_id = next_doc_id;
-                    next_doc_id += 1;
-                    awaiting.insert(
-                        doc_id,
-                        DocProgress {
-                            tenant,
-                            arrived_at: doc.at_seconds,
-                            expensive: hq,
-                            extract: None,
-                            parse: None,
-                        },
-                    );
-                    in_flight += 1;
-                    RoutedDocument {
-                        doc_id,
-                        // The tenant's own parser pair: the service pair by
-                        // default, the allowlist-derived pair otherwise.
-                        parser: if hq {
-                            state.route_config.high_quality_parser
-                        } else {
-                            state.route_config.default_parser
-                        },
-                        predicted_improvement: doc.score,
-                        cls1_invalid: false,
-                    }
-                })
-                .collect();
-            let selected = mask.iter().filter(|&&m| m).count();
-            state.selected += selected;
-            let workload = state.spec.workload;
+            routed.clear();
+            routed.extend(batch.iter().zip(&mask).map(|(doc, &hq)| {
+                let doc_id = next_doc_id;
+                next_doc_id += 1;
+                awaiting.insert(
+                    doc_id,
+                    DocProgress {
+                        tenant,
+                        arrived_at: doc.at_seconds,
+                        expensive: hq,
+                        extract: None,
+                        parse: None,
+                    },
+                );
+                RoutedDocument {
+                    doc_id,
+                    // The tenant's own parser pair: the service pair by
+                    // default, the allowlist-derived pair otherwise.
+                    parser: if hq {
+                        state.route_config.high_quality_parser
+                    } else {
+                        state.route_config.default_parser
+                    },
+                    predicted_improvement: doc.score,
+                    cls1_invalid: false,
+                }
+            }));
+            batch.clear();
+            state.selected += mask.iter().filter(|&&m| m).count();
             // Parse compute scales by the tenant's delegation fraction
             // (exactly 1.0 for by-doc tenants — a bitwise no-op).
             let tasks = build_routing_tasks(
                 &state.route_config,
                 &routed,
-                &workload,
+                &state.spec.workload,
                 Some(&plan),
                 state.parse_fraction,
             );

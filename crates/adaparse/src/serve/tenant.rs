@@ -17,7 +17,7 @@ use crate::campaign::CampaignBudget;
 use crate::cascade::RoutingGranularity;
 use crate::hpc::WorkloadSpec;
 use crate::scaling::{BudgetLedger, WindowedSelector};
-use crate::stats::{nearest_rank_percentile, LatencyLedger, LatencySummary};
+use crate::stats::{percentile_in_place, LatencyLedger, LatencySummary};
 
 use crate::config::AdaParseConfig;
 use crate::scaling::planned_costs;
@@ -193,9 +193,8 @@ pub(crate) struct TenantState {
     pub(crate) queue: VecDeque<DocArrival>,
     /// Recent time-to-parsed samples (sliding window) for the SLO signal.
     pub(crate) recent_latency: VecDeque<f64>,
-    /// All time-to-parsed samples, folded in completion-observation order
-    /// into a bounded-memory counting ledger (exact nearest-rank
-    /// percentiles, bitwise-equal summary — see [`LatencyLedger`]).
+    /// All time-to-parsed samples, in completion-observation order (exact
+    /// nearest-rank percentiles at close — see [`LatencyLedger`]).
     pub(crate) latencies: LatencyLedger,
     /// Herd-channel queue seconds paid by this tenant's tasks, accumulated
     /// from schedule rows as they are harvested.
@@ -250,7 +249,11 @@ impl TenantRegistry {
     /// # Panics
     ///
     /// Panics if a tenant has a non-positive weight or a non-positive SLO
-    /// target, or if arrivals are not in non-decreasing time order.
+    /// target, or if its arrival times are not finite, non-negative and
+    /// non-decreasing in [`f64::total_cmp`] order (`-0.0` may not follow
+    /// `0.0`): the serve loop's merge cursor relies on exactly that order,
+    /// and a time that is never `<=` an epoch boundary would spin it through
+    /// `max_epochs` empty epochs and report the document as never arrived.
     pub fn new(config: &AdaParseConfig, traces: &[TenantTrace]) -> Self {
         let tenants = traces
             .iter()
@@ -258,12 +261,15 @@ impl TenantRegistry {
                 let spec = &trace.spec;
                 assert!(spec.weight > 0.0, "tenant {:?}: weight must be positive", spec.name);
                 assert!(spec.slo_p99_seconds > 0.0, "tenant {:?}: SLO target must be positive", spec.name);
-                for pair in trace.arrivals.windows(2) {
+                let mut last = -0.0f64;
+                for arrival in &trace.arrivals {
+                    let at = arrival.at_seconds;
                     assert!(
-                        pair[1].at_seconds >= pair[0].at_seconds,
-                        "tenant {:?}: arrivals must be time-sorted",
+                        at.is_finite() && at.total_cmp(&last).is_ge(),
+                        "tenant {:?}: arrivals must be finite, non-negative and time-sorted ({at} after {last})",
                         spec.name
                     );
+                    last = at;
                 }
                 let route_config = route_config_for(config, spec);
                 let parse_fraction = match spec.granularity {
@@ -339,12 +345,15 @@ impl TenantRegistry {
     /// none qualifies yet).
     pub(crate) fn worst_slo_ratio(&self, min_samples: usize) -> f64 {
         let mut worst = 0.0f64;
+        // Selection reorders its input; the deque must keep arrival order.
+        let mut window: Vec<f64> = Vec::new();
         for tenant in &self.tenants {
             if tenant.recent_latency.len() < min_samples {
                 continue;
             }
-            let window: Vec<f64> = tenant.recent_latency.iter().copied().collect();
-            if let Some(p99) = nearest_rank_percentile(&window, 99.0) {
+            window.clear();
+            window.extend(&tenant.recent_latency);
+            if let Some(p99) = percentile_in_place(&mut window, 99.0) {
                 worst = worst.max(p99 / tenant.spec.slo_p99_seconds);
             }
         }

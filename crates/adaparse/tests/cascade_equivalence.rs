@@ -201,10 +201,10 @@ proptest! {
             }
             let base_id = choice.doc_id * stride;
             let split = row(base_id + 1).expect("split task scheduled");
-            prop_assert_eq!(split.label.as_str(), "page-split");
+            prop_assert_eq!(split.label, "page-split");
             let join = row(base_id + 2 + choice.upgraded_pages.len() as u64)
                 .expect("join task scheduled");
-            prop_assert_eq!(join.label.as_str(), "page-join");
+            prop_assert_eq!(join.label, "page-join");
             for offset in 0..choice.upgraded_pages.len() as u64 {
                 let page = row(base_id + 2 + offset).expect("page task scheduled");
                 prop_assert!(

@@ -22,12 +22,18 @@
 //!   per-GPU busy bits) to running it with retirement off, while keeping
 //!   the retained schedule rows bounded by work in flight instead of run
 //!   length.
+//!
+//! Every property above passes on a deterministic wrong answer, so five
+//! small runs are also **pinned by value**; beside them, a document behind
+//! a skipped task is shown to cost one `awaiting` entry, and arrival times
+//! the epoch loop could never ingest are shown to be rejected up front.
 
 use adaparse::{
-    run_service, run_service_instrumented, AutoscaleConfig, CampaignBudget, DocArrival, ServeConfig,
-    TenantSpec, TenantTrace, WorkloadSpec,
+    run_service, run_service_instrumented, AutoscaleConfig, CampaignBudget, DocArrival, RoutingGranularity,
+    ServeConfig, ServeReport, TenantSpec, TenantTrace, WorkloadSpec,
 };
-use hpcsim::{ExecutorConfig, GpuTrace, PlacementPolicy};
+use hpcsim::{ClusterConfig, ExecutorConfig, GpuTrace, LustreModel, PlacementPolicy};
+use parsersim::ParserKind;
 use proptest::prelude::*;
 use scicorpus::{generate_arrivals, ArrivalConfig, ArrivalPattern};
 
@@ -293,4 +299,266 @@ proptest! {
             soak.peak_in_flight
         );
     }
+}
+
+/// What a value pin holds of a run: `(fingerprint, epochs, admitted,
+/// rejected, makespan bits)` and, per tenant, `(completed, selected, p50
+/// bits, p99 bits, herd-queue bits)`.
+type ServePin = ((u64, usize, usize, usize, u64), Vec<(usize, usize, u64, u64, u64)>);
+
+fn pin_of(report: &ServeReport) -> ServePin {
+    (
+        (
+            report.fingerprint,
+            report.epochs,
+            report.admitted,
+            report.rejected,
+            report.makespan_seconds.to_bits(),
+        ),
+        report
+            .tenants
+            .iter()
+            .map(|t| {
+                (
+                    t.completed,
+                    t.selected,
+                    t.latency.p50_seconds.to_bits(),
+                    t.latency.p99_seconds.to_bits(),
+                    t.herd_queue_seconds.to_bits(),
+                )
+            })
+            .collect(),
+    )
+}
+
+// Replay (`x == y`) and retirement on ≡ off both pass on a deterministic
+// wrong answer; these five small shapes pin the serve loop by value. The
+// expected values were recorded at commit 6448a9d, before the row-driven
+// harvest, the arrival merge cursor and the flat latency store replaced the
+// per-epoch sweep, the sorted event copy and the ordered map.
+#[test]
+fn serve_reports_are_pinned_by_value() {
+    let fine = ServeConfig { epoch_seconds: 5.0, ..ServeConfig::default() };
+
+    let steady = vec![TenantTrace {
+        spec: tenant("steady", 1.0),
+        arrivals: doc_arrivals(120, 11, 1.0, ArrivalPattern::Steady),
+    }];
+    assert_eq!(
+        pin_of(&run_service(&fine, &steady)),
+        (
+            (0xdf77302153ed3d0c, 25, 120, 0, 0x405f0923a29c779a),
+            vec![(120, 24, 0x400c5132961c63a0, 0x403429625857f883, 0)],
+        ),
+        "one steady tenant"
+    );
+
+    let mixed = vec![
+        TenantTrace {
+            spec: TenantSpec { alpha: 0.3, ..tenant("plain", 2.0) },
+            arrivals: doc_arrivals(90, 21, 1.5, ArrivalPattern::Bursty { burst_size: 6 }),
+        },
+        TenantTrace {
+            spec: TenantSpec {
+                granularity: RoutingGranularity::ByPage,
+                alpha: 0.4,
+                ..tenant("by-page", 1.0)
+            },
+            arrivals: doc_arrivals(60, 22, 1.0, ArrivalPattern::Steady),
+        },
+        TenantTrace {
+            spec: TenantSpec {
+                budget: Some(CampaignBudget::seconds(900.0)),
+                alpha: 0.5,
+                ..tenant("budgeted", 1.0)
+            },
+            arrivals: doc_arrivals(70, 23, 1.2, ArrivalPattern::Diurnal { period_seconds: 90.0 }),
+        },
+    ];
+    assert_eq!(
+        pin_of(&run_service(&fine, &mixed)),
+        (
+            (0x0f7164ef4dbe20e5, 14, 220, 0, 0x4050c9d7dbf487fd),
+            vec![
+                (90, 27, 0x4012a79d2c628dac, 0x4037feef18660959, 0),
+                (60, 24, 0x40130f6203c24e20, 0x40361d02e03b3b50, 0),
+                (70, 35, 0x40146e5bfc0d6410, 0x40370e5af4048be1, 0),
+            ],
+        ),
+        "three tenants, one by-page, one budgeted"
+    );
+
+    // Sixty arrivals on one timestamp against an eight-deep queue: the
+    // overflow is rejected and the bystander is untouched.
+    let herd = vec![
+        TenantTrace {
+            spec: TenantSpec { max_pending: 8, ..tenant("herd", 1.0) },
+            arrivals: (0..60).map(|i| DocArrival { at_seconds: 5.0, score: (i % 7) as f64 / 7.0 }).collect(),
+        },
+        TenantTrace {
+            spec: tenant("bystander", 1.0),
+            arrivals: doc_arrivals(30, 31, 0.5, ArrivalPattern::Steady),
+        },
+    ];
+    assert_eq!(
+        pin_of(&run_service(&ServeConfig::default(), &herd)),
+        (
+            (0xfa26dc1e35dad877, 3, 38, 52, 0x40500923a29c779a),
+            vec![
+                (8, 1, 0x40392a305532617c, 0x404612474538ef35, 0),
+                (30, 6, 0x402f14798443c104, 0x40469a8fd5d5d30f, 0),
+            ],
+        ),
+        "same-timestamp herd against max_pending 8"
+    );
+
+    // Autoscaled from one node with a single model-load channel: cold
+    // starts queue for it, and each tenant is charged its own herd wait.
+    let scaled = vec![
+        TenantTrace {
+            spec: TenantSpec { alpha: 0.6, slo_p99_seconds: 45.0, ..tenant("hot", 1.0) },
+            arrivals: doc_arrivals(200, 41, 6.0, ArrivalPattern::AdversarialHerd { herd_size: 25 }),
+        },
+        TenantTrace {
+            spec: TenantSpec { alpha: 0.4, ..tenant("calm", 1.0) },
+            arrivals: doc_arrivals(80, 42, 1.0, ArrivalPattern::Steady),
+        },
+    ];
+    let config = ServeConfig {
+        nodes: 1,
+        epoch_seconds: 10.0,
+        autoscale: Some(AutoscaleConfig { max_nodes: 4, ..Default::default() }),
+        filesystem: LustreModel { model_load_channels: 1, ..Default::default() },
+        ..ServeConfig::default()
+    };
+    let report = run_service(&config, &scaled);
+    assert_eq!(report.fleet.len(), 2, "the autoscaler moved the fleet");
+    assert_eq!(
+        pin_of(&report),
+        (
+            (0xea430c89f5d15d34, 26, 280, 0, 0x406fc491d14e3bce),
+            vec![
+                (200, 120, 0x404f27d22e00b903, 0x4062ad3847e328e9, 0x408c700000000000),
+                (80, 32, 0x402240f811ea9af8, 0x406826a87028e5e5, 0x4082c00000000000),
+            ],
+        ),
+        "autoscaled, one model-load channel"
+    );
+
+    // A single-parser allowlist degenerates the pair to base == upgrade, so
+    // every document gets a parse task whether or not it was selected. A
+    // non-selected one is complete at its extract row, and its parse row
+    // lands in the same harvest at a multi-second epoch: it must graduate
+    // once, with both spans in its measured cost.
+    let single = vec![
+        TenantTrace {
+            spec: TenantSpec {
+                parsers: Some(vec![ParserKind::PyMuPdf]),
+                alpha: 0.3,
+                ..tenant("one-parser", 1.0)
+            },
+            arrivals: doc_arrivals(100, 51, 1.5, ArrivalPattern::Bursty { burst_size: 5 }),
+        },
+        TenantTrace {
+            spec: TenantSpec { alpha: 0.2, ..tenant("pair", 1.0) },
+            arrivals: doc_arrivals(50, 52, 1.0, ArrivalPattern::Steady),
+        },
+    ];
+    let report = run_service(&fine, &single);
+    assert_eq!(report.executor_report.tasks_completed, 260, "two tasks per one-parser document");
+    assert_eq!(
+        pin_of(&report),
+        (
+            (0x49da4e9f17088545, 14, 150, 0, 0x405055182a9930be),
+            vec![
+                (100, 30, 0x4003e03507c80cd0, 0x4012d543bbd491a0, 0),
+                (50, 10, 0x400ad755079619f0, 0x4038031a6c901acc, 0),
+            ],
+        ),
+        "single-parser tenant beside a default pair"
+    );
+}
+
+// A document whose parse task the engine skips (no GPU slot exists) can
+// never complete. It must cost the loop one `awaiting` entry until close:
+// the 1 000 documents admitted after it flow past, and nothing the loop
+// keeps per document grows with how long the stuck one has been waiting.
+#[test]
+fn a_document_behind_a_skipped_task_stays_one_awaiting_entry() {
+    let stuck = TenantTrace {
+        spec: TenantSpec { alpha: 1.0, ..tenant("stuck", 1.0) },
+        arrivals: vec![DocArrival { at_seconds: 0.5, score: 0.9 }],
+    };
+    let flowing = TenantTrace {
+        spec: TenantSpec { alpha: 0.0, ..tenant("flowing", 1.0) },
+        arrivals: doc_arrivals(1000, 5, 4.0, ArrivalPattern::Steady),
+    };
+    let config = ServeConfig {
+        cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
+        epoch_seconds: 5.0,
+        // The stuck document keeps the loop alive; the bound closes it.
+        max_epochs: 80,
+        ..ServeConfig::default()
+    };
+    let (report, soak) = run_service_instrumented(&config, &[stuck, flowing]);
+    assert_eq!(report.executor_report.tasks_skipped, 1, "the one GPU parse has nowhere to run");
+    let stuck = &report.tenants[0];
+    assert_eq!((stuck.admitted, stuck.selected, stuck.completed, stuck.unfinished), (1, 1, 0, 1));
+    let flowing = &report.tenants[1];
+    assert_eq!((flowing.admitted, flowing.completed, flowing.unfinished), (1000, 1000, 0));
+    assert_eq!(report.epochs, 80, "only the stuck document outlives the traffic");
+    // Awaiting documents are the in-flight ones: the stuck entry plus the
+    // current epochs' admissions, never the run's history.
+    assert!(soak.peak_awaiting_docs <= soak.peak_in_flight);
+    assert!(soak.peak_in_flight < 100, "peak in flight {}", soak.peak_in_flight);
+}
+
+/// A default-spec service over one tenant arriving at `times`.
+fn serve_arrivals_at(times: &[f64]) -> ServeReport {
+    let arrivals = times.iter().map(|&at_seconds| DocArrival { at_seconds, score: 0.5 }).collect();
+    run_service(&ServeConfig::default(), &[TenantTrace { spec: tenant("t", 1.0), arrivals }])
+}
+
+// An arrival time that is never `<=` an epoch boundary used to spin the loop
+// through all `max_epochs` and report the document as never arrived; the
+// registry now rejects it up front. `+∞` passed the old `>=` sortedness
+// check, and a lone NaN never met it (no pair to compare).
+#[test]
+#[should_panic(expected = "time-sorted (inf after 1)")]
+fn an_infinite_arrival_time_is_rejected() {
+    serve_arrivals_at(&[1.0, f64::INFINITY]);
+}
+
+#[test]
+#[should_panic(expected = "time-sorted (NaN after -0)")]
+fn a_lone_nan_arrival_time_is_rejected() {
+    serve_arrivals_at(&[f64::NAN]);
+}
+
+#[test]
+#[should_panic(expected = "time-sorted (NaN after 1)")]
+fn a_nan_arrival_time_mid_trace_is_rejected() {
+    serve_arrivals_at(&[1.0, f64::NAN, 3.0]);
+}
+
+#[test]
+#[should_panic(expected = "time-sorted (-1 after -0)")]
+fn a_negative_arrival_time_is_rejected() {
+    serve_arrivals_at(&[-1.0, 2.0]);
+}
+
+// `-0.0` then `0.0` is sorted under `total_cmp` and served like any trace.
+#[test]
+fn negative_zero_before_zero_is_a_sorted_trace() {
+    let report = serve_arrivals_at(&[-0.0, 0.0, 0.0, 1.5]);
+    assert_eq!((report.admitted, report.tenants[0].completed), (4, 4));
+}
+
+// The reverse compares equal under `>=`, but the old event sort (stable,
+// `total_cmp`) would have reordered it and a merge cursor cannot — so it is
+// not a sorted trace.
+#[test]
+#[should_panic(expected = "time-sorted (-0 after 0)")]
+fn zero_before_negative_zero_is_not_a_sorted_trace() {
+    serve_arrivals_at(&[0.0, -0.0]);
 }

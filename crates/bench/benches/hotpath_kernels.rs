@@ -1,13 +1,16 @@
-//! Micro-benchmarks for the million-task hot-path kernels: the executor's
-//! [`ReadyQueue`] (every task passes through it twice — once as an event,
-//! once as a dispatch) and the budget selector's `select_global` (the
-//! bounded-heap top-k that replaced a full sort). Sized at 1k and 100k to
-//! show the asymptotic gap, with deterministic seeded inputs so runs are
+//! Micro-benchmarks for the per-task and per-arrival hot-path kernels: the
+//! executor's [`ReadyQueue`] (every task passes through it twice — once as
+//! an event, once as a dispatch), the budget selector's `select_global`
+//! (the bounded-heap top-k that replaced a full sort), the serve layer's
+//! [`LatencyLedger`] (one `record` per completed document, one selection
+//! per `summary()`), and [`IdMap`] on strided task ids (several probes per
+//! task under the executor's completed/anchor/pending maps and the serve
+//! loop's awaiting map). Deterministic seeded inputs, so runs are
 //! comparable across commits alongside `BENCH_hotpath.json`.
 
-use adaparse::select_global;
+use adaparse::{select_global, LatencyLedger};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hpcsim::ReadyQueue;
+use hpcsim::{IdMap, ReadyQueue};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,5 +62,44 @@ fn bench_select_global(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ready_queue, bench_select_global);
+fn bench_ledger(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve");
+    // All-distinct latencies, as continuous arrival times make them.
+    let n = 100_000;
+    let input: Vec<f64> = scores(n).iter().enumerate().map(|(i, u)| i as f64 * 1e-3 + u).collect();
+    group.bench_with_input(BenchmarkId::new("ledger_record_summary", n), &input, |b, input| {
+        b.iter(|| {
+            let mut ledger = LatencyLedger::new();
+            for &latency in black_box(input) {
+                ledger.record(latency);
+            }
+            ledger.summary()
+        })
+    });
+    group.finish();
+}
+
+fn bench_id_map(c: &mut Criterion) {
+    let mut group = c.benchmark_group("executor");
+    for &n in &SIZES {
+        // Task ids as `build_routing_tasks` strides them: `doc · 2` and,
+        // for every fifth document, `doc · 2 + 1`.
+        let ids: Vec<u64> = (0..n as u64)
+            .flat_map(|doc| [Some(doc * 2), (doc % 5 == 0).then_some(doc * 2 + 1)])
+            .flatten()
+            .collect();
+        group.bench_with_input(BenchmarkId::new("id_map_insert_get", n), &ids, |b, ids| {
+            b.iter(|| {
+                let mut map: IdMap<f64> = IdMap::default();
+                for &id in black_box(ids) {
+                    map.insert(id, id as f64);
+                }
+                ids.iter().filter_map(|id| map.get(id)).sum::<f64>()
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_ready_queue, bench_select_global, bench_ledger, bench_id_map);
 criterion_main!(benches);

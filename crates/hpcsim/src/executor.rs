@@ -40,12 +40,11 @@
 //!   (never deadlocked), and DAG schedules are bitwise-independent of task
 //!   submission order thanks to the `(time, id)` ready-queue tie-break.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::clock::SimClock;
 use crate::event::ReadyQueue;
+use crate::idmap::IdMap;
 use crate::intern::{ModelId, ModelInterner};
 use crate::lustre::LustreModel;
 use crate::profiler::GpuTrace;
@@ -526,7 +525,7 @@ pub struct ScheduledTask {
     /// The task's id.
     pub id: u64,
     /// The task's model label.
-    pub label: String,
+    pub label: &'static str,
     /// Slot kind the task ran on.
     pub kind: SlotKind,
     /// Node the task ran on.
@@ -769,10 +768,10 @@ pub struct ExecutorSession {
     /// members of the same group find their input. `last_finish` tracks
     /// the latest member completion so fully finished anchors can be
     /// retired ([`retire_before`](Self::retire_before)).
-    group_nodes: HashMap<u64, GroupAnchor>,
+    group_nodes: IdMap<GroupAnchor>,
     /// Finish time and critical path of every completed task, so precedence
     /// edges may span submit batches.
-    completed: HashMap<u64, Finished>,
+    completed: IdMap<Finished>,
     schedule: Vec<ScheduledTask>,
     clock: SimClock,
     cumulative: CampaignReport,
@@ -792,7 +791,7 @@ pub struct ExecutorSession {
     /// too — the skip cascade spans batch boundaries, like the completion
     /// map does. The value is the simulated time the skip was recorded,
     /// so [`retire_before`](Self::retire_before) can age entries out.
-    skipped: HashMap<u64, f64>,
+    skipped: IdMap<f64>,
     /// The session-persistent pending set: tasks enqueued by
     /// [`submit_owned`](Self::submit_owned) that
     /// [`advance_to_frontier`](Self::advance_to_frontier) has not yet
@@ -811,7 +810,7 @@ pub struct ExecutorSession {
     pending_dependents: Vec<IndexList>,
     /// Undispatched arena indices by task id, for wiring dependency edges
     /// across batches enqueued into the same drain.
-    pending_by_id: HashMap<u64, IndexList>,
+    pending_by_id: IdMap<IndexList>,
     /// The session-persistent ready queue feeding the dispatch loop.
     ready: ReadyQueue<usize>,
     /// Per-(node, kind) ordered index of slot availability: the dispatch
@@ -899,8 +898,8 @@ impl ExecutorSession {
             gpu_slots,
             free_at,
             pools,
-            group_nodes: HashMap::new(),
-            completed: HashMap::new(),
+            group_nodes: IdMap::default(),
+            completed: IdMap::default(),
             schedule: Vec::new(),
             clock: SimClock::new(),
             cumulative: CampaignReport::blank(gpu_count),
@@ -908,11 +907,11 @@ impl ExecutorSession {
             warm_totals: Vec::new(),
             batch_warm: Vec::new(),
             batch_warm_touched: Vec::new(),
-            skipped: HashMap::new(),
+            skipped: IdMap::default(),
             pending_tasks: Vec::new(),
             pending_meta: Vec::new(),
             pending_dependents: Vec::new(),
-            pending_by_id: HashMap::new(),
+            pending_by_id: IdMap::default(),
             ready: ReadyQueue::new(),
             slot_index,
             in_flight: InFlightCounter::new(),
@@ -1256,10 +1255,10 @@ impl ExecutorSession {
     /// decision existed, and it is recorded on every
     /// [`ScheduledTask::submitted_at_seconds`].
     ///
-    /// The batch is taken by value: each task's label string and
-    /// dependency list move straight into the pending arena. At
-    /// million-task scale a per-task clone is the dominant allocation cost
-    /// of submission, and callers build their batches fresh every epoch.
+    /// The batch is taken by value: each task's dependency list moves
+    /// straight into the pending arena. At million-task scale a per-task
+    /// clone is the dominant allocation cost of submission, and callers
+    /// build their batches fresh every epoch.
     ///
     /// # Panics
     ///
@@ -1487,7 +1486,7 @@ impl ExecutorSession {
             self.pending_meta[index].dispatched = true;
             // Move the task out of the arena (it is dispatched exactly
             // once and the arena clears at the end of the drain) — no
-            // per-dispatch clone of its label and dependency list.
+            // per-dispatch clone of its dependency list.
             let task = std::mem::replace(&mut self.pending_tasks[index], Task::new(0, SlotKind::Cpu, 0.0));
             let PendingMeta { floor, raw_ready, chain, poisoned, .. } = self.pending_meta[index];
             let no_slots = match task.slot {
@@ -1563,7 +1562,7 @@ impl ExecutorSession {
                 && self.config.warm_start
                 && task.cold_start_seconds > 0.0
             {
-                Some(self.interner.intern(&task.label))
+                Some(self.interner.intern(task.label))
             } else {
                 None
             };
@@ -1603,22 +1602,12 @@ impl ExecutorSession {
                 Some(node) if self.slots[slot_index].node != node => off_node_penalty,
                 _ => 0.0,
             };
-            // Anchor bookkeeping: the first member of a group claims the
-            // node; later members are counted as co-located or split.
-            if let Some(group) = &task.group {
-                match self.group_nodes.get(&group.id) {
-                    None => {
-                        // `last_finish` is stamped once `end` is known below.
-                        self.group_nodes.insert(
-                            group.id,
-                            GroupAnchor { node: self.slots[slot_index].node, last_finish: 0.0 },
-                        );
-                    }
-                    Some(anchor) if anchor.node == self.slots[slot_index].node => {
-                        report.co_located_pairs += 1
-                    }
-                    Some(_) => report.split_pairs += 1,
-                }
+            // Later members of an anchored group count as co-located or
+            // split; the first claims the node once `end` is known below.
+            match anchor {
+                None => {}
+                Some(node) if node == self.slots[slot_index].node => report.co_located_pairs += 1,
+                Some(_) => report.split_pairs += 1,
             }
             if penalty > 0.0 {
                 report.non_local_tasks += 1;
@@ -1640,7 +1629,7 @@ impl ExecutorSession {
                 // tables (per-drain scratch and session totals) work in the
                 // dense id. Session totals accumulate right here — there is
                 // no per-batch map rebuilt and re-merged at absorb time.
-                let label_id = self.interner.intern(&task.label);
+                let label_id = self.interner.intern(task.label);
                 self.touch_warm(label_id);
                 match self.pools[node].acquire(label_id, task.cold_start_seconds, start) {
                     WarmAccess::Hit => {
@@ -1728,12 +1717,12 @@ impl ExecutorSession {
             }
             if let Some(group) = &task.group {
                 report.stage_timings.record(group.role, busy, end);
-                // The anchor exists: this member either claimed it above or
-                // found it claimed. Its retirement horizon is the latest
-                // member finish.
-                if let Some(anchor) = self.group_nodes.get_mut(&group.id) {
-                    anchor.last_finish = anchor.last_finish.max(end);
-                }
+                // The first member anchors the group to this node; its
+                // retirement horizon is the latest member finish.
+                self.group_nodes
+                    .entry(group.id)
+                    .and_modify(|anchor| anchor.last_finish = anchor.last_finish.max(end))
+                    .or_insert(GroupAnchor { node, last_finish: end });
             }
             report.tasks_completed += 1;
             report.makespan_seconds = report.makespan_seconds.max(end);

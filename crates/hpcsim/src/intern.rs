@@ -1,23 +1,24 @@
-//! String interning for hot-path model labels.
+//! Interning for hot-path model labels.
 //!
-//! Every task carries a model label ([`crate::Task::label`], a `String`), and
-//! the executor's warm-pool and warm-statistics bookkeeping used to compare
-//! and clone those strings once per dispatched task. At million-task scale
-//! that is millions of string hashes, compares, and allocations for what is
-//! a handful of distinct models. [`ModelInterner`] maps each distinct label
-//! to a dense `u32` id exactly once per session; the hot loop then works in
-//! integer ids and the strings are materialized only when a report is built.
-
-use std::collections::HashMap;
+//! Every task names its model by a label ([`crate::Task::label`], a
+//! `&'static str`: a literal or a parser kind's display name — no label is
+//! built at run time, and requiring `'static` is what lets a task be
+//! emitted, dispatched, retired and dropped without allocating for it). The
+//! executor's warm-pool and warm-statistics tables want a dense integer per
+//! distinct model, so [`ModelInterner`] maps each label to a `u32` id once
+//! per session; the hot loop works in ids and `String`s are materialized
+//! only when a report is built.
 
 /// Dense integer id of an interned model label (see [`ModelInterner`]).
 pub type ModelId = u32;
 
-/// A session-level string interner mapping model labels to dense `u32` ids.
+/// A session-level interner mapping model labels to dense `u32` ids.
 ///
 /// Ids are assigned in first-appearance order starting at zero, so they are
 /// valid indexes into id-ordered side tables. Interning the same label twice
-/// returns the same id; resolving an id returns the original label.
+/// returns the same id; resolving an id returns the original label. Lookup
+/// is a scan of the labels seen so far — a session runs a handful of models,
+/// and comparing a few short strings beats hashing one.
 ///
 /// # Example
 ///
@@ -32,8 +33,7 @@ pub type ModelId = u32;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ModelInterner {
-    ids: HashMap<String, ModelId>,
-    names: Vec<String>,
+    names: Vec<&'static str>,
 }
 
 impl ModelInterner {
@@ -43,14 +43,12 @@ impl ModelInterner {
     }
 
     /// Id of `name`, interning it if it has not been seen before.
-    pub fn intern(&mut self, name: &str) -> ModelId {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = ModelId::try_from(self.names.len()).expect("more than u32::MAX distinct model labels");
-        self.ids.insert(name.to_string(), id);
-        self.names.push(name.to_string());
-        id
+    pub fn intern(&mut self, name: &'static str) -> ModelId {
+        let index = self.names.iter().position(|&seen| seen == name).unwrap_or_else(|| {
+            self.names.push(name);
+            self.names.len() - 1
+        });
+        ModelId::try_from(index).expect("more than u32::MAX distinct model labels")
     }
 
     /// The label interned as `id`.
@@ -59,7 +57,7 @@ impl ModelInterner {
     ///
     /// Panics if `id` was not produced by this interner.
     pub fn resolve(&self, id: ModelId) -> &str {
-        &self.names[id as usize]
+        self.names[id as usize]
     }
 
     /// Number of distinct labels interned so far.

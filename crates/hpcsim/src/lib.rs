@@ -45,6 +45,7 @@
 pub mod clock;
 pub mod event;
 pub mod executor;
+mod idmap;
 pub mod intern;
 pub mod lustre;
 pub mod profiler;
@@ -57,6 +58,7 @@ pub use executor::{
     CampaignReport, CausalityMode, ExecutorConfig, ExecutorSession, ModelWarmStats, PlacementPolicy,
     ScheduledTask, StageTiming, StageTimings, SubmitOptions, WarmAccess, WarmPool, WorkflowExecutor,
 };
+pub use idmap::IdMap;
 pub use intern::{ModelId, ModelInterner};
 pub use lustre::LustreModel;
 pub use profiler::GpuTrace;

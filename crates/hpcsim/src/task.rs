@@ -84,8 +84,10 @@ pub struct Task {
     /// the *model key* of the executor's per-node [`crate::WarmPool`]: tasks
     /// with the same label and a positive
     /// [`cold_start_seconds`](Self::cold_start_seconds) share resident
-    /// weights on a node.
-    pub label: String,
+    /// weights on a node. `&'static str` — every label is a literal or a
+    /// parser kind's display name — so emitting, dispatching, retiring and
+    /// dropping a task allocates nothing for it; there are no dynamic labels.
+    pub label: &'static str,
 }
 
 impl Task {
@@ -101,7 +103,7 @@ impl Task {
             preferred_node: None,
             group: None,
             depends_on: Vec::new(),
-            label: String::new(),
+            label: "",
         }
     }
 
@@ -150,8 +152,8 @@ impl Task {
     }
 
     /// Set the report label.
-    pub fn with_label(mut self, label: &str) -> Self {
-        self.label = label.to_string();
+    pub fn with_label(mut self, label: &'static str) -> Self {
+        self.label = label;
         self
     }
 }
