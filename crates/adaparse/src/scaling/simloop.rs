@@ -23,44 +23,47 @@
 //! schedules the window against the *live* cluster state — slots still busy
 //! with earlier windows delay it, models loaded by earlier windows are
 //! still warm, and its tasks start the moment a slot frees, even before the
-//! previous window's stragglers finish. **There is no wave barrier**: slot
-//! availability, warm-pool residency, and pair anchors persist across
-//! epochs, and the campaign makespan is the session's last completion time,
-//! not a sum of per-wave makespans. The controller observes at event
-//! boundaries — each window's completion frontier, via
-//! [`ScalingController::observe_at`] on the session clock — the observed
-//! per-document costs reconcile the budget ledger, and the next window is
-//! selected.
-//!
-//! Nothing in the loop reads the host clock or any other ambient state, so
-//! a closed-loop run is a pure function of its inputs: replaying the same
-//! scores and workload replays the same report — including the executor's
-//! critical-path, queue-wait, and per-model warm-pool statistics — bit for
-//! bit, on any machine.
+//! previous window's stragglers finish. **There is no wave barrier**: the
+//! campaign makespan is the session's last completion time, not a sum of
+//! per-wave makespans. Nothing in the loop reads the host clock or any
+//! other ambient state: replaying the same scores and workload replays the
+//! same report bit for bit, on any machine.
 //!
 //! # Decision causality
 //!
-//! The loop honors the arrow of simulated time. Each window is admitted at
-//! an *event boundary*: the session's dispatch frontier — the simulated
-//! time the engine last ran out of undispatched work, recorded per wave as
-//! [`SimWave::decided_at_seconds`]. The window is submitted with that
-//! boundary as its release floor
-//! ([`hpcsim::SubmitOptions::release_seconds`]), so none of its tasks
-//! starts before the decision that created it; the effective α ingests
-//! only the [`WaveCosts`] of documents whose tasks *finished at or before*
-//! the decision time (stragglers defer to a later boundary), and the
-//! controller's stage samples are built from the same finished-by-then
-//! task set. Makespans are therefore achievable schedules. Any
-//! observations still deferred when the last window has been selected are
-//! folded in after the loop, so the *report's* final cost estimates and
-//! remaining budget cover every completed document (no further selection
-//! is affected).
-//!
+//! Each window is admitted at an *event boundary*: the session's dispatch
+//! frontier — the simulated time the engine last ran out of undispatched
+//! work, recorded per wave as [`SimWave::decided_at_seconds`] — which is
+//! also its release floor ([`hpcsim::SubmitOptions::release_seconds`]), so
+//! none of its tasks starts before the decision that created it. The
+//! effective α ingests only the [`WaveCosts`] of documents whose tasks
+//! *finished at or before* the decision time, and the controller
+//! ([`ScalingController::observe_at`]) samples the same finished-by-then
+//! task set; stragglers wait in a `DeferredQueue` for a later boundary.
+//! What is still deferred when the last window has been selected is folded
+//! in after the loop, so the *report's* final cost estimates and remaining
+//! budget cover every completed document (no selection is affected).
 //! Window *i+1* still overlaps window *i*'s stragglers (the floor is the
 //! dispatch frontier, not the completion time), and the controller's
-//! backlog signal counts the *true* pending work: documents not yet
-//! windowed plus session tasks still in flight at the observation boundary
-//! ([`SimWave::queue_depth`]).
+//! backlog counts the *true* pending work: documents not yet windowed plus
+//! session tasks in flight at the boundary ([`SimWave::queue_depth`]).
+//!
+//! # A window costs what a window holds
+//!
+//! A window's schedule rows are read once, right after its drain — spans
+//! into the deferred queues, `start − ready` into a [`LatencyLedger`] —
+//! and then the loop retires the session behind the boundary it just
+//! observed ([`hpcsim::ExecutorSession::retire_before`]): rows, completion
+//! records, pair anchors, cold-start intervals and GPU spans of everything
+//! finished by then. The session holds the work in flight, not the
+//! campaign. No report bit can tell, because `retire_before`'s three
+//! obligations hold by construction: the next window's release floor *is*
+//! this boundary; an unbounded drain leaves nothing pending and every
+//! later window mints fresh `doc_id`s — task ids, dependency edges and pair
+//! groups are all per document — so no future task names a retired one;
+//! and the only in-flight query is made at the frontier, before the
+//! retire, and the frontier never rewinds. The one observable that narrows
+//! is the raw GPU span list ([`SimLoopReport::executor_report`]).
 
 use hpcsim::{
     CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, StageTiming, SubmitOptions, WorkflowExecutor,
@@ -72,10 +75,10 @@ use crate::engine::RoutedDocument;
 use crate::hpc::{build_routing_tasks, WorkloadSpec};
 use crate::scaling::observed::{DeferredQueue, ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 use crate::scaling::{
-    Allocation, AllocationEvent, BudgetLedger, ControllerConfig, NodePlan, ScalingController, StageSample,
-    WaveStats, WindowedSelector,
+    Allocation, AllocationEvent, BudgetLedger, ControllerConfig, NodePlan, ScalingController, WaveStats,
+    WindowedSelector,
 };
-use crate::stats::LatencySummary;
+use crate::stats::{LatencyLedger, LatencySummary};
 
 /// Knobs of a closed-loop simulated campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -220,14 +223,19 @@ pub struct SimLoopReport {
     /// The controller's allocation trace, timestamped in simulated seconds.
     pub history: Vec<AllocationEvent>,
     /// The session-cumulative executor report: critical path, queue wait,
-    /// per-model warm hits/evictions, GPU trace — everything the persistent
-    /// engine measured over the whole campaign.
+    /// per-model warm hits/evictions — everything the persistent engine
+    /// measured over the whole campaign, bit for bit what a session that
+    /// never retired reports. Its `gpu_trace` keeps every per-GPU
+    /// `busy_seconds` / `model_load_seconds` bit but only the raw spans not
+    /// retired by the last window's boundary (so
+    /// [`hpcsim::GpuTrace::utilization_series`] sees the closing stragglers
+    /// only), exactly as [`crate::serve::ServeReport`]'s does.
     pub executor_report: CampaignReport,
-    /// Distribution of per-task slot waits (`start − ready`),
-    /// summarized with the shared exact nearest-rank percentiles
-    /// ([`crate::stats`]) — the same definition the serve layer's
-    /// per-tenant latency SLOs use, so a campaign's queue tail and a
-    /// service's latency tail are directly comparable.
+    /// Distribution of per-task slot waits (`start − ready`), recorded in
+    /// schedule order as each window is harvested and summarized with the
+    /// shared exact nearest-rank percentiles ([`crate::stats`]) — the
+    /// definition the serve layer's per-tenant latency SLOs use, so a
+    /// campaign's queue tail and a service's latency tail are comparable.
     pub queue_wait: LatencySummary,
     /// Final observed-cost estimates, when a budget ledger was attached.
     pub final_observed: Option<ObservedCosts>,
@@ -312,6 +320,11 @@ pub fn run_closed_loop(
     // is committed but never observed — skipped work — has its reservation
     // released at campaign close.
     let mut observed_docs = 0usize;
+    // Every task's slot wait, in schedule order — the one thing the close
+    // needs from a row after its window has been harvested.
+    let mut queue_waits = LatencyLedger::new();
+    // Per-window scratch, allocated once.
+    let mut routed: Vec<RoutedDocument> = Vec::new();
     let mut spans: Vec<Option<(f64, f64)>> = Vec::new();
 
     for (wave_index, chunk) in improvements.chunks(window).enumerate() {
@@ -326,24 +339,19 @@ pub fn run_closed_loop(
         let effective_alpha = selector.effective_alpha();
         let mask = selector.select_window(chunk);
         let selected = mask.iter().filter(|&&m| m).count();
-        let routed: Vec<RoutedDocument> = chunk
-            .iter()
-            .zip(&mask)
-            .enumerate()
-            .map(|(k, (&score, &hq))| RoutedDocument {
-                doc_id: (offset + k) as u64,
-                parser: if hq { config.high_quality_parser } else { config.default_parser },
-                predicted_improvement: score,
-                cls1_invalid: false,
-            })
-            .collect();
+        routed.clear();
+        routed.extend(chunk.iter().zip(&mask).enumerate().map(|(k, (&score, &hq))| RoutedDocument {
+            doc_id: (offset + k) as u64,
+            parser: if hq { config.high_quality_parser } else { config.default_parser },
+            predicted_improvement: score,
+            cls1_invalid: false,
+        }));
 
         // Fleets: the controller's allocation projected onto the cluster.
         let plan = controller.plan_nodes(cluster.nodes);
         let tasks = build_routing_tasks(config, &routed, workload, Some(&plan), 1.0);
-        let scheduled_before = session.schedule().len();
-        // Ownership moves into the session — the per-epoch batch is built
-        // fresh anyway.
+        // Global-order harvest cursor: retirement never moves it.
+        let scheduled_before = session.schedule_len();
         session.submit_owned(tasks, SubmitOptions { release_seconds: Some(decided_at) });
         let wave = session.advance_to_frontier(&sim.filesystem);
         // The event boundary the controller observes at: the dispatch
@@ -356,30 +364,33 @@ pub fn run_closed_loop(
         // earlier epoch) — not just the unwindowed remainder.
         let docs_remaining = improvements.len().saturating_sub(offset + chunk.len());
         let queue_depth = docs_remaining + session.tasks_in_flight_at(observed_at);
-        let wave_slice = &session.schedule()[scheduled_before..];
+        // The one pass over the window's rows: the epoch's earliest start,
+        // every task's slot wait, its stage sample (observable once a
+        // boundary passes its finish) and its `(start, finish)` by
+        // `id − 2·offset` — an unbounded drain schedules only this window's
+        // tasks, ids `2·offset .. 2·(offset + window)`, `doc_id * 2` the
+        // extract and `doc_id * 2 + 1` the parse.
+        spans.clear();
+        spans.resize(2 * chunk.len(), None);
+        let mut first_start = f64::INFINITY;
+        for row in session.schedule_since(scheduled_before) {
+            let (start, finish) = (row.start_seconds, row.finish_seconds);
+            first_start = first_start.min(start);
+            queue_waits.record(start - row.ready_seconds);
+            deferred_tasks.push(finish, (row.id % 2 == 1, finish - start));
+            spans[(row.id - 2 * offset as u64) as usize] = Some((start, finish));
+        }
+        // Rows read, in-flight query made: everything finished by the
+        // boundary can go (the module docs say why nothing can tell).
+        session.retire_before(observed_at);
         // An epoch that completed nothing is pinned to its decision time;
         // otherwise its span is first start to last completion.
         let (started_at_seconds, finished_at_seconds) = if wave.tasks_completed == 0 {
             (decided_at, decided_at)
         } else {
-            let first_start = wave_slice.iter().map(|s| s.start_seconds).fold(f64::INFINITY, f64::min);
             (first_start, wave.makespan_seconds)
         };
 
-        // Queue this epoch's measurements; each becomes observable once a
-        // decision boundary passes its finish time. Task ids are
-        // `doc_id * 2` (extract) and `doc_id * 2 + 1` (parse).
-        for row in wave_slice {
-            deferred_tasks
-                .push(row.finish_seconds, (row.id % 2 == 1, row.finish_seconds - row.start_seconds));
-        }
-        // `(start, finish)` by `id − 2·offset`: an unbounded drain schedules
-        // only this window's tasks, ids `2·offset .. 2·(offset + window)`.
-        spans.clear();
-        spans.resize(2 * chunk.len(), None);
-        for row in wave_slice {
-            spans[(row.id - 2 * offset as u64) as usize] = Some((row.start_seconds, row.finish_seconds));
-        }
         for (k, &hq) in mask.iter().enumerate() {
             // A document whose extract was skipped ran nothing at all —
             // its cost is never observable and its reservation is released
@@ -396,16 +407,7 @@ pub fn run_closed_loop(
             };
             deferred_docs.push(observable_at, (hq, seconds));
         }
-        // The controller's stage samples are likewise built from the tasks
-        // that finished by the boundary — never from work whose outcome
-        // does not causally exist yet.
-        let mut extract = StageSample { busy_seconds: 0.0, items: 0 };
-        let mut parse = StageSample { busy_seconds: 0.0, items: 0 };
-        for (is_parse, busy_seconds) in deferred_tasks.pop_due(observed_at) {
-            let sample = if is_parse { &mut parse } else { &mut extract };
-            sample.busy_seconds += busy_seconds;
-            sample.items += 1;
-        }
+        let (extract, parse) = deferred_tasks.pop_stage_samples(observed_at);
         let allocation =
             controller.observe_at(observed_at, &WaveStats { wave_index, extract, parse, queue_depth });
 
@@ -439,22 +441,18 @@ pub fn run_closed_loop(
         decided_at = observed_at;
     }
 
-    // Straggler observations were deferred past each decision boundary;
-    // once the last window has been selected there is no further decision
-    // to protect, so the remaining measurements fold in here and the
-    // reservations of documents that will never complete (skipped work)
-    // are released. This only reconciles the *report* — the final cost
-    // estimates and remaining budget cover every completed document,
-    // leaving `remaining = budget − Σ measured` (clamped at zero).
+    // No further decision to protect: the straggler observations still
+    // deferred fold in here, and the reservations of documents that will
+    // never complete (skipped work) are released. This only reconciles the
+    // *report* — `remaining = budget − Σ measured` (clamped at zero) over
+    // every completed document.
     observed_docs += ingest_observable(&mut selector, &mut deferred_docs, f64::INFINITY);
     selector.release_unobserved(improvements.len().saturating_sub(observed_docs));
 
     report.makespan_seconds = session.now_seconds();
     report.history = controller.history().to_vec();
     report.executor_report = session.report();
-    let waits: Vec<f64> =
-        session.schedule().iter().map(|row| row.start_seconds - row.ready_seconds).collect();
-    report.queue_wait = LatencySummary::from_values(&waits);
+    report.queue_wait = queue_waits.summary();
     report.final_observed = selector.ledger().and_then(|ledger| ledger.observed().copied());
     report.remaining_budget_seconds = selector.ledger().map(BudgetLedger::remaining_seconds);
     report
@@ -468,15 +466,11 @@ fn ingest_observable(
     deferred: &mut DeferredQueue<(bool, f64)>,
     boundary: f64,
 ) -> usize {
-    let observable = deferred.pop_due(boundary);
-    if observable.is_empty() {
-        return 0;
-    }
     let mut costs = WaveCosts::default();
-    for (expensive, seconds) in observable {
-        costs.record(expensive, seconds);
+    deferred.pop_due(boundary, |(expensive, seconds)| costs.record(expensive, seconds));
+    if costs.docs() > 0 {
+        selector.ingest_observed_partial(&costs);
     }
-    selector.ingest_observed_partial(&costs);
     costs.docs()
 }
 

@@ -17,8 +17,7 @@ use crate::engine::RoutedDocument;
 use crate::hpc::build_routing_tasks;
 use crate::scaling::observed::DeferredQueue;
 use crate::scaling::{
-    AutoscaleConfig, ControllerConfig, FleetEvent, ScalingController, SloAutoscaler, StageSample, WaveCosts,
-    WaveStats,
+    AutoscaleConfig, ControllerConfig, FleetEvent, ScalingController, SloAutoscaler, WaveCosts, WaveStats,
 };
 use crate::stats::{LatencyLedger, LatencySummary};
 
@@ -178,15 +177,6 @@ struct DeferredCompletion {
     busy_seconds: f64,
 }
 
-/// A per-task stage sample deferred (keyed by the task finish) to the
-/// boundary past it.
-#[derive(Debug, Clone, Copy)]
-struct DeferredStageObs {
-    /// Even task ids are extract, odd are parse.
-    parse: bool,
-    busy_seconds: f64,
-}
-
 /// FNV-1a over the bytes that define a run's observable outcome.
 fn fingerprint(tenants: &[TenantServeReport], makespan_seconds: f64) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -284,7 +274,8 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     // behind a skipped task costs one entry until close, not all after it.
     let mut awaiting: IdMap<DocProgress> = IdMap::default();
     let mut deferred_done: DeferredQueue<DeferredCompletion> = DeferredQueue::new();
-    let mut deferred_stage: DeferredQueue<DeferredStageObs> = DeferredQueue::new();
+    // Per-task `(is_parse, busy_seconds)`, keyed by the task finish.
+    let mut deferred_stage: DeferredQueue<(bool, f64)> = DeferredQueue::new();
     // Global-order harvest cursor: compared against `schedule_len()`, not
     // the retained slice, so retirement never moves it.
     let mut scanned_rows = 0usize;
@@ -301,9 +292,9 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut scores: Vec<f64> = Vec::new();
     let mut routed: Vec<RoutedDocument> = Vec::new();
 
-    // One closure-free harvest pass, shared by the epoch loop and the
-    // final drain: scan new schedule rows into per-doc progress, then
-    // surface everything observable at `boundary`.
+    // One harvest pass, shared by the epoch loop and the final drain: scan
+    // new schedule rows into per-doc progress, then surface everything
+    // observable at `boundary`.
     macro_rules! harvest {
         ($boundary:expr) => {{
             let boundary: f64 = $boundary;
@@ -333,10 +324,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 }
                 soak.max_task_busy_seconds =
                     soak.max_task_busy_seconds.max(row.finish_seconds - row.start_seconds);
-                deferred_stage.push(
-                    row.finish_seconds,
-                    DeferredStageObs { parse, busy_seconds: row.finish_seconds - row.start_seconds },
-                );
+                deferred_stage.push(row.finish_seconds, (parse, row.finish_seconds - row.start_seconds));
             }
             scanned_rows = session.schedule_len();
             // Documents whose last task has now scheduled graduate from
@@ -361,7 +349,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             // Latencies and measured costs become visible only once the
             // boundary passes the finish — the service never acts on a
             // completion that has not happened yet.
-            for done in deferred_done.pop_due(boundary) {
+            deferred_done.pop_due(boundary, |done| {
                 let state = &mut registry.states_mut()[done.tenant];
                 state.completed += 1;
                 state.latencies.record(done.latency_seconds);
@@ -371,7 +359,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 }
                 tenant_costs[done.tenant].record(done.expensive, done.busy_seconds);
                 in_flight -= 1;
-            }
+            });
             for (state, costs) in registry.states_mut().iter_mut().zip(&mut tenant_costs) {
                 if costs.docs() > 0 {
                     state.observed_docs += costs.docs();
@@ -513,14 +501,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
 
         // 6. Feed the stage-split controller the samples observable at the
         //    boundary and rescale the fleet against SLO attainment.
-        let observable = deferred_stage.pop_due(boundary);
-        let mut extract = StageSample { busy_seconds: 0.0, items: 0 };
-        let mut parse = StageSample { busy_seconds: 0.0, items: 0 };
-        for obs in observable {
-            let sample = if obs.parse { &mut parse } else { &mut extract };
-            sample.busy_seconds += obs.busy_seconds;
-            sample.items += 1;
-        }
+        let (extract, parse) = deferred_stage.pop_stage_samples(boundary);
         let queue_depth = registry.queued() + in_flight;
         controller.observe_at(boundary, &WaveStats { wave_index: epochs - 1, extract, parse, queue_depth });
         if let Some(autoscaler) = autoscaler.as_mut() {

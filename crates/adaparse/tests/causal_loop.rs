@@ -9,6 +9,11 @@
 //!   the masks, makespans, per-wave timelines, backlogs and ledger
 //!   closings captured at the commit before the loop's two bodies were
 //!   merged — bit for bit;
+//! * the *whole* report of those shapes and of three 24-window campaigns —
+//!   every wave field, the allocation trace, the executor's counters, float
+//!   bits and warm rows, per-GPU busy/load bits, the queue-wait summary —
+//!   reproduces the digests captured at the commit before the loop began
+//!   retiring its session behind each decision boundary;
 //! * slot-by-slot budget reconciliation ends at exactly `budget − measured`;
 //! * the controller's backlog signal counts session tasks still in flight,
 //!   not just unwindowed documents;
@@ -19,7 +24,7 @@ use adaparse::{
     planned_costs, run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport,
     WorkloadSpec,
 };
-use hpcsim::ClusterConfig;
+use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -296,4 +301,244 @@ fn all_skipped_epochs_are_well_defined() {
     assert_eq!(report.mask.len(), 96);
     let replay = run_closed_loop(&config, &improvements, &workload(96), &sim);
     assert_eq!(report, replay);
+}
+
+/// Everything a [`SimLoopReport`] carries that [`LoopPin`] leaves out, one
+/// digest per part so a moved bit names where it moved.
+#[derive(Debug, PartialEq)]
+struct FullPin {
+    /// Every field of every [`adaparse::SimWave`], in wave order.
+    waves_fnv: u64,
+    /// The controller's allocation trace.
+    history_fnv: u64,
+    /// The executor report's counters, float bits, stage timings and
+    /// per-model warm rows.
+    executor_fnv: u64,
+    /// Per-GPU `busy_seconds` and `model_load_seconds` bits.
+    gpu_fnv: u64,
+    /// `queue_wait` as `(count, mean, p50, p99, max)` bits.
+    queue_wait: (usize, u64, u64, u64, u64),
+    /// Mask, campaign totals, closing cost estimates and remaining budget.
+    closing_fnv: u64,
+}
+
+fn timing_words(t: &hpcsim::StageTiming) -> [u64; 3] {
+    [t.busy_seconds.to_bits(), t.tasks as u64, t.finished_at_seconds.to_bits()]
+}
+
+fn full_pin_of(report: &SimLoopReport) -> FullPin {
+    let mut waves = Vec::new();
+    for w in &report.waves {
+        waves.extend([
+            w.wave_index as u64,
+            w.decided_at_seconds.to_bits(),
+            w.started_at_seconds.to_bits(),
+            w.finished_at_seconds.to_bits(),
+            w.documents as u64,
+            w.selected as u64,
+            w.effective_alpha.to_bits(),
+            w.plan.extract_nodes as u64,
+            w.plan.parse_nodes as u64,
+            w.allocation.extract_workers as u64,
+            w.allocation.parse_workers as u64,
+            w.co_located_pairs as u64,
+            w.split_pairs as u64,
+            w.locality_penalty_seconds.to_bits(),
+            w.warm_hits as u64,
+            w.queue_wait_seconds.to_bits(),
+            w.herd_queue_seconds.to_bits(),
+            w.tasks_skipped as u64,
+            w.queue_depth as u64,
+        ]);
+        waves.extend(timing_words(&w.extract));
+        waves.extend(timing_words(&w.parse));
+    }
+    let history = report.history.iter().flat_map(|e| {
+        [
+            e.wave_index as u64,
+            e.at_seconds.to_bits(),
+            e.gained as u64,
+            e.allocation.extract_workers as u64,
+            e.allocation.parse_workers as u64,
+        ]
+    });
+    let x = &report.executor_report;
+    let mut executor = vec![
+        x.tasks_completed as u64,
+        x.tasks_skipped as u64,
+        x.makespan_seconds.to_bits(),
+        x.throughput_per_second.to_bits(),
+        x.cpu_busy_seconds.to_bits(),
+        x.gpu_busy_seconds.to_bits(),
+        x.stage_in_seconds.to_bits(),
+        x.cold_starts as u64,
+        x.non_local_tasks as u64,
+        x.locality_penalty_seconds.to_bits(),
+        x.co_located_pairs as u64,
+        x.split_pairs as u64,
+        x.critical_path_seconds.to_bits(),
+        x.queue_wait_seconds.to_bits(),
+        x.decision_lag_seconds.to_bits(),
+        x.warm_hits as u64,
+        x.warm_evictions as u64,
+        x.herd_queue_seconds.to_bits(),
+        x.concurrent_cold_starts_peak as u64,
+    ];
+    executor.extend(timing_words(&x.stage_timings.extract));
+    executor.extend(timing_words(&x.stage_timings.parse));
+    for model in &x.warm_models {
+        executor.extend(model.model.bytes().map(u64::from));
+        executor.extend([model.hits as u64, model.misses as u64, model.evictions as u64]);
+    }
+    let gpus = (0..x.gpu_trace.gpus())
+        .flat_map(|g| [x.gpu_trace.busy_seconds(g).to_bits(), x.gpu_trace.model_load_seconds(g).to_bits()]);
+    let mut closing: Vec<u64> = report.mask.iter().map(|&m| m as u64).collect();
+    closing.extend([
+        report.documents as u64,
+        report.selected as u64,
+        report.makespan_seconds.to_bits(),
+        report.co_located_pairs as u64,
+        report.split_pairs as u64,
+        report.non_local_tasks as u64,
+        report.locality_penalty_seconds.to_bits(),
+    ]);
+    if let Some(o) = report.final_observed {
+        closing.extend([
+            o.effective_cheap().to_bits(),
+            o.effective_expensive().to_bits(),
+            o.observed_docs() as u64,
+        ]);
+    }
+    closing.extend(report.remaining_budget_seconds.map(f64::to_bits));
+    let q = &report.queue_wait;
+    FullPin {
+        waves_fnv: fnv(waves),
+        history_fnv: fnv(history),
+        executor_fnv: fnv(executor),
+        gpu_fnv: fnv(gpus),
+        queue_wait: (
+            q.count,
+            q.mean_seconds.to_bits(),
+            q.p50_seconds.to_bits(),
+            q.p99_seconds.to_bits(),
+            q.max_seconds.to_bits(),
+        ),
+        closing_fnv: fnv(closing),
+    }
+}
+
+/// The whole report of six shapes, captured at the commit before the loop
+/// began retiring behind its decision boundary and its deferred queue
+/// became a list: the three shapes above, and three long enough (24
+/// windows on 4 nodes, budgeted) that almost every row, completion record,
+/// anchor and cold-start interval is retired before the close — unlimited
+/// load channels, one load channel (the herd queues and the carried
+/// cold-start peak matters), and cost-aware placement over a one-model
+/// warm pool.
+#[test]
+fn closed_loop_reproduces_the_full_report_digests() {
+    let config = base_config();
+    let small = scores(240, 11);
+    let (cheap, expensive) = planned_costs(&config, 8);
+    let budget_for = |n: usize| n as f64 * cheap + 0.2 * n as f64 * (expensive - cheap);
+    let budgeted_sim =
+        SimLoopConfig { total_budget_seconds: Some(budget_for(240)), prior_weight: 8.0, ..sim() };
+    let gpu_less_sim = SimLoopConfig {
+        cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
+        ..budgeted_sim
+    };
+    let n = 6_000;
+    let large = scores(n, 29);
+    let large_sim = SimLoopConfig {
+        window: 256,
+        nodes: 4,
+        total_budget_seconds: Some(budget_for(n)),
+        prior_weight: 8.0,
+        ..sim()
+    };
+    let one_channel_sim = SimLoopConfig {
+        filesystem: LustreModel { model_load_channels: 1, ..LustreModel::default() },
+        ..large_sim
+    };
+    let cost_aware_sim = SimLoopConfig {
+        executor: ExecutorConfig {
+            placement: PlacementPolicy::CostAware,
+            warm_pool_capacity: Some(1),
+            ..ExecutorConfig::default()
+        },
+        ..large_sim
+    };
+    let run = |improvements: &[f64], sim: &SimLoopConfig| {
+        full_pin_of(&run_closed_loop(&config, improvements, &workload(improvements.len()), sim))
+    };
+    let pin = |waves_fnv, history_fnv, executor_fnv, gpu_fnv, queue_wait, closing_fnv| FullPin {
+        waves_fnv,
+        history_fnv,
+        executor_fnv,
+        gpu_fnv,
+        queue_wait,
+        closing_fnv,
+    };
+    assert_eq!(
+        run(&small, &sim()),
+        pin(
+            0xc550589691303c9a,
+            0xc133cee46b0a22be,
+            0xfd44ff4908193df6,
+            0xb35a26de092304d5,
+            (288, 0x3fee47e8558f9665, 0x0, 0x4032d02de00d1b72, 0x4032d02de00d1b72),
+            0x43271155d563acbd,
+        ),
+        "no budget"
+    );
+    assert_eq!(
+        run(&small, &budgeted_sim),
+        pin(
+            0x19e9c1b6233e28be,
+            0x492e247ff036de88,
+            0xd49c916836623219,
+            0x5c0015639a80bb19,
+            (262, 0x3fe2d91cee77ef44, 0x0, 0x4032d02de00d1b72, 0x4032fa5e353f7cee),
+            0x8735d6331c328a6d,
+        ),
+        "budgeted"
+    );
+    assert_eq!(
+        run(&small, &gpu_less_sim),
+        pin(
+            0x20595e79d373ca88,
+            0x61fcfd6215926eb6,
+            0x43b13fb89868a1de,
+            0xcbf29ce484222325,
+            (240, 0x3fac2038cc40fd5c, 0x0, 0x3fc5182a9930be0e, 0x3fc5182a9930be0e),
+            0xcc1e9a07d7bc9539,
+        ),
+        "no GPUs"
+    );
+    let large_pin = || {
+        pin(
+            0xed0867da4407db0b,
+            0xd225c4889262186b,
+            0x33b09c47c420fb93,
+            0xfe9f3c23b41463f8,
+            (7116, 0x3ff0f08b95ddebe0, 0x3fc5182a9930be00, 0x40273573eab367a0, 0x403a9ab9f559b3d2),
+            0x19bb89211c3e6339,
+        )
+    };
+    assert_eq!(run(&large, &large_sim), large_pin(), "6 000 documents");
+    assert_eq!(
+        run(&large, &one_channel_sim),
+        pin(
+            0xb451105e476bf1bb,
+            0xf5ebfd2d0be4e934,
+            0x1d11b5cc26780262,
+            0x388772ea8b50a086,
+            (6739, 0x3fec569376d23106, 0x3fc5182a9930be00, 0x40278a0902de00a0, 0x40525b6ae7d566cf),
+            0x7a52e9aec609f33d,
+        ),
+        "one load channel"
+    );
+    // One GPU model, warm on every node after the first window: the
+    // cost-aware schedule *is* the earliest-slot one, bit for bit.
+    assert_eq!(run(&large, &cost_aware_sim), large_pin(), "cost-aware, one-model pool");
 }

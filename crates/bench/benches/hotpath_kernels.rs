@@ -1,14 +1,22 @@
-//! Micro-benchmarks for the per-task and per-arrival hot-path kernels: the
-//! executor's [`ReadyQueue`] (every task passes through it twice — once as
-//! an event, once as a dispatch), the budget selector's `select_global`
-//! (the bounded-heap top-k that replaced a full sort), the serve layer's
-//! [`LatencyLedger`] (one `record` per completed document, one selection
-//! per `summary()`), and [`IdMap`] on strided task ids (several probes per
-//! task under the executor's completed/anchor/pending maps and the serve
-//! loop's awaiting map). Deterministic seeded inputs, so runs are
-//! comparable across commits alongside `BENCH_hotpath.json`.
+//! Benchmarks of the simulator-side hot path, kernel by kernel and once end
+//! to end: the executor's [`ReadyQueue`] (every task passes through it
+//! twice — once as an event, once as a dispatch), the budget selector's
+//! `select_global` (a bounded-heap top-k), the [`LatencyLedger`] (one
+//! `record` per completed document in the serve loop and per scheduled task
+//! in the closed loop, one selection per `summary()`), [`IdMap`] on strided
+//! task ids (several probes per task under the executor's
+//! completed/anchor/pending maps and the serve loop's awaiting map), and a
+//! whole [`run_closed_loop`] campaign through the public API
+//! (`closed_loop/run_closed_loop/20000`: selection, task emission, executor
+//! session, harvest, deferred observations and retirement together — the
+//! row that moves when the loop's own bookkeeping does). Deterministic
+//! seeded inputs, so runs are comparable across commits alongside
+//! `BENCH_hotpath.json`.
 
-use adaparse::{select_global, LatencyLedger};
+use adaparse::{
+    run_closed_loop, select_global, AdaParseConfig, ControllerConfig, LatencyLedger, SimLoopConfig,
+    WorkloadSpec,
+};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpcsim::{IdMap, ReadyQueue};
 use rand::rngs::StdRng;
@@ -101,5 +109,33 @@ fn bench_id_map(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ready_queue, bench_select_global, bench_ledger, bench_id_map);
+fn bench_closed_loop(c: &mut Criterion) {
+    let mut group = c.benchmark_group("closed_loop");
+    // `bench_million`'s shape at a size a criterion sample affords: 79
+    // windows of 256 on 4 nodes, long enough that almost every window is
+    // retired before the close.
+    let n = 20_000;
+    let input = scores(n);
+    let config = AdaParseConfig::default();
+    let workload = WorkloadSpec { documents: n, pages_per_doc: 8, mb_per_doc: 20.0 };
+    let sim = SimLoopConfig {
+        window: 256,
+        nodes: 4,
+        controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
+        ..Default::default()
+    };
+    group.bench_with_input(BenchmarkId::new("run_closed_loop", n), &input, |b, input| {
+        b.iter(|| run_closed_loop(&config, black_box(input), &workload, &sim).makespan_seconds)
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ready_queue,
+    bench_select_global,
+    bench_ledger,
+    bench_id_map,
+    bench_closed_loop
+);
 criterion_main!(benches);

@@ -1085,11 +1085,13 @@ impl ExecutorSession {
     /// 3. In-flight queries only ask about `t ≥ watermark` (earlier times
     ///    undercount by exactly the retired finishes above them).
     ///
-    /// The serve ingest loop harvests every row up to the boundary, then
-    /// retires at that boundary: its documents never reference prior
-    /// batches, its extract→parse pairs always dispatch within the
-    /// boundary their dependency finished under, and its floors are the
-    /// boundaries themselves — all three obligations hold structurally.
+    /// Both resident loops meet all three structurally, retiring at the
+    /// decision boundary itself once its rows are harvested and its
+    /// in-flight query made: the serve loop at each epoch boundary (floors
+    /// are the boundaries; an extract→parse pair dispatches within the
+    /// boundary its dependency finished under), the closed loop at each
+    /// dispatch frontier (the next floor; an unbounded drain leaves nothing
+    /// pending). Neither's documents ever reference an earlier batch.
     ///
     /// # Panics
     ///
