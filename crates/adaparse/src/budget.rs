@@ -177,15 +177,6 @@ pub struct KAssignment {
     pub slots_consumed: f64,
 }
 
-impl KAssignment {
-    /// The binary view of the assignment: `true` where any upgrade was
-    /// granted. With a single weight-`1.0` upgrade this is exactly
-    /// [`select_global`]'s mask.
-    pub fn mask(&self) -> Vec<bool> {
-        self.choices.iter().map(Option::is_some).collect()
-    }
-}
-
 /// Marginal-gain-per-cost greedy assignment over a k-parser frontier — the
 /// k-way generalization of [`select_global`]'s top-⌊αn⌋ selection.
 ///
@@ -264,7 +255,7 @@ pub fn assign_k(gains_per_parser: &[Vec<f64>], weights: &[f64], slots: f64) -> K
 }
 
 /// Total improvement captured by a selection mask.
-pub fn captured_improvement(improvements: &[f64], mask: &[bool]) -> f64 {
+fn captured_improvement(improvements: &[f64], mask: &[bool]) -> f64 {
     improvements.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| v).sum()
 }
 
@@ -522,8 +513,9 @@ mod tests {
                 })
                 .collect();
             // `⌊α·n⌋` slots over the whole slice, then per chunk.
-            let at_alpha = |chunk: &[f64]| {
-                assign_k(&[chunk.to_vec()], &[1.0], (chunk.len() as f64 * alpha).floor()).mask()
+            let at_alpha = |chunk: &[f64]| -> Vec<bool> {
+                let assignment = assign_k(&[chunk.to_vec()], &[1.0], (chunk.len() as f64 * alpha).floor());
+                assignment.choices.iter().map(Option::is_some).collect()
             };
             prop_assert_eq!(at_alpha(&scores), select_global(&scores, alpha));
             let batched: Vec<bool> = scores.chunks(batch).flat_map(at_alpha).collect();

@@ -209,7 +209,7 @@ pub fn tasks_for_cascade_with_affinity(
 /// assert!(tasks.iter().all(|t| t.preferred_node.is_some() && t.group.is_some()));
 /// // The parse task (odd id) depends on its extract partner (its id - 1).
 /// let parse = tasks.iter().find(|t| t.id % 2 == 1).unwrap();
-/// assert_eq!(parse.depends_on, vec![parse.id - 1]);
+/// assert_eq!(parse.depends_on.as_slice(), &[parse.id - 1]);
 ///
 /// // The tasks run as-is on a cluster shaped like the plan.
 /// let report = WorkflowExecutor::new(ExecutorConfig::default())
@@ -409,15 +409,15 @@ mod tests {
                 SlotKind::Gpu => assert_eq!(node, 3),
             }
             if task.id % 2 == 1 {
-                assert_eq!(task.depends_on, vec![task.id - 1]);
+                assert_eq!(task.depends_on.as_slice(), &[task.id - 1]);
             } else {
-                assert!(task.depends_on.is_empty());
+                assert!(task.depends_on.as_slice().is_empty());
             }
         }
         // The plain (plan-free) construction stays order-free: it is the
         // legacy throughput model the fixed-α scaling sweeps are built on.
         let plain = build_routing_tasks(&config, &routed, &w, None, 1.0);
-        assert!(plain.iter().all(|t| t.depends_on.is_empty()));
+        assert!(plain.iter().all(|t| t.depends_on.as_slice().is_empty()));
         // On a cluster shaped like the plan, scheduling honors the affinity.
         let report = WorkflowExecutor::new(ExecutorConfig::default()).run(
             &tasks,

@@ -115,10 +115,7 @@ pub mod scaling;
 pub mod serve;
 pub mod stats;
 
-pub use budget::{assign_k, KAssignment};
-pub use budget::{
-    max_affordable_alpha, optimality_gap, select_batch, select_global, windowed_optimality_gap,
-};
+pub use budget::{assign_k, max_affordable_alpha, select_global, KAssignment};
 pub use campaign::{
     CampaignBudget, CampaignFailures, CampaignPipeline, CascadeReport, PipelineConfig, RoutingInput,
     RoutingMode,

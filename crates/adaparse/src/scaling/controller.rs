@@ -143,7 +143,7 @@ pub struct AllocationEvent {
     /// Campaign time of the change in seconds: simulated time when the
     /// controller is driven by a clock via
     /// [`ScalingController::observe_at`] (e.g. an
-    /// [`hpcsim::SimClock`] advanced by wave makespans), otherwise the
+    /// [`hpcsim::ExecutorSession`]'s dispatch frontier), otherwise the
     /// controller's internal accumulation of observed wave seconds. Either
     /// way it is derived purely from the observed stats, never read from
     /// the host's clock, so a fixed stat stream (recorded or simulated)
@@ -198,7 +198,7 @@ impl NodePlan {
 /// overlapped wave time `max(extract, parse)` per observed wave) or — in
 /// closed-loop simulation — from an external simulated clock passed to
 /// [`observe_at`](ScalingController::observe_at), typically an
-/// [`hpcsim::SimClock`] advanced by each simulated wave's makespan.
+/// [`hpcsim::ExecutorSession`]'s dispatch frontier or epoch boundary.
 ///
 /// # Example
 ///
@@ -284,8 +284,8 @@ impl ScalingController {
 
     /// [`observe`](ScalingController::observe), sampling an external clock:
     /// `at_seconds` is the campaign time the wave completed at — in
-    /// closed-loop simulation, an [`hpcsim::SimClock`] advanced by the
-    /// executor-reported wave makespan. Trace timestamps then carry
+    /// closed-loop simulation, the [`hpcsim::ExecutorSession`]'s
+    /// dispatch frontier after the wave. Trace timestamps then carry
     /// simulated time, so a replayed simulation reproduces the trace
     /// exactly.
     pub fn observe_at(&mut self, at_seconds: f64, stats: &WaveStats) -> Allocation {

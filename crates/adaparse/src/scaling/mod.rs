@@ -40,11 +40,12 @@
 //!
 //! * **Time** — the controller never reads wall time. Under
 //!   [`ScalingController::observe_at`] it samples an external simulated
-//!   clock ([`hpcsim::SimClock`] advanced by executor-reported wave
-//!   makespans), and even plain [`ScalingController::observe`] accrues a
-//!   virtual clock from the observed stage seconds, so a trace is a pure
-//!   function of its stat stream: replaying recorded or simulated stats
-//!   replays the trace bit for bit.
+//!   clock (the [`hpcsim::ExecutorSession`]'s dispatch frontier or the
+//!   serve loop's epoch boundary), and even plain
+//!   [`ScalingController::observe`] accrues a virtual clock from the
+//!   observed stage seconds, so a trace is a pure function of its stat
+//!   stream: replaying recorded or simulated stats replays the trace bit
+//!   for bit.
 //! * **Costs** — [`observed::ObservedCosts`] blends the planned
 //!   per-document costs with what completed waves *actually* cost
 //!   ([`observed::WaveCosts`]); a [`BudgetLedger`] with

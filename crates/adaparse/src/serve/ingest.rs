@@ -370,9 +370,12 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         }};
     }
 
+    // `awaiting` is deliberately not a condition: past its harvest an
+    // awaiting document has either an undispatched task (the pending count
+    // below) or one the engine skipped, which no further epoch can finish —
+    // it is reported `unfinished` at close.
     while traces.iter().zip(&consumed).any(|(trace, &at)| at < trace.arrivals.len())
         || registry.queued() > 0
-        || !awaiting.is_empty()
         || !deferred_done.is_empty()
         || session.pending_task_count() > 0
     {

@@ -96,5 +96,5 @@ fn legacy_plan_free_construction_remains_order_free() {
     let routed = routed_docs(&config, 60, 4);
     let workload = WorkloadSpec { documents: 60, pages_per_doc: 10, mb_per_doc: 2.0 };
     let tasks = build_routing_tasks(&config, &routed, &workload, None, 1.0);
-    assert!(tasks.iter().all(|t| t.depends_on.is_empty() && t.group.is_none()));
+    assert!(tasks.iter().all(|t| t.depends_on.as_slice().is_empty() && t.group.is_none()));
 }

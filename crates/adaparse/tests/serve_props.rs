@@ -25,8 +25,9 @@
 //!
 //! Every property above passes on a deterministic wrong answer, so five
 //! small runs are also **pinned by value**; beside them, a document behind
-//! a skipped task is shown to cost one `awaiting` entry, and arrival times
-//! the epoch loop could never ingest are shown to be rejected up front.
+//! a skipped task is shown to cost one `awaiting` entry and no extra epoch,
+//! a zero-node cluster to end in a report, and arrival times the epoch loop
+//! could never ingest to be rejected up front.
 
 use adaparse::{
     run_service, run_service_instrumented, AutoscaleConfig, CampaignBudget, DocArrival, RoutingGranularity,
@@ -496,8 +497,6 @@ fn a_document_behind_a_skipped_task_stays_one_awaiting_entry() {
     let config = ServeConfig {
         cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
         epoch_seconds: 5.0,
-        // The stuck document keeps the loop alive; the bound closes it.
-        max_epochs: 80,
         ..ServeConfig::default()
     };
     let (report, soak) = run_service_instrumented(&config, &[stuck, flowing]);
@@ -506,11 +505,36 @@ fn a_document_behind_a_skipped_task_stays_one_awaiting_entry() {
     assert_eq!((stuck.admitted, stuck.selected, stuck.completed, stuck.unfinished), (1, 1, 0, 1));
     let flowing = &report.tenants[1];
     assert_eq!((flowing.admitted, flowing.completed, flowing.unfinished), (1000, 1000, 0));
-    assert_eq!(report.epochs, 80, "only the stuck document outlives the traffic");
+    // The stuck document does not keep the loop alive: it ends with the
+    // traffic (the last arrival lands near 250 s), not at `max_epochs`.
+    assert_eq!(report.epochs, 51, "the loop ends when the traffic drains");
     // Awaiting documents are the in-flight ones: the stuck entry plus the
     // current epochs' admissions, never the run's history.
     assert!(soak.peak_awaiting_docs <= soak.peak_in_flight);
     assert!(soak.peak_in_flight < 100, "peak in flight {}", soak.peak_in_flight);
+}
+
+// A zero-node cluster has nowhere to run anything. The run must end in a
+// report, not a panic (the active-fleet clamp used to be `clamp(1, 0)`):
+// nothing completes, and whatever was admitted is reported unfinished. With
+// no CPU slot the admission cap is one document, which never finishes and so
+// never frees its slot; the other nine wait in the queue until the epoch
+// bound — a stuck document holding its admission slot is fault handling the
+// serve loop does not have yet (ROADMAP item 4 v).
+#[test]
+fn a_zero_node_cluster_serves_nothing_without_panicking() {
+    let config = ServeConfig {
+        cluster: Some(ClusterConfig { nodes: 0, cpu_slots_per_node: 30, gpu_slots_per_node: 4 }),
+        max_epochs: 40,
+        ..ServeConfig::default()
+    };
+    let arrivals = doc_arrivals(10, 3, 1.0, ArrivalPattern::Steady);
+    let report = run_service(&config, &[TenantTrace { spec: tenant("t", 1.0), arrivals }]);
+    assert_eq!(report.executor_report.tasks_completed, 0);
+    assert!(report.executor_report.tasks_skipped > 0);
+    let tenant = &report.tenants[0];
+    assert_eq!((tenant.arrived, tenant.completed), (10, 0));
+    assert_eq!(tenant.unfinished, tenant.admitted);
 }
 
 /// A default-spec service over one tenant arriving at `times`.

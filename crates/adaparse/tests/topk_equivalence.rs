@@ -8,7 +8,7 @@
 //! the obvious full-sort selection: NaN never beats a finite score, ties
 //! break by ascending index, and the per-batch quota is `⌊α·|batch|⌋`.
 
-use adaparse::{select_batch, select_global};
+use adaparse::budget::{select_batch, select_global};
 use proptest::prelude::*;
 
 /// Reference selection: full descending sort (NaN last, index tiebreak),

@@ -11,20 +11,19 @@
 //!
 //! * [`event`] — the dependency engine's `(time, task id)`-ordered ready
 //!   queue,
-//! * [`clock`] — the monotonic simulated-time clock that closed-loop
-//!   scaling controllers sample instead of wall time,
 //! * [`task`] — the task/cluster description (CPU vs GPU slots, stage-in
 //!   bytes, cold-start model-load costs, co-scheduling pair hints, and
-//!   [`Task::depends_on`] precedence edges),
+//!   [`Task::depends_on`] precedence edges in an inline [`SmallList`]),
 //! * [`lustre`] — a shared-filesystem contention model (aggregate bandwidth,
 //!   metadata pressure from small files, node-local staging),
-//! * [`executor`] — the event-driven, dependency-aware Parsl-like engine:
-//!   per-node [`WarmPool`]s of resident model weights, node affinity, pair
-//!   co-scheduling, a per-stage timing breakdown, and resumable
-//!   [`ExecutorSession`]s whose slot, warm-pool, and pending-set state
-//!   persists across submit batches — with causal, event-interleaved batch
-//!   admission under release floors ([`SubmitOptions`]; the waveless closed
-//!   loop builds on this),
+//! * [`executor`] — the event-driven, dependency-aware Parsl-like engine,
+//!   one file per state owner: `config` and `report` (the public types),
+//!   `session` ([`ExecutorSession`]: submit, drain, the per-task dispatch
+//!   sequence, retire), `pending` (the undispatched DAG and its ready
+//!   queue), `fleet` (slot availability over [`slotindex`]), `warm`
+//!   ([`WarmPool`]s, the [`intern`]ed labels and per-model counters),
+//!   `loads` (model-load channels and the cold-start peak) and `history`
+//!   (schedule rows, finish/skip records, pair anchors),
 //! * [`profiler`] — per-GPU utilization traces (the Nsight view of Figure 4).
 //!
 //! # Example
@@ -42,7 +41,6 @@
 
 #![deny(missing_docs)]
 
-pub mod clock;
 pub mod event;
 pub mod executor;
 mod idmap;
@@ -50,9 +48,9 @@ pub mod intern;
 pub mod lustre;
 pub mod profiler;
 pub mod slotindex;
+mod smalllist;
 pub mod task;
 
-pub use clock::SimClock;
 pub use event::ReadyQueue;
 pub use executor::{
     CampaignReport, CausalityMode, ExecutorConfig, ExecutorSession, ModelWarmStats, PlacementPolicy,
@@ -63,4 +61,5 @@ pub use intern::{ModelId, ModelInterner};
 pub use lustre::LustreModel;
 pub use profiler::GpuTrace;
 pub use slotindex::{InFlightCounter, SlotIndex};
+pub use smalllist::SmallList;
 pub use task::{ClusterConfig, GroupRole, SlotKind, Task, TaskGroup};

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::smalllist::SmallList;
+
 /// The kind of worker slot a task needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SlotKind {
@@ -79,7 +81,9 @@ pub struct Task {
     /// ([`crate::SubmitOptions::release_seconds`]). An empty list reproduces the
     /// order-free throughput model. Tasks caught in a dependency cycle — or
     /// depending on a task that was skipped — are skipped, never deadlocked.
-    pub depends_on: Vec<u64>,
+    /// Inline up to one edge: a parse task naming its extract allocates
+    /// nothing.
+    pub depends_on: SmallList<u64>,
     /// Label used for grouping in reports (e.g. the parser name). Doubles as
     /// the *model key* of the executor's per-node [`crate::WarmPool`]: tasks
     /// with the same label and a positive
@@ -102,7 +106,7 @@ impl Task {
             cold_start_seconds: 0.0,
             preferred_node: None,
             group: None,
-            depends_on: Vec::new(),
+            depends_on: SmallList::None,
             label: "",
         }
     }
@@ -147,7 +151,7 @@ impl Task {
     /// Replace the full dependency list (see
     /// [`depends_on`](Self::depends_on)).
     pub fn with_depends_on(mut self, task_ids: Vec<u64>) -> Self {
-        self.depends_on = task_ids;
+        self.depends_on = SmallList::Many(task_ids);
         self
     }
 
@@ -209,7 +213,7 @@ mod tests {
         assert_eq!(t.slot, SlotKind::Gpu);
         assert_eq!(t.preferred_node, None);
         assert_eq!(t.group, None);
-        assert!(t.depends_on.is_empty());
+        assert!(t.depends_on.as_slice().is_empty());
         assert_eq!(t.with_preferred_node(3).preferred_node, Some(3));
     }
 
@@ -222,9 +226,9 @@ mod tests {
     #[test]
     fn dependency_builders_accumulate_and_replace() {
         let t = Task::new(5, SlotKind::Cpu, 1.0).with_dependency(1).with_dependency(2);
-        assert_eq!(t.depends_on, vec![1, 2]);
+        assert_eq!(t.depends_on.as_slice(), &[1, 2]);
         let t = t.with_depends_on(vec![7]);
-        assert_eq!(t.depends_on, vec![7]);
+        assert_eq!(t.depends_on.as_slice(), &[7]);
     }
 
     #[test]

@@ -114,7 +114,7 @@ proptest! {
         // stay pending (and queued) until an advance covers them.
         let (mut tasks, _) = input;
         for task in &mut tasks {
-            task.depends_on.clear();
+            task.depends_on.take();
         }
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();
@@ -172,7 +172,7 @@ proptest! {
     ) {
         let (mut tasks, _) = input;
         for task in &mut tasks {
-            task.depends_on.clear();
+            task.depends_on.take();
         }
         let cluster = ClusterConfig { nodes: 4, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
         let fs = LustreModel::default();

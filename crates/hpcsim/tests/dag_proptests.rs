@@ -59,7 +59,7 @@ proptest! {
         prop_assert_eq!(report.tasks_skipped, 0);
         for task in &tasks {
             let (start, _) = times[&task.id];
-            for dep in &task.depends_on {
+            for dep in task.depends_on.as_slice() {
                 let (_, dep_finish) = times[dep];
                 prop_assert!(
                     start >= dep_finish,

@@ -192,7 +192,7 @@ fn assert_bitwise_legacy(
     cluster: &ClusterConfig,
     filesystem: &LustreModel,
 ) {
-    assert!(tasks.iter().all(|t| t.depends_on.is_empty()), "legacy mode means no edges");
+    assert!(tasks.iter().all(|t| t.depends_on.as_slice().is_empty()), "legacy mode means no edges");
     assert!(
         tasks.windows(2).all(|w| w[0].id < w[1].id),
         "legacy comparisons need id-sorted input (the ready queue releases \
