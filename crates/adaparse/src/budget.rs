@@ -12,7 +12,7 @@
 //! accuracy improvement* of Nougat over PyMuPDF and sending the top ⌊αn⌋ to
 //! Nougat. For throughput, AdaParse performs this selection per batch of
 //! size k rather than globally; the optimality gap is negligible for large k
-//! and is measurable with [`optimality_gap`].
+//! and is measurable with [`windowed_optimality_gap`].
 
 /// Ranking key of a document CLS I flagged invalid: it outranks every real
 /// improvement, so it always deserves an upgrade slot while any remain.
@@ -259,13 +259,6 @@ fn captured_improvement(improvements: &[f64], mask: &[bool]) -> f64 {
     improvements.iter().zip(mask).filter(|(_, &m)| m).map(|(v, _)| v).sum()
 }
 
-/// Relative optimality gap of the per-batch selection against the global
-/// optimum: `(global − batch) / global`, or `0.0` when the global optimum
-/// captures nothing.
-pub fn optimality_gap(improvements: &[f64], alpha: f64, batch_size: usize) -> f64 {
-    gap_against_global(improvements, alpha, &select_batch(improvements, alpha, batch_size))
-}
-
 /// Relative optimality gap of the *streaming windowed* selection (size-`window`
 /// windows against a running remaining-budget ledger, see
 /// [`crate::scaling::WindowedSelector`]) against the global optimum.
@@ -273,7 +266,7 @@ pub fn optimality_gap(improvements: &[f64], alpha: f64, batch_size: usize) -> f6
 /// The paper's claim — the gap is negligible for large k — is testable here:
 /// with `window == improvements.len()` the gap is exactly zero, and for
 /// nonnegative improvements the ledger's quota carryover makes the windowed
-/// gap no worse than the independent per-batch gap of [`optimality_gap`] at
+/// gap no worse than the independent per-batch gap ([`select_batch`]) at
 /// the same size. With negative scores the carryover can *force* a
 /// loss-making pick that a quota-forfeiting batch would have skipped, so
 /// that ordering is not guaranteed there (the campaign itself is safe: a
@@ -283,8 +276,8 @@ pub fn windowed_optimality_gap(improvements: &[f64], alpha: f64, window: usize) 
     gap_against_global(improvements, alpha, &mask)
 }
 
-/// Shared gap computation: `(global − captured(mask)) / global`, clamped to
-/// `[0, ∞)`, or `0.0` when the global optimum captures nothing.
+/// `(global − captured(mask)) / global`, clamped to `[0, ∞)`, or `0.0` when
+/// the global optimum captures nothing.
 fn gap_against_global(improvements: &[f64], alpha: f64, mask: &[bool]) -> f64 {
     let global = captured_improvement(improvements, &select_global(improvements, alpha));
     if global <= 0.0 {
@@ -355,19 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn per_batch_gap_shrinks_with_batch_size() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let improvements: Vec<f64> = (0..2048).map(|_| rng.gen_range(0.0..1.0)).collect();
-        let small_batch = optimality_gap(&improvements, 0.05, 16);
-        let large_batch = optimality_gap(&improvements, 0.05, 256);
-        assert!(large_batch <= small_batch + 1e-9, "{large_batch} vs {small_batch}");
-        // With the paper's k = 256 the gap is negligible.
-        assert!(large_batch < 0.15, "gap = {large_batch}");
-        // Global selection has zero gap by definition.
-        assert!(optimality_gap(&improvements, 0.05, improvements.len()) < 1e-12);
-    }
-
-    #[test]
     fn tied_and_nan_scores_break_ties_by_index() {
         // All-tied scores: the mask must pick the *earliest* entries, and do
         // so identically on every call (a total order with an index tiebreak,
@@ -393,7 +373,7 @@ mod tests {
         assert!(windowed_optimality_gap(&improvements, 0.05, improvements.len()) < 1e-12);
         for window in [8usize, 64, 512] {
             let windowed = windowed_optimality_gap(&improvements, 0.05, window);
-            let batch = optimality_gap(&improvements, 0.05, window);
+            let batch = gap_against_global(&improvements, 0.05, &select_batch(&improvements, 0.05, window));
             assert!(windowed <= batch + 1e-9, "window={window}: {windowed} vs batch {batch}");
         }
     }

@@ -96,8 +96,8 @@ pub enum RoutingMode {
 ///
 /// Attached to a [`PipelineConfig`], it gives a streaming campaign's
 /// [`WindowedSelector`] a [`crate::scaling::BudgetLedger`] over the planned
-/// per-document parser costs. With `observed_feedback` on, each parsed
-/// window's measured per-document costs are fed back into the ledger
+/// per-document parser costs. Each parsed window's measured per-document
+/// costs are fed back into the ledger
 /// ([`crate::scaling::WaveCosts`]): reservations are reconciled against
 /// actual spend and the affordable α is re-derived from blended
 /// [`crate::scaling::ObservedCosts`] estimates — selection tightens when
@@ -112,23 +112,15 @@ pub enum RoutingMode {
 pub struct CampaignBudget {
     /// Total compute budget in seconds (CPU + GPU) for the whole campaign.
     pub total_seconds: f64,
-    /// Feed measured per-document costs back into the ledger (`false`
-    /// plans with a-priori costs only, the PR 2 behavior).
-    pub observed_feedback: bool,
-    /// Pseudo-document weight of the planned-cost prior when feedback is
-    /// on; see [`crate::scaling::ObservedCosts`].
+    /// Pseudo-document weight of the planned-cost prior against the
+    /// measured costs; see [`crate::scaling::ObservedCosts`].
     pub prior_weight: f64,
 }
 
 impl CampaignBudget {
-    /// A budget of `total_seconds` with observed-cost feedback on and the
-    /// default prior weight.
+    /// A budget of `total_seconds` with the default prior weight.
     pub fn seconds(total_seconds: f64) -> Self {
-        CampaignBudget {
-            total_seconds,
-            observed_feedback: true,
-            prior_weight: crate::scaling::DEFAULT_PRIOR_WEIGHT,
-        }
+        CampaignBudget { total_seconds, prior_weight: crate::scaling::DEFAULT_PRIOR_WEIGHT }
     }
 }
 
@@ -138,8 +130,8 @@ impl CampaignBudget {
 /// its wall-clock time. `mode` selects the binary campaign's selection
 /// policy; each mode is individually bitwise-deterministic across worker
 /// counts, but the two modes route (deliberately) slightly differently. `budget` meters
-/// streaming campaigns against a compute budget (and, with feedback on,
-/// against *observed* costs); it too is deterministic across worker counts.
+/// streaming campaigns against a compute budget at *observed* costs; it
+/// too is deterministic across worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Worker threads for the data-parallel stages (`0` = all available
@@ -534,11 +526,11 @@ impl CampaignPipeline {
 
     /// Run stages 1–2 only: routing decisions for a document collection, in
     /// input order, without parsing or scoring. Honors the pipeline's
-    /// [`RoutingMode`] and budget at *planned* costs. Without observed-cost
-    /// feedback this matches the full campaign exactly; with
-    /// [`CampaignBudget::observed_feedback`] enabled the full campaign can
-    /// route later windows more tightly (or loosely) than this preview,
-    /// because only a campaign that actually parses has costs to observe.
+    /// [`RoutingMode`] and budget at *planned* costs. Without a budget this
+    /// matches the full campaign exactly; under a [`CampaignBudget`] the
+    /// full campaign can route later windows more tightly (or loosely) than
+    /// this preview, because only a campaign that actually parses has costs
+    /// to observe.
     pub fn route(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
         let (cascade, policy) = self.binary_policy(engine, documents);
         let (result, ..) = self
@@ -665,10 +657,8 @@ impl CampaignPipeline {
                 ((total_pages as f64 / documents.len() as f64).round() as usize).max(1)
             };
             let (cheap, expensive) = planned_costs(config, mean_pages);
-            let mut ledger = BudgetLedger::new(budget.total_seconds, documents.len(), cheap, expensive);
-            if budget.observed_feedback {
-                ledger = ledger.with_observed_costs(budget.prior_weight);
-            }
+            let ledger = BudgetLedger::new(budget.total_seconds, documents.len(), cheap, expensive)
+                .with_observed_costs(budget.prior_weight);
             policy.selector = policy.selector.with_budget(ledger);
         }
         (cascade, policy)

@@ -77,11 +77,6 @@ impl AdaParseConfig {
         }
         self
     }
-
-    /// The two parsers AdaParse deploys (Appendix C restricts the choice).
-    pub fn allowed_parsers(&self) -> [ParserKind; 2] {
-        [self.default_parser, self.high_quality_parser]
-    }
 }
 
 #[cfg(test)]
@@ -112,11 +107,5 @@ mod tests {
     fn variant_names() {
         assert_eq!(Variant::FastText.to_string(), "AdaParse (FT)");
         assert_eq!(Variant::Llm.to_string(), "AdaParse (LLM)");
-    }
-
-    #[test]
-    fn allowed_parsers_are_default_and_high_quality() {
-        let c = AdaParseConfig::default();
-        assert_eq!(c.allowed_parsers(), [ParserKind::PyMuPdf, ParserKind::Nougat]);
     }
 }

@@ -73,7 +73,6 @@ pub struct AdaParseEngine {
     config: AdaParseConfig,
     cls2: ImprovementClassifier,
     cls3: AccuracyPredictor,
-    trained: bool,
 }
 
 impl AdaParseEngine {
@@ -88,18 +87,12 @@ impl AdaParseEngine {
             cls2: ImprovementClassifier::new(),
             cls3: AccuracyPredictor::new(PredictorConfig { encoder, ..PredictorConfig::default() }),
             config,
-            trained: false,
         }
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &AdaParseConfig {
         &self.config
-    }
-
-    /// Whether the prediction stages have been trained.
-    pub fn is_trained(&self) -> bool {
-        self.trained
     }
 
     /// Train CLS II and CLS III on a labelled dataset; `preferences` (may be
@@ -110,7 +103,6 @@ impl AdaParseEngine {
         if self.config.use_dpo && self.config.variant == Variant::Llm && !preferences.is_empty() {
             self.cls3.fit_preferences(preferences);
         }
-        self.trained = true;
     }
 
     /// Convenience: evaluate `documents` with the parser zoo to build the
@@ -118,11 +110,6 @@ impl AdaParseEngine {
     pub fn train_on_corpus(&mut self, documents: &[Document], seed: u64) {
         let dataset = AccuracyDataset::build(documents, seed, 1.0);
         self.train(&dataset, &[]);
-    }
-
-    /// Access to the CLS III predictor (for R² reporting).
-    pub fn predictor(&self) -> &AccuracyPredictor {
-        &self.cls3
     }
 
     /// CLS I → II/III scoring for a shard of documents: per document, in
@@ -354,7 +341,6 @@ mod tests {
     #[test]
     fn untrained_engine_still_routes_within_budget() {
         let engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.05, ..Default::default() });
-        assert!(!engine.is_trained());
         let docs = corpus(20, 0.2, 666);
         let routed = engine.route_documents(&docs, 41);
         let nougat = routed.iter().filter(|r| r.parser == ParserKind::Nougat).count();

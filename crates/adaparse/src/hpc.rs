@@ -6,7 +6,6 @@
 //! compute seconds from the parser cost model, and model-load cold-start
 //! costs) and runs the Parsl-like executor over an arbitrary node count.
 
-use docmodel::document::Document;
 use hpcsim::{ClusterConfig, ExecutorConfig, GroupRole, LustreModel, SlotKind, Task, WorkflowExecutor};
 use parsersim::cost::CostModel;
 use parsersim::ParserKind;
@@ -14,10 +13,9 @@ use serde::{Deserialize, Serialize};
 
 use parsersim::ParserFrontier;
 
-use crate::campaign::CampaignPipeline;
 use crate::cascade::ParserChoice;
 use crate::config::AdaParseConfig;
-use crate::engine::{AdaParseEngine, RoutedDocument};
+use crate::engine::RoutedDocument;
 use crate::scaling::{NodePlan, Stage};
 
 /// A lightweight description of a document workload for scaling studies.
@@ -266,20 +264,6 @@ pub fn build_routing_tasks(
         }
     }
     tasks
-}
-
-/// Build tasks for an AdaParse campaign by actually routing `documents`
-/// through stages 1–2 of the given [`CampaignPipeline`] — the faithful
-/// (rather than α-quota-approximated) Figure 5 construction.
-pub fn tasks_for_campaign(
-    engine: &AdaParseEngine,
-    pipeline: &CampaignPipeline,
-    documents: &[Document],
-    seed: u64,
-    workload: &WorkloadSpec,
-) -> Vec<Task> {
-    let routed = pipeline.route(engine, documents, seed);
-    build_routing_tasks(engine.config(), &routed, workload, None, 1.0)
 }
 
 /// Build tasks for an AdaParse campaign by *assuming* an α-fraction goes to

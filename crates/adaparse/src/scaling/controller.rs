@@ -24,16 +24,6 @@ pub enum Stage {
     Parse,
 }
 
-impl Stage {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Extract => "extract",
-            Stage::Parse => "parse",
-        }
-    }
-}
-
 /// One stage's measurements for one wave.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StageSample {
@@ -41,17 +31,6 @@ pub struct StageSample {
     pub busy_seconds: f64,
     /// Documents the stage processed in the wave.
     pub items: usize,
-}
-
-impl StageSample {
-    /// Documents per second (0 when the sample is degenerate).
-    pub fn throughput(&self) -> f64 {
-        if self.busy_seconds > 0.0 {
-            self.items as f64 / self.busy_seconds
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Everything the controller observes about one completed wave.
@@ -522,11 +501,5 @@ mod tests {
         assert_eq!(c.hysteresis, 1.0);
         assert_eq!(c.patience, 1);
         assert_eq!(c.step, 1);
-    }
-
-    #[test]
-    fn stage_sample_throughput() {
-        assert_eq!(StageSample { busy_seconds: 2.0, items: 10 }.throughput(), 5.0);
-        assert_eq!(StageSample { busy_seconds: 0.0, items: 10 }.throughput(), 0.0);
     }
 }

@@ -285,12 +285,10 @@ impl TenantRegistry {
                 }
                 let mut selector = WindowedSelector::new(spec.max_pending.max(1), spec.alpha);
                 if let Some(budget) = &spec.budget {
-                    let mut ledger =
+                    let ledger =
                         BudgetLedger::new(budget.total_seconds, trace.arrivals.len(), cheap, expensive)
-                            .with_classes(route_config.default_parser, route_config.high_quality_parser);
-                    if budget.observed_feedback {
-                        ledger = ledger.with_observed_costs(budget.prior_weight);
-                    }
+                            .with_classes(route_config.default_parser, route_config.high_quality_parser)
+                            .with_observed_costs(budget.prior_weight);
                     selector = selector.with_budget(ledger);
                 }
                 TenantState {
@@ -315,16 +313,6 @@ impl TenantRegistry {
             })
             .collect();
         TenantRegistry { tenants }
-    }
-
-    /// Number of tenants.
-    pub fn len(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// Whether the registry has no tenants.
-    pub fn is_empty(&self) -> bool {
-        self.tenants.is_empty()
     }
 
     pub(crate) fn states(&self) -> &[TenantState] {

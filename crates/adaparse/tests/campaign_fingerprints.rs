@@ -168,11 +168,8 @@ fn campaign_fingerprints() {
     // observed-cost feedback reconciling every window.
     let n = docs.len() as f64;
     let (cheap_s, expensive_s) = adaparse::planned_costs(&config, 2);
-    let budget = CampaignBudget {
-        total_seconds: n * cheap_s + 0.1 * n * (expensive_s - cheap_s),
-        observed_feedback: true,
-        prior_weight: 4.0,
-    };
+    let budget =
+        CampaignBudget { total_seconds: n * cheap_s + 0.1 * n * (expensive_s - cheap_s), prior_weight: 4.0 };
     let streaming = RoutingMode::Streaming { window: 16 };
 
     let actual = [

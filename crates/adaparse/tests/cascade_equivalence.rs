@@ -58,6 +58,16 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
         upgraded(&binary)
     );
     assert!(k4.result.quality.documents == docs.len() && binary.result.quality.documents == docs.len());
+    // By-page delegation sends only part of the corpus' pages to the upgrade
+    // parsers, and never costs more than upgrading the whole documents.
+    let by_page = pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(&config, 16).by_page(), 11);
+    assert!(by_page.pages_delegated > 0 && by_page.pages_delegated < by_page.pages_total);
+    assert!(
+        by_page.dollars.total() <= k4.dollars.total() + 1e-9,
+        "delegating pages cannot cost more than whole-document upgrades ({} vs {})",
+        by_page.dollars.total(),
+        k4.dollars.total()
+    );
 }
 
 /// The reference the merged selector is checked against, written from

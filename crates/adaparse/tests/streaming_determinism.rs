@@ -125,11 +125,8 @@ fn observed_cost_ledger_keeps_streaming_bitwise_deterministic() {
     let n = docs.len() as f64;
     let (cheap_s, expensive_s) = adaparse::planned_costs(engine.config(), 2);
     // Tight enough that the ledger genuinely intervenes mid-campaign.
-    let budget = CampaignBudget {
-        total_seconds: n * cheap_s + 0.1 * n * (expensive_s - cheap_s),
-        observed_feedback: true,
-        prior_weight: 4.0,
-    };
+    let budget =
+        CampaignBudget { total_seconds: n * cheap_s + 0.1 * n * (expensive_s - cheap_s), prior_weight: 4.0 };
     let baseline = run_streaming_budgeted(&engine, &docs, 9, 1, 8, 12, budget);
     for (workers, shard) in [(2usize, 8usize), (4, 3), (8, 16), (3, 1)] {
         assert_eq!(
@@ -153,11 +150,8 @@ fn short_budget_with_feedback_routes_fewer_documents_to_the_expensive_parser() {
     let unbudgeted = run_streaming(&engine, &docs, 7, 2, 8, 10);
     let n = docs.len() as f64;
     let (cheap_s, expensive_s) = adaparse::planned_costs(engine.config(), 2);
-    let budget = CampaignBudget {
-        total_seconds: n * cheap_s + 0.12 * n * (expensive_s - cheap_s),
-        observed_feedback: true,
-        prior_weight: 2.0,
-    };
+    let budget =
+        CampaignBudget { total_seconds: n * cheap_s + 0.12 * n * (expensive_s - cheap_s), prior_weight: 2.0 };
     let budgeted = run_streaming_budgeted(&engine, &docs, 7, 2, 8, 10, budget);
     assert!(
         count_hq(&budgeted) < count_hq(&unbudgeted),

@@ -23,53 +23,32 @@
 //! cargo run --release --bin bench_cascade -- --validate
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use adaparse::{
     AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, CascadeReport, PipelineConfig,
 };
-use bench::trajectory::{append_entry, unix_timestamp, validate_trajectory, JsonValue};
+use bench::driver::{drive, fnv1a, Flags, Trajectory};
+use bench::trajectory::JsonValue;
 use docmodel::DocCategory;
 use scicorpus::categories::{generate_categorized, CategoryMix};
 use scicorpus::generator::GeneratorConfig;
 
 struct Args {
     docs: usize,
-    seed: u64,
     window: usize,
     alpha: f64,
-    label: String,
-    out: PathBuf,
-    smoke: bool,
-    validate: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        docs: 600,
-        seed: 42,
-        window: 32,
-        alpha: 0.1,
-        label: "cascade".to_string(),
-        out: PathBuf::from("BENCH_cascade.json"),
-        smoke: false,
-        validate: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or(format!("{name} needs a value"));
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut args = Args { docs: 600, window: 32, alpha: 0.1 };
+    while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--docs" => args.docs = value("--docs")?.parse().map_err(|e| format!("--docs: {e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--window" => args.window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?,
-            "--alpha" => args.alpha = value("--alpha")?.parse().map_err(|e| format!("--alpha: {e}"))?,
-            "--label" => args.label = value("--label")?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--smoke" => args.smoke = true,
-            "--validate" => args.validate = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            "--docs" => args.docs = flags.value("--docs")?,
+            "--window" => args.window = flags.value("--window")?,
+            "--alpha" => args.alpha = flags.value("--alpha")?,
+            other => return Err(Flags::unknown(other)),
         }
     }
     if args.docs == 0 || args.window == 0 {
@@ -78,20 +57,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Fields every `BENCH_cascade.json` entry must carry (shared with the CI
-/// `--validate` step).
-const REQUIRED_FIELDS: &[&str] =
-    &["label", "docs", "seed", "window", "alpha", "smoke", "arms", "quality_gap_k4_vs_binary"];
-
-/// FNV-1a over a byte stream.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+const TRAJECTORY: Trajectory = Trajectory {
+    bin: "bench_cascade",
+    benchmark: "cascade",
+    required: &["label", "docs", "seed", "window", "alpha", "smoke", "arms", "quality_gap_k4_vs_binary"],
+};
 
 /// Bit-exact digest of one arm: choices and aggregate quality.
 fn fingerprint(report: &CascadeReport) -> u64 {
@@ -177,21 +147,14 @@ fn arm_json(arm: &Arm) -> JsonValue {
     ])
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    if args.validate {
-        let entries = validate_trajectory(&args.out, "cascade", REQUIRED_FIELDS)?;
-        println!("{}: valid ({entries} entries)", args.out.display());
-        return Ok(());
-    }
-
+fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
     println!(
         "bench_cascade: {} documents, seed {}, window {}, alpha {}{}",
         args.docs,
-        args.seed,
+        flags.seed,
         args.window,
         args.alpha,
-        if args.smoke { " (smoke: double run per arm)" } else { "" }
+        if flags.smoke { " (smoke: double run per arm)" } else { "" }
     );
 
     // A corpus where parser choice matters: heavy on scans and tables,
@@ -205,7 +168,7 @@ fn run() -> Result<(), String> {
         ],
     };
     let base = GeneratorConfig { min_pages: 1, max_pages: 4, ..Default::default() };
-    let corpus = generate_categorized(&base, &mix, args.docs, args.seed);
+    let corpus = generate_categorized(&base, &mix, args.docs, flags.seed);
     // The binary baseline routes its α-split at the *top* of the quality
     // frontier — hard documents go straight to the most capable (and most
     // expensive) parser. The cascade arms get the same dollars and may
@@ -235,11 +198,11 @@ fn run() -> Result<(), String> {
         "  upgrade credit: ${:.2}/doc (binary alpha {:.3}, k4 alpha {:.4})",
         dollar_credit_per_doc, binary_config.alpha, k4_config.alpha
     );
-    let seed = args.seed ^ 0xCA5C;
+    let seed = flags.seed ^ 0xCA5C;
     let arms = [
-        run_arm("binary", &pipeline, &engine, &corpus.documents, &binary_config, seed, args.smoke)?,
-        run_arm("k4", &pipeline, &engine, &corpus.documents, &k4_config, seed, args.smoke)?,
-        run_arm("k4-by-page", &pipeline, &engine, &corpus.documents, &by_page_config, seed, args.smoke)?,
+        run_arm("binary", &pipeline, &engine, &corpus.documents, &binary_config, seed, flags.smoke)?,
+        run_arm("k4", &pipeline, &engine, &corpus.documents, &k4_config, seed, flags.smoke)?,
+        run_arm("k4-by-page", &pipeline, &engine, &corpus.documents, &by_page_config, seed, flags.smoke)?,
     ];
 
     for arm in &arms {
@@ -267,29 +230,17 @@ fn run() -> Result<(), String> {
         ));
     }
 
-    let entry = JsonValue::object(vec![
-        ("timestamp", JsonValue::U64(unix_timestamp())),
-        ("label", JsonValue::Str(args.label.clone())),
+    Ok(vec![
         ("docs", JsonValue::U64(args.docs as u64)),
-        ("seed", JsonValue::U64(args.seed)),
+        ("seed", JsonValue::U64(flags.seed)),
         ("window", JsonValue::U64(args.window as u64)),
         ("alpha", JsonValue::F64(args.alpha)),
-        ("smoke", JsonValue::Bool(args.smoke)),
+        ("smoke", JsonValue::Bool(flags.smoke)),
         ("quality_gap_k4_vs_binary", JsonValue::F64(quality_gap)),
         ("arms", JsonValue::Array(arms.iter().map(arm_json).collect())),
-    ]);
-    append_entry(&args.out, "cascade", entry).map_err(|e| e.to_string())?;
-    let entries = validate_trajectory(&args.out, "cascade", REQUIRED_FIELDS)?;
-    println!("  appended to {} ({entries} entries)", args.out.display());
-    Ok(())
+    ])
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("bench_cascade: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    drive(&TRAJECTORY, parse_args, run)
 }

@@ -29,76 +29,22 @@
 //! cargo run --release --bin bench_million -- --validate      # check BENCH_hotpath.json
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adaparse::{
     run_closed_loop, AdaParseConfig, AdaParseEngine, ControllerConfig, SimLoopConfig, SimLoopReport,
     WindowedSelector, WorkloadSpec,
 };
-use bench::trajectory::{append_entry, unix_timestamp, validate_trajectory, JsonValue};
+use bench::driver::{drive, fnv1a, CountingAllocator, Flags, Trajectory};
+use bench::trajectory::JsonValue;
 use hpcsim::{ExecutorConfig, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
-/// Counting wrapper over the system allocator: total allocations, total
-/// bytes, and the high-water mark of live bytes (a deterministic-enough
-/// peak-RSS proxy that needs no OS support).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-            let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-    }
-}
-
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
-
-/// Snapshot of the allocation counters at one instant.
-#[derive(Clone, Copy)]
-struct AllocSnapshot {
-    allocations: u64,
-    allocated_bytes: u64,
-}
-
-fn alloc_snapshot() -> AllocSnapshot {
-    AllocSnapshot {
-        allocations: ALLOCATIONS.load(Ordering::Relaxed),
-        allocated_bytes: ALLOCATED_BYTES.load(Ordering::Relaxed),
-    }
-}
-
-/// FNV-1a over a byte stream, for order-sensitive output fingerprints.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// Bit-exact digest of one campaign run; two runs with the same seed must
 /// produce identical fingerprints.
@@ -125,48 +71,26 @@ impl Fingerprint {
 
 struct Args {
     docs: usize,
-    seed: u64,
     window: usize,
     nodes: usize,
-    label: String,
-    out: PathBuf,
     placement: PlacementPolicy,
-    smoke: bool,
-    validate: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        docs: 1_000_000,
-        seed: 42,
-        window: 256,
-        nodes: 4,
-        label: "hotpath".to_string(),
-        out: PathBuf::from("BENCH_hotpath.json"),
-        placement: PlacementPolicy::EarliestSlot,
-        smoke: false,
-        validate: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or(format!("{name} needs a value"));
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut args = Args { docs: 1_000_000, window: 256, nodes: 4, placement: PlacementPolicy::EarliestSlot };
+    while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--docs" => args.docs = value("--docs")?.parse().map_err(|e| format!("--docs: {e}"))?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--window" => args.window = value("--window")?.parse().map_err(|e| format!("--window: {e}"))?,
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--label" => args.label = value("--label")?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
+            "--docs" => args.docs = flags.value("--docs")?,
+            "--window" => args.window = flags.value("--window")?,
+            "--nodes" => args.nodes = flags.value("--nodes")?,
             "--placement" => {
-                args.placement = match value("--placement")?.as_str() {
+                args.placement = match flags.value::<String>("--placement")?.as_str() {
                     "earliest" => PlacementPolicy::EarliestSlot,
                     "cost-aware" => PlacementPolicy::CostAware,
                     other => return Err(format!("--placement: expected earliest|cost-aware, got {other:?}")),
                 }
             }
-            "--smoke" => args.smoke = true,
-            "--validate" => args.validate = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            other => return Err(Flags::unknown(other)),
         }
     }
     if args.docs == 0 || args.window == 0 || args.nodes == 0 {
@@ -175,22 +99,24 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Fields every `BENCH_hotpath.json` entry must carry (shared with the CI
-/// `--validate` step).
-const REQUIRED_FIELDS: &[&str] = &[
-    "label",
-    "docs",
-    "seed",
-    "window",
-    "nodes",
-    "smoke",
-    "tasks_completed",
-    "wall_seconds_total",
-    "tasks_per_second",
-    "phases",
-    "alloc",
-    "fingerprint",
-];
+const TRAJECTORY: Trajectory = Trajectory {
+    bin: "bench_million",
+    benchmark: "hotpath",
+    required: &[
+        "label",
+        "docs",
+        "seed",
+        "window",
+        "nodes",
+        "smoke",
+        "tasks_completed",
+        "wall_seconds_total",
+        "tasks_per_second",
+        "phases",
+        "alloc",
+        "fingerprint",
+    ],
+};
 
 /// Phase 1: seeded corpus + router → a score per document. Scores are
 /// measured on the base sample and tiled with seeded jitter to `docs`
@@ -252,32 +178,27 @@ fn run_campaign(
     (mask, report, selection_seconds, loop_seconds)
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    if args.validate {
-        let entries = validate_trajectory(&args.out, "hotpath", REQUIRED_FIELDS)?;
-        println!("{}: valid ({entries} entries)", args.out.display());
-        return Ok(());
-    }
-
+fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
     let total_start = Instant::now();
     println!(
         "bench_million: {} documents, seed {}, window {}, {} nodes{}",
         args.docs,
-        args.seed,
+        flags.seed,
         args.window,
         args.nodes,
-        if args.smoke { " (smoke: double run + determinism check)" } else { "" }
+        if flags.smoke { " (smoke: double run + determinism check)" } else { "" }
     );
 
     let router_start = Instant::now();
-    let (engine, scores, router_docs) = build_scores(args.docs, args.seed);
+    let (engine, scores, router_docs) = build_scores(args.docs, flags.seed);
     let router_scores_seconds = router_start.elapsed().as_secs_f64();
     println!("  train + extract + route ({router_docs} base docs): {router_scores_seconds:.2} s");
 
-    let before = alloc_snapshot();
+    let (allocations_before, bytes_before) =
+        (CountingAllocator::allocations(), CountingAllocator::allocated_bytes());
     let (mask, report, selection_seconds, loop_seconds) = run_campaign(&engine, &scores, &args);
-    let after = alloc_snapshot();
+    let allocations = CountingAllocator::allocations() - allocations_before;
+    let allocated_mb = (CountingAllocator::allocated_bytes() - bytes_before) as f64 / (1024.0 * 1024.0);
     let fingerprint = Fingerprint::new(&mask, &report);
     println!("  streaming selection:    {selection_seconds:.2} s ({} selected)", report.selected);
     println!(
@@ -286,7 +207,7 @@ fn run() -> Result<(), String> {
         report.makespan_seconds
     );
 
-    if args.smoke {
+    if flags.smoke {
         let (mask2, report2, _, _) = run_campaign(&engine, &scores, &args);
         if report2 != report || mask2 != mask {
             return Err("smoke determinism check failed: same seed produced different outputs".into());
@@ -297,24 +218,20 @@ fn run() -> Result<(), String> {
     let tasks_completed = report.executor_report.tasks_completed as u64;
     let wall_seconds_total = total_start.elapsed().as_secs_f64();
     let tasks_per_second = tasks_completed as f64 / loop_seconds.max(f64::MIN_POSITIVE);
-    let allocations = after.allocations - before.allocations;
-    let allocated_mb = (after.allocated_bytes - before.allocated_bytes) as f64 / (1024.0 * 1024.0);
-    let peak_mb = PEAK_BYTES.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0);
+    let peak_mb = CountingAllocator::peak_mb();
     println!(
         "  {tasks_completed} tasks in {loop_seconds:.2} s → {tasks_per_second:.0} tasks/s; \
          {allocations} allocations ({allocated_mb:.1} MiB) in the campaign phases, peak {peak_mb:.1} MiB"
     );
 
-    let entry = JsonValue::object(vec![
-        ("timestamp", JsonValue::U64(unix_timestamp())),
-        ("label", JsonValue::Str(args.label.clone())),
+    Ok(vec![
         ("docs", JsonValue::U64(args.docs as u64)),
-        ("seed", JsonValue::U64(args.seed)),
+        ("seed", JsonValue::U64(flags.seed)),
         ("window", JsonValue::U64(args.window as u64)),
         ("nodes", JsonValue::U64(args.nodes as u64)),
-        ("smoke", JsonValue::Bool(args.smoke)),
+        ("smoke", JsonValue::Bool(flags.smoke)),
         // Optional fields (absent from pre-placement entries, so kept out
-        // of REQUIRED_FIELDS): which slot-choice policy ran, and the herd
+        // of the required ones): which slot-choice policy ran, and the herd
         // serialization cost it observed.
         (
             "placement",
@@ -358,19 +275,9 @@ fn run() -> Result<(), String> {
                 ("warm_hits", JsonValue::U64(fingerprint.warm_hits)),
             ]),
         ),
-    ]);
-    append_entry(&args.out, "hotpath", entry).map_err(|e| e.to_string())?;
-    let entries = validate_trajectory(&args.out, "hotpath", REQUIRED_FIELDS)?;
-    println!("  appended to {} ({entries} entries)", args.out.display());
-    Ok(())
+    ])
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("bench_million: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    drive(&TRAJECTORY, parse_args, run)
 }

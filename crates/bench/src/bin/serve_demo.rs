@@ -29,65 +29,34 @@
 //! cargo run --release --bin serve_demo -- --validate    # check BENCH_serve.json
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use adaparse::{
-    run_service, AdaParseConfig, AutoscaleConfig, CampaignBudget, DocArrival, ServeConfig, ServeReport,
-    TenantSpec, TenantTrace, WorkloadSpec,
+    run_service, AdaParseConfig, AutoscaleConfig, CampaignBudget, ServeConfig, ServeReport, TenantSpec,
+    TenantTrace, WorkloadSpec,
 };
-use bench::trajectory::{append_entry, unix_timestamp, validate_trajectory, JsonValue};
+use bench::driver::{doc_arrivals, drive, Flags, Trajectory};
+use bench::trajectory::JsonValue;
 use hpcsim::PlacementPolicy;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use scicorpus::{generate_arrivals, ArrivalConfig, ArrivalPattern};
+use scicorpus::ArrivalPattern;
 
 struct Args {
-    seed: u64,
     scale: usize,
     min_nodes: usize,
     max_nodes: usize,
     slo_seconds: f64,
-    label: String,
-    out: PathBuf,
-    smoke: bool,
-    validate: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seed: 42,
-        scale: 6,
-        min_nodes: 1,
-        max_nodes: 6,
-        slo_seconds: 130.0,
-        label: "serve".to_string(),
-        out: PathBuf::from("BENCH_serve.json"),
-        smoke: false,
-        validate: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or(format!("{name} needs a value"));
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut args = Args { scale: 6, min_nodes: 1, max_nodes: 6, slo_seconds: 130.0 };
+    while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scale" => args.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--min-nodes" => {
-                args.min_nodes = value("--min-nodes")?.parse().map_err(|e| format!("--min-nodes: {e}"))?
-            }
-            "--max-nodes" => {
-                args.max_nodes = value("--max-nodes")?.parse().map_err(|e| format!("--max-nodes: {e}"))?
-            }
-            "--slo-seconds" => {
-                args.slo_seconds =
-                    value("--slo-seconds")?.parse().map_err(|e| format!("--slo-seconds: {e}"))?
-            }
-            "--label" => args.label = value("--label")?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--smoke" => args.smoke = true,
-            "--validate" => args.validate = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            "--scale" => args.scale = flags.value("--scale")?,
+            "--min-nodes" => args.min_nodes = flags.value("--min-nodes")?,
+            "--max-nodes" => args.max_nodes = flags.value("--max-nodes")?,
+            "--slo-seconds" => args.slo_seconds = flags.value("--slo-seconds")?,
+            other => return Err(Flags::unknown(other)),
         }
     }
     if args.scale == 0 || args.min_nodes == 0 || args.max_nodes < args.min_nodes {
@@ -96,39 +65,30 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Fields every `BENCH_serve.json` entry must carry (shared with the CI
-/// `--validate` step).
-const REQUIRED_FIELDS: &[&str] = &[
-    "label",
-    "seed",
-    "scale",
-    "smoke",
-    "slo_seconds",
-    "auto_worst_slo_ratio",
-    "fixed_worst_slo_ratio",
-    "mean_active_nodes",
-    "fixed_nodes",
-    "admitted",
-    "rejected",
-    "wall_seconds",
-    "tenants",
-    "fingerprint",
-];
-
-/// Zip seeded arrival timestamps with seeded improvement scores.
-fn doc_arrivals(n: usize, seed: u64, rate: f64, pattern: ArrivalPattern) -> Vec<DocArrival> {
-    let times =
-        generate_arrivals(&ArrivalConfig { n_documents: n, seed, mean_rate_per_second: rate, pattern });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    times
-        .into_iter()
-        .map(|arrival| DocArrival { at_seconds: arrival.at_seconds, score: rng.gen_range(0.0..1.0) })
-        .collect()
-}
+const TRAJECTORY: Trajectory = Trajectory {
+    bin: "serve_demo",
+    benchmark: "serve",
+    required: &[
+        "label",
+        "seed",
+        "scale",
+        "smoke",
+        "slo_seconds",
+        "auto_worst_slo_ratio",
+        "fixed_worst_slo_ratio",
+        "mean_active_nodes",
+        "fixed_nodes",
+        "admitted",
+        "rejected",
+        "wall_seconds",
+        "tenants",
+        "fingerprint",
+    ],
+};
 
 /// The demo's tenant mix: a herding heavy tenant, a steady interactive
 /// tenant, and a budgeted batch tenant, all sharing one p99 target.
-fn traces(args: &Args) -> Vec<TenantTrace> {
+fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
     let workload = WorkloadSpec { documents: 0, pages_per_doc: 40, mb_per_doc: 80.0 };
     let s = args.scale;
     vec![
@@ -142,12 +102,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(
-                120 * s,
-                args.seed,
-                0.5,
-                ArrivalPattern::AdversarialHerd { herd_size: 40 * s },
-            ),
+            arrivals: doc_arrivals(120 * s, seed, 0.5, ArrivalPattern::AdversarialHerd { herd_size: 40 * s }),
         },
         TenantTrace {
             spec: TenantSpec {
@@ -159,7 +114,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(15 * s, args.seed ^ 0xA11CE, 0.1, ArrivalPattern::Steady),
+            arrivals: doc_arrivals(15 * s, seed ^ 0xA11CE, 0.1, ArrivalPattern::Steady),
         },
         TenantTrace {
             spec: TenantSpec {
@@ -172,12 +127,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(
-                25 * s,
-                args.seed ^ 0xBA7C4,
-                0.2,
-                ArrivalPattern::Bursty { burst_size: 8 * s },
-            ),
+            arrivals: doc_arrivals(25 * s, seed ^ 0xBA7C4, 0.2, ArrivalPattern::Bursty { burst_size: 8 * s }),
         },
     ]
 }
@@ -231,26 +181,20 @@ fn print_report(title: &str, report: &ServeReport) {
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut args = parse_args()?;
-    if args.validate {
-        let entries = validate_trajectory(&args.out, "serve", REQUIRED_FIELDS)?;
-        println!("{}: valid ({entries} entries)", args.out.display());
-        return Ok(());
-    }
-    if args.smoke {
+fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+    if flags.smoke {
         args.scale = args.scale.min(2);
     }
 
-    let traces = traces(&args);
+    let traces = traces(&args, flags.seed);
     let docs: usize = traces.iter().map(|t| t.arrivals.len()).sum();
     println!(
         "serve_demo: {docs} documents over {} tenants, seed {}, fleet {}..{} nodes{}",
         traces.len(),
-        args.seed,
+        flags.seed,
         args.min_nodes,
         args.max_nodes,
-        if args.smoke { " (smoke)" } else { "" }
+        if flags.smoke { " (smoke)" } else { "" }
     );
 
     // Autoscaled run, twice: the service must replay bit for bit.
@@ -308,14 +252,14 @@ fn run() -> Result<(), String> {
             auto.worst_slo_ratio()
         ));
     }
-    if !args.smoke && fixed.all_slos_met() {
+    if !flags.smoke && fixed.all_slos_met() {
         return Err(format!(
             "ablation lost its teeth: the equal-capacity fixed fleet also met every SLO \
              (worst ratio {:.3}) — retune the traces",
             fixed.worst_slo_ratio()
         ));
     }
-    if !args.smoke {
+    if !flags.smoke {
         println!(
             "ablation: autoscaling met the p99 target (worst ratio {:.3}) that the {fixed_nodes}-node \
              fixed fleet missed (worst ratio {:.3})",
@@ -341,12 +285,10 @@ fn run() -> Result<(), String> {
             })
             .collect(),
     );
-    let entry = JsonValue::object(vec![
-        ("timestamp", JsonValue::U64(unix_timestamp())),
-        ("label", JsonValue::Str(args.label.clone())),
-        ("seed", JsonValue::U64(args.seed)),
+    Ok(vec![
+        ("seed", JsonValue::U64(flags.seed)),
         ("scale", JsonValue::U64(args.scale as u64)),
-        ("smoke", JsonValue::Bool(args.smoke)),
+        ("smoke", JsonValue::Bool(flags.smoke)),
         ("slo_seconds", JsonValue::F64(args.slo_seconds)),
         ("auto_worst_slo_ratio", JsonValue::F64(auto.worst_slo_ratio())),
         ("fixed_worst_slo_ratio", JsonValue::F64(fixed.worst_slo_ratio())),
@@ -358,7 +300,7 @@ fn run() -> Result<(), String> {
         ("tenants", tenants_json),
         ("fingerprint", JsonValue::hex(auto.fingerprint)),
         // Optional field (absent from pre-placement entries, so kept out of
-        // REQUIRED_FIELDS): the warm-aware placement ablation's totals next
+        // the required ones): the warm-aware placement ablation's totals next
         // to the warm-blind default's.
         (
             "placement_ablation",
@@ -368,18 +310,9 @@ fn run() -> Result<(), String> {
                 ("cost_aware_fingerprint", JsonValue::hex(aware.fingerprint)),
             ]),
         ),
-    ]);
-    append_entry(&args.out, "serve", entry).map_err(|e| format!("append: {e}"))?;
-    println!("appended entry to {}", args.out.display());
-    Ok(())
+    ])
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("serve_demo: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    drive(&TRAJECTORY, parse_args, run)
 }

@@ -26,94 +26,36 @@
 //! cargo run --release --bin serve_steady -- --validate  # check the trajectory
 //! ```
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adaparse::{
-    run_service_instrumented, AdaParseConfig, CampaignBudget, DocArrival, ServeConfig, ServeReport,
-    SoakStats, TenantSpec, TenantTrace, WorkloadSpec,
+    run_service_instrumented, AdaParseConfig, CampaignBudget, ServeConfig, ServeReport, SoakStats,
+    TenantSpec, TenantTrace, WorkloadSpec,
 };
-use bench::trajectory::{append_entry, unix_timestamp, validate_trajectory, JsonValue};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use scicorpus::{generate_arrivals, ArrivalConfig, ArrivalPattern};
-
-/// Counting wrapper over the system allocator: total allocations and the
-/// high-water mark of live bytes (a deterministic-enough peak-RSS proxy
-/// that needs no OS support).
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-            let live = LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed) + layout.size() as u64;
-            PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-    }
-}
+use bench::driver::{doc_arrivals, drive, CountingAllocator, Flags, Trajectory};
+use bench::trajectory::JsonValue;
+use scicorpus::ArrivalPattern;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 struct Args {
-    seed: u64,
     scale: usize,
     nodes: usize,
     epoch_seconds: f64,
     steady_floor: f64,
-    label: String,
-    out: PathBuf,
-    smoke: bool,
-    validate: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        seed: 42,
-        scale: 8,
-        nodes: 4,
-        epoch_seconds: 10.0,
-        steady_floor: 0.8,
-        label: "serve_steady".to_string(),
-        out: PathBuf::from("BENCH_serve_steady.json"),
-        smoke: false,
-        validate: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(flag) = iter.next() {
-        let mut value = |name: &str| iter.next().ok_or(format!("{name} needs a value"));
+fn parse_args(flags: &mut Flags) -> Result<Args, String> {
+    let mut args = Args { scale: 8, nodes: 4, epoch_seconds: 10.0, steady_floor: 0.8 };
+    while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scale" => args.scale = value("--scale")?.parse().map_err(|e| format!("--scale: {e}"))?,
-            "--nodes" => args.nodes = value("--nodes")?.parse().map_err(|e| format!("--nodes: {e}"))?,
-            "--epoch-seconds" => {
-                args.epoch_seconds =
-                    value("--epoch-seconds")?.parse().map_err(|e| format!("--epoch-seconds: {e}"))?
-            }
-            "--steady-floor" => {
-                args.steady_floor =
-                    value("--steady-floor")?.parse().map_err(|e| format!("--steady-floor: {e}"))?
-            }
-            "--label" => args.label = value("--label")?,
-            "--out" => args.out = PathBuf::from(value("--out")?),
-            "--smoke" => args.smoke = true,
-            "--validate" => args.validate = true,
-            other => return Err(format!("unknown argument {other:?}")),
+            "--scale" => args.scale = flags.value("--scale")?,
+            "--nodes" => args.nodes = flags.value("--nodes")?,
+            "--epoch-seconds" => args.epoch_seconds = flags.value("--epoch-seconds")?,
+            "--steady-floor" => args.steady_floor = flags.value("--steady-floor")?,
+            other => return Err(Flags::unknown(other)),
         }
     }
     if args.scale == 0 || args.nodes == 0 || args.epoch_seconds <= 0.0 {
@@ -122,46 +64,37 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Fields every `BENCH_serve_steady.json` entry must carry (shared with
-/// the CI `--validate` step).
-const REQUIRED_FIELDS: &[&str] = &[
-    "label",
-    "seed",
-    "scale",
-    "smoke",
-    "docs",
-    "epochs",
-    "epoch_seconds",
-    "first_decile_epochs_per_sec",
-    "last_decile_epochs_per_sec",
-    "steady_ratio",
-    "peak_retained_rows",
-    "retained_bound",
-    "total_rows",
-    "retirement_bitwise",
-    "fingerprint",
-    "wall_seconds",
-    "allocations",
-    "peak_mb",
-];
-
-/// Zip seeded arrival timestamps with seeded improvement scores.
-fn doc_arrivals(n: usize, seed: u64, rate: f64, pattern: ArrivalPattern) -> Vec<DocArrival> {
-    let times =
-        generate_arrivals(&ArrivalConfig { n_documents: n, seed, mean_rate_per_second: rate, pattern });
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-    times
-        .into_iter()
-        .map(|arrival| DocArrival { at_seconds: arrival.at_seconds, score: rng.gen_range(0.0..1.0) })
-        .collect()
-}
+const TRAJECTORY: Trajectory = Trajectory {
+    bin: "serve_steady",
+    benchmark: "serve_steady",
+    required: &[
+        "label",
+        "seed",
+        "scale",
+        "smoke",
+        "docs",
+        "epochs",
+        "epoch_seconds",
+        "first_decile_epochs_per_sec",
+        "last_decile_epochs_per_sec",
+        "steady_ratio",
+        "peak_retained_rows",
+        "retained_bound",
+        "total_rows",
+        "retirement_bitwise",
+        "fingerprint",
+        "wall_seconds",
+        "allocations",
+        "peak_mb",
+    ],
+};
 
 /// The soak mix: a long steady tenant carrying most of the volume, a
 /// diurnal tenant, and a budgeted bursty tenant, so the loop sees queue
 /// churn, budget reconciliation, and admission pressure for the entire
 /// run — while arrivals stretch far enough that the epoch count is in
 /// the hundreds and the deciles mean something.
-fn traces(args: &Args) -> Vec<TenantTrace> {
+fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
     let workload = WorkloadSpec { documents: 0, pages_per_doc: 8, mb_per_doc: 50.0 };
     let s = args.scale;
     vec![
@@ -174,7 +107,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(300 * s, args.seed, 0.8, ArrivalPattern::Steady),
+            arrivals: doc_arrivals(300 * s, seed, 0.8, ArrivalPattern::Steady),
         },
         TenantTrace {
             spec: TenantSpec {
@@ -187,7 +120,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
             },
             arrivals: doc_arrivals(
                 120 * s,
-                args.seed ^ 0xD1A1,
+                seed ^ 0xD1A1,
                 0.35,
                 ArrivalPattern::Diurnal { period_seconds: 600.0 },
             ),
@@ -202,12 +135,7 @@ fn traces(args: &Args) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(
-                90 * s,
-                args.seed ^ 0xB357,
-                0.25,
-                ArrivalPattern::Bursty { burst_size: 4 * s },
-            ),
+            arrivals: doc_arrivals(90 * s, seed ^ 0xB357, 0.25, ArrivalPattern::Bursty { burst_size: 4 * s }),
         },
     ]
 }
@@ -245,35 +173,29 @@ fn retained_bound(soak: &SoakStats) -> usize {
     2 * soak.peak_in_flight.max(1)
 }
 
-fn run() -> Result<(), String> {
-    let mut args = parse_args()?;
-    if args.validate {
-        let entries = validate_trajectory(&args.out, "serve_steady", REQUIRED_FIELDS)?;
-        println!("{}: valid ({entries} entries)", args.out.display());
-        return Ok(());
-    }
-    if args.smoke {
+fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+    if flags.smoke {
         args.scale = args.scale.min(1);
     }
 
-    let traces = traces(&args);
+    let traces = traces(&args, flags.seed);
     let docs: usize = traces.iter().map(|t| t.arrivals.len()).sum();
     println!(
         "serve_steady: {docs} documents over {} tenants, seed {}, {} nodes, {}s epochs{}",
         traces.len(),
-        args.seed,
+        flags.seed,
         args.nodes,
         args.epoch_seconds,
-        if args.smoke { " (smoke)" } else { "" }
+        if flags.smoke { " (smoke)" } else { "" }
     );
 
     // The soak run proper, with retirement on (the default).
-    let alloc_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_before = CountingAllocator::allocations();
     let wall = Instant::now();
     let (report, soak) = run_service_instrumented(&serve_config(&args, true), &traces);
     let soak_wall = wall.elapsed().as_secs_f64();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - alloc_before;
-    let peak_mb = PEAK_BYTES.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0);
+    let allocations = CountingAllocator::allocations() - alloc_before;
+    let peak_mb = CountingAllocator::peak_mb();
 
     // Replay: the instrumented run is the same pure function.
     let (replay, _) = run_service_instrumented(&serve_config(&args, true), &traces);
@@ -341,26 +263,24 @@ fn run() -> Result<(), String> {
     }
     // The decile ratio is a wall-clock measurement: assert it only on the
     // full soak, where hundreds of epochs smooth host noise away.
-    if !args.smoke && steady_ratio < args.steady_floor {
+    if !flags.smoke && steady_ratio < args.steady_floor {
         return Err(format!(
             "steady-state throughput decayed: last decile at {steady_ratio:.3} of the first \
              (floor {})",
             args.steady_floor
         ));
     }
-    if !args.smoke && soak.peak_retained_rows * 4 > total_rows {
+    if !flags.smoke && soak.peak_retained_rows * 4 > total_rows {
         return Err(format!(
             "the soak is too short to exercise retirement: peak retained rows {} vs {} total",
             soak.peak_retained_rows, total_rows
         ));
     }
 
-    let entry = JsonValue::object(vec![
-        ("timestamp", JsonValue::U64(unix_timestamp())),
-        ("label", JsonValue::Str(args.label.clone())),
-        ("seed", JsonValue::U64(args.seed)),
+    Ok(vec![
+        ("seed", JsonValue::U64(flags.seed)),
         ("scale", JsonValue::U64(args.scale as u64)),
-        ("smoke", JsonValue::Bool(args.smoke)),
+        ("smoke", JsonValue::Bool(flags.smoke)),
         ("docs", JsonValue::U64(docs as u64)),
         ("epochs", JsonValue::U64(report.epochs as u64)),
         ("epoch_seconds", JsonValue::F64(args.epoch_seconds)),
@@ -378,18 +298,9 @@ fn run() -> Result<(), String> {
         ("wall_seconds", JsonValue::F64(soak_wall)),
         ("allocations", JsonValue::U64(allocations)),
         ("peak_mb", JsonValue::F64(peak_mb)),
-    ]);
-    append_entry(&args.out, "serve_steady", entry).map_err(|e| format!("append: {e}"))?;
-    println!("appended entry to {}", args.out.display());
-    Ok(())
+    ])
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("serve_steady: {message}");
-            ExitCode::FAILURE
-        }
-    }
+    drive(&TRAJECTORY, parse_args, run)
 }

@@ -7,6 +7,7 @@
 //! corpus size (`ADAPARSE_BENCH_DOCS`) so CI runs stay fast while full runs
 //! approach the paper's scale.
 
+pub mod driver;
 pub mod trajectory;
 
 use adaparse::{AdaParseConfig, AdaParseEngine};
@@ -27,17 +28,6 @@ pub enum Regime {
     SimulatedScan,
     /// Table 3: 15 % of documents with OCR-replaced text layers.
     OcrDegradedText,
-}
-
-impl Regime {
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Regime::BornDigital => "born-digital",
-            Regime::SimulatedScan => "simulated scans",
-            Regime::OcrDegradedText => "OCR-degraded text layers",
-        }
-    }
 }
 
 /// Number of benchmark documents: `ADAPARSE_BENCH_DOCS` or the default.
@@ -179,23 +169,12 @@ pub fn format_table(title: &str, rows: &[QualityRow]) -> String {
     out
 }
 
-/// Format a generic two-column series (used by the figure binaries).
-pub fn format_series(title: &str, x_label: &str, y_label: &str, points: &[(f64, f64)]) -> String {
-    let mut out = format!("{title}\n{x_label:>12} {y_label:>14}\n");
-    for (x, y) in points {
-        out.push_str(&format!("{x:>12.2} {y:>14.3}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn regimes_have_names_and_doc_count_override_works() {
-        assert_eq!(Regime::BornDigital.name(), "born-digital");
-        assert_eq!(Regime::SimulatedScan.name(), "simulated scans");
+    fn doc_count_override_works() {
         assert!(bench_doc_count(12) >= 1);
     }
 
@@ -224,12 +203,5 @@ mod tests {
         let mut unchanged = before.clone();
         apply_regime(&mut unchanged, Regime::BornDigital, 1);
         assert_eq!(before, unchanged);
-    }
-
-    #[test]
-    fn series_formatting_is_stable() {
-        let s = format_series("Figure 5", "nodes", "pdf/s", &[(1.0, 2.0), (2.0, 4.0)]);
-        assert!(s.contains("Figure 5"));
-        assert_eq!(s.lines().count(), 4);
     }
 }

@@ -1,8 +1,7 @@
 //! Text-corruption primitives modelling the parser failure modes of the
-//! paper's Figure 1: whitespace injection, word substitution, character
-//! scrambling, character substitution, corrupted SMILES / identifiers,
-//! LaTeX-to-plaintext conversion, and page drops (handled at the document
-//! level by callers).
+//! paper's Figure 1: whitespace injection, character scrambling, OCR
+//! character confusion, word-order shuffling, LaTeX-to-plaintext conversion,
+//! and page drops (handled at the document level by callers).
 //!
 //! These functions are shared between the embedded text-layer generator (a
 //! low-quality OCR-attached text layer is "pre-corrupted") and the parser
@@ -52,13 +51,6 @@ pub fn scramble_characters<R: Rng + ?Sized>(text: &str, rate: f64, rng: &mut R) 
     out.join(" ")
 }
 
-/// Substitute visually-confusable characters, as OCR engines do on degraded
-/// scans. `rate` is the per-character substitution probability.
-pub fn substitute_confusable_chars<R: Rng + ?Sized>(text: &str, rate: f64, rng: &mut R) -> String {
-    let rate = rate.clamp(0.0, 1.0);
-    text.chars().map(|c| if rng.gen_bool(rate) { confuse(c, rng) } else { c }).collect()
-}
-
 fn confuse<R: Rng + ?Sized>(c: char, rng: &mut R) -> char {
     let table: &[(char, &[char])] = &[
         ('0', &['O', 'o']),
@@ -95,32 +87,6 @@ fn confuse<R: Rng + ?Sized>(c: char, rng: &mut R) -> char {
     }
 }
 
-/// Substitute whole words with probability `rate`, drawing replacements from
-/// a small list of plausible-but-wrong scientific terms.
-pub fn substitute_words<R: Rng + ?Sized>(text: &str, rate: f64, rng: &mut R) -> String {
-    const REPLACEMENTS: [&str; 8] = [
-        "hypothyroidism",
-        "entropy",
-        "gradient",
-        "manifold",
-        "catalyst",
-        "isomorphism",
-        "perturbation",
-        "hysteresis",
-    ];
-    let rate = rate.clamp(0.0, 1.0);
-    text.split_whitespace()
-        .map(|w| {
-            if w.len() > 4 && rng.gen_bool(rate) {
-                REPLACEMENTS[rng.gen_range(0..REPLACEMENTS.len())].to_string()
-            } else {
-                w.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// Convert LaTeX markup to the garbled plaintext that text extraction
 /// produces: control sequences lose their backslashes, braces and math
 /// delimiters vanish, superscripts/subscripts flatten.
@@ -144,25 +110,6 @@ pub fn mangle_latex(text: &str) -> String {
         }
     }
     out
-}
-
-/// Corrupt identifier-like strings (SMILES, accession numbers): ring-closure
-/// digits and brackets are the characters most frequently lost.
-pub fn corrupt_identifier<R: Rng + ?Sized>(code: &str, rate: f64, rng: &mut R) -> String {
-    let rate = rate.clamp(0.0, 1.0);
-    code.chars()
-        .filter_map(|c| {
-            if (c.is_ascii_digit() || c == '(' || c == ')' || c == '[' || c == ']' || c == '=')
-                && rng.gen_bool(rate)
-            {
-                None
-            } else if c.is_ascii_uppercase() && rng.gen_bool(rate * 0.5) {
-                Some(c.to_ascii_lowercase())
-            } else {
-                Some(c)
-            }
-        })
-        .collect()
 }
 
 /// Simulated OCR of a character sequence at a given legibility in `[0, 1]`:
@@ -220,9 +167,6 @@ mod tests {
         let mut r = rng();
         assert_eq!(inject_whitespace(text, 0.0, &mut r), text);
         assert_eq!(scramble_characters(text, 0.0, &mut r), text);
-        assert_eq!(substitute_confusable_chars(text, 0.0, &mut r), text);
-        assert_eq!(substitute_words(text, 0.0, &mut r), text);
-        assert_eq!(corrupt_identifier("CC(=O)O", 0.0, &mut r), "CC(=O)O");
         assert_eq!(ocr_noise(text, 1.0, &mut r), text);
         assert_eq!(shuffle_word_order(text, 0.0, &mut r), text);
     }
@@ -254,15 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn char_substitution_changes_text_at_high_rate() {
-        let text = "measurement of the 10 mOl concentration at pH 5";
-        let mut r = rng();
-        let corrupted = substitute_confusable_chars(text, 0.8, &mut r);
-        assert_ne!(text, corrupted);
-        assert_eq!(text.chars().count(), corrupted.chars().count());
-    }
-
-    #[test]
     fn latex_mangling_strips_markup() {
         let latex = "\\frac{\\partial u}{\\partial t} = \\alpha \\nabla^2 u";
         let mangled = mangle_latex(latex);
@@ -270,15 +205,6 @@ mod tests {
         assert!(!mangled.contains('{'));
         assert!(!mangled.contains('^'));
         assert!(mangled.contains("partial"));
-    }
-
-    #[test]
-    fn identifier_corruption_shrinks_or_lowercases() {
-        let smiles = "CC(=O)OC1=CC=CC=C1C(=O)O";
-        let mut r = rng();
-        let corrupted = corrupt_identifier(smiles, 0.7, &mut r);
-        assert!(corrupted.len() <= smiles.len());
-        assert_ne!(corrupted, smiles);
     }
 
     #[test]
@@ -310,11 +236,8 @@ mod tests {
         for text in ["", "a", "ab cd"] {
             let _ = inject_whitespace(text, 1.0, &mut r);
             let _ = scramble_characters(text, 1.0, &mut r);
-            let _ = substitute_confusable_chars(text, 1.0, &mut r);
-            let _ = substitute_words(text, 1.0, &mut r);
             let _ = ocr_noise(text, 0.0, &mut r);
             let _ = shuffle_word_order(text, 1.0, &mut r);
-            let _ = corrupt_identifier(text, 1.0, &mut r);
             let _ = mangle_latex(text);
         }
     }

@@ -139,30 +139,8 @@ impl Document {
         self.pages.iter().map(|p| p.count_kind(kind)).sum()
     }
 
-    /// Whether the document is born-digital according to its metadata.
-    pub fn is_born_digital(&self) -> bool {
-        self.metadata.is_born_digital() && !self.image_layer.scanned
-    }
-
-    /// Intrinsic parsing difficulty in `[0, 1]`, combining structural
-    /// difficulty (equations, tables, SMILES), text-layer fidelity and image
-    /// legibility. Used by the corpus generator to produce the difficulty
-    /// ranking of Figure 3 and by tests as a sanity signal; the *selector*
-    /// never reads it (it only sees extracted text and metadata).
-    pub fn intrinsic_difficulty(&self) -> f64 {
-        let structural = if self.pages.is_empty() {
-            0.0
-        } else {
-            self.pages.iter().map(|p| p.extraction_difficulty()).sum::<f64>() / self.pages.len() as f64
-        };
-        let text_penalty = 1.0 - self.text_layer.quality.expected_fidelity();
-        let image_penalty = 1.0 - self.image_layer.mean_legibility();
-        (0.45 * structural + 0.35 * text_penalty + 0.20 * image_penalty).clamp(0.0, 1.0)
-    }
-
-    /// Intrinsic parsing difficulty of one page in `[0, 1]` — the per-page
-    /// analogue of [`Document::intrinsic_difficulty`], used by page-granular
-    /// cascade routing to decide which pages of a document to delegate to an
+    /// Intrinsic parsing difficulty of one page in `[0, 1]`, used by
+    /// page-granular cascade routing to decide which pages of a document to delegate to an
     /// expensive parser. Combines the page's structural difficulty, the
     /// document-wide text-layer fidelity penalty, that page's raster
     /// legibility, and a tiny hash-seeded jitter keyed on `(doc id, page)` so
@@ -258,38 +236,6 @@ mod tests {
         assert_eq!(doc.count_kind(ElementKind::Equation), 1);
         assert_eq!(doc.count_kind(ElementKind::Table), 1);
         assert_eq!(doc.count_kind(ElementKind::Smiles), 0);
-        let d = doc.intrinsic_difficulty();
-        assert!((0.0..=1.0).contains(&d));
-    }
-
-    #[test]
-    fn difficulty_increases_with_degraded_layers() {
-        let pages = sample_pages();
-        let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
-        let clean = Document::new(
-            DocId(2),
-            DocMetadata::default(),
-            pages.clone(),
-            TextLayer::clean(&gt),
-            ImageLayer::born_digital(2),
-        );
-        let missing_layer = Document::new(
-            DocId(3),
-            DocMetadata::default(),
-            pages,
-            TextLayer::missing(2),
-            ImageLayer::born_digital(2),
-        );
-        assert!(missing_layer.intrinsic_difficulty() > clean.intrinsic_difficulty());
-    }
-
-    #[test]
-    fn born_digital_requires_clean_provenance() {
-        let doc = sample_doc();
-        assert!(doc.is_born_digital());
-        let mut scanned = sample_doc();
-        scanned.image_layer.scanned = true;
-        assert!(!scanned.is_born_digital());
     }
 
     #[test]
@@ -393,7 +339,5 @@ mod tests {
         );
         assert_eq!(doc.page_count(), 0);
         assert_eq!(doc.word_count(), 0);
-        // No structure, but the missing text layer still registers as a penalty.
-        assert!(doc.intrinsic_difficulty() <= 0.6);
     }
 }

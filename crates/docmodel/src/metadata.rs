@@ -48,11 +48,6 @@ impl Publisher {
         }
     }
 
-    /// Parse a publisher from its display name.
-    pub fn from_name(name: &str) -> Option<Publisher> {
-        Publisher::ALL.into_iter().find(|p| p.name().eq_ignore_ascii_case(name))
-    }
-
     /// Index into [`Publisher::ALL`] (used for one-hot feature encoding).
     pub fn index(&self) -> usize {
         Publisher::ALL.iter().position(|p| p == self).unwrap_or(0)
@@ -112,11 +107,6 @@ impl Domain {
             Domain::Economics => "Economics",
             Domain::ComputerScience => "ComputerScience",
         }
-    }
-
-    /// Parse a domain from its display name.
-    pub fn from_name(name: &str) -> Option<Domain> {
-        Domain::ALL.into_iter().find(|d| d.name().eq_ignore_ascii_case(name))
     }
 
     /// Index into [`Domain::ALL`] (used for one-hot feature encoding).
@@ -248,16 +238,10 @@ impl std::fmt::Display for Domain {
     }
 }
 
-/// Total number of sub-categories across all domains (the paper reports 67).
-pub fn total_subcategories() -> usize {
-    Domain::ALL.iter().map(|d| d.subcategories().len()).sum()
-}
-
 /// Coarse document *condition* category, orthogonal to [`Domain`]: what kind
 /// of artifact the PDF is, which drives both how a corpus generator skews a
 /// category's documents and which parsers a cascade should prefer for them.
-/// Used by `scicorpus`' category-skewed generator presets and by
-/// `parsersim`'s per-category parser-quality priors.
+/// Used by `scicorpus`' category-skewed generator presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DocCategory {
     /// Scanner output: raster pages, missing or OCR-attached text layer.
@@ -352,22 +336,9 @@ impl ProducerTool {
         }
     }
 
-    /// Parse from display name, defaulting to [`ProducerTool::Unknown`].
-    pub fn from_name(name: &str) -> ProducerTool {
-        ProducerTool::ALL
-            .into_iter()
-            .find(|p| p.name().eq_ignore_ascii_case(name))
-            .unwrap_or(ProducerTool::Unknown)
-    }
-
     /// Index into [`ProducerTool::ALL`].
     pub fn index(&self) -> usize {
         ProducerTool::ALL.iter().position(|p| p == self).unwrap_or(6)
-    }
-
-    /// Whether this producer implies a born-digital document.
-    pub fn is_born_digital(&self) -> bool {
-        !matches!(self, ProducerTool::Scanner | ProducerTool::OcrAttached)
     }
 }
 
@@ -406,11 +377,6 @@ impl PdfFormat {
             PdfFormat::V1_7 => "1.7",
             PdfFormat::V2_0 => "2.0",
         }
-    }
-
-    /// Parse a version string such as `"1.7"`.
-    pub fn from_version_string(s: &str) -> Option<PdfFormat> {
-        PdfFormat::ALL.into_iter().find(|f| f.version_string() == s)
     }
 
     /// Index into [`PdfFormat::ALL`].
@@ -460,11 +426,6 @@ impl Default for DocMetadata {
 }
 
 impl DocMetadata {
-    /// Whether the metadata indicates a born-digital document.
-    pub fn is_born_digital(&self) -> bool {
-        self.producer.is_born_digital()
-    }
-
     /// Dense numeric feature vector used by the metadata-driven classifiers
     /// (CLS I / CLS II / the SVC rows of Table 4).
     ///
@@ -487,7 +448,8 @@ mod tests {
 
     #[test]
     fn there_are_exactly_67_subcategories() {
-        assert_eq!(total_subcategories(), 67);
+        // The paper reports 67 sub-categories across all domains.
+        assert_eq!(Domain::ALL.iter().map(|d| d.subcategories().len()).sum::<usize>(), 67);
     }
 
     #[test]
@@ -497,24 +459,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(before, all.len(), "duplicate subcategory names");
-    }
-
-    #[test]
-    fn name_round_trips() {
-        for p in Publisher::ALL {
-            assert_eq!(Publisher::from_name(p.name()), Some(p));
-        }
-        for d in Domain::ALL {
-            assert_eq!(Domain::from_name(d.name()), Some(d));
-        }
-        for f in PdfFormat::ALL {
-            assert_eq!(PdfFormat::from_version_string(f.version_string()), Some(f));
-        }
-        for t in ProducerTool::ALL {
-            assert_eq!(ProducerTool::from_name(t.name()), t);
-        }
-        assert_eq!(ProducerTool::from_name("garbage"), ProducerTool::Unknown);
-        assert_eq!(Publisher::from_name("garbage"), None);
     }
 
     #[test]
@@ -534,16 +478,6 @@ mod tests {
         assert_eq!(v.len(), 27);
         let ones = v.iter().filter(|&&x| (x - 1.0).abs() < 1e-12).count();
         assert_eq!(ones, 4, "four one-hot groups must be active");
-    }
-
-    #[test]
-    fn born_digital_flag_follows_producer() {
-        let mut m = DocMetadata::default();
-        assert!(m.is_born_digital());
-        m.producer = ProducerTool::Scanner;
-        assert!(!m.is_born_digital());
-        m.producer = ProducerTool::OcrAttached;
-        assert!(!m.is_born_digital());
     }
 
     #[test]

@@ -112,21 +112,6 @@ impl SpdfFile {
     pub fn parse(data: &[u8]) -> Result<SpdfFile, SpdfError> {
         Ok(SpdfIndex::open(data)?.decode_all())
     }
-
-    /// Concatenated embedded text of all pages (form-feed separated), i.e.
-    /// what a perfect text-extraction tool would output.
-    pub fn embedded_text(&self) -> String {
-        self.pages.iter().map(|p| p.embedded_text.as_str()).collect::<Vec<_>>().join("\u{c}")
-    }
-
-    /// Mean raster legibility across pages.
-    pub fn mean_legibility(&self) -> f64 {
-        if self.pages.is_empty() {
-            0.0
-        } else {
-            self.pages.iter().map(|p| p.image.legibility()).sum::<f64>() / self.pages.len() as f64
-        }
-    }
 }
 
 /// One page of an [`SpdfIndex`]: dictionary entries resolved, stream payloads

@@ -102,19 +102,9 @@ impl TextLayer {
         self.pages.iter().any(|p| !p.trim().is_empty())
     }
 
-    /// Concatenated embedded text of all pages, separated by form feeds.
-    pub fn full_text(&self) -> String {
-        self.pages.join("\u{c}")
-    }
-
     /// Embedded text of one page, if it exists.
     pub fn page(&self, index: usize) -> Option<&str> {
         self.pages.get(index).map(|s| s.as_str())
-    }
-
-    /// Total number of characters across all pages.
-    pub fn char_count(&self) -> usize {
-        self.pages.iter().map(|p| p.chars().count()).sum()
     }
 }
 
@@ -147,7 +137,6 @@ mod tests {
         let layer = TextLayer::missing(3);
         assert_eq!(layer.page_count(), 3);
         assert!(!layer.has_text());
-        assert_eq!(layer.char_count(), 0);
         assert_eq!(layer.expected_fidelity_of_quality(), 0.0);
     }
 
@@ -194,12 +183,6 @@ mod tests {
         assert_eq!(TextLayerQuality::Missing.expected_fidelity(), 0.0);
         let o = TextLayerQuality::OcrGenerated { error_rate: 0.1 };
         assert!(o.expected_fidelity() > 0.5);
-    }
-
-    #[test]
-    fn full_text_joins_pages_with_form_feed() {
-        let layer = TextLayer::clean(&["a".to_string(), "b".to_string()]);
-        assert_eq!(layer.full_text(), "a\u{c}b");
     }
 
     impl TextLayer {

@@ -74,6 +74,12 @@ impl PendingSet {
     /// edges — against pending instances in either enqueue direction, and
     /// against `history` for tasks finished or skipped in earlier drains.
     /// Each task's dependency list moves into the arena; nothing is cloned.
+    ///
+    /// Dependency ids are resolved against what is known when a task is
+    /// released: unknown ids are vacuously satisfied at time zero, and an
+    /// entry a bounded drain has already queued (`seeded`) was released
+    /// under the ids known then — an id that only arrives in a later batch
+    /// adds no edge to it.
     pub(super) fn enqueue(&mut self, tasks: Vec<Task>, floor: f64, history: &History) {
         // Insert the whole batch first so in-batch forward references
         // resolve.
@@ -116,9 +122,14 @@ impl PendingSet {
         // enqueue direction, so wire the new instances in. (Instances
         // enqueued before the dependent were wired above or at its own
         // enqueue; only indices >= base are new.) Ready-queue population
-        // is deferred to the drain, so a task that loses its
-        // released-vacuously status here was never prematurely queued.
+        // is deferred to the drain, so within one drain a task that loses
+        // its released-vacuously status here was never queued; one that a
+        // bounded drain did queue keeps its release (an edge added now
+        // would pop it a second time, as the arena's placeholder).
         for earlier in 0..base {
+            if self.meta[earlier].seeded {
+                continue;
+            }
             for dep in self.tasks[earlier].depends_on.as_slice() {
                 let instances = self.by_id.get(dep).map_or(&[][..], SmallList::as_slice);
                 for &instance in instances.iter().filter(|&&instance| instance >= base) {

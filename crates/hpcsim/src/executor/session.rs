@@ -171,13 +171,6 @@ impl ExecutorSession {
         self.history.retained_completed()
     }
 
-    /// Number of cold-start load intervals currently retained (the peak
-    /// sweep's input). Same probe role as
-    /// [`retained_completed_tasks`](Self::retained_completed_tasks).
-    pub fn retained_load_intervals(&self) -> usize {
-        self.loads.retained()
-    }
-
     /// Drop session history that finished at or before `watermark_seconds`:
     /// schedule rows, completed-task records, skip records, fully-finished
     /// group anchors, cold-start load intervals (their exact peak is

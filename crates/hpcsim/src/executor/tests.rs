@@ -85,6 +85,14 @@ fn warm_pool_capacity_zero_disables_reuse_but_counts_misses() {
     assert_eq!(report.warm_evictions, 0);
     assert_eq!(report.warm_models.len(), 1);
     assert_eq!(report.warm_models[0].misses, 12);
+    // The same tasks on unbounded pools reuse the weights and finish sooner.
+    let unbounded = WorkflowExecutor::new(ExecutorConfig::default()).run(
+        &tasks,
+        &ClusterConfig::polaris(1),
+        &LustreModel::default(),
+    );
+    assert!(unbounded.warm_hits > 0);
+    assert!(unbounded.makespan_seconds < report.makespan_seconds);
 }
 
 #[test]
@@ -112,6 +120,11 @@ fn switching_models_evicts_under_a_capacity_one_pool() {
     assert_eq!(unbounded.warm_hits, 6);
     assert_eq!(unbounded.warm_evictions, 0);
     assert!(unbounded.makespan_seconds < tight.makespan_seconds);
+    // Capacity 1 lands between the extremes: never slower than no pool at all.
+    let disabled =
+        WorkflowExecutor::new(ExecutorConfig { warm_pool_capacity: Some(0), ..Default::default() })
+            .run(&tasks, &cluster, &fs);
+    assert!(tight.makespan_seconds <= disabled.makespan_seconds);
 }
 
 #[test]

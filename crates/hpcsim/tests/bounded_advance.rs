@@ -254,3 +254,28 @@ fn pending_arena_compacts_between_bounded_drains() {
     assert_eq!(s.pending_task_count(), 0);
     assert_eq!(s.schedule().len(), 400);
 }
+
+#[test]
+fn a_dependency_id_arriving_after_the_dependent_was_queued_adds_no_edge() {
+    // Task 5 names dependency 9, which no batch has introduced yet: the
+    // bounded drain queues 5 as released (an unknown id is vacuously
+    // satisfied). When 9 arrives in a later batch, 5 keeps that release —
+    // wiring the edge then would pop 5 a second time, dispatching the
+    // arena's placeholder task (id 0) as a phantom third completion.
+    let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 2, gpu_slots_per_node: 0 };
+    let fs = LustreModel::default();
+    let mut s = session(&cluster);
+    s.submit_owned(
+        vec![Task::new(5, SlotKind::Cpu, 1.0).with_depends_on(vec![9])],
+        SubmitOptions { release_seconds: Some(10.0) },
+    );
+    s.advance_until(1.0, &fs);
+    assert_eq!(s.pending_task_count(), 1);
+    s.submit_owned(vec![Task::new(9, SlotKind::Cpu, 1.0)], SubmitOptions { release_seconds: Some(2.0) });
+    let report = s.advance_to_frontier(&fs);
+    assert_eq!(report.tasks_completed, 2);
+    assert_eq!(report.tasks_skipped, 0);
+    let ids: Vec<u64> = s.schedule().iter().map(|row| row.id).collect();
+    assert_eq!(ids, vec![9, 5]);
+    assert_eq!(s.pending_task_count(), 0);
+}

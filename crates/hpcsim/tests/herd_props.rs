@@ -226,6 +226,14 @@ proptest! {
                 previous
             );
             previous = report.makespan_seconds;
+            // At least two slots start loading at t = 0: one channel must
+            // queue the second load, unlimited channels must overlap them.
+            if k == 1 {
+                prop_assert!(report.herd_queue_seconds > 0.0, "one channel under a forced herd queues loads");
+            }
+            if k == 0 {
+                prop_assert!(report.concurrent_cold_starts_peak > 1, "the unserialized herd overlaps loads");
+            }
         }
     }
 }

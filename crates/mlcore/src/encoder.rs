@@ -138,11 +138,6 @@ impl PretrainedEncoder {
         PretrainedEncoder { profile, featurizer, projection, noise_seed: 0x5EED }
     }
 
-    /// The profile this encoder emulates.
-    pub fn profile(&self) -> EncoderProfile {
-        self.profile
-    }
-
     /// Output embedding width.
     pub fn embedding_dim(&self) -> usize {
         self.profile.embedding_dim()
@@ -240,7 +235,6 @@ mod tests {
             let encoder = PretrainedEncoder::new(profile);
             assert_eq!(encoder.encode("text sample").len(), profile.embedding_dim());
             assert!(!profile.name().is_empty());
-            assert_eq!(encoder.profile(), profile);
         }
         assert!(EncoderProfile::SciBert.embedding_dim() > EncoderProfile::MiniLm.embedding_dim());
     }

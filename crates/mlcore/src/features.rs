@@ -86,15 +86,6 @@ impl HashedNgramFeaturizer {
         }
         l2_normalize(out);
     }
-
-    /// Featurize and append extra dense features (e.g. aggregate statistics),
-    /// normalizing the combined vector.
-    pub fn features_with_extra(&self, text: &str, extra: &[f64]) -> Vec<f64> {
-        let mut v = self.features(text);
-        v.extend_from_slice(extra);
-        l2_normalize(&mut v);
-        v
-    }
 }
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -222,14 +213,5 @@ mod tests {
         let empty = aggregate_statistics("");
         assert_eq!(empty.len(), 8);
         assert!(empty.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn features_with_extra_appends_and_normalizes() {
-        let f = HashedNgramFeaturizer::new(16);
-        let v = f.features_with_extra("some text", &[0.5, 0.25]);
-        assert_eq!(v.len(), 18);
-        let norm: f64 = v.iter().map(|x| x * x).sum();
-        assert!((norm - 1.0).abs() < 1e-9);
     }
 }

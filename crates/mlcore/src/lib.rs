@@ -15,12 +15,11 @@
 //! * [`features`] — hashed character/word n-gram featurization (fastText-like),
 //! * [`encoder`] — frozen "pretrained" encoders of graded quality simulating
 //!   the SciBERT > BERT > MiniLM ordering,
-//! * [`linear`] / [`mlp`] — trainable heads (multi-output ridge/SGD linear
-//!   regression, logistic regression, linear SVC, one-hidden-layer MLP),
-//! * [`optim`] — SGD and Adam,
+//! * [`linear`] — trainable heads (multi-output ridge/SGD linear
+//!   regression, logistic regression, linear SVC),
+//! * [`optim`] — the SGD step the regression head trains with,
 //! * [`lora`] — low-rank adaptation of a frozen projection,
-//! * [`dpo`] — direct preference optimization on a scalar scoring head,
-//! * [`eval`] — regression/classification metrics.
+//! * [`dpo`] — direct preference optimization on a scalar scoring head.
 //!
 //! # Example
 //!
@@ -38,12 +37,10 @@
 
 pub mod dpo;
 pub mod encoder;
-pub mod eval;
 pub mod features;
 pub mod linear;
 pub mod lora;
 pub mod matrix;
-pub mod mlp;
 pub mod optim;
 
 pub use dpo::{DpoConfig, DpoTrainer, PreferencePair};
@@ -51,5 +48,4 @@ pub use encoder::{EncoderProfile, PretrainedEncoder};
 pub use features::HashedNgramFeaturizer;
 pub use linear::{LinearRegression, LinearSvc, LogisticRegression};
 pub use matrix::Matrix;
-pub use mlp::MlpRegressor;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Sgd;

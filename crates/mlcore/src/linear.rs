@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::{dot, sigmoid};
-use crate::optim::{Optimizer, Sgd};
+use crate::optim::Sgd;
 
 /// Multi-output linear regression trained with mini-batch SGD and L2
 /// regularization. This is the trainable "head" placed on top of a frozen
@@ -29,21 +29,11 @@ impl LinearRegression {
         LinearRegression { weights: vec![0.0; inputs * outputs], bias: vec![0.0; outputs], inputs, outputs }
     }
 
-    /// Number of input features.
-    pub fn inputs(&self) -> usize {
-        self.inputs
-    }
-
-    /// Number of outputs.
-    pub fn outputs(&self) -> usize {
-        self.outputs
-    }
-
     /// Predict the output vector for one input.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.inputs()`.
+    /// Panics if `x.len()` is not the input dimension.
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.inputs, "input dimension mismatch");
         (0..self.outputs)
@@ -62,7 +52,7 @@ impl LinearRegression {
             return;
         }
         let n = xs.len() as f64;
-        let mut optimizer = Sgd::new(learning_rate);
+        let optimizer = Sgd::new(learning_rate);
         for _ in 0..epochs {
             let mut grad_w = vec![0.0; self.weights.len()];
             let mut grad_b = vec![0.0; self.bias.len()];
@@ -84,21 +74,6 @@ impl LinearRegression {
             optimizer.step(&mut self.weights, &grad_w);
             optimizer.step(&mut self.bias, &grad_b);
         }
-    }
-
-    /// Immutable view of the flattened weights (used by LoRA and DPO).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Mutable view of the flattened weights.
-    pub fn weights_mut(&mut self) -> &mut [f64] {
-        &mut self.weights
-    }
-
-    /// Immutable view of the biases.
-    pub fn bias(&self) -> &[f64] {
-        &self.bias
     }
 }
 

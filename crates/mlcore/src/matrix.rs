@@ -84,19 +84,9 @@ impl Matrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Mutable access to one row.
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// Flat access to the underlying data (row-major).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Flat mutable access to the underlying data (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Matrix–vector product `self · x`.
@@ -140,11 +130,6 @@ impl Matrix {
         out
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
     /// Element-wise sum.
     ///
     /// # Panics
@@ -160,28 +145,12 @@ impl Matrix {
     pub fn scale(&self, factor: f64) -> Matrix {
         Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|v| v * factor).collect() }
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 /// Dot product of two equal-length slices.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Numerically-stable softmax.
-pub fn softmax(values: &[f64]) -> Vec<f64> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = values.iter().map(|v| (v - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 /// Logistic sigmoid.
@@ -240,16 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn transpose_add_scale_norm() {
+    fn add_and_scale() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0]]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(2, 0), 3.0);
         let s = m.scale(2.0);
         assert_eq!(s.row(0), &[2.0, 4.0, 6.0]);
         let a = m.add(&m);
         assert_eq!(a.row(0), &[2.0, 4.0, 6.0]);
-        assert!((m.frobenius_norm() - 14.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -265,10 +230,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let sm = softmax(&[1.0, 1.0, 1.0]);
-        assert!((sm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((sm[0] - 1.0 / 3.0).abs() < 1e-12);
-        assert!(softmax(&[]).is_empty());
         assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         assert!(sigmoid(20.0) > 0.999);
         let mut v = vec![3.0, 4.0];
@@ -277,12 +238,5 @@ mod tests {
         let mut zero = vec![0.0, 0.0];
         l2_normalize(&mut zero);
         assert_eq!(zero, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn softmax_handles_large_values() {
-        let sm = softmax(&[1000.0, 1001.0]);
-        assert!(sm.iter().all(|v| v.is_finite()));
-        assert!(sm[1] > sm[0]);
     }
 }

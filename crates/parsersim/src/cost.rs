@@ -25,16 +25,6 @@ pub struct ResourceCost {
 }
 
 impl ResourceCost {
-    /// Cost with only a CPU-seconds component.
-    pub fn cpu(seconds: f64) -> Self {
-        ResourceCost { cpu_seconds: seconds, ..Default::default() }
-    }
-
-    /// Cost with only a GPU-seconds component.
-    pub fn gpu(seconds: f64) -> Self {
-        ResourceCost { gpu_seconds: seconds, ..Default::default() }
-    }
-
     /// Element-wise sum.
     pub fn add(&self, other: &ResourceCost) -> ResourceCost {
         ResourceCost {
@@ -182,25 +172,6 @@ impl CostModel {
         }
     }
 
-    /// The one-time model-load cost for a cold worker.
-    pub fn load_cost(&self) -> ResourceCost {
-        if self.parser.requires_gpu() {
-            ResourceCost {
-                cpu_seconds: self.model_load_seconds * 0.3,
-                gpu_seconds: self.model_load_seconds,
-                cpu_memory_mb: self.cpu_memory_mb,
-                gpu_memory_mb: self.gpu_memory_mb,
-            }
-        } else {
-            ResourceCost {
-                cpu_seconds: self.model_load_seconds,
-                gpu_seconds: 0.0,
-                cpu_memory_mb: self.cpu_memory_mb,
-                gpu_memory_mb: 0.0,
-            }
-        }
-    }
-
     /// Steady-state single-node throughput in documents per second, assuming
     /// documents of `pages_per_doc` pages, warm workers, and perfect
     /// parallelism over the node's cores/GPUs.
@@ -271,8 +242,6 @@ mod tests {
         assert_eq!(c.gpu_memory_mb, 10.0);
         assert_eq!(a.wall_seconds(), 2.0);
         assert!((a.scaled(2.0).cpu_seconds - 2.0).abs() < 1e-12);
-        assert_eq!(ResourceCost::cpu(3.0).cpu_seconds, 3.0);
-        assert_eq!(ResourceCost::gpu(3.0).gpu_seconds, 3.0);
     }
 
     #[test]
@@ -312,15 +281,6 @@ mod tests {
         let hard = model.document_cost(10, 1.0);
         assert!(hard.gpu_seconds > easy.gpu_seconds);
         assert!(hard.wall_seconds() > easy.wall_seconds());
-    }
-
-    #[test]
-    fn load_cost_respects_gpu_requirement() {
-        let nougat = CostModel::for_parser(ParserKind::Nougat).load_cost();
-        assert!(nougat.gpu_seconds >= 14.0);
-        let pymupdf = CostModel::for_parser(ParserKind::PyMuPdf).load_cost();
-        assert_eq!(pymupdf.gpu_seconds, 0.0);
-        assert_eq!(pymupdf.cpu_seconds, 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::{Rng, RngCore};
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
 use crate::failure;
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, ParseError, ParseOutput, Parser, ParserKind};
 
 /// GROBID structured-extraction simulator.
 #[derive(Debug, Clone)]
@@ -39,25 +39,18 @@ impl Parser for GrobidParser {
     }
 
     fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        if file.pages.is_empty() {
-            return Err(ParseError::EmptyDocument);
-        }
         // GROBID's segmentation models occasionally skip entire pages.
         let keep = failure::page_drop_mask(file.pages.len(), 0.16, rng);
-        let mut pages_parsed = 0usize;
-        let mut out_pages = Vec::with_capacity(file.pages.len());
-        let mut difficulty_sum = 0.0;
-        for (page, keep_page) in file.pages.iter().zip(keep) {
+        let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {
             let source = if page.embedded_text.trim().is_empty() {
                 // Falls back to its internal OCR pass on image-only pages.
                 corrupt::ocr_noise(&page.glyph_text, 0.5 + 0.5 * page.image.legibility(), rng)
             } else {
                 page.embedded_text.clone()
             };
-            difficulty_sum += content_difficulty(&source);
+            let difficulty = content_difficulty(&source);
             if !keep_page || source.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
+                return (difficulty, None);
             }
             // Structure-oriented output: equations, tables, figures and list
             // markers are not part of the body text model and get dropped.
@@ -74,21 +67,9 @@ impl Parser for GrobidParser {
             let text = corrupt::inject_whitespace(&text, 0.05, rng);
             // Some body paragraphs are misclassified as front/back matter.
             let text = text.lines().filter(|_| !rng.gen_bool(0.10)).collect::<Vec<_>>().join("\n");
-            if text.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
-            }
-            pages_parsed += 1;
-            out_pages.push(text);
-        }
-        let mean_difficulty = difficulty_sum / file.pages.len() as f64;
-        Ok(ParseOutput {
-            parser: self.kind(),
-            text: out_pages.join("\u{c}"),
-            pages_parsed,
-            pages_total: file.pages.len(),
-            cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
-        })
+            (difficulty, Some(text).filter(|text| !text.trim().is_empty()))
+        });
+        assemble_pages(self.kind(), &self.cost, pages)
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

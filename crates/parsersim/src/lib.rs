@@ -44,8 +44,8 @@ pub mod traits;
 pub use cost::{CostModel, NodeSpec, ResourceCost};
 pub use evaluate::{evaluate_corpus, evaluate_document, DocumentEvaluation, ParserEvaluation};
 pub use registry::{
-    all_parsers, category_quality_prior, page_dollars, parser_for, quality_prior, FrontierEntry,
-    ParserFrontier, ParserPool, GPU_DOLLAR_RATIO,
+    all_parsers, page_dollars, parser_for, quality_prior, FrontierEntry, ParserFrontier, ParserPool,
+    GPU_DOLLAR_RATIO,
 };
 pub use traits::{ParseError, ParseOutput, Parser, ParserKind};
 

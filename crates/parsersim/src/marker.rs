@@ -11,7 +11,7 @@ use rand::{Rng, RngCore};
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
 use crate::failure;
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, ParseError, ParseOutput, Parser, ParserKind};
 
 /// Marker recognition simulator.
 #[derive(Debug, Clone)]
@@ -38,20 +38,13 @@ impl Parser for MarkerParser {
     }
 
     fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        if file.pages.is_empty() {
-            return Err(ParseError::EmptyDocument);
-        }
         // Layout detection almost never loses a whole page.
         let keep = failure::page_drop_mask(file.pages.len(), 0.02, rng);
-        let mut pages_parsed = 0usize;
-        let mut out_pages = Vec::with_capacity(file.pages.len());
-        let mut difficulty_sum = 0.0;
-        for (page, keep_page) in file.pages.iter().zip(keep) {
+        let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {
             let glyphs = page.glyph_text.as_str();
-            difficulty_sum += content_difficulty(glyphs);
+            let difficulty = content_difficulty(glyphs);
             if !keep_page || glyphs.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
+                return (difficulty, None);
             }
             let legibility = page.image.legibility();
             // texify keeps most LaTeX, but layout segmentation sometimes
@@ -59,18 +52,9 @@ impl Parser for MarkerParser {
             let text = if rng.gen_bool(0.4) { corrupt::mangle_latex(glyphs) } else { glyphs.to_string() };
             let text = corrupt::ocr_noise(&text, 0.78 + 0.22 * legibility, rng);
             // Aggressive markdown conversion (headings, table pipes).
-            let text = failure::markdownify(&text, 1);
-            pages_parsed += 1;
-            out_pages.push(text);
-        }
-        let mean_difficulty = difficulty_sum / file.pages.len() as f64;
-        Ok(ParseOutput {
-            parser: self.kind(),
-            text: out_pages.join("\u{c}"),
-            pages_parsed,
-            pages_total: file.pages.len(),
-            cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
-        })
+            (difficulty, Some(failure::markdownify(&text, 1)))
+        });
+        assemble_pages(self.kind(), &self.cost, pages)
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

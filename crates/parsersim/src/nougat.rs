@@ -13,7 +13,7 @@ use rand::RngCore;
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
 use crate::failure;
-use crate::traits::{ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, ParseError, ParseOutput, Parser, ParserKind};
 
 /// Probability that Nougat silently drops a page.
 pub const PAGE_DROP_PROBABILITY: f64 = 0.055;
@@ -53,37 +53,21 @@ impl Parser for NougatParser {
     }
 
     fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        if file.pages.is_empty() {
-            return Err(ParseError::EmptyDocument);
-        }
         let keep = failure::page_drop_mask(file.pages.len(), self.page_drop_probability, rng);
-        let mut pages_parsed = 0usize;
-        let mut out_pages = Vec::with_capacity(file.pages.len());
-        let mut difficulty_sum = 0.0;
-        for (page, keep_page) in file.pages.iter().zip(keep) {
+        let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {
             let glyphs = page.glyph_text.as_str();
-            difficulty_sum += content_difficulty(glyphs);
+            let difficulty = content_difficulty(glyphs);
             if !keep_page || glyphs.trim().is_empty() {
-                out_pages.push(String::new());
-                continue;
+                return (difficulty, None);
             }
             // Trained on scan-style augmentations, so quality degrades only
             // mildly with raster legibility; LaTeX is preserved.
             let legibility = page.image.legibility();
             let text = corrupt::ocr_noise(glyphs, 0.85 + 0.15 * legibility, rng);
             let text = failure::repetition_loop(&text, 0.02, rng);
-            let text = failure::markdownify(&text, 2);
-            pages_parsed += 1;
-            out_pages.push(text);
-        }
-        let mean_difficulty = difficulty_sum / file.pages.len() as f64;
-        Ok(ParseOutput {
-            parser: self.kind(),
-            text: out_pages.join("\u{c}"),
-            pages_parsed,
-            pages_total: file.pages.len(),
-            cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
-        })
+            (difficulty, Some(failure::markdownify(&text, 2)))
+        });
+        assemble_pages(self.kind(), &self.cost, pages)
     }
 
     fn estimate_cost(&self, pages: usize) -> ResourceCost {

@@ -11,7 +11,7 @@ use docmodel::spdf::{SpdfFile, SpdfIndex};
 use rand::{Rng, RngCore};
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{first_page_with, ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, first_page_with, ParseError, ParseOutput, Parser, ParserKind};
 
 /// pypdf text extraction simulator.
 #[derive(Debug, Clone)]
@@ -51,27 +51,11 @@ impl Parser for PypdfParser {
     }
 
     fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        if file.pages.is_empty() {
-            return Err(ParseError::EmptyDocument);
-        }
-        let mut pages_parsed = 0usize;
-        let mut out_pages = Vec::with_capacity(file.pages.len());
-        let mut difficulty_sum = 0.0;
-        for page in &file.pages {
+        let pages = file.pages.iter().map(|page| {
             let embedded = page.embedded_text.as_str();
-            difficulty_sum += content_difficulty(embedded);
-            let text = Self::extract_page(embedded, rng);
-            pages_parsed += text.is_some() as usize;
-            out_pages.push(text.unwrap_or_default());
-        }
-        let mean_difficulty = difficulty_sum / file.pages.len() as f64;
-        Ok(ParseOutput {
-            parser: self.kind(),
-            text: out_pages.join("\u{c}"),
-            pages_parsed,
-            pages_total: file.pages.len(),
-            cost: self.cost.document_cost(file.pages.len(), mean_difficulty),
-        })
+            (content_difficulty(embedded), Self::extract_page(embedded, rng))
+        });
+        assemble_pages(self.kind(), &self.cost, pages)
     }
 
     fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {

@@ -56,11 +56,6 @@ impl ParserPool {
     pub fn get(&self, kind: ParserKind) -> &dyn Parser {
         self.parsers[kind.index()].as_ref()
     }
-
-    /// All pooled parsers, in the paper's table order.
-    pub fn iter(&self) -> impl Iterator<Item = &dyn Parser> {
-        self.parsers.iter().map(|p| p.as_ref())
-    }
 }
 
 impl Default for ParserPool {
@@ -104,49 +99,6 @@ pub fn quality_prior(kind: ParserKind) -> f64 {
     }
 }
 
-/// [`quality_prior`] conditioned on the document's
-/// [`DocCategory`](docmodel::DocCategory) — the routing-side counterpart of
-/// `scicorpus`' category-skewed generator presets. Scans collapse the
-/// extraction parsers (they read a missing or OCR-mangled text layer) and
-/// reward render readers; tables-heavy layouts reward layout-aware
-/// recognition (Marker) and punish linear extraction; multilingual
-/// documents punish Latin-script OCR (Tesseract) and GROBID's
-/// structure-first output; clean born-digital documents close most of the
-/// extraction-vs-recognition gap. Values stay in `[0, 1]`.
-pub fn category_quality_prior(kind: ParserKind, category: docmodel::DocCategory) -> f64 {
-    use docmodel::DocCategory;
-    let delta = match category {
-        DocCategory::Scanned => match kind {
-            ParserKind::PyMuPdf | ParserKind::Pypdf => -0.35,
-            ParserKind::Grobid => -0.20,
-            ParserKind::Tesseract => 0.08,
-            ParserKind::Marker | ParserKind::Nougat => 0.02,
-        },
-        DocCategory::TablesHeavy => match kind {
-            ParserKind::Marker => 0.04,
-            ParserKind::Nougat => 0.01,
-            ParserKind::PyMuPdf | ParserKind::Pypdf => -0.12,
-            ParserKind::Tesseract => -0.10,
-            ParserKind::Grobid => -0.05,
-        },
-        DocCategory::Multilingual => match kind {
-            ParserKind::Nougat => 0.02,
-            ParserKind::Marker => 0.01,
-            ParserKind::Tesseract => -0.15,
-            ParserKind::Grobid => -0.10,
-            ParserKind::PyMuPdf | ParserKind::Pypdf => -0.04,
-        },
-        DocCategory::CleanBornDigital => match kind {
-            ParserKind::PyMuPdf => 0.18,
-            ParserKind::Pypdf => 0.15,
-            ParserKind::Grobid => 0.10,
-            ParserKind::Tesseract => -0.02,
-            ParserKind::Marker | ParserKind::Nougat => 0.0,
-        },
-    };
-    (quality_prior(kind) + delta).clamp(0.0, 1.0)
-}
-
 /// One upgrade parser on the frontier: its expected quality gain over the
 /// frontier's base parser and its cost per page, plus the slot weight the
 /// budget greedy charges for assigning it.
@@ -187,33 +139,12 @@ impl ParserFrontier {
     /// listed). Dominated and non-improving candidates are pruned; survivors
     /// are ordered by ascending cost and weight-normalized to the costliest.
     pub fn new(base: ParserKind, candidates: &[ParserKind]) -> Self {
-        ParserFrontier::with_prior(base, candidates, quality_prior)
-    }
-
-    /// [`ParserFrontier::new`] conditioned on the document category: gains
-    /// are measured under [`category_quality_prior`], so a scanned-corpus
-    /// frontier keeps OCR upgrades a clean-corpus frontier would prune.
-    pub fn for_category(
-        base: ParserKind,
-        candidates: &[ParserKind],
-        category: docmodel::DocCategory,
-    ) -> Self {
-        ParserFrontier::with_prior(base, candidates, |k| category_quality_prior(k, category))
-    }
-
-    /// Frontier construction under an arbitrary quality prior (same
-    /// pruning, ordering and weight normalization as [`ParserFrontier::new`]).
-    pub fn with_prior(
-        base: ParserKind,
-        candidates: &[ParserKind],
-        prior: impl Fn(ParserKind) -> f64,
-    ) -> Self {
-        let base_quality = prior(base);
+        let base_quality = quality_prior(base);
         let mut raw: Vec<(ParserKind, f64, f64)> = candidates
             .iter()
             .copied()
             .filter(|&k| k != base)
-            .map(|k| (k, prior(k) - base_quality, page_dollars(k)))
+            .map(|k| (k, quality_prior(k) - base_quality, page_dollars(k)))
             .filter(|&(_, gain, _)| gain > 0.0)
             .collect();
         // Deterministic sweep order: ascending cost, then descending gain,
@@ -335,58 +266,6 @@ mod tests {
                 pool.get(kind) as *const dyn Parser as *const ()
             ));
         }
-        assert_eq!(pool.iter().count(), ParserKind::ALL.len());
-    }
-
-    #[test]
-    fn category_priors_reorder_the_zoo_sensibly() {
-        use docmodel::DocCategory;
-        // Scans: render readers beat text-layer extraction decisively.
-        assert!(
-            category_quality_prior(ParserKind::Tesseract, DocCategory::Scanned)
-                > category_quality_prior(ParserKind::PyMuPdf, DocCategory::Scanned)
-        );
-        // Clean born-digital: extraction nearly closes the gap it loses on
-        // the global prior.
-        let clean_gap = category_quality_prior(ParserKind::Marker, DocCategory::CleanBornDigital)
-            - category_quality_prior(ParserKind::PyMuPdf, DocCategory::CleanBornDigital);
-        assert!(clean_gap < quality_prior(ParserKind::Marker) - quality_prior(ParserKind::PyMuPdf));
-        // Multilingual punishes Latin-script OCR below extraction's level.
-        assert!(
-            category_quality_prior(ParserKind::Tesseract, DocCategory::Multilingual)
-                < quality_prior(ParserKind::Tesseract)
-        );
-        for category in DocCategory::ALL {
-            for kind in ParserKind::ALL {
-                assert!((0.0..=1.0).contains(&category_quality_prior(kind, category)));
-            }
-        }
-    }
-
-    #[test]
-    fn category_frontier_conditions_the_pruning() {
-        use docmodel::DocCategory;
-        // On a clean corpus the OCR step's gain shrinks; on scans the
-        // extraction base is so weak every render parser stays attractive.
-        let scanned =
-            ParserFrontier::for_category(ParserKind::PyMuPdf, &ParserKind::ALL, DocCategory::Scanned);
-        let clean = ParserFrontier::for_category(
-            ParserKind::PyMuPdf,
-            &ParserKind::ALL,
-            DocCategory::CleanBornDigital,
-        );
-        let gain_of =
-            |f: &ParserFrontier, kind| f.upgrades().iter().find(|e| e.parser == kind).map(|e| e.quality_gain);
-        let scanned_ocr = gain_of(&scanned, ParserKind::Tesseract).expect("OCR survives on scans");
-        // None means pruned outright — also acceptable conditioning.
-        if let Some(clean_ocr) = gain_of(&clean, ParserKind::Tesseract) {
-            assert!(clean_ocr < scanned_ocr);
-        }
-        // The unconditioned frontier is with_prior under the global prior.
-        assert_eq!(
-            ParserFrontier::new(ParserKind::PyMuPdf, &ParserKind::ALL),
-            ParserFrontier::with_prior(ParserKind::PyMuPdf, &ParserKind::ALL, quality_prior)
-        );
     }
 
     #[test]

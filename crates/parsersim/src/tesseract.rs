@@ -10,7 +10,7 @@ use docmodel::spdf::{SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
 
 use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{first_page_with, ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, first_page_with, ParseError, ParseOutput, Parser, ParserKind};
 
 /// Tesseract OCR simulator.
 #[derive(Debug, Clone)]
@@ -52,35 +52,16 @@ impl Parser for TesseractParser {
     }
 
     fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        if file.pages.is_empty() {
-            return Err(ParseError::EmptyDocument);
-        }
-        let mut pages_parsed = 0usize;
-        let mut out_pages = Vec::with_capacity(file.pages.len());
-        let mut difficulty_sum = 0.0;
         let mut legibility_sum = 0.0;
-        for page in &file.pages {
-            difficulty_sum += content_difficulty(&page.glyph_text);
+        let pages = file.pages.iter().map(|page| {
             legibility_sum += page.image.legibility();
-            let text = Self::recognize_page(page, rng);
-            pages_parsed += text.is_some() as usize;
-            out_pages.push(text.unwrap_or_default());
-        }
-        let pages = file.pages.len() as f64;
-        let mean_difficulty = difficulty_sum / pages;
-        let mean_legibility = legibility_sum / pages;
+            (content_difficulty(&page.glyph_text), Self::recognize_page(page, rng))
+        });
+        let mut output = assemble_pages(self.kind(), &self.cost, pages)?;
+        let mean_legibility = legibility_sum / file.pages.len() as f64;
         // Degraded scans cost more OCR passes (binarization retries etc.).
-        let cost = self
-            .cost
-            .document_cost(file.pages.len(), mean_difficulty)
-            .scaled(1.0 + 0.5 * (1.0 - mean_legibility));
-        Ok(ParseOutput {
-            parser: self.kind(),
-            text: out_pages.join("\u{c}"),
-            pages_parsed,
-            pages_total: file.pages.len(),
-            cost,
-        })
+        output.cost = output.cost.scaled(1.0 + 0.5 * (1.0 - mean_legibility));
+        Ok(output)
     }
 
     fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {

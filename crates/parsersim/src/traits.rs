@@ -4,7 +4,7 @@ use docmodel::spdf::{SpdfError, SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
-use crate::cost::ResourceCost;
+use crate::cost::{CostModel, ResourceCost};
 
 /// Identity of a concrete parser implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -44,11 +44,6 @@ impl ParserKind {
             ParserKind::Nougat => "Nougat",
             ParserKind::Marker => "Marker",
         }
-    }
-
-    /// Parse a kind from its display name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<ParserKind> {
-        ParserKind::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(name))
     }
 
     /// Whether this parser needs a GPU to run at a useful speed.
@@ -156,6 +151,41 @@ pub(crate) fn first_page_with(
     Ok(cut_at_form_feed(body(&page).unwrap_or_default()))
 }
 
+/// The epilogue every `parse_file` shares: fold a parser's per-page
+/// `(content difficulty, text)` stream — `None` for a page it produced
+/// nothing for — into the form-feed-joined [`ParseOutput`], priced by `cost`
+/// at the mean difficulty. The stream is consumed in page order, so a page
+/// body's RNG draws happen exactly where the parser's own loop made them.
+///
+/// # Errors
+///
+/// [`ParseError::EmptyDocument`] for a zero-page stream.
+pub(crate) fn assemble_pages(
+    parser: ParserKind,
+    cost: &CostModel,
+    pages: impl ExactSizeIterator<Item = (f64, Option<String>)>,
+) -> Result<ParseOutput, ParseError> {
+    let pages_total = pages.len();
+    if pages_total == 0 {
+        return Err(ParseError::EmptyDocument);
+    }
+    let mut pages_parsed = 0usize;
+    let mut out_pages = Vec::with_capacity(pages_total);
+    let mut difficulty_sum = 0.0;
+    for (difficulty, text) in pages {
+        difficulty_sum += difficulty;
+        pages_parsed += text.is_some() as usize;
+        out_pages.push(text.unwrap_or_default());
+    }
+    Ok(ParseOutput {
+        parser,
+        text: out_pages.join("\u{c}"),
+        pages_parsed,
+        pages_total,
+        cost: cost.document_cost(pages_total, difficulty_sum / pages_total as f64),
+    })
+}
+
 /// A PDF parser simulator.
 ///
 /// Implementations are deterministic given the input bytes and the caller's
@@ -215,15 +245,6 @@ pub trait Parser: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in ParserKind::ALL {
-            assert_eq!(ParserKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(ParserKind::from_name("nougat"), Some(ParserKind::Nougat));
-        assert_eq!(ParserKind::from_name("unknown"), None);
-    }
 
     #[test]
     fn gpu_and_extraction_flags() {

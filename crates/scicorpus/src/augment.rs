@@ -69,22 +69,6 @@ pub fn augment_text_layers(documents: &mut [Document], config: &AugmentConfig) -
     touched
 }
 
-/// Perturb metadata of a random `fraction` of documents: the producer string
-/// is dropped and the year is zeroed, modelling the unreliable metadata the
-/// paper warns about. Returns the indices of perturbed documents.
-pub fn perturb_metadata(documents: &mut [Document], config: &AugmentConfig) -> Vec<usize> {
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(2));
-    let mut touched = Vec::new();
-    for (index, doc) in documents.iter_mut().enumerate() {
-        if rng.gen_bool(config.fraction.clamp(0.0, 1.0)) {
-            doc.metadata.producer = docmodel::metadata::ProducerTool::Unknown;
-            doc.metadata.year = 0;
-            touched.push(index);
-        }
-    }
-    touched
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +130,6 @@ mod tests {
         let config = AugmentConfig { fraction: 0.0, seed: 1 };
         assert!(augment_image_layers(&mut docs, &config).is_empty());
         assert!(augment_text_layers(&mut docs, &config).is_empty());
-        assert!(perturb_metadata(&mut docs, &config).is_empty());
         assert_eq!(docs, original);
     }
 
@@ -159,15 +142,5 @@ mod tests {
         let tb = augment_image_layers(&mut b, &config);
         assert_eq!(ta, tb);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn metadata_perturbation_wipes_producer_and_year() {
-        let mut docs = corpus(40);
-        let touched = perturb_metadata(&mut docs, &AugmentConfig { fraction: 0.5, seed: 11 });
-        for &i in &touched {
-            assert_eq!(docs[i].metadata.producer, docmodel::metadata::ProducerTool::Unknown);
-            assert_eq!(docs[i].metadata.year, 0);
-        }
     }
 }

@@ -10,10 +10,6 @@
 //! sampled from the mix, each category generates from its own preset
 //! stream, and document ids are reassigned corpus-sequentially. The result
 //! is a pure function of `(base config, mix, n, seed)`.
-//!
-//! The matching per-category parser-quality priors live in
-//! `parsersim::registry::category_quality_prior`, keyed by the same
-//! [`DocCategory`] — corpus skew and routing priors stay in one taxonomy.
 
 use docmodel::document::{DocId, Document};
 use docmodel::metadata::DocCategory;
@@ -32,11 +28,6 @@ pub struct CategoryMix {
 }
 
 impl CategoryMix {
-    /// Equal weight on every category.
-    pub fn uniform() -> Self {
-        CategoryMix { weights: DocCategory::ALL.iter().map(|&c| (c, 1.0)).collect() }
-    }
-
     /// A corpus shaped like the paper's: mostly clean born-digital, a solid
     /// tables-heavy slice, and scanned/multilingual minorities.
     pub fn paper_default() -> Self {
@@ -112,11 +103,6 @@ pub struct CategorizedCorpus {
 }
 
 impl CategorizedCorpus {
-    /// Documents drawn from `category`.
-    pub fn of_category(&self, category: DocCategory) -> Vec<&Document> {
-        self.documents.iter().zip(&self.categories).filter(|&(_, &c)| c == category).map(|(d, _)| d).collect()
-    }
-
     /// Per-category document counts in [`DocCategory::ALL`] order.
     pub fn counts(&self) -> Vec<(DocCategory, usize)> {
         DocCategory::ALL
@@ -210,6 +196,6 @@ mod tests {
         let mix = CategoryMix { weights: vec![(DocCategory::Scanned, 1.0)] };
         let corpus = generate_categorized(&base, &mix, 25, 31);
         assert!(corpus.documents.iter().all(|d| d.image_layer.scanned));
-        assert_eq!(corpus.of_category(DocCategory::Scanned).len(), 25);
+        assert_eq!(corpus.categories, vec![DocCategory::Scanned; 25]);
     }
 }

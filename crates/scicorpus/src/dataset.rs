@@ -1,6 +1,6 @@
 //! Corpus container, deterministic splits and difficulty ranking.
 
-use docmodel::document::{DocId, Document};
+use docmodel::document::Document;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -77,31 +77,6 @@ impl Corpus {
         &self.documents
     }
 
-    /// Mutable access to all documents (for augmentation passes).
-    pub fn documents_mut(&mut self) -> &mut [Document] {
-        &mut self.documents
-    }
-
-    /// Look up a document by id.
-    pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.documents.iter().find(|d| d.id == id)
-    }
-
-    /// Override the split sizes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the split covers more documents than the corpus holds.
-    pub fn set_split(&mut self, split: SplitSizes) {
-        assert!(
-            split.total() <= self.documents.len(),
-            "split covers {} documents but corpus has {}",
-            split.total(),
-            self.documents.len()
-        );
-        self.split = split;
-    }
-
     /// Current split sizes.
     pub fn split(&self) -> SplitSizes {
         self.split
@@ -124,20 +99,6 @@ impl Corpus {
 
     fn slice(&self, start: usize, len: usize) -> Vec<&Document> {
         self.order.iter().skip(start).take(len).filter_map(|&i| self.documents.get(i)).collect()
-    }
-
-    /// Documents sorted by descending intrinsic difficulty, together with the
-    /// difficulty values — the ranking used for Figure 3's x-axis.
-    pub fn difficulty_ranking(&self) -> Vec<(&Document, f64)> {
-        let mut ranked: Vec<(&Document, f64)> =
-            self.documents.iter().map(|d| (d, d.intrinsic_difficulty())).collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        ranked
-    }
-
-    /// Only the born-digital documents (the Table 1 population).
-    pub fn born_digital(&self) -> Vec<&Document> {
-        self.documents.iter().filter(|d| d.is_born_digital()).collect()
     }
 }
 
@@ -181,43 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_split_sizes_are_respected() {
-        let mut corpus = small_corpus();
-        corpus.set_split(SplitSizes { train: 5, validation: 3, test: 10 });
-        assert_eq!(corpus.train().len(), 5);
-        assert_eq!(corpus.validation().len(), 3);
-        assert_eq!(corpus.test().len(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "split covers")]
-    fn oversized_split_panics() {
-        let mut corpus = small_corpus();
-        corpus.set_split(SplitSizes { train: 100, validation: 0, test: 0 });
-    }
-
-    #[test]
-    fn difficulty_ranking_is_descending() {
-        let corpus = small_corpus();
-        let ranking = corpus.difficulty_ranking();
-        assert_eq!(ranking.len(), corpus.len());
-        for pair in ranking.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-    }
-
-    #[test]
-    fn get_by_id_and_born_digital_filter() {
-        let corpus = small_corpus();
-        let first = &corpus.documents()[0];
-        assert_eq!(corpus.get(first.id), Some(first));
-        assert!(corpus.get(DocId(999_999)).is_none());
-        for doc in corpus.born_digital() {
-            assert!(doc.is_born_digital());
-        }
-    }
-
-    #[test]
     fn proportional_split_adds_up() {
         for n in [0usize, 1, 7, 100, 1234] {
             let s = SplitSizes::proportional(n);
@@ -230,6 +154,5 @@ mod tests {
         let corpus = Corpus::from_documents(vec![], 1);
         assert!(corpus.is_empty());
         assert!(corpus.train().is_empty());
-        assert!(corpus.difficulty_ranking().is_empty());
     }
 }

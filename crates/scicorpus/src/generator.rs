@@ -81,11 +81,6 @@ impl DocumentGenerator {
         DocumentGenerator { config, rng, next_id: 0 }
     }
 
-    /// The configuration the generator was built with.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
     /// Generate the next document.
     pub fn generate(&mut self) -> Document {
         let id = DocId(self.next_id);

@@ -13,7 +13,7 @@
 //! * [`augment`] — the §7.2 augmentation pipelines (image-layer degradation,
 //!   text-layer replacement),
 //! * [`dataset`] — corpus container, deterministic train/validation/test
-//!   splits and difficulty ranking.
+//!   splits.
 //!
 //! # Example
 //!

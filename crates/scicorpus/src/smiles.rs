@@ -42,34 +42,34 @@ pub fn random_smiles<R: Rng + ?Sized>(rng: &mut R) -> String {
     smiles(rng, n)
 }
 
-/// Check structural well-formedness used by tests: parentheses and brackets
-/// balanced, ring-closure digits paired (every digit appears an even number
-/// of times).
-pub fn is_plausible(code: &str) -> bool {
-    let mut paren = 0i32;
-    let mut bracket = 0i32;
-    let mut digit_counts = [0usize; 10];
-    for c in code.chars() {
-        match c {
-            '(' => paren += 1,
-            ')' => paren -= 1,
-            '[' => bracket += 1,
-            ']' => bracket -= 1,
-            d if d.is_ascii_digit() => digit_counts[d as usize - '0' as usize] += 1,
-            _ => {}
-        }
-        if paren < 0 || bracket < 0 {
-            return false;
-        }
-    }
-    paren == 0 && bracket == 0 && digit_counts.iter().all(|&c| c % 2 == 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Structural well-formedness: parentheses and brackets balanced,
+    /// ring-closure digits paired (every digit appears an even number of
+    /// times).
+    fn is_plausible(code: &str) -> bool {
+        let mut paren = 0i32;
+        let mut bracket = 0i32;
+        let mut digit_counts = [0usize; 10];
+        for c in code.chars() {
+            match c {
+                '(' => paren += 1,
+                ')' => paren -= 1,
+                '[' => bracket += 1,
+                ']' => bracket -= 1,
+                d if d.is_ascii_digit() => digit_counts[d as usize - '0' as usize] += 1,
+                _ => {}
+            }
+            if paren < 0 || bracket < 0 {
+                return false;
+            }
+        }
+        paren == 0 && bracket == 0 && digit_counts.iter().all(|&c| c % 2 == 0)
+    }
 
     #[test]
     fn generated_smiles_are_plausible() {

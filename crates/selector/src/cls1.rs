@@ -53,27 +53,6 @@ impl ValidityRules {
         let symbol_soup = counts.alphanumeric_ratio() < self.min_alphanumeric_ratio;
         !(too_sparse || garbled || symbol_soup)
     }
-
-    /// The fraction of samples a rule set marks invalid (used to sanity-check
-    /// thresholds against a corpus).
-    pub fn invalid_fraction<'a, I>(&self, samples: I) -> f64
-    where
-        I: IntoIterator<Item = (&'a str, usize)>,
-    {
-        let mut total = 0usize;
-        let mut invalid = 0usize;
-        for (text, pages) in samples {
-            total += 1;
-            if !self.is_valid(text, pages) {
-                invalid += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            invalid as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,16 +92,6 @@ mod tests {
         let rules = ValidityRules::default();
         let scrambled = "q3 x9 z1 k2 p0 w4 j7 v5 ".repeat(20);
         assert_eq!(rules.decide(&scrambled, 1), Cls1Decision::Invalid);
-    }
-
-    #[test]
-    fn invalid_fraction_aggregates() {
-        let rules = ValidityRules::default();
-        let good = normal_page_text();
-        let samples = vec![(good.as_str(), 1usize), ("", 1), ("tiny", 1)];
-        let f = rules.invalid_fraction(samples);
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rules.invalid_fraction(Vec::<(&str, usize)>::new()), 0.0);
     }
 
     #[test]

@@ -18,20 +18,13 @@ pub const DEFAULT_IMPROVEMENT_THRESHOLD: f64 = 0.05;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ImprovementClassifier {
     model: LogisticRegression,
-    threshold: f64,
 }
 
 impl ImprovementClassifier {
     /// Untrained classifier for the standard 27+1-dimensional metadata
     /// feature vector (metadata one-hots plus normalized page count).
     pub fn new() -> Self {
-        ImprovementClassifier { model: LogisticRegression::new(28), threshold: DEFAULT_IMPROVEMENT_THRESHOLD }
-    }
-
-    /// Override the improvement threshold used to derive training labels.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
+        ImprovementClassifier { model: LogisticRegression::new(28) }
     }
 
     fn features(metadata_features: &[f64], pages: usize) -> Vec<f64> {
@@ -41,8 +34,8 @@ impl ImprovementClassifier {
         f
     }
 
-    fn label(&self, sample: &AccuracySample) -> bool {
-        sample.improvement_over_extraction() > self.threshold
+    fn label(sample: &AccuracySample) -> bool {
+        sample.improvement_over_extraction() > DEFAULT_IMPROVEMENT_THRESHOLD
     }
 
     /// Train on labelled samples.
@@ -52,34 +45,14 @@ impl ImprovementClassifier {
         }
         let xs: Vec<Vec<f64>> =
             samples.iter().map(|s| Self::features(&s.metadata_features, s.pages)).collect();
-        let ys: Vec<bool> = samples.iter().map(|s| self.label(s)).collect();
+        let ys: Vec<bool> = samples.iter().map(Self::label).collect();
         self.model.fit(&xs, &ys, 300, 0.5, 1e-4);
     }
 
-    /// Probability that another parser meaningfully improves this document.
-    pub fn improvement_probability(&self, sample: &AccuracySample) -> f64 {
-        self.probability_from(&sample.metadata_features, sample.pages)
-    }
-
-    /// [`Self::improvement_probability`] from the two things it reads — the
-    /// metadata feature vector and the page count — for callers that hold
-    /// them without an [`AccuracySample`] around them.
+    /// Probability that another parser meaningfully improves a document,
+    /// from its metadata feature vector and page count.
     pub fn probability_from(&self, metadata_features: &[f64], pages: usize) -> f64 {
         self.model.predict_proba(&Self::features(metadata_features, pages))
-    }
-
-    /// Hard decision at 0.5.
-    pub fn improvement_likely(&self, sample: &AccuracySample) -> bool {
-        self.improvement_probability(sample) >= 0.5
-    }
-
-    /// Classification accuracy against the derived labels.
-    pub fn accuracy(&self, samples: &[AccuracySample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let correct = samples.iter().filter(|s| self.improvement_likely(s) == self.label(s)).count();
-        correct as f64 / samples.len() as f64
     }
 }
 
@@ -132,35 +105,24 @@ mod tests {
         let samples = synthetic_samples(120);
         let mut clf = ImprovementClassifier::new();
         clf.fit(&samples);
-        assert!(clf.accuracy(&samples) > 0.9, "accuracy = {}", clf.accuracy(&samples));
         // Scanner docs (even indices) should have high improvement probability.
-        assert!(clf.improvement_probability(&samples[0]) > 0.6);
-        assert!(clf.improvement_probability(&samples[1]) < 0.4);
+        let probability = |s: &AccuracySample| clf.probability_from(&s.metadata_features, s.pages);
+        assert!(probability(&samples[0]) > 0.6);
+        assert!(probability(&samples[1]) < 0.4);
     }
 
     #[test]
     fn untrained_classifier_is_indifferent() {
         let clf = ImprovementClassifier::new();
         let samples = synthetic_samples(2);
-        let p = clf.improvement_probability(&samples[0]);
+        let p = clf.probability_from(&samples[0].metadata_features, samples[0].pages);
         assert!((p - 0.5).abs() < 1e-9);
     }
 
     #[test]
-    fn empty_fit_and_accuracy() {
+    fn empty_fit_is_a_no_op() {
         let mut clf = ImprovementClassifier::new();
         clf.fit(&[]);
-        assert_eq!(clf.accuracy(&[]), 0.0);
-    }
-
-    #[test]
-    fn threshold_changes_labels() {
-        let samples = synthetic_samples(4);
-        let strict = ImprovementClassifier::new().with_threshold(0.9);
-        // With an extreme threshold nothing is an improvement, so labels are
-        // all false and an untrained model (p = 0.5 -> likely) is wrong.
-        assert!(!strict.label(&samples[0]));
-        let lenient = ImprovementClassifier::new().with_threshold(0.0);
-        assert!(lenient.label(&samples[0]));
+        assert_eq!(clf, ImprovementClassifier::new());
     }
 }

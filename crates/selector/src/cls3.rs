@@ -2,15 +2,13 @@
 //!
 //! The third stage embeds the first-page extraction with a frozen
 //! "pretrained" encoder, regresses the BLEU every parser would achieve on the
-//! document (the paper's m = 6 output head), and selects the argmax —
-//! optionally restricted to the parsers AdaParse actually deploys. Human
+//! document (the paper's m = 6 output head), and selects the argmax. Human
 //! preference data enters through DPO: a scalar quality scorer is post-trained
 //! on (preferred output, rejected output) pairs and distilled into a
 //! per-parser alignment bias added to the predicted accuracies.
 
 use mlcore::dpo::{DpoConfig, DpoTrainer, PreferencePair};
 use mlcore::encoder::{EncoderProfile, PretrainedEncoder};
-use mlcore::eval::r_squared;
 use mlcore::linear::LinearRegression;
 use parsersim::ParserKind;
 use serde::{Deserialize, Serialize};
@@ -84,11 +82,6 @@ impl AccuracyPredictor {
         }
     }
 
-    /// The encoder profile in use.
-    pub fn encoder_profile(&self) -> EncoderProfile {
-        self.encoder.profile()
-    }
-
     /// Supervised fine-tuning: regress per-parser BLEU from first-page text.
     pub fn fit_regression(&mut self, samples: &[AccuracySample]) {
         if samples.is_empty() {
@@ -150,14 +143,10 @@ impl AccuracyPredictor {
     }
 
     /// Predicted BLEU for every parser, in [`ParserKind::ALL`] order, clamped
-    /// to `[0, 1]` before the alignment bias is added.
-    pub fn predict_accuracies(&self, first_page_text: &str) -> Vec<f64> {
-        self.predict_accuracies_batch(&[first_page_text]).pop().expect("one prediction per text")
-    }
-
-    /// [`Self::predict_accuracies`] for a batch of texts, in order: one pass
-    /// of the encoder's batched projection, then the regression head per
-    /// embedding. A text's predictions do not depend on its batch-mates.
+    /// to `[0, 1]` before the alignment bias is added, for a batch of texts
+    /// in order: one pass of the encoder's batched projection, then the
+    /// regression head per embedding. A text's predictions do not depend on
+    /// its batch-mates.
     pub fn predict_accuracies_batch<S: AsRef<str>>(&self, first_page_texts: &[S]) -> Vec<Vec<f64>> {
         self.encoder
             .encode_batch(first_page_texts)
@@ -173,51 +162,13 @@ impl AccuracyPredictor {
             .collect()
     }
 
-    /// Select the parser with the highest predicted accuracy.
-    pub fn select(&self, first_page_text: &str) -> ParserKind {
-        self.select_restricted(first_page_text, &ParserKind::ALL)
-    }
-
-    /// [`Self::select`] for a batch of texts, in order.
+    /// The parser with the highest predicted accuracy for each text of a
+    /// batch, in order.
     pub fn select_batch<S: AsRef<str>>(&self, first_page_texts: &[S]) -> Vec<ParserKind> {
         self.predict_accuracies_batch(first_page_texts)
             .iter()
-            .map(|predictions| best_predicted(predictions, &ParserKind::ALL))
+            .map(|predictions| best_predicted(predictions))
             .collect()
-    }
-
-    /// Select the best parser among an allowed subset (AdaParse restricts
-    /// itself to PyMuPDF and Nougat for scalability, Appendix C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `allowed` is empty.
-    pub fn select_restricted(&self, first_page_text: &str, allowed: &[ParserKind]) -> ParserKind {
-        best_predicted(&self.predict_accuracies(first_page_text), allowed)
-    }
-
-    /// Predicted BLEU improvement of `candidate` over `baseline` for a
-    /// document (used by the budget optimizer's ranking).
-    pub fn predicted_improvement(
-        &self,
-        first_page_text: &str,
-        candidate: ParserKind,
-        baseline: ParserKind,
-    ) -> f64 {
-        let predictions = self.predict_accuracies(first_page_text);
-        predictions[candidate.index()] - predictions[baseline.index()]
-    }
-
-    /// R² of the predicted accuracy of one parser over a sample set (the
-    /// paper reports ≈40 % for PyMuPDF and ≈46.5 % for Nougat).
-    pub fn r_squared_for(&self, kind: ParserKind, samples: &[AccuracySample]) -> f64 {
-        let predicted: Vec<f64> = self
-            .predict_accuracies_batch(&first_page_texts(samples))
-            .iter()
-            .map(|predictions| predictions[kind.index()])
-            .collect();
-        let observed: Vec<f64> = samples.iter().map(|s| s.target_for(kind)).collect();
-        r_squared(&predicted, &observed)
     }
 
     /// Fraction of samples where the selected parser equals the BLEU-maximal
@@ -230,31 +181,16 @@ impl AccuracyPredictor {
         let correct = samples.iter().zip(selected).filter(|(s, kind)| *kind == s.best_parser()).count();
         correct as f64 / samples.len() as f64
     }
-
-    /// Mean BLEU achieved on `samples` when parsing each document with the
-    /// parser this predictor selects.
-    pub fn achieved_bleu(&self, samples: &[AccuracySample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let selected = self.select_batch(&first_page_texts(samples));
-        samples.iter().zip(selected).map(|(s, kind)| s.target_for(kind)).sum::<f64>() / samples.len() as f64
-    }
 }
 
-/// The allowed parser with the highest prediction (the last one on ties).
-///
-/// # Panics
-///
-/// Panics if `allowed` is empty.
-fn best_predicted(predictions: &[f64], allowed: &[ParserKind]) -> ParserKind {
-    assert!(!allowed.is_empty(), "allowed parser set must not be empty");
-    *allowed
-        .iter()
+/// The parser with the highest prediction (the last one on ties).
+fn best_predicted(predictions: &[f64]) -> ParserKind {
+    ParserKind::ALL
+        .into_iter()
         .max_by(|a, b| {
             predictions[a.index()].partial_cmp(&predictions[b.index()]).unwrap_or(std::cmp::Ordering::Equal)
         })
-        .expect("non-empty allowed set")
+        .expect("ParserKind::ALL is not empty")
 }
 
 #[cfg(test)]
@@ -299,24 +235,6 @@ mod tests {
         predictor.fit_regression(&samples);
         let acc = predictor.selection_accuracy(&samples);
         assert!(acc > 0.8, "selection accuracy = {acc}");
-        let achieved = predictor.achieved_bleu(&samples);
-        let random_ish = 0.35;
-        assert!(achieved > random_ish);
-        // Restricted selection only ever returns allowed parsers.
-        let restricted = predictor
-            .select_restricted(&samples[0].first_page_text, &[ParserKind::PyMuPdf, ParserKind::Nougat]);
-        assert!(matches!(restricted, ParserKind::PyMuPdf | ParserKind::Nougat));
-    }
-
-    #[test]
-    fn r_squared_is_meaningful_after_training() {
-        let samples = synthetic_samples(60);
-        let mut predictor = AccuracyPredictor::new(PredictorConfig::default());
-        let before = predictor.r_squared_for(ParserKind::Nougat, &samples);
-        predictor.fit_regression(&samples);
-        let after = predictor.r_squared_for(ParserKind::Nougat, &samples);
-        assert!(after > before, "r2 {before} -> {after}");
-        assert!(after > 0.3);
     }
 
     #[test]
@@ -349,25 +267,10 @@ mod tests {
     #[test]
     fn untrained_predictor_is_usable_and_bounded() {
         let predictor = AccuracyPredictor::new(PredictorConfig::default());
-        let preds = predictor.predict_accuracies("any text at all");
+        let preds = predictor.predict_accuracies_batch(&["any text at all"]).remove(0);
         assert_eq!(preds.len(), ParserKind::ALL.len());
         assert!(preds.iter().all(|p| p.is_finite()));
         assert_eq!(predictor.dpo_pair_accuracy(), None);
         assert_eq!(predictor.selection_accuracy(&[]), 0.0);
-        assert_eq!(predictor.achieved_bleu(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "allowed parser set")]
-    fn empty_allowed_set_panics() {
-        AccuracyPredictor::new(PredictorConfig::default()).select_restricted("text", &[]);
-    }
-
-    #[test]
-    fn predicted_improvement_is_antisymmetric() {
-        let predictor = AccuracyPredictor::new(PredictorConfig::default());
-        let a = predictor.predicted_improvement("text", ParserKind::Nougat, ParserKind::PyMuPdf);
-        let b = predictor.predicted_improvement("text", ParserKind::PyMuPdf, ParserKind::Nougat);
-        assert!((a + b).abs() < 1e-12);
     }
 }

@@ -131,24 +131,6 @@ impl AccuracyDataset {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Mean BLEU achieved by always picking the per-document best parser
-    /// (the "BLEU-maximal selection" reference row of Table 4).
-    pub fn oracle_bleu(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.targets[s.best_parser_index()]).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Mean BLEU achieved by always picking the per-document worst parser.
-    pub fn worst_case_bleu(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|s| s.targets.iter().cloned().fold(f64::INFINITY, f64::min)).sum::<f64>()
-            / self.samples.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -183,18 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_dominates_every_fixed_parser_and_the_worst_case() {
-        let ds = dataset(14);
-        let oracle = ds.oracle_bleu();
-        let worst = ds.worst_case_bleu();
-        assert!(oracle >= worst);
-        for kind in ParserKind::ALL {
-            let fixed: f64 = ds.samples().iter().map(|s| s.target_for(kind)).sum::<f64>() / ds.len() as f64;
-            assert!(oracle >= fixed - 1e-9, "oracle {oracle} must dominate {kind} at {fixed}");
-        }
-    }
-
-    #[test]
     fn best_parser_helpers_agree() {
         let ds = dataset(6);
         for sample in ds.samples() {
@@ -208,7 +178,5 @@ mod tests {
     fn empty_dataset_behaves() {
         let ds = AccuracyDataset::from_evaluations(&[], &[], 0.7);
         assert!(ds.is_empty());
-        assert_eq!(ds.oracle_bleu(), 0.0);
-        assert_eq!(ds.worst_case_bleu(), 0.0);
     }
 }

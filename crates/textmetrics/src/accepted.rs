@@ -7,8 +7,6 @@
 //! acceptance rate, and accepted-tokens-per-resource-unit is the paper's
 //! notion of goodput.
 
-use crate::tokenize::count_words;
-
 /// Default BLEU threshold above which a document's tokens count as accepted.
 ///
 /// Chosen so that strong parses (BLEU in the 40–50 % range reported in the
@@ -38,11 +36,6 @@ impl AcceptedTokens {
         }
     }
 
-    /// Record a document by counting tokens in its parsed text.
-    pub fn record_text(&mut self, text: &str, score: f64, threshold: f64) {
-        self.record(count_words(text), score, threshold);
-    }
-
     /// The accepted-token rate in `[0, 1]`; `0.0` if nothing was recorded.
     pub fn rate(&self) -> f64 {
         if self.total == 0 {
@@ -51,36 +44,6 @@ impl AcceptedTokens {
             self.accepted as f64 / self.total as f64
         }
     }
-
-    /// Merge another accumulator into this one (for per-node aggregation).
-    pub fn merge(&mut self, other: &AcceptedTokens) {
-        self.accepted += other.accepted;
-        self.total += other.total;
-    }
-
-    /// Goodput: accepted tokens per unit of resource time.
-    ///
-    /// Returns `None` when `resource_seconds` is not strictly positive.
-    pub fn goodput(&self, resource_seconds: f64) -> Option<f64> {
-        if resource_seconds > 0.0 {
-            Some(self.accepted as f64 / resource_seconds)
-        } else {
-            None
-        }
-    }
-}
-
-/// One-shot accepted-token rate over `(parsed_text, score)` pairs with the
-/// default threshold.
-pub fn accepted_token_rate<'a, I>(docs: I) -> f64
-where
-    I: IntoIterator<Item = (&'a str, f64)>,
-{
-    let mut acc = AcceptedTokens::new();
-    for (text, score) in docs {
-        acc.record_text(text, score, DEFAULT_ACCEPTANCE_THRESHOLD);
-    }
-    acc.rate()
 }
 
 #[cfg(test)]
@@ -114,41 +77,5 @@ mod tests {
         let mut acc = AcceptedTokens::new();
         acc.record(10, 0.3, 0.3);
         assert_eq!(acc.rate(), 1.0);
-    }
-
-    #[test]
-    fn record_text_counts_words() {
-        let mut acc = AcceptedTokens::new();
-        acc.record_text("five words are counted here", 1.0, 0.5);
-        assert_eq!(acc.total, 5);
-        assert_eq!(acc.accepted, 5);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = AcceptedTokens::new();
-        a.record(10, 1.0, 0.5);
-        let mut b = AcceptedTokens::new();
-        b.record(30, 0.0, 0.5);
-        a.merge(&b);
-        assert_eq!(a.total, 40);
-        assert_eq!(a.accepted, 10);
-        assert!((a.rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn goodput_requires_positive_time() {
-        let mut a = AcceptedTokens::new();
-        a.record(100, 1.0, 0.5);
-        assert_eq!(a.goodput(0.0), None);
-        assert_eq!(a.goodput(-1.0), None);
-        assert!((a.goodput(4.0).unwrap() - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn one_shot_helper() {
-        let docs = [("good parse of the document text", 0.8), ("bad", 0.0)];
-        let rate = accepted_token_rate(docs.iter().map(|(t, s)| (*t, *s)));
-        assert!(rate > 0.5 && rate < 1.0);
     }
 }

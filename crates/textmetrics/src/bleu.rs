@@ -58,43 +58,6 @@ pub fn sentence_bleu(candidate: &str, reference: &str) -> f64 {
     sentence_bleu_with(candidate, reference, BleuConfig::default()).score
 }
 
-/// Corpus-level BLEU: n-gram statistics are pooled over all pairs before the
-/// geometric mean is taken (the standard corpus BLEU definition).
-///
-/// Returns a score of `0.0` for an empty corpus.
-pub fn corpus_bleu(pairs: &[(String, String)]) -> f64 {
-    corpus_bleu_with(pairs, BleuConfig::default()).score
-}
-
-/// Corpus-level BLEU with an explicit configuration.
-pub fn corpus_bleu_with(pairs: &[(String, String)], config: BleuConfig) -> BleuScore {
-    let max_order = config.max_order.max(1);
-    if pairs.is_empty() {
-        return BleuScore {
-            score: 0.0,
-            precisions: vec![0.0; max_order],
-            brevity_penalty: 1.0,
-            candidate_len: 0,
-            reference_len: 0,
-        };
-    }
-    let mut matches = vec![0usize; max_order];
-    let mut totals = vec![0usize; max_order];
-    let mut cand_len = 0usize;
-    let mut ref_len = 0usize;
-    for (candidate, reference) in pairs {
-        let (cand, refr, _) = intern_pair(candidate, reference);
-        cand_len += cand.len();
-        ref_len += refr.len();
-        let matched = NgramIndex::new(&refr, max_order).clipped_matches(&cand);
-        for (order, matched) in (1..).zip(matched) {
-            matches[order - 1] += matched;
-            totals[order - 1] += ngram_total(cand.len(), order);
-        }
-    }
-    finish_bleu(&matches, &totals, cand_len, ref_len, config.smoothing)
-}
-
 /// BLEU of two token-id sequences from one vocabulary.
 pub(crate) fn bleu_of_ids(cand: &[u32], refr: &[u32], config: BleuConfig) -> BleuScore {
     bleu_against(&NgramIndex::new(refr, config.max_order.max(1)), cand, config.smoothing)
@@ -221,27 +184,6 @@ mod tests {
         let s_faithful = sentence_bleu(faithful, reference);
         assert!(s_scrambled < s_faithful);
         assert!(s_scrambled > 0.0);
-    }
-
-    #[test]
-    fn corpus_bleu_pools_statistics() {
-        let pairs = vec![
-            ("the cat sat on the mat".to_string(), "the cat sat on the mat".to_string()),
-            ("a dog barked loudly outside".to_string(), "a dog barked loudly outside".to_string()),
-        ];
-        assert!(corpus_bleu(&pairs) > 0.99);
-        assert_eq!(corpus_bleu(&[]), 0.0);
-    }
-
-    #[test]
-    fn corpus_bleu_between_best_and_worst_pair() {
-        let good = ("exact match text here".to_string(), "exact match text here".to_string());
-        let bad = ("totally different words".to_string(), "reference content unrelated".to_string());
-        let corpus = corpus_bleu(&[good.clone(), bad.clone()]);
-        let g = sentence_bleu(&good.0, &good.1);
-        let b = sentence_bleu(&bad.0, &bad.1);
-        assert!(corpus <= g + 1e-9);
-        assert!(corpus + 1e-9 >= b);
     }
 
     #[test]

@@ -34,11 +34,11 @@ pub mod stats;
 pub mod tokenize;
 pub mod winrate;
 
-pub use accepted::{accepted_token_rate, AcceptedTokens};
-pub use bleu::{corpus_bleu, sentence_bleu, BleuConfig, BleuScore};
+pub use accepted::AcceptedTokens;
+pub use bleu::{sentence_bleu, BleuConfig, BleuScore};
 pub use levenshtein::{char_accuracy_rate, edit_distance, normalized_similarity};
 pub use rouge::{rouge_l, rouge_n, RougeScore};
-pub use stats::{mean, pearson, r_squared, std_dev, Summary};
+pub use stats::{mean, pearson, r_squared};
 pub use tokenize::{normalize_whitespace, tokenize_chars, tokenize_words};
 pub use winrate::{PreferenceOutcome, WinRateTable};
 
@@ -70,16 +70,6 @@ impl QualityReport {
     /// interned and whitespace-normalized once for all of them.
     pub fn compute(candidate: &str, reference: &str, coverage: f64) -> Self {
         ReferenceText::new(reference).score(candidate, coverage)
-    }
-
-    /// Average two reports element-wise (used when aggregating pages).
-    pub fn merge(&self, other: &QualityReport) -> QualityReport {
-        QualityReport {
-            bleu: 0.5 * (self.bleu + other.bleu),
-            rouge: 0.5 * (self.rouge + other.rouge),
-            car: 0.5 * (self.car + other.car),
-            coverage: 0.5 * (self.coverage + other.coverage),
-        }
     }
 }
 
@@ -119,22 +109,6 @@ impl ReferenceText {
     }
 }
 
-/// Aggregate a slice of [`QualityReport`]s by arithmetic mean.
-///
-/// Returns `None` for an empty slice.
-pub fn aggregate_reports(reports: &[QualityReport]) -> Option<QualityReport> {
-    if reports.is_empty() {
-        return None;
-    }
-    let n = reports.len() as f64;
-    Some(QualityReport {
-        bleu: reports.iter().map(|r| r.bleu).sum::<f64>() / n,
-        rouge: reports.iter().map(|r| r.rouge).sum::<f64>() / n,
-        car: reports.iter().map(|r| r.car).sum::<f64>() / n,
-        coverage: reports.iter().map(|r| r.coverage).sum::<f64>() / n,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,34 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_reports_means_fields() {
-        let a = QualityReport { bleu: 0.2, rouge: 0.4, car: 0.6, coverage: 0.8 };
-        let b = QualityReport { bleu: 0.4, rouge: 0.6, car: 0.8, coverage: 1.0 };
-        let m = aggregate_reports(&[a, b]).unwrap();
-        assert!((m.bleu - 0.3).abs() < 1e-12);
-        assert!((m.rouge - 0.5).abs() < 1e-12);
-        assert!((m.car - 0.7).abs() < 1e-12);
-        assert!((m.coverage - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_reports_empty_is_none() {
-        assert!(aggregate_reports(&[]).is_none());
-    }
-
-    #[test]
     fn coverage_is_clamped() {
         let r = QualityReport::compute("a", "a", 1.7);
         assert_eq!(r.coverage, 1.0);
         let r = QualityReport::compute("a", "a", -0.3);
         assert_eq!(r.coverage, 0.0);
-    }
-
-    #[test]
-    fn merge_averages() {
-        let a = QualityReport { bleu: 1.0, rouge: 1.0, car: 1.0, coverage: 1.0 };
-        let b = QualityReport { bleu: 0.0, rouge: 0.0, car: 0.0, coverage: 0.0 };
-        let m = a.merge(&b);
-        assert!((m.bleu - 0.5).abs() < 1e-12);
     }
 }

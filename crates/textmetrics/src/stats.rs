@@ -14,20 +14,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Population variance; `0.0` for slices with fewer than two elements.
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Pearson correlation coefficient of two equally-long samples.
 ///
 /// Returns `0.0` when either sample is constant or the lengths differ.
@@ -102,29 +88,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Simple ordinary-least-squares fit `y ≈ slope·x + intercept`.
-///
-/// Returns `(slope, intercept)`, or `(0, mean(y))` for degenerate inputs.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
-    if x.len() != y.len() || x.len() < 2 {
-        return (0.0, mean(y));
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (&a, &b) in x.iter().zip(y.iter()) {
-        num += (a - mx) * (b - my);
-        den += (a - mx) * (a - mx);
-    }
-    if den <= 0.0 {
-        (0.0, my)
-    } else {
-        let slope = num / den;
-        (slope, my - slope * mx)
-    }
-}
-
 /// Percentile via linear interpolation; `p` in `[0, 100]`.
 ///
 /// Returns `None` for an empty slice.
@@ -146,43 +109,14 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     }
 }
 
-/// A compact five-number-style summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum observation.
-    pub min: f64,
-    /// Maximum observation.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns a zeroed summary for empty input.
-    pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
-            return Summary { count: 0, mean: 0.0, std_dev: 0.0, min: 0.0, max: 0.0 };
-        }
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        Summary { count: values.len(), mean: mean(values), std_dev: std_dev(values), min, max }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance() {
+    fn mean_of_a_sample() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0, 6.0]), 4.0);
-        assert!((variance(&[2.0, 4.0, 6.0]) - 8.0 / 3.0).abs() < 1e-12);
-        assert_eq!(variance(&[5.0]), 0.0);
     }
 
     #[test]
@@ -224,34 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn linear_fit_recovers_line() {
-        let x = [0.0, 1.0, 2.0, 3.0];
-        let y = [1.0, 3.0, 5.0, 7.0];
-        let (slope, intercept) = linear_fit(&x, &y);
-        assert!((slope - 2.0).abs() < 1e-12);
-        assert!((intercept - 1.0).abs() < 1e-12);
-        let (s0, i0) = linear_fit(&[1.0, 1.0], &[2.0, 4.0]);
-        assert_eq!(s0, 0.0);
-        assert_eq!(i0, 3.0);
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(percentile(&v, 0.0), Some(1.0));
         assert_eq!(percentile(&v, 100.0), Some(4.0));
         assert_eq!(percentile(&v, 50.0), Some(2.5));
         assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn summary_of_sample() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]);
-        assert_eq!(s.count, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.count, 0);
     }
 }

@@ -146,24 +146,6 @@ pub(crate) fn intern_pair(candidate: &str, reference: &str) -> (Vec<u32>, Vec<u3
     (vocab.lookup(candidate), refr, vocab.len())
 }
 
-/// Split text into case-preserving word tokens (used by the win-rate and
-/// accepted-token accounting where capitalization is meaningful, e.g. pH vs Ph).
-pub fn tokenize_words_cased(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            current.push(ch);
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
-}
-
 /// Return the character sequence after whitespace normalization.
 ///
 /// This is the unit of comparison for the character accuracy rate.
@@ -290,11 +272,6 @@ mod tests {
         assert_eq!(tokenize_words("Hello, World!"), vec!["hello", "world"]);
         assert_eq!(tokenize_words("E = mc^2"), vec!["e", "mc", "2"]);
         assert!(tokenize_words("  \t ").is_empty());
-    }
-
-    #[test]
-    fn tokenize_words_cased_preserves_case() {
-        assert_eq!(tokenize_words_cased("pH and Ph"), vec!["pH", "and", "Ph"]);
     }
 
     #[test]

@@ -3,9 +3,7 @@
 //! The paper's user study presents annotators with two parser outputs for the
 //! same document page and records which one was preferred (or "neither").
 //! Because each parser appears in a different number of pairings, the paper
-//! reports *normalized* win rates. We additionally provide a Bradley–Terry
-//! strength fit, which is the standard way of turning pairwise outcomes into
-//! a per-parser score and is used by the preference-study analysis binary.
+//! reports *normalized* win rates.
 
 use std::collections::HashMap;
 
@@ -63,19 +61,6 @@ impl WinRateTable {
         *self.comparisons.entry(key).or_insert(0) += 1;
     }
 
-    /// All competitor names seen so far, sorted.
-    pub fn competitors(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .wins
-            .keys()
-            .flat_map(|(a, b)| [a.clone(), b.clone()])
-            .chain(self.comparisons.keys().flat_map(|(a, b)| [a.clone(), b.clone()]))
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
     /// Number of decisive comparisons a competitor participated in.
     pub fn decisive_comparisons(&self, name: &str) -> u64 {
         self.comparisons.iter().filter(|((a, b), _)| a == name || b == name).map(|(_, &c)| c).sum()
@@ -106,64 +91,6 @@ impl WinRateTable {
             1.0 - self.ties as f64 / self.total_pairs as f64
         }
     }
-
-    /// Total number of recorded pairs (decisive + ties).
-    pub fn total_pairs(&self) -> u64 {
-        self.total_pairs
-    }
-
-    /// Fit Bradley–Terry strengths by minorization–maximization.
-    ///
-    /// Returns `(name, strength)` pairs normalized to sum to 1, sorted by
-    /// descending strength. Competitors with no decisive comparisons get a
-    /// strength of zero.
-    pub fn bradley_terry(&self, iterations: usize) -> Vec<(String, f64)> {
-        let names = self.competitors();
-        if names.is_empty() {
-            return Vec::new();
-        }
-        let index: HashMap<&str, usize> = names.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
-        let n = names.len();
-        // wins_matrix[i][j] = wins of i over j
-        let mut wins_matrix = vec![vec![0f64; n]; n];
-        for ((winner, loser), &count) in &self.wins {
-            let i = index[winner.as_str()];
-            let j = index[loser.as_str()];
-            wins_matrix[i][j] += count as f64;
-        }
-        let mut strength = vec![1.0f64; n];
-        for _ in 0..iterations.max(1) {
-            let mut next = vec![0.0f64; n];
-            for i in 0..n {
-                let total_wins: f64 = wins_matrix[i].iter().sum();
-                if total_wins == 0.0 {
-                    next[i] = 0.0;
-                    continue;
-                }
-                let mut denom = 0.0;
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let pairings = wins_matrix[i][j] + wins_matrix[j][i];
-                    if pairings > 0.0 {
-                        denom += pairings / (strength[i] + strength[j]);
-                    }
-                }
-                next[i] = if denom > 0.0 { total_wins / denom } else { 0.0 };
-            }
-            let sum: f64 = next.iter().sum();
-            if sum > 0.0 {
-                for v in &mut next {
-                    *v /= sum;
-                }
-            }
-            strength = next;
-        }
-        let mut out: Vec<(String, f64)> = names.into_iter().zip(strength).collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -174,8 +101,6 @@ mod tests {
     fn empty_table() {
         let t = WinRateTable::new();
         assert_eq!(t.decisiveness(), 0.0);
-        assert!(t.competitors().is_empty());
-        assert!(t.bradley_terry(10).is_empty());
         assert_eq!(t.win_rate("nougat"), 0.0);
     }
 
@@ -202,39 +127,12 @@ mod tests {
     }
 
     #[test]
-    fn bradley_terry_ranks_dominant_parser_first() {
-        let mut t = WinRateTable::new();
-        for _ in 0..9 {
-            t.record("strong", "weak", PreferenceOutcome::FirstWins);
-        }
-        t.record("strong", "weak", PreferenceOutcome::SecondWins);
-        for _ in 0..6 {
-            t.record("strong", "middle", PreferenceOutcome::FirstWins);
-        }
-        for _ in 0..4 {
-            t.record("strong", "middle", PreferenceOutcome::SecondWins);
-        }
-        for _ in 0..7 {
-            t.record("middle", "weak", PreferenceOutcome::FirstWins);
-        }
-        for _ in 0..3 {
-            t.record("middle", "weak", PreferenceOutcome::SecondWins);
-        }
-        let bt = t.bradley_terry(100);
-        assert_eq!(bt[0].0, "strong");
-        assert_eq!(bt[2].0, "weak");
-        let total: f64 = bt.iter().map(|(_, s)| s).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn win_rates_of_all_competitors_average_to_half_in_round_robin() {
         let mut t = WinRateTable::new();
         t.record("a", "b", PreferenceOutcome::FirstWins);
         t.record("b", "c", PreferenceOutcome::FirstWins);
         t.record("c", "a", PreferenceOutcome::FirstWins);
-        let names = t.competitors();
-        let avg: f64 = names.iter().map(|n| t.win_rate(n)).sum::<f64>() / names.len() as f64;
+        let avg: f64 = ["a", "b", "c"].iter().map(|n| t.win_rate(n)).sum::<f64>() / 3.0;
         assert!((avg - 0.5).abs() < 1e-12);
     }
 }
