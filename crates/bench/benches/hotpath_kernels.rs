@@ -1,6 +1,7 @@
 //! Benchmarks of the simulator-side hot path, kernel by kernel and once end
 //! to end: the executor's [`ReadyQueue`] (every task passes through it
-//! twice — once as an event, once as a dispatch), the budget selector's
+//! twice — once as an event, once as a dispatch; collision-heavy and
+//! in-order inputs), the budget selector's
 //! `select_global` (a bounded-heap top-k), the [`LatencyLedger`] (one
 //! `record` per completed document in the serve loop and per scheduled task
 //! in the closed loop, one selection per `summary()`), [`IdMap`] on strided
@@ -39,20 +40,25 @@ fn scores(n: usize) -> Vec<f64> {
 fn bench_ready_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("ready_queue");
     for &n in &SIZES {
-        let input = arrivals(n);
-        group.bench_with_input(BenchmarkId::new("push_pop", n), &input, |b, input| {
-            b.iter(|| {
-                let mut queue = ReadyQueue::new();
-                for &(time, id) in black_box(input) {
-                    queue.push(time, id, id as usize);
-                }
-                let mut last = 0u64;
-                while let Some((_, id, _)) = queue.pop() {
-                    last = id;
-                }
-                last
-            })
-        });
+        // `push_pop` collides on time and arrives out of order (mostly the
+        // heap); `push_pop_in_order` is a drain's seeding shape — one
+        // release floor, ascending ids — which the run takes whole.
+        let in_order = (0..n as u64).map(|id| (0.0, id)).collect();
+        for (name, input) in [("push_pop", arrivals(n)), ("push_pop_in_order", in_order)] {
+            group.bench_with_input(BenchmarkId::new(name, n), &input, |b, input| {
+                b.iter(|| {
+                    let mut queue = ReadyQueue::new();
+                    for &(time, id) in black_box(input) {
+                        queue.push(time, id, id as usize);
+                    }
+                    let mut last = 0u64;
+                    while let Some((_, id, _)) = queue.pop() {
+                        last = id;
+                    }
+                    last
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! The discrete-event ready queue.
 //!
 //! [`ReadyQueue`] is the ordering heart of the dependency-aware executor: a
-//! time-ordered min-heap whose ties break by an explicit id (then insertion
+//! time-ordered queue whose ties break by an explicit id (then insertion
 //! order), so the engine's scheduling decisions are bitwise-independent of
 //! the order work was submitted in. Since the executor became
 //! event-interleaved it is also the *session-persistent* admission queue:
@@ -10,7 +10,7 @@
 //! dispatched first, regardless of which `submit` call carried it.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An entry of a [`ReadyQueue`]: a payload released at a time, ordered by
 /// `(time, id, insertion order)`.
@@ -54,12 +54,20 @@ impl<T> PartialOrd for Ready<T> {
 ///
 /// Two tasks becoming ready at the same simulated time are released in task-id
 /// order no matter when (or in what order) they were pushed, which is what
-/// makes DAG schedules independent of task submission order. The same
-/// structure doubles as the executor's free-slot index: keyed by
-/// `(free-at time, slot index)` it always yields the lowest-indexed slot among
-/// the earliest-free ones.
+/// makes DAG schedules independent of task submission order.
+///
+/// The executor pushes mostly in pop order already: a drain seeds a batch at
+/// one release floor in ascending id order, dependents release at their
+/// dependency's finish (the latest event so far, more often than not), and
+/// compaction re-pushes in pop order. So entries live in two places: a FIFO
+/// *run* taking every push not ordered before the run's tail — O(1), already
+/// sorted — and a heap taking the rest. A pop takes the earlier of the two
+/// heads, so the pop order is exactly that of one heap over everything.
 #[derive(Debug, Clone)]
 pub struct ReadyQueue<T> {
+    /// Entries in pop order, each pushed no earlier than the one before it.
+    run: VecDeque<Ready<T>>,
+    /// Entries pushed out of order.
     heap: BinaryHeap<Ready<T>>,
     sequence: u64,
 }
@@ -73,7 +81,7 @@ impl<T> Default for ReadyQueue<T> {
 impl<T> ReadyQueue<T> {
     /// Empty queue.
     pub fn new() -> Self {
-        ReadyQueue { heap: BinaryHeap::new(), sequence: 0 }
+        ReadyQueue { run: VecDeque::new(), heap: BinaryHeap::new(), sequence: 0 }
     }
 
     /// Release `payload` at `time`, tie-breaking by `id`.
@@ -83,28 +91,44 @@ impl<T> ReadyQueue<T> {
     /// Panics if `time` is NaN.
     pub fn push(&mut self, time: f64, id: u64, payload: T) {
         assert!(!time.is_nan(), "ready time must not be NaN");
-        self.heap.push(Ready { time, id, sequence: self.sequence, payload });
+        let entry = Ready { time, id, sequence: self.sequence, payload };
         self.sequence += 1;
+        // `Ready` orders in reverse, so `entry < tail` means it pops later.
+        if self.run.back().is_none_or(|tail| entry < *tail) {
+            self.run.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Whether the next entry is the run's head (rather than the heap's).
+    fn run_first(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(run), Some(heap)) => run > heap,
+            (run, _) => run.is_some(),
+        }
     }
 
     /// Pop the earliest entry as `(time, id, payload)`.
     pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        self.heap.pop().map(|r| (r.time, r.id, r.payload))
+        let next = if self.run_first() { self.run.pop_front() } else { self.heap.pop() };
+        next.map(|r| (r.time, r.id, r.payload))
     }
 
     /// Time of the next entry without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|r| r.time)
+        let next = if self.run_first() { self.run.front() } else { self.heap.peek() };
+        next.map(|r| r.time)
     }
 
     /// Number of queued entries.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 

@@ -51,12 +51,12 @@ impl Fleet {
 
     /// Pick the slot — returned as its index and a copy — starting `task`
     /// (ready at `time`) earliest: its free time or the task's ready time,
-    /// whichever is later, plus `marginal_penalty` off `believed_node`; ties
+    /// whichever is later, plus `penalty` off the `believed` node; ties
     /// prefer the task's own node (a free local slot always beats an equally
     /// free remote one, even when prefetch makes the re-fetch latency-free —
     /// it still burns shared-filesystem bandwidth), then the longest-idle
     /// slot, then the lowest slot index. Fully deterministic, and answered
-    /// by the [`SlotIndex`] in O(nodes + log slots).
+    /// by the [`SlotIndex`] from one champion per active node.
     ///
     /// With a `probe` ([`PlacementPolicy::CostAware`](super::PlacementPolicy))
     /// the ranking additionally charges each candidate node the cold start
@@ -67,31 +67,18 @@ impl Fleet {
         &self,
         task: &Task,
         time: f64,
-        marginal_penalty: f64,
-        believed_node: Option<usize>,
+        penalty: f64,
+        believed: Option<usize>,
         probe: Option<(&WarmLedger, ModelId)>,
     ) -> (usize, Slot) {
-        let slot = match probe {
-            Some((warm, model)) => {
-                let cold = task.cold_start_seconds;
-                self.index.best_slot_cost_aware(
-                    task.slot,
-                    time,
-                    marginal_penalty,
-                    believed_node,
-                    self.active_nodes,
-                    |node, projected_start| {
-                        if warm.would_hit(node, model, cold, projected_start) {
-                            0.0
-                        } else {
-                            cold
-                        }
-                    },
-                )
-            }
-            None => self.index.best_slot(task.slot, time, marginal_penalty, believed_node, self.active_nodes),
-        }
-        .expect("slots of this kind exist, so the index has a champion");
+        let cold = task.cold_start_seconds;
+        let cold_if_miss = |node, start| match probe {
+            Some((warm, model)) if !warm.would_hit(node, model, cold, start) => cold,
+            _ => 0.0,
+        };
+        let (kind, active) = (task.slot, self.active_nodes);
+        let best = self.index.best_slot_cost_aware(kind, time, penalty, believed, active, cold_if_miss);
+        let slot = best.expect("slots of this kind exist, so the index has a champion");
         (slot, self.slots[slot])
     }
 

@@ -466,8 +466,8 @@ impl ExecutorSession {
         // The cost-aware probe only runs when the cold addend can differ
         // across nodes (warm starts on, positive cold start); otherwise it
         // would be a uniform addend, which float rounding could collapse
-        // into spurious ties, so the plain earliest-slot scan — to which
-        // the policy is then exactly equivalent — answers instead.
+        // into spurious ties, so a zero addend — the warm-blind key, to
+        // which the policy is then exactly equivalent — answers instead.
         let probe = (self.config.placement == PlacementPolicy::CostAware
             && self.config.warm_start
             && task.cold_start_seconds > 0.0)

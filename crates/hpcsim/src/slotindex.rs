@@ -9,9 +9,9 @@
 //! documents the controller spent more time counting in-flight work than
 //! scheduling it.
 //!
-//! [`SlotIndex`] keeps one ordered set of `(free_at, slot)` per (node, kind)
-//! so the per-node best slot is a `first()` lookup and the global winner is
-//! a comparison over at most one champion per node. [`InFlightCounter`]
+//! [`SlotIndex`] keeps one sorted array of `(free_at, slot)` per (node, kind)
+//! so the per-node best slot is its first entry and the global winner is a
+//! comparison over at most one champion per node. [`InFlightCounter`]
 //! keeps the finish times no query has passed yet in a min-heap: the
 //! dispatch frontier never rewinds, so each query pops what finished since
 //! the last one and the answer is the heap's length.
@@ -20,14 +20,14 @@
 //! pinned by proptests in `tests/hotpath_equivalence.rs`.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use crate::task::SlotKind;
 
 /// Order-preserving bit pattern of a non-negative finite time.
 ///
 /// For non-negative finite floats, IEEE-754 bit patterns sort identically to
-/// the values themselves, so times can live in integer-keyed ordered sets
+/// the values themselves, so times can live in integer-keyed sorted arrays
 /// with exact (no-epsilon) semantics. `-0.0` normalizes to `+0.0` first —
 /// its sign bit would otherwise sort it above every positive time.
 fn order_bits(seconds: f64) -> u64 {
@@ -42,62 +42,54 @@ fn order_bits(seconds: f64) -> u64 {
 /// Per-(node, kind) index of slot availability, answering *earliest
 /// effective start* queries without scanning every slot.
 ///
-/// Each node×kind bucket is a [`BTreeSet`] of `(free_at_bits, slot_index)`.
-/// Within one bucket the dispatch key — effective start, locality flag,
-/// idle time — is monotone in `(free_at, slot_index)`, so the bucket's
-/// first element is always that node's champion; the global winner is the
-/// minimum over champions under the executor's full comparison key with the
-/// slot index as the final tiebreak, which reproduces the linear scan's
-/// keep-first-on-tie (lowest slot index) behavior exactly.
+/// Each node×kind bucket is a `Vec` of `(free_at_bits, slot_index)` kept
+/// sorted — a handful of entries at Polaris slot counts (30 CPU, 4 GPU), so
+/// moving one is a short shift. Within one bucket the dispatch key —
+/// effective start, locality flag, idle time — is monotone in `(free_at,
+/// slot_index)`, so the bucket's first entry is always that node's champion;
+/// the global winner is the minimum over champions under the executor's full
+/// comparison key with the slot index as the final tiebreak, which
+/// reproduces the linear scan's keep-first-on-tie (lowest slot index)
+/// behavior exactly.
 #[derive(Debug, Clone, Default)]
 pub struct SlotIndex {
-    cpu: Vec<BTreeSet<(u64, usize)>>,
-    gpu: Vec<BTreeSet<(u64, usize)>>,
+    /// Buckets by `[kind as usize][node]`.
+    buckets: [Vec<Vec<(u64, usize)>>; 2],
 }
 
 impl SlotIndex {
     /// An empty index over `nodes` nodes.
     pub fn new(nodes: usize) -> Self {
-        SlotIndex { cpu: vec![BTreeSet::new(); nodes], gpu: vec![BTreeSet::new(); nodes] }
-    }
-
-    fn buckets(&self, kind: SlotKind) -> &[BTreeSet<(u64, usize)>] {
-        match kind {
-            SlotKind::Cpu => &self.cpu,
-            SlotKind::Gpu => &self.gpu,
-        }
-    }
-
-    fn buckets_mut(&mut self, kind: SlotKind) -> &mut [BTreeSet<(u64, usize)>] {
-        match kind {
-            SlotKind::Cpu => &mut self.cpu,
-            SlotKind::Gpu => &mut self.gpu,
-        }
+        SlotIndex { buckets: [vec![Vec::new(); nodes], vec![Vec::new(); nodes]] }
     }
 
     /// Register slot `slot` of `kind` on `node`, free at `free_at`.
     pub fn insert(&mut self, kind: SlotKind, node: usize, free_at: f64, slot: usize) {
-        let bits = order_bits(free_at);
-        self.buckets_mut(kind)[node].insert((bits, slot));
+        let entry = (order_bits(free_at), slot);
+        let bucket = &mut self.buckets[kind as usize][node];
+        bucket.insert(bucket.partition_point(|&e| e < entry), entry);
     }
 
     /// Move slot `slot` of `kind` on `node` from availability `old_free_at`
     /// to `new_free_at` (after dispatching a task onto it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is not indexed at `old_free_at`.
     pub fn update(&mut self, kind: SlotKind, node: usize, old_free_at: f64, new_free_at: f64, slot: usize) {
-        let bucket = &mut self.buckets_mut(kind)[node];
-        let removed = bucket.remove(&(order_bits(old_free_at), slot));
-        debug_assert!(removed, "slot {slot} was not indexed at free_at {old_free_at}");
-        bucket.insert((order_bits(new_free_at), slot));
+        let bucket = &mut self.buckets[kind as usize][node];
+        let from =
+            bucket.binary_search(&(order_bits(old_free_at), slot)).expect("slot indexed at old_free_at");
+        bucket.remove(from);
+        let entry = (order_bits(new_free_at), slot);
+        bucket.insert(bucket.partition_point(|&e| e < entry), entry);
     }
 
-    /// The slot of `kind` minimizing the executor's dispatch key for a task
-    /// ready at `ready_at`: effective start (availability, or availability
-    /// plus `marginal_penalty` off `believed_node`), preferring local slots,
-    /// then the longest-idle slot, then the lowest slot index. Only nodes
-    /// `< active_nodes` are considered — the executor's fleet-autoscaling
-    /// hook: a drained node keeps its slots (and their queued busy times)
-    /// indexed but receives no new work while outside the active prefix.
-    /// Returns `None` when no slot of `kind` exists on an active node.
+    /// [`best_slot_cost_aware`](Self::best_slot_cost_aware) with no cold
+    /// addend: effective start (availability, or availability plus
+    /// `marginal_penalty` off `believed_node`), preferring local slots, then
+    /// the longest-idle slot, then the lowest slot index. (`x + 0.0`
+    /// compares equal to `x`, so the zero addend changes no selection.)
     pub fn best_slot(
         &self,
         kind: SlotKind,
@@ -106,18 +98,7 @@ impl SlotIndex {
         believed_node: Option<usize>,
         active_nodes: usize,
     ) -> Option<usize> {
-        let mut best: Option<(f64, bool, f64, usize)> = None;
-        for (node, bucket) in self.buckets(kind).iter().take(active_nodes).enumerate() {
-            let Some(&(bits, slot)) = bucket.first() else { continue };
-            let free = f64::from_bits(bits);
-            let local = believed_node.is_none_or(|n| n == node);
-            let penalty = if local { 0.0 } else { marginal_penalty };
-            let key = (free.max(ready_at) + penalty, !local, free, slot);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, _, slot)| slot)
+        self.best_slot_cost_aware(kind, ready_at, marginal_penalty, believed_node, active_nodes, |_, _| 0.0)
     }
 
     /// The slot of `kind` minimizing the *cost-aware* dispatch key for a
@@ -128,9 +109,11 @@ impl SlotIndex {
     /// slots, then the longest-idle slot, then the lowest slot index (slots
     /// are numbered node-by-node, so the final slot tiebreak orders by node
     /// first). The per-node additions are constant across a node's slots,
-    /// so each bucket's `first()` champion still prunes the scan exactly as
-    /// in [`SlotIndex::best_slot`]. Returns `None` when no slot of `kind`
-    /// exists on an active node.
+    /// so each bucket's first entry is still its champion. Only nodes
+    /// `< active_nodes` are considered — the executor's fleet-autoscaling
+    /// hook: a drained node keeps its slots (and their queued busy times)
+    /// indexed but receives no new work while outside the active prefix.
+    /// Returns `None` when no slot of `kind` exists on an active node.
     pub fn best_slot_cost_aware(
         &self,
         kind: SlotKind,
@@ -141,7 +124,7 @@ impl SlotIndex {
         cold_if_miss: impl Fn(usize, f64) -> f64,
     ) -> Option<usize> {
         let mut best: Option<(f64, bool, f64, usize)> = None;
-        for (node, bucket) in self.buckets(kind).iter().take(active_nodes).enumerate() {
+        for (node, bucket) in self.buckets[kind as usize].iter().take(active_nodes).enumerate() {
             let Some(&(bits, slot)) = bucket.first() else { continue };
             let free = f64::from_bits(bits);
             let local = believed_node.is_none_or(|n| n == node);
