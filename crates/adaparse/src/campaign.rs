@@ -63,7 +63,7 @@ use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
 use crate::scaling::simloop::planned_costs;
-use crate::scaling::{BudgetLedger, ClassLedger, WaveCosts, WindowedSelector};
+use crate::scaling::{Ledger, WaveCosts, WindowedSelector};
 
 /// The selection policy of a binary campaign: how the α budget moves from
 /// window to window of the one campaign loop. Both modes extract, route,
@@ -95,7 +95,7 @@ pub enum RoutingMode {
 /// observed-cost feedback knobs).
 ///
 /// Attached to a [`PipelineConfig`], it gives a streaming campaign's
-/// [`WindowedSelector`] a [`crate::scaling::BudgetLedger`] over the planned
+/// [`WindowedSelector`] a seconds [`Ledger`] over the planned
 /// per-document parser costs. Each parsed window's measured per-document
 /// costs are fed back into the ledger
 /// ([`crate::scaling::WaveCosts`]): reservations are reconciled against
@@ -165,16 +165,12 @@ impl PipelineConfig {
         self
     }
 
-    /// Clamp degenerate values (a zero shard size would spin forever; a
-    /// negative budget is an empty one; the selector clamps a zero window).
+    /// Clamp degenerate values (a zero shard size would spin forever; the
+    /// selector clamps a zero window, and [`Ledger::seconds`] rejects a
+    /// budget that is not a finite, non-negative number).
     pub fn normalized(mut self) -> Self {
         if self.shard_size == 0 {
             self.shard_size = 1;
-        }
-        if let Some(budget) = &mut self.budget {
-            budget.total_seconds = budget.total_seconds.max(0.0);
-            // prior_weight is sanitized at the point of use
-            // (ObservedCosts::with_prior_weight) — one policy, one place.
         }
         self
     }
@@ -478,10 +474,10 @@ pub struct CascadeReport {
     /// Documents per resolved parser, in [`ParserKind::index`] order
     /// (parsers that received no documents are omitted).
     pub parser_docs: Vec<(ParserKind, usize)>,
-    /// Planned per-page dollar spend per parser class
+    /// Planned spend per parser class, in page-dollars
     /// ([`parsersim::registry::page_dollars`] units), net of per-page
     /// delegation refunds.
-    pub dollars: ClassLedger,
+    pub dollars: Ledger,
     /// Pages delegated to upgrade parsers under
     /// [`RoutingGranularity::ByPage`] (0 under
     /// [`RoutingGranularity::ByDoc`]).
@@ -622,7 +618,7 @@ impl CampaignPipeline {
         CascadeReport {
             result,
             parser_docs,
-            dollars: selector.dollars().clone(),
+            dollars: selector.ledger().clone(),
             pages_delegated: choices.iter().map(|c| c.upgraded_pages.len()).sum(),
             pages_total: documents.iter().map(Document::page_count).sum(),
             choices,
@@ -656,10 +652,13 @@ impl CampaignPipeline {
             } else {
                 ((total_pages as f64 / documents.len() as f64).round() as usize).max(1)
             };
-            let (cheap, expensive) = planned_costs(config, mean_pages);
-            let ledger = BudgetLedger::new(budget.total_seconds, documents.len(), cheap, expensive)
-                .with_observed_costs(budget.prior_weight);
-            policy.selector = policy.selector.with_budget(ledger);
+            policy.selector = policy.selector.with_budget(Ledger::seconds(
+                budget.total_seconds,
+                documents.len(),
+                (config.default_parser, config.high_quality_parser),
+                planned_costs(config, mean_pages),
+                budget.prior_weight,
+            ));
         }
         (cascade, policy)
     }
@@ -668,11 +667,12 @@ impl CampaignPipeline {
     /// selector: extract and score (stages 1–2a, sharded), select and
     /// resolve (stage 2b, sequential), then — when a `sink` is given — parse
     /// and score (stages 3–4, sharded), fold in input order, sink the
-    /// records, and feed the window's observed costs back into a
-    /// feedback-enabled seconds ledger before the next window is selected.
+    /// records, and feed the window's observed costs back into a seconds
+    /// ledger before the next window is selected.
     /// Without a sink the loop stops after stage 2: the routing-only entry
     /// points. Returns the result, the per-document choices, and the
-    /// selector that made them (its dollar ledger feeds [`CascadeReport`]).
+    /// selector that made them (its page-dollar ledger feeds
+    /// [`CascadeReport`]).
     fn run_windows(
         &self,
         engine: &AdaParseEngine,
@@ -687,7 +687,6 @@ impl CampaignPipeline {
         let score = ScoreStage::new(config);
         let base = cascade.frontier.base();
         let WindowPolicy { selector: fresh, carry_credit } = policy;
-        let feedback = fresh.ledger().is_some_and(|ledger| ledger.observed().is_some());
         let mut selector = fresh.clone();
 
         let mut aggregates = Aggregates::default();
@@ -728,26 +727,22 @@ impl CampaignPipeline {
 
                 // Close the cost loop: the window's measured per-document
                 // costs (from the deterministic cost models, folded in input
-                // order) reconcile the ledger before the next window is
+                // order) reconcile a seconds ledger before the next window is
                 // selected.
                 let mut wave_costs = WaveCosts::default();
                 for outcome in shards.into_iter().flatten() {
-                    if feedback {
-                        // A failed high-quality parse burned only its extraction
-                        // seconds — exactly what a default-routed document pays —
-                        // so it is recorded as a *cheap* sample at its actual
-                        // cost: the spend stays exact (those seconds were
-                        // genuinely burned), while a zero-cost *expensive* sample
-                        // would teach the ledger the failing parser is cheap and
-                        // loosen α toward it.
-                        let high_quality = outcome.high_quality && !outcome.parse_failed;
-                        wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
-                    }
+                    // A failed high-quality parse burned only its extraction
+                    // seconds — exactly what a default-routed document pays —
+                    // so it is recorded as a *cheap* sample at its actual
+                    // cost: the spend stays exact (those seconds were
+                    // genuinely burned), while a zero-cost *expensive* sample
+                    // would teach the ledger the failing parser is cheap and
+                    // loosen α toward it.
+                    let high_quality = outcome.high_quality && !outcome.parse_failed;
+                    wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
                     aggregates.fold(outcome, &mut **sink)?;
                 }
-                if feedback {
-                    selector.ingest_observed(&wave_costs);
-                }
+                selector.ledger_mut().ingest(&wave_costs);
             }
             routed_all.extend(routed_wave);
             choices_all.extend(choice_wave);
@@ -836,7 +831,7 @@ fn resolve_wave(
             let pages = delegated_pages(doc);
             if pages.len() < doc.page_count() {
                 let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
-                selector.refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
+                selector.ledger_mut().refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
                 choice.upgraded_pages = pages;
             }
         }

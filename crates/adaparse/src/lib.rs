@@ -57,8 +57,8 @@
 //! * [`scaling`] — the resource-scaling engine: the streaming
 //!   [`WindowedSelector`], the feedback-driven [`ScalingController`]
 //!   that reallocates workers (and `hpcsim` nodes) between stages — driven
-//!   by simulated time, never wall time — the [`ObservedCosts`] ledger
-//!   feedback that tightens or loosens the effective α as measured costs
+//!   by simulated time, never wall time — the seconds [`Ledger`] whose
+//!   [`ObservedCosts`] tighten or loosen the effective α as measured costs
 //!   diverge from plan, and the fully closed, *waveless* simulation loop
 //!   ([`scaling::simloop`]: one persistent `hpcsim` executor session whose
 //!   slots, warm pools, and pair anchors survive across decision epochs),
@@ -131,9 +131,9 @@ pub use hpc::{
 };
 pub use output::{JsonlSink, MemorySink, ParsedRecord, RecordSink};
 pub use scaling::{
-    planned_costs, run_closed_loop, Allocation, AllocationEvent, AutoscaleConfig, BudgetLedger, ClassLedger,
-    ControllerConfig, FleetEvent, NodePlan, ObservedCosts, ScalingController, SimLoopConfig, SimLoopReport,
-    SimWave, SloAutoscaler, Stage, StageSample, WaveCosts, WaveStats, WindowedSelector, DEFAULT_PRIOR_WEIGHT,
+    planned_costs, run_closed_loop, Allocation, AllocationEvent, AutoscaleConfig, ControllerConfig,
+    FleetEvent, Ledger, NodePlan, ObservedCosts, ScalingController, SimLoopConfig, SimLoopReport, SimWave,
+    SloAutoscaler, Stage, StageSample, WaveCosts, WaveStats, WindowedSelector, DEFAULT_PRIOR_WEIGHT,
 };
 pub use serve::{
     run_service, run_service_instrumented, DocArrival, ServeConfig, ServeReport, SoakStats, TenantRegistry,

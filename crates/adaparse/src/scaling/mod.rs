@@ -36,7 +36,7 @@
 //! thread pool, so it does not split its workers into fleets); the
 //! controller's live use is the simulated twin and the serve layer.
 //!
-//! Since PR 3 the loop is *closed* in both directions:
+//! The loop is *closed* in three directions:
 //!
 //! * **Time** — the controller never reads wall time. Under
 //!   [`ScalingController::observe_at`] it samples an external simulated
@@ -46,19 +46,18 @@
 //!   observed stage seconds, so a trace is a pure function of its stat
 //!   stream: replaying recorded or simulated stats replays the trace bit
 //!   for bit.
-//! * **Costs** — [`observed::ObservedCosts`] blends the planned
-//!   per-document costs with what completed waves *actually* cost
-//!   ([`observed::WaveCosts`]); a [`BudgetLedger`] with
-//!   [`BudgetLedger::with_observed_costs`] reconciles each wave's
-//!   reservation against its measured spend and re-derives the affordable
-//!   α from the blended estimates, tightening (or loosening) selection as
-//!   reality diverges from plan.
+//! * **Costs** — a seconds [`Ledger`] reserves each window's planned spend,
+//!   releases the reservation slot by slot as documents' measured costs
+//!   ([`observed::WaveCosts`]) arrive, and re-derives the affordable α from
+//!   [`observed::ObservedCosts`] — the plan blended with those
+//!   measurements — tightening (or loosening) selection as reality diverges
+//!   from plan.
 //! * **Placement** — [`simloop::run_closed_loop`] drives the whole circuit
 //!   inside `hpcsim`: simulated clock → controller → node plan →
 //!   co-scheduled extract+parse task pairs → observed costs → ledger →
 //!   next window's selection.
 //!
-//! Since PR 4 the loop is also *waveless*: the circuit runs over one
+//! The loop is also *waveless*: the circuit runs over one
 //! persistent [`hpcsim::ExecutorSession`], so slot availability, per-node
 //! warm-pool residency, and pair anchors survive across decision epochs —
 //! a later window starts on slots that free up while the previous window's
@@ -92,4 +91,4 @@ pub use controller::{
 };
 pub use observed::{ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 pub use simloop::{planned_costs, run_closed_loop, SimLoopConfig, SimLoopReport, SimWave};
-pub use window::{BudgetLedger, ClassLedger, WindowedSelector};
+pub use window::{Ledger, WindowedSelector};

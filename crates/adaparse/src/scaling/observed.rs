@@ -1,20 +1,19 @@
 //! Observed per-document cost accounting.
 //!
-//! The budget ledger of [`crate::scaling::window`] plans with *a-priori*
-//! per-document costs from the parser cost models. Real campaigns diverge
-//! from those plans — per-tool cost varies wildly across document
-//! categories, and on a cluster the effective cost of a document includes
-//! stage-in time, cold starts, and data-locality re-fetches. This module
-//! closes that gap: a [`WaveCosts`] snapshot reports what a completed wave
-//! *actually* cost, and an [`ObservedCosts`] accumulator blends those
-//! observations with the planned priors into running per-document cost
-//! estimates that tighten (or loosen) the effective α the remaining budget
-//! affords.
+//! A seconds [`crate::scaling::Ledger`] plans with *a-priori* per-document
+//! costs from the parser cost models. Real campaigns diverge from those
+//! plans — per-tool cost varies wildly across document categories, and on a
+//! cluster the effective cost of a document includes stage-in time, cold
+//! starts, and data-locality re-fetches. This module closes that gap: a
+//! [`WaveCosts`] snapshot reports what completed documents *actually* cost,
+//! and the ledger's [`ObservedCosts`] blends those observations with the
+//! planned priors into running per-document cost estimates that tighten (or
+//! loosen) the effective α the remaining budget affords.
 //!
 //! Everything here is plain arithmetic over the cost trace, in ingestion
 //! order — feeding the same trace twice produces the same estimates bit for
-//! bit, which is what keeps the windowed selector deterministic with
-//! feedback enabled.
+//! bit, which is what keeps the windowed selector deterministic under a
+//! budget.
 
 use serde::{Deserialize, Serialize};
 
@@ -67,26 +66,31 @@ impl WaveCosts {
 }
 
 /// Running per-document cost estimates blending planned priors with
-/// observed samples.
+/// observed samples — the cost model of a seconds
+/// [`crate::scaling::Ledger`], which builds and feeds it.
 ///
 /// Each category's estimate is a pseudo-count blend: the planned cost
 /// enters as `prior_weight` phantom documents, so early waves barely move
-/// the estimate and a long campaign converges to the empirical mean. The
-/// estimate feeds [`crate::scaling::BudgetLedger::affordable_alpha`], so
-/// when real documents run more expensive than planned the effective α
-/// tightens — and loosens again if costs come in under plan.
+/// the estimate and a long campaign converges to the empirical mean. With
+/// nothing observed the blend is the plan exactly. The estimate feeds
+/// [`crate::scaling::Ledger::affordable_alpha`], so when real documents run
+/// more expensive than planned the effective α tightens — and loosens again
+/// if costs come in under plan.
 ///
 /// # Example
 ///
 /// ```
-/// use adaparse::{ObservedCosts, WaveCosts};
+/// use adaparse::{Ledger, WaveCosts};
+/// use parsersim::ParserKind;
 ///
 /// // Planned: 1 s cheap, 10 s expensive; prior worth 4 phantom documents.
-/// let mut costs = ObservedCosts::new(1.0, 10.0).with_prior_weight(4.0);
-/// assert_eq!(costs.effective_expensive(), 10.0);
+/// let pair = (ParserKind::PyMuPdf, ParserKind::Nougat);
+/// let mut ledger = Ledger::seconds(1_000.0, 100, pair, (1.0, 10.0), 4.0);
+/// assert_eq!(ledger.observed().unwrap().effective_expensive(), 10.0);
 ///
 /// // A wave whose expensive documents actually cost 20 s each.
-/// costs.ingest(&WaveCosts { cheap_docs: 8, cheap_seconds: 8.0, expensive_docs: 4, expensive_seconds: 80.0 });
+/// ledger.ingest(&WaveCosts { cheap_docs: 8, cheap_seconds: 8.0, expensive_docs: 4, expensive_seconds: 80.0 });
+/// let costs = ledger.observed().unwrap();
 /// // (4 × 10 + 80) / (4 + 4) = 15 s — halfway between prior and evidence.
 /// assert_eq!(costs.effective_expensive(), 15.0);
 /// assert_eq!(costs.effective_cheap(), 1.0);
@@ -107,13 +111,15 @@ pub struct ObservedCosts {
 pub const DEFAULT_PRIOR_WEIGHT: f64 = 32.0;
 
 impl ObservedCosts {
-    /// An accumulator seeded with the planned per-document costs and the
-    /// [`DEFAULT_PRIOR_WEIGHT`].
-    pub fn new(planned_cheap: f64, planned_expensive: f64) -> Self {
+    /// An accumulator seeded with the planned per-document costs, worth
+    /// `prior_weight` phantom documents (0 = trust observations
+    /// immediately; large = trust the plan longer). The ledger has checked
+    /// all three are finite and non-negative.
+    pub(crate) fn new(planned_cheap: f64, planned_expensive: f64, prior_weight: f64) -> Self {
         ObservedCosts {
-            planned_cheap: planned_cheap.max(0.0),
-            planned_expensive: planned_expensive.max(0.0),
-            prior_weight: DEFAULT_PRIOR_WEIGHT,
+            planned_cheap,
+            planned_expensive,
+            prior_weight,
             cheap_docs: 0,
             cheap_seconds: 0.0,
             expensive_docs: 0,
@@ -121,15 +127,8 @@ impl ObservedCosts {
         }
     }
 
-    /// Override how many phantom documents the planned costs are worth
-    /// (0 = trust observations immediately; large = trust the plan longer).
-    pub fn with_prior_weight(mut self, weight: f64) -> Self {
-        self.prior_weight = if weight.is_finite() { weight.max(0.0) } else { DEFAULT_PRIOR_WEIGHT };
-        self
-    }
-
     /// Fold one wave's measured costs into the running estimates.
-    pub fn ingest(&mut self, wave: &WaveCosts) {
+    pub(crate) fn ingest(&mut self, wave: &WaveCosts) {
         self.cheap_docs += wave.cheap_docs;
         self.cheap_seconds += wave.cheap_seconds.max(0.0);
         self.expensive_docs += wave.expensive_docs;
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn estimates_start_at_the_plan_and_converge_to_observations() {
-        let mut costs = ObservedCosts::new(1.0, 10.0).with_prior_weight(10.0);
+        let mut costs = ObservedCosts::new(1.0, 10.0, 10.0);
         assert_eq!(costs.effective_cheap(), 1.0);
         assert_eq!(costs.effective_expensive(), 10.0);
         assert_eq!(costs.cheap_divergence(), 1.0);
@@ -280,7 +279,7 @@ mod tests {
 
     #[test]
     fn costs_under_plan_loosen_the_estimate() {
-        let mut costs = ObservedCosts::new(2.0, 20.0).with_prior_weight(0.0);
+        let mut costs = ObservedCosts::new(2.0, 20.0, 0.0);
         costs.ingest(&WaveCosts {
             cheap_docs: 4,
             cheap_seconds: 4.0,
@@ -346,12 +345,12 @@ mod tests {
 
     #[test]
     fn degenerate_priors_are_safe() {
-        let costs = ObservedCosts::new(-1.0, f64::INFINITY).with_prior_weight(f64::NAN);
-        assert_eq!(costs.effective_cheap(), 0.0);
-        // Planned costs are clamped non-negative; the NaN prior weight falls
-        // back to the default.
-        assert!(costs.effective_expensive().is_infinite());
-        let zero_prior = ObservedCosts::new(1.0, 2.0).with_prior_weight(0.0);
+        // The ledger rejects non-finite and negative numbers before they get
+        // here; what remains degenerate is a zero prior with no data.
+        let zero_prior = ObservedCosts::new(1.0, 2.0, 0.0);
         assert_eq!(zero_prior.effective_cheap(), 1.0, "no data and no prior keeps the plan");
+        assert_eq!(zero_prior.cheap_divergence(), 1.0);
+        let free = ObservedCosts::new(0.0, 0.0, 0.0);
+        assert_eq!(free.expensive_divergence(), 1.0, "a zero plan reports no divergence");
     }
 }

@@ -13,7 +13,7 @@
 //!        │ WaveStats (per-stage busy seconds)      (persistent slots,    │
 //!        └────────────────────────────────────────  warm pools, anchors) ┤
 //!  WindowedSelector ◄──ingest──  ObservedCosts  ◄── WaveCosts ◄──────────┘
-//!   (BudgetLedger)              (effective α)
+//!     (Ledger)                  (effective α)
 //! ```
 //!
 //! Each epoch: the [`WindowedSelector`] routes the next k documents at its
@@ -75,7 +75,7 @@ use crate::engine::RoutedDocument;
 use crate::hpc::{build_routing_tasks, WorkloadSpec};
 use crate::scaling::observed::{DeferredQueue, ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 use crate::scaling::{
-    Allocation, AllocationEvent, BudgetLedger, ControllerConfig, NodePlan, ScalingController, WaveStats,
+    Allocation, AllocationEvent, ControllerConfig, Ledger, NodePlan, ScalingController, WaveStats,
     WindowedSelector,
 };
 use crate::stats::{LatencyLedger, LatencySummary};
@@ -272,10 +272,13 @@ pub fn run_closed_loop(
 
     let mut selector = WindowedSelector::new(window, config.alpha);
     if let Some(total_seconds) = sim.total_budget_seconds {
-        let (planned_cheap, planned_expensive) = planned_costs(config, workload.pages_per_doc);
-        let ledger = BudgetLedger::new(total_seconds, improvements.len(), planned_cheap, planned_expensive)
-            .with_observed_costs(sim.prior_weight);
-        selector = selector.with_budget(ledger);
+        selector = selector.with_budget(Ledger::seconds(
+            total_seconds,
+            improvements.len(),
+            (config.default_parser, config.high_quality_parser),
+            planned_costs(config, workload.pages_per_doc),
+            sim.prior_weight,
+        ));
     }
     let mut controller = ScalingController::new(sim.controller);
 
@@ -322,11 +325,9 @@ pub fn run_closed_loop(
         let offset = wave_index * window;
         // Partial-window observation: ingest exactly the documents whose
         // tasks finished at or before this decision time — stragglers stay
-        // deferred for a later boundary. Partial reconciliation releases
-        // the ledger's reservations one document-slot at a time (a
-        // whole-window ingest here would refund still-running stragglers'
-        // reserved cost early).
-        observed_docs += ingest_observable(&mut selector, &mut deferred_docs, decided_at);
+        // deferred for a later boundary, and the ledger releases its
+        // reservations one document-slot at a time.
+        observed_docs += ingest_observable(selector.ledger_mut(), &mut deferred_docs, decided_at);
         let effective_alpha = selector.effective_alpha();
         let mask = selector.select_window(chunk);
         let selected = mask.iter().filter(|&&m| m).count();
@@ -437,30 +438,26 @@ pub fn run_closed_loop(
     // never complete (skipped work) are released. This only reconciles the
     // *report* — `remaining = budget − Σ measured` (clamped at zero) over
     // every completed document.
-    observed_docs += ingest_observable(&mut selector, &mut deferred_docs, f64::INFINITY);
-    selector.release_unobserved(improvements.len().saturating_sub(observed_docs));
+    observed_docs += ingest_observable(selector.ledger_mut(), &mut deferred_docs, f64::INFINITY);
+    selector.ledger_mut().release_unobserved(improvements.len().saturating_sub(observed_docs));
 
     report.makespan_seconds = session.now_seconds();
     report.history = controller.history().to_vec();
     report.executor_report = session.report();
     report.queue_wait = queue_waits.summary();
-    report.final_observed = selector.ledger().and_then(|ledger| ledger.observed().copied());
-    report.remaining_budget_seconds = selector.ledger().map(BudgetLedger::remaining_seconds);
+    report.final_observed = selector.ledger().observed().copied();
+    report.remaining_budget_seconds = selector.ledger().remaining_seconds();
     report
 }
 
 /// Fold every deferred document cost observable at `boundary` into the
-/// selector's ledger, one reservation per document; returns how many
-/// documents that reconciled.
-fn ingest_observable(
-    selector: &mut WindowedSelector,
-    deferred: &mut DeferredQueue<(bool, f64)>,
-    boundary: f64,
-) -> usize {
+/// ledger, one reservation slot per document; returns how many documents
+/// that reconciled.
+fn ingest_observable(ledger: &mut Ledger, deferred: &mut DeferredQueue<(bool, f64)>, boundary: f64) -> usize {
     let mut costs = WaveCosts::default();
     deferred.pop_due(boundary, |(expensive, seconds)| costs.record(expensive, seconds));
     if costs.docs() > 0 {
-        selector.ingest_observed_partial(&costs);
+        ledger.ingest(&costs);
     }
     costs.docs()
 }

@@ -3,20 +3,21 @@
 //! [`WindowedSelector`] consumes scores in input order, one window of (up
 //! to) k documents at a time, and emits the routing decision for each window
 //! immediately — the pipeline parses a window while later ones are not yet
-//! extracted. A running credit ledger carries the fractional slot credit
-//! between windows, so the slots spent never exceed ⌊α · documents-seen⌋ at
-//! any prefix of the stream, and an optional seconds-denominated
-//! [`BudgetLedger`] tightens the effective α when the committed spend
-//! threatens the total compute budget. It is the crate's only streaming
-//! selector: the binary router, the k-parser cascade, the closed simulation
-//! loop and the serve layer all drive this type.
+//! extracted. A running credit carries the fractional slot credit between
+//! windows, so the slots spent never exceed ⌊α · documents-seen⌋ at any
+//! prefix of the stream. It is the crate's only streaming selector: the
+//! binary router, the k-parser cascade, the closed simulation loop and the
+//! serve layer all drive this type.
 //!
-//! The ledger can additionally *close the loop on costs*: with
-//! [`BudgetLedger::with_observed_costs`] it ingests the measured cost of
-//! each completed wave ([`WaveCosts`]), reconciles the planned spend it
-//! reserved against what the wave actually burned, and re-derives the
-//! affordable α from blended [`ObservedCosts`] estimates instead of the
-//! static plan.
+//! Every selector meters its spend in one [`Ledger`], per parser class, in
+//! the unit the ledger was built with: planned page-dollars at the
+//! frontier's rates (an unbudgeted frontier selector — the cascade), or
+//! seconds against a compute budget ([`Ledger::seconds`] — the budgeted
+//! binary campaign, the closed loop, serve). A seconds ledger *closes the
+//! loop on costs*: it reserves each committed window's planned spend,
+//! reconciles the reservations slot by slot against measured costs
+//! ([`WaveCosts`]), and caps the selector's α at what the remainder affords
+//! under blended [`ObservedCosts`] estimates instead of the static plan.
 
 use std::collections::VecDeque;
 
@@ -26,33 +27,119 @@ use parsersim::{ParserFrontier, ParserKind};
 use crate::budget::{assign_k, max_affordable_alpha, top_quota_mask};
 use crate::scaling::observed::{ObservedCosts, WaveCosts};
 
-/// Committed spend broken down by parser class, in seconds (or any other
-/// single cost unit — the selector meters planned frontier dollars with it).
+/// Committed spend per parser class, in one unit.
 ///
-/// Entries are kept in [`ParserKind::index`] order, so iteration — and
-/// therefore any report built from it — is deterministic. Used by
-/// [`BudgetLedger`] to split the binary cheap/expensive spend between its
-/// two parser classes, and by [`WindowedSelector`] to meter spend across its
-/// frontier.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ClassLedger {
+/// * **Page-dollars** — what [`WindowedSelector::with_frontier`] meters
+///   without a budget: every routed document is charged its base parser's
+///   [`page_dollars`] rate, every granted upgrade its `cost_per_page`, and a
+///   by-page grant is [refunded](Self::refund_delegated) the pages it did not
+///   delegate. A selector without a frontier meters nothing.
+/// * **Seconds** — a compute budget built by [`Ledger::seconds`]: each
+///   committed window charges its base class `docs × cheap` and its upgrade
+///   class `selected × (expensive − cheap)` at the current effective
+///   per-document costs, reserves that charge (clamped to what is left), and
+///   caps the selector's α at what the remainder affords the remaining
+///   documents (Appendix C's bound applied to the rest of the stream).
+///
+/// Classes are kept in [`ParserKind::index`] order, so any report built from
+/// them is deterministic. The ledger advances only on committed selections
+/// and ingested cost traces, in input order: the same trace replays the same
+/// ledger states bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ledger {
     spend: Vec<(ParserKind, f64)>,
+    meter: Meter,
 }
 
-impl ClassLedger {
-    /// An empty breakdown.
-    pub fn new() -> Self {
-        ClassLedger::default()
-    }
+/// What a [`Ledger`] meters, and at what rates.
+#[derive(Debug, Clone, PartialEq)]
+enum Meter {
+    /// Planned page-dollars at a frontier's rates; nothing without one.
+    PageDollars(Option<ParserFrontier>),
+    /// Seconds against a compute budget.
+    Seconds(Budget),
+}
 
-    /// Add `amount` to a parser class's committed spend.
-    pub fn charge(&mut self, kind: ParserKind, amount: f64) {
-        match self.spend.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, total)) => *total += amount,
-            None => {
-                self.spend.push((kind, amount));
-                self.spend.sort_by_key(|(k, _)| k.index());
-            }
+/// A seconds ledger's budget: what is left, and what is reserved but not
+/// yet reconciled against measured costs.
+#[derive(Debug, Clone, PartialEq)]
+struct Budget {
+    remaining_seconds: f64,
+    remaining_docs: usize,
+    /// The classes a window's base and upgrade spend are charged to.
+    base: ParserKind,
+    upgrade: ParserKind,
+    /// Running per-document cost estimates: the plan blended with every
+    /// ingested wave.
+    observed: ObservedCosts,
+    /// Spend reserved by each committed-but-not-yet-reconciled window, in
+    /// commit order, consumed one document-slot at a time.
+    reservations: VecDeque<Reservation>,
+}
+
+/// One committed window's outstanding reservation: the seconds still
+/// reserved and the document slots not yet reconciled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Reservation {
+    charged: f64,
+    docs: usize,
+}
+
+/// Add `amount` to a parser class's spend, keeping classes in index order.
+fn charge(spend: &mut Vec<(ParserKind, f64)>, kind: ParserKind, amount: f64) {
+    match spend.iter_mut().find(|(k, _)| *k == kind) {
+        Some((_, total)) => *total += amount,
+        None => {
+            spend.push((kind, amount));
+            spend.sort_by_key(|(k, _)| k.index());
+        }
+    }
+}
+
+impl Ledger {
+    /// A compute budget of `total_seconds` for `total_docs` documents,
+    /// charged to the `(base, upgrade)` parser classes at the *planned*
+    /// per-document costs `(cheap, expensive)` (`expensive` is the full cost
+    /// of a selected document, extraction included). The effective costs are
+    /// pseudo-count blends of the plan, worth `prior_weight` phantom
+    /// documents, with every [ingested](Self::ingest) wave; before the first
+    /// ingest they equal the plan exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `total_seconds`, both planned costs and `prior_weight`
+    /// are finite and non-negative. This is the one place the ledger's
+    /// numbers are checked: a NaN or infinite cost would otherwise read as
+    /// free upgrades (α = 1), even on a budget that cannot pay the base
+    /// parser.
+    pub fn seconds(
+        total_seconds: f64,
+        total_docs: usize,
+        (base, upgrade): (ParserKind, ParserKind),
+        (cheap, expensive): (f64, f64),
+        prior_weight: f64,
+    ) -> Self {
+        for (name, value) in [
+            ("budget", total_seconds),
+            ("cheap cost", cheap),
+            ("expensive cost", expensive),
+            ("prior weight", prior_weight),
+        ] {
+            assert!(
+                value.is_finite() && value >= 0.0,
+                "ledger {name} must be finite and non-negative, got {value}"
+            );
+        }
+        Ledger {
+            spend: Vec::new(),
+            meter: Meter::Seconds(Budget {
+                remaining_seconds: total_seconds,
+                remaining_docs: total_docs,
+                base,
+                upgrade,
+                observed: ObservedCosts::new(cheap, expensive, prior_weight),
+                reservations: VecDeque::new(),
+            }),
         }
     }
 
@@ -71,256 +158,140 @@ impl ClassLedger {
         self.spend.iter().copied()
     }
 
-    /// Whether nothing has been charged yet.
-    pub fn is_empty(&self) -> bool {
-        self.spend.is_empty()
-    }
-}
-
-/// Seconds-denominated remaining-budget ledger.
-///
-/// Tracks the compute budget left after each committed window and derives
-/// the largest α the remainder can afford (Appendix C's bound applied to the
-/// *remaining* documents instead of the whole corpus). Deterministic: the
-/// ledger advances only on committed selections and ingested cost traces,
-/// in input order — the same trace replays the same ledger states bit for
-/// bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetLedger {
-    remaining_seconds: f64,
-    remaining_docs: usize,
-    cheap_cost: f64,
-    expensive_cost: f64,
-    /// Observed-cost feedback, when enabled: running per-document estimates
-    /// that replace the planned costs in `affordable_alpha` and `commit`.
-    observed: Option<ObservedCosts>,
-    /// Spend reserved by each committed-but-not-yet-reconciled window, in
-    /// commit order. [`ingest`](Self::ingest) pops the oldest reservation
-    /// whole and replaces it with the measured spend;
-    /// [`ingest_partial`](Self::ingest_partial) consumes it one
-    /// document-slot at a time.
-    pending_commits: VecDeque<Reservation>,
-    /// The parser classes behind `cheap_cost`/`expensive_cost`, when known:
-    /// lets `commit` attribute spend per class in `class_spend`.
-    classes: Option<(ParserKind, ParserKind)>,
-    /// Planned spend attributed per parser class (see
-    /// [`class_spend`](Self::class_spend)).
-    class_spend: ClassLedger,
-}
-
-/// One committed window's outstanding reservation: the seconds still
-/// reserved and the document slots not yet reconciled against measured
-/// costs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Reservation {
-    charged: f64,
-    docs: usize,
-}
-
-impl BudgetLedger {
-    /// A ledger over `total_seconds` of budget for `total_docs` documents
-    /// with the given *planned* per-document parser costs (`expensive_cost`
-    /// is the full cost of a selected document, extraction included).
-    pub fn new(total_seconds: f64, total_docs: usize, cheap_cost: f64, expensive_cost: f64) -> Self {
-        BudgetLedger {
-            remaining_seconds: total_seconds.max(0.0),
-            remaining_docs: total_docs,
-            cheap_cost: cheap_cost.max(0.0),
-            expensive_cost: expensive_cost.max(0.0),
-            observed: None,
-            pending_commits: VecDeque::new(),
-            classes: None,
-            class_spend: ClassLedger::new(),
-        }
+    /// Seconds of budget not yet committed (`None` for a page-dollar
+    /// ledger).
+    pub fn remaining_seconds(&self) -> Option<f64> {
+        self.budget().map(|budget| budget.remaining_seconds)
     }
 
-    /// Name the parser classes behind the cheap/expensive costs so every
-    /// commit splits its planned spend between them in
-    /// [`class_spend`](Self::class_spend): the whole window pays the base
-    /// class, selected documents additionally pay the upgrade class.
-    pub fn with_classes(mut self, base: ParserKind, upgrade: ParserKind) -> Self {
-        self.classes = Some((base, upgrade));
-        self
-    }
-
-    /// Planned spend attributed per parser class. Empty unless
-    /// [`with_classes`](Self::with_classes) named the classes. The
-    /// attribution is of *planned* spend at commit-time effective costs — near exhaustion the clamped
-    /// charge can be smaller than the attributed total, which keeps the
-    /// per-class ratios meaningful even when the ledger bottoms out.
-    pub fn class_spend(&self) -> &ClassLedger {
-        &self.class_spend
-    }
-
-    /// Enable observed-cost feedback: the ledger's effective per-document
-    /// costs become pseudo-count blends of the planned costs (worth
-    /// `prior_weight` phantom documents) and every wave ingested via
-    /// [`ingest`](Self::ingest).
-    pub fn with_observed_costs(mut self, prior_weight: f64) -> Self {
-        self.observed =
-            Some(ObservedCosts::new(self.cheap_cost, self.expensive_cost).with_prior_weight(prior_weight));
-        self
-    }
-
-    /// Seconds of budget not yet committed.
-    pub fn remaining_seconds(&self) -> f64 {
-        self.remaining_seconds
-    }
-
-    /// Documents not yet routed.
-    pub fn remaining_docs(&self) -> usize {
-        self.remaining_docs
-    }
-
-    /// The observed-cost estimates, when feedback is enabled.
+    /// The running cost estimates (`None` for a page-dollar ledger).
     pub fn observed(&self) -> Option<&ObservedCosts> {
-        self.observed.as_ref()
+        self.budget().map(|budget| &budget.observed)
     }
 
-    /// Current effective per-document cost of a default-routed document:
-    /// the observed estimate with feedback enabled, the planned cost
-    /// otherwise.
-    pub fn effective_cheap_cost(&self) -> f64 {
-        self.observed.as_ref().map_or(self.cheap_cost, ObservedCosts::effective_cheap)
+    /// The largest α the remaining budget affords the remaining documents
+    /// at the current effective costs (`None` for a page-dollar ledger,
+    /// which caps nothing).
+    pub fn affordable_alpha(&self) -> Option<f64> {
+        self.budget().map(|budget| {
+            max_affordable_alpha(
+                budget.remaining_seconds,
+                budget.remaining_docs,
+                budget.observed.effective_cheap(),
+                budget.observed.effective_expensive(),
+            )
+        })
     }
 
-    /// Current effective per-document cost of a high-quality-routed
-    /// document (extraction included).
-    pub fn effective_expensive_cost(&self) -> f64 {
-        self.observed.as_ref().map_or(self.expensive_cost, ObservedCosts::effective_expensive)
-    }
-
-    /// The largest α the remaining budget affords for the remaining
-    /// documents, at the current effective costs.
-    pub fn affordable_alpha(&self) -> f64 {
-        max_affordable_alpha(
-            self.remaining_seconds,
-            self.remaining_docs,
-            self.effective_cheap_cost(),
-            self.effective_expensive_cost(),
-        )
-    }
-
-    /// Reconcile one completed wave's measured costs, in commit order: the
-    /// oldest outstanding reservation is replaced by the wave's actual
-    /// spend (refunding the difference, or charging the overrun), and the
-    /// observed estimates absorb the samples. Ingesting a wave that was
-    /// never committed through this ledger simply charges its actual cost
-    /// and accounts its documents.
+    /// Reconcile measured costs: `wave` covers some — not necessarily all —
+    /// documents of the oldest outstanding reservations, in commit order.
+    /// Each observed document releases one document-slot of its
+    /// reservation, the wave's measured seconds are charged in its place,
+    /// and the observed estimates absorb the samples. A no-op on a
+    /// page-dollar ledger, which has no budget to reconcile.
     ///
-    /// A no-op on a plan-only ledger (built without
-    /// [`with_observed_costs`](Self::with_observed_costs)): such a ledger
-    /// tracks no reservations, so reconciling here would charge a committed
-    /// wave's spend — and its documents — a second time.
+    /// Slot-by-slot release keeps the balance honest when decision
+    /// boundaries observe a window piecemeal (the closed loop, serve):
+    /// releasing a whole reservation at its first completion would refund
+    /// the stragglers' cost while they still run. A window observed whole
+    /// (the campaign) releases exactly what it reserved. Once every document
+    /// has been observed or [released](Self::release_unobserved), the
+    /// remainder is exactly `budget − Σ measured`, clamped at zero.
     pub fn ingest(&mut self, wave: &WaveCosts) {
-        let Some(observed) = &mut self.observed else { return };
-        observed.ingest(wave);
-        let reservation = self.pending_commits.pop_front();
+        let Meter::Seconds(budget) = &mut self.meter else { return };
+        budget.observed.ingest(wave);
+        let released = budget.release_slots(wave.docs());
         let actual = wave.total_seconds().max(0.0);
-        self.remaining_seconds =
-            (self.remaining_seconds + reservation.map_or(0.0, |r| r.charged) - actual).max(0.0);
-        if reservation.is_none() {
-            // Never committed through this ledger: the documents were never
-            // deducted either, so account for them now.
-            self.remaining_docs = self.remaining_docs.saturating_sub(wave.docs());
-        }
-    }
-
-    /// Reconcile a *partial* observation: `wave` covers some — not
-    /// necessarily all — documents of the oldest outstanding
-    /// reservation(s). Each observed document releases one document-slot's
-    /// pro-rata share of the front reservation (a reservation whose slots
-    /// are exhausted is dropped, surrendering any rounding remainder), and
-    /// the wave's measured seconds are charged; the observed estimates
-    /// absorb the samples exactly as [`ingest`](Self::ingest) does.
-    ///
-    /// This is the causal closed loop's reconciliation: decision
-    /// boundaries observe whatever subset of committed work has finished
-    /// by then — never a whole window at once — so popping a full
-    /// reservation per call (the [`ingest`](Self::ingest) contract) would
-    /// refund still-running stragglers' estimated cost the moment their
-    /// window's first document completed. Slot-by-slot release keeps the
-    /// running balance honest: over a full campaign the total released
-    /// equals the total reserved, so the final remaining budget is exactly
-    /// `budget − Σ measured` (clamped at zero) once every document has
-    /// been observed or [released](Self::release_unobserved). Use one
-    /// reconciliation style per ledger — mixing whole-window and partial
-    /// ingests would misalign the slot accounting. A no-op on a plan-only
-    /// ledger, like [`ingest`](Self::ingest).
-    pub fn ingest_partial(&mut self, wave: &WaveCosts) {
-        let Some(observed) = &mut self.observed else { return };
-        observed.ingest(wave);
-        let released = self.release_slots(wave.docs());
-        let actual = wave.total_seconds().max(0.0);
-        self.remaining_seconds = (self.remaining_seconds + released - actual).max(0.0);
+        budget.remaining_seconds = (budget.remaining_seconds + released - actual).max(0.0);
     }
 
     /// Release the reservations of `docs` document-slots that will *never*
     /// be observed — documents whose tasks were skipped (no slot of the
     /// required kind, poisoned dependencies) and therefore never complete.
     /// Refunds their reserved seconds without feeding anything into the
-    /// observed estimates (a document that never ran is not a cost
-    /// sample). Call once at campaign close, after the last partial
-    /// ingest.
+    /// observed estimates (a document that never ran is not a cost sample).
+    /// Call once at campaign close, after the last ingest.
     pub fn release_unobserved(&mut self, docs: usize) {
-        if self.observed.is_none() {
-            return;
-        }
-        let released = self.release_slots(docs);
-        self.remaining_seconds = (self.remaining_seconds + released).max(0.0);
+        let Meter::Seconds(budget) = &mut self.meter else { return };
+        let released = budget.release_slots(docs);
+        budget.remaining_seconds = (budget.remaining_seconds + released).max(0.0);
     }
 
+    /// Refund part of a granted upgrade's dollar charge when per-page
+    /// delegation parsed only `fraction` of the document with the upgrade
+    /// parser (the remaining pages stayed on the base parser, whose charge
+    /// already covers them). Deterministic bookkeeping only — never affects
+    /// selection. Panics unless the ledger meters a frontier's page-dollars.
+    pub fn refund_delegated(&mut self, upgrade: usize, fraction: f64) {
+        let Meter::PageDollars(Some(frontier)) = &self.meter else {
+            panic!("refunds name an upgrade of a page-dollar ledger's frontier")
+        };
+        let entry = &frontier.upgrades()[upgrade];
+        charge(&mut self.spend, entry.parser, -entry.cost_per_page * (1.0 - fraction.clamp(0.0, 1.0)));
+    }
+
+    fn budget(&self) -> Option<&Budget> {
+        match &self.meter {
+            Meter::Seconds(budget) => Some(budget),
+            Meter::PageDollars(_) => None,
+        }
+    }
+
+    /// Charge one routed window of `docs` documents whose `grants` name the
+    /// granted upgrades, and return how many were granted.
+    fn commit(&mut self, docs: usize, grants: impl Iterator<Item = usize>) -> usize {
+        let spend = &mut self.spend;
+        match &mut self.meter {
+            Meter::PageDollars(None) => grants.count(),
+            Meter::PageDollars(Some(frontier)) => {
+                charge(spend, frontier.base(), docs as f64 * page_dollars(frontier.base()));
+                grants
+                    .map(|upgrade| &frontier.upgrades()[upgrade])
+                    .inspect(|entry| charge(spend, entry.parser, entry.cost_per_page))
+                    .count()
+            }
+            Meter::Seconds(budget) => {
+                let selected = grants.count();
+                let cheap = budget.observed.effective_cheap();
+                let upgrades = selected as f64 * (budget.observed.effective_expensive() - cheap).max(0.0);
+                charge(spend, budget.base, docs as f64 * cheap);
+                charge(spend, budget.upgrade, upgrades);
+                // Only what the ledger can actually deduct is reserved: a
+                // later refund of more than was charged would fabricate
+                // budget exactly in the near-exhaustion regime the ledger
+                // exists to police. (Near exhaustion the class charges can
+                // therefore exceed the reservation; their ratios still hold.)
+                let charged = (docs as f64 * cheap + upgrades).min(budget.remaining_seconds).max(0.0);
+                budget.remaining_seconds -= charged;
+                budget.remaining_docs = budget.remaining_docs.saturating_sub(docs);
+                budget.reservations.push_back(Reservation { charged, docs });
+                selected
+            }
+        }
+    }
+}
+
+impl Budget {
     /// Consume `docs` document-slots from the front of the reservation
-    /// queue and return the seconds they release (pro-rata within each
-    /// reservation; exhausted reservations surrender their rounding
-    /// remainder). Slots beyond the committed total release nothing.
+    /// queue and return the seconds they release: a slot's pro-rata share
+    /// while its reservation has slots left, and the reservation's whole
+    /// remainder with its last slot — so a fully released window returns
+    /// exactly what it reserved, never a rounding more. Slots beyond the
+    /// committed total release nothing.
     fn release_slots(&mut self, mut docs: usize) -> f64 {
         let mut released = 0.0;
-        while docs > 0 {
-            let Some(front) = self.pending_commits.front_mut() else { break };
-            if front.docs == 0 {
-                released += front.charged;
-                self.pending_commits.pop_front();
-                continue;
+        while let Some(front) = self.reservations.front_mut() {
+            if docs < front.docs {
+                let share = front.charged * docs as f64 / front.docs as f64;
+                front.charged -= share;
+                front.docs -= docs;
+                return released + share;
             }
-            let take = docs.min(front.docs);
-            let share = front.charged * take as f64 / front.docs as f64;
-            front.charged = (front.charged - share).max(0.0);
-            front.docs -= take;
-            released += share;
-            docs -= take;
-            if front.docs == 0 {
-                released += front.charged;
-                self.pending_commits.pop_front();
-            }
+            docs -= front.docs;
+            released += front.charged;
+            self.reservations.pop_front();
         }
         released
-    }
-
-    /// Commit one routed window at the current effective costs: every
-    /// document pays the cheap parser, `selected` additionally pay the
-    /// expensive one. With observed-cost feedback enabled the reservation is
-    /// remembered (one `f64` per window, FIFO) so a later
-    /// [`ingest`](Self::ingest) can reconcile it against measured costs; a
-    /// plan-only ledger keeps no reservations — nothing ever drains them,
-    /// and the queue must not grow unboundedly on a long-lived stream.
-    fn commit(&mut self, docs: usize, selected: usize) {
-        let cheap = self.effective_cheap_cost();
-        let expensive = self.effective_expensive_cost();
-        let spend = docs as f64 * cheap + selected as f64 * (expensive - cheap).max(0.0);
-        if let Some((base, upgrade)) = self.classes {
-            self.class_spend.charge(base, docs as f64 * cheap);
-            self.class_spend.charge(upgrade, selected as f64 * (expensive - cheap).max(0.0));
-        }
-        // Only what the ledger can actually deduct is reserved: a later
-        // refund of more than was charged would fabricate budget exactly in
-        // the near-exhaustion regime the ledger exists to police.
-        let charged = spend.min(self.remaining_seconds).max(0.0);
-        self.remaining_seconds -= charged;
-        self.remaining_docs = self.remaining_docs.saturating_sub(docs);
-        if self.observed.is_some() {
-            self.pending_commits.push_back(Reservation { charged, docs });
-        }
     }
 }
 
@@ -350,9 +321,9 @@ impl BudgetLedger {
 ///
 /// Masks depend only on the scores and the window boundaries — never on
 /// worker counts or timing — which is what lets the campaign pipeline keep
-/// its bitwise-determinism contract. With a [`BudgetLedger`] carrying
-/// observed-cost feedback, masks additionally depend on the ingested cost
-/// trace — still bitwise-deterministic for a fixed trace.
+/// its bitwise-determinism contract. Under a seconds [`Ledger`], masks
+/// additionally depend on the ingested cost trace — still
+/// bitwise-deterministic for a fixed trace.
 ///
 /// # Example
 ///
@@ -372,14 +343,12 @@ impl BudgetLedger {
 pub struct WindowedSelector {
     window: usize,
     alpha: f64,
-    frontier: Option<ParserFrontier>,
     weights: Vec<f64>,
     credit: f64,
     spent: f64,
     seen: usize,
     selected: usize,
-    ledger: Option<BudgetLedger>,
-    dollars: ClassLedger,
+    ledger: Ledger,
 }
 
 impl WindowedSelector {
@@ -389,32 +358,31 @@ impl WindowedSelector {
         WindowedSelector {
             window: window.max(1),
             alpha: alpha.clamp(0.0, 1.0),
-            frontier: None,
             weights: vec![1.0],
             credit: 0.0,
             spent: 0.0,
             seen: 0,
             selected: 0,
-            ledger: None,
-            dollars: ClassLedger::new(),
+            ledger: Ledger { spend: Vec::new(), meter: Meter::PageDollars(None) },
         }
     }
 
     /// Select over `frontier`'s upgrades (slot weights from
-    /// [`ParserFrontier::weights`]) and meter planned per-page dollars per
-    /// parser class: every document is charged the base parser's
-    /// [`page_dollars`] rate, every granted upgrade its `cost_per_page`.
+    /// [`ParserFrontier::weights`]) and, unless a seconds budget is
+    /// attached, meter planned page-dollars per parser class at its rates.
     pub fn with_frontier(mut self, frontier: ParserFrontier) -> Self {
         self.weights = frontier.weights();
-        self.frontier = Some(frontier);
+        if let Meter::PageDollars(rates) = &mut self.ledger.meter {
+            *rates = Some(frontier);
+        }
         self
     }
 
-    /// Attach a seconds-denominated budget ledger: each window's effective α
-    /// is the smaller of the configured α and what the remaining budget
-    /// affords.
-    pub fn with_budget(mut self, ledger: BudgetLedger) -> Self {
-        self.ledger = Some(ledger);
+    /// Meter spend against a seconds budget built by [`Ledger::seconds`]:
+    /// each window's effective α is the smaller of the configured α and
+    /// what the remaining budget affords.
+    pub fn with_budget(mut self, ledger: Ledger) -> Self {
+        self.ledger = ledger;
         self
     }
 
@@ -439,75 +407,24 @@ impl WindowedSelector {
         self.spent
     }
 
-    /// Planned dollar spend per parser class so far (empty without a
-    /// frontier).
-    pub fn dollars(&self) -> &ClassLedger {
-        &self.dollars
+    /// The selector's ledger.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 
-    /// The seconds ledger, if one is attached.
-    pub fn ledger(&self) -> Option<&BudgetLedger> {
-        self.ledger.as_ref()
-    }
-
-    /// Per-parser-class spend of the attached ledger (`None` without a
-    /// ledger; empty unless the ledger was built with
-    /// [`BudgetLedger::with_classes`]).
-    pub fn class_spend(&self) -> Option<&ClassLedger> {
-        self.ledger.as_ref().map(BudgetLedger::class_spend)
+    /// The selector's ledger, to reconcile measured costs or refund
+    /// delegated pages. Ingest after a window's costs are known and before
+    /// the next window is selected: reconciliation tightens or loosens the
+    /// effective α of every later window.
+    pub fn ledger_mut(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
     /// The α the *next* window will be selected at: the configured α capped
-    /// by what the ledger's remaining budget affords at current effective
-    /// costs (just the configured α without a ledger).
+    /// by what a seconds ledger's remaining budget affords at current
+    /// effective costs.
     pub fn effective_alpha(&self) -> f64 {
-        match &self.ledger {
-            Some(ledger) => self.alpha.min(ledger.affordable_alpha()),
-            None => self.alpha,
-        }
-    }
-
-    /// Feed one completed wave's measured costs back into the ledger
-    /// (no-op without one, or with a plan-only ledger built without
-    /// [`BudgetLedger::with_observed_costs`]). Call after each window
-    /// finishes parsing and before selecting the next window; the
-    /// reconciliation tightens or loosens the effective α of every later
-    /// window.
-    pub fn ingest_observed(&mut self, wave: &WaveCosts) {
-        if let Some(ledger) = &mut self.ledger {
-            ledger.ingest(wave);
-        }
-    }
-
-    /// Feed a *partial* observation back into the ledger — a subset of one
-    /// or more committed windows' documents, in commit order, as the
-    /// causal closed loop observes them at decision boundaries (see
-    /// [`BudgetLedger::ingest_partial`]). No-op without a ledger; use one
-    /// reconciliation style (whole-window or partial) per selector.
-    pub fn ingest_observed_partial(&mut self, wave: &WaveCosts) {
-        if let Some(ledger) = &mut self.ledger {
-            ledger.ingest_partial(wave);
-        }
-    }
-
-    /// Release the reservations of documents that will never be observed
-    /// (skipped work), at campaign close — see
-    /// [`BudgetLedger::release_unobserved`]. No-op without a ledger.
-    pub fn release_unobserved(&mut self, docs: usize) {
-        if let Some(ledger) = &mut self.ledger {
-            ledger.release_unobserved(docs);
-        }
-    }
-
-    /// Refund part of a granted upgrade's dollar charge when per-page
-    /// delegation parsed only `fraction` of the document with the upgrade
-    /// parser (the remaining pages stayed on the base parser, whose charge
-    /// already covers them). Deterministic bookkeeping only — never affects
-    /// selection. Panics on a selector built without a frontier.
-    pub fn refund_delegated(&mut self, upgrade: usize, fraction: f64) {
-        let frontier = self.frontier.as_ref().expect("refunds name an upgrade of the attached frontier");
-        let entry = &frontier.upgrades()[upgrade];
-        self.dollars.charge(entry.parser, -entry.cost_per_page * (1.0 - fraction.clamp(0.0, 1.0)));
+        self.ledger.affordable_alpha().map_or(self.alpha, |affordable| self.alpha.min(affordable))
     }
 
     /// Accrue a window's credit and return the slots it may spend:
@@ -521,25 +438,11 @@ impl WindowedSelector {
         (self.credit - self.spent).floor().max(0.0)
     }
 
-    /// Book a routed window: `slots` consumed, one dollar charge per
-    /// document (base) and per granted upgrade, and the seconds ledger's
-    /// commit.
+    /// Book a routed window: `slots` consumed, and the window's documents
+    /// and granted upgrades charged to the ledger.
     fn close_window(&mut self, docs: usize, slots: f64, grants: impl Iterator<Item = usize>) {
         self.spent += slots;
-        let granted = match &self.frontier {
-            None => grants.count(),
-            Some(frontier) => {
-                self.dollars.charge(frontier.base(), docs as f64 * page_dollars(frontier.base()));
-                grants
-                    .map(|upgrade| &frontier.upgrades()[upgrade])
-                    .inspect(|entry| self.dollars.charge(entry.parser, entry.cost_per_page))
-                    .count()
-            }
-        };
-        self.selected += granted;
-        if let Some(ledger) = &mut self.ledger {
-            ledger.commit(docs, granted);
-        }
+        self.selected += self.ledger.commit(docs, grants);
     }
 
     /// Route one window of scores through the single-upgrade view (the
@@ -592,12 +495,27 @@ impl WindowedSelector {
 mod tests {
     use super::*;
     use crate::budget::{select_batch, select_global};
+    use crate::scaling::DEFAULT_PRIOR_WEIGHT;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    const PAIR: (ParserKind, ParserKind) = (ParserKind::PyMuPdf, ParserKind::Nougat);
 
     fn random_scores(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n).map(|_| rng.gen_range(0.0..1.0)).collect()
+    }
+
+    fn budgeted(window: usize, alpha: f64, ledger: Ledger) -> WindowedSelector {
+        WindowedSelector::new(window, alpha).with_budget(ledger)
+    }
+
+    fn remaining(selector: &WindowedSelector) -> f64 {
+        selector.ledger().remaining_seconds().expect("a seconds ledger")
+    }
+
+    fn reservations(selector: &WindowedSelector) -> usize {
+        selector.ledger().budget().expect("a seconds ledger").reservations.len()
     }
 
     #[test]
@@ -671,9 +589,8 @@ mod tests {
         let expensive = 11.0;
         let budget = n as f64 * cheap + 0.10 * n as f64 * (expensive - cheap);
         let scores = random_scores(n, 8);
-        let selector =
-            WindowedSelector::new(20, 0.5).with_budget(BudgetLedger::new(budget, n, cheap, expensive));
-        let mask = selector.select_all(&scores);
+        let ledger = Ledger::seconds(budget, n, PAIR, (cheap, expensive), DEFAULT_PRIOR_WEIGHT);
+        let mask = budgeted(20, 0.5, ledger).select_all(&scores);
         let selected = mask.iter().filter(|&&m| m).count();
         assert!(selected > 0, "some budget must be spent");
         let spend = n as f64 * cheap + selected as f64 * (expensive - cheap);
@@ -685,8 +602,7 @@ mod tests {
         // Planned: 1 s cheap / 11 s expensive, budget sized for α = 0.5.
         let n = 400usize;
         let budget = n as f64 * 1.0 + 0.5 * n as f64 * 10.0;
-        let ledger = BudgetLedger::new(budget, n, 1.0, 11.0).with_observed_costs(8.0);
-        let mut selector = WindowedSelector::new(40, 0.5).with_budget(ledger);
+        let mut selector = budgeted(40, 0.5, Ledger::seconds(budget, n, PAIR, (1.0, 11.0), 8.0));
         assert!((selector.effective_alpha() - 0.5).abs() < 1e-9);
 
         let scores = random_scores(40, 3);
@@ -694,7 +610,7 @@ mod tests {
         let selected = mask.iter().filter(|&&m| m).count();
         assert_eq!(selected, 20);
         // The wave comes back 3× over plan on the expensive side.
-        selector.ingest_observed(&WaveCosts {
+        selector.ledger_mut().ingest(&WaveCosts {
             cheap_docs: 20,
             cheap_seconds: 20.0,
             expensive_docs: 20,
@@ -702,61 +618,33 @@ mod tests {
         });
         let tightened = selector.effective_alpha();
         assert!(tightened < 0.5, "overruns must tighten α, got {tightened}");
-        let ledger = selector.ledger().expect("ledger attached");
-        assert!(ledger.effective_expensive_cost() > 11.0);
-        assert!(ledger.observed().expect("feedback on").expensive_divergence() > 1.0);
+        let observed = selector.ledger().observed().expect("a seconds ledger");
+        assert!(observed.effective_expensive() > 11.0);
+        assert!(observed.expensive_divergence() > 1.0);
     }
 
     #[test]
     fn observed_underruns_refund_the_reservation() {
-        // A plan-only ledger ignores ingested waves entirely — commit
-        // already charged them, so reconciling would double-count.
-        let mut plan_only = BudgetLedger::new(100.0, 10, 2.0, 12.0);
-        plan_only.ingest(&WaveCosts {
-            cheap_docs: 2,
-            cheap_seconds: 1.0,
-            expensive_docs: 0,
-            ..Default::default()
-        });
-        assert_eq!(plan_only.remaining_seconds(), 100.0);
-        assert_eq!(plan_only.remaining_docs(), 10);
-
-        // With feedback, a wave never committed through the ledger is
-        // simply charged at its actual cost and its documents accounted.
-        let mut ledger = BudgetLedger::new(100.0, 10, 2.0, 12.0).with_observed_costs(4.0);
-        let before = ledger.remaining_seconds();
-        ledger.ingest(&WaveCosts {
-            cheap_docs: 2,
-            cheap_seconds: 1.0,
-            expensive_docs: 0,
-            ..Default::default()
-        });
-        assert!((ledger.remaining_seconds() - (before - 1.0)).abs() < 1e-12);
-        assert_eq!(ledger.remaining_docs(), 8);
-
         // Committed-then-cheaper: the difference comes back.
-        let ledger = BudgetLedger::new(100.0, 10, 2.0, 12.0).with_observed_costs(4.0);
-        let mut selector = WindowedSelector::new(4, 0.5).with_budget(ledger);
+        let mut selector = budgeted(4, 0.5, Ledger::seconds(100.0, 10, PAIR, (2.0, 12.0), 4.0));
         selector.select_window(&[0.9, 0.8, 0.1, 0.2]); // commits 4·2 + 2·10 = 28 s
-        let reserved = selector.ledger().unwrap().remaining_seconds();
-        assert!((reserved - 72.0).abs() < 1e-9);
-        selector.ingest_observed(&WaveCosts {
+        assert!((remaining(&selector) - 72.0).abs() < 1e-9);
+        selector.ledger_mut().ingest(&WaveCosts {
             cheap_docs: 2,
             cheap_seconds: 2.0,
             expensive_docs: 2,
             expensive_seconds: 12.0,
         });
-        let after = selector.ledger().unwrap().remaining_seconds();
+        let after = remaining(&selector);
         assert!((after - 86.0).abs() < 1e-9, "72 + 28 reserved − 14 actual = 86, got {after}");
         // Cheaper-than-planned costs loosen the affordable α.
-        assert!(selector.ledger().unwrap().effective_expensive_cost() < 12.0);
+        assert!(selector.ledger().observed().unwrap().effective_expensive() < 12.0);
     }
 
     #[test]
     fn feedback_selection_is_deterministic_for_a_fixed_cost_trace() {
         let run = || {
-            let ledger = BudgetLedger::new(500.0, 300, 1.0, 9.0).with_observed_costs(16.0);
-            let mut selector = WindowedSelector::new(25, 0.3).with_budget(ledger);
+            let mut selector = budgeted(25, 0.3, Ledger::seconds(500.0, 300, PAIR, (1.0, 9.0), 16.0));
             let mut masks = Vec::new();
             for window in 0..12u64 {
                 let scores = random_scores(25, window);
@@ -765,119 +653,142 @@ mod tests {
                 masks.push(mask);
                 // A synthetic but fixed cost trace: costs drift upward.
                 let drift = 1.0 + window as f64 * 0.25;
-                selector.ingest_observed(&WaveCosts {
+                selector.ledger_mut().ingest(&WaveCosts {
                     cheap_docs: 25 - selected,
                     cheap_seconds: (25 - selected) as f64 * drift,
                     expensive_docs: selected,
                     expensive_seconds: selected as f64 * 9.0 * drift,
                 });
             }
-            (masks, selector.ledger().cloned())
+            (masks, selector.ledger().clone())
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn plan_only_ledgers_keep_no_reservations() {
-        // Without observed-cost feedback nothing ever drains the
-        // reservation queue, so commit must not grow it: a long-lived
-        // plan-only stream stays O(1) in ledger state.
-        let ledger = BudgetLedger::new(1_000.0, 1_000, 1.0, 9.0);
-        let mut selector = WindowedSelector::new(10, 0.5).with_budget(ledger);
-        for window in 0..50u64 {
-            selector.select_window(&random_scores(10, window));
-        }
-        assert!(selector.ledger().unwrap().pending_commits.is_empty());
-
-        // With feedback on, commit/ingest pairs keep the queue bounded by
-        // the number of in-flight (committed-but-unreconciled) windows.
-        let ledger = BudgetLedger::new(1_000.0, 1_000, 1.0, 9.0).with_observed_costs(8.0);
-        let mut selector = WindowedSelector::new(10, 0.5).with_budget(ledger);
+    fn reconciled_windows_leave_no_reservations() {
+        // Commit/ingest pairs keep the queue bounded by the number of
+        // in-flight (committed-but-unreconciled) windows.
+        let mut selector = budgeted(10, 0.5, Ledger::seconds(1_000.0, 1_000, PAIR, (1.0, 9.0), 8.0));
         for window in 0..50u64 {
             let mask = selector.select_window(&random_scores(10, window));
+            assert_eq!(reservations(&selector), 1);
             let selected = mask.iter().filter(|&&m| m).count();
-            selector.ingest_observed(&WaveCosts {
+            selector.ledger_mut().ingest(&WaveCosts {
                 cheap_docs: 10 - selected,
                 cheap_seconds: (10 - selected) as f64,
                 expensive_docs: selected,
                 expensive_seconds: selected as f64 * 9.0,
             });
         }
-        assert!(selector.ledger().unwrap().pending_commits.is_empty());
+        assert_eq!(reservations(&selector), 0);
     }
 
     #[test]
     fn partial_ingests_release_reservations_slot_by_slot() {
         // One window of 10 docs committed at planned cost 5 s each → 50 s
         // reserved out of a 100 s budget.
-        let ledger = BudgetLedger::new(100.0, 10, 5.0, 5.0).with_observed_costs(1.0);
-        let mut selector = WindowedSelector::new(10, 0.0).with_budget(ledger);
+        let mut selector = budgeted(10, 0.0, Ledger::seconds(100.0, 10, PAIR, (5.0, 5.0), 1.0));
         selector.select_window(&[0.0; 10]);
-        assert!((selector.ledger().unwrap().remaining_seconds() - 50.0).abs() < 1e-9);
+        assert!((remaining(&selector) - 50.0).abs() < 1e-9);
         // 5 docs finish costing 30 s: only their 25 s of reservation is
-        // released (a whole-window ingest would have refunded all 50 s
-        // while the other half is still running).
+        // released (releasing the whole window would refund all 50 s while
+        // the other half is still running).
         let half = |seconds| WaveCosts { cheap_docs: 5, cheap_seconds: seconds, ..Default::default() };
-        selector.ingest_observed_partial(&half(30.0));
-        assert!((selector.ledger().unwrap().remaining_seconds() - 45.0).abs() < 1e-9);
+        selector.ledger_mut().ingest(&half(30.0));
+        assert!((remaining(&selector) - 45.0).abs() < 1e-9);
         // The stragglers finish costing 20 s: the remaining 25 s releases.
-        selector.ingest_observed_partial(&half(20.0));
+        selector.ledger_mut().ingest(&half(20.0));
         // Net: budget − measured = 100 − 50, exactly — nothing stranded,
         // nothing fabricated.
-        assert!((selector.ledger().unwrap().remaining_seconds() - 50.0).abs() < 1e-9);
-        assert!(selector.ledger().unwrap().pending_commits.is_empty());
+        assert!((remaining(&selector) - 50.0).abs() < 1e-9);
+        assert_eq!(reservations(&selector), 0);
+    }
+
+    #[test]
+    fn full_release_never_refunds_more_than_was_reserved() {
+        // `charged · n / n` can round above `charged`; the last slot of a
+        // reservation hands back its remainder, never a pro-rata share.
+        let mut selector = budgeted(3, 0.0, Ledger::seconds(0.003, 3, PAIR, (0.001, 0.001), 32.0));
+        selector.select_window(&[0.0; 3]);
+        selector.ledger_mut().release_unobserved(3);
+        assert!(remaining(&selector) <= 0.003, "released past the budget: {}", remaining(&selector));
+        assert_eq!(reservations(&selector), 0);
+    }
+
+    #[test]
+    fn hostile_numbers_are_rejected_by_the_constructor() {
+        // NaN, infinite or negative budgets, costs and prior weights would
+        // otherwise read as free upgrades (NaN.max(0) = 0; ∞ ≤ ∞) or skew the
+        // reservations; every one is refused where the ledger is built.
+        let good = (50.0, (1.0, 10.0), 8.0);
+        let hostile = [
+            (f64::NAN, good.1, good.2),
+            (f64::INFINITY, good.1, good.2),
+            (-1.0, good.1, good.2),
+            (good.0, (1.0, f64::NAN), good.2),
+            (good.0, (f64::NAN, 10.0), good.2),
+            (good.0, (f64::INFINITY, f64::INFINITY), good.2),
+            (good.0, (-1.0, 10.0), good.2),
+            (good.0, good.1, f64::NAN),
+            (good.0, good.1, -2.0),
+        ];
+        for (total, costs, prior) in hostile {
+            let built = std::panic::catch_unwind(|| Ledger::seconds(total, 10, PAIR, costs, prior));
+            assert!(built.is_err(), "accepted budget {total}, costs {costs:?}, prior {prior}");
+        }
+        let ledger = Ledger::seconds(good.0, 10, PAIR, good.1, good.2);
+        assert!(ledger.affordable_alpha().unwrap() < 1.0, "a sane plan prices its upgrades");
     }
 
     #[test]
     fn unobserved_documents_release_their_reservations_at_close() {
-        let ledger = BudgetLedger::new(100.0, 10, 5.0, 5.0).with_observed_costs(1.0);
-        let mut selector = WindowedSelector::new(10, 0.0).with_budget(ledger);
+        let mut selector = budgeted(10, 0.0, Ledger::seconds(100.0, 10, PAIR, (5.0, 5.0), 1.0));
         selector.select_window(&[0.0; 10]); // 50 s reserved
                                             // 4 docs complete; 6 are skipped and will never be observed.
-        selector.ingest_observed_partial(&WaveCosts {
-            cheap_docs: 4,
-            cheap_seconds: 20.0,
-            ..Default::default()
-        });
-        selector.release_unobserved(6);
-        assert!((selector.ledger().unwrap().remaining_seconds() - 80.0).abs() < 1e-9);
-        assert!(selector.ledger().unwrap().pending_commits.is_empty());
+        selector.ledger_mut().ingest(&WaveCosts { cheap_docs: 4, cheap_seconds: 20.0, ..Default::default() });
+        selector.ledger_mut().release_unobserved(6);
+        assert!((remaining(&selector) - 80.0).abs() < 1e-9);
+        assert_eq!(reservations(&selector), 0);
         // Releasing more slots than were ever committed is harmless.
-        selector.release_unobserved(99);
-        assert!((selector.ledger().unwrap().remaining_seconds() - 80.0).abs() < 1e-9);
+        selector.ledger_mut().release_unobserved(99);
+        assert!((remaining(&selector) - 80.0).abs() < 1e-9);
     }
 
     #[test]
     fn class_ledger_accounts_spend_per_parser_deterministically() {
-        let mut classes = ClassLedger::new();
-        assert!(classes.is_empty());
-        classes.charge(ParserKind::Nougat, 10.0);
-        classes.charge(ParserKind::PyMuPdf, 4.0);
-        classes.charge(ParserKind::Nougat, 2.5);
-        assert_eq!(classes.spent(ParserKind::Nougat), 12.5);
-        assert_eq!(classes.spent(ParserKind::PyMuPdf), 4.0);
-        assert_eq!(classes.spent(ParserKind::Marker), 0.0);
-        assert!((classes.total() - 16.5).abs() < 1e-12);
+        let mut ledger = WindowedSelector::new(1, 0.0).ledger().clone();
+        assert_eq!(ledger.classes().count(), 0);
+        charge(&mut ledger.spend, ParserKind::Nougat, 10.0);
+        charge(&mut ledger.spend, ParserKind::PyMuPdf, 4.0);
+        charge(&mut ledger.spend, ParserKind::Nougat, 2.5);
+        assert_eq!(ledger.spent(ParserKind::Nougat), 12.5);
+        assert_eq!(ledger.spent(ParserKind::PyMuPdf), 4.0);
+        assert_eq!(ledger.spent(ParserKind::Marker), 0.0);
+        assert!((ledger.total() - 16.5).abs() < 1e-12);
         // Iteration follows ParserKind::index order (Nougat before PyMuPDF
         // in the paper's table order), not insertion order.
-        let order: Vec<ParserKind> = classes.classes().map(|(k, _)| k).collect();
+        let order: Vec<ParserKind> = ledger.classes().map(|(k, _)| k).collect();
         assert_eq!(order, vec![ParserKind::Nougat, ParserKind::PyMuPdf]);
     }
 
     #[test]
     fn ledger_commits_split_spend_between_its_parser_classes() {
-        let ledger =
-            BudgetLedger::new(1_000.0, 100, 1.0, 11.0).with_classes(ParserKind::PyMuPdf, ParserKind::Nougat);
-        let mut selector = WindowedSelector::new(10, 0.5).with_budget(ledger);
+        let mut selector = budgeted(10, 0.5, Ledger::seconds(1_000.0, 100, PAIR, (1.0, 11.0), 8.0));
         selector.select_window(&random_scores(10, 21)); // 10 cheap + 5 upgrades
-        let classes = selector.class_spend().expect("ledger attached");
-        assert!((classes.spent(ParserKind::PyMuPdf) - 10.0).abs() < 1e-9);
-        assert!((classes.spent(ParserKind::Nougat) - 50.0).abs() < 1e-9);
+        let ledger = selector.ledger();
+        assert!((ledger.spent(ParserKind::PyMuPdf) - 10.0).abs() < 1e-9);
+        assert!((ledger.spent(ParserKind::Nougat) - 50.0).abs() < 1e-9);
         // The class breakdown covers exactly the committed spend.
-        assert!((classes.total() - (1_000.0 - selector.ledger().unwrap().remaining_seconds())).abs() < 1e-9);
-        // Without with_classes the breakdown stays empty.
-        let plain = WindowedSelector::new(10, 0.5).with_budget(BudgetLedger::new(100.0, 10, 1.0, 2.0));
-        assert!(plain.class_spend().unwrap().is_empty());
+        assert!((ledger.total() - (1_000.0 - remaining(&selector))).abs() < 1e-9);
+        // A budget outranks a frontier's page-dollars, whichever is attached
+        // first.
+        let frontier = ParserFrontier::pair(PAIR.0, PAIR.1);
+        let seconds = Ledger::seconds(1_000.0, 100, PAIR, (1.0, 11.0), 8.0);
+        let late =
+            WindowedSelector::new(10, 0.5).with_budget(seconds.clone()).with_frontier(frontier.clone());
+        assert_eq!(late.ledger(), &seconds);
+        assert_eq!(WindowedSelector::new(10, 0.5).with_frontier(frontier).with_budget(seconds.clone()), late);
     }
 
     #[test]

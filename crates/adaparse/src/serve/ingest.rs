@@ -363,7 +363,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             for (state, costs) in registry.states_mut().iter_mut().zip(&mut tenant_costs) {
                 if costs.docs() > 0 {
                     state.observed_docs += costs.docs();
-                    state.selector.ingest_observed_partial(costs);
+                    state.selector.ledger_mut().ingest(costs);
                     *costs = WaveCosts::default();
                 }
             }
@@ -541,7 +541,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         // rejected and never-admitted documents; refund whatever was never
         // measured.
         let unobserved = state.arrived.saturating_sub(state.observed_docs);
-        state.selector.release_unobserved(unobserved);
+        state.selector.ledger_mut().release_unobserved(unobserved);
     }
 
     let tenants = registry.reports();

@@ -16,7 +16,7 @@ use parsersim::{page_dollars, ParserFrontier, ParserKind};
 use crate::campaign::CampaignBudget;
 use crate::cascade::RoutingGranularity;
 use crate::hpc::WorkloadSpec;
-use crate::scaling::{BudgetLedger, WindowedSelector};
+use crate::scaling::{Ledger, WindowedSelector};
 use crate::stats::{percentile_in_place, LatencyLedger, LatencySummary};
 
 use crate::config::AdaParseConfig;
@@ -248,10 +248,11 @@ impl TenantRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if a tenant has a non-positive weight or a non-positive SLO
-    /// target, or if its arrival times are not finite, non-negative and
-    /// non-decreasing in [`f64::total_cmp`] order (`-0.0` may not follow
-    /// `0.0`): the serve loop's merge cursor relies on exactly that order,
+    /// Panics if a tenant has a non-positive weight, a non-positive SLO
+    /// target or a budget [`Ledger::seconds`] rejects, or if its arrival
+    /// times are not finite, non-negative and non-decreasing in
+    /// [`f64::total_cmp`] order (`-0.0` may not follow `0.0`): the serve
+    /// loop's merge cursor relies on exactly that order,
     /// and a time that is never `<=` an epoch boundary would spin it through
     /// `max_epochs` empty epochs and report the document as never arrived.
     pub fn new(config: &AdaParseConfig, traces: &[TenantTrace]) -> Self {
@@ -285,11 +286,13 @@ impl TenantRegistry {
                 }
                 let mut selector = WindowedSelector::new(spec.max_pending.max(1), spec.alpha);
                 if let Some(budget) = &spec.budget {
-                    let ledger =
-                        BudgetLedger::new(budget.total_seconds, trace.arrivals.len(), cheap, expensive)
-                            .with_classes(route_config.default_parser, route_config.high_quality_parser)
-                            .with_observed_costs(budget.prior_weight);
-                    selector = selector.with_budget(ledger);
+                    selector = selector.with_budget(Ledger::seconds(
+                        budget.total_seconds,
+                        trace.arrivals.len(),
+                        (route_config.default_parser, route_config.high_quality_parser),
+                        (cheap, expensive),
+                        budget.prior_weight,
+                    ));
                 }
                 TenantState {
                     spec: spec.clone(),
@@ -364,14 +367,10 @@ impl TenantRegistry {
                 herd_queue_seconds: tenant.herd_queue_seconds,
                 slo_p99_seconds: tenant.spec.slo_p99_seconds,
                 final_effective_alpha: tenant.closing_alpha,
-                remaining_budget_seconds: tenant.selector.ledger().map(BudgetLedger::remaining_seconds),
+                remaining_budget_seconds: tenant.selector.ledger().remaining_seconds(),
                 base_parser: tenant.route_config.default_parser,
                 upgrade_parser: tenant.route_config.high_quality_parser,
-                class_seconds: tenant
-                    .selector
-                    .class_spend()
-                    .map(|ledger| ledger.classes().collect())
-                    .unwrap_or_default(),
+                class_seconds: tenant.selector.ledger().classes().collect(),
             })
             .collect()
     }

@@ -3,7 +3,7 @@
 //!
 //! * the one streaming selector, through both of its views, reproduces a
 //!   sort-based oracle window by window on hostile score streams, with and
-//!   without a plan-only seconds ledger,
+//!   without a seconds ledger, and meters what its ledger names,
 //! * a wider frontier never upgrades fewer documents than the binary one at
 //!   the same slot budget, on a frozen workload,
 //! * the by-page task DAG never lets a join start before every one of its
@@ -11,8 +11,8 @@
 
 use adaparse::budget::{max_affordable_alpha, NON_CANDIDATE, URGENT};
 use adaparse::{
-    tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, BudgetLedger, CampaignPipeline,
-    CascadeConfig, NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec,
+    tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, Ledger,
+    NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec, DEFAULT_PRIOR_WEIGHT,
 };
 use docmodel::document::Document;
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
@@ -72,8 +72,9 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
 
 /// The reference the merged selector is checked against, written from
 /// the definition: per window, a full descending sort (NaN last, ties by
-/// index) and its top `min(⌊credit − spent⌋, len)`; `plan` is a plan-only
-/// seconds ledger `(budget, cheap, expensive)` capping each window's α.
+/// index) and its top `min(⌊credit − spent⌋, len)`; `plan` is a seconds
+/// ledger `(budget, cheap, expensive)` capping each window's α (with
+/// nothing ingested, its effective costs are the plan exactly).
 fn oracle_masks(scores: &[f64], window: usize, alpha: f64, plan: Option<(f64, f64, f64)>) -> Vec<bool> {
     let (mut credit, mut spent, mut docs_left) = (0.0f64, 0.0f64, scores.len());
     let mut seconds_left = plan.map_or(0.0, |(budget, ..)| budget);
@@ -100,9 +101,10 @@ fn oracle_masks(scores: &[f64], window: usize, alpha: f64, plan: Option<(f64, f6
 
 proptest! {
     // One selector, two views: on NaN/±∞/sentinel/tied streams, with and
-    // without a plan-only seconds ledger, both the mask view and the
-    // frontier view over a pair reproduce the sort oracle window by
-    // window — same masks, same grant counts, same dollar metering.
+    // without a seconds ledger, both the mask view and the frontier view
+    // over a pair reproduce the sort oracle window by window — same masks,
+    // same grant counts. Unbudgeted, the frontier view meters page-dollars
+    // and the bare mask view nothing; budgeted, both meter the same seconds.
     #[test]
     fn both_views_match_the_sort_oracle_window_by_window(
         raw in prop::collection::vec((0u8..14, -1.0f64..1.0), 1..200),
@@ -130,9 +132,13 @@ proptest! {
         let build = || {
             let selector = WindowedSelector::new(window, alpha);
             match plan {
-                Some((budget, cheap, expensive)) => {
-                    selector.with_budget(BudgetLedger::new(budget, scores.len(), cheap, expensive))
-                }
+                Some((budget, cheap, expensive)) => selector.with_budget(Ledger::seconds(
+                    budget,
+                    scores.len(),
+                    (ParserKind::PyMuPdf, ParserKind::Nougat),
+                    (cheap, expensive),
+                    DEFAULT_PRIOR_WEIGHT,
+                )),
                 None => selector,
             }
         };
@@ -149,10 +155,24 @@ proptest! {
         prop_assert_eq!(by_mask.selected(), granted);
         prop_assert_eq!(by_frontier.selected(), granted);
         prop_assert_eq!(by_frontier.slots_spent(), granted as f64);
-        prop_assert_eq!(by_mask.ledger(), by_frontier.ledger());
-        prop_assert!(by_mask.dollars().is_empty());
-        let upgrade_dollars = granted as f64 * page_dollars(ParserKind::Nougat);
-        prop_assert!((by_frontier.dollars().spent(ParserKind::Nougat) - upgrade_dollars).abs() < 1e-9);
+        match plan {
+            None => {
+                prop_assert_eq!(by_mask.ledger().classes().count(), 0);
+                let upgrade_dollars = granted as f64 * page_dollars(ParserKind::Nougat);
+                prop_assert!((by_frontier.ledger().spent(ParserKind::Nougat) - upgrade_dollars).abs() < 1e-9);
+            }
+            Some((budget, cheap, expensive)) => {
+                prop_assert_eq!(by_mask.ledger(), by_frontier.ledger());
+                // Per-class seconds sum to the committed spend, and the
+                // budget never gives up more than was committed.
+                let ledger = by_frontier.ledger();
+                let committed = n * cheap + granted as f64 * (expensive - cheap);
+                prop_assert!((ledger.spent(ParserKind::PyMuPdf) - n * cheap).abs() < 1e-9);
+                prop_assert!((ledger.total() - committed).abs() < 1e-9);
+                let remaining = ledger.remaining_seconds().expect("a seconds ledger");
+                prop_assert!(remaining >= 0.0 && budget - remaining <= committed + 1e-9);
+            }
+        }
     }
 
     // The by-page DAG's ordering contract: for random delegation
