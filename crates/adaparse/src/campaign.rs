@@ -50,7 +50,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use textmetrics::accepted::{AcceptedTokens, DEFAULT_ACCEPTANCE_THRESHOLD};
-use textmetrics::QualityReport;
+use textmetrics::{QualityReport, ReferenceText};
 
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -439,8 +439,8 @@ impl<'a> ScoreStage<'a> {
         if decision.parser != self.config.default_parser {
             cost = cost + output.cost;
         }
-        let report = QualityReport::compute(&output.text, &doc.ground_truth(), output.coverage());
-        let tokens = output.token_count();
+        let (report, tokens) =
+            ReferenceText::new(&doc.ground_truth()).score_counting(&output.text, output.coverage());
         DocOutcome {
             record: ParsedRecord {
                 doc_id: doc.id.0,

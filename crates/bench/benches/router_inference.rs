@@ -7,7 +7,9 @@
 //!
 //! The `encode` rows time the same eight documents, so `batch_of_8` against
 //! `batch_of_1` is what sharing each projection column between shard-mates
-//! buys; `route_window` rows divide by 256 for a per-document figure.
+//! buys, and `batch_of_8_baseline` against `batch_of_8` is what projecting at
+//! the CPU's widest vector width buys; `route_window` rows divide by 256 for a
+//! per-document figure.
 
 use adaparse::campaign::{ExtractStage, RouteStage, RoutingInput};
 use adaparse::{AdaParseConfig, AdaParseEngine};
@@ -55,6 +57,8 @@ fn bench_router_inference(c: &mut Criterion) {
         b.iter(|| shard.iter().map(|text| encoder.encode(black_box(text))).collect::<Vec<_>>())
     });
     c.bench_function("encode/batch_of_8", |b| b.iter(|| encoder.encode_batch(black_box(shard))));
+    let baseline = encoder.clone().at_baseline_width();
+    c.bench_function("encode/batch_of_8_baseline", |b| b.iter(|| baseline.encode_batch(black_box(shard))));
 
     c.bench_function("cls1/256_docs", |b| {
         b.iter(|| inputs.iter().filter(|input| rules.is_valid(black_box(&input.first_page_text), 1)).count())

@@ -90,25 +90,27 @@ fn confuse<R: Rng + ?Sized>(c: char, rng: &mut R) -> char {
 /// Convert LaTeX markup to the garbled plaintext that text extraction
 /// produces: control sequences lose their backslashes, braces and math
 /// delimiters vanish, superscripts/subscripts flatten.
+///
+/// Backslashes go but the control word stays glued to the following token
+/// (`\frac{a}{b}` → `fracab`), and each run of spaces collapses to one. Every
+/// dropped byte is ASCII, which never occurs inside a multi-byte UTF-8
+/// character, so copying the byte runs between them is exact for any text.
 pub fn mangle_latex(text: &str) -> String {
+    let bytes = text.as_bytes();
     let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars().peekable();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => {
-                // Drop the backslash but keep the control word glued to the
-                // following token (e.g. `\frac{a}{b}` -> `fracab`).
-            }
-            '{' | '}' | '$' | '^' | '_' => {}
-            _ => out.push(c),
-        }
-        // Collapse the spacing LaTeX uses around operators.
-        if c == ' ' && chars.peek() == Some(&' ') {
-            while chars.peek() == Some(&' ') {
-                chars.next();
-            }
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let dropped = match b {
+            b'\\' | b'{' | b'}' | b'$' | b'^' | b'_' => true,
+            b' ' => i > 0 && bytes[i - 1] == b' ',
+            _ => false,
+        };
+        if dropped {
+            out.push_str(&text[run..i]);
+            run = i + 1;
         }
     }
+    out.push_str(&text[run..]);
     out
 }
 

@@ -101,6 +101,76 @@ impl std::fmt::Display for EncoderProfile {
 /// projection column is read once for all of them.
 const TILE: usize = 8;
 
+/// Add `column · x` into the embedding of every feature row whose entry `x`
+/// is non-zero, column by column. `projection` is column-major with `dim`
+/// rows; `features` holds one row of `projection.len() / dim` entries per
+/// embedding. The one loop body behind every [`Width`].
+#[inline(always)]
+fn project(projection: &[f64], dim: usize, features: &[f64], embeddings: &mut [Vec<f64>]) {
+    let width = projection.len() / dim;
+    for (j, column) in projection.chunks_exact(dim).enumerate() {
+        for (embedding, row) in embeddings.iter_mut().zip(features.chunks_exact(width)) {
+            let x = row[j];
+            if x != 0.0 {
+                for (e, w) in embedding.iter_mut().zip(column) {
+                    *e += w * x;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn project_avx2(projection: &[f64], dim: usize, features: &[f64], embeddings: &mut [Vec<f64>]) {
+    project(projection, dim, features, embeddings)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn project_avx512(projection: &[f64], dim: usize, features: &[f64], embeddings: &mut [Vec<f64>]) {
+    project(projection, dim, features, embeddings)
+}
+
+type Projection = unsafe fn(&[f64], usize, &[f64], &mut [Vec<f64>]);
+
+/// [`project`] compiled for one x86-64 vector width. `body` is an `unsafe fn`
+/// because a build above the baseline may only run on a CPU that has its
+/// instructions; [`Width::supported`] is the only place one is made.
+#[derive(Clone, Copy)]
+struct Width {
+    name: &'static str,
+    body: Projection,
+}
+
+impl std::fmt::Debug for Width {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// The build every target runs.
+const BASELINE: Width = Width { name: "baseline", body: project };
+
+impl Width {
+    /// The widths this CPU runs, widest first; the baseline is always last.
+    fn supported() -> Vec<Width> {
+        #[allow(unused_mut)] // Only x86-64 has more than the baseline.
+        let mut widths = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                widths.push(Width { name: "avx512f", body: project_avx512 });
+            }
+            if is_x86_feature_detected!("avx2") {
+                widths.push(Width { name: "avx2", body: project_avx2 });
+            }
+        }
+        widths.push(BASELINE);
+        widths
+    }
+}
+
 /// A frozen encoder: hashed n-grams → fixed random projection → embedding.
 #[derive(Debug, Clone)]
 pub struct PretrainedEncoder {
@@ -109,6 +179,8 @@ pub struct PretrainedEncoder {
     /// `embedding_dim × (feature_dim + 8)` weights stored column-major: the
     /// weights of feature `j` are `projection[j * embedding_dim..][..embedding_dim]`.
     projection: Vec<f64>,
+    /// One of [`Width::supported`]: the widest at construction.
+    width: Width,
     noise_seed: u64,
 }
 
@@ -135,7 +207,15 @@ impl PretrainedEncoder {
                 projection[col * rows + row] = rng.gen_range(-scale..=scale);
             }
         }
-        PretrainedEncoder { profile, featurizer, projection, noise_seed: 0x5EED }
+        let width = Width::supported()[0];
+        PretrainedEncoder { profile, featurizer, projection, width, noise_seed: 0x5EED }
+    }
+
+    /// The same encoder projecting at the baseline vector width whatever the
+    /// CPU offers: the reference a benchmark compares the detected width
+    /// with. Embeddings are bit-equal at every width.
+    pub fn at_baseline_width(self) -> Self {
+        PretrainedEncoder { width: BASELINE, ..self }
     }
 
     /// Output embedding width.
@@ -160,8 +240,13 @@ impl PretrainedEncoder {
     /// `-0.0`, so adding it would change nothing. The product and the sum
     /// are rounded separately (no `mul_add`): a fused multiply-add rounds
     /// once, which would move every embedding and with it every routing
-    /// score. The representation noise of the low-quality profiles is seeded
-    /// from a hash of the text, so repeated calls agree.
+    /// score. The same holds at every vector width: the encoder runs one loop
+    /// body built for the baseline, AVX2 or AVX-512F — the widest the CPU
+    /// has — and Rust never contracts `w * x + e` into a fused multiply-add,
+    /// while each vector lane is a different embedding entry that still sums
+    /// its terms in ascending column order. The representation noise of the
+    /// low-quality profiles is seeded from a hash of the text, so repeated
+    /// calls agree.
     pub fn encode_batch<S: AsRef<str>>(&self, texts: &[S]) -> Vec<Vec<f64>> {
         let width = self.featurizer.dim() + 8;
         let mut features = vec![0.0; TILE.min(texts.len()) * width];
@@ -180,16 +265,10 @@ impl PretrainedEncoder {
             statistics.copy_from_slice(&aggregate_statistics(text.as_ref()));
         }
         let mut embeddings = vec![vec![0.0; dim]; tile.len()];
-        for (j, column) in self.projection.chunks_exact(dim).enumerate() {
-            for (embedding, row) in embeddings.iter_mut().zip(features.chunks_exact(width)) {
-                let x = row[j];
-                if x != 0.0 {
-                    for (e, w) in embedding.iter_mut().zip(column) {
-                        *e += w * x;
-                    }
-                }
-            }
-        }
+        // SAFETY: `self.width` comes from `Width::supported`, which offers a
+        // build above the baseline only after `is_x86_feature_detected!` found
+        // its instructions on this CPU, or is `BASELINE`, which needs none.
+        unsafe { (self.width.body)(&self.projection, dim, features, &mut embeddings) };
         let noise = self.profile.representation_noise();
         for (text, embedding) in tile.iter().zip(&mut embeddings) {
             if noise > 0.0 {
@@ -246,6 +325,26 @@ mod tests {
         let batch = encoder.encode_batch(&texts);
         assert_eq!(batch[0], encoder.encode("alpha beta"));
         assert_eq!(batch[1], encoder.encode("gamma delta"));
+    }
+
+    #[test]
+    fn every_supported_width_projects_the_same_bits() {
+        // Nine texts — a full tile and a tile of one — with empty, multi-byte
+        // and markup inputs among prose.
+        let mut texts = vec![String::new(), "é İstanbul ΣΟΦΟΣ 東京大学".into(), "\\frac{a}{b} $x^2$".into()];
+        texts.extend((1..=6).map(|n| "enzyme kinetics of the observed reaction rate ".repeat(n * 7)));
+        let widths = Width::supported();
+        println!("projection widths run: {widths:?}");
+        for profile in EncoderProfile::ALL {
+            let bits = |width| {
+                let encoder = PretrainedEncoder { width, ..PretrainedEncoder::new(profile) };
+                encoder.encode_batch(&texts).concat().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let baseline = bits(BASELINE);
+            for &width in &widths {
+                assert_eq!(bits(width), baseline, "{profile} at {width:?}");
+            }
+        }
     }
 
     #[test]

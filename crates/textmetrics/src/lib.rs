@@ -67,7 +67,9 @@ impl QualityReport {
     /// property of the document model, not of flat text. The three scores
     /// are bit-equal to [`sentence_bleu`], [`rouge_l`]`.f1` and
     /// [`char_accuracy_rate`] on the same pair; each text is tokenized,
-    /// interned and whitespace-normalized once for all of them.
+    /// interned and whitespace-normalized once for all of them. `coverage`
+    /// is clamped to `[0, 1]`, and a NaN coverage reads as 0: one such
+    /// document would otherwise make every mean over coverages NaN.
     pub fn compute(candidate: &str, reference: &str, coverage: f64) -> Self {
         ReferenceText::new(reference).score(candidate, coverage)
     }
@@ -99,13 +101,20 @@ impl ReferenceText {
 
     /// Score `candidate` against this reference; see [`QualityReport::compute`].
     pub fn score(&self, candidate: &str, coverage: f64) -> QualityReport {
+        self.score_counting(candidate, coverage).0
+    }
+
+    /// [`Self::score`] and the candidate's word-token count, equal to
+    /// [`tokenize::count_words`]: scoring tokenizes the candidate anyway.
+    pub fn score_counting(&self, candidate: &str, coverage: f64) -> (QualityReport, usize) {
         let ids = self.vocab.lookup(candidate);
-        QualityReport {
+        let report = QualityReport {
             bleu: bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score,
             rouge: rouge::rouge_l_of_ids(&ids, &self.ids, self.vocab.len()).f1,
             car: levenshtein::car_of_chars(&tokenize_chars(candidate), &self.chars),
-            coverage: coverage.clamp(0.0, 1.0),
-        }
+            coverage: if coverage.is_nan() { 0.0 } else { coverage.clamp(0.0, 1.0) },
+        };
+        (report, ids.len())
     }
 }
 
@@ -139,5 +148,10 @@ mod tests {
         assert_eq!(r.coverage, 1.0);
         let r = QualityReport::compute("a", "a", -0.3);
         assert_eq!(r.coverage, 0.0);
+    }
+
+    #[test]
+    fn nan_coverage_reads_as_zero() {
+        assert_eq!(QualityReport::compute("a", "a", f64::NAN).coverage.to_bits(), 0.0f64.to_bits());
     }
 }

@@ -9,6 +9,7 @@ use textmetrics::stats::{pearson, percentile, r_squared};
 use textmetrics::tokenize::{
     alphanumeric_ratio, count_words, normalize_whitespace, tokenize_words, wordlike_ratio, TextCounts,
 };
+use textmetrics::ReferenceText;
 
 fn word() -> impl Strategy<Value = String> {
     "[a-z]{1,8}"
@@ -159,6 +160,13 @@ proptest! {
     #[test]
     fn count_words_equals_tokenizer_len(a in short_text()) {
         prop_assert_eq!(count_words(&a), tokenize_words(&a).len());
+    }
+
+    #[test]
+    fn scoring_counts_the_tokens_count_words_does(a in mixed_text(), reference in mixed_text()) {
+        let (_, tokens) = ReferenceText::new(&reference).score_counting(&a, 1.0);
+        prop_assert_eq!(tokens, count_words(&a));
+        prop_assert_eq!(tokens, tokenize_words(&a).len());
     }
 
     #[test]
