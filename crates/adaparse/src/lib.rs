@@ -126,8 +126,8 @@ pub use cascade::{
 pub use config::{AdaParseConfig, Variant};
 pub use engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 pub use hpc::{
-    adaparse_throughput_at_scale, build_routing_tasks, parser_throughput_at_scale,
-    tasks_for_cascade_with_affinity, WorkloadSpec,
+    adaparse_throughput_at_scale, parser_throughput_at_scale, task_id_stride,
+    tasks_for_cascade_with_affinity, tasks_for_choices, WorkloadSpec,
 };
 pub use output::{JsonlSink, MemorySink, ParsedRecord, RecordSink};
 pub use scaling::{

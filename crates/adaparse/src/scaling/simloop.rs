@@ -70,9 +70,9 @@ use hpcsim::{
 };
 use parsersim::cost::CostModel;
 
+use crate::cascade::ParserChoice;
 use crate::config::AdaParseConfig;
-use crate::engine::RoutedDocument;
-use crate::hpc::{build_routing_tasks, WorkloadSpec};
+use crate::hpc::{task_id_stride, tasks_for_choices, WorkloadSpec};
 use crate::scaling::observed::{DeferredQueue, ObservedCosts, WaveCosts, DEFAULT_PRIOR_WEIGHT};
 use crate::scaling::{
     Allocation, AllocationEvent, ControllerConfig, Ledger, NodePlan, ScalingController, WaveStats,
@@ -317,8 +317,11 @@ pub fn run_closed_loop(
     // Every task's slot wait, in schedule order — the one thing the close
     // needs from a row after its window has been harvested.
     let mut queue_waits = LatencyLedger::new();
+    let (base, upgrade) = (config.default_parser, config.high_quality_parser);
+    // Whole-document choices: extract at `stride · doc`, parse one id later.
+    let stride = task_id_stride(0);
     // Per-window scratch, allocated once.
-    let mut routed: Vec<RoutedDocument> = Vec::new();
+    let mut choices: Vec<ParserChoice> = Vec::new();
     let mut spans: Vec<Option<(f64, f64)>> = Vec::new();
 
     for (wave_index, chunk) in improvements.chunks(window).enumerate() {
@@ -331,17 +334,12 @@ pub fn run_closed_loop(
         let effective_alpha = selector.effective_alpha();
         let mask = selector.select_window(chunk);
         let selected = mask.iter().filter(|&&m| m).count();
-        routed.clear();
-        routed.extend(chunk.iter().zip(&mask).enumerate().map(|(k, (&score, &hq))| RoutedDocument {
-            doc_id: (offset + k) as u64,
-            parser: if hq { config.high_quality_parser } else { config.default_parser },
-            predicted_improvement: score,
-            cls1_invalid: false,
-        }));
+        choices.clear();
+        choices.extend(ParserChoice::from_mask(base, upgrade, offset as u64, &mask));
 
         // Fleets: the controller's allocation projected onto the cluster.
         let plan = controller.plan_nodes(cluster.nodes);
-        let tasks = build_routing_tasks(config, &routed, workload, Some(&plan), 1.0);
+        let tasks = tasks_for_choices(base, &choices, workload, Some(&plan), 1.0);
         // Global-order harvest cursor: retirement never moves it.
         let scheduled_before = session.schedule_len();
         session.submit_owned(tasks, SubmitOptions { release_seconds: Some(decided_at) });
@@ -359,18 +357,17 @@ pub fn run_closed_loop(
         // The one pass over the window's rows: the epoch's earliest start,
         // every task's slot wait, its stage sample (observable once a
         // boundary passes its finish) and its `(start, finish)` by
-        // `id − 2·offset` — an unbounded drain schedules only this window's
-        // tasks, ids `2·offset .. 2·(offset + window)`, `doc_id * 2` the
-        // extract and `doc_id * 2 + 1` the parse.
+        // `id − stride·offset` — an unbounded drain schedules only this
+        // window's tasks.
         spans.clear();
-        spans.resize(2 * chunk.len(), None);
+        spans.resize(stride as usize * chunk.len(), None);
         let mut first_start = f64::INFINITY;
         for row in session.schedule_since(scheduled_before) {
             let (start, finish) = (row.start_seconds, row.finish_seconds);
             first_start = first_start.min(start);
             queue_waits.record(start - row.ready_seconds);
-            deferred_tasks.push(finish, (row.id % 2 == 1, finish - start));
-            spans[(row.id - 2 * offset as u64) as usize] = Some((start, finish));
+            deferred_tasks.push(finish, (row.id % stride == 1, finish - start));
+            spans[(row.id - stride * offset as u64) as usize] = Some((start, finish));
         }
         // Rows read, in-flight query made: everything finished by the
         // boundary can go (the module docs say why nothing can tell).
@@ -383,17 +380,17 @@ pub fn run_closed_loop(
             (first_start, wave.makespan_seconds)
         };
 
-        for (k, &hq) in mask.iter().enumerate() {
+        for (k, hq) in choices.iter().map(ParserChoice::is_upgraded).enumerate() {
             // A document whose extract was skipped ran nothing at all —
             // its cost is never observable and its reservation is released
             // at campaign close.
-            let Some((extract_start, extract_finish)) = spans[2 * k] else { continue };
+            let Some((extract_start, extract_finish)) = spans[stride as usize * k] else { continue };
             let extract_busy = extract_finish - extract_start;
-            let (observable_at, seconds) = match spans[2 * k + 1] {
+            let (observable_at, seconds) = match spans[stride as usize * k + 1] {
                 Some((parse_start, parse_finish)) if hq => {
                     (extract_finish.max(parse_finish), extract_busy + (parse_finish - parse_start))
                 }
-                // A selected document whose parse was skipped still burned
+                // An upgraded document whose parse was skipped still burned
                 // its extract seconds: charge what actually ran.
                 _ => (extract_finish, extract_busy),
             };

@@ -12,9 +12,9 @@ use hpcsim::{
     CampaignReport, ClusterConfig, ExecutorConfig, IdMap, LustreModel, SubmitOptions, WorkflowExecutor,
 };
 
+use crate::cascade::ParserChoice;
 use crate::config::AdaParseConfig;
-use crate::engine::RoutedDocument;
-use crate::hpc::build_routing_tasks;
+use crate::hpc::{task_id_stride, tasks_for_choices};
 use crate::scaling::observed::DeferredQueue;
 use crate::scaling::{
     AutoscaleConfig, ControllerConfig, FleetEvent, ScalingController, SloAutoscaler, WaveCosts, WaveStats,
@@ -146,7 +146,7 @@ impl ServeReport {
 struct DocProgress {
     tenant: usize,
     arrived_at: f64,
-    /// Routed to the high-quality parser (a parse task exists).
+    /// Granted an upgrade (a parse task exists).
     expensive: bool,
     extract: Option<(f64, f64)>,
     parse: Option<(f64, f64)>,
@@ -290,7 +290,9 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut tenant_costs = vec![WaveCosts::default(); traces.len()];
     let mut admitted_now: Vec<Vec<DocArrival>> = vec![Vec::new(); traces.len()];
     let mut scores: Vec<f64> = Vec::new();
-    let mut routed: Vec<RoutedDocument> = Vec::new();
+    let mut choices: Vec<ParserChoice> = Vec::new();
+    // Whole-document choices: extract at `stride · doc`, parse one id later.
+    let stride = task_id_stride(0);
 
     // One harvest pass, shared by the epoch loop and the final drain: scan
     // new schedule rows into per-doc progress, then surface everything
@@ -299,10 +301,9 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         ($boundary:expr) => {{
             let boundary: f64 = $boundary;
             for row in session.schedule_since(scanned_rows) {
-                let doc_id = row.id / 2;
-                let parse = row.id % 2 == 1;
+                let doc_id = row.id / stride;
+                let parse = row.id % stride == 1;
                 if let Some(progress) = awaiting.get_mut(&doc_id) {
-                    let was_complete = progress.completion().is_some();
                     let span = (row.start_seconds, row.finish_seconds);
                     if parse {
                         progress.parse = Some(span);
@@ -315,10 +316,9 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                     if row.herd_wait_seconds > 0.0 {
                         registry.states_mut()[progress.tenant].herd_queue_seconds += row.herd_wait_seconds;
                     }
-                    // Row-driven completion, on the transition only: a
-                    // single-parser tenant's non-selected document is done
-                    // at its extract row, yet its parse row still lands.
-                    if !was_complete && progress.completion().is_some() {
+                    // Row-driven completion: a document has exactly the rows
+                    // its grant implies, so it completes on its last one.
+                    if progress.completion().is_some() {
                         done_ids.push(doc_id);
                     }
                 }
@@ -461,44 +461,30 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             // clamp turns vacuous).
             state.closing_alpha = state.selector.effective_alpha();
             let mask = state.selector.select_window(&scores);
-            routed.clear();
-            routed.extend(batch.iter().zip(&mask).map(|(doc, &hq)| {
-                let doc_id = next_doc_id;
-                next_doc_id += 1;
+            // The tenant's own pair (the service's, or its allowlist's); a
+            // single-parser pair grants nothing, so its documents only extract.
+            let (base, upgrade) = (state.route_config.default_parser, state.route_config.high_quality_parser);
+            choices.clear();
+            choices.extend(ParserChoice::from_mask(base, upgrade, next_doc_id, &mask));
+            next_doc_id += batch.len() as u64;
+            for (doc, choice) in batch.iter().zip(&choices) {
                 awaiting.insert(
-                    doc_id,
+                    choice.doc_id,
                     DocProgress {
                         tenant,
                         arrived_at: doc.at_seconds,
-                        expensive: hq,
+                        expensive: choice.is_upgraded(),
                         extract: None,
                         parse: None,
                     },
                 );
-                RoutedDocument {
-                    doc_id,
-                    // The tenant's own parser pair: the service pair by
-                    // default, the allowlist-derived pair otherwise.
-                    parser: if hq {
-                        state.route_config.high_quality_parser
-                    } else {
-                        state.route_config.default_parser
-                    },
-                    predicted_improvement: doc.score,
-                    cls1_invalid: false,
-                }
-            }));
+            }
             batch.clear();
             state.selected += mask.iter().filter(|&&m| m).count();
             // Parse compute scales by the tenant's delegation fraction
             // (exactly 1.0 for by-doc tenants — a bitwise no-op).
-            let tasks = build_routing_tasks(
-                &state.route_config,
-                &routed,
-                &state.spec.workload,
-                Some(&plan),
-                state.parse_fraction,
-            );
+            let tasks =
+                tasks_for_choices(base, &choices, &state.spec.workload, Some(&plan), state.parse_fraction);
             session.submit_owned(tasks, SubmitOptions { release_seconds: Some(boundary) });
         }
 

@@ -11,8 +11,9 @@
 
 use adaparse::budget::{max_affordable_alpha, NON_CANDIDATE, URGENT};
 use adaparse::{
-    tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, Ledger,
-    NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec, DEFAULT_PRIOR_WEIGHT,
+    task_id_stride, tasks_for_cascade_with_affinity, AdaParseConfig, AdaParseEngine, CampaignPipeline,
+    CascadeConfig, Ledger, NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec,
+    DEFAULT_PRIOR_WEIGHT,
 };
 use docmodel::document::Document;
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
@@ -222,7 +223,7 @@ proptest! {
         prop_assert_eq!(report.tasks_completed, task_count, "every DAG task must schedule");
 
         let max_pages = choices.iter().map(|c| c.upgraded_pages.len()).max().unwrap_or(0);
-        let stride = (max_pages as u64) + 4;
+        let stride = task_id_stride(max_pages);
         let rows = session.schedule();
         let row = |id: u64| rows.iter().find(|r| r.id == id);
         for choice in &choices {

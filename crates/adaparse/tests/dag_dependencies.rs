@@ -1,32 +1,29 @@
 //! Regression tests for the dependency edges the routing bridge emits: with
 //! edges enabled, no parse task ever starts before its extract partner
 //! finishes — the exact scheduling hole the pre-DAG throughput model had —
-//! while the plan-free construction stays order-free (legacy mode).
+//! while the plan-free construction stays order-free (legacy mode). Beside
+//! them, what the one builder refuses to build: a parse a single-parser pair
+//! never granted, and a negative stage-in size (`serve_props` feeds it a NaN).
 
 use adaparse::{
-    build_routing_tasks, run_closed_loop, AdaParseConfig, NodePlan, RoutedDocument, SimLoopConfig,
-    WorkloadSpec,
+    run_closed_loop, tasks_for_choices, AdaParseConfig, NodePlan, ParserChoice, SimLoopConfig, WorkloadSpec,
 };
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, WorkflowExecutor};
+use parsersim::ParserKind;
 
-fn routed_docs(config: &AdaParseConfig, n: usize, every: usize) -> Vec<RoutedDocument> {
-    (0..n)
-        .map(|i| RoutedDocument {
-            doc_id: i as u64,
-            parser: if i % every == 0 { config.high_quality_parser } else { config.default_parser },
-            predicted_improvement: 0.5,
-            cls1_invalid: false,
-        })
-        .collect()
+/// `n` documents, every `every`-th upgraded to the config's pair.
+fn choices(config: &AdaParseConfig, n: usize, every: usize) -> Vec<ParserChoice> {
+    let mask: Vec<bool> = (0..n).map(|i| i % every == 0).collect();
+    ParserChoice::from_mask(config.default_parser, config.high_quality_parser, 0, &mask).collect()
 }
 
 #[test]
 fn no_parse_starts_before_its_extract_partner_finishes() {
     let config = AdaParseConfig::default();
-    let routed = routed_docs(&config, 120, 3);
+    let choices = choices(&config, 120, 3);
     let workload = WorkloadSpec { documents: 120, pages_per_doc: 10, mb_per_doc: 2.0 };
     let plan = NodePlan { extract_nodes: 3, parse_nodes: 1 };
-    let tasks = build_routing_tasks(&config, &routed, &workload, Some(&plan), 1.0);
+    let tasks = tasks_for_choices(config.default_parser, &choices, &workload, Some(&plan), 1.0);
     let executor = WorkflowExecutor::new(ExecutorConfig::default());
     let mut session = executor.session(&ClusterConfig::polaris(plan.total()));
     let task_count = tasks.len();
@@ -93,8 +90,30 @@ fn legacy_plan_free_construction_remains_order_free() {
     // behavior on it is pinned bitwise against the old model in
     // `hpcsim/tests/legacy_equivalence.rs`.
     let config = AdaParseConfig::default();
-    let routed = routed_docs(&config, 60, 4);
+    let choices = choices(&config, 60, 4);
     let workload = WorkloadSpec { documents: 60, pages_per_doc: 10, mb_per_doc: 2.0 };
-    let tasks = build_routing_tasks(&config, &routed, &workload, None, 1.0);
+    let tasks = tasks_for_choices(config.default_parser, &choices, &workload, None, 1.0);
     assert!(tasks.iter().all(|t| t.depends_on.as_slice().is_empty() && t.group.is_none()));
+}
+
+#[test]
+fn a_pair_without_an_upgrade_builds_extracts_only() {
+    // A single-parser pair selects documents yet grants no upgrade: every
+    // document is one extract, never a second pass of the base.
+    let w = WorkloadSpec { documents: 6, pages_per_doc: 4, mb_per_doc: 1.0 };
+    let mask = [true, false, true, true, false, true];
+    let choices: Vec<ParserChoice> =
+        ParserChoice::from_mask(ParserKind::PyMuPdf, ParserKind::PyMuPdf, 0, &mask).collect();
+    assert!(choices.iter().all(|c| !c.is_upgraded() && c.parser == ParserKind::PyMuPdf));
+    let tasks = tasks_for_choices(ParserKind::PyMuPdf, &choices, &w, None, 1.0);
+    let ids: Vec<u64> = tasks.iter().map(|t| t.id).collect();
+    assert_eq!(ids, [0, 2, 4, 6, 8, 10]);
+}
+
+#[test]
+#[should_panic(expected = "stage-in size")]
+fn a_negative_stage_in_size_is_rejected() {
+    let config = AdaParseConfig::default();
+    let w = WorkloadSpec { documents: 2, pages_per_doc: 4, mb_per_doc: -1.0 };
+    tasks_for_choices(config.default_parser, &choices(&config, 2, 2), &w, None, 1.0);
 }

@@ -447,10 +447,9 @@ fn serve_reports_are_pinned_by_value() {
     );
 
     // A single-parser allowlist degenerates the pair to base == upgrade, so
-    // every document gets a parse task whether or not it was selected. A
-    // non-selected one is complete at its extract row, and its parse row
-    // lands in the same harvest at a multi-second epoch: it must graduate
-    // once, with both spans in its measured cost.
+    // the tenant's selections grant nothing: each of its documents is one
+    // extract task, selected or not, and completes at that row. Only the
+    // pair tenant's selected documents add a parse task.
     let single = vec![
         TenantTrace {
             spec: TenantSpec {
@@ -466,13 +465,13 @@ fn serve_reports_are_pinned_by_value() {
         },
     ];
     let report = run_service(&fine, &single);
-    assert_eq!(report.executor_report.tasks_completed, 260, "two tasks per one-parser document");
+    assert_eq!(report.executor_report.tasks_completed, 160, "one task per one-parser document");
     assert_eq!(
         pin_of(&report),
         (
-            (0x49da4e9f17088545, 14, 150, 0, 0x405055182a9930be),
+            (0xc25e217aa3af2847, 14, 150, 0, 0x40504a8c154c985f),
             vec![
-                (100, 30, 0x4003e03507c80cd0, 0x4012d543bbd491a0, 0),
+                (100, 30, 0x400375799ea31a00, 0x4012366d94bc5a7a, 0),
                 (50, 10, 0x400ad755079619f0, 0x4038031a6c901acc, 0),
             ],
         ),
@@ -585,4 +584,17 @@ fn negative_zero_before_zero_is_a_sorted_trace() {
 #[should_panic(expected = "time-sorted (-0 after 0)")]
 fn zero_before_negative_zero_is_not_a_sorted_trace() {
     serve_arrivals_at(&[0.0, -0.0]);
+}
+
+// A tenant's workload is caller input: a NaN stage-in size used to stage
+// 0 MiB per document without a word; the task builder now refuses it.
+#[test]
+#[should_panic(expected = "stage-in size must be finite and non-negative, got NaN")]
+fn a_nan_tenant_stage_in_size_is_rejected() {
+    let spec = TenantSpec {
+        workload: WorkloadSpec { documents: 0, pages_per_doc: 8, mb_per_doc: f64::NAN },
+        ..tenant("t", 1.0)
+    };
+    let arrivals = vec![DocArrival { at_seconds: 0.5, score: 0.5 }];
+    run_service(&ServeConfig::default(), &[TenantTrace { spec, arrivals }]);
 }

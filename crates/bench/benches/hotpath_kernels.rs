@@ -96,8 +96,9 @@ fn bench_ledger(c: &mut Criterion) {
 fn bench_id_map(c: &mut Criterion) {
     let mut group = c.benchmark_group("executor");
     for &n in &SIZES {
-        // Task ids as `build_routing_tasks` strides them: `doc · 2` and,
-        // for every fifth document, `doc · 2 + 1`.
+        // Task ids as `tasks_for_choices` strides whole-document choices
+        // (`task_id_stride(0)` = 2): `doc · 2` and, for every fifth
+        // document, `doc · 2 + 1`.
         let ids: Vec<u64> = (0..n as u64)
             .flat_map(|doc| [Some(doc * 2), (doc % 5 == 0).then_some(doc * 2 + 1)])
             .flatten()
