@@ -11,9 +11,17 @@
 //! under twice what the symmetric band alone costs (its cost before the
 //! rungs). `multilingual` is the non-ASCII side of the match masks.
 //! `quality_report/six_candidates` is one evaluation: one `ReferenceText`,
-//! six parser outputs.
+//! six parser outputs. `quality_report/campaign_doc` is what a campaign
+//! scores per document: a generated 4-page document's ground truth against
+//! its simulated Nougat parse.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use docmodel::spdf::{write_document, SpdfFile};
+use parsersim::nougat::NougatParser;
+use parsersim::Parser;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 use textmetrics::bleu::sentence_bleu;
 use textmetrics::levenshtein::char_accuracy_rate;
 use textmetrics::rouge::rouge_l;
@@ -96,6 +104,24 @@ fn bench_metrics(c: &mut Criterion) {
     let candidate = with_edits(&reference, 40);
     c.bench_function("car/multilingual", |b| {
         b.iter(|| char_accuracy_rate(black_box(&candidate), black_box(&reference)))
+    });
+
+    let doc = DocumentGenerator::new(GeneratorConfig {
+        n_documents: 1,
+        seed: 7,
+        min_pages: 4,
+        max_pages: 4,
+        ..Default::default()
+    })
+    .generate();
+    let file = SpdfFile::parse(&write_document(&doc)).expect("writer output parses");
+    let parsed = NougatParser::new().parse_file(&file, &mut StdRng::seed_from_u64(3)).expect("Nougat parses");
+    let ground_truth = doc.ground_truth();
+    c.bench_function("quality_report/campaign_doc", |b| {
+        b.iter(|| {
+            ReferenceText::new(black_box(&ground_truth))
+                .score_counting(black_box(&parsed.text), parsed.coverage())
+        })
     });
 }
 

@@ -27,6 +27,14 @@
 //! only while it and the rungs before it cost no more than the pass they
 //! lead to, so the worst pair costs at most twice what that pass alone
 //! would.
+//!
+//! Most scored pairs lie within the first rung, and its bit-parallel pass is
+//! latency-bound: each block waits for the one above it. So a
+//! diagonal-transition pass (Ukkonen 1985, Landau–Vishkin 1989) takes the
+//! first rung's place whenever its state bound is below the rung's word
+//! steps. It settles exactly the pairs the rung settles, with the same
+//! distance, in time that follows the distance rather than the length; a
+//! pair it does not settle resumes at the second rung.
 
 use std::collections::HashMap;
 
@@ -178,14 +186,6 @@ impl<'a> Pair<'a> {
         self.mv.fill(0);
     }
 
-    /// The first rung of [`rungs`] whose result is within its threshold.
-    fn climb(&mut self, cap: usize, final_words: usize) -> Option<usize> {
-        rungs(self.text.len() - self.m, cap, final_words).find_map(|(t, up, down)| {
-            let distance = self.distance_in_band(up, down);
-            (distance <= t).then_some(distance)
-        })
-    }
-
     /// Cost of the cheapest alignment confined to the diagonals from `up`
     /// above the main one (towards the longer text; at least the length gap,
     /// so that the last cell is inside) to `down` below it: the row
@@ -314,9 +314,97 @@ pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
     if pattern.is_empty() {
         return text.len();
     }
+    let table_words = pattern.len().div_ceil(WORD);
+    settle(pattern, text, text.len(), table_words / 2, Pair::distance_in_table)
+}
+
+/// Both distances after their first checks: the diagonal pass or the first
+/// rung, the rungs after it, and `last` when none settles the pair (see the
+/// module documentation). `pattern` is the shorter side and not empty.
+///
+/// The diagonal pass stands in for the first rung when its state bound is
+/// below the rung's word steps: it settles exactly the pairs the rung
+/// settles, with the same distance, so the rung is not run after it.
+fn settle<'a>(
+    pattern: &[char],
+    text: &'a [char],
+    cap: usize,
+    final_words: usize,
+    last: impl FnOnce(&mut Pair<'a>) -> usize,
+) -> usize {
+    let gap = text.len() - pattern.len();
+    let mut rungs = rungs(gap, cap, final_words).peekable();
+    if let Some(&(t, up, down)) = rungs.peek() {
+        if (t - gap + 1) * (t + 1) < text.len() * band_words(up, down) {
+            if let Some(distance) = distance_on_diagonals(pattern, text, t) {
+                return distance;
+            }
+            rungs.next();
+        }
+    }
     let mut pair = Pair::new(pattern, text);
-    let table_words = pair.masks.words;
-    pair.climb(text.len(), table_words / 2).unwrap_or_else(|| pair.distance_in_table())
+    rungs
+        .find_map(|(t, up, down)| {
+            let distance = pair.distance_in_band(up, down);
+            (distance <= t).then_some(distance)
+        })
+        .unwrap_or_else(|| last(&mut pair))
+}
+
+/// The distance of `pattern` and `text` (not shorter) if it is at most `t`
+/// (not below their length gap), else `None`: the diagonal-transition
+/// algorithm (Ukkonen 1985, Landau–Vishkin 1989).
+///
+/// Diagonal `k` is the cells `(i, i + k)`, `i` a pattern row; the cost of a
+/// cell never falls along its diagonal. For each cost `d = 0, 1, …` the pass
+/// keeps the furthest row each diagonal reaches at cost `d` — one edit from
+/// its own or a neighbour's row at `d − 1`, then a slide over the matches
+/// that follow — and the distance is the first `d` whose front on the last
+/// cell's diagonal `gap` reaches row `|pattern|`. A diagonal is kept only
+/// while the `|k − gap|` edits left to reach that diagonal fit in `t`, which
+/// leaves the rung's diagonals, at most `t − gap + 1` of them, for each of
+/// the `t + 1` costs.
+fn distance_on_diagonals(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
+    const UNREACHED: isize = isize::MIN / 2;
+    let (m, n, t) = (pattern.len() as isize, text.len() as isize, t as isize);
+    let gap = n - m;
+    let below = (t - gap) / 2; // diagonals below the main one
+                               // Diagonal `k` at `front[k + below + 1]`, an unreached one beyond either
+                               // end; diagonal 0 starts a row above the table, so cost 0 starts at (0, 0).
+    let mut front = vec![UNREACHED; (gap + 2 * below + 3) as usize];
+    let at = |k: isize| (k + below + 1) as usize;
+    front[at(0)] = -1;
+    for d in 0..=t {
+        let first = (-d).max(gap + d - t).max(-m);
+        let last = d.min(gap + t - d).min(n);
+        let mut left = front[at(first - 1)]; // diagonal k − 1 at cost d − 1
+        for k in first..=last {
+            let here = front[at(k)];
+            let row = (here + 1).max(left).max(front[at(k + 1)] + 1).min(m).min(n - k);
+            let (i, j) = (row as usize, (row + k) as usize);
+            left = here;
+            front[at(k)] = row + common_prefix(&pattern[i..], &text[j..]) as isize;
+        }
+        if front[at(gap)] == m {
+            return Some(d as usize);
+        }
+    }
+    None
+}
+
+/// Length of the common prefix of `a` and `b`, eight characters a step
+/// while they agree.
+fn common_prefix(a: &[char], b: &[char]) -> usize {
+    const STEP: usize = 8;
+    let len = a.len().min(b.len());
+    let mut i = 0;
+    while i + STEP <= len && a[i..i + STEP].iter().zip(&b[i..i + STEP]).all(|(x, y)| x == y) {
+        i += STEP;
+    }
+    while i < len && a[i] == b[i] {
+        i += 1;
+    }
+    i
 }
 
 /// Exact Levenshtein distance between two strings (raw characters, no
@@ -357,8 +445,7 @@ pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
     if pattern.is_empty() || text.len() - pattern.len() > band {
         return text.len();
     }
-    let mut pair = Pair::new(pattern, text);
-    pair.climb(band, band_words(band, band)).unwrap_or_else(|| pair.distance_in_band(band, band))
+    settle(pattern, text, band, band_words(band, band), |pair| pair.distance_in_band(band, band))
 }
 
 /// The band kernel on its own, for the oracle in
@@ -367,6 +454,14 @@ pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
 #[doc(hidden)]
 pub fn distance_in_band(pattern: &[char], text: &[char], up: usize, down: usize) -> usize {
     Pair::new(pattern, text).distance_in_band(up, down)
+}
+
+/// The diagonal pass on its own, for the oracle in
+/// `tests/kernel_equivalence.rs`; not part of the API. `pattern` must not be
+/// longer than `text`, and `t` not less than the length gap.
+#[doc(hidden)]
+pub fn diagonal_distance(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
+    distance_on_diagonals(pattern, text, t)
 }
 
 /// Normalized similarity in `[0, 1]`: `1 − d / max(|a|, |b|)` over raw

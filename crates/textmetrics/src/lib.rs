@@ -91,12 +91,13 @@ pub struct ReferenceText {
 }
 
 impl ReferenceText {
-    /// Normalize, tokenize and intern `reference`, and count its n-grams.
+    /// Normalize, tokenize and intern `reference` in one walk, and count its
+    /// n-grams.
     pub fn new(reference: &str) -> Self {
         let mut vocab = tokenize::Vocab::default();
-        let ids = vocab.intern(reference);
+        let (chars, ids) = tokenize::chars_and_ids(reference, |token| vocab.intern_token(token));
         let ngrams = ngram::NgramIndex::new(&ids, BleuConfig::default().max_order);
-        ReferenceText { chars: tokenize_chars(reference), vocab, ids, ngrams }
+        ReferenceText { chars, vocab, ids, ngrams }
     }
 
     /// Score `candidate` against this reference; see [`QualityReport::compute`].
@@ -105,13 +106,14 @@ impl ReferenceText {
     }
 
     /// [`Self::score`] and the candidate's word-token count, equal to
-    /// [`tokenize::count_words`]: scoring tokenizes the candidate anyway.
+    /// [`tokenize::count_words`]: scoring tokenizes the candidate anyway, in
+    /// the same one walk that normalizes its characters.
     pub fn score_counting(&self, candidate: &str, coverage: f64) -> (QualityReport, usize) {
-        let ids = self.vocab.lookup(candidate);
+        let (chars, ids) = tokenize::chars_and_ids(candidate, |token| self.vocab.lookup_token(token));
         let report = QualityReport {
             bleu: bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score,
             rouge: rouge::rouge_l_of_ids(&ids, &self.ids, self.vocab.len()).f1,
-            car: levenshtein::car_of_chars(&tokenize_chars(candidate), &self.chars),
+            car: levenshtein::car_of_chars(&chars, &self.chars),
             coverage: if coverage.is_nan() { 0.0 } else { coverage.clamp(0.0, 1.0) },
         };
         (report, ids.len())

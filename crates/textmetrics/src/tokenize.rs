@@ -2,9 +2,8 @@
 //!
 //! The paper's metrics (BLEU, ROUGE) operate on whitespace-delimited,
 //! lower-cased word tokens; character-level metrics (CAR) operate on the raw
-//! character sequence after whitespace normalization.
-
-use std::collections::HashMap;
+//! character sequence after whitespace normalization. One walk ([`walk`])
+//! produces both, so scoring reads each text once.
 
 /// Collapse any run of whitespace into a single ASCII space and trim the ends.
 ///
@@ -18,17 +17,47 @@ use std::collections::HashMap;
 /// ```
 pub fn normalize_whitespace(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    normalize_into(text, |ch| out.push(ch));
+    walk::<false>(text, |ch| out.push(ch), |_| {});
     out
 }
 
-/// The one whitespace normalizer; `push` receives the normalized characters,
-/// so the character metrics fill a `Vec<char>` without a `String` in between.
-fn normalize_into(text: &str, mut push: impl FnMut(char)) {
+/// The one walk over a text. `push` receives its whitespace-normalized
+/// characters — every run of whitespace one ASCII space, none at the ends —
+/// and `word` every lower-cased word token, a maximal run of alphanumeric
+/// characters (punctuation is dropped), as UTF-8 bytes in one reused buffer.
+///
+/// ASCII takes a branch of its own with exactly the classes of the general
+/// one: `char::is_whitespace` is `\t \n \x0B \x0C \r ' '` there (which
+/// `u8::is_ascii_whitespace` is not: it lacks `\x0B`), `is_alphanumeric` is
+/// `is_ascii_alphanumeric` and `to_lowercase` is `to_ascii_lowercase`.
+///
+/// With `WORDS` false there are no tokens to find or lower-case: `word` is
+/// never called, and the characters cost the walk alone.
+pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mut word: impl FnMut(&[u8])) {
+    let mut token: Vec<u8> = Vec::new();
     let mut pending_space = false;
     let mut seen_text = false; // leading whitespace is dropped
     for ch in text.chars() {
-        if ch.is_whitespace() {
+        let (space, alphanumeric) = if ch.is_ascii() {
+            let alphanumeric = WORDS && ch.is_ascii_alphanumeric();
+            if alphanumeric {
+                token.push(ch.to_ascii_lowercase() as u8);
+            }
+            (matches!(ch, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' '), alphanumeric)
+        } else {
+            let alphanumeric = WORDS && ch.is_alphanumeric();
+            if alphanumeric {
+                for lower in ch.to_lowercase() {
+                    token.extend_from_slice(lower.encode_utf8(&mut [0; 4]).as_bytes());
+                }
+            }
+            (ch.is_whitespace(), alphanumeric)
+        };
+        if !alphanumeric && !token.is_empty() {
+            word(&token);
+            token.clear();
+        }
+        if space {
             pending_space = seen_text;
         } else {
             if pending_space {
@@ -39,35 +68,17 @@ fn normalize_into(text: &str, mut push: impl FnMut(char)) {
             seen_text = true;
         }
     }
+    if !token.is_empty() {
+        word(&token);
+    }
 }
 
-/// Call `f` with every lower-cased word token of `text`, in order.
-///
-/// A token is a maximal run of alphanumeric characters; punctuation is
-/// dropped. One buffer is reused for all tokens, so callers that only look
-/// a token up (see [`Vocab`]) allocate nothing per token.
-pub(crate) fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii() {
-            // Same result as the general arm below (`to_lowercase` of an ASCII
-            // character is `to_ascii_lowercase`), without its iterator.
-            if ch.is_ascii_alphanumeric() {
-                current.push(ch.to_ascii_lowercase());
-                continue;
-            }
-        } else if ch.is_alphanumeric() {
-            current.extend(ch.to_lowercase());
-            continue;
-        }
-        if !current.is_empty() {
-            f(&current);
-            current.clear();
-        }
-    }
-    if !current.is_empty() {
-        f(&current);
-    }
+/// [`walk`] into a character vector, with `id_of` mapping every word token
+/// to its id: what scoring reads off one text.
+pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&[u8]) -> u32) -> (Vec<char>, Vec<u32>) {
+    let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::new());
+    walk::<true>(text, |ch| chars.push(ch), |token| ids.push(id_of(token)));
+    (chars, ids)
 }
 
 /// Split text into lower-cased word tokens.
@@ -82,59 +93,123 @@ pub(crate) fn for_each_word(text: &str, mut f: impl FnMut(&str)) {
 /// ```
 pub fn tokenize_words(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    for_each_word(text, |token| tokens.push(token.to_string()));
+    walk::<true>(text, |_| {}, |token| tokens.push(String::from_utf8_lossy(token).into_owned()));
     tokens
 }
 
-/// Id [`Vocab::lookup`] gives a token the vocabulary does not hold. It
+/// Id [`Vocab::lookup_token`] gives a token the vocabulary does not hold. It
 /// equals no interned id, so such tokens match nothing — which is all
 /// BLEU's clipped counts and the LCS ask of a token one side lacks.
 pub(crate) const UNKNOWN_TOKEN: u32 = u32::MAX;
 
-/// Word tokens interned to dense `u32` ids (`0..len`), so the word-level
-/// metrics compare and hash integers instead of `String`s.
+/// Word tokens interned to dense `u32` ids (`0..len`, in order of first
+/// occurrence), so the word-level metrics compare and hash integers instead
+/// of strings.
 ///
 /// A (candidate, reference) pair interns one side and looks the other up:
 /// equal tokens get equal ids, and every token only the looked-up side has
 /// becomes [`UNKNOWN_TOKEN`].
-#[derive(Debug, Clone, Default)]
+///
+/// An open-addressing table over one byte arena: token `id` is
+/// `arena[ends[id - 1]..ends[id]]`, and a slot holds the high half of its
+/// token's hash above `id + 1` (0 is an empty slot). The hash's top bits pick
+/// the first slot, so the table doubles without rehashing a token, and a
+/// probe compares bytes only when 32 bits of hash agree. The hash is not
+/// keyed: inputs are documents, not adversaries.
+#[derive(Debug, Clone)]
 pub(crate) struct Vocab {
-    ids: HashMap<String, u32>,
+    arena: Vec<u8>,
+    ends: Vec<u32>,
+    slots: Vec<u64>,
+}
+
+impl Default for Vocab {
+    fn default() -> Self {
+        Vocab { arena: Vec::new(), ends: Vec::new(), slots: vec![0; 64] }
+    }
+}
+
+/// Word-at-a-time multiplicative hash of a token's bytes (FxHash's step).
+fn token_hash(token: &[u8]) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    let step = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+    let mut chunks = token.chunks_exact(8);
+    let mut hash = (&mut chunks).fold(token.len() as u64, |hash, chunk| {
+        step(hash, u64::from_le_bytes(chunk.try_into().expect("eight bytes")))
+    });
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut last = [0; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        hash = step(hash, u64::from_le_bytes(last));
+    }
+    hash
 }
 
 impl Vocab {
     /// Number of distinct tokens interned so far.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.ends.len()
+    }
+
+    /// The slot holding `token` (`Ok`), or the empty slot its probe ends at.
+    fn probe(&self, token: &[u8], hash: u64) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            let id = (slot as u32 - 1) as usize;
+            if slot >> 32 == hash >> 32 {
+                let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
+                if &self.arena[start..self.ends[id] as usize] == token {
+                    return Ok(id as u32);
+                }
+            }
+            at = (at + 1) & mask;
+        }
     }
 
     /// Id of one token, added if new.
-    pub(crate) fn intern_token(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.ids.get(token) {
-            return id;
+    pub(crate) fn intern_token(&mut self, token: &[u8]) -> u32 {
+        let hash = token_hash(token);
+        let at = match self.probe(token, hash) {
+            Ok(id) => return id,
+            Err(at) => at,
+        };
+        // Below 2^31 ids the table has at most 2^32 slots, all addressed by
+        // the stored half of the hash.
+        assert!(self.len() < 1 << 31, "fewer than 2^31 distinct tokens");
+        let id = self.len() as u32;
+        self.arena.extend_from_slice(token);
+        self.ends.push(u32::try_from(self.arena.len()).expect("under 4 GiB of distinct tokens"));
+        self.slots[at] = (hash & !u64::from(u32::MAX)) | u64::from(id + 1);
+        if 2 * self.len() > self.slots.len() {
+            self.grow();
         }
-        let id = u32::try_from(self.ids.len()).expect("fewer than 2^32 distinct tokens");
-        self.ids.insert(token.to_string(), id);
         id
     }
 
+    /// Double the table, keeping it at most half full: every slot moves to
+    /// where its stored hash bits put it.
+    fn grow(&mut self) {
+        let doubled = vec![0; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        let (mask, shift) = (self.slots.len() - 1, 64 - self.slots.len().trailing_zeros());
+        for slot in old.into_iter().filter(|&slot| slot != 0) {
+            let mut at = (slot >> shift) as usize;
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+
     /// Id of one token, [`UNKNOWN_TOKEN`] if it was never interned.
-    pub(crate) fn lookup_token(&self, token: &str) -> u32 {
-        self.ids.get(token).copied().unwrap_or(UNKNOWN_TOKEN)
-    }
-
-    /// Tokenize `text` ([`for_each_word`]) and intern every token.
-    pub(crate) fn intern(&mut self, text: &str) -> Vec<u32> {
-        let mut ids = Vec::new();
-        for_each_word(text, |token| ids.push(self.intern_token(token)));
-        ids
-    }
-
-    /// Tokenize `text` ([`for_each_word`]) against the interned tokens.
-    pub(crate) fn lookup(&self, text: &str) -> Vec<u32> {
-        let mut ids = Vec::new();
-        for_each_word(text, |token| ids.push(self.lookup_token(token)));
-        ids
+    pub(crate) fn lookup_token(&self, token: &[u8]) -> u32 {
+        self.probe(token, token_hash(token)).unwrap_or(UNKNOWN_TOKEN)
     }
 }
 
@@ -142,8 +217,10 @@ impl Vocab {
 /// candidate looked up — and the number of distinct reference tokens.
 pub(crate) fn intern_pair(candidate: &str, reference: &str) -> (Vec<u32>, Vec<u32>, usize) {
     let mut vocab = Vocab::default();
-    let refr = vocab.intern(reference);
-    (vocab.lookup(candidate), refr, vocab.len())
+    let (mut refr, mut cand) = (Vec::new(), Vec::new());
+    walk::<true>(reference, |_| {}, |token| refr.push(vocab.intern_token(token)));
+    walk::<true>(candidate, |_| {}, |token| cand.push(vocab.lookup_token(token)));
+    (cand, refr, vocab.len())
 }
 
 /// Return the character sequence after whitespace normalization.
@@ -151,7 +228,7 @@ pub(crate) fn intern_pair(candidate: &str, reference: &str) -> (Vec<u32>, Vec<u3
 /// This is the unit of comparison for the character accuracy rate.
 pub fn tokenize_chars(text: &str) -> Vec<char> {
     let mut out = Vec::with_capacity(text.len());
-    normalize_into(text, |ch| out.push(ch));
+    walk::<false>(text, |ch| out.push(ch), |_| {});
     out
 }
 

@@ -8,9 +8,11 @@
 //! here, and only here, as the oracle. Distances and LCS lengths must be the
 //! same integers; every `f64` derived from them must have the same bits.
 
+use proptest::prelude::*;
 use textmetrics::bleu::{sentence_bleu, sentence_bleu_with, BleuConfig};
 use textmetrics::levenshtein::{
-    char_accuracy_rate, distance_in_band, edit_distance_banded, edit_distance_chars, BANDED_THRESHOLD,
+    char_accuracy_rate, diagonal_distance, distance_in_band, edit_distance_banded, edit_distance_chars,
+    BANDED_THRESHOLD,
 };
 use textmetrics::rouge::{lcs_length, rouge_l, ROUGE_L_MAX_TOKENS};
 use textmetrics::{QualityReport, ReferenceText};
@@ -725,6 +727,107 @@ fn a_pair_that_fails_every_rung_gets_the_symmetric_bands_value() {
         assert_eq!(edit_distance_banded(&b, &a, band), banded);
     }
     assert_eq!(edit_distance_banded(&a, &b, exact), exact);
+}
+
+/// The diagonal pass at the first rung's threshold `t1 = gap + 64`: it
+/// returns the exact distance up to `t1` and nothing above, with the
+/// cheapest alignment on the main diagonals, along the outermost one the
+/// threshold allows, or one beyond it.
+#[test]
+fn the_diagonal_pass_is_exact_up_to_the_first_threshold() {
+    let mut rng = Rng(0x5EED_0011);
+    let alphabet = &alphabets()[2]; // multi-byte and non-BMP characters
+    for gap in [0usize, 1, 63, 64, 65] {
+        let t1 = gap + 64;
+        for (detour, substitutions) in [(0, 63), (0, 64), (0, 65), (31, 1), (32, 0), (32, 1), (33, 0)] {
+            for low_side in [true, false] {
+                let (pattern, text) =
+                    detour_pair(&mut rng, alphabet, 700, gap, detour, substitutions, low_side);
+                let exact = gap + 2 * detour + substitutions;
+                assert_eq!(reference::edit_distance_chars(&pattern, &text), exact, "the construction");
+                let settled = (exact <= t1).then_some(exact);
+                assert_eq!(diagonal_distance(&pattern, &text, t1), settled, "gap = {gap}, d = {exact}");
+                assert_eq!(edit_distance_chars(&pattern, &text), exact);
+                assert_eq!(edit_distance_chars(&text, &pattern), exact);
+                for band in [gap, t1 - 1, t1, t1 + 1, exact] {
+                    assert_banded_matches(&pattern, &text, band);
+                }
+            }
+        }
+    }
+    // An empty side costs the other side's length, the gap itself.
+    let text = random_chars(&mut rng, alphabet, 70);
+    for t in [70, 71, 200] {
+        assert_eq!(diagonal_distance(&[], &text, t), Some(70), "t = {t}");
+    }
+    assert_eq!(diagonal_distance(&[], &[], 0), Some(0));
+    assert_distance_matches(&[], &text);
+    assert_banded_matches(&[], &text, 70);
+    // Unrelated texts: nothing within the threshold.
+    let (a, b) = (random_chars(&mut rng, alphabet, 900), random_chars(&mut rng, alphabet, 910));
+    assert_eq!(diagonal_distance(&a, &b, 74), None);
+    assert_distance_matches(&a, &b);
+}
+
+/// Above [`BANDED_THRESHOLD`], one pair the diagonal pass settles and one
+/// it leaves to the rungs: CAR has the oracle's bits either way.
+#[test]
+fn car_above_the_threshold_is_bit_equal_whether_or_not_the_diagonal_pass_settles() {
+    let mut rng = Rng(0x5EED_0012);
+    for alphabet in alphabets() {
+        let reference = random_chars(&mut rng, &alphabet, 6_000);
+        for (edits, settles) in [(20, true), (400, false)] {
+            let candidate = mutate(&mut rng, &alphabet, &reference, edits);
+            let (pattern, text) = if candidate.len() <= reference.len() {
+                (&candidate, &reference)
+            } else {
+                (&reference, &candidate)
+            };
+            let t1 = (text.len() - pattern.len() + 64).min(reference.len() / 5);
+            assert_eq!(diagonal_distance(pattern, text, t1).is_some(), settles, "edits = {edits}");
+            let (candidate, reference): (String, String) =
+                (candidate.iter().collect(), reference.iter().collect());
+            for (c, r) in [(&candidate, &reference), (&reference, &candidate)] {
+                assert_eq!(char_accuracy_rate(c, r).to_bits(), reference::char_accuracy_rate(c, r).to_bits());
+                assert_eq!(
+                    ReferenceText::new(r).score(c, 1.0).car.to_bits(),
+                    char_accuracy_rate(c, r).to_bits()
+                );
+            }
+        }
+    }
+}
+
+/// Every ASCII whitespace `char::is_whitespace` knows (`\x0B` included,
+/// which `u8::is_ascii_whitespace` is not), two non-ASCII ones, 'İ' (whose
+/// lower case is two characters) and both cases.
+fn whitespace_mix() -> impl Strategy<Value = String> {
+    "[aAbB9İé \t\n\r\x0B\x0C\u{85}\u{a0}.,]{0,60}"
+}
+
+// One walk per text scores like the allocate-per-token tokenizer and the
+// separate whitespace normalizer.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn scoring_matches_the_oracle_on_every_kind_of_whitespace(
+        candidate in whitespace_mix(),
+        reference in whitespace_mix(),
+    ) {
+        let (report, tokens) = ReferenceText::new(&reference).score_counting(&candidate, 1.0);
+        prop_assert_eq!(report.bleu.to_bits(), reference::sentence_bleu(&candidate, &reference).to_bits());
+        prop_assert_eq!(report.rouge.to_bits(), reference::rouge_l_f1(&candidate, &reference).to_bits());
+        prop_assert_eq!(report.car.to_bits(), reference::char_accuracy_rate(&candidate, &reference).to_bits());
+        prop_assert_eq!(tokens, reference::tokenize_words(&candidate).len());
+    }
+}
+
+#[test]
+fn a_vertical_tab_is_whitespace() {
+    let report = ReferenceText::new("a b").score("a\x0Bb", 1.0);
+    assert_eq!(report.car, 1.0);
+    assert_eq!(report.car.to_bits(), reference::char_accuracy_rate("a\x0Bb", "a b").to_bits());
 }
 
 fn assert_bleu_matches(candidate: &str, reference: &str) {
