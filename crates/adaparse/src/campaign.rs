@@ -407,7 +407,8 @@ pub struct DocOutcome {
     pub tokens: usize,
     /// Resources consumed by this document (extraction + assigned parser).
     pub cost: ResourceCost,
-    /// Whether the document went to the high-quality parser.
+    /// Whether the document was upgraded: routed to any parser but the
+    /// default one (in a binary campaign, the high-quality parser).
     pub high_quality: bool,
     /// Whether the assigned parser failed.
     pub parse_failed: bool,
@@ -452,7 +453,7 @@ impl<'a> ScoreStage<'a> {
             report,
             tokens,
             cost,
-            high_quality: decision.parser == self.config.high_quality_parser,
+            high_quality: decision.parser != self.config.default_parser,
             parse_failed: parsed.failed,
         }
     }

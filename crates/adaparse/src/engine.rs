@@ -56,7 +56,8 @@ pub struct CampaignResult {
     pub quality: CampaignQuality,
     /// Per-document routing decisions.
     pub routed: Vec<RoutedDocument>,
-    /// Fraction of documents routed to the high-quality parser.
+    /// Fraction of documents upgraded: routed to any parser but the default
+    /// one (in a binary campaign, the high-quality parser).
     pub high_quality_fraction: f64,
     /// Total resources consumed (extraction + assigned parsers).
     pub total_cost: ResourceCost,

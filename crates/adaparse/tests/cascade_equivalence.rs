@@ -71,6 +71,21 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
     );
 }
 
+/// A full-frontier campaign reports every upgrade in its
+/// `high_quality_fraction`, whichever parser it went to — here none goes to
+/// the configured high-quality parser.
+#[test]
+fn the_high_quality_fraction_counts_every_upgrade() {
+    let config = AdaParseConfig { alpha: 0.2, high_quality_parser: ParserKind::Marker, ..Default::default() };
+    let engine = trained_engine(config.clone());
+    let docs = corpus(48, 77);
+    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(2, 8));
+    let report = pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(&config, 16), 11);
+    let upgraded: Vec<&ParserChoice> = report.choices.iter().filter(|c| c.is_upgraded()).collect();
+    assert!(!upgraded.is_empty() && upgraded.iter().all(|c| c.parser != ParserKind::Marker));
+    assert_eq!(report.result.high_quality_fraction, upgraded.len() as f64 / docs.len() as f64);
+}
+
 /// The reference the merged selector is checked against, written from
 /// the definition: per window, a full descending sort (NaN last, ties by
 /// index) and its top `min(⌊credit − spent⌋, len)`; `plan` is a seconds
