@@ -336,7 +336,7 @@ fn settle<'a>(
     let mut rungs = rungs(gap, cap, final_words).peekable();
     if let Some(&(t, up, down)) = rungs.peek() {
         if (t - gap + 1) * (t + 1) < text.len() * band_words(up, down) {
-            if let Some(distance) = distance_on_diagonals(pattern, text, t) {
+            if let Some(distance) = diagonal_distance(pattern, text, t) {
                 return distance;
             }
             rungs.next();
@@ -364,13 +364,18 @@ fn settle<'a>(
 /// while the `|k − gap|` edits left to reach that diagonal fit in `t`, which
 /// leaves the rung's diagonals, at most `t − gap + 1` of them, for each of
 /// the `t + 1` costs.
-fn distance_on_diagonals(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
+///
+/// Public, but not part of the API, for the oracle in
+/// `tests/kernel_equivalence.rs`.
+#[doc(hidden)]
+pub fn diagonal_distance(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
     const UNREACHED: isize = isize::MIN / 2;
     let (m, n, t) = (pattern.len() as isize, text.len() as isize, t as isize);
     let gap = n - m;
-    let below = (t - gap) / 2; // diagonals below the main one
-                               // Diagonal `k` at `front[k + below + 1]`, an unreached one beyond either
-                               // end; diagonal 0 starts a row above the table, so cost 0 starts at (0, 0).
+    // Diagonals `-below..=gap + below`, diagonal `k` at `front[k + below + 1]`
+    // with an unreached one beyond either end. Diagonal 0 starts a row above
+    // the table, so cost 0 starts at (0, 0).
+    let below = (t - gap) / 2;
     let mut front = vec![UNREACHED; (gap + 2 * below + 3) as usize];
     let at = |k: isize| (k + below + 1) as usize;
     front[at(0)] = -1;
@@ -395,11 +400,10 @@ fn distance_on_diagonals(pattern: &[char], text: &[char], t: usize) -> Option<us
 /// Length of the common prefix of `a` and `b`, eight characters a step
 /// while they agree.
 fn common_prefix(a: &[char], b: &[char]) -> usize {
-    const STEP: usize = 8;
     let len = a.len().min(b.len());
     let mut i = 0;
-    while i + STEP <= len && a[i..i + STEP].iter().zip(&b[i..i + STEP]).all(|(x, y)| x == y) {
-        i += STEP;
+    while i + 8 <= len && a[i..i + 8].iter().zip(&b[i..i + 8]).all(|(x, y)| x == y) {
+        i += 8;
     }
     while i < len && a[i] == b[i] {
         i += 1;
@@ -454,14 +458,6 @@ pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
 #[doc(hidden)]
 pub fn distance_in_band(pattern: &[char], text: &[char], up: usize, down: usize) -> usize {
     Pair::new(pattern, text).distance_in_band(up, down)
-}
-
-/// The diagonal pass on its own, for the oracle in
-/// `tests/kernel_equivalence.rs`; not part of the API. `pattern` must not be
-/// longer than `text`, and `t` not less than the length gap.
-#[doc(hidden)]
-pub fn diagonal_distance(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
-    distance_on_diagonals(pattern, text, t)
 }
 
 /// Normalized similarity in `[0, 1]`: `1 − d / max(|a|, |b|)` over raw

@@ -82,8 +82,8 @@ pub const ROUGE_L_MAX_TOKENS: usize = 3_000;
 /// the shorter slice.
 pub fn lcs_length(a: &[String], b: &[String]) -> usize {
     let mut vocab = Vocab::default();
-    let a_ids: Vec<u32> = a.iter().map(|token| vocab.intern_token(token.as_bytes())).collect();
-    let b_ids: Vec<u32> = b.iter().map(|token| vocab.lookup_token(token.as_bytes())).collect();
+    let a_ids: Vec<u32> = a.iter().map(|token| vocab.intern_token(token)).collect();
+    let b_ids: Vec<u32> = b.iter().map(|token| vocab.lookup_token(token)).collect();
     lcs_of_ids(&a_ids, &b_ids, vocab.len())
 }
 

@@ -24,7 +24,7 @@ pub fn normalize_whitespace(text: &str) -> String {
 /// The one walk over a text. `push` receives its whitespace-normalized
 /// characters — every run of whitespace one ASCII space, none at the ends —
 /// and `word` every lower-cased word token, a maximal run of alphanumeric
-/// characters (punctuation is dropped), as UTF-8 bytes in one reused buffer.
+/// characters (punctuation is dropped), in one reused buffer.
 ///
 /// ASCII takes a branch of its own with exactly the classes of the general
 /// one: `char::is_whitespace` is `\t \n \x0B \x0C \r ' '` there (which
@@ -33,40 +33,32 @@ pub fn normalize_whitespace(text: &str) -> String {
 ///
 /// With `WORDS` false there are no tokens to find or lower-case: `word` is
 /// never called, and the characters cost the walk alone.
-pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mut word: impl FnMut(&[u8])) {
-    let mut token: Vec<u8> = Vec::new();
-    let mut pending_space = false;
-    let mut seen_text = false; // leading whitespace is dropped
+pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mut word: impl FnMut(&str)) {
+    let mut token = String::new();
+    let (mut pending_space, mut seen_text) = (false, false); // leading whitespace is dropped
     for ch in text.chars() {
         let (space, alphanumeric) = if ch.is_ascii() {
-            let alphanumeric = WORDS && ch.is_ascii_alphanumeric();
-            if alphanumeric {
-                token.push(ch.to_ascii_lowercase() as u8);
-            }
-            (matches!(ch, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' '), alphanumeric)
+            (matches!(ch, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' '), WORDS && ch.is_ascii_alphanumeric())
         } else {
-            let alphanumeric = WORDS && ch.is_alphanumeric();
-            if alphanumeric {
-                for lower in ch.to_lowercase() {
-                    token.extend_from_slice(lower.encode_utf8(&mut [0; 4]).as_bytes());
-                }
-            }
-            (ch.is_whitespace(), alphanumeric)
+            (ch.is_whitespace(), WORDS && ch.is_alphanumeric())
         };
-        if !alphanumeric && !token.is_empty() {
+        if alphanumeric && ch.is_ascii() {
+            token.push(ch.to_ascii_lowercase());
+        } else if alphanumeric {
+            token.extend(ch.to_lowercase());
+        } else if !token.is_empty() {
             word(&token);
             token.clear();
         }
         if space {
             pending_space = seen_text;
-        } else {
-            if pending_space {
-                push(' ');
-                pending_space = false;
-            }
-            push(ch);
-            seen_text = true;
+            continue;
         }
+        if pending_space {
+            push(' ');
+        }
+        (pending_space, seen_text) = (false, true);
+        push(ch);
     }
     if !token.is_empty() {
         word(&token);
@@ -75,7 +67,7 @@ pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mu
 
 /// [`walk`] into a character vector, with `id_of` mapping every word token
 /// to its id: what scoring reads off one text.
-pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&[u8]) -> u32) -> (Vec<char>, Vec<u32>) {
+pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&str) -> u32) -> (Vec<char>, Vec<u32>) {
     let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::new());
     walk::<true>(text, |ch| chars.push(ch), |token| ids.push(id_of(token)));
     (chars, ids)
@@ -93,7 +85,7 @@ pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&[u8]) -> u32) -> 
 /// ```
 pub fn tokenize_words(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    walk::<true>(text, |_| {}, |token| tokens.push(String::from_utf8_lossy(token).into_owned()));
+    walk::<true>(text, |_| {}, |token| tokens.push(token.to_string()));
     tokens
 }
 
@@ -110,40 +102,16 @@ pub(crate) const UNKNOWN_TOKEN: u32 = u32::MAX;
 /// equal tokens get equal ids, and every token only the looked-up side has
 /// becomes [`UNKNOWN_TOKEN`].
 ///
-/// An open-addressing table over one byte arena: token `id` is
-/// `arena[ends[id - 1]..ends[id]]`, and a slot holds the high half of its
-/// token's hash above `id + 1` (0 is an empty slot). The hash's top bits pick
-/// the first slot, so the table doubles without rehashing a token, and a
-/// probe compares bytes only when 32 bits of hash agree. The hash is not
-/// keyed: inputs are documents, not adversaries.
-#[derive(Debug, Clone)]
+/// A flat open-addressing table over one byte arena: token `id` is
+/// `arena[ends[id - 1]..ends[id]]`, and `slots`, a power of two long and at
+/// most half full, holds `id + 1` where the token's linear probe from its
+/// hash stopped (0 is empty). The hash is FxHash's word step and not keyed:
+/// inputs are documents, not adversaries.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Vocab {
     arena: Vec<u8>,
     ends: Vec<u32>,
-    slots: Vec<u64>,
-}
-
-impl Default for Vocab {
-    fn default() -> Self {
-        Vocab { arena: Vec::new(), ends: Vec::new(), slots: vec![0; 64] }
-    }
-}
-
-/// Word-at-a-time multiplicative hash of a token's bytes (FxHash's step).
-fn token_hash(token: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let step = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
-    let mut chunks = token.chunks_exact(8);
-    let mut hash = (&mut chunks).fold(token.len() as u64, |hash, chunk| {
-        step(hash, u64::from_le_bytes(chunk.try_into().expect("eight bytes")))
-    });
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut last = [0; 8];
-        last[..rest.len()].copy_from_slice(rest);
-        hash = step(hash, u64::from_le_bytes(last));
-    }
-    hash
+    slots: Vec<u32>,
 }
 
 impl Vocab {
@@ -152,64 +120,53 @@ impl Vocab {
         self.ends.len()
     }
 
-    /// The slot holding `token` (`Ok`), or the empty slot its probe ends at.
-    fn probe(&self, token: &[u8], hash: u64) -> Result<u32, usize> {
+    fn token(&self, id: usize) -> &[u8] {
+        &self.arena[id.checked_sub(1).map_or(0, |before| self.ends[before] as usize)..self.ends[id] as usize]
+    }
+
+    /// The slot holding `token`, or the empty one its probe ends at.
+    fn slot(&self, token: &[u8]) -> usize {
+        let hash = token.chunks(8).fold(token.len() as u64, |hash, chunk| {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        });
         let mask = self.slots.len() - 1;
         let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
-        loop {
-            let slot = self.slots[at];
-            if slot == 0 {
-                return Err(at);
-            }
-            let id = (slot as u32 - 1) as usize;
-            if slot >> 32 == hash >> 32 {
-                let start = if id == 0 { 0 } else { self.ends[id - 1] as usize };
-                if &self.arena[start..self.ends[id] as usize] == token {
-                    return Ok(id as u32);
-                }
-            }
+        while self.slots[at] != 0 && self.token(self.slots[at] as usize - 1) != token {
             at = (at + 1) & mask;
         }
+        at
     }
 
     /// Id of one token, added if new.
-    pub(crate) fn intern_token(&mut self, token: &[u8]) -> u32 {
-        let hash = token_hash(token);
-        let at = match self.probe(token, hash) {
-            Ok(id) => return id,
-            Err(at) => at,
-        };
-        // Below 2^31 ids the table has at most 2^32 slots, all addressed by
-        // the stored half of the hash.
-        assert!(self.len() < 1 << 31, "fewer than 2^31 distinct tokens");
-        let id = self.len() as u32;
-        self.arena.extend_from_slice(token);
-        self.ends.push(u32::try_from(self.arena.len()).expect("under 4 GiB of distinct tokens"));
-        self.slots[at] = (hash & !u64::from(u32::MAX)) | u64::from(id + 1);
-        if 2 * self.len() > self.slots.len() {
-            self.grow();
-        }
-        id
-    }
-
-    /// Double the table, keeping it at most half full: every slot moves to
-    /// where its stored hash bits put it.
-    fn grow(&mut self) {
-        let doubled = vec![0; 2 * self.slots.len()];
-        let old = std::mem::replace(&mut self.slots, doubled);
-        let (mask, shift) = (self.slots.len() - 1, 64 - self.slots.len().trailing_zeros());
-        for slot in old.into_iter().filter(|&slot| slot != 0) {
-            let mut at = (slot >> shift) as usize;
-            while self.slots[at] != 0 {
-                at = (at + 1) & mask;
+    pub(crate) fn intern_token(&mut self, token: &str) -> u32 {
+        let token = token.as_bytes();
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.slots = vec![0; (2 * self.slots.len()).max(64)];
+            for id in 0..self.len() {
+                let at = self.slot(self.token(id));
+                self.slots[at] = id as u32 + 1;
             }
-            self.slots[at] = slot;
         }
+        let at = self.slot(token);
+        if self.slots[at] == 0 {
+            // No token is empty, so the arena's bound keeps ids below
+            // `UNKNOWN_TOKEN`.
+            self.arena.extend_from_slice(token);
+            self.ends.push(u32::try_from(self.arena.len()).expect("under 4 GiB of distinct tokens"));
+            self.slots[at] = self.len() as u32;
+        }
+        self.slots[at] - 1
     }
 
     /// Id of one token, [`UNKNOWN_TOKEN`] if it was never interned.
-    pub(crate) fn lookup_token(&self, token: &[u8]) -> u32 {
-        self.probe(token, token_hash(token)).unwrap_or(UNKNOWN_TOKEN)
+    pub(crate) fn lookup_token(&self, token: &str) -> u32 {
+        if self.slots.is_empty() {
+            return UNKNOWN_TOKEN;
+        }
+        // An empty slot's 0 wraps to `UNKNOWN_TOKEN`.
+        self.slots[self.slot(token.as_bytes())].wrapping_sub(1)
     }
 }
 
@@ -234,18 +191,8 @@ pub fn tokenize_chars(text: &str) -> Vec<char> {
 
 /// Count word tokens (cheap; avoids allocating the token vector).
 pub fn count_words(text: &str) -> usize {
-    let mut count = 0usize;
-    let mut in_token = false;
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            if !in_token {
-                count += 1;
-                in_token = true;
-            }
-        } else {
-            in_token = false;
-        }
-    }
+    let mut count = 0;
+    walk::<true>(text, |_| {}, |_| count += 1);
     count
 }
 
