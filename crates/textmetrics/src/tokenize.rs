@@ -2,7 +2,7 @@
 //!
 //! The paper's metrics (BLEU, ROUGE) operate on whitespace-delimited,
 //! lower-cased word tokens; character-level metrics (CAR) operate on the raw
-//! character sequence after whitespace normalization. One walk ([`walk`])
+//! character sequence after whitespace normalization. One walk (`walk`)
 //! produces both, so scoring reads each text once.
 
 /// Collapse any run of whitespace into a single ASCII space and trim the ends.
@@ -151,11 +151,10 @@ impl Vocab {
         }
         let at = self.slot(token);
         if self.slots[at] == 0 {
-            // No token is empty, so the arena's bound keeps ids below
-            // `UNKNOWN_TOKEN`.
             self.arena.extend_from_slice(token);
             self.ends.push(u32::try_from(self.arena.len()).expect("under 4 GiB of distinct tokens"));
-            self.slots[at] = self.len() as u32;
+            let id_plus_one = u32::try_from(self.len()).ok().filter(|&n| n < UNKNOWN_TOKEN);
+            self.slots[at] = id_plus_one.expect("fewer distinct tokens than `UNKNOWN_TOKEN`");
         }
         self.slots[at] - 1
     }
