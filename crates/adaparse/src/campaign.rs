@@ -19,10 +19,11 @@
 //!
 //! There is **one loop**: every entry point of [`CampaignPipeline`] — binary
 //! or k-parser, routing-only or full, buffered or sunk — is a call into the
-//! same window loop with a [`CascadeConfig`] and a selection policy. The
-//! binary campaign is the cascade over a two-parser frontier
-//! ([`CascadeConfig::binary`]); [`RoutingMode`] picks the policy (carry
-//! credit across windows, or forfeit it per batch), never a different loop.
+//! same window loop with a [`CascadeConfig`]. The binary campaign is the
+//! cascade over a two-parser frontier ([`CascadeConfig::binary`]): `run`,
+//! `run_with_sink` and `route` are the paper's per-batch optimizer, which
+//! forfeits unspent credit at every routing batch; `run_cascade` and
+//! `route_cascade` carry it from window to window.
 //!
 //! Stages 1, 2a and 3–4 are per-document pure functions and run data-parallel
 //! over shards of a window on one `rayon` thread pool ([`PipelineConfig`]
@@ -31,7 +32,7 @@
 //! window boundaries are fixed by the window size alone, and the reduction
 //! folds per-document outcomes in input order, so a campaign's
 //! [`CampaignResult`] is **bitwise identical for every worker count and
-//! shard size** — the `campaign_fingerprints` test pins it for every policy.
+//! shard size** — the `campaign_fingerprints` test pins it for both.
 //!
 //! This is the *wall-clock* pipeline. Its simulated twin is
 //! [`crate::scaling::simloop::run_closed_loop`], which runs the same
@@ -62,76 +63,14 @@ use crate::cascade::{
 use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
-use crate::scaling::simloop::planned_costs;
-use crate::scaling::{Ledger, WaveCosts, WindowedSelector};
-
-/// The selection policy of a binary campaign: how the α budget moves from
-/// window to window of the one campaign loop. Both modes extract, route,
-/// parse and score window by window; they differ only in what the
-/// [`WindowedSelector`] carries across a window boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RoutingMode {
-    /// The paper's Appendix C per-batch optimizer: windows are the engine's
-    /// routing batches ([`AdaParseConfig::batch_size`]) and each gets an
-    /// independent quota of `⌊len·α⌋` — a fresh selector per window, which
-    /// is [`crate::budget::select_batch`] by construction. The fractional
-    /// remainder of every batch is forfeited.
-    GlobalBatch,
-    /// Streaming selection: one [`WindowedSelector`] spans the campaign, so
-    /// fractional quota credit carries from window to window (and, when a
-    /// [`CampaignBudget`] is attached, so does the running seconds ledger,
-    /// fed back with *observed* per-document costs). Routing differs from
-    /// [`RoutingMode::GlobalBatch`] (carried vs forfeited credit) but is
-    /// just as bitwise identical across worker counts.
-    Streaming {
-        /// Selection window size k (also the wave size). The paper's batch
-        /// size (k = 256) is a good default; larger windows shrink the
-        /// optimality gap, smaller ones start parse work sooner.
-        window: usize,
-    },
-}
-
-/// Seconds-denominated compute budget of a streaming campaign (the
-/// observed-cost feedback knobs).
-///
-/// Attached to a [`PipelineConfig`], it gives a streaming campaign's
-/// [`WindowedSelector`] a seconds [`Ledger`] over the planned
-/// per-document parser costs. Each parsed window's measured per-document
-/// costs are fed back into the ledger
-/// ([`crate::scaling::WaveCosts`]): reservations are reconciled against
-/// actual spend and the affordable α is re-derived from blended
-/// [`crate::scaling::ObservedCosts`] estimates — selection tightens when
-/// documents run more expensive than planned and loosens when they run
-/// cheaper. Ignored by [`RoutingMode::GlobalBatch`], whose independent
-/// batches carry nothing a ledger could meter.
-///
-/// The cost trace is derived from the deterministic parser cost models, so
-/// campaigns stay bitwise identical across worker counts and shard sizes
-/// with the ledger enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CampaignBudget {
-    /// Total compute budget in seconds (CPU + GPU) for the whole campaign.
-    pub total_seconds: f64,
-    /// Pseudo-document weight of the planned-cost prior against the
-    /// measured costs; see [`crate::scaling::ObservedCosts`].
-    pub prior_weight: f64,
-}
-
-impl CampaignBudget {
-    /// A budget of `total_seconds` with the default prior weight.
-    pub fn seconds(total_seconds: f64) -> Self {
-        CampaignBudget { total_seconds, prior_weight: crate::scaling::DEFAULT_PRIOR_WEIGHT }
-    }
-}
+use crate::scaling::{Ledger, WindowedSelector};
 
 /// Parallel-execution knobs of a campaign run.
 ///
 /// `workers` and `shard_size` never affect the campaign's *result* — only
-/// its wall-clock time. `mode` selects the binary campaign's selection
-/// policy; each mode is individually bitwise-deterministic across worker
-/// counts, but the two modes route (deliberately) slightly differently. `budget` meters
-/// streaming campaigns against a compute budget at *observed* costs; it
-/// too is deterministic across worker counts.
+/// its wall-clock time. What a campaign routes is set by the engine's
+/// [`AdaParseConfig`] (α and batch size of the binary entry points) or by
+/// the [`CascadeConfig`] handed to the cascade entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Worker threads for the data-parallel stages (`0` = all available
@@ -139,35 +78,16 @@ pub struct PipelineConfig {
     pub workers: usize,
     /// Documents per shard handed to a worker at a time.
     pub shard_size: usize,
-    /// Selection policy of the binary campaign entry points.
-    pub mode: RoutingMode,
-    /// Optional compute budget for streaming campaigns.
-    pub budget: Option<CampaignBudget>,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig { workers: 0, shard_size: 32, mode: RoutingMode::GlobalBatch, budget: None }
+        PipelineConfig { workers: 0, shard_size: 32 }
     }
 }
 
 impl PipelineConfig {
-    /// A streaming-mode configuration with the given worker count and
-    /// selection window.
-    pub fn streaming(workers: usize, window: usize) -> Self {
-        PipelineConfig { workers, mode: RoutingMode::Streaming { window }, ..Default::default() }
-    }
-
-    /// Attach a compute budget (streaming mode only; see
-    /// [`CampaignBudget`]).
-    pub fn with_budget(mut self, budget: CampaignBudget) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Clamp degenerate values (a zero shard size would spin forever; the
-    /// selector clamps a zero window, and [`Ledger::seconds`] rejects a
-    /// budget that is not a finite, non-negative number).
+    /// Clamp degenerate values: a zero shard size would spin forever.
     pub fn normalized(mut self) -> Self {
         if self.shard_size == 0 {
             self.shard_size = 1;
@@ -274,15 +194,8 @@ impl<'a> RouteStage<'a> {
         RouteStage { engine }
     }
 
-    /// Score a shard's expected improvements, in order (parallel-safe): CLS I
-    /// per document, CLS III once over the shard's valid documents. A
-    /// document scores the same in any shard.
-    pub fn improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
-        self.engine.routing_improvements(inputs)
-    }
-
-    /// Score one document's expected improvement: [`Self::improvements`] of
-    /// a shard of one.
+    /// Score one document's expected improvement:
+    /// [`AdaParseEngine::routing_improvements`] of a shard of one.
     pub fn improvement(&self, input: &RoutingInput) -> (f64, bool) {
         self.engine.routing_improvement(input)
     }
@@ -462,9 +375,10 @@ impl<'a> ScoreStage<'a> {
 /// Result of a k-parser cascade campaign: the ordinary [`CampaignResult`]
 /// plus the cascade-specific routing breakdown.
 ///
-/// For [`CascadeConfig::binary`] the embedded `result` *is* the binary
-/// streaming campaign at the same window — [`CampaignPipeline::run`] is the
-/// same call.
+/// For [`CascadeConfig::binary`] the embedded `result` is the binary
+/// campaign with credit carried across windows of the cascade's size;
+/// [`CampaignPipeline::run`] is the same loop with credit forfeited at every
+/// routing batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeReport {
     /// The campaign result (quality, costs, failures, records), folded in
@@ -522,22 +436,20 @@ impl CampaignPipeline {
     }
 
     /// Run stages 1–2 only: routing decisions for a document collection, in
-    /// input order, without parsing or scoring. Honors the pipeline's
-    /// [`RoutingMode`] and budget at *planned* costs. Without a budget this
-    /// matches the full campaign exactly; under a [`CampaignBudget`] the
-    /// full campaign can route later windows more tightly (or loosely) than
-    /// this preview, because only a campaign that actually parses has costs
-    /// to observe.
+    /// input order, without parsing or scoring — exactly the
+    /// [`CampaignResult::routed`] of [`Self::run`].
     pub fn route(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
-        let (cascade, policy) = self.binary_policy(engine, documents);
         let (result, ..) = self
-            .run_windows(engine, documents, &cascade, policy, seed, None)
+            .run_windows(engine, documents, &per_batch(engine), false, seed, None)
             .expect("routing writes to no sink");
         result.routed
     }
 
     /// Run the full campaign, buffering records in memory (the classic
-    /// [`CampaignResult::records`] shape).
+    /// [`CampaignResult::records`] shape). Selection is the paper's Appendix C
+    /// per-batch optimizer: each routing batch
+    /// ([`AdaParseConfig::batch_size`]) upgrades its own `⌊len·α⌋`
+    /// documents, and the fractional remainder is forfeited.
     pub fn run(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> CampaignResult {
         let mut sink = MemorySink::new();
         let mut result =
@@ -548,13 +460,12 @@ impl CampaignPipeline {
 
     /// Run the full campaign, streaming each [`ParsedRecord`] to `sink` in
     /// input order instead of buffering (`CampaignResult::records` stays
-    /// empty). The campaign runs window by window — the pipeline's
-    /// [`RoutingMode`] fixes the window size and what the selector carries
-    /// across it — and each window is folded and sunk before the next is
-    /// extracted. Decoded SPDF containers are per-stage temporaries and
-    /// routing inputs are dropped with their window, so resident memory
-    /// beyond the caller's own corpus is one window of parsed output plus
-    /// the (small) per-document routing decisions.
+    /// empty). The campaign runs routing batch by routing batch, and each
+    /// batch is folded and sunk before the next is extracted. Decoded SPDF
+    /// containers are per-stage temporaries and routing inputs are dropped
+    /// with their window, so resident memory beyond the caller's own corpus
+    /// is one window of parsed output plus the (small) per-document routing
+    /// decisions.
     pub fn run_with_sink(
         &self,
         engine: &AdaParseEngine,
@@ -562,8 +473,8 @@ impl CampaignPipeline {
         seed: u64,
         sink: &mut dyn RecordSink,
     ) -> std::io::Result<CampaignResult> {
-        let (cascade, policy) = self.binary_policy(engine, documents);
-        let (result, ..) = self.run_windows(engine, documents, &cascade, policy, seed, Some(sink))?;
+        let (result, ..) =
+            self.run_windows(engine, documents, &per_batch(engine), false, seed, Some(sink))?;
         Ok(result)
     }
 
@@ -571,11 +482,10 @@ impl CampaignPipeline {
     /// under [`RoutingGranularity::ByPage`], per-page) routing decisions
     /// over the cascade's frontier, without parsing or scoring.
     ///
-    /// Windows, α, and granularity come from the [`CascadeConfig`] — the
-    /// pipeline's own [`RoutingMode`] and [`CampaignBudget`] are not
-    /// consulted (the cascade meters planned dollars per parser class
-    /// instead of seconds). Decisions are bitwise identical for every
-    /// worker count and shard size, like every other routing path.
+    /// Windows, α, and granularity come from the [`CascadeConfig`], and
+    /// unspent credit carries from window to window. Decisions are bitwise
+    /// identical for every worker count and shard size, like every other
+    /// routing path.
     pub fn route_cascade(
         &self,
         engine: &AdaParseEngine,
@@ -584,7 +494,7 @@ impl CampaignPipeline {
         seed: u64,
     ) -> Vec<ParserChoice> {
         let (_, choices, _) = self
-            .run_windows(engine, documents, cascade, WindowPolicy::carry(cascade), seed, None)
+            .run_windows(engine, documents, cascade, true, seed, None)
             .expect("routing writes to no sink");
         choices
     }
@@ -593,11 +503,12 @@ impl CampaignPipeline {
     /// cascade's frontier, whole-document or per-page delegation, parse and
     /// score folded in input order.
     ///
-    /// [`CascadeConfig::binary`] is the binary [`RoutingMode::Streaming`]
-    /// campaign at the same window. Wider frontiers route over the
-    /// transformed gains of [`cascade_gains`]; per-page delegation sends only
-    /// a document's above-mean-difficulty pages to the upgrade parser and
-    /// bills only that fraction of the upgrade's cost. The report is bitwise
+    /// Credit carries from window to window, so
+    /// `run_cascade(&CascadeConfig::binary(config, k))` is the binary
+    /// campaign with carried credit over windows of `k`. Wider frontiers
+    /// route over the transformed gains of [`cascade_gains`]; per-page
+    /// delegation sends only a document's above-mean-difficulty pages to the
+    /// upgrade parser and bills only that fraction of the upgrade's cost. The report is bitwise
     /// identical across worker counts and shard sizes.
     pub fn run_cascade(
         &self,
@@ -608,7 +519,7 @@ impl CampaignPipeline {
     ) -> CascadeReport {
         let mut sink = MemorySink::new();
         let (mut result, choices, selector) = self
-            .run_windows(engine, documents, cascade, WindowPolicy::carry(cascade), seed, Some(&mut sink))
+            .run_windows(engine, documents, cascade, true, seed, Some(&mut sink))
             .expect("memory sink cannot fail");
         result.records = sink.into_records();
         let parser_docs = ParserKind::ALL
@@ -626,60 +537,22 @@ impl CampaignPipeline {
         }
     }
 
-    /// The binary cascade and selection policy the pipeline's
-    /// [`RoutingMode`] stands for. [`RoutingMode::Streaming`] carries credit
-    /// across windows of its own size, with the [`CampaignBudget`]'s seconds
-    /// ledger attached when one is configured: planned per-document costs
-    /// come from the parser cost models at the corpus's mean page count —
-    /// deterministic, like everything else that feeds routing.
-    /// [`RoutingMode::GlobalBatch`] forfeits credit at every boundary of the
-    /// engine's routing batch.
-    fn binary_policy(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-    ) -> (CascadeConfig, WindowPolicy) {
-        let config = engine.config();
-        let (window, carry_credit) = match self.config.mode {
-            RoutingMode::GlobalBatch => (config.batch_size, false),
-            RoutingMode::Streaming { window } => (window, true),
-        };
-        let cascade = CascadeConfig::binary(config, window);
-        let mut policy = WindowPolicy { carry_credit, ..WindowPolicy::carry(&cascade) };
-        if let (true, Some(budget)) = (carry_credit, self.config.budget) {
-            let total_pages: usize = documents.iter().map(Document::page_count).sum();
-            let mean_pages = if documents.is_empty() {
-                1
-            } else {
-                ((total_pages as f64 / documents.len() as f64).round() as usize).max(1)
-            };
-            policy.selector = policy.selector.with_budget(Ledger::seconds(
-                budget.total_seconds,
-                documents.len(),
-                (config.default_parser, config.high_quality_parser),
-                planned_costs(config, mean_pages),
-                budget.prior_weight,
-            ));
-        }
-        (cascade, policy)
-    }
-
-    /// The campaign loop — the only one. Per window of the policy's
-    /// selector: extract and score (stages 1–2a, sharded), select and
-    /// resolve (stage 2b, sequential), then — when a `sink` is given — parse
-    /// and score (stages 3–4, sharded), fold in input order, sink the
-    /// records, and feed the window's observed costs back into a seconds
-    /// ledger before the next window is selected.
+    /// The campaign loop — the only one. Per window of the cascade:
+    /// extract and score (stages 1–2a, sharded), select and resolve (stage
+    /// 2b, sequential), then — when a `sink` is given — parse and score
+    /// (stages 3–4, sharded), fold in input order and sink the records.
     /// Without a sink the loop stops after stage 2: the routing-only entry
-    /// points. Returns the result, the per-document choices, and the
-    /// selector that made them (its page-dollar ledger feeds
+    /// points. With `carry_credit` one selector spans the campaign;
+    /// without it every window starts from a fresh selector, an independent
+    /// `⌊len·α⌋` batch. Returns the result, the per-document choices, and
+    /// the selector that made them (its page-dollar ledger feeds
     /// [`CascadeReport`]).
     fn run_windows(
         &self,
         engine: &AdaParseEngine,
         documents: &[Document],
         cascade: &CascadeConfig,
-        policy: WindowPolicy,
+        carry_credit: bool,
         seed: u64,
         mut sink: Option<&mut dyn RecordSink>,
     ) -> std::io::Result<(CampaignResult, Vec<ParserChoice>, WindowedSelector)> {
@@ -687,7 +560,8 @@ impl CampaignPipeline {
         let parse = ParseStage::new(config, &self.pool);
         let score = ScoreStage::new(config);
         let base = cascade.frontier.base();
-        let WindowPolicy { selector: fresh, carry_credit } = policy;
+        let fresh =
+            WindowedSelector::new(cascade.window, cascade.alpha).with_frontier(cascade.frontier.clone());
         let mut selector = fresh.clone();
 
         let mut aggregates = Aggregates::default();
@@ -725,25 +599,9 @@ impl CampaignPipeline {
                         })
                         .collect()
                 });
-
-                // Close the cost loop: the window's measured per-document
-                // costs (from the deterministic cost models, folded in input
-                // order) reconcile a seconds ledger before the next window is
-                // selected.
-                let mut wave_costs = WaveCosts::default();
                 for outcome in shards.into_iter().flatten() {
-                    // A failed high-quality parse burned only its extraction
-                    // seconds — exactly what a default-routed document pays —
-                    // so it is recorded as a *cheap* sample at its actual
-                    // cost: the spend stays exact (those seconds were
-                    // genuinely burned), while a zero-cost *expensive* sample
-                    // would teach the ledger the failing parser is cheap and
-                    // loosen α toward it.
-                    let high_quality = outcome.high_quality && !outcome.parse_failed;
-                    wave_costs.record(high_quality, outcome.cost.cpu_seconds + outcome.cost.gpu_seconds);
                     aggregates.fold(outcome, &mut **sink)?;
                 }
-                selector.ledger_mut().ingest(&wave_costs);
             }
             routed_all.extend(routed_wave);
             choices_all.extend(choice_wave);
@@ -759,13 +617,12 @@ impl CampaignPipeline {
     /// the document; results come back in input order.
     fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
         let stage = ExtractStage::new(engine.config(), &self.pool);
-        let route = RouteStage::new(engine);
         let shards: Vec<Vec<(Extracted, (f64, bool))>> = self.threads.install(|| {
             docs.par_chunks(self.config.shard_size)
                 .map(|shard| {
                     let extracted: Vec<Extracted> = shard.iter().map(|doc| stage.run(doc, seed)).collect();
                     let inputs: Vec<&RoutingInput> = extracted.iter().map(|e| &e.input).collect();
-                    let improvements = route.improvements(&inputs);
+                    let improvements = engine.routing_improvements(&inputs);
                     extracted.into_iter().zip(improvements).collect()
                 })
                 .collect()
@@ -782,28 +639,10 @@ impl CampaignPipeline {
     }
 }
 
-/// What [`RoutingMode`] selects inside the campaign loop: the selector every
-/// window starts from, and whether the running one survives a window
-/// boundary.
-struct WindowPolicy {
-    /// The selector at stream position zero (window, α, frontier, and the
-    /// seconds ledger when one is configured).
-    selector: WindowedSelector,
-    /// Carry unspent credit (and the ledger) from window to window; `false`
-    /// restarts from `selector` at every boundary, which makes each window
-    /// an independent `⌊len·α⌋` batch.
-    carry_credit: bool,
-}
-
-impl WindowPolicy {
-    /// One selector over the cascade's frontier, carried across the stream.
-    fn carry(cascade: &CascadeConfig) -> Self {
-        WindowPolicy {
-            selector: WindowedSelector::new(cascade.window, cascade.alpha)
-                .with_frontier(cascade.frontier.clone()),
-            carry_credit: true,
-        }
-    }
+/// The binary cascade of the per-batch entry points: the engine's two
+/// parsers, α and routing batch.
+fn per_batch(engine: &AdaParseEngine) -> CascadeConfig {
+    CascadeConfig::binary(engine.config(), engine.config().batch_size)
 }
 
 /// Stage 2b of a window: transform scores into per-upgrade gains, select

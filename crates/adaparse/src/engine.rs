@@ -120,7 +120,7 @@ impl AdaParseEngine {
     /// ([`AccuracyPredictor::predict_accuracies_batch`]). A document's score
     /// does not depend on its shard-mates, so the campaign pipeline may shard
     /// a window any way it likes.
-    pub(crate) fn routing_improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
+    pub fn routing_improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
         let invalid: Vec<bool> = inputs
             .iter()
             .map(|input| self.config.validity.decide(&input.first_page_text, 1) == Cls1Decision::Invalid)

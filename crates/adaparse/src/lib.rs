@@ -46,11 +46,10 @@
 //!   global),
 //! * [`engine`] — configuration + training + the hierarchical router
 //!   (CLS I → II → III); campaign entry points delegate to the pipeline,
-//! * [`campaign`] — the staged parallel pipeline described above; its
-//!   [`RoutingMode`] is a selection *policy* inside the loop:
-//!   [`RoutingMode::GlobalBatch`] (independent per-batch quotas, the paper's
-//!   Appendix C) or [`RoutingMode::Streaming`] (credit and an optional
-//!   seconds ledger carried from window to window),
+//! * [`campaign`] — the staged parallel pipeline described above; its binary
+//!   entry points give every routing batch an independent quota (the
+//!   paper's Appendix C), its cascade entry points carry unspent credit from
+//!   window to window,
 //! * [`cascade`] — the k-parser frontier configuration, the per-upgrade
 //!   gain transform and per-page delegation; the binary router is its
 //!   two-parser case,
@@ -73,7 +72,7 @@
 //! # Example
 //!
 //! ```
-//! use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, PipelineConfig};
+//! use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, PipelineConfig};
 //! use scicorpus::{Corpus, GeneratorConfig};
 //!
 //! // A small corpus with a train/test split.
@@ -90,16 +89,16 @@
 //! // Train the router and run a campaign through the parallel pipeline.
 //! let mut engine = AdaParseEngine::new(AdaParseConfig::default());
 //! engine.train_on_corpus(&train, 7);
-//! let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 4, ..Default::default() });
+//! let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 4 });
 //! let result = pipeline.run(&engine, &test, 11);
 //! assert_eq!(result.quality.documents, test.len());
 //! // Identical to the engine's default (sequential-equivalent) entry point.
 //! assert_eq!(result, engine.parse_documents(&test, 11));
 //!
-//! // Streaming mode: quota credit carries from window to window. Bitwise
-//! // identical across worker counts too.
-//! let streaming = CampaignPipeline::new(PipelineConfig::streaming(2, 4));
-//! assert_eq!(streaming.run(&engine, &test, 11).quality.documents, test.len());
+//! // The binary cascade carries unspent quota credit from window to window.
+//! // Bitwise identical across worker counts too.
+//! let carried = pipeline.run_cascade(&engine, &test, &CascadeConfig::binary(engine.config(), 4), 11);
+//! assert_eq!(carried.result.quality.documents, test.len());
 //! ```
 
 #![deny(missing_docs)]
@@ -116,10 +115,7 @@ pub mod serve;
 pub mod stats;
 
 pub use budget::{assign_k, max_affordable_alpha, select_global, KAssignment};
-pub use campaign::{
-    CampaignBudget, CampaignFailures, CampaignPipeline, CascadeReport, PipelineConfig, RoutingInput,
-    RoutingMode,
-};
+pub use campaign::{CampaignFailures, CampaignPipeline, CascadeReport, PipelineConfig, RoutingInput};
 pub use cascade::{
     cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity,
 };
@@ -136,7 +132,7 @@ pub use scaling::{
     SloAutoscaler, Stage, StageSample, WaveCosts, WaveStats, WindowedSelector, DEFAULT_PRIOR_WEIGHT,
 };
 pub use serve::{
-    run_service, run_service_instrumented, DocArrival, ServeConfig, ServeReport, SoakStats, TenantRegistry,
-    TenantServeReport, TenantSpec, TenantTrace, BY_PAGE_PLANNED_FRACTION,
+    run_service, run_service_instrumented, CampaignBudget, DocArrival, ServeConfig, ServeReport, SoakStats,
+    TenantRegistry, TenantServeReport, TenantSpec, TenantTrace, BY_PAGE_PLANNED_FRACTION,
 };
 pub use stats::{nearest_rank_percentile, LatencyLedger, LatencySummary};

@@ -12,8 +12,8 @@
 //! Every selector meters its spend in one [`Ledger`], per parser class, in
 //! the unit the ledger was built with: planned page-dollars at the
 //! frontier's rates (an unbudgeted frontier selector — the cascade), or
-//! seconds against a compute budget ([`Ledger::seconds`] — the budgeted
-//! binary campaign, the closed loop, serve). A seconds ledger *closes the
+//! seconds against a compute budget ([`Ledger::seconds`] — the closed loop
+//! and serve). A seconds ledger *closes the
 //! loop on costs*: it reserves each committed window's planned spend,
 //! reconciles the reservations slot by slot against measured costs
 //! ([`WaveCosts`]), and caps the selector's α at what the remainder affords
@@ -194,7 +194,7 @@ impl Ledger {
     /// boundaries observe a window piecemeal (the closed loop, serve):
     /// releasing a whole reservation at its first completion would refund
     /// the stragglers' cost while they still run. A window observed whole
-    /// (the campaign) releases exactly what it reserved. Once every document
+    /// releases exactly what it reserved. Once every document
     /// has been observed or [released](Self::release_unobserved), the
     /// remainder is exactly `budget − Σ measured`, clamped at zero.
     pub fn ingest(&mut self, wave: &WaveCosts) {

@@ -630,8 +630,8 @@ mod tests {
 
     #[test]
     fn allowlisted_tenants_route_on_their_own_parser_pair() {
-        use crate::campaign::CampaignBudget;
         use crate::cascade::RoutingGranularity;
+        use crate::serve::CampaignBudget;
         use parsersim::ParserKind;
 
         let mut restricted = trace("ocr-only", 40, 11, 1.0);

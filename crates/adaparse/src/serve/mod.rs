@@ -68,5 +68,6 @@ mod tenant;
 
 pub use ingest::{run_service, run_service_instrumented, ServeConfig, ServeReport, SoakStats};
 pub use tenant::{
-    DocArrival, TenantRegistry, TenantServeReport, TenantSpec, TenantTrace, BY_PAGE_PLANNED_FRACTION,
+    CampaignBudget, DocArrival, TenantRegistry, TenantServeReport, TenantSpec, TenantTrace,
+    BY_PAGE_PLANNED_FRACTION,
 };

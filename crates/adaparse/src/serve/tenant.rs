@@ -13,7 +13,8 @@ use std::collections::VecDeque;
 
 use parsersim::{page_dollars, ParserFrontier, ParserKind};
 
-use crate::campaign::CampaignBudget;
+use serde::{Deserialize, Serialize};
+
 use crate::cascade::RoutingGranularity;
 use crate::hpc::WorkloadSpec;
 use crate::scaling::{Ledger, WindowedSelector};
@@ -37,6 +38,32 @@ pub struct DocArrival {
     pub at_seconds: f64,
     /// Predicted improvement score fed to the tenant's windowed selector.
     pub score: f64,
+}
+
+/// A tenant's seconds-denominated compute budget.
+///
+/// Attached to a [`TenantSpec`], it gives the tenant's [`WindowedSelector`]
+/// a seconds [`Ledger`] over the planned per-document parser costs. Each
+/// completed document's simulated costs are fed back into the ledger
+/// ([`crate::scaling::WaveCosts`]): reservations are reconciled against
+/// actual spend and the affordable α is re-derived from blended
+/// [`crate::scaling::ObservedCosts`] estimates — selection tightens when
+/// documents run more expensive than planned and loosens when they run
+/// cheaper.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct CampaignBudget {
+    /// Total compute budget in seconds (CPU + GPU) for the tenant's trace.
+    pub total_seconds: f64,
+    /// Pseudo-document weight of the planned-cost prior against the
+    /// measured costs; see [`crate::scaling::ObservedCosts`].
+    pub prior_weight: f64,
+}
+
+impl CampaignBudget {
+    /// A budget of `total_seconds` with the default prior weight.
+    pub fn seconds(total_seconds: f64) -> Self {
+        CampaignBudget { total_seconds, prior_weight: crate::scaling::DEFAULT_PRIOR_WEIGHT }
+    }
 }
 
 /// The per-tenant service contract.
@@ -248,8 +275,9 @@ impl TenantRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if a tenant has a non-positive weight, a non-positive SLO
-    /// target or a budget [`Ledger::seconds`] rejects, or if its arrival
+    /// Panics if a tenant has an α that is not a finite number in `[0, 1]`,
+    /// a non-positive weight, a non-positive SLO target or a budget
+    /// [`Ledger::seconds`] rejects, or if its arrival
     /// times are not finite, non-negative and non-decreasing in
     /// [`f64::total_cmp`] order (`-0.0` may not follow `0.0`): the serve
     /// loop's merge cursor relies on exactly that order,
@@ -260,6 +288,15 @@ impl TenantRegistry {
             .iter()
             .map(|trace| {
                 let spec = &trace.spec;
+                // A NaN α would make the planned document cost, and with it
+                // the WFQ virtual service, NaN — a tenant no `<` ever
+                // displaces, which then takes every admission.
+                assert!(
+                    (0.0..=1.0).contains(&spec.alpha),
+                    "tenant {:?}: alpha must be finite and in [0, 1], got {}",
+                    spec.name,
+                    spec.alpha
+                );
                 assert!(spec.weight > 0.0, "tenant {:?}: weight must be positive", spec.name);
                 assert!(spec.slo_p99_seconds > 0.0, "tenant {:?}: SLO target must be positive", spec.name);
                 let mut last = -0.0f64;

@@ -48,7 +48,7 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
     let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
     let engine = trained_engine(config.clone());
     let docs = corpus(90, 77);
-    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(2, 8));
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, ..Default::default() });
     let binary = pipeline.run_cascade(&engine, &docs, &CascadeConfig::binary(&config, 16), 11);
     let k4 = pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(&config, 16), 11);
     let upgraded = |r: &adaparse::CascadeReport| r.choices.iter().filter(|c| c.is_upgraded()).count();
@@ -79,7 +79,7 @@ fn the_high_quality_fraction_counts_every_upgrade() {
     let config = AdaParseConfig { alpha: 0.2, high_quality_parser: ParserKind::Marker, ..Default::default() };
     let engine = trained_engine(config.clone());
     let docs = corpus(48, 77);
-    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(2, 8));
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, ..Default::default() });
     let report = pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(&config, 16), 11);
     let upgraded: Vec<&ParserChoice> = report.choices.iter().filter(|c| c.is_upgraded()).collect();
     assert!(!upgraded.is_empty() && upgraded.iter().all(|c| c.parser != ParserKind::Marker));

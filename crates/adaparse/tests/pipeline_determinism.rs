@@ -35,8 +35,7 @@ fn run(
     workers: usize,
     shard: usize,
 ) -> CampaignResult {
-    CampaignPipeline::new(PipelineConfig { workers, shard_size: shard, ..Default::default() })
-        .run(engine, docs, seed)
+    CampaignPipeline::new(PipelineConfig { workers, shard_size: shard }).run(engine, docs, seed)
 }
 
 #[test]
@@ -103,7 +102,7 @@ fn fasttext_variant_is_deterministic_too() {
 fn streamed_jsonl_matches_buffered_records() {
     let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
     let docs = corpus(12, 0.3, 99);
-    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 4, shard_size: 3, ..Default::default() });
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 4, shard_size: 3 });
 
     let buffered = pipeline.run(&engine, &docs, 7);
 

@@ -27,11 +27,12 @@
 //! small runs are also **pinned by value**; beside them, a document behind
 //! a skipped task is shown to cost one `awaiting` entry and no extra epoch,
 //! a zero-node cluster to end in a report, and arrival times the epoch loop
-//! could never ingest to be rejected up front.
+//! could never ingest, like a tenant α outside [0, 1], to be rejected up
+//! front.
 
 use adaparse::{
-    run_service, run_service_instrumented, AutoscaleConfig, CampaignBudget, DocArrival, RoutingGranularity,
-    ServeConfig, ServeReport, TenantSpec, TenantTrace, WorkloadSpec,
+    run_service, run_service_instrumented, AdaParseConfig, AutoscaleConfig, CampaignBudget, DocArrival,
+    RoutingGranularity, ServeConfig, ServeReport, TenantRegistry, TenantSpec, TenantTrace, WorkloadSpec,
 };
 use hpcsim::{ClusterConfig, ExecutorConfig, GpuTrace, LustreModel, PlacementPolicy};
 use parsersim::ParserKind;
@@ -597,4 +598,23 @@ fn a_nan_tenant_stage_in_size_is_rejected() {
     };
     let arrivals = vec![DocArrival { at_seconds: 0.5, score: 0.5 }];
     run_service(&ServeConfig::default(), &[TenantTrace { spec, arrivals }]);
+}
+
+// A tenant's α is caller input too: a NaN α made its planned document cost,
+// and with it its WFQ virtual service, NaN — a tenant no `<` displaces, so it
+// took every admission while its queue was non-empty; ±∞ did the same
+// through ∞ or NaN. Every α outside [0, 1] is now refused up front.
+#[test]
+fn a_nan_or_out_of_range_tenant_alpha_is_rejected() {
+    for alpha in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.5] {
+        let trace = TenantTrace { spec: TenantSpec { alpha, ..tenant("t", 1.0) }, arrivals: Vec::new() };
+        let panic = std::panic::catch_unwind(|| TenantRegistry::new(&AdaParseConfig::default(), &[trace]))
+            .expect_err(&format!("alpha {alpha} must be rejected"));
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("alpha must be finite and in [0, 1]"), "alpha {alpha}: {message:?}");
+    }
+    for alpha in [0.0, -0.0, 0.2, 1.0] {
+        let trace = TenantTrace { spec: TenantSpec { alpha, ..tenant("t", 1.0) }, arrivals: Vec::new() };
+        TenantRegistry::new(&AdaParseConfig::default(), &[trace]);
+    }
 }

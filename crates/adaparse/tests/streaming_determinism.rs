@@ -1,14 +1,15 @@
-//! The streaming pipeline's guarantees: with a fixed seed,
-//! [`RoutingMode::Streaming`] produces a bitwise-identical [`CampaignResult`]
-//! at every worker count and shard size, the α budget holds at every stream
-//! prefix, the windowed selector degenerates to global selection at full
-//! window, and the windowed-vs-global quality gap is negligible for the
-//! paper's window sizes.
+//! The carried-credit campaign's guarantees: with a fixed seed, the binary
+//! cascade (`run_cascade(&CascadeConfig::binary(config, window))`, unspent
+//! credit carried from window to window) produces a bitwise-identical
+//! [`CampaignResult`] at every worker count and shard size, the α budget
+//! holds at every stream prefix, the windowed selector degenerates to global
+//! selection at full window, and the windowed-vs-global quality gap is
+//! negligible for the paper's window sizes.
 
 use adaparse::budget::{select_global, windowed_optimality_gap};
 use adaparse::{
-    AdaParseConfig, AdaParseEngine, CampaignBudget, CampaignPipeline, CampaignResult, JsonlSink,
-    PipelineConfig, RoutingMode, WindowedSelector,
+    AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, CascadeConfig, PipelineConfig,
+    WindowedSelector,
 };
 use docmodel::document::Document;
 use proptest::prelude::*;
@@ -40,34 +41,10 @@ fn run_streaming(
     shard: usize,
     window: usize,
 ) -> CampaignResult {
-    CampaignPipeline::new(PipelineConfig {
-        workers,
-        shard_size: shard,
-        mode: RoutingMode::Streaming { window },
-        ..Default::default()
-    })
-    .run(engine, docs, seed)
-}
-
-fn run_streaming_budgeted(
-    engine: &AdaParseEngine,
-    docs: &[Document],
-    seed: u64,
-    workers: usize,
-    shard: usize,
-    window: usize,
-    budget: CampaignBudget,
-) -> CampaignResult {
-    CampaignPipeline::new(
-        PipelineConfig {
-            workers,
-            shard_size: shard,
-            mode: RoutingMode::Streaming { window },
-            ..Default::default()
-        }
-        .with_budget(budget),
-    )
-    .run(engine, docs, seed)
+    let binary = CascadeConfig::binary(engine.config(), window);
+    CampaignPipeline::new(PipelineConfig { workers, shard_size: shard })
+        .run_cascade(engine, docs, &binary, seed)
+        .result
 }
 
 #[test]
@@ -114,59 +91,6 @@ fn streaming_alpha_budget_holds_at_every_prefix() {
 }
 
 #[test]
-fn observed_cost_ledger_keeps_streaming_bitwise_deterministic() {
-    // The headline guarantee survives closing the cost loop: with a budget
-    // ledger ingesting observed per-document costs, the campaign result is
-    // still bitwise identical at every worker count and shard size (the
-    // cost trace comes from the deterministic cost models and folds in
-    // input order — never from timing).
-    let engine = trained_engine(AdaParseConfig { alpha: 0.25, batch_size: 8, ..Default::default() });
-    let docs = corpus(48, 0.4, 321);
-    let n = docs.len() as f64;
-    let (cheap_s, expensive_s) = adaparse::planned_costs(engine.config(), 2);
-    // Tight enough that the ledger genuinely intervenes mid-campaign.
-    let budget =
-        CampaignBudget { total_seconds: n * cheap_s + 0.1 * n * (expensive_s - cheap_s), prior_weight: 4.0 };
-    let baseline = run_streaming_budgeted(&engine, &docs, 9, 1, 8, 12, budget);
-    for (workers, shard) in [(2usize, 8usize), (4, 3), (8, 16), (3, 1)] {
-        assert_eq!(
-            baseline,
-            run_streaming_budgeted(&engine, &docs, 9, workers, shard, 12, budget),
-            "workers={workers} shard={shard} diverged with the observed-cost ledger"
-        );
-    }
-    // The ledger must actually have constrained routing relative to the
-    // configured α = 0.25 (otherwise this test exercises nothing).
-    assert!(baseline.high_quality_fraction < 0.25 - 1e-9, "{}", baseline.high_quality_fraction);
-}
-
-#[test]
-fn short_budget_with_feedback_routes_fewer_documents_to_the_expensive_parser() {
-    let engine = trained_engine(AdaParseConfig { alpha: 0.30, batch_size: 8, ..Default::default() });
-    let docs = corpus(50, 0.5, 99);
-    let hq = engine.config().high_quality_parser;
-    let count_hq = |result: &CampaignResult| result.routed.iter().filter(|r| r.parser == hq).count();
-
-    let unbudgeted = run_streaming(&engine, &docs, 7, 2, 8, 10);
-    let n = docs.len() as f64;
-    let (cheap_s, expensive_s) = adaparse::planned_costs(engine.config(), 2);
-    let budget =
-        CampaignBudget { total_seconds: n * cheap_s + 0.12 * n * (expensive_s - cheap_s), prior_weight: 2.0 };
-    let budgeted = run_streaming_budgeted(&engine, &docs, 7, 2, 8, 10, budget);
-    assert!(
-        count_hq(&budgeted) < count_hq(&unbudgeted),
-        "a short budget must throttle the expensive parser ({} vs {})",
-        count_hq(&budgeted),
-        count_hq(&unbudgeted)
-    );
-    assert!(count_hq(&budgeted) > 0, "a non-empty budget must still buy some quality");
-    // Quality can only move with routing: same documents, fewer expensive
-    // parses, no other changes.
-    assert_eq!(budgeted.quality.documents, unbudgeted.quality.documents);
-    assert!(budgeted.total_cost.gpu_seconds <= unbudgeted.total_cost.gpu_seconds);
-}
-
-#[test]
 fn full_window_streaming_matches_global_selection_masks() {
     // Selector-level equivalence on the actual campaign scores: one window
     // spanning the corpus must reproduce select_global bitwise.
@@ -203,17 +127,12 @@ fn windowed_optimality_gap_is_negligible_for_large_windows() {
 
 #[test]
 fn streaming_quality_tracks_global_mode_within_two_percent() {
-    // End-to-end form of the optimality-gap claim: a streaming campaign with
-    // k ≥ 64 loses < 2% absolute accuracy against the global-batch run.
+    // End-to-end form of the optimality-gap claim: a carried-credit campaign
+    // over windows k ≥ 64 loses < 2% absolute accuracy against the
+    // per-batch run.
     let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 256, ..Default::default() });
     let docs = corpus(128, 0.4, 777);
-    let global = CampaignPipeline::new(PipelineConfig {
-        workers: 2,
-        shard_size: 16,
-        mode: RoutingMode::GlobalBatch,
-        ..Default::default()
-    })
-    .run(&engine, &docs, 11);
+    let global = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 16 }).run(&engine, &docs, 11);
     let streaming = run_streaming(&engine, &docs, 11, 2, 16, 64);
     assert_eq!(streaming.quality.documents, global.quality.documents);
     let gap = (global.quality.bleu - streaming.quality.bleu).abs();
@@ -223,49 +142,28 @@ fn streaming_quality_tracks_global_mode_within_two_percent() {
 }
 
 #[test]
-fn streaming_jsonl_sink_matches_buffered_records() {
-    let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
-    let docs = corpus(14, 0.3, 99);
-    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(4, 5));
-
-    let buffered = pipeline.run(&engine, &docs, 7);
-    assert_eq!(buffered.records.len(), docs.len());
-
-    let mut sink = JsonlSink::new(Vec::new());
-    let streamed = pipeline.run_with_sink(&engine, &docs, 7, &mut sink).unwrap();
-    assert!(streamed.records.is_empty(), "sink mode must not buffer");
-    assert_eq!(streamed.quality, buffered.quality);
-    assert_eq!(streamed.routed, buffered.routed);
-    assert_eq!(sink.written(), docs.len());
-    let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-    for (line, record) in text.lines().zip(&buffered.records) {
-        let value: serde_json::Value = serde_json::from_str(line).expect("JSONL line parses");
-        assert_eq!(value.get("doc_id").and_then(serde_json::Value::as_u64), Some(record.doc_id));
-    }
-}
-
-#[test]
 fn route_matches_the_full_streaming_campaign() {
     let engine = trained_engine(AdaParseConfig { alpha: 0.15, batch_size: 9, ..Default::default() });
     let docs = corpus(30, 0.3, 404);
-    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(3, 8));
-    let routed_only = pipeline.route(&engine, &docs, 13);
-    let full = pipeline.run(&engine, &docs, 13);
-    assert_eq!(routed_only, full.routed);
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 3, ..Default::default() });
+    let binary = CascadeConfig::binary(engine.config(), 8);
+    let routed_only = pipeline.route_cascade(&engine, &docs, &binary, 13);
+    let full = pipeline.run_cascade(&engine, &docs, &binary, 13);
+    assert_eq!(routed_only, full.choices);
 }
 
 #[test]
 fn degenerate_streaming_shapes_work() {
     let engine = trained_engine(AdaParseConfig::default());
     // Empty corpus.
-    let empty = CampaignPipeline::new(PipelineConfig::streaming(2, 8)).run(&engine, &[], 1);
+    let empty = run_streaming(&engine, &[], 1, 2, 32, 8);
     assert_eq!(empty.quality.documents, 0);
     assert!(empty.routed.is_empty());
     // Window of 1 (every document is its own wave), window larger than the
     // corpus, and a window-0 config that normalizes to 1.
     let docs = corpus(7, 0.3, 31);
     for window in [1usize, 64, 0] {
-        let result = CampaignPipeline::new(PipelineConfig::streaming(2, window)).run(&engine, &docs, 3);
+        let result = run_streaming(&engine, &docs, 3, 2, 32, window);
         assert_eq!(result.quality.documents, 7);
         assert_eq!(result.routed.len(), 7);
     }

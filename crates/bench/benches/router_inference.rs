@@ -2,8 +2,8 @@
 //! selection window of real first-page extractions: the hashed n-gram
 //! featurizer, the encoder (featurize + sparse projection) one document at a
 //! time and eight at a time, CLS I, and stage 2a as the campaign runs it —
-//! `RouteStage::improvements` over shards of eight — next to its
-//! batch-of-one view.
+//! `AdaParseEngine::routing_improvements` over shards of eight — next to its
+//! batch-of-one view, `RouteStage::improvement`.
 //!
 //! The `encode` rows time the same eight documents, so `batch_of_8` against
 //! `batch_of_1` is what sharing each projection column between shard-mates
@@ -71,7 +71,9 @@ fn bench_router_inference(c: &mut Criterion) {
     });
     c.bench_function("route_window/shards_of_8", |b| {
         b.iter(|| {
-            refs.chunks(SHARD).flat_map(|shard| route.improvements(black_box(shard))).collect::<Vec<_>>()
+            refs.chunks(SHARD)
+                .flat_map(|shard| engine.routing_improvements(black_box(shard)))
+                .collect::<Vec<_>>()
         })
     });
 }

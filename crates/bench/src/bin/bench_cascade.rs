@@ -180,7 +180,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     };
     let mut engine = AdaParseEngine::new(config.clone());
     engine.train_on_corpus(&corpus.documents[..24.min(args.docs)], 5);
-    let pipeline = CampaignPipeline::new(PipelineConfig::streaming(2, 16));
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, ..Default::default() });
 
     // Equal-dollar budgets: `--alpha` is the binary arm's upgrade
     // fraction; a wider frontier's slots are denominated in *its* costliest

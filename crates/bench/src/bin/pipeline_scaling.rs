@@ -54,8 +54,7 @@ fn main() {
     let mut speedup_at_8 = 1.0;
     let mut wall_seconds = Vec::new();
     for workers in [1usize, 2, 4, 8] {
-        let pipeline =
-            CampaignPipeline::new(PipelineConfig { workers, shard_size: 16, ..Default::default() });
+        let pipeline = CampaignPipeline::new(PipelineConfig { workers, shard_size: 16 });
         let start = Instant::now();
         let result = pipeline.run(&engine, &docs, 7);
         let elapsed = start.elapsed().as_secs_f64();

@@ -14,7 +14,7 @@
 //! 1 0 obj << /Type /Catalog /PageCount 2 /Info 2 0 R /DocId 7 >> endobj
 //! 2 0 obj << /Type /Info /Title (..) /Publisher /ArXiv ... >> endobj
 //! 3 0 obj << /Type /Page /Index 0 /Contents 4 0 R /Image 5 0 R >> endobj
-//! 4 0 obj << /Type /Content /Quality /Clean /Length 123 >> stream ... endstream endobj
+//! 4 0 obj << /Type /Content /Length 123 >> stream ... endstream endobj
 //! 5 0 obj << /Type /PageImage /DPI 300 ... /Length 456 >> stream ... endstream endobj
 //! ...
 //! xref
@@ -54,9 +54,7 @@ mod tests {
     use crate::element::Element;
     use crate::imagelayer::ImageLayer;
     use crate::metadata::{DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
-    use crate::textlayer::{TextLayer, TextLayerQuality};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::textlayer::TextLayer;
 
     fn sample_document() -> Document {
         let pages = vec![
@@ -117,18 +115,6 @@ mod tests {
         let bytes = write_document(&doc);
         let parsed = SpdfFile::parse(&bytes).unwrap();
         assert!(parsed.pages.iter().all(|p| p.embedded_text.is_empty()));
-        assert_eq!(parsed.pages[0].text_quality, "Missing");
-    }
-
-    #[test]
-    fn scrambled_quality_is_recorded() {
-        let mut doc = sample_document();
-        let gt = doc.ground_truth_pages();
-        let mut rng = StdRng::seed_from_u64(1);
-        doc.text_layer = TextLayer::from_ground_truth(&gt, TextLayerQuality::Scrambled, &mut rng);
-        let bytes = write_document(&doc);
-        let parsed = SpdfFile::parse(&bytes).unwrap();
-        assert_eq!(parsed.pages[0].text_quality, "Scrambled");
     }
 
     #[test]

@@ -77,8 +77,6 @@ pub struct SpdfPage {
     pub index: usize,
     /// Embedded text-layer content decoded from the `/Content` stream.
     pub embedded_text: String,
-    /// Text-layer quality name recorded by the writer (e.g. `"Clean"`).
-    pub text_quality: String,
     /// Raster parameters of the page image.
     pub image: PageImage,
     /// Glyph source carried by the `/PageImage` stream (stand-in for pixels).
@@ -120,7 +118,6 @@ impl SpdfFile {
 struct IndexedPage<'a> {
     index: usize,
     content: &'a [u8],
-    text_quality: Cow<'a, str>,
     image: PageImage,
     glyphs: &'a [u8],
 }
@@ -246,7 +243,7 @@ impl<'a> SpdfIndex<'a> {
         for (index, page_dict) in page_dicts {
             let content_id = page_dict.get_ref("Contents").ok_or_else(|| missing("Contents"))?;
             let image_id = page_dict.get_ref("Image").ok_or_else(|| missing("Image"))?;
-            let (content_dict, content) = find(content_id)?.stream().ok_or_else(|| missing("Content"))?;
+            let (_, content) = find(content_id)?.stream().ok_or_else(|| missing("Content"))?;
             let (image_dict, glyphs) = find(image_id)?.stream().ok_or_else(|| missing("PageImage"))?;
 
             let image = PageImage {
@@ -257,8 +254,7 @@ impl<'a> SpdfIndex<'a> {
                 jpeg_quality: image_dict.get_int("JpegQuality").unwrap_or(95).clamp(1, 100) as u8,
                 noise: image_dict.get_real("Noise").unwrap_or(0.0),
             };
-            let text_quality = content_dict.get_name("Quality").cloned().unwrap_or(Cow::Borrowed("Clean"));
-            pages.push(IndexedPage { index, content, text_quality, image, glyphs });
+            pages.push(IndexedPage { index, content, image, glyphs });
         }
 
         Ok(SpdfIndex { format_version, doc_id, info, pages, total_bytes })
@@ -275,7 +271,6 @@ impl<'a> SpdfIndex<'a> {
         Some(SpdfPage {
             index: page.index,
             embedded_text: decode_content_stream(page.content),
-            text_quality: page.text_quality.to_string(),
             image: page.image,
             glyph_text: String::from_utf8_lossy(page.glyphs).into_owned(),
         })
@@ -650,7 +645,7 @@ mod tests {
              1 0 obj\n<< /Type /Catalog /PageCount 1 /Info 2 0 R /DocId 5 >>\nendobj\n\
              2 0 obj\n<< /Type /Info /Title (T) /Publisher /ArXiv /Domain /Physics /Subcategory (optics) /Year 2020 /Producer (pdfTeX) /Scanned false >>\nendobj\n\
              3 0 obj\n<< /Type /Page /Index 0 /Contents 4 0 R /Image 5 0 R >>\nendobj\n\
-             4 0 obj\n<< /Type /Content /Quality /Clean /Length {} >>\nstream\n{}\nendstream\nendobj\n\
+             4 0 obj\n<< /Type /Content /Length {} >>\nstream\n{}\nendstream\nendobj\n\
              5 0 obj\n<< /Type /PageImage /DPI 300 /Skew 0.000000 /Contrast 1.000000 /Blur 0.000000 /JpegQuality 95 /Noise 0.000000 /Length {} >>\nstream\n{}\nendstream\nendobj\n\
              xref\n0 6\n0000000000 65535 f \n0000000010 00000 n \n0000000020 00000 n \n0000000030 00000 n \n0000000040 00000 n \n0000000050 00000 n \n\
              trailer\n<< /Size 6 /Root 1 0 R >>\nstartxref\n700\n%%EOF\n",

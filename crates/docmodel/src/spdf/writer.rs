@@ -2,7 +2,6 @@
 
 use crate::document::Document;
 use crate::imagelayer::PageImage;
-use crate::textlayer::TextLayerQuality;
 
 use super::object::{put_display, put_escaped, put_name, put_real, put_string};
 
@@ -54,7 +53,6 @@ pub fn write_document(doc: &Document) -> Vec<u8> {
     put_display(&mut out, doc.metadata.year);
     out.extend_from_slice(b" >>\nendobj\n");
 
-    let quality_name = text_quality_name(&doc.text_layer.quality);
     for (i, page) in doc.pages.iter().enumerate() {
         let page_obj_id = 3 + 3 * i;
 
@@ -74,8 +72,6 @@ pub fn write_document(doc: &Document) -> Vec<u8> {
         begin_object(&mut out, &mut offsets, page_obj_id + 1);
         out.extend_from_slice(b"<< /Length ");
         put_display(&mut out, content.len());
-        out.extend_from_slice(b" /Quality ");
-        put_name(&mut out, quality_name);
         out.extend_from_slice(b" /Type /Content >>");
         end_stream_object(&mut out, &content);
 
@@ -141,16 +137,6 @@ fn encode_content_stream(payload: &mut Vec<u8>, text: &str) {
     payload.extend_from_slice(b"BT /F1 10 Tf\n(");
     put_escaped(payload, text, b") Tj\n(");
     payload.extend_from_slice(b") Tj\nET");
-}
-
-fn text_quality_name(quality: &TextLayerQuality) -> &'static str {
-    match quality {
-        TextLayerQuality::Clean => "Clean",
-        TextLayerQuality::LatexMangled => "LatexMangled",
-        TextLayerQuality::OcrGenerated { .. } => "OcrGenerated",
-        TextLayerQuality::Scrambled => "Scrambled",
-        TextLayerQuality::Missing => "Missing",
-    }
 }
 
 #[cfg(test)]

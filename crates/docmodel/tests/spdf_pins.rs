@@ -1,6 +1,8 @@
 //! Pins recorded on the commit *before* the SPDF reader became an index and
 //! the writer a streaming pass: the rewrite must reproduce the old writer byte
 //! for byte and the old reader result for result, hostile inputs included.
+//! Both were re-pinned once when the writer stopped emitting the content
+//! stream's `/Quality` label, a generator-side tag no parser read.
 //!
 //! `SpdfFile::parse` is `SpdfIndex::open` followed by the infallible
 //! `decode_all`, so the reader digest also pins `open` alone: it fails on
@@ -12,10 +14,12 @@ use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
 use scicorpus::categories::category_preset;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
-/// `write_document` over [`pinned_corpus`], recorded from the `Object`-tree writer.
-const WRITER_DIGEST: u64 = 0xae97_5f38_37c9_d949;
-/// The mutation sweep over [`pinned_corpus`], recorded from the eager reader.
-const READER_DIGEST: u64 = 0x934e_1822_241a_9d34;
+/// `write_document` over [`pinned_corpus`], recorded from the `Object`-tree writer
+/// and re-pinned without `/Quality`.
+const WRITER_DIGEST: u64 = 0x95c1_41a1_f5fe_9a77;
+/// The mutation sweep over [`pinned_corpus`], recorded from the eager reader and
+/// re-pinned without `/Quality`.
+const READER_DIGEST: u64 = 0x3ff9_9a7a_b6c0_92c4;
 
 struct Fnv(u64);
 

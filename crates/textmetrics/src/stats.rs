@@ -88,27 +88,6 @@ pub fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// Percentile via linear interpolation; `p` in `[0, 100]`.
-///
-/// Returns `None` for an empty slice.
-pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let p = p.clamp(0.0, 100.0) / 100.0;
-    let idx = p * (sorted.len() - 1) as f64;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = idx - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,14 +134,5 @@ mod tests {
         assert!(standard_normal_cdf(3.0) > 0.998);
         assert!(standard_normal_cdf(-3.0) < 0.002);
         assert!((erf(0.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.0), Some(1.0));
-        assert_eq!(percentile(&v, 100.0), Some(4.0));
-        assert_eq!(percentile(&v, 50.0), Some(2.5));
-        assert_eq!(percentile(&[], 50.0), None);
     }
 }

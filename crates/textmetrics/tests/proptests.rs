@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use textmetrics::bleu::{sentence_bleu, sentence_bleu_with, BleuConfig};
 use textmetrics::levenshtein::{char_accuracy_rate, edit_distance, normalized_similarity};
 use textmetrics::rouge::{rouge_l, rouge_n};
-use textmetrics::stats::{pearson, percentile, r_squared};
+use textmetrics::stats::{pearson, r_squared};
 use textmetrics::tokenize::{
     alphanumeric_ratio, count_words, normalize_whitespace, tokenize_words, wordlike_ratio, TextCounts,
 };
@@ -194,14 +194,6 @@ proptest! {
             - values.iter().cloned().fold(f64::INFINITY, f64::min);
         prop_assume!(spread > 1e-9);
         prop_assert!((r_squared(&values, &values) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentile_within_min_max(values in prop::collection::vec(-100.0f64..100.0, 1..50), p in 0.0f64..100.0) {
-        let v = percentile(&values, p).unwrap();
-        let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(v >= min - 1e-9 && v <= max + 1e-9);
     }
 }
 

@@ -31,7 +31,7 @@ fn main() {
     .generate_many(64);
     let mut engine = AdaParseEngine::new(config.clone());
     engine.train_on_corpus(&docs[..16], 5);
-    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 0, shard_size: 16, ..Default::default() });
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 0, shard_size: 16 });
     let mut sink = JsonlSink::new(Vec::new());
     let result = pipeline.run_with_sink(&engine, &docs, 7, &mut sink).expect("in-memory JSONL");
     println!(
