@@ -11,8 +11,8 @@
 //!    high-quality parser (CLS I → II/III); the window's scores then go
 //!    through the streaming [`WindowedSelector`], which spends the α budget
 //!    over the [`CascadeConfig`]'s frontier.
-//! 3. [`ParseStage`] — parse each document with its assigned parser from the
-//!    shared [`ParserPool`] (stitching per page under
+//! 3. [`ParseStage`] — parse each document with its assigned parser
+//!    ([`ParserKind::parse_file`]; stitching per page under
 //!    [`RoutingGranularity::ByPage`]).
 //! 4. [`ScoreStage`] — score output against ground truth and account
 //!    resource costs.
@@ -126,8 +126,6 @@ pub struct RoutingInput {
     pub first_page_text: String,
     /// Metadata feature vector.
     pub metadata_features: Vec<f64>,
-    /// Document title.
-    pub title: String,
     /// Page count.
     pub pages: usize,
 }
@@ -149,13 +147,13 @@ pub struct Extracted {
 /// Stage 1: serialize, validate the container, extract the first page.
 pub struct ExtractStage<'a> {
     config: &'a AdaParseConfig,
-    pool: &'a ParserPool,
 }
 
 impl<'a> ExtractStage<'a> {
-    /// Create the stage over a shared parser pool.
-    pub fn new(config: &'a AdaParseConfig, pool: &'a ParserPool) -> Self {
-        ExtractStage { config, pool }
+    /// Create the stage. The [`ParserPool`] is the frozen benchmark's
+    /// spelling and carries nothing.
+    pub fn new(config: &'a AdaParseConfig, _pool: &ParserPool) -> Self {
+        ExtractStage { config }
     }
 
     /// Run the stage for one document.
@@ -167,7 +165,6 @@ impl<'a> ExtractStage<'a> {
                 doc_id: doc.id.0,
                 first_page_text: first_page.unwrap_or_default(),
                 metadata_features: doc.metadata.feature_vector(),
-                title: doc.metadata.title.clone(),
                 pages: doc.page_count(),
             },
         }
@@ -177,8 +174,7 @@ impl<'a> ExtractStage<'a> {
     /// like any other parser failure, never a panic.
     fn first_page_text(&self, bytes: &[u8], rng_seed: u64) -> Result<String, ParseError> {
         let index = SpdfIndex::open(bytes)?;
-        let parser = self.pool.get(self.config.default_parser);
-        parser.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed))
+        self.config.default_parser.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed))
     }
 }
 
@@ -209,16 +205,16 @@ pub struct Parsed {
     pub failed: bool,
 }
 
-/// Stage 3: parse with the assigned parser from the shared pool.
+/// Stage 3: parse with the assigned parser.
 pub struct ParseStage<'a> {
     config: &'a AdaParseConfig,
-    pool: &'a ParserPool,
 }
 
 impl<'a> ParseStage<'a> {
-    /// Create the stage over a shared parser pool.
-    pub fn new(config: &'a AdaParseConfig, pool: &'a ParserPool) -> Self {
-        ParseStage { config, pool }
+    /// Create the stage. The [`ParserPool`] is the frozen benchmark's
+    /// spelling and carries nothing.
+    pub fn new(config: &'a AdaParseConfig, _pool: &ParserPool) -> Self {
+        ParseStage { config }
     }
 
     /// Run one named parser over the decoded container; a container that did
@@ -227,7 +223,7 @@ impl<'a> ParseStage<'a> {
     /// of how the document was routed.
     fn run_parser(&self, file: Option<&SpdfFile>, doc: &Document, kind: ParserKind, seed: u64) -> Parsed {
         let mut rng = StdRng::seed_from_u64(seed ^ doc.id.0.wrapping_mul(0x2545F491));
-        match file.and_then(|file| self.pool.get(kind).parse_file(file, &mut rng).ok()) {
+        match file.and_then(|file| kind.parse_file(file, &mut rng).ok()) {
             Some(output) => Parsed { output, failed: false },
             None => Parsed {
                 output: parsersim::ParseOutput {
@@ -403,13 +399,11 @@ pub struct CascadeReport {
 
 /// The staged campaign executor.
 ///
-/// Owns a [`ParserPool`] (each parser constructed once, shared across all
-/// workers), the rayon thread pool (built once per pipeline), and a
+/// Owns the rayon thread pool (built once per pipeline) and a
 /// [`PipelineConfig`]. Results are independent of both knobs; see the module
 /// docs for why.
 pub struct CampaignPipeline {
     config: PipelineConfig,
-    pool: ParserPool,
     threads: rayon::ThreadPool,
 }
 
@@ -427,7 +421,7 @@ impl CampaignPipeline {
             .num_threads(config.workers)
             .build()
             .expect("thread pool construction cannot fail");
-        CampaignPipeline { config, pool: ParserPool::new(), threads }
+        CampaignPipeline { config, threads }
     }
 
     /// The pipeline's parallelism configuration.
@@ -557,7 +551,7 @@ impl CampaignPipeline {
         mut sink: Option<&mut dyn RecordSink>,
     ) -> std::io::Result<(CampaignResult, Vec<ParserChoice>, WindowedSelector)> {
         let config = engine.config();
-        let parse = ParseStage::new(config, &self.pool);
+        let parse = ParseStage { config };
         let score = ScoreStage::new(config);
         let base = cascade.frontier.base();
         let fresh =
@@ -616,7 +610,7 @@ impl CampaignPipeline {
     /// a batch). A document's extraction and score depend on nothing but
     /// the document; results come back in input order.
     fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
-        let stage = ExtractStage::new(engine.config(), &self.pool);
+        let stage = ExtractStage { config: engine.config() };
         let shards: Vec<Vec<(Extracted, (f64, bool))>> = self.threads.install(|| {
             docs.par_chunks(self.config.shard_size)
                 .map(|shard| {
@@ -763,9 +757,8 @@ mod tests {
     #[test]
     fn a_corrupt_container_is_a_counted_failure_in_both_stages() {
         let config = AdaParseConfig::default();
-        let pool = ParserPool::new();
-        let extract = ExtractStage::new(&config, &pool);
-        let parse = ParseStage::new(&config, &pool);
+        let extract = ExtractStage { config: &config };
+        let parse = ParseStage { config: &config };
         let config = GeneratorConfig { seed: 16, min_pages: 3, max_pages: 3, ..Default::default() };
         let doc = DocumentGenerator::new(config).generate();
         let by_page = ParserChoice {

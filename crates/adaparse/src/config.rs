@@ -49,8 +49,6 @@ pub struct AdaParseConfig {
     pub validity: ValidityRules,
     /// Whether to apply DPO alignment to CLS III (LLM variant only).
     pub use_dpo: bool,
-    /// Seed used for the engine's internal stochastic components.
-    pub seed: u64,
 }
 
 impl Default for AdaParseConfig {
@@ -63,7 +61,6 @@ impl Default for AdaParseConfig {
             high_quality_parser: ParserKind::Nougat,
             validity: ValidityRules::default(),
             use_dpo: true,
-            seed: 2024,
         }
     }
 }

@@ -277,10 +277,9 @@ mod tests {
     fn a_shard_scores_like_its_documents_one_by_one() {
         use crate::campaign::ExtractStage;
         let docs = corpus(24, 0.4, 777);
-        let pool = parsersim::registry::ParserPool::new();
         for variant in [Variant::Llm, Variant::FastText] {
             let engine = trained_engine(AdaParseConfig { variant, ..Default::default() });
-            let stage = ExtractStage::new(engine.config(), &pool);
+            let stage = ExtractStage::new(engine.config(), &parsersim::ParserPool);
             let inputs: Vec<RoutingInput> = docs.iter().map(|doc| stage.run(doc, 3).input).collect();
             let shard: Vec<&RoutingInput> = inputs.iter().collect();
             let together = engine.routing_improvements(&shard);

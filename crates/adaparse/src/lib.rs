@@ -25,8 +25,8 @@
 //!   through the one streaming [`WindowedSelector`], which caps the upgraded
 //!   fraction at α over the campaign's parser frontier (two parsers for the
 //!   paper's binary router, k for a [`CascadeConfig::full`] cascade).
-//! * **Parse** — each document runs its assigned parser, drawn from a shared
-//!   immutable [`parsersim::ParserPool`] (each parser constructed once).
+//! * **Parse** — each document runs its assigned parser
+//!   ([`parsersim::ParserKind::parse_file`]; parsers hold no state).
 //! * **Score** — BLEU/ROUGE/CAR/coverage against ground truth plus resource
 //!   accounting; records stream to a [`RecordSink`] in document order.
 //!

@@ -353,8 +353,15 @@ pub struct WindowedSelector {
 
 impl WindowedSelector {
     /// A selector emitting masks per window of `window` documents with the
-    /// upgraded fraction capped at `alpha` (in costliest-upgrade units).
+    /// upgraded fraction capped at `alpha` (in costliest-upgrade units),
+    /// clamped to `[0, 1]` (so ±∞ select everything or nothing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alpha` is NaN: it would survive the clamp, grant no slot in
+    /// any window and report itself as the effective α.
     pub fn new(window: usize, alpha: f64) -> Self {
+        assert!(!alpha.is_nan(), "alpha must be a number, got NaN");
         WindowedSelector {
             window: window.max(1),
             alpha: alpha.clamp(0.0, 1.0),
@@ -527,6 +534,12 @@ mod tests {
                 assert_eq!(windowed, select_global(&scores, alpha), "alpha={alpha} seed={seed}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be a number")]
+    fn a_nan_alpha_is_rejected() {
+        WindowedSelector::new(8, f64::NAN);
     }
 
     #[test]
@@ -799,5 +812,9 @@ mod tests {
         assert_eq!(selector.select_window(&[0.5]), vec![true]);
         let empty = WindowedSelector::new(8, 0.5).select_all(&[]);
         assert!(empty.is_empty());
+        // ±∞ clamp like any other out-of-range α (only NaN is rejected).
+        let scores = [0.9, 0.1, 0.5];
+        assert_eq!(WindowedSelector::new(4, f64::INFINITY).select_all(&scores), vec![true; 3]);
+        assert_eq!(WindowedSelector::new(4, f64::NEG_INFINITY).select_all(&scores), vec![false; 3]);
     }
 }

@@ -17,8 +17,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use docmodel::spdf::{write_document, SpdfFile};
-use parsersim::nougat::NougatParser;
-use parsersim::Parser;
+use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -115,7 +114,7 @@ fn bench_metrics(c: &mut Criterion) {
     })
     .generate();
     let file = SpdfFile::parse(&write_document(&doc)).expect("writer output parses");
-    let parsed = NougatParser::new().parse_file(&file, &mut StdRng::seed_from_u64(3)).expect("Nougat parses");
+    let parsed = ParserKind::Nougat.parse_file(&file, &mut StdRng::seed_from_u64(3)).expect("Nougat parses");
     let ground_truth = doc.ground_truth();
     c.bench_function("quality_report/campaign_doc", |b| {
         b.iter(|| {

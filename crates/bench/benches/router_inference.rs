@@ -35,8 +35,7 @@ fn bench_router_inference(c: &mut Criterion) {
     .generate_many(WINDOW + 24);
     let mut engine = AdaParseEngine::new(AdaParseConfig::default());
     engine.train_on_corpus(&docs[WINDOW..], 5);
-    let pool = ParserPool::new();
-    let extract = ExtractStage::new(engine.config(), &pool);
+    let extract = ExtractStage::new(engine.config(), &ParserPool);
     let inputs: Vec<RoutingInput> = docs[..WINDOW].iter().map(|doc| extract.run(doc, 7).input).collect();
     let rules = ValidityRules::default();
     let valid: Vec<&str> = inputs

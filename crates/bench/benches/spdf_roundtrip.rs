@@ -4,8 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
-use parsersim::pymupdf::PyMuPdfParser;
-use parsersim::Parser;
+use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -28,19 +27,17 @@ fn bench_spdf(c: &mut Criterion) {
         b.iter(|| SpdfIndex::open(black_box(&bytes)).unwrap().page(0).unwrap())
     });
     c.bench_function("pymupdf/parse_8_pages", |b| {
-        let parser = PyMuPdfParser::new();
         let file = SpdfFile::parse(&bytes).unwrap();
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
-            parser.parse_file(black_box(&file), &mut rng).unwrap()
+            ParserKind::PyMuPdf.parse_file(black_box(&file), &mut rng).unwrap()
         })
     });
     c.bench_function("pymupdf/first_page_text_8_pages", |b| {
-        let parser = PyMuPdfParser::new();
         let index = SpdfIndex::open(&bytes).unwrap();
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(3);
-            parser.first_page_text(black_box(&index), &mut rng).unwrap()
+            ParserKind::PyMuPdf.first_page_text(black_box(&index), &mut rng).unwrap()
         })
     });
 }

@@ -11,8 +11,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use textmetrics::{QualityReport, ReferenceText};
 
-use crate::registry::all_parsers;
-use crate::traits::{ParseOutput, Parser, ParserKind};
+use crate::traits::{ParseOutput, ParserKind};
 
 /// One parser's scored output on one document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,27 +79,20 @@ pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
     let file = index.decode_all();
     // All six outputs are scored against this one text: prepare it once.
     let ground_truth = ReferenceText::new(&doc.ground_truth());
-    let first_page_extraction = {
-        let parser = crate::pymupdf::PyMuPdfParser::new();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF1557);
-        parser.first_page_text(&index, &mut rng).unwrap_or_default()
-    };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF1557);
+    let first_page_extraction = ParserKind::PyMuPdf.first_page_text(&index, &mut rng).unwrap_or_default();
     let mut per_parser = Vec::with_capacity(ParserKind::ALL.len());
-    for parser in all_parsers() {
-        let mut rng =
-            StdRng::seed_from_u64(seed ^ (0x9E3779B9u64.wrapping_mul(parser.kind().index() as u64 + 1)));
-        let output = match parser.parse_file(&file, &mut rng) {
-            Ok(out) => out,
-            Err(_) => ParseOutput {
-                parser: parser.kind(),
-                text: String::new(),
-                pages_parsed: 0,
-                pages_total: doc.page_count(),
-                cost: Default::default(),
-            },
-        };
+    for kind in ParserKind::ALL {
+        let mut rng = StdRng::seed_from_u64(seed ^ (0x9E3779B9u64.wrapping_mul(kind.index() as u64 + 1)));
+        let output = kind.parse_file(&file, &mut rng).unwrap_or_else(|_| ParseOutput {
+            parser: kind,
+            text: String::new(),
+            pages_parsed: 0,
+            pages_total: doc.page_count(),
+            cost: Default::default(),
+        });
         let report = ground_truth.score(&output.text, output.coverage());
-        per_parser.push(ParserEvaluation { kind: parser.kind(), output, report });
+        per_parser.push(ParserEvaluation { kind, output, report });
     }
     DocumentEvaluation { doc_id: doc.id, first_page_extraction, pages: doc.page_count(), per_parser }
 }

@@ -3,51 +3,64 @@
 //! The paper's parser zoo spans three families with wildly different
 //! cost/accuracy profiles:
 //!
-//! * **text extraction** — [`pymupdf`] (fast, best lightweight) and
-//!   [`pypdf`] (slower pure-Python extraction with heavier artifacts),
-//! * **OCR / structured extraction** — [`tesseract`] (LSTM OCR over page
-//!   images) and [`grobid`] (structure-oriented extraction that drops
-//!   non-body content),
-//! * **Vision-Transformer recognition** — [`nougat`] (highest quality,
-//!   GPU-bound, occasionally drops whole pages) and [`marker`] (layout
-//!   detection + texify, markdown-flavoured output).
+//! * **text extraction** — [`ParserKind::PyMuPdf`] (fast, best lightweight)
+//!   and [`ParserKind::Pypdf`] (slower pure-Python extraction with heavier
+//!   artifacts),
+//! * **OCR / structured extraction** — [`ParserKind::Tesseract`] (LSTM OCR
+//!   over page images) and [`ParserKind::Grobid`] (structure-oriented
+//!   extraction that drops non-body content),
+//! * **Vision-Transformer recognition** — [`ParserKind::Nougat`] (highest
+//!   quality, GPU-bound, occasionally drops whole pages) and
+//!   [`ParserKind::Marker`] (layout detection + texify, markdown-flavoured
+//!   output).
 //!
-//! Each simulator implements the [`Parser`] trait: it takes SPDF bytes,
-//! performs the byte-level parse, produces output text with the family's
-//! characteristic failure modes (paper Figure 1), and reports a
-//! [`ResourceCost`] drawn from a cost model calibrated to the paper's
-//! relative throughputs (PyMuPDF ≈ 135× Nougat, ≈ 13× pypdf, Marker slowest).
+//! Parsers are stateless, so a parser *is* its kind:
+//! [`ParserKind::parse_file`] matches into one simulator function per parser
+//! (one private module each) that performs the byte-level parse, produces
+//! output text with the family's characteristic failure modes (paper Figure
+//! 1), and reports a [`ResourceCost`] drawn from a cost model calibrated to
+//! the paper's relative throughputs (PyMuPDF ≈ 135× Nougat, ≈ 13× pypdf,
+//! Marker slowest).
 //!
 //! # Example
 //!
 //! ```
-//! use parsersim::{registry, ParserKind};
+//! use docmodel::spdf::{write_document, SpdfIndex};
+//! use parsersim::ParserKind;
+//! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
+//! use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 //!
-//! let parser = registry::parser_for(ParserKind::PyMuPdf);
-//! assert_eq!(parser.kind(), ParserKind::PyMuPdf);
-//! assert!(!parser.requires_gpu());
+//! let doc = DocumentGenerator::new(GeneratorConfig { seed: 7, ..Default::default() }).generate();
+//! let bytes = write_document(&doc);
+//! let index = SpdfIndex::open(&bytes).expect("writer output opens");
+//! let kind = ParserKind::PyMuPdf;
+//! let out = kind.parse_file(&index.decode_all(), &mut StdRng::seed_from_u64(1)).expect("parses");
+//! assert_eq!(out.pages_total, doc.page_count());
+//! assert!(!kind.requires_gpu() && out.cost.gpu_seconds == 0.0);
+//! // The router's signal: page 0 alone, decoded and parsed on its own.
+//! let first = kind.first_page_text(&index, &mut StdRng::seed_from_u64(1)).expect("parses");
+//! assert!(out.text.starts_with(&first));
 //! ```
 
 pub mod cost;
 pub mod evaluate;
 pub mod failure;
-pub mod grobid;
-pub mod marker;
-pub mod nougat;
-pub mod pymupdf;
-pub mod pypdf;
+mod grobid;
+mod marker;
+mod nougat;
+mod pymupdf;
+mod pypdf;
 pub mod registry;
-pub mod tesseract;
+mod tesseract;
 pub mod traits;
 
 pub use cost::{CostModel, NodeSpec, ResourceCost};
 pub use evaluate::{evaluate_corpus, evaluate_document, DocumentEvaluation, ParserEvaluation};
 pub use registry::{
-    all_parsers, page_dollars, parser_for, quality_prior, FrontierEntry, ParserFrontier, ParserPool,
-    GPU_DOLLAR_RATIO,
+    page_dollars, quality_prior, FrontierEntry, ParserFrontier, ParserPool, GPU_DOLLAR_RATIO,
 };
-pub use traits::{ParseError, ParseOutput, Parser, ParserKind};
+pub use traits::{ParseError, ParseOutput, ParserKind};
 
 #[cfg(test)]
 pub(crate) mod testutil {
@@ -60,7 +73,7 @@ pub(crate) mod testutil {
     use rand::SeedableRng;
     use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
-    use crate::traits::{ParseOutput, Parser};
+    use crate::traits::{ParseOutput, ParserKind};
 
     /// Generate one document with the requested text-layer quality and page
     /// count, returning both the document (for ground truth) and its parsed
@@ -106,8 +119,8 @@ pub(crate) mod testutil {
     }
 
     /// Parse with a fixed seed.
-    pub fn parse_doc(parser: &dyn Parser, file: &SpdfFile) -> ParseOutput {
+    pub fn parse_doc(kind: ParserKind, file: &SpdfFile) -> ParseOutput {
         let mut rng = StdRng::seed_from_u64(99);
-        parser.parse_file(file, &mut rng).expect("parse")
+        kind.parse_file(file, &mut rng).expect("parse")
     }
 }

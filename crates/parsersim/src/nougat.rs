@@ -11,83 +11,61 @@ use docmodel::corrupt;
 use docmodel::spdf::SpdfFile;
 use rand::RngCore;
 
-use crate::cost::{content_difficulty, CostModel, ResourceCost};
+use crate::cost::content_difficulty;
 use crate::failure;
-use crate::traits::{assemble_pages, ParseError, ParseOutput, Parser, ParserKind};
+use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
 /// Probability that Nougat silently drops a page.
-pub const PAGE_DROP_PROBABILITY: f64 = 0.055;
+const PAGE_DROP_PROBABILITY: f64 = 0.055;
 
-/// Nougat ViT recognition simulator.
-#[derive(Debug, Clone)]
-pub struct NougatParser {
-    cost: CostModel,
+/// [`ParserKind::parse_file`] for Nougat.
+pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+    parse_with_page_drops(file, PAGE_DROP_PROBABILITY, rng)
+}
+
+/// Nougat with each page dropped independently with `page_drop_probability`
+/// before recognition.
+pub(crate) fn parse_with_page_drops(
+    file: &SpdfFile,
     page_drop_probability: f64,
-}
-
-impl Default for NougatParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NougatParser {
-    /// Create the simulator with the calibrated cost model.
-    pub fn new() -> Self {
-        NougatParser {
-            cost: CostModel::for_parser(ParserKind::Nougat),
-            page_drop_probability: PAGE_DROP_PROBABILITY,
+    rng: &mut dyn RngCore,
+) -> Result<ParseOutput, ParseError> {
+    let keep = failure::page_drop_mask(file.pages.len(), page_drop_probability, rng);
+    let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {
+        let glyphs = page.glyph_text.as_str();
+        let difficulty = content_difficulty(glyphs);
+        if !keep_page || glyphs.trim().is_empty() {
+            return (difficulty, None);
         }
-    }
-
-    /// Override the page-drop probability (used by ablation benches).
-    pub fn with_page_drop_probability(mut self, probability: f64) -> Self {
-        self.page_drop_probability = probability.clamp(0.0, 1.0);
-        self
-    }
-}
-
-impl Parser for NougatParser {
-    fn kind(&self) -> ParserKind {
-        ParserKind::Nougat
-    }
-
-    fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        let keep = failure::page_drop_mask(file.pages.len(), self.page_drop_probability, rng);
-        let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {
-            let glyphs = page.glyph_text.as_str();
-            let difficulty = content_difficulty(glyphs);
-            if !keep_page || glyphs.trim().is_empty() {
-                return (difficulty, None);
-            }
-            // Trained on scan-style augmentations, so quality degrades only
-            // mildly with raster legibility; LaTeX is preserved.
-            let legibility = page.image.legibility();
-            let text = corrupt::ocr_noise(glyphs, 0.85 + 0.15 * legibility, rng);
-            let text = failure::repetition_loop(&text, 0.02, rng);
-            (difficulty, Some(failure::markdownify(&text, 2)))
-        });
-        assemble_pages(self.kind(), &self.cost, pages)
-    }
-
-    fn estimate_cost(&self, pages: usize) -> ResourceCost {
-        self.cost.document_cost(pages, 0.3)
-    }
+        // Trained on scan-style augmentations, so quality degrades only
+        // mildly with raster legibility; LaTeX is preserved.
+        let legibility = page.image.legibility();
+        let text = corrupt::ocr_noise(glyphs, 0.85 + 0.15 * legibility, rng);
+        let text = failure::repetition_loop(&text, 0.02, rng);
+        (difficulty, Some(failure::markdownify(&text, 2)))
+    });
+    assemble_pages(ParserKind::Nougat, pages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pymupdf::PyMuPdfParser;
     use crate::testutil::{doc_with_quality, parse_doc, scanned_doc};
     use docmodel::textlayer::TextLayerQuality;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use textmetrics::bleu::sentence_bleu;
+
+    /// Nougat with page drops disabled, at `parse_doc`'s seed.
+    fn parse_without_drops(file: &SpdfFile) -> ParseOutput {
+        parse_with_page_drops(file, 0.0, &mut StdRng::seed_from_u64(99)).expect("parse")
+    }
 
     #[test]
     fn nougat_beats_extraction_on_documents_without_text_layers() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Missing, 4);
-        let nougat = parse_doc(&NougatParser::new(), &file);
-        let pymupdf = parse_doc(&PyMuPdfParser::new(), &file);
+        let nougat = parse_doc(ParserKind::Nougat, &file);
+        let pymupdf = parse_doc(ParserKind::PyMuPdf, &file);
         let gt = doc.ground_truth();
         assert!(sentence_bleu(&nougat.text, &gt) > sentence_bleu(&pymupdf.text, &gt));
     }
@@ -95,7 +73,7 @@ mod tests {
     #[test]
     fn nougat_preserves_latex() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Clean, 3);
-        let out = parse_doc(&NougatParser::new(), &file);
+        let out = parse_doc(ParserKind::Nougat, &file);
         if doc.ground_truth().contains("\\frac") {
             assert!(out.text.contains('\\'), "latex control sequences should survive");
         }
@@ -104,14 +82,12 @@ mod tests {
 
     #[test]
     fn page_drops_reduce_coverage_below_one() {
-        let parser = NougatParser::new().with_page_drop_probability(0.3);
         let (_doc, file) = doc_with_quality(TextLayerQuality::Clean, 10);
         let mut parsed = 0usize;
         let mut total = 0usize;
         for seed in 0..10u64 {
-            use rand::SeedableRng;
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let out = parser.parse_file(&file, &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = parse_with_page_drops(&file, 0.3, &mut rng).unwrap();
             parsed += out.pages_parsed;
             total += out.pages_total;
         }
@@ -121,9 +97,8 @@ mod tests {
 
     #[test]
     fn disabling_page_drops_gives_full_coverage() {
-        let parser = NougatParser::new().with_page_drop_probability(0.0);
         let (_doc, file) = doc_with_quality(TextLayerQuality::Clean, 6);
-        let out = parse_doc(&parser, &file);
+        let out = parse_without_drops(&file);
         assert_eq!(out.pages_parsed, out.pages_total);
     }
 
@@ -131,9 +106,8 @@ mod tests {
     fn nougat_is_robust_to_scan_degradation() {
         let (doc_good, file_good) = scanned_doc(3, false);
         let (doc_bad, file_bad) = scanned_doc(3, true);
-        let parser = NougatParser::new().with_page_drop_probability(0.0);
-        let good = sentence_bleu(&parse_doc(&parser, &file_good).text, &doc_good.ground_truth());
-        let bad = sentence_bleu(&parse_doc(&parser, &file_bad).text, &doc_bad.ground_truth());
+        let good = sentence_bleu(&parse_without_drops(&file_good).text, &doc_good.ground_truth());
+        let bad = sentence_bleu(&parse_without_drops(&file_bad).text, &doc_bad.ground_truth());
         // Quality drops, but far less than proportionally to the degradation.
         assert!(bad > good * 0.6, "good={good} bad={bad}");
     }

@@ -7,67 +7,35 @@
 //! nothing — which is exactly the signal AdaParse's CLS I stage keys on.
 
 use docmodel::corrupt;
-use docmodel::spdf::{SpdfFile, SpdfIndex};
+use docmodel::spdf::{SpdfFile, SpdfPage};
 use rand::RngCore;
 
-use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{assemble_pages, first_page_with, ParseError, ParseOutput, Parser, ParserKind};
+use crate::cost::content_difficulty;
+use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
-/// PyMuPDF text extraction simulator.
-#[derive(Debug, Clone)]
-pub struct PyMuPdfParser {
-    cost: CostModel,
+/// Extract one page from its embedded text layer; `None` when it has none.
+pub(crate) fn extract_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<String> {
+    let embedded = page.embedded_text.as_str();
+    if embedded.trim().is_empty() {
+        return None;
+    }
+    // Equations stored as glyph runs come back as flattened plaintext.
+    let text = corrupt::mangle_latex(embedded);
+    // Mild whitespace injection from glyph-positioning heuristics.
+    Some(corrupt::inject_whitespace(&text, 0.01, rng))
 }
 
-impl Default for PyMuPdfParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PyMuPdfParser {
-    /// Create the simulator with the calibrated cost model.
-    pub fn new() -> Self {
-        PyMuPdfParser { cost: CostModel::for_parser(ParserKind::PyMuPdf) }
-    }
-
-    /// Extract one page from its embedded text layer; `None` when it has none.
-    fn extract_page(embedded: &str, rng: &mut dyn RngCore) -> Option<String> {
-        if embedded.trim().is_empty() {
-            return None;
-        }
-        // Equations stored as glyph runs come back as flattened plaintext.
-        let text = corrupt::mangle_latex(embedded);
-        // Mild whitespace injection from glyph-positioning heuristics.
-        Some(corrupt::inject_whitespace(&text, 0.01, rng))
-    }
-}
-
-impl Parser for PyMuPdfParser {
-    fn kind(&self) -> ParserKind {
-        ParserKind::PyMuPdf
-    }
-
-    fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        let pages = file.pages.iter().map(|page| {
-            let embedded = page.embedded_text.as_str();
-            (content_difficulty(embedded), Self::extract_page(embedded, rng))
-        });
-        assemble_pages(self.kind(), &self.cost, pages)
-    }
-
-    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
-        first_page_with(index, |page| Self::extract_page(&page.embedded_text, rng))
-    }
-
-    fn estimate_cost(&self, pages: usize) -> ResourceCost {
-        self.cost.document_cost(pages, 0.3)
-    }
+/// [`ParserKind::parse_file`] for PyMuPDF: [`extract_page`] on every page.
+pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+    let pages =
+        file.pages.iter().map(|page| (content_difficulty(&page.embedded_text), extract_page(page, rng)));
+    assemble_pages(ParserKind::PyMuPdf, pages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::testutil::{doc_with_quality, parse_doc};
     use docmodel::textlayer::TextLayerQuality;
     use textmetrics::bleu::sentence_bleu;
@@ -75,7 +43,7 @@ mod tests {
     #[test]
     fn clean_text_layer_extracts_nearly_verbatim() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Clean, 3);
-        let out = parse_doc(&PyMuPdfParser::new(), &file);
+        let out = parse_doc(ParserKind::PyMuPdf, &file);
         assert_eq!(out.pages_total, doc.page_count());
         assert_eq!(out.pages_parsed, doc.page_count());
         let bleu = sentence_bleu(&out.text, &doc.ground_truth());
@@ -87,7 +55,7 @@ mod tests {
     #[test]
     fn missing_text_layer_yields_empty_output() {
         let (_doc, file) = doc_with_quality(TextLayerQuality::Missing, 3);
-        let out = parse_doc(&PyMuPdfParser::new(), &file);
+        let out = parse_doc(ParserKind::PyMuPdf, &file);
         assert_eq!(out.pages_parsed, 0);
         assert_eq!(out.coverage(), 0.0);
         assert!(out.token_count() < 5);
@@ -96,10 +64,10 @@ mod tests {
     #[test]
     fn scrambled_layer_extracts_garbage_but_fast() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Scrambled, 2);
-        let out = parse_doc(&PyMuPdfParser::new(), &file);
+        let out = parse_doc(ParserKind::PyMuPdf, &file);
         let bleu = sentence_bleu(&out.text, &doc.ground_truth());
         let (clean_doc, clean_file) = doc_with_quality(TextLayerQuality::Clean, 2);
-        let clean_out = parse_doc(&PyMuPdfParser::new(), &clean_file);
+        let clean_out = parse_doc(ParserKind::PyMuPdf, &clean_file);
         let clean_bleu = sentence_bleu(&clean_out.text, &clean_doc.ground_truth());
         assert!(bleu < clean_bleu, "scrambled {bleu} must score below clean {clean_bleu}");
     }
@@ -107,7 +75,7 @@ mod tests {
     #[test]
     fn output_never_contains_latex_control_sequences() {
         let (_doc, file) = doc_with_quality(TextLayerQuality::Clean, 2);
-        let out = parse_doc(&PyMuPdfParser::new(), &file);
+        let out = parse_doc(ParserKind::PyMuPdf, &file);
         assert!(!out.text.contains('\\'));
         assert!(!out.text.contains("$$"));
     }
@@ -115,9 +83,9 @@ mod tests {
     #[test]
     fn estimate_matches_actual_order_of_magnitude() {
         let (_doc, file) = doc_with_quality(TextLayerQuality::Clean, 4);
-        let parser = PyMuPdfParser::new();
-        let out = parse_doc(&parser, &file);
-        let estimate = parser.estimate_cost(file.pages.len());
+        let out = parse_doc(ParserKind::PyMuPdf, &file);
+        // What the scheduler plans with: the cost model at difficulty 0.3.
+        let estimate = CostModel::for_parser(ParserKind::PyMuPdf).document_cost(file.pages.len(), 0.3);
         assert!(out.cost.cpu_seconds < estimate.cpu_seconds * 3.0 + 0.1);
         assert!(estimate.cpu_seconds < out.cost.cpu_seconds * 3.0 + 0.1);
     }

@@ -7,70 +7,36 @@
 //! occasional per-page extraction failures.
 
 use docmodel::corrupt;
-use docmodel::spdf::{SpdfFile, SpdfIndex};
+use docmodel::spdf::{SpdfFile, SpdfPage};
 use rand::{Rng, RngCore};
 
-use crate::cost::{content_difficulty, CostModel, ResourceCost};
-use crate::traits::{assemble_pages, first_page_with, ParseError, ParseOutput, Parser, ParserKind};
+use crate::cost::content_difficulty;
+use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
-/// pypdf text extraction simulator.
-#[derive(Debug, Clone)]
-pub struct PypdfParser {
-    cost: CostModel,
+/// Extract one page from its embedded text layer; `None` when it has none or
+/// the page's extraction fails.
+pub(crate) fn extract_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<String> {
+    let embedded = page.embedded_text.as_str();
+    if embedded.trim().is_empty() || rng.gen_bool(0.04) {
+        return None;
+    }
+    let text = corrupt::mangle_latex(embedded);
+    let text = corrupt::inject_whitespace(&text, 0.20, rng);
+    let text = corrupt::scramble_characters(&text, 0.08, rng);
+    // Damaged encodings flip case pervasively, cratering CAR.
+    Some(crate::failure::corrupt_case(&text, 0.25, rng))
 }
 
-impl Default for PypdfParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PypdfParser {
-    /// Create the simulator with the calibrated cost model.
-    pub fn new() -> Self {
-        PypdfParser { cost: CostModel::for_parser(ParserKind::Pypdf) }
-    }
-
-    /// Extract one page from its embedded text layer; `None` when it has
-    /// none or the page's extraction fails.
-    fn extract_page(embedded: &str, rng: &mut dyn RngCore) -> Option<String> {
-        if embedded.trim().is_empty() || rng.gen_bool(0.04) {
-            return None;
-        }
-        let text = corrupt::mangle_latex(embedded);
-        let text = corrupt::inject_whitespace(&text, 0.20, rng);
-        let text = corrupt::scramble_characters(&text, 0.08, rng);
-        // Damaged encodings flip case pervasively, cratering CAR.
-        Some(crate::failure::corrupt_case(&text, 0.25, rng))
-    }
-}
-
-impl Parser for PypdfParser {
-    fn kind(&self) -> ParserKind {
-        ParserKind::Pypdf
-    }
-
-    fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        let pages = file.pages.iter().map(|page| {
-            let embedded = page.embedded_text.as_str();
-            (content_difficulty(embedded), Self::extract_page(embedded, rng))
-        });
-        assemble_pages(self.kind(), &self.cost, pages)
-    }
-
-    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
-        first_page_with(index, |page| Self::extract_page(&page.embedded_text, rng))
-    }
-
-    fn estimate_cost(&self, pages: usize) -> ResourceCost {
-        self.cost.document_cost(pages, 0.3)
-    }
+/// [`ParserKind::parse_file`] for pypdf: [`extract_page`] on every page.
+pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+    let pages =
+        file.pages.iter().map(|page| (content_difficulty(&page.embedded_text), extract_page(page, rng)));
+    assemble_pages(ParserKind::Pypdf, pages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pymupdf::PyMuPdfParser;
     use crate::testutil::{doc_with_quality, parse_doc};
     use docmodel::textlayer::TextLayerQuality;
     use textmetrics::bleu::sentence_bleu;
@@ -79,8 +45,8 @@ mod tests {
     #[test]
     fn pypdf_is_worse_and_slower_than_pymupdf() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Clean, 4);
-        let pypdf = parse_doc(&PypdfParser::new(), &file);
-        let pymupdf = parse_doc(&PyMuPdfParser::new(), &file);
+        let pypdf = parse_doc(ParserKind::Pypdf, &file);
+        let pymupdf = parse_doc(ParserKind::PyMuPdf, &file);
         let gt = doc.ground_truth();
         assert!(sentence_bleu(&pypdf.text, &gt) < sentence_bleu(&pymupdf.text, &gt));
         assert!(pypdf.cost.cpu_seconds > pymupdf.cost.cpu_seconds * 5.0);
@@ -89,17 +55,17 @@ mod tests {
     #[test]
     fn case_corruption_craters_car_but_not_bleu_as_much() {
         let (doc, file) = doc_with_quality(TextLayerQuality::Clean, 3);
-        let out = parse_doc(&PypdfParser::new(), &file);
+        let out = parse_doc(ParserKind::Pypdf, &file);
         let gt = doc.ground_truth();
         let car = char_accuracy_rate(&out.text, &gt);
-        let pymupdf_car = char_accuracy_rate(&parse_doc(&PyMuPdfParser::new(), &file).text, &gt);
+        let pymupdf_car = char_accuracy_rate(&parse_doc(ParserKind::PyMuPdf, &file).text, &gt);
         assert!(car < pymupdf_car, "pypdf CAR {car} should trail PyMuPDF {pymupdf_car}");
     }
 
     #[test]
     fn missing_layer_produces_nothing() {
         let (_doc, file) = doc_with_quality(TextLayerQuality::Missing, 2);
-        let out = parse_doc(&PypdfParser::new(), &file);
+        let out = parse_doc(ParserKind::Pypdf, &file);
         assert_eq!(out.pages_parsed, 0);
         assert!(out.token_count() < 5);
     }
@@ -113,7 +79,7 @@ mod tests {
         for seed in 0..8u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             use rand::SeedableRng;
-            let out = PypdfParser::new().parse_file(&file, &mut rng).unwrap();
+            let out = ParserKind::Pypdf.parse_file(&file, &mut rng).unwrap();
             total_parsed += out.pages_parsed;
             total_pages += out.pages_total;
         }

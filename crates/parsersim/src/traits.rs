@@ -1,12 +1,18 @@
-//! The [`Parser`] trait and its supporting types.
+//! [`ParserKind`] — the closed set of simulated parsers, each parsing by a
+//! `match` into its own module — and the types a parse returns.
 
 use docmodel::spdf::{SpdfError, SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostModel, ResourceCost};
+use crate::{grobid, marker, nougat, pymupdf, pypdf, tesseract};
 
-/// Identity of a concrete parser implementation.
+/// One of the simulated PDF parsers.
+///
+/// Parsers hold no state: a parse is deterministic given the input and the
+/// caller's RNG, which models the run-to-run variation of real OCR/ViT
+/// inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum ParserKind {
     /// MuPDF-based text extraction (the fast default).
@@ -60,6 +66,49 @@ impl ParserKind {
     /// Dense index (stable across runs) used for model output heads.
     pub fn index(&self) -> usize {
         ParserKind::ALL.iter().position(|k| k == self).unwrap_or(0)
+    }
+
+    /// Parse an already-decoded SPDF file.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::EmptyDocument`] for a zero-page document.
+    pub fn parse_file(self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+        match self {
+            ParserKind::PyMuPdf => pymupdf::parse_file(file, rng),
+            ParserKind::Pypdf => pypdf::parse_file(file, rng),
+            ParserKind::Tesseract => tesseract::parse_file(file, rng),
+            ParserKind::Grobid => grobid::parse_file(file, rng),
+            ParserKind::Nougat => nougat::parse_file(file, rng),
+            ParserKind::Marker => marker::parse_file(file, rng),
+        }
+    }
+
+    /// The text of the first page — what the router reads — from an
+    /// undecoded container.
+    ///
+    /// The definition is [`ParserKind::parse_file`] over the whole decoded
+    /// document, cut at the first form feed. PyMuPDF, pypdf and Tesseract
+    /// decode and parse page 0 alone instead: their `parse_file` is a pure
+    /// per-page loop, so page 0's RNG draws come first and nothing about later
+    /// pages reaches page 0's text. Nougat, Marker and GROBID draw a
+    /// document-level page-drop mask before page 0 and so keep the definition;
+    /// the `first_page_contract` property test holds every kind to it.
+    ///
+    /// # Errors
+    ///
+    /// Exactly when [`ParserKind::parse_file`] fails on the decoded document.
+    pub fn first_page_text(self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
+        let page_body: fn(&SpdfPage, &mut dyn RngCore) -> Option<String> = match self {
+            ParserKind::PyMuPdf => pymupdf::extract_page,
+            ParserKind::Pypdf => pypdf::extract_page,
+            ParserKind::Tesseract => tesseract::recognize_page,
+            ParserKind::Grobid | ParserKind::Nougat | ParserKind::Marker => {
+                return Ok(cut_at_form_feed(self.parse_file(&index.decode_all(), rng)?.text));
+            }
+        };
+        let page = index.page(0).ok_or(ParseError::EmptyDocument)?;
+        Ok(cut_at_form_feed(page_body(&page, rng).unwrap_or_default()))
     }
 }
 
@@ -141,28 +190,18 @@ fn cut_at_form_feed(mut text: String) -> String {
     text
 }
 
-/// [`Parser::first_page_text`] for a parser whose `parse_file` is a pure
-/// per-page loop: decode page 0 alone and run the loop's `body` on it.
-pub(crate) fn first_page_with(
-    index: &SpdfIndex<'_>,
-    body: impl FnOnce(&SpdfPage) -> Option<String>,
-) -> Result<String, ParseError> {
-    let page = index.page(0).ok_or(ParseError::EmptyDocument)?;
-    Ok(cut_at_form_feed(body(&page).unwrap_or_default()))
-}
-
 /// The epilogue every `parse_file` shares: fold a parser's per-page
 /// `(content difficulty, text)` stream — `None` for a page it produced
-/// nothing for — into the form-feed-joined [`ParseOutput`], priced by `cost`
-/// at the mean difficulty. The stream is consumed in page order, so a page
-/// body's RNG draws happen exactly where the parser's own loop made them.
+/// nothing for — into the form-feed-joined [`ParseOutput`], priced by the
+/// parser's [`CostModel`] at the mean difficulty. The stream is consumed in
+/// page order, so a page body's RNG draws happen exactly where the parser's
+/// own loop made them.
 ///
 /// # Errors
 ///
 /// [`ParseError::EmptyDocument`] for a zero-page stream.
 pub(crate) fn assemble_pages(
     parser: ParserKind,
-    cost: &CostModel,
     pages: impl ExactSizeIterator<Item = (f64, Option<String>)>,
 ) -> Result<ParseOutput, ParseError> {
     let pages_total = pages.len();
@@ -182,64 +221,8 @@ pub(crate) fn assemble_pages(
         text: out_pages.join("\u{c}"),
         pages_parsed,
         pages_total,
-        cost: cost.document_cost(pages_total, difficulty_sum / pages_total as f64),
+        cost: CostModel::for_parser(parser).document_cost(pages_total, difficulty_sum / pages_total as f64),
     })
-}
-
-/// A PDF parser simulator.
-///
-/// Implementations are deterministic given the input bytes and the caller's
-/// RNG, which models the run-to-run variation of real OCR/ViT inference.
-pub trait Parser: Send + Sync {
-    /// Which parser this is.
-    fn kind(&self) -> ParserKind;
-
-    /// Display name.
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Whether this parser needs a GPU.
-    fn requires_gpu(&self) -> bool {
-        self.kind().requires_gpu()
-    }
-
-    /// Parse an already-decoded SPDF file.
-    fn parse_file(&self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError>;
-
-    /// Parse raw SPDF bytes (decodes the container first).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError::Container`] when the bytes are not valid SPDF and
-    /// [`ParseError::EmptyDocument`] for zero-page documents.
-    fn parse_bytes(&self, bytes: &[u8], rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
-        let file = SpdfFile::parse(bytes)?;
-        self.parse_file(&file, rng)
-    }
-
-    /// The text of the first page — what the router reads — from an
-    /// undecoded container.
-    ///
-    /// The default *is the definition*: [`Parser::parse_file`] over the whole
-    /// decoded document, cut at the first form feed. A parser may override it
-    /// with a cheaper page-0-only pass only if its `parse_file` is a pure
-    /// per-page loop, so page 0's RNG draws come first and nothing about
-    /// later pages reaches page 0's text (PyMuPDF, pypdf, Tesseract). A
-    /// parser that makes a document-level draw before page 0 (the page-drop
-    /// masks of Nougat, Marker and GROBID) must keep the default; the
-    /// `first_page_contract` property test holds every parser to it.
-    ///
-    /// # Errors
-    ///
-    /// Exactly when [`Parser::parse_file`] fails on the decoded document.
-    fn first_page_text(&self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
-        Ok(cut_at_form_feed(self.parse_file(&index.decode_all(), rng)?.text))
-    }
-
-    /// Expected resource cost of parsing a document with the given page count
-    /// without actually parsing it (used by the scheduler).
-    fn estimate_cost(&self, pages: usize) -> ResourceCost;
 }
 
 #[cfg(test)]

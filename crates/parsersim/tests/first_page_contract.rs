@@ -1,8 +1,8 @@
-//! The contract of `Parser::first_page_text`: for every parser it equals
+//! The contract of `ParserKind::first_page_text`: for every parser it equals
 //! `parse_file` over the whole decoded document, cut at the first form feed —
 //! same text, same RNG seed, error exactly when `parse_file` errors.
 //!
-//! This is what licenses the page-0-only overrides of the per-page parsers,
+//! This is what licenses the page-0-only fast path of the per-page parsers,
 //! and what fails if a document-level draw is ever added to one of them.
 
 use docmodel::document::{DocId, Document};
@@ -11,7 +11,7 @@ use docmodel::imagelayer::ImageLayer;
 use docmodel::metadata::{DocCategory, DocMetadata};
 use docmodel::spdf::{write_document, SpdfIndex};
 use docmodel::textlayer::TextLayer;
-use parsersim::{all_parsers, ParseError};
+use parsersim::{ParseError, ParserKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,11 +23,11 @@ fn check(doc: &Document, rng_seed: u64) {
     let bytes = write_document(doc);
     let index = SpdfIndex::open(&bytes).expect("writer output opens");
     let file = index.decode_all();
-    for parser in all_parsers() {
-        let whole = parser.parse_file(&file, &mut StdRng::seed_from_u64(rng_seed));
+    for kind in ParserKind::ALL {
+        let whole = kind.parse_file(&file, &mut StdRng::seed_from_u64(rng_seed));
         let expected = whole.map(|out| out.text.split('\u{c}').next().unwrap_or("").to_string());
-        let first = parser.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed));
-        assert_eq!(first, expected, "{} on {} ({} pages)", parser.name(), doc.id, doc.page_count());
+        let first = kind.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed));
+        assert_eq!(first, expected, "{kind} on {} ({} pages)", doc.id, doc.page_count());
     }
 }
 
@@ -71,9 +71,9 @@ fn a_zero_page_document_fails_both_ways_for_every_parser() {
     );
     let bytes = write_document(&doc);
     let index = SpdfIndex::open(&bytes).expect("writer output opens");
-    for parser in all_parsers() {
+    for kind in ParserKind::ALL {
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(parser.parse_file(&index.decode_all(), &mut rng).err(), Some(ParseError::EmptyDocument));
-        assert_eq!(parser.first_page_text(&index, &mut rng), Err(ParseError::EmptyDocument));
+        assert_eq!(kind.parse_file(&index.decode_all(), &mut rng).err(), Some(ParseError::EmptyDocument));
+        assert_eq!(kind.first_page_text(&index, &mut rng), Err(ParseError::EmptyDocument));
     }
 }

@@ -14,7 +14,7 @@ use docmodel::imagelayer::ImageLayer;
 use docmodel::metadata::{DocCategory, DocMetadata};
 use docmodel::spdf::{write_document, SpdfIndex};
 use docmodel::textlayer::TextLayer;
-use parsersim::{all_parsers, ParseError, ParseOutput};
+use parsersim::{ParseError, ParseOutput, ParserKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scicorpus::categories::category_preset;
@@ -53,7 +53,8 @@ impl Fnv {
         self.text(&out.text);
         self.word(out.pages_parsed as u64);
         self.word(out.pages_total as u64);
-        for v in [out.cost.cpu_seconds, out.cost.gpu_seconds, out.cost.cpu_memory_mb, out.cost.gpu_memory_mb] {
+        let cost = &out.cost;
+        for v in [cost.cpu_seconds, cost.gpu_seconds, cost.cpu_memory_mb, cost.gpu_memory_mb] {
             self.word(v.to_bits());
         }
     }
@@ -100,13 +101,13 @@ fn pinned_outputs() -> u64 {
         let bytes = write_document(&doc);
         let index = SpdfIndex::open(&bytes).expect("writer output opens");
         let file = index.decode_all();
-        for parser in all_parsers() {
+        for kind in ParserKind::ALL {
             for seed in RNG_SEEDS {
-                match parser.parse_file(&file, &mut StdRng::seed_from_u64(seed)) {
+                match kind.parse_file(&file, &mut StdRng::seed_from_u64(seed)) {
                     Ok(out) => h.output(&out),
                     Err(e) => h.error(&e),
                 }
-                match parser.first_page_text(&index, &mut StdRng::seed_from_u64(seed)) {
+                match kind.first_page_text(&index, &mut StdRng::seed_from_u64(seed)) {
                     Ok(text) => h.text(&text),
                     Err(e) => h.error(&e),
                 }
@@ -122,11 +123,11 @@ fn pinned_outputs() -> u64 {
     );
     let bytes = write_document(&empty);
     let index = SpdfIndex::open(&bytes).expect("writer output opens");
-    for parser in all_parsers() {
+    for kind in ParserKind::ALL {
         let mut rng = StdRng::seed_from_u64(RNG_SEEDS[0]);
-        let whole = parser.parse_file(&index.decode_all(), &mut rng).expect_err("zero pages");
+        let whole = kind.parse_file(&index.decode_all(), &mut rng).expect_err("zero pages");
         h.error(&whole);
-        let first = parser.first_page_text(&index, &mut rng).expect_err("zero pages");
+        let first = kind.first_page_text(&index, &mut rng).expect_err("zero pages");
         h.error(&first);
     }
     h.0

@@ -4,7 +4,7 @@
 use adaparse::{AdaParseConfig, AdaParseEngine};
 use docmodel::spdf::{write_document, SpdfFile};
 use parsersim::evaluate::evaluate_corpus;
-use parsersim::{all_parsers, ParserKind};
+use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scicorpus::{Corpus, GeneratorConfig};
@@ -28,9 +28,9 @@ fn every_generated_document_round_trips_through_spdf_and_every_parser() {
         let bytes = write_document(doc);
         let file = SpdfFile::parse(&bytes).expect("SPDF round trip");
         assert_eq!(file.pages.len(), doc.page_count());
-        for parser in all_parsers() {
+        for kind in ParserKind::ALL {
             let mut rng = StdRng::seed_from_u64(9);
-            let output = parser.parse_bytes(&bytes, &mut rng).expect("parse");
+            let output = kind.parse_file(&file, &mut rng).expect("parse");
             assert_eq!(output.pages_total, doc.page_count());
             let report = QualityReport::compute(&output.text, &doc.ground_truth(), output.coverage());
             assert!((0.0..=1.0).contains(&report.bleu));
