@@ -4,16 +4,13 @@
 //!
 //! * every epoch starts at or after the decision time that created its
 //!   window, decision times are monotone, and epochs still overlap;
-//! * three frozen shapes (no budget; a tight budget with observed-cost
-//!   feedback; a GPU-less cluster whose parse tasks are skipped) reproduce
-//!   the masks, makespans, per-wave timelines, backlogs and ledger
-//!   closings captured at the commit before the loop's two bodies were
-//!   merged — bit for bit;
+//! * two frozen shapes (a GPU-rich cluster; a GPU-less cluster whose parse
+//!   tasks are skipped) reproduce their masks, makespans, per-wave
+//!   timelines and backlogs bit for bit;
 //! * the *whole* report of those shapes and of three 24-window campaigns —
 //!   every wave field, the allocation trace, the executor's counters, float
 //!   bits and warm rows, per-GPU busy/load bits, the queue-wait summary —
-//!   reproduces the digests captured at the commit before the loop began
-//!   retiring its session behind each decision boundary;
+//!   reproduces its pinned digests;
 //! * slot-by-slot budget reconciliation ends at exactly `budget − measured`;
 //! * the controller's backlog signal counts session tasks still in flight,
 //!   not just unwindowed documents;
@@ -21,8 +18,7 @@
 //!   (`started == finished == decided_at`, explicit `tasks_skipped`).
 
 use adaparse::{
-    planned_costs, run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport,
-    WorkloadSpec,
+    run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport, WorkloadSpec,
 };
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy};
 use rand::rngs::StdRng;
@@ -84,10 +80,6 @@ struct LoopPin {
     /// Per wave: `decided_at`, `started_at`, `finished_at` bits and the
     /// backlog the controller observed.
     waves: Vec<(u64, u64, u64, usize)>,
-    /// Closing `(effective cheap, effective expensive)` bits and observed
-    /// documents of the ledger's cost estimates.
-    final_observed: Option<(u64, u64, usize)>,
-    remaining_budget_bits: Option<u64>,
     /// Bits of the executor's summed slot wait and of the per-task wait
     /// summary's mean.
     queue_wait_bits: (u64, u64),
@@ -120,10 +112,6 @@ fn pin_of(report: &SimLoopReport) -> LoopPin {
                 )
             })
             .collect(),
-        final_observed: report
-            .final_observed
-            .map(|o| (o.effective_cheap().to_bits(), o.effective_expensive().to_bits(), o.observed_docs())),
-        remaining_budget_bits: report.remaining_budget_seconds.map(f64::to_bits),
         queue_wait_bits: (
             report.executor_report.queue_wait_seconds.to_bits(),
             report.queue_wait.mean_seconds.to_bits(),
@@ -131,19 +119,18 @@ fn pin_of(report: &SimLoopReport) -> LoopPin {
     }
 }
 
-/// The three frozen shapes, pinned to the digests captured at the commit
-/// before this loop had one body: frontier-stamped admission, partial
-/// observation through the deferred queue, and the in-flight backlog must
-/// not have moved a bit.
+/// The two frozen shapes: frontier-stamped admission, partial observation
+/// through the deferred queue, and the in-flight backlog must not move a
+/// bit.
 #[test]
 fn closed_loop_reproduces_the_pinned_digests() {
     let config = base_config();
     let n = 240;
     let improvements = scores(n, 11);
 
-    let no_budget = run_closed_loop(&config, &improvements, &workload(n), &sim());
+    let gpu_rich = run_closed_loop(&config, &improvements, &workload(n), &sim());
     assert_eq!(
-        pin_of(&no_budget),
+        pin_of(&gpu_rich),
         LoopPin {
             mask_fnv: 0xa928646a85fc3125,
             makespan_bits: 0x40438432ca57a788,
@@ -155,51 +142,22 @@ fn closed_loop_reproduces_the_pinned_digests() {
                 (0x403b194af4f0d846, 0x403b194af4f0d846, 0x40418703afb7e911, 48),
                 (0x403f13a92a305534, 0x403f13a92a305534, 0x40438432ca57a788, 8),
             ],
-            final_observed: None,
-            remaining_budget_bits: None,
             queue_wait_bits: (0x40710872b020c49c, 0x3fee47e8558f9665),
         }
     );
 
-    // A budget the *planned* costs afford at exactly α = 0.2: simulated
-    // documents run hot, so observed-cost feedback tightens later windows.
-    let (cheap, expensive) = planned_costs(&config, 8);
-    let budget = n as f64 * cheap + 0.2 * n as f64 * (expensive - cheap);
-    let budgeted_sim = SimLoopConfig { total_budget_seconds: Some(budget), prior_weight: 8.0, ..sim() };
-    let budgeted = run_closed_loop(&config, &improvements, &workload(n), &budgeted_sim);
-    assert!(budgeted.selected < no_budget.selected, "the feedback shape must actually throttle");
-    assert_eq!(
-        pin_of(&budgeted),
-        LoopPin {
-            mask_fnv: 0x1ebb328f0eb8ffe5,
-            makespan_bits: 0x403b97dbf487fcba,
-            waves: vec![
-                (0x0000000000000000, 0x0000000000000000, 0x4033248e8a71de6a, 207),
-                (0x3fc5182a9930be0e, 0x3fc5182a9930be0e, 0x4037491d14e3bcd4, 168),
-                (0x40334ebedfa43fe6, 0x40334ebedfa43fe6, 0x403b194af4f0d846, 122),
-                (0x40371eecbfb15b58, 0x40371eecbfb15b58, 0x403b437b4a2339c2, 82),
-                (0x4037491d14e3bcd4, 0x4037491d14e3bcd4, 0x403b6dab9f559b3e, 43),
-                (0x4037734d6a161e50, 0x4037734d6a161e50, 0x403b97dbf487fcba, 6),
-            ],
-            final_observed: Some((0x3fc5182a9930be03, 0x4020857619f0fb39, 240)),
-            remaining_budget_bits: Some(0x40129374bc6a7f38),
-            queue_wait_bits: (0x40634a339c0ebee0, 0x3fe2d91cee77ef44),
-        }
-    );
-
-    // No GPUs: every selected document's parse is skipped, its extract
-    // still charges, and the reservations of work that never ran are
-    // released at close.
+    // No GPUs: every selected document's parse is skipped and its extract
+    // still runs.
     let gpu_less_sim = SimLoopConfig {
         cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
-        ..budgeted_sim
+        ..sim()
     };
     let gpu_less = run_closed_loop(&config, &improvements, &workload(n), &gpu_less_sim);
     assert!(gpu_less.executor_report.tasks_skipped > 0);
     assert_eq!(
         pin_of(&gpu_less),
         LoopPin {
-            mask_fnv: 0x1e2af4e328f35dc5,
+            mask_fnv: 0xa928646a85fc3125,
             makespan_bits: 0x3fe5182a9930be0e,
             waves: vec![
                 (0x0000000000000000, 0x0000000000000000, 0x3fc5182a9930be0e, 240),
@@ -209,8 +167,6 @@ fn closed_loop_reproduces_the_pinned_digests() {
                 (0x3fd5182a9930be0e, 0x3fd5182a9930be0e, 0x3fe5182a9930be0e, 60),
                 (0x3fdfa43fe5c91d15, 0x3fdfa43fe5c91d15, 0x3fe5182a9930be0e, 60),
             ],
-            final_observed: Some((0x3fc5182a9930be08, 0x3fe97ab4574da602, 240)),
-            remaining_budget_bits: Some(0x406a851eb851eb85),
             queue_wait_bits: (0x402a5e353f7ced90, 0x3fac2038cc40fd5c),
         }
     );
@@ -318,7 +274,7 @@ struct FullPin {
     gpu_fnv: u64,
     /// `queue_wait` as `(count, mean, p50, p99, max)` bits.
     queue_wait: (usize, u64, u64, u64, u64),
-    /// Mask, campaign totals, closing cost estimates and remaining budget.
+    /// Mask and campaign totals.
     closing_fnv: u64,
 }
 
@@ -380,7 +336,6 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
         x.queue_wait_seconds.to_bits(),
         x.decision_lag_seconds.to_bits(),
         x.warm_hits as u64,
-        x.warm_evictions as u64,
         x.herd_queue_seconds.to_bits(),
         x.concurrent_cold_starts_peak as u64,
     ];
@@ -388,7 +343,7 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
     executor.extend(timing_words(&x.stage_timings.parse));
     for model in &x.warm_models {
         executor.extend(model.model.bytes().map(u64::from));
-        executor.extend([model.hits as u64, model.misses as u64, model.evictions as u64]);
+        executor.extend([model.hits as u64, model.misses as u64]);
     }
     let gpus = (0..x.gpu_trace.gpus())
         .flat_map(|g| [x.gpu_trace.busy_seconds(g).to_bits(), x.gpu_trace.model_load_seconds(g).to_bits()]);
@@ -402,14 +357,6 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
         report.non_local_tasks as u64,
         report.locality_penalty_seconds.to_bits(),
     ]);
-    if let Some(o) = report.final_observed {
-        closing.extend([
-            o.effective_cheap().to_bits(),
-            o.effective_expensive().to_bits(),
-            o.observed_docs() as u64,
-        ]);
-    }
-    closing.extend(report.remaining_budget_seconds.map(f64::to_bits));
     let q = &report.queue_wait;
     FullPin {
         waves_fnv: fnv(waves),
@@ -427,46 +374,29 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
     }
 }
 
-/// The whole report of six shapes, captured at the commit before the loop
-/// began retiring behind its decision boundary and its deferred queue
-/// became a list: the three shapes above, and three long enough (24
-/// windows on 4 nodes, budgeted) that almost every row, completion record,
+/// The whole report of five shapes: the two shapes above, and three long
+/// enough (24 windows on 4 nodes) that almost every row, completion record,
 /// anchor and cold-start interval is retired before the close — unlimited
 /// load channels, one load channel (the herd queues and the carried
-/// cold-start peak matters), and cost-aware placement over a one-model
-/// warm pool.
+/// cold-start peak matters), and cost-aware placement over one load
+/// channel.
 #[test]
 fn closed_loop_reproduces_the_full_report_digests() {
     let config = base_config();
     let small = scores(240, 11);
-    let (cheap, expensive) = planned_costs(&config, 8);
-    let budget_for = |n: usize| n as f64 * cheap + 0.2 * n as f64 * (expensive - cheap);
-    let budgeted_sim =
-        SimLoopConfig { total_budget_seconds: Some(budget_for(240)), prior_weight: 8.0, ..sim() };
     let gpu_less_sim = SimLoopConfig {
         cluster: Some(ClusterConfig { nodes: 2, cpu_slots_per_node: 30, gpu_slots_per_node: 0 }),
-        ..budgeted_sim
-    };
-    let n = 6_000;
-    let large = scores(n, 29);
-    let large_sim = SimLoopConfig {
-        window: 256,
-        nodes: 4,
-        total_budget_seconds: Some(budget_for(n)),
-        prior_weight: 8.0,
         ..sim()
     };
+    let large = scores(6_000, 29);
+    let large_sim = SimLoopConfig { window: 256, nodes: 4, ..sim() };
     let one_channel_sim = SimLoopConfig {
         filesystem: LustreModel { model_load_channels: 1, ..LustreModel::default() },
         ..large_sim
     };
     let cost_aware_sim = SimLoopConfig {
-        executor: ExecutorConfig {
-            placement: PlacementPolicy::CostAware,
-            warm_pool_capacity: Some(1),
-            ..ExecutorConfig::default()
-        },
-        ..large_sim
+        executor: ExecutorConfig { placement: PlacementPolicy::CostAware, ..ExecutorConfig::default() },
+        ..one_channel_sim
     };
     let run = |improvements: &[f64], sim: &SimLoopConfig| {
         full_pin_of(&run_closed_loop(&config, improvements, &workload(improvements.len()), sim))
@@ -484,61 +414,49 @@ fn closed_loop_reproduces_the_full_report_digests() {
         pin(
             0xc550589691303c9a,
             0xc133cee46b0a22be,
-            0xfd44ff4908193df6,
+            0xa90f9ca1fbaa65b6,
             0xb35a26de092304d5,
             (288, 0x3fee47e8558f9665, 0x0, 0x4032d02de00d1b72, 0x4032d02de00d1b72),
             0x43271155d563acbd,
         ),
-        "no budget"
-    );
-    assert_eq!(
-        run(&small, &budgeted_sim),
-        pin(
-            0x19e9c1b6233e28be,
-            0x492e247ff036de88,
-            0xd49c916836623219,
-            0x5c0015639a80bb19,
-            (262, 0x3fe2d91cee77ef44, 0x0, 0x4032d02de00d1b72, 0x4032fa5e353f7cee),
-            0x8735d6331c328a6d,
-        ),
-        "budgeted"
+        "gpu rich"
     );
     assert_eq!(
         run(&small, &gpu_less_sim),
         pin(
-            0x20595e79d373ca88,
+            0x207bf486e8c269eb,
             0x61fcfd6215926eb6,
-            0x43b13fb89868a1de,
+            0xd7f7f1631adbbcbe,
             0xcbf29ce484222325,
             (240, 0x3fac2038cc40fd5c, 0x0, 0x3fc5182a9930be0e, 0x3fc5182a9930be0e),
-            0xcc1e9a07d7bc9539,
+            0x59dd7e65c4894bfa,
         ),
         "no GPUs"
     );
-    let large_pin = || {
+    assert_eq!(
+        run(&large, &large_sim),
         pin(
-            0xed0867da4407db0b,
-            0xd225c4889262186b,
-            0x33b09c47c420fb93,
-            0xfe9f3c23b41463f8,
-            (7116, 0x3ff0f08b95ddebe0, 0x3fc5182a9930be00, 0x40273573eab367a0, 0x403a9ab9f559b3d2),
-            0x19bb89211c3e6339,
+            0xd88b4258e7d361fa,
+            0x7b71f042f79391a4,
+            0xd7ca3b4a928e9950,
+            0xe227801e445f7c85,
+            (7200, 0x3ff2dc4cc94e0584, 0x3fc5182a9930be00, 0x40273573eab367a4, 0x403a9ab9f559b3d2),
+            0x6ee331a339b6b3ad,
+        ),
+        "6 000 documents"
+    );
+    let one_channel_pin = || {
+        pin(
+            0x9b2066df167af4f8,
+            0x1157cc9aaff96143,
+            0xd2e5191f6684a4ea,
+            0x07d167f4c8e8e142,
+            (7200, 0x3ff92ace06e824b7, 0x3fc5182a9930c000, 0x4034cd6a161e4f6c, 0x40525b6ae7d566cf),
+            0x684c0e4860488e00,
         )
     };
-    assert_eq!(run(&large, &large_sim), large_pin(), "6 000 documents");
-    assert_eq!(
-        run(&large, &one_channel_sim),
-        pin(
-            0xb451105e476bf1bb,
-            0xf5ebfd2d0be4e934,
-            0x1d11b5cc26780262,
-            0x388772ea8b50a086,
-            (6739, 0x3fec569376d23106, 0x3fc5182a9930be00, 0x40278a0902de00a0, 0x40525b6ae7d566cf),
-            0x7a52e9aec609f33d,
-        ),
-        "one load channel"
-    );
+    assert_eq!(run(&large, &one_channel_sim), one_channel_pin(), "one load channel");
     // One GPU model, warm on every node after the first window: the
     // cost-aware schedule *is* the earliest-slot one, bit for bit.
-    assert_eq!(run(&large, &cost_aware_sim), large_pin(), "cost-aware, one-model pool");
+    assert_eq!(run(&large, &cost_aware_sim), one_channel_pin(), "cost-aware, one load channel");
 }
