@@ -44,7 +44,7 @@
 
 use docmodel::document::Document;
 use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
-use parsersim::cost::{CostModel, ResourceCost};
+use parsersim::cost::{CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::registry::ParserPool;
 use parsersim::{ParseError, ParserKind};
 use rand::rngs::StdRng;
@@ -301,7 +301,7 @@ impl<'a> ParseStage<'a> {
 
     /// The cheap extraction every document pays regardless of routing.
     fn extraction_cost(&self, pages: usize) -> ResourceCost {
-        CostModel::for_parser(self.config.default_parser).document_cost(pages, 0.3)
+        CostModel::for_parser(self.config.default_parser).document_cost(pages, PLANNING_DIFFICULTY)
     }
 }
 

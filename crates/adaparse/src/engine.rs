@@ -5,7 +5,7 @@
 //! default-configured [`CampaignPipeline`].
 
 use docmodel::document::Document;
-use parsersim::cost::{CostModel, NodeSpec, ResourceCost};
+use parsersim::cost::{CostModel, NodeSpec, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::ParserKind;
 use selector::cls1::Cls1Decision;
 use selector::cls2::ImprovementClassifier;
@@ -183,9 +183,9 @@ impl AdaParseEngine {
     /// variant pays a small per-document inference cost for CLS III.
     pub fn node_throughput(&self, node: &NodeSpec, pages_per_doc: f64) -> f64 {
         let cheap = CostModel::for_parser(self.config.default_parser)
-            .document_cost(pages_per_doc.ceil() as usize, 0.3);
+            .document_cost(pages_per_doc.ceil() as usize, PLANNING_DIFFICULTY);
         let expensive = CostModel::for_parser(self.config.high_quality_parser)
-            .document_cost(pages_per_doc.ceil() as usize, 0.3);
+            .document_cost(pages_per_doc.ceil() as usize, PLANNING_DIFFICULTY);
         let inference_cpu = match self.config.variant {
             Variant::FastText => 0.002,
             Variant::Llm => 0.03,

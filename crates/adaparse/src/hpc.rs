@@ -8,7 +8,7 @@
 //! [`tasks_for_parser`] is the fixed-parser baseline, with no extract stage.
 
 use hpcsim::{ClusterConfig, ExecutorConfig, GroupRole, LustreModel, SlotKind, Task, WorkflowExecutor};
-use parsersim::cost::{CostModel, ResourceCost};
+use parsersim::cost::{CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::{ParserFrontier, ParserKind};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -37,7 +37,7 @@ impl Default for WorkloadSpec {
 /// Build one task per document for a single fixed parser.
 pub fn tasks_for_parser(kind: ParserKind, workload: &WorkloadSpec) -> Vec<Task> {
     let model = CostModel::for_parser(kind);
-    let cost = model.document_cost(workload.pages_per_doc, 0.3);
+    let cost = model.document_cost(workload.pages_per_doc, PLANNING_DIFFICULTY);
     let slot = if kind.requires_gpu() { SlotKind::Gpu } else { SlotKind::Cpu };
     let compute = if kind.requires_gpu() { cost.gpu_seconds } else { cost.cpu_seconds };
     (0..workload.documents)
@@ -125,7 +125,7 @@ pub fn tasks_for_choices(
 ) -> Vec<Task> {
     let mb = workload.mb_per_doc;
     assert!(mb.is_finite() && mb >= 0.0, "stage-in size must be finite and non-negative, got {mb} MiB");
-    let base_cost = CostModel::for_parser(base).document_cost(workload.pages_per_doc, 0.3);
+    let base_cost = CostModel::for_parser(base).document_cost(workload.pages_per_doc, PLANNING_DIFFICULTY);
     let stride = task_id_stride(choices.iter().map(|c| c.upgraded_pages.len()).max().unwrap_or(0));
     let page_mb = mb / (workload.pages_per_doc.max(1) as f64);
     let mut tasks = Vec::with_capacity(choices.len() * 2);
@@ -156,7 +156,7 @@ pub fn tasks_for_choices(
         parse_index += 1;
         let pages = choice.upgraded_pages.len() as u64;
         if pages == 0 {
-            let cost = model.document_cost(workload.pages_per_doc, 0.3);
+            let cost = model.document_cost(workload.pages_per_doc, PLANNING_DIFFICULTY);
             let parse = Task::new(id + 1, slot, compute(cost) * parse_fraction)
                 .with_input_mb(mb)
                 .with_cold_start(model.model_load_seconds)
@@ -166,7 +166,7 @@ pub fn tasks_for_choices(
         }
         let split = Task::new(id + 1, SlotKind::Cpu, SPLIT_JOIN_SECONDS).with_label("page-split");
         tasks.push(place(split, Stage::Parse, node, id..id + 1));
-        let page_compute = compute(model.document_cost(1, 0.3));
+        let page_compute = compute(model.document_cost(1, PLANNING_DIFFICULTY));
         for page_id in id + 2..id + 2 + pages {
             let page = Task::new(page_id, slot, page_compute)
                 .with_input_mb(page_mb)

@@ -46,16 +46,17 @@
 //!   observed stage seconds, so a trace is a pure function of its stat
 //!   stream: replaying recorded or simulated stats replays the trace bit
 //!   for bit.
-//! * **Costs** — a seconds [`Ledger`] reserves each window's planned spend,
-//!   releases the reservation slot by slot as documents' measured costs
+//! * **Costs** — a serve tenant's seconds [`Ledger`] (seconds budgets live
+//!   only in serve) reserves each admitted batch's planned spend, releases
+//!   the reservation slot by slot as documents' measured costs
 //!   ([`observed::WaveCosts`]) arrive, and re-derives the affordable α from
 //!   [`observed::ObservedCosts`] — the plan blended with those
 //!   measurements — tightening (or loosening) selection as reality diverges
 //!   from plan.
-//! * **Placement** — [`simloop::run_closed_loop`] drives the whole circuit
-//!   inside `hpcsim`: simulated clock → controller → node plan →
-//!   co-scheduled extract+parse task pairs → observed costs → ledger →
-//!   next window's selection.
+//! * **Placement** — [`simloop::run_closed_loop`] drives the scaling
+//!   circuit inside `hpcsim` at the configured α: simulated clock →
+//!   controller → node plan → co-scheduled extract+parse task pairs →
+//!   stage samples → controller.
 //!
 //! The loop is also *waveless*: the circuit runs over one
 //! persistent [`hpcsim::ExecutorSession`], so slot availability, per-node
@@ -71,9 +72,9 @@
 //!
 //! The loop is *causal*: each window is admitted at the session's
 //! dispatch frontier as a release floor — no task starts before the
-//! decision that created it, the effective α ingests only observations
-//! whose tasks finished by the decision time (stragglers defer to a later
-//! boundary), and the controller's backlog counts documents remaining
+//! decision that created it, the controller samples only tasks finished
+//! by the decision time (stragglers defer to a later boundary), and its
+//! backlog counts documents remaining
 //! *plus* tasks still in flight. Closed-loop makespans are therefore
 //! achievable schedules; the readiness the floors deferred is reported in
 //! [`hpcsim::CampaignReport::decision_lag_seconds`]. See [`simloop`]'s

@@ -193,9 +193,9 @@ fn divergence(effective: f64, planned: f64) -> f64 {
 /// no list of its own. What a pop leaves behind is work in flight at the
 /// boundary, which [`hpcsim::ExecutorSession::retire_before`] walks every
 /// boundary anyway, so the rescan is a constant factor on the pushes.
-/// Measured over whole benchmark passes: `sim_closed_loop`, 439 999 task +
-/// 400 000 document pushes over 1 563 boundaries, leaves 16 entries behind
-/// every pop (the GPU parses in flight) and scans 1.06× the pushes;
+/// Measured over whole benchmark passes: `sim_closed_loop`, 439 999 task
+/// pushes over 1 563 boundaries, leaves at most 16 entries behind a pop
+/// (the GPU parses in flight) and scans 1.06× the pushes;
 /// `serve_soak`, 634 499 + 510 000 pushes over 37 569 boundaries, leaves a
 /// mean of 1.6 (at most 146, under 240 documents in flight) and scans
 /// 1.09–1.12×. The min-heap keyed by `(time, insertion index)` this

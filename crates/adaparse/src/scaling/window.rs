@@ -12,8 +12,8 @@
 //! Every selector meters its spend in one [`Ledger`], per parser class, in
 //! the unit the ledger was built with: planned page-dollars at the
 //! frontier's rates (an unbudgeted frontier selector — the cascade), or
-//! seconds against a compute budget ([`Ledger::seconds`] — the closed loop
-//! and serve). A seconds ledger *closes the
+//! seconds against a compute budget ([`Ledger::seconds`] — a serve
+//! tenant's budget). A seconds ledger *closes the
 //! loop on costs*: it reserves each committed window's planned spend,
 //! reconciles the reservations slot by slot against measured costs
 //! ([`WaveCosts`]), and caps the selector's α at what the remainder affords
@@ -191,7 +191,7 @@ impl Ledger {
     /// page-dollar ledger, which has no budget to reconcile.
     ///
     /// Slot-by-slot release keeps the balance honest when decision
-    /// boundaries observe a window piecemeal (the closed loop, serve):
+    /// boundaries observe a window piecemeal (serve epochs):
     /// releasing a whole reservation at its first completion would refund
     /// the stragglers' cost while they still run. A window observed whole
     /// releases exactly what it reserved. Once every document

@@ -46,8 +46,7 @@ pub struct ServeConfig {
     /// over the maximum fleet (the autoscaler's `max_nodes`, or
     /// [`nodes`](Self::nodes) without autoscaling).
     pub cluster: Option<ClusterConfig>,
-    /// Executor options (warm pools, staging, prefetch, pair
-    /// co-scheduling, placement).
+    /// Executor options (warm starts, node-local staging, placement).
     pub executor: ExecutorConfig,
     /// Shared-filesystem model.
     pub filesystem: LustreModel,
@@ -244,6 +243,10 @@ fn next_arrival(traces: &[TenantTrace], consumed: &[usize], boundary: f64) -> Op
 /// Run the resident multi-tenant ingest service over the given tenant
 /// traces. Fully deterministic: same config and traces, same report, bit
 /// for bit. See the [module docs](super) for the epoch contract.
+///
+/// # Panics
+///
+/// Panics as [`run_service_instrumented`] does.
 pub fn run_service(config: &ServeConfig, traces: &[TenantTrace]) -> ServeReport {
     run_service_instrumented(config, traces).0
 }
@@ -251,8 +254,21 @@ pub fn run_service(config: &ServeConfig, traces: &[TenantTrace]) -> ServeReport 
 /// [`run_service`], additionally returning [`SoakStats`] — per-epoch wall
 /// times and peak retained-state sizes — for steady-state (soak)
 /// benchmarking. The report is bitwise identical to [`run_service`]'s.
+///
+/// # Panics
+///
+/// Panics unless [`ServeConfig::epoch_seconds`] and
+/// [`ServeConfig::inflight_per_slot`] are finite and positive, and on any
+/// tenant [`TenantRegistry::new`] rejects.
 pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) -> (ServeReport, SoakStats) {
-    let epoch_seconds = config.epoch_seconds.max(1e-9);
+    // A non-positive epoch never advances simulated time past the arrivals,
+    // so the run would end at `max_epochs` with them reported as never
+    // arrived; a non-positive ratio would stall or serialize admission.
+    for (name, value) in
+        [("epoch_seconds", config.epoch_seconds), ("inflight_per_slot", config.inflight_per_slot)]
+    {
+        assert!(value.is_finite() && value > 0.0, "{name} must be finite and positive, got {value}");
+    }
     let max_nodes = match &config.autoscale {
         Some(auto) => auto.max_nodes.max(config.nodes).max(1),
         None => config.nodes.max(1),
@@ -291,6 +307,8 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut admitted_now: Vec<Vec<DocArrival>> = vec![Vec::new(); traces.len()];
     let mut scores: Vec<f64> = Vec::new();
     let mut choices: Vec<ParserChoice> = Vec::new();
+    // Every tenant routes on the service's pair.
+    let (base, upgrade) = (config.engine.default_parser, config.engine.high_quality_parser);
     // Whole-document choices: extract at `stride · doc`, parse one id later.
     let stride = task_id_stride(0);
 
@@ -383,7 +401,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             break;
         }
         let epoch_started = std::time::Instant::now();
-        let boundary = (epochs + 1) as f64 * epoch_seconds;
+        let boundary = (epochs + 1) as f64 * config.epoch_seconds;
         active_node_sum += session.active_nodes();
         epochs += 1;
 
@@ -461,9 +479,6 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             // clamp turns vacuous).
             state.closing_alpha = state.selector.effective_alpha();
             let mask = state.selector.select_window(&scores);
-            // The tenant's own pair (the service's, or its allowlist's); a
-            // single-parser pair grants nothing, so its documents only extract.
-            let (base, upgrade) = (state.route_config.default_parser, state.route_config.high_quality_parser);
             choices.clear();
             choices.extend(ParserChoice::from_mask(base, upgrade, next_doc_id, &mask));
             next_doc_id += batch.len() as u64;
@@ -626,55 +641,6 @@ mod tests {
         assert_eq!(x.fingerprint, y.fingerprint);
         assert_eq!(x.admitted, 135);
         assert_eq!(x.tenants.iter().map(|t| t.completed).sum::<usize>(), 135);
-    }
-
-    #[test]
-    fn allowlisted_tenants_route_on_their_own_parser_pair() {
-        use crate::cascade::RoutingGranularity;
-        use crate::serve::CampaignBudget;
-        use parsersim::ParserKind;
-
-        let mut restricted = trace("ocr-only", 40, 11, 1.0);
-        restricted.spec.parsers = Some(vec![ParserKind::PyMuPdf, ParserKind::Tesseract, ParserKind::Marker]);
-        restricted.spec.budget = Some(CampaignBudget::seconds(1e6));
-        let mut by_page = trace("by-page", 40, 12, 1.0);
-        by_page.spec.granularity = RoutingGranularity::ByPage;
-        let default_tenant = trace("default", 40, 13, 1.0);
-
-        let config = ServeConfig::default();
-        let report = run_service(&config, &[restricted, by_page, default_tenant]);
-
-        let ocr = &report.tenants[0];
-        assert_eq!(ocr.base_parser, ParserKind::PyMuPdf, "cheapest allowed parser is the base");
-        assert_eq!(ocr.upgrade_parser, ParserKind::Marker, "costliest frontier survivor upgrades");
-        assert_eq!(ocr.completed, 40);
-        // The budget ledger attributes planned spend to the tenant's own
-        // parser classes, not the service pair.
-        let classes: Vec<ParserKind> = ocr.class_seconds.iter().map(|&(kind, _)| kind).collect();
-        assert!(classes.contains(&ParserKind::PyMuPdf));
-        assert!(
-            !classes.contains(&config.engine.default_parser)
-                || ParserKind::PyMuPdf == config.engine.default_parser
-        );
-
-        // A by-page tenant still completes everything; its planned upgrade
-        // compute is scaled, never its correctness.
-        assert_eq!(report.tenants[1].completed, 40);
-
-        // A default-spec tenant keeps the service-wide pair.
-        let default_report = &report.tenants[2];
-        assert_eq!(default_report.base_parser, config.engine.default_parser);
-        assert_eq!(default_report.upgrade_parser, config.engine.high_quality_parser);
-        assert_eq!(default_report.completed, 40);
-
-        // Replays bitwise like every serve run.
-        let mut restricted = trace("ocr-only", 40, 11, 1.0);
-        restricted.spec.parsers = Some(vec![ParserKind::PyMuPdf, ParserKind::Tesseract, ParserKind::Marker]);
-        restricted.spec.budget = Some(CampaignBudget::seconds(1e6));
-        let mut by_page = trace("by-page", 40, 12, 1.0);
-        by_page.spec.granularity = RoutingGranularity::ByPage;
-        let again = run_service(&config, &[restricted, by_page, trace("default", 40, 13, 1.0)]);
-        assert_eq!(report, again);
     }
 
     #[test]

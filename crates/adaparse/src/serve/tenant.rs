@@ -11,13 +11,13 @@
 
 use std::collections::VecDeque;
 
-use parsersim::{page_dollars, ParserFrontier, ParserKind};
+use parsersim::ParserKind;
 
 use serde::{Deserialize, Serialize};
 
 use crate::cascade::RoutingGranularity;
 use crate::hpc::WorkloadSpec;
-use crate::scaling::{Ledger, WindowedSelector};
+use crate::scaling::{Ledger, WindowedSelector, DEFAULT_PRIOR_WEIGHT};
 use crate::stats::{percentile_in_place, LatencyLedger, LatencySummary};
 
 use crate::config::AdaParseConfig;
@@ -49,20 +49,18 @@ pub struct DocArrival {
 /// actual spend and the affordable α is re-derived from blended
 /// [`crate::scaling::ObservedCosts`] estimates — selection tightens when
 /// documents run more expensive than planned and loosens when they run
-/// cheaper.
+/// cheaper. The plan enters the blend at [`DEFAULT_PRIOR_WEIGHT`] phantom
+/// documents.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CampaignBudget {
     /// Total compute budget in seconds (CPU + GPU) for the tenant's trace.
     pub total_seconds: f64,
-    /// Pseudo-document weight of the planned-cost prior against the
-    /// measured costs; see [`crate::scaling::ObservedCosts`].
-    pub prior_weight: f64,
 }
 
 impl CampaignBudget {
-    /// A budget of `total_seconds` with the default prior weight.
+    /// A budget of `total_seconds`.
     pub fn seconds(total_seconds: f64) -> Self {
-        CampaignBudget { total_seconds, prior_weight: crate::scaling::DEFAULT_PRIOR_WEIGHT }
+        CampaignBudget { total_seconds }
     }
 }
 
@@ -91,13 +89,6 @@ pub struct TenantSpec {
     /// Shape of this tenant's documents (pages, MB) for task generation
     /// and planned costs.
     pub workload: WorkloadSpec,
-    /// Optional parser allowlist. `None` routes on the service-wide pair
-    /// from [`ServeConfig::engine`](super::ServeConfig::engine) — the
-    /// bitwise-unchanged default. `Some` restricts the tenant to the listed
-    /// parsers: the cheapest (by [`page_dollars`]) becomes its base and the
-    /// costliest surviving entry of a [`ParserFrontier`] over the list
-    /// becomes its upgrade.
-    pub parsers: Option<Vec<ParserKind>>,
     /// Whether an upgrade routes the whole document
     /// ([`RoutingGranularity::ByDoc`], the default) or only its
     /// hardest pages ([`RoutingGranularity::ByPage`]), in which case
@@ -116,7 +107,6 @@ impl Default for TenantSpec {
             weight: 1.0,
             max_pending: 256,
             workload: WorkloadSpec { documents: 0, pages_per_doc: 8, mb_per_doc: 50.0 },
-            parsers: None,
             granularity: RoutingGranularity::ByDoc,
         }
     }
@@ -166,11 +156,6 @@ pub struct TenantServeReport {
     pub final_effective_alpha: f64,
     /// Seconds of budget left, when the tenant had one.
     pub remaining_budget_seconds: Option<f64>,
-    /// The base parser this tenant's unselected documents ran on (the
-    /// service default, or the cheapest of its allowlist).
-    pub base_parser: ParserKind,
-    /// The upgrade parser its selected documents ran on.
-    pub upgrade_parser: ParserKind,
     /// Planned budget seconds attributed per parser class, in
     /// [`ParserKind::index`] order. Empty without a budget ledger.
     pub class_seconds: Vec<(ParserKind, f64)>,
@@ -200,11 +185,6 @@ pub(crate) struct TenantState {
     pub(crate) spec: TenantSpec,
     /// Streaming α selection with the tenant's own ledger.
     pub(crate) selector: WindowedSelector,
-    /// The engine config this tenant routes and generates tasks with: the
-    /// service config with the parser pair overridden from the tenant's
-    /// allowlist (a value-identical clone when the spec has no allowlist,
-    /// keeping the default path bitwise-unchanged).
-    pub(crate) route_config: AdaParseConfig,
     /// Fraction of whole-document parse compute an upgraded document costs:
     /// exactly `1.0` for [`RoutingGranularity::ByDoc`] (a bitwise no-op on
     /// task compute), [`BY_PAGE_PLANNED_FRACTION`] for
@@ -244,28 +224,6 @@ pub(crate) struct TenantState {
 #[derive(Debug)]
 pub struct TenantRegistry {
     tenants: Vec<TenantState>,
-}
-
-/// Derive the engine config a tenant routes with: the service config with
-/// the parser pair overridden from the tenant's allowlist. With no
-/// allowlist this is a value-identical clone, so the default serve path
-/// stays bitwise-unchanged.
-fn route_config_for(config: &AdaParseConfig, spec: &TenantSpec) -> AdaParseConfig {
-    let Some(allow) = &spec.parsers else {
-        return config.clone();
-    };
-    assert!(!allow.is_empty(), "tenant {:?}: parser allowlist must not be empty", spec.name);
-    // Cheapest allowed parser is the base (ties to the stable kind index).
-    let base = allow
-        .iter()
-        .copied()
-        .min_by(|a, b| page_dollars(*a).total_cmp(&page_dollars(*b)).then(a.index().cmp(&b.index())))
-        .expect("allowlist is non-empty");
-    // The costliest frontier survivor is the upgrade; if nothing on the
-    // allowlist improves on the base (single-parser tenants), the upgrade
-    // degenerates to the base and α is vacuous.
-    let upgrade = ParserFrontier::new(base, allow).costliest().map(|e| e.parser).unwrap_or(base);
-    AdaParseConfig { default_parser: base, high_quality_parser: upgrade, ..config.clone() }
 }
 
 impl TenantRegistry {
@@ -309,12 +267,11 @@ impl TenantRegistry {
                     );
                     last = at;
                 }
-                let route_config = route_config_for(config, spec);
                 let parse_fraction = match spec.granularity {
                     RoutingGranularity::ByDoc => 1.0,
                     RoutingGranularity::ByPage => BY_PAGE_PLANNED_FRACTION,
                 };
-                let (cheap, mut expensive) = planned_costs(&route_config, spec.workload.pages_per_doc);
+                let (cheap, mut expensive) = planned_costs(config, spec.workload.pages_per_doc);
                 if parse_fraction < 1.0 {
                     // A by-page tenant's upgrade only re-parses the hardest
                     // pages, so plan for that fraction of the gap. Gated so
@@ -326,15 +283,14 @@ impl TenantRegistry {
                     selector = selector.with_budget(Ledger::seconds(
                         budget.total_seconds,
                         trace.arrivals.len(),
-                        (route_config.default_parser, route_config.high_quality_parser),
+                        (config.default_parser, config.high_quality_parser),
                         (cheap, expensive),
-                        budget.prior_weight,
+                        DEFAULT_PRIOR_WEIGHT,
                     ));
                 }
                 TenantState {
                     spec: spec.clone(),
                     selector,
-                    route_config,
                     parse_fraction,
                     virtual_service: 0.0,
                     planned_doc_cost: cheap + spec.alpha * (expensive - cheap),
@@ -405,8 +361,6 @@ impl TenantRegistry {
                 slo_p99_seconds: tenant.spec.slo_p99_seconds,
                 final_effective_alpha: tenant.closing_alpha,
                 remaining_budget_seconds: tenant.selector.ledger().remaining_seconds(),
-                base_parser: tenant.route_config.default_parser,
-                upgrade_parser: tenant.route_config.high_quality_parser,
                 class_seconds: tenant.selector.ledger().classes().collect(),
             })
             .collect()

@@ -23,7 +23,7 @@
 //!   the retained schedule rows bounded by work in flight instead of run
 //!   length.
 //!
-//! Every property above passes on a deterministic wrong answer, so five
+//! Every property above passes on a deterministic wrong answer, so four
 //! small runs are also **pinned by value**; beside them, a document behind
 //! a skipped task is shown to cost one `awaiting` entry and no extra epoch,
 //! a zero-node cluster to end in a report, and arrival times the epoch loop
@@ -35,7 +35,6 @@ use adaparse::{
     RoutingGranularity, ServeConfig, ServeReport, TenantRegistry, TenantSpec, TenantTrace, WorkloadSpec,
 };
 use hpcsim::{ClusterConfig, ExecutorConfig, GpuTrace, LustreModel, PlacementPolicy};
-use parsersim::ParserKind;
 use proptest::prelude::*;
 use scicorpus::{generate_arrivals, ArrivalConfig, ArrivalPattern};
 
@@ -334,7 +333,7 @@ fn pin_of(report: &ServeReport) -> ServePin {
 }
 
 // Replay (`x == y`) and retirement on ≡ off both pass on a deterministic
-// wrong answer; these five small shapes pin the serve loop by value. The
+// wrong answer; these four small shapes pin the serve loop by value. The
 // expected values were recorded at commit 6448a9d, before the row-driven
 // harvest, the arrival merge cursor and the flat latency store replaced the
 // per-epoch sweep, the sorted event copy and the ordered map.
@@ -445,38 +444,6 @@ fn serve_reports_are_pinned_by_value() {
             ],
         ),
         "autoscaled, one model-load channel"
-    );
-
-    // A single-parser allowlist degenerates the pair to base == upgrade, so
-    // the tenant's selections grant nothing: each of its documents is one
-    // extract task, selected or not, and completes at that row. Only the
-    // pair tenant's selected documents add a parse task.
-    let single = vec![
-        TenantTrace {
-            spec: TenantSpec {
-                parsers: Some(vec![ParserKind::PyMuPdf]),
-                alpha: 0.3,
-                ..tenant("one-parser", 1.0)
-            },
-            arrivals: doc_arrivals(100, 51, 1.5, ArrivalPattern::Bursty { burst_size: 5 }),
-        },
-        TenantTrace {
-            spec: TenantSpec { alpha: 0.2, ..tenant("pair", 1.0) },
-            arrivals: doc_arrivals(50, 52, 1.0, ArrivalPattern::Steady),
-        },
-    ];
-    let report = run_service(&fine, &single);
-    assert_eq!(report.executor_report.tasks_completed, 160, "one task per one-parser document");
-    assert_eq!(
-        pin_of(&report),
-        (
-            (0xc25e217aa3af2847, 14, 150, 0, 0x40504a8c154c985f),
-            vec![
-                (100, 30, 0x400375799ea31a00, 0x4012366d94bc5a7a, 0),
-                (50, 10, 0x400ad755079619f0, 0x4038031a6c901acc, 0),
-            ],
-        ),
-        "single-parser tenant beside a default pair"
     );
 }
 
@@ -616,5 +583,29 @@ fn a_nan_or_out_of_range_tenant_alpha_is_rejected() {
     for alpha in [0.0, -0.0, 0.2, 1.0] {
         let trace = TenantTrace { spec: TenantSpec { alpha, ..tenant("t", 1.0) }, arrivals: Vec::new() };
         TenantRegistry::new(&AdaParseConfig::default(), &[trace]);
+    }
+}
+
+// `epoch_seconds` and `inflight_per_slot` are caller input. The loop used to
+// take `max(1e-9)` of the epoch, which a NaN, zero or negative epoch turned
+// into 1e-9 s: the default 100 000-epoch bound then ended the run after
+// 1e-4 simulated seconds and reported every later arrival as never having
+// arrived. A NaN, zero or negative in-flight ratio likewise became a cap of
+// one document. Both are now refused up front.
+#[test]
+fn a_non_positive_or_non_finite_epoch_or_inflight_ratio_is_rejected() {
+    let traces =
+        [TenantTrace { spec: tenant("t", 1.0), arrivals: doc_arrivals(20, 3, 1.0, ArrivalPattern::Steady) }];
+    let bad_epochs = [f64::NAN, 0.0, -1.0, f64::INFINITY]
+        .map(|epoch_seconds| ServeConfig { epoch_seconds, ..ServeConfig::default() });
+    let bad_ratios = [f64::NAN, 0.0, -1.0]
+        .map(|inflight_per_slot| ServeConfig { inflight_per_slot, ..ServeConfig::default() });
+    for config in bad_epochs.iter().chain(&bad_ratios) {
+        let panic = std::panic::catch_unwind(|| run_service(config, &traces)).expect_err(&format!(
+            "epoch {} / in-flight ratio {} must be rejected",
+            config.epoch_seconds, config.inflight_per_slot
+        ));
+        let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("must be finite and positive"), "{message:?}");
     }
 }

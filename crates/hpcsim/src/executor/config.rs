@@ -5,8 +5,6 @@ use serde::{Deserialize, Serialize};
 
 #[cfg(doc)]
 use super::{ExecutorSession, ScheduledTask, WarmPool};
-#[cfg(doc)]
-use crate::task::Task;
 
 /// How a batch's release floor ([`SubmitOptions::release_seconds`]) binds
 /// its tasks. There is one rule: every task's ready time is clamped to the
@@ -62,22 +60,6 @@ pub struct ExecutorConfig {
     pub warm_start: bool,
     /// Aggregate inputs into node-local archives (paper §6.1).
     pub node_local_staging: bool,
-    /// Overlap stage-in with computation.
-    pub prefetch: bool,
-    /// Steer the later members of a [`Task::group`] pair toward the node
-    /// where the pair's first member ran (its output — the pair's actual
-    /// data location — lives there). When disabled the scheduler falls back
-    /// to each task's own [`Task::preferred_node`] and pays the
-    /// data-locality penalty for the re-fetch it didn't know it needed;
-    /// that is the ablation baseline.
-    pub co_schedule_pairs: bool,
-    /// Resident-model capacity of each node's [`WarmPool`]: `None` is
-    /// unbounded (every model loaded on a node stays warm), `Some(k)` keeps
-    /// at most `k` models resident per node with least-recently-used
-    /// eviction, and `Some(0)` disables residency entirely (every task
-    /// re-pays its cold start, but per-model miss counts are still
-    /// reported — unlike `warm_start: false`, which bypasses the pools).
-    pub warm_pool_capacity: Option<usize>,
     /// Always [`CausalityMode::Causal`] (see there for why the field
     /// still exists).
     pub causality: CausalityMode,
@@ -92,9 +74,6 @@ impl Default for ExecutorConfig {
         ExecutorConfig {
             warm_start: true,
             node_local_staging: true,
-            prefetch: true,
-            co_schedule_pairs: true,
-            warm_pool_capacity: None,
             causality: CausalityMode::Causal,
             placement: PlacementPolicy::EarliestSlot,
         }

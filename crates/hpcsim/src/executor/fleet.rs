@@ -51,9 +51,9 @@ impl Fleet {
 
     /// Pick the slot — returned as its index and a copy — starting `task`
     /// (ready at `time`) earliest: its free time or the task's ready time,
-    /// whichever is later, plus `penalty` off the `believed` node; ties
-    /// prefer the task's own node (a free local slot always beats an equally
-    /// free remote one, even when prefetch makes the re-fetch latency-free —
+    /// whichever is later, plus `penalty` off `data_node`; ties prefer the
+    /// task's own node (a free local slot always beats an equally free
+    /// remote one, even when the re-fetch hides under compute —
     /// it still burns shared-filesystem bandwidth), then the longest-idle
     /// slot, then the lowest slot index. Fully deterministic, and answered
     /// by the [`SlotIndex`] from one champion per active node.
@@ -61,14 +61,14 @@ impl Fleet {
     /// With a `probe` ([`PlacementPolicy::CostAware`](super::PlacementPolicy))
     /// the ranking additionally charges each candidate node the cold start
     /// the task's model would pay there — a side-effect-free `would_hit`
-    /// probe of the node's warm pool, so ranking cannot perturb LRU order.
+    /// probe of the node's warm pool, so ranking cannot perturb residency.
     #[inline]
     pub(super) fn place(
         &self,
         task: &Task,
         time: f64,
         penalty: f64,
-        believed: Option<usize>,
+        data_node: Option<usize>,
         probe: Option<(&WarmLedger, ModelId)>,
     ) -> (usize, Slot) {
         let cold = task.cold_start_seconds;
@@ -77,7 +77,7 @@ impl Fleet {
             _ => 0.0,
         };
         let (kind, active) = (task.slot, self.active_nodes);
-        let best = self.index.best_slot_cost_aware(kind, time, penalty, believed, active, cold_if_miss);
+        let best = self.index.best_slot_cost_aware(kind, time, penalty, data_node, active, cold_if_miss);
         let slot = best.expect("slots of this kind exist, so the index has a champion");
         (slot, self.slots[slot])
     }

@@ -16,17 +16,16 @@
 //! without ever barriering the cluster. Release floors are always enforced:
 //! no task starts before the decision that created it, so every schedule
 //! is an achievable one. The executor reproduces the orchestration
-//! optimizations of the paper's §5.2 / §6.1 so they can be ablated:
+//! optimizations of the paper's §5.2 / §6.1; the first two can be switched
+//! off ([`ExecutorConfig`]) to ablate them:
 //!
 //! * **warm pools** — each node keeps a [`WarmPool`] of resident ML model
 //!   weights keyed by the task's model label: reusing a resident model is
-//!   free, loading an absent one pays the cold start, and exceeding the
-//!   configurable pool capacity evicts the least-recently-used model (which
-//!   then re-pays its cold start on return). Zero-cost models never occupy
-//!   capacity,
+//!   free, loading an absent one pays the cold start, and a loaded model
+//!   stays resident. Zero-cost models never become resident,
 //! * **node-local staging** — inputs arrive as aggregated archives instead of
 //!   many small files, removing metadata pressure on the shared filesystem,
-//! * **prefetching** — stage-in of the next batch overlaps with compute,
+//! * **prefetching** — a task's stage-in overlaps with its compute,
 //! * **node affinity** — a task whose input was staged on a node
 //!   ([`Task::preferred_node`]) runs there unless queueing makes an off-node
 //!   slot worthwhile *after* paying the [`LustreModel`] data-locality
@@ -96,8 +95,8 @@ impl WorkflowExecutor {
     /// its kind that starts it earliest — a slot's availability plus the
     /// *marginal* completion-time cost of the data-locality penalty the
     /// task would pay there (zero on its preferred node; elsewhere a
-    /// [`LustreModel`] re-fetch, which prefetch can partly or fully hide
-    /// under compute). Ties prefer the task's own node (even a latency-free
+    /// [`LustreModel`] re-fetch, which can hide partly or fully under
+    /// compute). Ties prefer the task's own node (even a latency-free
     /// re-fetch burns shared-filesystem bandwidth), then the
     /// longest-idle slot, then the lowest slot index, so scheduling is
     /// fully deterministic; tasks without dependencies or a preferred node

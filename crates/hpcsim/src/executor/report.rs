@@ -66,8 +66,6 @@ pub struct ModelWarmStats {
     /// Tasks that paid the model's cold start (the model was absent, or
     /// still loading for a concurrently scheduled task).
     pub misses: usize,
-    /// Times the model was evicted from a node's pool to make room.
-    pub evictions: usize,
 }
 
 /// Outcome of one simulated campaign (or one drain of an
@@ -132,8 +130,6 @@ pub struct CampaignReport {
     pub decision_lag_seconds: f64,
     /// Warm-pool hits: tasks that reused resident model weights for free.
     pub warm_hits: usize,
-    /// Models evicted from per-node warm pools to make room.
-    pub warm_evictions: usize,
     /// Seconds paid cold starts spent queued for a free model-load channel
     /// ([`crate::LustreModel::model_load_channels`]), summed over tasks —
     /// the thundering-herd serialization cost. Zero with unlimited

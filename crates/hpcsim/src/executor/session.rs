@@ -42,7 +42,7 @@ impl ExecutorSession {
             config,
             cluster: *cluster,
             pending: PendingSet::default(),
-            warm: WarmLedger::new(cluster.nodes, config.warm_pool_capacity),
+            warm: WarmLedger::new(cluster.nodes),
             loads: LoadChannels::default(),
             history: History::default(),
             cumulative: CampaignReport::blank(fleet.gpus),
@@ -414,7 +414,6 @@ impl ExecutorSession {
         report.concurrent_cold_starts_peak = self.loads.peak_since(first_load);
         report.warm_models = self.warm.take_batch_rows();
         report.warm_hits = report.warm_models.iter().map(|model| model.hits).sum();
-        report.warm_evictions = report.warm_models.iter().map(|model| model.evictions).sum();
         self.absorb(&report);
         report
     }
@@ -444,25 +443,18 @@ impl ExecutorSession {
         // Where the task's input actually lives: a pair's later members
         // find it on the node the pair was anchored to (the first
         // member's output is there); everyone else finds it where the
-        // plan staged it. `believed_node` is what the *scheduler* acts
-        // on — with co-scheduling disabled it naively trusts the static
-        // plan and only discovers the re-fetch at accounting time.
+        // plan staged it.
         let anchor = task.group.and_then(|group| self.history.anchor(group.id));
         let data_node = anchor.or(task.preferred_node);
-        let believed_node = if self.config.co_schedule_pairs { data_node } else { task.preferred_node };
         let off_node_penalty = match data_node {
             Some(_) => filesystem.locality_penalty_seconds(task.input_mb, staging_concurrency),
             None => 0.0,
         };
-        // What the penalty costs in *completion time*: with prefetch
-        // the re-fetch hides under compute, so only the part that
+        // What the penalty costs in *completion time*: stage-in overlaps
+        // compute, so the re-fetch hides under it and only the part that
         // pushes stage-in past the compute time delays the task.
-        let marginal_penalty = if self.config.prefetch {
-            task.compute_seconds.max(base_stage_in + off_node_penalty)
-                - task.compute_seconds.max(base_stage_in)
-        } else {
-            off_node_penalty
-        };
+        let marginal_penalty = task.compute_seconds.max(base_stage_in + off_node_penalty)
+            - task.compute_seconds.max(base_stage_in);
         // The cost-aware probe only runs when the cold addend can differ
         // across nodes (warm starts on, positive cold start); otherwise it
         // would be a uniform addend, which float rounding could collapse
@@ -474,11 +466,7 @@ impl ExecutorSession {
             .then(|| self.warm.intern(task.label));
         let probe = probe.map(|model| (&self.warm, model));
         let (slot_index, Slot { node, gpu_index, free_at }) =
-            self.fleet.place(&task, time, marginal_penalty, believed_node, probe);
-        // The penalty actually *paid* is against the data's real
-        // location, not the scheduler's belief: a scheduler that
-        // ignored the pair anchor still re-fetches from the shared
-        // filesystem when the data is elsewhere.
+            self.fleet.place(&task, time, marginal_penalty, data_node, probe);
         let penalty = match data_node {
             Some(data_node) if node != data_node => off_node_penalty,
             _ => 0.0,
@@ -515,18 +503,13 @@ impl ExecutorSession {
             0.0
         };
 
-        // Prefetching overlaps stage-in with compute; otherwise they are
-        // serial. Model loading (queueing included) can never be
-        // overlapped. `stall` is bitwise `cold` when no herd wait was
-        // paid, so unlimited channels reproduce the free-parallel-load
-        // arithmetic exactly.
+        // Stage-in overlaps compute; model loading (queueing included)
+        // can never be overlapped. `stall` is bitwise `cold` when no herd
+        // wait was paid, so unlimited channels reproduce the
+        // free-parallel-load arithmetic exactly.
         let stall = herd_wait + cold;
         let stage_in = base_stage_in + penalty;
-        let busy = if self.config.prefetch {
-            stall + task.compute_seconds.max(stage_in)
-        } else {
-            stall + stage_in + task.compute_seconds
-        };
+        let busy = stall + task.compute_seconds.max(stage_in);
         let end = start + busy;
         report.stage_in_seconds += stage_in;
         // `time` is already clamped to the floor, and `start >= time`.
@@ -593,7 +576,6 @@ impl ExecutorSession {
         total.queue_wait_seconds += batch.queue_wait_seconds;
         total.decision_lag_seconds += batch.decision_lag_seconds;
         total.warm_hits += batch.warm_hits;
-        total.warm_evictions += batch.warm_evictions;
         total.herd_queue_seconds += batch.herd_queue_seconds;
         total.stage_timings.absorb(&batch.stage_timings);
         self.trace.merge(&batch.gpu_trace);

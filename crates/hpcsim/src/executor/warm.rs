@@ -1,5 +1,5 @@
 //! Warm pools: which model weights are resident on which node, and the
-//! per-model hit / miss / eviction counters reports are built from.
+//! per-model hit / miss counters reports are built from.
 
 use super::ModelWarmStats;
 use crate::intern::{ModelId, ModelInterner};
@@ -9,20 +9,15 @@ use crate::intern::{ModelId, ModelInterner};
 pub enum WarmAccess {
     /// The model was resident and its weights were ready: the cold start is
     /// free. Zero-cost models always hit (they have nothing to load and
-    /// never occupy pool capacity).
+    /// never become resident).
     Hit,
     /// The model is resident but its weights were still loading for an
     /// earlier-scheduled task when this one started, so this task pays the
     /// cold start too (and may pull the load-finish time earlier).
     Loading,
     /// The model was absent: the task pays the cold start and the model
-    /// becomes resident, evicting the least-recently-used model when the
-    /// pool is over capacity (`evicted` names it).
-    Miss {
-        /// Interned id of the model evicted to make room, if the pool was
-        /// at capacity (resolve it with [`ModelInterner::resolve`]).
-        evicted: Option<ModelId>,
-    },
+    /// becomes resident.
+    Miss,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -31,7 +26,6 @@ struct Resident {
     /// Simulated time the model's weights finish loading; tasks starting
     /// earlier must pay the cold start themselves.
     loaded_at_seconds: f64,
-    last_use: u64,
 }
 
 /// A node's pool of resident ML model weights, keyed by *interned* model
@@ -39,10 +33,10 @@ struct Resident {
 /// task's label).
 ///
 /// Reusing a resident model is free; loading an absent one pays the task's
-/// cold start; exceeding the pool capacity evicts the least-recently-used
-/// model, which re-pays its cold start if it ever returns. Models with a
-/// zero cold-start cost are always warm and never occupy capacity — there
-/// are no weights to keep resident. Working in dense integer ids keeps the
+/// cold start, and a loaded model stays resident for the rest of the
+/// session. Models with a zero cold-start cost are always warm and never
+/// become resident — there are no weights to keep. Working in dense integer
+/// ids keeps the
 /// per-dispatch residency check free of string hashing and cloning; the
 /// labels are materialized back only when a report is built.
 ///
@@ -55,29 +49,29 @@ struct Resident {
 /// let nougat = models.intern("Nougat");
 /// let marker = models.intern("Marker");
 /// let pymupdf = models.intern("PyMuPDF");
-/// let mut pool = WarmPool::new(Some(1));
+/// let mut pool = WarmPool::new();
 /// // First Nougat task loads the weights (15 s), finishing at t = 15.
-/// assert_eq!(pool.acquire(nougat, 15.0, 0.0), WarmAccess::Miss { evicted: None });
-/// // A task starting after the load reuses them for free.
+/// assert_eq!(pool.acquire(nougat, 15.0, 0.0), WarmAccess::Miss);
+/// // A task starting during the load pays the cold start concurrently.
+/// assert_eq!(pool.acquire(nougat, 15.0, 10.0), WarmAccess::Loading);
+/// // A task starting after the load reuses the weights for free.
 /// assert_eq!(pool.acquire(nougat, 15.0, 20.0), WarmAccess::Hit);
-/// // A different model evicts Nougat from the capacity-1 pool.
-/// assert_eq!(pool.acquire(marker, 12.0, 30.0), WarmAccess::Miss { evicted: Some(nougat) });
-/// // Zero-cost models are always warm and never occupy capacity.
+/// // A second model loads beside the first; both stay resident.
+/// assert_eq!(pool.acquire(marker, 12.0, 30.0), WarmAccess::Miss);
+/// assert_eq!(pool.acquire(nougat, 15.0, 50.0), WarmAccess::Hit);
+/// // Zero-cost models are always warm and never become resident.
 /// assert_eq!(pool.acquire(pymupdf, 0.0, 0.0), WarmAccess::Hit);
-/// assert_eq!(pool.resident_models(), 1);
+/// assert_eq!(pool.resident_models(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WarmPool {
-    capacity: Option<usize>,
     resident: Vec<Resident>,
-    access_sequence: u64,
 }
 
 impl WarmPool {
-    /// A pool holding at most `capacity` resident models (`None` is
-    /// unbounded).
-    pub fn new(capacity: Option<usize>) -> Self {
-        WarmPool { capacity, resident: Vec::new(), access_sequence: 0 }
+    /// An empty pool.
+    pub fn new() -> Self {
+        WarmPool::default()
     }
 
     /// Number of models currently resident.
@@ -101,10 +95,7 @@ impl WarmPool {
         if cold_start_seconds <= 0.0 {
             return WarmAccess::Hit;
         }
-        self.access_sequence += 1;
-        let sequence = self.access_sequence;
         if let Some(entry) = self.resident.iter_mut().find(|r| r.model == model) {
-            entry.last_use = sequence;
             if start_seconds >= entry.loaded_at_seconds {
                 return WarmAccess::Hit;
             }
@@ -113,35 +104,15 @@ impl WarmPool {
             entry.loaded_at_seconds = entry.loaded_at_seconds.min(start_seconds + cold_start_seconds);
             return WarmAccess::Loading;
         }
-        if self.capacity == Some(0) {
-            return WarmAccess::Miss { evicted: None };
-        }
-        let evicted = if self.capacity.is_some_and(|cap| self.resident.len() >= cap) {
-            let lru = self
-                .resident
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.last_use)
-                .map(|(index, _)| index)
-                .expect("pool at positive capacity is non-empty");
-            Some(self.resident.swap_remove(lru).model)
-        } else {
-            None
-        };
-        self.resident.push(Resident {
-            model,
-            loaded_at_seconds: start_seconds + cold_start_seconds,
-            last_use: sequence,
-        });
-        WarmAccess::Miss { evicted }
+        self.resident.push(Resident { model, loaded_at_seconds: start_seconds + cold_start_seconds });
+        WarmAccess::Miss
     }
 
     /// Whether a task starting at `start_seconds` whose cold start costs
     /// `cold_start_seconds` would find `model` warm — a side-effect-free
     /// residency *probe* for placement ranking. Unlike
-    /// [`acquire`](Self::acquire) it never touches LRU order, the access
-    /// sequence, or residency, so ranking any number of candidate nodes
-    /// cannot perturb which model a later acquire evicts. Returns `true`
+    /// [`acquire`](Self::acquire) it never touches residency, so ranking any
+    /// number of candidate nodes cannot perturb a later acquire. Returns `true`
     /// exactly when `acquire` with the same arguments would return
     /// [`WarmAccess::Hit`]: zero-cost models are always warm, and a
     /// resident model still loading at `start_seconds` counts as a miss
@@ -161,7 +132,6 @@ impl WarmPool {
 struct WarmCounts {
     hits: usize,
     misses: usize,
-    evictions: usize,
 }
 
 /// Owns every node's [`WarmPool`], the session's label interner and the
@@ -186,8 +156,8 @@ pub(super) struct WarmLedger {
 }
 
 impl WarmLedger {
-    pub(super) fn new(nodes: usize, capacity: Option<usize>) -> Self {
-        WarmLedger { pools: vec![WarmPool::new(capacity); nodes], ..WarmLedger::default() }
+    pub(super) fn new(nodes: usize) -> Self {
+        WarmLedger { pools: vec![WarmPool::new(); nodes], ..WarmLedger::default() }
     }
 
     /// The dense id of `label`: one interner lookup per task, after which
@@ -215,20 +185,16 @@ impl WarmLedger {
     /// whose cold start costs `cold` seconds, count the outcome for the
     /// batch and the session, and return the seconds the task pays: nothing
     /// on a hit, `cold` when the model is absent or still loading. Callers
-    /// bypass the ledger for zero-cost models (nothing to load, no capacity
-    /// occupied, no statistics).
+    /// bypass the ledger for zero-cost models (nothing to load, nothing
+    /// resident, no statistics).
     #[inline]
     pub(super) fn acquire(&mut self, node: usize, label: &'static str, cold: f64, start: f64) -> f64 {
         let model = self.intern(label);
-        let access = self.pools[node].acquire(model, cold, start);
-        if access == WarmAccess::Hit {
+        if self.pools[node].acquire(model, cold, start) == WarmAccess::Hit {
             self.count(model, |counts| counts.hits += 1);
             return 0.0;
         }
         self.count(model, |counts| counts.misses += 1);
-        if let WarmAccess::Miss { evicted: Some(victim) } = access {
-            self.count(victim, |counts| counts.evictions += 1);
-        }
         cold
     }
 
@@ -243,8 +209,8 @@ impl WarmLedger {
         let touched = self.order.iter().filter(|&&id| table[id as usize] != WarmCounts::default());
         touched
             .map(|&id| {
-                let WarmCounts { hits, misses, evictions } = table[id as usize];
-                ModelWarmStats { model: self.interner.resolve(id).to_string(), hits, misses, evictions }
+                let WarmCounts { hits, misses } = table[id as usize];
+                ModelWarmStats { model: self.interner.resolve(id).to_string(), hits, misses }
             })
             .collect()
     }
@@ -268,9 +234,9 @@ mod tests {
 
     #[test]
     fn zero_cost_models_never_occupy_pool_capacity() {
-        // A capacity-1 pool, one real model, and a flood of zero-cost tasks:
-        // the real model must stay resident (zero-cost models have no
-        // weights to keep warm and must not evict anything).
+        // One real model and a flood of zero-cost tasks: zero-cost models
+        // have no weights to keep warm, so they never become resident and
+        // never show up in the warm-model rows.
         let mut tasks = vec![Task::new(0, SlotKind::Cpu, 1.0).with_cold_start(5.0).with_label("Nougat")];
         for i in 1..10 {
             tasks.push(Task::new(i, SlotKind::Cpu, 0.1).with_label("PyMuPDF"));
@@ -278,20 +244,16 @@ mod tests {
         tasks.push(Task::new(10, SlotKind::Cpu, 1.0).with_cold_start(5.0).with_label("Nougat"));
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
         let report =
-            WorkflowExecutor::new(ExecutorConfig { warm_pool_capacity: Some(1), ..Default::default() }).run(
-                &tasks,
-                &cluster,
-                &LustreModel::default(),
-            );
+            WorkflowExecutor::new(ExecutorConfig::default()).run(&tasks, &cluster, &LustreModel::default());
         assert_eq!(report.cold_starts, 1, "the second Nougat task must still be warm");
         assert_eq!(report.warm_hits, 1);
-        assert_eq!(report.warm_evictions, 0);
+        assert_eq!(report.warm_models.len(), 1, "zero-cost models are never counted");
         // The pool API itself also guards directly.
         let mut models = ModelInterner::new();
         let nougat = models.intern("Nougat");
         let pymupdf = models.intern("PyMuPDF");
-        let mut pool = WarmPool::new(Some(1));
-        assert_eq!(pool.acquire(nougat, 5.0, 0.0), WarmAccess::Miss { evicted: None });
+        let mut pool = WarmPool::new();
+        assert_eq!(pool.acquire(nougat, 5.0, 0.0), WarmAccess::Miss);
         assert_eq!(pool.acquire(pymupdf, 0.0, 1.0), WarmAccess::Hit);
         assert_eq!(pool.resident_models(), 1);
         assert_eq!(pool.acquire(nougat, 5.0, 6.0), WarmAccess::Hit, "Nougat must still be resident");

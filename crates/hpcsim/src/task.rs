@@ -29,8 +29,7 @@ pub enum GroupRole {
 /// The first member of a group to be scheduled *anchors* the group to the
 /// node it runs on — its output (the extracted text, the staged archive) now
 /// lives there. Later members of the same group find their input on the
-/// anchor node, so the executor prefers to place them there
-/// ([`crate::ExecutorConfig::co_schedule_pairs`]) and charges the
+/// anchor node, so the executor prefers to place them there and charges the
 /// data-locality penalty when they run anywhere else. Typical use is an
 /// extract+parse pair: `TaskGroup { id: doc_id, role: Extract }` on the
 /// extraction task and `TaskGroup { id: doc_id, role: Parse }` on the parse

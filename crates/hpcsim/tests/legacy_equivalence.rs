@@ -91,18 +91,13 @@ fn reference_run(
         );
         let anchor = task.group.as_ref().and_then(|g| group_nodes.get(&g.id).copied());
         let data_node = anchor.or(task.preferred_node);
-        let believed_node = if config.co_schedule_pairs { data_node } else { task.preferred_node };
         let off_node_penalty = match data_node {
             Some(_) => filesystem.locality_penalty_seconds(task.input_mb, staging_concurrency),
             None => 0.0,
         };
-        let marginal_penalty = if config.prefetch {
-            task.compute_seconds.max(base_stage_in + off_node_penalty)
-                - task.compute_seconds.max(base_stage_in)
-        } else {
-            off_node_penalty
-        };
-        let is_local = |slot: &Slot| match believed_node {
+        let marginal_penalty = task.compute_seconds.max(base_stage_in + off_node_penalty)
+            - task.compute_seconds.max(base_stage_in);
+        let is_local = |slot: &Slot| match data_node {
             Some(node) => slot.node == node,
             None => true,
         };
@@ -145,11 +140,7 @@ fn reference_run(
         if config.warm_start && task.cold_start_seconds > 0.0 {
             slot.warm = true;
         }
-        let busy = if config.prefetch {
-            cold + task.compute_seconds.max(stage_in)
-        } else {
-            cold + stage_in + task.compute_seconds
-        };
+        let busy = cold + task.compute_seconds.max(stage_in);
         let end = free_at[slot_index] + busy;
         report.stage_in_seconds += stage_in;
         match slot.kind {
@@ -216,10 +207,7 @@ fn cold_free_affinity_workload_matches_the_old_model_bitwise() {
                 .with_preferred_node((i % 3) as usize)
         })
         .collect();
-    for prefetch in [true, false] {
-        let config = ExecutorConfig { prefetch, ..Default::default() };
-        assert_bitwise_legacy(&config, &tasks, &cluster, &fs);
-    }
+    assert_bitwise_legacy(&ExecutorConfig::default(), &tasks, &cluster, &fs);
 }
 
 #[test]
@@ -241,10 +229,7 @@ fn cold_free_paired_workload_matches_the_old_model_bitwise() {
                 .with_group(i, GroupRole::Parse),
         );
     }
-    for co_schedule_pairs in [true, false] {
-        let config = ExecutorConfig { co_schedule_pairs, ..Default::default() };
-        assert_bitwise_legacy(&config, &tasks, &cluster, &fs);
-    }
+    assert_bitwise_legacy(&ExecutorConfig::default(), &tasks, &cluster, &fs);
 }
 
 #[test]

@@ -13,12 +13,12 @@
 //! * `EarliestSlot` under the default config reproduces a **pinned
 //!   fingerprint** over a frozen deterministic workload, so the legacy
 //!   schedule can never silently drift;
-//! * ranking candidates probes warm pools side-effect-free:
-//!   [`WarmPool::would_hit`] never perturbs LRU order or eviction counts.
+//! * [`WarmPool::would_hit`], the ranking's side-effect-free probe, answers
+//!   exactly what [`WarmPool::acquire`] would.
 
 use hpcsim::{
     ClusterConfig, ExecutorConfig, LustreModel, ModelInterner, PlacementPolicy, ScheduledTask, SlotKind,
-    SubmitOptions, Task, WarmAccess, WarmPool, WorkflowExecutor,
+    SubmitOptions, Task, WarmPool, WorkflowExecutor,
 };
 use proptest::prelude::*;
 
@@ -140,56 +140,6 @@ proptest! {
         let b = run_windowed(config, &tasks, window, &cluster);
         prop_assert_eq!(a, b);
     }
-
-    #[test]
-    fn cost_aware_ranking_never_perturbs_evictions(input in windowed_workload(9.0)) {
-        // Ranking probes every candidate node's pool once per dispatched
-        // task; the probes are `would_hit` (side-effect-free), so the
-        // warm-pool *state trajectory* — in particular which models get
-        // evicted — must be a pure function of the acquire sequence. Run
-        // the same workload twice with capacity-limited pools and compare
-        // the eviction accounting exactly.
-        let (tasks, window) = input;
-        let cluster = cluster();
-        let config = ExecutorConfig {
-            warm_pool_capacity: Some(1),
-            placement: PlacementPolicy::CostAware,
-            ..Default::default()
-        };
-        let (a_report, _) = run_windowed(config, &tasks, window, &cluster);
-        let (b_report, _) = run_windowed(config, &tasks, window, &cluster);
-        prop_assert_eq!(a_report.warm_evictions, b_report.warm_evictions);
-        prop_assert_eq!(a_report.warm_models, b_report.warm_models);
-    }
-}
-
-/// `would_hit` is a pure probe: no number of probes may change which model
-/// the next capacity eviction removes, nor any counter. This is the
-/// regression test for the side-effect-free ranking probe — with the old
-/// `acquire`-based probing, the hundred probes of "Marker" below would
-/// have refreshed its LRU position and flipped the eviction victim.
-#[test]
-fn would_hit_probes_never_perturb_lru_order() {
-    let mut models = ModelInterner::new();
-    let nougat = models.intern("Nougat");
-    let marker = models.intern("Marker");
-    let got = models.intern("GOT");
-    let mut pool = WarmPool::new(Some(2));
-    assert_eq!(pool.acquire(nougat, 10.0, 0.0), WarmAccess::Miss { evicted: None });
-    assert_eq!(pool.acquire(marker, 10.0, 5.0), WarmAccess::Miss { evicted: None });
-    // Nougat is now the LRU resident. Rank N candidates against the pool:
-    // any number of probes, for any model, at any time.
-    for probe in 0..100 {
-        pool.would_hit(marker, 10.0, probe as f64);
-        pool.would_hit(nougat, 10.0, probe as f64);
-        pool.would_hit(got, 10.0, probe as f64);
-    }
-    assert_eq!(pool.resident_models(), 2);
-    assert!(pool.would_hit(nougat, 10.0, 100.0));
-    assert!(pool.would_hit(marker, 10.0, 100.0));
-    assert!(!pool.would_hit(got, 10.0, 100.0));
-    // The eviction victim is still Nougat — probing did not refresh it.
-    assert_eq!(pool.acquire(got, 10.0, 50.0), WarmAccess::Miss { evicted: Some(nougat) });
 }
 
 /// `would_hit` agrees with what `acquire` would have returned, including
@@ -199,7 +149,7 @@ fn would_hit_matches_acquire_semantics() {
     let mut models = ModelInterner::new();
     let nougat = models.intern("Nougat");
     let pymupdf = models.intern("PyMuPDF");
-    let mut pool = WarmPool::new(None);
+    let mut pool = WarmPool::new();
     // Absent model: miss.
     assert!(!pool.would_hit(nougat, 15.0, 0.0));
     pool.acquire(nougat, 15.0, 0.0);

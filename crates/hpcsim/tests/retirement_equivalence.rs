@@ -128,7 +128,6 @@ fn open_session(cost_aware: bool, channels: usize) -> (ExecutorSession, LustreMo
     let filesystem = LustreModel { model_load_channels: channels, ..LustreModel::default() };
     let executor = WorkflowExecutor::new(ExecutorConfig {
         placement: if cost_aware { PlacementPolicy::CostAware } else { PlacementPolicy::EarliestSlot },
-        warm_pool_capacity: Some(2),
         ..ExecutorConfig::default()
     });
     (executor.session(&cluster), filesystem)

@@ -79,6 +79,11 @@ impl Default for NodeSpec {
     }
 }
 
+/// Mean content difficulty ([`content_difficulty`]) every planned cost is
+/// priced at: the scheduler's task estimates, the seconds ledgers' planned
+/// costs, the frontier's page dollars and [`CostModel::node_throughput`].
+pub const PLANNING_DIFFICULTY: f64 = 0.3;
+
 /// Per-parser cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -176,7 +181,7 @@ impl CostModel {
     /// documents of `pages_per_doc` pages, warm workers, and perfect
     /// parallelism over the node's cores/GPUs.
     pub fn node_throughput(&self, node: &NodeSpec, pages_per_doc: f64) -> f64 {
-        let per_doc = self.document_cost(pages_per_doc.ceil() as usize, 0.3);
+        let per_doc = self.document_cost(pages_per_doc.ceil() as usize, PLANNING_DIFFICULTY);
         let cpu_rate = if per_doc.cpu_seconds > 0.0 {
             node.cpu_cores as f64 / per_doc.cpu_seconds
         } else {

@@ -35,7 +35,7 @@ pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<Parse
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
+    use crate::cost::{CostModel, PLANNING_DIFFICULTY};
     use crate::testutil::{doc_with_quality, parse_doc};
     use docmodel::textlayer::TextLayerQuality;
     use textmetrics::bleu::sentence_bleu;
@@ -84,8 +84,9 @@ mod tests {
     fn estimate_matches_actual_order_of_magnitude() {
         let (_doc, file) = doc_with_quality(TextLayerQuality::Clean, 4);
         let out = parse_doc(ParserKind::PyMuPdf, &file);
-        // What the scheduler plans with: the cost model at difficulty 0.3.
-        let estimate = CostModel::for_parser(ParserKind::PyMuPdf).document_cost(file.pages.len(), 0.3);
+        // What the scheduler plans with.
+        let estimate =
+            CostModel::for_parser(ParserKind::PyMuPdf).document_cost(file.pages.len(), PLANNING_DIFFICULTY);
         assert!(out.cost.cpu_seconds < estimate.cpu_seconds * 3.0 + 0.1);
         assert!(estimate.cpu_seconds < out.cost.cpu_seconds * 3.0 + 0.1);
     }

@@ -2,7 +2,7 @@
 //! k-parser cascade routing assigns documents over — and the per-parser
 //! prices and quality priors it is built from.
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, PLANNING_DIFFICULTY};
 use crate::traits::ParserKind;
 
 /// A frozen name kept for the repository benchmark, which spells
@@ -32,14 +32,10 @@ impl ParserPool {
 /// cost axis.
 pub const GPU_DOLLAR_RATIO: f64 = 8.0;
 
-/// Mean content difficulty the frontier prices pages at — the same
-/// calibration point the scheduler's cost estimates use.
-const FRONTIER_DIFFICULTY: f64 = 0.3;
-
 /// Expected per-page cost of a parser in dollars (CPU seconds plus
-/// GPU-priced GPU seconds), at the frontier's calibration difficulty.
+/// GPU-priced GPU seconds), at [`PLANNING_DIFFICULTY`].
 pub fn page_dollars(kind: ParserKind) -> f64 {
-    let cost = CostModel::for_parser(kind).document_cost(1, FRONTIER_DIFFICULTY);
+    let cost = CostModel::for_parser(kind).document_cost(1, PLANNING_DIFFICULTY);
     cost.cpu_seconds + GPU_DOLLAR_RATIO * cost.gpu_seconds
 }
 
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn estimates_are_positive_for_nonempty_documents() {
         for kind in ParserKind::ALL {
-            let cost = CostModel::for_parser(kind).document_cost(10, FRONTIER_DIFFICULTY);
+            let cost = CostModel::for_parser(kind).document_cost(10, PLANNING_DIFFICULTY);
             assert!(cost.wall_seconds() > 0.0, "{kind} estimate must be positive");
         }
     }
