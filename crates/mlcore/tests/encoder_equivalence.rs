@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -119,6 +120,14 @@ impl OracleEncoder {
     }
 }
 
+/// Every profile's encoder beside its oracle, built once per test binary.
+fn encoders() -> &'static [(PretrainedEncoder, OracleEncoder)] {
+    static ENCODERS: OnceLock<Vec<(PretrainedEncoder, OracleEncoder)>> = OnceLock::new();
+    ENCODERS.get_or_init(|| {
+        EncoderProfile::ALL.iter().map(|&p| (PretrainedEncoder::new(p), OracleEncoder::new(p))).collect()
+    })
+}
+
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
@@ -140,6 +149,12 @@ fn corpus() -> Vec<String> {
         "\\frac{a}{b} $$ \\sum_{i=0}^{n} x_i $$ {braces} \\begin{equation} E = mc^2 \\end{equation}",
         "three   spaces    four     five  \u{c}next page",
         "!!! ??? --- ... ;;; ### @@@",
+        "Q",
+        "Q.",
+        "  \tleading whitespace",
+        "trailing whitespace \r\n",
+        "words\u{b}split\u{b}by\u{b}vertical\u{b}tabs",
+        "\u{1c}\u{1f}controls\u{7f} are not whitespace",
     ]
     .into_iter()
     .map(String::from)
@@ -178,7 +193,7 @@ fn corpus() -> Vec<String> {
 #[test]
 fn featurizer_matches_the_string_building_oracle() {
     for text in corpus() {
-        for dim in [1, 7, 512, 2048] {
+        for dim in [1, 7, 512, 1536, 2048] {
             let full = HashedNgramFeaturizer::new(dim).features(&text);
             assert_eq!(bits(&full), bits(&oracle_features(dim, true, &text)), "dim {dim}, text {text:?}");
             let words = HashedNgramFeaturizer::words_only(dim).features(&text);
@@ -236,8 +251,35 @@ fn an_embedding_does_not_depend_on_its_batch_mates() {
     }
 }
 
+/// ASCII text for the byte path: all six whitespace bytes `char::is_whitespace`
+/// accepts (`\u{b}` among them, which `u8::is_ascii_whitespace` rejects), the
+/// controls it rejects, markup punctuation, both cases, digits and runs of
+/// spaces.
+const ASCII_TEXT: &str = "[ \t\n\u{b}\u{c}\r\u{1c}-\u{1f}\u{7f}\\${}_^.a-zA-Z0-9          ]{0,300}";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ascii_rows_match_the_oracle_at_every_width(text in ASCII_TEXT) {
+        prop_assert!(text.is_ascii());
+        for dim in [1, 7, 512, 1536, 2048] {
+            for (featurizer, trigrams) in
+                [(HashedNgramFeaturizer::new(dim), true), (HashedNgramFeaturizer::words_only(dim), false)]
+            {
+                let expected = oracle_features(dim, trigrams, &text);
+                prop_assert_eq!(bits(&featurizer.features(&text)), bits(&expected), "dim {}: {:?}", dim, text);
+            }
+        }
+        prop_assert_eq!(bits(&aggregate_statistics(&text)), bits(&oracle_statistics(&text)));
+    }
+
+    #[test]
+    fn ascii_embeddings_match_the_oracle_for_every_profile(text in ASCII_TEXT) {
+        for (encoder, oracle) in encoders() {
+            prop_assert_eq!(bits(&encoder.encode(&text)), bits(&oracle.encode(&text)), "{}: {:?}", oracle.profile, text);
+        }
+    }
 
     #[test]
     fn aggregate_statistics_match_the_seven_pass_form(text in "[     a-cA-C0-9İßΣ\\\\${}.\t\n\u{a0}]{0,60}") {
