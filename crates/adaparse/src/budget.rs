@@ -200,7 +200,8 @@ pub struct KAssignment {
 /// # Panics
 ///
 /// Panics when `gains_per_parser` and `weights` disagree in length, the gain
-/// vectors have unequal lengths, or a weight is outside `(0, 1]`.
+/// vectors have unequal lengths, a weight is outside `(0, 1]`, or `slots` is
+/// NaN. A negative `slots` grants nothing.
 pub fn assign_k(gains_per_parser: &[Vec<f64>], weights: &[f64], slots: f64) -> KAssignment {
     fn key(v: f64) -> f64 {
         if v.is_nan() {
@@ -217,6 +218,7 @@ pub fn assign_k(gains_per_parser: &[Vec<f64>], weights: &[f64], slots: f64) -> K
     for &w in weights {
         assert!(w > 0.0 && w <= 1.0, "upgrade weights must lie in (0, 1], got {w}");
     }
+    assert!(!slots.is_nan(), "the slot budget must be a number, got NaN");
     struct Candidate {
         ratio_key: f64,
         gain_key: f64,
@@ -441,6 +443,12 @@ mod tests {
         assert_eq!(assignment.slots_consumed, 0.0);
         let assignment = assign_k(&[Vec::new()], &[1.0], 5.0);
         assert!(assignment.choices.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "slot budget must be a number")]
+    fn assign_k_rejects_a_nan_slot_budget() {
+        assign_k(&[vec![0.5, 0.25]], &[1.0], f64::NAN);
     }
 
     use proptest::prelude::*;

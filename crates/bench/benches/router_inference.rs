@@ -5,11 +5,13 @@
 //! `AdaParseEngine::routing_improvements` over shards of eight — next to its
 //! batch-of-one view, `RouteStage::improvement`.
 //!
-//! The `encode` rows time the same eight documents, so `batch_of_8` against
-//! `batch_of_1` is what sharing each projection column between shard-mates
-//! buys, and `batch_of_8_baseline` against `batch_of_8` is what projecting at
-//! the CPU's widest vector width buys; `route_window` rows divide by 256 for a
-//! per-document figure.
+//! The two `featurize` rows time the same eight documents at SciBERT's width
+//! (2048, a power of two: each n-gram's bucket is a mask) and SPECTER's
+//! (1536: a 64-bit remainder per n-gram). The `encode` rows time those eight
+//! documents too, so `batch_of_8` against `batch_of_1` is what sharing each
+//! projection column between shard-mates buys, and `batch_of_8_baseline`
+//! against `batch_of_8` is what projecting at the CPU's widest vector width
+//! buys; `route_window` rows divide by 256 for a per-document figure.
 
 use adaparse::campaign::{ExtractStage, RouteStage, RoutingInput};
 use adaparse::{AdaParseConfig, AdaParseEngine};
@@ -45,11 +47,13 @@ fn bench_router_inference(c: &mut Criterion) {
         .collect();
     let shard = &valid[..SHARD];
 
-    let featurizer = HashedNgramFeaturizer::new(2048);
-    let mut features = vec![0.0; featurizer.dim()];
-    c.bench_function("featurize/8_docs", |b| {
-        b.iter(|| shard.iter().for_each(|text| featurizer.fill(black_box(text), &mut features)))
-    });
+    for (name, dim) in [("featurize/8_docs", 2048), ("featurize/8_docs_specter", 1536)] {
+        let featurizer = HashedNgramFeaturizer::new(dim);
+        let mut features = vec![0.0; dim];
+        c.bench_function(name, |b| {
+            b.iter(|| shard.iter().for_each(|text| featurizer.fill(black_box(text), &mut features)))
+        });
+    }
 
     let encoder = PretrainedEncoder::new(EncoderProfile::SciBert);
     c.bench_function("encode/batch_of_1_x8", |b| {

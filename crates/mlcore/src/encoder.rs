@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::features::{aggregate_statistics, fnv, HashedNgramFeaturizer, FNV_OFFSET};
+use crate::features::{fnv, HashedNgramFeaturizer, FNV_OFFSET};
 use crate::matrix::l2_normalize;
 
 /// Which pretrained encoder a [`PretrainedEncoder`] emulates.
@@ -257,12 +257,9 @@ impl PretrainedEncoder {
     /// row per text.
     fn encode_tile<S: AsRef<str>>(&self, tile: &[S], features: &mut [f64]) -> Vec<Vec<f64>> {
         let dim = self.embedding_dim();
-        let hashed = self.featurizer.dim();
-        let width = hashed + 8;
+        let width = self.featurizer.dim() + 8;
         for (text, row) in tile.iter().zip(features.chunks_exact_mut(width)) {
-            let (ngrams, statistics) = row.split_at_mut(hashed);
-            self.featurizer.fill(text.as_ref(), ngrams);
-            statistics.copy_from_slice(&aggregate_statistics(text.as_ref()));
+            self.featurizer.fill_row(text.as_ref(), row);
         }
         let mut embeddings = vec![vec![0.0; dim]; tile.len()];
         // SAFETY: `self.width` comes from `Width::supported`, which offers a

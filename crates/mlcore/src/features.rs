@@ -3,10 +3,20 @@
 //! The AdaParse (FT) variant uses fastText word embeddings; the LLM variant
 //! feeds first-page text into a transformer. Both are approximated here by
 //! hashed bag-of-n-gram features: word unigrams/bigrams plus character
-//! trigrams, hashed into a fixed-dimensional L2-normalized vector. Hashed
-//! n-grams preserve exactly the signal the selector needs — the presence of
-//! malformed substrings, LaTeX residue, scrambled words — without any
-//! pretrained weights.
+//! trigrams of the lowercased text, hashed into a fixed-dimensional
+//! L2-normalized vector. Hashed n-grams preserve exactly the signal the
+//! selector needs — the presence of malformed substrings, LaTeX residue,
+//! scrambled words — without any pretrained weights.
+//!
+//! [`HashedNgramFeaturizer::fill_row`] builds the encoder's whole feature
+//! row: the hashed counts followed by the eight [`aggregate_statistics`].
+//! An ASCII text takes one pass over its bytes, lower-casing each as it is
+//! read and advancing the word, bigram and trigram hashes as bytes arrive;
+//! any other text takes [`str::to_lowercase`] (which knows Greek final
+//! sigma) and a walk over its chars. Both paths count the same n-grams, so
+//! the row is bit-identical either way. An n-gram's bucket is its hash
+//! masked to the width when the width is a power of two and reduced modulo
+//! the width otherwise — the same bucket, without a divide.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,7 +26,6 @@ use crate::matrix::l2_normalize;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashedNgramFeaturizer {
     dim: usize,
-    use_word_bigrams: bool,
     use_char_trigrams: bool,
 }
 
@@ -28,13 +37,13 @@ impl HashedNgramFeaturizer {
     /// Panics if `dim` is zero.
     pub fn new(dim: usize) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
-        HashedNgramFeaturizer { dim, use_word_bigrams: true, use_char_trigrams: true }
+        HashedNgramFeaturizer { dim, use_char_trigrams: true }
     }
 
-    /// Word-only featurizer (used by the fastText-style variant).
+    /// Word unigrams and bigrams only (used by the fastText-style variant).
     pub fn words_only(dim: usize) -> Self {
         assert!(dim > 0, "feature dimension must be positive");
-        HashedNgramFeaturizer { dim, use_word_bigrams: true, use_char_trigrams: false }
+        HashedNgramFeaturizer { dim, use_char_trigrams: false }
     }
 
     /// Output dimensionality.
@@ -50,28 +59,100 @@ impl HashedNgramFeaturizer {
     }
 
     /// [`Self::features`] into a caller-provided slice of length
-    /// [`Self::dim`] (overwritten). Every n-gram is hashed straight from a
-    /// byte range of the lowercased text, continuing from the FNV state of
-    /// its tag, so nothing is allocated per word, bigram or trigram.
+    /// [`Self::dim`] (overwritten). Nothing is allocated for an ASCII text.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.dim()`.
     pub fn fill(&self, text: &str, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "feature slice length mismatch");
-        out.fill(0.0);
-        let lower = text.to_lowercase();
-        let mut bump = |h: u64| out[(h % self.dim as u64) as usize] += 1.0;
+        self.count(text, out);
+        l2_normalize(out);
+    }
+
+    /// The encoder's feature row: [`Self::fill`] into the first
+    /// [`Self::dim`] entries of `row` and [`aggregate_statistics`] into the
+    /// last eight, from one pass over the bytes of an ASCII text.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != self.dim() + 8`.
+    pub fn fill_row(&self, text: &str, row: &mut [f64]) {
+        assert_eq!(row.len(), self.dim + 8, "feature row length mismatch");
+        let (ngrams, statistics) = row.split_at_mut(self.dim);
+        let tallied = self.count(text, ngrams);
+        statistics.copy_from_slice(&tallied.unwrap_or_else(|| aggregate_statistics(text)));
+        l2_normalize(ngrams);
+    }
+
+    /// Overwrite `ngrams` with the n-gram counts of `text`; the statistics
+    /// when the byte pass tallied them on the way.
+    fn count(&self, text: &str, ngrams: &mut [f64]) -> Option<[f64; 8]> {
+        ngrams.fill(0.0);
+        let dim = self.dim as u64;
+        if dim.is_power_of_two() {
+            self.count_with(text, ngrams, |h| (h & (dim - 1)) as usize)
+        } else {
+            self.count_with(text, ngrams, |h| (h % dim) as usize)
+        }
+    }
+
+    /// [`Self::count`] with the bucket rule fixed.
+    #[inline(always)]
+    fn count_with(&self, text: &str, ngrams: &mut [f64], bucket: impl Fn(u64) -> usize) -> Option<[f64; 8]> {
+        let mut bump = |h: u64| ngrams[bucket(h)] += 1.0;
+        if !text.is_ascii() {
+            self.count_chars(&text.to_lowercase(), &mut bump);
+            return None;
+        }
+        let mut tally = Tally::default();
+        // FNV states of the word being read: its unigram, its bigram with
+        // the previous word (`None` for the first word) and the prefix
+        // "b:" + word that the next word's bigram continues from.
+        let (mut word, mut bigram, mut prefix) = (WORD_TAG, None, BIGRAM_TAG);
+        // `prefix` + "_" of the last finished word.
+        let mut previous = None;
+        // The two bytes before the current one, lowercased.
+        let mut window = [0u8; 2];
+        for (i, &raw) in text.as_bytes().iter().enumerate() {
+            let b = raw.to_ascii_lowercase();
+            let in_word = tally.in_word;
+            tally.push_ascii(raw);
+            // `tally.in_word` now says whether `raw` is part of a word.
+            if tally.in_word {
+                if !in_word {
+                    (word, bigram, prefix) = (WORD_TAG, previous, BIGRAM_TAG);
+                }
+                word = fnv(word, &[b]);
+                bigram = bigram.map(|h| fnv(h, &[b]));
+                prefix = fnv(prefix, &[b]);
+            } else if in_word {
+                [Some(word), bigram].into_iter().flatten().for_each(&mut bump);
+                previous = Some(fnv(prefix, b"_"));
+            }
+            if self.use_char_trigrams && i >= 2 {
+                bump(fnv(TRIGRAM_TAG, &[window[0], window[1], b]));
+            }
+            window = [window[1], b];
+        }
+        if tally.in_word {
+            [Some(word), bigram].into_iter().flatten().for_each(&mut bump);
+        }
+        Some(tally.statistics())
+    }
+
+    /// The char walk over a lowercased text: the definition the byte pass
+    /// reproduces. Every n-gram is hashed straight from a byte range of
+    /// `lower`, continuing from the FNV state of its tag.
+    fn count_chars(&self, lower: &str, bump: &mut impl FnMut(u64)) {
         // FNV state after "b:", the previous word and "_".
         let mut bigram_prefix = None;
         for word in lower.split_whitespace() {
             bump(fnv(WORD_TAG, word.as_bytes()));
-            if self.use_word_bigrams {
-                if let Some(prefix) = bigram_prefix {
-                    bump(fnv(prefix, word.as_bytes()));
-                }
-                bigram_prefix = Some(fnv(fnv(BIGRAM_TAG, word.as_bytes()), b"_"));
+            if let Some(prefix) = bigram_prefix {
+                bump(fnv(prefix, word.as_bytes()));
             }
+            bigram_prefix = Some(fnv(fnv(BIGRAM_TAG, word.as_bytes()), b"_"));
         }
         if self.use_char_trigrams {
             // A trigram's bytes run from the start of the character two
@@ -84,7 +165,6 @@ impl HashedNgramFeaturizer {
                 (first, second) = (second, Some(start));
             }
         }
-        l2_normalize(out);
     }
 }
 
@@ -106,50 +186,87 @@ const WORD_TAG: u64 = fnv(FNV_OFFSET, b"w:");
 const BIGRAM_TAG: u64 = fnv(FNV_OFFSET, b"b:");
 const TRIGRAM_TAG: u64 = fnv(FNV_OFFSET, b"c:");
 
-/// Aggregate text statistics used as dense side-features by CLS I and the
-/// metadata baselines: length, alphanumeric ratio, word-likeness, mean word
-/// length, digit ratio, uppercase ratio, backslash density, whitespace runs.
-pub fn aggregate_statistics(text: &str) -> Vec<f64> {
-    let (mut chars, mut words, mut nonspace) = (0usize, 0usize, 0usize);
-    let (mut alnum, mut digits, mut upper, mut backslashes) = (0usize, 0usize, 0usize, 0usize);
+/// Aggregate text statistics, the encoder's eight dense side-features:
+/// length, alphanumeric ratio, word-likeness, mean word length, digit
+/// ratio, uppercase ratio, backslash density, whitespace runs.
+pub fn aggregate_statistics(text: &str) -> [f64; 8] {
+    let mut tally = Tally::default();
+    text.chars().for_each(|c| tally.push(c));
+    tally.statistics()
+}
+
+/// The counts behind [`aggregate_statistics`], one char at a time.
+#[derive(Debug, Default, PartialEq)]
+struct Tally {
+    chars: usize,
+    words: usize,
+    nonspace: usize,
+    alnum: usize,
+    digits: usize,
+    upper: usize,
+    backslashes: usize,
     // `matches("  ")` does not overlap: a run of n spaces holds n / 2 pairs.
-    let (mut double_spaces, mut space_run) = (0usize, 0usize);
-    let mut in_word = false;
-    for c in text.chars() {
-        chars += 1;
-        if c == ' ' {
-            space_run += 1;
-        } else {
-            double_spaces += space_run / 2;
-            space_run = 0;
-        }
-        if c.is_whitespace() {
-            in_word = false;
-            continue;
-        }
-        nonspace += 1;
-        words += !in_word as usize;
-        in_word = true;
-        alnum += c.is_alphanumeric() as usize;
-        digits += c.is_ascii_digit() as usize;
-        upper += c.is_uppercase() as usize;
-        backslashes += matches!(c, '\\' | '$' | '{') as usize;
+    double_spaces: usize,
+    space_run: usize,
+    in_word: bool,
+}
+
+impl Tally {
+    fn push(&mut self, c: char) {
+        let (alnum, upper, markup) = (c.is_alphanumeric(), c.is_uppercase(), matches!(c, '\\' | '$' | '{'));
+        self.add(c == ' ', c.is_whitespace(), alnum, c.is_ascii_digit(), upper, markup);
     }
-    double_spaces += space_run / 2;
-    let [char_count, word_count, alnum, digits, upper, backslashes, double_spaces] =
-        [chars, words, alnum, digits, upper, backslashes, double_spaces].map(|n| n as f64);
-    let mean_word_len = if word_count > 0.0 { alnum / word_count } else { 0.0 };
-    let nonspace = nonspace.max(1) as f64;
-    vec![
-        (char_count / 5_000.0).min(2.0),
-        (word_count / 1_000.0).min(2.0),
-        alnum / nonspace,
-        digits / nonspace,
-        upper / nonspace,
-        backslashes / nonspace,
-        (double_spaces / (word_count + 1.0)).min(1.0),
-        (mean_word_len / 10.0).min(2.0),
-    ]
+
+    /// [`Self::push`] of one byte of an ASCII text. The `u8` predicates are
+    /// the `char` ones restricted to ASCII, without their Unicode fallbacks.
+    #[inline(always)]
+    fn push_ascii(&mut self, b: u8) {
+        let (alnum, upper, markup) =
+            (b.is_ascii_alphanumeric(), b.is_ascii_uppercase(), matches!(b, b'\\' | b'$' | b'{'));
+        self.add(b == b' ', matches!(b, b' ' | b'\t'..=b'\r'), alnum, b.is_ascii_digit(), upper, markup);
+    }
+
+    /// Count one char from its classes.
+    #[inline(always)]
+    fn add(&mut self, space: bool, whitespace: bool, alnum: bool, digit: bool, upper: bool, markup: bool) {
+        self.chars += 1;
+        if space {
+            self.space_run += 1;
+        } else {
+            self.double_spaces += self.space_run / 2;
+            self.space_run = 0;
+        }
+        if whitespace {
+            self.in_word = false;
+            return;
+        }
+        self.nonspace += 1;
+        self.words += !self.in_word as usize;
+        self.in_word = true;
+        self.alnum += alnum as usize;
+        self.digits += digit as usize;
+        self.upper += upper as usize;
+        self.backslashes += markup as usize;
+    }
+
+    fn statistics(&self) -> [f64; 8] {
+        let double_spaces = self.double_spaces + self.space_run / 2;
+        let [char_count, word_count, alnum, digits, upper, backslashes, double_spaces] =
+            [self.chars, self.words, self.alnum, self.digits, self.upper, self.backslashes, double_spaces]
+                .map(|n| n as f64);
+        let mean_word_len = if word_count > 0.0 { alnum / word_count } else { 0.0 };
+        let nonspace = self.nonspace.max(1) as f64;
+        [
+            (char_count / 5_000.0).min(2.0),
+            (word_count / 1_000.0).min(2.0),
+            alnum / nonspace,
+            digits / nonspace,
+            upper / nonspace,
+            backslashes / nonspace,
+            (double_spaces / (word_count + 1.0)).min(1.0),
+            (mean_word_len / 10.0).min(2.0),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -201,6 +318,19 @@ mod tests {
         let full_sim = cos(&full.features(clean), &full.features(scrambled));
         let word_sim = cos(&words.features(clean), &words.features(scrambled));
         assert!(full_sim > word_sim, "char trigrams retain partial overlap: {full_sim} vs {word_sim}");
+    }
+
+    #[test]
+    fn every_ascii_byte_tallies_as_its_char() {
+        let (mut by_char, mut by_byte) = (Tally::default(), Tally::default());
+        // Each byte after each other byte, so every transition is crossed.
+        for (a, b) in (0..128u8).flat_map(|a| (0..128u8).map(move |b| (a, b))) {
+            for byte in [a, b] {
+                by_char.push(byte as char);
+                by_byte.push_ascii(byte);
+                assert_eq!(by_char, by_byte, "after {a:#04x} {b:#04x}");
+            }
+        }
     }
 
     #[test]

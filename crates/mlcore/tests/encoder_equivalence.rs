@@ -6,6 +6,8 @@
 //! drawn by `Matrix::random` and applied by `Matrix::matvec`, and the
 //! seven-pass aggregate statistics. Every committed campaign fingerprint
 //! was produced by it, so "equal to the oracle" is "no fingerprint moves".
+//! ASCII text takes the featurizer's one-pass byte path and anything else
+//! its char walk; the properties below drive each against the oracle.
 
 use mlcore::encoder::{EncoderProfile, PretrainedEncoder};
 use mlcore::features::{aggregate_statistics, HashedNgramFeaturizer};
@@ -267,8 +269,12 @@ proptest! {
             for (featurizer, trigrams) in
                 [(HashedNgramFeaturizer::new(dim), true), (HashedNgramFeaturizer::words_only(dim), false)]
             {
-                let expected = oracle_features(dim, trigrams, &text);
+                let mut expected = oracle_features(dim, trigrams, &text);
                 prop_assert_eq!(bits(&featurizer.features(&text)), bits(&expected), "dim {}: {:?}", dim, text);
+                expected.extend(oracle_statistics(&text));
+                let mut row = vec![f64::NAN; dim + 8];
+                featurizer.fill_row(&text, &mut row);
+                prop_assert_eq!(bits(&row), bits(&expected), "dim {}: {:?}", dim, text);
             }
         }
         prop_assert_eq!(bits(&aggregate_statistics(&text)), bits(&oracle_statistics(&text)));
