@@ -5,9 +5,10 @@
 //! `AdaParseEngine::routing_improvements` over shards of eight — next to its
 //! batch-of-one view, `RouteStage::improvement`.
 //!
-//! The two `featurize` rows time the same eight documents at SciBERT's width
-//! (2048, a power of two: each n-gram's bucket is a mask) and SPECTER's
-//! (1536: a 64-bit remainder per n-gram). The `encode` rows time those eight
+//! The two `featurize` rows time the encoder's whole feature row
+//! (`fill_row`: n-gram counts and the eight statistics) for the same eight
+//! documents at SciBERT's width (2048, a power of two: each n-gram's bucket is
+//! a mask) and SPECTER's (1536: a 64-bit remainder per n-gram). The `encode` rows time those eight
 //! documents too, so `batch_of_8` against `batch_of_1` is what sharing each
 //! projection column between shard-mates buys, and `batch_of_8_baseline`
 //! against `batch_of_8` is what projecting at the CPU's widest vector width
@@ -49,9 +50,9 @@ fn bench_router_inference(c: &mut Criterion) {
 
     for (name, dim) in [("featurize/8_docs", 2048), ("featurize/8_docs_specter", 1536)] {
         let featurizer = HashedNgramFeaturizer::new(dim);
-        let mut features = vec![0.0; dim];
+        let mut row = vec![0.0; dim + 8];
         c.bench_function(name, |b| {
-            b.iter(|| shard.iter().for_each(|text| featurizer.fill(black_box(text), &mut features)))
+            b.iter(|| shard.iter().for_each(|text| featurizer.fill_row(black_box(text), &mut row)))
         });
     }
 

@@ -117,7 +117,7 @@ impl HashedNgramFeaturizer {
         for (i, &raw) in text.as_bytes().iter().enumerate() {
             let b = raw.to_ascii_lowercase();
             let in_word = tally.in_word;
-            tally.push_ascii(raw);
+            tally.push(raw as char);
             // `tally.in_word` now says whether `raw` is part of a word.
             if tally.in_word {
                 if !in_word {
@@ -196,7 +196,7 @@ pub fn aggregate_statistics(text: &str) -> [f64; 8] {
 }
 
 /// The counts behind [`aggregate_statistics`], one char at a time.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 struct Tally {
     chars: usize,
     words: usize,
@@ -212,41 +212,26 @@ struct Tally {
 }
 
 impl Tally {
+    #[inline(always)]
     fn push(&mut self, c: char) {
-        let (alnum, upper, markup) = (c.is_alphanumeric(), c.is_uppercase(), matches!(c, '\\' | '$' | '{'));
-        self.add(c == ' ', c.is_whitespace(), alnum, c.is_ascii_digit(), upper, markup);
-    }
-
-    /// [`Self::push`] of one byte of an ASCII text. The `u8` predicates are
-    /// the `char` ones restricted to ASCII, without their Unicode fallbacks.
-    #[inline(always)]
-    fn push_ascii(&mut self, b: u8) {
-        let (alnum, upper, markup) =
-            (b.is_ascii_alphanumeric(), b.is_ascii_uppercase(), matches!(b, b'\\' | b'$' | b'{'));
-        self.add(b == b' ', matches!(b, b' ' | b'\t'..=b'\r'), alnum, b.is_ascii_digit(), upper, markup);
-    }
-
-    /// Count one char from its classes.
-    #[inline(always)]
-    fn add(&mut self, space: bool, whitespace: bool, alnum: bool, digit: bool, upper: bool, markup: bool) {
         self.chars += 1;
-        if space {
+        if c == ' ' {
             self.space_run += 1;
         } else {
             self.double_spaces += self.space_run / 2;
             self.space_run = 0;
         }
-        if whitespace {
+        if c.is_whitespace() {
             self.in_word = false;
             return;
         }
         self.nonspace += 1;
         self.words += !self.in_word as usize;
         self.in_word = true;
-        self.alnum += alnum as usize;
-        self.digits += digit as usize;
-        self.upper += upper as usize;
-        self.backslashes += markup as usize;
+        self.alnum += c.is_alphanumeric() as usize;
+        self.digits += c.is_ascii_digit() as usize;
+        self.upper += c.is_uppercase() as usize;
+        self.backslashes += matches!(c, '\\' | '$' | '{') as usize;
     }
 
     fn statistics(&self) -> [f64; 8] {
@@ -318,19 +303,6 @@ mod tests {
         let full_sim = cos(&full.features(clean), &full.features(scrambled));
         let word_sim = cos(&words.features(clean), &words.features(scrambled));
         assert!(full_sim > word_sim, "char trigrams retain partial overlap: {full_sim} vs {word_sim}");
-    }
-
-    #[test]
-    fn every_ascii_byte_tallies_as_its_char() {
-        let (mut by_char, mut by_byte) = (Tally::default(), Tally::default());
-        // Each byte after each other byte, so every transition is crossed.
-        for (a, b) in (0..128u8).flat_map(|a| (0..128u8).map(move |b| (a, b))) {
-            for byte in [a, b] {
-                by_char.push(byte as char);
-                by_byte.push_ascii(byte);
-                assert_eq!(by_char, by_byte, "after {a:#04x} {b:#04x}");
-            }
-        }
     }
 
     #[test]
