@@ -339,6 +339,25 @@ mod tests {
     }
 
     #[test]
+    fn node_throughput_is_pinned_bit_for_bit() {
+        // Routing weights do not enter the rate, so an untrained engine pins
+        // it. At the default α both variants are GPU-bound; at α = 0 only the
+        // CPU side (cores, extraction and per-variant inference) is left.
+        let bits = |variant, alpha| {
+            AdaParseEngine::new(AdaParseConfig { variant, alpha, ..Default::default() })
+                .node_throughput(&NodeSpec::default(), 10.0)
+                .to_bits()
+        };
+        let got =
+            [(Variant::Llm, 0.05), (Variant::FastText, 0.05), (Variant::Llm, 0.0), (Variant::FastText, 0.0)]
+                .map(|(variant, alpha)| bits(variant, alpha));
+        assert_eq!(
+            got,
+            [0x4030_16a7_1016_a710, 0x4030_16a7_1016_a710, 0x4060_f2fb_a938_6822, 0x4063_3b13_b13b_13b1]
+        );
+    }
+
+    #[test]
     fn untrained_engine_still_routes_within_budget() {
         let engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.05, ..Default::default() });
         let docs = corpus(20, 0.2, 666);

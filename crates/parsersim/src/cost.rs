@@ -299,6 +299,27 @@ mod tests {
     }
 
     #[test]
+    fn polaris_node_rates_are_pinned_bit_for_bit() {
+        // The Figure 3 legend and §5.1 ratios at 10 pages: any change to the
+        // cost models or the node's 32 cores and 4 GPUs moves a bit.
+        let bits: Vec<(ParserKind, u64)> = node_throughput_table(&NodeSpec::default(), 10.0)
+            .into_iter()
+            .map(|(kind, rate)| (kind, rate.to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            vec![
+                (ParserKind::Marker, 0x3fb8_bbfb_0d9a_96e1),
+                (ParserKind::Nougat, 0x3fe9_bdd8_19bd_d81a),
+                (ParserKind::PyMuPdf, 0x4063_6adf_b077_4d0c),
+                (ParserKind::Pypdf, 0x4028_7f63_371e_9f3c),
+                (ParserKind::Grobid, 0x400a_d59a_0783_7d0c),
+                (ParserKind::Tesseract, 0x3ff8_b8ec_5881_8b8e),
+            ]
+        );
+    }
+
+    #[test]
     fn zero_page_document_costs_nothing_per_page() {
         let model = CostModel::for_parser(ParserKind::Tesseract);
         let c = model.document_cost(0, 0.5);
