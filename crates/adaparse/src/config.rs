@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use parsersim::ParserKind;
-use selector::cls1::ValidityRules;
 use serde::{Deserialize, Serialize};
 
 /// Which AdaParse variant to run (paper §5.1).
@@ -45,8 +44,6 @@ pub struct AdaParseConfig {
     pub default_parser: ParserKind,
     /// The high-quality parser reserved for difficult documents.
     pub high_quality_parser: ParserKind,
-    /// CLS I validity thresholds.
-    pub validity: ValidityRules,
     /// Whether to apply DPO alignment to CLS III (LLM variant only).
     pub use_dpo: bool,
 }
@@ -59,7 +56,6 @@ impl Default for AdaParseConfig {
             batch_size: 256,
             default_parser: ParserKind::PyMuPdf,
             high_quality_parser: ParserKind::Nougat,
-            validity: ValidityRules::default(),
             use_dpo: true,
         }
     }
@@ -67,7 +63,12 @@ impl Default for AdaParseConfig {
 
 impl AdaParseConfig {
     /// Validate the configuration, normalizing out-of-range values.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN `alpha`, as [`crate::WindowedSelector::new`] does.
     pub fn normalized(mut self) -> Self {
+        assert!(!self.alpha.is_nan(), "alpha must be a number, got NaN");
         self.alpha = self.alpha.clamp(0.0, 1.0);
         if self.batch_size == 0 {
             self.batch_size = 1;
@@ -98,6 +99,12 @@ mod tests {
         assert_eq!(c.batch_size, 1);
         let c = AdaParseConfig { alpha: -0.5, ..Default::default() }.normalized();
         assert_eq!(c.alpha, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be a number")]
+    fn normalization_rejects_a_nan_alpha() {
+        AdaParseConfig { alpha: f64::NAN, ..Default::default() }.normalized();
     }
 
     #[test]

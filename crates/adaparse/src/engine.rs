@@ -5,9 +5,9 @@
 //! default-configured [`CampaignPipeline`].
 
 use docmodel::document::Document;
-use parsersim::cost::{CostModel, NodeSpec, ResourceCost, PLANNING_DIFFICULTY};
+use parsersim::cost::{node_rate, CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::ParserKind;
-use selector::cls1::Cls1Decision;
+use selector::cls1::{Cls1Decision, ValidityRules};
 use selector::cls2::ImprovementClassifier;
 use selector::cls3::{AccuracyPredictor, ParserPreference, PredictorConfig};
 use selector::dataset::AccuracyDataset;
@@ -121,9 +121,10 @@ impl AdaParseEngine {
     /// does not depend on its shard-mates, so the campaign pipeline may shard
     /// a window any way it likes.
     pub fn routing_improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
+        let rules = ValidityRules::default();
         let invalid: Vec<bool> = inputs
             .iter()
-            .map(|input| self.config.validity.decide(&input.first_page_text, 1) == Cls1Decision::Invalid)
+            .map(|input| rules.decide(&input.first_page_text, 1) == Cls1Decision::Invalid)
             .collect();
         let valid = inputs.iter().zip(&invalid).filter(|(_, &invalid)| !invalid).map(|(input, _)| *input);
         let gains: Vec<f64> = match self.config.variant {
@@ -177,11 +178,11 @@ impl AdaParseEngine {
         CampaignPipeline::default().run(self, documents, seed)
     }
 
-    /// Steady-state single-node throughput of this engine configuration in
-    /// documents per second: every document pays the extraction cost, an
+    /// Steady-state documents per second of one Polaris node ([`node_rate`])
+    /// under this configuration: every document pays the extraction cost, an
     /// α-fraction additionally pays the high-quality parser, and the LLM
     /// variant pays a small per-document inference cost for CLS III.
-    pub fn node_throughput(&self, node: &NodeSpec, pages_per_doc: f64) -> f64 {
+    pub fn node_throughput(&self, pages_per_doc: f64) -> f64 {
         let cheap = CostModel::for_parser(self.config.default_parser)
             .document_cost(pages_per_doc.ceil() as usize, PLANNING_DIFFICULTY);
         let expensive = CostModel::for_parser(self.config.high_quality_parser)
@@ -192,14 +193,7 @@ impl AdaParseEngine {
         };
         let cpu_per_doc = cheap.cpu_seconds + inference_cpu + self.config.alpha * expensive.cpu_seconds;
         let gpu_per_doc = self.config.alpha * expensive.gpu_seconds;
-        let cpu_rate = if cpu_per_doc > 0.0 { node.cpu_cores as f64 / cpu_per_doc } else { f64::INFINITY };
-        let gpu_rate = if gpu_per_doc > 0.0 { node.gpus as f64 / gpu_per_doc } else { f64::INFINITY };
-        let rate = cpu_rate.min(gpu_rate);
-        if rate.is_finite() {
-            rate
-        } else {
-            0.0
-        }
+        node_rate(cpu_per_doc, gpu_per_doc)
     }
 }
 
@@ -320,13 +314,12 @@ mod tests {
 
     #[test]
     fn throughput_ordering_matches_the_paper() {
-        let node = NodeSpec::default();
         let llm = trained_engine(AdaParseConfig { variant: Variant::Llm, ..Default::default() });
         let ft = trained_engine(AdaParseConfig { variant: Variant::FastText, ..Default::default() });
-        let t_llm = llm.node_throughput(&node, 10.0);
-        let t_ft = ft.node_throughput(&node, 10.0);
-        let t_nougat = CostModel::for_parser(ParserKind::Nougat).node_throughput(&node, 10.0);
-        let t_pymupdf = CostModel::for_parser(ParserKind::PyMuPdf).node_throughput(&node, 10.0);
+        let t_llm = llm.node_throughput(10.0);
+        let t_ft = ft.node_throughput(10.0);
+        let t_nougat = CostModel::for_parser(ParserKind::Nougat).node_throughput(10.0);
+        let t_pymupdf = CostModel::for_parser(ParserKind::PyMuPdf).node_throughput(10.0);
         // AdaParse sits between pure extraction and pure recognition…
         assert!(t_llm < t_pymupdf);
         assert!(t_llm > t_nougat);
@@ -340,19 +333,16 @@ mod tests {
 
     #[test]
     fn node_throughput_is_pinned_bit_for_bit() {
-        // Routing weights do not enter the rate, so an untrained engine pins
-        // it. At the default α both variants are GPU-bound; at α = 0 only the
-        // CPU side (cores, extraction and per-variant inference) is left.
-        let bits = |variant, alpha| {
+        // Untrained engines: routing weights do not enter the rate. Both
+        // variants are GPU-bound at the default α; α = 0 leaves the CPU side.
+        use Variant::{FastText, Llm};
+        let bits = [(Llm, 0.05), (FastText, 0.05), (Llm, 0.0), (FastText, 0.0)].map(|(variant, alpha)| {
             AdaParseEngine::new(AdaParseConfig { variant, alpha, ..Default::default() })
-                .node_throughput(&NodeSpec::default(), 10.0)
+                .node_throughput(10.0)
                 .to_bits()
-        };
-        let got =
-            [(Variant::Llm, 0.05), (Variant::FastText, 0.05), (Variant::Llm, 0.0), (Variant::FastText, 0.0)]
-                .map(|(variant, alpha)| bits(variant, alpha));
+        });
         assert_eq!(
-            got,
+            bits,
             [0x4030_16a7_1016_a710, 0x4030_16a7_1016_a710, 0x4060_f2fb_a938_6822, 0x4063_3b13_b13b_13b1]
         );
     }

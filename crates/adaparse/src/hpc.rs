@@ -193,9 +193,11 @@ pub fn tasks_for_cascade_with_affinity(
 
 /// Build tasks for an AdaParse campaign by *assuming* an α-fraction goes to
 /// the high-quality parser (used for large synthetic scaling sweeps where
-/// running the router per document would be wasteful).
+/// running the router per document would be wasteful). Panics on a NaN α,
+/// as [`AdaParseConfig::normalized`] does.
 pub fn tasks_for_alpha(config: &AdaParseConfig, workload: &WorkloadSpec) -> Vec<Task> {
-    let quota = ((workload.documents as f64) * config.alpha.clamp(0.0, 1.0)).floor() as usize;
+    let config = config.clone().normalized();
+    let quota = ((workload.documents as f64) * config.alpha).floor() as usize;
     let mask: Vec<bool> = (0..workload.documents).map(|i| i < quota).collect();
     let (base, upgrade) = (config.default_parser, config.high_quality_parser);
     let choices: Vec<ParserChoice> = ParserChoice::from_mask(base, upgrade, 0, &mask).collect();
@@ -262,6 +264,12 @@ mod tests {
         let gpu_tasks = tasks.iter().filter(|t| t.slot == SlotKind::Gpu).count();
         assert_eq!(gpu_tasks, 20);
         assert_eq!(tasks.len(), w.documents + gpu_tasks);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be a number")]
+    fn a_nan_alpha_builds_no_workload() {
+        tasks_for_alpha(&AdaParseConfig { alpha: f64::NAN, ..Default::default() }, &small_workload());
     }
 
     #[test]

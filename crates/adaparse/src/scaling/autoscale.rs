@@ -95,7 +95,8 @@ impl SloAutoscaler {
     /// # Panics
     ///
     /// Panics if the config is inconsistent: `min_nodes` of zero,
-    /// `max_nodes < min_nodes`, or `headroom` outside `(0, 1)`.
+    /// `max_nodes < min_nodes`, `headroom` outside `(0, 1)`, or a NaN or
+    /// negative `backlog_per_slot_up` or zero `step_up` (scaling would stall).
     pub fn new(config: AutoscaleConfig, initial_nodes: usize) -> Self {
         assert!(config.min_nodes >= 1, "min_nodes must be at least 1");
         assert!(
@@ -109,6 +110,12 @@ impl SloAutoscaler {
             "headroom must be in (0, 1), got {}",
             config.headroom
         );
+        assert!(
+            config.backlog_per_slot_up >= 0.0,
+            "backlog_per_slot_up must be non-negative, got {}",
+            config.backlog_per_slot_up
+        );
+        assert!(config.step_up >= 1, "step_up must be at least 1");
         let nodes = initial_nodes.clamp(config.min_nodes, config.max_nodes);
         SloAutoscaler { config, nodes, healthy_streak: 0, history: Vec::new() }
     }
@@ -239,5 +246,13 @@ mod tests {
     #[should_panic(expected = "max_nodes")]
     fn inverted_bounds_panic() {
         SloAutoscaler::new(AutoscaleConfig { min_nodes: 4, max_nodes: 2, ..Default::default() }, 2);
+    }
+
+    #[test]
+    fn a_nan_or_negative_backlog_threshold_or_a_zero_step_up_is_rejected() {
+        for (backlog_per_slot_up, step_up) in [(f64::NAN, 2), (-1.0, 2), (4.0, 0)] {
+            let config = AutoscaleConfig { backlog_per_slot_up, step_up, ..Default::default() };
+            assert!(std::panic::catch_unwind(|| SloAutoscaler::new(config, 2)).is_err(), "{config:?}");
+        }
     }
 }

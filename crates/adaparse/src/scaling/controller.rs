@@ -3,12 +3,12 @@
 //! Each wave of the streaming pipeline reports how long its extraction and
 //! parsing stages ran and how much work remains ([`WaveStats`]); the
 //! controller turns that into the next wave's worker [`Allocation`] under a
-//! total-worker cap. Hysteresis keeps the loop stable: a stage must be the
-//! bottleneck by more than a configurable ratio for a configurable number of
-//! consecutive waves before a worker moves, and at most `step` workers move
-//! at a time. The decision is a pure function of the controller's state and
-//! the observed stats — replaying the same stat stream replays the same
-//! allocation trace — while the *campaign result* never depends on the
+//! total-worker cap. Hysteresis keeps the loop stable: a stage must take
+//! more than 1.25× the other stage's wave time for `patience` consecutive
+//! waves before a worker moves, one worker moves at a time, and each stage
+//! keeps at least one. The decision is a pure function of the controller's
+//! state and the observed stats — replaying the same stat stream replays the
+//! same allocation trace — while the *campaign result* never depends on the
 //! allocation at all (worker counts only change wall-clock time).
 
 use serde::{Deserialize, Serialize};
@@ -74,26 +74,29 @@ impl Allocation {
     }
 }
 
+/// A stage must take more than this many times the other stage's wave time
+/// to count as the bottleneck.
+const HYSTERESIS: f64 = 1.25;
+
+/// Workers moved per adjustment.
+const STEP: usize = 1;
+
+/// Workers every stage keeps, so neither can starve.
+const MIN_PER_STAGE: usize = 1;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
     /// Total workers shared by both stages. Clamped to ≥ 2 (each stage keeps
     /// at least one worker so neither can starve).
     pub total_workers: usize,
-    /// Minimum workers pinned to each stage.
-    pub min_per_stage: usize,
-    /// A stage must take more than `hysteresis ×` the other stage's wave
-    /// time to count as the bottleneck (≥ 1.0).
-    pub hysteresis: f64,
     /// Consecutive bottleneck waves required before a worker moves.
     pub patience: usize,
-    /// Workers moved per adjustment.
-    pub step: usize,
 }
 
 impl Default for ControllerConfig {
     fn default() -> Self {
-        ControllerConfig { total_workers: 8, min_per_stage: 1, hysteresis: 1.25, patience: 2, step: 1 }
+        ControllerConfig { total_workers: 8, patience: 2 }
     }
 }
 
@@ -106,10 +109,7 @@ impl ControllerConfig {
     /// Clamp degenerate values.
     pub fn normalized(mut self) -> Self {
         self.total_workers = self.total_workers.max(2);
-        self.min_per_stage = self.min_per_stage.clamp(1, self.total_workers / 2);
-        self.hysteresis = if self.hysteresis.is_finite() { self.hysteresis.max(1.0) } else { 1.0 };
         self.patience = self.patience.max(1);
-        self.step = self.step.max(1);
         self
     }
 }
@@ -129,7 +129,7 @@ pub struct AllocationEvent {
     /// replays its trace bit for bit; stats that are themselves wall-clock
     /// measurements vary run to run, and so do their traces.
     pub at_seconds: f64,
-    /// Stage that gained `ControllerConfig::step` workers.
+    /// Stage that gained a worker.
     pub gained: Stage,
     /// The allocation after the change.
     pub allocation: Allocation,
@@ -278,9 +278,9 @@ impl ScalingController {
         }
         let extract_s = stats.extract.busy_seconds.max(0.0);
         let parse_s = stats.parse.busy_seconds.max(0.0);
-        let direction = if parse_s > extract_s * self.config.hysteresis {
+        let direction = if parse_s > extract_s * HYSTERESIS {
             1
-        } else if extract_s > parse_s * self.config.hysteresis {
+        } else if extract_s > parse_s * HYSTERESIS {
             -1
         } else {
             0
@@ -301,15 +301,14 @@ impl ScalingController {
         self.allocation
     }
 
-    /// Move `step` workers toward `gained`, respecting the per-stage floor.
-    /// Returns whether anything moved.
+    /// Move [`STEP`] workers toward `gained`, keeping [`MIN_PER_STAGE`]
+    /// on the other stage. Returns whether anything moved.
     fn shift(&mut self, gained: Stage, wave_index: usize) -> bool {
-        let step = self.config.step;
         let (give, take) = match gained {
             Stage::Parse => (&mut self.allocation.extract_workers, &mut self.allocation.parse_workers),
             Stage::Extract => (&mut self.allocation.parse_workers, &mut self.allocation.extract_workers),
         };
-        let movable = give.saturating_sub(self.config.min_per_stage).min(step);
+        let movable = give.saturating_sub(MIN_PER_STAGE).min(STEP);
         if movable == 0 {
             return false;
         }
@@ -388,8 +387,7 @@ mod tests {
 
     #[test]
     fn allocation_never_starves_a_stage() {
-        let mut c =
-            ScalingController::new(ControllerConfig { total_workers: 4, patience: 1, ..Default::default() });
+        let mut c = ScalingController::new(ControllerConfig { total_workers: 4, patience: 1 });
         for wave in 0..50 {
             let a = c.observe(&stats(wave, 0.1, 10.0, 100));
             assert!(a.extract_workers >= 1 && a.parse_workers >= 1);
@@ -414,8 +412,7 @@ mod tests {
 
     #[test]
     fn draining_queue_freezes_the_allocation() {
-        let mut c =
-            ScalingController::new(ControllerConfig { total_workers: 8, patience: 1, ..Default::default() });
+        let mut c = ScalingController::new(ControllerConfig { total_workers: 8, patience: 1 });
         c.observe(&stats(0, 1.0, 5.0, 100));
         let before = c.allocation();
         // Ragged final wave with a wild imbalance: ignored.
@@ -424,8 +421,7 @@ mod tests {
 
     #[test]
     fn node_plan_mirrors_the_worker_split() {
-        let mut c =
-            ScalingController::new(ControllerConfig { total_workers: 8, patience: 1, ..Default::default() });
+        let mut c = ScalingController::new(ControllerConfig { total_workers: 8, patience: 1 });
         assert_eq!(c.plan_nodes(8), NodePlan { extract_nodes: 4, parse_nodes: 4 });
         // Push workers toward parse, the node plan follows.
         for wave in 0..3 {
@@ -474,8 +470,7 @@ mod tests {
 
     #[test]
     fn simulated_clock_timestamps_the_trace() {
-        let mut c =
-            ScalingController::new(ControllerConfig { total_workers: 8, patience: 1, ..Default::default() });
+        let mut c = ScalingController::new(ControllerConfig { total_workers: 8, patience: 1 });
         c.observe_at(10.0, &stats(0, 1.0, 5.0, 100));
         assert_eq!(c.clock_seconds(), 10.0);
         assert_eq!(c.history().len(), 1);
@@ -488,18 +483,8 @@ mod tests {
 
     #[test]
     fn config_normalization_clamps() {
-        let c = ControllerConfig {
-            total_workers: 0,
-            min_per_stage: 99,
-            hysteresis: f64::NAN,
-            patience: 0,
-            step: 0,
-        }
-        .normalized();
+        let c = ControllerConfig { total_workers: 0, patience: 0 }.normalized();
         assert_eq!(c.total_workers, 2);
-        assert_eq!(c.min_per_stage, 1);
-        assert_eq!(c.hysteresis, 1.0);
         assert_eq!(c.patience, 1);
-        assert_eq!(c.step, 1);
     }
 }

@@ -414,7 +414,7 @@ mod tests {
         let improvements = scores(240, 11);
         let sim = SimLoopConfig {
             window: 48,
-            controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
+            controller: ControllerConfig { total_workers: 8, patience: 1 },
             ..Default::default()
         };
         let a = run_closed_loop(&config, &improvements, &workload(240), &sim);

@@ -28,7 +28,13 @@ use super::tenant::{DocArrival, TenantRegistry, TenantServeReport, TenantTrace};
 /// tail estimate is too noisy to scale on.
 const SLO_MIN_SAMPLES: usize = 8;
 
-/// Knobs of a serve run.
+/// Admission cap in in-flight documents per active CPU slot.
+const INFLIGHT_PER_SLOT: f64 = 4.0;
+
+/// Knobs of a serve run. The stage-split controller always runs
+/// [`ControllerConfig::default`], its allocation projected onto the *active*
+/// nodes each epoch via [`ScalingController::plan_nodes`], and admission
+/// stops at 4 in-flight documents per active CPU slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Engine configuration supplying the cheap/high-quality parser pair
@@ -50,17 +56,9 @@ pub struct ServeConfig {
     pub executor: ExecutorConfig,
     /// Shared-filesystem model.
     pub filesystem: LustreModel,
-    /// Stage-split controller tuning; its allocation is projected onto the
-    /// *active* nodes each epoch via
-    /// [`ScalingController::plan_nodes`].
-    pub controller: ControllerConfig,
     /// SLO-driven fleet autoscaling; `None` pins the fleet at
     /// [`nodes`](Self::nodes) (the ablation baseline).
     pub autoscale: Option<AutoscaleConfig>,
-    /// Admission cap as in-flight documents per active CPU slot; admission
-    /// stops (documents wait in tenant queues) once
-    /// `in_flight ≥ ceil(inflight_per_slot × active CPU slots)`.
-    pub inflight_per_slot: f64,
     /// Sliding-window length (completions per tenant) for the SLO signal.
     pub slo_window: usize,
     /// Safety bound on epochs; a run that hits it closes with whatever is
@@ -86,9 +84,7 @@ impl Default for ServeConfig {
             cluster: None,
             executor: ExecutorConfig::default(),
             filesystem: LustreModel::default(),
-            controller: ControllerConfig::default(),
             autoscale: None,
-            inflight_per_slot: 4.0,
             slo_window: 64,
             max_epochs: 100_000,
             retirement: true,
@@ -257,18 +253,17 @@ pub fn run_service(config: &ServeConfig, traces: &[TenantTrace]) -> ServeReport 
 ///
 /// # Panics
 ///
-/// Panics unless [`ServeConfig::epoch_seconds`] and
-/// [`ServeConfig::inflight_per_slot`] are finite and positive, and on any
-/// tenant [`TenantRegistry::new`] rejects.
+/// Panics unless [`ServeConfig::epoch_seconds`] is finite and positive, and
+/// on any tenant [`TenantRegistry::new`] rejects.
 pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) -> (ServeReport, SoakStats) {
     // A non-positive epoch never advances simulated time past the arrivals,
     // so the run would end at `max_epochs` with them reported as never
-    // arrived; a non-positive ratio would stall or serialize admission.
-    for (name, value) in
-        [("epoch_seconds", config.epoch_seconds), ("inflight_per_slot", config.inflight_per_slot)]
-    {
-        assert!(value.is_finite() && value > 0.0, "{name} must be finite and positive, got {value}");
-    }
+    // arrived.
+    let epoch_seconds = config.epoch_seconds;
+    assert!(
+        epoch_seconds.is_finite() && epoch_seconds > 0.0,
+        "epoch_seconds must be finite and positive, got {epoch_seconds}"
+    );
     let max_nodes = match &config.autoscale {
         Some(auto) => auto.max_nodes.max(config.nodes).max(1),
         None => config.nodes.max(1),
@@ -279,7 +274,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     session.set_active_nodes(config.nodes.max(1));
 
     let mut registry = TenantRegistry::new(&config.engine, traces);
-    let mut controller = ScalingController::new(config.controller);
+    let mut controller = ScalingController::new(ControllerConfig::default());
     let mut autoscaler = config.autoscale.map(|auto| SloAutoscaler::new(auto, config.nodes.max(1)));
 
     // Per-tenant positions of the arrival merge cursor (`next_arrival`).
@@ -440,7 +435,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         //    backlogged tenant's service stands still while others grow,
         //    so it is eventually the minimum.
         let active_cpu_slots = session.active_nodes() * cluster.cpu_slots_per_node;
-        let inflight_cap = ((config.inflight_per_slot * active_cpu_slots as f64).ceil() as usize).max(1);
+        let inflight_cap = ((INFLIGHT_PER_SLOT * active_cpu_slots as f64).ceil() as usize).max(1);
         while in_flight < inflight_cap {
             let mut best: Option<usize> = None;
             for (tenant, state) in registry.states().iter().enumerate() {

@@ -42,7 +42,7 @@
 //! 4. **Admits** by weighted-fair queuing: the backlogged tenant with the
 //!    least virtual service (admitted planned cost ÷ weight, ties to the
 //!    lower tenant index) is granted next, until the in-flight cap
-//!    ([`ServeConfig::inflight_per_slot`] × active CPU slots) fills. A
+//!    (4 documents × active CPU slots) fills. A
 //!    backlogged tenant's service stands still while others grow, so no
 //!    tenant starves — even against an adversarial herd.
 //! 5. **Routes** each tenant's admitted batch through its own

@@ -40,7 +40,7 @@ fn sim() -> SimLoopConfig {
     SimLoopConfig {
         window: 40,
         nodes: 2,
-        controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
+        controller: ControllerConfig { total_workers: 8, patience: 1 },
         ..Default::default()
     }
 }

@@ -128,7 +128,7 @@ fn bench_closed_loop(c: &mut Criterion) {
     let sim = SimLoopConfig {
         window: 256,
         nodes: 4,
-        controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
+        controller: ControllerConfig { total_workers: 8, patience: 1 },
         ..Default::default()
     };
     group.bench_with_input(BenchmarkId::new("run_closed_loop", n), &input, |b, input| {

@@ -168,7 +168,7 @@ fn run_campaign(
     let sim = SimLoopConfig {
         window: args.window,
         nodes: args.nodes,
-        controller: ControllerConfig { total_workers: 8, patience: 1, ..Default::default() },
+        controller: ControllerConfig { total_workers: 8, patience: 1 },
         executor: ExecutorConfig { placement: args.placement, ..Default::default() },
         ..Default::default()
     };

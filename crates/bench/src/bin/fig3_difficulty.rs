@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p bench --bin fig3_difficulty --release`
 
 use bench::{bench_doc_count, benchmark_corpus};
-use parsersim::cost::{node_throughput_table, NodeSpec};
+use parsersim::cost::node_throughput_table;
 use parsersim::evaluate::evaluate_corpus;
 use parsersim::ParserKind;
 
@@ -25,7 +25,7 @@ fn main() {
 
     println!("Figure 3 — parser BLEU by difficulty rank (n = {n})");
     println!("Legend (single-node throughput, PDFs/s, 10-page documents):");
-    for (kind, rate) in node_throughput_table(&NodeSpec::default(), 10.0) {
+    for (kind, rate) in node_throughput_table(10.0) {
         println!("  {:<10} {:>9.2}", kind.name(), rate);
     }
     println!();

@@ -5,22 +5,21 @@
 //! Usage: `cargo run -p bench --bin throughput_ratios --release`
 
 use adaparse::{AdaParseConfig, AdaParseEngine, Variant};
-use parsersim::cost::{CostModel, NodeSpec};
+use parsersim::cost::CostModel;
 use parsersim::ParserKind;
 
 fn main() {
-    let node = NodeSpec::default();
     let pages = 10.0;
     println!("Single-node throughput (PDFs/s, {}-page documents, Polaris-like node)", pages as usize);
     let mut rates = std::collections::BTreeMap::new();
     for kind in ParserKind::ALL {
-        let rate = CostModel::for_parser(kind).node_throughput(&node, pages);
+        let rate = CostModel::for_parser(kind).node_throughput(pages);
         rates.insert(kind.name().to_string(), rate);
         println!("  {:<14} {:>9.2}", kind.name(), rate);
     }
     for variant in [Variant::FastText, Variant::Llm] {
         let engine = AdaParseEngine::new(AdaParseConfig { variant, alpha: 0.05, ..Default::default() });
-        let rate = engine.node_throughput(&node, pages);
+        let rate = engine.node_throughput(pages);
         rates.insert(variant.name().to_string(), rate);
         println!("  {:<14} {:>9.2}", variant.name(), rate);
     }

@@ -10,11 +10,13 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Aggregate read bandwidth of the filesystem in MiB/s (Eagle: ~650 GB/s),
+/// shared fairly by every concurrent reader.
+const AGGREGATE_BANDWIDTH_MB_S: f64 = 650_000.0;
+
 /// Parameters of the shared filesystem.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LustreModel {
-    /// Aggregate read bandwidth of the filesystem in MiB/s (Eagle: ~650 GB/s).
-    pub aggregate_bandwidth_mb_s: f64,
     /// Maximum bandwidth a single node can draw in MiB/s (2×25 GB/s NICs,
     /// realistically a few GiB/s of file traffic).
     pub per_node_bandwidth_mb_s: f64,
@@ -33,7 +35,6 @@ pub struct LustreModel {
 impl Default for LustreModel {
     fn default() -> Self {
         LustreModel {
-            aggregate_bandwidth_mb_s: 650_000.0,
             per_node_bandwidth_mb_s: 3_000.0,
             metadata_latency_s: 0.002,
             metadata_ops_per_s: 40_000.0,
@@ -48,7 +49,7 @@ impl LustreModel {
     /// exceed its NIC limit.
     pub fn effective_node_bandwidth(&self, concurrent_nodes: usize) -> f64 {
         let nodes = concurrent_nodes.max(1) as f64;
-        (self.aggregate_bandwidth_mb_s / nodes).min(self.per_node_bandwidth_mb_s)
+        (AGGREGATE_BANDWIDTH_MB_S / nodes).min(self.per_node_bandwidth_mb_s)
     }
 
     /// Time to stage `input_mb` MiB arriving as `files` files onto a node,

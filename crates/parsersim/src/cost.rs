@@ -59,23 +59,24 @@ impl std::ops::Add for ResourceCost {
     }
 }
 
-/// Hardware description of one compute node (defaults to a Polaris node).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NodeSpec {
-    /// Number of CPU cores usable by parser workers.
-    pub cpu_cores: usize,
-    /// Number of GPUs.
-    pub gpus: usize,
-    /// Host memory in GiB.
-    pub memory_gb: f64,
-    /// Device memory per GPU in GiB.
-    pub gpu_memory_gb: f64,
-}
+/// CPU cores of the Polaris node the throughput figures assume (AMD Milan).
+const NODE_CPU_CORES: f64 = 32.0;
 
-impl Default for NodeSpec {
-    fn default() -> Self {
-        // Polaris: AMD Milan 32 cores, 512 GB RAM, 4× A100 40 GB.
-        NodeSpec { cpu_cores: 32, gpus: 4, memory_gb: 512.0, gpu_memory_gb: 40.0 }
+/// GPUs of the Polaris node the throughput figures assume (4× A100).
+const NODE_GPUS: f64 = 4.0;
+
+/// Steady-state documents per second of one Polaris node when every document
+/// costs `cpu_seconds` and `gpu_seconds`, assuming warm workers and perfect
+/// parallelism over the node's 32 cores and 4 GPUs; 0 when neither cost is
+/// positive.
+pub fn node_rate(cpu_seconds: f64, gpu_seconds: f64) -> f64 {
+    let cpu_rate = if cpu_seconds > 0.0 { NODE_CPU_CORES / cpu_seconds } else { f64::INFINITY };
+    let gpu_rate = if gpu_seconds > 0.0 { NODE_GPUS / gpu_seconds } else { f64::INFINITY };
+    let rate = cpu_rate.min(gpu_rate);
+    if rate.is_finite() {
+        rate
+    } else {
+        0.0
     }
 }
 
@@ -177,24 +178,11 @@ impl CostModel {
         }
     }
 
-    /// Steady-state single-node throughput in documents per second, assuming
-    /// documents of `pages_per_doc` pages, warm workers, and perfect
-    /// parallelism over the node's cores/GPUs.
-    pub fn node_throughput(&self, node: &NodeSpec, pages_per_doc: f64) -> f64 {
+    /// Steady-state single-node throughput in documents per second
+    /// ([`node_rate`]) for documents of `pages_per_doc` pages.
+    pub fn node_throughput(&self, pages_per_doc: f64) -> f64 {
         let per_doc = self.document_cost(pages_per_doc.ceil() as usize, PLANNING_DIFFICULTY);
-        let cpu_rate = if per_doc.cpu_seconds > 0.0 {
-            node.cpu_cores as f64 / per_doc.cpu_seconds
-        } else {
-            f64::INFINITY
-        };
-        let gpu_rate =
-            if per_doc.gpu_seconds > 0.0 { node.gpus as f64 / per_doc.gpu_seconds } else { f64::INFINITY };
-        let rate = cpu_rate.min(gpu_rate);
-        if rate.is_finite() {
-            rate
-        } else {
-            0.0
-        }
+        node_rate(per_doc.cpu_seconds, per_doc.gpu_seconds)
     }
 }
 
@@ -224,10 +212,10 @@ pub fn content_difficulty(text: &str) -> f64 {
 /// Single-node throughput of every parser, `(kind, docs/s)`, for documents of
 /// the given average length. This regenerates the Figure 3 legend and the
 /// §5.1 throughput ratios.
-pub fn node_throughput_table(node: &NodeSpec, pages_per_doc: f64) -> Vec<(ParserKind, f64)> {
+pub fn node_throughput_table(pages_per_doc: f64) -> Vec<(ParserKind, f64)> {
     ParserKind::ALL
         .iter()
-        .map(|&kind| (kind, CostModel::for_parser(kind).node_throughput(node, pages_per_doc)))
+        .map(|&kind| (kind, CostModel::for_parser(kind).node_throughput(pages_per_doc)))
         .collect()
 }
 
@@ -251,9 +239,8 @@ mod tests {
 
     #[test]
     fn relative_throughputs_match_the_paper() {
-        let node = NodeSpec::default();
         let pages = 10.0;
-        let t = |k: ParserKind| CostModel::for_parser(k).node_throughput(&node, pages);
+        let t = |k: ParserKind| CostModel::for_parser(k).node_throughput(pages);
 
         let pymupdf = t(ParserKind::PyMuPdf);
         let pypdf = t(ParserKind::Pypdf);
@@ -290,22 +277,10 @@ mod tests {
 
     #[test]
     fn throughput_table_covers_all_parsers() {
-        let table = node_throughput_table(&NodeSpec::default(), 10.0);
-        assert_eq!(table.len(), ParserKind::ALL.len());
-        for (_, rate) in &table {
-            assert!(*rate > 0.0);
-            assert!(rate.is_finite());
-        }
-    }
-
-    #[test]
-    fn polaris_node_rates_are_pinned_bit_for_bit() {
-        // The Figure 3 legend and §5.1 ratios at 10 pages: any change to the
-        // cost models or the node's 32 cores and 4 GPUs moves a bit.
-        let bits: Vec<(ParserKind, u64)> = node_throughput_table(&NodeSpec::default(), 10.0)
-            .into_iter()
-            .map(|(kind, rate)| (kind, rate.to_bits()))
-            .collect();
+        // The Figure 3 legend and §5.1 ratios at 10 pages, bit for bit: any
+        // change to the cost models or the node's 32 cores and 4 GPUs shows.
+        let bits: Vec<(ParserKind, u64)> =
+            node_throughput_table(10.0).into_iter().map(|(kind, rate)| (kind, rate.to_bits())).collect();
         assert_eq!(
             bits,
             vec![

@@ -55,7 +55,7 @@ pub mod registry;
 mod tesseract;
 pub mod traits;
 
-pub use cost::{CostModel, NodeSpec, ResourceCost};
+pub use cost::{CostModel, ResourceCost};
 pub use evaluate::{evaluate_corpus, evaluate_document, DocumentEvaluation, ParserEvaluation};
 pub use registry::{
     page_dollars, quality_prior, FrontierEntry, ParserFrontier, ParserPool, GPU_DOLLAR_RATIO,

@@ -17,7 +17,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::{latex, smiles, vocab};
 
-/// Configuration of the corpus generator.
+/// Publication years are drawn uniformly from this range.
+const YEARS: std::ops::RangeInclusive<u16> = 2000..=2024;
+
+/// Mean number of sentences per paragraph.
+const SENTENCES_PER_PARAGRAPH: usize = 4;
+
+/// Configuration of the corpus generator. Publication years are always
+/// drawn from 2000–2024 and paragraphs average four sentences.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GeneratorConfig {
     /// Number of documents to generate.
@@ -34,12 +41,6 @@ pub struct GeneratorConfig {
     pub ocr_attached_fraction: f64,
     /// Fraction of born-digital documents with author-scrambled text layers.
     pub scrambled_fraction: f64,
-    /// Earliest publication year.
-    pub min_year: u16,
-    /// Latest publication year.
-    pub max_year: u16,
-    /// Mean number of sentences per paragraph.
-    pub sentences_per_paragraph: usize,
     /// Mean number of paragraphs per page.
     pub paragraphs_per_page: usize,
     /// Probability a page carries a table (the category presets skew this;
@@ -57,9 +58,6 @@ impl Default for GeneratorConfig {
             scanned_fraction: 0.12,
             ocr_attached_fraction: 0.6,
             scrambled_fraction: 0.03,
-            min_year: 2000,
-            max_year: 2024,
-            sentences_per_paragraph: 4,
             paragraphs_per_page: 3,
             table_probability: 0.35,
         }
@@ -92,7 +90,7 @@ impl DocumentGenerator {
             subs[self.rng.gen_range(0..subs.len())].to_string()
         };
         let publisher = Publisher::ALL[self.rng.gen_range(0..Publisher::ALL.len())];
-        let year = self.rng.gen_range(self.config.min_year..=self.config.max_year);
+        let year = self.rng.gen_range(YEARS);
 
         let scanned = self.rng.gen_bool(self.config.scanned_fraction.clamp(0.0, 1.0));
         let producer = if scanned {
@@ -184,10 +182,7 @@ impl DocumentGenerator {
         if page_index == 0 {
             elements.push(Element::heading(1, &vocab::title(rng, domain)));
             elements.push(Element::Paragraph {
-                text: format!(
-                    "Abstract. {}",
-                    vocab::paragraph(rng, domain, self.config.sentences_per_paragraph)
-                ),
+                text: format!("Abstract. {}", vocab::paragraph(rng, domain, SENTENCES_PER_PARAGRAPH)),
             });
         } else {
             elements
@@ -197,9 +192,8 @@ impl DocumentGenerator {
         let n_paragraphs = self.config.paragraphs_per_page.max(1)
             + rng.gen_range(0..=self.config.paragraphs_per_page.max(1));
         for _ in 0..n_paragraphs {
-            elements.push(Element::Paragraph {
-                text: vocab::paragraph(rng, domain, self.config.sentences_per_paragraph.max(1)),
-            });
+            elements
+                .push(Element::Paragraph { text: vocab::paragraph(rng, domain, SENTENCES_PER_PARAGRAPH) });
             if rng.gen_bool(domain.equation_density()) {
                 elements.push(Element::Equation { latex: latex::equation(rng), display: true });
             }

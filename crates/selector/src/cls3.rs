@@ -28,17 +28,12 @@ pub struct ParserPreference {
     pub rejected_text: String,
 }
 
-/// Configuration of the CLS III predictor.
+/// Configuration of the CLS III predictor. Supervised fine-tuning runs a
+/// fixed 250 epochs at learning rate 0.4 with L2 1e-4.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PredictorConfig {
     /// Which frozen encoder to build on.
     pub encoder: EncoderProfile,
-    /// Supervised fine-tuning epochs.
-    pub epochs: usize,
-    /// Supervised learning rate.
-    pub learning_rate: f64,
-    /// L2 regularization of the regression head.
-    pub l2: f64,
     /// Weight of the DPO-derived per-parser alignment bias.
     pub dpo_weight: f64,
     /// DPO hyperparameters.
@@ -47,14 +42,7 @@ pub struct PredictorConfig {
 
 impl Default for PredictorConfig {
     fn default() -> Self {
-        PredictorConfig {
-            encoder: EncoderProfile::SciBert,
-            epochs: 250,
-            learning_rate: 0.4,
-            l2: 1e-4,
-            dpo_weight: 0.05,
-            dpo: DpoConfig::default(),
-        }
+        PredictorConfig { encoder: EncoderProfile::SciBert, dpo_weight: 0.05, dpo: DpoConfig::default() }
     }
 }
 
@@ -89,7 +77,8 @@ impl AccuracyPredictor {
         }
         let xs = self.encoder.encode_batch(&first_page_texts(samples));
         let ys: Vec<Vec<f64>> = samples.iter().map(|s| s.targets.clone()).collect();
-        self.head.fit(&xs, &ys, self.config.epochs, self.config.learning_rate, self.config.l2);
+        // 250 epochs, learning rate 0.4, L2 regularization 1e-4.
+        self.head.fit(&xs, &ys, 250, 0.4, 1e-4);
     }
 
     /// DPO post-training on human preference pairs. A scalar quality scorer is

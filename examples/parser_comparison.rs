@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example parser_comparison --release`
 
-use parsersim::cost::{node_throughput_table, NodeSpec};
+use parsersim::cost::node_throughput_table;
 use parsersim::evaluate::evaluate_corpus;
 use parsersim::ParserKind;
 use scicorpus::{Corpus, GeneratorConfig};
@@ -19,7 +19,7 @@ fn main() {
         ..Default::default()
     });
     let evaluations = evaluate_corpus(corpus.documents(), 23);
-    let throughputs = node_throughput_table(&NodeSpec::default(), 10.0);
+    let throughputs = node_throughput_table(10.0);
 
     println!(
         "{:<11} {:>8} {:>8} {:>8} {:>9} {:>12}",

@@ -4,7 +4,6 @@
 //! Run with: `cargo run --example quickstart --release`
 
 use adaparse::{AdaParseConfig, AdaParseEngine};
-use parsersim::cost::NodeSpec;
 use scicorpus::{Corpus, GeneratorConfig};
 
 fn main() {
@@ -39,7 +38,7 @@ fn main() {
         "routed {:.1} % of documents to {}, estimated single-node throughput {:.1} PDFs/s",
         100.0 * result.high_quality_fraction,
         engine.config().high_quality_parser,
-        engine.node_throughput(&NodeSpec::default(), 10.0),
+        engine.node_throughput(10.0),
     );
 
     // 4. The JSONL output a campaign would write to storage.

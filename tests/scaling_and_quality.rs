@@ -4,7 +4,7 @@
 use adaparse::hpc::{adaparse_throughput_at_scale, parser_throughput_at_scale, WorkloadSpec};
 use adaparse::AdaParseConfig;
 use hpcsim::ExecutorConfig;
-use parsersim::cost::{CostModel, NodeSpec};
+use parsersim::cost::CostModel;
 use parsersim::evaluate::evaluate_corpus;
 use parsersim::ParserKind;
 use scicorpus::augment::{augment_text_layers, AugmentConfig};
@@ -27,8 +27,7 @@ fn throughput_ordering_holds_across_node_counts() {
 
 #[test]
 fn headline_single_node_ratios_have_the_right_magnitude() {
-    let node = NodeSpec::default();
-    let rate = |k: ParserKind| CostModel::for_parser(k).node_throughput(&node, 10.0);
+    let rate = |k: ParserKind| CostModel::for_parser(k).node_throughput(10.0);
     let pymupdf_over_nougat = rate(ParserKind::PyMuPdf) / rate(ParserKind::Nougat);
     let pymupdf_over_pypdf = rate(ParserKind::PyMuPdf) / rate(ParserKind::Pypdf);
     assert!((50.0..400.0).contains(&pymupdf_over_nougat), "{pymupdf_over_nougat}");
