@@ -226,6 +226,62 @@ mod tests {
         assert!(acc > 0.8, "selection accuracy = {acc}");
     }
 
+    /// `predict_accuracies_batch`'s output, bit for bit, for a SciBERT
+    /// predictor fitted on [`synthetic_samples`]: recorded while every
+    /// prediction still had a (zero) per-parser preference bias added after
+    /// the clamp.
+    #[test]
+    fn trained_predictions_are_pinned_bit_for_bit() {
+        const PINNED: [[u64; 6]; 4] = [
+            [
+                0x3fc9_bf37_a60c_dfc9,
+                0x3fe6_72b8_26cf_d8f4,
+                0x3fbc_8935_116e_0252,
+                0x3fc9_bf37_a60c_dfc9,
+                0x3fc9_bf37_a60c_dfc9,
+                0x3fc9_bf37_a60c_dfc9,
+            ],
+            [
+                0x3fc9_9d87_5b83_8840,
+                0x3fe1_a3e3_134b_da89,
+                0x3fe7_e2cf_7d7a_77f5,
+                0x3fc9_9d87_5b83_8840,
+                0x3fc9_9d87_5b83_8840,
+                0x3fc9_9d87_5b83_8840,
+            ],
+            [
+                0x3fc7_9f03_b03e_7439,
+                0x3fe2_cdb5_600d_6a2f,
+                0x3fd6_1178_f974_f609,
+                0x3fc7_9f03_b03e_7439,
+                0x3fc7_9f03_b03e_7439,
+                0x3fc7_9f03_b03e_7439,
+            ],
+            [
+                0x3fbd_64b2_bbb8_dcb3,
+                0x3fd7_0b0c_9da4_36b1,
+                0x3fce_8a60_12ee_3c11,
+                0x3fbd_64b2_bbb8_dcb3,
+                0x3fbd_64b2_bbb8_dcb3,
+                0x3fbd_64b2_bbb8_dcb3,
+            ],
+        ];
+        let mut predictor = AccuracyPredictor::new(PredictorConfig::default());
+        predictor.fit_regression(&synthetic_samples(80));
+        let texts = [
+            "scan artifact garbled 7 fragment noise blur",
+            "clean prose with ordinary scientific sentences number 12",
+            "Schrödinger équation — ΔE = ħω, résumé of a Greek αβγ abstract",
+            "",
+        ];
+        let bits: Vec<Vec<u64>> = predictor
+            .predict_accuracies_batch(&texts)
+            .iter()
+            .map(|predictions| predictions.iter().map(|p| p.to_bits()).collect())
+            .collect();
+        assert_eq!(bits, PINNED.map(Vec::from).to_vec());
+    }
+
     #[test]
     fn dpo_biases_selection_toward_preferred_parser() {
         let samples = synthetic_samples(40);

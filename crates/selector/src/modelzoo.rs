@@ -338,6 +338,69 @@ mod tests {
         );
     }
 
+    /// Every row but the preference-aligned one, `[bleu, rouge, car,
+    /// selection_accuracy]` bit for bit on [`fixture`] at seed 7: recorded
+    /// while the zoo still trained a preference-aligned SciBERT row.
+    #[test]
+    fn rows_are_pinned_bit_for_bit() {
+        const PINNED: [(ModelZooEntry, [u64; 4]); 12] = [
+            (
+                ModelZooEntry::TextSciBert,
+                [0x3fea_3ef8_a2b6_9cf7, 0x3fed_0265_1a7b_2a43, 0x3feb_8285_5705_6bfe, 0x3fd0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::TextBert,
+                [0x3fe9_dfb4_e307_51d9, 0x3fec_c4f0_a5c3_d5b4, 0x3feb_6478_dcd5_cd5a, 0x3fd0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::TitleMetadataSpecter,
+                [0x3fec_f10c_64e5_e213, 0x3fee_943c_1810_fa8c, 0x3fef_9281_d39e_69a2, 0x3fe0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::TitleSpecter,
+                [0x3feb_13fa_595c_12db, 0x3fed_9bd5_475b_126b, 0x3feb_9036_2187_c220, 0x3fd0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::TitleMetadataMiniLm,
+                [0x3fec_eb7c_99a9_004a, 0x3fee_9591_9413_cf37, 0x3fef_9b09_690c_134a, 0x3fd8_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::SvcFormatProducer,
+                [0x3fe9_476e_af03_f514, 0x3fec_7f8b_df60_1741, 0x3fe7_a1a6_e5d8_cb7c, 0x3fe4_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::SvcFormat,
+                [0x3fe9_4cde_dc7a_39af, 0x3fec_81b6_1694_96fc, 0x3fe7_a108_316e_5341, 0x3fe8_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::SvcYearProducer,
+                [0x3fe9_4cde_dc7a_39af, 0x3fec_81b6_1694_96fc, 0x3fe7_a108_316e_5341, 0x3fe8_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::SvcPublisherCategory,
+                [0x3fea_5af0_6f26_e112, 0x3fed_17d0_acd3_d6db, 0x3feb_8e9f_c4e2_571c, 0x3fd0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::BleuMaximal,
+                [0x3fed_7699_8a7c_1d27, 0x3fee_e312_27e8_cfcc, 0x3fef_8be3_5283_aa74, 0x3ff0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::RandomSelection,
+                [0x3fe6_8088_042e_3c9b, 0x3fea_e0d7_963e_68bb, 0x3feb_0646_0822_6e34, 0x3fc0_0000_0000_0000],
+            ),
+            (
+                ModelZooEntry::BleuMinimal,
+                [0x3fd0_5988_f496_a7df, 0x3fda_b992_4a09_0386, 0x3fd3_89fd_2dc2_14dc, 0x0000_0000_0000_0000],
+            ),
+        ];
+        let (dataset, evaluations) = fixture();
+        for (entry, pinned) in PINNED {
+            let row = entry.evaluate(&dataset, &evaluations, &[], 7);
+            let bits = [row.bleu, row.rouge, row.car, row.selection_accuracy].map(f64::to_bits);
+            assert_eq!(bits, pinned, "{}", row.name);
+        }
+    }
+
     #[test]
     fn all_rows_have_distinct_names() {
         let mut names: Vec<&str> = ModelZooEntry::ALL.iter().map(|e| e.name()).collect();
