@@ -10,7 +10,7 @@ pub enum Variant {
     /// directly to the high-quality parser when improvement is likely.
     FastText,
     /// AdaParse (LLM): CLS I + CLS III with an LLM-style accuracy predictor
-    /// (SciBERT-sim), optionally DPO-aligned.
+    /// (SciBERT-sim).
     Llm,
 }
 
@@ -44,8 +44,6 @@ pub struct AdaParseConfig {
     pub default_parser: ParserKind,
     /// The high-quality parser reserved for difficult documents.
     pub high_quality_parser: ParserKind,
-    /// Whether to apply DPO alignment to CLS III (LLM variant only).
-    pub use_dpo: bool,
 }
 
 impl Default for AdaParseConfig {
@@ -56,7 +54,6 @@ impl Default for AdaParseConfig {
             batch_size: 256,
             default_parser: ParserKind::PyMuPdf,
             high_quality_parser: ParserKind::Nougat,
-            use_dpo: true,
         }
     }
 }
@@ -89,7 +86,6 @@ mod tests {
         assert_eq!(c.batch_size, 256);
         assert_eq!(c.default_parser, ParserKind::PyMuPdf);
         assert_eq!(c.high_quality_parser, ParserKind::Nougat);
-        assert!(c.use_dpo);
     }
 
     #[test]

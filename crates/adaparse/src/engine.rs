@@ -9,7 +9,7 @@ use parsersim::cost::{node_rate, CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::ParserKind;
 use selector::cls1::{Cls1Decision, ValidityRules};
 use selector::cls2::ImprovementClassifier;
-use selector::cls3::{AccuracyPredictor, ParserPreference, PredictorConfig};
+use selector::cls3::{AccuracyPredictor, ParserPreference};
 use selector::dataset::AccuracyDataset;
 use serde::{Deserialize, Serialize};
 
@@ -84,11 +84,7 @@ impl AdaParseEngine {
             Variant::FastText => mlcore::encoder::EncoderProfile::FastText,
             Variant::Llm => mlcore::encoder::EncoderProfile::SciBert,
         };
-        AdaParseEngine {
-            cls2: ImprovementClassifier::new(),
-            cls3: AccuracyPredictor::new(PredictorConfig { encoder, ..PredictorConfig::default() }),
-            config,
-        }
+        AdaParseEngine { cls2: ImprovementClassifier::new(), cls3: AccuracyPredictor::new(encoder), config }
     }
 
     /// The engine's configuration.
@@ -96,14 +92,15 @@ impl AdaParseEngine {
         &self.config
     }
 
-    /// Train CLS II and CLS III on a labelled dataset; `preferences` (may be
-    /// empty) feed DPO alignment when the configuration enables it.
-    pub fn train(&mut self, dataset: &AccuracyDataset, preferences: &[ParserPreference]) {
+    /// Train CLS II and CLS III on a labelled dataset.
+    ///
+    /// `_preferences` is ignored: CLS III is one supervised regression head
+    /// and nothing aligns it with human preferences. The parameter stays only
+    /// because the frozen repository benchmark (`benchmark/`) calls
+    /// `engine.train(&dataset, &[])`.
+    pub fn train(&mut self, dataset: &AccuracyDataset, _preferences: &[ParserPreference]) {
         self.cls2.fit(dataset.train());
         self.cls3.fit_regression(dataset.train());
-        if self.config.use_dpo && self.config.variant == Variant::Llm && !preferences.is_empty() {
-            self.cls3.fit_preferences(preferences);
-        }
     }
 
     /// Convenience: evaluate `documents` with the parser zoo to build the

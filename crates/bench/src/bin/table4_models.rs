@@ -1,13 +1,11 @@
 //! Table 4: comparison of prediction models for parser selection (CLS III
-//! text regressors ± DPO, CLS II title/metadata encoders, CLS I metadata
-//! SVCs, and the reference selections).
+//! text regressors, CLS II title/metadata encoders, CLS I metadata SVCs, and
+//! the reference selections).
 //!
 //! Usage: `cargo run -p bench --bin table4_models --release`
 
 use bench::{bench_doc_count, benchmark_corpus};
 use parsersim::evaluate::evaluate_corpus;
-use prefstudy::{PreferenceStudy, StudyConfig};
-use selector::cls3::ParserPreference;
 use selector::dataset::AccuracyDataset;
 use selector::modelzoo;
 
@@ -17,30 +15,9 @@ fn main() {
     let evaluations = evaluate_corpus(corpus.documents(), 55);
     let dataset = AccuracyDataset::from_evaluations(corpus.documents(), &evaluations, 0.7);
 
-    // Preference pairs (train split of the simulated study) feed the DPO row.
-    let study = PreferenceStudy::collect(
-        &evaluations,
-        &StudyConfig { target_preferences: 712, ..Default::default() },
-    );
-    let preferences: Vec<ParserPreference> = study
-        .train()
-        .iter()
-        .filter_map(|record| {
-            let preferred = record.preferred()?;
-            let rejected = record.rejected()?;
-            let eval = evaluations.iter().find(|e| e.doc_id.0 == record.doc_id)?;
-            Some(ParserPreference {
-                preferred,
-                preferred_text: eval.for_parser(preferred)?.output.text.clone(),
-                rejected,
-                rejected_text: eval.for_parser(rejected)?.output.text.clone(),
-            })
-        })
-        .collect();
-
-    println!("Table 4 — prediction models (n = {n} documents, {} preference pairs)", preferences.len());
+    println!("Table 4 — prediction models (n = {n} documents)");
     println!("{:<34} {:>7} {:>7} {:>7} {:>7}", "Features (Model)", "BLEU", "ROUGE", "CAR", "ACC");
-    for row in modelzoo::evaluate_all(&dataset, &evaluations, &preferences, 7) {
+    for row in modelzoo::evaluate_all(&dataset, &evaluations, 7) {
         println!(
             "{:<34} {:>7.1} {:>7.1} {:>7.1} {:>7.1}",
             row.name,

@@ -5,21 +5,18 @@
 //! Minimal machine-learning substrate for the AdaParse reproduction.
 //!
 //! The paper fine-tunes pretrained language models (SciBERT, BERT, MiniLM,
-//! SPECTER) to regress per-parser BLEU from first-page text, applies LoRA
-//! for parameter-efficient adaptation, and post-trains with DPO on human
-//! preference pairs. Shipping those checkpoints is impossible here, so this
-//! crate provides the stand-ins with the same *shape*:
+//! SPECTER) to regress per-parser BLEU from first-page text. Shipping those
+//! checkpoints is impossible here, so this crate provides the stand-ins with
+//! the same *shape*: a frozen encoder under one supervised regression head.
 //!
-//! * [`matrix`] — a small dense-matrix type with the operations the models
-//!   need (no external linear-algebra crates),
+//! * [`matrix`] — the vector helpers the models need and a small dense
+//!   matrix (no external linear-algebra crates),
 //! * [`features`] — hashed character/word n-gram featurization (fastText-like),
 //! * [`encoder`] — frozen "pretrained" encoders of graded quality simulating
 //!   the SciBERT > BERT > MiniLM ordering,
 //! * [`linear`] — trainable heads (multi-output ridge/SGD linear
 //!   regression, logistic regression, linear SVC),
-//! * [`optim`] — the SGD step the regression head trains with,
-//! * [`lora`] — low-rank adaptation of a frozen projection,
-//! * [`dpo`] — direct preference optimization on a scalar scoring head.
+//! * [`optim`] — the SGD step the regression head trains with.
 //!
 //! # Example
 //!
@@ -35,15 +32,12 @@
 //! assert!(model.predict(&xs[0])[0] > model.predict(&xs[1])[0]);
 //! ```
 
-pub mod dpo;
 pub mod encoder;
 pub mod features;
 pub mod linear;
-pub mod lora;
 pub mod matrix;
 pub mod optim;
 
-pub use dpo::{DpoConfig, DpoTrainer, PreferencePair};
 pub use encoder::{EncoderProfile, PretrainedEncoder};
 pub use features::HashedNgramFeaturizer;
 pub use linear::{LinearRegression, LinearSvc, LogisticRegression};

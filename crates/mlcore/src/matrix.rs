@@ -1,4 +1,6 @@
-//! A small row-major dense matrix.
+//! Vector helpers for the linear heads and encoders, and a small row-major
+//! dense matrix: the projection of the encoder's reference implementation
+//! (`tests/encoder_equivalence.rs`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -69,16 +71,6 @@ impl Matrix {
         self.data[row * self.cols + col]
     }
 
-    /// Element mutator.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn set(&mut self, row: usize, col: usize, value: f64) {
-        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
-        self.data[row * self.cols + col] = value;
-    }
-
     /// Borrow one row as a slice.
     pub fn row(&self, row: usize) -> &[f64] {
         &self.data[row * self.cols..(row + 1) * self.cols]
@@ -106,44 +98,6 @@ impl Matrix {
             out[r] = acc;
         }
         out
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    out.data[r * other.cols + c] += a * other.get(k, c);
-                }
-            }
-        }
-        out
-    }
-
-    /// Element-wise sum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols), "shape mismatch");
-        let data = self.data.iter().zip(other.data.iter()).map(|(a, b)| a + b).collect();
-        Matrix { rows: self.rows, cols: self.cols, data }
-    }
-
-    /// Scaled copy.
-    pub fn scale(&self, factor: f64) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|v| v * factor).collect() }
     }
 }
 
@@ -198,23 +152,9 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_matmul() {
+    fn matvec() {
         let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        let identity = Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]);
-        assert_eq!(m.matmul(&identity), m);
-        let product = m.matmul(&m);
-        assert_eq!(product.get(0, 0), 7.0);
-        assert_eq!(product.get(1, 1), 22.0);
-    }
-
-    #[test]
-    fn add_and_scale() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0, 3.0]]);
-        let s = m.scale(2.0);
-        assert_eq!(s.row(0), &[2.0, 4.0, 6.0]);
-        let a = m.add(&m);
-        assert_eq!(a.row(0), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper recruits 23 scientists who, shown a page image and two parser
 //! outputs, pick the output they prefer (or "neither"), yielding 2 794
-//! preferences over 642 pages. Those preferences ground two things: the
-//! DPO post-training signal and the win-rate / accepted-token metrics of
-//! Tables 1–3.
+//! preferences over 642 pages. Here those preferences ground the win-rate /
+//! accepted-token metrics of Tables 1–3; the paper also post-trains its
+//! router on them, which this reproduction does not.
 //!
 //! Real annotators are unavailable here, so [`annotator`] models them: each
 //! simulated scientist scores a parser output by a latent quality mixing BLEU

@@ -56,15 +56,6 @@ impl PreferenceRecord {
             PreferenceOutcome::Neither => None,
         }
     }
-
-    /// The rejected parser, if the judgement was decisive.
-    pub fn rejected(&self) -> Option<ParserKind> {
-        match self.outcome {
-            PreferenceOutcome::FirstWins => Some(self.second),
-            PreferenceOutcome::SecondWins => Some(self.first),
-            PreferenceOutcome::Neither => None,
-        }
-    }
 }
 
 /// The collected study with train/validation/test splits over records.
@@ -136,7 +127,7 @@ impl PreferenceStudy {
         &self.records
     }
 
-    /// Training records (used for DPO).
+    /// Training records (the paper's alignment split; nothing here trains on it).
     pub fn train(&self) -> &[PreferenceRecord] {
         &self.records[..self.train_len.min(self.records.len())]
     }
@@ -199,18 +190,12 @@ mod tests {
         let study = PreferenceStudy::collect(&evaluations(), &config);
         for record in study.records() {
             assert_ne!(record.first, record.second);
-            match record.outcome {
-                PreferenceOutcome::Neither => {
-                    assert!(record.preferred().is_none());
-                    assert!(record.rejected().is_none());
-                }
-                _ => {
-                    let preferred = record.preferred().unwrap();
-                    let rejected = record.rejected().unwrap();
-                    assert_ne!(preferred, rejected);
-                    assert!(preferred == record.first || preferred == record.second);
-                }
-            }
+            let expected = match record.outcome {
+                PreferenceOutcome::FirstWins => Some(record.first),
+                PreferenceOutcome::SecondWins => Some(record.second),
+                PreferenceOutcome::Neither => None,
+            };
+            assert_eq!(record.preferred(), expected);
         }
     }
 

@@ -2,12 +2,10 @@
 //!
 //! The third stage embeds the first-page extraction with a frozen
 //! "pretrained" encoder, regresses the BLEU every parser would achieve on the
-//! document (the paper's m = 6 output head), and selects the argmax. Human
-//! preference data enters through DPO: a scalar quality scorer is post-trained
-//! on (preferred output, rejected output) pairs and distilled into a
-//! per-parser alignment bias added to the predicted accuracies.
+//! document (the paper's m = 6 output head), and selects the argmax. It is
+//! one supervised regression head over a frozen encoder; the paper's
+//! preference alignment has no counterpart here.
 
-use mlcore::dpo::{DpoConfig, DpoTrainer, PreferencePair};
 use mlcore::encoder::{EncoderProfile, PretrainedEncoder};
 use mlcore::linear::LinearRegression;
 use parsersim::ParserKind;
@@ -16,6 +14,10 @@ use serde::{Deserialize, Serialize};
 use crate::dataset::{first_page_texts, AccuracySample};
 
 /// A human preference between two parser outputs for the same document page.
+///
+/// Nothing trains on it: CLS III is a regression head alone. The type stays
+/// because `adaparse::AdaParseEngine::train` still takes, and ignores, a
+/// slice of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParserPreference {
     /// Parser whose output was preferred.
@@ -28,49 +30,23 @@ pub struct ParserPreference {
     pub rejected_text: String,
 }
 
-/// Configuration of the CLS III predictor. Supervised fine-tuning runs a
-/// fixed 250 epochs at learning rate 0.4 with L2 1e-4.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PredictorConfig {
-    /// Which frozen encoder to build on.
-    pub encoder: EncoderProfile,
-    /// Weight of the DPO-derived per-parser alignment bias.
-    pub dpo_weight: f64,
-    /// DPO hyperparameters.
-    pub dpo: DpoConfig,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig { encoder: EncoderProfile::SciBert, dpo_weight: 0.05, dpo: DpoConfig::default() }
-    }
-}
-
 /// The CLS III accuracy predictor.
 #[derive(Debug, Clone)]
 pub struct AccuracyPredictor {
     encoder: PretrainedEncoder,
     head: LinearRegression,
-    parser_bias: Vec<f64>,
-    config: PredictorConfig,
-    dpo_pair_accuracy: Option<f64>,
 }
 
 impl AccuracyPredictor {
-    /// Untrained predictor with the given configuration.
-    pub fn new(config: PredictorConfig) -> Self {
-        let encoder = PretrainedEncoder::new(config.encoder);
+    /// Untrained predictor over the given frozen encoder.
+    pub fn new(encoder: EncoderProfile) -> Self {
+        let encoder = PretrainedEncoder::new(encoder);
         let head = LinearRegression::new(encoder.embedding_dim(), ParserKind::ALL.len());
-        AccuracyPredictor {
-            encoder,
-            head,
-            parser_bias: vec![0.0; ParserKind::ALL.len()],
-            config,
-            dpo_pair_accuracy: None,
-        }
+        AccuracyPredictor { encoder, head }
     }
 
     /// Supervised fine-tuning: regress per-parser BLEU from first-page text.
+    /// It runs a fixed 250 epochs at learning rate 0.4 with L2 1e-4.
     pub fn fit_regression(&mut self, samples: &[AccuracySample]) {
         if samples.is_empty() {
             return;
@@ -81,73 +57,15 @@ impl AccuracyPredictor {
         self.head.fit(&xs, &ys, 250, 0.4, 1e-4);
     }
 
-    /// DPO post-training on human preference pairs. A scalar quality scorer is
-    /// trained with the DPO objective on output-text embeddings; the mean
-    /// score each parser's outputs receive becomes a per-parser alignment
-    /// bias. Returns the trainer's pairwise accuracy after training.
-    pub fn fit_preferences(&mut self, preferences: &[ParserPreference]) -> f64 {
-        if preferences.is_empty() {
-            return 0.0;
-        }
-        let preferred: Vec<&str> = preferences.iter().map(|p| p.preferred_text.as_str()).collect();
-        let rejected: Vec<&str> = preferences.iter().map(|p| p.rejected_text.as_str()).collect();
-        let pairs: Vec<PreferencePair> = self
-            .encoder
-            .encode_batch(&preferred)
-            .into_iter()
-            .zip(self.encoder.encode_batch(&rejected))
-            .map(|(preferred, rejected)| PreferencePair { preferred, rejected })
-            .collect();
-        let dim = self.encoder.embedding_dim();
-        let mut trainer = DpoTrainer::from_reference(vec![0.0; dim], 0.0, self.config.dpo);
-        trainer.train(&pairs);
-        let accuracy = trainer.pairwise_accuracy(&pairs);
-        self.dpo_pair_accuracy = Some(accuracy);
-
-        // Distil the scorer into a per-parser bias: average the quality score
-        // of each parser's outputs seen during the study, then centre it.
-        let mut sums = vec![0.0; ParserKind::ALL.len()];
-        let mut counts = vec![0usize; ParserKind::ALL.len()];
-        for (preference, pair) in preferences.iter().zip(&pairs) {
-            sums[preference.preferred.index()] += trainer.score(&pair.preferred);
-            counts[preference.preferred.index()] += 1;
-            sums[preference.rejected.index()] += trainer.score(&pair.rejected);
-            counts[preference.rejected.index()] += 1;
-        }
-        let means: Vec<f64> =
-            sums.iter().zip(&counts).map(|(s, &c)| if c > 0 { s / c as f64 } else { 0.0 }).collect();
-        let grand = means.iter().sum::<f64>() / means.len() as f64;
-        self.parser_bias = means.iter().map(|m| self.config.dpo_weight * (m - grand)).collect();
-        accuracy
-    }
-
-    /// Pairwise preference accuracy achieved during DPO training, if run.
-    pub fn dpo_pair_accuracy(&self) -> Option<f64> {
-        self.dpo_pair_accuracy
-    }
-
-    /// Per-parser alignment bias (zero before [`Self::fit_preferences`]).
-    pub fn parser_bias(&self) -> &[f64] {
-        &self.parser_bias
-    }
-
     /// Predicted BLEU for every parser, in [`ParserKind::ALL`] order, clamped
-    /// to `[0, 1]` before the alignment bias is added, for a batch of texts
-    /// in order: one pass of the encoder's batched projection, then the
+    /// to `[0, 1]`, for a batch of texts in order: one pass of the encoder's batched projection, then the
     /// regression head per embedding. A text's predictions do not depend on
     /// its batch-mates.
     pub fn predict_accuracies_batch<S: AsRef<str>>(&self, first_page_texts: &[S]) -> Vec<Vec<f64>> {
         self.encoder
             .encode_batch(first_page_texts)
             .iter()
-            .map(|embedding| {
-                self.head
-                    .predict(embedding)
-                    .iter()
-                    .zip(&self.parser_bias)
-                    .map(|(p, b)| p.clamp(0.0, 1.0) + b)
-                    .collect()
-            })
+            .map(|embedding| self.head.predict(embedding).iter().map(|p| p.clamp(0.0, 1.0)).collect())
             .collect()
     }
 
@@ -220,7 +138,7 @@ mod tests {
     #[test]
     fn regression_learns_to_route_by_text() {
         let samples = synthetic_samples(80);
-        let mut predictor = AccuracyPredictor::new(PredictorConfig::default());
+        let mut predictor = AccuracyPredictor::new(EncoderProfile::SciBert);
         predictor.fit_regression(&samples);
         let acc = predictor.selection_accuracy(&samples);
         assert!(acc > 0.8, "selection accuracy = {acc}");
@@ -266,7 +184,7 @@ mod tests {
                 0x3fbd_64b2_bbb8_dcb3,
             ],
         ];
-        let mut predictor = AccuracyPredictor::new(PredictorConfig::default());
+        let mut predictor = AccuracyPredictor::new(EncoderProfile::SciBert);
         predictor.fit_regression(&synthetic_samples(80));
         let texts = [
             "scan artifact garbled 7 fragment noise blur",
@@ -283,39 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn dpo_biases_selection_toward_preferred_parser() {
-        let samples = synthetic_samples(40);
-        let mut predictor =
-            AccuracyPredictor::new(PredictorConfig { dpo_weight: 0.2, ..PredictorConfig::default() });
-        predictor.fit_regression(&samples);
-        // Humans systematically prefer Nougat's output over pypdf's.
-        let preferences: Vec<ParserPreference> = (0..30)
-            .map(|i| ParserPreference {
-                preferred: ParserKind::Nougat,
-                preferred_text: format!("well formed faithful text with equations preserved {i}"),
-                rejected: ParserKind::Pypdf,
-                rejected_text: format!("g arbled wh itespace r i d d l e d te xt {i}"),
-            })
-            .collect();
-        let pair_accuracy = predictor.fit_preferences(&preferences);
-        assert!(pair_accuracy > 0.8, "dpo pair accuracy = {pair_accuracy}");
-        assert!(predictor.dpo_pair_accuracy().is_some());
-        let bias = predictor.parser_bias();
-        assert!(
-            bias[ParserKind::Nougat.index()] > bias[ParserKind::Pypdf.index()],
-            "nougat bias {} must exceed pypdf bias {}",
-            bias[ParserKind::Nougat.index()],
-            bias[ParserKind::Pypdf.index()]
-        );
-    }
-
-    #[test]
     fn untrained_predictor_is_usable_and_bounded() {
-        let predictor = AccuracyPredictor::new(PredictorConfig::default());
+        let predictor = AccuracyPredictor::new(EncoderProfile::SciBert);
         let preds = predictor.predict_accuracies_batch(&["any text at all"]).remove(0);
         assert_eq!(preds.len(), ParserKind::ALL.len());
         assert!(preds.iter().all(|p| p.is_finite()));
-        assert_eq!(predictor.dpo_pair_accuracy(), None);
         assert_eq!(predictor.selection_accuracy(&[]), 0.0);
     }
 }

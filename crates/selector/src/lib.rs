@@ -9,7 +9,7 @@
 //! * **CLS II** ([`cls2`]) — a metadata-driven classifier estimating whether
 //!   any other parser is likely to improve over the extraction.
 //! * **CLS III** ([`cls3`]) — a text-driven accuracy predictor (frozen
-//!   encoder + trainable head, optionally DPO-aligned) that regresses the
+//!   encoder + trainable regression head) that regresses the
 //!   BLEU of every parser from the first-page text and picks the best one.
 //!
 //! [`dataset`] builds the supervised regression dataset from parser
@@ -24,6 +24,6 @@ pub mod modelzoo;
 
 pub use cls1::{Cls1Decision, ValidityRules};
 pub use cls2::ImprovementClassifier;
-pub use cls3::{AccuracyPredictor, PredictorConfig};
+pub use cls3::AccuracyPredictor;
 pub use dataset::{AccuracyDataset, AccuracySample};
 pub use modelzoo::{ModelZooEntry, Table4Row};

@@ -1,7 +1,7 @@
 //! The prediction-model comparison of the paper's Table 4.
 //!
 //! Table 4 evaluates a spectrum of prediction models for parser selection:
-//! CLS III text-driven LLM regressors (SciBERT ± DPO, BERT), CLS II
+//! CLS III text-driven LLM regressors (SciBERT, BERT), CLS II
 //! title/metadata encoders (SPECTER, MiniLM), CLS I metadata-only SVCs over
 //! different feature subsets, and three reference policies (BLEU-maximal,
 //! random, BLEU-minimal selection). Every entry here trains on the dataset's
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::cls3::{AccuracyPredictor, ParserPreference, PredictorConfig};
+use crate::cls3::AccuracyPredictor;
 use crate::dataset::{first_page_texts, AccuracyDataset, AccuracySample};
 
 /// One row of Table 4: achieved quality of a prediction model's selections.
@@ -37,8 +37,6 @@ pub struct Table4Row {
 /// A Table 4 model variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ModelZooEntry {
-    /// CLS III: SciBERT text regression with DPO post-training.
-    TextSciBertDpo,
     /// CLS III: SciBERT text regression.
     TextSciBert,
     /// CLS III: BERT text regression.
@@ -66,9 +64,9 @@ pub enum ModelZooEntry {
 }
 
 impl ModelZooEntry {
-    /// All rows in the order the paper lists them.
-    pub const ALL: [ModelZooEntry; 13] = [
-        ModelZooEntry::TextSciBertDpo,
+    /// All rows in the order the paper lists them, less its
+    /// preference-aligned SciBERT row.
+    pub const ALL: [ModelZooEntry; 12] = [
         ModelZooEntry::TextSciBert,
         ModelZooEntry::TextBert,
         ModelZooEntry::TitleMetadataSpecter,
@@ -86,7 +84,6 @@ impl ModelZooEntry {
     /// Display name as used in Table 4.
     pub fn name(&self) -> &'static str {
         match self {
-            ModelZooEntry::TextSciBertDpo => "Text (SciBERT + DPO)",
             ModelZooEntry::TextSciBert => "Text (SciBERT)",
             ModelZooEntry::TextBert => "Text (BERT)",
             ModelZooEntry::TitleMetadataSpecter => "Title + Metadata (SPECTER)",
@@ -105,32 +102,21 @@ impl ModelZooEntry {
     /// Train the entry on the dataset's training split and evaluate its
     /// selections on the test split. `evaluations` must cover every test
     /// document (keyed by document id) so the achieved ROUGE/CAR of the
-    /// selected parser can be looked up. `preferences` feed the DPO variant.
+    /// selected parser can be looked up.
     pub fn evaluate(
         &self,
         dataset: &AccuracyDataset,
         evaluations: &[DocumentEvaluation],
-        preferences: &[ParserPreference],
         seed: u64,
     ) -> Table4Row {
         let selections: Vec<ParserKind> = match self {
-            ModelZooEntry::TextSciBertDpo => {
-                let mut predictor = AccuracyPredictor::new(PredictorConfig {
-                    encoder: EncoderProfile::SciBert,
-                    ..PredictorConfig::default()
-                });
-                predictor.fit_regression(dataset.train());
-                predictor.fit_preferences(preferences);
-                predictor.select_batch(&first_page_texts(dataset.test()))
-            }
             ModelZooEntry::TextSciBert | ModelZooEntry::TextBert => {
                 let encoder = if matches!(self, ModelZooEntry::TextSciBert) {
                     EncoderProfile::SciBert
                 } else {
                     EncoderProfile::Bert
                 };
-                let mut predictor =
-                    AccuracyPredictor::new(PredictorConfig { encoder, ..PredictorConfig::default() });
+                let mut predictor = AccuracyPredictor::new(encoder);
                 predictor.fit_regression(dataset.train());
                 predictor.select_batch(&first_page_texts(dataset.test()))
             }
@@ -143,8 +129,7 @@ impl ModelZooEntry {
                     EncoderProfile::Specter
                 };
                 let use_metadata = !matches!(self, ModelZooEntry::TitleSpecter);
-                let mut predictor =
-                    AccuracyPredictor::new(PredictorConfig { encoder, ..PredictorConfig::default() });
+                let mut predictor = AccuracyPredictor::new(encoder);
                 let project = |s: &AccuracySample| title_view(s, use_metadata);
                 let train: Vec<AccuracySample> = dataset.train().iter().map(project).collect();
                 predictor.fit_regression(&train);
@@ -267,10 +252,9 @@ fn score_selections(
 pub fn evaluate_all(
     dataset: &AccuracyDataset,
     evaluations: &[DocumentEvaluation],
-    preferences: &[ParserPreference],
     seed: u64,
 ) -> Vec<Table4Row> {
-    ModelZooEntry::ALL.iter().map(|entry| entry.evaluate(dataset, evaluations, preferences, seed)).collect()
+    ModelZooEntry::ALL.iter().map(|entry| entry.evaluate(dataset, evaluations, seed)).collect()
 }
 
 #[cfg(test)]
@@ -297,10 +281,10 @@ mod tests {
     #[test]
     fn reference_rows_bound_every_model() {
         let (dataset, evaluations) = fixture();
-        let oracle = ModelZooEntry::BleuMaximal.evaluate(&dataset, &evaluations, &[], 1);
-        let minimal = ModelZooEntry::BleuMinimal.evaluate(&dataset, &evaluations, &[], 1);
-        let random = ModelZooEntry::RandomSelection.evaluate(&dataset, &evaluations, &[], 1);
-        let scibert = ModelZooEntry::TextSciBert.evaluate(&dataset, &evaluations, &[], 1);
+        let oracle = ModelZooEntry::BleuMaximal.evaluate(&dataset, &evaluations, 1);
+        let minimal = ModelZooEntry::BleuMinimal.evaluate(&dataset, &evaluations, 1);
+        let random = ModelZooEntry::RandomSelection.evaluate(&dataset, &evaluations, 1);
+        let scibert = ModelZooEntry::TextSciBert.evaluate(&dataset, &evaluations, 1);
         assert!(oracle.bleu >= scibert.bleu - 1e-9);
         assert!(oracle.bleu >= random.bleu - 1e-9);
         assert!(minimal.bleu <= random.bleu + 1e-9);
@@ -318,7 +302,7 @@ mod tests {
             ModelZooEntry::SvcYearProducer,
             ModelZooEntry::SvcPublisherCategory,
         ] {
-            let row = entry.evaluate(&dataset, &evaluations, &[], 2);
+            let row = entry.evaluate(&dataset, &evaluations, 2);
             assert!((0.0..=1.0).contains(&row.bleu), "{}: bleu {}", row.name, row.bleu);
             assert!((0.0..=1.0).contains(&row.selection_accuracy));
             assert!(!row.name.is_empty());
@@ -328,8 +312,8 @@ mod tests {
     #[test]
     fn text_model_beats_random_selection() {
         let (dataset, evaluations) = fixture();
-        let text = ModelZooEntry::TextSciBert.evaluate(&dataset, &evaluations, &[], 3);
-        let random = ModelZooEntry::RandomSelection.evaluate(&dataset, &evaluations, &[], 3);
+        let text = ModelZooEntry::TextSciBert.evaluate(&dataset, &evaluations, 3);
+        let random = ModelZooEntry::RandomSelection.evaluate(&dataset, &evaluations, 3);
         assert!(
             text.bleu >= random.bleu - 0.02,
             "text model ({}) should not trail random ({}) materially",
@@ -395,7 +379,7 @@ mod tests {
         ];
         let (dataset, evaluations) = fixture();
         for (entry, pinned) in PINNED {
-            let row = entry.evaluate(&dataset, &evaluations, &[], 7);
+            let row = entry.evaluate(&dataset, &evaluations, 7);
             let bits = [row.bleu, row.rouge, row.car, row.selection_accuracy].map(f64::to_bits);
             assert_eq!(bits, pinned, "{}", row.name);
         }

@@ -8,7 +8,7 @@
 //! * [`docmodel`] — the scientific document model and the SPDF container,
 //! * [`scicorpus`] — synthetic corpus generation and augmentation,
 //! * [`parsersim`] — the parser zoo simulators and their cost models,
-//! * [`mlcore`] — the ML substrate (features, encoders, heads, LoRA, DPO),
+//! * [`mlcore`] — the ML substrate (features, frozen encoders, linear heads),
 //! * [`selector`] — CLS I/II/III and the Table 4 model zoo,
 //! * [`prefstudy`] — the simulated human-preference study,
 //! * [`hpcsim`] — the discrete-event HPC / Parsl simulator,
