@@ -39,14 +39,13 @@ pub struct AccuracyPredictor {
 
 impl AccuracyPredictor {
     /// Untrained predictor over the given frozen encoder.
-    pub fn new(encoder: EncoderProfile) -> Self {
-        let encoder = PretrainedEncoder::new(encoder);
+    pub fn new(profile: EncoderProfile) -> Self {
+        let encoder = PretrainedEncoder::new(profile);
         let head = LinearRegression::new(encoder.embedding_dim(), ParserKind::ALL.len());
         AccuracyPredictor { encoder, head }
     }
 
     /// Supervised fine-tuning: regress per-parser BLEU from first-page text.
-    /// It runs a fixed 250 epochs at learning rate 0.4 with L2 1e-4.
     pub fn fit_regression(&mut self, samples: &[AccuracySample]) {
         if samples.is_empty() {
             return;
