@@ -6,6 +6,8 @@
 //!   without a seconds ledger, and meters what its ledger names,
 //! * a wider frontier never upgrades fewer documents than the binary one at
 //!   the same slot budget, on a frozen workload,
+//! * by-doc is by-page with one unit per document: on one-page documents the
+//!   two granularities agree bit for bit,
 //! * the by-page task DAG never lets a join start before every one of its
 //!   page children has finished, for proptest-random delegation patterns.
 
@@ -69,6 +71,40 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
         by_page.dollars.total(),
         k4.dollars.total()
     );
+}
+
+/// On one-page documents a page is a document, so by-page routing is by-doc
+/// routing bit for bit — choices, quality, per-parser counts and ledger — at
+/// every pipeline shape.
+#[test]
+fn by_page_is_by_doc_on_one_page_documents() {
+    let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
+    let engine = trained_engine(config.clone());
+    let docs = DocumentGenerator::new(GeneratorConfig {
+        n_documents: 64,
+        seed: 91,
+        min_pages: 1,
+        max_pages: 1,
+        scanned_fraction: 0.25,
+        ..Default::default()
+    })
+    .generate_many(64);
+    let full = CascadeConfig::full(&config, 16);
+    let shapes = [PipelineConfig { workers: 1, shard_size: 1 }, PipelineConfig { workers: 2, shard_size: 7 }];
+    for shape in shapes {
+        let pipeline = CampaignPipeline::new(shape);
+        let by_doc = pipeline.run_cascade(&engine, &docs, &full, 11);
+        let by_page = pipeline.run_cascade(&engine, &docs, &full.clone().by_page(), 11);
+        assert!(by_doc.choices.iter().any(|c| c.is_upgraded()), "the corpus must exercise upgrades");
+        assert_eq!(by_page.choices, by_doc.choices, "{shape:?}");
+        let bits = |r: &adaparse::CascadeReport| {
+            let q = &r.result.quality;
+            [q.coverage, q.bleu, q.rouge, q.car, q.accepted_tokens].map(f64::to_bits)
+        };
+        assert_eq!(bits(&by_page), bits(&by_doc), "{shape:?}");
+        assert_eq!(by_page.parser_docs, by_doc.parser_docs, "{shape:?}");
+        assert_eq!(by_page.dollars, by_doc.dollars, "{shape:?}");
+    }
 }
 
 /// A full-frontier campaign reports every upgrade in its
