@@ -4,16 +4,18 @@
 //! window by window through four explicit stages:
 //!
 //! 1. [`ExtractStage`] — serialize each document to SPDF, open it as a
-//!    validated [`SpdfIndex`] and run the cheap default parser over page 0
-//!    alone to produce the [`RoutingInput`] the router consumes (no ground
-//!    truth involved; later pages are checked but never decoded).
-//! 2. [`RouteStage`] — score every document's expected improvement under the
+//!    validated [`SpdfIndex`] and run the cheap default parser to produce
+//!    the [`RoutingInput`]s the router consumes (no ground truth involved):
+//!    one per document from page 0 alone (later pages are checked but never
+//!    decoded), or one per page under [`RoutingGranularity::ByPage`].
+//! 2. [`RouteStage`] — score every unit's expected improvement under the
 //!    high-quality parser (CLS I → II/III); the window's scores then go
 //!    through the streaming [`WindowedSelector`], which spends the α budget
-//!    over the [`CascadeConfig`]'s frontier.
+//!    over the [`CascadeConfig`]'s frontier, unit by unit, and charges each
+//!    unit's pages to its ledger.
 //! 3. [`ParseStage`] — parse each document with its assigned parser
-//!    ([`ParserKind::parse_file`]; stitching per page under
-//!    [`RoutingGranularity::ByPage`]).
+//!    ([`ParserKind::parse_file`]; stitched per page when only some of a
+//!    document's pages were granted).
 //! 4. [`ScoreStage`] — score output against ground truth and account
 //!    resource costs.
 //!
@@ -57,9 +59,7 @@ use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 use crate::budget::is_candidate;
-use crate::cascade::{
-    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity,
-};
+use crate::cascade::{cascade_gains, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity};
 use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
@@ -117,18 +117,24 @@ impl CampaignFailures {
     }
 }
 
-/// Everything the router needs for one document (no ground truth involved).
+/// Everything the router needs for one routing unit — a document, or one of
+/// its pages under [`RoutingGranularity::ByPage`] (no ground truth
+/// involved).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingInput {
-    /// Document identifier.
+    /// Identifier of the unit's document.
     pub doc_id: u64,
-    /// Cheap first-page extraction feeding CLS I–III.
-    pub first_page_text: String,
-    /// Metadata feature vector.
+    /// Cheap default-parser extraction feeding CLS I–III: the document's
+    /// first page, or the unit's page.
+    pub text: String,
+    /// The document's metadata feature vector.
     pub metadata_features: Vec<f64>,
-    /// Page count.
+    /// The document's page count.
     pub pages: usize,
 }
+
+/// The most characters of a later page's text a by-page unit routes on.
+const MAX_PAGE_CHARS: usize = 3_200;
 
 /// Stage 1 output for one document.
 ///
@@ -144,7 +150,7 @@ pub struct Extracted {
     pub failed: bool,
 }
 
-/// Stage 1: serialize, validate the container, extract the first page.
+/// Stage 1: serialize, validate the container, extract the routing units.
 pub struct ExtractStage<'a> {
     config: &'a AdaParseConfig,
 }
@@ -156,25 +162,51 @@ impl<'a> ExtractStage<'a> {
         ExtractStage { config }
     }
 
-    /// Run the stage for one document.
+    /// Run the stage for one document: its by-doc routing input.
     pub fn run(&self, doc: &Document, seed: u64) -> Extracted {
-        let first_page = self.first_page_text(&write_document(doc), seed ^ doc.id.0 ^ 0xEAF1);
-        Extracted {
-            failed: first_page.is_err(),
-            input: RoutingInput {
-                doc_id: doc.id.0,
-                first_page_text: first_page.unwrap_or_default(),
-                metadata_features: doc.metadata.feature_vector(),
-                pages: doc.page_count(),
-            },
-        }
+        let (mut inputs, failed) = self.units(&write_document(doc), doc, RoutingGranularity::ByDoc, seed);
+        Extracted { input: inputs.pop().expect("a by-doc document is one unit"), failed }
     }
 
-    /// The bytes → text half of the stage: a corrupt container is an error
-    /// like any other parser failure, never a panic.
-    fn first_page_text(&self, bytes: &[u8], rng_seed: u64) -> Result<String, ParseError> {
-        let index = SpdfIndex::open(bytes)?;
-        self.config.default_parser.first_page_text(&index, &mut StdRng::seed_from_u64(rng_seed))
+    /// The routing units of `doc` read from its container `bytes`, and
+    /// whether extraction failed (a corrupt container fails like any parser
+    /// error, never a panic). A unit's text is the default parser's: the
+    /// first page's, then — by page — every later page's from the
+    /// whole-document parse on the same RNG stream, capped at
+    /// [`MAX_PAGE_CHARS`]. A failed by-doc document is one unit of empty
+    /// text; a failed by-page document is none, so it stays on the base
+    /// parser and moves no other unit's grant.
+    fn units(
+        &self,
+        bytes: &[u8],
+        doc: &Document,
+        by: RoutingGranularity,
+        seed: u64,
+    ) -> (Vec<RoutingInput>, bool) {
+        let rng = || StdRng::seed_from_u64(seed ^ doc.id.0 ^ 0xEAF1);
+        let texts = SpdfIndex::open(bytes).map_err(ParseError::from).and_then(|index| {
+            let parser = self.config.default_parser;
+            let mut texts = vec![parser.first_page_text(&index, &mut rng())?];
+            if by == RoutingGranularity::ByPage && index.page_count() > 1 {
+                let pages = parser.parse_file(&index.decode_all(), &mut rng())?.text;
+                texts.extend(
+                    pages.split('\u{c}').skip(1).map(|page| page.chars().take(MAX_PAGE_CHARS).collect()),
+                );
+            }
+            Ok(texts)
+        });
+        let (texts, failed) = match texts {
+            Ok(texts) => (texts, false),
+            Err(_) if by == RoutingGranularity::ByDoc => (vec![String::new()], true),
+            Err(_) => (Vec::new(), true),
+        };
+        let input = |text| RoutingInput {
+            doc_id: doc.id.0,
+            text,
+            metadata_features: doc.metadata.feature_vector(),
+            pages: doc.page_count(),
+        };
+        (texts.into_iter().map(input).collect(), failed)
     }
 }
 
@@ -238,16 +270,15 @@ impl<'a> ParseStage<'a> {
         }
     }
 
-    /// Run the stage for one routed document. With an empty delegation set
-    /// the choice's parser handles the whole document. With
-    /// [`crate::cascade::RoutingGranularity::ByPage`] delegation the upgrade
-    /// parser and the frontier's `base` parser both run, and the output is
-    /// stitched page by page: delegated pages come from the upgrade, the
-    /// rest from the base. The stitched cost is the upgrade's cost scaled by
-    /// the delegated page fraction — the base pass models re-reading the
-    /// extraction the document already paid for, so only the delegated
-    /// fraction is billed on top (the campaign's extraction cost covers the
-    /// rest), which is the whole point of per-page delegation.
+    /// Run the stage for one routed document. With no
+    /// [`ParserChoice::upgraded_pages`] the choice's parser handles the
+    /// whole document. Otherwise the upgrade parser and the frontier's
+    /// `base` parser both run, and the output is stitched page by page:
+    /// granted pages come from the upgrade, the rest from the base. The
+    /// stitched cost is the upgrade's cost scaled by the granted page
+    /// fraction — the base pass models re-reading the extraction the
+    /// document already paid for, so only the granted fraction is billed on
+    /// top (the campaign's extraction cost covers the rest).
     ///
     /// The SPDF container is re-derived from the document (modelling a
     /// re-read from storage) rather than carried over from extraction,
@@ -274,17 +305,14 @@ impl<'a> ParseStage<'a> {
         }
         let base_parse = self.run_parser(file.as_ref(), doc, base, seed);
         let total = doc.page_count();
-        let upgrade_pages: Vec<&str> = upgraded.output.text.split('\u{c}').collect();
-        let base_pages: Vec<&str> = base_parse.output.text.split('\u{c}').collect();
-        let mut stitched: Vec<&str> = Vec::with_capacity(total);
-        for page in 0..total {
-            let text = if choice.upgraded_pages.contains(&page) {
-                upgrade_pages.get(page).copied().unwrap_or("")
-            } else {
-                base_pages.get(page).copied().unwrap_or("")
-            };
-            stitched.push(text);
-        }
+        let (mut upgrade_pages, mut base_pages) =
+            (upgraded.output.text.split('\u{c}'), base_parse.output.text.split('\u{c}'));
+        let stitched: Vec<&str> = (0..total)
+            .map(|page| {
+                let (upgrade, base) = (upgrade_pages.next(), base_pages.next());
+                if choice.upgraded_pages.contains(&page) { upgrade } else { base }.unwrap_or("")
+            })
+            .collect();
         let pages_parsed = stitched.iter().filter(|text| !text.is_empty()).count();
         let fraction = choice.upgraded_pages.len() as f64 / total.max(1) as f64;
         Parsed {
@@ -386,11 +414,11 @@ pub struct CascadeReport {
     /// (parsers that received no documents are omitted).
     pub parser_docs: Vec<(ParserKind, usize)>,
     /// Planned spend per parser class, in page-dollars
-    /// ([`parsersim::registry::page_dollars`] units), net of per-page
-    /// delegation refunds.
+    /// ([`parsersim::registry::page_dollars`] units): every routed unit's
+    /// pages at the base rate, every granted unit's pages at its upgrade's.
     pub dollars: Ledger,
-    /// Pages delegated to upgrade parsers under
-    /// [`RoutingGranularity::ByPage`] (0 under
+    /// Granted pages of the partly upgraded documents
+    /// ([`ParserChoice::upgraded_pages`]; always 0 under
     /// [`RoutingGranularity::ByDoc`]).
     pub pages_delegated: usize,
     /// Total pages in the corpus.
@@ -472,9 +500,10 @@ impl CampaignPipeline {
         Ok(result)
     }
 
-    /// Run stages 1–2 of a k-parser cascade campaign: per-document (and,
-    /// under [`RoutingGranularity::ByPage`], per-page) routing decisions
-    /// over the cascade's frontier, without parsing or scoring.
+    /// Run stages 1–2 of a k-parser cascade campaign: per-document routing
+    /// decisions (granted page by page under
+    /// [`RoutingGranularity::ByPage`]) over the cascade's frontier, without
+    /// parsing or scoring.
     ///
     /// Windows, α, and granularity come from the [`CascadeConfig`], and
     /// unspent credit carries from window to window. Decisions are bitwise
@@ -494,16 +523,16 @@ impl CampaignPipeline {
     }
 
     /// Run a full k-parser cascade campaign: windowed selection over the
-    /// cascade's frontier, whole-document or per-page delegation, parse and
+    /// cascade's frontier, document by document or page by page, parse and
     /// score folded in input order.
     ///
     /// Credit carries from window to window, so
     /// `run_cascade(&CascadeConfig::binary(config, k))` is the binary
     /// campaign with carried credit over windows of `k`. Wider frontiers
-    /// route over the transformed gains of [`cascade_gains`]; per-page
-    /// delegation sends only a document's above-mean-difficulty pages to the
-    /// upgrade parser and bills only that fraction of the upgrade's cost. The report is bitwise
-    /// identical across worker counts and shard sizes.
+    /// route over the transformed gains of [`cascade_gains`]; by-page
+    /// routing grants pages at α of the corpus' pages and sends each
+    /// document's granted pages to one upgrade parser. The report is
+    /// bitwise identical across worker counts and shard sizes.
     pub fn run_cascade(
         &self,
         engine: &AdaParseEngine,
@@ -567,10 +596,9 @@ impl CampaignPipeline {
             if !carry_credit {
                 selector = fresh.clone();
             }
-            let wave = self.extract_and_score_wave(engine, wave_docs, seed);
-            extraction_failures += wave.failures;
-            let (routed_wave, choice_wave) =
-                resolve_wave(cascade, &mut selector, wave_docs, &wave.inputs, &wave.scores);
+            let wave = self.extract_and_score_wave(engine, wave_docs, cascade.granularity, seed);
+            extraction_failures += wave.iter().filter(|&(_, failed)| *failed).count();
+            let (routed_wave, choice_wave) = resolve_wave(cascade, &mut selector, wave_docs, &wave);
 
             if let Some(sink) = &mut sink {
                 let jobs: Vec<(&Document, &RoutedDocument, &ParserChoice)> = wave_docs
@@ -605,33 +633,41 @@ impl CampaignPipeline {
         Ok((result, choices_all, selector))
     }
 
-    /// Stages 1–2a for one window, sharded across the pool: each shard is
-    /// extracted, then scored in one call (so CLS III projects the shard as
-    /// a batch). A document's extraction and score depend on nothing but
-    /// the document; results come back in input order.
-    fn extract_and_score_wave(&self, engine: &AdaParseEngine, docs: &[Document], seed: u64) -> ExtractedWave {
+    /// Stages 1–2a for one window, sharded across the pool: each shard's
+    /// documents are extracted into routing units, then every unit of the
+    /// shard is scored in one call (so CLS III projects the shard as a
+    /// batch). Returns each document's unit scores and whether its
+    /// extraction failed, in input order; both depend on nothing but the
+    /// document.
+    fn extract_and_score_wave(
+        &self,
+        engine: &AdaParseEngine,
+        docs: &[Document],
+        granularity: RoutingGranularity,
+        seed: u64,
+    ) -> Vec<ScoredDoc> {
         let stage = ExtractStage { config: engine.config() };
-        let shards: Vec<Vec<(Extracted, (f64, bool))>> = self.threads.install(|| {
+        let shards: Vec<Vec<ScoredDoc>> = self.threads.install(|| {
             docs.par_chunks(self.config.shard_size)
                 .map(|shard| {
-                    let extracted: Vec<Extracted> = shard.iter().map(|doc| stage.run(doc, seed)).collect();
-                    let inputs: Vec<&RoutingInput> = extracted.iter().map(|e| &e.input).collect();
-                    let improvements = engine.routing_improvements(&inputs);
-                    extracted.into_iter().zip(improvements).collect()
+                    let extracted: Vec<(Vec<RoutingInput>, bool)> = shard
+                        .iter()
+                        .map(|doc| stage.units(&write_document(doc), doc, granularity, seed))
+                        .collect();
+                    let inputs: Vec<&RoutingInput> = extracted.iter().flat_map(|(units, _)| units).collect();
+                    let mut scores = engine.routing_improvements(&inputs).into_iter();
+                    let mut take = |units: &Vec<RoutingInput>| scores.by_ref().take(units.len()).collect();
+                    extracted.iter().map(|(units, failed)| (take(units), *failed)).collect()
                 })
                 .collect()
         });
-        let mut inputs = Vec::with_capacity(docs.len());
-        let mut scores = Vec::with_capacity(docs.len());
-        let mut failures = 0usize;
-        for (extracted, improvement) in shards.into_iter().flatten() {
-            failures += extracted.failed as usize;
-            inputs.push(extracted.input);
-            scores.push(improvement);
-        }
-        ExtractedWave { inputs, scores, failures }
+        shards.into_iter().flatten().collect()
     }
 }
+
+/// One document's stages 1–2a: its units' improvement scores and CLS I
+/// verdicts, and whether its extraction failed.
+type ScoredDoc = (Vec<(f64, bool)>, bool);
 
 /// The binary cascade of the per-batch entry points: the engine's two
 /// parsers, α and routing batch.
@@ -639,35 +675,48 @@ fn per_batch(engine: &AdaParseEngine) -> CascadeConfig {
     CascadeConfig::binary(engine.config(), engine.config().batch_size)
 }
 
-/// Stage 2b of a window: transform scores into per-upgrade gains, select
-/// through the running [`WindowedSelector`], and resolve each grant into a
-/// [`ParserChoice`] (with its delegation set under
-/// [`RoutingGranularity::ByPage`]) plus the [`RoutedDocument`] the parse and
-/// score stages consume.
+/// Stage 2b of a window: transform unit scores into per-upgrade gains
+/// (each unit carries its document's [`CascadeFeatures`]), select through
+/// the running [`WindowedSelector`], which charges each unit's pages, and
+/// resolve each document into a [`ParserChoice`] and a [`RoutedDocument`].
+///
+/// A document resolves on its highest-gain granted unit (ties to the lower
+/// page), else its first; every granted page runs that unit's upgrade and
+/// is listed unless all are. A document without units stays on the base
+/// parser.
 fn resolve_wave(
     cascade: &CascadeConfig,
     selector: &mut WindowedSelector,
     wave_docs: &[Document],
-    inputs: &[RoutingInput],
-    scores: &[(f64, bool)],
+    wave: &[ScoredDoc],
 ) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
-    let features: Vec<CascadeFeatures> = wave_docs.iter().map(CascadeFeatures::of).collect();
-    let gains = cascade_gains(&cascade.frontier, scores, &features);
-    let granted = selector.select_frontier(&gains);
-    let mut routed_wave = Vec::with_capacity(wave_docs.len());
-    let mut choice_wave = Vec::with_capacity(wave_docs.len());
-    for (i, doc) in wave_docs.iter().enumerate() {
-        let (improvement, invalid) = scores[i];
-        let gain = granted[i].map_or(improvement, |j| gains[j][i]);
-        let mut choice =
-            ParserChoice::resolve(&cascade.frontier, inputs[i].doc_id, granted[i], gain, invalid);
-        if cascade.granularity == RoutingGranularity::ByPage && choice.is_upgraded() {
-            let pages = delegated_pages(doc);
-            if pages.len() < doc.page_count() {
-                let fraction = pages.len() as f64 / doc.page_count().max(1) as f64;
-                selector.ledger_mut().refund_delegated(choice.upgrade.expect("upgraded choice"), fraction);
-                choice.upgraded_pages = pages;
-            }
+    let frontier = &cascade.frontier;
+    let scores: Vec<(f64, bool)> = wave.iter().flat_map(|(scores, _)| scores).copied().collect();
+    let (mut features, mut pages) = (Vec::with_capacity(scores.len()), Vec::with_capacity(scores.len()));
+    for (doc, units) in wave_docs.iter().zip(wave.iter().map(|(scores, _)| scores.len())) {
+        let unit_pages = if cascade.granularity == RoutingGranularity::ByPage { 1 } else { doc.page_count() };
+        features.extend(std::iter::repeat_n(CascadeFeatures::of(doc), units));
+        pages.extend(std::iter::repeat_n(unit_pages, units));
+    }
+    let gains = cascade_gains(frontier, &scores, &features);
+    let granted = selector.select_frontier(&gains, &pages);
+    // A unit's grant, when it landed on a real candidate.
+    let grant = |u: usize| granted[u].filter(|&j| is_candidate(gains[j][u]));
+    let gain = |u: usize| granted[u].map_or(scores[u].0, |j| gains[j][u]);
+    let (mut routed_wave, mut choice_wave) = (Vec::new(), Vec::new());
+    let mut first = 0;
+    for (doc, units) in wave_docs.iter().zip(wave.iter().map(|(scores, _)| scores.len())) {
+        let span = first..first + units;
+        first = span.end;
+        let lead = (span.clone().filter(|&u| grant(u).is_some()))
+            .max_by(|&a, &b| gain(a).total_cmp(&gain(b)).then(b.cmp(&a)))
+            .or((units > 0).then_some(span.start));
+        let (improvement, invalid) = lead.map_or((0.0, false), |u| scores[u]);
+        let (granted_lead, lead_gain) = lead.map_or((None, 0.0), |u| (granted[u], gain(u)));
+        let mut choice = ParserChoice::resolve(frontier, doc.id.0, granted_lead, lead_gain, invalid);
+        let upgraded: Vec<usize> = (0..units).filter(|&page| grant(span.start + page).is_some()).collect();
+        if choice.is_upgraded() && upgraded.len() < units {
+            choice.upgraded_pages = upgraded;
         }
         routed_wave.push(RoutedDocument {
             doc_id: choice.doc_id,
@@ -678,16 +727,6 @@ fn resolve_wave(
         choice_wave.push(choice);
     }
     (routed_wave, choice_wave)
-}
-
-/// Stage 1–2a output for one window.
-struct ExtractedWave {
-    /// Router inputs, in input order.
-    inputs: Vec<RoutingInput>,
-    /// CLS improvement scores, aligned with `inputs`.
-    scores: Vec<(f64, bool)>,
-    /// Extraction failures in the window.
-    failures: usize,
 }
 
 /// The campaign's order-preserving aggregate fold. Folding is strictly in
@@ -781,9 +820,13 @@ mod tests {
         let rejected = hostile.iter().filter(|bytes| SpdfIndex::open(bytes).is_err()).count();
         assert!(rejected > 50 && rejected < hostile.len(), "{rejected} of {}", hostile.len());
 
-        let extraction = hostile.iter().filter(|bytes| extract.first_page_text(bytes, 7).is_err()).count();
+        let extraction =
+            hostile.iter().filter(|bytes| extract.units(bytes, &doc, RoutingGranularity::ByDoc, 7).1).count();
         let mut failures = CampaignFailures { extraction, parsing: 0 };
         for bytes in &hostile {
+            // A by-page document that fails extraction routes no unit.
+            let (units, _) = extract.units(bytes, &doc, RoutingGranularity::ByPage, 7);
+            assert_eq!(units.len(), if SpdfIndex::open(bytes).is_err() { 0 } else { 3 });
             let parsed = parse.run_choice_on(bytes, &doc, &by_page, ParserKind::PyMuPdf, 7);
             assert_eq!(parsed.failed, SpdfIndex::open(bytes).is_err());
             assert_eq!(parsed.failed, parsed.output.text.is_empty() && parsed.output.pages_parsed == 0);

@@ -3,7 +3,7 @@
 //! The binary router picks, per document, between *the* default parser and
 //! *the* high-quality parser under an α budget. This module generalizes that
 //! split to a [`ParserFrontier`] of k parsers: per window, every
-//! (document, upgrade) pair is a candidate with a transformed gain, and the
+//! (unit, upgrade) pair is a candidate with a transformed gain, and the
 //! marginal-gain-per-cost greedy [`crate::budget::assign_k`] spends a slot
 //! budget denominated in units of the costliest upgrade, window by window,
 //! through the one streaming [`crate::scaling::WindowedSelector`]. Two
@@ -16,16 +16,15 @@
 //!   carries a single upgrade of weight exactly `1.0`, which the selector
 //!   ranks with its bounded top-k heap — [`CascadeConfig::binary`] is what
 //!   [`crate::campaign::CampaignPipeline::run`] runs.
-//! * **[`RoutingGranularity::ByDoc`] is the whole-document upgrade.** The
-//!   [`RoutingGranularity::ByPage`] mode delegates only a document's
-//!   hardest pages ([`delegated_pages`], driven by
-//!   [`docmodel::document::Document::page_difficulty`]) to the upgrade
-//!   parser and stitches the output, paying the upgrade cost only for the
-//!   delegated fraction.
+//! * **[`RoutingGranularity::ByDoc`] is by-page with one unit per
+//!   document.** The selector grants routing units and its ledger charges
+//!   their pages; a by-doc unit is a whole document scored on its first
+//!   page, a [`RoutingGranularity::ByPage`] unit one page scored on its own
+//!   text, and α is the upgraded fraction of units either way.
 //!
 //! Everything here is a pure function of its inputs — scores, frontier,
-//! seeded per-page difficulties — so cascade campaigns inherit the
-//! pipeline's bitwise-determinism contract unchanged.
+//! seeded document features — so cascade campaigns inherit the pipeline's
+//! bitwise-determinism contract unchanged.
 
 use docmodel::document::Document;
 use parsersim::{FrontierEntry, ParserFrontier, ParserKind};
@@ -37,12 +36,13 @@ use crate::config::AdaParseConfig;
 /// How far down the document a routing decision reaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RoutingGranularity {
-    /// One parser per document — the classic mode.
+    /// One routing unit per document, scored on its first page — the
+    /// classic mode.
     ByDoc,
-    /// The granted upgrade parser handles only the document's
-    /// above-mean-difficulty pages ([`delegated_pages`]); the base parser
-    /// keeps the rest and the outputs are stitched page by page. The
-    /// upgrade's cost is paid only for the delegated fraction.
+    /// One routing unit per page, scored on that page's text, so α is the
+    /// upgraded fraction of pages. A document runs the upgrade of its
+    /// highest-gain granted page on every granted page; the base parser
+    /// keeps the rest and the outputs are stitched page by page.
     ByPage,
 }
 
@@ -52,10 +52,10 @@ pub enum RoutingGranularity {
 pub struct CascadeConfig {
     /// The cost/quality frontier documents are assigned over.
     pub frontier: ParserFrontier,
-    /// Document- or page-level delegation.
+    /// Whether a routing unit is a document or a page.
     pub granularity: RoutingGranularity,
-    /// Upgrade budget as a fraction of the stream, in units of the
-    /// costliest upgrade (the k-way α).
+    /// Upgrade budget as a fraction of the stream's routing units, in units
+    /// of the costliest upgrade (the k-way α).
     pub alpha: f64,
     /// Streaming selection window size.
     pub window: usize,
@@ -67,12 +67,8 @@ impl CascadeConfig {
     /// granularity — the cascade every non-cascade campaign entry point
     /// runs.
     pub fn binary(config: &AdaParseConfig, window: usize) -> Self {
-        CascadeConfig {
-            frontier: ParserFrontier::pair(config.default_parser, config.high_quality_parser),
-            granularity: RoutingGranularity::ByDoc,
-            alpha: config.alpha,
-            window,
-        }
+        let frontier = ParserFrontier::pair(config.default_parser, config.high_quality_parser);
+        CascadeConfig { frontier, ..Self::full(config, window) }
     }
 
     /// The full-frontier configuration: every non-dominated upgrade over the
@@ -86,14 +82,15 @@ impl CascadeConfig {
         }
     }
 
-    /// Switch to per-page delegation.
+    /// Switch to per-page routing.
     pub fn by_page(mut self) -> Self {
         self.granularity = RoutingGranularity::ByPage;
         self
     }
 }
 
-/// Per-document features the gain transform conditions on. Derived purely
+/// Per-document features the gain transform conditions on (every page of a
+/// document carries its document's features). Derived purely
 /// from the document model (seeded difficulty, image-layer legibility) — no
 /// RNG, no ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,7 +135,7 @@ const DIFFICULTY_SLOPE: f64 = 0.8;
 /// which, with the pair's weight of exactly `1.0`, is what makes the binary
 /// router a configuration of the cascade.
 ///
-/// For a wider frontier, per (document, upgrade):
+/// For a wider frontier, per (unit, upgrade):
 ///
 /// * CLS I **invalid** documents (score [`URGENT`]) have no usable text
 ///   layer, so extraction upgrades get the [`NON_CANDIDATE`] sentinel;
@@ -218,9 +215,9 @@ pub struct ParserChoice {
     pub predicted_gain: f64,
     /// Whether CLS I flagged the extraction as invalid.
     pub cls1_invalid: bool,
-    /// Pages delegated to the upgrade parser under
-    /// [`RoutingGranularity::ByPage`]; empty means the whole document goes
-    /// to [`ParserChoice::parser`].
+    /// The granted pages under [`RoutingGranularity::ByPage`], which
+    /// [`ParserChoice::parser`] parses while the base parser keeps the rest;
+    /// empty means the whole document goes to [`ParserChoice::parser`].
     pub upgraded_pages: Vec<usize>,
 }
 
@@ -276,19 +273,6 @@ impl ParserChoice {
     }
 }
 
-/// The pages [`RoutingGranularity::ByPage`] delegates to the upgrade
-/// parser: every page at or above the document's mean difficulty. Never
-/// empty for a non-empty document (the hardest page always qualifies), so a
-/// granted upgrade always does some work.
-pub fn delegated_pages(doc: &Document) -> Vec<usize> {
-    let difficulties = doc.page_difficulties();
-    if difficulties.is_empty() {
-        return Vec::new();
-    }
-    let mean = difficulties.iter().sum::<f64>() / difficulties.len() as f64;
-    (0..difficulties.len()).filter(|&p| difficulties[p] >= mean).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +304,7 @@ mod tests {
         // Uniform positive gains: the greedy prefers the best ratio, which
         // for equal gains is the cheapest upgrade.
         let gains: Vec<Vec<f64>> = frontier.upgrades().iter().map(|_| vec![0.5; n]).collect();
-        let choices = selector.select_frontier(&gains);
+        let choices = selector.select_frontier(&gains, &[1; 40]);
         let granted = choices.iter().filter(|c| c.is_some()).count();
         assert!(granted >= 4, "fractional weights must stretch the slot budget, got {granted}");
         assert!(selector.slots_spent() <= 4.0 + 1e-9);
@@ -364,33 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn delegated_pages_cover_the_hardest_and_never_empty() {
-        use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
-        let docs = DocumentGenerator::new(GeneratorConfig {
-            n_documents: 6,
-            seed: 17,
-            min_pages: 1,
-            max_pages: 9,
-            ..Default::default()
-        })
-        .generate_many(6);
-        for doc in &docs {
-            let pages = delegated_pages(doc);
-            assert!(!pages.is_empty(), "non-empty documents always delegate something");
-            assert!(pages.len() <= doc.page_count());
-            let difficulties = doc.page_difficulties();
-            let hardest =
-                (0..difficulties.len()).max_by(|&a, &b| difficulties[a].total_cmp(&difficulties[b])).unwrap();
-            assert!(pages.contains(&hardest), "the hardest page is always delegated");
-            // Delegated pages are exactly the at-or-above-mean set.
-            let mean = difficulties.iter().sum::<f64>() / difficulties.len() as f64;
-            for (p, difficulty) in difficulties.iter().enumerate() {
-                assert_eq!(pages.contains(&p), *difficulty >= mean);
-            }
-        }
-    }
-
-    #[test]
     fn resolve_honors_sentinels_and_zeroes_non_candidates() {
         let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
         // A granted non-candidate (surplus quota landed on a MIN/4 doc)
@@ -410,19 +367,5 @@ mod tests {
         let choice = ParserChoice::resolve(&frontier, 9, None, 0.9, false);
         assert_eq!(choice.parser, ParserKind::PyMuPdf);
         assert_eq!(choice.predicted_gain, 0.0);
-    }
-
-    #[test]
-    fn by_page_refund_reduces_the_upgrade_class_charge() {
-        let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
-        let mut selector = WindowedSelector::new(4, 1.0).with_frontier(frontier.clone());
-        selector.select_window(&[0.9, 0.8, 0.7, 0.6]);
-        let full = selector.ledger().spent(ParserKind::Nougat);
-        assert!(full > 0.0);
-        // Half the pages stayed on the base parser.
-        selector.ledger_mut().refund_delegated(0, 0.5);
-        let entry_cost = frontier.upgrades()[0].cost_per_page;
-        let after = selector.ledger().spent(ParserKind::Nougat);
-        assert!((full - after - entry_cost * 0.5).abs() < 1e-9);
     }
 }

@@ -119,10 +119,8 @@ impl AdaParseEngine {
     /// a window any way it likes.
     pub fn routing_improvements(&self, inputs: &[&RoutingInput]) -> Vec<(f64, bool)> {
         let rules = ValidityRules::default();
-        let invalid: Vec<bool> = inputs
-            .iter()
-            .map(|input| rules.decide(&input.first_page_text, 1) == Cls1Decision::Invalid)
-            .collect();
+        let invalid: Vec<bool> =
+            inputs.iter().map(|input| rules.decide(&input.text, 1) == Cls1Decision::Invalid).collect();
         let valid = inputs.iter().zip(&invalid).filter(|(_, &invalid)| !invalid).map(|(input, _)| *input);
         let gains: Vec<f64> = match self.config.variant {
             Variant::FastText => valid
@@ -130,7 +128,7 @@ impl AdaParseEngine {
                 .map(|p| if p >= 0.5 { p } else { NON_CANDIDATE })
                 .collect(),
             Variant::Llm => {
-                let texts: Vec<&str> = valid.map(|input| input.first_page_text.as_str()).collect();
+                let texts: Vec<&str> = valid.map(|input| input.text.as_str()).collect();
                 let (candidate, baseline) =
                     (self.config.high_quality_parser.index(), self.config.default_parser.index());
                 self.cls3

@@ -57,12 +57,12 @@ pub fn tasks_for_parser(kind: ParserKind, workload: &WorkloadSpec) -> Vec<Task> 
 /// schedules.
 const SPLIT_JOIN_SECONDS: f64 = 0.05;
 
-/// Task-id stride of a batch whose most-delegated document hands
-/// `max_delegated_pages` pages to its upgrade. Document `d` owns the ids
+/// Task-id stride of a batch whose longest
+/// [`ParserChoice::upgraded_pages`] holds `max_upgraded_pages` pages. Document `d` owns the ids
 /// from `d * stride`: its extract at offset 0, its parse or page split at 1,
 /// then its pages and join. A batch of whole-document choices strides by 2.
-pub fn task_id_stride(max_delegated_pages: usize) -> u64 {
-    match max_delegated_pages {
+pub fn task_id_stride(max_upgraded_pages: usize) -> u64 {
+    match max_upgraded_pages {
         0 => 2,
         pages => pages as u64 + 4,
     }
@@ -72,10 +72,9 @@ pub fn task_id_stride(max_delegated_pages: usize) -> u64 {
 /// split, page and join tasks are made. Every document gets an **extract**
 /// task (`base` parser, CPU). A granted whole-document upgrade adds one
 /// **parse** task on the chosen parser (GPU when it needs one), its compute
-/// scaled by `parse_fraction` (`1.0` is a bitwise no-op). A per-page
-/// delegation ([`ParserChoice::upgraded_pages`]) adds a **split**, a
-/// **page** task per delegated page at the single-page rate, and a
-/// **join**. No grant, no parse-side task. Ids follow [`task_id_stride`].
+/// scaled by `parse_fraction` (`1.0` is a bitwise no-op). A partial
+/// upgrade ([`ParserChoice::upgraded_pages`]) adds a **split**, a **page**
+/// task per granted page at the single-page rate, and a **join**. No grant, no parse-side task. Ids follow [`task_id_stride`].
 ///
 /// With a [`NodePlan`], extracts round-robin over the extraction fleet and
 /// each upgraded document's parse side sits on one parse-fleet node. A

@@ -51,8 +51,8 @@
 //!   paper's Appendix C), its cascade entry points carry unspent credit from
 //!   window to window,
 //! * [`cascade`] — the k-parser frontier configuration, the per-upgrade
-//!   gain transform and per-page delegation; the binary router is its
-//!   two-parser case,
+//!   gain transform and the routing unit (document or page); the binary
+//!   router is its two-parser case,
 //! * [`scaling`] — the resource-scaling engine: the streaming
 //!   [`WindowedSelector`], the feedback-driven [`ScalingController`]
 //!   that reallocates workers (and `hpcsim` nodes) between stages — driven
@@ -116,9 +116,7 @@ pub mod stats;
 
 pub use budget::{assign_k, max_affordable_alpha, select_global, KAssignment};
 pub use campaign::{CampaignFailures, CampaignPipeline, CascadeReport, PipelineConfig, RoutingInput};
-pub use cascade::{
-    cascade_gains, delegated_pages, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity,
-};
+pub use cascade::{cascade_gains, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity};
 pub use config::{AdaParseConfig, Variant};
 pub use engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 pub use hpc::{

@@ -1,11 +1,12 @@
 //! Streaming windowed budget selection.
 //!
 //! [`WindowedSelector`] consumes scores in input order, one window of (up
-//! to) k documents at a time, and emits the routing decision for each window
-//! immediately — the pipeline parses a window while later ones are not yet
-//! extracted. A running credit carries the fractional slot credit between
-//! windows, so the slots spent never exceed ⌊α · documents-seen⌋ at any
-//! prefix of the stream. It is the crate's only streaming selector: the
+//! to) k routing units at a time — documents, or pages under by-page
+//! routing — and emits the routing decision for each window immediately —
+//! the pipeline parses a window while later ones are not yet extracted. A
+//! running credit carries the fractional slot credit between windows, so
+//! the slots spent never exceed ⌊α · units-seen⌋ at any prefix of the
+//! stream. It is the crate's only streaming selector: the
 //! binary router, the k-parser cascade, the closed simulation loop and the
 //! serve layer all drive this type.
 //!
@@ -30,10 +31,10 @@ use crate::scaling::observed::{ObservedCosts, WaveCosts};
 /// Committed spend per parser class, in one unit.
 ///
 /// * **Page-dollars** — what [`WindowedSelector::with_frontier`] meters
-///   without a budget: every routed document is charged its base parser's
-///   [`page_dollars`] rate, every granted upgrade its `cost_per_page`, and a
-///   by-page grant is [refunded](Self::refund_delegated) the pages it did not
-///   delegate. A selector without a frontier meters nothing.
+///   without a budget: every routed unit's pages are charged its base
+///   parser's [`page_dollars`] rate, and every granted upgrade its pages at
+///   the upgrade's `cost_per_page`. A selector without a frontier meters
+///   nothing.
 /// * **Seconds** — a compute budget built by [`Ledger::seconds`]: each
 ///   committed window charges its base class `docs × cheap` and its upgrade
 ///   class `selected × (expensive − cheap)` at the current effective
@@ -217,19 +218,6 @@ impl Ledger {
         budget.remaining_seconds = (budget.remaining_seconds + released).max(0.0);
     }
 
-    /// Refund part of a granted upgrade's dollar charge when per-page
-    /// delegation parsed only `fraction` of the document with the upgrade
-    /// parser (the remaining pages stayed on the base parser, whose charge
-    /// already covers them). Deterministic bookkeeping only — never affects
-    /// selection. Panics unless the ledger meters a frontier's page-dollars.
-    pub fn refund_delegated(&mut self, upgrade: usize, fraction: f64) {
-        let Meter::PageDollars(Some(frontier)) = &self.meter else {
-            panic!("refunds name an upgrade of a page-dollar ledger's frontier")
-        };
-        let entry = &frontier.upgrades()[upgrade];
-        charge(&mut self.spend, entry.parser, -entry.cost_per_page * (1.0 - fraction.clamp(0.0, 1.0)));
-    }
-
     fn budget(&self) -> Option<&Budget> {
         match &self.meter {
             Meter::Seconds(budget) => Some(budget),
@@ -237,17 +225,22 @@ impl Ledger {
         }
     }
 
-    /// Charge one routed window of `docs` documents whose `grants` name the
-    /// granted upgrades, and return how many were granted.
-    fn commit(&mut self, docs: usize, grants: impl Iterator<Item = usize>) -> usize {
+    /// Charge one routed window whose units span `pages[i]` pages each and
+    /// whose `grants` name the granted (unit, upgrade) pairs, and return how
+    /// many were granted.
+    fn commit(&mut self, pages: &[usize], grants: impl Iterator<Item = (usize, usize)>) -> usize {
+        let docs = pages.len();
         let spend = &mut self.spend;
         match &mut self.meter {
             Meter::PageDollars(None) => grants.count(),
             Meter::PageDollars(Some(frontier)) => {
-                charge(spend, frontier.base(), docs as f64 * page_dollars(frontier.base()));
+                let base = frontier.base();
+                charge(spend, base, pages.iter().sum::<usize>() as f64 * page_dollars(base));
                 grants
-                    .map(|upgrade| &frontier.upgrades()[upgrade])
-                    .inspect(|entry| charge(spend, entry.parser, entry.cost_per_page))
+                    .map(|(unit, upgrade)| (pages[unit], &frontier.upgrades()[upgrade]))
+                    .inspect(|&(pages, entry)| {
+                        charge(spend, entry.parser, pages as f64 * entry.cost_per_page)
+                    })
                     .count()
             }
             Meter::Seconds(budget) => {
@@ -298,7 +291,7 @@ impl Budget {
 /// The streaming floor-and-carry budget selector.
 ///
 /// Feed it windows in input order; each call returns the window's routing
-/// decision. The selector accrues `α` slot credit per document seen (a slot
+/// decision. The selector accrues `α` slot credit per unit seen (a slot
 /// is one upgrade of the costliest parser on the frontier) and each window
 /// spends `⌊credit − spent⌋` of it, so:
 ///
@@ -419,10 +412,10 @@ impl WindowedSelector {
         &self.ledger
     }
 
-    /// The selector's ledger, to reconcile measured costs or refund
-    /// delegated pages. Ingest after a window's costs are known and before
-    /// the next window is selected: reconciliation tightens or loosens the
-    /// effective α of every later window.
+    /// The selector's ledger, to reconcile measured costs. Ingest after a
+    /// window's costs are known and before the next window is selected:
+    /// reconciliation tightens or loosens the effective α of every later
+    /// window.
     pub fn ledger_mut(&mut self) -> &mut Ledger {
         &mut self.ledger
     }
@@ -445,11 +438,12 @@ impl WindowedSelector {
         (self.credit - self.spent).floor().max(0.0)
     }
 
-    /// Book a routed window: `slots` consumed, and the window's documents
-    /// and granted upgrades charged to the ledger.
-    fn close_window(&mut self, docs: usize, slots: f64, grants: impl Iterator<Item = usize>) {
+    /// Book a routed window: `slots` consumed, and the window's units (of
+    /// `pages` pages each) and granted (unit, upgrade) pairs charged to the
+    /// ledger.
+    fn close_window(&mut self, pages: &[usize], slots: f64, grants: impl Iterator<Item = (usize, usize)>) {
         self.spent += slots;
-        self.selected += self.ledger.commit(docs, grants);
+        self.selected += self.ledger.commit(pages, grants);
     }
 
     /// Route one window of scores through the single-upgrade view (the
@@ -458,31 +452,40 @@ impl WindowedSelector {
     /// frontier has more than one upgrade — a mask cannot say which was
     /// granted.
     pub fn select_window(&mut self, scores: &[f64]) -> Vec<bool> {
+        self.select_mask(scores, &vec![1; scores.len()])
+    }
+
+    /// [`select_window`](Self::select_window) over units of `pages[i]`
+    /// pages each.
+    fn select_mask(&mut self, scores: &[f64], pages: &[usize]) -> Vec<bool> {
         assert_eq!(self.weights.len(), 1, "the mask view needs a single-upgrade frontier");
         let quota = (self.open_window(scores.len()) as usize).min(scores.len());
         let mask = top_quota_mask(scores, quota);
-        self.close_window(scores.len(), quota as f64, std::iter::repeat_n(0, quota));
+        let grants = mask.iter().enumerate().filter(|&(_, &granted)| granted).map(|(unit, _)| (unit, 0));
+        self.close_window(pages, quota as f64, grants);
         mask
     }
 
     /// Route one window of per-upgrade gain vectors (`gains[j][i]` is
-    /// upgrade j's transformed gain for the window's i-th document; see
-    /// [`crate::cascade::cascade_gains`]) and return the per-document
-    /// assignment.
+    /// upgrade j's transformed gain for the window's i-th unit; see
+    /// [`crate::cascade::cascade_gains`]) over units of `pages[i]` pages
+    /// each, and return the per-unit assignment. α accrues per unit; the
+    /// page counts only price the ledger's charges.
     ///
     /// A single upgrade takes [`select_window`](Self::select_window)'s
     /// top-k heap; wider frontiers take [`assign_k`], whose slot budget is
     /// never clamped to the window length because it grants at most one
-    /// upgrade per document anyway.
-    pub fn select_frontier(&mut self, gains: &[Vec<f64>]) -> Vec<Option<usize>> {
+    /// upgrade per unit anyway.
+    pub fn select_frontier(&mut self, gains: &[Vec<f64>], pages: &[usize]) -> Vec<Option<usize>> {
         assert_eq!(gains.len(), self.weights.len(), "one gain vector per frontier upgrade");
+        assert!(gains.iter().all(|g| g.len() == pages.len()), "one page count per unit");
         if let [scores] = gains {
-            return self.select_window(scores).into_iter().map(|granted| granted.then_some(0)).collect();
+            return self.select_mask(scores, pages).into_iter().map(|granted| granted.then_some(0)).collect();
         }
-        let docs = gains.first().map_or(0, Vec::len);
-        let slots = self.open_window(docs);
+        let slots = self.open_window(pages.len());
         let assignment = assign_k(gains, &self.weights, slots);
-        self.close_window(docs, assignment.slots_consumed, assignment.choices.iter().flatten().copied());
+        let grants = assignment.choices.iter().enumerate().filter_map(|(unit, &j)| j.map(|j| (unit, j)));
+        self.close_window(pages, assignment.slots_consumed, grants);
         assignment.choices
     }
 

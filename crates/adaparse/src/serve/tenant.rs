@@ -24,10 +24,9 @@ use crate::config::AdaParseConfig;
 use crate::scaling::planned_costs;
 
 /// Planned fraction of a document's pages a [`RoutingGranularity::ByPage`]
-/// tenant delegates to its upgrade parser. Page delegation sends the
-/// at-or-above-mean-difficulty pages — about half of a typical document —
-/// so capacity planning (task compute, WFQ charge, ledger costs) budgets
-/// the upgrade at this fraction of the whole-document cost.
+/// tenant's upgrade parses. Serve routes whole arrivals and never sees a
+/// page, so capacity planning (task compute, WFQ charge, ledger costs)
+/// budgets the upgrade at this fraction of the whole-document cost.
 pub const BY_PAGE_PLANNED_FRACTION: f64 = 0.5;
 
 /// One document arriving at the service: when it becomes visible, and the
@@ -90,10 +89,9 @@ pub struct TenantSpec {
     /// and planned costs.
     pub workload: WorkloadSpec,
     /// Whether an upgrade routes the whole document
-    /// ([`RoutingGranularity::ByDoc`], the default) or only its
-    /// hardest pages ([`RoutingGranularity::ByPage`]), in which case
-    /// planned costs and task compute are scaled by
-    /// [`BY_PAGE_PLANNED_FRACTION`].
+    /// ([`RoutingGranularity::ByDoc`], the default) or some of its pages
+    /// ([`RoutingGranularity::ByPage`]), in which case planned costs and
+    /// task compute are scaled by [`BY_PAGE_PLANNED_FRACTION`].
     pub granularity: RoutingGranularity,
 }
 

@@ -18,6 +18,11 @@
 //! carried across windows of 16; it now runs as
 //! `run_cascade(&CascadeConfig::binary(&config, 16))`, hashed over the
 //! report's `result`, and reads the same digest.
+//!
+//! The two full-frontier digests were re-pinned when the page became the
+//! unit the selector grants and the ledger charges: "full frontier by-doc"
+//! moved in its ledger alone (its dollars now read in pages; every other
+//! hashed bit is unchanged), "full frontier by-page" in full.
 
 use adaparse::{
     AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, CascadeConfig, CascadeReport,
@@ -183,8 +188,8 @@ fn campaign_fingerprints() {
         0xeed5_9416_7122_bf63,
         0x56f7_9663_e646_57bd,
         0x1b7d_02bb_fc10_22b0,
-        0xc6ac_a40b_e577_995c,
-        0xb221_f4f8_6eb2_88d0,
+        0x218e_e9c8_2d08_0a6e,
+        0x8e83_422b_b8c6_c336,
     ];
     assert_eq!(actual, expected, "actual digests: {actual:#018x?}");
 }

@@ -8,6 +8,7 @@
 //!   the same slot budget, on a frozen workload,
 //! * by-doc is by-page with one unit per document: on one-page documents the
 //!   two granularities agree bit for bit,
+//! * a by-page document without routing units moves no other grant,
 //! * the by-page task DAG never lets a join start before every one of its
 //!   page children has finished, for proptest-random delegation patterns.
 
@@ -17,7 +18,10 @@ use adaparse::{
     CascadeConfig, Ledger, NodePlan, ParserChoice, PipelineConfig, WindowedSelector, WorkloadSpec,
     DEFAULT_PRIOR_WEIGHT,
 };
-use docmodel::document::Document;
+use docmodel::document::{DocId, Document};
+use docmodel::imagelayer::ImageLayer;
+use docmodel::metadata::DocMetadata;
+use docmodel::textlayer::TextLayer;
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
 use parsersim::registry::page_dollars;
 use parsersim::{ParserFrontier, ParserKind};
@@ -61,16 +65,33 @@ fn wider_frontiers_dominate_binary_predicted_gain_on_the_frozen_corpus() {
         upgraded(&binary)
     );
     assert!(k4.result.quality.documents == docs.len() && binary.result.quality.documents == docs.len());
-    // By-page delegation sends only part of the corpus' pages to the upgrade
-    // parsers, and never costs more than upgrading the whole documents.
+    // By-page routes pages: the ledger charges every page at the base rate
+    // and every granted page at its upgrade's rate, every upgraded page was
+    // granted, and the slots the grants weigh stay within α of the pages.
     let by_page = pipeline.run_cascade(&engine, &docs, &CascadeConfig::full(&config, 16).by_page(), 11);
     assert!(by_page.pages_delegated > 0 && by_page.pages_delegated < by_page.pages_total);
-    assert!(
-        by_page.dollars.total() <= k4.dollars.total() + 1e-9,
-        "delegating pages cannot cost more than whole-document upgrades ({} vs {})",
-        by_page.dollars.total(),
-        k4.dollars.total()
-    );
+    let frontier = ParserFrontier::full(config.default_parser);
+    let upgraded_pages: usize = by_page
+        .choices
+        .iter()
+        .zip(&docs)
+        .filter(|(choice, _)| choice.is_upgraded())
+        .map(|(choice, doc)| match choice.upgraded_pages.len() {
+            0 => doc.page_count(),
+            pages => pages,
+        })
+        .sum();
+    let (mut granted, mut slots) = (0.0, 0.0);
+    for entry in frontier.upgrades() {
+        let pages = by_page.dollars.spent(entry.parser) / entry.cost_per_page;
+        assert!((pages - pages.round()).abs() < 1e-9, "{:?} is charged whole pages: {pages}", entry.parser);
+        granted += pages.round();
+        slots += pages.round() * entry.upgrade_weight;
+    }
+    assert!(granted >= upgraded_pages as f64, "{upgraded_pages} upgraded pages, {granted} granted");
+    assert!(slots <= (config.alpha * by_page.pages_total as f64).floor() + 1e-9, "{slots} slots");
+    let base = by_page.dollars.spent(frontier.base());
+    assert!((base - by_page.pages_total as f64 * page_dollars(frontier.base())).abs() < 1e-9);
 }
 
 /// On one-page documents a page is a document, so by-page routing is by-doc
@@ -105,6 +126,40 @@ fn by_page_is_by_doc_on_one_page_documents() {
         assert_eq!(by_page.parser_docs, by_doc.parser_docs, "{shape:?}");
         assert_eq!(by_page.dollars, by_doc.dollars, "{shape:?}");
     }
+}
+
+/// A zero-page document in a by-page window routes no unit: it stays on the
+/// base parser with a counted extraction failure, and every other
+/// document's grant and charge is what it is without it. (A corrupt
+/// container takes the same no-unit path; the campaign module's unit test
+/// covers it, since the writer never emits one.)
+#[test]
+fn a_document_without_units_moves_no_other_grant() {
+    let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
+    let engine = trained_engine(config.clone());
+    let clean = corpus(40, 5);
+    let mut hostile = clean.clone();
+    let empty = Document::new(
+        DocId(99),
+        DocMetadata::default(),
+        Vec::new(),
+        TextLayer::clean(&[]),
+        ImageLayer::born_digital(0),
+    );
+    hostile.insert(7, empty);
+    let cascade = CascadeConfig::full(&config, 64).by_page();
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 8 });
+    let without = pipeline.run_cascade(&engine, &clean, &cascade, 11);
+    let with = pipeline.run_cascade(&engine, &hostile, &cascade, 11);
+    assert!(without.choices.iter().any(ParserChoice::is_upgraded), "the window must exercise grants");
+    let mut choices = with.choices.clone();
+    let empty = choices.remove(7);
+    assert_eq!((empty.parser, empty.upgrade), (config.default_parser, None));
+    assert_eq!(choices, without.choices);
+    assert_eq!(with.dollars, without.dollars);
+    let failures = |r: &adaparse::CascadeReport| r.result.failures;
+    assert_eq!(failures(&with).extraction, failures(&without).extraction + 1);
+    assert_eq!(failures(&with).parsing, failures(&without).parsing + 1);
 }
 
 /// A full-frontier campaign reports every upgrade in its
@@ -201,7 +256,7 @@ proptest! {
         let mut by_frontier = build().with_frontier(ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat));
         for (chunk, want) in scores.chunks(window).zip(expected.chunks(window)) {
             prop_assert_eq!(by_mask.select_window(chunk), want);
-            let choices = by_frontier.select_frontier(&[chunk.to_vec()]);
+            let choices = by_frontier.select_frontier(&[chunk.to_vec()], &vec![1; chunk.len()]);
             prop_assert_eq!(choices.iter().map(Option::is_some).collect::<Vec<_>>(), want);
         }
         prop_assert_eq!(by_mask.selected(), granted);

@@ -41,11 +41,8 @@ fn bench_router_inference(c: &mut Criterion) {
     let extract = ExtractStage::new(engine.config(), &ParserPool);
     let inputs: Vec<RoutingInput> = docs[..WINDOW].iter().map(|doc| extract.run(doc, 7).input).collect();
     let rules = ValidityRules::default();
-    let valid: Vec<&str> = inputs
-        .iter()
-        .map(|input| input.first_page_text.as_str())
-        .filter(|text| rules.is_valid(text, 1))
-        .collect();
+    let valid: Vec<&str> =
+        inputs.iter().map(|input| input.text.as_str()).filter(|text| rules.is_valid(text, 1)).collect();
     let shard = &valid[..SHARD];
 
     for (name, dim) in [("featurize/8_docs", 2048), ("featurize/8_docs_specter", 1536)] {
@@ -65,7 +62,7 @@ fn bench_router_inference(c: &mut Criterion) {
     c.bench_function("encode/batch_of_8_baseline", |b| b.iter(|| baseline.encode_batch(black_box(shard))));
 
     c.bench_function("cls1/256_docs", |b| {
-        b.iter(|| inputs.iter().filter(|input| rules.is_valid(black_box(&input.first_page_text), 1)).count())
+        b.iter(|| inputs.iter().filter(|input| rules.is_valid(black_box(&input.text), 1)).count())
     });
 
     let route = RouteStage::new(&engine);

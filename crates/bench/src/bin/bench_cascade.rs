@@ -1,18 +1,18 @@
-//! Cascade-routing ablation benchmark: binary vs k = 4 vs k = 4 + by-page
-//! delegation at a fixed upgrade budget.
+//! Cascade-routing ablation benchmark: binary vs k = 4 by-doc vs k = 4
+//! by-page routing at a fixed upgrade budget.
 //!
 //! All three arms run the same trained engine over the same
 //! category-skewed corpus ([`scicorpus::generate_categorized`]) under the
-//! same **upgrade-dollar budget**: `--alpha` is the binary arm's upgrade
-//! fraction, which fixes a dollar credit per document
+//! same **upgrade credit per routing unit**: `--alpha` is the binary arm's
+//! upgrade fraction, which fixes a dollar credit per unit
 //! (`alpha × page dollars of the binary upgrade`), and each wider arm's α
 //! is rescaled by its own costliest upgrade so every arm accrues the same
-//! dollars of upgrade credit per document seen. The arms then differ only
-//! in what that credit buys: the binary arm can only buy whole-document
-//! high-quality upgrades; the k = 4 arm may split the same credit across
-//! cheap OCR and mid-price recognition upgrades; the by-page arm
-//! additionally delegates only the hardest pages and refunds the
-//! remainder. Each run appends a schema-versioned entry to
+//! upgrade credit per unit seen. The arms then differ only in what that
+//! credit buys: the binary arm can only buy whole-document high-quality
+//! upgrades; the k = 4 arm may split the same credit across cheap OCR and
+//! mid-price recognition upgrades; the by-page arm's unit is a page rather
+//! than a document, and each document's granted pages go to one upgrade
+//! parser. Every ledger charges the pages each grant covers. Each run appends a schema-versioned entry to
 //! `BENCH_cascade.json` at the repo root, and `--validate` checks the
 //! trajectory file (the CI wall runs `--smoke`, which doubles every arm
 //! and insists the report replays bitwise).
@@ -27,7 +27,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use adaparse::{
-    AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, CascadeReport, PipelineConfig,
+    AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, CascadeReport, ParserChoice,
+    PipelineConfig,
 };
 use bench::driver::{drive, fnv1a, Flags, Trajectory};
 use bench::trajectory::JsonValue;
@@ -81,6 +82,16 @@ fn fingerprint(report: &CascadeReport) -> u64 {
 fn composite_quality(report: &CascadeReport) -> f64 {
     let q = &report.result.quality;
     (q.bleu + q.rouge + q.car) / 3.0
+}
+
+/// Pages an upgrade parser parses: every page of a wholly upgraded
+/// document, the granted pages of a partly upgraded one.
+fn upgraded_pages(report: &CascadeReport, docs: &[docmodel::Document]) -> usize {
+    let pages = |(choice, doc): (&ParserChoice, &docmodel::Document)| match choice.upgraded_pages.len() {
+        0 => doc.page_count(),
+        granted => granted,
+    };
+    report.choices.iter().zip(docs).filter(|(choice, _)| choice.is_upgraded()).map(pages).sum()
 }
 
 struct Arm {
@@ -182,9 +193,9 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     engine.train_on_corpus(&corpus.documents[..24.min(args.docs)], 5);
     let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, ..Default::default() });
 
-    // Equal-dollar budgets: `--alpha` is the binary arm's upgrade
-    // fraction; a wider frontier's slots are denominated in *its* costliest
-    // upgrade, so its α is rescaled to keep dollars-per-document fixed.
+    // Equal budgets: `--alpha` is the binary arm's upgrade fraction; a
+    // wider frontier's slots are denominated in *its* costliest upgrade, so
+    // its α is rescaled to keep the credit per routing unit fixed.
     let dollar_credit_per_doc = args.alpha * parsersim::page_dollars(config.high_quality_parser);
     let rescaled = |mut cascade: CascadeConfig| {
         let costliest = cascade.frontier.costliest().map(|e| e.cost_per_page).unwrap_or(1.0);
@@ -195,7 +206,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     let k4_config = rescaled(CascadeConfig::full(&config, args.window));
     let by_page_config = rescaled(CascadeConfig::full(&config, args.window)).by_page();
     println!(
-        "  upgrade credit: ${:.2}/doc (binary alpha {:.3}, k4 alpha {:.4})",
+        "  upgrade credit: ${:.2}/unit (binary alpha {:.3}, k4 alpha {:.4})",
         dollar_credit_per_doc, binary_config.alpha, k4_config.alpha
     );
     let seed = flags.seed ^ 0xCA5C;
@@ -208,11 +219,11 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     for arm in &arms {
         let report = &arm.report;
         println!(
-            "  {:<11} quality {:.4}  upgraded {:>4}  delegated pages {:>4}/{:<4} ledger ${:.1}  ({:.2} s)",
+            "  {:<11} quality {:.4}  upgraded {:>4}  upgraded pages {:>4}/{:<4} ledger ${:.1}  ({:.2} s)",
             arm.name,
             composite_quality(report),
             report.choices.iter().filter(|c| c.upgrade.is_some()).count(),
-            report.pages_delegated,
+            upgraded_pages(report, &corpus.documents),
             report.pages_total,
             report.dollars.total(),
             arm.wall_seconds,

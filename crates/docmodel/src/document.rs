@@ -139,9 +139,8 @@ impl Document {
         self.pages.iter().map(|p| p.count_kind(kind)).sum()
     }
 
-    /// Intrinsic parsing difficulty of one page in `[0, 1]`, used by
-    /// page-granular cascade routing to decide which pages of a document to delegate to an
-    /// expensive parser. Combines the page's structural difficulty, the
+    /// Intrinsic parsing difficulty of one page in `[0, 1]`, which cascade
+    /// routing averages into a document feature. Combines the page's structural difficulty, the
     /// document-wide text-layer fidelity penalty, that page's raster
     /// legibility, and a tiny hash-seeded jitter keyed on `(doc id, page)` so
     /// equal-structure pages still order deterministically. Pure arithmetic —
