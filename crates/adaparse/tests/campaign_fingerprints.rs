@@ -23,10 +23,15 @@
 //! unit the selector grants and the ledger charges: "full frontier by-doc"
 //! moved in its ledger alone (its dollars now read in pages; every other
 //! hashed bit is unchanged), "full frontier by-page" in full.
+//!
+//! "fasttext global-batch" routes through CLS II, which reads a unit's
+//! metadata feature vector and page count rather than its text: it pins
+//! those two router inputs bit for bit (42 of its 90 documents are
+//! candidates whose CLS II probability enters the digest).
 
 use adaparse::{
     AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, CascadeConfig, CascadeReport,
-    PipelineConfig,
+    PipelineConfig, Variant,
 };
 use docmodel::document::Document;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -168,6 +173,7 @@ fn campaign_fingerprints() {
     let small_batch = trained_engine(AdaParseConfig { alpha: 0.13, batch_size: 10, ..Default::default() });
     let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
     let engine = trained_engine(config.clone());
+    let fasttext = trained_engine(AdaParseConfig { variant: Variant::FastText, ..config.clone() });
 
     let actual = [
         pin("global-batch default", |shape| campaign_digest(&default_engine, &docs, shape)),
@@ -183,13 +189,16 @@ fn campaign_fingerprints() {
         pin("full frontier by-page", |shape| {
             cascade_digest(&engine, &docs, shape, &CascadeConfig::full(&config, 16).by_page())
         }),
+        // CLS II routes on the metadata feature vector and the page count.
+        pin("fasttext global-batch", |shape| campaign_digest(&fasttext, &docs, shape)),
     ];
-    let expected: [u64; 5] = [
+    let expected: [u64; 6] = [
         0xeed5_9416_7122_bf63,
         0x56f7_9663_e646_57bd,
         0x1b7d_02bb_fc10_22b0,
         0x218e_e9c8_2d08_0a6e,
         0x8e83_422b_b8c6_c336,
+        0x2298_4546_d650_95f5,
     ];
     assert_eq!(actual, expected, "actual digests: {actual:#018x?}");
 }
