@@ -3,11 +3,12 @@
 //! This module is the execution spine of the reproduction. A campaign runs
 //! window by window through four explicit stages:
 //!
-//! 1. [`ExtractStage`] — serialize each document to SPDF, open it as a
-//!    validated [`SpdfIndex`] and run the cheap default parser to produce
-//!    the [`RoutingInput`]s the router consumes (no ground truth involved):
-//!    one per document from page 0 alone (later pages are checked but never
-//!    decoded), or one per page under [`RoutingGranularity::ByPage`].
+//! 1. [`ExtractStage`] — serialize each document to SPDF, then read only the
+//!    bytes: open them as a validated [`SpdfIndex`] and build the
+//!    [`RoutingInput`]s the router consumes from what the container records
+//!    and the cheap default parser's text — one per document from page 0
+//!    alone (later pages are checked but never decoded), or one per page
+//!    under [`RoutingGranularity::ByPage`].
 //! 2. [`RouteStage`] — score every unit's expected improvement under the
 //!    high-quality parser (CLS I → II/III); the window's scores then go
 //!    through the streaming [`WindowedSelector`], which spends the α budget
@@ -45,6 +46,7 @@
 //! executes for real.
 
 use docmodel::document::Document;
+use docmodel::metadata::DocMetadata;
 use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
 use parsersim::cost::{CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::registry::ParserPool;
@@ -59,7 +61,7 @@ use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 use crate::budget::is_candidate;
-use crate::cascade::{cascade_gains, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity};
+use crate::cascade::{cascade_gains, CascadeConfig, ParserChoice, RoutingGranularity};
 use crate::config::AdaParseConfig;
 use crate::engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 use crate::output::{MemorySink, ParsedRecord, RecordSink};
@@ -118,19 +120,23 @@ impl CampaignFailures {
 }
 
 /// Everything the router needs for one routing unit — a document, or one of
-/// its pages under [`RoutingGranularity::ByPage`] (no ground truth
-/// involved).
+/// its pages under [`RoutingGranularity::ByPage`] — all of it read from the
+/// unit's SPDF container.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingInput {
-    /// Identifier of the unit's document.
+    /// Identifier of the unit's document (its storage key).
     pub doc_id: u64,
     /// Cheap default-parser extraction feeding CLS I–III: the document's
     /// first page, or the unit's page.
     pub text: String,
-    /// The document's metadata feature vector.
+    /// The metadata feature vector ([`DocMetadata::feature_vector`]) of the
+    /// container's `/Info` dictionary and header version.
     pub metadata_features: Vec<f64>,
-    /// The document's page count.
+    /// The container's page count.
     pub pages: usize,
+    /// Mean legibility of the container's page images
+    /// ([`SpdfIndex::mean_legibility`]).
+    pub legibility: f64,
 }
 
 /// The most characters of a later page's text a by-page unit routes on.
@@ -164,27 +170,30 @@ impl<'a> ExtractStage<'a> {
 
     /// Run the stage for one document: its by-doc routing input.
     pub fn run(&self, doc: &Document, seed: u64) -> Extracted {
-        let (mut inputs, failed) = self.units(&write_document(doc), doc, RoutingGranularity::ByDoc, seed);
+        let (mut inputs, failed) =
+            self.units(&write_document(doc), doc.id.0, RoutingGranularity::ByDoc, seed);
         Extracted { input: inputs.pop().expect("a by-doc document is one unit"), failed }
     }
 
-    /// The routing units of `doc` read from its container `bytes`, and
-    /// whether extraction failed (a corrupt container fails like any parser
-    /// error, never a panic). A unit's text is the default parser's: the
-    /// first page's, then — by page — every later page's from the
+    /// The routing units of the container `bytes` stored under `doc_id`,
+    /// and whether extraction failed. A unit's text is the default parser's:
+    /// the first page's, then — by page — every later page's from the
     /// whole-document parse on the same RNG stream, capped at
-    /// [`MAX_PAGE_CHARS`]. A failed by-doc document is one unit of empty
-    /// text; a failed by-page document is none, so it stays on the base
-    /// parser and moves no other unit's grant.
+    /// [`MAX_PAGE_CHARS`]. A corrupt container, an `/Info` name or version
+    /// [`DocMetadata::from_spdf`] does not know, or a parser error fails
+    /// extraction, never a panic: a failed by-doc document is one unit of
+    /// empty text, 0 pages, a zero metadata vector and legibility 0.0; a
+    /// failed by-page document is none, so it stays on the base parser.
     fn units(
         &self,
         bytes: &[u8],
-        doc: &Document,
+        doc_id: u64,
         by: RoutingGranularity,
         seed: u64,
     ) -> (Vec<RoutingInput>, bool) {
-        let rng = || StdRng::seed_from_u64(seed ^ doc.id.0 ^ 0xEAF1);
-        let texts = SpdfIndex::open(bytes).map_err(ParseError::from).and_then(|index| {
+        let rng = || StdRng::seed_from_u64(seed ^ doc_id ^ 0xEAF1);
+        let read = SpdfIndex::open(bytes).map_err(ParseError::from).and_then(|index| {
+            let metadata = DocMetadata::from_spdf(index.info(), index.format_version())?;
             let parser = self.config.default_parser;
             let mut texts = vec![parser.first_page_text(&index, &mut rng())?];
             if by == RoutingGranularity::ByPage && index.page_count() > 1 {
@@ -193,18 +202,21 @@ impl<'a> ExtractStage<'a> {
                     pages.split('\u{c}').skip(1).map(|page| page.chars().take(MAX_PAGE_CHARS).collect()),
                 );
             }
-            Ok(texts)
+            Ok((texts, metadata.feature_vector(), index.page_count(), index.mean_legibility()))
         });
-        let (texts, failed) = match texts {
-            Ok(texts) => (texts, false),
-            Err(_) if by == RoutingGranularity::ByDoc => (vec![String::new()], true),
-            Err(_) => (Vec::new(), true),
+        let ((texts, metadata_features, pages, legibility), failed) = match read {
+            Ok(read) => (read, false),
+            Err(_) if by == RoutingGranularity::ByDoc => {
+                ((vec![String::new()], vec![0.0; DocMetadata::FEATURES], 0, 0.0), true)
+            }
+            Err(_) => ((Vec::new(), Vec::new(), 0, 0.0), true),
         };
         let input = |text| RoutingInput {
-            doc_id: doc.id.0,
+            doc_id,
             text,
-            metadata_features: doc.metadata.feature_vector(),
-            pages: doc.page_count(),
+            metadata_features: metadata_features.clone(),
+            pages,
+            legibility,
         };
         (texts.into_iter().map(input).collect(), failed)
     }
@@ -598,7 +610,8 @@ impl CampaignPipeline {
             }
             let wave = self.extract_and_score_wave(engine, wave_docs, cascade.granularity, seed);
             extraction_failures += wave.iter().filter(|&(_, failed)| *failed).count();
-            let (routed_wave, choice_wave) = resolve_wave(cascade, &mut selector, wave_docs, &wave);
+            let doc_ids: Vec<u64> = wave_docs.iter().map(|doc| doc.id.0).collect();
+            let (routed_wave, choice_wave) = resolve_wave(cascade, &mut selector, &doc_ids, &wave);
 
             if let Some(sink) = &mut sink {
                 let jobs: Vec<(&Document, &RoutedDocument, &ParserChoice)> = wave_docs
@@ -636,9 +649,9 @@ impl CampaignPipeline {
     /// Stages 1–2a for one window, sharded across the pool: each shard's
     /// documents are extracted into routing units, then every unit of the
     /// shard is scored in one call (so CLS III projects the shard as a
-    /// batch). Returns each document's unit scores and whether its
+    /// batch). Returns each document's scored units and whether its
     /// extraction failed, in input order; both depend on nothing but the
-    /// document.
+    /// document's container.
     fn extract_and_score_wave(
         &self,
         engine: &AdaParseEngine,
@@ -652,12 +665,19 @@ impl CampaignPipeline {
                 .map(|shard| {
                     let extracted: Vec<(Vec<RoutingInput>, bool)> = shard
                         .iter()
-                        .map(|doc| stage.units(&write_document(doc), doc, granularity, seed))
+                        .map(|doc| stage.units(&write_document(doc), doc.id.0, granularity, seed))
                         .collect();
                     let inputs: Vec<&RoutingInput> = extracted.iter().flat_map(|(units, _)| units).collect();
                     let mut scores = engine.routing_improvements(&inputs).into_iter();
-                    let mut take = |units: &Vec<RoutingInput>| scores.by_ref().take(units.len()).collect();
-                    extracted.iter().map(|(units, failed)| (take(units), *failed)).collect()
+                    let mut scored = |unit: &RoutingInput| ScoredUnit {
+                        score: scores.next().expect("one score per unit"),
+                        pages: unit.pages,
+                        legibility: unit.legibility,
+                    };
+                    extracted
+                        .iter()
+                        .map(|(units, failed)| (units.iter().map(&mut scored).collect(), *failed))
+                        .collect()
                 })
                 .collect()
         });
@@ -665,9 +685,17 @@ impl CampaignPipeline {
     }
 }
 
-/// One document's stages 1–2a: its units' improvement scores and CLS I
-/// verdicts, and whether its extraction failed.
-type ScoredDoc = (Vec<(f64, bool)>, bool);
+/// One routing unit after stages 1–2a: its score and CLS I verdict, and its
+/// container's page count and legibility.
+struct ScoredUnit {
+    score: (f64, bool),
+    pages: usize,
+    legibility: f64,
+}
+
+/// One document's stages 1–2a: its scored units, and whether its extraction
+/// failed.
+type ScoredDoc = (Vec<ScoredUnit>, bool);
 
 /// The binary cascade of the per-batch entry points: the engine's two
 /// parsers, α and routing batch.
@@ -676,9 +704,10 @@ fn per_batch(engine: &AdaParseEngine) -> CascadeConfig {
 }
 
 /// Stage 2b of a window: transform unit scores into per-upgrade gains
-/// (each unit carries its document's [`CascadeFeatures`]), select through
-/// the running [`WindowedSelector`], which charges each unit's pages, and
-/// resolve each document into a [`ParserChoice`] and a [`RoutedDocument`].
+/// (each unit carries its container's legibility), select through the
+/// running [`WindowedSelector`], which charges each unit's pages, and
+/// resolve each of the window's documents (`doc_ids`, one per entry of
+/// `wave`) into a [`ParserChoice`] and a [`RoutedDocument`].
 ///
 /// A document resolves on its highest-gain granted unit (ties to the lower
 /// page), else its first; every granted page runs that unit's upgrade and
@@ -687,25 +716,23 @@ fn per_batch(engine: &AdaParseEngine) -> CascadeConfig {
 fn resolve_wave(
     cascade: &CascadeConfig,
     selector: &mut WindowedSelector,
-    wave_docs: &[Document],
+    doc_ids: &[u64],
     wave: &[ScoredDoc],
 ) -> (Vec<RoutedDocument>, Vec<ParserChoice>) {
     let frontier = &cascade.frontier;
-    let scores: Vec<(f64, bool)> = wave.iter().flat_map(|(scores, _)| scores).copied().collect();
-    let (mut features, mut pages) = (Vec::with_capacity(scores.len()), Vec::with_capacity(scores.len()));
-    for (doc, units) in wave_docs.iter().zip(wave.iter().map(|(scores, _)| scores.len())) {
-        let unit_pages = if cascade.granularity == RoutingGranularity::ByPage { 1 } else { doc.page_count() };
-        features.extend(std::iter::repeat_n(CascadeFeatures::of(doc), units));
-        pages.extend(std::iter::repeat_n(unit_pages, units));
-    }
-    let gains = cascade_gains(frontier, &scores, &features);
+    let units: Vec<&ScoredUnit> = wave.iter().flat_map(|(units, _)| units).collect();
+    let scores: Vec<(f64, bool)> = units.iter().map(|unit| unit.score).collect();
+    let legibility: Vec<f64> = units.iter().map(|unit| unit.legibility).collect();
+    let by_page = cascade.granularity == RoutingGranularity::ByPage;
+    let pages: Vec<usize> = units.iter().map(|unit| if by_page { 1 } else { unit.pages }).collect();
+    let gains = cascade_gains(frontier, &scores, &legibility);
     let granted = selector.select_frontier(&gains, &pages);
     // A unit's grant, when it landed on a real candidate.
     let grant = |u: usize| granted[u].filter(|&j| is_candidate(gains[j][u]));
     let gain = |u: usize| granted[u].map_or(scores[u].0, |j| gains[j][u]);
     let (mut routed_wave, mut choice_wave) = (Vec::new(), Vec::new());
     let mut first = 0;
-    for (doc, units) in wave_docs.iter().zip(wave.iter().map(|(scores, _)| scores.len())) {
+    for (&doc_id, units) in doc_ids.iter().zip(wave.iter().map(|(units, _)| units.len())) {
         let span = first..first + units;
         first = span.end;
         let lead = (span.clone().filter(|&u| grant(u).is_some()))
@@ -713,7 +740,7 @@ fn resolve_wave(
             .or((units > 0).then_some(span.start));
         let (improvement, invalid) = lead.map_or((0.0, false), |u| scores[u]);
         let (granted_lead, lead_gain) = lead.map_or((None, 0.0), |u| (granted[u], gain(u)));
-        let mut choice = ParserChoice::resolve(frontier, doc.id.0, granted_lead, lead_gain, invalid);
+        let mut choice = ParserChoice::resolve(frontier, doc_id, granted_lead, lead_gain, invalid);
         let upgraded: Vec<usize> = (0..units).filter(|&page| grant(span.start + page).is_some()).collect();
         if choice.is_upgraded() && upgraded.len() < units {
             choice.upgraded_pages = upgraded;
@@ -790,9 +817,11 @@ mod tests {
     use super::*;
     use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
-    /// Truncated and byte-bumped containers fed to the bytes half of stages 1
-    /// and 3: whatever the reader rejects is a counted failure with empty
-    /// output, whatever it accepts still runs.
+    /// Truncated and byte-bumped containers, and well-formed ones whose
+    /// `/Info` or header names an unknown publisher, domain, producer or
+    /// version, fed to the bytes half of stages 1 and 3: whatever extraction
+    /// cannot read is a counted failure routed on nothing but empty text,
+    /// whatever the reader accepts still parses.
     #[test]
     fn a_corrupt_container_is_a_counted_failure_in_both_stages() {
         let config = AdaParseConfig::default();
@@ -817,22 +846,47 @@ mod tests {
             bumped[at] = bumped[at].wrapping_add(13);
             hostile.push(bumped);
         }
+        let m = &doc.metadata;
+        for (prefix, known, unknown) in [
+            ("/Publisher /", m.publisher.name(), "Elsevier"),
+            ("/Domain /", m.domain.name(), "Alchemy"),
+            ("/Producer (", m.producer.name(), "Acrobat"),
+            ("%SPDF-", m.format.version_string(), "9.9"),
+        ] {
+            let from = format!("{prefix}{known}");
+            let at = bytes.windows(from.len()).position(|w| w == from.as_bytes()).expect("written");
+            let renamed =
+                [&bytes[..at], prefix.as_bytes(), unknown.as_bytes(), &bytes[at + from.len()..]].concat();
+            assert!(SpdfIndex::open(&renamed).is_ok(), "{unknown} is well-formed");
+            hostile.push(renamed);
+        }
         let rejected = hostile.iter().filter(|bytes| SpdfIndex::open(bytes).is_err()).count();
         assert!(rejected > 50 && rejected < hostile.len(), "{rejected} of {}", hostile.len());
 
-        let extraction =
-            hostile.iter().filter(|bytes| extract.units(bytes, &doc, RoutingGranularity::ByDoc, 7).1).count();
-        let mut failures = CampaignFailures { extraction, parsing: 0 };
+        let empty = RoutingInput {
+            doc_id: doc.id.0,
+            text: String::new(),
+            metadata_features: vec![0.0; DocMetadata::FEATURES],
+            pages: 0,
+            legibility: 0.0,
+        };
+        let mut failures = CampaignFailures::default();
         for bytes in &hostile {
+            let (units, failed) = extract.units(bytes, doc.id.0, RoutingGranularity::ByDoc, 7);
+            if failed {
+                assert_eq!(units, std::slice::from_ref(&empty));
+            }
             // A by-page document that fails extraction routes no unit.
-            let (units, _) = extract.units(bytes, &doc, RoutingGranularity::ByPage, 7);
-            assert_eq!(units.len(), if SpdfIndex::open(bytes).is_err() { 0 } else { 3 });
+            let (units, _) = extract.units(bytes, doc.id.0, RoutingGranularity::ByPage, 7);
+            assert_eq!(units.len(), if failed { 0 } else { 3 });
+            failures.extraction += failed as usize;
             let parsed = parse.run_choice_on(bytes, &doc, &by_page, ParserKind::PyMuPdf, 7);
             assert_eq!(parsed.failed, SpdfIndex::open(bytes).is_err());
             assert_eq!(parsed.failed, parsed.output.text.is_empty() && parsed.output.pages_parsed == 0);
             assert_eq!(parsed.output.pages_total, 3);
             failures.parsing += parsed.failed as usize;
         }
-        assert_eq!(failures, CampaignFailures { extraction: rejected, parsing: rejected });
+        assert!(failures.extraction >= rejected + 4, "{failures:?}, {rejected} rejected");
+        assert_eq!(failures.parsing, rejected);
     }
 }

@@ -22,11 +22,11 @@
 //!   page, a [`RoutingGranularity::ByPage`] unit one page scored on its own
 //!   text, and α is the upgraded fraction of units either way.
 //!
-//! Everything here is a pure function of its inputs — scores, frontier,
-//! seeded document features — so cascade campaigns inherit the pipeline's
-//! bitwise-determinism contract unchanged.
+//! Everything here is a pure function of its inputs — scores, frontier and
+//! each unit's page-image legibility, read from its SPDF container — so
+//! cascade campaigns inherit the pipeline's bitwise-determinism contract
+//! unchanged.
 
-use docmodel::document::Document;
 use parsersim::{FrontierEntry, ParserFrontier, ParserKind};
 use serde::{Deserialize, Serialize};
 
@@ -89,44 +89,6 @@ impl CascadeConfig {
     }
 }
 
-/// Per-document features the gain transform conditions on (every page of a
-/// document carries its document's features). Derived purely
-/// from the document model (seeded difficulty, image-layer legibility) — no
-/// RNG, no ground truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CascadeFeatures {
-    /// Mean per-page extraction difficulty
-    /// ([`Document::page_difficulty`] averaged over the document).
-    pub difficulty: f64,
-    /// Mean page-image legibility (0.0 when the document has no page
-    /// images): how much a render-reading OCR parser has to work with.
-    pub legibility: f64,
-}
-
-impl CascadeFeatures {
-    /// Compute the features for one document.
-    pub fn of(doc: &Document) -> Self {
-        let difficulties = doc.page_difficulties();
-        let difficulty = if difficulties.is_empty() {
-            0.5
-        } else {
-            difficulties.iter().sum::<f64>() / difficulties.len() as f64
-        };
-        let images = &doc.image_layer.pages;
-        let legibility = if images.is_empty() {
-            0.0
-        } else {
-            images.iter().map(|p| p.legibility()).sum::<f64>() / images.len() as f64
-        };
-        CascadeFeatures { difficulty, legibility }
-    }
-}
-
-/// How strongly document difficulty tilts gains toward the recognition end
-/// of the frontier: a document at difficulty 1.0 scales candidate gains by
-/// 1.4, one at 0.0 by 0.6.
-const DIFFICULTY_SLOPE: f64 = 0.8;
-
 /// Transform the router's binary improvement scores into one gain vector
 /// per frontier upgrade — the input of [`crate::budget::assign_k`].
 ///
@@ -146,15 +108,13 @@ const DIFFICULTY_SLOPE: f64 = 0.8;
 /// * **Non-candidates** (score ≤ [`CANDIDATE_FLOOR`]) stay non-candidates
 ///   for every upgrade.
 /// * **Candidates** scale the score by the upgrade's relative quality gain
-///   (the best upgrade's factor is exactly `1.0`), tilt it by document
-///   difficulty (`DIFFICULTY_SLOPE`), and — for classic OCR, which reads
-///   the page render — additionally by the render's legibility.
-pub fn cascade_gains(
-    frontier: &ParserFrontier,
-    scores: &[(f64, bool)],
-    features: &[CascadeFeatures],
-) -> Vec<Vec<f64>> {
-    assert_eq!(scores.len(), features.len(), "one feature set per scored document");
+///   (the best upgrade's factor is exactly `1.0`) and — for classic OCR,
+///   which reads the page render — by the render's legibility.
+///
+/// `legibility[u]` is unit u's mean page-image legibility as its container
+/// records it (`SpdfIndex::mean_legibility`).
+pub fn cascade_gains(frontier: &ParserFrontier, scores: &[(f64, bool)], legibility: &[f64]) -> Vec<Vec<f64>> {
+    assert_eq!(scores.len(), legibility.len(), "one legibility per scored unit");
     if frontier.is_pair() {
         return vec![scores.iter().map(|&(score, _)| score).collect()];
     }
@@ -166,36 +126,31 @@ pub fn cascade_gains(
             let relative = entry.quality_gain / best_gain;
             scores
                 .iter()
-                .zip(features)
-                .map(|(&(score, invalid), feat)| entry_gain(entry, score, invalid, feat, relative))
+                .zip(legibility)
+                .map(|(&(score, invalid), &legibility)| {
+                    entry_gain(entry, score, invalid, legibility, relative)
+                })
                 .collect()
         })
         .collect()
 }
 
-/// The transformed gain of one (document, upgrade) candidate; see
+/// The transformed gain of one (unit, upgrade) candidate; see
 /// [`cascade_gains`].
-fn entry_gain(
-    entry: &FrontierEntry,
-    score: f64,
-    invalid: bool,
-    feat: &CascadeFeatures,
-    relative: f64,
-) -> f64 {
+fn entry_gain(entry: &FrontierEntry, score: f64, invalid: bool, legibility: f64, relative: f64) -> f64 {
     let pure_ocr = !entry.parser.requires_gpu() && !entry.parser.is_extraction();
     if invalid {
         if entry.parser.is_extraction() {
             return NON_CANDIDATE;
         }
-        let prefer_ocr = feat.legibility >= 0.5;
+        let prefer_ocr = legibility >= 0.5;
         return if prefer_ocr == pure_ocr { URGENT } else { URGENT_SECOND };
     }
     if score <= CANDIDATE_FLOOR {
         return NON_CANDIDATE;
     }
-    let tilt = 1.0 + DIFFICULTY_SLOPE * (feat.difficulty - 0.5);
-    let render = if pure_ocr { feat.legibility } else { 1.0 };
-    score * relative * tilt * render
+    let render = if pure_ocr { legibility } else { 1.0 };
+    score * relative * render
 }
 
 /// The resolved routing decision for one document under a cascade.
@@ -278,15 +233,11 @@ mod tests {
     use super::*;
     use crate::scaling::WindowedSelector;
 
-    fn flat_features(n: usize) -> Vec<CascadeFeatures> {
-        vec![CascadeFeatures { difficulty: 0.5, legibility: 0.8 }; n]
-    }
-
     #[test]
     fn pair_gains_are_the_identity_bitwise() {
         let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
         let scores = vec![(0.7, false), (URGENT, true), (NON_CANDIDATE, false), (f64::NAN, false)];
-        let gains = cascade_gains(&frontier, &scores, &flat_features(scores.len()));
+        let gains = cascade_gains(&frontier, &scores, &vec![0.8; scores.len()]);
         assert_eq!(gains.len(), 1);
         for (gain, &(score, _)) in gains[0].iter().zip(&scores) {
             assert_eq!(gain.to_bits(), score.to_bits(), "pair transform must be the identity");
@@ -315,11 +266,8 @@ mod tests {
     fn invalid_documents_prefer_render_parsers_by_legibility() {
         let frontier = ParserFrontier::full(ParserKind::PyMuPdf);
         let scores = vec![(URGENT, true), (URGENT, true)];
-        let features = vec![
-            CascadeFeatures { difficulty: 0.6, legibility: 0.9 }, // legible scan
-            CascadeFeatures { difficulty: 0.6, legibility: 0.2 }, // degraded scan
-        ];
-        let gains = cascade_gains(&frontier, &scores, &features);
+        let legibility = [0.9, 0.2]; // a legible scan, a degraded one
+        let gains = cascade_gains(&frontier, &scores, &legibility);
         let entries = frontier.upgrades();
         for (j, entry) in entries.iter().enumerate() {
             let pure_ocr = !entry.parser.requires_gpu() && !entry.parser.is_extraction();
@@ -330,20 +278,6 @@ mod tests {
                 assert_eq!(gains[j][0], URGENT_SECOND);
                 assert_eq!(gains[j][1], URGENT, "degraded scan prefers recognition");
             }
-        }
-    }
-
-    #[test]
-    fn difficulty_tilts_candidate_gains() {
-        let frontier = ParserFrontier::full(ParserKind::PyMuPdf);
-        let scores = vec![(0.5, false), (0.5, false)];
-        let features = vec![
-            CascadeFeatures { difficulty: 0.9, legibility: 1.0 },
-            CascadeFeatures { difficulty: 0.1, legibility: 1.0 },
-        ];
-        let gains = cascade_gains(&frontier, &scores, &features);
-        for per_entry in &gains {
-            assert!(per_entry[0] > per_entry[1], "harder documents rank higher");
         }
     }
 

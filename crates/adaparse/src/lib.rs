@@ -116,7 +116,7 @@ pub mod stats;
 
 pub use budget::{assign_k, max_affordable_alpha, select_global, KAssignment};
 pub use campaign::{CampaignFailures, CampaignPipeline, CascadeReport, PipelineConfig, RoutingInput};
-pub use cascade::{cascade_gains, CascadeConfig, CascadeFeatures, ParserChoice, RoutingGranularity};
+pub use cascade::{cascade_gains, CascadeConfig, ParserChoice, RoutingGranularity};
 pub use config::{AdaParseConfig, Variant};
 pub use engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 pub use hpc::{

@@ -22,7 +22,10 @@
 //! The two full-frontier digests were re-pinned when the page became the
 //! unit the selector grants and the ledger charges: "full frontier by-doc"
 //! moved in its ledger alone (its dollars now read in pages; every other
-//! hashed bit is unchanged), "full frontier by-page" in full.
+//! hashed bit is unchanged), "full frontier by-page" in full. Both moved
+//! again when routing stopped reading the `Document`: the cascade's gains
+//! lost their ground-truth difficulty tilt and read legibility from the
+//! container's page-image dictionaries.
 //!
 //! "fasttext global-batch" routes through CLS II, which reads a unit's
 //! metadata feature vector and page count rather than its text: it pins
@@ -196,8 +199,8 @@ fn campaign_fingerprints() {
         0xeed5_9416_7122_bf63,
         0x56f7_9663_e646_57bd,
         0x1b7d_02bb_fc10_22b0,
-        0x218e_e9c8_2d08_0a6e,
-        0x8e83_422b_b8c6_c336,
+        0xf7d1_756c_c9d8_7ff6,
+        0x6d6a_8cfb_7f50_c24c,
         0x2298_4546_d650_95f5,
     ];
     assert_eq!(actual, expected, "actual digests: {actual:#018x?}");

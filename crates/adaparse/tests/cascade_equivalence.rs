@@ -8,7 +8,10 @@
 //!   the same slot budget, on a frozen workload,
 //! * by-doc is by-page with one unit per document: on one-page documents the
 //!   two granularities agree bit for bit,
-//! * a by-page document without routing units moves no other grant,
+//! * a by-page document without routing units moves no other grant, and a
+//!   by-doc unit of 0 pages (an unreadable container) moves none either,
+//! * routing reads only the file: documents whose containers are equal
+//!   route alike, whatever their ground truth,
 //! * the by-page task DAG never lets a join start before every one of its
 //!   page children has finished, for proptest-random delegation patterns.
 
@@ -21,7 +24,8 @@ use adaparse::{
 use docmodel::document::{DocId, Document};
 use docmodel::imagelayer::ImageLayer;
 use docmodel::metadata::DocMetadata;
-use docmodel::textlayer::TextLayer;
+use docmodel::spdf::write_document;
+use docmodel::textlayer::{TextLayer, TextLayerQuality};
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SubmitOptions, WorkflowExecutor};
 use parsersim::registry::page_dollars;
 use parsersim::{ParserFrontier, ParserKind};
@@ -160,6 +164,71 @@ fn a_document_without_units_moves_no_other_grant() {
     let failures = |r: &adaparse::CascadeReport| r.result.failures;
     assert_eq!(failures(&with).extraction, failures(&without).extraction + 1);
     assert_eq!(failures(&with).parsing, failures(&without).parsing + 1);
+}
+
+/// A unit's page count prices the ledger alone: a unit of 0 pages — the
+/// by-doc unit of a container extraction could not read — moves no grant,
+/// its own included, on a pair frontier or the full one.
+#[test]
+fn a_zero_page_unit_moves_no_grant() {
+    let pair = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
+    for frontier in [pair, ParserFrontier::full(ParserKind::PyMuPdf)] {
+        let gain = |u: usize, j: usize| if u == 5 { URGENT } else { 0.05 * ((u * 7 + j * 3) % 11) as f64 };
+        let gains: Vec<Vec<f64>> =
+            (0..frontier.upgrades().len()).map(|j| (0..16).map(|u| gain(u, j)).collect()).collect();
+        let select = |unreadable_pages| {
+            let mut pages = vec![3; 16];
+            pages[5] = unreadable_pages;
+            let mut selector = WindowedSelector::new(16, 0.25).with_frontier(frontier.clone());
+            (selector.select_frontier(&gains, &pages), selector.slots_spent())
+        };
+        let (at_zero, at_three) = (select(0), select(3));
+        assert!(at_zero.0[5].is_some() && at_zero.0.iter().flatten().count() > 1, "{at_zero:?}");
+        assert_eq!(at_zero, at_three);
+    }
+}
+
+/// Two corpora whose containers are byte-equal but whose ground truth is
+/// not: each twin relabels its text layer's quality, which the writer does
+/// not record, and nudges page 0's blur below the writer's sixth decimal,
+/// which moves the page's legibility. Routing reads only the file, so both
+/// corpora route alike, gains to the bit, by document and by page.
+#[test]
+fn routing_sees_only_the_file() {
+    let config = AdaParseConfig { alpha: 0.2, ..Default::default() };
+    let engine = trained_engine(config.clone());
+    let docs = corpus(48, 77);
+    let twins: Vec<Document> = docs
+        .iter()
+        .map(|doc| {
+            let mut twin = doc.clone();
+            twin.text_layer.quality = match doc.text_layer.quality {
+                TextLayerQuality::Clean => TextLayerQuality::Scrambled,
+                _ => TextLayerQuality::Clean,
+            };
+            twin.image_layer.pages[0].blur_sigma += 1e-9;
+            twin
+        })
+        .collect();
+    for (doc, twin) in docs.iter().zip(&twins) {
+        assert_ne!(doc, twin);
+        assert_eq!(write_document(doc), write_document(twin), "{}", doc.id);
+    }
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 8 });
+    for cascade in [CascadeConfig::full(&config, 16), CascadeConfig::full(&config, 16).by_page()] {
+        let choices = pipeline.route_cascade(&engine, &docs, &cascade, 11);
+        let twin_choices = pipeline.route_cascade(&engine, &twins, &cascade, 11);
+        assert!(choices.iter().any(ParserChoice::is_upgraded), "the corpus must exercise upgrades");
+        for (choice, twin) in choices.iter().zip(&twin_choices) {
+            let id = (cascade.granularity, choice.doc_id);
+            assert_eq!(
+                choice.predicted_gain.to_bits(),
+                twin.predicted_gain.to_bits(),
+                "{id:?}: predicted_gain"
+            );
+            assert_eq!(choice, twin, "{id:?}");
+        }
+    }
 }
 
 /// A full-frontier campaign reports every upgrade in its

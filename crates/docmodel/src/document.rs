@@ -57,14 +57,6 @@ impl Page {
     pub fn count_kind(&self, kind: ElementKind) -> usize {
         self.elements.iter().filter(|e| e.kind() == kind).count()
     }
-
-    /// Mean extraction difficulty of the page's elements (0.0 for an empty page).
-    pub fn extraction_difficulty(&self) -> f64 {
-        if self.elements.is_empty() {
-            return 0.0;
-        }
-        self.elements.iter().map(|e| e.extraction_difficulty()).sum::<f64>() / self.elements.len() as f64
-    }
 }
 
 /// A scientific document: metadata, structured pages (the ground truth), the
@@ -137,36 +129,6 @@ impl Document {
     /// Number of elements of a given kind in the whole document.
     pub fn count_kind(&self, kind: ElementKind) -> usize {
         self.pages.iter().map(|p| p.count_kind(kind)).sum()
-    }
-
-    /// Intrinsic parsing difficulty of one page in `[0, 1]`, which cascade
-    /// routing averages into a document feature. Combines the page's structural difficulty, the
-    /// document-wide text-layer fidelity penalty, that page's raster
-    /// legibility, and a tiny hash-seeded jitter keyed on `(doc id, page)` so
-    /// equal-structure pages still order deterministically. Pure arithmetic —
-    /// no RNG state is created or advanced.
-    ///
-    /// Returns `None` when `page` is out of range.
-    pub fn page_difficulty(&self, page: usize) -> Option<f64> {
-        let structured = self.pages.get(page)?;
-        let structural = structured.extraction_difficulty();
-        let text_penalty = 1.0 - self.text_layer.quality.expected_fidelity();
-        let image_penalty = 1.0 - self.image_layer.pages.get(page).map(|p| p.legibility()).unwrap_or(0.0);
-        // SplitMix64 of (id, page) → jitter in [0, 0.01): breaks ties between
-        // structurally identical pages without perturbing the ranking of
-        // genuinely different ones.
-        let mut h = self.id.0 ^ (page as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        let jitter = (h >> 11) as f64 / (1u64 << 53) as f64 * 0.01;
-        Some((0.45 * structural + 0.35 * text_penalty + 0.20 * image_penalty + jitter).clamp(0.0, 1.0))
-    }
-
-    /// Per-page intrinsic difficulties, in page order (see
-    /// [`Document::page_difficulty`]).
-    pub fn page_difficulties(&self) -> Vec<f64> {
-        (0..self.pages.len()).map(|i| self.page_difficulty(i).unwrap_or(0.0)).collect()
     }
 }
 
@@ -279,52 +241,6 @@ mod tests {
         let doc = Document::new(DocId(6), DocMetadata::default(), pages, layer, ImageLayer::born_digital(2));
         assert_eq!(doc.page_count(), 2);
         assert!(doc.text_layer.quality.expected_fidelity() < 0.9);
-    }
-
-    #[test]
-    fn page_difficulty_is_deterministic_bounded_and_total() {
-        let doc = sample_doc();
-        let first = doc.page_difficulties();
-        let second = doc.page_difficulties();
-        assert_eq!(first.len(), doc.page_count());
-        assert_eq!(first, second, "per-page difficulty must be a pure function of the document");
-        for (i, d) in first.iter().enumerate() {
-            assert!((0.0..=1.0).contains(d));
-            assert_eq!(doc.page_difficulty(i), Some(*d));
-        }
-        assert_eq!(doc.page_difficulty(doc.page_count()), None);
-    }
-
-    #[test]
-    fn page_difficulty_tracks_page_legibility() {
-        let mut doc = sample_doc();
-        let clean = doc.page_difficulty(0).unwrap();
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        doc.image_layer.pages[0].degrade_scan(&mut rng);
-        doc.image_layer.pages[0].degrade_scan(&mut rng);
-        let degraded = doc.page_difficulty(0).unwrap();
-        assert!(degraded > clean, "degraded page {degraded} must be harder than clean {clean}");
-        // Page 1's raster was untouched; its difficulty moves not at all.
-        assert_eq!(doc.page_difficulty(1), sample_doc().page_difficulty(1));
-    }
-
-    #[test]
-    fn page_jitter_separates_identical_pages() {
-        let page = Page::new(vec![Element::paragraph("identical content on every page")]);
-        let pages = vec![page.clone(), page.clone(), page];
-        let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
-        let doc = Document::new(
-            DocId(9),
-            DocMetadata::default(),
-            pages,
-            TextLayer::clean(&gt),
-            ImageLayer::born_digital(3),
-        );
-        let d = doc.page_difficulties();
-        assert!(d[0] != d[1] || d[1] != d[2], "jitter must break structural ties");
-        let spread = d.iter().cloned().fold(f64::MIN, f64::max) - d.iter().cloned().fold(f64::MAX, f64::min);
-        assert!(spread < 0.01, "jitter must stay tiny, spread = {spread}");
     }
 
     #[test]

@@ -53,8 +53,10 @@ mod tests {
     use crate::document::{DocId, Document, Page};
     use crate::element::Element;
     use crate::imagelayer::ImageLayer;
-    use crate::metadata::{DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
+    use crate::metadata::{DocCategory, DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
     use crate::textlayer::TextLayer;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn sample_document() -> Document {
         let pages = vec![
@@ -106,6 +108,28 @@ mod tests {
             assert_eq!(&page.glyph_text, gt);
         }
         assert!(parsed.pages[0].image.legibility() > 0.9);
+
+        // What routing reads comes back from the file, for one document per
+        // category: its own venue, domain, format, producer and raster.
+        let producers =
+            [ProducerTool::OcrAttached, ProducerTool::InDesign, ProducerTool::Word, ProducerTool::PdfLatex];
+        for (i, category) in DocCategory::ALL.into_iter().enumerate() {
+            let mut doc = doc.clone();
+            doc.metadata = DocMetadata {
+                publisher: Publisher::ALL[i + 2],
+                domain: Domain::ALL[2 * i + 1],
+                producer: producers[i],
+                format: PdfFormat::ALL[i + 1],
+                ..doc.metadata
+            };
+            if category == DocCategory::Scanned {
+                doc.image_layer = ImageLayer::scanned(2, &mut StdRng::seed_from_u64(3));
+            }
+            let bytes = write_document(&doc);
+            let index = SpdfIndex::open(&bytes).expect("roundtrip open");
+            assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), Ok(doc.metadata));
+            assert!((index.mean_legibility() - doc.image_layer.mean_legibility()).abs() < 1e-5);
+        }
     }
 
     #[test]

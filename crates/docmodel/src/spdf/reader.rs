@@ -32,6 +32,14 @@ pub enum SpdfError {
     MissingKey(String),
     /// The trailer (xref/trailer/startxref/%%EOF) was malformed or absent.
     BadTrailer,
+    /// A well-formed `/Info` name or header version that names no known
+    /// value (see [`crate::metadata::DocMetadata::from_spdf`]).
+    Unrecognized {
+        /// `Publisher`, `Domain`, `Producer`, or `SPDF` for the version.
+        key: &'static str,
+        /// The value found.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for SpdfError {
@@ -45,6 +53,7 @@ impl std::fmt::Display for SpdfError {
             SpdfError::MissingObject(id) => write!(f, "referenced object {id} not found"),
             SpdfError::MissingKey(key) => write!(f, "required key /{key} missing or mistyped"),
             SpdfError::BadTrailer => write!(f, "malformed or missing trailer"),
+            SpdfError::Unrecognized { key, value } => write!(f, "unrecognized /{key} value {value:?}"),
         }
     }
 }
@@ -263,6 +272,22 @@ impl<'a> SpdfIndex<'a> {
     /// Number of pages.
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    /// Format version from the header (e.g. `"1.7"`).
+    pub fn format_version(&self) -> &'a str {
+        self.format_version
+    }
+
+    /// Info-dictionary metadata.
+    pub fn info(&self) -> &SpdfInfo {
+        &self.info
+    }
+
+    /// Mean [`PageImage::legibility`] of the `/PageImage` dictionaries; 0.0
+    /// without pages.
+    pub fn mean_legibility(&self) -> f64 {
+        self.pages.iter().map(|p| p.image.legibility()).sum::<f64>() / self.pages.len().max(1) as f64
     }
 
     /// Decode the `i`-th page (in `/Index` order); `None` past the last page.

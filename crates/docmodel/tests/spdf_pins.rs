@@ -9,8 +9,8 @@
 //! exactly the inputs the digest records as errors, with the same error.
 
 use docmodel::document::{DocId, Document};
-use docmodel::metadata::DocCategory;
-use docmodel::spdf::{write_document, SpdfFile, SpdfIndex};
+use docmodel::metadata::{DocCategory, DocMetadata};
+use docmodel::spdf::{write_document, SpdfError, SpdfFile, SpdfIndex};
 use scicorpus::categories::category_preset;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
@@ -168,5 +168,32 @@ fn index_pages_equal_the_decoded_file_field_for_field() {
         }
         assert_eq!(index.page(file.pages.len()), None);
         assert_eq!(index.decode_all(), file);
+    }
+}
+
+/// What routing reads of a container — its metadata and its page-image
+/// legibility — comes back from the file for every pinned document, hostile
+/// titles and sub-precision rasters included; a well-formed container that
+/// names an unknown publisher, domain, producer or version is a typed error.
+#[test]
+fn routing_metadata_reads_back_from_the_file() {
+    for doc in pinned_corpus() {
+        let bytes = write_document(&doc);
+        let index = SpdfIndex::open(&bytes).expect("writer output opens");
+        assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), Ok(doc.metadata.clone()));
+        assert!((index.mean_legibility() - doc.image_layer.mean_legibility()).abs() < 1e-5, "{}", doc.id);
+        let m = &doc.metadata;
+        for (key, prefix, known, value) in [
+            ("Publisher", "/Publisher /", m.publisher.name(), "Elsevier"),
+            ("Domain", "/Domain /", m.domain.name(), "Alchemy"),
+            ("Producer", "/Producer (", m.producer.name(), "Acrobat"),
+            ("SPDF", "%SPDF-", m.format.version_string(), "9.9"),
+        ] {
+            let from = format!("{prefix}{known}");
+            let renamed = replace_first(&bytes, from.as_bytes(), format!("{prefix}{value}").as_bytes());
+            let index = SpdfIndex::open(&renamed).expect("a renamed value stays well-formed");
+            let error = Err(SpdfError::Unrecognized { key, value: value.to_string() });
+            assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), error, "{}", doc.id);
+        }
     }
 }
