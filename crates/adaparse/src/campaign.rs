@@ -180,10 +180,11 @@ impl<'a> ExtractStage<'a> {
     /// the first page's, then — by page — every later page's from the
     /// whole-document parse on the same RNG stream, capped at
     /// [`MAX_PAGE_CHARS`]. A corrupt container, an `/Info` name or version
-    /// [`DocMetadata::from_spdf`] does not know, or a parser error fails
+    /// [`SpdfIndex::metadata`] does not know, or a parser error fails
     /// extraction, never a panic: a failed by-doc document is one unit of
-    /// empty text, 0 pages, a zero metadata vector and legibility 0.0; a
-    /// failed by-page document is none, so it stays on the base parser.
+    /// empty text, a zero metadata vector and legibility 0.0 that keeps the
+    /// container's page count if it opened (0 if not); a failed by-page
+    /// document is none, so it stays on the base parser.
     fn units(
         &self,
         bytes: &[u8],
@@ -192,24 +193,26 @@ impl<'a> ExtractStage<'a> {
         seed: u64,
     ) -> (Vec<RoutingInput>, bool) {
         let rng = || StdRng::seed_from_u64(seed ^ doc_id ^ 0xEAF1);
-        let read = SpdfIndex::open(bytes).map_err(ParseError::from).and_then(|index| {
-            let metadata = DocMetadata::from_spdf(index.info(), index.format_version())?;
+        let index = SpdfIndex::open(bytes);
+        let pages = index.as_ref().map_or(0, SpdfIndex::page_count);
+        let read = index.map_err(ParseError::from).and_then(|index| {
+            let metadata = index.metadata()?;
             let parser = self.config.default_parser;
             let mut texts = vec![parser.first_page_text(&index, &mut rng())?];
-            if by == RoutingGranularity::ByPage && index.page_count() > 1 {
-                let pages = parser.parse_file(&index.decode_all(), &mut rng())?.text;
+            if by == RoutingGranularity::ByPage && pages > 1 {
+                let text = parser.parse_file(&index.decode_all(), &mut rng())?.text;
                 texts.extend(
-                    pages.split('\u{c}').skip(1).map(|page| page.chars().take(MAX_PAGE_CHARS).collect()),
+                    text.split('\u{c}').skip(1).map(|page| page.chars().take(MAX_PAGE_CHARS).collect()),
                 );
             }
-            Ok((texts, metadata.feature_vector(), index.page_count(), index.mean_legibility()))
+            Ok((texts, metadata.feature_vector(), index.mean_legibility()))
         });
-        let ((texts, metadata_features, pages, legibility), failed) = match read {
+        let ((texts, metadata_features, legibility), failed) = match read {
             Ok(read) => (read, false),
             Err(_) if by == RoutingGranularity::ByDoc => {
-                ((vec![String::new()], vec![0.0; DocMetadata::FEATURES], 0, 0.0), true)
+                ((vec![String::new()], vec![0.0; DocMetadata::FEATURES], 0.0), true)
             }
-            Err(_) => ((Vec::new(), Vec::new(), 0, 0.0), true),
+            Err(_) => ((Vec::new(), Vec::new(), 0.0), true),
         };
         let input = |text| RoutingInput {
             doc_id,
@@ -819,9 +822,10 @@ mod tests {
 
     /// Truncated and byte-bumped containers, and well-formed ones whose
     /// `/Info` or header names an unknown publisher, domain, producer or
-    /// version, fed to the bytes half of stages 1 and 3: whatever extraction
-    /// cannot read is a counted failure routed on nothing but empty text,
-    /// whatever the reader accepts still parses.
+    /// version, fed to the bytes half of stages 1 and 3 beside the untouched
+    /// container: extraction fails exactly where the reader or
+    /// [`SpdfIndex::metadata`] does, routing the failure on nothing but
+    /// empty text; whatever the reader accepts still parses.
     #[test]
     fn a_corrupt_container_is_a_counted_failure_in_both_stages() {
         let config = AdaParseConfig::default();
@@ -839,12 +843,13 @@ mod tests {
         };
 
         let bytes = write_document(&doc);
-        let mut hostile: Vec<Vec<u8>> =
-            (0..bytes.len()).step_by(61).map(|cut| bytes[..cut].to_vec()).collect();
+        // The untouched container first: the control that must not fail.
+        let mut inputs = vec![bytes.clone()];
+        inputs.extend((0..bytes.len()).step_by(61).map(|cut| bytes[..cut].to_vec()));
         for at in (0..bytes.len()).step_by(97) {
             let mut bumped = bytes.clone();
             bumped[at] = bumped[at].wrapping_add(13);
-            hostile.push(bumped);
+            inputs.push(bumped);
         }
         let m = &doc.metadata;
         for (prefix, known, unknown) in [
@@ -858,35 +863,39 @@ mod tests {
             let renamed =
                 [&bytes[..at], prefix.as_bytes(), unknown.as_bytes(), &bytes[at + from.len()..]].concat();
             assert!(SpdfIndex::open(&renamed).is_ok(), "{unknown} is well-formed");
-            hostile.push(renamed);
+            inputs.push(renamed);
         }
-        let rejected = hostile.iter().filter(|bytes| SpdfIndex::open(bytes).is_err()).count();
-        assert!(rejected > 50 && rejected < hostile.len(), "{rejected} of {}", hostile.len());
+        let rejected = inputs.iter().filter(|bytes| SpdfIndex::open(bytes).is_err()).count();
+        assert!(rejected > 50 && rejected < inputs.len(), "{rejected} of {}", inputs.len());
 
-        let empty = RoutingInput {
-            doc_id: doc.id.0,
-            text: String::new(),
-            metadata_features: vec![0.0; DocMetadata::FEATURES],
-            pages: 0,
-            legibility: 0.0,
-        };
-        let mut failures = CampaignFailures::default();
-        for bytes in &hostile {
+        let (mut failures, mut unknown) = (CampaignFailures::default(), 0);
+        for (i, bytes) in inputs.iter().enumerate() {
+            let index = SpdfIndex::open(bytes);
+            let unreadable = !index.as_ref().is_ok_and(|index| index.metadata().is_ok());
+            unknown += (index.is_ok() && unreadable) as usize;
             let (units, failed) = extract.units(bytes, doc.id.0, RoutingGranularity::ByDoc, 7);
+            assert_eq!(failed, unreadable, "input {i}");
+            failures.extraction += failed as usize;
             if failed {
-                assert_eq!(units, std::slice::from_ref(&empty));
+                let empty = RoutingInput {
+                    doc_id: doc.id.0,
+                    text: String::new(),
+                    metadata_features: vec![0.0; DocMetadata::FEATURES],
+                    pages: index.as_ref().map_or(0, SpdfIndex::page_count),
+                    legibility: 0.0,
+                };
+                assert_eq!(units, [empty], "input {i}");
             }
             // A by-page document that fails extraction routes no unit.
-            let (units, _) = extract.units(bytes, doc.id.0, RoutingGranularity::ByPage, 7);
-            assert_eq!(units.len(), if failed { 0 } else { 3 });
-            failures.extraction += failed as usize;
+            let (units, failed) = extract.units(bytes, doc.id.0, RoutingGranularity::ByPage, 7);
+            assert_eq!((failed, units.len()), (unreadable, if unreadable { 0 } else { 3 }), "input {i}");
             let parsed = parse.run_choice_on(bytes, &doc, &by_page, ParserKind::PyMuPdf, 7);
-            assert_eq!(parsed.failed, SpdfIndex::open(bytes).is_err());
+            assert_eq!(parsed.failed, index.is_err());
             assert_eq!(parsed.failed, parsed.output.text.is_empty() && parsed.output.pages_parsed == 0);
             assert_eq!(parsed.output.pages_total, 3);
             failures.parsing += parsed.failed as usize;
         }
-        assert!(failures.extraction >= rejected + 4, "{failures:?}, {rejected} rejected");
-        assert_eq!(failures.parsing, rejected);
+        assert!(unknown >= 4, "{unknown} unknown names");
+        assert_eq!(failures, CampaignFailures { extraction: rejected + unknown, parsing: rejected });
     }
 }

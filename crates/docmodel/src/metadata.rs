@@ -8,8 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::spdf::{SpdfError, SpdfInfo};
-
 /// Source venue of a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Publisher {
@@ -430,37 +428,6 @@ impl Default for DocMetadata {
 impl DocMetadata {
     /// Length of [`DocMetadata::feature_vector`].
     pub const FEATURES: usize = 27;
-
-    /// The metadata an SPDF container carries: its `/Info` dictionary and
-    /// its `%SPDF-` header version, matched by name against the `ALL` arrays
-    /// (the inverse of what [`crate::spdf::write_document`] writes).
-    ///
-    /// # Errors
-    ///
-    /// [`SpdfError::Unrecognized`] when the publisher, domain, producer or
-    /// version names no known value.
-    pub fn from_spdf(info: &SpdfInfo, version: &str) -> Result<DocMetadata, SpdfError> {
-        fn find<T: Copy>(
-            all: &[T],
-            name: fn(&T) -> &'static str,
-            key: &'static str,
-            value: &str,
-        ) -> Result<T, SpdfError> {
-            all.iter()
-                .copied()
-                .find(|t| name(t) == value)
-                .ok_or_else(|| SpdfError::Unrecognized { key, value: value.to_string() })
-        }
-        Ok(DocMetadata {
-            title: info.title.clone(),
-            publisher: find(&Publisher::ALL, Publisher::name, "Publisher", &info.publisher)?,
-            domain: find(&Domain::ALL, Domain::name, "Domain", &info.domain)?,
-            subcategory: info.subcategory.clone(),
-            year: info.year,
-            producer: find(&ProducerTool::ALL, ProducerTool::name, "Producer", &info.producer)?,
-            format: find(&PdfFormat::ALL, PdfFormat::version_string, "SPDF", version)?,
-        })
-    }
 
     /// Dense numeric feature vector used by the metadata-driven classifiers
     /// (CLS I / CLS II / the SVC rows of Table 4).

@@ -127,7 +127,7 @@ mod tests {
             }
             let bytes = write_document(&doc);
             let index = SpdfIndex::open(&bytes).expect("roundtrip open");
-            assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), Ok(doc.metadata));
+            assert_eq!(index.metadata(), Ok(doc.metadata));
             assert!((index.mean_legibility() - doc.image_layer.mean_legibility()).abs() < 1e-5);
         }
     }

@@ -9,6 +9,7 @@
 use std::borrow::Cow;
 
 use crate::imagelayer::PageImage;
+use crate::metadata::{DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
 
 use super::object::{unescape_name, unescape_string_into, Dict, RawStr, Value};
 
@@ -33,7 +34,7 @@ pub enum SpdfError {
     /// The trailer (xref/trailer/startxref/%%EOF) was malformed or absent.
     BadTrailer,
     /// A well-formed `/Info` name or header version that names no known
-    /// value (see [`crate::metadata::DocMetadata::from_spdf`]).
+    /// value (see [`SpdfIndex::metadata`]).
     Unrecognized {
         /// `Publisher`, `Domain`, `Producer`, or `SPDF` for the version.
         key: &'static str,
@@ -274,14 +275,36 @@ impl<'a> SpdfIndex<'a> {
         self.pages.len()
     }
 
-    /// Format version from the header (e.g. `"1.7"`).
-    pub fn format_version(&self) -> &'a str {
-        self.format_version
-    }
-
-    /// Info-dictionary metadata.
-    pub fn info(&self) -> &SpdfInfo {
-        &self.info
+    /// The document metadata the container carries: its `/Info` dictionary
+    /// and `%SPDF-` header version, matched by name against the `ALL`
+    /// arrays (the inverse of what [`super::write_document`] writes).
+    ///
+    /// # Errors
+    ///
+    /// [`SpdfError::Unrecognized`] when the publisher, domain, producer or
+    /// version names no known value.
+    pub fn metadata(&self) -> Result<DocMetadata, SpdfError> {
+        fn find<T: Copy>(
+            all: &[T],
+            name: fn(&T) -> &'static str,
+            key: &'static str,
+            value: &str,
+        ) -> Result<T, SpdfError> {
+            all.iter()
+                .copied()
+                .find(|t| name(t) == value)
+                .ok_or_else(|| SpdfError::Unrecognized { key, value: value.to_string() })
+        }
+        let info = &self.info;
+        Ok(DocMetadata {
+            title: info.title.clone(),
+            publisher: find(&Publisher::ALL, Publisher::name, "Publisher", &info.publisher)?,
+            domain: find(&Domain::ALL, Domain::name, "Domain", &info.domain)?,
+            subcategory: info.subcategory.clone(),
+            year: info.year,
+            producer: find(&ProducerTool::ALL, ProducerTool::name, "Producer", &info.producer)?,
+            format: find(&PdfFormat::ALL, PdfFormat::version_string, "SPDF", self.format_version)?,
+        })
     }
 
     /// Mean [`PageImage::legibility`] of the `/PageImage` dictionaries; 0.0

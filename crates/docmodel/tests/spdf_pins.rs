@@ -9,7 +9,7 @@
 //! exactly the inputs the digest records as errors, with the same error.
 
 use docmodel::document::{DocId, Document};
-use docmodel::metadata::{DocCategory, DocMetadata};
+use docmodel::metadata::DocCategory;
 use docmodel::spdf::{write_document, SpdfError, SpdfFile, SpdfIndex};
 use scicorpus::categories::category_preset;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -180,7 +180,7 @@ fn routing_metadata_reads_back_from_the_file() {
     for doc in pinned_corpus() {
         let bytes = write_document(&doc);
         let index = SpdfIndex::open(&bytes).expect("writer output opens");
-        assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), Ok(doc.metadata.clone()));
+        assert_eq!(index.metadata(), Ok(doc.metadata.clone()));
         assert!((index.mean_legibility() - doc.image_layer.mean_legibility()).abs() < 1e-5, "{}", doc.id);
         let m = &doc.metadata;
         for (key, prefix, known, value) in [
@@ -193,7 +193,7 @@ fn routing_metadata_reads_back_from_the_file() {
             let renamed = replace_first(&bytes, from.as_bytes(), format!("{prefix}{value}").as_bytes());
             let index = SpdfIndex::open(&renamed).expect("a renamed value stays well-formed");
             let error = Err(SpdfError::Unrecognized { key, value: value.to_string() });
-            assert_eq!(DocMetadata::from_spdf(index.info(), index.format_version()), error, "{}", doc.id);
+            assert_eq!(index.metadata(), error, "{}", doc.id);
         }
     }
 }
