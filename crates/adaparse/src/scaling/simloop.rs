@@ -88,7 +88,7 @@ pub struct SimLoopConfig {
     /// needs — its parse tasks are then skipped, and an epoch may complete
     /// nothing at all; see [`SimWave::tasks_skipped`]).
     pub cluster: Option<ClusterConfig>,
-    /// Executor options (warm starts, node-local staging, placement).
+    /// Executor options (warm starts, node-local staging).
     pub executor: ExecutorConfig,
     /// Shared-filesystem model.
     pub filesystem: LustreModel,

@@ -52,7 +52,7 @@ pub struct ServeConfig {
     /// over the maximum fleet (the autoscaler's `max_nodes`, or
     /// [`nodes`](Self::nodes) without autoscaling).
     pub cluster: Option<ClusterConfig>,
-    /// Executor options (warm starts, node-local staging, placement).
+    /// Executor options (warm starts, node-local staging).
     pub executor: ExecutorConfig,
     /// Shared-filesystem model.
     pub filesystem: LustreModel,

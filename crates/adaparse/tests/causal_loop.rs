@@ -7,7 +7,7 @@
 //! * two frozen shapes (a GPU-rich cluster; a GPU-less cluster whose parse
 //!   tasks are skipped) reproduce their masks, makespans, per-wave
 //!   timelines and backlogs bit for bit;
-//! * the *whole* report of those shapes and of three 24-window campaigns —
+//! * the *whole* report of those shapes and of two 24-window campaigns —
 //!   every wave field, the allocation trace, the executor's counters, float
 //!   bits and warm rows, per-GPU busy/load bits, the queue-wait summary —
 //!   reproduces its pinned digests;
@@ -19,7 +19,7 @@
 use adaparse::{
     run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport, WorkloadSpec,
 };
-use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, PlacementPolicy};
+use hpcsim::{ClusterConfig, LustreModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -336,12 +336,11 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
     }
 }
 
-/// The whole report of five shapes: the two shapes above, and three long
+/// The whole report of four shapes: the two shapes above, and two long
 /// enough (24 windows on 4 nodes) that almost every row, completion record,
 /// anchor and cold-start interval is retired before the close — unlimited
-/// load channels, one load channel (the herd queues and the carried
-/// cold-start peak matters), and cost-aware placement over one load
-/// channel.
+/// load channels and one load channel (the herd queues and the carried
+/// cold-start peak matters).
 #[test]
 fn closed_loop_reproduces_the_full_report_digests() {
     let config = base_config();
@@ -355,10 +354,6 @@ fn closed_loop_reproduces_the_full_report_digests() {
     let one_channel_sim = SimLoopConfig {
         filesystem: LustreModel { model_load_channels: 1, ..LustreModel::default() },
         ..large_sim
-    };
-    let cost_aware_sim = SimLoopConfig {
-        executor: ExecutorConfig { placement: PlacementPolicy::CostAware, ..ExecutorConfig::default() },
-        ..one_channel_sim
     };
     let run = |improvements: &[f64], sim: &SimLoopConfig| {
         full_pin_of(&run_closed_loop(&config, improvements, &workload(improvements.len()), sim))
@@ -407,7 +402,8 @@ fn closed_loop_reproduces_the_full_report_digests() {
         ),
         "6 000 documents"
     );
-    let one_channel_pin = || {
+    assert_eq!(
+        run(&large, &one_channel_sim),
         pin(
             0x9b2066df167af4f8,
             0x1157cc9aaff96143,
@@ -415,10 +411,7 @@ fn closed_loop_reproduces_the_full_report_digests() {
             0x07d167f4c8e8e142,
             (7200, 0x3ff92ace06e824b7, 0x3fc5182a9930c000, 0x4034cd6a161e4f6c, 0x40525b6ae7d566cf),
             0x684c0e4860488e00,
-        )
-    };
-    assert_eq!(run(&large, &one_channel_sim), one_channel_pin(), "one load channel");
-    // One GPU model, warm on every node after the first window: the
-    // cost-aware schedule *is* the earliest-slot one, bit for bit.
-    assert_eq!(run(&large, &cost_aware_sim), one_channel_pin(), "cost-aware, one load channel");
+        ),
+        "one load channel"
+    );
 }

@@ -25,7 +25,6 @@
 //! ```text
 //! cargo run --release --bin bench_million                    # full 1M-doc entry
 //! cargo run --release --bin bench_million -- --docs 2000 --smoke
-//! cargo run --release --bin bench_million -- --placement cost-aware --smoke
 //! cargo run --release --bin bench_million -- --validate      # check BENCH_hotpath.json
 //! ```
 
@@ -38,7 +37,6 @@ use adaparse::{
 };
 use bench::driver::{drive, fnv1a, CountingAllocator, Flags, Trajectory};
 use bench::trajectory::JsonValue;
-use hpcsim::{ExecutorConfig, PlacementPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -73,23 +71,15 @@ struct Args {
     docs: usize,
     window: usize,
     nodes: usize,
-    placement: PlacementPolicy,
 }
 
 fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { docs: 1_000_000, window: 256, nodes: 4, placement: PlacementPolicy::EarliestSlot };
+    let mut args = Args { docs: 1_000_000, window: 256, nodes: 4 };
     while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
             "--docs" => args.docs = flags.value("--docs")?,
             "--window" => args.window = flags.value("--window")?,
             "--nodes" => args.nodes = flags.value("--nodes")?,
-            "--placement" => {
-                args.placement = match flags.value::<String>("--placement")?.as_str() {
-                    "earliest" => PlacementPolicy::EarliestSlot,
-                    "cost-aware" => PlacementPolicy::CostAware,
-                    other => return Err(format!("--placement: expected earliest|cost-aware, got {other:?}")),
-                }
-            }
             other => return Err(Flags::unknown(other)),
         }
     }
@@ -169,7 +159,6 @@ fn run_campaign(
         window: args.window,
         nodes: args.nodes,
         controller: ControllerConfig { total_workers: 8, patience: 1 },
-        executor: ExecutorConfig { placement: args.placement, ..Default::default() },
         ..Default::default()
     };
     let loop_start = Instant::now();
@@ -230,19 +219,8 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
         ("window", JsonValue::U64(args.window as u64)),
         ("nodes", JsonValue::U64(args.nodes as u64)),
         ("smoke", JsonValue::Bool(flags.smoke)),
-        // Optional fields (absent from pre-placement entries, so kept out
-        // of the required ones): which slot-choice policy ran, and the herd
-        // serialization cost it observed.
-        (
-            "placement",
-            JsonValue::Str(
-                match args.placement {
-                    PlacementPolicy::EarliestSlot => "earliest-slot",
-                    PlacementPolicy::CostAware => "cost-aware",
-                }
-                .to_string(),
-            ),
-        ),
+        // Optional field (absent from early entries, so kept out of the
+        // required ones): the herd serialization cost the run observed.
         ("herd_queue_seconds", JsonValue::F64(report.executor_report.herd_queue_seconds)),
         ("tasks_completed", JsonValue::U64(tasks_completed)),
         ("wall_seconds_total", JsonValue::F64(wall_seconds_total)),

@@ -11,10 +11,6 @@
 //! 2. **Fixed ablation**: the same traces on a pinned fleet of equal
 //!    *average* capacity (the autoscaled run's epoch-mean active nodes,
 //!    rounded) — same mean node-hours, none of the elasticity.
-//! 3. **Placement ablation**: the autoscaled run again under
-//!    `PlacementPolicy::CostAware` — warm-aware slot choice must replay
-//!    bitwise, complete the same documents, and pay no more cold starts
-//!    than the warm-blind default.
 //!
 //! The demo asserts that the service replays bitwise, that the autoscaled
 //! run meets every tenant's p99 target, and that the equal-capacity fixed
@@ -38,7 +34,6 @@ use adaparse::{
 };
 use bench::driver::{doc_arrivals, drive, Flags, Trajectory};
 use bench::trajectory::JsonValue;
-use hpcsim::PlacementPolicy;
 use scicorpus::ArrivalPattern;
 
 struct Args {
@@ -211,37 +206,7 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
     let fixed_nodes = (auto.mean_active_nodes.round() as usize).clamp(1, args.max_nodes);
     let fixed = run_service(&serve_config(&args, false, fixed_nodes), &traces);
 
-    // Placement ablation: the same autoscaled run with warm-aware slot
-    // choice. Same service, no extra cold starts.
-    let mut aware_config = serve_config(&args, true, 0);
-    aware_config.executor.placement = PlacementPolicy::CostAware;
-    let aware = run_service(&aware_config, &traces);
-    let aware_replay = run_service(&aware_config, &traces);
-    if aware != aware_replay {
-        return Err("cost-aware serve run failed to replay bitwise".to_string());
-    }
     let wall_seconds = wall.elapsed().as_secs_f64();
-    println!(
-        "placement ablation: cost-aware pays {} cold starts vs {} warm-blind ({} vs {} warm hits)",
-        aware.executor_report.cold_starts,
-        auto.executor_report.cold_starts,
-        aware.executor_report.warm_hits,
-        auto.executor_report.warm_hits
-    );
-    if aware.executor_report.cold_starts > auto.executor_report.cold_starts {
-        return Err(format!(
-            "cost-aware placement paid more cold starts than warm-blind ({} vs {})",
-            aware.executor_report.cold_starts, auto.executor_report.cold_starts
-        ));
-    }
-    let completed = |report: &ServeReport| report.tenants.iter().map(|t| t.completed).sum::<usize>();
-    if completed(&aware) != completed(&auto) {
-        return Err(format!(
-            "cost-aware placement changed the completed-document count ({} vs {})",
-            completed(&aware),
-            completed(&auto)
-        ));
-    }
 
     print_report("autoscaled", &auto);
     print_report(&format!("fixed fleet ({fixed_nodes} nodes, equal average capacity)"), &fixed);
@@ -299,17 +264,6 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
         ("wall_seconds", JsonValue::F64(wall_seconds)),
         ("tenants", tenants_json),
         ("fingerprint", JsonValue::hex(auto.fingerprint)),
-        // Optional field (absent from pre-placement entries, so kept out of
-        // the required ones): the warm-aware placement ablation's totals next
-        // to the warm-blind default's.
-        (
-            "placement_ablation",
-            JsonValue::object(vec![
-                ("earliest_slot_cold_starts", JsonValue::U64(auto.executor_report.cold_starts as u64)),
-                ("cost_aware_cold_starts", JsonValue::U64(aware.executor_report.cold_starts as u64)),
-                ("cost_aware_fingerprint", JsonValue::hex(aware.fingerprint)),
-            ]),
-        ),
     ])
 }
 

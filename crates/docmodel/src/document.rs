@@ -240,7 +240,6 @@ mod tests {
             TextLayer::from_ground_truth(&gt, TextLayerQuality::OcrGenerated { error_rate: 0.3 }, &mut rng);
         let doc = Document::new(DocId(6), DocMetadata::default(), pages, layer, ImageLayer::born_digital(2));
         assert_eq!(doc.page_count(), 2);
-        assert!(doc.text_layer.quality.expected_fidelity() < 0.9);
     }
 
     #[test]

@@ -166,28 +166,6 @@ impl Element {
     pub fn word_count(&self) -> usize {
         self.ground_truth_text().split_whitespace().count()
     }
-
-    /// How difficult the element is for lightweight text extraction, in
-    /// `[0, 1]`. Equations, tables and SMILES strings are the elements whose
-    /// extraction output tends to be mangled (paper Figure 1 failure modes).
-    pub fn extraction_difficulty(&self) -> f64 {
-        match self {
-            Element::Heading { .. } => 0.05,
-            Element::Paragraph { .. } => 0.05,
-            Element::ListItem { .. } => 0.10,
-            Element::Reference { .. } => 0.25,
-            Element::Figure { .. } => 0.20,
-            Element::Table { .. } => 0.55,
-            Element::Smiles { .. } => 0.70,
-            Element::Equation { display, .. } => {
-                if *display {
-                    0.85
-                } else {
-                    0.60
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -237,19 +215,6 @@ mod tests {
         let kinds: Vec<ElementKind> = elements.iter().map(|e| e.kind()).collect();
         for k in ElementKind::ALL {
             assert!(kinds.contains(&k), "missing kind {k:?}");
-        }
-    }
-
-    #[test]
-    fn difficulty_ordering_matches_failure_modes() {
-        let para = Element::paragraph("plain text").extraction_difficulty();
-        let eq = Element::equation("\\int_0^1 f(x) dx").extraction_difficulty();
-        let table = Element::Table { caption: "c".into(), rows: vec![] }.extraction_difficulty();
-        let smiles = Element::Smiles { code: "CCO".into() }.extraction_difficulty();
-        assert!(eq > table && table > para);
-        assert!(smiles > para);
-        for e in [para, eq, table, smiles] {
-            assert!((0.0..=1.0).contains(&e));
         }
     }
 }

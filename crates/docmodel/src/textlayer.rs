@@ -33,19 +33,6 @@ pub enum TextLayerQuality {
     Missing,
 }
 
-impl TextLayerQuality {
-    /// Expected fidelity of extraction output against ground truth, in `[0, 1]`.
-    pub fn expected_fidelity(&self) -> f64 {
-        match self {
-            TextLayerQuality::Clean => 0.97,
-            TextLayerQuality::LatexMangled => 0.80,
-            TextLayerQuality::OcrGenerated { error_rate } => (1.0 - error_rate).clamp(0.0, 1.0) * 0.9,
-            TextLayerQuality::Scrambled => 0.35,
-            TextLayerQuality::Missing => 0.0,
-        }
-    }
-}
-
 /// Per-page embedded text plus its quality class.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TextLayer {
@@ -137,7 +124,6 @@ mod tests {
         let layer = TextLayer::missing(3);
         assert_eq!(layer.page_count(), 3);
         assert!(!layer.has_text());
-        assert_eq!(layer.expected_fidelity_of_quality(), 0.0);
     }
 
     #[test]
@@ -169,25 +155,5 @@ mod tests {
         let layer = TextLayer::from_ground_truth(&gt, TextLayerQuality::LatexMangled, &mut rng);
         assert!(!layer.pages[0].contains('\\'));
         assert!(!layer.pages[0].contains('$'));
-    }
-
-    #[test]
-    fn expected_fidelity_ordering() {
-        assert!(
-            TextLayerQuality::Clean.expected_fidelity() > TextLayerQuality::LatexMangled.expected_fidelity()
-        );
-        assert!(
-            TextLayerQuality::LatexMangled.expected_fidelity()
-                > TextLayerQuality::Scrambled.expected_fidelity()
-        );
-        assert_eq!(TextLayerQuality::Missing.expected_fidelity(), 0.0);
-        let o = TextLayerQuality::OcrGenerated { error_rate: 0.1 };
-        assert!(o.expected_fidelity() > 0.5);
-    }
-
-    impl TextLayer {
-        fn expected_fidelity_of_quality(&self) -> f64 {
-            self.quality.expected_fidelity()
-        }
     }
 }

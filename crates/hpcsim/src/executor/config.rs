@@ -29,28 +29,6 @@ pub struct SubmitOptions {
     pub release_seconds: Option<f64>,
 }
 
-/// How the dispatcher ranks candidate slots for a ready task.
-///
-/// [`EarliestSlot`](PlacementPolicy::EarliestSlot) is the legacy policy and
-/// the default — bitwise-identical to the engine before this enum existed.
-/// [`CostAware`](PlacementPolicy::CostAware) additionally charges each
-/// candidate node the cold start the task would pay there (probing the
-/// node's [`WarmPool`] residency without mutating it), so a slightly later
-/// slot on a node that already holds the task's model warm can beat an
-/// earlier slot on a cold node. The two policies coincide bitwise whenever
-/// every task's cold start is zero or warm starts are disabled — pinned by
-/// `tests/placement_equivalence.rs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PlacementPolicy {
-    /// Rank slots by effective start time only (availability plus any
-    /// locality penalty): the legacy earliest-effective-slot scan.
-    EarliestSlot,
-    /// Rank slots by expected completion: effective start plus locality
-    /// penalty plus cold-start-if-miss on the candidate node, with
-    /// deterministic (cost, locality, idle-time, node, slot) tie-breaks.
-    CostAware,
-}
-
 /// Executor options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExecutorConfig {
@@ -63,19 +41,10 @@ pub struct ExecutorConfig {
     /// Always [`CausalityMode::Causal`] (see there for why the field
     /// still exists).
     pub causality: CausalityMode,
-    /// How candidate slots are ranked for each ready task
-    /// ([`PlacementPolicy::EarliestSlot`], the legacy default, or the
-    /// warm-aware [`PlacementPolicy::CostAware`]).
-    pub placement: PlacementPolicy,
 }
 
 impl Default for ExecutorConfig {
     fn default() -> Self {
-        ExecutorConfig {
-            warm_start: true,
-            node_local_staging: true,
-            causality: CausalityMode::Causal,
-            placement: PlacementPolicy::EarliestSlot,
-        }
+        ExecutorConfig { warm_start: true, node_local_staging: true, causality: CausalityMode::Causal }
     }
 }

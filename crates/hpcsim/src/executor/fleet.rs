@@ -1,7 +1,5 @@
 //! The fleet: every worker slot's availability and the active-node prefix.
 
-use super::warm::WarmLedger;
-use crate::intern::ModelId;
 use crate::slotindex::SlotIndex;
 use crate::task::{ClusterConfig, SlotKind, Task};
 
@@ -57,11 +55,8 @@ impl Fleet {
     /// it still burns shared-filesystem bandwidth), then the longest-idle
     /// slot, then the lowest slot index. Fully deterministic, and answered
     /// by the [`SlotIndex`] from one champion per active node.
-    ///
-    /// With a `probe` ([`PlacementPolicy::CostAware`](super::PlacementPolicy))
-    /// the ranking additionally charges each candidate node the cold start
-    /// the task's model would pay there — a side-effect-free `would_hit`
-    /// probe of the node's warm pool, so ranking cannot perturb residency.
+    /// Warm-blind, like AdaParse's Parsl dispatch: whether the task's model
+    /// is resident on a node never ranks its slots.
     #[inline]
     pub(super) fn place(
         &self,
@@ -69,15 +64,8 @@ impl Fleet {
         time: f64,
         penalty: f64,
         data_node: Option<usize>,
-        probe: Option<(&WarmLedger, ModelId)>,
     ) -> (usize, Slot) {
-        let cold = task.cold_start_seconds;
-        let cold_if_miss = |node, start| match probe {
-            Some((warm, model)) if !warm.would_hit(node, model, cold, start) => cold,
-            _ => 0.0,
-        };
-        let (kind, active) = (task.slot, self.active_nodes);
-        let best = self.index.best_slot_cost_aware(kind, time, penalty, data_node, active, cold_if_miss);
+        let best = self.index.best_slot(task.slot, time, penalty, data_node, self.active_nodes);
         let slot = best.expect("slots of this kind exist, so the index has a champion");
         (slot, self.slots[slot])
     }

@@ -54,7 +54,7 @@ mod session;
 mod tests;
 mod warm;
 
-pub use config::{CausalityMode, ExecutorConfig, PlacementPolicy, SubmitOptions};
+pub use config::{CausalityMode, ExecutorConfig, SubmitOptions};
 pub use report::{CampaignReport, ModelWarmStats, ScheduledTask, StageTiming, StageTimings};
 pub use session::ExecutorSession;
 pub use warm::{WarmAccess, WarmPool};

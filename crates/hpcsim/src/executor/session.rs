@@ -6,7 +6,7 @@ use super::history::History;
 use super::loads::LoadChannels;
 use super::pending::{PendingMeta, PendingSet};
 use super::warm::WarmLedger;
-use super::{CampaignReport, ExecutorConfig, PlacementPolicy, ScheduledTask, SubmitOptions};
+use super::{CampaignReport, ExecutorConfig, ScheduledTask, SubmitOptions};
 #[cfg(doc)]
 use super::{WarmPool, WorkflowExecutor};
 use crate::lustre::LustreModel;
@@ -455,18 +455,8 @@ impl ExecutorSession {
         // pushes stage-in past the compute time delays the task.
         let marginal_penalty = task.compute_seconds.max(base_stage_in + off_node_penalty)
             - task.compute_seconds.max(base_stage_in);
-        // The cost-aware probe only runs when the cold addend can differ
-        // across nodes (warm starts on, positive cold start); otherwise it
-        // would be a uniform addend, which float rounding could collapse
-        // into spurious ties, so a zero addend — the warm-blind key, to
-        // which the policy is then exactly equivalent — answers instead.
-        let probe = (self.config.placement == PlacementPolicy::CostAware
-            && self.config.warm_start
-            && task.cold_start_seconds > 0.0)
-            .then(|| self.warm.intern(task.label));
-        let probe = probe.map(|model| (&self.warm, model));
         let (slot_index, Slot { node, gpu_index, free_at }) =
-            self.fleet.place(&task, time, marginal_penalty, data_node, probe);
+            self.fleet.place(&task, time, marginal_penalty, data_node);
         let penalty = match data_node {
             Some(data_node) if node != data_node => off_node_penalty,
             _ => 0.0,

@@ -107,22 +107,6 @@ impl WarmPool {
         self.resident.push(Resident { model, loaded_at_seconds: start_seconds + cold_start_seconds });
         WarmAccess::Miss
     }
-
-    /// Whether a task starting at `start_seconds` whose cold start costs
-    /// `cold_start_seconds` would find `model` warm — a side-effect-free
-    /// residency *probe* for placement ranking. Unlike
-    /// [`acquire`](Self::acquire) it never touches residency, so ranking any
-    /// number of candidate nodes cannot perturb a later acquire. Returns `true`
-    /// exactly when `acquire` with the same arguments would return
-    /// [`WarmAccess::Hit`]: zero-cost models are always warm, and a
-    /// resident model still loading at `start_seconds` counts as a miss
-    /// (the task would pay the cold start concurrently).
-    pub fn would_hit(&self, model: ModelId, cold_start_seconds: f64, start_seconds: f64) -> bool {
-        if cold_start_seconds <= 0.0 {
-            return true;
-        }
-        self.resident.iter().find(|r| r.model == model).is_some_and(|r| start_seconds >= r.loaded_at_seconds)
-    }
 }
 
 /// Per-model warm-pool counters, indexed by [`ModelId`] and materialized
@@ -174,11 +158,6 @@ impl WarmLedger {
             self.order.insert(pos, id);
         }
         id
-    }
-
-    /// [`WarmPool::would_hit`] on `node`'s pool.
-    pub(super) fn would_hit(&self, node: usize, model: ModelId, cold: f64, start: f64) -> bool {
-        self.pools[node].would_hit(model, cold, start)
     }
 
     /// Request `label`'s weights on `node` for a task starting at `start`

@@ -53,8 +53,8 @@ pub mod task;
 
 pub use event::ReadyQueue;
 pub use executor::{
-    CampaignReport, CausalityMode, ExecutorConfig, ExecutorSession, ModelWarmStats, PlacementPolicy,
-    ScheduledTask, StageTiming, StageTimings, SubmitOptions, WarmAccess, WarmPool, WorkflowExecutor,
+    CampaignReport, CausalityMode, ExecutorConfig, ExecutorSession, ModelWarmStats, ScheduledTask,
+    StageTiming, StageTimings, SubmitOptions, WarmAccess, WarmPool, WorkflowExecutor,
 };
 pub use idmap::IdMap;
 pub use intern::{ModelId, ModelInterner};

@@ -85,11 +85,18 @@ impl SlotIndex {
         bucket.insert(bucket.partition_point(|&e| e < entry), entry);
     }
 
-    /// [`best_slot_cost_aware`](Self::best_slot_cost_aware) with no cold
-    /// addend: effective start (availability, or availability plus
+    /// The slot of `kind` minimizing the dispatch key for a task ready at
+    /// `ready_at`: effective start (availability, or availability plus
     /// `marginal_penalty` off `believed_node`), preferring local slots, then
-    /// the longest-idle slot, then the lowest slot index. (`x + 0.0`
-    /// compares equal to `x`, so the zero addend changes no selection.)
+    /// the longest-idle slot, then the lowest slot index (slots are numbered
+    /// node-by-node, so the final slot tiebreak orders by node first). The
+    /// penalty is constant across a node's slots, so each bucket's first
+    /// entry is still its champion. Only nodes `< active_nodes` are
+    /// considered — the executor's fleet-autoscaling hook: a drained node
+    /// keeps its slots (and their queued busy times) indexed but receives no
+    /// new work while outside the active prefix. Returns `None` when no slot
+    /// of `kind` exists on an active node.
+    #[inline]
     pub fn best_slot(
         &self,
         kind: SlotKind,
@@ -98,31 +105,6 @@ impl SlotIndex {
         believed_node: Option<usize>,
         active_nodes: usize,
     ) -> Option<usize> {
-        self.best_slot_cost_aware(kind, ready_at, marginal_penalty, believed_node, active_nodes, |_, _| 0.0)
-    }
-
-    /// The slot of `kind` minimizing the *cost-aware* dispatch key for a
-    /// task ready at `ready_at`: expected completion — effective start plus
-    /// any locality penalty off `believed_node` plus `cold_if_miss(node,
-    /// projected_start)` (the cold-start seconds the task would pay on that
-    /// node, zero when its model is already warm there) — preferring local
-    /// slots, then the longest-idle slot, then the lowest slot index (slots
-    /// are numbered node-by-node, so the final slot tiebreak orders by node
-    /// first). The per-node additions are constant across a node's slots,
-    /// so each bucket's first entry is still its champion. Only nodes
-    /// `< active_nodes` are considered — the executor's fleet-autoscaling
-    /// hook: a drained node keeps its slots (and their queued busy times)
-    /// indexed but receives no new work while outside the active prefix.
-    /// Returns `None` when no slot of `kind` exists on an active node.
-    pub fn best_slot_cost_aware(
-        &self,
-        kind: SlotKind,
-        ready_at: f64,
-        marginal_penalty: f64,
-        believed_node: Option<usize>,
-        active_nodes: usize,
-        cold_if_miss: impl Fn(usize, f64) -> f64,
-    ) -> Option<usize> {
         let mut best: Option<(f64, bool, f64, usize)> = None;
         for (node, bucket) in self.buckets[kind as usize].iter().take(active_nodes).enumerate() {
             let Some(&(bits, slot)) = bucket.first() else { continue };
@@ -130,7 +112,7 @@ impl SlotIndex {
             let local = believed_node.is_none_or(|n| n == node);
             let penalty = if local { 0.0 } else { marginal_penalty };
             let start = free.max(ready_at);
-            let key = (start + penalty + cold_if_miss(node, start), !local, free, slot);
+            let key = (start + penalty, !local, free, slot);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
             }

@@ -93,13 +93,38 @@ pub struct Task {
     pub label: &'static str,
 }
 
+/// `value` as a task cost: negatives clamp to zero, and a NaN or infinite
+/// value panics here, naming `field`, rather than turning into a free task
+/// or an out-of-domain time deep in dispatch.
+#[inline]
+fn cost(field: &str, value: f64) -> f64 {
+    if !value.is_finite() {
+        non_finite_cost(field, value);
+    }
+    value.max(0.0)
+}
+
+// Out of line, so the setters stay small enough to inline into the task
+// builders of other crates.
+#[cold]
+#[inline(never)]
+fn non_finite_cost(field: &str, value: f64) -> ! {
+    panic!("Task::{field} must be finite, got {value}")
+}
+
 impl Task {
     /// A task with the given compute time and no I/O or cold-start cost.
+    /// A negative time clamps to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compute_seconds` is NaN or infinite.
+    #[inline]
     pub fn new(id: u64, slot: SlotKind, compute_seconds: f64) -> Self {
         Task {
             id,
             slot,
-            compute_seconds: compute_seconds.max(0.0),
+            compute_seconds: cost("compute_seconds", compute_seconds),
             input_mb: 0.0,
             input_files: 1,
             cold_start_seconds: 0.0,
@@ -110,9 +135,14 @@ impl Task {
         }
     }
 
-    /// Set the staged input size in MiB.
+    /// Set the staged input size in MiB. A negative size clamps to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_mb` is NaN or infinite.
+    #[inline]
     pub fn with_input_mb(mut self, input_mb: f64) -> Self {
-        self.input_mb = input_mb.max(0.0);
+        self.input_mb = cost("input_mb", input_mb);
         self
     }
 
@@ -122,9 +152,15 @@ impl Task {
         self
     }
 
-    /// Set the cold-start (model-load) cost.
+    /// Set the cold-start (model-load) cost. A negative cost clamps to
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seconds` is NaN or infinite.
+    #[inline]
     pub fn with_cold_start(mut self, seconds: f64) -> Self {
-        self.cold_start_seconds = seconds.max(0.0);
+        self.cold_start_seconds = cost("cold_start_seconds", seconds);
         self
     }
 

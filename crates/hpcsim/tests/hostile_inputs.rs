@@ -1,4 +1,6 @@
-//! Inputs that must never panic (ROADMAP aim 3 d).
+//! Hostile inputs: ones the executor must survive without panicking
+//! (ROADMAP aim 3 d), and non-finite task costs, which must panic at the
+//! `Task` boundary with a message naming the field.
 
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task, WorkflowExecutor};
 
@@ -16,4 +18,60 @@ fn a_zero_node_cluster_skips_everything_without_panicking() {
     let report = session.advance_to_frontier(&LustreModel::default());
     assert_eq!((report.tasks_completed, report.tasks_skipped), (0, 2));
     assert_eq!(session.pending_task_count(), 0);
+}
+
+// A NaN cost used to clamp to 0.0 (a free task) and an infinite one reached
+// `order_bits`' debug assertion deep in dispatch; both now stop at the
+// setter.
+#[test]
+#[should_panic(expected = "Task::compute_seconds must be finite, got NaN")]
+fn a_nan_compute_time_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Cpu, f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "Task::compute_seconds must be finite, got inf")]
+fn an_infinite_compute_time_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Cpu, f64::INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "Task::input_mb must be finite, got NaN")]
+fn a_nan_input_size_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Cpu, 1.0).with_input_mb(f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "Task::input_mb must be finite, got -inf")]
+fn a_negative_infinite_input_size_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Cpu, 1.0).with_input_mb(f64::NEG_INFINITY);
+}
+
+#[test]
+#[should_panic(expected = "Task::cold_start_seconds must be finite, got NaN")]
+fn a_nan_cold_start_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Gpu, 1.0).with_cold_start(f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "Task::cold_start_seconds must be finite, got inf")]
+fn an_infinite_cold_start_panics_at_the_task_boundary() {
+    Task::new(0, SlotKind::Gpu, 1.0).with_cold_start(f64::INFINITY);
+}
+
+// The control: finite costs pass through, negative ones still clamp to 0,
+// and the task runs.
+#[test]
+fn finite_task_costs_pass_and_negative_ones_clamp_to_zero() {
+    let task = Task::new(0, SlotKind::Gpu, 2.5).with_input_mb(40.0).with_cold_start(3.0);
+    assert_eq!((task.compute_seconds, task.input_mb, task.cold_start_seconds), (2.5, 40.0, 3.0));
+    let clamped = Task::new(1, SlotKind::Cpu, -1.0).with_input_mb(-2.0).with_cold_start(-3.0);
+    assert_eq!((clamped.compute_seconds, clamped.input_mb, clamped.cold_start_seconds), (0.0, 0.0, 0.0));
+    let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 1, gpu_slots_per_node: 1 };
+    let report = WorkflowExecutor::new(ExecutorConfig::default()).run(
+        &[task, clamped],
+        &cluster,
+        &LustreModel::default(),
+    );
+    assert_eq!((report.tasks_completed, report.tasks_skipped, report.cold_starts), (2, 0, 1));
 }

@@ -12,9 +12,8 @@
 //!   penalties, and believed nodes — including the oblivious
 //!   (`believed = None`, zero-penalty) regime the old per-kind heap fast
 //!   path handled;
-//! * the same holds on either slot kind, on a drained prefix of the fleet,
-//!   and for `SlotIndex::best_slot_cost_aware` with an arbitrary per-node
-//!   addend, which the scan adds too;
+//! * the same holds on either slot kind and on a drained prefix of the
+//!   fleet;
 //! * `InFlightCounter::count_after` equals the naive strict-greater count
 //!   over every finish ever inserted, under non-decreasing query times
 //!   interleaved with inserts in arbitrary order and with retirement;
@@ -53,15 +52,13 @@ fn linear_best(
     best
 }
 
-/// [`linear_best`] over the slots of `kind` on nodes `< active`, adding
-/// `addend[node]` to the effective start as the cost-aware query does.
-/// `None` when no such slot exists.
+/// [`linear_best`] over the slots of `kind` on nodes `< active`. `None`
+/// when no such slot exists.
 fn linear_best_of_kind(
     free_at: &[f64],
     slots: &[(SlotKind, usize)],
     (kind, active): (SlotKind, usize),
     (ready, penalty, believed): (f64, f64, Option<usize>),
-    addend: &[f64],
 ) -> Option<usize> {
     let mut best: Option<((f64, bool, f64), usize)> = None;
     for (slot, &(slot_kind, node)) in slots.iter().enumerate() {
@@ -71,7 +68,7 @@ fn linear_best_of_kind(
         let local = believed.is_none_or(|b| b == node);
         let start = free_at[slot].max(ready);
         let penalty = if local { 0.0 } else { penalty };
-        let key = (start + penalty + addend[node], !local, free_at[slot]);
+        let key = (start + penalty, !local, free_at[slot]);
         if best.is_none_or(|(best_key, _)| key < best_key) {
             best = Some((key, slot));
         }
@@ -126,13 +123,12 @@ proptest! {
     }
 
     #[test]
-    fn slot_index_matches_linear_scan_on_any_kind_prefix_and_addend(
+    fn slot_index_matches_linear_scan_on_any_kind_and_prefix(
         shape in (1usize..5, 0usize..4, 0usize..3),
         queries in prop::collection::vec(
-            ((0.0f64..50.0, 0.0f64..5.0), (0.0f64..3.0, 0u8..12), (0u8..2, 0usize..5, 0u8..2)),
+            ((0.0f64..50.0, 0.0f64..5.0), (0.0f64..3.0, 0u8..12), (0u8..2, 0usize..5)),
             1..60,
         ),
-        addends in prop::collection::vec(prop::collection::vec(0.0f64..4.0, 4..5), 1..8),
     ) {
         // Slots numbered as the executor's fleet numbers them: node by node,
         // a node's CPU slots before its GPU slots.
@@ -148,8 +144,7 @@ proptest! {
             }
         }
         let mut free_at = vec![0.0f64; slots.len()];
-        let rows = queries.into_iter().zip(addends.iter().cycle());
-        for (((ready, busy), (penalty, choice), (gpu, active, charge)), addend) in rows {
+        for ((ready, busy), (penalty, choice), (gpu, active)) in queries {
             let kind = if gpu == 1 { SlotKind::Gpu } else { SlotKind::Cpu };
             // Drained prefixes, the empty one included.
             let active = active % (nodes + 1);
@@ -158,15 +153,9 @@ proptest! {
                 if c == nodes { None } else { Some(c) }
             };
             let query = (ready, penalty, believed);
-            // Half the queries charge every node its addend, half none —
-            // the latter is what `best_slot` must reproduce too.
-            let addend: &[f64] = if charge == 1 { addend } else { &[0.0; 4] };
-            let expected = linear_best_of_kind(&free_at, &slots, (kind, active), query, addend);
-            let got = index.best_slot_cost_aware(kind, ready, penalty, believed, active, |node, _| addend[node]);
-            prop_assert_eq!(got, expected, "{:?} active={} query={:?} addend={:?}", kind, active, query, addend);
-            if charge == 0 {
-                prop_assert_eq!(index.best_slot(kind, ready, penalty, believed, active), expected);
-            }
+            let expected = linear_best_of_kind(&free_at, &slots, (kind, active), query);
+            let got = index.best_slot(kind, ready, penalty, believed, active);
+            prop_assert_eq!(got, expected, "{:?} active={} query={:?}", kind, active, query);
             if let Some(slot) = got {
                 let end = free_at[slot].max(ready) + busy;
                 index.update(kind, slots[slot].1, free_at[slot], end, slot);
