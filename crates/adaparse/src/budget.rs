@@ -10,9 +10,13 @@
 //!
 //! and the objective is maximized by sorting documents by the *expected
 //! accuracy improvement* of Nougat over PyMuPDF and sending the top ⌊αn⌋ to
-//! Nougat. For throughput, AdaParse performs this selection per batch of
-//! size k rather than globally; the optimality gap is negligible for large k
-//! and is measurable with [`windowed_optimality_gap`].
+//! Nougat ([`select_global`]). For throughput, AdaParse performs this
+//! selection per batch of size k rather than globally. The campaign does it
+//! through the streaming [`crate::scaling::WindowedSelector`], which carries
+//! a batch's unspent fractional credit to the next; [`select_batch`], which
+//! forfeits it, stays as the reference the selector is tested against. The
+//! optimality gap against global selection is negligible for large k and is
+//! measurable with [`windowed_optimality_gap`].
 
 /// Ranking key of a document CLS I flagged invalid: it outranks every real
 /// improvement, so it always deserves an upgrade slot while any remain.
@@ -137,7 +141,9 @@ pub(crate) fn top_quota_mask(scores: &[f64], quota: usize) -> Vec<bool> {
 }
 
 /// Per-batch greedy selection: mark the ⌊α·k⌋ documents with the highest
-/// predicted improvement within each batch of size `batch_size`.
+/// predicted improvement within each batch of size `batch_size`, forfeiting
+/// each batch's fractional remainder. No campaign runs it; it is the
+/// reference the streaming selector is tested against.
 ///
 /// Returns a boolean mask (`true` = route to the high-quality parser) of the
 /// same length as `improvements`.

@@ -20,13 +20,14 @@
 //! 4. [`ScoreStage`] — score output against ground truth and account
 //!    resource costs.
 //!
-//! There is **one loop**: every entry point of [`CampaignPipeline`] — binary
-//! or k-parser, routing-only or full, buffered or sunk — is a call into the
-//! same window loop with a [`CascadeConfig`]. The binary campaign is the
-//! cascade over a two-parser frontier ([`CascadeConfig::binary`]): `run`,
-//! `run_with_sink` and `route` are the paper's per-batch optimizer, which
-//! forfeits unspent credit at every routing batch; `run_cascade` and
-//! `route_cascade` carry it from window to window.
+//! There is **one loop** and **one credit rule**.
+//! [`CampaignPipeline::run_with_sink`] runs a [`CascadeConfig`] (binary or
+//! k-parser, by document or by page) and streams the records to a
+//! [`RecordSink`]; `run_cascade` buffers them and `route_cascade` stops
+//! after stage 2. One selector spans the campaign, so credit a window leaves
+//! unspent carries to the next and a campaign of n routing units spends at
+//! most ⌊α·n⌋ slots (a slot is one upgrade to the costliest parser; in the
+//! binary campaign, one upgraded document).
 //!
 //! Stages 1, 2a and 3–4 are per-document pure functions and run data-parallel
 //! over shards of a window on one `rayon` thread pool ([`PipelineConfig`]
@@ -70,9 +71,8 @@ use crate::scaling::{Ledger, WindowedSelector};
 /// Parallel-execution knobs of a campaign run.
 ///
 /// `workers` and `shard_size` never affect the campaign's *result* — only
-/// its wall-clock time. What a campaign routes is set by the engine's
-/// [`AdaParseConfig`] (α and batch size of the binary entry points) or by
-/// the [`CascadeConfig`] handed to the cascade entry points.
+/// its wall-clock time. What a campaign routes is set by the
+/// [`CascadeConfig`] it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Worker threads for the data-parallel stages (`0` = all available
@@ -411,13 +411,9 @@ impl<'a> ScoreStage<'a> {
     }
 }
 
-/// Result of a k-parser cascade campaign: the ordinary [`CampaignResult`]
-/// plus the cascade-specific routing breakdown.
-///
-/// For [`CascadeConfig::binary`] the embedded `result` is the binary
-/// campaign with credit carried across windows of the cascade's size;
-/// [`CampaignPipeline::run`] is the same loop with credit forfeited at every
-/// routing batch.
+/// Result of a campaign: the ordinary [`CampaignResult`] plus the cascade's
+/// routing breakdown. For [`CascadeConfig::binary`] the embedded `result`
+/// is the paper's binary campaign over windows of the cascade's size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CascadeReport {
     /// The campaign result (quality, costs, failures, records), folded in
@@ -432,9 +428,9 @@ pub struct CascadeReport {
     /// ([`parsersim::registry::page_dollars`] units): every routed unit's
     /// pages at the base rate, every granted unit's pages at its upgrade's.
     pub dollars: Ledger,
-    /// Granted pages of the partly upgraded documents
-    /// ([`ParserChoice::upgraded_pages`]; always 0 under
-    /// [`RoutingGranularity::ByDoc`]).
+    /// Pages listed in [`ParserChoice::upgraded_pages`]: the granted pages
+    /// of partly upgraded documents. A document with every page granted
+    /// lists none, so this is always 0 under [`RoutingGranularity::ByDoc`].
     pub pages_delegated: usize,
     /// Total pages in the corpus.
     pub pages_total: usize,
@@ -472,82 +468,52 @@ impl CampaignPipeline {
         &self.config
     }
 
-    /// Run stages 1–2 only: routing decisions for a document collection, in
-    /// input order, without parsing or scoring — exactly the
-    /// [`CampaignResult::routed`] of [`Self::run`].
-    pub fn route(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
-        let (result, ..) = self
-            .run_windows(engine, documents, &per_batch(engine), false, seed, None)
-            .expect("routing writes to no sink");
-        result.routed
-    }
-
-    /// Run the full campaign, buffering records in memory (the classic
-    /// [`CampaignResult::records`] shape). Selection is the paper's Appendix C
-    /// per-batch optimizer: each routing batch
-    /// ([`AdaParseConfig::batch_size`]) upgrades its own `⌊len·α⌋`
-    /// documents, and the fractional remainder is forfeited.
-    pub fn run(&self, engine: &AdaParseEngine, documents: &[Document], seed: u64) -> CampaignResult {
-        let mut sink = MemorySink::new();
-        let mut result =
-            self.run_with_sink(engine, documents, seed, &mut sink).expect("memory sink cannot fail");
-        result.records = sink.into_records();
-        result
-    }
-
-    /// Run the full campaign, streaming each [`ParsedRecord`] to `sink` in
-    /// input order instead of buffering (`CampaignResult::records` stays
-    /// empty). The campaign runs routing batch by routing batch, and each
-    /// batch is folded and sunk before the next is extracted. Decoded SPDF
-    /// containers are per-stage temporaries and routing inputs are dropped
-    /// with their window, so resident memory beyond the caller's own corpus
-    /// is one window of parsed output plus the (small) per-document routing
-    /// decisions.
-    pub fn run_with_sink(
-        &self,
-        engine: &AdaParseEngine,
-        documents: &[Document],
-        seed: u64,
-        sink: &mut dyn RecordSink,
-    ) -> std::io::Result<CampaignResult> {
-        let (result, ..) =
-            self.run_windows(engine, documents, &per_batch(engine), false, seed, Some(sink))?;
-        Ok(result)
-    }
-
-    /// Run stages 1–2 of a k-parser cascade campaign: per-document routing
-    /// decisions (granted page by page under
-    /// [`RoutingGranularity::ByPage`]) over the cascade's frontier, without
-    /// parsing or scoring.
+    /// Run a full campaign: windowed selection over the cascade's frontier,
+    /// then parse and score, with each [`ParsedRecord`] streamed to `sink`
+    /// in input order (`result.records` stays empty). Each window is folded
+    /// and sunk before the next is extracted, so resident memory beyond the
+    /// caller's corpus is one window of parsed output plus the per-document
+    /// routing decisions.
     ///
-    /// Windows, α, and granularity come from the [`CascadeConfig`], and
-    /// unspent credit carries from window to window. Decisions are bitwise
-    /// identical for every worker count and shard size, like every other
-    /// routing path.
-    pub fn route_cascade(
+    /// Windows, α and granularity come from the [`CascadeConfig`], and
+    /// unspent credit carries from window to window:
+    /// `CascadeConfig::binary(config, k)` is the paper's binary campaign
+    /// over windows of k; wider frontiers route over the transformed gains
+    /// of [`cascade_gains`]; by-page routing grants pages at α of the
+    /// corpus' pages. The report is bitwise identical across worker counts
+    /// and shard sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frontier's base parser is not the engine's default
+    /// parser: extraction routes on the default parser's text, and scoring
+    /// bills every document that parser's extraction.
+    pub fn run_with_sink(
         &self,
         engine: &AdaParseEngine,
         documents: &[Document],
         cascade: &CascadeConfig,
         seed: u64,
-    ) -> Vec<ParserChoice> {
-        let (_, choices, _) = self
-            .run_windows(engine, documents, cascade, true, seed, None)
-            .expect("routing writes to no sink");
-        choices
+        sink: &mut dyn RecordSink,
+    ) -> std::io::Result<CascadeReport> {
+        let (result, choices, selector) = self.run_windows(engine, documents, cascade, seed, Some(sink))?;
+        let parser_docs = ParserKind::ALL
+            .iter()
+            .map(|&kind| (kind, choices.iter().filter(|c| c.parser == kind).count()))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        Ok(CascadeReport {
+            result,
+            parser_docs,
+            dollars: selector.ledger().clone(),
+            pages_delegated: choices.iter().map(|c| c.upgraded_pages.len()).sum(),
+            pages_total: documents.iter().map(Document::page_count).sum(),
+            choices,
+        })
     }
 
-    /// Run a full k-parser cascade campaign: windowed selection over the
-    /// cascade's frontier, document by document or page by page, parse and
-    /// score folded in input order.
-    ///
-    /// Credit carries from window to window, so
-    /// `run_cascade(&CascadeConfig::binary(config, k))` is the binary
-    /// campaign with carried credit over windows of `k`. Wider frontiers
-    /// route over the transformed gains of [`cascade_gains`]; by-page
-    /// routing grants pages at α of the corpus' pages and sends each
-    /// document's granted pages to one upgrade parser. The report is
-    /// bitwise identical across worker counts and shard sizes.
+    /// [`Self::run_with_sink`] into a [`MemorySink`]: the report's
+    /// `result.records` holds every record, in input order.
     pub fn run_cascade(
         &self,
         engine: &AdaParseEngine,
@@ -556,61 +522,62 @@ impl CampaignPipeline {
         seed: u64,
     ) -> CascadeReport {
         let mut sink = MemorySink::new();
-        let (mut result, choices, selector) = self
-            .run_windows(engine, documents, cascade, true, seed, Some(&mut sink))
-            .expect("memory sink cannot fail");
-        result.records = sink.into_records();
-        let parser_docs = ParserKind::ALL
-            .iter()
-            .map(|&kind| (kind, choices.iter().filter(|c| c.parser == kind).count()))
-            .filter(|&(_, count)| count > 0)
-            .collect();
-        CascadeReport {
-            result,
-            parser_docs,
-            dollars: selector.ledger().clone(),
-            pages_delegated: choices.iter().map(|c| c.upgraded_pages.len()).sum(),
-            pages_total: documents.iter().map(Document::page_count).sum(),
-            choices,
-        }
+        let mut report =
+            self.run_with_sink(engine, documents, cascade, seed, &mut sink).expect("memory sink cannot fail");
+        report.result.records = sink.into_records();
+        report
+    }
+
+    /// Run stages 1–2 of [`Self::run_with_sink`] only: per-document routing
+    /// decisions (granted page by page under [`RoutingGranularity::ByPage`]),
+    /// without parsing or scoring — exactly the report's `choices`.
+    pub fn route_cascade(
+        &self,
+        engine: &AdaParseEngine,
+        documents: &[Document],
+        cascade: &CascadeConfig,
+        seed: u64,
+    ) -> Vec<ParserChoice> {
+        let (_, choices, _) =
+            self.run_windows(engine, documents, cascade, seed, None).expect("routing writes to no sink");
+        choices
     }
 
     /// The campaign loop — the only one. Per window of the cascade:
     /// extract and score (stages 1–2a, sharded), select and resolve (stage
     /// 2b, sequential), then — when a `sink` is given — parse and score
     /// (stages 3–4, sharded), fold in input order and sink the records.
-    /// Without a sink the loop stops after stage 2: the routing-only entry
-    /// points. With `carry_credit` one selector spans the campaign;
-    /// without it every window starts from a fresh selector, an independent
-    /// `⌊len·α⌋` batch. Returns the result, the per-document choices, and
+    /// Without a sink the loop stops after stage 2: the routing-only calls.
+    /// One selector spans the campaign, so unspent credit carries from
+    /// window to window. Returns the result, the per-document choices, and
     /// the selector that made them (its page-dollar ledger feeds
     /// [`CascadeReport`]).
-    fn run_windows(
+    pub(crate) fn run_windows(
         &self,
         engine: &AdaParseEngine,
         documents: &[Document],
         cascade: &CascadeConfig,
-        carry_credit: bool,
         seed: u64,
         mut sink: Option<&mut dyn RecordSink>,
     ) -> std::io::Result<(CampaignResult, Vec<ParserChoice>, WindowedSelector)> {
         let config = engine.config();
+        let base = cascade.frontier.base();
+        assert_eq!(
+            base, config.default_parser,
+            "the frontier's base parser {base} must be the engine's default parser {}",
+            config.default_parser
+        );
         let parse = ParseStage { config };
         let score = ScoreStage::new(config);
-        let base = cascade.frontier.base();
-        let fresh =
+        let mut selector =
             WindowedSelector::new(cascade.window, cascade.alpha).with_frontier(cascade.frontier.clone());
-        let mut selector = fresh.clone();
 
         let mut aggregates = Aggregates::default();
         let mut routed_all: Vec<RoutedDocument> = Vec::with_capacity(documents.len());
         let mut choices_all: Vec<ParserChoice> = Vec::with_capacity(documents.len());
         let mut extraction_failures = 0usize;
 
-        for wave_docs in documents.chunks(fresh.window()) {
-            if !carry_credit {
-                selector = fresh.clone();
-            }
+        for wave_docs in documents.chunks(selector.window()) {
             let wave = self.extract_and_score_wave(engine, wave_docs, cascade.granularity, seed);
             extraction_failures += wave.iter().filter(|&(_, failed)| *failed).count();
             let doc_ids: Vec<u64> = wave_docs.iter().map(|doc| doc.id.0).collect();
@@ -699,12 +666,6 @@ struct ScoredUnit {
 /// One document's stages 1–2a: its scored units, and whether its extraction
 /// failed.
 type ScoredDoc = (Vec<ScoredUnit>, bool);
-
-/// The binary cascade of the per-batch entry points: the engine's two
-/// parsers, α and routing batch.
-fn per_batch(engine: &AdaParseEngine) -> CascadeConfig {
-    CascadeConfig::binary(engine.config(), engine.config().batch_size)
-}
 
 /// Stage 2b of a window: transform unit scores into per-upgrade gains
 /// (each unit carries its container's legibility), select through the

@@ -14,8 +14,9 @@
 //!   makes [`cascade_gains`] the identity transform (the router's
 //!   improvement scores pass through untouched, sentinels included) and
 //!   carries a single upgrade of weight exactly `1.0`, which the selector
-//!   ranks with its bounded top-k heap — [`CascadeConfig::binary`] is what
-//!   [`crate::campaign::CampaignPipeline::run`] runs.
+//!   ranks with its bounded top-k heap — [`CascadeConfig::binary`] is the
+//!   paper's router, and what [`crate::AdaParseEngine::parse_documents`]
+//!   runs.
 //! * **[`RoutingGranularity::ByDoc`] is by-page with one unit per
 //!   document.** The selector grants routing units and its ledger charges
 //!   their pages; a by-doc unit is a whole document scored on its first
@@ -64,8 +65,7 @@ pub struct CascadeConfig {
 impl CascadeConfig {
     /// The binary configuration: a two-parser frontier over the engine's
     /// default/high-quality pair at the engine's α, whole-document
-    /// granularity — the cascade every non-cascade campaign entry point
-    /// runs.
+    /// granularity — the paper's router, with `window` its batch size k.
     pub fn binary(config: &AdaParseConfig, window: usize) -> Self {
         let frontier = ParserFrontier::pair(config.default_parser, config.high_quality_parser);
         CascadeConfig { frontier, ..Self::full(config, window) }

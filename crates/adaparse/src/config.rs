@@ -30,7 +30,10 @@ impl std::fmt::Display for Variant {
     }
 }
 
-/// Configuration of the AdaParse engine.
+/// Configuration of the AdaParse engine: the router variant, the α budget
+/// and the parser pair. A campaign's routing window is its
+/// [`crate::CascadeConfig::window`]; the engine's own entry points use the
+/// paper's k = 256.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaParseConfig {
     /// Which variant to run.
@@ -38,8 +41,6 @@ pub struct AdaParseConfig {
     /// Maximum fraction of documents routed to the high-quality parser
     /// (the paper evaluates α = 5 %).
     pub alpha: f64,
-    /// Routing batch size (the paper uses k = 256).
-    pub batch_size: usize,
     /// The cheap default parser.
     pub default_parser: ParserKind,
     /// The high-quality parser reserved for difficult documents.
@@ -51,7 +52,6 @@ impl Default for AdaParseConfig {
         AdaParseConfig {
             variant: Variant::Llm,
             alpha: 0.05,
-            batch_size: 256,
             default_parser: ParserKind::PyMuPdf,
             high_quality_parser: ParserKind::Nougat,
         }
@@ -67,9 +67,6 @@ impl AdaParseConfig {
     pub fn normalized(mut self) -> Self {
         assert!(!self.alpha.is_nan(), "alpha must be a number, got NaN");
         self.alpha = self.alpha.clamp(0.0, 1.0);
-        if self.batch_size == 0 {
-            self.batch_size = 1;
-        }
         self
     }
 }
@@ -83,16 +80,14 @@ mod tests {
         let c = AdaParseConfig::default();
         assert_eq!(c.variant, Variant::Llm);
         assert!((c.alpha - 0.05).abs() < 1e-12);
-        assert_eq!(c.batch_size, 256);
         assert_eq!(c.default_parser, ParserKind::PyMuPdf);
         assert_eq!(c.high_quality_parser, ParserKind::Nougat);
     }
 
     #[test]
     fn normalization_clamps() {
-        let c = AdaParseConfig { alpha: 3.0, batch_size: 0, ..Default::default() }.normalized();
+        let c = AdaParseConfig { alpha: 3.0, ..Default::default() }.normalized();
         assert_eq!(c.alpha, 1.0);
-        assert_eq!(c.batch_size, 1);
         let c = AdaParseConfig { alpha: -0.5, ..Default::default() }.normalized();
         assert_eq!(c.alpha, 0.0);
     }

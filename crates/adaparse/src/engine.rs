@@ -2,7 +2,8 @@
 //!
 //! Campaign *execution* lives in [`crate::campaign`]; the engine's
 //! `parse_documents` / `route_documents` are thin delegates over a
-//! default-configured [`CampaignPipeline`].
+//! default-configured [`CampaignPipeline`] running the binary cascade in
+//! windows of the paper's k = 256.
 
 use docmodel::document::Document;
 use parsersim::cost::{node_rate, CostModel, ResourceCost, PLANNING_DIFFICULTY};
@@ -15,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::budget::{NON_CANDIDATE, URGENT};
 use crate::campaign::{CampaignFailures, CampaignPipeline, RoutingInput};
+use crate::cascade::CascadeConfig;
 use crate::config::{AdaParseConfig, Variant};
 use crate::output::ParsedRecord;
 
@@ -155,22 +157,32 @@ impl AdaParseEngine {
         self.routing_improvements(&[input])[0]
     }
 
+    /// The binary cascade the engine's entry points run: its two parsers
+    /// and α, in windows of the paper's batch size k = 256 (Appendix C).
+    fn binary_cascade(&self) -> CascadeConfig {
+        CascadeConfig::binary(&self.config, 256)
+    }
+
     /// Route a document collection without parsing it (returns one decision
-    /// per document, in order). Runs stages 1–2 of a default-configured
-    /// [`CampaignPipeline`].
+    /// per document, in order): stages 1–2 of [`Self::parse_documents`],
+    /// exactly its [`CampaignResult::routed`].
     pub fn route_documents(&self, documents: &[Document], seed: u64) -> Vec<RoutedDocument> {
-        CampaignPipeline::default().route(self, documents, seed)
+        let (result, ..) = CampaignPipeline::default()
+            .run_windows(self, documents, &self.binary_cascade(), seed, None)
+            .expect("routing writes to no sink");
+        result.routed
     }
 
     /// Parse a document collection end-to-end: extract, route, parse with the
     /// assigned parser, and score against ground truth.
     ///
-    /// Delegates to a default-configured [`CampaignPipeline`]; use the
-    /// pipeline directly to control worker count, shard size, or to stream
-    /// records to a [`crate::output::RecordSink`]. The result is identical
-    /// for every worker count.
+    /// Runs [`CampaignPipeline::run_cascade`] over the binary cascade in
+    /// windows of 256 on a default-configured pipeline; use the pipeline
+    /// directly to set worker count, shard size, window or frontier, or to
+    /// stream records to a [`crate::output::RecordSink`]. The result is
+    /// identical for every worker count.
     pub fn parse_documents(&self, documents: &[Document], seed: u64) -> CampaignResult {
-        CampaignPipeline::default().run(self, documents, seed)
+        CampaignPipeline::default().run_cascade(self, documents, &self.binary_cascade(), seed).result
     }
 
     /// Steady-state documents per second of one Polaris node ([`node_rate`])
@@ -215,12 +227,20 @@ mod tests {
         engine
     }
 
+    /// A binary campaign over windows of `window` documents.
+    fn run(engine: &AdaParseEngine, docs: &[Document], window: usize, seed: u64) -> CampaignResult {
+        let binary = CascadeConfig::binary(engine.config(), window);
+        CampaignPipeline::default().run_cascade(engine, docs, &binary, seed).result
+    }
+
     #[test]
     fn alpha_budget_is_respected() {
-        let engine = trained_engine(AdaParseConfig { alpha: 0.10, batch_size: 10, ..Default::default() });
+        let engine = trained_engine(AdaParseConfig { alpha: 0.10, ..Default::default() });
         let docs = corpus(40, 0.4, 222);
-        let result = engine.parse_documents(&docs, 9);
-        assert!(result.high_quality_fraction <= 0.10 + 1e-9, "fraction = {}", result.high_quality_fraction);
+        let result = run(&engine, &docs, 10, 9);
+        let upgraded = result.routed.iter().filter(|r| r.parser == ParserKind::Nougat).count();
+        assert!(upgraded <= (0.10 * 40.0f64).floor() as usize, "{upgraded} upgraded");
+        assert_eq!(result.high_quality_fraction, upgraded as f64 / 40.0);
         assert_eq!(result.routed.len(), 40);
         assert_eq!(result.records.len(), 40);
         assert_eq!(result.quality.documents, 40);
@@ -228,9 +248,9 @@ mod tests {
 
     #[test]
     fn adaparse_beats_the_pure_default_parser_on_mixed_corpora() {
-        let engine = trained_engine(AdaParseConfig { alpha: 0.3, batch_size: 16, ..Default::default() });
+        let engine = trained_engine(AdaParseConfig { alpha: 0.3, ..Default::default() });
         let docs = corpus(32, 0.5, 333);
-        let adaparse = engine.parse_documents(&docs, 13);
+        let adaparse = run(&engine, &docs, 16, 13);
         // Baseline: α = 0 means every document goes to PyMuPDF.
         let baseline_engine = trained_engine(AdaParseConfig { alpha: 0.0, ..Default::default() });
         let baseline = baseline_engine.parse_documents(&docs, 13);
@@ -248,14 +268,10 @@ mod tests {
 
     #[test]
     fn ft_variant_routes_without_llm_inference() {
-        let engine = trained_engine(AdaParseConfig {
-            variant: Variant::FastText,
-            alpha: 0.2,
-            batch_size: 8,
-            ..Default::default()
-        });
+        let engine =
+            trained_engine(AdaParseConfig { variant: Variant::FastText, alpha: 0.2, ..Default::default() });
         let docs = corpus(16, 0.5, 444);
-        let result = engine.parse_documents(&docs, 21);
+        let result = run(&engine, &docs, 8, 21);
         assert!(result.high_quality_fraction <= 0.2 + 1e-9);
         for decision in &result.routed {
             assert!(matches!(decision.parser, ParserKind::PyMuPdf | ParserKind::Nougat));
@@ -285,7 +301,7 @@ mod tests {
 
     #[test]
     fn scanned_documents_are_preferentially_routed_to_nougat() {
-        let engine = trained_engine(AdaParseConfig { alpha: 0.25, batch_size: 64, ..Default::default() });
+        let engine = trained_engine(AdaParseConfig { alpha: 0.25, ..Default::default() });
         let docs = corpus(40, 0.4, 555);
         let routed = engine.route_documents(&docs, 31);
         let mut nougat_scanned = 0usize;
@@ -348,7 +364,7 @@ mod tests {
         let docs = corpus(20, 0.2, 666);
         let routed = engine.route_documents(&docs, 41);
         let nougat = routed.iter().filter(|r| r.parser == ParserKind::Nougat).count();
-        assert!(nougat as f64 / 20.0 <= 0.05 + 1e-9 + 0.05); // one per batch at most
+        assert!(nougat <= (0.05 * 20.0f64).floor() as usize, "{nougat} upgraded");
     }
 
     #[test]

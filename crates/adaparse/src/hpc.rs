@@ -51,8 +51,8 @@ pub fn tasks_for_parser(kind: ParserKind, workload: &WorkloadSpec) -> Vec<Task> 
         .collect()
 }
 
-/// Compute seconds of the split and join bookkeeping tasks of a per-page
-/// delegation DAG: cheap CPU work (page-range bookkeeping and text
+/// Compute seconds of the split and join bookkeeping tasks of a partly
+/// upgraded document's split → page → join DAG: cheap CPU work (page-range bookkeeping and text
 /// stitching), deliberately non-zero so the DAG's ordering is visible in
 /// schedules.
 const SPLIT_JOIN_SECONDS: f64 = 0.05;

@@ -30,9 +30,13 @@
 //! * **Score** — BLEU/ROUGE/CAR/coverage against ground truth plus resource
 //!   accounting; records stream to a [`RecordSink`] in document order.
 //!
-//! There is one campaign loop: [`CampaignPipeline::run`], `run_with_sink`,
-//! `route`, `run_cascade` and `route_cascade` are thin calls into it. The
-//! parallel stages run over shards of a window on a `rayon` thread pool
+//! There is one campaign loop, and one call that parses:
+//! [`CampaignPipeline::run_with_sink`] runs a [`CascadeConfig`] and streams
+//! its records; `run_cascade` buffers them and `route_cascade` stops after
+//! routing. One selector spans the campaign, so unspent credit carries from
+//! window to window and a binary campaign of n documents upgrades at most
+//! ⌊α·n⌋ of them.
+//! The parallel stages run over shards of a window on a `rayon` thread pool
 //! ([`PipelineConfig`] sets worker count and shard size). Per-document RNG
 //! streams are keyed by `seed ^ doc_id` and the final fold is in input order,
 //! so the result is **bitwise identical for every worker count** — the
@@ -41,15 +45,13 @@
 //!
 //! Module map:
 //!
-//! * [`config`] — the engine configuration (variant, α budget, batch size),
-//! * [`budget`] — the Appendix C constrained-budget optimizer (per-batch and
-//!   global),
+//! * [`config`] — the engine configuration (variant, α budget, parser pair),
+//! * [`budget`] — the Appendix C constrained-budget optimizer (global top-⌊αn⌋
+//!   selection, the k-parser greedy, and the per-batch reference the
+//!   streaming selector is measured against),
 //! * [`engine`] — configuration + training + the hierarchical router
 //!   (CLS I → II → III); campaign entry points delegate to the pipeline,
-//! * [`campaign`] — the staged parallel pipeline described above; its binary
-//!   entry points give every routing batch an independent quota (the
-//!   paper's Appendix C), its cascade entry points carry unspent credit from
-//!   window to window,
+//! * [`campaign`] — the staged parallel pipeline described above,
 //! * [`cascade`] — the k-parser frontier configuration, the per-upgrade
 //!   gain transform and the routing unit (document or page); the binary
 //!   router is its two-parser case,
@@ -90,15 +92,16 @@
 //! let mut engine = AdaParseEngine::new(AdaParseConfig::default());
 //! engine.train_on_corpus(&train, 7);
 //! let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 4 });
-//! let result = pipeline.run(&engine, &test, 11);
-//! assert_eq!(result.quality.documents, test.len());
+//! let binary = CascadeConfig::binary(engine.config(), 256);
+//! let report = pipeline.run_cascade(&engine, &test, &binary, 11);
+//! assert_eq!(report.result.quality.documents, test.len());
 //! // Identical to the engine's default (sequential-equivalent) entry point.
-//! assert_eq!(result, engine.parse_documents(&test, 11));
+//! assert_eq!(report.result, engine.parse_documents(&test, 11));
 //!
-//! // The binary cascade carries unspent quota credit from window to window.
-//! // Bitwise identical across worker counts too.
-//! let carried = pipeline.run_cascade(&engine, &test, &CascadeConfig::binary(engine.config(), 4), 11);
-//! assert_eq!(carried.result.quality.documents, test.len());
+//! // Windows of 4 carry unspent quota credit from window to window; the
+//! // result is bitwise identical across worker counts too.
+//! let windowed = pipeline.run_cascade(&engine, &test, &CascadeConfig::binary(engine.config(), 4), 11);
+//! assert_eq!(windowed.result.quality.documents, test.len());
 //! ```
 
 #![deny(missing_docs)]

@@ -12,6 +12,9 @@
 //!   by-doc unit of 0 pages (an unreadable container) moves none either,
 //! * routing reads only the file: documents whose containers are equal
 //!   route alike, whatever their ground truth,
+//! * a document's predicted improvement — what the simulated loops read —
+//!   depends on neither α nor the window,
+//! * a frontier whose base is not the engine's default parser is refused,
 //! * the by-page task DAG never lets a join start before every one of its
 //!   page children has finished, for proptest-random delegation patterns.
 
@@ -229,6 +232,46 @@ fn routing_sees_only_the_file() {
             assert_eq!(choice, twin, "{id:?}");
         }
     }
+}
+
+/// A by-doc unit's predicted improvement is its own score, whatever was
+/// granted: `route_documents` reads the same bits at every α, and the
+/// binary campaign at every window. The closed loop and serve read only
+/// this field, so their inputs do not move with the budget or the window.
+#[test]
+fn predicted_improvement_ignores_alpha_and_window() {
+    let docs = corpus(48, 77);
+    let bits = |routed: &[adaparse::RoutedDocument]| -> Vec<u64> {
+        routed.iter().map(|r| r.predicted_improvement.to_bits()).collect()
+    };
+    let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, shard_size: 8 });
+    let mut reference: Option<Vec<u64>> = None;
+    for alpha in [0.0, 0.05, 1.0] {
+        let engine = trained_engine(AdaParseConfig { alpha, ..Default::default() });
+        let routed = bits(&engine.route_documents(&docs, 11));
+        assert!(routed.iter().any(|&b| f64::from_bits(b) > 0.0), "the corpus must score candidates");
+        assert_eq!(&routed, reference.get_or_insert_with(|| routed.clone()), "alpha {alpha}");
+        for window in [1, 7, 256] {
+            let binary = CascadeConfig::binary(engine.config(), window);
+            let report = pipeline.run_cascade(&engine, &docs, &binary, 11);
+            assert_eq!(bits(&report.result.routed), routed, "alpha {alpha}, window {window}");
+        }
+    }
+}
+
+/// Extraction routes on the default parser's text and scoring bills every
+/// document that parser's extraction, so a frontier over another base is
+/// refused before any window runs.
+#[test]
+#[should_panic(expected = "the frontier's base parser pypdf must be the engine's default parser PyMuPDF")]
+fn a_frontier_off_the_default_parser_is_refused() {
+    let config = AdaParseConfig::default();
+    let engine = AdaParseEngine::new(config.clone());
+    let cascade = CascadeConfig {
+        frontier: ParserFrontier::pair(ParserKind::Pypdf, config.high_quality_parser),
+        ..CascadeConfig::binary(&config, 16)
+    };
+    CampaignPipeline::default().route_cascade(&engine, &corpus(4, 3), &cascade, 11);
 }
 
 /// A full-frontier campaign reports every upgrade in its

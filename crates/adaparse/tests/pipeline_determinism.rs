@@ -4,7 +4,8 @@
 //! buffered ones.
 
 use adaparse::{
-    AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, JsonlSink, PipelineConfig, Variant,
+    AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, CascadeConfig, JsonlSink,
+    PipelineConfig, Variant,
 };
 use docmodel::document::Document;
 use proptest::prelude::*;
@@ -28,34 +29,39 @@ fn trained_engine(config: AdaParseConfig) -> AdaParseEngine {
     engine
 }
 
+/// The binary campaign over windows of `window` documents.
 fn run(
     engine: &AdaParseEngine,
     docs: &[Document],
+    window: usize,
     seed: u64,
     workers: usize,
     shard: usize,
 ) -> CampaignResult {
-    CampaignPipeline::new(PipelineConfig { workers, shard_size: shard }).run(engine, docs, seed)
+    let binary = CascadeConfig::binary(engine.config(), window);
+    CampaignPipeline::new(PipelineConfig { workers, shard_size: shard })
+        .run_cascade(engine, docs, &binary, seed)
+        .result
 }
 
 #[test]
 fn eight_workers_equal_one_worker_bitwise() {
-    let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
+    let engine = trained_engine(AdaParseConfig { alpha: 0.2, ..Default::default() });
     let docs = corpus(40, 0.4, 77);
-    let sequential = run(&engine, &docs, 9, 1, 32);
-    let parallel = run(&engine, &docs, 9, 8, 32);
+    let sequential = run(&engine, &docs, 8, 9, 1, 32);
+    let parallel = run(&engine, &docs, 8, 9, 8, 32);
     assert_eq!(sequential, parallel);
 }
 
 #[test]
 fn shard_size_does_not_change_the_result() {
-    let engine = trained_engine(AdaParseConfig { alpha: 0.15, batch_size: 10, ..Default::default() });
+    let engine = trained_engine(AdaParseConfig { alpha: 0.15, ..Default::default() });
     let docs = corpus(33, 0.3, 123);
-    let baseline = run(&engine, &docs, 5, 1, 33);
+    let baseline = run(&engine, &docs, 10, 5, 1, 33);
     for (workers, shard) in [(1, 1), (4, 3), (8, 7), (8, 64), (3, 16)] {
         assert_eq!(
             baseline,
-            run(&engine, &docs, 5, workers, shard),
+            run(&engine, &docs, 10, 5, workers, shard),
             "workers={workers} shard={shard} diverged"
         );
     }
@@ -66,20 +72,21 @@ fn pipeline_matches_the_engine_entry_point() {
     let engine = trained_engine(AdaParseConfig::default());
     let docs = corpus(24, 0.25, 55);
     let via_engine = engine.parse_documents(&docs, 3);
-    let via_pipeline = run(&engine, &docs, 3, 8, 5);
+    let via_pipeline = run(&engine, &docs, 256, 3, 8, 5);
     assert_eq!(via_engine, via_pipeline);
 }
 
 #[test]
 fn alpha_budget_holds_under_sharding() {
+    let engine = trained_engine(AdaParseConfig { alpha: 0.10, ..Default::default() });
+    let docs = corpus(40, 0.4, 222);
     for &(workers, shard) in &[(1usize, 4usize), (8, 4), (8, 64), (5, 9)] {
-        let engine = trained_engine(AdaParseConfig { alpha: 0.10, batch_size: 10, ..Default::default() });
-        let docs = corpus(40, 0.4, 222);
-        let result = run(&engine, &docs, 9, workers, shard);
+        let result = run(&engine, &docs, 10, 9, workers, shard);
+        let upgraded =
+            result.routed.iter().filter(|r| r.parser == engine.config().high_quality_parser).count();
         assert!(
-            result.high_quality_fraction <= 0.10 + 1e-9,
-            "α violated at workers={workers} shard={shard}: {}",
-            result.high_quality_fraction
+            upgraded <= (0.10 * 40.0f64).floor() as usize,
+            "α violated at workers={workers} shard={shard}: {upgraded} upgraded"
         );
         assert_eq!(result.routed.len(), 40);
         assert_eq!(result.records.len(), 40);
@@ -88,31 +95,29 @@ fn alpha_budget_holds_under_sharding() {
 
 #[test]
 fn fasttext_variant_is_deterministic_too() {
-    let engine = trained_engine(AdaParseConfig {
-        variant: Variant::FastText,
-        alpha: 0.2,
-        batch_size: 8,
-        ..Default::default()
-    });
+    let engine =
+        trained_engine(AdaParseConfig { variant: Variant::FastText, alpha: 0.2, ..Default::default() });
     let docs = corpus(16, 0.5, 444);
-    assert_eq!(run(&engine, &docs, 21, 1, 16), run(&engine, &docs, 21, 8, 2));
+    assert_eq!(run(&engine, &docs, 8, 21, 1, 16), run(&engine, &docs, 8, 21, 8, 2));
 }
 
 #[test]
 fn streamed_jsonl_matches_buffered_records() {
-    let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
+    let engine = trained_engine(AdaParseConfig { alpha: 0.2, ..Default::default() });
     let docs = corpus(12, 0.3, 99);
     let pipeline = CampaignPipeline::new(PipelineConfig { workers: 4, shard_size: 3 });
+    let binary = CascadeConfig::binary(engine.config(), 8);
 
-    let buffered = pipeline.run(&engine, &docs, 7);
+    let buffered = pipeline.run_cascade(&engine, &docs, &binary, 7);
 
     let mut sink = JsonlSink::new(Vec::new());
-    let streamed = pipeline.run_with_sink(&engine, &docs, 7, &mut sink).unwrap();
-    assert!(streamed.records.is_empty(), "streaming must not buffer records");
-    assert_eq!(streamed.quality, buffered.quality);
-    assert_eq!(streamed.routed, buffered.routed);
-    assert_eq!(streamed.failures, buffered.failures);
+    let mut streamed = pipeline.run_with_sink(&engine, &docs, &binary, 7, &mut sink).unwrap();
+    assert!(streamed.result.records.is_empty(), "streaming must not buffer records");
     assert_eq!(sink.written(), docs.len());
+    // Apart from the buffered records the two reports are the same.
+    streamed.result.records = buffered.result.records.clone();
+    assert_eq!(streamed, buffered);
+    let buffered = buffered.result;
 
     // Every streamed line is valid JSON and lines appear in document order,
     // matching the buffered records exactly.
@@ -137,7 +142,7 @@ fn failure_counts_are_zero_on_clean_corpora_and_reported_in_results() {
     // error on them, so a clean corpus reports zero failures…
     assert_eq!(result.failures.total(), 0);
     // …and the count is part of the deterministic result surface.
-    assert_eq!(result.failures, run(&engine, &docs, 13, 8, 3).failures);
+    assert_eq!(result.failures, run(&engine, &docs, 256, 13, 8, 3).failures);
 }
 
 proptest! {
@@ -152,10 +157,10 @@ proptest! {
         seed in 0u64..1000,
         n_docs in 8usize..20,
     ) {
-        let engine = trained_engine(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
+        let engine = trained_engine(AdaParseConfig { alpha: 0.2, ..Default::default() });
         let docs = corpus(n_docs, 0.3, seed ^ 0xC0FFEE);
-        let baseline = run(&engine, &docs, seed, 1, 8);
-        let parallel = run(&engine, &docs, seed, workers, shard);
+        let baseline = run(&engine, &docs, 8, seed, 1, 8);
+        let parallel = run(&engine, &docs, 8, seed, workers, shard);
         prop_assert_eq!(baseline, parallel);
     }
 }

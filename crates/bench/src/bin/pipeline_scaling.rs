@@ -16,7 +16,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, PipelineConfig};
+use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, PipelineConfig};
 use bench::bench_doc_count;
 use bench::trajectory::{append_entry, unix_timestamp, JsonValue};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -44,6 +44,7 @@ fn main() {
     .generate_many(n_docs);
     let mut engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.1, ..Default::default() });
     engine.train_on_corpus(&docs[..20.min(n_docs)], 5);
+    let binary = CascadeConfig::binary(engine.config(), 256);
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!("Campaign pipeline wall-clock scaling — {n_docs} documents, {cores} core(s) available");
@@ -56,7 +57,7 @@ fn main() {
     for workers in [1usize, 2, 4, 8] {
         let pipeline = CampaignPipeline::new(PipelineConfig { workers, shard_size: 16 });
         let start = Instant::now();
-        let result = pipeline.run(&engine, &docs, 7);
+        let result = pipeline.run_cascade(&engine, &docs, &binary, 7);
         let elapsed = start.elapsed().as_secs_f64();
         let baseline = *baseline_seconds.get_or_insert(elapsed);
         let identical = match &baseline_result {

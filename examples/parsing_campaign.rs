@@ -8,7 +8,7 @@
 use adaparse::hpc::{
     adaparse_throughput_at_scale, parser_throughput_at_scale, tasks_for_alpha, WorkloadSpec,
 };
-use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, JsonlSink, PipelineConfig};
+use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, JsonlSink, PipelineConfig};
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
 use parsersim::ParserKind;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -18,8 +18,9 @@ fn main() {
     let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
     let executor = ExecutorConfig::default();
 
-    // A real (small) campaign through the staged parallel pipeline, streaming
-    // records to JSONL instead of buffering them.
+    // A real (small) campaign through the staged parallel pipeline: the
+    // paper's binary router in windows of 256, streaming records to JSONL
+    // instead of buffering them.
     let docs = DocumentGenerator::new(GeneratorConfig {
         n_documents: 64,
         seed: 17,
@@ -33,7 +34,9 @@ fn main() {
     engine.train_on_corpus(&docs[..16], 5);
     let pipeline = CampaignPipeline::new(PipelineConfig { workers: 0, shard_size: 16 });
     let mut sink = JsonlSink::new(Vec::new());
-    let result = pipeline.run_with_sink(&engine, &docs, 7, &mut sink).expect("in-memory JSONL");
+    let binary = CascadeConfig::binary(&config, 256);
+    let result =
+        pipeline.run_with_sink(&engine, &docs, &binary, 7, &mut sink).expect("in-memory JSONL").result;
     println!(
         "Pipeline campaign: {} docs, BLEU {:.3}, {:.1} % to {}, {} parser failures, {} JSONL bytes",
         result.quality.documents,

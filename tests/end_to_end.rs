@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: corpus → SPDF → parsers → metrics →
 //! selector → AdaParse, exercised through the public APIs only.
 
-use adaparse::{AdaParseConfig, AdaParseEngine};
+use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig};
 use docmodel::spdf::{write_document, SpdfFile};
 use parsersim::evaluate::evaluate_corpus;
 use parsersim::ParserKind;
@@ -45,9 +45,10 @@ fn adaptive_routing_beats_the_worst_fixed_parser_and_respects_the_budget() {
     let docs: Vec<_> = corpus.documents().to_vec();
     let (train, test) = docs.split_at(12);
 
-    let mut engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.2, batch_size: 8, ..Default::default() });
+    let mut engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.2, ..Default::default() });
     engine.train_on_corpus(train, 5);
-    let result = engine.parse_documents(test, 7);
+    let binary = CascadeConfig::binary(engine.config(), 8);
+    let result = CampaignPipeline::default().run_cascade(&engine, test, &binary, 7).result;
 
     assert!(result.high_quality_fraction <= 0.2 + 1e-9);
     assert_eq!(result.records.len(), test.len());
