@@ -176,9 +176,9 @@ impl<'a> ExtractStage<'a> {
     }
 
     /// The routing units of the container `bytes` stored under `doc_id`,
-    /// and whether extraction failed. A unit's text is the default parser's:
-    /// the first page's, then — by page — every later page's from the
-    /// whole-document parse on the same RNG stream, capped at
+    /// and whether extraction failed. A unit's text is the default parser's
+    /// first page, then — by page — each later page of the same one whole
+    /// parse (its page 0 is that first page), capped at
     /// [`MAX_PAGE_CHARS`]. A corrupt container, an `/Info` name or version
     /// [`SpdfIndex::metadata`] does not know, or a parser error fails
     /// extraction, never a panic: a failed by-doc document is one unit of
@@ -192,19 +192,21 @@ impl<'a> ExtractStage<'a> {
         by: RoutingGranularity,
         seed: u64,
     ) -> (Vec<RoutingInput>, bool) {
-        let rng = || StdRng::seed_from_u64(seed ^ doc_id ^ 0xEAF1);
+        let mut rng = StdRng::seed_from_u64(seed ^ doc_id ^ 0xEAF1);
         let index = SpdfIndex::open(bytes);
         let pages = index.as_ref().map_or(0, SpdfIndex::page_count);
         let read = index.map_err(ParseError::from).and_then(|index| {
             let metadata = index.metadata()?;
             let parser = self.config.default_parser;
-            let mut texts = vec![parser.first_page_text(&index, &mut rng())?];
-            if by == RoutingGranularity::ByPage && pages > 1 {
-                let text = parser.parse_file(&index.decode_all(), &mut rng())?.text;
-                texts.extend(
-                    text.split('\u{c}').skip(1).map(|page| page.chars().take(MAX_PAGE_CHARS).collect()),
-                );
-            }
+            let texts = if by == RoutingGranularity::ByPage && pages > 1 {
+                let text = parser.parse_file(&index.decode_all(), &mut rng)?.text;
+                let mut page_texts = text.split('\u{c}');
+                let mut texts = vec![page_texts.next().unwrap_or_default().to_string()];
+                texts.extend(page_texts.map(|page| page.chars().take(MAX_PAGE_CHARS).collect()));
+                texts
+            } else {
+                vec![parser.first_page_text(&index, &mut rng)?]
+            };
             Ok((texts, metadata.feature_vector(), index.mean_legibility()))
         });
         let ((texts, metadata_features, legibility), failed) = match read {
@@ -272,16 +274,7 @@ impl<'a> ParseStage<'a> {
         let mut rng = StdRng::seed_from_u64(seed ^ doc.id.0.wrapping_mul(0x2545F491));
         match file.and_then(|file| kind.parse_file(file, &mut rng).ok()) {
             Some(output) => Parsed { output, failed: false },
-            None => Parsed {
-                output: parsersim::ParseOutput {
-                    parser: kind,
-                    text: String::new(),
-                    pages_parsed: 0,
-                    pages_total: doc.page_count(),
-                    cost: ResourceCost::default(),
-                },
-                failed: true,
-            },
+            None => Parsed { output: parsersim::ParseOutput::empty(kind, doc.page_count()), failed: true },
         }
     }
 

@@ -1,13 +1,14 @@
 //! Run the whole parser zoo over documents and score every output.
 //!
-//! This is the shared workhorse behind the paper's Figure 3 (per-document
-//! BLEU across parsers), the regression dataset used to train the selector
-//! (per-parser BLEU targets), and the Tables 1–3 evaluation harness.
+//! One zoo pass per document serves the paper's Figure 3 and Tables 1–3,
+//! scored in full ([`evaluate_corpus`]), and the selector's training set,
+//! which keeps only per-parser BLEU targets ([`label_corpus`]).
 
 use docmodel::document::{DocId, Document};
 use docmodel::spdf::{write_document, SpdfIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use textmetrics::{QualityReport, ReferenceText};
 
@@ -68,42 +69,70 @@ impl DocumentEvaluation {
     }
 }
 
-/// Evaluate one document with every parser.
-///
-/// The document is serialized to SPDF and each parser consumes the bytes, so
-/// the full container path is exercised. `seed` controls the parsers'
-/// stochastic failure modes.
-pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
+/// One document through the zoo: serialized to SPDF and decoded once, its
+/// PyMuPDF first page extracted, and every parser's output handed to `score`
+/// with the one prepared ground truth (scores in [`ParserKind::ALL`] order).
+fn zoo_pass<T>(
+    doc: &Document,
+    seed: u64,
+    mut score: impl FnMut(&ReferenceText, ParserKind, ParseOutput) -> T,
+) -> (String, Vec<T>) {
     let bytes = write_document(doc);
     let index = SpdfIndex::open(&bytes).expect("writer output must parse");
     let file = index.decode_all();
-    // All six outputs are scored against this one text: prepare it once.
     let ground_truth = ReferenceText::new(&doc.ground_truth());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF1557);
     let first_page_extraction = ParserKind::PyMuPdf.first_page_text(&index, &mut rng).unwrap_or_default();
-    let mut per_parser = Vec::with_capacity(ParserKind::ALL.len());
-    for kind in ParserKind::ALL {
+    let scores = ParserKind::ALL.map(|kind| {
         let mut rng = StdRng::seed_from_u64(seed ^ (0x9E3779B9u64.wrapping_mul(kind.index() as u64 + 1)));
-        let output = kind.parse_file(&file, &mut rng).unwrap_or_else(|_| ParseOutput {
-            parser: kind,
-            text: String::new(),
-            pages_parsed: 0,
-            pages_total: doc.page_count(),
-            cost: Default::default(),
-        });
+        let output =
+            kind.parse_file(&file, &mut rng).unwrap_or_else(|_| ParseOutput::empty(kind, doc.page_count()));
+        score(&ground_truth, kind, output)
+    });
+    (first_page_extraction, scores.into())
+}
+
+/// Evaluate one document with every parser, each output scored with BLEU,
+/// ROUGE-L and CAR. `seed` drives the parsers' stochastic failure modes.
+pub fn evaluate_document(doc: &Document, seed: u64) -> DocumentEvaluation {
+    let (first_page_extraction, per_parser) = zoo_pass(doc, seed, |ground_truth, kind, output| {
         let report = ground_truth.score(&output.text, output.coverage());
-        per_parser.push(ParserEvaluation { kind, output, report });
-    }
+        ParserEvaluation { kind, output, report }
+    });
     DocumentEvaluation { doc_id: doc.id, first_page_extraction, pages: doc.page_count(), per_parser }
 }
 
-/// Evaluate a whole corpus. Seeds are derived per document so results are
-/// order-independent.
+/// What the selector's training set keeps of one document's zoo pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DocumentLabel {
+    /// PyMuPDF extraction of the first page.
+    pub first_page_extraction: String,
+    /// BLEU of each parser's output in [`ParserKind::ALL`] order, bit-equal
+    /// to [`DocumentEvaluation::bleu_targets`] under the same seed.
+    pub bleu: Vec<f64>,
+}
+
+/// Label one document: the zoo pass of [`evaluate_document`], each output
+/// scored with BLEU alone.
+pub fn label_document(doc: &Document, seed: u64) -> DocumentLabel {
+    let (first_page_extraction, bleu) =
+        zoo_pass(doc, seed, |ground_truth, _, output| ground_truth.bleu(&output.text));
+    DocumentLabel { first_page_extraction, bleu }
+}
+
+fn doc_seed(seed: u64, doc: &Document) -> u64 {
+    seed ^ doc.id.0.wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+/// [`evaluate_document`] over a corpus, data-parallel on the current `rayon`
+/// pool in input order; per-document seeds make it independent of worker count.
 pub fn evaluate_corpus(documents: &[Document], seed: u64) -> Vec<DocumentEvaluation> {
-    documents
-        .iter()
-        .map(|doc| evaluate_document(doc, seed ^ doc.id.0.wrapping_mul(0x517c_c1b7_2722_0a95)))
-        .collect()
+    documents.par_iter().map(|doc| evaluate_document(doc, doc_seed(seed, doc))).collect()
+}
+
+/// [`label_document`] over a corpus, like [`evaluate_corpus`].
+pub fn label_corpus(documents: &[Document], seed: u64) -> Vec<DocumentLabel> {
+    documents.par_iter().map(|doc| label_document(doc, doc_seed(seed, doc))).collect()
 }
 
 #[cfg(test)]

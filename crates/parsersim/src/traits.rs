@@ -169,6 +169,11 @@ pub struct ParseOutput {
 }
 
 impl ParseOutput {
+    /// What a failed parse stands in with: no text, no page parsed, no cost.
+    pub fn empty(parser: ParserKind, pages_total: usize) -> Self {
+        ParseOutput { parser, text: String::new(), pages_parsed: 0, pages_total, cost: Default::default() }
+    }
+
     /// Page coverage in `[0, 1]` (the paper's "coverage" column).
     pub fn coverage(&self) -> f64 {
         if self.pages_total == 0 {

@@ -4,10 +4,10 @@
 //! In the paper the regression dataset holds N = 29 200 (page text, BLEU)
 //! pairs with an m = 6 dimensional target (one accuracy per parser). Here the
 //! dataset is built by running the parser zoo over a generated corpus and
-//! scoring each output against ground truth.
+//! scoring each output's BLEU against ground truth.
 
 use docmodel::document::Document;
-use parsersim::evaluate::{evaluate_corpus, DocumentEvaluation};
+use parsersim::evaluate::{label_corpus, DocumentEvaluation, DocumentLabel};
 use parsersim::ParserKind;
 use serde::{Deserialize, Serialize};
 
@@ -70,13 +70,16 @@ pub struct AccuracyDataset {
 }
 
 impl AccuracyDataset {
-    /// Build a dataset by evaluating `documents` with the full parser zoo.
+    /// Build a dataset by labelling `documents` with [`label_corpus`]:
+    /// every parser of the zoo runs on every document, data-parallel on
+    /// the current `rayon` pool, and only BLEU is scored. The dataset does
+    /// not depend on the pool's worker count, and equals
+    /// [`Self::from_evaluations`] over `evaluate_corpus(documents, seed)`.
     ///
     /// `train_fraction` of the samples (in document order) become the
     /// training split; the rest are the test split.
     pub fn build(documents: &[Document], seed: u64, train_fraction: f64) -> AccuracyDataset {
-        let evaluations = evaluate_corpus(documents, seed);
-        Self::from_evaluations(documents, &evaluations, train_fraction)
+        Self::from_labels(documents, label_corpus(documents, seed), train_fraction)
     }
 
     /// Build from precomputed evaluations (avoids re-running the parsers).
@@ -90,15 +93,27 @@ impl AccuracyDataset {
         train_fraction: f64,
     ) -> AccuracyDataset {
         assert_eq!(documents.len(), evaluations.len(), "documents/evaluations length mismatch");
+        let labels = evaluations.iter().map(|eval| DocumentLabel {
+            first_page_extraction: eval.first_page_extraction.clone(),
+            bleu: eval.bleu_targets(),
+        });
+        Self::from_labels(documents, labels, train_fraction)
+    }
+
+    fn from_labels(
+        documents: &[Document],
+        labels: impl IntoIterator<Item = DocumentLabel>,
+        train_fraction: f64,
+    ) -> AccuracyDataset {
         let samples: Vec<AccuracySample> = documents
             .iter()
-            .zip(evaluations.iter())
-            .map(|(doc, eval)| AccuracySample {
+            .zip(labels)
+            .map(|(doc, label)| AccuracySample {
                 doc_id: doc.id.0,
-                first_page_text: eval.first_page_extraction.clone(),
+                first_page_text: label.first_page_extraction,
                 title: doc.metadata.title.clone(),
                 metadata_features: doc.metadata.feature_vector(),
-                targets: eval.bleu_targets(),
+                targets: label.bleu,
                 pages: doc.page_count(),
             })
             .collect();

@@ -2,15 +2,18 @@
 //!
 //! `AccuracyDataset::build` must equal `from_evaluations` over
 //! `evaluate_corpus` field for field (targets and metadata compared by
-//! bits), and the corpus-level zoo calls must equal the serial
-//! per-document calls on any installed pool width. The corpus is skewed
-//! across the document kinds the parsers disagree on most — scans without
-//! and with an attached OCR layer, scrambled text layers, the multilingual
-//! preset and clean born-digital files — at 1–4 pages each.
+//! bits), a document's BLEU-only label must be its full evaluation's BLEU,
+//! and the corpus-level zoo calls must equal the serial per-document calls
+//! on any installed pool width. The corpus is skewed across the document
+//! kinds the parsers disagree on most — scans without and with an attached
+//! OCR layer, scrambled text layers, the multilingual preset and clean
+//! born-digital files — at 1–4 pages each.
 
 use docmodel::document::{DocId, Document};
 use docmodel::metadata::DocCategory;
-use parsersim::evaluate::{evaluate_corpus, evaluate_document, DocumentEvaluation};
+use parsersim::evaluate::{
+    evaluate_corpus, evaluate_document, label_corpus, label_document, DocumentEvaluation, DocumentLabel,
+};
 use rayon::ThreadPoolBuilder;
 use scicorpus::categories::category_preset;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
@@ -72,6 +75,14 @@ fn assert_evaluations_equal(got: &[DocumentEvaluation], want: &[DocumentEvaluati
     }
 }
 
+fn assert_labels_equal(got: &[DocumentLabel], want: &[DocumentLabel], context: &str) {
+    assert_eq!(got.len(), want.len(), "{context}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.first_page_extraction, w.first_page_extraction, "{context}: document {i}");
+        assert_eq!(bits(&g.bleu), bits(&w.bleu), "{context}: document {i}");
+    }
+}
+
 fn assert_datasets_equal(got: &AccuracyDataset, want: &AccuracyDataset, context: &str) {
     assert_eq!(got.len(), want.len(), "{context}");
     assert_eq!(got.train().len(), want.train().len(), "{context}: train split");
@@ -102,11 +113,22 @@ fn corpus_calls_equal_serial_per_document_calls_on_every_pool_width() {
     let docs = skewed_corpus();
     let serial: Vec<DocumentEvaluation> =
         docs.iter().map(|doc| evaluate_document(doc, doc_seed(SEED, doc))).collect();
+    let labels: Vec<DocumentLabel> =
+        docs.iter().map(|doc| label_document(doc, doc_seed(SEED, doc))).collect();
+    let evaluated_labels: Vec<DocumentLabel> = serial
+        .iter()
+        .map(|eval| DocumentLabel {
+            first_page_extraction: eval.first_page_extraction.clone(),
+            bleu: eval.bleu_targets(),
+        })
+        .collect();
+    assert_labels_equal(&labels, &evaluated_labels, "labels against evaluations");
     let dataset = AccuracyDataset::from_evaluations(&docs, &serial, 0.5);
     for workers in 1..=3 {
         let pool = ThreadPoolBuilder::new().num_threads(workers).build().expect("pool builds");
         let context = format!("{workers} workers");
         assert_evaluations_equal(&pool.install(|| evaluate_corpus(&docs, SEED)), &serial, &context);
+        assert_labels_equal(&pool.install(|| label_corpus(&docs, SEED)), &labels, &context);
         assert_datasets_equal(&pool.install(|| AccuracyDataset::build(&docs, SEED, 0.5)), &dataset, &context);
     }
 }

@@ -118,6 +118,14 @@ impl ReferenceText {
         };
         (report, ids.len())
     }
+
+    /// `self.score(candidate, _).bleu`, bit for bit, without the ROUGE-L
+    /// and CAR work or the candidate's character vector.
+    pub fn bleu(&self, candidate: &str) -> f64 {
+        let mut ids = Vec::new();
+        tokenize::walk::<true>(candidate, |_| {}, |token| ids.push(self.vocab.lookup_token(token)));
+        bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score
+    }
 }
 
 #[cfg(test)]

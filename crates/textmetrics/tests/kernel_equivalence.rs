@@ -904,6 +904,52 @@ fn a_reference_text_carries_nothing_from_one_candidate_to_the_next() {
     }
 }
 
+fn assert_bleu_only_matches(candidate: &str, reference: &str) {
+    let prepared = ReferenceText::new(reference);
+    let bleu = prepared.bleu(candidate).to_bits();
+    let context = format!("candidate = {candidate:?}, reference = {reference:?}");
+    assert_eq!(bleu, prepared.score(candidate, 0.5).bleu.to_bits(), "score: {context}");
+    assert_eq!(bleu, sentence_bleu(candidate, reference).to_bits(), "sentence_bleu: {context}");
+}
+
+/// `ReferenceText::bleu` is the BLEU field of a full score, and of
+/// `sentence_bleu`, by bits — labelling keeps only that field.
+#[test]
+fn bleu_alone_is_the_bleu_of_a_full_score() {
+    let mut rng = Rng(0x5EED_0011);
+    let mut texts = vec![
+        String::new(),
+        " ".to_string(),
+        " \n\t\x0B\x0C\r \u{85}\u{a0}".to_string(),
+        "a".to_string(),
+        "the cat sat on the mat".to_string(),
+        "İstanbul straße ǅemal ΣΟΦΙΑ привет 一丁 𝐀𝐁 𠀀".to_string(),
+        "é\u{a0}é\u{85}İ, 9.".to_string(),
+    ];
+    for alphabet in alphabets() {
+        let text = random_words(&mut rng, &alphabet, 200);
+        texts.push(mutate_words(&mut rng, &alphabet, &text, 12));
+        texts.push(text);
+    }
+    for candidate in &texts {
+        for reference in &texts {
+            assert_bleu_only_matches(candidate, reference);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bleu_alone_matches_on_every_kind_of_whitespace(
+        candidate in whitespace_mix(),
+        reference in whitespace_mix(),
+    ) {
+        assert_bleu_only_matches(&candidate, &reference);
+    }
+}
+
 #[test]
 fn hostile_shapes_score_inside_the_unit_interval() {
     let non_bmp: String = ['𝐀', '𠀀', ' ', '𝐙', 'İ', '𠀟'].iter().cycle().take(4_001).collect();
