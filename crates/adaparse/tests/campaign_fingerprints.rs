@@ -42,6 +42,12 @@
 //! metadata feature vector and page count rather than its text: it pins
 //! those two router inputs bit for bit (42 of its 90 documents are
 //! candidates whose CLS II probability enters the digest).
+//!
+//! Each scenario is also hashed a second time, by the same walk with
+//! `RoutedDocument::predicted_improvement` and `ParserChoice::predicted_gain`
+//! left out: every choice, record, cost and quality figure, without the
+//! last-ulp bits of the router's predictions. A change that moves only
+//! prediction bits re-pins the first array and leaves the second alone.
 
 use adaparse::{
     AdaParseConfig, AdaParseEngine, CampaignPipeline, CampaignResult, CascadeConfig, CascadeReport,
@@ -71,18 +77,22 @@ fn trained_engine(config: AdaParseConfig) -> AdaParseEngine {
     engine
 }
 
-/// FNV-1a, order-sensitive, over every bit of a result.
-struct Fnv(u64);
+/// FNV-1a, order-sensitive, over every bit of a result — or, with
+/// `predictions` off, over every bit but the router's predicted gains.
+struct Fnv {
+    hash: u64,
+    predictions: bool,
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
+    fn new(predictions: bool) -> Self {
+        Fnv { hash: 0xCBF2_9CE4_8422_2325, predictions }
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
         for &byte in bytes {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+            self.hash ^= byte as u64;
+            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
     }
 
@@ -92,6 +102,12 @@ impl Fnv {
 
     fn f64(&mut self, value: f64) {
         self.u64(value.to_bits());
+    }
+
+    fn prediction(&mut self, value: f64) {
+        if self.predictions {
+            self.f64(value);
+        }
     }
 
     fn result(&mut self, result: &CampaignResult) {
@@ -110,7 +126,7 @@ impl Fnv {
         for decision in &result.routed {
             self.u64(decision.doc_id);
             self.u64(decision.parser.index() as u64);
-            self.f64(decision.predicted_improvement);
+            self.prediction(decision.predicted_improvement);
             self.u64(decision.cls1_invalid as u64);
         }
         self.u64(result.records.len() as u64);
@@ -130,7 +146,7 @@ impl Fnv {
             self.u64(choice.doc_id);
             self.u64(choice.parser.index() as u64);
             self.u64(choice.upgrade.map_or(0, |j| j as u64 + 1));
-            self.f64(choice.predicted_gain);
+            self.prediction(choice.predicted_gain);
             self.u64(choice.cls1_invalid as u64);
             self.u64(choice.upgraded_pages.len() as u64);
             for &page in &choice.upgraded_pages {
@@ -150,24 +166,36 @@ impl Fnv {
     }
 }
 
-/// Run one scenario at every shape, assert the shapes agree, return the digest.
-fn pin(name: &str, run: impl Fn(PipelineConfig) -> u64) -> u64 {
-    let digests: Vec<u64> =
+/// A scenario's full digest and its decisions-only digest.
+type Digests = (u64, u64);
+
+/// Run one scenario at every shape, assert the shapes agree, return the digests.
+fn pin(name: &str, run: impl Fn(PipelineConfig) -> Digests) -> Digests {
+    let digests: Vec<Digests> =
         SHAPES.iter().map(|&(workers, shard_size)| run(PipelineConfig { workers, shard_size })).collect();
     assert!(digests.iter().all(|&d| d == digests[0]), "{name}: shapes {SHAPES:?} disagree: {digests:x?}");
     digests[0]
 }
 
-fn result_digest(result: &CampaignResult) -> u64 {
-    let mut fnv = Fnv::new();
-    fnv.result(result);
-    fnv.0
+fn digests(walk: impl Fn(&mut Fnv)) -> Digests {
+    let [full, decisions] = [true, false].map(|predictions| {
+        let mut fnv = Fnv::new(predictions);
+        walk(&mut fnv);
+        fnv.hash
+    });
+    (full, decisions)
 }
 
 /// The binary campaign over windows of `window`, hashed over its result.
-fn campaign_digest(engine: &AdaParseEngine, docs: &[Document], shape: PipelineConfig, window: usize) -> u64 {
+fn campaign_digest(
+    engine: &AdaParseEngine,
+    docs: &[Document],
+    shape: PipelineConfig,
+    window: usize,
+) -> Digests {
     let binary = CascadeConfig::binary(engine.config(), window);
-    result_digest(&CampaignPipeline::new(shape).run_cascade(engine, docs, &binary, SEED).result)
+    let result = CampaignPipeline::new(shape).run_cascade(engine, docs, &binary, SEED).result;
+    digests(|fnv| fnv.result(&result))
 }
 
 fn cascade_digest(
@@ -175,11 +203,9 @@ fn cascade_digest(
     docs: &[Document],
     shape: PipelineConfig,
     cascade: &CascadeConfig,
-) -> u64 {
+) -> Digests {
     let report = CampaignPipeline::new(shape).run_cascade(engine, docs, cascade, SEED);
-    let mut fnv = Fnv::new();
-    fnv.report(&report);
-    fnv.0
+    digests(|fnv| fnv.report(&report))
 }
 
 #[test]
@@ -213,5 +239,16 @@ fn campaign_fingerprints() {
         0x6d6a_8cfb_7f50_c24c,
         0x2298_4546_d650_95f5,
     ];
-    assert_eq!(actual, expected, "actual digests: {actual:#018x?}");
+    // Every choice, record, cost and quality bit without the predicted gains.
+    let expected_decisions: [u64; 6] = [
+        0x77af_64d4_1eeb_df76,
+        0x668a_d9bc_a2f4_56db,
+        0xb4ca_e3ca_ef42_c2d5,
+        0x52ea_6bf0_c900_d7db,
+        0x3f41_9efa_62d3_e430,
+        0x0d58_c63f_60fc_8e87,
+    ];
+    let (full, decisions): (Vec<u64>, Vec<u64>) = actual.into_iter().unzip();
+    assert_eq!(full, expected, "actual digests: {full:#018x?}");
+    assert_eq!(decisions, expected_decisions, "actual decisions-only digests: {decisions:#018x?}");
 }
