@@ -13,13 +13,22 @@
 //! projection column between shard-mates buys, and `batch_of_8_baseline`
 //! against `batch_of_8` is what projecting at the CPU's widest vector width
 //! buys; `route_window` rows divide by 256 for a per-document figure.
+//!
+//! The two `fit` rows train CLS III's regression head as set-up does (250
+//! epochs, learning rate 0.4, L2 1e-4, six outputs) on seeded unit-norm rows
+//! of the encoder's width, 192: 24 samples, the training set's size, take
+//! the sample-Gram form, and 700 take the feature-Gram form.
 
 use adaparse::campaign::{ExtractStage, RouteStage, RoutingInput};
 use adaparse::{AdaParseConfig, AdaParseEngine};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mlcore::encoder::{EncoderProfile, PretrainedEncoder};
 use mlcore::features::HashedNgramFeaturizer;
+use mlcore::linear::LinearRegression;
+use mlcore::matrix::l2_normalize;
 use parsersim::registry::ParserPool;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 use selector::cls1::ValidityRules;
 
@@ -77,6 +86,26 @@ fn bench_router_inference(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+
+    for (name, samples) in [("fit/regression_24x192", 24), ("fit/regression_700x192", 700)] {
+        let mut rng = StdRng::seed_from_u64(samples as u64);
+        let xs: Vec<Vec<f64>> = (0..samples)
+            .map(|_| {
+                let mut x: Vec<f64> = (0..192).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                l2_normalize(&mut x);
+                x
+            })
+            .collect();
+        let ys: Vec<Vec<f64>> =
+            (0..samples).map(|_| (0..6).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut head = LinearRegression::new(192, 6);
+                head.fit(black_box(&xs), black_box(&ys), 250, 0.4, 1e-4);
+                head
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_router_inference);

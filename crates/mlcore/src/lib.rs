@@ -1,5 +1,6 @@
-// The gradient kernels index several parallel buffers with one loop counter
-// (`grad_w[i] += g * x[i]`); clippy's iterator rewrite obscures that shape.
+// The logistic and SVC gradient steps and `Matrix::matvec` index several
+// parallel buffers with one loop counter (`w[i] -= lr * (grad_w[i] + l2 * w[i])`);
+// clippy's iterator rewrite obscures that shape.
 #![allow(clippy::needless_range_loop)]
 
 //! Minimal machine-learning substrate for the AdaParse reproduction.
@@ -14,9 +15,8 @@
 //! * [`features`] — hashed character/word n-gram featurization (fastText-like),
 //! * [`encoder`] — frozen "pretrained" encoders of graded quality simulating
 //!   the SciBERT > BERT > MiniLM ordering,
-//! * [`linear`] — trainable heads (multi-output ridge/SGD linear
-//!   regression, logistic regression, linear SVC),
-//! * [`optim`] — the SGD step the regression head trains with.
+//! * [`linear`] — trainable heads (multi-output linear regression by
+//!   full-batch gradient descent, logistic regression, linear SVC).
 //!
 //! # Example
 //!
@@ -36,10 +36,8 @@ pub mod encoder;
 pub mod features;
 pub mod linear;
 pub mod matrix;
-pub mod optim;
 
 pub use encoder::{EncoderProfile, PretrainedEncoder};
 pub use features::HashedNgramFeaturizer;
 pub use linear::{LinearRegression, LinearSvc, LogisticRegression};
 pub use matrix::Matrix;
-pub use optim::Sgd;

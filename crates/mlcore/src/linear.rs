@@ -3,12 +3,11 @@
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::{dot, sigmoid};
-use crate::optim::Sgd;
 
-/// Multi-output linear regression trained with mini-batch SGD and L2
-/// regularization. This is the trainable "head" placed on top of a frozen
-/// encoder: in the paper's terms, the supervised fine-tuning stage that
-/// predicts per-parser BLEU from text.
+/// Multi-output linear regression trained by full-batch gradient descent on
+/// the mean squared error with an L2 penalty on the weights. This is the
+/// trainable "head" placed on top of a frozen encoder: in the paper's terms,
+/// the supervised fine-tuning stage that predicts per-parser BLEU from text.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinearRegression {
     /// Weight matrix flattened row-major: `outputs × inputs`.
@@ -41,40 +40,90 @@ impl LinearRegression {
             .collect()
     }
 
-    /// Fit with full-batch gradient descent for `epochs` epochs.
+    /// Fit with `epochs` steps of full-batch gradient descent from the
+    /// current weights: each step moves the weights by
+    /// `−learning_rate · (2/n · Σᵢ eᵢ·xᵢ + l2 · W)` and the bias by
+    /// `−learning_rate · 2/n · Σᵢ eᵢ`, where `eᵢ` is sample `i`'s residual.
     ///
-    /// # Panics
-    ///
+    /// The samples enter that recurrence only through inner products, so it
+    /// runs in whichever Gram coordinates are smaller. With no more samples
+    /// than inputs the weights stay `c · W₀ + A · X` (`c = (1 − learning_rate ·
+    /// l2)^t` carries the starting weights, `A` is outputs × samples) and a
+    /// step costs outputs · samples² against `X · Xᵀ`; otherwise the weights
+    /// step against `XᵀX`, `Σ xᵢ` and `XᵀY` at outputs · inputs² a step.
+    /// Either form sums in another order than the per-sample gradient did,
+    /// so it agrees with that sum to rounding (a few ulps), not bit for bit.
     /// Panics if the sample and target counts differ or dimensions mismatch.
     pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize, learning_rate: f64, l2: f64) {
         assert_eq!(xs.len(), ys.len(), "sample/target count mismatch");
-        if xs.is_empty() {
+        assert!(xs.iter().all(|x| x.len() == self.inputs), "input dimension mismatch");
+        assert!(ys.iter().all(|y| y.len() == self.outputs), "target dimension mismatch");
+        if xs.is_empty() || epochs == 0 {
             return;
         }
-        let n = xs.len() as f64;
-        let optimizer = Sgd::new(learning_rate);
-        for _ in 0..epochs {
-            let mut grad_w = vec![0.0; self.weights.len()];
-            let mut grad_b = vec![0.0; self.bias.len()];
-            for (x, y) in xs.iter().zip(ys.iter()) {
-                assert_eq!(y.len(), self.outputs, "target dimension mismatch");
-                let pred = self.predict(x);
-                for o in 0..self.outputs {
-                    let err = pred[o] - y[o];
-                    grad_b[o] += 2.0 * err / n;
-                    let row = &mut grad_w[o * self.inputs..(o + 1) * self.inputs];
-                    for (g, xi) in row.iter_mut().zip(x.iter()) {
-                        *g += 2.0 * err * xi / n;
-                    }
+        let (step, decay) = (2.0 * learning_rate / xs.len() as f64, 1.0 - learning_rate * l2);
+        let form = if xs.len() <= self.inputs { Self::fit_sample_gram } else { Self::fit_feature_gram };
+        form(self, xs, ys, epochs, step, decay);
+    }
+
+    /// Gradient descent with each weight row kept as `c · w₀ + Σⱼ aⱼ · xⱼ`,
+    /// at m² a step against the sample Gram `X · Xᵀ`.
+    fn fit_sample_gram(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize, step: f64, decay: f64) {
+        let m = xs.len();
+        let gram: Vec<f64> = (0..m * m).map(|k| dot(&xs[k / m], &xs[k % m])).collect();
+        let mut errors = vec![0.0; m];
+        for (o, row) in self.weights.chunks_mut(self.inputs).enumerate() {
+            let start: Vec<f64> = xs.iter().map(|x| dot(row, x)).collect();
+            let (mut coeffs, mut scale) = (vec![0.0; m], 1.0);
+            for _ in 0..epochs {
+                symmetric_matvec(&mut errors, &gram, &coeffs);
+                for (j, e) in errors.iter_mut().enumerate() {
+                    *e = scale * start[j] + *e + self.bias[o] - ys[j][o];
                 }
+                self.bias[o] -= step * errors.iter().sum::<f64>();
+                coeffs.iter_mut().zip(&errors).for_each(|(a, e)| *a = decay * *a - step * e);
+                scale *= decay;
             }
-            for (g, w) in grad_w.iter_mut().zip(self.weights.iter()) {
-                *g += l2 * w;
-            }
-            optimizer.step(&mut self.weights, &grad_w);
-            optimizer.step(&mut self.bias, &grad_b);
+            row.iter_mut().for_each(|w| *w *= scale);
+            xs.iter().zip(&coeffs).for_each(|(x, &a)| axpy(row, a, x));
         }
     }
+
+    /// Gradient descent on the weights against the feature Gram `XᵀX`, `Σ xᵢ`
+    /// and `XᵀY`, at d² a step.
+    fn fit_feature_gram(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize, step: f64, decay: f64) {
+        let (d, n) = (self.inputs, xs.len() as f64);
+        let (mut gram, mut sum_x, mut grad) = (vec![0.0; d * d], vec![0.0; d], vec![0.0; d]);
+        for x in xs {
+            gram.chunks_mut(d).zip(x).for_each(|(row, &xi)| axpy(row, xi, x));
+            axpy(&mut sum_x, 1.0, x);
+        }
+        for (o, w) in self.weights.chunks_mut(d).enumerate() {
+            let mut xty = vec![0.0; d];
+            xs.iter().zip(ys).for_each(|(x, y)| axpy(&mut xty, y[o], x));
+            let sum_y: f64 = ys.iter().map(|y| y[o]).sum();
+            for _ in 0..epochs {
+                let b = self.bias[o];
+                symmetric_matvec(&mut grad, &gram, w);
+                for (i, g) in grad.iter_mut().enumerate() {
+                    *g = *g + b * sum_x[i] - xty[i];
+                }
+                self.bias[o] -= step * (dot(w, &sum_x) + n * b - sum_y);
+                w.iter_mut().zip(&grad).for_each(|(w, g)| *w = decay * *w - step * g);
+            }
+        }
+    }
+}
+
+/// `acc += a · x`, element by element.
+fn axpy(acc: &mut [f64], a: f64, x: &[f64]) {
+    acc.iter_mut().zip(x).for_each(|(y, x)| *y += a * x);
+}
+
+/// `out = G · v` for a symmetric `G`, summed as `Σₖ vₖ · G[k]`: vectorized.
+fn symmetric_matvec(out: &mut [f64], gram: &[f64], v: &[f64]) {
+    out.fill(0.0);
+    v.iter().zip(gram.chunks(out.len())).for_each(|(&vk, row)| axpy(out, vk, row));
 }
 
 /// Binary logistic regression.
@@ -95,8 +144,10 @@ impl LogisticRegression {
         LogisticRegression { weights: vec![0.0; inputs], bias: 0.0 }
     }
 
-    /// Probability of the positive class.
+    /// Probability of the positive class. Panics if `x.len()` is not the
+    /// input dimension.
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.weights.len(), "input dimension mismatch");
         sigmoid(dot(&self.weights, x) + self.bias)
     }
 
@@ -105,7 +156,8 @@ impl LogisticRegression {
         self.predict_proba(x) >= 0.5
     }
 
-    /// Fit with gradient descent on the logistic loss.
+    /// Fit with gradient descent on the logistic loss. Panics if the sample
+    /// and label counts differ or a sample's width is not the input dimension.
     pub fn fit(&mut self, xs: &[Vec<f64>], ys: &[bool], epochs: usize, learning_rate: f64, l2: f64) {
         assert_eq!(xs.len(), ys.len(), "sample/target count mismatch");
         if xs.is_empty() {

@@ -144,43 +144,43 @@ mod tests {
     }
 
     /// `predict_accuracies_batch`'s output, bit for bit, for a SciBERT
-    /// predictor fitted on [`synthetic_samples`]: recorded while every
-    /// prediction still had a (zero) per-parser preference bias added after
-    /// the clamp.
+    /// predictor fitted on [`synthetic_samples`]. Re-pinned when the head
+    /// moved from the per-sample gradient to the sample-Gram form: every
+    /// value moved by at most 46 ulps (1.5e-15).
     #[test]
     fn trained_predictions_are_pinned_bit_for_bit() {
         const PINNED: [[u64; 6]; 4] = [
             [
-                0x3fc9_bf37_a60c_dfc9,
+                0x3fc9_bf37_a60c_dfc8,
                 0x3fe6_72b8_26cf_d8f4,
-                0x3fbc_8935_116e_0252,
-                0x3fc9_bf37_a60c_dfc9,
-                0x3fc9_bf37_a60c_dfc9,
-                0x3fc9_bf37_a60c_dfc9,
+                0x3fbc_8935_116e_0256,
+                0x3fc9_bf37_a60c_dfc8,
+                0x3fc9_bf37_a60c_dfc8,
+                0x3fc9_bf37_a60c_dfc8,
             ],
             [
                 0x3fc9_9d87_5b83_8840,
-                0x3fe1_a3e3_134b_da89,
-                0x3fe7_e2cf_7d7a_77f5,
+                0x3fe1_a3e3_134b_da8a,
+                0x3fe7_e2cf_7d7a_77f4,
                 0x3fc9_9d87_5b83_8840,
                 0x3fc9_9d87_5b83_8840,
                 0x3fc9_9d87_5b83_8840,
             ],
             [
-                0x3fc7_9f03_b03e_7439,
-                0x3fe2_cdb5_600d_6a2f,
-                0x3fd6_1178_f974_f609,
-                0x3fc7_9f03_b03e_7439,
-                0x3fc7_9f03_b03e_7439,
-                0x3fc7_9f03_b03e_7439,
+                0x3fc7_9f03_b03e_743a,
+                0x3fe2_cdb5_600d_6a31,
+                0x3fd6_1178_f974_f60e,
+                0x3fc7_9f03_b03e_743a,
+                0x3fc7_9f03_b03e_743a,
+                0x3fc7_9f03_b03e_743a,
             ],
             [
-                0x3fbd_64b2_bbb8_dcb3,
-                0x3fd7_0b0c_9da4_36b1,
-                0x3fce_8a60_12ee_3c11,
-                0x3fbd_64b2_bbb8_dcb3,
-                0x3fbd_64b2_bbb8_dcb3,
-                0x3fbd_64b2_bbb8_dcb3,
+                0x3fbd_64b2_bbb8_dcc9,
+                0x3fd7_0b0c_9da4_36cc,
+                0x3fce_8a60_12ee_3c3f,
+                0x3fbd_64b2_bbb8_dcc9,
+                0x3fbd_64b2_bbb8_dcc9,
+                0x3fbd_64b2_bbb8_dcc9,
             ],
         ];
         let mut predictor = AccuracyPredictor::new(EncoderProfile::SciBert);
