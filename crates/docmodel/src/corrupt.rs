@@ -7,6 +7,10 @@
 //! low-quality OCR-attached text layer is "pre-corrupted") and the parser
 //! simulators in `parsersim`, which apply them to model their own failure
 //! modes.
+//!
+//! Each function writes one output `String` and allocates nothing per word
+//! or character; the random draws, and their order, are part of the
+//! contract, because every committed fingerprint was produced by them.
 
 use rand::Rng;
 
@@ -38,17 +42,40 @@ pub fn inject_whitespace<R: Rng + ?Sized>(text: &str, rate: f64, rng: &mut R) ->
 /// Scramble characters inside words: with probability `rate` per word, two
 /// interior characters are transposed (classic extraction scrambling).
 pub fn scramble_characters<R: Rng + ?Sized>(text: &str, rate: f64, rng: &mut R) -> String {
+    scramble_words(text.split_whitespace(), text.len(), rate, rng)
+}
+
+/// [`scramble_characters`] over words already split, joined by single
+/// spaces into a `String` of capacity `capacity`. A word of four or more
+/// characters draws one `gen_bool`, and one `gen_range` if it is scrambled;
+/// a scrambled word is copied around its swapped pair, with no per-word
+/// buffer.
+pub(crate) fn scramble_words<'a, R: Rng + ?Sized>(
+    words: impl IntoIterator<Item = &'a str>,
+    capacity: usize,
+    rate: f64,
+    rng: &mut R,
+) -> String {
     let rate = rate.clamp(0.0, 1.0);
-    let mut out = Vec::new();
-    for word in text.split_whitespace() {
-        let mut chars: Vec<char> = word.chars().collect();
-        if chars.len() >= 4 && rng.gen_bool(rate) {
-            let i = rng.gen_range(1..chars.len() - 2);
-            chars.swap(i, i + 1);
+    let mut out = String::with_capacity(capacity);
+    for (k, word) in words.into_iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
         }
-        out.push(chars.into_iter().collect::<String>());
+        let n = word.chars().count();
+        if n >= 4 && rng.gen_bool(rate) {
+            let i = rng.gen_range(1..n - 2);
+            let mut pair = word.char_indices().skip(i);
+            let (at, a) = pair.next().expect("i < n - 2");
+            let (_, b) = pair.next().expect("i + 1 < n - 1");
+            out.push_str(&word[..at]);
+            out.extend([b, a]);
+            out.push_str(&word[at + a.len_utf8() + b.len_utf8()..]);
+        } else {
+            out.push_str(word);
+        }
     }
-    out.join(" ")
+    out
 }
 
 fn confuse<R: Rng + ?Sized>(c: char, rng: &mut R) -> char {
@@ -121,27 +148,40 @@ pub fn ocr_noise<R: Rng + ?Sized>(text: &str, legibility: f64, rng: &mut R) -> S
     let legibility = legibility.clamp(0.0, 1.0);
     let confuse_rate = 0.12 * (1.0 - legibility);
     let drop_rate = 0.05 * (1.0 - legibility).powi(2);
+    // Unchanged characters are copied a run at a time: `run` is where the
+    // current run starts.
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        if !c.is_whitespace() && rng.gen_bool(drop_rate) {
+    let mut run = 0;
+    for (i, c) in text.char_indices() {
+        if c.is_whitespace() {
             continue;
         }
-        if !c.is_whitespace() && rng.gen_bool(confuse_rate) {
-            out.push(confuse(c, rng));
-        } else {
-            out.push(c);
+        let dropped = rng.gen_bool(drop_rate);
+        if dropped || rng.gen_bool(confuse_rate) {
+            out.push_str(&text[run..i]);
+            if !dropped {
+                out.push(confuse(c, rng));
+            }
+            run = i + c.len_utf8();
         }
     }
+    out.push_str(&text[run..]);
     out
 }
 
 /// Scramble word order within a window, modelling column-order confusion in
 /// multi-column layouts. `severity` in `[0, 1]` controls how far words move.
 pub fn shuffle_word_order<R: Rng + ?Sized>(text: &str, severity: f64, rng: &mut R) -> String {
+    shuffled_words(text, severity, rng).join(" ")
+}
+
+/// The words of `text` in [`shuffle_word_order`]'s order, drawing what it
+/// draws.
+pub(crate) fn shuffled_words<'a, R: Rng + ?Sized>(text: &'a str, severity: f64, rng: &mut R) -> Vec<&'a str> {
     let severity = severity.clamp(0.0, 1.0);
     let mut words: Vec<&str> = text.split_whitespace().collect();
     if words.len() < 4 || severity <= 0.0 {
-        return words.join(" ");
+        return words;
     }
     let swaps = ((words.len() as f64) * severity * 0.5).ceil() as usize;
     for _ in 0..swaps {
@@ -150,7 +190,7 @@ pub fn shuffle_word_order<R: Rng + ?Sized>(text: &str, severity: f64, rng: &mut 
         let j = (i + rng.gen_range(1..=max_offset)).min(words.len() - 1);
         words.swap(i, j);
     }
-    words.join(" ")
+    words
 }
 
 #[cfg(test)]

@@ -54,7 +54,8 @@ impl TextLayer {
     }
 
     /// Build a text layer of the requested quality from ground-truth page
-    /// text, applying the corresponding corruption model.
+    /// text, applying the corresponding corruption model. Every page is
+    /// stored at exactly its length.
     pub fn from_ground_truth<R: Rng + ?Sized>(
         ground_truth_pages: &[String],
         quality: TextLayerQuality,
@@ -64,14 +65,18 @@ impl TextLayer {
             .iter()
             .map(|gt| match quality {
                 TextLayerQuality::Clean => gt.clone(),
-                TextLayerQuality::LatexMangled => corrupt::mangle_latex(gt),
+                TextLayerQuality::LatexMangled => exact(corrupt::mangle_latex(gt)),
                 TextLayerQuality::OcrGenerated { error_rate } => {
                     let legibility = (1.0 - error_rate).clamp(0.0, 1.0);
-                    corrupt::ocr_noise(gt, legibility, rng)
+                    exact(corrupt::ocr_noise(gt, legibility, rng))
                 }
                 TextLayerQuality::Scrambled => {
-                    let shuffled = corrupt::shuffle_word_order(gt, 0.8, rng);
-                    corrupt::scramble_characters(&shuffled, 0.6, rng)
+                    // Shuffling draws everything it draws before scrambling
+                    // starts, so the scramble can run over its word list
+                    // rather than re-split the joined text.
+                    let words = corrupt::shuffled_words(gt, 0.8, rng);
+                    let len = words.iter().map(|w| w.len() + 1).sum::<usize>().saturating_sub(1);
+                    corrupt::scramble_words(words, len, 0.6, rng)
                 }
                 TextLayerQuality::Missing => String::new(),
             })
@@ -93,6 +98,13 @@ impl TextLayer {
     pub fn page(&self, index: usize) -> Option<&str> {
         self.pages.get(index).map(|s| s.as_str())
     }
+}
+
+/// `page` without the spare capacity its corruption pass reserved (the pass
+/// reserves the input's length and may drop characters).
+fn exact(mut page: String) -> String {
+    page.shrink_to_fit();
+    page
 }
 
 #[cfg(test)]

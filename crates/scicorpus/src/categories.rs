@@ -22,8 +22,8 @@ use crate::generator::{DocumentGenerator, GeneratorConfig};
 /// A weighted mixture over document categories.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CategoryMix {
-    /// `(category, weight)` pairs; weights must be non-negative with a
-    /// positive sum and are normalized at sampling time.
+    /// `(category, weight)` pairs; weights must be finite and non-negative
+    /// with a positive finite sum, and are normalized at sampling time.
     pub weights: Vec<(DocCategory, f64)>,
 }
 
@@ -46,12 +46,15 @@ impl CategoryMix {
     ///
     /// # Panics
     ///
-    /// Panics when a weight is negative or the total is not positive.
+    /// Panics when a weight is negative or not finite, or the total is not
+    /// positive and finite — an infinite total would make every cumulative
+    /// weight NaN and send every document to the last category.
     fn cumulative(&self) -> Vec<f64> {
         let total: f64 = self.weights.iter().map(|&(_, w)| w).sum();
         assert!(
-            total > 0.0 && self.weights.iter().all(|&(_, w)| w >= 0.0),
-            "category mix needs non-negative weights with a positive sum"
+            total > 0.0 && total.is_finite() && self.weights.iter().all(|&(_, w)| w >= 0.0 && w.is_finite()),
+            "category mix needs finite non-negative weights with a positive finite sum, got {:?}",
+            self.weights
         );
         let mut acc = 0.0;
         self.weights

@@ -6,6 +6,8 @@
 //! missing or OCR-attached layers, and equation/table/SMILES density is
 //! conditioned on the scientific domain.
 
+use std::fmt::Write;
+
 use docmodel::document::{DocId, Document, Page};
 use docmodel::element::Element;
 use docmodel::imagelayer::ImageLayer;
@@ -15,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{latex, smiles, vocab};
+use crate::{latex, push_decimal, render, smiles, vocab};
 
 /// Publication years are drawn uniformly from this range.
 const YEARS: std::ops::RangeInclusive<u16> = 2000..=2024;
@@ -73,8 +75,21 @@ pub struct DocumentGenerator {
 }
 
 impl DocumentGenerator {
-    /// Create a generator from a configuration.
+    /// Create a generator from a configuration. Fractions and
+    /// `table_probability` outside `[0, 1]` clamp to it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fraction or `table_probability` is NaN or infinite.
     pub fn new(config: GeneratorConfig) -> Self {
+        for (knob, value) in [
+            ("scanned_fraction", config.scanned_fraction),
+            ("ocr_attached_fraction", config.ocr_attached_fraction),
+            ("scrambled_fraction", config.scrambled_fraction),
+            ("table_probability", config.table_probability),
+        ] {
+            assert!(value.is_finite(), "GeneratorConfig::{knob} must be finite, got {value}");
+        }
         let rng = StdRng::seed_from_u64(config.seed);
         DocumentGenerator { config, rng, next_id: 0 }
     }
@@ -180,13 +195,21 @@ impl DocumentGenerator {
         let rng = &mut self.rng;
 
         if page_index == 0 {
-            elements.push(Element::heading(1, &vocab::title(rng, domain)));
+            elements.push(Element::Heading { level: 1, text: vocab::title(rng, domain) });
             elements.push(Element::Paragraph {
-                text: format!("Abstract. {}", vocab::paragraph(rng, domain, SENTENCES_PER_PARAGRAPH)),
+                text: render(|out| {
+                    out.push_str("Abstract. ");
+                    vocab::push_paragraph(rng, domain, SENTENCES_PER_PARAGRAPH, out);
+                }),
             });
         } else {
-            elements
-                .push(Element::heading((1 + page_index.min(3)) as u8, &format!("Section {}", page_index)));
+            elements.push(Element::Heading {
+                level: (1 + page_index.min(3)) as u8,
+                text: render(|out| {
+                    out.push_str("Section ");
+                    push_decimal(out, page_index);
+                }),
+            });
         }
 
         let n_paragraphs = self.config.paragraphs_per_page.max(1)
@@ -213,7 +236,8 @@ impl DocumentGenerator {
                     (0..cols)
                         .map(|_| {
                             if rng.gen_bool(0.5) {
-                                format!("{:.2}", rng.gen_range(0.0..100.0))
+                                let value: f64 = rng.gen_range(0.0..100.0);
+                                render(|out| write!(out, "{value:.2}").expect("writing to a String"))
                             } else {
                                 vocab::pick(rng, vocab::ACADEMIC_COMMON).to_string()
                             }

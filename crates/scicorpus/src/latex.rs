@@ -4,8 +4,14 @@
 //! paper's failure analysis (LaTeX-to-plaintext conversion, Figure 1f), so
 //! the generator produces equations with realistic structural variety:
 //! fractions, sub/superscripts, Greek letters, sums/integrals and operators.
+//!
+//! As in [`crate::vocab`], an equation is rendered once: atoms and terms
+//! append into one buffer, draws come in the order `format!` evaluated its
+//! arguments, and the returned `String` is allocated at exactly its length.
 
 use rand::Rng;
+
+use crate::{push_decimal, render};
 
 const GREEK: &[&str] = &[
     "\\alpha",
@@ -30,23 +36,40 @@ const OPERATORS: &[&str] = &["+", "-", "\\cdot", "\\times", "\\le", "\\ge", "=",
 const BIG_OPS: &[&str] =
     &["\\sum_{i=1}^{n}", "\\int_{0}^{T}", "\\prod_{j=1}^{m}", "\\max_{\\theta}", "\\min_{x}"];
 
-fn atom<R: Rng + ?Sized>(rng: &mut R) -> String {
+fn push_atom<R: Rng + ?Sized>(rng: &mut R, out: &mut String) {
     match rng.gen_range(0..4) {
-        0 => GREEK[rng.gen_range(0..GREEK.len())].to_string(),
-        1 => VARIABLES[rng.gen_range(0..VARIABLES.len())].to_string(),
-        2 => format!("{}_{{{}}}", VARIABLES[rng.gen_range(0..VARIABLES.len())], rng.gen_range(0..10)),
-        _ => format!("{}^{{{}}}", VARIABLES[rng.gen_range(0..VARIABLES.len())], rng.gen_range(2..5)),
+        0 => out.push_str(GREEK[rng.gen_range(0..GREEK.len())]),
+        1 => out.push_str(VARIABLES[rng.gen_range(0..VARIABLES.len())]),
+        kind => {
+            // A subscript 0-9 or a power 2-4.
+            out.extend([VARIABLES[rng.gen_range(0..VARIABLES.len())], if kind == 2 { "_{" } else { "^{" }]);
+            push_decimal(out, if kind == 2 { rng.gen_range(0..10) } else { rng.gen_range(2..5) });
+            out.push('}');
+        }
     }
 }
 
-fn term<R: Rng + ?Sized>(rng: &mut R, depth: usize) -> String {
+fn push_term<R: Rng + ?Sized>(rng: &mut R, depth: usize, out: &mut String) {
     if depth == 0 || rng.gen_bool(0.5) {
-        return atom(rng);
+        return push_atom(rng, out);
     }
     match rng.gen_range(0..3) {
-        0 => format!("\\frac{{{}}}{{{}}}", term(rng, depth - 1), term(rng, depth - 1)),
-        1 => format!("{} {}", BIG_OPS[rng.gen_range(0..BIG_OPS.len())], term(rng, depth - 1)),
-        _ => format!("\\sqrt{{{}}}", term(rng, depth - 1)),
+        0 => {
+            out.push_str("\\frac{");
+            push_term(rng, depth - 1, out);
+            out.push_str("}{");
+            push_term(rng, depth - 1, out);
+            out.push('}');
+        }
+        1 => {
+            out.extend([BIG_OPS[rng.gen_range(0..BIG_OPS.len())], " "]);
+            push_term(rng, depth - 1, out);
+        }
+        _ => {
+            out.push_str("\\sqrt{");
+            push_term(rng, depth - 1, out);
+            out.push('}');
+        }
     }
 }
 
@@ -55,16 +78,21 @@ fn term<R: Rng + ?Sized>(rng: &mut R, depth: usize) -> String {
 /// The result is a plausible display-math body, e.g.
 /// `\frac{\partial u}{\partial t} = \alpha \cdot \nabla^{2}`.
 pub fn equation<R: Rng + ?Sized>(rng: &mut R) -> String {
-    let lhs = term(rng, 2);
-    let op = OPERATORS[rng.gen_range(0..OPERATORS.len())];
-    let n_rhs_terms = rng.gen_range(1..4);
-    let rhs: Vec<String> = (0..n_rhs_terms).map(|_| term(rng, 2)).collect();
-    format!("{lhs} {op} {}", rhs.join(" + "))
+    render(|out| {
+        push_term(rng, 2, out);
+        out.extend([" ", OPERATORS[rng.gen_range(0..OPERATORS.len())], " "]);
+        for i in 0..rng.gen_range(1..4) {
+            if i > 0 {
+                out.push_str(" + ");
+            }
+            push_term(rng, 2, out);
+        }
+    })
 }
 
 /// Generate a short inline math fragment (single term).
 pub fn inline_fragment<R: Rng + ?Sized>(rng: &mut R) -> String {
-    term(rng, 1)
+    render(|out| push_term(rng, 1, out))
 }
 
 #[cfg(test)]

@@ -39,3 +39,29 @@ pub use augment::{augment_image_layers, augment_text_layers, AugmentConfig};
 pub use categories::{category_preset, generate_categorized, CategorizedCorpus, CategoryMix};
 pub use dataset::{Corpus, SplitSizes};
 pub use generator::{DocumentGenerator, GeneratorConfig};
+
+use std::cell::RefCell;
+
+thread_local! {
+    /// The buffer [`render`] writes into; it grows to the longest string
+    /// rendered on the thread and is reused from then on.
+    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Run `write` into this thread's scratch buffer and return one copy of what
+/// it wrote, allocated at exactly its length. `write` must not call `render`.
+pub(crate) fn render(write: impl FnOnce(&mut String)) -> String {
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        write(buf);
+        buf.as_str().to_owned()
+    })
+}
+
+/// Append the decimal digits of `n`, as `{}` prints it.
+pub(crate) fn push_decimal(out: &mut String, n: usize) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}

@@ -7,6 +7,8 @@
 
 use rand::Rng;
 
+use crate::render;
+
 const FRAGMENTS: &[&str] = &[
     "C",
     "CC",
@@ -29,11 +31,11 @@ const FRAGMENTS: &[&str] = &[
 /// Generate a plausible SMILES string of `n_fragments` fragments.
 pub fn smiles<R: Rng + ?Sized>(rng: &mut R, n_fragments: usize) -> String {
     let n = n_fragments.clamp(1, 12);
-    let mut out = String::new();
-    for _ in 0..n {
-        out.push_str(FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]);
-    }
-    out
+    render(|out| {
+        for _ in 0..n {
+            out.push_str(FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())]);
+        }
+    })
 }
 
 /// Generate a SMILES string with random length between 2 and 8 fragments.

@@ -4,9 +4,17 @@
 //! the statistical properties that matter to the system under test: distinct
 //! domain vocabularies (so text classifiers have signal), realistic sentence
 //! and paragraph lengths, and a mix of common academic connective tissue.
+//!
+//! Every string is rendered once: its pieces are appended with `push_str`
+//! into one buffer (a paragraph's sentences into the same one), the random
+//! picks are drawn in the order the pieces appear — the order `format!`
+//! evaluated them in — and the returned `String` is one copy allocated at
+//! exactly its length.
 
 use docmodel::metadata::Domain;
 use rand::Rng;
+
+use crate::{push_decimal, render};
 
 /// Academic filler shared by all domains.
 pub const ACADEMIC_COMMON: &[&str] = &[
@@ -232,89 +240,144 @@ pub fn pick<'a, R: Rng + ?Sized>(rng: &mut R, items: &'a [&'a str]) -> &'a str {
 
 /// Generate one pseudo-scientific sentence for the given domain.
 pub fn sentence<R: Rng + ?Sized>(rng: &mut R, domain: Domain) -> String {
+    render(|out| push_sentence(rng, domain, out))
+}
+
+fn push_sentence<R: Rng + ?Sized>(rng: &mut R, domain: Domain, out: &mut String) {
     let nouns = domain_nouns(domain);
     let common = ACADEMIC_COMMON;
-    let template = rng.gen_range(0..5);
-    let s = match template {
-        0 => format!(
-            "The {} of the {} {} a {} {} across the {}.",
+    match rng.gen_range(0..5) {
+        0 => out.extend([
+            "The ",
             pick(rng, common),
+            " of the ",
             pick(rng, nouns),
+            " ",
             pick(rng, VERBS),
+            " a ",
             pick(rng, ADJECTIVES),
+            " ",
             pick(rng, common),
+            " across the ",
             pick(rng, nouns),
-        ),
-        1 => format!(
-            "{}, the {} {} {} when the {} is held constant.",
+            ".",
+        ]),
+        1 => out.extend([
             pick(rng, CONNECTIVES),
+            ", the ",
             pick(rng, nouns),
+            " ",
             pick(rng, VERBS),
+            " ",
             pick(rng, ADJECTIVES),
+            " when the ",
             pick(rng, common),
-        ),
-        2 => format!(
-            "Our {} {} that the {} {} depends on the {} of each {}.",
+            " is held constant.",
+        ]),
+        2 => out.extend([
+            "Our ",
             pick(rng, common),
+            " ",
             pick(rng, VERBS),
+            " that the ",
             pick(rng, ADJECTIVES),
+            " ",
             pick(rng, nouns),
+            " depends on the ",
             pick(rng, common),
+            " of each ",
             pick(rng, nouns),
-        ),
-        3 => format!(
-            "We report a {} {} between the {} and the observed {}.",
+            ".",
+        ]),
+        3 => out.extend([
+            "We report a ",
             pick(rng, ADJECTIVES),
+            " ",
             pick(rng, common),
+            " between the ",
             pick(rng, nouns),
+            " and the observed ",
             pick(rng, common),
-        ),
-        _ => format!(
-            "A {} {} over {} {} samples {} the proposed {}.",
-            pick(rng, ADJECTIVES),
-            pick(rng, common),
-            rng.gen_range(10..5000),
-            pick(rng, nouns),
-            pick(rng, VERBS),
-            pick(rng, common),
-        ),
-    };
-    s
+            ".",
+        ]),
+        _ => {
+            out.extend(["A ", pick(rng, ADJECTIVES), " ", pick(rng, common), " over "]);
+            push_decimal(out, rng.gen_range(10..5000));
+            out.extend([
+                " ",
+                pick(rng, nouns),
+                " samples ",
+                pick(rng, VERBS),
+                " the proposed ",
+                pick(rng, common),
+                ".",
+            ]);
+        }
+    }
 }
 
 /// Generate a paragraph of `n_sentences` sentences.
 pub fn paragraph<R: Rng + ?Sized>(rng: &mut R, domain: Domain, n_sentences: usize) -> String {
-    (0..n_sentences.max(1)).map(|_| sentence(rng, domain)).collect::<Vec<_>>().join(" ")
+    render(|out| push_paragraph(rng, domain, n_sentences, out))
+}
+
+/// Append one [`paragraph`] to `out`.
+pub(crate) fn push_paragraph<R: Rng + ?Sized>(
+    rng: &mut R,
+    domain: Domain,
+    n_sentences: usize,
+    out: &mut String,
+) {
+    for i in 0..n_sentences.max(1) {
+        if i > 0 {
+            out.push(' ');
+        }
+        push_sentence(rng, domain, out);
+    }
 }
 
 /// Generate a plausible paper title for the domain.
 pub fn title<R: Rng + ?Sized>(rng: &mut R, domain: Domain) -> String {
+    render(|out| push_title(rng, domain, out))
+}
+
+fn push_title<R: Rng + ?Sized>(rng: &mut R, domain: Domain, out: &mut String) {
     let nouns = domain_nouns(domain);
     match rng.gen_range(0..3) {
-        0 => format!(
-            "On the {} of {} in {} systems",
+        0 => out.extend([
+            "On the ",
             pick(rng, ACADEMIC_COMMON),
+            " of ",
             pick(rng, nouns),
-            pick(rng, ADJECTIVES)
-        ),
-        1 => format!(
-            "{} {} for {} {}",
-            capitalize(pick(rng, ADJECTIVES)),
+            " in ",
+            pick(rng, ADJECTIVES),
+            " systems",
+        ]),
+        1 => {
+            push_capitalized(out, pick(rng, ADJECTIVES));
+            out.extend([
+                " ",
+                pick(rng, ACADEMIC_COMMON),
+                " for ",
+                pick(rng, ADJECTIVES),
+                " ",
+                pick(rng, nouns),
+            ]);
+        }
+        _ => out.extend([
+            "A ",
+            pick(rng, ADJECTIVES),
+            " study of ",
+            pick(rng, nouns),
+            " and its ",
             pick(rng, ACADEMIC_COMMON),
-            pick(rng, ADJECTIVES),
-            pick(rng, nouns)
-        ),
-        _ => format!(
-            "A {} study of {} and its {}",
-            pick(rng, ADJECTIVES),
-            pick(rng, nouns),
-            pick(rng, ACADEMIC_COMMON)
-        ),
+        ]),
     }
 }
 
 /// Generate a bibliographic reference entry.
 pub fn reference<R: Rng + ?Sized>(rng: &mut R, domain: Domain) -> (String, String) {
+    // ASCII, so the key lower-cases them byte by byte.
     const SURNAMES: &[&str] = &[
         "Smith",
         "Chen",
@@ -332,17 +395,26 @@ pub fn reference<R: Rng + ?Sized>(rng: &mut R, domain: Domain) -> (String, Strin
     let year = rng.gen_range(1995..2025);
     let first = pick(rng, SURNAMES);
     let second = pick(rng, SURNAMES);
-    let key = format!("{}{}", first.to_lowercase(), year);
-    let text =
-        format!("{first}, {second} et al. ({year}). {}. Journal of {}.", title(rng, domain), domain.name());
+    let key = render(|out| {
+        out.push_str(first);
+        out.make_ascii_lowercase();
+        push_decimal(out, year);
+    });
+    let text = render(|out| {
+        out.extend([first, ", ", second, " et al. ("]);
+        push_decimal(out, year);
+        out.push_str("). ");
+        push_title(rng, domain, out);
+        out.extend([". Journal of ", domain.name(), "."]);
+    });
     (key, text)
 }
 
-fn capitalize(word: &str) -> String {
+fn push_capitalized(out: &mut String, word: &str) {
     let mut chars = word.chars();
-    match chars.next() {
-        Some(first) => first.to_uppercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
+    if let Some(first) = chars.next() {
+        out.extend(first.to_uppercase());
+        out.push_str(chars.as_str());
     }
 }
 
@@ -406,8 +478,10 @@ mod tests {
 
     #[test]
     fn capitalize_handles_edge_cases() {
+        let capitalize = |word: &str| render(|out| push_capitalized(out, word));
         assert_eq!(capitalize(""), "");
         assert_eq!(capitalize("x"), "X");
         assert_eq!(capitalize("robust"), "Robust");
+        assert_eq!(capitalize("ßa"), "SSa");
     }
 }
