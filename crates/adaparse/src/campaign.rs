@@ -456,11 +456,6 @@ impl CampaignPipeline {
         CampaignPipeline { config, threads }
     }
 
-    /// The pipeline's parallelism configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
     /// Run a full campaign: windowed selection over the cascade's frontier,
     /// then parse and score, with each [`ParsedRecord`] streamed to `sink`
     /// in input order (`result.records` stays empty). Each window is folded

@@ -249,7 +249,7 @@ mod tests {
         // Two upgrades, the cheap one at 1/4 slot: one slot of credit funds
         // four cheap upgrades where the binary selector funds one.
         let frontier = ParserFrontier::full(ParserKind::PyMuPdf);
-        assert!(frontier.k() > 2, "full frontier must be wider than a pair");
+        assert!(frontier.upgrades().len() > 1, "full frontier must be wider than a pair");
         let mut selector = WindowedSelector::new(40, 0.1).with_frontier(frontier.clone());
         let n = 40;
         // Uniform positive gains: the greedy prefers the best ratio, which

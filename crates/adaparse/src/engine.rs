@@ -308,7 +308,7 @@ mod tests {
         let mut nougat_clean = 0usize;
         for (doc, decision) in docs.iter().zip(&routed) {
             if decision.parser == ParserKind::Nougat {
-                if doc.text_layer.has_text() {
+                if doc.text_layer.pages.iter().any(|p| !p.trim().is_empty()) {
                     nougat_clean += 1;
                 } else {
                     nougat_scanned += 1;

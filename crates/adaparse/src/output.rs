@@ -93,18 +93,12 @@ impl RecordSink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
-    written: usize,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// Wrap a writer.
     pub fn new(writer: W) -> Self {
-        JsonlSink { writer, written: 0 }
-    }
-
-    /// Number of records written so far.
-    pub fn written(&self) -> usize {
-        self.written
+        JsonlSink { writer }
     }
 
     /// Flush and return the underlying writer.
@@ -118,7 +112,6 @@ impl<W: Write> RecordSink for JsonlSink<W> {
     fn accept(&mut self, record: ParsedRecord) -> std::io::Result<()> {
         self.writer.write_all(record.to_json_line().as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.written += 1;
         Ok(())
     }
 }
@@ -206,7 +199,6 @@ mod tests {
             })
             .unwrap();
         }
-        assert_eq!(sink.written(), 3);
         let bytes = sink.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(text.lines().count(), 3);

@@ -77,9 +77,8 @@ pub struct FleetEvent {
 }
 
 /// The SLO-driven autoscaler. Feed it one observation per serve epoch via
-/// [`SloAutoscaler::observe`]; read the current fleet with
-/// [`SloAutoscaler::nodes`] and the change log with
-/// [`SloAutoscaler::history`].
+/// [`SloAutoscaler::observe`], which returns the fleet size for the next
+/// epoch; read the change log with [`SloAutoscaler::history`].
 #[derive(Debug, Clone)]
 pub struct SloAutoscaler {
     config: AutoscaleConfig,
@@ -118,11 +117,6 @@ impl SloAutoscaler {
         assert!(config.step_up >= 1, "step_up must be at least 1");
         let nodes = initial_nodes.clamp(config.min_nodes, config.max_nodes);
         SloAutoscaler { config, nodes, healthy_streak: 0, history: Vec::new() }
-    }
-
-    /// Current fleet size in nodes.
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Every fleet-size change so far, in decision order.
@@ -218,15 +212,13 @@ mod tests {
     #[test]
     fn fleet_stays_inside_the_configured_bounds() {
         let mut s = scaler();
-        for epoch in 0..10 {
-            assert!(s.observe(epoch, epoch as f64, 2.0, 50.0) <= 8);
-        }
-        assert_eq!(s.nodes(), 8);
+        let fleets: Vec<usize> = (0..10).map(|epoch| s.observe(epoch, epoch as f64, 2.0, 50.0)).collect();
+        assert!(fleets.iter().all(|&nodes| nodes <= 8));
+        assert_eq!(fleets.last(), Some(&8));
         let mut s = scaler();
-        for epoch in 0..40 {
-            assert!(s.observe(epoch, epoch as f64, 0.0, 0.0) >= 1);
-        }
-        assert_eq!(s.nodes(), 1);
+        let fleets: Vec<usize> = (0..40).map(|epoch| s.observe(epoch, epoch as f64, 0.0, 0.0)).collect();
+        assert!(fleets.iter().all(|&nodes| nodes >= 1));
+        assert_eq!(fleets.last(), Some(&1));
     }
 
     #[test]
@@ -234,10 +226,12 @@ mod tests {
         let observations =
             [(0.1, 0.0), (1.4, 2.0), (0.2, 0.1), (0.9, 5.0), (0.1, 0.0), (0.1, 0.0), (0.1, 0.0)];
         let run = |mut s: SloAutoscaler| {
-            for (epoch, (ratio, backlog)) in observations.iter().enumerate() {
-                s.observe(epoch, epoch as f64 * 7.0, *ratio, *backlog);
-            }
-            (s.nodes(), s.history().to_vec())
+            let fleets: Vec<usize> = observations
+                .iter()
+                .enumerate()
+                .map(|(epoch, (ratio, backlog))| s.observe(epoch, epoch as f64 * 7.0, *ratio, *backlog))
+                .collect();
+            (fleets, s.history().to_vec())
         };
         assert_eq!(run(scaler()), run(scaler()));
     }

@@ -101,11 +101,6 @@ impl Default for ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// A default-tuned controller config over `total` workers.
-    pub fn for_workers(total: usize) -> Self {
-        ControllerConfig { total_workers: total, ..Default::default() }
-    }
-
     /// Clamp degenerate values.
     pub fn normalized(mut self) -> Self {
         self.total_workers = self.total_workers.max(2);
@@ -119,15 +114,10 @@ impl ControllerConfig {
 pub struct AllocationEvent {
     /// Wave whose stats triggered the change.
     pub wave_index: usize,
-    /// Campaign time of the change in seconds: simulated time when the
-    /// controller is driven by a clock via
-    /// [`ScalingController::observe_at`] (e.g. an
-    /// [`hpcsim::ExecutorSession`]'s dispatch frontier), otherwise the
-    /// controller's internal accumulation of observed wave seconds. Either
-    /// way it is derived purely from the observed stats, never read from
-    /// the host's clock, so a fixed stat stream (recorded or simulated)
-    /// replays its trace bit for bit; stats that are themselves wall-clock
-    /// measurements vary run to run, and so do their traces.
+    /// Campaign time of the change in seconds: the latest time passed to
+    /// [`ScalingController::observe_at`] (an [`hpcsim::ExecutorSession`]'s
+    /// dispatch frontier or epoch boundary), never read from the host's
+    /// clock, so a fixed stat stream replays its trace bit for bit.
     pub at_seconds: f64,
     /// Stage that gained a worker.
     pub gained: Stage,
@@ -168,15 +158,13 @@ impl NodePlan {
 /// The resource-scaling engine's feedback loop.
 ///
 /// Create it with a [`ControllerConfig`], feed it one [`WaveStats`] per wave
-/// via [`observe`](ScalingController::observe), and read the allocation for
-/// the next wave from the return value. [`history`](ScalingController::history)
-/// records every change for reporting.
+/// via [`observe_at`](ScalingController::observe_at), and read the allocation
+/// for the next wave from the return value.
+/// [`history`](ScalingController::history) records every change for
+/// reporting.
 ///
-/// The controller never reads the host's wall clock. Timestamps in its
-/// trace come either from its own virtual clock (which accrues the
-/// overlapped wave time `max(extract, parse)` per observed wave) or — in
-/// closed-loop simulation — from an external simulated clock passed to
-/// [`observe_at`](ScalingController::observe_at), typically an
+/// The controller never reads the host's wall clock: the timestamps in its
+/// trace are the simulated times passed to `observe_at`, typically an
 /// [`hpcsim::ExecutorSession`]'s dispatch frontier or epoch boundary.
 ///
 /// # Example
@@ -184,18 +172,17 @@ impl NodePlan {
 /// ```
 /// use adaparse::{ControllerConfig, ScalingController, StageSample, WaveStats};
 ///
-/// let mut controller = ScalingController::new(ControllerConfig::for_workers(8));
+/// let mut controller = ScalingController::new(ControllerConfig::default());
 /// // Parse is the persistent bottleneck: after `patience` (default 2)
 /// // consecutive waves a worker moves from extract to parse.
-/// for wave in 0..2 {
-///     controller.observe(&WaveStats {
-///         wave_index: wave,
-///         extract: StageSample { busy_seconds: 1.0, items: 64 },
-///         parse: StageSample { busy_seconds: 3.0, items: 64 },
-///         queue_depth: 256,
-///     });
-/// }
-/// let allocation = controller.allocation();
+/// let parse_bound = |wave_index| WaveStats {
+///     wave_index,
+///     extract: StageSample { busy_seconds: 1.0, items: 64 },
+///     parse: StageSample { busy_seconds: 3.0, items: 64 },
+///     queue_depth: 256,
+/// };
+/// assert_eq!(controller.observe_at(3.0, &parse_bound(0)).parse_workers, 4);
+/// let allocation = controller.observe_at(6.0, &parse_bound(1));
 /// assert_eq!(allocation.parse_workers, 5);
 /// assert_eq!(allocation.total(), 8);
 /// assert_eq!(controller.history().len(), 1);
@@ -207,8 +194,7 @@ pub struct ScalingController {
     /// Signed bottleneck streak: positive = parse was the bottleneck for
     /// `pressure` consecutive waves, negative = extract was.
     pressure: i64,
-    /// The controller's notion of campaign time in seconds (see
-    /// [`clock_seconds`](ScalingController::clock_seconds)).
+    /// The latest finite time passed to `observe_at`, in seconds.
     clock_seconds: f64,
     history: Vec<AllocationEvent>,
 }
@@ -226,47 +212,20 @@ impl ScalingController {
         }
     }
 
-    /// The controller's configuration (normalized).
-    pub fn config(&self) -> &ControllerConfig {
-        &self.config
-    }
-
-    /// The current allocation.
-    pub fn allocation(&self) -> Allocation {
-        self.allocation
-    }
-
     /// Every allocation change so far, in wave order.
     pub fn history(&self) -> &[AllocationEvent] {
         &self.history
     }
 
-    /// The controller's current campaign time in seconds: the last
-    /// timestamp sampled via [`observe_at`](ScalingController::observe_at),
-    /// or — under plain [`observe`](ScalingController::observe) — the sum
-    /// of overlapped wave times seen so far. Never wall time.
-    pub fn clock_seconds(&self) -> f64 {
-        self.clock_seconds
-    }
-
     /// Digest one wave's stats and return the allocation for the next wave.
     ///
-    /// Pure in the functional sense: the new state (and thus the returned
-    /// allocation) depends only on the previous state and `stats`. The
-    /// controller's virtual clock advances by the wave's overlapped
-    /// duration, `max(extract, parse)` busy seconds.
-    pub fn observe(&mut self, stats: &WaveStats) -> Allocation {
-        let wave_seconds = stats.extract.busy_seconds.max(stats.parse.busy_seconds).max(0.0);
-        let at = self.clock_seconds + if wave_seconds.is_finite() { wave_seconds } else { 0.0 };
-        self.observe_at(at, stats)
-    }
-
-    /// [`observe`](ScalingController::observe), sampling an external clock:
     /// `at_seconds` is the campaign time the wave completed at — in
-    /// closed-loop simulation, the [`hpcsim::ExecutorSession`]'s
-    /// dispatch frontier after the wave. Trace timestamps then carry
-    /// simulated time, so a replayed simulation reproduces the trace
-    /// exactly.
+    /// closed-loop simulation, the [`hpcsim::ExecutorSession`]'s dispatch
+    /// frontier after the wave — and timestamps any change it causes; a
+    /// stale or non-finite time leaves the clock where it was. Pure in the
+    /// functional sense: the new state (and thus the returned allocation)
+    /// depends only on the previous state, `at_seconds` and `stats`, so a
+    /// replayed simulation reproduces the trace exactly.
     pub fn observe_at(&mut self, at_seconds: f64, stats: &WaveStats) -> Allocation {
         if at_seconds.is_finite() && at_seconds > self.clock_seconds {
             self.clock_seconds = at_seconds;
@@ -351,21 +310,19 @@ mod tests {
 
     #[test]
     fn balanced_waves_never_move_workers() {
-        let mut c = ScalingController::new(ControllerConfig::for_workers(8));
-        let start = c.allocation();
+        let mut c = ScalingController::new(ControllerConfig::default());
         for wave in 0..20 {
-            assert_eq!(c.observe(&stats(wave, 1.0, 1.1, 100)), start);
+            assert_eq!(c.observe_at(wave as f64, &stats(wave, 1.0, 1.1, 100)), Allocation::even(8));
         }
         assert!(c.history().is_empty());
     }
 
     #[test]
     fn persistent_parse_bottleneck_shifts_workers_to_parse() {
-        let mut c = ScalingController::new(ControllerConfig::for_workers(8));
+        let mut c = ScalingController::new(ControllerConfig::default());
         // patience = 2: the first slow wave arms the streak, the second fires.
-        c.observe(&stats(0, 1.0, 3.0, 100));
-        assert_eq!(c.allocation(), Allocation::even(8));
-        let after = c.observe(&stats(1, 1.0, 3.0, 100));
+        assert_eq!(c.observe_at(0.0, &stats(0, 1.0, 3.0, 100)), Allocation::even(8));
+        let after = c.observe_at(1.0, &stats(1, 1.0, 3.0, 100));
         assert_eq!(after, Allocation { extract_workers: 3, parse_workers: 5 });
         assert_eq!(c.history().len(), 1);
         assert_eq!(c.history()[0].gained, Stage::Parse);
@@ -375,35 +332,35 @@ mod tests {
 
     #[test]
     fn hysteresis_ignores_transient_spikes() {
-        let mut c = ScalingController::new(ControllerConfig::for_workers(8));
+        let mut c = ScalingController::new(ControllerConfig::default());
         for wave in 0..10 {
             // Alternate bottlenecks: the streak never reaches patience.
             let (e, p) = if wave % 2 == 0 { (1.0, 3.0) } else { (3.0, 1.0) };
-            c.observe(&stats(wave, e, p, 100));
+            assert_eq!(c.observe_at(wave as f64, &stats(wave, e, p, 100)), Allocation::even(8));
         }
-        assert_eq!(c.allocation(), Allocation::even(8));
         assert!(c.history().is_empty());
     }
 
     #[test]
     fn allocation_never_starves_a_stage() {
         let mut c = ScalingController::new(ControllerConfig { total_workers: 4, patience: 1 });
+        let mut a = Allocation::even(4);
         for wave in 0..50 {
-            let a = c.observe(&stats(wave, 0.1, 10.0, 100));
+            a = c.observe_at(wave as f64, &stats(wave, 0.1, 10.0, 100));
             assert!(a.extract_workers >= 1 && a.parse_workers >= 1);
             assert_eq!(a.total(), 4);
         }
-        assert_eq!(c.allocation(), Allocation { extract_workers: 1, parse_workers: 3 });
+        assert_eq!(a, Allocation { extract_workers: 1, parse_workers: 3 });
     }
 
     #[test]
     fn identical_stat_streams_replay_identical_traces() {
         let run = || {
-            let mut c = ScalingController::new(ControllerConfig::for_workers(16));
+            let mut c = ScalingController::new(ControllerConfig { total_workers: 16, patience: 2 });
             let mut trace = Vec::new();
             for wave in 0..30 {
                 let parse_s = if wave < 15 { 4.0 } else { 0.5 };
-                trace.push(c.observe(&stats(wave, 1.0, parse_s, 500 - wave * 16)));
+                trace.push(c.observe_at(wave as f64, &stats(wave, 1.0, parse_s, 500 - wave * 16)));
             }
             (trace, c.history().to_vec())
         };
@@ -413,10 +370,9 @@ mod tests {
     #[test]
     fn draining_queue_freezes_the_allocation() {
         let mut c = ScalingController::new(ControllerConfig { total_workers: 8, patience: 1 });
-        c.observe(&stats(0, 1.0, 5.0, 100));
-        let before = c.allocation();
+        let before = c.observe_at(0.0, &stats(0, 1.0, 5.0, 100));
         // Ragged final wave with a wild imbalance: ignored.
-        assert_eq!(c.observe(&stats(1, 0.001, 9.0, 0)), before);
+        assert_eq!(c.observe_at(1.0, &stats(1, 0.001, 9.0, 0)), before);
     }
 
     #[test]
@@ -425,7 +381,7 @@ mod tests {
         assert_eq!(c.plan_nodes(8), NodePlan { extract_nodes: 4, parse_nodes: 4 });
         // Push workers toward parse, the node plan follows.
         for wave in 0..3 {
-            c.observe(&stats(wave, 1.0, 9.0, 100));
+            c.observe_at(wave as f64, &stats(wave, 1.0, 9.0, 100));
         }
         let plan = c.plan_nodes(8);
         assert!(plan.parse_nodes > plan.extract_nodes, "{plan:?}");
@@ -460,25 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_accrues_overlapped_wave_time() {
-        let mut c = ScalingController::new(ControllerConfig::for_workers(8));
-        c.observe(&stats(0, 1.0, 3.0, 100));
-        assert_eq!(c.clock_seconds(), 3.0);
-        c.observe(&stats(1, 2.5, 1.0, 100));
-        assert_eq!(c.clock_seconds(), 5.5);
-    }
-
-    #[test]
     fn simulated_clock_timestamps_the_trace() {
         let mut c = ScalingController::new(ControllerConfig { total_workers: 8, patience: 1 });
         c.observe_at(10.0, &stats(0, 1.0, 5.0, 100));
-        assert_eq!(c.clock_seconds(), 10.0);
         assert_eq!(c.history().len(), 1);
         assert_eq!(c.history()[0].at_seconds, 10.0);
         // Stale or bad samples never move the clock backwards.
         c.observe_at(5.0, &stats(1, 1.0, 1.0, 100));
         c.observe_at(f64::NAN, &stats(2, 1.0, 1.0, 100));
-        assert_eq!(c.clock_seconds(), 10.0);
+        c.observe_at(7.0, &stats(3, 1.0, 5.0, 100));
+        assert_eq!(c.history().len(), 2);
+        assert_eq!(c.history()[1].at_seconds, 10.0);
     }
 
     #[test]

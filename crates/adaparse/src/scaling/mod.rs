@@ -38,14 +38,11 @@
 //!
 //! The loop is *closed* in three directions:
 //!
-//! * **Time** — the controller never reads wall time. Under
-//!   [`ScalingController::observe_at`] it samples an external simulated
-//!   clock (the [`hpcsim::ExecutorSession`]'s dispatch frontier or the
-//!   serve loop's epoch boundary), and even plain
-//!   [`ScalingController::observe`] accrues a virtual clock from the
-//!   observed stage seconds, so a trace is a pure function of its stat
-//!   stream: replaying recorded or simulated stats replays the trace bit
-//!   for bit.
+//! * **Time** — the controller never reads wall time.
+//!   [`ScalingController::observe_at`] samples an external simulated clock
+//!   (the [`hpcsim::ExecutorSession`]'s dispatch frontier or the serve
+//!   loop's epoch boundary), so a trace is a pure function of its clock and
+//!   stat stream: replaying a simulation replays the trace bit for bit.
 //! * **Costs** — a serve tenant's seconds [`Ledger`] (seconds budgets live
 //!   only in serve) reserves each admitted batch's planned spend, releases
 //!   the reservation slot by slot as documents' measured costs

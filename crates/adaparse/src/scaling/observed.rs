@@ -94,7 +94,6 @@ impl WaveCosts {
 /// // (4 × 10 + 80) / (4 + 4) = 15 s — halfway between prior and evidence.
 /// assert_eq!(costs.effective_expensive(), 15.0);
 /// assert_eq!(costs.effective_cheap(), 1.0);
-/// assert!(costs.expensive_divergence() > 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObservedCosts {
@@ -145,18 +144,6 @@ impl ObservedCosts {
         blend(self.planned_expensive, self.prior_weight, self.expensive_seconds, self.expensive_docs)
     }
 
-    /// Ratio of the current cheap estimate to the planned cheap cost
-    /// (1.0 = on plan, above = running hot).
-    pub fn cheap_divergence(&self) -> f64 {
-        divergence(self.effective_cheap(), self.planned_cheap)
-    }
-
-    /// Ratio of the current expensive estimate to the planned expensive
-    /// cost (1.0 = on plan, above = running hot).
-    pub fn expensive_divergence(&self) -> f64 {
-        divergence(self.effective_expensive(), self.planned_expensive)
-    }
-
     /// Documents observed so far, across both categories.
     pub fn observed_docs(&self) -> usize {
         self.cheap_docs + self.expensive_docs
@@ -171,14 +158,6 @@ fn blend(planned: f64, prior_weight: f64, observed_seconds: f64, observed_docs: 
         return planned;
     }
     (prior_weight * planned + observed_seconds) / denominator
-}
-
-fn divergence(effective: f64, planned: f64) -> f64 {
-    if planned > 0.0 {
-        effective / planned
-    } else {
-        1.0
-    }
 }
 
 /// Measurements waiting for a decision boundary to pass the finish time
@@ -260,7 +239,6 @@ mod tests {
         let mut costs = ObservedCosts::new(1.0, 10.0, 10.0);
         assert_eq!(costs.effective_cheap(), 1.0);
         assert_eq!(costs.effective_expensive(), 10.0);
-        assert_eq!(costs.cheap_divergence(), 1.0);
         // 1000 observed documents at 2 s cheap / 30 s expensive swamp the
         // 10-document prior.
         for _ in 0..100 {
@@ -273,7 +251,7 @@ mod tests {
         }
         assert!((costs.effective_cheap() - 2.0).abs() < 0.05);
         assert!((costs.effective_expensive() - 30.0).abs() < 2.0);
-        assert!(costs.cheap_divergence() > 1.9);
+        assert!(costs.effective_cheap() > 1.9, "running hot: above the 1 s plan");
         assert_eq!(costs.observed_docs(), 1000);
     }
 
@@ -288,7 +266,7 @@ mod tests {
         });
         assert_eq!(costs.effective_cheap(), 1.0);
         assert_eq!(costs.effective_expensive(), 10.0);
-        assert!(costs.expensive_divergence() < 1.0);
+        assert!(costs.effective_expensive() < 20.0, "running cool: under the 20 s plan");
     }
 
     #[test]
@@ -349,8 +327,8 @@ mod tests {
         // here; what remains degenerate is a zero prior with no data.
         let zero_prior = ObservedCosts::new(1.0, 2.0, 0.0);
         assert_eq!(zero_prior.effective_cheap(), 1.0, "no data and no prior keeps the plan");
-        assert_eq!(zero_prior.cheap_divergence(), 1.0);
+        assert_eq!(zero_prior.effective_expensive(), 2.0);
         let free = ObservedCosts::new(0.0, 0.0, 0.0);
-        assert_eq!(free.expensive_divergence(), 1.0, "a zero plan reports no divergence");
+        assert_eq!(free.effective_expensive(), 0.0, "a zero plan stays at zero, not NaN");
     }
 }

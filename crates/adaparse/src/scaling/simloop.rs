@@ -223,14 +223,6 @@ pub struct SimLoopReport {
     pub queue_wait: LatencySummary,
 }
 
-impl SimLoopReport {
-    /// Whether any epoch started before its predecessor finished — the
-    /// direct witness that the loop ran without a wave barrier.
-    pub fn epochs_overlap(&self) -> bool {
-        self.waves.windows(2).any(|pair| pair[1].started_at_seconds < pair[0].finished_at_seconds)
-    }
-}
-
 /// Run a waveless closed-loop simulated campaign over per-document
 /// improvement scores (one score per document, in input order).
 ///
@@ -459,7 +451,7 @@ mod tests {
         let sim = SimLoopConfig { window: 40, nodes: 2, ..Default::default() };
         let report = run_closed_loop(&config, &improvements, &workload(200), &sim);
         assert!(
-            report.epochs_overlap(),
+            report.waves.windows(2).any(|pair| pair[1].started_at_seconds < pair[0].finished_at_seconds),
             "later windows must start on freed slots before earlier stragglers finish"
         );
         // The waveless makespan beats the barriered sum of epoch spans.
@@ -490,6 +482,5 @@ mod tests {
         assert!(report.waves.is_empty());
         assert_eq!(report.makespan_seconds, 0.0);
         assert_eq!(report.selected, 0);
-        assert!(!report.epochs_overlap());
     }
 }

@@ -144,11 +144,6 @@ impl Ledger {
         }
     }
 
-    /// Committed spend of one parser class (0.0 if never charged).
-    pub fn spent(&self, kind: ParserKind) -> f64 {
-        self.spend.iter().find(|(k, _)| *k == kind).map(|(_, total)| *total).unwrap_or(0.0)
-    }
-
     /// Total spend across all classes.
     pub fn total(&self) -> f64 {
         self.spend.iter().map(|(_, total)| total).sum()
@@ -226,22 +221,19 @@ impl Ledger {
     }
 
     /// Charge one routed window whose units span `pages[i]` pages each and
-    /// whose `grants` name the granted (unit, upgrade) pairs, and return how
-    /// many were granted.
-    fn commit(&mut self, pages: &[usize], grants: impl Iterator<Item = (usize, usize)>) -> usize {
+    /// whose `grants` name the granted (unit, upgrade) pairs.
+    fn commit(&mut self, pages: &[usize], grants: impl Iterator<Item = (usize, usize)>) {
         let docs = pages.len();
         let spend = &mut self.spend;
         match &mut self.meter {
-            Meter::PageDollars(None) => grants.count(),
+            Meter::PageDollars(None) => {}
             Meter::PageDollars(Some(frontier)) => {
                 let base = frontier.base();
                 charge(spend, base, pages.iter().sum::<usize>() as f64 * page_dollars(base));
-                grants
-                    .map(|(unit, upgrade)| (pages[unit], &frontier.upgrades()[upgrade]))
-                    .inspect(|&(pages, entry)| {
-                        charge(spend, entry.parser, pages as f64 * entry.cost_per_page)
-                    })
-                    .count()
+                for (unit, upgrade) in grants {
+                    let entry = &frontier.upgrades()[upgrade];
+                    charge(spend, entry.parser, pages[unit] as f64 * entry.cost_per_page);
+                }
             }
             Meter::Seconds(budget) => {
                 let selected = grants.count();
@@ -258,7 +250,6 @@ impl Ledger {
                 budget.remaining_seconds -= charged;
                 budget.remaining_docs = budget.remaining_docs.saturating_sub(docs);
                 budget.reservations.push_back(Reservation { charged, docs });
-                selected
             }
         }
     }
@@ -329,8 +320,8 @@ impl Budget {
 /// assert_eq!(first, vec![true, false, true, false]);
 /// let second = selector.select_window(&[0.2, 0.7]);
 /// assert_eq!(second, vec![false, true]);
-/// assert_eq!(selector.seen(), 6);
-/// assert_eq!(selector.selected(), 3); // ⌊0.5 · 6⌋ — the prefix budget holds
+/// // ⌊0.5 · 6⌋ = 3 of the 6 documents seen — the prefix budget holds.
+/// assert_eq!(selector.slots_spent(), 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedSelector {
@@ -339,8 +330,6 @@ pub struct WindowedSelector {
     weights: Vec<f64>,
     credit: f64,
     spent: f64,
-    seen: usize,
-    selected: usize,
     ledger: Ledger,
 }
 
@@ -361,8 +350,6 @@ impl WindowedSelector {
             weights: vec![1.0],
             credit: 0.0,
             spent: 0.0,
-            seen: 0,
-            selected: 0,
             ledger: Ledger { spend: Vec::new(), meter: Meter::PageDollars(None) },
         }
     }
@@ -391,18 +378,8 @@ impl WindowedSelector {
         self.window
     }
 
-    /// Documents routed so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Upgrades granted so far (across all frontier entries).
-    pub fn selected(&self) -> usize {
-        self.selected
-    }
-
     /// Slot budget consumed so far, in costliest-upgrade units (equal to
-    /// [`selected`](Self::selected) while every upgrade weighs `1.0`).
+    /// the upgrades granted while every upgrade weighs `1.0`).
     pub fn slots_spent(&self) -> f64 {
         self.spent
     }
@@ -433,7 +410,6 @@ impl WindowedSelector {
     /// `⌊α·seen⌋ − selected`, the exact prefix-budget invariant.
     fn open_window(&mut self, docs: usize) -> f64 {
         let alpha = self.effective_alpha();
-        self.seen += docs;
         self.credit += (docs as f64) * alpha;
         (self.credit - self.spent).floor().max(0.0)
     }
@@ -443,7 +419,7 @@ impl WindowedSelector {
     /// ledger.
     fn close_window(&mut self, pages: &[usize], slots: f64, grants: impl Iterator<Item = (usize, usize)>) {
         self.spent += slots;
-        self.selected += self.ledger.commit(pages, grants);
+        self.ledger.commit(pages, grants);
     }
 
     /// Route one window of scores through the single-upgrade view (the
@@ -509,6 +485,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// What `ledger` committed to one parser class (0 if never charged).
+    fn spent(ledger: &Ledger, kind: ParserKind) -> f64 {
+        ledger.classes().find(|&(class, _)| class == kind).map_or(0.0, |(_, total)| total)
+    }
+
     const PAIR: (ParserKind, ParserKind) = (ParserKind::PyMuPdf, ParserKind::Nougat);
 
     fn random_scores(n: usize, seed: u64) -> Vec<f64> {
@@ -550,13 +531,13 @@ mod tests {
         let scores = random_scores(1000, 9);
         let alpha = 0.13;
         let mut selector = WindowedSelector::new(32, alpha);
+        let (mut seen, mut selected) = (0, 0);
         for chunk in scores.chunks(32) {
-            selector.select_window(chunk);
+            seen += chunk.len();
+            selected += selector.select_window(chunk).iter().filter(|&&m| m).count();
             assert!(
-                selector.selected() as f64 <= (alpha * selector.seen() as f64).floor() + 1e-9,
-                "selected {} of {} seen",
-                selector.selected(),
-                selector.seen()
+                selected as f64 <= (alpha * seen as f64).floor() + 1e-9,
+                "selected {selected} of {seen} seen"
             );
         }
         // The full stream lands on the global quota up to one slot of float
@@ -564,8 +545,8 @@ mod tests {
         // round a hair below the single-multiplication ⌊α·n⌋) and never
         // exceeds it.
         let global_quota = (alpha * scores.len() as f64).floor() as usize;
-        assert!(selector.selected() <= global_quota);
-        assert!(selector.selected() + 1 >= global_quota, "{} vs {global_quota}", selector.selected());
+        assert!(selected <= global_quota);
+        assert!(selected + 1 >= global_quota, "{selected} vs {global_quota}");
     }
 
     #[test]
@@ -635,8 +616,7 @@ mod tests {
         let tightened = selector.effective_alpha();
         assert!(tightened < 0.5, "overruns must tighten α, got {tightened}");
         let observed = selector.ledger().observed().expect("a seconds ledger");
-        assert!(observed.effective_expensive() > 11.0);
-        assert!(observed.expensive_divergence() > 1.0);
+        assert!(observed.effective_expensive() > 11.0, "running hot: above the 11 s plan");
     }
 
     #[test]
@@ -778,9 +758,9 @@ mod tests {
         charge(&mut ledger.spend, ParserKind::Nougat, 10.0);
         charge(&mut ledger.spend, ParserKind::PyMuPdf, 4.0);
         charge(&mut ledger.spend, ParserKind::Nougat, 2.5);
-        assert_eq!(ledger.spent(ParserKind::Nougat), 12.5);
-        assert_eq!(ledger.spent(ParserKind::PyMuPdf), 4.0);
-        assert_eq!(ledger.spent(ParserKind::Marker), 0.0);
+        assert_eq!(spent(&ledger, ParserKind::Nougat), 12.5);
+        assert_eq!(spent(&ledger, ParserKind::PyMuPdf), 4.0);
+        assert_eq!(spent(&ledger, ParserKind::Marker), 0.0);
         assert!((ledger.total() - 16.5).abs() < 1e-12);
         // Iteration follows ParserKind::index order (Nougat before PyMuPDF
         // in the paper's table order), not insertion order.
@@ -793,8 +773,8 @@ mod tests {
         let mut selector = budgeted(10, 0.5, Ledger::seconds(1_000.0, 100, PAIR, (1.0, 11.0), 8.0));
         selector.select_window(&random_scores(10, 21)); // 10 cheap + 5 upgrades
         let ledger = selector.ledger();
-        assert!((ledger.spent(ParserKind::PyMuPdf) - 10.0).abs() < 1e-9);
-        assert!((ledger.spent(ParserKind::Nougat) - 50.0).abs() < 1e-9);
+        assert!((spent(ledger, ParserKind::PyMuPdf) - 10.0).abs() < 1e-9);
+        assert!((spent(ledger, ParserKind::Nougat) - 50.0).abs() < 1e-9);
         // The class breakdown covers exactly the committed spend.
         assert!((ledger.total() - (1_000.0 - remaining(&selector))).abs() < 1e-9);
         // A budget outranks a frontier's page-dollars, whichever is attached

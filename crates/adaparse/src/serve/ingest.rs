@@ -31,6 +31,10 @@ const SLO_MIN_SAMPLES: usize = 8;
 /// Admission cap in in-flight documents per active CPU slot.
 const INFLIGHT_PER_SLOT: f64 = 4.0;
 
+/// Safety bound on epochs; a run that hits it closes with whatever is
+/// unfinished reported per tenant.
+const MAX_EPOCHS: usize = 100_000;
+
 /// Knobs of a serve run. The stage-split controller always runs
 /// [`ControllerConfig::default`], its allocation projected onto the *active*
 /// nodes each epoch via [`ScalingController::plan_nodes`], and admission
@@ -61,9 +65,6 @@ pub struct ServeConfig {
     pub autoscale: Option<AutoscaleConfig>,
     /// Sliding-window length (completions per tenant) for the SLO signal.
     pub slo_window: usize,
-    /// Safety bound on epochs; a run that hits it closes with whatever is
-    /// unfinished reported per tenant. Generous by default.
-    pub max_epochs: usize,
     /// Retire session history behind each epoch boundary
     /// ([`hpcsim::ExecutorSession::retire_before`]), keeping resident
     /// memory and per-epoch accounting cost proportional to work in
@@ -86,7 +87,6 @@ impl Default for ServeConfig {
             filesystem: LustreModel::default(),
             autoscale: None,
             slo_window: 64,
-            max_epochs: 100_000,
             retirement: true,
         }
     }
@@ -257,7 +257,7 @@ pub fn run_service(config: &ServeConfig, traces: &[TenantTrace]) -> ServeReport 
 /// on any tenant [`TenantRegistry::new`] rejects.
 pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) -> (ServeReport, SoakStats) {
     // A non-positive epoch never advances simulated time past the arrivals,
-    // so the run would end at `max_epochs` with them reported as never
+    // so the run would end at `MAX_EPOCHS` with them reported as never
     // arrived.
     let epoch_seconds = config.epoch_seconds;
     assert!(
@@ -392,7 +392,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         || !deferred_done.is_empty()
         || session.pending_task_count() > 0
     {
-        if epochs >= config.max_epochs {
+        if epochs >= MAX_EPOCHS {
             break;
         }
         let epoch_started = std::time::Instant::now();

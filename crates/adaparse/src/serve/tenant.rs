@@ -238,7 +238,8 @@ impl TenantRegistry {
     /// [`f64::total_cmp`] order (`-0.0` may not follow `0.0`): the serve
     /// loop's merge cursor relies on exactly that order,
     /// and a time that is never `<=` an epoch boundary would spin it through
-    /// `max_epochs` empty epochs and report the document as never arrived.
+    /// empty epochs up to the loop's bound and report the document as never
+    /// arrived.
     pub fn new(config: &AdaParseConfig, traces: &[TenantTrace]) -> Self {
         let tenants = traces
             .iter()

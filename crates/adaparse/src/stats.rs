@@ -151,16 +151,6 @@ impl LatencyLedger {
         self.sum += seconds;
     }
 
-    /// Number of observations recorded.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the ledger is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Fold another ledger into this one, as if `other`'s observations had
     /// been recorded after this ledger's own (the merged sum is
     /// `self.sum + other.sum`, one addition — callers folding tenants in a
@@ -168,17 +158,6 @@ impl LatencyLedger {
     pub fn absorb(&mut self, other: &LatencyLedger) {
         self.values.extend_from_slice(&other.values);
         self.sum += other.sum;
-    }
-
-    /// Exact nearest-rank `percentile` (in `[0, 100]`) over the recorded
-    /// population — the value [`nearest_rank_percentile`] returns on the
-    /// same observations. `None` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `percentile` is not in `[0, 100]` (NaN included).
-    pub fn percentile(&self, percentile: f64) -> Option<f64> {
-        nearest_rank_percentile(&self.values, percentile)
     }
 
     /// Summarize the population: [`LatencySummary::from_values`] over the
@@ -281,12 +260,8 @@ mod tests {
         assert_eq!(from_ledger.p50_seconds.to_bits(), from_vec.p50_seconds.to_bits());
         assert_eq!(from_ledger.p99_seconds.to_bits(), from_vec.p99_seconds.to_bits());
         assert_eq!(from_ledger.max_seconds.to_bits(), from_vec.max_seconds.to_bits());
-        for p in [0.0, 1.0, 37.0, 50.0, 99.0, 100.0] {
-            assert_eq!(
-                ledger.percentile(p).unwrap().to_bits(),
-                nearest_rank_percentile(&values, p).unwrap().to_bits(),
-                "p{p}"
-            );
+        for (p, got) in [(50.0, from_ledger.p50_seconds), (99.0, from_ledger.p99_seconds)] {
+            assert_eq!(got.to_bits(), nearest_rank_percentile(&values, p).unwrap().to_bits(), "p{p}");
         }
     }
 
@@ -307,7 +282,6 @@ mod tests {
             all.push(v);
         }
         a.absorb(&b);
-        assert_eq!(a.len(), 8);
         let expected = LatencySummary::from_values(&all);
         let got = a.summary();
         assert_eq!(got.count, expected.count);
@@ -321,9 +295,7 @@ mod tests {
         let mut fresh = LatencyLedger::new();
         fresh.absorb(&snapshot);
         assert_eq!(fresh.summary(), snapshot.summary());
-        assert!(LatencyLedger::new().is_empty());
         assert_eq!(LatencyLedger::new().summary(), LatencySummary::default());
-        assert_eq!(LatencyLedger::new().percentile(50.0), None);
     }
 
     #[test]

@@ -65,8 +65,11 @@ fn causal_mode_admits_zero_causality_violations() {
         );
     }
     // The floor is the dispatch frontier, not the completion time, so the
-    // loop still overlaps epochs.
-    assert!(report.epochs_overlap(), "causal admission must not degenerate into a wave barrier");
+    // loop still overlaps epochs: some epoch starts before its predecessor
+    // finished.
+    let overlap =
+        report.waves.windows(2).any(|pair| pair[1].started_at_seconds < pair[0].finished_at_seconds);
+    assert!(overlap, "causal admission must not degenerate into a wave barrier");
     // Readiness deferred to respect causality is accounted.
     assert!(report.executor_report.decision_lag_seconds > 0.0);
 }

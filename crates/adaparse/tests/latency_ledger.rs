@@ -66,6 +66,6 @@ fn ledger_matches_from_values_on_all_distinct_and_absorbed_populations() {
         all.extend_from_slice(part);
         sums.push(part.iter().sum::<f64>());
     }
-    assert_eq!(merged.len(), all.len());
+    assert_eq!(merged.summary().count, all.len());
     assert_bit_equal(merged.summary(), documented_summary(&all, &sums), "three ledgers absorbed");
 }

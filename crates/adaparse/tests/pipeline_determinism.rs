@@ -113,7 +113,6 @@ fn streamed_jsonl_matches_buffered_records() {
     let mut sink = JsonlSink::new(Vec::new());
     let mut streamed = pipeline.run_with_sink(&engine, &docs, &binary, 7, &mut sink).unwrap();
     assert!(streamed.result.records.is_empty(), "streaming must not buffer records");
-    assert_eq!(sink.written(), docs.len());
     // Apart from the buffered records the two reports are the same.
     streamed.result.records = buffered.result.records.clone();
     assert_eq!(streamed, buffered);

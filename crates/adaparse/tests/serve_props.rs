@@ -455,7 +455,7 @@ fn a_document_behind_a_skipped_task_stays_one_awaiting_entry() {
     let flowing = &report.tenants[1];
     assert_eq!((flowing.admitted, flowing.completed, flowing.unfinished), (1000, 1000, 0));
     // The stuck document does not keep the loop alive: it ends with the
-    // traffic (the last arrival lands near 250 s), not at `max_epochs`.
+    // traffic (the last arrival lands near 250 s), not at the epoch bound.
     assert_eq!(report.epochs, 51, "the loop ends when the traffic drains");
     // Awaiting documents are the in-flight ones: the stuck entry plus the
     // current epochs' admissions, never the run's history.
@@ -474,7 +474,6 @@ fn a_document_behind_a_skipped_task_stays_one_awaiting_entry() {
 fn a_zero_node_cluster_serves_nothing_without_panicking() {
     let config = ServeConfig {
         cluster: Some(ClusterConfig { nodes: 0, cpu_slots_per_node: 30, gpu_slots_per_node: 4 }),
-        max_epochs: 40,
         ..ServeConfig::default()
     };
     let arrivals = doc_arrivals(10, 3, 1.0, ArrivalPattern::Steady);
@@ -493,7 +492,7 @@ fn serve_arrivals_at(times: &[f64]) -> ServeReport {
 }
 
 // An arrival time that is never `<=` an epoch boundary used to spin the loop
-// through all `max_epochs` and report the document as never arrived; the
+// through every epoch up to the bound and report the document as never arrived; the
 // registry now rejects it up front. `+∞` passed the old `>=` sortedness
 // check, and a lone NaN never met it (no pair to compare).
 #[test]

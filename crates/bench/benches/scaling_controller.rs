@@ -1,10 +1,8 @@
 //! Kernels of the resource-scaling engine: the controller's per-wave
-//! decision, the windowed selector's per-window selection, and the
-//! windowed-vs-global gap computation. All three sit on the streaming
-//! pipeline's sequential path (between waves), so their cost bounds how
-//! small a window can be before routing overhead shows up.
+//! decision and the windowed selector's per-window selection. Both sit on
+//! the streaming pipeline's sequential path (between waves), so their cost
+//! bounds how small a window can be before routing overhead shows up.
 
-use adaparse::budget::windowed_optimality_gap;
 use adaparse::{ControllerConfig, ScalingController, StageSample, WaveStats, WindowedSelector};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -18,15 +16,18 @@ fn scores(n: usize, seed: u64) -> Vec<f64> {
 fn bench_controller_observe(c: &mut Criterion) {
     c.bench_function("scaling_controller/observe_1k_waves", |b| {
         b.iter(|| {
-            let mut controller = ScalingController::new(ControllerConfig::for_workers(16));
+            let mut controller = ScalingController::new(ControllerConfig { total_workers: 16, patience: 2 });
             for wave in 0..1000usize {
                 let parse_seconds = 1.0 + ((wave % 13) as f64) * 0.3;
-                controller.observe(black_box(&WaveStats {
-                    wave_index: wave,
-                    extract: StageSample { busy_seconds: 1.5, items: 256 },
-                    parse: StageSample { busy_seconds: parse_seconds, items: 256 },
-                    queue_depth: 256_000 - wave * 256,
-                }));
+                controller.observe_at(
+                    black_box(2.0 * wave as f64),
+                    black_box(&WaveStats {
+                        wave_index: wave,
+                        extract: StageSample { busy_seconds: 1.5, items: 256 },
+                        parse: StageSample { busy_seconds: parse_seconds, items: 256 },
+                        queue_depth: 256_000 - wave * 256,
+                    }),
+                );
             }
             controller.history().len()
         })
@@ -44,12 +45,5 @@ fn bench_windowed_selection(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gap(c: &mut Criterion) {
-    let corpus = scores(16_384, 11);
-    c.bench_function("windowed_optimality_gap/16k_docs_k256", |b| {
-        b.iter(|| windowed_optimality_gap(black_box(&corpus), 0.05, 256))
-    });
-}
-
-criterion_group!(benches, bench_controller_observe, bench_windowed_selection, bench_gap);
+criterion_group!(benches, bench_controller_observe, bench_windowed_selection);
 criterion_main!(benches);

@@ -141,11 +141,13 @@ mod tests {
         vec![
             Page::new(vec![
                 Element::heading(1, "Introduction"),
-                Element::paragraph("Large corpora of scientific text require accurate parsing."),
-                Element::equation("\\mathcal{L} = -\\log p_\\theta(y|x)"),
+                Element::Paragraph {
+                    text: "Large corpora of scientific text require accurate parsing.".into(),
+                },
+                Element::Equation { latex: "\\mathcal{L} = -\\log p_\\theta(y|x)".into(), display: true },
             ]),
             Page::new(vec![
-                Element::paragraph("We evaluate on a benchmark of one thousand documents."),
+                Element::Paragraph { text: "We evaluate on a benchmark of one thousand documents.".into() },
                 Element::Table {
                     caption: "Throughput".to_string(),
                     rows: vec![vec!["parser".into(), "pdf/s".into()], vec!["pymupdf".into(), "315".into()]],
@@ -157,7 +159,13 @@ mod tests {
     fn doc_of(pages: Vec<Page>) -> Document {
         let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
         let image_layer = ImageLayer::born_digital(pages.len());
-        Document::new(DocId(1), DocMetadata::default(), pages, TextLayer::clean(&gt), image_layer)
+        Document::new(
+            DocId(1),
+            DocMetadata::default(),
+            pages,
+            TextLayer { quality: TextLayerQuality::Clean, pages: gt.clone() },
+            image_layer,
+        )
     }
 
     fn sample_doc() -> Document {
@@ -207,7 +215,7 @@ mod tests {
             DocId(4),
             DocMetadata::default(),
             pages,
-            TextLayer::missing(5),
+            TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); 5] },
             ImageLayer::born_digital(2),
         );
     }
@@ -221,7 +229,7 @@ mod tests {
             DocId(5),
             DocMetadata::default(),
             pages,
-            TextLayer::clean(&gt),
+            TextLayer { quality: TextLayerQuality::Clean, pages: gt.clone() },
             ImageLayer::born_digital(9),
         );
     }
@@ -248,7 +256,7 @@ mod tests {
             DocId(7),
             DocMetadata::default(),
             vec![],
-            TextLayer::missing(0),
+            TextLayer { quality: TextLayerQuality::Missing, pages: Vec::new() },
             ImageLayer::born_digital(0),
         );
         assert_eq!(doc.page_count(), 0);

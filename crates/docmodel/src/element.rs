@@ -101,16 +101,6 @@ impl Element {
         Element::Heading { level, text: text.to_string() }
     }
 
-    /// Convenience constructor for a paragraph.
-    pub fn paragraph(text: &str) -> Element {
-        Element::Paragraph { text: text.to_string() }
-    }
-
-    /// Convenience constructor for a display equation.
-    pub fn equation(latex: &str) -> Element {
-        Element::Equation { latex: latex.to_string(), display: true }
-    }
-
     /// The element's kind.
     pub fn kind(&self) -> ElementKind {
         match self {
@@ -175,8 +165,11 @@ mod tests {
     #[test]
     fn ground_truth_rendering_per_kind() {
         assert_eq!(Element::heading(1, "Intro").ground_truth_text(), "Intro");
-        assert_eq!(Element::paragraph("hello world").ground_truth_text(), "hello world");
-        assert_eq!(Element::equation("E = mc^2").ground_truth_text(), "$$ E = mc^2 $$");
+        assert_eq!(Element::Paragraph { text: "hello world".into() }.ground_truth_text(), "hello world");
+        assert_eq!(
+            Element::Equation { latex: "E = mc^2".into(), display: true }.ground_truth_text(),
+            "$$ E = mc^2 $$"
+        );
         let inline = Element::Equation { latex: "x".into(), display: false };
         assert_eq!(inline.ground_truth_text(), "$ x $");
         let table = Element::Table {
@@ -196,7 +189,7 @@ mod tests {
 
     #[test]
     fn word_count_counts_rendered_words() {
-        assert_eq!(Element::paragraph("one two three").word_count(), 3);
+        assert_eq!(Element::Paragraph { text: "one two three".into() }.word_count(), 3);
         assert_eq!(Element::heading(2, "Related Work").word_count(), 2);
     }
 
@@ -204,8 +197,8 @@ mod tests {
     fn kind_discriminants_cover_all_variants() {
         let elements = [
             Element::heading(1, "h"),
-            Element::paragraph("p"),
-            Element::equation("e"),
+            Element::Paragraph { text: "p".into() },
+            Element::Equation { latex: "e".into(), display: true },
             Element::Table { caption: "t".into(), rows: vec![] },
             Element::Figure { caption: "f".into() },
             Element::Reference { key: "k".into(), text: "t".into() },

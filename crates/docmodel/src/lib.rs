@@ -23,14 +23,14 @@
 //!
 //! let pages = vec![Page::new(vec![
 //!     Element::heading(1, "Introduction"),
-//!     Element::paragraph("Parsing scientific PDFs at scale is a systems problem."),
+//!     Element::Paragraph { text: "Parsing scientific PDFs at scale is a systems problem.".into() },
 //! ])];
 //! let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
 //! let doc = Document::new(
 //!     DocId(7),
 //!     DocMetadata::default(),
 //!     pages,
-//!     TextLayer::clean(&gt),
+//!     TextLayer { quality: TextLayerQuality::Clean, pages: gt.clone() },
 //!     ImageLayer::born_digital(1),
 //! );
 //! let bytes = docmodel::spdf::write_document(&doc);

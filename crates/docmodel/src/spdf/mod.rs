@@ -54,7 +54,7 @@ mod tests {
     use crate::element::Element;
     use crate::imagelayer::ImageLayer;
     use crate::metadata::{DocCategory, DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
-    use crate::textlayer::TextLayer;
+    use crate::textlayer::{TextLayer, TextLayerQuality};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -62,11 +62,16 @@ mod tests {
         let pages = vec![
             Page::new(vec![
                 Element::heading(1, "Adaptive Parsing"),
-                Element::paragraph("Throughput and accuracy trade off against each other (in practice)."),
-                Element::equation("\\alpha \\le \\frac{T - n T_{p}}{n (T_{N} - T_{p})}"),
+                Element::Paragraph {
+                    text: "Throughput and accuracy trade off against each other (in practice).".into(),
+                },
+                Element::Equation {
+                    latex: "\\alpha \\le \\frac{T - n T_{p}}{n (T_{N} - T_{p})}".into(),
+                    display: true,
+                },
             ]),
             Page::new(vec![
-                Element::paragraph("We parse documents with heterogeneous layouts."),
+                Element::Paragraph { text: "We parse documents with heterogeneous layouts.".into() },
                 Element::Smiles { code: "CC(=O)OC1=CC=CC=C1C(=O)O".to_string() },
             ]),
         ];
@@ -80,7 +85,13 @@ mod tests {
             producer: ProducerTool::XeLatex,
             format: PdfFormat::V1_5,
         };
-        Document::new(DocId(99), metadata, pages, TextLayer::clean(&gt), ImageLayer::born_digital(2))
+        Document::new(
+            DocId(99),
+            metadata,
+            pages,
+            TextLayer { quality: TextLayerQuality::Clean, pages: gt.clone() },
+            ImageLayer::born_digital(2),
+        )
     }
 
     #[test]
@@ -135,7 +146,7 @@ mod tests {
     #[test]
     fn missing_text_layer_round_trips_as_empty() {
         let mut doc = sample_document();
-        doc.text_layer = TextLayer::missing(2);
+        doc.text_layer = TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); 2] };
         let bytes = write_document(&doc);
         let parsed = SpdfFile::parse(&bytes).unwrap();
         assert!(parsed.pages.iter().all(|p| p.embedded_text.is_empty()));
@@ -183,7 +194,7 @@ mod tests {
         let doc = sample_document();
         let small = write_document(&doc);
         let mut bigger = doc.clone();
-        let extra = Page::new(vec![Element::paragraph(&"lorem ipsum dolor ".repeat(200))]);
+        let extra = Page::new(vec![Element::Paragraph { text: "lorem ipsum dolor ".repeat(200) }]);
         let gt = extra.ground_truth_text();
         bigger.pages.push(extra);
         bigger.text_layer.pages.push(gt);

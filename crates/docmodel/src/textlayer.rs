@@ -43,16 +43,6 @@ pub struct TextLayer {
 }
 
 impl TextLayer {
-    /// A faithful text layer equal to the ground-truth page text.
-    pub fn clean(ground_truth_pages: &[String]) -> Self {
-        TextLayer { quality: TextLayerQuality::Clean, pages: ground_truth_pages.to_vec() }
-    }
-
-    /// An entirely missing text layer (pure scan) for `page_count` pages.
-    pub fn missing(page_count: usize) -> Self {
-        TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); page_count] }
-    }
-
     /// Build a text layer of the requested quality from ground-truth page
     /// text, applying the corresponding corruption model. Every page is
     /// stored at exactly its length.
@@ -89,11 +79,6 @@ impl TextLayer {
         self.pages.len()
     }
 
-    /// Whether the layer contains any non-whitespace text at all.
-    pub fn has_text(&self) -> bool {
-        self.pages.iter().any(|p| !p.trim().is_empty())
-    }
-
     /// Embedded text of one page, if it exists.
     pub fn page(&self, index: usize) -> Option<&str> {
         self.pages.get(index).map(|s| s.as_str())
@@ -113,6 +98,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn has_text(layer: &TextLayer) -> bool {
+        layer.pages.iter().any(|p| !p.trim().is_empty())
+    }
+
     fn gt_pages() -> Vec<String> {
         vec![
             "The enzyme kinetics follow Michaelis Menten behaviour with $$ v = \\frac{V_m S}{K_m + S} $$ in vitro.".to_string(),
@@ -123,9 +112,9 @@ mod tests {
     #[test]
     fn clean_layer_equals_ground_truth() {
         let gt = gt_pages();
-        let layer = TextLayer::clean(&gt);
+        let layer = TextLayer { quality: TextLayerQuality::Clean, pages: gt.clone() };
         assert_eq!(layer.pages, gt);
-        assert!(layer.has_text());
+        assert!(has_text(&layer));
         assert_eq!(layer.page_count(), 2);
         assert_eq!(layer.page(0).unwrap(), gt[0]);
         assert!(layer.page(5).is_none());
@@ -133,9 +122,9 @@ mod tests {
 
     #[test]
     fn missing_layer_has_no_text() {
-        let layer = TextLayer::missing(3);
+        let layer = TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); 3] };
         assert_eq!(layer.page_count(), 3);
-        assert!(!layer.has_text());
+        assert!(!has_text(&layer));
     }
 
     #[test]
@@ -157,7 +146,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let layer = TextLayer::from_ground_truth(&gt, TextLayerQuality::Scrambled, &mut rng);
         assert_ne!(layer.pages[0], gt[0]);
-        assert!(layer.has_text());
+        assert!(has_text(&layer));
     }
 
     #[test]

@@ -74,11 +74,6 @@ impl WorkflowExecutor {
         WorkflowExecutor { config }
     }
 
-    /// The executor's configuration.
-    pub fn config(&self) -> ExecutorConfig {
-        self.config
-    }
-
     /// Open a resumable session on `cluster`: slots start free at simulated
     /// time zero and warm pools start empty. Feed it batches via
     /// [`ExecutorSession::submit_owned`]; slot availability, warm-pool residency,

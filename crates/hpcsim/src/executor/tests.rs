@@ -173,7 +173,7 @@ fn diamond_dependencies_join_on_the_slower_branch() {
         Task::new(0, SlotKind::Cpu, 1.0),
         Task::new(1, SlotKind::Cpu, 5.0).with_dependency(0),
         Task::new(2, SlotKind::Cpu, 1.0).with_dependency(0),
-        Task::new(3, SlotKind::Cpu, 1.0).with_depends_on(vec![1, 2]),
+        Task::new(3, SlotKind::Cpu, 1.0).with_dependency(1).with_dependency(2),
     ];
     let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
     let executor = WorkflowExecutor::new(ExecutorConfig::default());

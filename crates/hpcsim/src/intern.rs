@@ -25,11 +25,11 @@ pub type ModelId = u32;
 /// ```
 /// use hpcsim::ModelInterner;
 ///
-/// let mut models = ModelInterner::new();
+/// let mut models = ModelInterner::default();
 /// let nougat = models.intern("Nougat");
 /// assert_eq!(models.intern("Nougat"), nougat);
 /// assert_eq!(models.resolve(nougat), "Nougat");
-/// assert_eq!(models.len(), 1);
+/// assert_eq!(models.intern("Marker"), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ModelInterner {
@@ -37,11 +37,6 @@ pub struct ModelInterner {
 }
 
 impl ModelInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        ModelInterner::default()
-    }
-
     /// Id of `name`, interning it if it has not been seen before.
     pub fn intern(&mut self, name: &'static str) -> ModelId {
         let index = self.names.iter().position(|&seen| seen == name).unwrap_or_else(|| {
@@ -59,16 +54,6 @@ impl ModelInterner {
     pub fn resolve(&self, id: ModelId) -> &str {
         self.names[id as usize]
     }
-
-    /// Number of distinct labels interned so far.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether no labels have been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -77,14 +62,13 @@ mod tests {
 
     #[test]
     fn ids_are_dense_and_stable() {
-        let mut interner = ModelInterner::new();
-        assert!(interner.is_empty());
+        let mut interner = ModelInterner::default();
         let a = interner.intern("PyMuPDF");
         let b = interner.intern("Nougat");
         assert_eq!(a, 0);
         assert_eq!(b, 1);
         assert_eq!(interner.intern("PyMuPDF"), a);
-        assert_eq!(interner.len(), 2);
+        assert_eq!(interner.intern("Marker"), 2, "two labels before it");
         assert_eq!(interner.resolve(a), "PyMuPDF");
         assert_eq!(interner.resolve(b), "Nougat");
     }

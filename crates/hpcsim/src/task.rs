@@ -183,13 +183,6 @@ impl Task {
         self
     }
 
-    /// Replace the full dependency list (see
-    /// [`depends_on`](Self::depends_on)).
-    pub fn with_depends_on(mut self, task_ids: Vec<u64>) -> Self {
-        self.depends_on = SmallList::Many(task_ids);
-        self
-    }
-
     /// Set the report label.
     pub fn with_label(mut self, label: &'static str) -> Self {
         self.label = label;
@@ -259,11 +252,9 @@ mod tests {
     }
 
     #[test]
-    fn dependency_builders_accumulate_and_replace() {
+    fn dependency_builder_accumulates() {
         let t = Task::new(5, SlotKind::Cpu, 1.0).with_dependency(1).with_dependency(2);
         assert_eq!(t.depends_on.as_slice(), &[1, 2]);
-        let t = t.with_depends_on(vec![7]);
-        assert_eq!(t.depends_on.as_slice(), &[7]);
     }
 
     #[test]

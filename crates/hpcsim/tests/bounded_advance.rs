@@ -36,9 +36,9 @@ fn dag_with_ticks() -> impl Strategy<Value = (Vec<Task>, Vec<f64>)> {
                 .map(|i| {
                     let deps: Vec<u64> =
                         (0..i).filter(|&j| (edges[i] >> (j % 64)) & 3 == 0).map(|j| j as u64).collect();
-                    Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1)
-                        .with_input_mb(1.0)
-                        .with_depends_on(deps)
+                    let task =
+                        Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1).with_input_mb(1.0);
+                    deps.into_iter().fold(task, Task::with_dependency)
                 })
                 .collect();
             (tasks, ticks)
@@ -266,7 +266,7 @@ fn a_dependency_id_arriving_after_the_dependent_was_queued_adds_no_edge() {
     let fs = LustreModel::default();
     let mut s = session(&cluster);
     s.submit_owned(
-        vec![Task::new(5, SlotKind::Cpu, 1.0).with_depends_on(vec![9])],
+        vec![Task::new(5, SlotKind::Cpu, 1.0).with_dependency(9)],
         SubmitOptions { release_seconds: Some(10.0) },
     );
     s.advance_until(1.0, &fs);

@@ -33,9 +33,9 @@ fn windowed_dag() -> impl Strategy<Value = (Vec<Task>, usize)> {
                 .map(|i| {
                     let deps: Vec<u64> =
                         (0..i).filter(|&j| (edges[i] >> (j % 64)) & 3 == 0).map(|j| j as u64).collect();
-                    Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1)
-                        .with_input_mb(1.0)
-                        .with_depends_on(deps)
+                    let task =
+                        Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1).with_input_mb(1.0);
+                    deps.into_iter().fold(task, Task::with_dependency)
                 })
                 .collect();
             (tasks, window)

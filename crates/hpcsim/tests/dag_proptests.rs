@@ -27,9 +27,9 @@ fn dag_tasks() -> impl Strategy<Value = Vec<Task>> {
                         .filter(|&j| (edges[i] >> (j % 64)) & 3 == 0)
                         .map(|j| j as u64)
                         .collect();
-                    Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1)
-                        .with_input_mb(1.0)
-                        .with_depends_on(deps)
+                    let task =
+                        Task::new(i as u64, SlotKind::Cpu, durations[i] as f64 * 0.1).with_input_mb(1.0);
+                    deps.into_iter().fold(task, Task::with_dependency)
                 })
                 .collect()
         })
@@ -160,7 +160,7 @@ proptest! {
             Task::new(0, SlotKind::Cpu, 1.0),
             Task::new(1, SlotKind::Cpu, left as f64 * 0.1).with_dependency(0),
             Task::new(2, SlotKind::Cpu, right as f64 * 0.1).with_dependency(0),
-            Task::new(3, SlotKind::Cpu, 1.0).with_depends_on(vec![1, 2]),
+            Task::new(3, SlotKind::Cpu, 1.0).with_dependency(1).with_dependency(2),
         ];
         let cluster = ClusterConfig { nodes: 1, cpu_slots_per_node: 4, gpu_slots_per_node: 0 };
         let (report, times) = schedule_by_id(&tasks, &cluster);

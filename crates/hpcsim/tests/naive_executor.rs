@@ -142,7 +142,7 @@ proptest! {
                     }
                     ids.push(id);
                     let kind = if kind == 0 { SlotKind::Gpu } else { SlotKind::Cpu };
-                    Task::new(id, kind, quarters as f64 * 0.25).with_depends_on(deps)
+                    deps.into_iter().fold(Task::new(id, kind, quarters as f64 * 0.25), Task::with_dependency)
                 })
                 .collect();
             let floor = floor as f64 * 0.5;

@@ -39,7 +39,7 @@ fn earliest_slot_reloads_on_the_lowest_equally_free_node() {
     let warmup =
         Task::new(0, SlotKind::Gpu, 1.0).with_label("Nougat").with_cold_start(20.0).with_preferred_node(1);
     let follower =
-        Task::new(1, SlotKind::Gpu, 1.0).with_label("Nougat").with_cold_start(20.0).with_depends_on(vec![0]);
+        Task::new(1, SlotKind::Gpu, 1.0).with_label("Nougat").with_cold_start(20.0).with_dependency(0);
     let report = WorkflowExecutor::new(ExecutorConfig::default()).run(
         &[warmup, follower],
         &cluster,
@@ -111,7 +111,7 @@ fn frozen_workload() -> Vec<Task> {
                 task = task.with_preferred_node((roll % 4) as usize);
             }
             if i >= 3 && roll % 5 == 0 {
-                task = task.with_depends_on(vec![i - 3]);
+                task = task.with_dependency(i - 3);
             }
             task
         })

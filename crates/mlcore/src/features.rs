@@ -51,28 +51,10 @@ impl HashedNgramFeaturizer {
         self.dim
     }
 
-    /// Featurize a text into an L2-normalized vector of length [`Self::dim`].
-    pub fn features(&self, text: &str) -> Vec<f64> {
-        let mut v = vec![0.0f64; self.dim];
-        self.fill(text, &mut v);
-        v
-    }
-
-    /// [`Self::features`] into a caller-provided slice of length
-    /// [`Self::dim`] (overwritten). Nothing is allocated for an ASCII text.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.dim()`.
-    pub fn fill(&self, text: &str, out: &mut [f64]) {
-        assert_eq!(out.len(), self.dim, "feature slice length mismatch");
-        self.count(text, out);
-        l2_normalize(out);
-    }
-
-    /// The encoder's feature row: [`Self::fill`] into the first
-    /// [`Self::dim`] entries of `row` and [`aggregate_statistics`] into the
-    /// last eight, from one pass over the bytes of an ASCII text.
+    /// The encoder's feature row: the text's hashed n-gram counts,
+    /// L2-normalized, in the first [`Self::dim`] entries of `row` and
+    /// [`aggregate_statistics`] in the last eight, from one pass over the
+    /// bytes of an ASCII text (nothing is allocated for one).
     ///
     /// # Panics
     ///
@@ -258,11 +240,19 @@ impl Tally {
 mod tests {
     use super::*;
 
+    /// The L2-normalized n-gram part of `text`'s feature row.
+    fn features(f: &HashedNgramFeaturizer, text: &str) -> Vec<f64> {
+        let mut row = vec![0.0; f.dim() + 8];
+        f.fill_row(text, &mut row);
+        row.truncate(f.dim());
+        row
+    }
+
     #[test]
     fn features_are_normalized_and_deterministic() {
         let f = HashedNgramFeaturizer::new(128);
-        let a = f.features("the enzyme catalyzes the reaction");
-        let b = f.features("the enzyme catalyzes the reaction");
+        let a = features(&f, "the enzyme catalyzes the reaction");
+        let b = features(&f, "the enzyme catalyzes the reaction");
         assert_eq!(a, b);
         let norm: f64 = a.iter().map(|v| v * v).sum();
         assert!((norm - 1.0).abs() < 1e-9);
@@ -272,8 +262,8 @@ mod tests {
     #[test]
     fn different_texts_give_different_features() {
         let f = HashedNgramFeaturizer::new(256);
-        let a = f.features("quantum entanglement in superconducting qubits");
-        let b = f.features("randomized clinical trial of a new antibody");
+        let a = features(&f, "quantum entanglement in superconducting qubits");
+        let b = features(&f, "randomized clinical trial of a new antibody");
         let cos: f64 = a.iter().zip(b.iter()).map(|(x, y)| x * y).sum();
         assert!(cos < 0.9, "distinct topics should not be near-identical (cos = {cos})");
     }
@@ -281,7 +271,7 @@ mod tests {
     #[test]
     fn empty_text_is_the_zero_vector() {
         let f = HashedNgramFeaturizer::new(32);
-        let v = f.features("");
+        let v = features(&f, "");
         assert!(v.iter().all(|&x| x == 0.0));
     }
 
@@ -300,8 +290,8 @@ mod tests {
         let clean = "gravitational interactions between macromolecules in solution";
         let scrambled = "grvaitational interacitons bewteen macromolecuels in soluiton";
         let cos = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
-        let full_sim = cos(&full.features(clean), &full.features(scrambled));
-        let word_sim = cos(&words.features(clean), &words.features(scrambled));
+        let full_sim = cos(&features(&full, clean), &features(&full, scrambled));
+        let word_sim = cos(&features(&words, clean), &features(&words, scrambled));
         assert!(full_sim > word_sim, "char trigrams retain partial overlap: {full_sim} vs {word_sim}");
     }
 

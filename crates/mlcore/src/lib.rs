@@ -25,9 +25,14 @@
 //! use mlcore::linear::LinearRegression;
 //!
 //! let featurizer = HashedNgramFeaturizer::new(64);
-//! let xs: Vec<Vec<f64>> = ["alpha beta", "gamma delta"].iter().map(|t| featurizer.features(t)).collect();
+//! let row = |text: &str| {
+//!     let mut row = vec![0.0; 64 + 8]; // n-gram counts, then eight text statistics
+//!     featurizer.fill_row(text, &mut row);
+//!     row
+//! };
+//! let xs: Vec<Vec<f64>> = ["alpha beta", "gamma delta"].into_iter().map(row).collect();
 //! let ys = vec![vec![1.0], vec![0.0]];
-//! let mut model = LinearRegression::new(64, 1);
+//! let mut model = LinearRegression::new(64 + 8, 1);
 //! model.fit(&xs, &ys, 200, 0.5, 1e-4);
 //! assert!(model.predict(&xs[0])[0] > model.predict(&xs[1])[0]);
 //! ```

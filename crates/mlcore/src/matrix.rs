@@ -14,83 +14,22 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
-    }
-
-    /// Matrix built from a function of `(row, col)`.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
-            }
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Matrix with entries drawn uniformly from `[-scale, scale]`.
+    /// Matrix with entries drawn uniformly from `[-scale, scale]`, row by row.
     pub fn random<R: Rng + ?Sized>(rows: usize, cols: usize, scale: f64, rng: &mut R) -> Self {
-        Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-scale..=scale))
-    }
-
-    /// Build from nested vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map(|r| r.len()).unwrap_or(0);
-        let mut data = Vec::with_capacity(n_rows * n_cols);
-        for row in &rows {
-            assert_eq!(row.len(), n_cols, "ragged rows");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows: n_rows, cols: n_cols, data }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics when out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "index ({row},{col}) out of bounds");
-        self.data[row * self.cols + col]
-    }
-
-    /// Borrow one row as a slice.
-    pub fn row(&self, row: usize) -> &[f64] {
-        &self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
-    /// Flat access to the underlying data (row-major).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        let data = (0..rows * cols).map(|_| rng.gen_range(-scale..=scale)).collect();
+        Matrix { rows, cols, data }
     }
 
     /// Matrix–vector product `self · x`.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.cols()`.
+    /// Panics if `x` is not as long as a row.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec dimension mismatch");
         let mut out = vec![0.0; self.rows];
         for r in 0..self.rows {
-            let row = self.row(r);
+            let row = &self.data[r * self.cols..(r + 1) * self.cols];
             let mut acc = 0.0;
             for (a, b) in row.iter().zip(x.iter()) {
                 acc += a * b;
@@ -129,31 +68,8 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn construction_and_accessors() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.cols(), 2);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.row(0), &[1.0, 2.0]);
-        let z = Matrix::zeros(2, 3);
-        assert_eq!(z.as_slice(), &[0.0; 6]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn out_of_bounds_get_panics() {
-        Matrix::zeros(2, 2).get(2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_panic() {
-        Matrix::from_rows(vec![vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
     fn matvec() {
-        let m = Matrix::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let m = Matrix { rows: 2, cols: 2, data: vec![1.0, 2.0, 3.0, 4.0] };
         assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
@@ -164,7 +80,7 @@ mod tests {
         let a = Matrix::random(4, 4, 0.5, &mut r1);
         let b = Matrix::random(4, 4, 0.5, &mut r2);
         assert_eq!(a, b);
-        assert!(a.as_slice().iter().all(|v| v.abs() <= 0.5));
+        assert!(a.data.iter().all(|v| v.abs() <= 0.5));
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl ResourceCost {
         }
     }
 
-    /// Wall-clock seconds on a dedicated worker: the dominant resource
-    /// (CPU work runs on one core, GPU work on one device).
-    pub fn wall_seconds(&self) -> f64 {
-        self.cpu_seconds.max(self.gpu_seconds)
-    }
-
     /// Scale all time components by a factor (memory is unchanged).
     pub fn scaled(&self, factor: f64) -> ResourceCost {
         ResourceCost {
@@ -233,7 +227,6 @@ mod tests {
         assert!((c.gpu_seconds - 3.0).abs() < 1e-12);
         assert_eq!(c.cpu_memory_mb, 300.0);
         assert_eq!(c.gpu_memory_mb, 10.0);
-        assert_eq!(a.wall_seconds(), 2.0);
         assert!((a.scaled(2.0).cpu_seconds - 2.0).abs() < 1e-12);
     }
 
@@ -272,7 +265,6 @@ mod tests {
         let easy = model.document_cost(10, 0.0);
         let hard = model.document_cost(10, 1.0);
         assert!(hard.gpu_seconds > easy.gpu_seconds);
-        assert!(hard.wall_seconds() > easy.wall_seconds());
     }
 
     #[test]

@@ -107,7 +107,8 @@ pub(crate) mod testutil {
             ..Default::default()
         });
         let mut doc = generator.generate();
-        doc.text_layer = TextLayer::missing(doc.page_count());
+        doc.text_layer =
+            TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); doc.page_count()] };
         let mut rng = StdRng::seed_from_u64(31);
         doc.image_layer = docmodel::imagelayer::ImageLayer::scanned(doc.page_count(), &mut rng);
         if severe {

@@ -10,7 +10,7 @@ use docmodel::element::Element;
 use docmodel::imagelayer::ImageLayer;
 use docmodel::metadata::{DocCategory, DocMetadata};
 use docmodel::spdf::{write_document, SpdfIndex};
-use docmodel::textlayer::TextLayer;
+use docmodel::textlayer::{TextLayer, TextLayerQuality};
 use parsersim::{ParseError, ParserKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ proptest! {
                 if form_feed_on_page_zero == 0 {
                     // A form feed *inside* page 0 ends the first page there,
                     // in the text layer and in the glyph source alike.
-                    doc.pages[0].elements.insert(1, Element::paragraph("before \u{c} after"));
+                    doc.pages[0].elements.insert(1, Element::Paragraph { text: "before \u{c} after".into() });
                     doc.text_layer.pages[0].insert_str(0, "before \u{c} after\n");
                 }
                 check(&doc, rng_seed);
@@ -66,7 +66,7 @@ fn a_zero_page_document_fails_both_ways_for_every_parser() {
         DocId(3),
         DocMetadata::default(),
         Vec::new(),
-        TextLayer::clean(&[]),
+        TextLayer { quality: TextLayerQuality::Clean, pages: Vec::new() },
         ImageLayer::born_digital(0),
     );
     let bytes = write_document(&doc);

@@ -13,7 +13,7 @@ use docmodel::document::{DocId, Document};
 use docmodel::imagelayer::ImageLayer;
 use docmodel::metadata::{DocCategory, DocMetadata};
 use docmodel::spdf::{write_document, SpdfIndex};
-use docmodel::textlayer::TextLayer;
+use docmodel::textlayer::{TextLayer, TextLayerQuality};
 use parsersim::{ParseError, ParseOutput, ParserKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,8 @@ fn pinned_corpus() -> Vec<Document> {
         ..base
     })
     .generate();
-    missing.text_layer = TextLayer::missing(missing.page_count());
+    missing.text_layer =
+        TextLayer { quality: TextLayerQuality::Missing, pages: vec![String::new(); missing.page_count()] };
     documents.push(missing);
     documents
 }
@@ -118,7 +119,7 @@ fn pinned_outputs() -> u64 {
         DocId(5),
         DocMetadata::default(),
         Vec::new(),
-        TextLayer::clean(&[]),
+        TextLayer { quality: TextLayerQuality::Clean, pages: Vec::new() },
         ImageLayer::born_digital(0),
     );
     let bytes = write_document(&empty);

@@ -93,11 +93,6 @@ impl AnnotatorPool {
         self.annotators.is_empty()
     }
 
-    /// All annotators.
-    pub fn annotators(&self) -> &[Annotator] {
-        &self.annotators
-    }
-
     /// A specific annotator by index (wrapping).
     pub fn annotator(&self, index: usize) -> &Annotator {
         &self.annotators[index % self.annotators.len()]
@@ -170,7 +165,8 @@ mod tests {
         let pool = AnnotatorPool::new(23, 9);
         assert_eq!(pool.len(), 23);
         assert!(!pool.is_empty());
-        let domains: std::collections::HashSet<_> = pool.annotators().iter().map(|a| a.domain).collect();
+        let domains: std::collections::HashSet<_> =
+            (0..pool.len()).map(|i| pool.annotator(i).domain).collect();
         assert!(domains.len() >= 8);
         assert_eq!(pool, AnnotatorPool::new(23, 9));
         assert_eq!(pool.annotator(0).id, 0);

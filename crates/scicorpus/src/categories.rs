@@ -105,16 +105,6 @@ pub struct CategorizedCorpus {
     pub categories: Vec<DocCategory>,
 }
 
-impl CategorizedCorpus {
-    /// Per-category document counts in [`DocCategory::ALL`] order.
-    pub fn counts(&self) -> Vec<(DocCategory, usize)> {
-        DocCategory::ALL
-            .iter()
-            .map(|&cat| (cat, self.categories.iter().filter(|&&c| c == cat).count()))
-            .collect()
-    }
-}
-
 /// Generate `n` documents whose categories follow `mix`. Each category
 /// draws from its own [`category_preset`] generator stream (seeded
 /// `seed ^ category index`), the per-document category sequence is drawn
@@ -173,13 +163,10 @@ mod tests {
         let base = GeneratorConfig { min_pages: 1, max_pages: 2, ..Default::default() };
         let mix = CategoryMix::paper_default();
         let corpus = generate_categorized(&base, &mix, 600, 23);
-        let counts = corpus.counts();
-        let frac = |cat: DocCategory| {
-            counts.iter().find(|&&(c, _)| c == cat).map(|&(_, n)| n).unwrap_or(0) as f64 / 600.0
-        };
+        let frac = |cat: DocCategory| corpus.categories.iter().filter(|&&c| c == cat).count() as f64 / 600.0;
         assert!((0.40..0.72).contains(&frac(DocCategory::CleanBornDigital)));
         assert!((0.05..0.20).contains(&frac(DocCategory::Scanned)));
-        assert_eq!(counts.iter().map(|&(_, n)| n).sum::<usize>(), 600);
+        assert_eq!(corpus.categories.len(), 600);
     }
 
     #[test]
@@ -189,8 +176,8 @@ mod tests {
         assert!(category_preset(&base, DocCategory::TablesHeavy).table_probability > base.table_probability);
         assert_eq!(category_preset(&base, DocCategory::CleanBornDigital).scanned_fraction, 0.0);
         // Unrelated knobs ride through from the base.
-        let custom = GeneratorConfig { paragraphs_per_page: 9, ..Default::default() };
-        assert_eq!(category_preset(&custom, DocCategory::Multilingual).paragraphs_per_page, 9);
+        let custom = GeneratorConfig { min_pages: 9, ..Default::default() };
+        assert_eq!(category_preset(&custom, DocCategory::Multilingual).min_pages, 9);
     }
 
     #[test]

@@ -20,11 +20,6 @@ pub struct SplitSizes {
 }
 
 impl SplitSizes {
-    /// Total number of documents covered by the split.
-    pub fn total(&self) -> usize {
-        self.train + self.validation + self.test
-    }
-
     /// Proportional split of `n` documents using the canonical 70/10/20 ratio.
     pub fn proportional(n: usize) -> SplitSizes {
         let train = (n as f64 * 0.7).floor() as usize;
@@ -62,34 +57,14 @@ impl Corpus {
         Corpus { documents, split, order }
     }
 
-    /// Number of documents.
-    pub fn len(&self) -> usize {
-        self.documents.len()
-    }
-
-    /// Whether the corpus is empty.
-    pub fn is_empty(&self) -> bool {
-        self.documents.is_empty()
-    }
-
     /// All documents in generation order.
     pub fn documents(&self) -> &[Document] {
         &self.documents
     }
 
-    /// Current split sizes.
-    pub fn split(&self) -> SplitSizes {
-        self.split
-    }
-
     /// Training subset (in split order).
     pub fn train(&self) -> Vec<&Document> {
         self.slice(0, self.split.train)
-    }
-
-    /// Validation subset.
-    pub fn validation(&self) -> Vec<&Document> {
-        self.slice(self.split.train, self.split.validation)
     }
 
     /// Test subset.
@@ -126,15 +101,12 @@ mod tests {
     #[test]
     fn splits_are_disjoint_and_cover_expected_sizes() {
         let corpus = small_corpus();
-        let split = corpus.split();
-        assert_eq!(split.total(), corpus.len());
+        let split = SplitSizes::proportional(40);
         let train = corpus.train();
-        let val = corpus.validation();
         let test = corpus.test();
         assert_eq!(train.len(), split.train);
-        assert_eq!(val.len(), split.validation);
         assert_eq!(test.len(), split.test);
-        let mut ids: Vec<u64> = train.iter().chain(val.iter()).chain(test.iter()).map(|d| d.id.0).collect();
+        let mut ids: Vec<u64> = train.iter().chain(test.iter()).map(|d| d.id.0).collect();
         let before = ids.len();
         ids.sort_unstable();
         ids.dedup();
@@ -145,14 +117,14 @@ mod tests {
     fn proportional_split_adds_up() {
         for n in [0usize, 1, 7, 100, 1234] {
             let s = SplitSizes::proportional(n);
-            assert_eq!(s.total(), n);
+            assert_eq!(s.train + s.validation + s.test, n);
         }
     }
 
     #[test]
     fn empty_corpus_behaves() {
         let corpus = Corpus::from_documents(vec![], 1);
-        assert!(corpus.is_empty());
+        assert!(corpus.documents().is_empty());
         assert!(corpus.train().is_empty());
     }
 }

@@ -25,6 +25,9 @@ const YEARS: std::ops::RangeInclusive<u16> = 2000..=2024;
 /// Mean number of sentences per paragraph.
 const SENTENCES_PER_PARAGRAPH: usize = 4;
 
+/// Fewest paragraphs on a page; each page draws up to as many again.
+const PARAGRAPHS_PER_PAGE: usize = 3;
+
 /// Configuration of the corpus generator. Publication years are always
 /// drawn from 2000–2024 and paragraphs average four sentences.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,8 +46,6 @@ pub struct GeneratorConfig {
     pub ocr_attached_fraction: f64,
     /// Fraction of born-digital documents with author-scrambled text layers.
     pub scrambled_fraction: f64,
-    /// Mean number of paragraphs per page.
-    pub paragraphs_per_page: usize,
     /// Probability a page carries a table (the category presets skew this;
     /// the default reproduces the historical corpus bitwise).
     pub table_probability: f64,
@@ -60,7 +61,6 @@ impl Default for GeneratorConfig {
             scanned_fraction: 0.12,
             ocr_attached_fraction: 0.6,
             scrambled_fraction: 0.03,
-            paragraphs_per_page: 3,
             table_probability: 0.35,
         }
     }
@@ -212,8 +212,7 @@ impl DocumentGenerator {
             });
         }
 
-        let n_paragraphs = self.config.paragraphs_per_page.max(1)
-            + rng.gen_range(0..=self.config.paragraphs_per_page.max(1));
+        let n_paragraphs = PARAGRAPHS_PER_PAGE + rng.gen_range(0..=PARAGRAPHS_PER_PAGE);
         for _ in 0..n_paragraphs {
             elements
                 .push(Element::Paragraph { text: vocab::paragraph(rng, domain, SENTENCES_PER_PARAGRAPH) });
@@ -334,7 +333,7 @@ mod tests {
         // Scanner-produced documents must have no usable text layer.
         for doc in &docs {
             if doc.metadata.producer == ProducerTool::Scanner {
-                assert!(!doc.text_layer.has_text());
+                assert!(doc.text_layer.pages.iter().all(|p| p.trim().is_empty()));
             }
         }
     }

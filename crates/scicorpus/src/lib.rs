@@ -21,8 +21,8 @@
 //! use scicorpus::{Corpus, GeneratorConfig};
 //!
 //! let corpus = Corpus::generate(&GeneratorConfig { n_documents: 8, seed: 1, ..Default::default() });
-//! assert_eq!(corpus.len(), 8);
-//! assert!(corpus.documents()[0].word_count() > 50);
+//! assert_eq!(corpus.documents().len(), 8);
+//! assert!(corpus.documents()[0].ground_truth().split_whitespace().count() > 50);
 //! ```
 
 pub mod arrivals;

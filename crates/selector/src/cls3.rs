@@ -76,17 +76,6 @@ impl AccuracyPredictor {
             .map(|predictions| best_predicted(predictions))
             .collect()
     }
-
-    /// Fraction of samples where the selected parser equals the BLEU-maximal
-    /// parser (Table 4's "ACC" column).
-    pub fn selection_accuracy(&self, samples: &[AccuracySample]) -> f64 {
-        if samples.is_empty() {
-            return 0.0;
-        }
-        let selected = self.select_batch(&first_page_texts(samples));
-        let correct = samples.iter().zip(selected).filter(|(s, kind)| *kind == s.best_parser()).count();
-        correct as f64 / samples.len() as f64
-    }
 }
 
 /// The parser with the highest prediction (the last one on ties).
@@ -139,7 +128,9 @@ mod tests {
         let samples = synthetic_samples(80);
         let mut predictor = AccuracyPredictor::new(EncoderProfile::SciBert);
         predictor.fit_regression(&samples);
-        let acc = predictor.selection_accuracy(&samples);
+        let selected = predictor.select_batch(&first_page_texts(&samples));
+        let correct = samples.iter().zip(selected).filter(|(s, kind)| *kind == s.best_parser()).count();
+        let acc = correct as f64 / samples.len() as f64;
         assert!(acc > 0.8, "selection accuracy = {acc}");
     }
 
@@ -205,6 +196,6 @@ mod tests {
         let preds = predictor.predict_accuracies_batch(&["any text at all"]).remove(0);
         assert_eq!(preds.len(), ParserKind::ALL.len());
         assert!(preds.iter().all(|p| p.is_finite()));
-        assert_eq!(predictor.selection_accuracy(&[]), 0.0);
+        assert!(predictor.select_batch::<&str>(&[]).is_empty());
     }
 }

@@ -136,16 +136,6 @@ impl AccuracyDataset {
     pub fn test(&self) -> &[AccuracySample] {
         &self.samples[self.train_len..]
     }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn dataset_has_full_targets_and_split() {
         let ds = dataset(12);
-        assert_eq!(ds.len(), 12);
+        assert_eq!(ds.samples().len(), 12);
         assert_eq!(ds.train().len() + ds.test().len(), 12);
         assert!(!ds.train().is_empty());
         assert!(!ds.test().is_empty());
@@ -192,6 +182,6 @@ mod tests {
     #[test]
     fn empty_dataset_behaves() {
         let ds = AccuracyDataset::from_evaluations(&[], &[], 0.7);
-        assert!(ds.is_empty());
+        assert!(ds.samples().is_empty());
     }
 }

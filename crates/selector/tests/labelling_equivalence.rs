@@ -23,7 +23,7 @@ const SEED: u64 = 0x1AB_E11ED;
 
 /// One generator preset per document kind, applied to the default config.
 fn kinds() -> Vec<GeneratorConfig> {
-    let base = GeneratorConfig { paragraphs_per_page: 2, ..GeneratorConfig::default() };
+    let base = GeneratorConfig::default();
     let scanned =
         GeneratorConfig { ocr_attached_fraction: 0.0, ..category_preset(&base, DocCategory::Scanned) };
     let ocr = GeneratorConfig { ocr_attached_fraction: 1.0, ..scanned.clone() };
@@ -84,7 +84,7 @@ fn assert_labels_equal(got: &[DocumentLabel], want: &[DocumentLabel], context: &
 }
 
 fn assert_datasets_equal(got: &AccuracyDataset, want: &AccuracyDataset, context: &str) {
-    assert_eq!(got.len(), want.len(), "{context}");
+    assert_eq!(got.samples().len(), want.samples().len(), "{context}");
     assert_eq!(got.train().len(), want.train().len(), "{context}: train split");
     for (g, w) in got.samples().iter().zip(want.samples()) {
         let at = format!("{context}: document {}", g.doc_id);

@@ -411,20 +411,6 @@ fn common_prefix(a: &[char], b: &[char]) -> usize {
     i
 }
 
-/// Exact Levenshtein distance between two strings (raw characters, no
-/// normalization).
-///
-/// ```
-/// use textmetrics::levenshtein::edit_distance;
-/// assert_eq!(edit_distance("kitten", "sitting"), 3);
-/// assert_eq!(edit_distance("hyperthyroidism", "hypothyroidism"), 2);
-/// ```
-pub fn edit_distance(a: &str, b: &str) -> usize {
-    let ac: Vec<char> = a.chars().collect();
-    let bc: Vec<char> = b.chars().collect();
-    edit_distance_chars(&ac, &bc)
-}
-
 /// Banded (Ukkonen-style) edit distance: the cost of the cheapest alignment
 /// that stays within `band` diagonals of the main one. An upper bound on the
 /// true distance, and exact whenever the true distance is at most `band`. A
@@ -458,19 +444,6 @@ pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
 #[doc(hidden)]
 pub fn distance_in_band(pattern: &[char], text: &[char], up: usize, down: usize) -> usize {
     Pair::new(pattern, text).distance_in_band(up, down)
-}
-
-/// Normalized similarity in `[0, 1]`: `1 − d / max(|a|, |b|)` over raw
-/// characters. Two empty strings are considered identical (similarity 1).
-pub fn normalized_similarity(a: &str, b: &str) -> f64 {
-    let ac: Vec<char> = a.chars().collect();
-    let bc: Vec<char> = b.chars().collect();
-    let denom = ac.len().max(bc.len());
-    if denom == 0 {
-        return 1.0;
-    }
-    let d = edit_distance_chars(&ac, &bc);
-    1.0 - d as f64 / denom as f64
 }
 
 /// Character accuracy rate between parser output and ground truth.
@@ -512,29 +485,32 @@ pub(crate) fn car_of_chars(cand: &[char], refr: &[char]) -> f64 {
 mod tests {
     use super::*;
 
+    fn distance(a: &str, b: &str) -> usize {
+        edit_distance_chars(&a.chars().collect::<Vec<_>>(), &b.chars().collect::<Vec<_>>())
+    }
+
     #[test]
     fn classic_distances() {
-        assert_eq!(edit_distance("", ""), 0);
-        assert_eq!(edit_distance("abc", ""), 3);
-        assert_eq!(edit_distance("", "abc"), 3);
-        assert_eq!(edit_distance("abc", "abc"), 0);
-        assert_eq!(edit_distance("kitten", "sitting"), 3);
-        assert_eq!(edit_distance("flaw", "lawn"), 2);
+        assert_eq!(distance("", ""), 0);
+        assert_eq!(distance("abc", ""), 3);
+        assert_eq!(distance("", "abc"), 3);
+        assert_eq!(distance("abc", "abc"), 0);
+        assert_eq!(distance("kitten", "sitting"), 3);
+        assert_eq!(distance("flaw", "lawn"), 2);
     }
 
     #[test]
     fn paper_example_hyperthyroidism() {
         // The paper's motivating example: distance 2, similarity ~86.7%.
-        let d = edit_distance("hyperthyroidism", "hypothyroidism");
-        assert_eq!(d, 2);
-        let sim = normalized_similarity("hyperthyroidism", "hypothyroidism");
+        assert_eq!(distance("hyperthyroidism", "hypothyroidism"), 2);
+        let sim = char_accuracy_rate("hyperthyroidism", "hypothyroidism");
         assert!((sim - (1.0 - 2.0 / 15.0)).abs() < 1e-9);
     }
 
     #[test]
     fn distance_is_symmetric() {
         for (a, b) in [("abcdef", "azced"), ("xy", "yx"), ("", "q")] {
-            assert_eq!(edit_distance(a, b), edit_distance(b, a));
+            assert_eq!(distance(a, b), distance(b, a));
         }
     }
 

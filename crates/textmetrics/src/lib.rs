@@ -10,8 +10,8 @@
 //! * preference-derived metrics: [`winrate`] (normalized win rate from
 //!   pairwise human preferences) and [`accepted`] tokens (fraction of tokens
 //!   coming from documents whose score clears an acceptance threshold),
-//! * summary [`stats`] used throughout the evaluation (Pearson correlation,
-//!   coefficient of determination, simple significance tests).
+//! * summary [`stats`] used throughout the evaluation (Pearson correlation
+//!   and its significance test).
 //!
 //! # Example
 //!
@@ -35,10 +35,10 @@ pub mod tokenize;
 pub mod winrate;
 
 pub use accepted::AcceptedTokens;
-pub use bleu::{sentence_bleu, BleuConfig, BleuScore};
-pub use levenshtein::{char_accuracy_rate, edit_distance, normalized_similarity};
-pub use rouge::{rouge_l, rouge_n, RougeScore};
-pub use stats::{mean, pearson, r_squared};
+pub use bleu::sentence_bleu;
+pub use levenshtein::char_accuracy_rate;
+pub use rouge::{rouge_l, RougeScore};
+pub use stats::{mean, pearson};
 pub use tokenize::{normalize_whitespace, tokenize_chars, tokenize_words};
 pub use winrate::{PreferenceOutcome, WinRateTable};
 
@@ -96,7 +96,7 @@ impl ReferenceText {
     pub fn new(reference: &str) -> Self {
         let mut vocab = tokenize::Vocab::default();
         let (chars, ids) = tokenize::chars_and_ids(reference, |token| vocab.intern_token(token));
-        let ngrams = ngram::NgramIndex::new(&ids, BleuConfig::default().max_order);
+        let ngrams = ngram::NgramIndex::new(&ids, bleu::MAX_ORDER);
         ReferenceText { chars, vocab, ids, ngrams }
     }
 
@@ -111,7 +111,7 @@ impl ReferenceText {
     pub fn score_counting(&self, candidate: &str, coverage: f64) -> (QualityReport, usize) {
         let (chars, ids) = tokenize::chars_and_ids(candidate, |token| self.vocab.lookup_token(token));
         let report = QualityReport {
-            bleu: bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score,
+            bleu: bleu::bleu_against(&self.ngrams, &ids),
             rouge: rouge::rouge_l_of_ids(&ids, &self.ids, self.vocab.len()).f1,
             car: levenshtein::car_of_chars(&chars, &self.chars),
             coverage: if coverage.is_nan() { 0.0 } else { coverage.clamp(0.0, 1.0) },
@@ -124,7 +124,7 @@ impl ReferenceText {
     pub fn bleu(&self, candidate: &str) -> f64 {
         let mut ids = Vec::new();
         tokenize::walk::<true>(candidate, |_| {}, |token| ids.push(self.vocab.lookup_token(token)));
-        bleu::bleu_against(&self.ngrams, &ids, BleuConfig::default().smoothing).score
+        bleu::bleu_against(&self.ngrams, &ids)
     }
 }
 

@@ -1,4 +1,4 @@
-//! The n-gram matcher shared by BLEU and ROUGE-N.
+//! BLEU's n-gram matcher.
 //!
 //! N-grams are never hashed or compared as token windows. Every distinct
 //! n-gram of the reference gets a dense id instead, chained from the id of
@@ -110,8 +110,7 @@ impl NgramIndex {
 
     /// Clipped overlap with `candidate`'s n-grams, `Σ_g min(candidate[g],
     /// reference[g])`, for each order from 1 (index 0) up: the numerator of
-    /// BLEU's modified n-gram precision and of ROUGE-N. Symmetric in the two
-    /// sequences.
+    /// BLEU's modified n-gram precision. Symmetric in the two sequences.
     pub(crate) fn clipped_matches(&self, candidate: &[u32]) -> Vec<usize> {
         let mut window_ids = candidate.to_vec();
         let mut seen = Vec::new();

@@ -1,14 +1,12 @@
 //! ROUGE (Recall-Oriented Understudy for Gisting Evaluation).
 //!
-//! We implement ROUGE-N (n-gram recall/precision/F1) and ROUGE-L (longest
-//! common subsequence). The paper reports a single "ROUGE" column in its
-//! tables; we follow the common convention of reporting ROUGE-L F1 there and
-//! expose ROUGE-1/2 for completeness.
+//! We implement ROUGE-L (longest common subsequence). The paper reports a
+//! single "ROUGE" column in its tables; we follow the common convention of
+//! reporting ROUGE-L F1 there.
 
-use crate::ngram::{ngram_total, NgramIndex};
 use crate::tokenize::{intern_pair, Vocab};
 
-/// Precision / recall / F1 triple produced by every ROUGE variant.
+/// Precision / recall / F1 triple produced by ROUGE-L.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RougeScore {
     /// Fraction of candidate units that appear in the reference.
@@ -31,24 +29,6 @@ impl RougeScore {
     fn perfect() -> Self {
         RougeScore { precision: 1.0, recall: 1.0, f1: 1.0 }
     }
-}
-
-/// ROUGE-N over word tokens.
-///
-/// ```
-/// use textmetrics::rouge::rouge_n;
-/// let s = rouge_n("the cat sat", "the cat sat on the mat", 1);
-/// assert!(s.recall < 1.0 && s.precision > 0.99);
-/// ```
-pub fn rouge_n(candidate: &str, reference: &str, order: usize) -> RougeScore {
-    let (cand, refr, _) = intern_pair(candidate, reference);
-    if cand.is_empty() && refr.is_empty() {
-        return RougeScore::perfect();
-    }
-    let order = order.max(1);
-    let reference = NgramIndex::new(&refr, order);
-    let overlap = reference.clipped_matches(&cand)[order - 1] as f64;
-    RougeScore::from_counts(overlap, ngram_total(cand.len(), order) as f64, reference.total(order) as f64)
 }
 
 /// ROUGE-L over word tokens, based on the longest common subsequence.
@@ -162,17 +142,12 @@ mod tests {
         let t = "recall oriented understudy for gisting evaluation";
         let s = rouge_l(t, t);
         assert!((s.f1 - 1.0).abs() < 1e-9);
-        let s1 = rouge_n(t, t, 1);
-        assert!((s1.f1 - 1.0).abs() < 1e-9);
-        let s2 = rouge_n(t, t, 2);
-        assert!((s2.f1 - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn rouge_disjoint_is_zero() {
         let s = rouge_l("alpha beta gamma", "one two three");
         assert_eq!(s.f1, 0.0);
-        assert_eq!(rouge_n("alpha beta", "one two", 1).f1, 0.0);
     }
 
     #[test]
@@ -180,18 +155,17 @@ mod tests {
         assert_eq!(rouge_l("", "").f1, 1.0);
         assert_eq!(rouge_l("", "text").f1, 0.0);
         assert_eq!(rouge_l("text", "").f1, 0.0);
-        assert_eq!(rouge_n("", "", 2).f1, 1.0);
     }
 
     #[test]
     fn precision_recall_asymmetry() {
         // Candidate is a strict prefix of the reference: perfect precision,
         // partial recall.
-        let s = rouge_n("the cat sat", "the cat sat on the mat", 1);
+        let s = rouge_l("the cat sat", "the cat sat on the mat");
         assert!(s.precision > 0.99);
         assert!(s.recall < 0.99);
         // And swapping the arguments swaps precision and recall.
-        let swapped = rouge_n("the cat sat on the mat", "the cat sat", 1);
+        let swapped = rouge_l("the cat sat on the mat", "the cat sat");
         assert!((s.precision - swapped.recall).abs() < 1e-9);
         assert!((s.recall - swapped.precision).abs() < 1e-9);
     }
@@ -201,26 +175,11 @@ mod tests {
         let cases =
             [("a b c", "c b a"), ("a a a a", "a"), ("longer candidate text with many words", "short ref")];
         for (c, r) in cases {
-            for s in [rouge_l(c, r), rouge_n(c, r, 1), rouge_n(c, r, 2)] {
-                assert!((0.0..=1.0).contains(&s.precision));
-                assert!((0.0..=1.0).contains(&s.recall));
-                assert!((0.0..=1.0).contains(&s.f1));
-            }
+            let s = rouge_l(c, r);
+            assert!((0.0..=1.0).contains(&s.precision));
+            assert!((0.0..=1.0).contains(&s.recall));
+            assert!((0.0..=1.0).contains(&s.f1));
         }
-    }
-
-    #[test]
-    fn scrambled_text_scores_high_rouge1_lower_rougel() {
-        // Mirrors the paper's observation that ROUGE can over-reward
-        // incoherent candidates: unigram overlap stays high but ROUGE-L drops.
-        let reference = "the gravitational force between two masses is directly proportional \
-                         to the product of their masses";
-        let scrambled = "the gravitational force masses directly two the between proportional \
-                         product is of to their masses";
-        let r1 = rouge_n(scrambled, reference, 1);
-        let rl = rouge_l(scrambled, reference);
-        assert!(r1.f1 > 0.9, "rouge-1 stays high: {}", r1.f1);
-        assert!(rl.f1 < r1.f1, "rouge-l must be lower than rouge-1");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Summary statistics used by the evaluation harness.
 //!
 //! The paper reports a Pearson correlation between BLEU and win rate
-//! (ρ ≈ 0.47 with a vanishing p-value), R² of the accuracy-prediction
-//! models, and mean metric values over document collections. This module
-//! implements those statistics from scratch (no external stats crate).
+//! (ρ ≈ 0.47 with a vanishing p-value) and mean metric values over document
+//! collections. This module implements those statistics from scratch (no
+//! external stats crate).
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
@@ -36,23 +36,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     } else {
         (cov / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
     }
-}
-
-/// Coefficient of determination of predictions against observations.
-///
-/// `R² = 1 − SS_res / SS_tot`; can be negative when predictions are worse
-/// than predicting the mean. Returns `0.0` for degenerate inputs.
-pub fn r_squared(predicted: &[f64], observed: &[f64]) -> f64 {
-    if predicted.len() != observed.len() || observed.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(observed);
-    let ss_tot: f64 = observed.iter().map(|y| (y - m) * (y - m)).sum();
-    if ss_tot <= 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = predicted.iter().zip(observed.iter()).map(|(p, y)| (y - p) * (y - p)).sum();
-    1.0 - ss_res / ss_tot
 }
 
 /// Two-sided p-value for the null hypothesis ρ = 0, using the t-statistic
@@ -107,16 +90,6 @@ mod tests {
         assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
         assert_eq!(pearson(&x, &[1.0, 1.0, 1.0, 1.0]), 0.0);
         assert_eq!(pearson(&x, &[1.0, 2.0]), 0.0);
-    }
-
-    #[test]
-    fn r_squared_behaviour() {
-        let obs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!((r_squared(&obs, &obs) - 1.0).abs() < 1e-12);
-        let mean_pred = [3.0; 5];
-        assert!(r_squared(&mean_pred, &obs).abs() < 1e-12);
-        let bad = [10.0, -3.0, 8.0, 0.0, 99.0];
-        assert!(r_squared(&bad, &obs) < 0.0);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! relies on (boundedness, identity, symmetry, triangle inequality).
 
 use proptest::prelude::*;
-use textmetrics::bleu::{sentence_bleu, sentence_bleu_with, BleuConfig};
-use textmetrics::levenshtein::{char_accuracy_rate, edit_distance, normalized_similarity};
-use textmetrics::rouge::{rouge_l, rouge_n};
-use textmetrics::stats::{pearson, r_squared};
+use textmetrics::bleu::sentence_bleu;
+use textmetrics::levenshtein::{char_accuracy_rate, edit_distance_chars};
+use textmetrics::rouge::rouge_l;
+use textmetrics::stats::pearson;
 use textmetrics::tokenize::{
     alphanumeric_ratio, count_words, normalize_whitespace, tokenize_words, wordlike_ratio, TextCounts,
 };
@@ -66,40 +66,39 @@ fn alphanumeric_ratio_oracle(text: &str) -> f64 {
     }
 }
 
+/// Levenshtein distance over raw characters, no normalization.
+fn distance(a: &str, b: &str) -> usize {
+    edit_distance_chars(&a.chars().collect::<Vec<_>>(), &b.chars().collect::<Vec<_>>())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn edit_distance_identity(a in short_text()) {
-        prop_assert_eq!(edit_distance(&a, &a), 0);
+        prop_assert_eq!(distance(&a, &a), 0);
     }
 
     #[test]
     fn edit_distance_symmetry(a in short_text(), b in short_text()) {
-        prop_assert_eq!(edit_distance(&a, &b), edit_distance(&b, &a));
+        prop_assert_eq!(distance(&a, &b), distance(&b, &a));
     }
 
     #[test]
     fn edit_distance_triangle(a in "[a-c]{0,25}", b in "[a-c]{0,25}", c in "[a-c]{0,25}") {
-        let ab = edit_distance(&a, &b);
-        let bc = edit_distance(&b, &c);
-        let ac = edit_distance(&a, &c);
+        let ab = distance(&a, &b);
+        let bc = distance(&b, &c);
+        let ac = distance(&a, &c);
         prop_assert!(ac <= ab + bc, "triangle violated: {} > {} + {}", ac, ab, bc);
     }
 
     #[test]
     fn edit_distance_bounded_by_longer_length(a in short_text(), b in short_text()) {
-        let d = edit_distance(&a, &b);
+        let d = distance(&a, &b);
         let la = a.chars().count();
         let lb = b.chars().count();
         prop_assert!(d <= la.max(lb));
         prop_assert!(d >= la.abs_diff(lb));
-    }
-
-    #[test]
-    fn normalized_similarity_bounded(a in short_text(), b in short_text()) {
-        let s = normalized_similarity(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&s));
     }
 
     #[test]
@@ -121,33 +120,12 @@ proptest! {
     }
 
     #[test]
-    fn bleu_custom_orders_bounded(a in sentence(), b in sentence(), order in 1usize..6) {
-        let cfg = BleuConfig { max_order: order, smoothing: 0.01 };
-        let s = sentence_bleu_with(&a, &b, cfg);
-        prop_assert!((0.0..=1.0).contains(&s.score));
-        prop_assert!((0.0..=1.0).contains(&s.brevity_penalty));
-    }
-
-    #[test]
     fn rouge_bounded_and_symmetric_f1(a in sentence(), b in sentence()) {
         let rl = rouge_l(&a, &b);
         prop_assert!((0.0..=1.0).contains(&rl.f1));
         // F1 is symmetric because precision and recall swap roles.
         let rl_swapped = rouge_l(&b, &a);
         prop_assert!((rl.f1 - rl_swapped.f1).abs() < 1e-9);
-        let r1 = rouge_n(&a, &b, 1);
-        prop_assert!((0.0..=1.0).contains(&r1.f1));
-    }
-
-    #[test]
-    fn rouge1_f1_at_least_rouge2_f1(a in sentence(), b in sentence()) {
-        // Higher-order n-gram overlap can never exceed unigram overlap rate by
-        // much; in particular ROUGE-2 == 0 whenever ROUGE-1 == 0.
-        let r1 = rouge_n(&a, &b, 1);
-        let r2 = rouge_n(&a, &b, 2);
-        if r1.f1 == 0.0 {
-            prop_assert!(r2.f1 == 0.0);
-        }
     }
 
     #[test]
@@ -185,15 +163,6 @@ proptest! {
         let ys: Vec<f64> = pairs.iter().map(|p| p.1).collect();
         let r = pearson(&xs, &ys);
         prop_assert!((-1.0..=1.0).contains(&r));
-    }
-
-    #[test]
-    fn r_squared_of_perfect_prediction_is_one(values in prop::collection::vec(0.0f64..1.0, 3..50)) {
-        // Skip degenerate constant vectors.
-        let spread = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - values.iter().cloned().fold(f64::INFINITY, f64::min);
-        prop_assume!(spread > 1e-9);
-        prop_assert!((r_squared(&values, &values) - 1.0).abs() < 1e-9);
     }
 }
 
