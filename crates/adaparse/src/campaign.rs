@@ -54,7 +54,6 @@ use parsersim::registry::ParserPool;
 use parsersim::{ParseError, ParserKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use textmetrics::accepted::{AcceptedTokens, DEFAULT_ACCEPTANCE_THRESHOLD};
 use textmetrics::{QualityReport, ReferenceText};
 
@@ -73,7 +72,7 @@ use crate::scaling::{Ledger, WindowedSelector};
 /// `workers` and `shard_size` never affect the campaign's *result* — only
 /// its wall-clock time. What a campaign routes is set by the
 /// [`CascadeConfig`] it runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Worker threads for the data-parallel stages (`0` = all available
     /// cores).
@@ -104,7 +103,7 @@ impl PipelineConfig {
 /// document); previously those errors were silently swallowed into empty
 /// strings. They still degrade into empty output — a campaign never aborts —
 /// but the counts are surfaced here so failure rates are observable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignFailures {
     /// First-page extractions (stage 1) that returned a parser error.
     pub extraction: usize,

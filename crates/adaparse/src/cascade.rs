@@ -29,13 +29,12 @@
 //! unchanged.
 
 use parsersim::{FrontierEntry, ParserFrontier, ParserKind};
-use serde::{Deserialize, Serialize};
 
 use crate::budget::{is_candidate, CANDIDATE_FLOOR, NON_CANDIDATE, URGENT, URGENT_SECOND};
 use crate::config::AdaParseConfig;
 
 /// How far down the document a routing decision reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingGranularity {
     /// One routing unit per document, scored on its first page — the
     /// classic mode.
@@ -154,7 +153,7 @@ fn entry_gain(entry: &FrontierEntry, score: f64, invalid: bool, legibility: f64,
 }
 
 /// The resolved routing decision for one document under a cascade.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParserChoice {
     /// Document identifier.
     pub doc_id: u64,

@@ -1,10 +1,9 @@
 //! Engine configuration.
 
 use parsersim::ParserKind;
-use serde::{Deserialize, Serialize};
 
 /// Which AdaParse variant to run (paper §5.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// AdaParse (FT): CLS I + CLS II with fastText-style features; routes
     /// directly to the high-quality parser when improvement is likely.
@@ -34,7 +33,7 @@ impl std::fmt::Display for Variant {
 /// and the parser pair. A campaign's routing window is its
 /// [`crate::CascadeConfig::window`]; the engine's own entry points use the
 /// paper's k = 256.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaParseConfig {
     /// Which variant to run.
     pub variant: Variant,

@@ -12,7 +12,6 @@ use selector::cls1::{Cls1Decision, ValidityRules};
 use selector::cls2::ImprovementClassifier;
 use selector::cls3::{AccuracyPredictor, ParserPreference};
 use selector::dataset::AccuracyDataset;
-use serde::{Deserialize, Serialize};
 
 use crate::budget::{NON_CANDIDATE, URGENT};
 use crate::campaign::{CampaignFailures, CampaignPipeline, RoutingInput};
@@ -21,7 +20,7 @@ use crate::config::{AdaParseConfig, Variant};
 use crate::output::ParsedRecord;
 
 /// Routing decision for one document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutedDocument {
     /// Document identifier.
     pub doc_id: u64,
@@ -35,7 +34,7 @@ pub struct RoutedDocument {
 }
 
 /// Aggregate output quality of a campaign (one row of Tables 1–3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignQuality {
     /// Mean page coverage.
     pub coverage: f64,
@@ -52,7 +51,7 @@ pub struct CampaignQuality {
 }
 
 /// Full result of a campaign over a document collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Aggregate quality.
     pub quality: CampaignQuality,

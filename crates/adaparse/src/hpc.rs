@@ -10,7 +10,6 @@
 use hpcsim::{ClusterConfig, ExecutorConfig, GroupRole, LustreModel, SlotKind, Task, WorkflowExecutor};
 use parsersim::cost::{CostModel, ResourceCost, PLANNING_DIFFICULTY};
 use parsersim::{ParserFrontier, ParserKind};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 use crate::cascade::ParserChoice;
@@ -18,7 +17,7 @@ use crate::config::AdaParseConfig;
 use crate::scaling::{NodePlan, Stage};
 
 /// A lightweight description of a document workload for scaling studies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadSpec {
     /// Number of documents.
     pub documents: usize,

@@ -11,13 +11,13 @@
 //! writer, so a million-document campaign keeps at most one wave
 //! (workers × shard size documents) of parsed output text in memory.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
 use parsersim::ParserKind;
-use serde::{Deserialize, Serialize};
 
 /// One parsed document as written to the campaign's JSONL output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParsedRecord {
     /// Document identifier.
     pub doc_id: u64,
@@ -34,14 +34,16 @@ pub struct ParsedRecord {
 impl ParsedRecord {
     /// Serialize to a single JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"doc_id\":{},\"parser\":\"{}\",\"coverage\":{:.4},\"bleu\":{:.4},\"text\":\"{}\"}}",
+        let mut line = format!(
+            "{{\"doc_id\":{},\"parser\":\"{}\",\"coverage\":{:.4},\"bleu\":{:.4},\"text\":",
             self.doc_id,
             self.parser.name(),
             self.coverage,
             self.bleu,
-            escape_json(&self.text)
-        )
+        );
+        push_json_string(&mut line, &self.text);
+        line.push('}');
+        line
     }
 }
 
@@ -116,8 +118,14 @@ impl<W: Write> RecordSink for JsonlSink<W> {
     }
 }
 
-fn escape_json(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
+/// Append `text` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, newline, carriage return and tab take their short
+/// escapes, other control characters become `\u00xx`, and everything else
+/// is copied as is. The JSONL records and the `BENCH_*.json` trajectories
+/// both write their strings through it.
+pub fn push_json_string(out: &mut String, text: &str) {
+    out.reserve(text.len() + 2);
+    out.push('"');
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -125,11 +133,13 @@ fn escape_json(text: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[cfg(test)]

@@ -11,11 +11,9 @@
 //! same allocation trace — while the *campaign result* never depends on the
 //! allocation at all (worker counts only change wall-clock time).
 
-use serde::{Deserialize, Serialize};
-
 /// Pipeline stages the controller allocates workers across. Routing is a
 /// cheap sequential pass and gets no dedicated workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// SPDF decode + first-page extraction + CLS scoring (CPU-bound).
     Extract,
@@ -25,7 +23,7 @@ pub enum Stage {
 }
 
 /// One stage's measurements for one wave.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSample {
     /// Wall-clock seconds the stage spent on the wave.
     pub busy_seconds: f64,
@@ -34,7 +32,7 @@ pub struct StageSample {
 }
 
 /// Everything the controller observes about one completed wave.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaveStats {
     /// Zero-based wave index.
     pub wave_index: usize,
@@ -52,7 +50,7 @@ pub struct WaveStats {
 }
 
 /// Worker split across the two pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
     /// Workers running extraction (+ CLS scoring).
     pub extract_workers: usize,
@@ -85,7 +83,7 @@ const STEP: usize = 1;
 const MIN_PER_STAGE: usize = 1;
 
 /// Controller tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerConfig {
     /// Total workers shared by both stages. Clamped to ≥ 2 (each stage keeps
     /// at least one worker so neither can starve).
@@ -110,7 +108,7 @@ impl ControllerConfig {
 }
 
 /// One allocation change, kept in the controller's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllocationEvent {
     /// Wave whose stats triggered the change.
     pub wave_index: usize,
@@ -126,7 +124,7 @@ pub struct AllocationEvent {
 }
 
 /// Node split for an `hpcsim` cluster mirroring the worker allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodePlan {
     /// Nodes `0..extract_nodes` serve extraction tasks.
     pub extract_nodes: usize,

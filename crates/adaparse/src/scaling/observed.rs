@@ -15,8 +15,6 @@
 //! bit, which is what keeps the windowed selector deterministic under a
 //! budget.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scaling::StageSample;
 
 /// Actual measured costs of one completed wave (or window) of documents,
@@ -27,7 +25,7 @@ use crate::scaling::StageSample;
 /// *everything* they cost (extraction + high-quality parse), matching the
 /// ledger's commit model where a selected document pays the full expensive
 /// per-document cost.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WaveCosts {
     /// Documents routed to the default parser in the wave.
     pub cheap_docs: usize,
@@ -95,7 +93,7 @@ impl WaveCosts {
 /// assert_eq!(costs.effective_expensive(), 15.0);
 /// assert_eq!(costs.effective_cheap(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedCosts {
     planned_cheap: f64,
     planned_expensive: f64,

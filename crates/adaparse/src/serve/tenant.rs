@@ -13,8 +13,6 @@ use std::collections::VecDeque;
 
 use parsersim::ParserKind;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cascade::RoutingGranularity;
 use crate::hpc::WorkloadSpec;
 use crate::scaling::{Ledger, WindowedSelector, DEFAULT_PRIOR_WEIGHT};
@@ -50,7 +48,7 @@ pub struct DocArrival {
 /// documents run more expensive than planned and loosens when they run
 /// cheaper. The plan enters the blend at [`DEFAULT_PRIOR_WEIGHT`] phantom
 /// documents.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignBudget {
     /// Total compute budget in seconds (CPU + GPU) for the tenant's trace.
     pub total_seconds: f64,
@@ -78,7 +76,7 @@ pub struct TenantSpec {
     /// SLO: target p99 time-to-parsed (arrival → last task finish) in
     /// seconds.
     pub slo_p99_seconds: f64,
-    /// Weighted-fair-queuing weight (> 0): a tenant with weight 2 is
+    /// Weighted-fair-queuing weight (finite, > 0): a tenant with weight 2 is
     /// entitled to twice the admitted planned-cost rate of a tenant with
     /// weight 1 when both have work queued.
     pub weight: f64,
@@ -232,7 +230,7 @@ impl TenantRegistry {
     /// # Panics
     ///
     /// Panics if a tenant has an α that is not a finite number in `[0, 1]`,
-    /// a non-positive weight, a non-positive SLO target or a budget
+    /// a weight or SLO target that is not finite and positive, or a budget
     /// [`Ledger::seconds`] rejects, or if its arrival
     /// times are not finite, non-negative and non-decreasing in
     /// [`f64::total_cmp`] order (`-0.0` may not follow `0.0`): the serve
@@ -254,8 +252,22 @@ impl TenantRegistry {
                     spec.name,
                     spec.alpha
                 );
-                assert!(spec.weight > 0.0, "tenant {:?}: weight must be positive", spec.name);
-                assert!(spec.slo_p99_seconds > 0.0, "tenant {:?}: SLO target must be positive", spec.name);
+                // An infinite weight adds `cost / ∞ = 0` virtual service per
+                // admission, so that tenant wins every WFQ pick and starves
+                // the rest; an infinite SLO target reads as a 0 SLO ratio,
+                // so the tenant never counts toward the autoscaler.
+                assert!(
+                    spec.weight.is_finite() && spec.weight > 0.0,
+                    "tenant {:?}: weight must be finite and positive, got {}",
+                    spec.name,
+                    spec.weight
+                );
+                assert!(
+                    spec.slo_p99_seconds.is_finite() && spec.slo_p99_seconds > 0.0,
+                    "tenant {:?}: SLO target must be finite and positive, got {}",
+                    spec.name,
+                    spec.slo_p99_seconds
+                );
                 let mut last = -0.0f64;
                 for arrival in &trace.arrivals {
                     let at = arrival.at_seconds;

@@ -567,6 +567,31 @@ fn a_nan_or_out_of_range_tenant_alpha_is_rejected() {
     }
 }
 
+// A tenant's weight and SLO target are caller input as well, and `+∞` passes
+// a bare `> 0` check: an infinite weight adds `cost / ∞ = 0` virtual service
+// per admission, so that tenant wins every WFQ pick and starves the rest, and
+// an infinite SLO target reads as a 0 SLO ratio the autoscaler never sees.
+#[test]
+fn a_non_finite_or_non_positive_tenant_weight_or_slo_is_rejected() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+        let specs = [
+            (TenantSpec { weight: bad, ..tenant("t", 1.0) }, "weight must be finite and positive"),
+            (
+                TenantSpec { slo_p99_seconds: bad, ..tenant("t", 1.0) },
+                "SLO target must be finite and positive",
+            ),
+        ];
+        for (spec, expected) in specs {
+            let trace = TenantTrace { spec, arrivals: Vec::new() };
+            let panic =
+                std::panic::catch_unwind(|| TenantRegistry::new(&AdaParseConfig::default(), &[trace]))
+                    .expect_err(&format!("{expected}: {bad} must be rejected"));
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains(expected), "{bad}: {message:?}");
+        }
+    }
+}
+
 // `epoch_seconds` is caller input. The loop used to take `max(1e-9)` of the
 // epoch, which a NaN, zero or negative epoch turned into 1e-9 s: the default
 // 100 000-epoch bound then ended the run after 1e-4 simulated seconds and

@@ -31,6 +31,8 @@ use std::fs;
 use std::io::{self, Seek, SeekFrom, Write as _};
 use std::path::Path;
 
+use adaparse::output::push_json_string;
+
 /// Version stamped into (and required of) every trajectory file.
 pub const SCHEMA_VERSION: u64 = 1;
 
@@ -83,7 +85,7 @@ impl JsonValue {
                 let _ = write!(out, "{x}");
             }
             JsonValue::F64(_) => out.push_str("null"),
-            JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::Str(s) => push_json_string(out, s),
             JsonValue::Array(items) if items.is_empty() => out.push_str("[]"),
             JsonValue::Array(items) => {
                 out.push_str("[\n");
@@ -100,7 +102,7 @@ impl JsonValue {
                 out.push_str("{\n");
                 for (i, (key, value)) in fields.iter().enumerate() {
                     indent(out, depth + 1);
-                    write_escaped(out, key);
+                    push_json_string(out, key);
                     out.push_str(": ");
                     value.write_into(out, depth + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
@@ -124,24 +126,6 @@ fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Seconds since the Unix epoch (0 on clocks set before 1970).

@@ -1,15 +1,13 @@
 //! The document type tying pages, metadata, text layer and image layer
 //! together.
 
-use serde::{Deserialize, Serialize};
-
-use crate::element::{Element, ElementKind};
+use crate::element::Element;
 use crate::imagelayer::ImageLayer;
 use crate::metadata::DocMetadata;
 use crate::textlayer::TextLayer;
 
 /// Opaque document identifier, unique within a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u64);
 
 impl std::fmt::Display for DocId {
@@ -19,7 +17,7 @@ impl std::fmt::Display for DocId {
 }
 
 /// One page: an ordered list of structural elements.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Page {
     /// Elements in reading order.
     pub elements: Vec<Element>,
@@ -47,21 +45,11 @@ impl Page {
             element.write_ground_truth_text(out);
         }
     }
-
-    /// Number of ground-truth words on the page.
-    pub fn word_count(&self) -> usize {
-        self.elements.iter().map(|e| e.word_count()).sum()
-    }
-
-    /// Number of elements of a given kind.
-    pub fn count_kind(&self, kind: ElementKind) -> usize {
-        self.elements.iter().filter(|e| e.kind() == kind).count()
-    }
 }
 
 /// A scientific document: metadata, structured pages (the ground truth), the
 /// embedded text layer and the raster image layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Document {
     /// Corpus-unique identifier.
     pub id: DocId,
@@ -119,16 +107,6 @@ impl Document {
     /// Ground-truth text per page.
     pub fn ground_truth_pages(&self) -> Vec<String> {
         self.pages.iter().map(|p| p.ground_truth_text()).collect()
-    }
-
-    /// Total ground-truth word count.
-    pub fn word_count(&self) -> usize {
-        self.pages.iter().map(|p| p.word_count()).sum()
-    }
-
-    /// Number of elements of a given kind in the whole document.
-    pub fn count_kind(&self, kind: ElementKind) -> usize {
-        self.pages.iter().map(|p| p.count_kind(kind)).sum()
     }
 }
 
@@ -201,10 +179,11 @@ mod tests {
     fn counts_and_difficulty() {
         let doc = sample_doc();
         assert_eq!(doc.page_count(), 2);
-        assert!(doc.word_count() > 10);
-        assert_eq!(doc.count_kind(ElementKind::Equation), 1);
-        assert_eq!(doc.count_kind(ElementKind::Table), 1);
-        assert_eq!(doc.count_kind(ElementKind::Smiles), 0);
+        assert!(doc.ground_truth().split_whitespace().count() > 10);
+        let elements = || doc.pages.iter().flat_map(|p| &p.elements);
+        assert_eq!(elements().filter(|e| matches!(e, Element::Equation { .. })).count(), 1);
+        assert_eq!(elements().filter(|e| matches!(e, Element::Table { .. })).count(), 1);
+        assert_eq!(elements().filter(|e| matches!(e, Element::Smiles { .. })).count(), 0);
     }
 
     #[test]
@@ -260,6 +239,6 @@ mod tests {
             ImageLayer::born_digital(0),
         );
         assert_eq!(doc.page_count(), 0);
-        assert_eq!(doc.word_count(), 0);
+        assert_eq!(doc.ground_truth().split_whitespace().count(), 0);
     }
 }

@@ -2,48 +2,10 @@
 //!
 //! Every element knows how to render itself into ground-truth text (the text
 //! a perfect parse — like the paper's HTML-derived ground truth — would
-//! contain) and exposes a *complexity* score capturing how hard it is for
-//! lightweight extraction to reproduce that text faithfully.
-
-use serde::{Deserialize, Serialize};
-
-/// Discriminant of [`Element`], used for feature counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ElementKind {
-    /// Section heading.
-    Heading,
-    /// Body paragraph.
-    Paragraph,
-    /// LaTeX equation (inline or display).
-    Equation,
-    /// Table with rows and columns.
-    Table,
-    /// Figure with a caption.
-    Figure,
-    /// Bibliographic reference entry.
-    Reference,
-    /// SMILES chemical identifier.
-    Smiles,
-    /// Bulleted or numbered list item.
-    ListItem,
-}
-
-impl ElementKind {
-    /// All element kinds.
-    pub const ALL: [ElementKind; 8] = [
-        ElementKind::Heading,
-        ElementKind::Paragraph,
-        ElementKind::Equation,
-        ElementKind::Table,
-        ElementKind::Figure,
-        ElementKind::Reference,
-        ElementKind::Smiles,
-        ElementKind::ListItem,
-    ];
-}
+//! contain).
 
 /// One structural element on a document page.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Element {
     /// Section heading with a level (1 = section, 2 = subsection, ...).
     Heading {
@@ -101,20 +63,6 @@ impl Element {
         Element::Heading { level, text: text.to_string() }
     }
 
-    /// The element's kind.
-    pub fn kind(&self) -> ElementKind {
-        match self {
-            Element::Heading { .. } => ElementKind::Heading,
-            Element::Paragraph { .. } => ElementKind::Paragraph,
-            Element::Equation { .. } => ElementKind::Equation,
-            Element::Table { .. } => ElementKind::Table,
-            Element::Figure { .. } => ElementKind::Figure,
-            Element::Reference { .. } => ElementKind::Reference,
-            Element::Smiles { .. } => ElementKind::Smiles,
-            Element::ListItem { .. } => ElementKind::ListItem,
-        }
-    }
-
     /// Ground-truth textual rendering of the element (what a perfect parse
     /// contains). Matches the flavour of HTML-derived ground truth: equations
     /// keep their LaTeX source, tables are flattened row by row, figures keep
@@ -151,11 +99,6 @@ impl Element {
             Element::ListItem { text } => out.extend(["- ", text]),
         }
     }
-
-    /// Number of whitespace-separated words in the ground-truth rendering.
-    pub fn word_count(&self) -> usize {
-        self.ground_truth_text().split_whitespace().count()
-    }
 }
 
 #[cfg(test)]
@@ -185,29 +128,5 @@ mod tests {
         assert_eq!(s.ground_truth_text(), "CCO");
         let li = Element::ListItem { text: "first point".into() };
         assert_eq!(li.ground_truth_text(), "- first point");
-    }
-
-    #[test]
-    fn word_count_counts_rendered_words() {
-        assert_eq!(Element::Paragraph { text: "one two three".into() }.word_count(), 3);
-        assert_eq!(Element::heading(2, "Related Work").word_count(), 2);
-    }
-
-    #[test]
-    fn kind_discriminants_cover_all_variants() {
-        let elements = [
-            Element::heading(1, "h"),
-            Element::Paragraph { text: "p".into() },
-            Element::Equation { latex: "e".into(), display: true },
-            Element::Table { caption: "t".into(), rows: vec![] },
-            Element::Figure { caption: "f".into() },
-            Element::Reference { key: "k".into(), text: "t".into() },
-            Element::Smiles { code: "C".into() },
-            Element::ListItem { text: "l".into() },
-        ];
-        let kinds: Vec<ElementKind> = elements.iter().map(|e| e.kind()).collect();
-        for k in ElementKind::ALL {
-            assert!(kinds.contains(&k), "missing kind {k:?}");
-        }
     }
 }

@@ -8,10 +8,9 @@
 //! reproduces that augmentation pipeline.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Raster properties of a single rendered page.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageImage {
     /// Rendering resolution in dots per inch.
     pub dpi: u16,
@@ -84,7 +83,7 @@ impl PageImage {
 }
 
 /// Raster layer of a whole document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageLayer {
     /// Per-page raster properties.
     pub pages: Vec<PageImage>,

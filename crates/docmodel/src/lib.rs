@@ -47,7 +47,7 @@ pub mod spdf;
 pub mod textlayer;
 
 pub use document::{DocId, Document, Page};
-pub use element::{Element, ElementKind};
+pub use element::Element;
 pub use imagelayer::{ImageLayer, PageImage};
 pub use metadata::{DocCategory, DocMetadata, Domain, PdfFormat, ProducerTool, Publisher};
 pub use textlayer::{TextLayer, TextLayerQuality};

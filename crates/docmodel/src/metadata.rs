@@ -6,10 +6,8 @@
 //! category) are the inputs of the CLS I / CLS II stages and of the SVC
 //! baselines in Table 4.
 
-use serde::{Deserialize, Serialize};
-
 /// Source venue of a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Publisher {
     /// arXiv preprint server.
     Arxiv,
@@ -62,7 +60,7 @@ impl std::fmt::Display for Publisher {
 
 /// Top-level scientific domain; each has a fixed list of sub-categories
 /// totalling 67 across all domains (matching the paper's corpus description).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Mathematics.
     Mathematics,
@@ -242,7 +240,7 @@ impl std::fmt::Display for Domain {
 /// of artifact the PDF is, which drives both how a corpus generator skews a
 /// category's documents and which parsers a cascade should prefer for them.
 /// Used by `scicorpus`' category-skewed generator presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DocCategory {
     /// Scanner output: raster pages, missing or OCR-attached text layer.
     Scanned,
@@ -293,7 +291,7 @@ impl std::fmt::Display for DocCategory {
 
 /// Software that produced the PDF; a strong CLS I / CLS II feature because it
 /// correlates with text-layer quality.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProducerTool {
     /// pdfTeX / pdfLaTeX (born-digital, clean text layer).
     PdfLatex,
@@ -349,7 +347,7 @@ impl std::fmt::Display for ProducerTool {
 }
 
 /// PDF specification version recorded in the file header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PdfFormat {
     /// PDF 1.4 (older documents, frequently scanned).
     V1_4,
@@ -392,7 +390,7 @@ impl std::fmt::Display for PdfFormat {
 }
 
 /// Metadata attached to every document in the corpus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DocMetadata {
     /// Document title.
     pub title: String,

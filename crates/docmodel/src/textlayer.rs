@@ -8,12 +8,11 @@
 //! extracted text itself, whether a recognition parser is needed.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::corrupt;
 
 /// Quality class of the embedded text layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TextLayerQuality {
     /// Faithful text layer written by the typesetting tool.
     Clean,
@@ -34,7 +33,7 @@ pub enum TextLayerQuality {
 }
 
 /// Per-page embedded text plus its quality class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TextLayer {
     /// Quality class describing how the layer was produced.
     pub quality: TextLayerQuality,

@@ -1,8 +1,6 @@
 //! Executor options: the per-session [`ExecutorConfig`] and the per-batch
 //! [`SubmitOptions`].
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(doc)]
 use super::{ExecutorSession, ScheduledTask, WarmPool};
 
@@ -12,14 +10,14 @@ use super::{ExecutorSession, ScheduledTask, WarmPool};
 /// The enum and [`ExecutorConfig::causality`] survive only because the
 /// frozen `benchmark/` harness spells
 /// `ExecutorConfig { causality: CausalityMode::Causal, .. }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CausalityMode {
     /// No task starts before its batch's release floor.
     Causal,
 }
 
 /// Per-batch submission options for [`ExecutorSession::submit_owned`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubmitOptions {
     /// The simulated time the decision that created this batch was made —
     /// the batch's *release floor*. `None` uses the session clock at
@@ -30,7 +28,7 @@ pub struct SubmitOptions {
 }
 
 /// Executor options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
     /// Keep ML models resident in per-node [`WarmPool`]s across tasks
     /// (paper §5.2). When disabled every task with a positive cold-start

@@ -1,8 +1,6 @@
 //! What the engine reports: per-batch and cumulative [`CampaignReport`]s and
 //! the per-task [`ScheduledTask`] rows.
 
-use serde::{Deserialize, Serialize};
-
 #[cfg(doc)]
 use super::{ExecutorConfig, ExecutorSession, SubmitOptions};
 use crate::profiler::GpuTrace;
@@ -14,7 +12,7 @@ use crate::task::{GroupRole, SlotKind};
 /// wave. Only tasks carrying a [`Task::group`] are attributed to a stage;
 /// ungrouped tasks contribute to the report's totals but not to this
 /// breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTiming {
     /// Slot-busy seconds summed over the stage's tasks (compute, stage-in,
     /// locality re-fetches, and cold starts included).
@@ -28,7 +26,7 @@ pub struct StageTiming {
 /// Per-stage timing breakdown of a campaign, keyed by [`GroupRole`]. This is
 /// what the resource-scaling controller consumes as its per-wave stage
 /// samples when it is driven from simulated time instead of wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
     /// Tasks whose group role is [`GroupRole::Extract`].
     pub extract: StageTiming,
@@ -57,7 +55,7 @@ impl StageTimings {
 }
 
 /// Warm-pool counters of one model kind over a batch or campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ModelWarmStats {
     /// The model key (the scheduled tasks' [`Task::label`]).
     pub model: String,
@@ -72,7 +70,7 @@ pub struct ModelWarmStats {
 /// [`ExecutorSession`] — drain reports carry batch-local sums, with
 /// [`makespan_seconds`](Self::makespan_seconds) as the absolute simulated
 /// time of the batch's last completion).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignReport {
     /// Number of tasks that ran.
     pub tasks_completed: usize,
@@ -170,7 +168,7 @@ impl CampaignReport {
 /// order. This is the ground truth dependency tests assert against: a
 /// task's [`start_seconds`](Self::start_seconds) is never earlier than any
 /// of its dependencies' [`finish_seconds`](Self::finish_seconds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledTask {
     /// The task's id.
     pub id: u64,

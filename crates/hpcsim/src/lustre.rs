@@ -8,14 +8,12 @@
 //! shared by all concurrent readers, and a per-file metadata cost that
 //! node-local staging amortizes away.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate read bandwidth of the filesystem in MiB/s (Eagle: ~650 GB/s),
 /// shared fairly by every concurrent reader.
 const AGGREGATE_BANDWIDTH_MB_S: f64 = 650_000.0;
 
 /// Parameters of the shared filesystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LustreModel {
     /// Maximum bandwidth a single node can draw in MiB/s (2×25 GB/s NICs,
     /// realistically a few GiB/s of file traffic).

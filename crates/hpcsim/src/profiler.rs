@@ -1,9 +1,7 @@
 //! GPU-utilization traces (the Nsight-style view of the paper's Figure 4).
 
-use serde::{Deserialize, Serialize};
-
 /// Busy intervals recorded per GPU during a campaign.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GpuTrace {
     /// `intervals[g]` holds `(start, end, is_model_load)` busy spans of GPU `g`.
     intervals: Vec<Vec<(f64, f64, bool)>>,

@@ -1,7 +1,5 @@
 //! An inline list for the zero- and one-element cases.
 
-use serde::{Deserialize, Serialize};
-
 /// A list that heap-allocates only from its second element on.
 ///
 /// In a campaign DAG almost every task has at most one dependency (a
@@ -77,9 +75,6 @@ impl<T: PartialEq> PartialEq for SmallList<T> {
         self.as_slice() == other.as_slice()
     }
 }
-
-impl<T: Serialize> Serialize for SmallList<T> {}
-impl<'de, T: Deserialize<'de>> Deserialize<'de> for SmallList<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,9 @@
 //! Task and cluster descriptions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::smalllist::SmallList;
 
 /// The kind of worker slot a task needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotKind {
     /// A CPU-core worker.
     Cpu,
@@ -16,7 +14,7 @@ pub enum SlotKind {
 /// The pipeline stage a grouped task belongs to, used to attribute its busy
 /// time in the executor's per-stage timing breakdown
 /// ([`crate::StageTimings`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GroupRole {
     /// The cheap extraction half of a document's task pair.
     Extract,
@@ -34,7 +32,7 @@ pub enum GroupRole {
 /// extract+parse pair: `TaskGroup { id: doc_id, role: Extract }` on the
 /// extraction task and `TaskGroup { id: doc_id, role: Parse }` on the parse
 /// task of the same document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskGroup {
     /// Shared identifier of the pair (typically the document id).
     pub id: u64,
@@ -44,7 +42,7 @@ pub struct TaskGroup {
 
 /// One schedulable parsing task (typically: parse one document, or one batch
 /// of documents, with a particular parser).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Caller-assigned identifier.
     pub id: u64,
@@ -191,7 +189,7 @@ impl Task {
 }
 
 /// Shape of the cluster running the campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Number of nodes.
     pub nodes: usize,

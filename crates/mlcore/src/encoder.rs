@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::features::{fnv, HashedNgramFeaturizer, FNV_OFFSET};
 use crate::matrix::l2_normalize;
 
 /// Which pretrained encoder a [`PretrainedEncoder`] emulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncoderProfile {
     /// SciBERT: scientific-text pretraining, the paper's CLS III choice.
     SciBert,

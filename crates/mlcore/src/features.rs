@@ -18,12 +18,10 @@
 //! masked to the width when the width is a power of two and reduced modulo
 //! the width otherwise — the same bucket, without a divide.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::l2_normalize;
 
 /// Featurizer turning text into a fixed-dimensional hashed n-gram vector.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashedNgramFeaturizer {
     dim: usize,
     use_char_trigrams: bool,

@@ -1,14 +1,12 @@
 //! Linear models: multi-output regression, logistic regression, linear SVC.
 
-use serde::{Deserialize, Serialize};
-
 use crate::matrix::{dot, sigmoid};
 
 /// Multi-output linear regression trained by full-batch gradient descent on
 /// the mean squared error with an L2 penalty on the weights. This is the
 /// trainable "head" placed on top of a frozen encoder: in the paper's terms,
 /// the supervised fine-tuning stage that predicts per-parser BLEU from text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     /// Weight matrix flattened row-major: `outputs × inputs`.
     weights: Vec<f64>,
@@ -127,7 +125,7 @@ fn symmetric_matvec(out: &mut [f64], gram: &[f64], v: &[f64]) {
 }
 
 /// Binary logistic regression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
@@ -185,7 +183,7 @@ impl LogisticRegression {
 
 /// Multi-class linear support vector classifier (one-vs-rest, hinge loss).
 /// This is the paper's CLS I / CLS II metadata baseline ("SVC").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvc {
     weights: Vec<f64>,
     bias: Vec<f64>,

@@ -3,10 +3,9 @@
 //! (`tests/encoder_equivalence.rs`).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Row-major dense matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,12 +7,10 @@
 //! parsers additionally pay a large one-time model-load cost (≈15 s), which
 //! is why the warm-start optimization in §5.2 matters.
 
-use serde::{Deserialize, Serialize};
-
 use crate::traits::ParserKind;
 
 /// Resources consumed by a parse (or estimated for one).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceCost {
     /// CPU-core seconds.
     pub cpu_seconds: f64,
@@ -80,7 +78,7 @@ pub fn node_rate(cpu_seconds: f64, gpu_seconds: f64) -> f64 {
 pub const PLANNING_DIFFICULTY: f64 = 0.3;
 
 /// Per-parser cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Which parser this model describes.
     pub parser: ParserKind,

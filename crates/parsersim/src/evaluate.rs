@@ -9,13 +9,12 @@ use docmodel::spdf::{write_document, SpdfIndex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use textmetrics::{QualityReport, ReferenceText};
 
 use crate::traits::{ParseOutput, ParserKind};
 
 /// One parser's scored output on one document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParserEvaluation {
     /// Which parser ran.
     pub kind: ParserKind,
@@ -27,7 +26,7 @@ pub struct ParserEvaluation {
 
 /// All parsers' scored outputs on one document, plus the cheap first-page
 /// extraction the selector conditions on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DocumentEvaluation {
     /// Which document was evaluated.
     pub doc_id: DocId,

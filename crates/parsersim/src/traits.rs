@@ -3,7 +3,6 @@
 
 use docmodel::spdf::{SpdfError, SpdfFile, SpdfIndex, SpdfPage};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::{CostModel, ResourceCost};
 use crate::{grobid, marker, nougat, pymupdf, pypdf, tesseract};
@@ -13,7 +12,7 @@ use crate::{grobid, marker, nougat, pymupdf, pypdf, tesseract};
 /// Parsers hold no state: a parse is deterministic given the input and the
 /// caller's RNG, which models the run-to-run variation of real OCR/ViT
 /// inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ParserKind {
     /// MuPDF-based text extraction (the fast default).
     PyMuPdf,
@@ -154,7 +153,7 @@ impl From<SpdfError> for ParseError {
 }
 
 /// The result of parsing one document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParseOutput {
     /// Which parser produced the output.
     pub parser: ParserKind,

@@ -2,14 +2,13 @@
 
 use parsersim::evaluate::DocumentEvaluation;
 use parsersim::ParserKind;
-use serde::{Deserialize, Serialize};
 use textmetrics::stats::{correlation_p_value, pearson};
 use textmetrics::winrate::{PreferenceOutcome, WinRateTable};
 
 use crate::study::PreferenceStudy;
 
 /// Summary statistics of a preference study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudyAnalysis {
     /// Normalized win rate per parser, `(name, rate)`.
     pub win_rates: Vec<(String, f64)>,

@@ -3,11 +3,10 @@
 use docmodel::metadata::Domain;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use textmetrics::winrate::PreferenceOutcome;
 
 /// One simulated scientist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Annotator {
     /// Annotator identifier.
     pub id: usize,
@@ -61,7 +60,7 @@ impl Annotator {
 }
 
 /// The pool of simulated scientists.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotatorPool {
     annotators: Vec<Annotator>,
 }

@@ -4,13 +4,12 @@ use parsersim::evaluate::DocumentEvaluation;
 use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use textmetrics::winrate::PreferenceOutcome;
 
 use crate::annotator::AnnotatorPool;
 
 /// Configuration of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyConfig {
     /// Number of annotators (the paper engaged 23).
     pub annotators: usize,
@@ -30,7 +29,7 @@ impl Default for StudyConfig {
 }
 
 /// One collected preference judgement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreferenceRecord {
     /// Document the page came from.
     pub doc_id: u64,
@@ -59,7 +58,7 @@ impl PreferenceRecord {
 }
 
 /// The collected study with train/validation/test splits over records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreferenceStudy {
     records: Vec<PreferenceRecord>,
     train_len: usize,

@@ -14,10 +14,9 @@ use docmodel::document::Document;
 use docmodel::textlayer::{TextLayer, TextLayerQuality};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by the augmentation passes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AugmentConfig {
     /// Fraction of documents to augment (the paper uses 0.15).
     pub fraction: f64,
@@ -119,7 +118,7 @@ mod tests {
         for &i in &touched {
             assert!(matches!(docs[i].text_layer.quality, TextLayerQuality::OcrGenerated { .. }));
             // Ground truth is untouched by text-layer replacement.
-            assert!(docs[i].word_count() > 0);
+            assert!(docs[i].ground_truth().split_whitespace().count() > 0);
         }
     }
 

@@ -15,12 +15,11 @@ use docmodel::document::{DocId, Document};
 use docmodel::metadata::DocCategory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::generator::{DocumentGenerator, GeneratorConfig};
 
 /// A weighted mixture over document categories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryMix {
     /// `(category, weight)` pairs; weights must be finite and non-negative
     /// with a positive finite sum, and are normalized at sampling time.

@@ -4,12 +4,11 @@ use docmodel::document::Document;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::generator::{DocumentGenerator, GeneratorConfig};
 
 /// Sizes of a train/validation/test split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitSizes {
     /// Number of training documents.
     pub train: usize,

@@ -6,11 +6,10 @@
 //! the document is routed straight to the high-quality parser without
 //! spending any model inference on it.
 
-use serde::{Deserialize, Serialize};
 use textmetrics::tokenize::TextCounts;
 
 /// Decision produced by CLS I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cls1Decision {
     /// The extraction looks like real text; later stages may still improve it.
     Valid,
@@ -19,7 +18,7 @@ pub enum Cls1Decision {
 }
 
 /// Thresholds of the rule-based validator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidityRules {
     /// Minimum number of word tokens per page.
     pub min_words_per_page: f64,

@@ -6,7 +6,6 @@
 //! label from metadata (authoring tool, year, number of pages, publisher).
 
 use mlcore::linear::LogisticRegression;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::AccuracySample;
 
@@ -15,7 +14,7 @@ use crate::dataset::AccuracySample;
 pub const DEFAULT_IMPROVEMENT_THRESHOLD: f64 = 0.05;
 
 /// Metadata-driven binary classifier: "is an improvement likely?".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImprovementClassifier {
     model: LogisticRegression,
 }

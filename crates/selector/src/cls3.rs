@@ -9,7 +9,6 @@
 use mlcore::encoder::{EncoderProfile, PretrainedEncoder};
 use mlcore::linear::LinearRegression;
 use parsersim::ParserKind;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::{first_page_texts, AccuracySample};
 
@@ -18,7 +17,7 @@ use crate::dataset::{first_page_texts, AccuracySample};
 /// Nothing trains on it: CLS III is a regression head alone. The type stays
 /// because `adaparse::AdaParseEngine::train` still takes, and ignores, a
 /// slice of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParserPreference {
     /// Parser whose output was preferred.
     pub preferred: ParserKind,

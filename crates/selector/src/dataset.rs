@@ -9,10 +9,9 @@
 use docmodel::document::Document;
 use parsersim::evaluate::{label_corpus, DocumentEvaluation, DocumentLabel};
 use parsersim::ParserKind;
-use serde::{Deserialize, Serialize};
 
 /// One training/evaluation sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracySample {
     /// Document identifier.
     pub doc_id: u64,
@@ -63,7 +62,7 @@ pub(crate) fn first_page_texts(samples: &[AccuracySample]) -> Vec<&str> {
 }
 
 /// A dataset of [`AccuracySample`]s with a train/test split boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyDataset {
     samples: Vec<AccuracySample>,
     train_len: usize,

@@ -14,13 +14,12 @@ use parsersim::evaluate::DocumentEvaluation;
 use parsersim::ParserKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cls3::AccuracyPredictor;
 use crate::dataset::{first_page_texts, AccuracyDataset, AccuracySample};
 
 /// One row of Table 4: achieved quality of a prediction model's selections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Model name as printed in the table.
     pub name: String,
@@ -35,7 +34,7 @@ pub struct Table4Row {
 }
 
 /// A Table 4 model variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelZooEntry {
     /// CLS III: SciBERT text regression.
     TextSciBert,

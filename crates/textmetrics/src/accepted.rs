@@ -14,7 +14,7 @@
 pub const DEFAULT_ACCEPTANCE_THRESHOLD: f64 = 0.30;
 
 /// Accumulator for the accepted-token rate over a document collection.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AcceptedTokens {
     /// Number of tokens in documents whose score cleared the threshold.
     pub accepted: u64,

@@ -47,7 +47,7 @@ pub use winrate::{PreferenceOutcome, WinRateTable};
 ///
 /// All values are fractions in `[0, 1]`; the bench harness multiplies by 100
 /// to report percentages like the paper.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityReport {
     /// Smoothed BLEU-4 of the candidate against the reference.
     pub bleu: f64,

@@ -7,7 +7,7 @@
 use crate::tokenize::{intern_pair, Vocab};
 
 /// Precision / recall / F1 triple produced by ROUGE-L.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RougeScore {
     /// Fraction of candidate units that appear in the reference.
     pub precision: f64,

@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 /// Outcome of showing a user one pair of parser outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreferenceOutcome {
     /// The first parser's output was preferred.
     FirstWins,
