@@ -139,6 +139,56 @@ impl NgramIndex {
         }
         matches
     }
+
+    /// Occurrences of each id of `order` in the reference.
+    fn counts(&self, order: usize) -> &[u32] {
+        &self.orders[order - 1].counts
+    }
+
+    /// Id of the `order`-gram made of the `order − 1`-gram `prefix` and
+    /// `token`, [`UNKNOWN`] if the reference lacks it.
+    fn id_of(&self, order: usize, prefix: u32, token: u32) -> u32 {
+        self.orders[order - 1].ids.get(&pair_key(prefix, token)).copied().unwrap_or(UNKNOWN)
+    }
+}
+
+/// What [`ngram_profile`] reports for one order.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OrderProfile {
+    /// Occurrences in the reference of each id, ids numbered in order of
+    /// first occurrence.
+    pub counts: Vec<u32>,
+    /// Id of each candidate window, `u32::MAX` where the reference lacks it.
+    pub window_ids: Vec<u32>,
+    /// Number of the reference's windows.
+    pub total: usize,
+    /// Clipped matches between the two.
+    pub matched: usize,
+}
+
+/// The index of `reference` up to `max_order` seen from `candidate`, one
+/// [`OrderProfile`] per order from 1. Public, but not part of the API, for
+/// the oracle in `tests/kernel_equivalence.rs`.
+#[doc(hidden)]
+pub fn ngram_profile(reference: &[u32], candidate: &[u32], max_order: usize) -> Vec<OrderProfile> {
+    let index = NgramIndex::new(reference, max_order);
+    let unigrams = index.counts(1).len();
+    let mut window_ids: Vec<u32> =
+        candidate.iter().map(|&token| if (token as usize) < unigrams { token } else { UNKNOWN }).collect();
+    (1..=max_order)
+        .zip(index.clipped_matches(candidate))
+        .map(|(order, matched)| {
+            if order > 1 {
+                window_ids.truncate(ngram_total(candidate.len(), order));
+                for (id, &token) in window_ids.iter_mut().zip(candidate.iter().skip(order - 1)) {
+                    *id = if *id == UNKNOWN { UNKNOWN } else { index.id_of(order, *id, token) };
+                }
+            }
+            let counts = index.counts(order).to_vec();
+            OrderProfile { counts, window_ids: window_ids.clone(), total: index.total(order), matched }
+        })
+        .collect()
 }
 
 #[cfg(test)]

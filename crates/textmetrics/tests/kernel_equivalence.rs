@@ -14,6 +14,7 @@ use textmetrics::levenshtein::{
     char_accuracy_rate, diagonal_distance, distance_in_band, edit_distance_banded, edit_distance_chars,
     BANDED_THRESHOLD,
 };
+use textmetrics::ngram::{ngram_profile, OrderProfile};
 use textmetrics::rouge::{lcs_length, rouge_l, ROUGE_L_MAX_TOKENS};
 use textmetrics::{QualityReport, ReferenceText};
 
@@ -969,6 +970,275 @@ fn hostile_shapes_score_inside_the_unit_interval() {
                 );
             }
             assert_eq!(report.car.to_bits(), reference::char_accuracy_rate(candidate, reference).to_bits());
+        }
+    }
+}
+
+/// BLEU's n-gram index as it shipped with one `HashMap` per order, copied
+/// verbatim (the test-only accessors at the end aside): the oracle for the
+/// ids, counts, totals and clipped matches of whatever replaces it.
+mod hashmap_chain {
+    use std::collections::HashMap;
+    use std::hash::{BuildHasherDefault, Hasher};
+
+    /// Id of an n-gram the reference does not contain.
+    pub const UNKNOWN: u32 = u32::MAX;
+
+    /// Multiply-rotate hash of the one `u64` a [`PairTable`] key writes. The
+    /// keys are pairs of dense ids this module assigned, not input bytes, and
+    /// the multiplication's well-mixed high bits are rotated down to where the
+    /// table takes its bucket index from.
+    #[derive(Default)]
+    struct PairHasher(u64);
+
+    impl Hasher for PairHasher {
+        fn write(&mut self, _: &[u8]) {
+            unreachable!("a pair table hashes u64 keys only");
+        }
+
+        fn write_u64(&mut self, key: u64) {
+            self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+        }
+
+        fn finish(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// (id of a window's prefix, the window's last token) → id of the window.
+    type PairTable = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
+
+    fn pair_key(prefix: u32, token: u32) -> u64 {
+        u64::from(prefix) << 32 | u64::from(token)
+    }
+
+    /// Number of `order`-long windows in a sequence of `len` tokens.
+    pub fn ngram_total(len: usize, order: usize) -> usize {
+        (len + 1).saturating_sub(order)
+    }
+
+    /// The n-grams of one order in the reference.
+    #[derive(Debug, Clone, Default)]
+    struct Order {
+        /// Empty for order 1, whose ids are the token ids.
+        ids: PairTable,
+        /// Occurrences of each id.
+        counts: Vec<u32>,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct NgramIndex {
+        len: usize,
+        orders: Vec<Order>,
+    }
+
+    impl NgramIndex {
+        pub fn new(reference: &[u32], max_order: usize) -> Self {
+            assert!(max_order > 0, "n-gram order must be positive");
+            let mut orders = Vec::with_capacity(max_order);
+            let mut unigrams = Order::default();
+            unigrams.counts.resize(reference.iter().max().map_or(0, |&id| id as usize + 1), 0);
+            reference.iter().for_each(|&id| unigrams.counts[id as usize] += 1);
+            orders.push(unigrams);
+            // Ids of the current order's windows, by start position.
+            let mut window_ids = reference.to_vec();
+            for order in 2..=max_order {
+                window_ids.truncate(ngram_total(reference.len(), order));
+                let mut next = Order::default();
+                next.ids.reserve(window_ids.len());
+                for (id, &token) in window_ids.iter_mut().zip(reference.iter().skip(order - 1)) {
+                    let fresh = next.counts.len() as u32;
+                    *id = *next.ids.entry(pair_key(*id, token)).or_insert(fresh);
+                    match next.counts.get_mut(*id as usize) {
+                        Some(count) => *count += 1,
+                        None => next.counts.push(1),
+                    }
+                }
+                orders.push(next);
+            }
+            NgramIndex { len: reference.len(), orders }
+        }
+
+        pub fn total(&self, order: usize) -> usize {
+            ngram_total(self.len, order)
+        }
+
+        pub fn clipped_matches(&self, candidate: &[u32]) -> Vec<usize> {
+            let mut window_ids = candidate.to_vec();
+            let mut seen = Vec::new();
+            let mut matches = Vec::with_capacity(self.orders.len());
+            for (order, reference) in (1..).zip(&self.orders) {
+                if order > 1 {
+                    window_ids.truncate(ngram_total(candidate.len(), order));
+                    for (id, &token) in window_ids.iter_mut().zip(candidate.iter().skip(order - 1)) {
+                        // The first test spares most unknown windows the lookup.
+                        if *id != UNKNOWN {
+                            *id = reference.ids.get(&pair_key(*id, token)).copied().unwrap_or(UNKNOWN);
+                        }
+                    }
+                }
+                seen.clear();
+                seen.resize(reference.counts.len(), 0u32);
+                let mut matched = 0;
+                for &id in &window_ids {
+                    // No slot: unknown to the reference.
+                    if let Some(seen) = seen.get_mut(id as usize) {
+                        *seen += 1;
+                        matched += usize::from(*seen <= reference.counts[id as usize]);
+                    }
+                }
+                matches.push(matched);
+            }
+            matches
+        }
+
+        // Test-only accessors.
+
+        pub fn counts(&self, order: usize) -> &[u32] {
+            &self.orders[order - 1].counts
+        }
+
+        pub fn id_of(&self, order: usize, prefix: u32, token: u32) -> u32 {
+            self.orders[order - 1].ids.get(&pair_key(prefix, token)).copied().unwrap_or(UNKNOWN)
+        }
+    }
+}
+
+/// The oracle's view of `reference`'s index from `candidate`, in the shape
+/// of [`ngram_profile`].
+fn oracle_ngram_profile(reference: &[u32], candidate: &[u32], max_order: usize) -> Vec<OrderProfile> {
+    use hashmap_chain::{ngram_total, NgramIndex, UNKNOWN};
+    let index = NgramIndex::new(reference, max_order);
+    let unigrams = index.counts(1).len();
+    let mut window_ids: Vec<u32> =
+        candidate.iter().map(|&token| if (token as usize) < unigrams { token } else { UNKNOWN }).collect();
+    let matches = index.clipped_matches(candidate);
+    let mut profile = Vec::new();
+    for order in 1..=max_order {
+        if order > 1 {
+            window_ids.truncate(ngram_total(candidate.len(), order));
+            for (i, id) in window_ids.iter_mut().enumerate() {
+                if *id != UNKNOWN {
+                    *id = index.id_of(order, *id, candidate[i + order - 1]);
+                }
+            }
+        }
+        profile.push(OrderProfile {
+            counts: index.counts(order).to_vec(),
+            window_ids: window_ids.clone(),
+            total: index.total(order),
+            matched: matches[order - 1],
+        });
+    }
+    profile
+}
+
+/// Token ids from an alphabet of `alphabet` ids, with every id at or above
+/// `known` turned into the id of a token the reference never saw.
+fn id_sequence(rng: &mut Rng, len: usize, alphabet: usize, known: usize) -> Vec<u32> {
+    (0..len)
+        .map(|_| match rng.below(alphabet) {
+            id if id < known => id as u32,
+            _ => u32::MAX,
+        })
+        .collect()
+}
+
+#[test]
+fn the_ngram_index_matches_the_hashmap_chain_on_fixed_shapes() {
+    // Repeats clipped from either side, unknown tokens at every position of
+    // a window, and sequences shorter than the order on either side.
+    let (a, b, c, d, x) = (0, 1, 2, 3, u32::MAX);
+    let reference = [a, b, a, b, c, a, b, a, b, d, a, b, a, b];
+    let shapes: [&[u32]; 12] = [
+        &[a, b, a, b, a, b, a, b, a, b, a, b],
+        &[a, b],
+        &[a, a, a, a, a, a],
+        &[x, x, x, x],
+        &[x, b, a, b],
+        &[a, x, a, b],
+        &[a, b, x, b],
+        &[a, b, a, x],
+        &[a, b, c, a, x, b, a, b, d],
+        &[],
+        &[a],
+        &[c, a, b],
+    ];
+    for candidate in shapes {
+        for refr in [&reference[..], &[a, b, a], &[a], &[], &[d, d, d, d, d]] {
+            for max_order in 1..=5 {
+                assert_eq!(
+                    ngram_profile(refr, candidate, max_order),
+                    oracle_ngram_profile(refr, candidate, max_order),
+                    "reference = {refr:?}, candidate = {candidate:?}, order = {max_order}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Ids numbered in order of first occurrence, counts, totals and clipped
+    // matches per order, on references of up to 300 tokens over alphabets
+    // of 2 to 64 ids (long repeats at the small end, nearly all distinct
+    // n-grams at the large one) and candidates with unknown tokens.
+    #[test]
+    fn the_ngram_index_matches_the_hashmap_chain(
+        shape in (0u64..u64::MAX, 0usize..301, 0usize..301),
+        alphabet in 2usize..65,
+        unknown_share in 0usize..4,
+    ) {
+        let (seed, ref_len, cand_len) = shape;
+        let mut rng = Rng(seed | 1);
+        let reference = id_sequence(&mut rng, ref_len, alphabet, alphabet);
+        // One id in `1 + unknown_share` of the candidate's alphabet is unknown.
+        let known = alphabet * 4 / (4 + unknown_share);
+        let candidate = id_sequence(&mut rng, cand_len, alphabet, known.max(1));
+        // A near copy of the reference too, with a few tokens unknown.
+        let mut near = reference.clone();
+        for _ in 0..=ref_len / 20 {
+            if let Some(at) = (!near.is_empty()).then(|| rng.below(near.len())) {
+                near[at] = u32::MAX;
+            }
+        }
+        for candidate in [&candidate, &near] {
+            prop_assert_eq!(ngram_profile(&reference, candidate, 4), oracle_ngram_profile(&reference, candidate, 4));
+        }
+    }
+
+    // Distances exactly at and one over `gap + s` for `s` at every power of
+    // two up to 256 — each threshold a deepening schedule over the length
+    // gap could stop at — with the cheapest alignment on the main
+    // diagonals or `detour` off them, for gaps 0, 1, 63, 64 and 65, from
+    // both sides and through the band at and around the distance.
+    #[test]
+    fn distances_are_exact_at_every_deepening_boundary(
+        shape in (0u64..u64::MAX, 0usize..5, 0usize..9),
+        over in 0usize..2,
+        split in (0usize..3, 0usize..2),
+        body in 300usize..700,
+    ) {
+        let (seed, gap_index, power) = shape;
+        let gap = [0usize, 1, 63, 64, 65][gap_index];
+        let excess = (1usize << power) + over; // d − gap: at the threshold, then one over
+        // All of it as substitutions, as far a detour as it allows, or half and half.
+        let detour = match split.0 { 0 => 0, 1 => excess / 2, _ => excess / 4 };
+        let substitutions = excess - 2 * detour;
+        let mut rng = Rng(seed | 1);
+        let alphabet = &alphabets()[1 + split.1];
+        let (pattern, text) = detour_pair(&mut rng, alphabet, body, gap, detour, substitutions, split.1 == 0);
+        let exact = gap + excess;
+        prop_assert_eq!(reference::edit_distance_chars(&pattern, &text), exact);
+        prop_assert_eq!(edit_distance_chars(&pattern, &text), exact);
+        prop_assert_eq!(edit_distance_chars(&text, &pattern), exact);
+        for t in [exact - 1, exact] {
+            let settled = (exact <= t).then_some(exact);
+            prop_assert_eq!(diagonal_distance(&pattern, &text, t), settled);
+        }
+        for band in [gap, exact - 1, exact, exact + 1] {
+            assert_banded_matches(&pattern, &text, band);
         }
     }
 }
