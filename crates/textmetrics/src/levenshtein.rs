@@ -10,31 +10,32 @@
 //! to a machine word, and a pass over the longer text advances the blocks of
 //! a diagonal band only.
 //!
-//! A pair's cost follows how much its texts differ, not how long they are:
-//! both distances climb the same threshold rungs, `t = g + 64, 4t, …` for a
-//! length gap `g`. An alignment of cost at most `t` leaves the main diagonal
-//! by at most `p = (t − g) / 2` on the shorter text's side and `g + p` on the
-//! other (Ukkonen 1985) — going further and coming back to the last cell
-//! costs more than `t` in insertions and deletions alone — so a rung is the
-//! band of exactly those diagonals. Its result `r` is the cost of a real
-//! alignment, hence no less than the distance; if `r ≤ t` the cheapest
-//! alignment was inside the band and `r` is the distance. The first such
-//! result is returned. [`edit_distance_chars`] scores inputs up to
-//! [`BANDED_THRESHOLD`] and ends, when no rung cheap enough settles the
-//! pair, in the whole table (`|a|·|b|/64` word steps);
-//! [`edit_distance_banded`] scores the longer ones, stops its rungs at
-//! `band` and ends in the symmetric band that defines it. A rung is tried
-//! only while it and the rungs before it cost no more than the pass they
-//! lead to, so the worst pair costs at most twice what that pass alone
-//! would.
+//! A pair's cost follows how much its texts differ, not how long they are.
+//! Both distances try thresholds `t = g, g + 1, g + 2, g + 4, …` for a length
+//! gap `g`, the excess over the gap doubling each time, and return the
+//! first result within its threshold. Each threshold is tried with the
+//! cheaper of two exact passes, judged by their worst cases:
 //!
-//! Most scored pairs lie within the first rung, and its bit-parallel pass is
-//! latency-bound: each block waits for the one above it. So a
-//! diagonal-transition pass (Ukkonen 1985, Landau–Vishkin 1989) takes the
-//! first rung's place whenever its state bound is below the rung's word
-//! steps. It settles exactly the pairs the rung settles, with the same
-//! distance, in time that follows the distance rather than the length; a
-//! pair it does not settle resumes at the second rung.
+//! * a diagonal-transition pass (Ukkonen 1985, Landau–Vishkin 1989), which
+//!   returns the distance exactly when it is at most `t`, in at most `(t −
+//!   g + 1)(t + 1)` states: cheap when the texts differ by little beyond
+//!   their gap, the common case;
+//! * the band of the diagonals an alignment of cost at most `t` can use:
+//!   it leaves the main diagonal by at most `p = (t − g) / 2` on the shorter
+//!   text's side and `g + p` on the other (Ukkonen 1985) — going further
+//!   and coming back to the last cell costs more than `t` in insertions and
+//!   deletions alone. Its result `r` is the cost of a real alignment, hence
+//!   no less than the distance; if `r ≤ t` the cheapest alignment was inside
+//!   the band and `r` is the distance.
+//!
+//! Since every pass is exact below its threshold, the schedule moves no
+//! result. [`edit_distance_chars`] scores inputs up to [`BANDED_THRESHOLD`]
+//! and ends, when no threshold cheap enough settles the pair, in the whole
+//! table (`|a|·|b|/64` word steps); [`edit_distance_banded`] scores the
+//! longer ones, stops its thresholds at `band` and ends in the symmetric
+//! band that defines it. Passes are tried only while they together cost no
+//! more than the pass they lead to, so the worst pair costs at most twice
+//! what that pass alone would.
 
 use std::collections::HashMap;
 
@@ -123,10 +124,9 @@ fn advance_block(pv: &mut u64, mv: &mut u64, eq: u64, above: (u64, u64)) -> (u64
 /// written as the top bit of a block above it.
 const ENTER: (u64, u64) = (1 << (WORD - 1), 0);
 
-/// Edits beyond the length gap (which every alignment pays) that the first
-/// threshold allows, and the factor from one threshold to the next.
-const FIRST_RUNG: usize = 64;
-const RUNG_RATIO: usize = 4;
+/// Edits beyond the length gap (which every alignment pays) that the
+/// thresholds allow: none, one, then `DEEPENING` times the one before.
+const DEEPENING: usize = 2;
 
 /// Rows (1-based) of column `j` on the diagonals from `up` above the main
 /// one to `down` below it, for a pattern of `m` rows.
@@ -140,24 +140,48 @@ fn band_words(up: usize, down: usize) -> usize {
     (up + down) / WORD + 2
 }
 
-/// The threshold schedule of both distances (see the module documentation),
-/// as `(t, up, down)`: thresholds start at `gap + FIRST_RUNG`, grow by
-/// `RUNG_RATIO` and end at `cap`, and a rung of threshold `t` spans the
-/// diagonals from `up = gap + p` to `down = p`, `p = (t − gap) / 2`.
+/// The thresholds of both distances (see the module documentation): `gap`,
+/// `gap + 1`, then each `DEEPENING` times further above the gap, ending at
+/// `cap` (not below `gap`).
+fn thresholds(gap: usize, cap: usize) -> impl Iterator<Item = usize> {
+    let excess = std::iter::successors(Some(0usize), |&s| Some((s * DEEPENING).max(1)));
+    excess.map(move |s| gap.saturating_add(s).min(cap)).scan(false, move |ended, t| {
+        (!*ended).then(|| {
+            *ended = t == cap;
+            t
+        })
+    })
+}
+
+/// A pass [`settle`] tries at one threshold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// [`diagonal_distance`].
+    Diagonal,
+    /// [`Pair::distance_in_band`] on the diagonals from `up` above the main
+    /// one to `down` below it.
+    Band { up: usize, down: usize },
+}
+
+/// The passes both distances try, as `(t, pass)`, one per threshold `t`
+/// ([`thresholds`]) of a text of `n` characters: the diagonal pass where
+/// its state bound `(t − gap + 1)(t + 1)` is below the `n ·` [`band_words`]
+/// word steps of the band of threshold `t`, which spans the diagonals from
+/// `up = gap + p` to `down = p`, `p = (t − gap) / 2`; that band elsewhere.
 ///
-/// A rung is worth trying only while it and the rungs before it together
-/// cost no more than the `final_words` word steps per column of the pass
-/// that follows when every rung fails, which bounds the worst pair at twice
-/// that pass.
-fn rungs(gap: usize, cap: usize, final_words: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    let first = (gap + FIRST_RUNG).min(cap);
-    let thresholds = std::iter::successors(Some(first), move |&t| {
-        (t < cap).then(|| t.saturating_mul(RUNG_RATIO).min(cap))
-    });
-    let mut spent = 0;
-    thresholds.map(move |t| (t, gap + (t - gap) / 2, (t - gap) / 2)).take_while(move |&(_, up, down)| {
-        spent += band_words(up, down);
-        spent <= final_words
+/// Passes are tried only while they together cost no more, in word steps
+/// (a diagonal pass at its bound), than the `n · final_words` of the pass
+/// that follows when none settles the pair, which bounds the worst pair at
+/// twice that pass.
+fn passes(gap: usize, n: usize, cap: usize, final_words: usize) -> impl Iterator<Item = (usize, Pass)> {
+    let mut spent = 0usize;
+    thresholds(gap, cap).map_while(move |t| {
+        let (up, down) = (gap + (t - gap) / 2, (t - gap) / 2);
+        let (states, steps) = ((t - gap + 1).saturating_mul(t + 1), n * band_words(up, down));
+        let (pass, cost) =
+            if states < steps { (Pass::Diagonal, states) } else { (Pass::Band { up, down }, steps) };
+        spent = spent.saturating_add(cost);
+        (spent <= n * final_words).then_some((t, pass))
     })
 }
 
@@ -297,13 +321,13 @@ impl<'a> Pair<'a> {
 /// Bit-parallel (Myers 1999, Hyyrö's block formulation): the shorter slice
 /// is the pattern, laid out down a column 64 rows to a word; every
 /// character of the longer one advances the column by one word step per
-/// block it visits. The threshold rungs (see the module documentation) visit
-/// the blocks of a narrow diagonal band first: a rung of threshold `t` costs
-/// `|text| · (t / 64 + 2)` word steps, the one that settles a pair `d` edits
-/// apart has `t < 4·d` unless it is the first, and the rungs before it add a
-/// third of its cost. The whole table's word steps are about twice as fast
-/// (two columns in flight, no band edges), so rungs are tried only within
-/// half of its `|text| · ⌈|pattern| / 64⌉`; a pair they do not settle gets the
+/// block it visits. The thresholds (see the module documentation) try the
+/// diagonal pass or a narrow diagonal band first: the band of threshold `t`
+/// costs `|text| · (t / 64 + 2)` word steps, and the passes before the one
+/// that settles a pair cost no more than it does. The whole table's word
+/// steps are about twice as fast (two columns in flight, no band edges), so
+/// passes are tried only within half of its `|text| · ⌈|pattern| / 64⌉`; a
+/// pair they do not settle gets the
 /// table. Returns the same integer as the textbook row recurrence (the test
 /// oracle in `tests/kernel_equivalence.rs`).
 ///
@@ -318,13 +342,15 @@ pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
     settle(pattern, text, text.len(), table_words / 2, Pair::distance_in_table)
 }
 
-/// Both distances after their first checks: the diagonal pass or the first
-/// rung, the rungs after it, and `last` when none settles the pair (see the
-/// module documentation). `pattern` is the shorter side and not empty.
+/// Both distances after their first checks: the [`passes`] in turn, the
+/// first result within its threshold, and `last` when none settles the
+/// pair (see the module documentation). `pattern` is the shorter side and
+/// not empty.
 ///
-/// The diagonal pass stands in for the first rung when its state bound is
-/// below the rung's word steps: it settles exactly the pairs the rung
-/// settles, with the same distance, so the rung is not run after it.
+/// Every pass is exact below its threshold: the diagonal pass returns the
+/// distance exactly when it is at most `t`, and a band pass's result `r ≤
+/// t` is the distance. So the order of the passes moves no result, only
+/// what a pair costs.
 fn settle<'a>(
     pattern: &[char],
     text: &'a [char],
@@ -333,22 +359,22 @@ fn settle<'a>(
     last: impl FnOnce(&mut Pair<'a>) -> usize,
 ) -> usize {
     let gap = text.len() - pattern.len();
-    let mut rungs = rungs(gap, cap, final_words).peekable();
-    if let Some(&(t, up, down)) = rungs.peek() {
-        if (t - gap + 1) * (t + 1) < text.len() * band_words(up, down) {
-            if let Some(distance) = diagonal_distance(pattern, text, t) {
-                return distance;
+    // The match masks are built only for the first pass that needs them.
+    let mut pair = None;
+    for (t, pass) in passes(gap, text.len(), cap, final_words) {
+        let distance = match pass {
+            Pass::Diagonal => diagonal_distance(pattern, text, t),
+            Pass::Band { up, down } => {
+                let distance =
+                    pair.get_or_insert_with(|| Pair::new(pattern, text)).distance_in_band(up, down);
+                (distance <= t).then_some(distance)
             }
-            rungs.next();
+        };
+        if let Some(distance) = distance {
+            return distance;
         }
     }
-    let mut pair = Pair::new(pattern, text);
-    rungs
-        .find_map(|(t, up, down)| {
-            let distance = pair.distance_in_band(up, down);
-            (distance <= t).then_some(distance)
-        })
-        .unwrap_or_else(|| last(&mut pair))
+    last(pair.get_or_insert_with(|| Pair::new(pattern, text)))
 }
 
 /// The distance of `pattern` and `text` (not shorter) if it is at most `t`
@@ -362,8 +388,8 @@ fn settle<'a>(
 /// that follow — and the distance is the first `d` whose front on the last
 /// cell's diagonal `gap` reaches row `|pattern|`. A diagonal is kept only
 /// while the `|k − gap|` edits left to reach that diagonal fit in `t`, which
-/// leaves the rung's diagonals, at most `t − gap + 1` of them, for each of
-/// the `t + 1` costs.
+/// leaves the diagonals of threshold `t`'s band, at most `t − gap + 1` of
+/// them, for each of the `t + 1` costs.
 ///
 /// Public, but not part of the API, for the oracle in
 /// `tests/kernel_equivalence.rs`.
@@ -417,19 +443,18 @@ fn common_prefix(a: &[char], b: &[char]) -> usize {
 /// length gap wider than the band admits no such alignment and returns
 /// `max(|a|, |b|)`.
 ///
-/// Bit-parallel like [`edit_distance_chars`] and on the same threshold
-/// rungs, capped at `band`. A rung of threshold `t ≤ band` lies inside the
-/// symmetric band, so its result is no less than the band's, which is no
-/// less than the exact distance; a result `r ≤ t` is the exact distance (see
-/// the module documentation), hence all three are equal and `r` is the value
-/// defined above, at a cost that follows `r` as it does for
-/// [`edit_distance_chars`]. A pair no rung settles — its exact distance
-/// exceeds `band`, or the last rungs were not worth trying — pays for the
-/// symmetric band itself, `|text| · (2·band/64 + 2)` word steps, after rungs
-/// that together cost no more than that: no pair costs over twice what the
-/// symmetric band alone would. Returns the same integer as the row
-/// recurrence with every cell outside the band at infinity (the test oracle
-/// in `tests/kernel_equivalence.rs`).
+/// Bit-parallel like [`edit_distance_chars`] and on the same thresholds,
+/// capped at `band`. A pass of threshold `t ≤ band` that settles the pair
+/// returns the exact distance `d ≤ t ≤ band` (see the module
+/// documentation), and the symmetric band's value is then `d` too, at a
+/// cost that follows `d` as it does for [`edit_distance_chars`]. A pair no
+/// threshold settles — its exact distance exceeds `band`, or the last
+/// passes were not worth trying — pays for the symmetric band itself,
+/// `|text| · (2·band/64 + 2)` word steps, after passes that together cost
+/// no more than that: no pair costs over twice what the symmetric band
+/// alone would. Returns the same integer as the row recurrence with every
+/// cell outside the band at infinity (the test oracle in
+/// `tests/kernel_equivalence.rs`).
 pub fn edit_distance_banded(a: &[char], b: &[char], band: usize) -> usize {
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if pattern.is_empty() || text.len() - pattern.len() > band {
@@ -548,32 +573,64 @@ mod tests {
         })
     }
 
+    /// What a pass costs in word steps, as [`passes`] charges it.
+    fn cost(t: usize, gap: usize, n: usize, pass: Pass) -> usize {
+        match pass {
+            Pass::Diagonal => (t - gap + 1) * (t + 1),
+            Pass::Band { up, down } => n * band_words(up, down),
+        }
+    }
+
     #[test]
     fn failed_rungs_never_cost_more_than_the_pass_they_lead_to() {
         for (m, gap, band) in schedule_grid() {
-            let table_words = m.div_ceil(WORD);
-            for (cap, final_words) in [(band, band_words(band, band)), (m + gap, table_words / 2)] {
+            let (n, table_words) = (m + gap, m.div_ceil(WORD));
+            for (cap, final_words) in [(band, band_words(band, band)), (n, table_words / 2)] {
                 let mut spent = 0;
                 let mut previous = None;
-                for (t, up, down) in rungs(gap, cap, final_words) {
-                    assert!(previous < Some(t) && t <= cap, "thresholds rise to the cap");
-                    // Wide enough for every alignment of cost t, inside the symmetric band of t.
-                    assert_eq!((up, down), (gap + (t - gap) / 2, (t - gap) / 2));
-                    assert!(up <= t && down <= t);
-                    spent += band_words(up, down);
+                for (t, pass) in passes(gap, n, cap, final_words) {
+                    assert!(previous < Some(t) && gap <= t && t <= cap, "thresholds rise to the cap");
+                    let (up, down) = (gap + (t - gap) / 2, (t - gap) / 2);
+                    let diagonal = (t - gap + 1) * (t + 1) < n * band_words(up, down);
+                    if diagonal {
+                        assert_eq!(pass, Pass::Diagonal, "the cheaper pass");
+                    } else {
+                        // Wide enough for every alignment of cost t, inside the symmetric band of t.
+                        assert_eq!(pass, Pass::Band { up, down });
+                        assert!(up <= t && down <= t);
+                    }
+                    spent += cost(t, gap, n, pass);
                     previous = Some(t);
                 }
-                assert!(spent <= final_words, "m = {m}, gap = {gap}, cap = {cap}: {spent} > {final_words}");
+                assert!(
+                    spent <= n * final_words,
+                    "m = {m}, gap = {gap}, cap = {cap}: {spent} > {final_words}"
+                );
             }
         }
     }
 
     #[test]
-    fn a_first_rung_pair_costs_an_eighth_of_the_symmetric_band() {
-        for (_, gap, band) in schedule_grid().filter(|&(_, gap, band)| gap < FIRST_RUNG && band >= 800) {
-            let (t, up, down) = rungs(gap, band, band_words(band, band)).next().expect("affordable");
-            assert_eq!(t, gap + FIRST_RUNG);
-            assert!(8 * band_words(up, down) <= band_words(band, band), "gap = {gap}, band = {band}");
+    fn thresholds_deepen_from_the_gap_to_the_cap() {
+        let listed: Vec<usize> = thresholds(10, 1_000).collect();
+        assert_eq!(listed, [10, 11, 12, 14, 18, 26, 42, 74, 138, 266, 522, 1_000]);
+        assert_eq!(thresholds(7, 7).collect::<Vec<_>>(), [7]);
+        assert_eq!(thresholds(0, 5).collect::<Vec<_>>(), [0, 1, 2, 4, 5]);
+    }
+
+    #[test]
+    fn a_first_rung_pair_costs_a_seventh_of_the_symmetric_band() {
+        // A pair at most 64 edits past its gap, in a text at least four
+        // bands long (CAR's band is a fifth of the reference).
+        let grid = schedule_grid().filter(|&(m, gap, band)| gap < 64 && band >= 800 && m + gap >= 4 * band);
+        for (m, gap, band) in grid {
+            let n = m + gap;
+            let final_words = band_words(band, band);
+            let settled: Vec<(usize, Pass)> =
+                passes(gap, n, band, final_words).take_while(|&(t, _)| t <= gap + 64).collect();
+            assert_eq!(settled.last().map(|&(t, _)| t), Some(gap + 64), "affordable");
+            let spent: usize = settled.iter().map(|&(t, pass)| cost(t, gap, n, pass)).sum();
+            assert!(7 * spent <= n * final_words, "gap = {gap}, band = {band}: {spent}");
         }
     }
 

@@ -94,7 +94,7 @@ impl ReferenceText {
     /// Normalize, tokenize and intern `reference` in one walk, and count its
     /// n-grams.
     pub fn new(reference: &str) -> Self {
-        let mut vocab = tokenize::Vocab::default();
+        let mut vocab = tokenize::Vocab::for_text(reference.len());
         let (chars, ids) = tokenize::chars_and_ids(reference, |token| vocab.intern_token(token));
         let ngrams = ngram::NgramIndex::new(&ids, bleu::MAX_ORDER);
         ReferenceText { chars, vocab, ids, ngrams }

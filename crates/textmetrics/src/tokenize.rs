@@ -124,13 +124,26 @@ impl Vocab {
         &self.arena[id.checked_sub(1).map_or(0, |before| self.ends[before] as usize)..self.ends[id] as usize]
     }
 
+    /// An empty vocabulary whose table holds, without growing, the
+    /// distinct tokens of a typical text of `bytes` bytes: one for every
+    /// sixteen bytes.
+    pub(crate) fn for_text(bytes: usize) -> Self {
+        Vocab { arena: Vec::new(), ends: Vec::new(), slots: vec![0; (bytes / 8).next_power_of_two().max(64)] }
+    }
+
     /// The slot holding `token`, or the empty one its probe ends at.
     fn slot(&self, token: &[u8]) -> usize {
-        let hash = token.chunks(8).fold(token.len() as u64, |hash, chunk| {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-        });
+        let step =
+            |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        let mut words = token.chunks_exact(8);
+        let mut hash = token.len() as u64;
+        for word in &mut words {
+            hash = step(hash, u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        if !words.remainder().is_empty() {
+            hash =
+                step(hash, words.remainder().iter().rev().fold(0, |word, &byte| word << 8 | u64::from(byte)));
+        }
         let mask = self.slots.len() - 1;
         let mut at = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
         while self.slots[at] != 0 && self.token(self.slots[at] as usize - 1) != token {
