@@ -183,16 +183,20 @@ impl CostModel {
 /// pages cost recognition parsers more and are where extraction output
 /// degrades.
 pub fn content_difficulty(text: &str) -> f64 {
-    let mut symbols = 0usize;
-    let mut total = 0usize;
+    // Counted without a branch on the class: every character adds its
+    // non-whitespace bit to the total and its symbol bit to the symbols.
+    let (mut symbols, mut total) = (0usize, 0usize);
     for c in text.chars() {
-        if c.is_whitespace() {
-            continue;
-        }
-        total += 1;
-        if !c.is_alphanumeric() && c != '.' && c != ',' {
-            symbols += 1;
-        }
+        let (space, plain) = if c.is_ascii() {
+            (
+                matches!(c, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' '),
+                c.is_ascii_alphanumeric() || c == '.' || c == ',',
+            )
+        } else {
+            (c.is_whitespace(), c.is_alphanumeric())
+        };
+        total += usize::from(!space);
+        symbols += usize::from(!space && !plain);
     }
     if total == 0 {
         0.0

@@ -15,44 +15,52 @@ pub fn page_drop_mask<R: Rng + ?Sized>(pages: usize, drop_probability: f64, rng:
 }
 
 /// Convert plain text into markdown-flavoured output the way Nougat/Marker
-/// do: short lines become headings, table rows gain pipes.
+/// do: short lines become headings, table rows gain pipes. Written into one
+/// buffer, line by line.
 pub fn markdownify(text: &str, heading_level: usize) -> String {
-    let hashes = "#".repeat(heading_level.clamp(1, 6));
-    text.lines()
-        .map(|line| {
-            let words = line.split_whitespace().count();
-            if words > 0 && words <= 6 && !line.starts_with('-') && !line.contains('|') {
-                format!("{hashes} {line}")
-            } else if line.contains(" | ") {
-                format!("| {} |", line.trim())
-            } else {
-                line.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+    let hashes = heading_level.clamp(1, 6);
+    let mut out = String::with_capacity(text.len() + text.len() / 16);
+    for (index, line) in text.lines().enumerate() {
+        if index > 0 {
+            out.push('\n');
+        }
+        let words = line.split_whitespace().take(7).count();
+        if words > 0 && words <= 6 && !line.starts_with('-') && !line.contains('|') {
+            out.extend(std::iter::repeat_n('#', hashes));
+            out.push(' ');
+            out.push_str(line);
+        } else if line.contains(" | ") {
+            out.push_str("| ");
+            out.push_str(line.trim());
+            out.push_str(" |");
+        } else {
+            out.push_str(line);
+        }
+    }
+    out
 }
 
 /// Simulate the auto-regressive repetition loops ViT decoders fall into:
 /// with probability `probability`, the final `window` words of the page are
-/// repeated `repeats` times.
-pub fn repetition_loop<R: Rng + ?Sized>(text: &str, probability: f64, rng: &mut R) -> String {
+/// repeated `repeats` times. The page is returned as it came on the draws
+/// that change nothing.
+pub fn repetition_loop<R: Rng + ?Sized>(mut text: String, probability: f64, rng: &mut R) -> String {
     if !rng.gen_bool(probability.clamp(0.0, 1.0)) {
-        return text.to_string();
+        return text;
     }
     let words: Vec<&str> = text.split_whitespace().collect();
     if words.len() < 8 {
-        return text.to_string();
+        return text;
     }
     let window = rng.gen_range(3..8usize).min(words.len());
     let repeats = rng.gen_range(3..10usize);
     let tail = words[words.len() - window..].join(" ");
-    let mut out = text.to_string();
+    text.reserve(repeats * (tail.len() + 1));
     for _ in 0..repeats {
-        out.push(' ');
-        out.push_str(&tail);
+        text.push(' ');
+        text.push_str(&tail);
     }
-    out
+    text
 }
 
 /// Randomly flip the case of characters (an artifact of damaged font
@@ -115,13 +123,13 @@ mod tests {
     fn repetition_loop_appends_tail_copies() {
         let text = "the adaptive parser routes documents according to predicted accuracy values";
         let mut rng = StdRng::seed_from_u64(3);
-        let with = repetition_loop(text, 1.0, &mut rng);
+        let with = repetition_loop(text.to_string(), 1.0, &mut rng);
         assert!(with.len() > text.len());
         assert!(with.starts_with(text));
-        let without = repetition_loop(text, 0.0, &mut rng);
+        let without = repetition_loop(text.to_string(), 0.0, &mut rng);
         assert_eq!(without, text);
         // Short text is untouched even when triggered.
-        assert_eq!(repetition_loop("too short", 1.0, &mut rng), "too short");
+        assert_eq!(repetition_loop("too short".to_string(), 1.0, &mut rng), "too short");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub(crate) fn parse_with_page_drops(
         // mildly with raster legibility; LaTeX is preserved.
         let legibility = page.image.legibility();
         let text = corrupt::ocr_noise(glyphs, 0.85 + 0.15 * legibility, rng);
-        let text = failure::repetition_loop(&text, 0.02, rng);
+        let text = failure::repetition_loop(text, 0.02, rng);
         (difficulty, Some(failure::markdownify(&text, 2)))
     });
     assemble_pages(ParserKind::Nougat, pages)
