@@ -7,6 +7,8 @@
 //! scanned or scrambled documents and why AdaParse predicts, from the
 //! extracted text itself, whether a recognition parser is needed.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 
 use crate::corrupt;
@@ -44,32 +46,36 @@ pub struct TextLayer {
 impl TextLayer {
     /// Build a text layer of the requested quality from ground-truth page
     /// text, applying the corresponding corruption model. Every page is
-    /// stored at exactly its length.
-    pub fn from_ground_truth<R: Rng + ?Sized>(
-        ground_truth_pages: &[String],
+    /// stored at exactly its length. A clean layer moves owned pages in
+    /// (cloning borrowed ones).
+    pub fn from_ground_truth<'a, R: Rng + ?Sized>(
+        ground_truth_pages: impl Into<Cow<'a, [String]>>,
         quality: TextLayerQuality,
         rng: &mut R,
     ) -> Self {
-        let pages = ground_truth_pages
-            .iter()
-            .map(|gt| match quality {
-                TextLayerQuality::Clean => gt.clone(),
-                TextLayerQuality::LatexMangled => exact(corrupt::mangle_latex(gt)),
-                TextLayerQuality::OcrGenerated { error_rate } => {
-                    let legibility = (1.0 - error_rate).clamp(0.0, 1.0);
-                    exact(corrupt::ocr_noise(gt, legibility, rng))
-                }
-                TextLayerQuality::Scrambled => {
+        let ground_truth_pages = ground_truth_pages.into();
+        let pages = match quality {
+            TextLayerQuality::Clean => ground_truth_pages.into_owned().into_iter().map(exact).collect(),
+            TextLayerQuality::LatexMangled => {
+                ground_truth_pages.iter().map(|gt| exact(corrupt::mangle_latex(gt))).collect()
+            }
+            TextLayerQuality::OcrGenerated { error_rate } => {
+                let legibility = (1.0 - error_rate).clamp(0.0, 1.0);
+                ground_truth_pages.iter().map(|gt| exact(corrupt::ocr_noise(gt, legibility, rng))).collect()
+            }
+            TextLayerQuality::Scrambled => ground_truth_pages
+                .iter()
+                .map(|gt| {
                     // Shuffling draws everything it draws before scrambling
                     // starts, so the scramble can run over its word list
                     // rather than re-split the joined text.
                     let words = corrupt::shuffled_words(gt, 0.8, rng);
                     let len = words.iter().map(|w| w.len() + 1).sum::<usize>().saturating_sub(1);
                     corrupt::scramble_words(words, len, 0.6, rng)
-                }
-                TextLayerQuality::Missing => String::new(),
-            })
-            .collect();
+                })
+                .collect(),
+            TextLayerQuality::Missing => vec![String::new(); ground_truth_pages.len()],
+        };
         TextLayer { quality, pages }
     }
 
@@ -84,8 +90,9 @@ impl TextLayer {
     }
 }
 
-/// `page` without the spare capacity its corruption pass reserved (the pass
-/// reserves the input's length and may drop characters).
+/// `page` without spare capacity: a corruption pass reserves the input's
+/// length and may drop characters, and a ground-truth page grew as it was
+/// written. Shrinking leaves the text where it is.
 fn exact(mut page: String) -> String {
     page.shrink_to_fit();
     page

@@ -149,7 +149,7 @@ impl DocumentGenerator {
         let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
 
         let text_quality = self.draw_text_quality(producer);
-        let text_layer = TextLayer::from_ground_truth(&gt, text_quality, &mut self.rng);
+        let text_layer = TextLayer::from_ground_truth(gt, text_quality, &mut self.rng);
         let image_layer = if scanned {
             ImageLayer::scanned(n_pages, &mut self.rng)
         } else {
