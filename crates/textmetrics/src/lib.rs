@@ -122,7 +122,7 @@ impl ReferenceText {
     /// `self.score(candidate, _).bleu`, bit for bit, without the ROUGE-L
     /// and CAR work or the candidate's character vector.
     pub fn bleu(&self, candidate: &str) -> f64 {
-        let mut ids = Vec::new();
+        let mut ids = Vec::with_capacity(candidate.len() / 5);
         tokenize::walk::<true>(candidate, |_| {}, |token| ids.push(self.vocab.lookup_token(token)));
         bleu::bleu_against(&self.ngrams, &ids)
     }

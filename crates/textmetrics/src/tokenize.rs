@@ -68,7 +68,9 @@ pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mu
 /// [`walk`] into a character vector, with `id_of` mapping every word token
 /// to its id: what scoring reads off one text.
 pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&str) -> u32) -> (Vec<char>, Vec<u32>) {
-    let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::new());
+    // A word takes at least two bytes but about seven in prose: room for
+    // one every five saves most texts any growing.
+    let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::with_capacity(text.len() / 5));
     walk::<true>(text, |ch| chars.push(ch), |token| ids.push(id_of(token)));
     (chars, ids)
 }
@@ -124,11 +126,15 @@ impl Vocab {
         &self.arena[id.checked_sub(1).map_or(0, |before| self.ends[before] as usize)..self.ends[id] as usize]
     }
 
-    /// An empty vocabulary whose table holds, without growing, the
-    /// distinct tokens of a typical text of `bytes` bytes: one for every
-    /// sixteen bytes.
+    /// An empty vocabulary that holds, without growing, the distinct
+    /// tokens of a typical text of `bytes` bytes: one for every sixteen
+    /// bytes, together half as long as the text.
     pub(crate) fn for_text(bytes: usize) -> Self {
-        Vocab { arena: Vec::new(), ends: Vec::new(), slots: vec![0; (bytes / 8).next_power_of_two().max(64)] }
+        Vocab {
+            arena: Vec::with_capacity(bytes / 2),
+            ends: Vec::with_capacity(bytes / 16),
+            slots: vec![0; (bytes / 8).next_power_of_two().max(64)],
+        }
     }
 
     /// The slot holding `token`, or the empty one its probe ends at.
