@@ -146,7 +146,8 @@ impl DocumentGenerator {
         let n_pages =
             self.rng.gen_range(self.config.min_pages..=self.config.max_pages.max(self.config.min_pages));
         let pages: Vec<Page> = (0..n_pages).map(|i| self.generate_page(domain, i, n_pages)).collect();
-        let gt: Vec<String> = pages.iter().map(|p| p.ground_truth_text()).collect();
+        // Rendered at exactly their length, so a clean layer takes them as they are.
+        let gt: Vec<String> = pages.iter().map(|p| render(|out| p.write_ground_truth_text(out))).collect();
 
         let text_quality = self.draw_text_quality(producer);
         let text_layer = TextLayer::from_ground_truth(gt, text_quality, &mut self.rng);
