@@ -327,9 +327,8 @@ impl<'a> Pair<'a> {
 /// that settles a pair cost no more than it does. The whole table's word
 /// steps are about twice as fast (two columns in flight, no band edges), so
 /// passes are tried only within half of its `|text| · ⌈|pattern| / 64⌉`; a
-/// pair they do not settle gets the
-/// table. Returns the same integer as the textbook row recurrence (the test
-/// oracle in `tests/kernel_equivalence.rs`).
+/// pair they do not settle gets the table. Returns the same integer as the
+/// textbook row recurrence (the test oracle in `tests/kernel_equivalence.rs`).
 ///
 /// Memory usage is `O(σ · min(|a|, |b|) / 64)` words for `σ` distinct
 /// pattern characters.
