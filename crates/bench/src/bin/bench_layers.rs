@@ -176,18 +176,12 @@ impl Layer {
     }
 }
 
-fn scores_bytes(scores: [f64; 4], out: &mut Vec<u8>) {
-    for value in scores {
-        out.extend_from_slice(&value.to_bits().to_le_bytes());
-    }
+fn bits_bytes(scores: &[f64], out: &mut Vec<u8>) {
+    scores.iter().for_each(|score| out.extend_from_slice(&score.to_bits().to_le_bytes()));
 }
 
 fn report_bytes(report: &QualityReport, out: &mut Vec<u8>) {
-    scores_bytes([report.bleu, report.rouge, report.car, report.coverage], out);
-}
-
-fn bits_bytes(scores: &[f64], out: &mut Vec<u8>) {
-    scores.iter().for_each(|score| out.extend_from_slice(&score.to_bits().to_le_bytes()));
+    bits_bytes(&[report.bleu, report.rouge, report.car, report.coverage], out);
 }
 
 /// One output per document, in a vector that allocates once: a pass's
@@ -250,7 +244,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
             || pipeline.run_cascade(&engine, &docs, &cascade, run_seed),
             |report, out| {
                 let quality = &report.result.quality;
-                scores_bytes([quality.bleu, quality.rouge, quality.car, quality.coverage], out);
+                bits_bytes(&[quality.bleu, quality.rouge, quality.car, quality.coverage], out);
                 for record in &report.result.records {
                     out.extend_from_slice(&record.bleu.to_bits().to_le_bytes());
                     out.push(record.parser.index() as u8);
