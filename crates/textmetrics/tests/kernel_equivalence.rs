@@ -458,6 +458,44 @@ fn lcs_matches_scalar_at_block_edges_and_random_lengths() {
     }
 }
 
+/// Token sequences from no to a few hundred edits apart, with and without a
+/// dropped block (a wide length gap), on either side of the budget of the
+/// diagonal search ROUGE-L's LCS tries first: the LCS is the oracle's
+/// either way, and a token only one side holds, however often, matches
+/// nothing.
+#[test]
+fn lcs_is_exact_on_either_side_of_the_diagonal_search_budget() {
+    let mut rng = Rng(0x5EED_0013);
+    let words: Vec<String> = (0..60).map(|i| format!("w{i}")).collect();
+    for len in [1usize, 63, 64, 65, 300, 900, 2_000] {
+        let a: Vec<String> = (0..len).map(|_| words[rng.below(words.len())].clone()).collect();
+        for edits in [0usize, 1, 2, 5, 10, 20, 40, 80, 160, 400] {
+            for dropped in [0, len / 4] {
+                let mut b = a.clone();
+                let at = rng.below(len - dropped + 1);
+                b.drain(at..at + dropped);
+                for _ in 0..edits {
+                    let word = match rng.below(4) {
+                        0 => format!("x{}", rng.below(8)),
+                        _ => words[rng.below(words.len())].clone(),
+                    };
+                    let at = rng.below(b.len() + 1);
+                    match rng.below(3) {
+                        0 if at < b.len() => b[at] = word,
+                        1 if at < b.len() => {
+                            b.remove(at);
+                        }
+                        _ => b.insert(at, word),
+                    }
+                }
+                let expected = reference::lcs_length(&a, &b);
+                assert_eq!(lcs_length(&a, &b), expected, "len = {len}, edits = {edits}, dropped = {dropped}");
+                assert_eq!(lcs_length(&b, &a), expected, "swapped, len = {len}, edits = {edits}");
+            }
+        }
+    }
+}
+
 #[test]
 fn metrics_are_bit_equal_on_short_and_medium_texts() {
     let mut rng = Rng(0x5EED_0005);
