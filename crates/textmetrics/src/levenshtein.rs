@@ -16,10 +16,12 @@
 //! first result within its threshold. Each threshold is tried with the
 //! cheaper of two exact passes, judged by their worst cases:
 //!
-//! * a diagonal-transition pass (Ukkonen 1985, Landau–Vishkin 1989), which
-//!   returns the distance exactly when it is at most `t`, in at most `(t −
-//!   g + 1)(t + 1)` states: cheap when the texts differ by little beyond
-//!   their gap, the common case;
+//! * the diagonal-transition search (`crate::diagonal`, Ukkonen 1985,
+//!   Landau–Vishkin 1989) deepened to `t`, which returns the distance
+//!   exactly when it is at most `t`, in at most `(t − g + 1)(t + 1)` states
+//!   in all: cheap when the texts differ by little beyond their gap, the
+//!   common case. One search serves every threshold, resumed where the last
+//!   one stopped;
 //! * the band of the diagonals an alignment of cost at most `t` can use:
 //!   it leaves the main diagonal by at most `p = (t − g) / 2` on the shorter
 //!   text's side and `g + p` on the other (Ukkonen 1985) — going further
@@ -39,6 +41,7 @@
 
 use std::collections::HashMap;
 
+use crate::diagonal::DiagonalSearch;
 use crate::tokenize::tokenize_chars;
 
 /// Length (in characters, of the longer input) above which
@@ -170,7 +173,8 @@ enum Pass {
 /// `up = gap + p` to `down = p`, `p = (t − gap) / 2`; that band elsewhere.
 ///
 /// Passes are tried only while they together cost no more, in word steps
-/// (a diagonal pass at its bound), than the `n · final_words` of the pass
+/// (a diagonal pass at its whole bound, although the resumed search pays
+/// only what the last threshold had not), than the `n · final_words` of the pass
 /// that follows when none settles the pair, which bounds the worst pair at
 /// twice that pass.
 fn passes(gap: usize, n: usize, cap: usize, final_words: usize) -> impl Iterator<Item = (usize, Pass)> {
@@ -349,7 +353,8 @@ pub fn edit_distance_chars(a: &[char], b: &[char]) -> usize {
 /// Every pass is exact below its threshold: the diagonal pass returns the
 /// distance exactly when it is at most `t`, and a band pass's result `r ≤
 /// t` is the distance. So the order of the passes moves no result, only
-/// what a pair costs.
+/// what a pair costs. The diagonal passes are one [`DiagonalSearch`],
+/// sized for the deepest of them and resumed at each threshold.
 fn settle<'a>(
     pattern: &[char],
     text: &'a [char],
@@ -358,11 +363,16 @@ fn settle<'a>(
     last: impl FnOnce(&mut Pair<'a>) -> usize,
 ) -> usize {
     let gap = text.len() - pattern.len();
-    // The match masks are built only for the first pass that needs them.
-    let mut pair = None;
-    for (t, pass) in passes(gap, text.len(), cap, final_words) {
+    let schedule = || passes(gap, text.len(), cap, final_words);
+    let deepest = schedule().filter(|&(_, pass)| pass == Pass::Diagonal).map(|(t, _)| t).last();
+    // The search and the match masks are built only for the first pass that
+    // needs them.
+    let (mut search, mut pair) = (None, None);
+    for (t, pass) in schedule() {
         let distance = match pass {
-            Pass::Diagonal => diagonal_distance(pattern, text, t),
+            Pass::Diagonal => search
+                .get_or_insert_with(|| DiagonalSearch::new(pattern, text, deepest.unwrap_or(t), true))
+                .deepen(t),
             Pass::Band { up, down } => {
                 let distance =
                     pair.get_or_insert_with(|| Pair::new(pattern, text)).distance_in_band(up, down);
@@ -376,64 +386,14 @@ fn settle<'a>(
     last(pair.get_or_insert_with(|| Pair::new(pattern, text)))
 }
 
-/// The distance of `pattern` and `text` (not shorter) if it is at most `t`
-/// (not below their length gap), else `None`: the diagonal-transition
-/// algorithm (Ukkonen 1985, Landau–Vishkin 1989).
-///
-/// Diagonal `k` is the cells `(i, i + k)`, `i` a pattern row; the cost of a
-/// cell never falls along its diagonal. For each cost `d = 0, 1, …` the pass
-/// keeps the furthest row each diagonal reaches at cost `d` — one edit from
-/// its own or a neighbour's row at `d − 1`, then a slide over the matches
-/// that follow — and the distance is the first `d` whose front on the last
-/// cell's diagonal `gap` reaches row `|pattern|`. A diagonal is kept only
-/// while the `|k − gap|` edits left to reach that diagonal fit in `t`, which
-/// leaves the diagonals of threshold `t`'s band, at most `t − gap + 1` of
-/// them, for each of the `t + 1` costs.
+/// The distance of `pattern` and `text` (not shorter) if it is at most `t`,
+/// else `None`: [`DiagonalSearch`] deepened to `t`.
 ///
 /// Public, but not part of the API, for the oracle in
 /// `tests/kernel_equivalence.rs`.
 #[doc(hidden)]
 pub fn diagonal_distance(pattern: &[char], text: &[char], t: usize) -> Option<usize> {
-    const UNREACHED: isize = isize::MIN / 2;
-    let (m, n, t) = (pattern.len() as isize, text.len() as isize, t as isize);
-    let gap = n - m;
-    // Diagonals `-below..=gap + below`, diagonal `k` at `front[k + below + 1]`
-    // with an unreached one beyond either end. Diagonal 0 starts a row above
-    // the table, so cost 0 starts at (0, 0).
-    let below = (t - gap) / 2;
-    let mut front = vec![UNREACHED; (gap + 2 * below + 3) as usize];
-    let at = |k: isize| (k + below + 1) as usize;
-    front[at(0)] = -1;
-    for d in 0..=t {
-        let first = (-d).max(gap + d - t).max(-m);
-        let last = d.min(gap + t - d).min(n);
-        let mut left = front[at(first - 1)]; // diagonal k − 1 at cost d − 1
-        for k in first..=last {
-            let here = front[at(k)];
-            let row = (here + 1).max(left).max(front[at(k + 1)] + 1).min(m).min(n - k);
-            let (i, j) = (row as usize, (row + k) as usize);
-            left = here;
-            front[at(k)] = row + common_prefix(&pattern[i..], &text[j..]) as isize;
-        }
-        if front[at(gap)] == m {
-            return Some(d as usize);
-        }
-    }
-    None
-}
-
-/// Length of the common prefix of `a` and `b`, eight characters a step
-/// while they agree.
-fn common_prefix(a: &[char], b: &[char]) -> usize {
-    let len = a.len().min(b.len());
-    let mut i = 0;
-    while i + 8 <= len && a[i..i + 8].iter().zip(&b[i..i + 8]).all(|(x, y)| x == y) {
-        i += 8;
-    }
-    while i < len && a[i] == b[i] {
-        i += 1;
-    }
-    i
+    DiagonalSearch::new(pattern, text, t, true).deepen(t)
 }
 
 /// Banded (Ukkonen-style) edit distance: the cost of the cheapest alignment

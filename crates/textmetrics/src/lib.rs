@@ -27,6 +27,7 @@
 
 pub mod accepted;
 pub mod bleu;
+mod diagonal;
 pub mod levenshtein;
 pub mod ngram;
 pub mod rouge;
@@ -122,7 +123,7 @@ impl ReferenceText {
     /// `self.score(candidate, _).bleu`, bit for bit, without the ROUGE-L
     /// and CAR work or the candidate's character vector.
     pub fn bleu(&self, candidate: &str) -> f64 {
-        let mut ids = Vec::with_capacity(candidate.len() / 5);
+        let mut ids = Vec::with_capacity(candidate.len() / 6);
         tokenize::walk::<true>(candidate, |_| {}, |token| ids.push(self.vocab.lookup_token(token)));
         bleu::bleu_against(&self.ngrams, &ids)
     }

@@ -8,66 +8,55 @@
 //! order of first occurrence. A candidate window follows the same chain and
 //! drops out as soon as its prefix or its last token is unknown to the
 //! reference. Counts are then plain vectors indexed by id.
-//!
-//! Each order above 1 has a flat open-addressing table with linear probing,
-//! a power of two long and sized once from the order's window count so that
-//! it is at most half full; a slot holds an n-gram's key, id and count, and
-//! the tables of all orders share one allocation. One buffer of window ids,
-//! rewritten in place order after order, walks a sequence.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::tokenize::UNKNOWN_TOKEN;
 
 /// Id of an n-gram the reference does not contain.
 const UNKNOWN: u32 = UNKNOWN_TOKEN;
 
-/// Number of `order`-long windows in a sequence of `len` tokens.
-pub(crate) fn ngram_total(len: usize, order: usize) -> usize {
-    (len + 1).saturating_sub(order)
+/// Multiply-rotate hash of the one `u64` a [`PairTable`] key writes. The
+/// keys are pairs of dense ids this module assigned, not input bytes, and
+/// the multiplication's well-mixed high bits are rotated down to where the
+/// table takes its bucket index from.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a pair table hashes u64 keys only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// One slot of an order's table: the key of an n-gram (its prefix's id and
-/// its last token, see [`pair_key`]; [`EMPTY_KEY`] while the slot is free),
-/// its id and its occurrences in the reference.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    id: u32,
-    count: u32,
-}
-
-/// No n-gram's key: a prefix id is never [`UNKNOWN`].
-const EMPTY_KEY: u64 = u64::MAX;
-
-/// A free slot; its id reads as [`UNKNOWN`], so a lookup that ends on it
-/// needs no test.
-const EMPTY: Slot = Slot { key: EMPTY_KEY, id: UNKNOWN, count: 0 };
+/// (id of a window's prefix, the window's last token) → id of the window.
+type PairTable = HashMap<u64, u32, BuildHasherDefault<PairHasher>>;
 
 fn pair_key(prefix: u32, token: u32) -> u64 {
     u64::from(prefix) << 32 | u64::from(token)
 }
 
-/// Where one order's table lies in [`NgramIndex::slots`], and the number
-/// of ids it holds.
-#[derive(Debug, Clone, Copy)]
-struct Order {
-    start: usize,
-    len: usize,
-    distinct: usize,
+/// Number of `order`-long windows in a sequence of `len` tokens.
+pub(crate) fn ngram_total(len: usize, order: usize) -> usize {
+    (len + 1).saturating_sub(order)
 }
 
-/// The slot of `table` (a power of two long) holding `key`, or the free
-/// one its linear probe ends at: multiplicative hashing, the product's high
-/// bits the first slot.
-fn probe(table: &[Slot], key: u64) -> usize {
-    let mask = table.len() - 1;
-    let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - table.len().trailing_zeros())) as usize;
-    loop {
-        let held = table[at].key;
-        if held == key || held == EMPTY_KEY {
-            return at;
-        }
-        at = (at + 1) & mask;
-    }
+/// The n-grams of one order in the reference.
+#[derive(Debug, Clone, Default)]
+struct Order {
+    /// Empty for order 1, whose ids are the token ids.
+    ids: PairTable,
+    /// Occurrences of each id.
+    counts: Vec<u32>,
 }
 
 /// The n-grams of orders `1..=max_order` of a reference token sequence,
@@ -79,12 +68,7 @@ fn probe(table: &[Slot], key: u64) -> usize {
 #[derive(Debug, Clone)]
 pub(crate) struct NgramIndex {
     len: usize,
-    /// Occurrences of each token id: the order-1 counts.
-    unigrams: Vec<u32>,
-    /// Orders 2 and up.
     orders: Vec<Order>,
-    /// Every table of `orders`, one after the other.
-    slots: Vec<Slot>,
 }
 
 impl NgramIndex {
@@ -95,38 +79,28 @@ impl NgramIndex {
     /// Panics if `max_order == 0`.
     pub(crate) fn new(reference: &[u32], max_order: usize) -> Self {
         assert!(max_order > 0, "n-gram order must be positive");
-        let mut unigrams = vec![0; reference.iter().max().map_or(0, |&id| id as usize + 1)];
-        reference.iter().for_each(|&id| unigrams[id as usize] += 1);
-        // Each table at most half full however many windows repeat.
-        let mut start = 0;
-        let orders: Vec<Order> = (2..=max_order)
-            .map(|order| {
-                let windows = ngram_total(reference.len(), order);
-                let len = (2 * windows).next_power_of_two().max(2);
-                start += len;
-                Order { start: start - len, len, distinct: 0 }
-            })
-            .collect();
-        let mut index = NgramIndex { len: reference.len(), unigrams, orders, slots: vec![EMPTY; start] };
-        // Ids of the current order's windows, by start position, rewritten
-        // in place order after order.
+        let mut orders = Vec::with_capacity(max_order);
+        let mut unigrams = Order::default();
+        unigrams.counts.resize(reference.iter().max().map_or(0, |&id| id as usize + 1), 0);
+        reference.iter().for_each(|&id| unigrams.counts[id as usize] += 1);
+        orders.push(unigrams);
+        // Ids of the current order's windows, by start position.
         let mut window_ids = reference.to_vec();
-        for (order, entry) in (2..).zip(&mut index.orders) {
+        for order in 2..=max_order {
             window_ids.truncate(ngram_total(reference.len(), order));
-            let table = &mut index.slots[entry.start..entry.start + entry.len];
-            for (id, &token) in window_ids.iter_mut().zip(reference.get(order - 1..).unwrap_or_default()) {
-                let key = pair_key(*id, token);
-                let slot = &mut table[probe(table, key)];
-                // Numbered if new, without a branch on it.
-                let fresh = slot.key == EMPTY_KEY;
-                slot.id = if fresh { entry.distinct as u32 } else { slot.id };
-                entry.distinct += usize::from(fresh);
-                slot.key = key;
-                slot.count += 1;
-                *id = slot.id;
+            let mut next = Order::default();
+            next.ids.reserve(window_ids.len());
+            for (id, &token) in window_ids.iter_mut().zip(reference.iter().skip(order - 1)) {
+                let fresh = next.counts.len() as u32;
+                *id = *next.ids.entry(pair_key(*id, token)).or_insert(fresh);
+                match next.counts.get_mut(*id as usize) {
+                    Some(count) => *count += 1,
+                    None => next.counts.push(1),
+                }
             }
+            orders.push(next);
         }
-        index
+        NgramIndex { len: reference.len(), orders }
     }
 
     /// Number of reference n-grams of `order`, with multiplicity.
@@ -138,37 +112,28 @@ impl NgramIndex {
     /// reference[g])`, for each order from 1 (index 0) up: the numerator of
     /// BLEU's modified n-gram precision. Symmetric in the two sequences.
     pub(crate) fn clipped_matches(&self, candidate: &[u32]) -> Vec<usize> {
-        // Candidate occurrences of each reference id of the current order;
-        // the last entry counts the windows unknown to the reference.
-        let distinct = self.orders.iter().map(|entry| entry.distinct).max().unwrap_or(0);
-        let mut seen = vec![0u32; distinct.max(self.unigrams.len()) + 1];
-        let mut matches = Vec::with_capacity(self.orders.len() + 1);
-        let mut matched = 0;
-        for &id in candidate {
-            // No count: unknown to the reference.
-            if let Some(count) = self.unigrams.get(id as usize) {
-                seen[id as usize] += 1;
-                matched += usize::from(seen[id as usize] <= *count);
-            }
-        }
-        matches.push(matched);
         let mut window_ids = candidate.to_vec();
-        for (order, entry) in (2..).zip(&self.orders) {
-            seen[..=entry.distinct].fill(0);
-            let table = &self.slots[entry.start..entry.start + entry.len];
-            window_ids.truncate(ngram_total(candidate.len(), order));
-            let mut matched = 0;
-            for (id, &token) in window_ids.iter_mut().zip(candidate.get(order - 1..).unwrap_or_default()) {
-                // The first test spares most unknown windows the lookup.
-                if *id == UNKNOWN {
-                    continue;
+        let mut seen = Vec::new();
+        let mut matches = Vec::with_capacity(self.orders.len());
+        for (order, reference) in (1..).zip(&self.orders) {
+            if order > 1 {
+                window_ids.truncate(ngram_total(candidate.len(), order));
+                for (id, &token) in window_ids.iter_mut().zip(candidate.iter().skip(order - 1)) {
+                    // The first test spares most unknown windows the lookup.
+                    if *id != UNKNOWN {
+                        *id = reference.ids.get(&pair_key(*id, token)).copied().unwrap_or(UNKNOWN);
+                    }
                 }
-                let slot = &table[probe(table, pair_key(*id, token))];
-                *id = slot.id;
-                // An unknown window's free slot counts 0: it never matches.
-                let seen = &mut seen[entry.distinct.min(slot.id as usize)];
-                *seen += 1;
-                matched += usize::from(*seen <= slot.count);
+            }
+            seen.clear();
+            seen.resize(reference.counts.len(), 0u32);
+            let mut matched = 0;
+            for &id in &window_ids {
+                // No slot: unknown to the reference.
+                if let Some(seen) = seen.get_mut(id as usize) {
+                    *seen += 1;
+                    matched += usize::from(*seen <= reference.counts[id as usize]);
+                }
             }
             matches.push(matched);
         }
@@ -176,26 +141,14 @@ impl NgramIndex {
     }
 
     /// Occurrences of each id of `order` in the reference.
-    fn counts(&self, order: usize) -> Vec<u32> {
-        if order == 1 {
-            return self.unigrams.clone();
-        }
-        let entry = &self.orders[order - 2];
-        let mut counts = vec![0; entry.distinct];
-        for slot in &self.slots[entry.start..entry.start + entry.len] {
-            if let Some(count) = counts.get_mut(slot.id as usize) {
-                *count = slot.count;
-            }
-        }
-        counts
+    fn counts(&self, order: usize) -> &[u32] {
+        &self.orders[order - 1].counts
     }
 
     /// Id of the `order`-gram made of the `order − 1`-gram `prefix` and
     /// `token`, [`UNKNOWN`] if the reference lacks it.
     fn id_of(&self, order: usize, prefix: u32, token: u32) -> u32 {
-        let entry = &self.orders[order - 2];
-        let table = &self.slots[entry.start..entry.start + entry.len];
-        table[probe(table, pair_key(prefix, token))].id
+        self.orders[order - 1].ids.get(&pair_key(prefix, token)).copied().unwrap_or(UNKNOWN)
     }
 }
 
@@ -220,7 +173,7 @@ pub struct OrderProfile {
 #[doc(hidden)]
 pub fn ngram_profile(reference: &[u32], candidate: &[u32], max_order: usize) -> Vec<OrderProfile> {
     let index = NgramIndex::new(reference, max_order);
-    let unigrams = index.unigrams.len();
+    let unigrams = index.counts(1).len();
     let mut window_ids: Vec<u32> =
         candidate.iter().map(|&token| if (token as usize) < unigrams { token } else { UNKNOWN }).collect();
     (1..=max_order)
@@ -232,7 +185,7 @@ pub fn ngram_profile(reference: &[u32], candidate: &[u32], max_order: usize) -> 
                     *id = if *id == UNKNOWN { UNKNOWN } else { index.id_of(order, *id, token) };
                 }
             }
-            let counts = index.counts(order);
+            let counts = index.counts(order).to_vec();
             OrderProfile { counts, window_ids: window_ids.clone(), total: index.total(order), matched }
         })
         .collect()
@@ -248,7 +201,7 @@ mod tests {
     fn unigram_counts() {
         let c = NgramIndex::new(&[0, 1, 0, 2], 1);
         assert_eq!(c.total(1), 4);
-        assert_eq!(c.counts(1), [2, 1, 1]);
+        assert_eq!(c.orders[0].counts, [2, 1, 1]);
         assert_eq!(c.clipped_matches(&[0; 5]), [2]); // clipped to the two "a"
         assert_eq!(c.clipped_matches(&[9, UNKNOWN]), [0]);
     }
@@ -257,7 +210,7 @@ mod tests {
     fn bigram_counts() {
         let c = NgramIndex::new(&[0, 1, 0, 1], 2);
         assert_eq!(c.total(2), 3);
-        assert_eq!(c.counts(2), [2, 1]); // "a b" twice, then "b a"
+        assert_eq!(c.orders[1].counts, [2, 1]); // "a b" twice, then "b a"
         assert_eq!(c.clipped_matches(&[0, 1, 2, 0, 1, 2, 0, 1]), [4, 2]);
         assert_eq!(c.clipped_matches(&[1, 0, 2, 1, 0]), [4, 1]);
     }
@@ -266,7 +219,7 @@ mod tests {
     fn order_longer_than_sequence_is_empty() {
         let c = NgramIndex::new(&[0, 1], 3);
         assert_eq!(c.total(3), 0);
-        assert!(c.counts(3).is_empty());
+        assert!(c.orders[2].counts.is_empty());
         assert_eq!(c.clipped_matches(&[0, 1, 0, 1]), [2, 1, 0]);
         assert_eq!(c.clipped_matches(&[0]), [1, 0, 0]);
     }

@@ -68,9 +68,10 @@ pub(crate) fn walk<const WORDS: bool>(text: &str, mut push: impl FnMut(char), mu
 /// [`walk`] into a character vector, with `id_of` mapping every word token
 /// to its id: what scoring reads off one text.
 pub(crate) fn chars_and_ids(text: &str, mut id_of: impl FnMut(&str) -> u32) -> (Vec<char>, Vec<u32>) {
-    // A word takes at least two bytes but about seven in prose: room for
-    // one every five saves most texts any growing.
-    let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::with_capacity(text.len() / 5));
+    // A word takes at least two bytes, and 6.6 to 7.4 in the campaign's
+    // ground truths and parses: room for one every six bytes saves those
+    // any growing.
+    let (mut chars, mut ids) = (Vec::with_capacity(text.len()), Vec::with_capacity(text.len() / 6));
     walk::<true>(text, |ch| chars.push(ch), |token| ids.push(id_of(token)));
     (chars, ids)
 }
@@ -128,7 +129,10 @@ impl Vocab {
 
     /// An empty vocabulary that holds, without growing, the distinct
     /// tokens of a typical text of `bytes` bytes: one for every sixteen
-    /// bytes, together half as long as the text.
+    /// bytes, together half as long as the text. The campaign's ground
+    /// truths have one for every 16.5 to 49 bytes (31 in the median), and
+    /// the distinct tokens' bytes are a 2.6th to an 8.2th of the text; the
+    /// growth this spares costs a reference a fifth more to intern.
     pub(crate) fn for_text(bytes: usize) -> Self {
         Vocab {
             arena: Vec::with_capacity(bytes / 2),
