@@ -187,14 +187,8 @@ pub fn content_difficulty(text: &str) -> f64 {
     // non-whitespace bit to the total and its symbol bit to the symbols.
     let (mut symbols, mut total) = (0usize, 0usize);
     for c in text.chars() {
-        let (space, plain) = if c.is_ascii() {
-            (
-                matches!(c, '\t' | '\n' | '\x0B' | '\x0C' | '\r' | ' '),
-                c.is_ascii_alphanumeric() || c == '.' || c == ',',
-            )
-        } else {
-            (c.is_whitespace(), c.is_alphanumeric())
-        };
+        let space = c.is_whitespace();
+        let plain = c.is_alphanumeric() || c == '.' || c == ',';
         total += usize::from(!space);
         symbols += usize::from(!space && !plain);
     }

@@ -15,7 +15,10 @@ use crate::failure;
 use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
 /// [`ParserKind::parse_file`] for GROBID.
-pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+pub(crate) fn parse_file<R: RngCore + ?Sized>(
+    file: &SpdfFile,
+    rng: &mut R,
+) -> Result<ParseOutput, ParseError> {
     // GROBID's segmentation models occasionally skip entire pages.
     let keep = failure::page_drop_mask(file.pages.len(), 0.16, rng);
     let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {

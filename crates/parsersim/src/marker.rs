@@ -14,7 +14,10 @@ use crate::failure;
 use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
 /// [`ParserKind::parse_file`] for Marker.
-pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+pub(crate) fn parse_file<R: RngCore + ?Sized>(
+    file: &SpdfFile,
+    rng: &mut R,
+) -> Result<ParseOutput, ParseError> {
     // Layout detection almost never loses a whole page.
     let keep = failure::page_drop_mask(file.pages.len(), 0.02, rng);
     let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {

@@ -19,16 +19,19 @@ use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 const PAGE_DROP_PROBABILITY: f64 = 0.055;
 
 /// [`ParserKind::parse_file`] for Nougat.
-pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+pub(crate) fn parse_file<R: RngCore + ?Sized>(
+    file: &SpdfFile,
+    rng: &mut R,
+) -> Result<ParseOutput, ParseError> {
     parse_with_page_drops(file, PAGE_DROP_PROBABILITY, rng)
 }
 
 /// Nougat with each page dropped independently with `page_drop_probability`
 /// before recognition.
-pub(crate) fn parse_with_page_drops(
+pub(crate) fn parse_with_page_drops<R: RngCore + ?Sized>(
     file: &SpdfFile,
     page_drop_probability: f64,
-    rng: &mut dyn RngCore,
+    rng: &mut R,
 ) -> Result<ParseOutput, ParseError> {
     let keep = failure::page_drop_mask(file.pages.len(), page_drop_probability, rng);
     let pages = file.pages.iter().zip(keep).map(|(page, keep_page)| {

@@ -15,7 +15,7 @@ use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
 /// Extract one page from its embedded text layer; `None` when it has none or
 /// the page's extraction fails.
-pub(crate) fn extract_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<String> {
+pub(crate) fn extract_page<R: RngCore + ?Sized>(page: &SpdfPage, rng: &mut R) -> Option<String> {
     let embedded = page.embedded_text.as_str();
     if embedded.trim().is_empty() || rng.gen_bool(0.04) {
         return None;
@@ -28,7 +28,10 @@ pub(crate) fn extract_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<Str
 }
 
 /// [`ParserKind::parse_file`] for pypdf: [`extract_page`] on every page.
-pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+pub(crate) fn parse_file<R: RngCore + ?Sized>(
+    file: &SpdfFile,
+    rng: &mut R,
+) -> Result<ParseOutput, ParseError> {
     let pages =
         file.pages.iter().map(|page| (content_difficulty(&page.embedded_text), extract_page(page, rng)));
     assemble_pages(ParserKind::Pypdf, pages)

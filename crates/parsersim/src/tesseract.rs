@@ -13,7 +13,7 @@ use crate::cost::content_difficulty;
 use crate::traits::{assemble_pages, ParseError, ParseOutput, ParserKind};
 
 /// Recognize one page from its image; `None` when nothing comes back.
-pub(crate) fn recognize_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<String> {
+pub(crate) fn recognize_page<R: RngCore + ?Sized>(page: &SpdfPage, rng: &mut R) -> Option<String> {
     let glyphs = page.glyph_text.as_str();
     if glyphs.trim().is_empty() {
         return None;
@@ -29,7 +29,10 @@ pub(crate) fn recognize_page(page: &SpdfPage, rng: &mut dyn RngCore) -> Option<S
 
 /// [`ParserKind::parse_file`] for Tesseract: [`recognize_page`] on every
 /// page, priced up for illegible renders.
-pub(crate) fn parse_file(file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+pub(crate) fn parse_file<R: RngCore + ?Sized>(
+    file: &SpdfFile,
+    rng: &mut R,
+) -> Result<ParseOutput, ParseError> {
     let mut legibility_sum = 0.0;
     let pages = file.pages.iter().map(|page| {
         legibility_sum += page.image.legibility();

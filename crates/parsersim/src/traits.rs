@@ -72,7 +72,11 @@ impl ParserKind {
     /// # Errors
     ///
     /// [`ParseError::EmptyDocument`] for a zero-page document.
-    pub fn parse_file(self, file: &SpdfFile, rng: &mut dyn RngCore) -> Result<ParseOutput, ParseError> {
+    pub fn parse_file<R: RngCore + ?Sized>(
+        self,
+        file: &SpdfFile,
+        rng: &mut R,
+    ) -> Result<ParseOutput, ParseError> {
         match self {
             ParserKind::PyMuPdf => pymupdf::parse_file(file, rng),
             ParserKind::Pypdf => pypdf::parse_file(file, rng),
@@ -97,8 +101,12 @@ impl ParserKind {
     /// # Errors
     ///
     /// Exactly when [`ParserKind::parse_file`] fails on the decoded document.
-    pub fn first_page_text(self, index: &SpdfIndex<'_>, rng: &mut dyn RngCore) -> Result<String, ParseError> {
-        let page_body: fn(&SpdfPage, &mut dyn RngCore) -> Option<String> = match self {
+    pub fn first_page_text<R: RngCore + ?Sized>(
+        self,
+        index: &SpdfIndex<'_>,
+        rng: &mut R,
+    ) -> Result<String, ParseError> {
+        let page_body: fn(&SpdfPage, &mut R) -> Option<String> = match self {
             ParserKind::PyMuPdf => pymupdf::extract_page,
             ParserKind::Pypdf => pypdf::extract_page,
             ParserKind::Tesseract => tesseract::recognize_page,
