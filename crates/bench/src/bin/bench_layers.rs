@@ -7,7 +7,7 @@
 //! one-page documents, and the full frontier at window 64. One by-doc
 //! campaign (`run_cascade`, one worker) fixes every document's decision;
 //! then each layer's public entry runs over the whole corpus on those
-//! decisions, serially, `--reps` times, the layers interleaved within each
+//! decisions, serially, [`REPS`] times, the layers interleaved within each
 //! rep so a drift in machine speed reaches all of them alike. A row gives
 //! the median pass in µs per document, the allocations and bytes per
 //! document of one pass, and a digest of what the layer produced. Rows:
@@ -28,7 +28,7 @@
 //!
 //! ```text
 //! cargo run --release --bin bench_layers                   # full entry
-//! cargo run --release --bin bench_layers -- --reps 3 --out /tmp/BENCH_layers.json
+//! cargo run --release --bin bench_layers -- --out /tmp/BENCH_layers.json
 //! cargo run --release --bin bench_layers -- --validate
 //! ```
 
@@ -69,6 +69,11 @@ const CATEGORY_SKEW: [(DocCategory, f64); 4] = [
 ];
 const MAX_PAGES: usize = 4;
 
+/// The campaign workloads' corpus size, and the passes a row's median is
+/// taken over.
+const DOCS: usize = 192;
+const REPS: usize = 15;
+
 /// Salts of the benchmark's seeded streams: training split, accuracy
 /// dataset, corpus, shuffle, and the run.
 const TRAIN: u64 = 0x7A11;
@@ -77,24 +82,12 @@ const CORPUS: u64 = 0xC0A5;
 const SHUFFLE: u64 = 0x5AFF;
 const RUN: u64 = 0xCA5C;
 
-struct Args {
-    docs: usize,
-    reps: usize,
-}
-
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { docs: 192, reps: 15 };
-    while let Some(flag) = flags.next_own()? {
-        match flag.as_str() {
-            "--docs" => args.docs = flags.value("--docs")?,
-            "--reps" => args.reps = flags.value("--reps")?,
-            other => return Err(Flags::unknown(other)),
-        }
+/// The bin has no flags of its own.
+fn parse_args(flags: &mut Flags) -> Result<(), String> {
+    match flags.next_own()? {
+        Some(flag) => Err(Flags::unknown(&flag)),
+        None => Ok(()),
     }
-    if args.docs == 0 || args.reps == 0 {
-        return Err("--docs and --reps must be positive".to_string());
-    }
-    Ok(args)
 }
 
 /// `n` documents whose category shares follow [`CATEGORY_SKEW`] and whose
@@ -192,12 +185,12 @@ fn collect<T>(outputs: impl ExactSizeIterator<Item = T>) -> Vec<T> {
     collected
 }
 
-fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn run(flags: &Flags, (): ()) -> Result<Vec<(&'static str, JsonValue)>, String> {
     let seed = flags.seed;
     let config = AdaParseConfig { alpha: 0.1, high_quality_parser: ParserKind::Marker, ..Default::default() };
     let mut engine = AdaParseEngine::new(config.clone());
     engine.train(&AccuracyDataset::build(&skewed_corpus(24, 1, seed ^ TRAIN), seed ^ DATASET, 1.0), &[]);
-    let docs = skewed_corpus(args.docs, MAX_PAGES, seed ^ CORPUS);
+    let docs = skewed_corpus(DOCS, MAX_PAGES, seed ^ CORPUS);
     let mut cascade = CascadeConfig::full(&config, 64);
     let costliest = cascade.frontier.costliest().map_or(1.0, |entry| entry.cost_per_page);
     cascade.alpha = config.alpha * parsersim::page_dollars(config.high_quality_parser) / costliest;
@@ -208,7 +201,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     println!(
         "bench_layers: {} documents, seed {seed}, {} reps, {} upgraded",
         docs.len(),
-        args.reps,
+        REPS,
         campaign.choices.iter().filter(|choice| choice.is_upgraded()).count()
     );
 
@@ -237,7 +230,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
         "score.car",
     ]
     .map(Layer::new);
-    for _ in 0..args.reps {
+    for _ in 0..REPS {
         let [whole, extract_layer, route_layer, parse_layer, score, reference, bleu, rouge, car] =
             &mut layers;
         whole.pass(
@@ -341,7 +334,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     Ok(vec![
         ("seed", JsonValue::U64(seed)),
         ("docs", JsonValue::U64(n as u64)),
-        ("reps", JsonValue::U64(args.reps as u64)),
+        ("reps", JsonValue::U64(REPS as u64)),
         ("stages_us_per_doc", JsonValue::F64((stages * 10.0).round() / 10.0)),
         ("layers", JsonValue::Array(layers.iter().map(|layer| layer.json(n)).collect())),
     ])
