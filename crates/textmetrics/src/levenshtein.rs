@@ -159,7 +159,7 @@ fn thresholds(gap: usize, cap: usize) -> impl Iterator<Item = usize> {
 /// A pass [`settle`] tries at one threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pass {
-    /// [`diagonal_distance`].
+    /// The pair's [`DiagonalSearch`], deepened to the threshold.
     Diagonal,
     /// [`Pair::distance_in_band`] on the diagonals from `up` above the main
     /// one to `down` below it.

@@ -77,10 +77,11 @@ pub fn lcs_length(a: &[String], b: &[String]) -> usize {
 /// its distance `D` is `|a| + |b| − 2·LCS`, and it settles every pair with
 /// `D` up to the deepest bound whose states, at most `(t − gap + 1)(t +
 /// 1)` for a length gap `gap`, number at most a sixteenth of the bit-vector
-/// pass's word steps. A state costs about ten word steps (measured on the
-/// campaign's parses), so a pair the search leaves to the bit-vector pass
-/// pays at most about a half more. Parser output that follows its ground
-/// truth closely, the common case, differs by a few dozen tokens.
+/// pass's word steps: on the campaign's parses a budget of a half, an
+/// eighth, a sixteenth and a 32nd cost 14.7, 10.2, 9.4 and 9.2 µs a pair.
+/// A pair the search leaves to the bit-vector pass pays for both. Parser
+/// output that follows its ground truth closely, the common case, differs
+/// by a few dozen tokens.
 ///
 /// Bit-vector LCS (Allison–Dix, in Hyyrö's form): the shorter sequence is
 /// the pattern, one bit per token, and `V` starts all ones. Each token `c`
