@@ -32,14 +32,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use adaparse::{
-    run_closed_loop, AdaParseConfig, AdaParseEngine, ControllerConfig, SimLoopConfig, SimLoopReport,
-    WindowedSelector, WorkloadSpec,
+    run_closed_loop, AdaParseEngine, ControllerConfig, SimLoopConfig, SimLoopReport, WindowedSelector,
+    WorkloadSpec,
 };
-use bench::driver::{drive, fnv1a, CountingAllocator, Flags, Trajectory};
+use bench::driver::{build_scores, drive, fnv1a, CountingAllocator, Flags, Trajectory};
 use bench::trajectory::JsonValue;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -107,41 +104,6 @@ const TRAJECTORY: Trajectory = Trajectory {
         "fingerprint",
     ],
 };
-
-/// Phase 1: seeded corpus + router → a score per document. Scores are
-/// measured on the base sample and tiled with seeded jitter to `docs`
-/// (sentinel scores — CLS I overrides at ±`f64::MAX / 4` — tile unjittered
-/// so their routing semantics survive). Also returns the base sample's size:
-/// the number of documents this phase actually trains on, extracts and routes,
-/// whatever `docs` is.
-fn build_scores(docs: usize, seed: u64) -> (AdaParseEngine, Vec<f64>, usize) {
-    let base_n = docs.min(2048);
-    let corpus = DocumentGenerator::new(GeneratorConfig {
-        n_documents: base_n,
-        seed,
-        min_pages: 1,
-        max_pages: 3,
-        scanned_fraction: 0.3,
-        ..Default::default()
-    })
-    .generate_many(base_n);
-    let mut engine = AdaParseEngine::new(AdaParseConfig { alpha: 0.1, ..Default::default() });
-    engine.train_on_corpus(&corpus[..20.min(base_n)], 5);
-    let routed = engine.route_documents(&corpus, seed ^ 0xBE7C);
-    let base: Vec<f64> = routed.iter().map(|r| r.predicted_improvement).collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x711E);
-    let scores = (0..docs)
-        .map(|i| {
-            let score = base[i % base.len()];
-            if score.is_finite() && score.abs() < 1e9 {
-                score * (1.0 + 1e-3 * rng.gen_range(-1.0..1.0))
-            } else {
-                score
-            }
-        })
-        .collect();
-    (engine, scores, base_n)
-}
 
 /// Phases 2+3: isolated streaming selection, then the causal closed loop.
 /// Returns the mask, the loop report, and the two phase durations.
