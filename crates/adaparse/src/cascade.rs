@@ -199,28 +199,6 @@ impl ParserChoice {
         }
     }
 
-    /// The choices of a binary mask over the documents from `first_doc_id`:
-    /// a selected one goes whole to `upgrade` (upgrade index 0), the rest
-    /// stay on `base`. A pair with `base == upgrade` grants nothing.
-    pub fn from_mask(
-        base: ParserKind,
-        upgrade: ParserKind,
-        first_doc_id: u64,
-        mask: &[bool],
-    ) -> impl Iterator<Item = ParserChoice> + '_ {
-        mask.iter().zip(first_doc_id..).map(move |(&selected, doc_id)| {
-            let granted = selected && upgrade != base;
-            ParserChoice {
-                doc_id,
-                parser: if granted { upgrade } else { base },
-                upgrade: granted.then_some(0),
-                predicted_gain: 0.0,
-                cls1_invalid: false,
-                upgraded_pages: Vec::new(),
-            }
-        })
-    }
-
     /// Whether the document leaves the base parser.
     pub fn is_upgraded(&self) -> bool {
         self.upgrade.is_some()

@@ -2,10 +2,11 @@
 //!
 //! Figure 5 of the paper reports the throughput of each parser — and of
 //! AdaParse — from 1 to 128 Polaris nodes. This module turns routing
-//! decisions into `hpcsim` tasks and runs the Parsl-like executor over an
-//! arbitrary node count. [`tasks_for_choices`] is the one builder of routed
-//! work: the closed loop, serve, the cascade and the α sweeps all use it.
-//! [`tasks_for_parser`] is the fixed-parser baseline, with no extract stage.
+//! decisions into `hpcsim` tasks. [`tasks_for_choices`] is the one builder
+//! of routed work: the closed loop ([`crate::run_closed_loop`], which is how
+//! Figure 5 runs AdaParse), serve and the cascade all use it.
+//! [`tasks_for_parser`] is the fixed-parser baseline, with no extract stage,
+//! and [`parser_throughput_at_scale`] runs it on the Parsl-like executor.
 
 use hpcsim::{ClusterConfig, ExecutorConfig, GroupRole, LustreModel, SlotKind, Task, WorkflowExecutor};
 use parsersim::cost::{CostModel, ResourceCost, PLANNING_DIFFICULTY};
@@ -13,7 +14,6 @@ use parsersim::{ParserFrontier, ParserKind};
 use std::ops::Range;
 
 use crate::cascade::ParserChoice;
-use crate::config::AdaParseConfig;
 use crate::scaling::{NodePlan, Stage};
 
 /// A lightweight description of a document workload for scaling studies.
@@ -75,13 +75,12 @@ pub fn task_id_stride(max_upgraded_pages: usize) -> u64 {
 /// upgrade ([`ParserChoice::upgraded_pages`]) adds a **split**, a **page**
 /// task per granted page at the single-page rate, and a **join**. No grant, no parse-side task. Ids follow [`task_id_stride`].
 ///
-/// With a [`NodePlan`], extracts round-robin over the extraction fleet and
-/// each upgraded document's parse side sits on one parse-fleet node. A
+/// Extracts round-robin over the `plan`'s extraction fleet and each
+/// upgraded document's parse side sits on one parse-fleet node. A
 /// document's tasks share its [`hpcsim::TaskGroup`] (pair co-scheduling;
 /// stage attribution in `StageTimings`) and each depends on its input: the
 /// parse or split on the extract, pages on the split, the join on every
-/// page. Without a plan they carry no node, group or edge: the order-free
-/// throughput model of the Figure 5 sweeps.
+/// page.
 ///
 /// # Panics
 ///
@@ -93,15 +92,16 @@ pub fn task_id_stride(max_upgraded_pages: usize) -> u64 {
 /// ```
 /// use adaparse::{tasks_for_choices, NodePlan, ParserChoice, WorkloadSpec};
 /// use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
-/// use parsersim::ParserKind;
+/// use parsersim::{ParserFrontier, ParserKind};
 ///
-/// // Two documents: the first routed to the high-quality parser.
-/// let choices: Vec<ParserChoice> =
-///     ParserChoice::from_mask(ParserKind::PyMuPdf, ParserKind::Nougat, 0, &[true, false]).collect();
+/// // Two documents: the first granted the high-quality parser.
+/// let frontier = ParserFrontier::pair(ParserKind::PyMuPdf, ParserKind::Nougat);
+/// let resolve = |doc_id, granted| ParserChoice::resolve(&frontier, doc_id, granted, 0.4, false);
+/// let choices = [resolve(0, Some(0)), resolve(1, None)];
 /// let workload = WorkloadSpec { documents: 2, pages_per_doc: 5, mb_per_doc: 1.0 };
 /// let plan = NodePlan { extract_nodes: 1, parse_nodes: 1 };
 ///
-/// let tasks = tasks_for_choices(ParserKind::PyMuPdf, &choices, &workload, Some(&plan), 1.0);
+/// let tasks = tasks_for_choices(ParserKind::PyMuPdf, &choices, &workload, &plan, 1.0);
 /// assert_eq!(tasks.len(), 3); // two extractions + one high-quality parse
 /// assert!(tasks.iter().all(|t| t.preferred_node.is_some() && t.group.is_some()));
 /// // The parse task (odd id) depends on its extract partner (its id - 1).
@@ -118,7 +118,7 @@ pub fn tasks_for_choices(
     base: ParserKind,
     choices: &[ParserChoice],
     workload: &WorkloadSpec,
-    plan: Option<&NodePlan>,
+    plan: &NodePlan,
     parse_fraction: f64,
 ) -> Vec<Task> {
     let mb = workload.mb_per_doc;
@@ -130,15 +130,12 @@ pub fn tasks_for_choices(
     let mut parse_index = 0usize;
     for (extract_index, choice) in choices.iter().enumerate() {
         let id = choice.doc_id * stride;
-        // Under a plan a task gets its staging node, the document's group and
-        // an edge from each id in `inputs`; without one, none of these.
-        let place = |task: Task, stage: Stage, index: usize, inputs: Range<u64>| match plan {
-            Some(plan) => {
-                let role = if stage == Stage::Extract { GroupRole::Extract } else { GroupRole::Parse };
-                let task = task.with_preferred_node(plan.preferred_node(stage, index));
-                inputs.fold(task.with_group(choice.doc_id, role), Task::with_dependency)
-            }
-            None => task,
+        // A task gets its staging node, the document's group and an edge
+        // from each id in `inputs`.
+        let place = |task: Task, stage: Stage, index: usize, inputs: Range<u64>| {
+            let role = if stage == Stage::Extract { GroupRole::Extract } else { GroupRole::Parse };
+            let task = task.with_preferred_node(plan.preferred_node(stage, index));
+            inputs.fold(task.with_group(choice.doc_id, role), Task::with_dependency)
         };
         let extract =
             Task::new(id, SlotKind::Cpu, base_cost.cpu_seconds).with_input_mb(mb).with_label(base.name());
@@ -186,20 +183,7 @@ pub fn tasks_for_cascade_with_affinity(
     workload: &WorkloadSpec,
     plan: &NodePlan,
 ) -> Vec<Task> {
-    tasks_for_choices(frontier.base(), choices, workload, Some(plan), 1.0)
-}
-
-/// Build tasks for an AdaParse campaign by *assuming* an α-fraction goes to
-/// the high-quality parser (used for large synthetic scaling sweeps where
-/// running the router per document would be wasteful). Panics on a NaN α,
-/// as [`AdaParseConfig::normalized`] does.
-pub fn tasks_for_alpha(config: &AdaParseConfig, workload: &WorkloadSpec) -> Vec<Task> {
-    let config = config.clone().normalized();
-    let quota = ((workload.documents as f64) * config.alpha).floor() as usize;
-    let mask: Vec<bool> = (0..workload.documents).map(|i| i < quota).collect();
-    let (base, upgrade) = (config.default_parser, config.high_quality_parser);
-    let choices: Vec<ParserChoice> = ParserChoice::from_mask(base, upgrade, 0, &mask).collect();
-    tasks_for_choices(base, &choices, workload, None, 1.0)
+    tasks_for_choices(frontier.base(), choices, workload, plan, 1.0)
 }
 
 /// Throughput (documents per second) of one parser at a given node count.
@@ -216,30 +200,27 @@ pub fn parser_throughput_at_scale(
     report.throughput_per_second
 }
 
-/// Throughput (documents per second) of an AdaParse configuration at a given
-/// node count, using the α-quota task construction.
-pub fn adaparse_throughput_at_scale(
-    config: &AdaParseConfig,
-    workload: &WorkloadSpec,
-    nodes: usize,
-    executor: &ExecutorConfig,
-) -> f64 {
-    let tasks = tasks_for_alpha(config, workload);
-    let report =
-        WorkflowExecutor::new(*executor).run(&tasks, &ClusterConfig::polaris(nodes), &LustreModel::default());
-    if report.makespan_seconds > 0.0 {
-        workload.documents as f64 / report.makespan_seconds
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AdaParseConfig;
+    use crate::scaling::simloop::{run_closed_loop, SimLoopConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_workload() -> WorkloadSpec {
         WorkloadSpec { documents: 400, pages_per_doc: 10, mb_per_doc: 1.5 }
+    }
+
+    /// AdaParse at α = 0.05 through the closed loop: the report and
+    /// documents per simulated second.
+    fn adaparse_at(workload: &WorkloadSpec, sim: &SimLoopConfig) -> (crate::SimLoopReport, f64) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let scores: Vec<f64> = (0..workload.documents).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
+        let report = run_closed_loop(&config, &scores, workload, sim);
+        let rate = workload.documents as f64 / report.makespan_seconds;
+        (report, rate)
     }
 
     #[test]
@@ -257,17 +238,16 @@ mod tests {
     #[test]
     fn alpha_quota_controls_the_number_of_gpu_tasks() {
         let w = small_workload();
-        let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
-        let tasks = tasks_for_alpha(&config, &w);
-        let gpu_tasks = tasks.iter().filter(|t| t.slot == SlotKind::Gpu).count();
-        assert_eq!(gpu_tasks, 20);
-        assert_eq!(tasks.len(), w.documents + gpu_tasks);
+        let (report, _) = adaparse_at(&w, &SimLoopConfig { window: w.documents, ..Default::default() });
+        assert_eq!(report.selected, 20);
+        assert_eq!(report.executor_report.tasks_completed, w.documents + 20);
     }
 
     #[test]
     #[should_panic(expected = "alpha must be a number")]
     fn a_nan_alpha_builds_no_workload() {
-        tasks_for_alpha(&AdaParseConfig { alpha: f64::NAN, ..Default::default() }, &small_workload());
+        let config = AdaParseConfig { alpha: f64::NAN, ..Default::default() };
+        run_closed_loop(&config, &[0.5; 4], &small_workload(), &SimLoopConfig::default());
     }
 
     #[test]
@@ -278,12 +258,7 @@ mod tests {
         let pymupdf = parser_throughput_at_scale(ParserKind::PyMuPdf, &w, nodes, &executor);
         let nougat = parser_throughput_at_scale(ParserKind::Nougat, &w, nodes, &executor);
         let marker = parser_throughput_at_scale(ParserKind::Marker, &w, nodes, &executor);
-        let adaparse = adaparse_throughput_at_scale(
-            &AdaParseConfig { alpha: 0.05, ..Default::default() },
-            &w,
-            nodes,
-            &executor,
-        );
+        let (_, adaparse) = adaparse_at(&w, &SimLoopConfig { nodes, executor, ..Default::default() });
         assert!(pymupdf > adaparse, "extraction is fastest: {pymupdf} vs {adaparse}");
         assert!(adaparse > nougat, "AdaParse beats Nougat: {adaparse} vs {nougat}");
         assert!(nougat > marker, "Nougat beats Marker: {nougat} vs {marker}");
@@ -296,14 +271,15 @@ mod tests {
         // Small enough that no fleet queues (spilling off-node is *allowed*
         // once queueing beats the penalty; with free slots it never is).
         let w = WorkloadSpec { documents: 60, pages_per_doc: 10, mb_per_doc: 1.5 };
-        let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
-        let quota = ((w.documents as f64) * config.alpha).floor() as usize;
-        let mask: Vec<bool> = (0..w.documents).map(|i| i < quota).collect();
-        let (base, upgrade) = (config.default_parser, config.high_quality_parser);
-        let choices: Vec<ParserChoice> = ParserChoice::from_mask(base, upgrade, 0, &mask).collect();
+        let config = AdaParseConfig::default();
+        let frontier = ParserFrontier::pair(config.default_parser, config.high_quality_parser);
+        let quota = 3;
+        let choices: Vec<ParserChoice> = (0..w.documents as u64)
+            .map(|doc| ParserChoice::resolve(&frontier, doc, (doc < quota).then_some(0), 0.5, false))
+            .collect();
         let plan = NodePlan { extract_nodes: 3, parse_nodes: 1 };
-        let tasks = tasks_for_choices(base, &choices, &w, Some(&plan), 1.0);
-        assert_eq!(tasks.len(), w.documents + quota);
+        let tasks = tasks_for_choices(frontier.base(), &choices, &w, &plan, 1.0);
+        assert_eq!(tasks.len(), w.documents + quota as usize);
         // Extraction tasks cycle over nodes 0..3, parse tasks pin to node 3;
         // parse tasks depend on their extract partner, extractions on
         // nothing.
@@ -319,10 +295,6 @@ mod tests {
                 assert!(task.depends_on.as_slice().is_empty());
             }
         }
-        // The plain (plan-free) construction stays order-free: it is the
-        // legacy throughput model the fixed-α scaling sweeps are built on.
-        let plain = tasks_for_choices(base, &choices, &w, None, 1.0);
-        assert!(plain.iter().all(|t| t.depends_on.as_slice().is_empty()));
         // On a cluster shaped like the plan, scheduling honors the affinity.
         let report = WorkflowExecutor::new(ExecutorConfig::default()).run(
             &tasks,
@@ -336,10 +308,8 @@ mod tests {
     #[test]
     fn more_nodes_increase_adaparse_throughput() {
         let w = small_workload();
-        let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
-        let executor = ExecutorConfig::default();
-        let one = adaparse_throughput_at_scale(&config, &w, 1, &executor);
-        let four = adaparse_throughput_at_scale(&config, &w, 4, &executor);
+        let (_, one) = adaparse_at(&w, &SimLoopConfig { nodes: 1, ..Default::default() });
+        let (_, four) = adaparse_at(&w, &SimLoopConfig { nodes: 4, ..Default::default() });
         assert!(four > one, "{four} vs {one}");
     }
 }

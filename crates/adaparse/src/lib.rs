@@ -123,8 +123,8 @@ pub use cascade::{cascade_gains, CascadeConfig, ParserChoice, RoutingGranularity
 pub use config::{AdaParseConfig, Variant};
 pub use engine::{AdaParseEngine, CampaignQuality, CampaignResult, RoutedDocument};
 pub use hpc::{
-    adaparse_throughput_at_scale, parser_throughput_at_scale, task_id_stride,
-    tasks_for_cascade_with_affinity, tasks_for_choices, WorkloadSpec,
+    parser_throughput_at_scale, task_id_stride, tasks_for_cascade_with_affinity, tasks_for_choices,
+    WorkloadSpec,
 };
 pub use output::{JsonlSink, MemorySink, ParsedRecord, RecordSink};
 pub use scaling::{

@@ -63,6 +63,7 @@ use hpcsim::{
     CampaignReport, ClusterConfig, ExecutorConfig, LustreModel, StageTiming, SubmitOptions, WorkflowExecutor,
 };
 use parsersim::cost::{CostModel, PLANNING_DIFFICULTY};
+use parsersim::ParserFrontier;
 
 use crate::cascade::ParserChoice;
 use crate::config::AdaParseConfig;
@@ -138,7 +139,7 @@ pub struct SimWave {
     pub finished_at_seconds: f64,
     /// Documents routed in the epoch.
     pub documents: usize,
-    /// Documents sent to the high-quality parser.
+    /// Documents upgraded to the high-quality parser.
     pub selected: usize,
     /// The α the epoch was selected at.
     pub effective_alpha: f64,
@@ -185,12 +186,14 @@ pub struct SimWave {
 pub struct SimLoopReport {
     /// Per-epoch records, in epoch order.
     pub waves: Vec<SimWave>,
-    /// The full routing mask, concatenated across epochs (`true` = routed
-    /// to the high-quality parser).
+    /// The selector's grant mask, concatenated across epochs (`true` =
+    /// granted an upgrade slot). A grant that lands on a non-candidate
+    /// score leaves its document on the base parser, so this can exceed
+    /// [`selected`](Self::selected).
     pub mask: Vec<bool>,
     /// Documents routed.
     pub documents: usize,
-    /// Documents sent to the high-quality parser.
+    /// Documents upgraded to the high-quality parser.
     pub selected: usize,
     /// Total simulated campaign time: the persistent session's last
     /// completion. Epochs overlap (no barrier), so this is *less* than the
@@ -224,10 +227,18 @@ pub struct SimLoopReport {
 }
 
 /// Run a waveless closed-loop simulated campaign over per-document
-/// improvement scores (one score per document, in input order).
+/// improvement scores (one score per document, in input order). Each
+/// window's grants resolve through [`ParserChoice::resolve`], the
+/// campaign's rule: a grant on a non-candidate score stays on the base
+/// parser.
 ///
 /// The loop is fully deterministic: same inputs, same report. See the
 /// module docs for the feedback structure and the no-barrier semantics.
+///
+/// # Panics
+///
+/// Panics on a NaN α, and when the default and high-quality parsers are
+/// one parser ([`ParserFrontier::pair`]), as the campaign does.
 pub fn run_closed_loop(
     config: &AdaParseConfig,
     improvements: &[f64],
@@ -273,7 +284,7 @@ pub fn run_closed_loop(
     // Every task's slot wait, in schedule order — the one thing the close
     // needs from a row after its window has been harvested.
     let mut queue_waits = LatencyLedger::new();
-    let (base, upgrade) = (config.default_parser, config.high_quality_parser);
+    let frontier = ParserFrontier::pair(config.default_parser, config.high_quality_parser);
     // Whole-document choices: extract at `stride · doc`, parse one id later.
     let stride = task_id_stride(0);
     // Per-window scratch, allocated once.
@@ -283,13 +294,15 @@ pub fn run_closed_loop(
         let offset = wave_index * window;
         let effective_alpha = selector.effective_alpha();
         let mask = selector.select_window(chunk);
-        let selected = mask.iter().filter(|&&m| m).count();
         choices.clear();
-        choices.extend(ParserChoice::from_mask(base, upgrade, offset as u64, &mask));
+        for ((&granted, &score), doc_id) in mask.iter().zip(chunk).zip(offset as u64..) {
+            choices.push(ParserChoice::resolve(&frontier, doc_id, granted.then_some(0), score, false));
+        }
+        let selected = choices.iter().filter(|choice| choice.is_upgraded()).count();
 
         // Fleets: the controller's allocation projected onto the cluster.
         let plan = controller.plan_nodes(cluster.nodes);
-        let tasks = tasks_for_choices(base, &choices, workload, Some(&plan), 1.0);
+        let tasks = tasks_for_choices(frontier.base(), &choices, workload, &plan, 1.0);
         // Global-order harvest cursor: retirement never moves it.
         let scheduled_before = session.schedule_len();
         session.submit_owned(tasks, SubmitOptions { release_seconds: Some(decided_at) });

@@ -11,6 +11,7 @@
 use hpcsim::{
     CampaignReport, ClusterConfig, ExecutorConfig, IdMap, LustreModel, SubmitOptions, WorkflowExecutor,
 };
+use parsersim::ParserFrontier;
 
 use crate::cascade::ParserChoice;
 use crate::config::AdaParseConfig;
@@ -303,7 +304,8 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
     let mut scores: Vec<f64> = Vec::new();
     let mut choices: Vec<ParserChoice> = Vec::new();
     // Every tenant routes on the service's pair.
-    let (base, upgrade) = (config.engine.default_parser, config.engine.high_quality_parser);
+    let frontier = ParserFrontier::pair(config.engine.default_parser, config.engine.high_quality_parser);
+    let base = frontier.base();
     // Whole-document choices: extract at `stride · doc`, parse one id later.
     let stride = task_id_stride(0);
 
@@ -475,7 +477,9 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
             state.closing_alpha = state.selector.effective_alpha();
             let mask = state.selector.select_window(&scores);
             choices.clear();
-            choices.extend(ParserChoice::from_mask(base, upgrade, next_doc_id, &mask));
+            for ((&granted, &score), doc_id) in mask.iter().zip(&scores).zip(next_doc_id..) {
+                choices.push(ParserChoice::resolve(&frontier, doc_id, granted.then_some(0), score, false));
+            }
             next_doc_id += batch.len() as u64;
             for (doc, choice) in batch.iter().zip(&choices) {
                 awaiting.insert(
@@ -490,11 +494,10 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 );
             }
             batch.clear();
-            state.selected += mask.iter().filter(|&&m| m).count();
+            state.selected += choices.iter().filter(|choice| choice.is_upgraded()).count();
             // Parse compute scales by the tenant's delegation fraction
             // (exactly 1.0 for by-doc tenants — a bitwise no-op).
-            let tasks =
-                tasks_for_choices(base, &choices, &state.spec.workload, Some(&plan), state.parse_fraction);
+            let tasks = tasks_for_choices(base, &choices, &state.spec.workload, &plan, state.parse_fraction);
             session.submit_owned(tasks, SubmitOptions { release_seconds: Some(boundary) });
         }
 

@@ -135,7 +135,7 @@ pub struct TenantServeReport {
     /// Admitted documents still unfinished at close (nonzero only when the
     /// run hit its epoch bound or tasks were skipped).
     pub unfinished: usize,
-    /// Documents routed to the high-quality parser.
+    /// Documents upgraded to the high-quality parser.
     pub selected: usize,
     /// Time-to-parsed (arrival → last task finish) over completed
     /// documents, with exact nearest-rank percentiles.

@@ -3,7 +3,7 @@
 //!
 //! All three arms run the same trained engine over the same
 //! category-skewed corpus ([`scicorpus::generate_categorized`]) under the
-//! same **upgrade credit per routing unit**: `--alpha` is the binary arm's
+//! same **upgrade credit per routing unit**: `ALPHA` is the binary arm's
 //! upgrade fraction, which fixes a dollar credit per unit
 //! (`alpha × page dollars of the binary upgrade`), and each wider arm's α
 //! is rescaled by its own costliest upgrade so every arm accrues the same
@@ -36,26 +36,24 @@ use docmodel::DocCategory;
 use scicorpus::categories::{generate_categorized, CategoryMix};
 use scicorpus::generator::GeneratorConfig;
 
-struct Args {
-    docs: usize,
-    window: usize,
-    alpha: f64,
-}
+/// The binary arm's upgrade fraction, which fixes every arm's credit.
+const ALPHA: f64 = 0.1;
+/// Streaming selection window of every arm.
+const WINDOW: usize = 32;
 
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { docs: 600, window: 32, alpha: 0.1 };
+/// The bin's one flag: `--docs` (default 600).
+fn parse_args(flags: &mut Flags) -> Result<usize, String> {
+    let mut docs = 600;
     while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--docs" => args.docs = flags.value("--docs")?,
-            "--window" => args.window = flags.value("--window")?,
-            "--alpha" => args.alpha = flags.value("--alpha")?,
+            "--docs" => docs = flags.value("--docs")?,
             other => return Err(Flags::unknown(other)),
         }
     }
-    if args.docs == 0 || args.window == 0 {
-        return Err("--docs and --window must be positive".to_string());
+    if docs == 0 {
+        return Err("--docs must be positive".to_string());
     }
-    Ok(args)
+    Ok(docs)
 }
 
 const TRAJECTORY: Trajectory = Trajectory {
@@ -158,13 +156,10 @@ fn arm_json(arm: &Arm) -> JsonValue {
     ])
 }
 
-fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, String> {
     println!(
-        "bench_cascade: {} documents, seed {}, window {}, alpha {}{}",
-        args.docs,
+        "bench_cascade: {docs} documents, seed {}, window {WINDOW}, alpha {ALPHA}{}",
         flags.seed,
-        args.window,
-        args.alpha,
         if flags.smoke { " (smoke: double run per arm)" } else { "" }
     );
 
@@ -179,32 +174,32 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
         ],
     };
     let base = GeneratorConfig { min_pages: 1, max_pages: 4, ..Default::default() };
-    let corpus = generate_categorized(&base, &mix, args.docs, flags.seed);
+    let corpus = generate_categorized(&base, &mix, docs, flags.seed);
     // The binary baseline routes its α-split at the *top* of the quality
     // frontier — hard documents go straight to the most capable (and most
     // expensive) parser. The cascade arms get the same dollars and may
     // split them across the whole frontier instead.
     let config = AdaParseConfig {
-        alpha: args.alpha,
+        alpha: ALPHA,
         high_quality_parser: parsersim::ParserKind::Marker,
         ..Default::default()
     };
     let mut engine = AdaParseEngine::new(config.clone());
-    engine.train_on_corpus(&corpus.documents[..24.min(args.docs)], 5);
+    engine.train_on_corpus(&corpus.documents[..24.min(docs)], 5);
     let pipeline = CampaignPipeline::new(PipelineConfig { workers: 2, ..Default::default() });
 
-    // Equal budgets: `--alpha` is the binary arm's upgrade fraction; a
+    // Equal budgets: `ALPHA` is the binary arm's upgrade fraction; a
     // wider frontier's slots are denominated in *its* costliest upgrade, so
     // its α is rescaled to keep the credit per routing unit fixed.
-    let dollar_credit_per_doc = args.alpha * parsersim::page_dollars(config.high_quality_parser);
+    let dollar_credit_per_doc = ALPHA * parsersim::page_dollars(config.high_quality_parser);
     let rescaled = |mut cascade: CascadeConfig| {
         let costliest = cascade.frontier.costliest().map(|e| e.cost_per_page).unwrap_or(1.0);
         cascade.alpha = dollar_credit_per_doc / costliest;
         cascade
     };
-    let binary_config = CascadeConfig::binary(&config, args.window);
-    let k4_config = rescaled(CascadeConfig::full(&config, args.window));
-    let by_page_config = rescaled(CascadeConfig::full(&config, args.window)).by_page();
+    let binary_config = CascadeConfig::binary(&config, WINDOW);
+    let k4_config = rescaled(CascadeConfig::full(&config, WINDOW));
+    let by_page_config = rescaled(CascadeConfig::full(&config, WINDOW)).by_page();
     println!(
         "  upgrade credit: ${:.2}/unit (binary alpha {:.3}, k4 alpha {:.4})",
         dollar_credit_per_doc, binary_config.alpha, k4_config.alpha
@@ -242,10 +237,10 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     }
 
     Ok(vec![
-        ("docs", JsonValue::U64(args.docs as u64)),
+        ("docs", JsonValue::U64(docs as u64)),
         ("seed", JsonValue::U64(flags.seed)),
-        ("window", JsonValue::U64(args.window as u64)),
-        ("alpha", JsonValue::F64(args.alpha)),
+        ("window", JsonValue::U64(WINDOW as u64)),
+        ("alpha", JsonValue::F64(ALPHA)),
         ("smoke", JsonValue::Bool(flags.smoke)),
         ("quality_gap_k4_vs_binary", JsonValue::F64(quality_gap)),
         ("arms", JsonValue::Array(arms.iter().map(arm_json).collect())),

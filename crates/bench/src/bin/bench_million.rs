@@ -64,26 +64,24 @@ impl Fingerprint {
     }
 }
 
-struct Args {
-    docs: usize,
-    window: usize,
-    nodes: usize,
-}
+/// Selection window of the campaign.
+const WINDOW: usize = 256;
+/// Simulated cluster size in nodes.
+const NODES: usize = 4;
 
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { docs: 1_000_000, window: 256, nodes: 4 };
+/// The bin's one flag: `--docs` (default 10⁶).
+fn parse_args(flags: &mut Flags) -> Result<usize, String> {
+    let mut docs = 1_000_000;
     while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--docs" => args.docs = flags.value("--docs")?,
-            "--window" => args.window = flags.value("--window")?,
-            "--nodes" => args.nodes = flags.value("--nodes")?,
+            "--docs" => docs = flags.value("--docs")?,
             other => return Err(Flags::unknown(other)),
         }
     }
-    if args.docs == 0 || args.window == 0 || args.nodes == 0 {
-        return Err("--docs, --window, and --nodes must be positive".to_string());
+    if docs == 0 {
+        return Err("--docs must be positive".to_string());
     }
-    Ok(args)
+    Ok(docs)
 }
 
 const TRAJECTORY: Trajectory = Trajectory {
@@ -107,19 +105,15 @@ const TRAJECTORY: Trajectory = Trajectory {
 
 /// Phases 2+3: isolated streaming selection, then the causal closed loop.
 /// Returns the mask, the loop report, and the two phase durations.
-fn run_campaign(
-    engine: &AdaParseEngine,
-    scores: &[f64],
-    args: &Args,
-) -> (Vec<bool>, SimLoopReport, f64, f64) {
+fn run_campaign(engine: &AdaParseEngine, scores: &[f64]) -> (Vec<bool>, SimLoopReport, f64, f64) {
     let selection_start = Instant::now();
-    let mask = WindowedSelector::new(args.window, engine.config().alpha).select_all(scores);
+    let mask = WindowedSelector::new(WINDOW, engine.config().alpha).select_all(scores);
     let selection_seconds = selection_start.elapsed().as_secs_f64();
 
     let workload = WorkloadSpec { documents: scores.len(), pages_per_doc: 8, mb_per_doc: 20.0 };
     let sim = SimLoopConfig {
-        window: args.window,
-        nodes: args.nodes,
+        window: WINDOW,
+        nodes: NODES,
         controller: ControllerConfig { total_workers: 8, patience: 1 },
         ..Default::default()
     };
@@ -129,25 +123,22 @@ fn run_campaign(
     (mask, report, selection_seconds, loop_seconds)
 }
 
-fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, String> {
     let total_start = Instant::now();
     println!(
-        "bench_million: {} documents, seed {}, window {}, {} nodes{}",
-        args.docs,
+        "bench_million: {docs} documents, seed {}, window {WINDOW}, {NODES} nodes{}",
         flags.seed,
-        args.window,
-        args.nodes,
         if flags.smoke { " (smoke: double run + determinism check)" } else { "" }
     );
 
     let router_start = Instant::now();
-    let (engine, scores, router_docs) = build_scores(args.docs, flags.seed);
+    let (engine, scores, router_docs) = build_scores(docs, flags.seed);
     let router_scores_seconds = router_start.elapsed().as_secs_f64();
     println!("  train + extract + route ({router_docs} base docs): {router_scores_seconds:.2} s");
 
     let (allocations_before, bytes_before) =
         (CountingAllocator::allocations(), CountingAllocator::allocated_bytes());
-    let (mask, report, selection_seconds, loop_seconds) = run_campaign(&engine, &scores, &args);
+    let (mask, report, selection_seconds, loop_seconds) = run_campaign(&engine, &scores);
     let allocations = CountingAllocator::allocations() - allocations_before;
     let allocated_mb = (CountingAllocator::allocated_bytes() - bytes_before) as f64 / (1024.0 * 1024.0);
     let fingerprint = Fingerprint::new(&mask, &report);
@@ -159,7 +150,7 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     );
 
     if flags.smoke {
-        let (mask2, report2, _, _) = run_campaign(&engine, &scores, &args);
+        let (mask2, report2, _, _) = run_campaign(&engine, &scores);
         if report2 != report || mask2 != mask {
             return Err("smoke determinism check failed: same seed produced different outputs".into());
         }
@@ -176,10 +167,10 @@ fn run(flags: &Flags, args: Args) -> Result<Vec<(&'static str, JsonValue)>, Stri
     );
 
     Ok(vec![
-        ("docs", JsonValue::U64(args.docs as u64)),
+        ("docs", JsonValue::U64(docs as u64)),
         ("seed", JsonValue::U64(flags.seed)),
-        ("window", JsonValue::U64(args.window as u64)),
-        ("nodes", JsonValue::U64(args.nodes as u64)),
+        ("window", JsonValue::U64(WINDOW as u64)),
+        ("nodes", JsonValue::U64(NODES as u64)),
         ("smoke", JsonValue::Bool(flags.smoke)),
         // Optional field (absent from early entries, so kept out of the
         // required ones): the herd serialization cost the run observed.

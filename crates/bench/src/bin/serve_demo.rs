@@ -3,10 +3,11 @@
 //!
 //! Drives `adaparse::serve::run_service` over a bursty multi-tenant
 //! arrival mix — a herding heavy tenant, a steady interactive tenant, and
-//! a budgeted batch tenant — twice:
+//! a budgeted batch tenant, their scores drawn from the router-score
+//! stream — twice:
 //!
 //! 1. **Autoscaled**: the `SloAutoscaler` breathes the fleet between
-//!    `--min-nodes` and `--max-nodes` against the worst per-tenant
+//!    `MIN_NODES` and `MAX_NODES` against the worst per-tenant
 //!    p99/SLO ratio.
 //! 2. **Fixed ablation**: the same traces on a pinned fleet of equal
 //!    *average* capacity (the autoscaled run's epoch-mean active nodes,
@@ -32,32 +33,29 @@ use adaparse::{
     run_service, AdaParseConfig, AutoscaleConfig, CampaignBudget, ServeConfig, ServeReport, TenantSpec,
     TenantTrace, WorkloadSpec,
 };
-use bench::driver::{doc_arrivals, drive, Flags, Trajectory};
+use bench::driver::{build_scores, doc_arrivals, drive, Flags, Trajectory};
 use bench::trajectory::JsonValue;
 use scicorpus::ArrivalPattern;
 
-struct Args {
-    scale: usize,
-    min_nodes: usize,
-    max_nodes: usize,
-    slo_seconds: f64,
-}
+/// The autoscaler's fleet bounds, in nodes.
+const MIN_NODES: usize = 1;
+const MAX_NODES: usize = 6;
+/// Every tenant's p99 time-to-parsed target.
+const SLO_SECONDS: f64 = 130.0;
 
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { scale: 6, min_nodes: 1, max_nodes: 6, slo_seconds: 130.0 };
+/// The bin's one flag: `--scale` (default 6), the trace length multiplier.
+fn parse_args(flags: &mut Flags) -> Result<usize, String> {
+    let mut scale = 6;
     while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--scale" => args.scale = flags.value("--scale")?,
-            "--min-nodes" => args.min_nodes = flags.value("--min-nodes")?,
-            "--max-nodes" => args.max_nodes = flags.value("--max-nodes")?,
-            "--slo-seconds" => args.slo_seconds = flags.value("--slo-seconds")?,
+            "--scale" => scale = flags.value("--scale")?,
             other => return Err(Flags::unknown(other)),
         }
     }
-    if args.scale == 0 || args.min_nodes == 0 || args.max_nodes < args.min_nodes {
-        return Err("--scale must be positive and --max-nodes >= --min-nodes >= 1".to_string());
+    if scale == 0 {
+        return Err("--scale must be positive".to_string());
     }
-    Ok(args)
+    Ok(scale)
 }
 
 const TRAJECTORY: Trajectory = Trajectory {
@@ -83,33 +81,40 @@ const TRAJECTORY: Trajectory = Trajectory {
 
 /// The demo's tenant mix: a herding heavy tenant, a steady interactive
 /// tenant, and a budgeted batch tenant, all sharing one p99 target.
-fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
+fn traces(s: usize, seed: u64) -> Vec<TenantTrace> {
     let workload = WorkloadSpec { documents: 0, pages_per_doc: 40, mb_per_doc: 80.0 };
-    let s = args.scale;
+    // The router's scores on its whole base sample, built once.
+    let scores = build_scores(2048, seed).1;
     vec![
         TenantTrace {
             spec: TenantSpec {
                 name: "bursty-heavy".to_string(),
                 alpha: 0.35,
                 weight: 2.0,
-                slo_p99_seconds: args.slo_seconds,
+                slo_p99_seconds: SLO_SECONDS,
                 max_pending: 4096,
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(120 * s, seed, 0.5, ArrivalPattern::AdversarialHerd { herd_size: 40 * s }),
+            arrivals: doc_arrivals(
+                &scores,
+                120 * s,
+                seed,
+                0.5,
+                ArrivalPattern::AdversarialHerd { herd_size: 40 * s },
+            ),
         },
         TenantTrace {
             spec: TenantSpec {
                 name: "steady-interactive".to_string(),
                 alpha: 0.15,
                 weight: 1.0,
-                slo_p99_seconds: args.slo_seconds,
+                slo_p99_seconds: SLO_SECONDS,
                 max_pending: 4096,
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(15 * s, seed ^ 0xA11CE, 0.1, ArrivalPattern::Steady),
+            arrivals: doc_arrivals(&scores, 15 * s, seed ^ 0xA11CE, 0.1, ArrivalPattern::Steady),
         },
         TenantTrace {
             spec: TenantSpec {
@@ -117,24 +122,30 @@ fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
                 alpha: 0.4,
                 budget: Some(CampaignBudget::seconds(2_000.0 * s as f64)),
                 weight: 1.0,
-                slo_p99_seconds: args.slo_seconds,
+                slo_p99_seconds: SLO_SECONDS,
                 max_pending: 4096,
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(25 * s, seed ^ 0xBA7C4, 0.2, ArrivalPattern::Bursty { burst_size: 8 * s }),
+            arrivals: doc_arrivals(
+                &scores,
+                25 * s,
+                seed ^ 0xBA7C4,
+                0.2,
+                ArrivalPattern::Bursty { burst_size: 8 * s },
+            ),
         },
     ]
 }
 
-fn serve_config(args: &Args, autoscale: bool, fixed_nodes: usize) -> ServeConfig {
+fn serve_config(autoscale: bool, fixed_nodes: usize) -> ServeConfig {
     ServeConfig {
         engine: AdaParseConfig::default(),
         epoch_seconds: 20.0,
-        nodes: if autoscale { args.min_nodes } else { fixed_nodes },
+        nodes: if autoscale { MIN_NODES } else { fixed_nodes },
         autoscale: autoscale.then_some(AutoscaleConfig {
-            min_nodes: args.min_nodes,
-            max_nodes: args.max_nodes,
+            min_nodes: MIN_NODES,
+            max_nodes: MAX_NODES,
             step_up: 3,
             step_down: 2,
             down_patience: 2,
@@ -176,26 +187,24 @@ fn print_report(title: &str, report: &ServeReport) {
     }
 }
 
-fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn run(flags: &Flags, mut scale: usize) -> Result<Vec<(&'static str, JsonValue)>, String> {
     if flags.smoke {
-        args.scale = args.scale.min(2);
+        scale = scale.min(2);
     }
 
-    let traces = traces(&args, flags.seed);
+    let traces = traces(scale, flags.seed);
     let docs: usize = traces.iter().map(|t| t.arrivals.len()).sum();
     println!(
-        "serve_demo: {docs} documents over {} tenants, seed {}, fleet {}..{} nodes{}",
+        "serve_demo: {docs} documents over {} tenants, seed {}, fleet {MIN_NODES}..{MAX_NODES} nodes{}",
         traces.len(),
         flags.seed,
-        args.min_nodes,
-        args.max_nodes,
         if flags.smoke { " (smoke)" } else { "" }
     );
 
     // Autoscaled run, twice: the service must replay bit for bit.
     let wall = Instant::now();
-    let auto = run_service(&serve_config(&args, true, 0), &traces);
-    let replay = run_service(&serve_config(&args, true, 0), &traces);
+    let auto = run_service(&serve_config(true, 0), &traces);
+    let replay = run_service(&serve_config(true, 0), &traces);
     if auto != replay {
         return Err("serve run failed to replay bitwise".to_string());
     }
@@ -203,8 +212,8 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
 
     // Equal-average-capacity ablation: pin the fleet at the autoscaled
     // run's mean active nodes.
-    let fixed_nodes = (auto.mean_active_nodes.round() as usize).clamp(1, args.max_nodes);
-    let fixed = run_service(&serve_config(&args, false, fixed_nodes), &traces);
+    let fixed_nodes = (auto.mean_active_nodes.round() as usize).clamp(1, MAX_NODES);
+    let fixed = run_service(&serve_config(false, fixed_nodes), &traces);
 
     let wall_seconds = wall.elapsed().as_secs_f64();
 
@@ -252,9 +261,9 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
     );
     Ok(vec![
         ("seed", JsonValue::U64(flags.seed)),
-        ("scale", JsonValue::U64(args.scale as u64)),
+        ("scale", JsonValue::U64(scale as u64)),
         ("smoke", JsonValue::Bool(flags.smoke)),
-        ("slo_seconds", JsonValue::F64(args.slo_seconds)),
+        ("slo_seconds", JsonValue::F64(SLO_SECONDS)),
         ("auto_worst_slo_ratio", JsonValue::F64(auto.worst_slo_ratio())),
         ("fixed_worst_slo_ratio", JsonValue::F64(fixed.worst_slo_ratio())),
         ("mean_active_nodes", JsonValue::F64(auto.mean_active_nodes)),

@@ -1,14 +1,14 @@
 //! Steady-state serve soak: long-run epoch throughput and bounded memory.
 //!
 //! Drives `adaparse::serve::run_service_instrumented` over a long
-//! multi-tenant arrival mix on a fixed fleet and measures what the
-//! per-epoch retirement machinery is for:
+//! multi-tenant arrival mix, scored from the router-score stream, on a fixed
+//! fleet and measures what the per-epoch retirement machinery is for:
 //!
 //! * **Steady throughput** — epochs/second over the *first* decile of
 //!   epochs vs the *last* decile. Without retirement every epoch rescans
 //!   a schedule that grows with run age and the loop decays; with it the
 //!   per-epoch cost is O(work in flight) and the last decile must hold at
-//!   least `--steady-floor` (default 0.8) of the first.
+//!   least `STEADY_FLOOR` (0.8) of the first.
 //! * **Bounded memory** — the peak retained schedule rows and
 //!   completed-task records at any boundary stay proportional to work in
 //!   flight (each in-flight document owns at most two tasks), not to the
@@ -33,35 +33,33 @@ use adaparse::{
     run_service_instrumented, AdaParseConfig, CampaignBudget, ServeConfig, ServeReport, SoakStats,
     TenantSpec, TenantTrace, WorkloadSpec,
 };
-use bench::driver::{doc_arrivals, drive, CountingAllocator, Flags, Trajectory};
+use bench::driver::{build_scores, doc_arrivals, drive, CountingAllocator, Flags, Trajectory};
 use bench::trajectory::JsonValue;
 use scicorpus::ArrivalPattern;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-struct Args {
-    scale: usize,
-    nodes: usize,
-    epoch_seconds: f64,
-    steady_floor: f64,
-}
+/// The fixed fleet, in nodes.
+const NODES: usize = 4;
+/// Seconds between decision boundaries.
+const EPOCH_SECONDS: f64 = 10.0;
+/// The least last-decile throughput, as a fraction of the first decile's.
+const STEADY_FLOOR: f64 = 0.8;
 
-fn parse_args(flags: &mut Flags) -> Result<Args, String> {
-    let mut args = Args { scale: 8, nodes: 4, epoch_seconds: 10.0, steady_floor: 0.8 };
+/// The bin's one flag: `--scale` (default 8), the trace length multiplier.
+fn parse_args(flags: &mut Flags) -> Result<usize, String> {
+    let mut scale = 8;
     while let Some(flag) = flags.next_own()? {
         match flag.as_str() {
-            "--scale" => args.scale = flags.value("--scale")?,
-            "--nodes" => args.nodes = flags.value("--nodes")?,
-            "--epoch-seconds" => args.epoch_seconds = flags.value("--epoch-seconds")?,
-            "--steady-floor" => args.steady_floor = flags.value("--steady-floor")?,
+            "--scale" => scale = flags.value("--scale")?,
             other => return Err(Flags::unknown(other)),
         }
     }
-    if args.scale == 0 || args.nodes == 0 || args.epoch_seconds <= 0.0 {
-        return Err("--scale and --nodes must be positive, --epoch-seconds > 0".to_string());
+    if scale == 0 {
+        return Err("--scale must be positive".to_string());
     }
-    Ok(args)
+    Ok(scale)
 }
 
 const TRAJECTORY: Trajectory = Trajectory {
@@ -94,9 +92,10 @@ const TRAJECTORY: Trajectory = Trajectory {
 /// churn, budget reconciliation, and admission pressure for the entire
 /// run — while arrivals stretch far enough that the epoch count is in
 /// the hundreds and the deciles mean something.
-fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
+fn traces(s: usize, seed: u64) -> Vec<TenantTrace> {
     let workload = WorkloadSpec { documents: 0, pages_per_doc: 8, mb_per_doc: 50.0 };
-    let s = args.scale;
+    // The router's scores on its whole base sample, built once.
+    let scores = build_scores(2048, seed).1;
     vec![
         TenantTrace {
             spec: TenantSpec {
@@ -107,7 +106,7 @@ fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(300 * s, seed, 0.8, ArrivalPattern::Steady),
+            arrivals: doc_arrivals(&scores, 300 * s, seed, 0.8, ArrivalPattern::Steady),
         },
         TenantTrace {
             spec: TenantSpec {
@@ -119,6 +118,7 @@ fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
                 ..Default::default()
             },
             arrivals: doc_arrivals(
+                &scores,
                 120 * s,
                 seed ^ 0xD1A1,
                 0.35,
@@ -135,16 +135,22 @@ fn traces(args: &Args, seed: u64) -> Vec<TenantTrace> {
                 workload,
                 ..Default::default()
             },
-            arrivals: doc_arrivals(90 * s, seed ^ 0xB357, 0.25, ArrivalPattern::Bursty { burst_size: 4 * s }),
+            arrivals: doc_arrivals(
+                &scores,
+                90 * s,
+                seed ^ 0xB357,
+                0.25,
+                ArrivalPattern::Bursty { burst_size: 4 * s },
+            ),
         },
     ]
 }
 
-fn serve_config(args: &Args, retirement: bool) -> ServeConfig {
+fn serve_config(retirement: bool) -> ServeConfig {
     ServeConfig {
         engine: AdaParseConfig::default(),
-        epoch_seconds: args.epoch_seconds,
-        nodes: args.nodes,
+        epoch_seconds: EPOCH_SECONDS,
+        nodes: NODES,
         retirement,
         ..Default::default()
     }
@@ -173,32 +179,30 @@ fn retained_bound(soak: &SoakStats) -> usize {
     2 * soak.peak_in_flight.max(1)
 }
 
-fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, String> {
+fn run(flags: &Flags, mut scale: usize) -> Result<Vec<(&'static str, JsonValue)>, String> {
     if flags.smoke {
-        args.scale = args.scale.min(1);
+        scale = scale.min(1);
     }
 
-    let traces = traces(&args, flags.seed);
+    let traces = traces(scale, flags.seed);
     let docs: usize = traces.iter().map(|t| t.arrivals.len()).sum();
     println!(
-        "serve_steady: {docs} documents over {} tenants, seed {}, {} nodes, {}s epochs{}",
+        "serve_steady: {docs} documents over {} tenants, seed {}, {NODES} nodes, {EPOCH_SECONDS}s epochs{}",
         traces.len(),
         flags.seed,
-        args.nodes,
-        args.epoch_seconds,
         if flags.smoke { " (smoke)" } else { "" }
     );
 
     // The soak run proper, with retirement on (the default).
     let alloc_before = CountingAllocator::allocations();
     let wall = Instant::now();
-    let (report, soak) = run_service_instrumented(&serve_config(&args, true), &traces);
+    let (report, soak) = run_service_instrumented(&serve_config(true), &traces);
     let soak_wall = wall.elapsed().as_secs_f64();
     let allocations = CountingAllocator::allocations() - alloc_before;
     let peak_mb = CountingAllocator::peak_mb();
 
     // Replay: the instrumented run is the same pure function.
-    let (replay, _) = run_service_instrumented(&serve_config(&args, true), &traces);
+    let (replay, _) = run_service_instrumented(&serve_config(true), &traces);
     if report != replay {
         return Err("retirement-on serve run failed to replay bitwise".to_string());
     }
@@ -206,7 +210,7 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
     // Retirement invisibility: the unretired run must agree on every
     // observable (the GPU-trace span lists differ structurally — they are
     // memory, not observables — so compare the report's observable parts).
-    let (unretired, unretired_soak) = run_service_instrumented(&serve_config(&args, false), &traces);
+    let (unretired, unretired_soak) = run_service_instrumented(&serve_config(false), &traces);
     let retirement_bitwise = report.fingerprint == unretired.fingerprint
         && report.tenants == unretired.tenants
         && report.latency == unretired.latency
@@ -263,11 +267,10 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
     }
     // The decile ratio is a wall-clock measurement: assert it only on the
     // full soak, where hundreds of epochs smooth host noise away.
-    if !flags.smoke && steady_ratio < args.steady_floor {
+    if !flags.smoke && steady_ratio < STEADY_FLOOR {
         return Err(format!(
             "steady-state throughput decayed: last decile at {steady_ratio:.3} of the first \
-             (floor {})",
-            args.steady_floor
+             (floor {STEADY_FLOOR})"
         ));
     }
     if !flags.smoke && soak.peak_retained_rows * 4 > total_rows {
@@ -279,11 +282,11 @@ fn run(flags: &Flags, mut args: Args) -> Result<Vec<(&'static str, JsonValue)>, 
 
     Ok(vec![
         ("seed", JsonValue::U64(flags.seed)),
-        ("scale", JsonValue::U64(args.scale as u64)),
+        ("scale", JsonValue::U64(scale as u64)),
         ("smoke", JsonValue::Bool(flags.smoke)),
         ("docs", JsonValue::U64(docs as u64)),
         ("epochs", JsonValue::U64(report.epochs as u64)),
-        ("epoch_seconds", JsonValue::F64(args.epoch_seconds)),
+        ("epoch_seconds", JsonValue::F64(EPOCH_SECONDS)),
         ("first_decile_epochs_per_sec", JsonValue::F64(first_eps)),
         ("last_decile_epochs_per_sec", JsonValue::F64(last_eps)),
         ("steady_ratio", JsonValue::F64(steady_ratio)),

@@ -1,7 +1,8 @@
-//! What the four trajectory bins (`bench_million`, `bench_cascade`,
-//! `serve_demo`, `serve_steady`) share: one flag reader, one
+//! What the trajectory bins (`bench_million`, `bench_cascade`, `serve_demo`,
+//! `serve_steady`, `bench_layers`) share: one flag reader, one
 //! `run → entry → append → validate` driver, one counting allocator, and the
-//! seeded helpers (`fnv1a`, `doc_arrivals`) two bins each call.
+//! seeded helpers (`fnv1a`, `doc_arrivals`, and `build_scores`, the
+//! router-score stream every simulated campaign routes).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -182,15 +183,25 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     hash
 }
 
-/// Zip seeded arrival timestamps with seeded improvement scores (uniform
-/// draws from the `seed ^ 0x5EED` stream).
-pub fn doc_arrivals(n: usize, seed: u64, rate: f64, pattern: ArrivalPattern) -> Vec<DocArrival> {
+/// Zip seeded arrival timestamps with router scores: each arrival takes the
+/// score of `scores` (a [`build_scores`] stream) at an index drawn from the
+/// `seed ^ 0x5EED` stream.
+pub fn doc_arrivals(
+    scores: &[f64],
+    n: usize,
+    seed: u64,
+    rate: f64,
+    pattern: ArrivalPattern,
+) -> Vec<DocArrival> {
     let times =
         generate_arrivals(&ArrivalConfig { n_documents: n, seed, mean_rate_per_second: rate, pattern });
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
     times
         .into_iter()
-        .map(|arrival| DocArrival { at_seconds: arrival.at_seconds, score: rng.gen_range(0.0..1.0) })
+        .map(|arrival| DocArrival {
+            at_seconds: arrival.at_seconds,
+            score: scores[rng.gen_range(0..scores.len())],
+        })
         .collect()
 }
 

@@ -5,11 +5,12 @@
 //!
 //! Run with: `cargo run --example parsing_campaign --release`
 
-use adaparse::hpc::{
-    adaparse_throughput_at_scale, parser_throughput_at_scale, tasks_for_alpha, WorkloadSpec,
+use adaparse::hpc::{parser_throughput_at_scale, WorkloadSpec};
+use adaparse::{
+    run_closed_loop, AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, JsonlSink,
+    PipelineConfig, SimLoopConfig,
 };
-use adaparse::{AdaParseConfig, AdaParseEngine, CampaignPipeline, CascadeConfig, JsonlSink, PipelineConfig};
-use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, WorkflowExecutor};
+use hpcsim::ExecutorConfig;
 use parsersim::ParserKind;
 use scicorpus::generator::{DocumentGenerator, GeneratorConfig};
 
@@ -48,25 +49,30 @@ fn main() {
     );
     println!();
 
+    // The router's scores on the campaign's documents, tiled to the
+    // simulated workload: AdaParse runs through the closed loop on them.
+    let routed = engine.route_documents(&docs, 7);
+    let scores: Vec<f64> =
+        (0..workload.documents).map(|i| routed[i % routed.len()].predicted_improvement).collect();
+    let closed_loop = |nodes, executor| {
+        run_closed_loop(&config, &scores, &workload, &SimLoopConfig { nodes, executor, ..Default::default() })
+            .executor_report
+    };
+
     println!("Throughput scaling (PDFs/s) — {} documents per point", workload.documents);
     println!("{:>6} {:>10} {:>10} {:>12}", "nodes", "PyMuPDF", "Nougat", "AdaParse");
     for nodes in [1usize, 4, 16, 64] {
         let pymupdf = parser_throughput_at_scale(ParserKind::PyMuPdf, &workload, nodes, &executor);
         let nougat = parser_throughput_at_scale(ParserKind::Nougat, &workload, nodes, &executor);
-        let ada = adaparse_throughput_at_scale(&config, &workload, nodes, &executor);
+        let ada = workload.documents as f64 / closed_loop(nodes, executor).makespan_seconds;
         println!("{nodes:>6} {pymupdf:>10.1} {nougat:>10.1} {ada:>12.1}");
     }
 
     // Zoom into one node: GPU utilization with and without warm starts.
     println!();
     println!("Single-node GPU utilization for the AdaParse workload:");
-    let tasks = tasks_for_alpha(&config, &workload);
     for (label, warm) in [("warm-start", true), ("cold-start", false)] {
-        let report = WorkflowExecutor::new(ExecutorConfig { warm_start: warm, ..executor }).run(
-            &tasks,
-            &ClusterConfig::polaris(1),
-            &LustreModel::default(),
-        );
+        let report = closed_loop(1, ExecutorConfig { warm_start: warm, ..executor });
         println!(
             "  {label:<11} makespan {:>8.1} s  mean GPU util {:>5.1} %  cold starts {}",
             report.makespan_seconds,

@@ -1,8 +1,8 @@
 //! Integration tests for the headline claims: throughput ordering at scale
 //! (Figure 5) and the quality ranking structure of Tables 1–3.
 
-use adaparse::hpc::{adaparse_throughput_at_scale, parser_throughput_at_scale, WorkloadSpec};
-use adaparse::AdaParseConfig;
+use adaparse::hpc::{parser_throughput_at_scale, WorkloadSpec};
+use adaparse::{run_closed_loop, AdaParseConfig, SimLoopConfig};
 use hpcsim::ExecutorConfig;
 use parsersim::cost::CostModel;
 use parsersim::evaluate::evaluate_corpus;
@@ -15,11 +15,15 @@ fn throughput_ordering_holds_across_node_counts() {
     let workload = WorkloadSpec { documents: 800, pages_per_doc: 10, mb_per_doc: 1.5 };
     let executor = ExecutorConfig::default();
     let config = AdaParseConfig { alpha: 0.05, ..Default::default() };
+    // AdaParse runs through the closed loop, on scores spread over [0, 1).
+    let scores: Vec<f64> = (0..workload.documents).map(|i| (i * 37 % 100) as f64 / 100.0).collect();
     for nodes in [1usize, 8, 32] {
         let pymupdf = parser_throughput_at_scale(ParserKind::PyMuPdf, &workload, nodes, &executor);
         let nougat = parser_throughput_at_scale(ParserKind::Nougat, &workload, nodes, &executor);
         let marker = parser_throughput_at_scale(ParserKind::Marker, &workload, nodes, &executor);
-        let ada = adaparse_throughput_at_scale(&config, &workload, nodes, &executor);
+        let sim = SimLoopConfig { nodes, executor, ..Default::default() };
+        let ada =
+            workload.documents as f64 / run_closed_loop(&config, &scores, &workload, &sim).makespan_seconds;
         assert!(pymupdf > ada && ada > nougat && nougat > marker,
             "ordering violated at {nodes} nodes: pymupdf {pymupdf}, ada {ada}, nougat {nougat}, marker {marker}");
     }
