@@ -14,9 +14,14 @@
 //!   path handled;
 //! * the same holds on either slot kind and on a drained prefix of the
 //!   fleet;
+//! * the same holds on buckets of up to 40 slots per node (Polaris has 30
+//!   CPU + 4 GPU) under a coarse time grid, where dispatches land on
+//!   another slot's free time or on the slot's own old one, and beside
+//!   updates that move a slot other than its bucket's head, or backwards;
 //! * `InFlightCounter::count_after` equals the naive strict-greater count
 //!   over every finish ever inserted, under non-decreasing query times
-//!   interleaved with inserts in arbitrary order and with retirement;
+//!   interleaved with inserts in arbitrary order and with retirement —
+//!   including finishes inserted at or below the last query;
 //! * `ReadyQueue` pops, peeks and counts exactly like a `Vec` popping its
 //!   first minimum under `(time, id, insertion)` — under heavy time
 //!   collisions, duplicate ids, `-0.0` beside `+0.0`, ascending runs broken
@@ -165,6 +170,59 @@ proptest! {
     }
 
     #[test]
+    fn slot_index_matches_linear_scan_on_wide_buckets_with_ties(
+        shape in (1usize..4, 1usize..41),
+        ops in prop::collection::vec(((0u8..40, 0u8..5), (0u8..4, 0u8..8), (0usize..160, 0u8..40)), 1..200),
+    ) {
+        // Every time is a multiple of 0.5, so new finishes tie other slots'
+        // free times (and, at zero busy behind a later free time, the
+        // slot's own old one) all the time.
+        let (nodes, slots_per_node) = shape;
+        let total = nodes * slots_per_node;
+        let node_of: Vec<usize> = (0..total).map(|slot| slot / slots_per_node).collect();
+        let mut free_at = vec![0.0f64; total];
+        let mut index = SlotIndex::new(nodes);
+        for (slot, &node) in node_of.iter().enumerate() {
+            index.insert(SlotKind::Cpu, node, 0.0, slot);
+        }
+        for ((ready, busy), (penalty, action), (target, moved_to)) in ops {
+            let (ready, busy, penalty) = (f64::from(ready) * 0.5, f64::from(busy) * 0.5, f64::from(penalty) * 0.5);
+            match action {
+                // Move any slot, usually not its bucket's head: forwards,
+                // to where it already is, or backwards.
+                0 | 1 => {
+                    let slot = target % total;
+                    let to = f64::from(moved_to) * 0.5;
+                    let to = if action == 0 { free_at[slot] + to } else { to.min(free_at[slot]) };
+                    index.update(SlotKind::Cpu, node_of[slot], free_at[slot], to, slot);
+                    free_at[slot] = to;
+                }
+                // Dispatch onto the winner, exactly as the executor would.
+                _ => {
+                    let believed = {
+                        let c = usize::from(action) % (nodes + 1);
+                        if c == nodes { None } else { Some(c) }
+                    };
+                    let expected = linear_best(&free_at, &node_of, ready, penalty, believed);
+                    let got = index
+                        .best_slot(SlotKind::Cpu, ready, penalty, believed, nodes)
+                        .expect("slots of this kind exist");
+                    prop_assert_eq!(got, expected, "ready={} penalty={} believed={:?}", ready, penalty, believed);
+                    let end = free_at[got].max(ready) + busy;
+                    index.update(SlotKind::Cpu, node_of[got], free_at[got], end, got);
+                    free_at[got] = end;
+                }
+            }
+            // Every node's champion, not just the global winner: a prohibitive
+            // penalty off node `n` makes its own first entry win.
+            for node in 0..nodes {
+                let expected = linear_best(&free_at, &node_of, ready, 1.0e12, Some(node));
+                prop_assert_eq!(index.best_slot(SlotKind::Cpu, ready, 1.0e12, Some(node), nodes), Some(expected));
+            }
+        }
+    }
+
+    #[test]
     fn ready_queue_matches_first_minimum_scan(
         ops in prop::collection::vec((0u8..10, 0usize..6, 0u64..4), 1..300),
     ) {
@@ -233,6 +291,42 @@ proptest! {
             let expected = finishes.iter().filter(|f| **f > query).count();
             prop_assert_eq!(counter.count_after(query), expected, "query={}", query);
         }
+        prop_assert_eq!(counter.count_after(f64::INFINITY), 0);
+    }
+
+    #[test]
+    fn in_flight_counter_counts_late_inserts_below_the_horizon(
+        ops in prop::collection::vec((0u8..3, 0u8..8, 0u8..6), 1..300),
+    ) {
+        // Finishes land below the last query (already finished: never
+        // counted), exactly on it (not strictly after: not counted) or
+        // above it, on a grid that makes them tie each other.
+        let mut counter = InFlightCounter::new();
+        let mut finishes: Vec<f64> = Vec::new();
+        let mut query = 0.0f64;
+        for (place, offset, action) in ops {
+            let offset = f64::from(offset) * 0.25;
+            let finish = match place {
+                0 => (query - offset).max(0.0),
+                1 => query,
+                _ => query + offset,
+            };
+            counter.insert(finish);
+            finishes.push(finish);
+            match action {
+                // Several inserts between two queries.
+                0 | 1 => continue,
+                // The same query again.
+                2 => {}
+                // Retire at the query itself, as both resident loops do.
+                3 => counter.retire(query),
+                _ => query += offset,
+            }
+            let expected = finishes.iter().filter(|f| **f > query).count();
+            prop_assert_eq!(counter.count_after(query), expected, "query={}", query);
+        }
+        let expected = finishes.iter().filter(|f| **f > query).count();
+        prop_assert_eq!(counter.count_after(query), expected);
         prop_assert_eq!(counter.count_after(f64::INFINITY), 0);
     }
 }
