@@ -118,10 +118,10 @@ pub(crate) fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
         let entry = Kept { key: key(score), index };
         if heap.len() < k {
             heap.push(entry);
-        } else if entry < *heap.peek().expect("heap holds k > 0 entries") {
-            // Better-ranked than the worst kept entry: replace it.
-            heap.pop();
-            heap.push(entry);
+        } else if let Some(mut worst) = heap.peek_mut().filter(|worst| entry < **worst) {
+            // Better-ranked than the worst kept entry: replace it in place
+            // (one sift-down instead of a pop and a push).
+            *worst = entry;
         }
     }
     let mut kept = heap.into_vec();

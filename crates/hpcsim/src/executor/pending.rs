@@ -62,12 +62,14 @@ pub(super) struct PendingSet {
     /// enqueued into the same drain.
     by_id: IdMap<SmallList<usize>>,
     ready: ReadyQueue<usize>,
+    /// Entries not yet `dispatched`.
+    live: usize,
 }
 
 impl PendingSet {
     /// Tasks enqueued but not yet dispatched.
     pub(super) fn live(&self) -> usize {
-        self.meta.iter().filter(|meta| !meta.dispatched).count()
+        self.live
     }
 
     /// Add a batch under release floor `floor` and wire its dependency
@@ -84,16 +86,14 @@ impl PendingSet {
         // Insert the whole batch first so in-batch forward references
         // resolve.
         let base = self.tasks.len();
-        self.tasks.reserve(tasks.len());
-        self.meta.reserve(tasks.len());
-        self.dependents.reserve(tasks.len());
         self.by_id.reserve(tasks.len());
-        for task in tasks {
-            self.by_id.entry(task.id).or_default().push(self.tasks.len());
-            self.tasks.push(task);
-            self.meta.push(PendingMeta { floor, ..PendingMeta::default() });
-            self.dependents.push(SmallList::None);
+        for (index, task) in (base..).zip(&tasks) {
+            self.by_id.entry(task.id).or_default().push(index);
         }
+        self.live += tasks.len();
+        self.tasks.extend(tasks);
+        self.meta.resize(self.tasks.len(), PendingMeta { floor, ..PendingMeta::default() });
+        self.dependents.resize_with(self.tasks.len(), || SmallList::None);
         for index in base..self.tasks.len() {
             let meta = &mut self.meta[index];
             for dep in self.tasks[index].depends_on.as_slice() {
@@ -164,6 +164,7 @@ impl PendingSet {
         }
         let (time, _, index) = self.ready.pop()?;
         self.meta[index].dispatched = true;
+        self.live -= 1;
         let task = std::mem::replace(&mut self.tasks[index], Task::new(0, SlotKind::Cpu, 0.0));
         Some((time, index, task, self.meta[index]))
     }
@@ -208,11 +209,12 @@ impl PendingSet {
     /// resolve dependencies through the history, so the arenas empty between
     /// drains (keeping their capacity for the next batch).
     pub(super) fn skip_cycles(&mut self, at: f64, history: &mut History) -> usize {
-        let mut cycles = 0;
-        for (task, meta) in self.tasks.iter().zip(&self.meta) {
-            if !meta.dispatched {
-                history.record_skip(task.id, at);
-                cycles += 1;
+        let cycles = self.live;
+        if cycles > 0 {
+            for (task, meta) in self.tasks.iter().zip(&self.meta) {
+                if !meta.dispatched {
+                    history.record_skip(task.id, at);
+                }
             }
         }
         self.clear();
@@ -224,6 +226,7 @@ impl PendingSet {
         self.meta.clear();
         self.dependents.clear();
         self.by_id.clear();
+        self.live = 0;
     }
 
     /// Close a bounded drain: evict the dispatched entries, compacting the

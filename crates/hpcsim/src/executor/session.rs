@@ -105,9 +105,10 @@ impl ExecutorSession {
     ///
     /// Query times must be **non-decreasing** across calls and at or after
     /// the retirement watermark (`debug_assert!`ed): the natural query
-    /// time is the dispatch frontier, which never rewinds. Each call pops
-    /// the finishes passed since the last one, so a per-epoch caller pays
-    /// O(Δ log in-flight) even over a million-task campaign.
+    /// time is the dispatch frontier, which never rewinds. Each call drops
+    /// the finishes passed since the last one in one pass over those still
+    /// kept, so a per-epoch caller pays for the tasks in flight and those
+    /// dispatched since, never for a million-task campaign's history.
     pub fn tasks_in_flight_at(&mut self, seconds: f64) -> usize {
         self.history.in_flight_after(seconds)
     }
@@ -375,6 +376,8 @@ impl ExecutorSession {
         let advance_floor = self.now_seconds();
         let mut report = CampaignReport::blank(self.fleet.gpus);
         let mut first_start = f64::INFINITY;
+        filesystem.validate();
+        let mut stage_costs = StageCosts::new(filesystem, self.cluster.nodes, self.config.node_local_staging);
         self.loads.resize(filesystem.model_load_channels);
         let first_load = self.loads.retained();
 
@@ -386,7 +389,8 @@ impl ExecutorSession {
                 self.history.record_skip(task.id, time);
                 self.pending.poison_dependents(index, time);
             } else {
-                let (start, end, critical_path) = self.dispatch(&mut report, filesystem, time, task, meta);
+                let (start, end, critical_path) =
+                    self.dispatch(&mut report, &mut stage_costs, time, task, meta);
                 first_start = first_start.min(start);
                 self.pending.release_dependents(index, end, critical_path);
             }
@@ -426,30 +430,19 @@ impl ExecutorSession {
     fn dispatch(
         &mut self,
         report: &mut CampaignReport,
-        filesystem: &LustreModel,
+        stage_costs: &mut StageCosts,
         time: f64,
         task: Task,
         meta: PendingMeta,
     ) -> (f64, f64, f64) {
-        // In steady state every node stages data concurrently; that is the
-        // contention level the shared filesystem sees.
-        let staging_concurrency = self.cluster.nodes;
-        let base_stage_in = filesystem.stage_in_seconds(
-            task.input_mb,
-            task.input_files,
-            staging_concurrency,
-            self.config.node_local_staging,
-        );
+        let (base_stage_in, refetch) = stage_costs.of(&task);
         // Where the task's input actually lives: a pair's later members
         // find it on the node the pair was anchored to (the first
         // member's output is there); everyone else finds it where the
         // plan staged it.
         let anchor = task.group.and_then(|group| self.history.anchor(group.id));
         let data_node = anchor.or(task.preferred_node);
-        let off_node_penalty = match data_node {
-            Some(_) => filesystem.locality_penalty_seconds(task.input_mb, staging_concurrency),
-            None => 0.0,
-        };
+        let off_node_penalty = if data_node.is_some() { refetch } else { 0.0 };
         // What the penalty costs in *completion time*: stage-in overlaps
         // compute, so the re-fetch hides under it and only the part that
         // pushes stage-in past the compute time delays the task.
@@ -569,5 +562,43 @@ impl ExecutorSession {
         total.herd_queue_seconds += batch.herd_queue_seconds;
         total.stage_timings.absorb(&batch.stage_timings);
         self.trace.merge(&batch.gpu_trace);
+    }
+}
+
+/// One drain's stage-in arithmetic: a task's stage-in time and the cost of
+/// re-fetching its input off node. Both are pure functions of `(input_mb,
+/// input_files)` while the drain's filesystem, fleet size and staging mode
+/// stay fixed, and consecutive tasks usually share them, so the last pair
+/// computed is kept.
+struct StageCosts<'a> {
+    filesystem: &'a LustreModel,
+    /// In steady state every node stages data concurrently; that is the
+    /// contention level the shared filesystem sees.
+    concurrency: usize,
+    aggregated: bool,
+    last: Option<((u64, usize), (f64, f64))>,
+}
+
+impl<'a> StageCosts<'a> {
+    fn new(filesystem: &'a LustreModel, concurrency: usize, aggregated: bool) -> Self {
+        StageCosts { filesystem, concurrency, aggregated, last: None }
+    }
+
+    /// `(stage-in, off-node re-fetch)` seconds of `task`'s input.
+    #[inline]
+    fn of(&mut self, task: &Task) -> (f64, f64) {
+        let key = (task.input_mb.to_bits(), task.input_files);
+        match self.last {
+            Some((last, costs)) if last == key => costs,
+            _ => {
+                let fs = self.filesystem;
+                let costs = (
+                    fs.stage_in_seconds(task.input_mb, task.input_files, self.concurrency, self.aggregated),
+                    fs.locality_penalty_seconds(task.input_mb, self.concurrency),
+                );
+                self.last = Some((key, costs));
+                costs
+            }
+        }
     }
 }

@@ -42,6 +42,24 @@ impl Default for LustreModel {
 }
 
 impl LustreModel {
+    /// Check the model before a drain reads it: a NaN field, a bandwidth
+    /// that is not positive, or an infinite metadata latency panics here,
+    /// naming the field, rather than turning into infinite stage-in times
+    /// deep in dispatch or being absorbed by a `min` or `max`. An infinite
+    /// bandwidth or metadata rate is legal: that resource is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics as described above.
+    pub(crate) fn validate(&self) {
+        let bandwidth = self.per_node_bandwidth_mb_s;
+        assert!(bandwidth > 0.0, "LustreModel::per_node_bandwidth_mb_s must be positive, got {bandwidth}");
+        let latency = self.metadata_latency_s;
+        assert!(latency.is_finite(), "LustreModel::metadata_latency_s must be finite, got {latency}");
+        let ops = self.metadata_ops_per_s;
+        assert!(!ops.is_nan(), "LustreModel::metadata_ops_per_s must not be NaN");
+    }
+
     /// Effective per-node read bandwidth when `concurrent_nodes` nodes read
     /// simultaneously: the aggregate cap is shared fairly, and no node can
     /// exceed its NIC limit.

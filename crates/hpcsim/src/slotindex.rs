@@ -11,16 +11,15 @@
 //!
 //! [`SlotIndex`] keeps one sorted array of `(free_at, slot)` per (node, kind)
 //! so the per-node best slot is its first entry and the global winner is a
-//! comparison over at most one champion per node. [`InFlightCounter`]
-//! keeps the finish times no query has passed yet in a min-heap: the
-//! dispatch frontier never rewinds, so each query pops what finished since
-//! the last one and the answer is the heap's length.
+//! comparison over at most one champion per node; a dispatch moves that
+//! first entry later, which is one shift of the entries it passes.
+//! [`InFlightCounter`] keeps the finish times no query has passed yet in an
+//! unordered `Vec`: the dispatch frontier never rewinds, so each query drops
+//! what finished since the last one in one pass and the answer is what is
+//! left.
 //!
 //! Both structures reproduce the scan results *bitwise* — the equivalence is
 //! pinned by proptests in `tests/hotpath_equivalence.rs`.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::task::SlotKind;
 
@@ -73,15 +72,32 @@ impl SlotIndex {
     /// Move slot `slot` of `kind` on `node` from availability `old_free_at`
     /// to `new_free_at` (after dispatching a task onto it).
     ///
+    /// A dispatch always moves its bucket's first entry (the champion
+    /// [`best_slot`](Self::best_slot) returned) to a later time, so the
+    /// entries it passes shift left by one in place; the insertion point
+    /// is the tail when the cluster is saturated (the new finish is the
+    /// latest), else a binary search. Any other move removes and
+    /// re-inserts.
+    ///
     /// # Panics
     ///
     /// Panics if the slot is not indexed at `old_free_at`.
     pub fn update(&mut self, kind: SlotKind, node: usize, old_free_at: f64, new_free_at: f64, slot: usize) {
         let bucket = &mut self.buckets[kind as usize][node];
-        let from =
-            bucket.binary_search(&(order_bits(old_free_at), slot)).expect("slot indexed at old_free_at");
-        bucket.remove(from);
+        let old = (order_bits(old_free_at), slot);
         let entry = (order_bits(new_free_at), slot);
+        if bucket.first() == Some(&old) && entry >= old {
+            let passed = if bucket.last().is_some_and(|&last| last < entry) {
+                bucket.len() - 1
+            } else {
+                bucket[1..].partition_point(|&e| e < entry)
+            };
+            bucket[0] = entry;
+            bucket[..=passed].rotate_left(1);
+            return;
+        }
+        let from = bucket.binary_search(&old).expect("slot indexed at old_free_at");
+        bucket.remove(from);
         bucket.insert(bucket.partition_point(|&e| e < entry), entry);
     }
 
@@ -121,20 +137,23 @@ impl SlotIndex {
     }
 }
 
-/// Monotone counter of dispatched-but-unfinished tasks: a min-heap of the
-/// finish times that no query or retirement has passed yet.
+/// Monotone counter of dispatched-but-unfinished tasks: the finish times
+/// that no query or retirement has passed yet, in no particular order.
 ///
 /// The dispatch frontier never rewinds, so the closed loop asks "how many
 /// tasks are still running at `t`?" at non-decreasing `t`, and retirement
-/// watermarks only move forward too. Both therefore do the same thing — pop
-/// every finish at or before the time — and the answer is what is left.
-/// Finishes may arrive in any order, including below the last query (they
-/// are popped by the next one). Memory is bounded by work in flight, not by
-/// session history.
+/// watermarks only move forward too. Both therefore do the same thing —
+/// drop every finish at or before the time — and the answer is what is
+/// left. Finishes may arrive in any order, including below the last query
+/// (they are dropped by the next one). What is kept between two queries is
+/// the work running at the first plus what was dispatched since (at most a
+/// few hundred entries in either loop), so one pass over an unordered
+/// `Vec` per query is cheaper than a heap push and pop per task. Memory is
+/// bounded by work in flight, not by session history.
 #[derive(Debug, Clone, Default)]
 pub struct InFlightCounter {
     /// Order-preserving bits of the finishes not yet passed.
-    unfinished: BinaryHeap<Reverse<u64>>,
+    unfinished: Vec<u64>,
     /// Latest query or retirement time so far — the floor of the next query.
     horizon: f64,
 }
@@ -147,17 +166,19 @@ impl InFlightCounter {
 
     /// Record a task finishing at `finish_seconds`.
     pub fn insert(&mut self, finish_seconds: f64) {
-        self.unfinished.push(Reverse(order_bits(finish_seconds)));
+        self.unfinished.push(order_bits(finish_seconds));
     }
 
     /// Forget every recorded finish at or before `watermark_seconds`.
     /// Invisible to every later [`count_after`](Self::count_after), which
     /// may only ask about times at or after the watermark and would have
-    /// popped the same finishes itself.
+    /// dropped the same finishes itself.
+    /// A NaN watermark retires nothing.
     pub fn retire(&mut self, watermark_seconds: f64) {
-        while self.unfinished.peek().is_some_and(|&Reverse(bits)| f64::from_bits(bits) <= watermark_seconds) {
-            self.unfinished.pop();
+        if watermark_seconds.is_nan() {
+            return;
         }
+        self.unfinished.retain(|&bits| f64::from_bits(bits) > watermark_seconds);
         self.horizon = self.horizon.max(watermark_seconds);
     }
 
@@ -184,6 +205,53 @@ impl InFlightCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `SlotIndex::update`'s body before the in-place head shift: find,
+    /// remove, re-insert.
+    fn update_by_reinsert(bucket: &mut Vec<(u64, usize)>, old_free_at: f64, new_free_at: f64, slot: usize) {
+        let from =
+            bucket.binary_search(&(order_bits(old_free_at), slot)).expect("slot indexed at old_free_at");
+        bucket.remove(from);
+        let entry = (order_bits(new_free_at), slot);
+        bucket.insert(bucket.partition_point(|&e| e < entry), entry);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Whole buckets, not just their champions: every move — a head
+        // dispatch (usually), any slot forwards, in place or backwards —
+        // leaves exactly the bucket the old body leaves.
+        #[test]
+        fn update_leaves_the_bucket_the_reinsert_leaves(
+            slots in 1usize..41,
+            moves in prop::collection::vec((0u8..6, 0usize..40, 0u8..40), 1..200),
+        ) {
+            let mut index = SlotIndex::new(1);
+            let mut oracle = Vec::new();
+            let mut free_at = vec![0.0f64; slots];
+            for slot in 0..slots {
+                index.insert(SlotKind::Gpu, 0, 0.0, slot);
+                oracle.push((0, slot));
+            }
+            for (action, target, step) in moves {
+                let step = f64::from(step) * 0.5;
+                let (slot, to) = match action {
+                    0 => (target % slots, step.min(free_at[target % slots])),
+                    1 => (target % slots, free_at[target % slots] + step),
+                    _ => {
+                        let head = oracle[0].1;
+                        (head, free_at[head] + if action == 2 { 0.0 } else { step })
+                    }
+                };
+                index.update(SlotKind::Gpu, 0, free_at[slot], to, slot);
+                update_by_reinsert(&mut oracle, free_at[slot], to, slot);
+                free_at[slot] = to;
+                prop_assert_eq!(&index.buckets[SlotKind::Gpu as usize][0], &oracle);
+            }
+        }
+    }
 
     #[test]
     fn slot_index_picks_earliest_then_lowest_index() {
@@ -234,7 +302,7 @@ mod tests {
         for f in [0.0, 0.0, 1.0, 1.0, 2.0] {
             counter.insert(f);
         }
-        assert_eq!(counter.count_after(f64::NAN), 0, "a NaN query counts nothing and pops nothing");
+        assert_eq!(counter.count_after(f64::NAN), 0, "a NaN query counts nothing and drops nothing");
         assert_eq!(counter.count_after(-0.0), 3); // strict: the two zeros are excluded
         assert_eq!(counter.count_after(0.0), 3);
         assert_eq!(counter.count_after(1.0), 1);

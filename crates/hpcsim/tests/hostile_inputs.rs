@@ -1,6 +1,7 @@
 //! Hostile inputs: ones the executor must survive without panicking
-//! (ROADMAP aim 3 d), and non-finite task costs, which must panic at the
-//! `Task` boundary with a message naming the field.
+//! (ROADMAP aim 3 d), and non-finite task costs and filesystem parameters,
+//! which must panic at the `Task` boundary or where a drain first reads the
+//! `LustreModel`, with a message naming the field.
 
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task, WorkflowExecutor};
 
@@ -74,4 +75,61 @@ fn finite_task_costs_pass_and_negative_ones_clamp_to_zero() {
         &LustreModel::default(),
     );
     assert_eq!((report.tasks_completed, report.tasks_skipped, report.cold_starts), (2, 0, 1));
+}
+
+/// Drain one small task, with stage-in and an off-node input, against `fs`.
+fn drain_one(fs: LustreModel) {
+    let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 1, gpu_slots_per_node: 0 };
+    let mut session = WorkflowExecutor::new(ExecutorConfig::default()).session(&cluster);
+    let task = Task::new(0, SlotKind::Cpu, 1.0).with_input_mb(8.0).with_preferred_node(1);
+    session.submit_owned(vec![task], SubmitOptions::default());
+    session.advance_to_frontier(&fs);
+}
+
+// A zero bandwidth used to make every stage-in infinite, which reached
+// `order_bits`' debug assertion in `SlotIndex::update` (a release build ran
+// on with infinite times); NaN fields were absorbed by a `min` or `max`, or
+// added raw into placement keys. Each now panics when the drain starts.
+#[test]
+#[should_panic(expected = "LustreModel::per_node_bandwidth_mb_s must be positive, got 0")]
+fn a_zero_bandwidth_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { per_node_bandwidth_mb_s: 0.0, ..LustreModel::default() });
+}
+
+#[test]
+#[should_panic(expected = "LustreModel::per_node_bandwidth_mb_s must be positive, got -1")]
+fn a_negative_bandwidth_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { per_node_bandwidth_mb_s: -1.0, ..LustreModel::default() });
+}
+
+#[test]
+#[should_panic(expected = "LustreModel::per_node_bandwidth_mb_s must be positive, got NaN")]
+fn a_nan_bandwidth_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { per_node_bandwidth_mb_s: f64::NAN, ..LustreModel::default() });
+}
+
+#[test]
+#[should_panic(expected = "LustreModel::metadata_latency_s must be finite, got NaN")]
+fn a_nan_metadata_latency_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { metadata_latency_s: f64::NAN, ..LustreModel::default() });
+}
+
+#[test]
+#[should_panic(expected = "LustreModel::metadata_latency_s must be finite, got inf")]
+fn an_infinite_metadata_latency_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { metadata_latency_s: f64::INFINITY, ..LustreModel::default() });
+}
+
+#[test]
+#[should_panic(expected = "LustreModel::metadata_ops_per_s must not be NaN")]
+fn a_nan_metadata_rate_panics_when_a_drain_reads_the_model() {
+    drain_one(LustreModel { metadata_ops_per_s: f64::NAN, ..LustreModel::default() });
+}
+
+// The control: an unlimited metadata rate (the naive-oracle suite runs on
+// one) and an unlimited bandwidth are free resources, not errors.
+#[test]
+fn unlimited_filesystem_resources_are_legal() {
+    drain_one(LustreModel { metadata_ops_per_s: f64::INFINITY, ..LustreModel::default() });
+    drain_one(LustreModel { per_node_bandwidth_mb_s: f64::INFINITY, ..LustreModel::default() });
 }
