@@ -116,10 +116,23 @@ impl History {
             .unwrap_or(self.schedule.len());
         self.schedule.drain(..cut);
         self.retired_rows += cut;
-        self.completed.retain(|_, done| done.finish_seconds > watermark);
-        self.skipped.retain(|_, &mut at| at > watermark);
-        self.group_nodes.retain(|_, anchor| anchor.last_finish > watermark);
+        retain_fresh(&mut self.completed, |done| done.finish_seconds > watermark);
+        retain_fresh(&mut self.skipped, |&at| at > watermark);
+        retain_fresh(&mut self.group_nodes, |anchor| anchor.last_finish > watermark);
         self.in_flight.retire(watermark);
         self.watermark = watermark;
     }
+}
+
+/// Keep the entries of `map` that `keep` accepts. `HashMap::retain` leaves
+/// a tombstone for an erased entry whose probe group is full, and a map
+/// that loses most of its entries every epoch fills with them: probes
+/// lengthen, and the table rehashes in place whenever they use up its
+/// growth budget. Clearing the table and re-inserting the survivors leaves
+/// none, and keeps the allocation.
+fn retain_fresh<V: Copy>(map: &mut IdMap<V>, keep: impl Fn(&V) -> bool) {
+    let survivors: Vec<(u64, V)> =
+        map.iter().filter(|(_, value)| keep(value)).map(|(&id, &value)| (id, value)).collect();
+    map.clear();
+    map.extend(survivors);
 }
