@@ -377,7 +377,8 @@ impl ExecutorSession {
         let mut report = CampaignReport::blank(self.fleet.gpus);
         let mut first_start = f64::INFINITY;
         filesystem.validate();
-        let mut stage_costs = StageCosts::new(filesystem, self.cluster.nodes, self.config.node_local_staging);
+        let (concurrency, aggregated) = (self.cluster.nodes, self.config.node_local_staging);
+        let mut stage_costs = StageCosts { filesystem, concurrency, aggregated, last: None };
         self.loads.resize(filesystem.model_load_channels);
         let first_load = self.loads.retained();
 
@@ -579,11 +580,7 @@ struct StageCosts<'a> {
     last: Option<((u64, usize), (f64, f64))>,
 }
 
-impl<'a> StageCosts<'a> {
-    fn new(filesystem: &'a LustreModel, concurrency: usize, aggregated: bool) -> Self {
-        StageCosts { filesystem, concurrency, aggregated, last: None }
-    }
-
+impl StageCosts<'_> {
     /// `(stage-in, off-node re-fetch)` seconds of `task`'s input.
     #[inline]
     fn of(&mut self, task: &Task) -> (f64, f64) {

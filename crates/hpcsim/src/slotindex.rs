@@ -205,53 +205,6 @@ impl InFlightCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// `SlotIndex::update`'s body before the in-place head shift: find,
-    /// remove, re-insert.
-    fn update_by_reinsert(bucket: &mut Vec<(u64, usize)>, old_free_at: f64, new_free_at: f64, slot: usize) {
-        let from =
-            bucket.binary_search(&(order_bits(old_free_at), slot)).expect("slot indexed at old_free_at");
-        bucket.remove(from);
-        let entry = (order_bits(new_free_at), slot);
-        bucket.insert(bucket.partition_point(|&e| e < entry), entry);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // Whole buckets, not just their champions: every move — a head
-        // dispatch (usually), any slot forwards, in place or backwards —
-        // leaves exactly the bucket the old body leaves.
-        #[test]
-        fn update_leaves_the_bucket_the_reinsert_leaves(
-            slots in 1usize..41,
-            moves in prop::collection::vec((0u8..6, 0usize..40, 0u8..40), 1..200),
-        ) {
-            let mut index = SlotIndex::new(1);
-            let mut oracle = Vec::new();
-            let mut free_at = vec![0.0f64; slots];
-            for slot in 0..slots {
-                index.insert(SlotKind::Gpu, 0, 0.0, slot);
-                oracle.push((0, slot));
-            }
-            for (action, target, step) in moves {
-                let step = f64::from(step) * 0.5;
-                let (slot, to) = match action {
-                    0 => (target % slots, step.min(free_at[target % slots])),
-                    1 => (target % slots, free_at[target % slots] + step),
-                    _ => {
-                        let head = oracle[0].1;
-                        (head, free_at[head] + if action == 2 { 0.0 } else { step })
-                    }
-                };
-                index.update(SlotKind::Gpu, 0, free_at[slot], to, slot);
-                update_by_reinsert(&mut oracle, free_at[slot], to, slot);
-                free_at[slot] = to;
-                prop_assert_eq!(&index.buckets[SlotKind::Gpu as usize][0], &oracle);
-            }
-        }
-    }
 
     #[test]
     fn slot_index_picks_earliest_then_lowest_index() {

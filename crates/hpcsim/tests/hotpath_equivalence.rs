@@ -18,6 +18,8 @@
 //!   CPU + 4 GPU) under a coarse time grid, where dispatches land on
 //!   another slot's free time or on the slot's own old one, and beside
 //!   updates that move a slot other than its bucket's head, or backwards;
+//! * whole buckets, read out through a clone, match what `update`'s old
+//!   find-remove-reinsert body leaves after every move;
 //! * `InFlightCounter::count_after` equals the naive strict-greater count
 //!   over every finish ever inserted, under non-decreasing query times
 //!   interleaved with inserts in arbitrary order and with retirement —
@@ -79,6 +81,33 @@ fn linear_best_of_kind(
         }
     }
     best.map(|(_, slot)| slot)
+}
+
+/// `SlotIndex::update`'s body before the in-place head shift: find,
+/// remove, re-insert. The oracle for whole buckets.
+fn update_by_reinsert(bucket: &mut Vec<(u64, usize)>, old_free_at: f64, new_free_at: f64, slot: usize) {
+    let bits = |seconds: f64| if seconds == 0.0 { 0 } else { seconds.to_bits() };
+    let from = bucket.binary_search(&(bits(old_free_at), slot)).expect("slot indexed at old_free_at");
+    bucket.remove(from);
+    let entry = (bits(new_free_at), slot);
+    bucket.insert(bucket.partition_point(|&e| e < entry), entry);
+}
+
+/// The slots of a one-node `index`'s bucket of `kind`, first entry first:
+/// a clone hands out its champion and moves it past every finish, one slot
+/// at a time.
+fn bucket_order(index: &SlotIndex, kind: SlotKind, free_at: &[f64]) -> Vec<usize> {
+    let mut drained = index.clone();
+    let mut free_at = free_at.to_vec();
+    (0..free_at.len())
+        .map(|k| {
+            let slot = drained.best_slot(kind, 0.0, 0.0, None, 1).expect("a slot is left");
+            let past = 1.0e12 + k as f64;
+            drained.update(kind, 0, free_at[slot], past, slot);
+            free_at[slot] = past;
+            slot
+        })
+        .collect()
 }
 
 /// Index of the first minimum of `entries` under `(time, id)` — insertion
@@ -219,6 +248,39 @@ proptest! {
                 let expected = linear_best(&free_at, &node_of, ready, 1.0e12, Some(node));
                 prop_assert_eq!(index.best_slot(SlotKind::Cpu, ready, 1.0e12, Some(node), nodes), Some(expected));
             }
+        }
+    }
+
+    // Whole buckets, not just their champions: every move — a head dispatch
+    // (usually), any slot forwards, in place or backwards — leaves the
+    // bucket the old body leaves.
+    #[test]
+    fn update_leaves_the_bucket_the_reinsert_leaves(
+        slots in 1usize..41,
+        moves in prop::collection::vec((0u8..6, 0usize..40, 0u8..40), 1..200),
+    ) {
+        let mut index = SlotIndex::new(1);
+        let mut oracle = Vec::new();
+        let mut free_at = vec![0.0f64; slots];
+        for slot in 0..slots {
+            index.insert(SlotKind::Gpu, 0, 0.0, slot);
+            oracle.push((0, slot));
+        }
+        for (action, target, step) in moves {
+            let step = f64::from(step) * 0.5;
+            let (slot, to) = match action {
+                0 => (target % slots, step.min(free_at[target % slots])),
+                1 => (target % slots, free_at[target % slots] + step),
+                _ => {
+                    let head = oracle[0].1;
+                    (head, free_at[head] + if action == 2 { 0.0 } else { step })
+                }
+            };
+            index.update(SlotKind::Gpu, 0, free_at[slot], to, slot);
+            update_by_reinsert(&mut oracle, free_at[slot], to, slot);
+            free_at[slot] = to;
+            let expected: Vec<usize> = oracle.iter().map(|&(_, slot)| slot).collect();
+            prop_assert_eq!(bucket_order(&index, SlotKind::Gpu, &free_at), expected);
         }
     }
 
