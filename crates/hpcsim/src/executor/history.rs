@@ -131,8 +131,8 @@ impl History {
 /// growth budget. Clearing the table and re-inserting the survivors leaves
 /// none, and keeps the allocation.
 fn retain_fresh<V: Copy>(map: &mut IdMap<V>, keep: impl Fn(&V) -> bool) {
-    let survivors: Vec<(u64, V)> =
-        map.iter().filter(|(_, value)| keep(value)).map(|(&id, &value)| (id, value)).collect();
+    let mut survivors = Vec::with_capacity(map.len());
+    survivors.extend(map.iter().filter(|(_, value)| keep(value)).map(|(&id, &value)| (id, value)));
     map.clear();
     map.extend(survivors);
 }
