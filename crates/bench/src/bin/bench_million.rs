@@ -5,8 +5,9 @@
 //! throughput claims rest on: a seeded `scicorpus` corpus scored by the
 //! trained router, the streaming [`WindowedSelector`], and the causal
 //! [`hpcsim`] `ExecutorSession` closed loop. It measures wall-clock,
-//! tasks/second, allocation counters (a peak-RSS proxy from a counting
-//! global allocator), and per-phase timings, then appends a
+//! process CPU time, tasks/second, allocation counters (a peak-RSS proxy
+//! from a counting global allocator, reset after set-up so it measures the
+//! campaign), and per-phase timings, then appends a
 //! schema-versioned entry to `BENCH_hotpath.json` at the repo root so every
 //! future PR extends the performance trajectory instead of asserting a
 //! one-off number.
@@ -35,7 +36,7 @@ use adaparse::{
     run_closed_loop, AdaParseEngine, ControllerConfig, SimLoopConfig, SimLoopReport, WindowedSelector,
     WorkloadSpec,
 };
-use bench::driver::{build_scores, drive, fnv1a, CountingAllocator, Flags, Trajectory};
+use bench::driver::{build_scores, drive, fnv1a, process_cpu_seconds, CountingAllocator, Flags, Trajectory};
 use bench::trajectory::JsonValue;
 
 #[global_allocator]
@@ -136,9 +137,12 @@ fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, Str
     let router_scores_seconds = router_start.elapsed().as_secs_f64();
     println!("  train + extract + route ({router_docs} base docs): {router_scores_seconds:.2} s");
 
+    CountingAllocator::reset_peak();
     let (allocations_before, bytes_before) =
         (CountingAllocator::allocations(), CountingAllocator::allocated_bytes());
+    let cpu_before = process_cpu_seconds();
     let (mask, report, selection_seconds, loop_seconds) = run_campaign(&engine, &scores);
+    let cpu_seconds = process_cpu_seconds() - cpu_before;
     let allocations = CountingAllocator::allocations() - allocations_before;
     let allocated_mb = (CountingAllocator::allocated_bytes() - bytes_before) as f64 / (1024.0 * 1024.0);
     let fingerprint = Fingerprint::new(&mask, &report);
@@ -163,7 +167,8 @@ fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, Str
     let peak_mb = CountingAllocator::peak_mb();
     println!(
         "  {tasks_completed} tasks in {loop_seconds:.2} s → {tasks_per_second:.0} tasks/s; \
-         {allocations} allocations ({allocated_mb:.1} MiB) in the campaign phases, peak {peak_mb:.1} MiB"
+         {cpu_seconds:.2} CPU-s, {allocations} allocations ({allocated_mb:.1} MiB) and a peak of \
+         {peak_mb:.1} MiB in the campaign phases"
     );
 
     Ok(vec![
@@ -178,6 +183,9 @@ fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, Str
         ("tasks_completed", JsonValue::U64(tasks_completed)),
         ("wall_seconds_total", JsonValue::F64(wall_seconds_total)),
         ("tasks_per_second", JsonValue::F64(tasks_per_second)),
+        // Optional field (absent from entries written before it): process
+        // CPU seconds over the selection and closed-loop phases, first run.
+        ("cpu_seconds", JsonValue::F64(cpu_seconds)),
         (
             "phases",
             JsonValue::object(vec![

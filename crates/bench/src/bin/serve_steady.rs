@@ -193,7 +193,9 @@ fn run(flags: &Flags, mut scale: usize) -> Result<Vec<(&'static str, JsonValue)>
         if flags.smoke { " (smoke)" } else { "" }
     );
 
-    // The soak run proper, with retirement on (the default).
+    // The soak run proper, with retirement on (the default); its peak
+    // starts after the router-score stream is built.
+    CountingAllocator::reset_peak();
     let alloc_before = CountingAllocator::allocations();
     let wall = Instant::now();
     let (report, soak) = run_service_instrumented(&serve_config(true), &traces);

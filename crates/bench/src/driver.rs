@@ -167,10 +167,40 @@ impl CountingAllocator {
         ALLOCATED_BYTES.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of live bytes, in MiB.
+    /// High-water mark of live bytes since the last
+    /// [`reset_peak`](Self::reset_peak) (or process start), in MiB.
     pub fn peak_mb() -> f64 {
         PEAK_BYTES.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0)
     }
+
+    /// Restart the high-water mark from the bytes live now, so a later
+    /// [`peak_mb`](Self::peak_mb) measures what ran after set-up (plus the
+    /// set-up data still held), not the set-up's own transient peak.
+    pub fn reset_peak() {
+        PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+/// CPU seconds this process has used so far, all threads, from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`: nanosecond resolution, where
+/// `getrusage` and `/proc/self/stat` count in scheduler ticks. Declared
+/// here because std already links the C library.
+pub fn process_cpu_seconds() -> f64 {
+    use std::ffi::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, time: *mut Timespec) -> c_int;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+    let mut time = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `time` is a valid, writable `struct timespec` for the call.
+    let status = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut time) };
+    assert_eq!(status, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    time.tv_sec as f64 + time.tv_nsec as f64 * 1e-9
 }
 
 /// FNV-1a over a byte stream, for order-sensitive output fingerprints.
