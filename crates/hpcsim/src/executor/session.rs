@@ -326,6 +326,11 @@ impl ExecutorSession {
     ///
     /// With nothing pending this is a no-op returning an empty report
     /// whose makespan is the current session clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filesystem` has a NaN field, a bandwidth that is not
+    /// positive or an infinite metadata latency.
     pub fn advance_to_frontier(&mut self, filesystem: &LustreModel) -> CampaignReport {
         self.drain(filesystem, None)
     }
@@ -361,7 +366,8 @@ impl ExecutorSession {
     ///
     /// # Panics
     ///
-    /// Panics if `until_seconds` is NaN.
+    /// Panics if `until_seconds` is NaN, and on a `filesystem`
+    /// [`advance_to_frontier`](Self::advance_to_frontier) rejects.
     pub fn advance_until(&mut self, until_seconds: f64, filesystem: &LustreModel) -> CampaignReport {
         assert!(!until_seconds.is_nan(), "advance_until bound must not be NaN");
         self.drain(filesystem, Some(until_seconds))
