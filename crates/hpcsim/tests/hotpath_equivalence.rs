@@ -358,11 +358,12 @@ proptest! {
 
     #[test]
     fn in_flight_counter_counts_late_inserts_below_the_horizon(
-        ops in prop::collection::vec((0u8..3, 0u8..8, 0u8..6), 1..300),
+        ops in prop::collection::vec((0u8..4, 0u8..8, 0u8..6), 1..1500),
     ) {
         // Finishes land below the last query (already finished: never
         // counted), exactly on it (not strictly after: not counted) or
-        // above it, on a grid that makes them tie each other.
+        // above it, on a grid that makes them tie each other; a quarter
+        // are long tasks that stay in flight, so hundreds are kept at once.
         let mut counter = InFlightCounter::new();
         let mut finishes: Vec<f64> = Vec::new();
         let mut query = 0.0f64;
@@ -371,7 +372,8 @@ proptest! {
             let finish = match place {
                 0 => (query - offset).max(0.0),
                 1 => query,
-                _ => query + offset,
+                2 => query + offset,
+                _ => query + 1.0e4 + offset,
             };
             counter.insert(finish);
             finishes.push(finish);
