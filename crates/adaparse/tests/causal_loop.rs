@@ -7,7 +7,7 @@
 //! * two frozen shapes (a GPU-rich cluster; a GPU-less cluster whose parse
 //!   tasks are skipped) reproduce their masks, makespans, per-wave
 //!   timelines and backlogs bit for bit;
-//! * the *whole* report of those shapes and of two 24-window campaigns —
+//! * the *whole* report of those shapes and of a 24-window campaign —
 //!   every wave field, the allocation trace, the executor's counters, float
 //!   bits and warm rows, per-GPU busy/load bits, the queue-wait summary —
 //!   reproduces its pinned digests;
@@ -19,7 +19,7 @@
 use adaparse::{
     run_closed_loop, AdaParseConfig, ControllerConfig, SimLoopConfig, SimLoopReport, WorkloadSpec,
 };
-use hpcsim::{ClusterConfig, LustreModel};
+use hpcsim::ClusterConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -267,7 +267,6 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
             w.locality_penalty_seconds.to_bits(),
             w.warm_hits as u64,
             w.queue_wait_seconds.to_bits(),
-            w.herd_queue_seconds.to_bits(),
             w.tasks_skipped as u64,
             w.queue_depth as u64,
         ]);
@@ -301,8 +300,6 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
         x.queue_wait_seconds.to_bits(),
         x.decision_lag_seconds.to_bits(),
         x.warm_hits as u64,
-        x.herd_queue_seconds.to_bits(),
-        x.concurrent_cold_starts_peak as u64,
     ];
     executor.extend(timing_words(&x.stage_timings.extract));
     executor.extend(timing_words(&x.stage_timings.parse));
@@ -317,10 +314,10 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
         report.documents as u64,
         report.selected as u64,
         report.makespan_seconds.to_bits(),
-        report.co_located_pairs as u64,
-        report.split_pairs as u64,
-        report.non_local_tasks as u64,
-        report.locality_penalty_seconds.to_bits(),
+        x.co_located_pairs as u64,
+        x.split_pairs as u64,
+        x.non_local_tasks as u64,
+        x.locality_penalty_seconds.to_bits(),
     ]);
     let q = &report.queue_wait;
     FullPin {
@@ -339,11 +336,9 @@ fn full_pin_of(report: &SimLoopReport) -> FullPin {
     }
 }
 
-/// The whole report of four shapes: the two shapes above, and two long
-/// enough (24 windows on 4 nodes) that almost every row, completion record,
-/// anchor and cold-start interval is retired before the close — unlimited
-/// load channels and one load channel (the herd queues and the carried
-/// cold-start peak matters).
+/// The whole report of three shapes: the two shapes above, and one long
+/// enough (24 windows on 4 nodes) that almost every row, completion record
+/// and anchor is retired before the close.
 #[test]
 fn closed_loop_reproduces_the_full_report_digests() {
     let config = base_config();
@@ -354,12 +349,17 @@ fn closed_loop_reproduces_the_full_report_digests() {
     };
     let large = scores(6_000, 29);
     let large_sim = SimLoopConfig { window: 256, nodes: 4, ..sim() };
-    let one_channel_sim = SimLoopConfig {
-        filesystem: LustreModel { model_load_channels: 1, ..LustreModel::default() },
-        ..large_sim
-    };
     let run = |improvements: &[f64], sim: &SimLoopConfig| {
-        full_pin_of(&run_closed_loop(&config, improvements, &workload(improvements.len()), sim))
+        let report = run_closed_loop(&config, improvements, &workload(improvements.len()), sim);
+        // The loop's campaign-wide locality sums are the per-wave sums the
+        // session folds in the same drain order, bit for bit.
+        let x = &report.executor_report;
+        assert_eq!(
+            (report.co_located_pairs, report.split_pairs, report.non_local_tasks),
+            (x.co_located_pairs, x.split_pairs, x.non_local_tasks)
+        );
+        assert_eq!(report.locality_penalty_seconds.to_bits(), x.locality_penalty_seconds.to_bits());
+        full_pin_of(&report)
     };
     let pin = |waves_fnv, history_fnv, executor_fnv, gpu_fnv, queue_wait, closing_fnv| FullPin {
         waves_fnv,
@@ -372,9 +372,9 @@ fn closed_loop_reproduces_the_full_report_digests() {
     assert_eq!(
         run(&small, &sim()),
         pin(
-            0xc550589691303c9a,
+            0xe05d0b6a4fa55cda,
             0xc133cee46b0a22be,
-            0xa90f9ca1fbaa65b6,
+            0xd806ec7187d4567e,
             0xb35a26de092304d5,
             (288, 0x3fee47e8558f9665, 0x0, 0x4032d02de00d1b72, 0x4032d02de00d1b72),
             0x43271155d563acbd,
@@ -384,9 +384,9 @@ fn closed_loop_reproduces_the_full_report_digests() {
     assert_eq!(
         run(&small, &gpu_less_sim),
         pin(
-            0x207bf486e8c269eb,
+            0x6757396167dfd70b,
             0x61fcfd6215926eb6,
-            0xd7f7f1631adbbcbe,
+            0x628a01360c3ace7e,
             0xcbf29ce484222325,
             (240, 0x3fac2038cc40fd5c, 0x0, 0x3fc5182a9930be0e, 0x3fc5182a9930be0e),
             0x59dd7e65c4894bfa,
@@ -396,25 +396,13 @@ fn closed_loop_reproduces_the_full_report_digests() {
     assert_eq!(
         run(&large, &large_sim),
         pin(
-            0xd88b4258e7d361fa,
+            0x4709f78645b9555a,
             0x7b71f042f79391a4,
-            0xd7ca3b4a928e9950,
+            0x06f9c5b4cc394ee0,
             0xe227801e445f7c85,
             (7200, 0x3ff2dc4cc94e0584, 0x3fc5182a9930be00, 0x40273573eab367a4, 0x403a9ab9f559b3d2),
             0x6ee331a339b6b3ad,
         ),
         "6 000 documents"
-    );
-    assert_eq!(
-        run(&large, &one_channel_sim),
-        pin(
-            0x9b2066df167af4f8,
-            0x1157cc9aaff96143,
-            0xd2e5191f6684a4ea,
-            0x07d167f4c8e8e142,
-            (7200, 0x3ff92ace06e824b7, 0x3fc5182a9930c000, 0x4034cd6a161e4f6c, 0x40525b6ae7d566cf),
-            0x684c0e4860488e00,
-        ),
-        "one load channel"
     );
 }

@@ -14,8 +14,8 @@
 //! * **Bitwise replay** — a full serve run, autoscaler and all, is a pure
 //!   function of its config and traces.
 //! * **One-model tenant** — a tenant whose documents all route to one
-//!   resident model replays bitwise (autoscaler included), completes every
-//!   document it admits, and waits on no model-load herd.
+//!   resident model replays bitwise (autoscaler included) and completes
+//!   every document it admits.
 //! * **Retirement invisibility** — running the service with per-epoch
 //!   session retirement on produces a bitwise-identical report (same
 //!   fingerprint, same per-tenant percentiles, same executor totals and
@@ -34,7 +34,7 @@ use adaparse::{
     run_service, run_service_instrumented, AdaParseConfig, AutoscaleConfig, CampaignBudget, DocArrival,
     RoutingGranularity, ServeConfig, ServeReport, TenantRegistry, TenantSpec, TenantTrace, WorkloadSpec,
 };
-use hpcsim::{ClusterConfig, ExecutorConfig, GpuTrace, LustreModel};
+use hpcsim::{ClusterConfig, ExecutorConfig, GpuTrace};
 use proptest::prelude::*;
 use scicorpus::{generate_arrivals, ArrivalConfig, ArrivalPattern};
 
@@ -221,8 +221,6 @@ proptest! {
         prop_assert_eq!(&run, &run_service(&config, &traces), "serve runs must replay bitwise");
         let tenant = &run.tenants[0];
         prop_assert_eq!(tenant.completed, tenant.admitted);
-        // No load channels are configured, so no herd wait accrues.
-        prop_assert_eq!(tenant.herd_queue_seconds.to_bits(), 0.0f64.to_bits());
     }
 
     // Per-epoch session retirement must be invisible in every observable
@@ -306,8 +304,8 @@ proptest! {
 
 /// What a value pin holds of a run: `(fingerprint, epochs, admitted,
 /// rejected, makespan bits)` and, per tenant, `(completed, selected, p50
-/// bits, p99 bits, herd-queue bits)`.
-type ServePin = ((u64, usize, usize, usize, u64), Vec<(usize, usize, u64, u64, u64)>);
+/// bits, p99 bits)`.
+type ServePin = ((u64, usize, usize, usize, u64), Vec<(usize, usize, u64, u64)>);
 
 fn pin_of(report: &ServeReport) -> ServePin {
     (
@@ -322,13 +320,7 @@ fn pin_of(report: &ServeReport) -> ServePin {
             .tenants
             .iter()
             .map(|t| {
-                (
-                    t.completed,
-                    t.selected,
-                    t.latency.p50_seconds.to_bits(),
-                    t.latency.p99_seconds.to_bits(),
-                    t.herd_queue_seconds.to_bits(),
-                )
+                (t.completed, t.selected, t.latency.p50_seconds.to_bits(), t.latency.p99_seconds.to_bits())
             })
             .collect(),
     )
@@ -375,7 +367,7 @@ fn serve_reports_are_pinned_by_value() {
         pin_of(&run_service(&fine, &steady)),
         (
             (0xdf77302153ed3d0c, 25, 120, 0, 0x405f0923a29c779a),
-            vec![(120, 24, 0x400c5132961c63a0, 0x403429625857f883, 0)],
+            vec![(120, 24, 0x400c5132961c63a0, 0x403429625857f883)],
         ),
         "one steady tenant"
     );
@@ -407,9 +399,9 @@ fn serve_reports_are_pinned_by_value() {
         (
             (0x0f7164ef4dbe20e5, 14, 220, 0, 0x4050c9d7dbf487fd),
             vec![
-                (90, 27, 0x4012a79d2c628dac, 0x4037feef18660959, 0),
-                (60, 24, 0x40130f6203c24e20, 0x40361d02e03b3b50, 0),
-                (70, 35, 0x40146e5bfc0d6410, 0x40370e5af4048be1, 0),
+                (90, 27, 0x4012a79d2c628dac, 0x4037feef18660959),
+                (60, 24, 0x40130f6203c24e20, 0x40361d02e03b3b50),
+                (70, 35, 0x40146e5bfc0d6410, 0x40370e5af4048be1),
             ],
         ),
         "three tenants, one by-page, one budgeted"
@@ -432,15 +424,14 @@ fn serve_reports_are_pinned_by_value() {
         (
             (0xfa26dc1e35dad877, 3, 38, 52, 0x40500923a29c779a),
             vec![
-                (8, 1, 0x40392a305532617c, 0x404612474538ef35, 0),
-                (30, 6, 0x402f14798443c104, 0x40469a8fd5d5d30f, 0),
+                (8, 1, 0x40392a305532617c, 0x404612474538ef35),
+                (30, 6, 0x402f14798443c104, 0x40469a8fd5d5d30f),
             ],
         ),
         "same-timestamp herd against max_pending 8"
     );
 
-    // Autoscaled from one node with a single model-load channel: cold
-    // starts queue for it, and each tenant is charged its own herd wait.
+    // Autoscaled from one node under the autoscaler's tuning spelled out.
     let scaled = vec![
         TenantTrace {
             spec: TenantSpec { alpha: 0.6, slo_p99_seconds: 45.0, ..tenant("hot", 1.0) },
@@ -454,22 +445,30 @@ fn serve_reports_are_pinned_by_value() {
     let config = ServeConfig {
         nodes: 1,
         epoch_seconds: 10.0,
-        autoscale: Some(AutoscaleConfig { max_nodes: 4, ..Default::default() }),
-        filesystem: LustreModel { model_load_channels: 1, ..Default::default() },
+        autoscale: Some(AutoscaleConfig {
+            max_nodes: 4,
+            step_up: 3,
+            step_down: 2,
+            down_patience: 2,
+            headroom: 0.6,
+            backlog_per_slot_up: 1.0,
+            ..Default::default()
+        }),
+        slo_window: 16,
         ..ServeConfig::default()
     };
     let report = run_service(&config, &scaled);
-    assert_eq!(report.fleet.len(), 2, "the autoscaler moved the fleet");
+    assert_eq!(report.fleet.len(), 1, "the autoscaler moved the fleet");
     assert_eq!(
         pin_of(&report),
         (
-            (0xea430c89f5d15d34, 26, 280, 0, 0x406fc491d14e3bce),
+            (0xed96f04b59089340, 10, 280, 0, 0x40578923a29c779a),
             vec![
-                (200, 120, 0x404f27d22e00b903, 0x4062ad3847e328e9, 0x408c700000000000),
-                (80, 32, 0x402240f811ea9af8, 0x406826a87028e5e5, 0x4082c00000000000),
+                (200, 120, 0x4037e2424110a062, 0x403ea8ed5dda0495),
+                (80, 32, 0x401eebe1d3ca1020, 0x4041b2977f3d6f06),
             ],
         ),
-        "autoscaled, one model-load channel"
+        "autoscaled"
     );
 }
 

@@ -59,7 +59,7 @@ impl Fingerprint {
             makespan_bits: report.makespan_seconds.to_bits(),
             mask_fnv: fnv1a(mask.iter().map(|&b| b as u8)),
             selected: report.selected as u64,
-            co_located_pairs: report.co_located_pairs as u64,
+            co_located_pairs: report.executor_report.co_located_pairs as u64,
             warm_hits: report.executor_report.warm_hits as u64,
         }
     }

@@ -49,7 +49,7 @@ fn loop_pin(report: &SimLoopReport) -> LoopPin {
         report.selected,
         report.makespan_seconds.to_bits(),
         executor.tasks_completed,
-        report.co_located_pairs,
+        executor.co_located_pairs,
         executor.warm_hits,
         executor.queue_wait_seconds.to_bits(),
         bits(waves),

@@ -74,7 +74,6 @@ fn schedule_fingerprint(schedule: &[ScheduledTask], makespan: f64) -> u64 {
             row.start_seconds,
             row.finish_seconds,
             row.cold_start_paid_seconds,
-            row.herd_wait_seconds,
         ] {
             for byte in value.to_bits().to_le_bytes() {
                 eat(byte);
@@ -130,7 +129,6 @@ fn earliest_slot_matches_the_pinned_legacy_fingerprint() {
     session.submit_owned(tasks.clone(), SubmitOptions::default());
     let report = session.advance_to_frontier(&LustreModel::default());
     assert_eq!(report.tasks_completed, tasks.len());
-    assert_eq!(report.herd_queue_seconds, 0.0, "no load channels are configured");
     let fingerprint = schedule_fingerprint(session.schedule(), report.makespan_seconds);
     assert_eq!(
         fingerprint, PINNED_EARLIEST_SLOT_FINGERPRINT,
@@ -152,5 +150,5 @@ fn windowed_causal_earliest_slot_matches_the_pinned_fingerprint() {
     );
 }
 
-const PINNED_EARLIEST_SLOT_FINGERPRINT: u64 = 14687656518161337660;
-const PINNED_WINDOWED_CAUSAL_FINGERPRINT: u64 = 11964244014711507339;
+const PINNED_EARLIEST_SLOT_FINGERPRINT: u64 = 17330659635940273724;
+const PINNED_WINDOWED_CAUSAL_FINGERPRINT: u64 = 10375965680531777771;

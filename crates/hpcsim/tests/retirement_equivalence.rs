@@ -7,9 +7,8 @@
 //! the `schedule_since` cursor), the same `tasks_in_flight_at` answers at
 //! every boundary, and the same final per-GPU busy- and load-seconds bits.
 //! The workloads exercise the state retirement touches: the completed-task
-//! map, extract/parse pairs (group anchors), GPU cold starts over a small
-//! warm pool (load intervals + warm stats) and shared model-load channels
-//! (herd queuing).
+//! map, extract/parse pairs (group anchors) and GPU cold starts over a
+//! small warm pool (warm stats and the trace's load spans).
 //!
 //! Three disciplines, each meeting the retirement contract structurally:
 //!
@@ -43,13 +42,10 @@ const EPOCH: f64 = 4.0;
 /// expensive parser (0/1), model index, dependency selector).
 type DocSpec = ((u32, u32), (u8, u8, u8));
 
-fn workload() -> impl Strategy<Value = (Vec<Vec<DocSpec>>, usize)> {
-    (
-        prop::collection::vec(
-            prop::collection::vec(((1u32..30, 1u32..30), (0u8..2, 0u8..3, 0u8..255)), 1..5),
-            2..6,
-        ),
-        0usize..3,
+fn workload() -> impl Strategy<Value = Vec<Vec<DocSpec>>> {
+    prop::collection::vec(
+        prop::collection::vec(((1u32..30, 1u32..30), (0u8..2, 0u8..3, 0u8..255)), 1..5),
+        2..6,
     )
 }
 
@@ -123,11 +119,9 @@ enum Retire {
     AtBoundary,
 }
 
-fn open_session(channels: usize) -> (ExecutorSession, LustreModel) {
+fn open_session() -> ExecutorSession {
     let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 2, gpu_slots_per_node: 1 };
-    let filesystem = LustreModel { model_load_channels: channels, ..LustreModel::default() };
-    let executor = WorkflowExecutor::new(ExecutorConfig::default());
-    (executor.session(&cluster), filesystem)
+    WorkflowExecutor::new(ExecutorConfig::default()).session(&cluster)
 }
 
 /// What is observable once the drivers' loops are over.
@@ -149,8 +143,8 @@ fn close(
 /// Fixed-length epochs: window `e` is released at `e · EPOCH`, the engine
 /// advances to the next boundary, and the caller harvests, asks what is in
 /// flight, and retires as `retire` says.
-fn run_epochs(windows: &[Vec<Task>], channels: usize, retire: Retire) -> Observed {
-    let (mut session, filesystem) = open_session(channels);
+fn run_epochs(windows: &[Vec<Task>], retire: Retire) -> Observed {
+    let (mut session, filesystem) = (open_session(), LustreModel::default());
     let mut snapshots = Vec::new();
     let mut harvested: Vec<ScheduledTask> = Vec::new();
     let mut in_flight = Vec::new();
@@ -182,8 +176,8 @@ fn run_epochs(windows: &[Vec<Task>], channels: usize, retire: Retire) -> Observe
 /// frontier the previous one left, drained without a bound, harvested by
 /// cursor, and — when `retire` — everything finished by the new frontier is
 /// retired right after the frontier's one in-flight query.
-fn run_frontier(windows: &[Vec<Task>], channels: usize, retire: bool) -> Observed {
-    let (mut session, filesystem) = open_session(channels);
+fn run_frontier(windows: &[Vec<Task>], retire: bool) -> Observed {
+    let (mut session, filesystem) = (open_session(), LustreModel::default());
     let mut snapshots = Vec::new();
     let mut harvested: Vec<ScheduledTask> = Vec::new();
     let mut in_flight = Vec::new();
@@ -235,41 +229,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn retiring_every_epoch_is_observably_invisible(input in workload()) {
-        let (specs, channels) = input;
+    fn retiring_every_epoch_is_observably_invisible(specs in workload()) {
         let windows = build_windows(&specs, true);
-        let kept = run_epochs(&windows, channels, Retire::Never);
-        let retired = run_epochs(&windows, channels, Retire::Trailing);
+        let kept = run_epochs(&windows, Retire::Never);
+        let retired = run_epochs(&windows, Retire::Trailing);
         assert_invisible(&retired, &kept);
     }
 
     #[test]
-    fn retiring_at_the_epoch_boundary_is_observably_invisible(input in workload()) {
-        let (specs, channels) = input;
+    fn retiring_at_the_epoch_boundary_is_observably_invisible(specs in workload()) {
         let windows = build_windows(&specs, false);
-        let kept = run_epochs(&windows, channels, Retire::Never);
-        let retired = run_epochs(&windows, channels, Retire::AtBoundary);
+        let kept = run_epochs(&windows, Retire::Never);
+        let retired = run_epochs(&windows, Retire::AtBoundary);
         assert_invisible(&retired, &kept);
     }
 
     #[test]
-    fn retiring_at_the_dispatch_frontier_is_observably_invisible(input in workload()) {
-        let (specs, channels) = input;
+    fn retiring_at_the_dispatch_frontier_is_observably_invisible(specs in workload()) {
         let windows = build_windows(&specs, false);
-        let kept = run_frontier(&windows, channels, false);
-        let retired = run_frontier(&windows, channels, true);
+        let kept = run_frontier(&windows, false);
+        let retired = run_frontier(&windows, true);
         assert_invisible(&retired, &kept);
     }
 
     #[test]
-    fn retirement_composes_and_lower_watermarks_are_noops(input in workload()) {
-        let (specs, channels) = input;
+    fn retirement_composes_and_lower_watermarks_are_noops(specs in workload()) {
         let windows = build_windows(&specs, true);
-        let kept = run_epochs(&windows, channels, Retire::Never);
+        let kept = run_epochs(&windows, Retire::Never);
 
         // Retire once at the end vs. every epoch: same observables, and a
         // second retire at the same (or a lower) watermark changes nothing.
-        let (mut session, filesystem) = open_session(channels);
+        let (mut session, filesystem) = (open_session(), LustreModel::default());
         for (epoch, batch) in windows.iter().enumerate() {
             session.submit_owned(batch.clone(), SubmitOptions { release_seconds: Some(epoch as f64 * EPOCH) });
             session.advance_until((epoch + 1) as f64 * EPOCH, &filesystem);
