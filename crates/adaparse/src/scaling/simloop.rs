@@ -48,8 +48,8 @@
 //! samples into the deferred queue, `start − ready` into a
 //! [`LatencyLedger`] — and then the loop retires the session behind the
 //! boundary it just observed ([`hpcsim::ExecutorSession::retire_before`]):
-//! rows, completion records, pair anchors, cold-start intervals and GPU
-//! spans of everything finished by then. The session holds the work in flight, not the
+//! rows, completion records, pair anchors and GPU spans of everything
+//! finished by then. The session holds the work in flight, not the
 //! campaign. No report bit can tell, because `retire_before`'s three
 //! obligations hold by construction: the next window's release floor *is*
 //! this boundary; an unbounded drain leaves nothing pending and every
@@ -158,11 +158,6 @@ pub struct SimWave {
     pub warm_hits: usize,
     /// Seconds the epoch's tasks spent ready but queued for a slot.
     pub queue_wait_seconds: f64,
-    /// Seconds the epoch's paid cold starts spent queued for a shared
-    /// model-load channel
-    /// ([`hpcsim::LustreModel::model_load_channels`]) — the
-    /// thundering-herd serialization cost. Zero with unlimited channels.
-    pub herd_queue_seconds: f64,
     /// Tasks of the epoch that could not run (no slot of the required
     /// kind, or a dependency that was itself skipped). An epoch whose
     /// tasks were *all* skipped is well-defined: its
@@ -199,18 +194,10 @@ pub struct SimLoopReport {
     /// completion. Epochs overlap (no barrier), so this is *less* than the
     /// sum of per-epoch spans whenever the cluster pipeline stays busy.
     pub makespan_seconds: f64,
-    /// Extract+parse pairs reunited on one node, campaign-wide.
-    pub co_located_pairs: usize,
-    /// Pairs split across nodes, campaign-wide.
-    pub split_pairs: usize,
-    /// Tasks that ran away from their data, campaign-wide.
-    pub non_local_tasks: usize,
-    /// Data-locality penalty seconds paid, campaign-wide.
-    pub locality_penalty_seconds: f64,
     /// The controller's allocation trace, timestamped in simulated seconds.
     pub history: Vec<AllocationEvent>,
     /// The session-cumulative executor report: critical path, queue wait,
-    /// per-model warm hits and misses — everything the persistent engine
+    /// pair locality, per-model warm hits and misses — everything the persistent engine
     /// measured over the whole campaign, bit for bit what a session that
     /// never retired reports. Its `gpu_trace` keeps every per-GPU
     /// `busy_seconds` / `model_load_seconds` bit but only the raw spans not
@@ -256,23 +243,9 @@ pub fn run_closed_loop(
     let mut selector = WindowedSelector::new(window, config.alpha);
     let mut controller = ScalingController::new(sim.controller);
 
-    let mut report = SimLoopReport {
-        waves: Vec::new(),
-        mask: Vec::with_capacity(improvements.len()),
-        documents: improvements.len(),
-        selected: 0,
-        makespan_seconds: 0.0,
-        co_located_pairs: 0,
-        split_pairs: 0,
-        non_local_tasks: 0,
-        locality_penalty_seconds: 0.0,
-        history: Vec::new(),
-        // Placeholder until the loop closes (a blank session's snapshot is
-        // identical to its full report); the cheap path skips cloning the
-        // GPU trace and warm rows.
-        executor_report: session.report_snapshot(),
-        queue_wait: LatencySummary::default(),
-    };
+    let mut waves = Vec::new();
+    let mut grants = Vec::with_capacity(improvements.len());
+    let mut selected_total = 0;
 
     // Deferred observations: a task's stage sample `(is_parse,
     // busy_seconds)` only becomes visible to the loop once a decision
@@ -341,12 +314,8 @@ pub fn run_closed_loop(
         let allocation =
             controller.observe_at(observed_at, &WaveStats { wave_index, extract, parse, queue_depth });
 
-        report.selected += selected;
-        report.co_located_pairs += wave.co_located_pairs;
-        report.split_pairs += wave.split_pairs;
-        report.non_local_tasks += wave.non_local_tasks;
-        report.locality_penalty_seconds += wave.locality_penalty_seconds;
-        report.waves.push(SimWave {
+        selected_total += selected;
+        waves.push(SimWave {
             wave_index,
             decided_at_seconds: decided_at,
             started_at_seconds,
@@ -361,21 +330,25 @@ pub fn run_closed_loop(
             locality_penalty_seconds: wave.locality_penalty_seconds,
             warm_hits: wave.warm_hits,
             queue_wait_seconds: wave.queue_wait_seconds,
-            herd_queue_seconds: wave.herd_queue_seconds,
             tasks_skipped: wave.tasks_skipped,
             queue_depth,
             extract: wave.stage_timings.extract,
             parse: wave.stage_timings.parse,
         });
-        report.mask.extend(mask);
+        grants.extend(mask);
         decided_at = observed_at;
     }
 
-    report.makespan_seconds = session.now_seconds();
-    report.history = controller.history().to_vec();
-    report.executor_report = session.report();
-    report.queue_wait = queue_waits.summary();
-    report
+    SimLoopReport {
+        waves,
+        mask: grants,
+        documents: improvements.len(),
+        selected: selected_total,
+        makespan_seconds: session.now_seconds(),
+        history: controller.history().to_vec(),
+        executor_report: session.report(),
+        queue_wait: queue_waits.summary(),
+    }
 }
 
 /// Planned per-document costs in seconds at a given page count, as

@@ -325,12 +325,6 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                     } else {
                         progress.extract = Some(span);
                     }
-                    // Herd-channel queue time is attributed to the owning
-                    // tenant as its rows surface (a doc's rows always scan
-                    // before it graduates out of `awaiting`).
-                    if row.herd_wait_seconds > 0.0 {
-                        registry.states_mut()[progress.tenant].herd_queue_seconds += row.herd_wait_seconds;
-                    }
                     // Row-driven completion: a document has exactly the rows
                     // its grant implies, so it completes on its last one.
                     if progress.completion().is_some() {

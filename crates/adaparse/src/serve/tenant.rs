@@ -140,11 +140,6 @@ pub struct TenantServeReport {
     /// Time-to-parsed (arrival → last task finish) over completed
     /// documents, with exact nearest-rank percentiles.
     pub latency: LatencySummary,
-    /// Seconds this tenant's paid cold starts spent queued for a shared
-    /// model-load channel ([`hpcsim::LustreModel::model_load_channels`]) —
-    /// the tenant's share of the thundering-herd serialization cost. Zero
-    /// with unlimited channels.
-    pub herd_queue_seconds: f64,
     /// The tenant's p99 target, copied from the spec.
     pub slo_p99_seconds: f64,
     /// The tenant's effective α when the run closed (after any ledger
@@ -199,9 +194,6 @@ pub(crate) struct TenantState {
     /// All time-to-parsed samples, in completion-observation order (exact
     /// nearest-rank percentiles at close — see [`LatencyLedger`]).
     pub(crate) latencies: LatencyLedger,
-    /// Herd-channel queue seconds paid by this tenant's tasks, accumulated
-    /// from schedule rows as they are harvested.
-    pub(crate) herd_queue_seconds: f64,
     pub(crate) arrived: usize,
     pub(crate) admitted: usize,
     pub(crate) rejected: usize,
@@ -308,7 +300,6 @@ impl TenantRegistry {
                     queue: VecDeque::new(),
                     recent_latency: VecDeque::new(),
                     latencies: LatencyLedger::new(),
-                    herd_queue_seconds: 0.0,
                     arrived: 0,
                     admitted: 0,
                     rejected: 0,
@@ -368,7 +359,6 @@ impl TenantRegistry {
                 unfinished: tenant.admitted - tenant.completed,
                 selected: tenant.selected,
                 latency: tenant.latencies.summary(),
-                herd_queue_seconds: tenant.herd_queue_seconds,
                 slo_p99_seconds: tenant.spec.slo_p99_seconds,
                 final_effective_alpha: tenant.closing_alpha,
                 remaining_budget_seconds: tenant.selector.ledger().remaining_seconds(),

@@ -177,9 +177,6 @@ fn run(flags: &Flags, docs: usize) -> Result<Vec<(&'static str, JsonValue)>, Str
         ("window", JsonValue::U64(WINDOW as u64)),
         ("nodes", JsonValue::U64(NODES as u64)),
         ("smoke", JsonValue::Bool(flags.smoke)),
-        // Optional field (absent from early entries, so kept out of the
-        // required ones): the herd serialization cost the run observed.
-        ("herd_queue_seconds", JsonValue::F64(report.executor_report.herd_queue_seconds)),
         ("tasks_completed", JsonValue::U64(tasks_completed)),
         ("wall_seconds_total", JsonValue::F64(wall_seconds_total)),
         ("tasks_per_second", JsonValue::F64(tasks_per_second)),

@@ -254,7 +254,6 @@ fn run(flags: &Flags, mut scale: usize) -> Result<Vec<(&'static str, JsonValue)>
                     ("p50_seconds", JsonValue::F64(t.latency.p50_seconds)),
                     ("p99_seconds", JsonValue::F64(t.latency.p99_seconds)),
                     ("slo_ratio", JsonValue::F64(t.slo_ratio())),
-                    ("herd_queue_seconds", JsonValue::F64(t.herd_queue_seconds)),
                 ])
             })
             .collect(),

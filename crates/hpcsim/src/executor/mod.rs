@@ -46,7 +46,6 @@
 mod config;
 mod fleet;
 mod history;
-mod loads;
 mod pending;
 mod report;
 mod session;

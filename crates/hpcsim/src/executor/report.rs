@@ -128,16 +128,6 @@ pub struct CampaignReport {
     pub decision_lag_seconds: f64,
     /// Warm-pool hits: tasks that reused resident model weights for free.
     pub warm_hits: usize,
-    /// Seconds paid cold starts spent queued for a free model-load channel
-    /// ([`crate::LustreModel::model_load_channels`]), summed over tasks —
-    /// the thundering-herd serialization cost. Zero with unlimited
-    /// channels. Equals the sum of [`ScheduledTask::herd_wait_seconds`]
-    /// over the report's tasks, bitwise (folded in schedule order).
-    pub herd_queue_seconds: f64,
-    /// Largest number of model loads in flight at any instant — the peak
-    /// of the cold-start herd the load channels had to absorb (exact, via
-    /// a sweep over the report's load intervals).
-    pub concurrent_cold_starts_peak: usize,
     /// Per-model warm-pool counters, sorted by model key. Empty when
     /// [`ExecutorConfig::warm_start`] is off (the pools are bypassed).
     pub warm_models: Vec<ModelWarmStats>,
@@ -195,12 +185,7 @@ pub struct ScheduledTask {
     pub start_seconds: f64,
     /// Simulated time the task finished.
     pub finish_seconds: f64,
-    /// Cold-start seconds this task paid (zero on a warm hit).
+    /// Cold-start seconds this task paid (zero on a warm hit). The task's
+    /// compute begins only after `start_seconds + cold_start_paid_seconds`.
     pub cold_start_paid_seconds: f64,
-    /// Seconds this task's paid model load waited for a free model-load
-    /// channel ([`crate::LustreModel::model_load_channels`]) before its
-    /// weights could start streaming. Zero on warm hits and with unlimited
-    /// channels. The task's compute begins only after
-    /// `start_seconds + herd_wait_seconds + cold_start_paid_seconds`.
-    pub herd_wait_seconds: f64,
 }

@@ -3,7 +3,6 @@
 
 use super::fleet::{Fleet, Slot};
 use super::history::History;
-use super::loads::LoadChannels;
 use super::pending::{PendingMeta, PendingSet};
 use super::warm::WarmLedger;
 use super::{CampaignReport, ExecutorConfig, ScheduledTask, SubmitOptions};
@@ -23,7 +22,6 @@ pub struct ExecutorSession {
     pending: PendingSet,
     fleet: Fleet,
     warm: WarmLedger,
-    loads: LoadChannels,
     history: History,
     /// Sums over every drain so far, with a blank `gpu_trace`: the spans
     /// live in `trace`, so a per-epoch snapshot clones no history. Its
@@ -43,7 +41,6 @@ impl ExecutorSession {
             cluster: *cluster,
             pending: PendingSet::default(),
             warm: WarmLedger::new(cluster.nodes),
-            loads: LoadChannels::default(),
             history: History::default(),
             cumulative: CampaignReport::blank(fleet.gpus),
             trace: GpuTrace::new(fleet.gpus),
@@ -174,8 +171,7 @@ impl ExecutorSession {
 
     /// Drop session history that finished at or before `watermark_seconds`:
     /// schedule rows, completed-task records, skip records, fully-finished
-    /// group anchors, cold-start load intervals (their exact peak is
-    /// carried forward), in-flight counter entries, and the cumulative GPU
+    /// group anchors, in-flight counter entries, and the cumulative GPU
     /// trace's span prefix (its busy accounting is carried forward
     /// bitwise). Idempotent; watermarks must be finite and non-negative,
     /// and a watermark at or below the current one is a no-op.
@@ -186,8 +182,7 @@ impl ExecutorSession {
     /// observable is bitwise identical** to the unretired session:
     /// cumulative reports ([`report`](Self::report) /
     /// [`report_snapshot`](Self::report_snapshot) — all counters, warm
-    /// stats, the concurrent-cold-start peak, and the trace's busy/load
-    /// accounting; only the trace's raw span list and per-bin
+    /// stats, and the trace's busy/load accounting; only the trace's raw span list and per-bin
     /// [`GpuTrace::utilization_series`] forget retired spans), batch
     /// reports, schedules read through
     /// [`schedule_since`](Self::schedule_since),
@@ -224,7 +219,6 @@ impl ExecutorSession {
         if watermark_seconds <= self.history.watermark() {
             return;
         }
-        self.loads.retire_before(watermark_seconds);
         self.history.retire_before(watermark_seconds);
         self.trace.retire_before(watermark_seconds);
     }
@@ -239,13 +233,10 @@ impl ExecutorSession {
 
     /// [`report`](Self::report) without the per-GPU trace: every other
     /// field is bitwise identical, but `gpu_trace` is a blank
-    /// [`GpuTrace`] over the session's GPU count — O(models + retained
-    /// load intervals) with no O(session-history) clone: the warm-model
-    /// rows come pre-sorted from the incrementally maintained label order,
-    /// and the concurrent-cold-start peak sweeps only the intervals above
-    /// the retirement watermark (the carried
-    /// [`retire_before`](Self::retire_before) prefix peak covers the rest
-    /// exactly). This is the per-wave/per-epoch reporting path for
+    /// [`GpuTrace`] over the session's GPU count — O(models) with no
+    /// O(session-history) clone: the warm-model rows come pre-sorted from
+    /// the incrementally maintained label order. This is the
+    /// per-wave/per-epoch reporting path for
     /// resident loops; take the full [`report`](Self::report) once at
     /// close when the trace is wanted.
     pub fn report_snapshot(&self) -> CampaignReport {
@@ -256,7 +247,6 @@ impl ExecutorSession {
             0.0
         };
         report.warm_models = self.warm.total_rows();
-        report.concurrent_cold_starts_peak = self.loads.peak();
         report
     }
 
@@ -385,8 +375,6 @@ impl ExecutorSession {
         filesystem.validate();
         let (concurrency, aggregated) = (self.cluster.nodes, self.config.node_local_staging);
         let mut stage_costs = StageCosts { filesystem, concurrency, aggregated, last: None };
-        self.loads.resize(filesystem.model_load_channels);
-        let first_load = self.loads.retained();
 
         self.pending.seed();
         while let Some((time, index, task, meta)) = self.pending.pop(until) {
@@ -422,7 +410,6 @@ impl ExecutorSession {
         let batch_span = report.makespan_seconds - first_start.min(report.makespan_seconds);
         report.throughput_per_second =
             if batch_span > 0.0 { report.tasks_completed as f64 / batch_span } else { 0.0 };
-        report.concurrent_cold_starts_peak = self.loads.peak_since(first_load);
         report.warm_models = self.warm.take_batch_rows();
         report.warm_hits = report.warm_models.iter().map(|model| model.hits).sum();
         self.absorb(&report);
@@ -430,8 +417,7 @@ impl ExecutorSession {
     }
 
     /// Run one released task: *place* it on a slot, *acquire* its model,
-    /// *claim* a load channel for a paid cold start, *account* the batch
-    /// report, and *record* it in the history. Returns its start, its
+    /// *account* the batch report, and *record* it in the history. Returns its start, its
     /// finish and its busy-weighted critical path (the last two release its
     /// dependents).
     fn dispatch(
@@ -484,22 +470,13 @@ impl ExecutorSession {
         } else {
             self.warm.acquire(node, task.label, task.cold_start_seconds, start)
         };
-        let herd_wait = if cold > 0.0 {
-            let wait = self.loads.claim(start, cold);
+        if cold > 0.0 {
             report.cold_starts += 1;
-            report.herd_queue_seconds += wait;
-            wait
-        } else {
-            0.0
-        };
+        }
 
-        // Stage-in overlaps compute; model loading (queueing included)
-        // can never be overlapped. `stall` is bitwise `cold` when no herd
-        // wait was paid, so unlimited channels reproduce the
-        // free-parallel-load arithmetic exactly.
-        let stall = herd_wait + cold;
+        // Stage-in overlaps compute; model loading can never be overlapped.
         let stage_in = base_stage_in + penalty;
-        let busy = stall + task.compute_seconds.max(stage_in);
+        let busy = cold + task.compute_seconds.max(stage_in);
         let end = start + busy;
         report.stage_in_seconds += stage_in;
         // `time` is already clamped to the floor, and `start >= time`.
@@ -513,9 +490,9 @@ impl ExecutorSession {
             Some(gpu) => {
                 report.gpu_busy_seconds += busy;
                 if cold > 0.0 {
-                    report.gpu_trace.record(gpu, start, start + stall, true);
+                    report.gpu_trace.record(gpu, start, start + cold, true);
                 }
-                report.gpu_trace.record(gpu, start + stall, end, false);
+                report.gpu_trace.record(gpu, start + cold, end, false);
             }
         }
         if let Some(group) = task.group {
@@ -538,7 +515,6 @@ impl ExecutorSession {
                 start_seconds: start,
                 finish_seconds: end,
                 cold_start_paid_seconds: cold,
-                herd_wait_seconds: herd_wait,
             },
             critical_path,
             task.group.map(|group| group.id),
@@ -547,8 +523,8 @@ impl ExecutorSession {
     }
 
     /// Fold a batch report into the session-cumulative one. (Warm-model
-    /// rows and the exact cold-start peak are *not* folded here — the warm
-    /// ledger and the load channels keep session totals themselves.)
+    /// rows are *not* folded here — the warm ledger keeps session totals
+    /// itself.)
     fn absorb(&mut self, batch: &CampaignReport) {
         let total = &mut self.cumulative;
         total.tasks_completed += batch.tasks_completed;
@@ -566,7 +542,6 @@ impl ExecutorSession {
         total.queue_wait_seconds += batch.queue_wait_seconds;
         total.decision_lag_seconds += batch.decision_lag_seconds;
         total.warm_hits += batch.warm_hits;
-        total.herd_queue_seconds += batch.herd_queue_seconds;
         total.stage_timings.absorb(&batch.stage_timings);
         self.trace.merge(&batch.gpu_trace);
     }

@@ -21,9 +21,8 @@
 //!   `session` ([`ExecutorSession`]: submit, drain, the per-task dispatch
 //!   sequence, retire), `pending` (the undispatched DAG and its ready
 //!   queue), `fleet` (slot availability over [`slotindex`]), `warm`
-//!   ([`WarmPool`]s, the [`intern`]ed labels and per-model counters),
-//!   `loads` (model-load channels and the cold-start peak) and `history`
-//!   (schedule rows, finish/skip records, pair anchors),
+//!   ([`WarmPool`]s, the [`intern`]ed labels and per-model counters) and
+//!   `history` (schedule rows, finish/skip records, pair anchors),
 //! * [`profiler`] — per-GPU utilization traces (the Nsight view of Figure 4).
 //!
 //! # Example

@@ -22,12 +22,6 @@ pub struct LustreModel {
     pub metadata_latency_s: f64,
     /// Maximum metadata operations per second the metadata servers sustain.
     pub metadata_ops_per_s: f64,
-    /// Number of model-load channels the filesystem sustains at once: paid
-    /// cold starts queue on these channels, so a thundering herd of
-    /// concurrent model loads serializes instead of streaming weights for
-    /// free in parallel. `0` means unlimited channels — the legacy behavior,
-    /// bitwise-identical to the model before this field existed.
-    pub model_load_channels: usize,
 }
 
 impl Default for LustreModel {
@@ -36,7 +30,6 @@ impl Default for LustreModel {
             per_node_bandwidth_mb_s: 3_000.0,
             metadata_latency_s: 0.002,
             metadata_ops_per_s: 40_000.0,
-            model_load_channels: 0,
         }
     }
 }

@@ -3,6 +3,8 @@
 //! deadlock, and produce bitwise-identical reports across task submission
 //! orders — and, with enough slots that no task ever queues, bitwise
 //! identical makespans across slot counts (equal to the critical path).
+//! With GPU tasks behind model loads, no task computes before its paid load
+//! has finished.
 
 use hpcsim::{ClusterConfig, ExecutorConfig, LustreModel, SlotKind, SubmitOptions, Task, WorkflowExecutor};
 use proptest::prelude::*;
@@ -33,6 +35,27 @@ fn dag_tasks() -> impl Strategy<Value = Vec<Task>> {
                 })
                 .collect()
         })
+}
+
+/// [`dag_tasks`] with two of every three tasks moved onto GPU slots behind a
+/// model load (three models, 5 to 14 s cold starts), so warm pools and paid
+/// loads are in play.
+fn cold_start_dag() -> impl Strategy<Value = Vec<Task>> {
+    dag_tasks().prop_map(|tasks| {
+        tasks
+            .into_iter()
+            .map(|mut task| {
+                let id = task.id;
+                if id % 3 != 0 {
+                    task.slot = SlotKind::Gpu;
+                    task = task
+                        .with_label(["Nougat", "Marker", "GOT"][id as usize % 3])
+                        .with_cold_start(5.0 + (id % 4) as f64 * 3.0);
+                }
+                task
+            })
+            .collect()
+    })
 }
 
 fn schedule_by_id(
@@ -168,5 +191,32 @@ proptest! {
         let join_start = times[&3].0;
         prop_assert!(join_start >= times[&1].1.max(times[&2].1));
         prop_assert_eq!(report.makespan_seconds.to_bits(), report.critical_path_seconds.to_bits());
+    }
+
+    #[test]
+    fn compute_never_starts_before_the_model_finishes_loading(
+        tasks in cold_start_dag(),
+        warm_flag in 0u8..2,
+    ) {
+        // A task's slot occupancy covers its paid model load and then its
+        // compute: weights finish streaming before compute begins.
+        let executor = WorkflowExecutor::new(ExecutorConfig { warm_start: warm_flag == 1, ..Default::default() });
+        let cluster = ClusterConfig { nodes: 2, cpu_slots_per_node: 2, gpu_slots_per_node: 3 };
+        let mut session = executor.session(&cluster);
+        session.submit_owned(tasks.clone(), SubmitOptions::default());
+        session.advance_to_frontier(&LustreModel::default());
+        prop_assert_eq!(session.schedule().len(), tasks.len());
+        for row in session.schedule() {
+            let compute = tasks[row.id as usize].compute_seconds;
+            let occupancy = row.finish_seconds - row.start_seconds;
+            prop_assert!(
+                occupancy >= row.cold_start_paid_seconds + compute - 1e-9,
+                "task {}: occupancy {} cannot cover load {} + compute {}",
+                row.id,
+                occupancy,
+                row.cold_start_paid_seconds,
+                compute
+            );
+        }
     }
 }
