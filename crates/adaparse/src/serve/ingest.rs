@@ -24,9 +24,15 @@ use crate::stats::{LatencyLedger, LatencySummary};
 
 use super::tenant::{DocArrival, TenantRegistry, TenantServeReport, TenantTrace};
 
+/// Sliding-window length (completions per tenant) for the SLO signal. A
+/// short window lets the signal recover between herds: with 64 samples,
+/// one herd's tail lingers in view through the whole quiet period and the
+/// fleet never breathes down.
+const SLO_WINDOW: usize = 16;
+
 /// Minimum sliding-window completions a tenant needs before its p99
 /// participates in the autoscaler's worst-ratio signal; below this the
-/// tail estimate is too noisy to scale on.
+/// tail estimate is too noisy to scale on. At most [`SLO_WINDOW`].
 const SLO_MIN_SAMPLES: usize = 8;
 
 /// Admission cap in in-flight documents per active CPU slot.
@@ -64,8 +70,6 @@ pub struct ServeConfig {
     /// SLO-driven fleet autoscaling; `None` pins the fleet at
     /// [`nodes`](Self::nodes) (the ablation baseline).
     pub autoscale: Option<AutoscaleConfig>,
-    /// Sliding-window length (completions per tenant) for the SLO signal.
-    pub slo_window: usize,
     /// Retire session history behind each epoch boundary
     /// ([`hpcsim::ExecutorSession::retire_before`]), keeping resident
     /// memory and per-epoch accounting cost proportional to work in
@@ -87,7 +91,6 @@ impl Default for ServeConfig {
             executor: ExecutorConfig::default(),
             filesystem: LustreModel::default(),
             autoscale: None,
-            slo_window: 64,
             retirement: true,
         }
     }
@@ -363,7 +366,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
                 state.completed += 1;
                 state.latencies.record(done.latency_seconds);
                 state.recent_latency.push_back(done.latency_seconds);
-                while state.recent_latency.len() > config.slo_window.max(1) {
+                while state.recent_latency.len() > SLO_WINDOW {
                     state.recent_latency.pop_front();
                 }
                 tenant_costs[done.tenant].record(done.expensive, done.busy_seconds);
@@ -501,7 +504,7 @@ pub fn run_service_instrumented(config: &ServeConfig, traces: &[TenantTrace]) ->
         let queue_depth = registry.queued() + in_flight;
         controller.observe_at(boundary, &WaveStats { wave_index: epochs - 1, extract, parse, queue_depth });
         if let Some(autoscaler) = autoscaler.as_mut() {
-            let worst = registry.worst_slo_ratio(SLO_MIN_SAMPLES.min(config.slo_window.max(1)));
+            let worst = registry.worst_slo_ratio(SLO_MIN_SAMPLES);
             let backlog_per_slot = queue_depth as f64 / active_cpu_slots.max(1) as f64;
             let nodes = autoscaler.observe(epochs - 1, boundary, worst, backlog_per_slot);
             session.set_active_nodes(nodes);

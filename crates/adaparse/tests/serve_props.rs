@@ -431,7 +431,7 @@ fn serve_reports_are_pinned_by_value() {
         "same-timestamp herd against max_pending 8"
     );
 
-    // Autoscaled from one node under the autoscaler's tuning spelled out.
+    // Autoscaled from one node.
     let scaled = vec![
         TenantTrace {
             spec: TenantSpec { alpha: 0.6, slo_p99_seconds: 45.0, ..tenant("hot", 1.0) },
@@ -445,16 +445,7 @@ fn serve_reports_are_pinned_by_value() {
     let config = ServeConfig {
         nodes: 1,
         epoch_seconds: 10.0,
-        autoscale: Some(AutoscaleConfig {
-            max_nodes: 4,
-            step_up: 3,
-            step_down: 2,
-            down_patience: 2,
-            headroom: 0.6,
-            backlog_per_slot_up: 1.0,
-            ..Default::default()
-        }),
-        slo_window: 16,
+        autoscale: Some(AutoscaleConfig { max_nodes: 4, ..Default::default() }),
         ..ServeConfig::default()
     };
     let report = run_service(&config, &scaled);

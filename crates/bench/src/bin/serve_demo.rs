@@ -143,20 +143,7 @@ fn serve_config(autoscale: bool, fixed_nodes: usize) -> ServeConfig {
         engine: AdaParseConfig::default(),
         epoch_seconds: 20.0,
         nodes: if autoscale { MIN_NODES } else { fixed_nodes },
-        autoscale: autoscale.then_some(AutoscaleConfig {
-            min_nodes: MIN_NODES,
-            max_nodes: MAX_NODES,
-            step_up: 3,
-            step_down: 2,
-            down_patience: 2,
-            headroom: 0.6,
-            backlog_per_slot_up: 1.0,
-        }),
-        // A short sliding window lets the SLO signal recover between
-        // herds (with the default 64 samples, one herd's tail lingers in
-        // view through the whole quiet period and the fleet never
-        // breathes down).
-        slo_window: 16,
+        autoscale: autoscale.then_some(AutoscaleConfig { min_nodes: MIN_NODES, max_nodes: MAX_NODES }),
         ..Default::default()
     }
 }
