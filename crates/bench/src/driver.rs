@@ -1,5 +1,5 @@
 //! What the trajectory bins (`bench_million`, `bench_cascade`, `serve_demo`,
-//! `serve_steady`, `bench_layers`) share: one flag reader, one
+//! `serve_steady`, `bench_layers`, `pipeline_scaling`) share: one flag reader, one
 //! `run → entry → append → validate` driver, one counting allocator, and the
 //! seeded helpers (`fnv1a`, `doc_arrivals`, and `build_scores`, the
 //! router-score stream every simulated campaign routes).
@@ -30,7 +30,7 @@ pub struct Trajectory {
     pub required: &'static [&'static str],
 }
 
-/// A trajectory bin's command line: the flags all four accept, read here,
+/// A trajectory bin's command line: the flags every one accepts, read here,
 /// and the cursor a bin reads its own flags from.
 pub struct Flags {
     /// `--seed` (default 42).
