@@ -218,6 +218,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_nodes")]
     fn inverted_bounds_panic() {
-        SloAutoscaler::new(AutoscaleConfig { min_nodes: 4, max_nodes: 2, ..Default::default() }, 2);
+        SloAutoscaler::new(AutoscaleConfig { min_nodes: 4, max_nodes: 2 }, 2);
     }
 }

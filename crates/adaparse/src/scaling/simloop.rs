@@ -197,11 +197,11 @@ pub struct SimLoopReport {
     /// The controller's allocation trace, timestamped in simulated seconds.
     pub history: Vec<AllocationEvent>,
     /// The session-cumulative executor report: critical path, queue wait,
-    /// pair locality, per-model warm hits and misses — everything the persistent engine
-    /// measured over the whole campaign, bit for bit what a session that
-    /// never retired reports. Its `gpu_trace` keeps every per-GPU
-    /// `busy_seconds` / `model_load_seconds` bit but only the raw spans not
-    /// retired by the last window's boundary (so
+    /// pair locality, per-model warm hits and misses — everything the
+    /// persistent engine measured over the whole campaign, bit for bit what
+    /// a session that never retired reports. Its `gpu_trace` keeps every
+    /// per-GPU `busy_seconds` / `model_load_seconds` bit but only the raw
+    /// spans not retired by the last window's boundary (so
     /// [`hpcsim::GpuTrace::utilization_series`] sees the closing stragglers
     /// only), exactly as [`crate::serve::ServeReport`]'s does.
     pub executor_report: CampaignReport,

@@ -44,8 +44,11 @@ fn parse_args(flags: &mut Flags) -> Result<usize, String> {
     Ok(docs)
 }
 
-const TRAJECTORY: Trajectory =
-    Trajectory { bin: "pipeline_scaling", benchmark: "pipeline_scaling", required: &["skipped", "cores", "docs"] };
+const TRAJECTORY: Trajectory = Trajectory {
+    bin: "pipeline_scaling",
+    benchmark: "pipeline_scaling",
+    required: &["skipped", "cores", "docs"],
+};
 
 fn run(flags: &Flags, n_docs: usize) -> Result<Vec<(&'static str, JsonValue)>, String> {
     let docs = DocumentGenerator::new(GeneratorConfig {

@@ -182,7 +182,8 @@ impl ExecutorSession {
     /// observable is bitwise identical** to the unretired session:
     /// cumulative reports ([`report`](Self::report) /
     /// [`report_snapshot`](Self::report_snapshot) — all counters, warm
-    /// stats, and the trace's busy/load accounting; only the trace's raw span list and per-bin
+    /// stats, and the trace's busy/load accounting; only the trace's raw
+    /// span list and per-bin
     /// [`GpuTrace::utilization_series`] forget retired spans), batch
     /// reports, schedules read through
     /// [`schedule_since`](Self::schedule_since),
@@ -417,9 +418,9 @@ impl ExecutorSession {
     }
 
     /// Run one released task: *place* it on a slot, *acquire* its model,
-    /// *account* the batch report, and *record* it in the history. Returns its start, its
-    /// finish and its busy-weighted critical path (the last two release its
-    /// dependents).
+    /// *account* the batch report, and *record* it in the history. Returns
+    /// its start, its finish and its busy-weighted critical path (the last
+    /// two release its dependents).
     fn dispatch(
         &mut self,
         report: &mut CampaignReport,
